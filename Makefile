@@ -1,12 +1,15 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-short race bench bench-json bench-smoke bench-capacity bench-scale bench-scale-budget profile-scale chaos sweep figures tables examples vet fuzz-smoke
+.PHONY: test test-short test-benchmark race bench bench-json bench-smoke bench-capacity bench-scale bench-scale-budget profile-scale chaos sweep figures tables examples vet fuzz-smoke
 
 test:        ## full test suite (includes ~20s of real-clock tests)
 	go test ./...
 
 test-short:  ## skip real-time tests
 	go test -short ./...
+
+test-benchmark: ## the benchmark program's own tests (a module of its own that imports internal/...: deleting an API it uses fails here)
+	go test -C benchmark -short ./...
 
 race:        ## race detector over the whole module
 	go test -race -short ./...

@@ -83,10 +83,8 @@ func Execute(plan Plan, cfg Config) *Report {
 	events = append(events, sim.Event{At: cfg.Duration - 500*time.Millisecond, Do: func(rt *sim.Runtime) {
 		owners = 0
 		for _, s := range rt.Servers() {
-			for _, id := range s.ActiveSessions() {
-				if id == ClientID {
-					owners++
-				}
+			if s.HasSession(ClientID) {
+				owners++
 			}
 		}
 		if c := rt.Client(); c != nil {

@@ -240,10 +240,8 @@ func (d *Deployment) NewClient(id string) (*Client, error) {
 // ("" if none) — handy for demos and assertions.
 func (d *Deployment) ServingServer(clientID string) string {
 	for id, s := range d.servers {
-		for _, c := range s.ActiveSessions() {
-			if c == clientID {
-				return id
-			}
+		if s.HasSession(clientID) {
+			return id
 		}
 	}
 	return ""

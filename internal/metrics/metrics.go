@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -23,6 +24,13 @@ type Series struct {
 
 // NewSeries returns an empty series.
 func NewSeries(name string) *Series { return &Series{Name: name} }
+
+// Grow makes room for n more samples, so a sampler that knows its run length
+// up front appends without reallocating.
+func (s *Series) Grow(n int) {
+	s.Times = slices.Grow(s.Times, n)
+	s.Values = slices.Grow(s.Values, n)
+}
 
 // Add inserts a sample, keeping Times sorted.
 func (s *Series) Add(t time.Duration, v float64) {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
@@ -168,12 +169,17 @@ func (m *Movie) FrameData(i int) []byte {
 // extended slice, so streaming senders can reuse one scratch buffer instead
 // of materializing a fresh payload per frame.
 func (m *Movie) AppendFrameData(b []byte, i int) []byte {
-	info := m.frames[i]
 	start := len(b)
-	b = append(b, make([]byte, info.Size)...)
-	data := b[start:]
-	data[0] = byte(info.Class)
-	if info.Size >= 5 {
+	b = append(b, make([]byte, m.frames[i].Size)...)
+	m.fillFrameData(b[start:], i)
+	return b
+}
+
+// fillFrameData writes frame i's synthetic payload over data, which must be
+// exactly the frame's size.
+func (m *Movie) fillFrameData(data []byte, i int) {
+	data[0] = byte(m.frames[i].Class)
+	if len(data) >= 5 {
 		data[1] = byte(i >> 24)
 		data[2] = byte(i >> 16)
 		data[3] = byte(i >> 8)
@@ -182,25 +188,78 @@ func (m *Movie) AppendFrameData(b []byte, i int) []byte {
 	for j := 5; j < len(data); j++ {
 		data[j] = byte(i + j)
 	}
-	return b
 }
+
+// chunkFrames is how many consecutive frames share one materialized chunk of
+// a PacketTable: about a second of video, ≈186 KB at the paper's 1.4 Mbps.
+// A power of two, so locating a frame's chunk is a shift.
+const (
+	chunkShift  = 5
+	chunkFrames = 1 << chunkShift
+)
 
 // PacketTable holds every frame of one movie as a fully framed, ready-to-send
-// datagram — a transport channel prefix byte followed by the wire-encoded
-// Frame message — packed back to back in a single contiguous arena. The table
-// is immutable once built; all sessions streaming the movie share it, so N
-// concurrent viewers of one title cost one table, not N per-session frame
-// buffers, and senders ship table slices over a no-copy stable-send path.
+// datagram: a transport channel prefix byte followed by the wire-encoded
+// Frame message. Building the table computes only where each packet lies;
+// the bytes come into being chunkFrames frames at a time, the first time a
+// frame of the chunk is asked for, and are immutable from then on. All
+// sessions streaming the movie share the table, so N concurrent viewers of
+// one title cost the chunks they have reached between them, not N
+// per-session frame buffers, and senders ship table slices over a no-copy
+// stable-send path. Safe for concurrent use.
 type PacketTable struct {
-	arena []byte
-	offs  []int // offs[i]..offs[i+1] bounds packet i; len(offs) = frames+1
+	movie  *Movie
+	prefix byte
+	offs   []int // offs[i]..offs[i+1] bounds packet i in the table; len = frames+1
+
+	// chunks[c] holds packets c<<chunkShift onward, back to back. It is
+	// written once under mu and published by ready[c]; readers that saw the
+	// flag need no lock.
+	mu           sync.Mutex
+	chunks       [][]byte
+	ready        []atomic.Bool
+	materialized atomic.Int64
 }
 
-// Packet returns the framed datagram for frame i. The slice aliases the
-// shared arena and must never be written to; its capacity is clipped so even
-// an append cannot reach the next packet.
+// Packet returns the framed datagram for frame i, materializing its chunk on
+// first touch. The slice aliases shared memory and must never be written to;
+// its capacity is clipped so even an append cannot reach the next packet.
 func (t *PacketTable) Packet(i int) []byte {
-	return t.arena[t.offs[i]:t.offs[i+1]:t.offs[i+1]]
+	c := i >> chunkShift
+	if !t.ready[c].Load() {
+		t.materialize(c)
+	}
+	base := t.offs[c<<chunkShift]
+	return t.chunks[c][t.offs[i]-base : t.offs[i+1]-base : t.offs[i+1]-base]
+}
+
+// materialize builds chunk c in one exactly-sized allocation: each packet's
+// header and synthetic payload are written where they will be read from.
+func (t *PacketTable) materialize(c int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.ready[c].Load() {
+		return
+	}
+	m := t.movie
+	lo := c << chunkShift
+	hi := min(lo+chunkFrames, len(m.frames))
+	size := t.offs[hi] - t.offs[lo]
+	buf := make([]byte, 0, size)
+	for i := lo; i < hi; i++ {
+		info := m.frames[i]
+		buf = append(buf, t.prefix)
+		buf = wire.AppendFrameHeader(buf, m.id, uint32(i), info.Class, info.Size)
+		start := len(buf)
+		buf = buf[:start+info.Size]
+		m.fillFrameData(buf[start:], i)
+	}
+	if len(buf) != size {
+		panic(fmt.Sprintf("mpeg: chunk %d of %s is %d bytes, offsets say %d", c, m.id, len(buf), size))
+	}
+	t.chunks[c] = buf
+	t.materialized.Add(int64(size))
+	t.ready[c].Store(true)
 }
 
 // WireSize returns the size of frame i's encoded Frame message, excluding
@@ -210,11 +269,15 @@ func (t *PacketTable) WireSize(i int) int {
 	return t.offs[i+1] - t.offs[i] - 1
 }
 
-// Bytes returns the arena footprint, for capacity accounting in tests.
-func (t *PacketTable) Bytes() int { return len(t.arena) }
+// Bytes returns the size of the whole table were every chunk materialized.
+func (t *PacketTable) Bytes() int { return t.offs[len(t.offs)-1] }
+
+// Materialized returns how many of those bytes exist so far, for capacity
+// accounting in tests.
+func (t *PacketTable) Materialized() int { return int(t.materialized.Load()) }
 
 // Packets returns the movie's shared table of preframed datagrams for the
-// given channel prefix byte, building it on first use. Each entry is
+// given channel prefix byte, laying it out on first use. Each packet is
 // byte-identical to what a per-session encoder would produce: prefix, then
 // AppendMessage of a Frame{Movie, Index, Class, Payload} with the synthetic
 // payload from AppendFrameData.
@@ -225,24 +288,19 @@ func (m *Movie) Packets(prefix byte) *PacketTable {
 		return t
 	}
 	n := len(m.frames)
-	// Per-frame overhead: prefix, kind, movie-ID length prefix + bytes,
-	// index, class, payload length prefix.
-	per := 1 + 1 + 2 + len(m.id) + 4 + 1 + 4
-	arena := make([]byte, 0, int(m.total)+n*per)
+	per := 1 + wire.FrameHeaderSize(m.id)
 	offs := make([]int, n+1)
-	f := wire.Frame{Movie: m.id}
-	var payload []byte
-	for i := 0; i < n; i++ {
-		offs[i] = len(arena)
-		arena = append(arena, prefix)
-		payload = m.AppendFrameData(payload[:0], i)
-		f.Index = uint32(i)
-		f.Class = m.frames[i].Class
-		f.Payload = payload
-		arena = wire.AppendMessage(arena, &f)
+	for i, f := range m.frames {
+		offs[i+1] = offs[i] + per + f.Size
 	}
-	offs[n] = len(arena)
-	t := &PacketTable{arena: arena, offs: offs}
+	nChunks := (n + chunkFrames - 1) >> chunkShift
+	t := &PacketTable{
+		movie:  m,
+		prefix: prefix,
+		offs:   offs,
+		chunks: make([][]byte, nChunks),
+		ready:  make([]atomic.Bool, nChunks),
+	}
 	if m.pkts == nil {
 		m.pkts = make(map[byte]*PacketTable, 1)
 	}

@@ -179,7 +179,7 @@ func (e *endpoint) batchRef(dsts []transport.AddrRef, payloads [][]byte, shared 
 			n.stats.Dropped++
 			n.ctrDrop.Inc()
 			if firstErr == nil {
-				firstErr = fmt.Errorf("netsim: send %s→ref#%d: %w", e.addr, ref, transport.ErrNoRoute)
+				firstErr = errNoRoute
 			}
 			continue
 		}

@@ -442,22 +442,27 @@ func (n *Network) Stats() Stats {
 	return n.stats
 }
 
+// errNoRoute is the one value every send to an unbound address returns.
+// Protocols above keep sending to peers that never came up for as long as a
+// run lasts and discard the result, so the error is built once, not per
+// send; it names no addresses for that reason.
+var errNoRoute = fmt.Errorf("netsim: send: %w", transport.ErrNoRoute)
+
 // sendLocked runs the routing/loss/timing pipeline for one packet, with both
 // addresses already resolved to IDs (to may be -1: address never interned).
-// toAddr is only used to format the no-route error. When stable is true the
-// payload is caller-guaranteed immutable and the delivery aliases it instead
-// of copying; the loss/duplication/timing path is identical either way (same
-// RNG draws, same serialization on len(payload)), so a run using stable
-// sends replays byte-for-byte like one that copies.
-func (n *Network) sendLocked(from, to int32, toAddr transport.Addr, payload []byte, stable bool) error {
+// When stable is true the payload is caller-guaranteed immutable and the
+// delivery aliases it instead of copying; the loss/duplication/timing path is
+// identical either way (same RNG draws, same serialization on len(payload)),
+// so a run using stable sends replays byte-for-byte like one that copies.
+func (n *Network) sendLocked(from, to int32, payload []byte, stable bool) error {
 	n.stats.Sent++
 	n.ctrSent.Inc()
 	if to < 0 || n.eps[to] == nil {
-		// Sending to an address that was never bound is a harness bug;
-		// sending to a crashed node is normal (its endpoint is kept, closed).
+		// Never bound. A crashed node is not this case: its endpoint is
+		// kept, closed, and the packet is dropped on delivery.
 		n.stats.Dropped++
 		n.ctrDrop.Inc()
-		return fmt.Errorf("netsim: send %s→%s: %w", n.addrs[from], toAddr, transport.ErrNoRoute)
+		return errNoRoute
 	}
 	if len(n.blocked) > 0 && n.blocked[idPair{from, to}] {
 		n.stats.Dropped++
@@ -749,7 +754,7 @@ func (e *endpoint) send(to transport.Addr, payload []byte, stable bool) error {
 	if id, ok := n.ids[to]; ok {
 		toID = id
 	}
-	return n.sendLocked(e.id, toID, to, payload, stable)
+	return n.sendLocked(e.id, toID, payload, stable)
 }
 
 func (e *endpoint) sendRef(to transport.AddrRef, payload []byte, stable bool) error {
@@ -767,9 +772,9 @@ func (e *endpoint) sendRef(to transport.AddrRef, payload []byte, stable bool) er
 		n.ctrSent.Inc()
 		n.stats.Dropped++
 		n.ctrDrop.Inc()
-		return fmt.Errorf("netsim: send %s→ref#%d: %w", e.addr, to, transport.ErrNoRoute)
+		return errNoRoute
 	}
-	return n.sendLocked(e.id, int32(to), n.addrs[to], payload, stable)
+	return n.sendLocked(e.id, int32(to), payload, stable)
 }
 
 func (e *endpoint) SetHandler(h transport.Handler) {

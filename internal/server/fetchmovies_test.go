@@ -14,11 +14,18 @@ import (
 // replicate the movie from its peers before serving it.
 func (r *rig) startFetchingServer(t *testing.T, id string, movies ...string) *server.Server {
 	t.Helper()
+	return r.startFetchingInto(t, id, store.NewCatalog(), movies...)
+}
+
+// startFetchingInto is startFetchingServer with the (empty) catalog supplied
+// by a caller that wants to look at the fetched copies afterwards.
+func (r *rig) startFetchingInto(t *testing.T, id string, cat *store.Catalog, movies ...string) *server.Server {
+	t.Helper()
 	s, err := server.New(server.Config{
 		ID:          id,
 		Clock:       r.clk,
 		Network:     r.net,
-		Catalog:     store.NewCatalog(), // nothing pre-provisioned
+		Catalog:     cat, // nothing pre-provisioned
 		Peers:       r.peers,
 		FetchMovies: movies,
 	})

@@ -255,18 +255,17 @@ type Server struct {
 	cfg  Config
 	mux  *transport.Mux
 	proc *gcs.Process
-	vid  transport.Endpoint
-	// vidPre is vid's preframed fast path (non-nil for mux channels, i.e.
-	// always in practice): sessions send shared packet-table slices through
-	// it without any per-frame build or copy.
+	// vidPre is the video channel's preframed send path: sessions send
+	// shared packet-table slices through it without any per-frame build or
+	// copy.
 	vidPre transport.PreframedSender
-	// vidPreRef and vidResolve are vid's resolved-destination fast path
+	// vidPreRef and vidResolve are its resolved-destination fast path
 	// (non-nil when the underlying network interns addresses, i.e. netsim):
 	// each session resolves its client address once at start and every frame
 	// send afterwards skips the address-string hash.
 	vidPreRef  transport.PreframedRefSender
 	vidResolve transport.RefResolver
-	// vidBatch is vid's batched fan-out path (non-nil over netsim): one call
+	// vidBatch is its batched fan-out path (non-nil over netsim): one call
 	// delivers a whole stripe beat's frames. Used only under
 	// Config.BroadcastFanout.
 	vidBatch transport.PreframedRefBatchSender
@@ -388,7 +387,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		mux:        mux,
 		proc:       gcs.NewProcess(gcfg),
-		vid:        mux.Channel(transport.ChannelVideo),
 		movies:     make(map[string]*movieState),
 		sessions:   make(map[string]*session),
 		syncIntern: wire.Intern{},
@@ -418,11 +416,14 @@ func New(cfg Config) (*Server, error) {
 	s.ctr.refusalsBestEffort = oreg.Counter("server.refusals_best_effort")
 	s.ctr.shedTokens = oreg.Counter("server.shed_tokens")
 	s.ctr.degradedFrames = oreg.Counter("server.degraded_frames")
-	s.vidPre, _ = s.vid.(transport.PreframedSender)
-	s.vidPreRef, _ = s.vid.(transport.PreframedRefSender)
-	s.vidResolve, _ = s.vid.(transport.RefResolver)
+	vid := mux.Channel(transport.ChannelVideo)
+	// Pacing has no per-message encode path: every mux channel sends
+	// preframed, and one that did not would be a bug in transport.
+	s.vidPre = vid.(transport.PreframedSender)
+	s.vidPreRef, _ = vid.(transport.PreframedRefSender)
+	s.vidResolve, _ = vid.(transport.RefResolver)
 	if cfg.BroadcastFanout {
-		s.vidBatch, _ = s.vid.(transport.PreframedRefBatchSender)
+		s.vidBatch, _ = vid.(transport.PreframedRefBatchSender)
 	}
 	if cfg.MaxSessions > 0 {
 		s.atCapacityMsg = fmt.Sprintf("server %s at capacity (%d sessions)", cfg.ID, cfg.MaxSessions)
@@ -700,6 +701,15 @@ func (s *Server) ActiveSessions() []string {
 		out = append(out, id)
 	}
 	return out
+}
+
+// HasSession reports whether this server currently serves clientID. Unlike
+// ActiveSessions it allocates nothing, so samplers can poll it.
+func (s *Server) HasSession(clientID string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.sessions[clientID]
+	return ok
 }
 
 // openEvent defers one decoded Open onto the clock and carries the scratch

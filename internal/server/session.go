@@ -120,9 +120,7 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 	if sess.sendOneFn == nil {
 		sess.sendOneFn = sess.sendOne
 	}
-	if s.vidPre != nil {
-		sess.packets = movie.Packets(s.vidPre.Preframe())
-	}
+	sess.packets = movie.Packets(s.vidPre.Preframe())
 	sess.dstRef = transport.NoAddrRef
 	if s.vidResolve != nil {
 		sess.dstRef = s.vidResolve.ResolveAddr(transport.Addr(rec.ClientAddr))
@@ -391,69 +389,12 @@ func (sess *session) paceTickLocked(striped bool) txOutcome {
 		return txSent
 	}
 
-	dst := transport.Addr(sess.rec.ClientAddr)
-	if t := sess.packets; t != nil {
-		// Egress shaping: reserved sends always proceed (and may drive the
-		// bucket into bounded debt); a best-effort send needs credit.
-		if sh := s.shaper; sh != nil {
-			if sess.rec.Class == wire.ClassBestEffort {
-				if !sh.TakeBestEffort(t.WireSize(idx)) {
-					s.stats.ShedTokens++
-					s.ctr.shedTokens.Inc()
-					if !striped {
-						sess.armSendLocked(2 * sess.sendPeriodLocked())
-					}
-					return txShed
-				}
-			} else {
-				sh.TakeReserved(t.WireSize(idx))
-			}
-		}
-		if thinning {
-			// I frames always go out; they borrow against the budget
-			// (credit may go negative) so the total stays ≈ quality.
-			sess.thinCredit += int(quality) - int(fps)
-		}
-		sess.rec.Offset++
-		// The movie's shared packet table holds this frame fully framed
-		// (channel prefix + encoded Frame message): no payload build, no
-		// encode, and the preframed send path ships the immutable table
-		// slice without copying. VideoBytes counts the wire message as the
-		// per-session encoder did, i.e. without the one-byte mux prefix.
-		pkt := t.Packet(idx)
-		s.stats.FramesSent++
-		s.stats.VideoBytes += uint64(t.WireSize(idx))
-		s.ctr.framesSent.Inc()
-		s.ctr.videoBytes.Add(uint64(t.WireSize(idx)))
-		if !striped {
-			sess.schedulePacingLocked()
-		}
-		if s.txCollect && sess.dstRef != transport.NoAddrRef {
-			// Broadcast fan-out: the stripe walk batches this beat's frames
-			// and flushes them in one network call after the walk — same
-			// clock instant, same attach order, one delivery event.
-			s.txDsts = append(s.txDsts, sess.dstRef)
-			s.txPkts = append(s.txPkts, pkt)
-		} else if s.vidPreRef != nil && sess.dstRef != transport.NoAddrRef {
-			_ = s.vidPreRef.SendPreframedRef(sess.dstRef, pkt)
-		} else {
-			_ = s.vidPre.SendPreframed(dst, pkt)
-		}
-		return txSent
-	}
-	// Fallback for a video endpoint without preframed sends: build and
-	// encode the frame per message. Send copies before returning (the
-	// transport contract), so the buffers are free again afterwards.
-	frame := wire.Frame{
-		Movie:   sess.movie.ID(),
-		Index:   uint32(idx),
-		Class:   info.Class,
-		Payload: sess.movie.FrameData(idx),
-	}
-	pkt := wire.Encode(&frame)
+	// Egress shaping: reserved sends always proceed (and may drive the
+	// bucket into bounded debt); a best-effort send needs credit.
+	t := sess.packets
 	if sh := s.shaper; sh != nil {
 		if sess.rec.Class == wire.ClassBestEffort {
-			if !sh.TakeBestEffort(len(pkt)) {
+			if !sh.TakeBestEffort(t.WireSize(idx)) {
 				s.stats.ShedTokens++
 				s.ctr.shedTokens.Inc()
 				if !striped {
@@ -462,21 +403,39 @@ func (sess *session) paceTickLocked(striped bool) txOutcome {
 				return txShed
 			}
 		} else {
-			sh.TakeReserved(len(pkt))
+			sh.TakeReserved(t.WireSize(idx))
 		}
 	}
 	if thinning {
+		// I frames always go out; they borrow against the budget
+		// (credit may go negative) so the total stays ≈ quality.
 		sess.thinCredit += int(quality) - int(fps)
 	}
 	sess.rec.Offset++
+	// The movie's shared packet table holds this frame fully framed
+	// (channel prefix + encoded Frame message): no payload build, no
+	// encode, and the preframed send path ships the immutable table
+	// slice without copying. VideoBytes counts the wire message as a
+	// per-message encoder would, i.e. without the one-byte mux prefix.
+	pkt := t.Packet(idx)
 	s.stats.FramesSent++
-	s.stats.VideoBytes += uint64(len(pkt))
+	s.stats.VideoBytes += uint64(t.WireSize(idx))
 	s.ctr.framesSent.Inc()
-	s.ctr.videoBytes.Add(uint64(len(pkt)))
+	s.ctr.videoBytes.Add(uint64(t.WireSize(idx)))
 	if !striped {
 		sess.schedulePacingLocked()
 	}
-	_ = s.vid.Send(dst, pkt)
+	if s.txCollect && sess.dstRef != transport.NoAddrRef {
+		// Broadcast fan-out: the stripe walk batches this beat's frames
+		// and flushes them in one network call after the walk — same
+		// clock instant, same attach order, one delivery event.
+		s.txDsts = append(s.txDsts, sess.dstRef)
+		s.txPkts = append(s.txPkts, pkt)
+	} else if s.vidPreRef != nil && sess.dstRef != transport.NoAddrRef {
+		_ = s.vidPreRef.SendPreframedRef(sess.dstRef, pkt)
+	} else {
+		_ = s.vidPre.SendPreframed(transport.Addr(sess.rec.ClientAddr), pkt)
+	}
 	return txSent
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/client"
@@ -57,8 +56,15 @@ func tableScale(seed int64, points []scalePoint, striped, broadcast bool) Table 
 			"stalls/healthy viewer", "worst freeze (ticks)", "opens/viewer",
 		},
 	}
+	// Point i's titles are a prefix of the largest point's, so one set
+	// serves every point (and every worker): a Movie is immutable.
+	most := 0
+	for _, p := range points {
+		most = max(most, p.servers)
+	}
+	titles := scaleTitles(seed, most)
 	trials := fanOut(len(points), func(i int) scaleResult {
-		return scaleTrial(seed, points[i].servers, points[i].viewers, striped, broadcast, nil)
+		return scaleTrial(seed, titles[:points[i].servers], points[i].viewers, striped, broadcast, nil)
 	})
 	for i, p := range points {
 		res := trials[i]
@@ -86,45 +92,28 @@ type scaleResult struct {
 // capacity table uses. Health classification scales with it.
 const scaleMovieLen = 10 * time.Second
 
-// scaleMovies caches generated titles across load points and workers. A
-// movie's content is a pure function of (id, seed, length), and Movie is
-// immutable and safe for concurrent use, so the 50-title headline set — and
-// the preframed packet tables lazily built on each movie — is generated once
-// per process instead of once per trial. Only a handful of seeds ever run in
-// one process, so the cache is unbounded.
-var scaleMovies struct {
-	sync.Mutex
-	m map[string]*mpeg.Movie
+// scaleTitles generates the title set of an n-server trial, one short
+// feature per server.
+func scaleTitles(seed int64, n int) []*mpeg.Movie {
+	movies := make([]*mpeg.Movie, n)
+	for i := range movies {
+		movies[i] = mpeg.Generate(fmt.Sprintf("title-%02d", i), mpeg.StreamConfig{
+			Duration: scaleMovieLen,
+			Seed:     seed + int64(i),
+		})
+	}
+	return movies
 }
 
-// scaleMovie returns the cached movie for (title, seed) at scaleMovieLen,
-// generating it on first use.
-func scaleMovie(title string, seed int64) *mpeg.Movie {
-	key := title + "|" + strconv.FormatInt(seed, 10)
-	scaleMovies.Lock()
-	defer scaleMovies.Unlock()
-	if m, ok := scaleMovies.m[key]; ok {
-		return m
-	}
-	m := mpeg.Generate(title, mpeg.StreamConfig{
-		Duration: scaleMovieLen,
-		Seed:     seed,
-	})
-	if scaleMovies.m == nil {
-		scaleMovies.m = make(map[string]*mpeg.Movie)
-	}
-	scaleMovies.m[key] = m
-	return m
-}
-
-// scaleTrial runs nViewers leased viewers against nServers servers sharing
-// one consistent-hash ring. One title per server, stocked only on its arc's
+// scaleTrial runs nViewers leased viewers against one server per movie, all
+// sharing one consistent-hash ring. Each title is stocked only on its arc's
 // Replicas owners; each server joins movie groups solely for the titles it
 // holds, so group size stays at Replicas while the cluster grows. Viewers
 // attach by lease (no session groups at all) with the ring ordering their
 // anycast, arrivals spread over the first two seconds.
-func scaleTrial(seed int64, nServers, nViewers int, striped, broadcast bool, disrupt func(net *netsim.Network, clk *clock.Virtual, servers []string)) scaleResult {
+func scaleTrial(seed int64, movies []*mpeg.Movie, nViewers int, striped, broadcast bool, disrupt func(net *netsim.Network, clk *clock.Virtual, servers []string)) scaleResult {
 	const replicas = 2
+	nServers := len(movies)
 	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	net := netsim.New(clk, seed, netsim.LAN())
 
@@ -139,16 +128,13 @@ func scaleTrial(seed int64, nServers, nViewers int, striped, broadcast bool, dis
 		net.SetEgressLimit(transport.Addr(serverIDs[i]), 1000*1000*1000/8)
 	}
 
-	// One title per server; each lives only on its arc's owners.
-	titles := make([]string, nServers)
+	// Each title lives only on its arc's owners.
 	catalogs := make(map[string]*store.Catalog, nServers)
 	for _, id := range serverIDs {
 		catalogs[id] = store.NewCatalog()
 	}
-	for i := range titles {
-		titles[i] = fmt.Sprintf("title-%02d", i)
-		movie := scaleMovie(titles[i], seed+int64(i))
-		for _, owner := range ring.LookupN(titles[i], replicas) {
+	for _, movie := range movies {
+		for _, owner := range ring.LookupN(movie.ID(), replicas) {
 			catalogs[owner].Add(movie)
 		}
 	}
@@ -209,7 +195,7 @@ func scaleTrial(seed int64, nServers, nViewers int, striped, broadcast bool, dis
 		if err != nil {
 			panic(err)
 		}
-		if err := c.Watch(titles[i%len(titles)]); err != nil {
+		if err := c.Watch(movies[i%len(movies)].ID()); err != nil {
 			c.Close()
 			panic(err)
 		}

@@ -15,7 +15,7 @@ import (
 // servers / 1,000 leased viewers): every viewer must stream healthily, and
 // the ring-ordered anycast must land each Open on its owner first try.
 func TestTableScaleReduced(t *testing.T) {
-	res := scaleTrial(1, 10, 1000, true, true, nil)
+	res := scaleTrial(1, scaleTitles(1, 10), 1000, true, true, nil)
 	if res.healthy < 990 {
 		t.Fatalf("healthy = %d of 1000, want ≥ 990 (starved %d, worst freeze %d)",
 			res.healthy, res.starved, res.worstFreeze)
@@ -122,7 +122,7 @@ func TestTableScaleBroadcastChaosEquivalent(t *testing.T) {
 		net.SetLinkDown(transport.Addr(servers[1]), transport.Addr(servers[2]), false)
 	}
 	run := func(broadcast bool) scaleResult {
-		return scaleTrial(11, 4, 160, true, broadcast, disrupt)
+		return scaleTrial(11, scaleTitles(11, 4), 160, true, broadcast, disrupt)
 	}
 	off, on := run(false), run(true)
 	if off != on {

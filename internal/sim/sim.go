@@ -49,6 +49,11 @@ type Scenario struct {
 	// Movie parameters; zero values take the paper's stream (90s,
 	// 1.4 Mbps, 30 fps).
 	Movie mpeg.StreamConfig
+	// Feature, when set, is the movie to stream, and Movie is ignored. A
+	// caller that runs several scenarios on one seed generates the movie
+	// once and hands it to each, so they share one immutable Movie and the
+	// packet table behind it. Run generates the movie itself when nil.
+	Feature *mpeg.Movie
 	// Servers are started at time zero. Peers lists every server that may
 	// ever exist (defaults to Servers plus any AddServer targets used in
 	// Events — pass explicitly when using custom events).
@@ -299,14 +304,8 @@ func (rt *Runtime) ServingServer() string {
 	// both claim the session, and the sampled figure series must not
 	// depend on map iteration order.
 	for _, id := range rt.serverOrder {
-		s := rt.servers[id]
-		if s == nil {
-			continue
-		}
-		for _, c := range s.ActiveSessions() {
-			if c == rt.scenario.ClientID {
-				return id
-			}
+		if s := rt.servers[id]; s != nil && s.HasSession(rt.scenario.ClientID) {
+			return id
 		}
 	}
 	return ""
@@ -342,14 +341,22 @@ func (sc *Scenario) fillDefaults() {
 	}
 }
 
+// generateFeature synthesizes the movie a scenario with these stream
+// parameters and seed streams.
+func generateFeature(cfg mpeg.StreamConfig, seed int64) *mpeg.Movie {
+	cfg.Seed = seed
+	return mpeg.Generate("feature", cfg)
+}
+
 // Run executes the scenario and returns its result.
 func Run(sc Scenario) *Result {
 	sc.fillDefaults()
 	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	net := netsim.New(clk, sc.Seed, sc.Profile)
-	movieCfg := sc.Movie
-	movieCfg.Seed = sc.Seed
-	movie := mpeg.Generate("feature", movieCfg)
+	movie := sc.Feature
+	if movie == nil {
+		movie = generateFeature(sc.Movie, sc.Seed)
+	}
 	if sc.Duration <= 0 {
 		sc.Duration = movie.Duration()
 	}
@@ -371,18 +378,25 @@ func Run(sc Scenario) *Result {
 		}
 	}
 
+	// The sampler below adds one point per series per SampleEvery.
+	samples := int(sc.Duration/sc.SampleEvery) + 1
+	series := func(name string) *metrics.Series {
+		s := metrics.NewSeries(name)
+		s.Grow(samples)
+		return s
+	}
 	res := &Result{
 		Name:          sc.Name,
 		Duration:      sc.Duration,
-		SkippedCum:    metrics.NewSeries("skipped frames (cumulative)"),
-		LateCum:       metrics.NewSeries("late frames (cumulative)"),
-		OverflowCum:   metrics.NewSeries("frames discarded due to overflow (cumulative)"),
-		StallsCum:     metrics.NewSeries("display stalls (cumulative)"),
-		SWOccupancy:   metrics.NewSeries("software buffer occupancy (frames)"),
-		HWOccupancy:   metrics.NewSeries("hardware buffer occupancy (bytes)"),
-		Combined:      metrics.NewSeries("combined buffer occupancy (frames)"),
-		ServingServer: metrics.NewSeries("serving server (index; -1 none)"),
-		VideoBytesCum: metrics.NewSeries("video bytes sent (cumulative)"),
+		SkippedCum:    series("skipped frames (cumulative)"),
+		LateCum:       series("late frames (cumulative)"),
+		OverflowCum:   series("frames discarded due to overflow (cumulative)"),
+		StallsCum:     series("display stalls (cumulative)"),
+		SWOccupancy:   series("software buffer occupancy (frames)"),
+		HWOccupancy:   series("hardware buffer occupancy (bytes)"),
+		Combined:      series("combined buffer occupancy (frames)"),
+		ServingServer: series("serving server (index; -1 none)"),
+		VideoBytesCum: series("video bytes sent (cumulative)"),
 		ServerStats:   make(map[string]server.Stats),
 		Flow:          sc.Flow,
 	}

@@ -310,10 +310,31 @@ var _ Message = (*Frame)(nil)
 func (*Frame) Kind() Kind { return KindFrame }
 
 func (m *Frame) appendBody(b []byte) []byte {
-	b = AppendString(b, m.Movie)
-	b = AppendU32(b, m.Index)
-	b = AppendU8(b, uint8(m.Class))
-	return AppendBytes(b, m.Payload)
+	b = appendFrameFields(b, m.Movie, m.Index, m.Class, len(m.Payload))
+	return append(b, m.Payload...)
+}
+
+// appendFrameFields appends a Frame body up to and including the payload's
+// 32-bit length prefix.
+func appendFrameFields(b []byte, movie string, index uint32, class FrameClass, payloadLen int) []byte {
+	b = AppendString(b, movie)
+	b = AppendU32(b, index)
+	b = AppendU8(b, uint8(class))
+	return AppendU32(b, uint32(payloadLen))
+}
+
+// FrameHeaderSize returns how many bytes a framed Frame message of the named
+// movie carries ahead of its payload: kind, movie ID, index, class and the
+// payload length prefix.
+func FrameHeaderSize(movie string) int { return 1 + 2 + len(movie) + 4 + 1 + 4 }
+
+// AppendFrameHeader appends everything AppendMessage would write for a Frame
+// ahead of the payload bytes. A sender that produces the payload in place
+// appends exactly payloadLen bytes behind it and has the framed message
+// without building the payload elsewhere first.
+func AppendFrameHeader(b []byte, movie string, index uint32, class FrameClass, payloadLen int) []byte {
+	b = AppendU8(b, uint8(KindFrame))
+	return appendFrameFields(b, movie, index, class, payloadLen)
 }
 
 func decodeFrame(r *Reader) (Message, error) {
