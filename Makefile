@@ -43,14 +43,17 @@ bench-scale: ## two-tier 50-server/10k-viewer capacity row, recorded into BENCH_
 	@rm -f BENCH_scale.tmp
 	@echo "bench-scale: recorded into BENCH_hotpath.json"
 
-bench-scale-budget: ## scale-table benchmark; fails if B/op exceeds the checked-in budget
+bench-scale-budget: ## scale-table benchmark; fails if B/op or allocs/op exceeds the checked-in budget
 	@out=$$(go test -run='^$$' -bench='^BenchmarkTableScale$$' -benchtime=1x -benchmem .) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
-	bop=$$(echo "$$out" | awk '/^BenchmarkTableScale/ { for (i = 2; i <= NF; i++) if ($$i == "B/op") print $$(i-1) }'); \
-	budget=$$(grep -v '^#' BENCH_scale_budget); \
-	if [ -z "$$bop" ]; then echo "bench-scale-budget: could not parse B/op from benchmark output"; exit 1; fi; \
-	if [ "$$bop" -gt "$$budget" ]; then echo "bench-scale-budget: FAIL $$bop B/op exceeds budget $$budget"; exit 1; fi; \
-	echo "bench-scale-budget: OK $$bop B/op within budget $$budget"
+	for m in bytes:B/op allocs:allocs/op; do \
+		key=$${m%%:*}; unit=$${m#*:}; \
+		got=$$(echo "$$out" | awk -v u="$$unit" '/^BenchmarkTableScale/ { for (i = 2; i <= NF; i++) if ($$i == u) print $$(i-1) }'); \
+		budget=$$(awk -v k="$$key" '$$1 == k { print $$2 }' BENCH_scale_budget); \
+		if [ -z "$$got" ] || [ -z "$$budget" ]; then echo "bench-scale-budget: could not parse $$unit from benchmark output or BENCH_scale_budget"; exit 1; fi; \
+		if [ "$$got" -gt "$$budget" ]; then echo "bench-scale-budget: FAIL $$got $$unit exceeds budget $$budget"; exit 1; fi; \
+		echo "bench-scale-budget: OK $$got $$unit within budget $$budget"; \
+	done
 
 profile-scale: ## CPU + allocation profiles of the 50-server/10k-viewer table
 	go run ./cmd/vodbench -table scale -cpuprofile scale.cpu.prof -memprofile scale.mem.prof > /dev/null

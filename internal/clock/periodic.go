@@ -11,23 +11,23 @@ import (
 // Unlike time.Ticker it is implemented with AfterFunc re-arming, so it works
 // identically on Real and Virtual clocks.
 //
-// The tick fast path takes no Periodic lock: period and stopped are
-// atomics, and timer is only ever written under mu (at creation, on the
-// re-issue slow path, never by Stop), so the in-place rearm can read it
-// bare. Stop cancels the pending timer instead of recycling its record —
-// recycling would let an unrelated caller reincarnate the record while a
-// straggling tick still holds the handle, and rearm would then hijack the
-// new owner's event. A cancelled record is never reissued, so the worst a
-// straggler can do is observe stateStopped and bail.
+// Each tick re-arms the timer that just fired through Rearm, so on a clock
+// that is a Rearmer a long-lived heartbeat owns one timer record forever. mu
+// orders that re-arm against Stop: a tick re-arms only after seeing stopped
+// false under mu, and Stop sets stopped before it takes mu to cancel, so
+// whichever gets mu second sees the other's work and a stopped timer is never
+// re-armed. Stop cancels the pending timer instead of releasing its record —
+// a released record could be reissued to an unrelated caller while a
+// straggling tick still holds the handle, and the re-arm would then hijack
+// the new owner's event.
 type Periodic struct {
 	c       Clock
-	v       *Virtual // non-nil when c is a Virtual: enables the rearm fast path
 	period  atomic.Int64
 	fn      func()
 	tickFn  func() // p.tick, bound once: a method value allocates per use
 	stopped atomic.Bool
 
-	mu    sync.Mutex // guards timer re-issue on the slow path
+	mu    sync.Mutex // guards timer: re-armed by tick, cancelled by Stop
 	timer Timer
 }
 
@@ -40,7 +40,6 @@ func Every(c Clock, period time.Duration, fn func()) *Periodic {
 	}
 	p := &Periodic{c: c, fn: fn}
 	p.period.Store(int64(period))
-	p.v, _ = c.(*Virtual)
 	p.tickFn = p.tick
 	p.mu.Lock()
 	p.timer = c.AfterFunc(period, p.tickFn)
@@ -52,19 +51,9 @@ func (p *Periodic) tick() {
 	if p.stopped.Load() {
 		return
 	}
-	period := time.Duration(p.period.Load())
-	// The pending timer just fired; re-arm it so a long-lived heartbeat
-	// reuses one event record forever. On a Virtual clock the record is
-	// re-armed in place under one queue lock; elsewhere it is recycled and
-	// re-issued, which is the same lifecycle in two steps.
-	if p.v != nil && p.v.rearm(p.timer, period) {
-		p.fn()
-		return
-	}
 	p.mu.Lock()
 	if !p.stopped.Load() {
-		Release(p.timer)
-		p.timer = p.c.AfterFunc(period, p.tickFn)
+		p.timer = Rearm(p.c, p.timer, time.Duration(p.period.Load()), p.tickFn)
 	}
 	p.mu.Unlock()
 	p.fn()
@@ -93,8 +82,7 @@ func (p *Periodic) Stop() {
 	}
 	p.mu.Lock()
 	if p.timer != nil {
-		// Cancel but keep the handle: the lock-free fast path may still
-		// read p.timer, so the field is never cleared once set.
+		// Cancel but keep the record: see the type comment.
 		p.timer.Stop()
 	}
 	p.mu.Unlock()

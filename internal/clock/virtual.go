@@ -65,8 +65,11 @@ type Virtual struct {
 	pending int    // armed events across all buckets
 }
 
-var _ Clock = (*Virtual)(nil)
-var _ Scheduler = (*Virtual)(nil)
+var (
+	_ Clock     = (*Virtual)(nil)
+	_ Scheduler = (*Virtual)(nil)
+	_ Rearmer   = (*Virtual)(nil)
+)
 
 // eventSlabSize is how many event records one allocation provides. Capacity
 // runs arm tens of thousands of concurrent events (one per in-flight packet,
@@ -194,16 +197,17 @@ func (c *Virtual) armLocked(ev *event, d time.Duration) {
 	c.pending++
 }
 
-// rearm re-arms a timer record from this clock for d from now, reusing the
-// record (and its callback) instead of releasing and re-issuing it. For a
-// fired timer this is exactly equivalent to Release followed by AfterFunc
-// with the same fn — Release would push the record onto the free-list head
-// and AfterFunc would pop that same record straight back, with one sequence
-// number consumed either way — so replay order is untouched; it just skips
-// the second lock round trip and the free-list churn. Returns false if the
-// record is not reusable (foreign clock, or already released), in which case
-// the caller must fall back to the two-step path.
-func (c *Virtual) rearm(t Timer, d time.Duration) bool {
+// Rearm implements Rearmer: it re-arms a timer record from this clock for d
+// from now, reusing the record (and its callback) instead of releasing and
+// re-issuing it. For a fired timer this is exactly equivalent to Release
+// followed by AfterFunc with the same fn — Release would push the record onto
+// the free-list head and AfterFunc would pop that same record straight back,
+// with one sequence number consumed either way — so replay order is
+// untouched; it just skips the second lock round trip and the free-list
+// churn. Returns false if the record is not reusable (foreign clock, stopped,
+// or already released), in which case the caller falls back to the two-step
+// path.
+func (c *Virtual) Rearm(t Timer, d time.Duration) bool {
 	ev, ok := t.(*event)
 	if !ok || ev.c != c {
 		return false

@@ -207,12 +207,14 @@ func (r *linkRow) bump(to int32, now, ser int64, ids int) int64 {
 // real queueing that must survive even the sender's crash (the packets
 // already left the NIC).
 //
-// A dense row's backing array is released only when release is set (the
-// endpoint closed): the periodic sweep keeps it, because a stale horizon in
-// the past is behaviorally identical to an absent entry while freeing the
-// array makes the next send re-promote the row and reallocate it — for a
-// server streaming to thousands of viewers that cycle used to dominate the
-// scale table's allocation profile.
+// A row's storage is freed only when release is set (the endpoint is closed)
+// and nothing is left in it: the periodic sweep of a live endpoint's row keeps
+// the dense array, and truncates a drained small row to length 0, because a
+// stale or absent horizon is behaviorally identical either way while freeing
+// the storage makes the next send reallocate it — a re-promoted dense row per
+// server, two re-grown slices per viewer, every sweep. What a live endpoint
+// retains is bounded by its row (≤ smallRowMax entries, or one dense array);
+// a closed endpoint retains only horizons still in the future.
 func (r *linkRow) reap(now int64, release bool) {
 	if r.dense != nil {
 		if !release {
@@ -233,7 +235,7 @@ func (r *linkRow) reap(now int64, release bool) {
 			k++
 		}
 	}
-	if k == 0 {
+	if k == 0 && release {
 		r.toIDs, r.next = nil, nil
 		return
 	}
@@ -678,7 +680,8 @@ func (n *Network) maybeSweepLocked(sends int) {
 	}
 	now := n.clk.Now().UnixNano()
 	for i := range n.rows {
-		n.rows[i].reap(now, false)
+		ep := n.eps[i]
+		n.rows[i].reap(now, ep == nil || ep.closed)
 	}
 	for i, nf := range n.egressNext {
 		if nf != 0 && nf <= now {

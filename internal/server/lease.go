@@ -65,26 +65,33 @@ func (s *Server) onDirect(from gcs.ProcessID, payload []byte) {
 // handleRenew refreshes a leased client's lease and acks. Renews for
 // unknown, closed or unleased sessions are silently dropped: the client's
 // keeper starves and re-anycasts its Open, which is the takeover path.
-// The decode/encode scratch makes the steady state allocation-free.
+// The session is found by the peeked ID bytes and the renew decoded against
+// that session's own ClientID, so the steady state builds no string.
 func (s *Server) handleRenew(from gcs.ProcessID, payload []byte) {
+	id := peekClientID(payload)
+	if id == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.leases == nil {
 		return
 	}
-	msg := &s.renewScratch
-	if err := lease.DecodeRenewInto(msg, payload); err != nil {
-		return
-	}
-	sess := s.sessions[msg.ClientID]
+	sess := s.sessions[string(id)]
 	if sess == nil || sess.closed || !sess.rec.Leased {
 		return
 	}
-	s.leases.Touch(sess.rec.ClientID)
-	s.ackScratch.ClientID = sess.rec.ClientID
-	s.ackScratch.Seq = msg.Seq
-	s.ackScratch.TTLMs = uint32(s.leases.TTL().Milliseconds())
-	pkt := lease.AppendAck(s.ackBuf[:0], &s.ackScratch)
+	msg := lease.Renew{ClientID: sess.rec.ClientID}
+	if err := lease.DecodeRenewInto(&msg, payload); err != nil {
+		return
+	}
+	s.leases.Touch(msg.ClientID)
+	ack := lease.Ack{
+		ClientID: msg.ClientID,
+		Seq:      msg.Seq,
+		TTLMs:    uint32(s.leases.TTL().Milliseconds()),
+	}
+	pkt := lease.AppendAck(s.ackBuf[:0], &ack)
 	s.ackBuf = pkt[:0]
 	// Send under s.mu: the gcs process lock nests strictly inside it
 	// (callbacks run lock-free, so the reverse order never occurs), and
@@ -110,8 +117,8 @@ func (s *Server) handleDirectCtl(payload []byte) {
 	s.sessionCtlLocked(sess, sess.rec.ClientID, payload)
 }
 
-// peekClientID returns the leading ClientID field of a framed FlowControl
-// or VCR message, aliasing the payload.
+// peekClientID returns the leading ClientID field of a framed FlowControl,
+// VCR or lease Renew message, aliasing the payload.
 func peekClientID(payload []byte) []byte {
 	r := wire.NewReader(payload)
 	r.U8()

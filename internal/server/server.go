@@ -303,11 +303,9 @@ type Server struct {
 	// the virtual clock's timer free-list order and break byte-identical
 	// replay of scenarios that never use leases.
 	leases *lease.Table
-	// renewScratch/ackScratch/ackBuf are the renew hot path's decode and
-	// encode reuse (one renew per client per TTL/3), guarded by mu.
-	renewScratch lease.Renew
-	ackScratch   lease.Ack
-	ackBuf       []byte
+	// ackBuf is the renew hot path's encode buffer (one renew per client
+	// per TTL/3), guarded by mu.
+	ackBuf []byte
 
 	// syncIntern dedups the strings decoded from peers' state-sync messages:
 	// the same client IDs and addresses arrive every half second for the

@@ -281,16 +281,13 @@ func (sess *session) sendPeriodLocked() time.Duration {
 	return time.Second / time.Duration(rate)
 }
 
-// armSendLocked schedules the next sendOne after d. Caller holds srv.mu and
-// has already passed the pacing guards.
+// armSendLocked schedules the next sendOne after d, re-arming the previous
+// pacing timer (fired, or stopped by a pause) so a streaming session reuses
+// one timer forever. Caller holds srv.mu — the lock stopLocked releases the
+// timer under — and has already passed the pacing guards.
 func (sess *session) armSendLocked(d time.Duration) {
 	sess.pacing = true
-	if sess.sendTimer != nil {
-		// The previous pacing timer has fired (pacing was false); recycle
-		// its record so a streaming session reuses one event forever.
-		clock.Release(sess.sendTimer)
-	}
-	sess.sendTimer = sess.srv.cfg.Clock.AfterFunc(d, sess.sendOneFn)
+	sess.sendTimer = clock.Rearm(sess.srv.cfg.Clock, sess.sendTimer, d, sess.sendOneFn)
 }
 
 // schedulePacingLocked arms the next frame transmission at the current

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,11 +18,15 @@ import (
 // node's live peer set while keeping the worst case small (~100 B each).
 const DefaultPeerCacheLimit = 4096
 
-// peerEntry is one cached address resolution. used is the CLOCK-eviction
-// reference bit: set on every cache hit (atomically, under the read lock),
-// cleared by the eviction hand, so recently used peers survive eviction.
+// peerEntry is one cached peer: the Addr it is known by and the socket
+// address datagrams to it are written to. It is always indexed by name
+// (UDPEndpoint.peers) and, once a datagram has arrived from it, by ap as well
+// (UDPEndpoint.sources). used is the CLOCK-eviction reference bit: set on
+// every cache hit from either side (atomically, under the read lock), cleared
+// by the eviction hand, so recently used peers survive eviction.
 type peerEntry struct {
-	addr *net.UDPAddr
+	name Addr
+	ap   netip.AddrPort // unmapped: 1.2.3.4, never ::ffff:1.2.3.4
 	used atomic.Bool
 }
 
@@ -35,8 +40,9 @@ type UDPEndpoint struct {
 
 	mu       sync.RWMutex
 	handler  Handler
-	peers    map[Addr]*peerEntry
-	order    []Addr // insertion ring walked by the eviction hand
+	peers    map[Addr]*peerEntry           // every entry, by name
+	sources  map[netip.AddrPort]*peerEntry // entries heard from, by ap
+	order    []*peerEntry                  // insertion ring walked by the eviction hand
 	hand     int
 	maxPeers int
 	closed   bool
@@ -83,6 +89,7 @@ func ListenUDP(bind string, advertise Addr, reg ...*obs.Registry) (*UDPEndpoint,
 		conn:     conn,
 		addr:     addr,
 		peers:    make(map[Addr]*peerEntry),
+		sources:  make(map[netip.AddrPort]*peerEntry),
 		maxPeers: DefaultPeerCacheLimit,
 
 		sentDatagrams: r.Counter("transport.sent_datagrams"),
@@ -133,23 +140,26 @@ func (e *UDPEndpoint) Send(to Addr, payload []byte) error {
 		e.mu.RUnlock()
 		return ErrClosed
 	}
-	var raddr *net.UDPAddr
-	if ent := e.peers[to]; ent != nil {
+	var ap netip.AddrPort
+	ent := e.peers[to]
+	if ent != nil {
 		ent.used.Store(true)
-		raddr = ent.addr
+		ap = ent.ap
 	}
 	e.mu.RUnlock()
 
-	if raddr == nil {
+	if ent == nil {
 		resolved, err := net.ResolveUDPAddr("udp", string(to))
 		if err != nil {
 			e.sendErrors.Inc()
 			return fmt.Errorf("resolve peer %q: %w", to, err)
 		}
-		e.cachePeer(to, resolved)
-		raddr = resolved
+		ap = unmap(resolved.AddrPort())
+		e.mu.Lock()
+		e.cachePeerLocked(to, ap)
+		e.mu.Unlock()
 	}
-	if _, err := e.conn.WriteToUDP(payload, raddr); err != nil {
+	if _, err := e.conn.WriteToUDPAddrPort(payload, ap); err != nil {
 		e.sendErrors.Inc()
 		return fmt.Errorf("udp send to %s: %w", to, err)
 	}
@@ -158,39 +168,63 @@ func (e *UDPEndpoint) Send(to Addr, payload []byte) error {
 	return nil
 }
 
-// cachePeer inserts one resolution, evicting an old entry if the cache is
-// full. Eviction is CLOCK (second chance): the hand sweeps the insertion
-// ring, sparing — and un-marking — entries hit since its last pass.
-func (e *UDPEndpoint) cachePeer(to Addr, resolved *net.UDPAddr) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.peers[to]; ok {
-		return // raced with another Send; first resolution wins
+// unmap strips the IPv4-in-IPv6 form a dual-stack socket reports for an IPv4
+// peer, so one peer has one AddrPort — and one Addr string, the one
+// (*net.UDPAddr).String always printed — whichever socket family saw it.
+func unmap(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+// cachePeerLocked returns the entry named name, inserting one for ap —
+// evicting an old entry if the cache is full — when there is none. Eviction
+// is CLOCK (second chance): the hand sweeps the insertion ring, sparing — and
+// un-marking — entries hit since its last pass. A victim leaves both indexes
+// at once. Caller holds e.mu for writing.
+func (e *UDPEndpoint) cachePeerLocked(name Addr, ap netip.AddrPort) *peerEntry {
+	if ent := e.peers[name]; ent != nil {
+		return ent // raced with another insertion; the first one wins
 	}
-	if len(e.peers) < e.maxPeers {
-		e.peers[to] = &peerEntry{addr: resolved}
-		e.order = append(e.order, to)
-		return
+	ent := &peerEntry{name: name, ap: ap}
+	e.peers[name] = ent
+	if len(e.order) < e.maxPeers {
+		e.order = append(e.order, ent)
+		return ent
 	}
-	// Full: sweep at most two passes — the first pass may only clear
-	// reference bits, the second is then guaranteed a victim.
-	for i := 0; i < 2*len(e.order); i++ {
+	// Full: the first pass of the hand may only clear reference bits (no
+	// reader can set one while e.mu is held for writing), so the second is
+	// guaranteed a victim.
+	for {
 		if e.hand >= len(e.order) {
 			e.hand = 0
 		}
 		victim := e.order[e.hand]
-		ent := e.peers[victim]
-		if ent != nil && ent.used.CompareAndSwap(true, false) {
+		if victim.used.CompareAndSwap(true, false) {
 			e.hand++
 			continue
 		}
-		delete(e.peers, victim)
-		e.peers[to] = &peerEntry{addr: resolved}
-		e.order[e.hand] = to
+		delete(e.peers, victim.name)
+		if e.sources[victim.ap] == victim {
+			delete(e.sources, victim.ap)
+		}
+		e.order[e.hand] = ent
 		e.hand++
 		e.peerEvictions.Inc()
-		return
+		return ent
 	}
+}
+
+// sourceAddr names a peer heard from for the first time — the host:port
+// string of its unmapped socket address — and indexes it by that address, so
+// the string is built once per peer and the steady-state receive path
+// allocates nothing. The entry is the one Send uses when the peer is already
+// known by that name. Only readLoop calls it.
+func (e *UDPEndpoint) sourceAddr(ap netip.AddrPort) Addr {
+	name := Addr(ap.String())
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ent := e.cachePeerLocked(name, ap)
+	e.sources[ap] = ent
+	return ent.name
 }
 
 // SetHandler implements Endpoint.
@@ -219,7 +253,7 @@ func (e *UDPEndpoint) readLoop() {
 	buf := make([]byte, MaxDatagram+1)
 	failures := 0
 	for {
-		n, raddr, err := e.conn.ReadFromUDP(buf)
+		n, src, err := e.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return
@@ -247,15 +281,26 @@ func (e *UDPEndpoint) readLoop() {
 		failures = 0
 		e.recvDatagrams.Inc()
 		e.recvBytes.Add(uint64(n))
+		src = unmap(src)
 		e.mu.RLock()
 		h := e.handler
+		ent := e.sources[src]
+		if ent != nil {
+			ent.used.Store(true)
+		}
 		e.mu.RUnlock()
 		if h == nil || n > MaxDatagram {
 			e.recvDropped.Inc()
 			continue
 		}
+		var from Addr
+		if ent != nil {
+			from = ent.name
+		} else {
+			from = e.sourceAddr(src)
+		}
 		// Handlers must not retain the payload, so one buffer suffices.
-		h(Addr(raddr.String()), buf[:n])
+		h(from, buf[:n])
 	}
 }
 

@@ -41,6 +41,55 @@ func TestUDPPeerCacheEviction(t *testing.T) {
 	}
 }
 
+// TestUDPPeerCacheBoundsSources is the same bound seen from the receive side:
+// peers first heard from (not sent to) enter the one cache, the source index
+// never holds an entry the cache has evicted, and an evicted source is simply
+// named again when it next speaks.
+func TestUDPPeerCacheBoundsSources(t *testing.T) {
+	reg := obs.NewRegistry("r", nil)
+	recv, err := transport.ListenUDP("127.0.0.1:0", "", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	recv.SetPeerCacheLimit(8)
+	got := make(chan transport.Addr, 1)
+	recv.SetHandler(func(from transport.Addr, _ []byte) { got <- from })
+
+	deliver := func(s *transport.UDPEndpoint) {
+		t.Helper()
+		if err := s.Send(recv.Addr(), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case from := <-got:
+			if from != s.Addr() {
+				t.Fatalf("from = %q, want %q", from, s.Addr())
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("datagram never arrived")
+		}
+		fwd, rev := recv.PeerCacheLen(), recv.SourceIndexLen()
+		if fwd != rev || fwd > 8 {
+			t.Fatalf("peer cache %d entries, source index %d: want equal and ≤ 8", fwd, rev)
+		}
+	}
+	senders := make([]*transport.UDPEndpoint, 64)
+	for i := range senders {
+		s, err := transport.ListenUDP("127.0.0.1:0", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		senders[i] = s
+		deliver(s)
+	}
+	if ev := reg.Snapshot().Counters["transport.peer_evictions"]; ev != 56 {
+		t.Fatalf("peer_evictions = %d, want 56", ev)
+	}
+	deliver(senders[0]) // long evicted
+}
+
 func TestUDPSendReusesCachedPeer(t *testing.T) {
 	a, err := transport.ListenUDP("127.0.0.1:0", "")
 	if err != nil {
