@@ -27,14 +27,23 @@ bench-json:  ## hot-path + sweep benchmarks, appended for regression comparison
 bench-smoke: ## one cheap iteration of the throughput benchmark (CI)
 	go test -run='^$$' -bench=SimThroughput -benchtime=1x .
 
-bench-capacity: ## capacity-scale benchmark; fails if B/op exceeds the checked-in budget
-	@out=$$(go test -run='^$$' -bench='^BenchmarkAblationCapacity$$' -benchtime=1x -benchmem .) || { echo "$$out"; exit 1; }; \
+# The two budget legs share one recipe: run the benchmark once, then hold
+# its B/op and allocs/op under the `bytes` / `allocs` lines of its budget file.
+bench-capacity: BENCH = BenchmarkAblationCapacity
+bench-capacity: BUDGET = BENCH_capacity_budget
+bench-scale-budget: BENCH = BenchmarkTableScale
+bench-scale-budget: BUDGET = BENCH_scale_budget
+bench-capacity bench-scale-budget: ## capacity / 50x10k scale-table benchmark; fails if B/op or allocs/op exceeds the checked-in budget
+	@out=$$(go test -run='^$$' -bench='^$(BENCH)$$' -benchtime=1x -benchmem .) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
-	bop=$$(echo "$$out" | awk '/^BenchmarkAblationCapacity/ { for (i = 2; i <= NF; i++) if ($$i == "B/op") print $$(i-1) }'); \
-	budget=$$(grep -v '^#' BENCH_capacity_budget); \
-	if [ -z "$$bop" ]; then echo "bench-capacity: could not parse B/op from benchmark output"; exit 1; fi; \
-	if [ "$$bop" -gt "$$budget" ]; then echo "bench-capacity: FAIL $$bop B/op exceeds budget $$budget"; exit 1; fi; \
-	echo "bench-capacity: OK $$bop B/op within budget $$budget"
+	for m in bytes:B/op allocs:allocs/op; do \
+		key=$${m%%:*}; unit=$${m#*:}; \
+		got=$$(echo "$$out" | awk -v u="$$unit" '/^$(BENCH)/ { for (i = 2; i <= NF; i++) if ($$i == u) print $$(i-1) }'); \
+		budget=$$(awk -v k="$$key" '$$1 == k { print $$2 }' $(BUDGET)); \
+		if [ -z "$$got" ] || [ -z "$$budget" ]; then echo "$@: could not parse $$unit from benchmark output or $(BUDGET)"; exit 1; fi; \
+		if [ "$$got" -gt "$$budget" ]; then echo "$@: FAIL $$got $$unit exceeds budget $$budget"; exit 1; fi; \
+		echo "$@: OK $$got $$unit within budget $$budget"; \
+	done
 
 bench-scale: ## two-tier 50-server/10k-viewer capacity row, recorded into BENCH_hotpath.json
 	@go test -run='^$$' -bench='^BenchmarkTableScale$$' -benchtime=1x -benchmem -json . > BENCH_scale.tmp || { cat BENCH_scale.tmp; rm -f BENCH_scale.tmp; exit 1; }
@@ -42,18 +51,6 @@ bench-scale: ## two-tier 50-server/10k-viewer capacity row, recorded into BENCH_
 	@cat BENCH_scale.tmp >> BENCH_hotpath.json
 	@rm -f BENCH_scale.tmp
 	@echo "bench-scale: recorded into BENCH_hotpath.json"
-
-bench-scale-budget: ## scale-table benchmark; fails if B/op or allocs/op exceeds the checked-in budget
-	@out=$$(go test -run='^$$' -bench='^BenchmarkTableScale$$' -benchtime=1x -benchmem .) || { echo "$$out"; exit 1; }; \
-	echo "$$out"; \
-	for m in bytes:B/op allocs:allocs/op; do \
-		key=$${m%%:*}; unit=$${m#*:}; \
-		got=$$(echo "$$out" | awk -v u="$$unit" '/^BenchmarkTableScale/ { for (i = 2; i <= NF; i++) if ($$i == u) print $$(i-1) }'); \
-		budget=$$(awk -v k="$$key" '$$1 == k { print $$2 }' BENCH_scale_budget); \
-		if [ -z "$$got" ] || [ -z "$$budget" ]; then echo "bench-scale-budget: could not parse $$unit from benchmark output or BENCH_scale_budget"; exit 1; fi; \
-		if [ "$$got" -gt "$$budget" ]; then echo "bench-scale-budget: FAIL $$got $$unit exceeds budget $$budget"; exit 1; fi; \
-		echo "bench-scale-budget: OK $$got $$unit within budget $$budget"; \
-	done
 
 profile-scale: ## CPU + allocation profiles of the 50-server/10k-viewer table
 	go run ./cmd/vodbench -table scale -cpuprofile scale.cpu.prof -memprofile scale.mem.prof > /dev/null
@@ -78,10 +75,11 @@ examples:    ## run all simulated examples
 	for e in quickstart failover loadbalance vcr discovery hacounter; do \
 		echo "== $$e =="; go run ./examples/$$e; done
 
-fuzz-smoke:  ## short fuzz pass over the wire decoders (one -fuzz per run)
+fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders (one -fuzz per run)
 	go test -run='^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzDecodeOpenInto$$' -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzDecodeLease$$' -fuzztime=10s ./internal/lease
+	go test -run='^$$' -fuzz='^FuzzReadFrom$$' -fuzztime=10s ./internal/mpeg
 
 vet:
 	go vet ./...

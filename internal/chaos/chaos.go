@@ -1,9 +1,9 @@
 // Package chaos generates and executes randomized fault schedules against
 // a full VoD cluster, then checks the service-level invariants the paper's
-// design promises. Everything is driven by a single seed: the same seed
-// produces the same schedule, the same simulated network weather, and the
-// same counters — a failing seed from CI replays exactly with
-// `vodbench -chaos -seed N`.
+// design promises. Everything but the title (one fixed test stream, see
+// feature) is driven by a single seed: the same seed produces the same
+// schedule, the same simulated network weather, and the same counters — a
+// failing seed from CI replays exactly with `vodbench -chaos -seed N`.
 //
 // The generator is constraint-aware rather than blindly random: it never
 // crashes the last server that holds the movie (the paper's guarantee is

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/mpeg"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -46,11 +47,18 @@ func (r *Report) Write(w io.Writer) {
 	}
 }
 
+// feature generates the title every chaos schedule streams: the paper's
+// default test stream (90s, 1.4 Mbps, 30 fps; content seed 0). The seed of
+// a chaos run picks the fault schedule and the network weather — not the
+// content, so a sweep generates the title once and every schedule shares
+// the one immutable Movie.
+func feature() *mpeg.Movie { return mpeg.Generate("feature", mpeg.StreamConfig{}) }
+
 // Run generates the seed's schedule and executes it with default bounds.
 func Run(seed int64) *Report { return Execute(NewPlan(seed, Config{}), Config{}) }
 
-// Execute runs the plan against a fresh cluster and checks the paper's
-// service-level invariants over the result:
+// Execute runs the plan against a fresh cluster streaming the chaos title
+// and checks the paper's service-level invariants over the result:
 //
 //   - safety: the overflow policy never discards an I frame;
 //   - safety: after the network heals and the cluster settles, at most one
@@ -58,7 +66,11 @@ func Run(seed int64) *Report { return Execute(NewPlan(seed, Config{}), Config{})
 //   - liveness: playback makes progress after the last fault heals — the
 //     movie finishes or the displayed count keeps growing through the tail;
 //   - sanity: the cumulative stall series is monotone.
-func Execute(plan Plan, cfg Config) *Report {
+func Execute(plan Plan, cfg Config) *Report { return execute(plan, cfg, feature()) }
+
+// execute is Execute on the caller's copy of the chaos title (Sweep passes
+// every seed the same one).
+func execute(plan Plan, cfg Config, movie *mpeg.Movie) *Report {
 	cfg.fillDefaults()
 	pool := cfg.pool()
 
@@ -96,6 +108,7 @@ func Execute(plan Plan, cfg Config) *Report {
 		Name:     fmt.Sprintf("chaos-seed-%d", plan.Seed),
 		Profile:  netsim.LAN(),
 		Seed:     plan.Seed,
+		Feature:  movie,
 		Servers:  pool[:cfg.Servers],
 		Peers:    pool,
 		ClientID: ClientID,

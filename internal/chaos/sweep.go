@@ -49,8 +49,12 @@ func Sweep(ctx context.Context, first int64, n, workers int, reg *obs.Registry, 
 			}
 		}
 	}
+	// One title for the whole sweep: Movie and its lazily built packet
+	// table are immutable and safe for concurrent workers, and it is the
+	// same title Run generates for itself, so a single-seed replay matches.
+	movie := feature()
 	_, sum, err := sweep.RunOpts(ctx, n, opts, func(i int, seed int64) (struct{}, error) {
-		reports[i] = Run(seed)
+		reports[i] = execute(NewPlan(seed, Config{}), Config{}, movie)
 		return struct{}{}, nil
 	})
 	return reports, sum, err

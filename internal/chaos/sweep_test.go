@@ -39,6 +39,47 @@ func TestSweepEquivalence(t *testing.T) {
 	}
 }
 
+// TestSweepReplayIdentity is the replay contract TestSweepEquivalence does
+// not cover (it compares sweeps with sweeps): a seed run alone through
+// chaos.Run — which generates the title for itself — reports byte for byte
+// what the same seed reports inside a sweep, where every seed streams the
+// sweep's one shared Movie. The seeds must include a cold restart (the
+// restarted server fetches its own copy of the title from a peer) and a
+// seek (random access into the shared packet table).
+func TestSweepReplayIdentity(t *testing.T) {
+	const first, n = 1, 6
+	ctx := context.Background()
+	render := func(r *chaos.Report) string {
+		var b bytes.Buffer
+		r.Write(&b)
+		return b.String()
+	}
+	var alone [n]string
+	kinds := map[chaos.Kind]bool{}
+	for i := range alone {
+		rep := chaos.Run(first + int64(i))
+		alone[i] = render(rep)
+		for _, op := range rep.Plan.Ops {
+			kinds[op.Kind] = true
+		}
+	}
+	if !kinds[chaos.KindRestart] || !kinds[chaos.KindSeek] {
+		t.Fatalf("seeds %d..%d no longer schedule both a cold restart and a seek; pick seeds that do", first, first+n-1)
+	}
+	for _, workers := range []int{1, 8} {
+		swept, _, err := chaos.Sweep(ctx, first, n, workers, nil, nil)
+		if err != nil {
+			t.Fatalf("sweep workers=%d: %v", workers, err)
+		}
+		for i, rep := range swept {
+			if got := render(rep); got != alone[i] {
+				t.Errorf("seed %d inside a workers=%d sweep differs from chaos.Run:\n--- sweep ---\n%s--- alone ---\n%s",
+					rep.Seed, workers, got, alone[i])
+			}
+		}
+	}
+}
+
 // TestSweepStreamsInOrder: the onReport callback sees reports in seed
 // order — a contiguous prefix, never an out-of-order or duplicate report —
 // regardless of which worker finishes first.

@@ -21,9 +21,12 @@ const fileMagic = "VODM"
 
 const fileVersion = 1
 
+// frameRecordSize is one frame-table record: class u8 + size u32.
+const frameRecordSize = 5
+
 // WriteTo serializes the movie. It implements io.WriterTo.
 func (m *Movie) WriteTo(w io.Writer) (int64, error) {
-	buf := make([]byte, 0, 16+5*len(m.frames))
+	buf := make([]byte, 0, 16+frameRecordSize*len(m.frames))
 	buf = append(buf, fileMagic...)
 	buf = wire.AppendU8(buf, fileVersion)
 	buf = wire.AppendString(buf, m.id)
@@ -60,6 +63,11 @@ func ReadFrom(r io.Reader) (*Movie, error) {
 	}
 	if m.id == "" || m.fps <= 0 || n <= 0 || n > 1<<26 {
 		return nil, fmt.Errorf("mpeg: implausible movie header (id=%q fps=%d frames=%d)", m.id, m.fps, n)
+	}
+	// The count comes off the network or the disk: believe it only as far
+	// as the bytes that follow can back it, before reserving the table.
+	if n > rd.Remaining()/frameRecordSize {
+		return nil, fmt.Errorf("mpeg: truncated frame table (%d frames claimed, %d bytes follow)", n, rd.Remaining())
 	}
 	m.frames = make([]FrameInfo, 0, n)
 	for i := 0; i < n; i++ {

@@ -36,9 +36,12 @@ func TableCapacity(seed int64) Table {
 		max int // admission limit; 0 = none
 	}
 	cases := []cfg{{10, 0}, {40, 0}, {65, 0}, {85, 0}, {85, 65}}
-	// Each load point is an independent cluster; fan them across cores.
+	// Each load point is an independent cluster streaming the same 30s
+	// title (one seed, so one immutable Movie shared by all five); fan
+	// them across cores.
+	movie := mpeg.Generate("feature", mpeg.StreamConfig{Duration: 30 * time.Second, Seed: seed})
 	trials := fanOut(len(cases), func(i int) capacityResult {
-		return capacityTrial(seed, cases[i].n, cases[i].max)
+		return capacityTrial(seed, movie, cases[i].n, cases[i].max)
 	})
 	for i, tc := range cases {
 		res := trials[i]
@@ -120,15 +123,14 @@ func (vs *viewerSet) classify(expected uint64) capacityResult {
 	return res
 }
 
-// capacityTrial runs n viewers against one egress-limited server for a
+// capacityTrial runs n viewers against one egress-limited server for the
 // 30-second movie and classifies each viewer's playback quality against
 // what a healthy session would have displayed.
-func capacityTrial(seed int64, n, maxSessions int) capacityResult {
+func capacityTrial(seed int64, movie *mpeg.Movie, n, maxSessions int) capacityResult {
 	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	net := netsim.New(clk, seed, netsim.LAN())
 	net.SetEgressLimit("server-1", 100*1000*1000/8)
 
-	movie := mpeg.Generate("feature", mpeg.StreamConfig{Duration: 30 * time.Second, Seed: seed})
 	cat := store.NewCatalog()
 	cat.Add(movie)
 	srv, err := server.New(server.Config{
@@ -165,7 +167,7 @@ func capacityTrial(seed int64, n, maxSessions int) capacityResult {
 		if err != nil {
 			panic(err)
 		}
-		if err := c.Watch("feature"); err != nil {
+		if err := c.Watch(movie.ID()); err != nil {
 			c.Close()
 			panic(err)
 		}

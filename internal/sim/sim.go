@@ -47,7 +47,8 @@ type Scenario struct {
 	// Seed drives all randomness.
 	Seed int64
 	// Movie parameters; zero values take the paper's stream (90s,
-	// 1.4 Mbps, 30 fps).
+	// 1.4 Mbps, 30 fps). When Feature is nil, Run overwrites Movie.Seed
+	// with Seed: the scenario seed picks the generated content too.
 	Movie mpeg.StreamConfig
 	// Feature, when set, is the movie to stream, and Movie is ignored. A
 	// caller that runs several scenarios on one seed generates the movie
