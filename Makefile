@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-short test-benchmark race bench bench-json bench-smoke bench-capacity bench-scale bench-scale-budget profile-scale chaos sweep figures tables examples vet fuzz-smoke
+.PHONY: test test-short test-benchmark race bench bench-smoke bench-capacity bench-scale-budget profile-scale chaos sweep figures tables golden-update examples vet fuzz-smoke
 
 test:        ## full test suite (includes ~20s of real-clock tests)
 	go test ./...
@@ -16,13 +16,6 @@ race:        ## race detector over the whole module
 
 bench:       ## one benchmark per paper figure/table + micro benches
 	go test -bench=. -benchmem ./...
-
-bench-json:  ## hot-path + sweep benchmarks, appended for regression comparison
-	@go test -run='^$$' -bench='^Benchmark(Sim|Fig|Table|Ablation)' -benchmem -json . > BENCH_json.tmp || { cat BENCH_json.tmp; rm -f BENCH_json.tmp; exit 1; }
-	@cat BENCH_json.tmp >> BENCH_hotpath.json
-	@rm -f BENCH_json.tmp
-	@echo "bench-json: appended to BENCH_hotpath.json"
-	go test -run='^$$' -bench=SweepSpeedup -benchtime=2x -benchmem -json . > BENCH_sweep.json
 
 bench-smoke: ## one cheap iteration of the throughput benchmark (CI)
 	go test -run='^$$' -bench=SimThroughput -benchtime=1x .
@@ -45,13 +38,6 @@ bench-capacity bench-scale-budget: ## capacity / 50x10k scale-table benchmark; f
 		echo "$@: OK $$got $$unit within budget $$budget"; \
 	done
 
-bench-scale: ## two-tier 50-server/10k-viewer capacity row, recorded into BENCH_hotpath.json
-	@go test -run='^$$' -bench='^BenchmarkTableScale$$' -benchtime=1x -benchmem -json . > BENCH_scale.tmp || { cat BENCH_scale.tmp; rm -f BENCH_scale.tmp; exit 1; }
-	@grep -h '"Output"' BENCH_scale.tmp | grep -o 'Benchmark[^"\\]*' | head -2 || true
-	@cat BENCH_scale.tmp >> BENCH_hotpath.json
-	@rm -f BENCH_scale.tmp
-	@echo "bench-scale: recorded into BENCH_hotpath.json"
-
 profile-scale: ## CPU + allocation profiles of the 50-server/10k-viewer table
 	go run ./cmd/vodbench -table scale -cpuprofile scale.cpu.prof -memprofile scale.mem.prof > /dev/null
 	@echo "profile-scale: wrote scale.cpu.prof and scale.mem.prof"
@@ -71,15 +57,25 @@ figures:     ## regenerate every evaluation figure as TSV
 tables:      ## regenerate every evaluation table
 	go run ./cmd/vodbench -table all
 
+golden-update: ## re-hash every output named in testdata/golden/MANIFEST (the only way to rewrite it; cmd/vodbench's TestGoldenManifest compares)
+	@go build -o testdata/golden/vodbench.tmp ./cmd/vodbench
+	@while read -r sum args; do \
+		echo "$$(./testdata/golden/vodbench.tmp $$args | grep -v '^sweep: ' | sha256sum | cut -d' ' -f1)  $$args"; \
+	done < testdata/golden/MANIFEST > testdata/golden/MANIFEST.tmp; \
+	rm -f testdata/golden/vodbench.tmp; \
+	mv testdata/golden/MANIFEST.tmp testdata/golden/MANIFEST
+	@cat testdata/golden/MANIFEST
+
 examples:    ## run all simulated examples
 	for e in quickstart failover loadbalance vcr discovery hacounter; do \
 		echo "== $$e =="; go run ./examples/$$e; done
 
-fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders (one -fuzz per run)
+fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders and the gcs packet handler (one -fuzz per run)
 	go test -run='^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzDecodeOpenInto$$' -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzDecodeLease$$' -fuzztime=10s ./internal/lease
 	go test -run='^$$' -fuzz='^FuzzReadFrom$$' -fuzztime=10s ./internal/mpeg
+	go test -run='^$$' -fuzz='^FuzzOnPacket$$' -fuzztime=10s ./internal/gcs
 
 vet:
 	go vet ./...

@@ -119,8 +119,6 @@ type Config struct {
 	// re-anycast reaches whichever server now owns (or adopts) the session,
 	// and a Seek resynchronizes the stream to the client's position.
 	StarveTimeout time.Duration
-	// GCS optionally overrides group-communication timing.
-	GCS gcs.Config
 	// Obs, when set, receives the client.* counters, occupancy gauges and
 	// trace events, and is forwarded to the embedded GCS process.
 	Obs *obs.Registry
@@ -316,15 +314,14 @@ func New(cfg Config) (*Client, error) {
 		return nil, fmt.Errorf("client %s: %w", cfg.ID, err)
 	}
 	mux := transport.NewMux(ep)
-	gcfg := cfg.GCS
-	gcfg.Clock = cfg.Clock
-	gcfg.Endpoint = mux.Channel(transport.ChannelGCS)
-	gcfg.Obs = cfg.Obs
-
 	c := &Client{
-		cfg:     cfg,
-		mux:     mux,
-		proc:    gcs.NewProcess(gcfg),
+		cfg: cfg,
+		mux: mux,
+		proc: gcs.NewProcess(gcs.Config{
+			Clock:    cfg.Clock,
+			Endpoint: mux.Channel(transport.ChannelGCS),
+			Obs:      cfg.Obs,
+		}),
 		vid:     mux.Channel(transport.ChannelVideo),
 		state:   StateIdle,
 		servers: cfg.Servers,

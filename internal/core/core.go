@@ -18,7 +18,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/clock"
 	"repro/internal/flowctl"
-	"repro/internal/gcs"
 	"repro/internal/mpeg"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -79,8 +78,6 @@ type DeployOptions struct {
 	Flow FlowParams
 	// SyncInterval overrides the state-sync period (default 500ms).
 	SyncInterval time.Duration
-	// GCS overrides group-communication timing.
-	GCS gcs.Config
 }
 
 // Deployment is a running VoD service.
@@ -167,7 +164,6 @@ func (d *Deployment) startServer(id string) error {
 		Directory:    d.opts.Directory,
 		Flow:         d.opts.Flow,
 		SyncInterval: d.opts.SyncInterval,
-		GCS:          d.opts.GCS,
 	})
 	if err != nil {
 		return fmt.Errorf("core: creating server %s: %w", id, err)
@@ -232,7 +228,6 @@ func (d *Deployment) NewClient(id string) (*Client, error) {
 		Servers:   d.Peers(),
 		Directory: d.opts.Directory,
 		Flow:      d.opts.Flow,
-		GCS:       d.opts.GCS,
 	})
 }
 

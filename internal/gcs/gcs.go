@@ -109,17 +109,6 @@ type Config struct {
 	PresenceInterval time.Duration
 	// ProposalTimeout bounds each view-change phase (default 300ms).
 	ProposalTimeout time.Duration
-
-	// SharedTimers coalesces all the process's periodic duties — the
-	// failure-detector heartbeat plus every membership's ack, retransmit
-	// and presence gossip — onto one timer ticking at the gcd of the four
-	// intervals, instead of one Periodic per membership per duty. Each
-	// duty still fires at its configured period; only timer-wheel load
-	// changes (a 50-group server drops from 151 standing Periodics to 1).
-	// Off by default: the coalesced tick drains the virtual clock's timer
-	// free list in a different order, which would perturb byte-identical
-	// replay of pre-existing scenarios.
-	SharedTimers bool
 }
 
 func (c *Config) fillDefaults() {
@@ -191,13 +180,15 @@ type Process struct {
 	// under another process's p.mu, so the nested lock order is one-way.
 	sendBuf []byte
 
-	hbTask *clock.Periodic
-
-	// Shared-timer state (cfg.SharedTimers): hbTask ticks at tickBase, and
-	// each duty runs when tickCount is divisible by its divisor. tickCount
-	// is guarded by p.mu; tickScratch is a snapshot consumed outside the
-	// lock (member ticks relock p.mu themselves), distinct from mScratch,
-	// whose contract ends when the lock is released.
+	// ticker is the process's one standing timer: it ticks at the gcd of
+	// the four periodic intervals, and each duty — the failure-detector
+	// heartbeat plus every membership's ack, retransmit and presence gossip
+	// — runs when tickCount is divisible by its divisor, so a server in 50
+	// groups holds one timer, not 151. tickCount is guarded by p.mu;
+	// tickScratch is a snapshot consumed outside the lock (member ticks
+	// relock p.mu themselves), distinct from mScratch, whose contract ends
+	// when the lock is released.
+	ticker                             *clock.Periodic
 	tickCount                          uint64
 	hbDiv, ackDiv, retransDiv, presDiv uint64
 	tickScratch                        []*Member
@@ -310,22 +301,18 @@ func NewProcess(cfg Config) *Process {
 	}
 	p.fd = newDetector(p)
 	cfg.Endpoint.SetHandler(p.onPacket)
-	if cfg.SharedTimers {
-		base := gcdDur(gcdDur(cfg.HeartbeatInterval, cfg.AckInterval),
-			gcdDur(cfg.RetransmitInterval, cfg.PresenceInterval))
-		p.hbDiv = uint64(cfg.HeartbeatInterval / base)
-		p.ackDiv = uint64(cfg.AckInterval / base)
-		p.retransDiv = uint64(cfg.RetransmitInterval / base)
-		p.presDiv = uint64(cfg.PresenceInterval / base)
-		p.hbTask = clock.Every(cfg.Clock, base, p.sharedTick)
-	} else {
-		p.hbTask = clock.Every(cfg.Clock, cfg.HeartbeatInterval, p.heartbeatTick)
-	}
+	base := gcdDur(gcdDur(cfg.HeartbeatInterval, cfg.AckInterval),
+		gcdDur(cfg.RetransmitInterval, cfg.PresenceInterval))
+	p.hbDiv = uint64(cfg.HeartbeatInterval / base)
+	p.ackDiv = uint64(cfg.AckInterval / base)
+	p.retransDiv = uint64(cfg.RetransmitInterval / base)
+	p.presDiv = uint64(cfg.PresenceInterval / base)
+	p.ticker = clock.Every(cfg.Clock, base, p.tick)
 	return p
 }
 
 // gcdDur is the greatest common divisor of two positive durations — the
-// shared-timer base tick.
+// base period of the process's ticker.
 func gcdDur(a, b time.Duration) time.Duration {
 	for b != 0 {
 		a, b = b, a%b
@@ -333,12 +320,10 @@ func gcdDur(a, b time.Duration) time.Duration {
 	return a
 }
 
-// sharedTick is the single coalesced Periodic installed under
-// Config.SharedTimers. Duties run in a fixed order at coincident ticks —
-// heartbeat first, then per-membership gossip in group order, ack before
-// retransmit before presence within a membership — matching the
-// registration order the per-member timers would have had.
-func (p *Process) sharedTick() {
+// tick is one beat of the process's ticker. Duties run in a fixed order at
+// coincident ticks — heartbeat first, then per-membership gossip in group
+// order, ack before retransmit before presence within a membership.
+func (p *Process) tick() {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -452,7 +437,7 @@ func (p *Process) Close() {
 		m.deactivateLocked()
 	}
 	p.mu.Unlock()
-	p.hbTask.Stop()
+	p.ticker.Stop()
 	p.cfg.Endpoint.SetHandler(nil)
 }
 

@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -67,11 +68,8 @@ type Member struct {
 	agreedNext      map[ProcessID]uint64            // delivery cursor per sender
 	agreedParked    map[ProcessID]map[uint64][]byte // out-of-order agreed
 
-	ackTask      *clock.Periodic
-	retransTask  *clock.Periodic
-	presenceTask *clock.Periodic
-	debounce     clock.Timer
-	leaveTimer   clock.Timer
+	debounce   clock.Timer
+	leaveTimer clock.Timer
 
 	// Reusable scratch for the periodic gossip ticks, guarded by p.mu.
 	// Packets are fully serialized and handed to Send (which copies) before
@@ -79,6 +77,7 @@ type Member struct {
 	encBuf        []byte
 	vecKeys       []ProcessID
 	contigScratch map[ProcessID]uint64
+	nakScratch    []uint64
 }
 
 // mcastState is the per-view reliable-FIFO multicast machinery.
@@ -151,11 +150,6 @@ func newMember(p *Process, group string, h Handlers, contacts []ProcessID) *Memb
 		foreign:  make(map[ProcessID]time.Time),
 		departed: make(map[ProcessID]bool),
 		future:   make(map[ViewID][]*msgMcast),
-	}
-	if !p.cfg.SharedTimers {
-		m.ackTask = clock.Every(p.cfg.Clock, p.cfg.AckInterval, m.ackTick)
-		m.retransTask = clock.Every(p.cfg.Clock, p.cfg.RetransmitInterval, m.retransTick)
-		m.presenceTask = clock.Every(p.cfg.Clock, p.cfg.PresenceInterval, m.presenceTick)
 	}
 	return m
 }
@@ -319,11 +313,6 @@ func (m *Member) deactivateLocked() {
 		return
 	}
 	m.active = false
-	if m.ackTask != nil { // nil under Config.SharedTimers
-		m.ackTask.Stop()
-		m.retransTask.Stop()
-		m.presenceTask.Stop()
-	}
 	if m.debounce != nil {
 		m.debounce.Stop()
 	}
@@ -453,26 +442,59 @@ func (m *Member) deliverOneLocked(sender ProcessID, seq uint64, data []byte, cb 
 
 // onNakLocked serves a retransmission request from whatever this member
 // still holds. NAKs are answered for the current and the flushing view.
+//
+// The range is two u64s off the wire, served under p.mu, so the walk is
+// bounded by what is held for that sender rather than by the span named: a
+// span no wider than the holdings is walked as is (the ordinary gap repair);
+// a wider one — a peer far behind, or a hostile datagram — is served from the
+// held sequence numbers that fall inside it, sorted, so retransmissions leave
+// in the same order either way.
 func (m *Member) onNakLocked(from ProcessID, msg *msgNak) {
 	if msg.view != m.view.ID && !(m.status == statusFlushing && msg.view == m.flushOldView.ID) {
 		return
 	}
-	for seq := msg.from; seq < msg.to; seq++ {
-		payload, ok := m.ms.lookup(msg.sender, seq)
-		if !ok {
-			continue
-		}
-		pkt := appendMcast(m.encBuf[:0], &msgMcast{
-			group:   m.group,
-			view:    msg.view,
-			sender:  msg.sender,
-			seq:     seq,
-			payload: payload,
-		})
-		m.encBuf = pkt[:0]
-		m.p.ctr.retransmits.Inc()
-		_ = m.p.cfg.Endpoint.Send(from, pkt)
+	if msg.to <= msg.from {
+		return
 	}
+	retained, pending := m.ms.retained[msg.sender], m.ms.pending[msg.sender]
+	if msg.to-msg.from <= uint64(len(retained)+len(pending)) {
+		for seq := msg.from; seq < msg.to; seq++ {
+			m.retransmitLocked(from, msg, seq)
+		}
+		return
+	}
+	seqs := m.nakScratch[:0]
+	for _, held := range []map[uint64][]byte{retained, pending} {
+		for seq := range held {
+			if seq >= msg.from && seq < msg.to {
+				seqs = append(seqs, seq)
+			}
+		}
+	}
+	slices.Sort(seqs)
+	m.nakScratch = seqs[:0]
+	for _, seq := range seqs {
+		m.retransmitLocked(from, msg, seq)
+	}
+}
+
+// retransmitLocked re-sends (msg.sender, seq) to the NAK's origin if this
+// member still has it.
+func (m *Member) retransmitLocked(to ProcessID, msg *msgNak, seq uint64) {
+	payload, ok := m.ms.lookup(msg.sender, seq)
+	if !ok {
+		return
+	}
+	pkt := appendMcast(m.encBuf[:0], &msgMcast{
+		group:   m.group,
+		view:    msg.view,
+		sender:  msg.sender,
+		seq:     seq,
+		payload: payload,
+	})
+	m.encBuf = pkt[:0]
+	m.p.ctr.retransmits.Inc()
+	_ = m.p.cfg.Endpoint.Send(to, pkt)
 }
 
 // onAckVecLocked folds a stability vector in and garbage-collects retained

@@ -8,30 +8,11 @@ import (
 	"repro/internal/netsim"
 )
 
-// addProcessCfg is addProcess with config knobs (the plain rig helper pins
-// the default config).
-func (c *cluster) addProcessCfg(id ProcessID, cfg Config) *Process {
-	c.t.Helper()
-	ep, err := c.net.NewEndpoint(id)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	cfg.Clock = c.clk
-	cfg.Endpoint = ep
-	p := NewProcess(cfg)
-	c.proc[id] = p
-	return p
-}
-
 // TestSharedTimersProtocolEquivalence runs the join/multicast/crash cycle
-// with every process on coalesced timers: convergence, FIFO delivery and
-// failure-driven view changes must all work exactly as with per-member
-// Periodics.
+// end to end on the coalesced tick: convergence, FIFO delivery and
+// failure-driven view changes are all driven by the one ticker.
 func TestSharedTimersProtocolEquivalence(t *testing.T) {
 	c := newCluster(t, 7, netsim.LAN())
-	for _, id := range []ProcessID{"a", "b", "c"} {
-		c.addProcessCfg(id, Config{SharedTimers: true})
-	}
 	c.join("a", "g")
 	c.join("b", "g", "a")
 	c.join("c", "g", "a")
@@ -51,40 +32,34 @@ func TestSharedTimersProtocolEquivalence(t *testing.T) {
 		}
 	}
 
-	// Crash one member: the survivors' failure detector (also on the shared
+	// Crash one member: the survivors' failure detector (a duty of the same
 	// tick) must drive a view change excluding it.
 	c.proc["c"].Close()
 	c.waitConverged(5*time.Second, "a", "b")
 }
 
-// TestSharedTimersTimerCount pins the tentpole's resource claim: a process
-// serving many groups holds ONE standing timer, where per-member mode holds
-// 1 + 3 per group. Measured on idle singleton memberships so pending
-// network events cannot pollute the clock's event count.
+// TestSharedTimersTimerCount pins the resource claim: a process serving
+// many groups holds ONE standing timer, not one per membership per duty.
+// Measured on idle singleton memberships so pending network events cannot
+// pollute the clock's event count.
 func TestSharedTimersTimerCount(t *testing.T) {
 	const groups = 10
-	count := func(shared bool) int {
-		clk := clock.NewVirtual(gcsEpoch)
-		net := netsim.New(clk, 1, netsim.LAN())
-		ep, err := net.NewEndpoint("p")
-		if err != nil {
+	clk := clock.NewVirtual(gcsEpoch)
+	net := netsim.New(clk, 1, netsim.LAN())
+	ep, err := net.NewEndpoint("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProcess(Config{Clock: clk, Endpoint: ep})
+	defer p.Close()
+	for i := 0; i < groups; i++ {
+		if _, err := p.Join(string(rune('a'+i)), Handlers{}); err != nil {
 			t.Fatal(err)
 		}
-		p := NewProcess(Config{Clock: clk, Endpoint: ep, SharedTimers: shared})
-		defer p.Close()
-		for i := 0; i < groups; i++ {
-			if _, err := p.Join(string(rune('a'+i)), Handlers{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		clk.Advance(time.Second) // steady state; singletons emit no packets
-		return clk.Len()
 	}
-	if got := count(false); got != 1+3*groups {
-		t.Fatalf("per-member timers = %d, want %d", got, 1+3*groups)
-	}
-	if got := count(true); got != 1 {
-		t.Fatalf("shared timers = %d, want 1", got)
+	clk.Advance(time.Second) // steady state; singletons emit no packets
+	if got := clk.Len(); got != 1 {
+		t.Fatalf("standing timers with %d groups = %d, want 1", groups, got)
 	}
 }
 
@@ -98,7 +73,7 @@ func TestSharedTickAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewProcess(Config{Clock: clk, Endpoint: ep, SharedTimers: true})
+	p := NewProcess(Config{Clock: clk, Endpoint: ep})
 	defer p.Close()
 	for _, g := range []string{"g1", "g2", "g3"} {
 		if _, err := p.Join(g, Handlers{}); err != nil {

@@ -63,8 +63,8 @@ func TestAllocsSendToDeadDestination(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Crash("crashed")
-	ghostRef := a.(transport.RefResolver).ResolveAddr("ghost")
 	refs := a.(transport.RefSender)
+	ghostRef := refs.ResolveAddr("ghost")
 
 	payload := make([]byte, 1200)
 	for i := 0; i < 64; i++ { // warm the delivery pool for the crashed case

@@ -10,15 +10,14 @@ import (
 
 // Batched fan-out: one send call delivering a stripe's worth of frames.
 //
-// A VoD server streams one movie to hundreds of viewers; with striped
-// pacing the server already walks all of them in one clock tick, but until
-// now every walk step still scheduled its own delivery event — N heap
-// pushes, N timer fires, N pooled records per beat. SendStableRefBatch
-// collapses the common case into one pooled broadcast record and ONE
-// scheduled clock event that fans out to every surviving destination when
-// it fires.
+// A VoD server streams one movie to hundreds of leased viewers, and its
+// stripe walks all of them in one clock tick. Sending the walk's frames one
+// by one would still schedule a delivery event each — N heap pushes, N timer
+// fires, N pooled records per beat. SendStableRefBatch collapses the common
+// case into one pooled broadcast record and ONE scheduled clock event that
+// fans out to every surviving destination when it fires.
 //
-// The determinism contract (DESIGN §14) is equivalence with a loop over
+// The determinism contract (DESIGN §13) is equivalence with a loop over
 // SendStableRef in slice order: the routing checks, the loss / extra-loss /
 // duplication draws and the egress/link serialization bumps run per
 // destination, in order, exactly as the per-send path runs them, so the
@@ -33,7 +32,7 @@ import (
 // schedule at frame scale), which is the one observable difference from the
 // loop.
 //
-// Payloads are caller-guaranteed immutable (the StableSender contract), so
+// Payloads are caller-guaranteed immutable (the RefSender contract), so
 // sharing one buffer across the whole batch needs no reference counting:
 // the record only drops its aliases on recycle and nobody ever writes
 // through them.
@@ -127,31 +126,17 @@ func (b *broadcast) run() {
 	}
 }
 
-var _ transport.RefBatchSender = (*endpoint)(nil)
-
-// SendStableRefBatch implements transport.RefBatchSender: payloads[i] is
+// SendStableRefBatch implements transport.RefSender: payloads[i] is
 // transmitted to dsts[i], all under one lock acquisition and (for the
 // destinations that need no divergent treatment) one scheduled delivery
 // event. Drop, duplication and serialization behavior are equivalent to
 // calling SendStableRef once per destination in slice order; see the
-// package comment above for the exact contract. Payloads must be immutable
-// for the process lifetime.
+// comment at the top of this file for the exact contract. Payloads must be
+// immutable for the process lifetime.
 func (e *endpoint) SendStableRefBatch(dsts []transport.AddrRef, payloads [][]byte) error {
 	if len(dsts) != len(payloads) {
 		return fmt.Errorf("netsim: batch from %s: %d destinations but %d payloads", e.addr, len(dsts), len(payloads))
 	}
-	return e.batchRef(dsts, payloads, nil)
-}
-
-// BroadcastRef is the single-payload form of SendStableRefBatch: one
-// immutable buffer delivered to every destination — encode once, deliver N.
-func (e *endpoint) BroadcastRef(dsts []transport.AddrRef, payload []byte) error {
-	return e.batchRef(dsts, nil, payload)
-}
-
-// batchRef is the shared body: payloads[i] per destination when payloads is
-// non-nil, the shared payload otherwise.
-func (e *endpoint) batchRef(dsts []transport.AddrRef, payloads [][]byte, shared []byte) error {
 	n := e.net
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -162,10 +147,7 @@ func (e *endpoint) batchRef(dsts []transport.AddrRef, payloads [][]byte, shared 
 	b := n.newBroadcastLocked(e.id)
 	var maxDelay time.Duration
 	for i, ref := range dsts {
-		payload := shared
-		if payloads != nil {
-			payload = payloads[i]
-		}
+		payload := payloads[i]
 		if len(payload) > transport.MaxDatagram {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("netsim: send to ref#%d: %w", ref, transport.ErrTooLarge)

@@ -12,7 +12,7 @@ import (
 // deliveries, on a network seeded identically across calls.
 type broadcastWorld struct {
 	r      *rig
-	src    transport.Endpoint
+	src    transport.RefSender
 	refs   []transport.AddrRef
 	counts []int
 	bytes  []int
@@ -21,8 +21,7 @@ type broadcastWorld struct {
 func newBroadcastWorld(t *testing.T, prof Profile, nDst int) *broadcastWorld {
 	t.Helper()
 	w := &broadcastWorld{r: newRig(t, prof)}
-	w.src = w.r.endpoint(t, "src")
-	res := w.src.(transport.RefResolver)
+	w.src = w.r.endpoint(t, "src").(transport.RefSender)
 	w.counts = make([]int, nDst)
 	w.bytes = make([]int, nDst)
 	for i := 0; i < nDst; i++ {
@@ -33,7 +32,7 @@ func newBroadcastWorld(t *testing.T, prof Profile, nDst int) *broadcastWorld {
 			w.counts[i]++
 			w.bytes[i] += len(p)
 		})
-		w.refs = append(w.refs, res.ResolveAddr(name))
+		w.refs = append(w.refs, w.src.ResolveAddr(name))
 	}
 	return w
 }
@@ -63,20 +62,18 @@ func TestBroadcastMatchesLoop(t *testing.T) {
 		w := newBroadcastWorld(t, Profile{Delay: time.Millisecond, Bandwidth: 10 * 1000 * 1000}, nDst)
 		w.chaosSetup()
 		if batch {
-			sender := w.src.(transport.RefBatchSender)
 			payloads := make([][]byte, nDst)
 			for i := range payloads {
 				payloads[i] = payload
 			}
 			for r := 0; r < rounds; r++ {
-				_ = sender.SendStableRefBatch(w.refs, payloads)
+				_ = w.src.SendStableRefBatch(w.refs, payloads)
 				w.r.clk.Advance(5 * time.Millisecond)
 			}
 		} else {
-			sender := w.src.(transport.RefSender)
 			for r := 0; r < rounds; r++ {
 				for _, ref := range w.refs {
-					_ = sender.SendStableRef(ref, payload)
+					_ = w.src.SendStableRef(ref, payload)
 				}
 				w.r.clk.Advance(5 * time.Millisecond)
 			}
@@ -129,7 +126,7 @@ func TestBroadcastCoalescedDelivery(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = pkt
 	}
-	if err := w.src.(transport.RefBatchSender).SendStableRefBatch(w.refs, payloads); err != nil {
+	if err := w.src.SendStableRefBatch(w.refs, payloads); err != nil {
 		t.Fatal(err)
 	}
 	w.r.clk.Drain(0)
@@ -149,9 +146,9 @@ func TestBroadcastCoalescedDelivery(t *testing.T) {
 	}
 }
 
-// TestBroadcastRefSharedPayload exercises the ISSUE-named single-payload
-// convenience: encode once, deliver N, with the very same backing array
-// reaching every handler.
+// TestBroadcastRefSharedPayload: batch entries may alias one another —
+// encode once, deliver N, with the very same backing array reaching every
+// handler.
 func TestBroadcastRefSharedPayload(t *testing.T) {
 	const nDst = 5
 	w := newBroadcastWorld(t, Profile{Delay: time.Millisecond}, nDst)
@@ -167,7 +164,11 @@ func TestBroadcastRefSharedPayload(t *testing.T) {
 			prev(from, p)
 		}
 	}
-	if err := w.src.(*endpoint).BroadcastRef(w.refs, shared); err != nil {
+	payloads := make([][]byte, nDst)
+	for i := range payloads {
+		payloads[i] = shared
+	}
+	if err := w.src.SendStableRefBatch(w.refs, payloads); err != nil {
 		t.Fatal(err)
 	}
 	w.r.clk.Drain(0)
@@ -181,13 +182,12 @@ func TestBroadcastRefSharedPayload(t *testing.T) {
 // lengths are rejected outright.
 func TestBroadcastBadDestinations(t *testing.T) {
 	w := newBroadcastWorld(t, Profile{}, 2)
-	sender := w.src.(transport.RefBatchSender)
-	if err := sender.SendStableRefBatch(w.refs, [][]byte{{1}}); err == nil {
+	if err := w.src.SendStableRefBatch(w.refs, [][]byte{{1}}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 	dsts := []transport.AddrRef{w.refs[0], transport.AddrRef(9999), w.refs[1]}
 	p := []byte("x")
-	err := sender.SendStableRefBatch(dsts, [][]byte{p, p, p})
+	err := w.src.SendStableRefBatch(dsts, [][]byte{p, p, p})
 	if !errors.Is(err, transport.ErrNoRoute) {
 		t.Fatalf("err = %v, want ErrNoRoute", err)
 	}

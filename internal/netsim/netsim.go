@@ -9,8 +9,8 @@
 // Internally every address is interned to a dense integer ID the first time
 // it is seen; endpoints, egress queues and per-pair link state live in flat
 // slices indexed by ID, so the per-packet send path never hashes an address
-// string. Senders that pre-resolve their destination (transport.RefResolver /
-// RefSender) skip the one remaining map lookup too. Only the sparse fault
+// string. Senders that pre-resolve their destination (transport.RefSender)
+// skip the one remaining map lookup too. Only the sparse fault
 // state — profile overrides and blocked links — stays in (ID-pair-keyed)
 // maps, off the common path.
 //
@@ -702,48 +702,13 @@ type endpoint struct {
 }
 
 var (
-	_ transport.Endpoint     = (*endpoint)(nil)
-	_ transport.StableSender = (*endpoint)(nil)
-	_ transport.RefResolver  = (*endpoint)(nil)
-	_ transport.RefSender    = (*endpoint)(nil)
+	_ transport.Endpoint  = (*endpoint)(nil)
+	_ transport.RefSender = (*endpoint)(nil)
 )
 
 func (e *endpoint) Addr() transport.Addr { return e.addr }
 
 func (e *endpoint) Send(to transport.Addr, payload []byte) error {
-	return e.send(to, payload, false)
-}
-
-// SendStable implements transport.StableSender: the payload must never be
-// mutated again, and in exchange the network neither copies it on send nor
-// on duplication — the receiving handler gets the caller's backing array.
-// Drop, duplication and timing behavior are identical to Send.
-func (e *endpoint) SendStable(to transport.Addr, payload []byte) error {
-	return e.send(to, payload, true)
-}
-
-// ResolveAddr implements transport.RefResolver: the returned reference is
-// the address's dense ID, valid for the network's lifetime across crashes
-// and rebinds.
-func (e *endpoint) ResolveAddr(to transport.Addr) transport.AddrRef {
-	e.net.mu.Lock()
-	defer e.net.mu.Unlock()
-	return transport.AddrRef(e.net.internLocked(to))
-}
-
-// SendRef implements transport.RefSender; identical to Send with the
-// referenced address.
-func (e *endpoint) SendRef(to transport.AddrRef, payload []byte) error {
-	return e.sendRef(to, payload, false)
-}
-
-// SendStableRef implements transport.RefSender; identical to SendStable
-// with the referenced address.
-func (e *endpoint) SendStableRef(to transport.AddrRef, payload []byte) error {
-	return e.sendRef(to, payload, true)
-}
-
-func (e *endpoint) send(to transport.Addr, payload []byte, stable bool) error {
 	if len(payload) > transport.MaxDatagram {
 		return fmt.Errorf("netsim: send to %s: %w", to, transport.ErrTooLarge)
 	}
@@ -757,10 +722,24 @@ func (e *endpoint) send(to transport.Addr, payload []byte, stable bool) error {
 	if id, ok := n.ids[to]; ok {
 		toID = id
 	}
-	return n.sendLocked(e.id, toID, payload, stable)
+	return n.sendLocked(e.id, toID, payload, false)
 }
 
-func (e *endpoint) sendRef(to transport.AddrRef, payload []byte, stable bool) error {
+// ResolveAddr implements transport.RefSender: the returned reference is the
+// address's dense ID, valid for the network's lifetime across crashes and
+// rebinds.
+func (e *endpoint) ResolveAddr(to transport.Addr) transport.AddrRef {
+	e.net.mu.Lock()
+	defer e.net.mu.Unlock()
+	return transport.AddrRef(e.net.internLocked(to))
+}
+
+// SendStableRef implements transport.RefSender: the payload must never be
+// mutated again, and in exchange the network neither copies it on send nor
+// on duplication — the receiving handler gets the caller's backing array.
+// Drop, duplication and timing behavior are identical to Send with the
+// referenced address.
+func (e *endpoint) SendStableRef(to transport.AddrRef, payload []byte) error {
 	if len(payload) > transport.MaxDatagram {
 		return fmt.Errorf("netsim: send to ref#%d: %w", to, transport.ErrTooLarge)
 	}
@@ -777,7 +756,7 @@ func (e *endpoint) sendRef(to transport.AddrRef, payload []byte, stable bool) er
 		n.ctrDrop.Inc()
 		return errNoRoute
 	}
-	return n.sendLocked(e.id, int32(to), payload, stable)
+	return n.sendLocked(e.id, int32(to), payload, true)
 }
 
 func (e *endpoint) SetHandler(h transport.Handler) {

@@ -105,38 +105,6 @@ type Config struct {
 	// SyncInterval is the state-sync period on movie groups (default
 	// 500ms, the paper's value).
 	SyncInterval time.Duration
-	// GCS optionally overrides group-communication timing (Clock and
-	// Endpoint fields are ignored).
-	GCS gcs.Config
-	// StripedEgress coalesces frame pacing: instead of one timer per
-	// session, sessions sharing a movie and a send period attach to one
-	// striped ticker that walks them in attach order, so a server streaming
-	// one title to hundreds of viewers pays one timer event per frame
-	// period instead of hundreds. Admission, thinning, degrade and shaper
-	// decisions are unchanged — they run per session inside the stripe walk.
-	//
-	// Off by default for the same reason as gcs.Config.SharedTimers: a
-	// session's first frame is quantized to its stripe's next tick (at most
-	// one period early versus the dedicated timer), which perturbs recorded
-	// event schedules. Opt in where throughput matters more than replay
-	// compatibility; with a fixed seed striped runs are themselves exactly
-	// reproducible.
-	StripedEgress bool
-	// BroadcastFanout collapses each striped pacing beat's frame sends into
-	// one batched network transmission: the stripe walk collects every
-	// session's (destination, packet) pair and flushes the list through the
-	// video channel's PreframedRefBatchSender in one call, so the network
-	// schedules one coalesced delivery event per stripe beat instead of one
-	// per viewer — encode once, deliver N. Requires StripedEgress and a
-	// batch-capable transport (the mux over netsim); without either it is
-	// inert and sessions send per frame as before.
-	//
-	// Off by default for the same replay-compatibility reason as
-	// StripedEgress: a beat's frames now arrive together at the last slot of
-	// the beat's serialization train (sub-millisecond late at frame scale),
-	// which perturbs recorded event schedules while leaving every aggregate
-	// metric byte-identical (TestTableScaleBroadcastEquivalent pins that).
-	BroadcastFanout bool
 	// Obs, when set, receives the server's server.* counters and trace
 	// events, and is forwarded to the embedded GCS process.
 	Obs *obs.Registry
@@ -255,20 +223,10 @@ type Server struct {
 	cfg  Config
 	mux  *transport.Mux
 	proc *gcs.Process
-	// vidPre is the video channel's preframed send path: sessions send
-	// shared packet-table slices through it without any per-frame build or
-	// copy.
-	vidPre transport.PreframedSender
-	// vidPreRef and vidResolve are its resolved-destination fast path
-	// (non-nil when the underlying network interns addresses, i.e. netsim):
-	// each session resolves its client address once at start and every frame
-	// send afterwards skips the address-string hash.
-	vidPreRef  transport.PreframedRefSender
-	vidResolve transport.RefResolver
-	// vidBatch is its batched fan-out path (non-nil over netsim): one call
-	// delivers a whole stripe beat's frames. Used only under
-	// Config.BroadcastFanout.
-	vidBatch transport.PreframedRefBatchSender
+	// vid is the video channel: sessions resolve their client address on it
+	// once at start and send shared packet-table slices through its
+	// preframed path without any per-frame build or copy.
+	vid *transport.Channel
 	// atCapacityMsg is the admission-refusal error, formatted once instead
 	// of per refused Open — a refusal storm is exactly when the server is
 	// busiest.
@@ -315,20 +273,17 @@ type Server struct {
 	syncMu     sync.Mutex
 	syncIntern wire.Intern
 
-	// stripes holds the coalesced pacing tickers of Config.StripedEgress,
-	// one per (movie, send period) with at least one attached session.
-	// Guarded by mu; nil until the first attach.
+	// stripes holds the coalesced pacing tickers of the leased tier, one
+	// per (movie, send period, phase slot) with at least one attached
+	// session. Guarded by mu; nil until the first attach.
 	stripes map[stripeKey]*stripe
 
-	// The broadcast collector (Config.BroadcastFanout): while txCollect is
-	// set — only for the duration of one stripe walk — paceTickLocked
-	// appends each frame send here instead of transmitting, and the stripe
-	// flushes the whole batch in one network call after the walk. The
-	// slices keep their capacity across beats, so a warm beat collects and
-	// flushes without allocating. Guarded by mu.
-	txCollect bool
-	txDsts    []transport.AddrRef
-	txPkts    [][]byte
+	// The stripe beat's batch: a stripe walk appends each frame it sends
+	// here, and flushes the whole batch in one network call after the walk. The slices keep their
+	// capacity across beats, so a warm beat collects and flushes without
+	// allocating. Guarded by mu.
+	txDsts []transport.Dest
+	txPkts [][]byte
 }
 
 // classIdx maps a traffic class to its index in per-class arrays.
@@ -377,14 +332,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	mux := transport.NewMux(ep)
 
-	gcfg := cfg.GCS
-	gcfg.Clock = cfg.Clock
-	gcfg.Endpoint = mux.Channel(transport.ChannelGCS)
-	gcfg.Obs = cfg.Obs
 	s := &Server{
-		cfg:        cfg,
-		mux:        mux,
-		proc:       gcs.NewProcess(gcfg),
+		cfg: cfg,
+		mux: mux,
+		proc: gcs.NewProcess(gcs.Config{
+			Clock:    cfg.Clock,
+			Endpoint: mux.Channel(transport.ChannelGCS),
+			Obs:      cfg.Obs,
+		}),
 		movies:     make(map[string]*movieState),
 		sessions:   make(map[string]*session),
 		syncIntern: wire.Intern{},
@@ -414,15 +369,7 @@ func New(cfg Config) (*Server, error) {
 	s.ctr.refusalsBestEffort = oreg.Counter("server.refusals_best_effort")
 	s.ctr.shedTokens = oreg.Counter("server.shed_tokens")
 	s.ctr.degradedFrames = oreg.Counter("server.degraded_frames")
-	vid := mux.Channel(transport.ChannelVideo)
-	// Pacing has no per-message encode path: every mux channel sends
-	// preframed, and one that did not would be a bug in transport.
-	s.vidPre = vid.(transport.PreframedSender)
-	s.vidPreRef, _ = vid.(transport.PreframedRefSender)
-	s.vidResolve, _ = vid.(transport.RefResolver)
-	if cfg.BroadcastFanout {
-		s.vidBatch, _ = vid.(transport.PreframedRefBatchSender)
-	}
+	s.vid = mux.Channel(transport.ChannelVideo)
 	if cfg.MaxSessions > 0 {
 		s.atCapacityMsg = fmt.Sprintf("server %s at capacity (%d sessions)", cfg.ID, cfg.MaxSessions)
 	}

@@ -37,13 +37,13 @@ type session struct {
 	// build buffers entirely.
 	packets *mpeg.PacketTable
 
-	// dstRef is the client address pre-resolved against the video channel's
-	// network (transport.NoAddrRef when the network has no dense index), so
-	// per-frame sends skip the address-string hash.
-	dstRef transport.AddrRef
+	// dst is the client address resolved once on the video channel, so
+	// per-frame sends skip the address-string hash where the network has a
+	// dense index.
+	dst transport.Dest
 
-	// stripe/stripePos locate this session's slot in a coalesced pacing
-	// ticker when Config.StripedEgress is on (stripe nil otherwise or while
+	// stripe/stripePos locate a leased session's slot in its coalesced
+	// pacing ticker (stripe nil for a session-group session, or while
 	// detached); shedSkip makes the next stripe tick skip one beat after a
 	// token shed, reproducing the dedicated timer's 2× retry spacing.
 	stripe    *stripe
@@ -120,11 +120,8 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 	if sess.sendOneFn == nil {
 		sess.sendOneFn = sess.sendOne
 	}
-	sess.packets = movie.Packets(s.vidPre.Preframe())
-	sess.dstRef = transport.NoAddrRef
-	if s.vidResolve != nil {
-		sess.dstRef = s.vidResolve.ResolveAddr(transport.Addr(rec.ClientAddr))
-	}
+	sess.packets = movie.Packets(s.vid.Preframe())
+	sess.dst = s.vid.Resolve(transport.Addr(rec.ClientAddr))
 	if takeover {
 		// Resuming at a stale offset past the end means the movie ended.
 		if int(rec.Offset) >= movie.TotalFrames() {
@@ -291,13 +288,18 @@ func (sess *session) armSendLocked(d time.Duration) {
 }
 
 // schedulePacingLocked arms the next frame transmission at the current
-// rate: a dedicated pacing timer normally, or an attach to the matching
-// coalesced stripe under Config.StripedEgress. Caller holds srv.mu.
+// rate. What the session is selects the mechanism. A leased session — the
+// tier a server holds thousands of, nearly all at the movie's nominal rate —
+// attaches to the stripe matching its movie and period and shares that
+// stripe's ticker. A session-group session keeps a dedicated timer: per-client
+// flow control gives nearly every one of them its own period, so stripes
+// would hold one session each and re-key on every rate change. Caller holds
+// srv.mu.
 func (sess *session) schedulePacingLocked() {
 	if sess.closed || !sess.ready || sess.rec.Paused || sess.atEnd {
 		return
 	}
-	if sess.srv.cfg.StripedEgress {
+	if sess.rec.Leased {
 		sess.srv.attachStripeLocked(sess)
 		return
 	}
@@ -307,22 +309,24 @@ func (sess *session) schedulePacingLocked() {
 	sess.armSendLocked(sess.sendPeriodLocked())
 }
 
-// sendOne handles one pacing tick: the stream position advances by exactly
-// one frame per tick (so the movie always plays at the granted rate in
-// movie time), and the frame is transmitted unless quality thinning
-// withholds it (§4.3: transmit all I frames and as many of the others as
-// the client's capabilities allow). Best-effort sessions additionally pass
-// the overload ladder: degrade thinning tightens their quality cap under
-// pressure, and with a shaper configured the frame needs egress tokens —
-// a dry bucket holds the frame (offset does not advance) and retries at
-// stretched spacing, so throttling lengthens frame intervals without ever
-// skipping content.
+// sendOne is the dedicated pacing timer firing: advance the stream by one
+// tick, arm the follow-up (at stretched spacing after a token shed), then
+// transmit the tick's frame as a single delivery.
 func (sess *session) sendOne() {
 	s := sess.srv
 	s.mu.Lock()
 	sess.pacing = false
 	if !sess.closed && !sess.rec.Paused {
-		sess.paceTickLocked(false)
+		outcome, pkt := sess.paceTickLocked()
+		switch outcome {
+		case txSent:
+			sess.schedulePacingLocked()
+		case txShed:
+			sess.armSendLocked(2 * sess.sendPeriodLocked())
+		}
+		if pkt != nil {
+			_ = s.vid.SendPreframed(sess.dst, pkt)
+		}
 	}
 	s.mu.Unlock()
 }
@@ -337,18 +341,25 @@ const (
 )
 
 // paceTickLocked advances the stream by one pacing tick — the shared body of
-// the dedicated-timer path (sendOne) and the striped walker. When striped is
-// false it also arms the follow-up timer exactly where the pre-stripe code
-// did (before the network send), keeping default-config event schedules
-// byte-identical; when striped is true the stripe's own ticker provides the
-// cadence and the caller turns txShed into a skipped beat. Caller holds
-// srv.mu and has already passed the closed/paused guards.
-func (sess *session) paceTickLocked(striped bool) txOutcome {
+// the dedicated timer (sendOne) and the stripe walk, which differ only in
+// where the cadence comes from and how the returned packet leaves. The
+// stream position advances by exactly one frame per tick (so the movie
+// always plays at the granted rate in movie time), and the frame's packet is
+// returned for transmission unless quality thinning withholds it (§4.3:
+// transmit all I frames and as many of the others as the client's
+// capabilities allow; the packet is then nil). Best-effort sessions
+// additionally pass the overload ladder: degrade thinning tightens their
+// quality cap under pressure, and with a shaper configured the frame needs
+// egress tokens — a dry bucket holds the frame (offset does not advance,
+// txShed) for a retry at stretched spacing, so throttling lengthens frame
+// intervals without ever skipping content. Caller holds srv.mu and has
+// already passed the closed/paused guards.
+func (sess *session) paceTickLocked() (txOutcome, []byte) {
 	s := sess.srv
 	total := uint32(sess.movie.TotalFrames())
 	if sess.rec.Offset >= total {
 		sess.atEnd = true
-		return txEnded
+		return txEnded, nil
 	}
 
 	idx := int(sess.rec.Offset)
@@ -380,10 +391,7 @@ func (sess *session) paceTickLocked(striped bool) txOutcome {
 			s.stats.FramesThinned++
 			s.ctr.framesThinned.Inc()
 		}
-		if !striped {
-			sess.schedulePacingLocked()
-		}
-		return txSent
+		return txSent, nil
 	}
 
 	// Egress shaping: reserved sends always proceed (and may drive the
@@ -394,10 +402,7 @@ func (sess *session) paceTickLocked(striped bool) txOutcome {
 			if !sh.TakeBestEffort(t.WireSize(idx)) {
 				s.stats.ShedTokens++
 				s.ctr.shedTokens.Inc()
-				if !striped {
-					sess.armSendLocked(2 * sess.sendPeriodLocked())
-				}
-				return txShed
+				return txShed, nil
 			}
 		} else {
 			sh.TakeReserved(t.WireSize(idx))
@@ -414,26 +419,11 @@ func (sess *session) paceTickLocked(striped bool) txOutcome {
 	// encode, and the preframed send path ships the immutable table
 	// slice without copying. VideoBytes counts the wire message as a
 	// per-message encoder would, i.e. without the one-byte mux prefix.
-	pkt := t.Packet(idx)
 	s.stats.FramesSent++
 	s.stats.VideoBytes += uint64(t.WireSize(idx))
 	s.ctr.framesSent.Inc()
 	s.ctr.videoBytes.Add(uint64(t.WireSize(idx)))
-	if !striped {
-		sess.schedulePacingLocked()
-	}
-	if s.txCollect && sess.dstRef != transport.NoAddrRef {
-		// Broadcast fan-out: the stripe walk batches this beat's frames
-		// and flushes them in one network call after the walk — same
-		// clock instant, same attach order, one delivery event.
-		s.txDsts = append(s.txDsts, sess.dstRef)
-		s.txPkts = append(s.txPkts, pkt)
-	} else if s.vidPreRef != nil && sess.dstRef != transport.NoAddrRef {
-		_ = s.vidPreRef.SendPreframedRef(sess.dstRef, pkt)
-	} else {
-		_ = s.vidPre.SendPreframed(transport.Addr(sess.rec.ClientAddr), pkt)
-	}
-	return txSent
+	return txSent, t.Packet(idx)
 }
 
 // stopLocked halts the session permanently. Caller holds srv.mu.

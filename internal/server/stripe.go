@@ -6,21 +6,19 @@ import (
 	"repro/internal/clock"
 )
 
-// Striped egress (Config.StripedEgress): sessions that share a movie and a
-// send period attach to one coalesced ticker — the stripe — instead of each
-// arming a dedicated pacing timer. At the headline two-tier scale a server
-// streams one title to ~200 viewers at one shared rate, so striping turns
-// ~200 timer events per frame period into one event that walks a flat entry
-// slice in attach order. Every per-session decision (thinning, degrade,
-// shaper tokens, end-of-movie) still runs per session inside the walk, via
-// the same paceTickLocked body the dedicated-timer path uses.
+// Striped egress is how the leased tier is paced: leased sessions that
+// share a movie and a send period attach to one coalesced ticker — the
+// stripe — instead of each arming a dedicated pacing timer. At the headline
+// two-tier scale a server streams one title to ~200 viewers at one shared
+// rate, so striping turns ~200 timer events per frame period into one event
+// that walks a flat entry slice in attach order and hands the beat's frames
+// to the network as one batch. Every per-session decision (thinning,
+// degrade, shaper tokens, end-of-movie) still runs per session inside the
+// walk, via the same paceTickLocked body the dedicated timer uses.
 //
 // Determinism: stripes are created, attached to and walked in simulation
 // event order; the only map (Server.stripes) is never iterated outside the
-// sorted shutdown path. A striped run is therefore byte-identical for a
-// fixed seed — it is only versus a non-striped run of the same scenario
-// that per-frame timing shifts (first sends quantize to the stripe's next
-// tick), which is why the feature is opt-in.
+// sorted shutdown path, so a run is byte-identical for a fixed seed.
 
 // stripeKey identifies a stripe: one movie at one send period and one
 // frame-phase slot. Rate changes (flow control, emergency boost) migrate a
@@ -35,10 +33,9 @@ type stripeKey struct {
 // attach to the bucket holding their own pacing phase, so a session's beats
 // land within period/stripePhaseSlots of where its dedicated timer would
 // have fired, and each tick bursts only a bucket's worth of frames into the
-// shared egress queue instead of every viewer of the movie at once — small
-// enough perturbations that the scale table renders identically with
-// striping on and off. One movie at one rate still collapses from one timer
-// per session to at most this many tickers.
+// shared egress queue instead of every viewer of the movie at once. One
+// movie at one rate still collapses from one timer per session to at most
+// this many tickers.
 const stripePhaseSlots = 16
 
 // stripeEntry is one attached session. gen guards against pooled session
@@ -92,20 +89,16 @@ func (s *Server) attachStripeLocked(sess *session) {
 }
 
 // tick is one stripe beat: walk the attached sessions in attach order,
-// advance each by one frame, and compact detached entries in place. A
-// session whose shaper draw failed last beat skips this one (shedSkip),
-// reproducing the dedicated timer's 2×-period retry; one that finished its
-// movie or changed rate leaves the stripe. The last leaver retires the
-// stripe and its ticker.
+// advance each by one frame, compact detached entries in place, and flush
+// the beat's frames in a single batched network call — still inside this
+// same clock event and lock hold, so RNG draws and egress arithmetic happen
+// in walk order. A session whose shaper draw failed last beat skips this
+// one (shedSkip), reproducing the dedicated timer's 2×-period retry; one
+// that finished its movie or changed rate leaves the stripe. The last
+// leaver retires the stripe and its ticker.
 func (st *stripe) tick() {
 	s := st.srv
 	s.mu.Lock()
-	// Broadcast fan-out: collect the walk's frame sends into the server's
-	// batch scratch instead of transmitting one by one, then flush them
-	// below in a single batched network call — still inside this same clock
-	// event and lock hold, so RNG draws and egress arithmetic happen in the
-	// exact order the per-send path produced them.
-	s.txCollect = s.vidBatch != nil
 	entries := st.entries
 	k := 0
 	for i := range entries {
@@ -117,8 +110,13 @@ func (st *stripe) tick() {
 		if !sess.rec.Paused {
 			if sess.shedSkip {
 				sess.shedSkip = false
-			} else if sess.paceTickLocked(true) == txShed {
-				sess.shedSkip = true
+			} else {
+				outcome, pkt := sess.paceTickLocked()
+				sess.shedSkip = outcome == txShed
+				if pkt != nil {
+					s.txDsts = append(s.txDsts, sess.dst)
+					s.txPkts = append(s.txPkts, pkt)
+				}
 			}
 		}
 		if sess.atEnd {
@@ -138,13 +136,10 @@ func (st *stripe) tick() {
 		entries[i] = stripeEntry{}
 	}
 	st.entries = entries[:k]
-	if s.txCollect {
-		s.txCollect = false
-		if len(s.txDsts) > 0 {
-			_ = s.vidBatch.SendPreframedRefBatch(s.txDsts, s.txPkts)
-			s.txDsts = s.txDsts[:0]
-			s.txPkts = s.txPkts[:0]
-		}
+	if len(s.txDsts) > 0 {
+		_ = s.vid.SendPreframedBatch(s.txDsts, s.txPkts)
+		s.txDsts = s.txDsts[:0]
+		s.txPkts = s.txPkts[:0]
 	}
 	if k == 0 && !s.closed {
 		st.task.Stop()

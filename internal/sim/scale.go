@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/clock"
-	"repro/internal/gcs"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
 	"repro/internal/placement"
@@ -28,17 +27,15 @@ import (
 // The table is reachable via -table scale but deliberately absent from
 // TableIDs: -table all and -list keep their exact pre-§12 output.
 //
-// The production table runs with striped egress and broadcast fan-out on:
-// the aggregate row metrics are identical either way
-// (TestTableScaleStripedEquivalent and TestTableScaleBroadcastEquivalent
-// pin that), and coalesced pacing plus batched delivery are most of what
-// makes the 10k-viewer row cheap enough to regenerate casually.
+// Every viewer here is leased, so every stream is paced by a stripe and
+// leaves in batched beats — most of what makes the 10k-viewer row cheap
+// enough to regenerate casually.
 func TableScale(seed int64) Table {
 	return tableScale(seed, []scalePoint{
 		{servers: 10, viewers: 1_000},
 		{servers: 25, viewers: 4_000},
 		{servers: 50, viewers: 10_000},
-	}, true, true)
+	})
 }
 
 type scalePoint struct {
@@ -47,7 +44,7 @@ type scalePoint struct {
 }
 
 // tableScale is the parameterized core, shared with the reduced-size tests.
-func tableScale(seed int64, points []scalePoint, striped, broadcast bool) Table {
+func tableScale(seed int64, points []scalePoint) Table {
 	t := Table{
 		ID:    "Tbl 2T",
 		Title: "two-tier capacity: sharded movie groups + leased viewers (§12)",
@@ -64,7 +61,7 @@ func tableScale(seed int64, points []scalePoint, striped, broadcast bool) Table 
 	}
 	titles := scaleTitles(seed, most)
 	trials := fanOut(len(points), func(i int) scaleResult {
-		return scaleTrial(seed, titles[:points[i].servers], points[i].viewers, striped, broadcast, nil)
+		return scaleTrial(seed, titles[:points[i].servers], points[i].viewers)
 	})
 	for i, p := range points {
 		res := trials[i]
@@ -111,7 +108,7 @@ func scaleTitles(seed int64, n int) []*mpeg.Movie {
 // holds, so group size stays at Replicas while the cluster grows. Viewers
 // attach by lease (no session groups at all) with the ring ordering their
 // anycast, arrivals spread over the first two seconds.
-func scaleTrial(seed int64, movies []*mpeg.Movie, nViewers int, striped, broadcast bool, disrupt func(net *netsim.Network, clk *clock.Virtual, servers []string)) scaleResult {
+func scaleTrial(seed int64, movies []*mpeg.Movie, nViewers int) scaleResult {
 	const replicas = 2
 	nServers := len(movies)
 	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
@@ -154,16 +151,6 @@ func scaleTrial(seed int64, movies []*mpeg.Movie, nViewers int, striped, broadca
 			Peers:     serverIDs,
 			Placement: ring,
 			Replicas:  replicas,
-			// One coalesced timer per server instead of one per group
-			// membership — at 50 servers the difference is the simulation
-			// budget.
-			GCS: gcs.Config{SharedTimers: true},
-			// Likewise one coalesced pacing tick per (movie, rate) instead
-			// of one timer per viewer session.
-			StripedEgress: striped,
-			// And one batched delivery event per stripe beat instead of one
-			// per viewer.
-			BroadcastFanout: broadcast,
 		})
 		if err != nil {
 			panic(err)
@@ -201,13 +188,6 @@ func scaleTrial(seed int64, movies []*mpeg.Movie, nViewers int, striped, broadca
 		}
 		vs.clients = append(vs.clients, c)
 		clk.Advance(arrivalGap)
-	}
-	if disrupt != nil {
-		// Test hook: inject faults (partitions, loss bursts) mid-stream —
-		// the broadcast-equivalence spot check drives its divergence
-		// fallback through here. The callback may advance the clock; the
-		// play-out below still runs in full afterwards.
-		disrupt(net, clk, serverIDs)
 	}
 	clk.Advance(scaleMovieLen + 2*time.Second) // play out + drain
 

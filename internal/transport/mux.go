@@ -26,19 +26,19 @@ const (
 )
 
 // Mux splits a single Endpoint into independent logical channels by
-// prefixing every datagram with a one-byte channel ID. Each channel is
+// prefixing every datagram with a one-byte channel ID. Each Channel is
 // itself an Endpoint, so higher layers are unaware of the sharing.
 type Mux struct {
 	ep Endpoint
 
 	mu       sync.RWMutex
-	channels map[ChannelID]*muxChannel
+	channels map[ChannelID]*Channel
 
 	// chans mirrors the low channel IDs (every ID the VoD planes use) in a
 	// flat array of atomic pointers: dispatch runs once per delivered
 	// datagram — millions of times in a scale run — and an indexed atomic
 	// load replaces the map hash plus reader-lock round trip.
-	chans [muxDenseChans]atomic.Pointer[muxChannel]
+	chans [muxDenseChans]atomic.Pointer[Channel]
 }
 
 // muxDenseChans bounds the dense dispatch array; all defined ChannelIDs fit.
@@ -49,26 +49,23 @@ const muxDenseChans = 8
 func NewMux(ep Endpoint) *Mux {
 	m := &Mux{
 		ep:       ep,
-		channels: make(map[ChannelID]*muxChannel),
+		channels: make(map[ChannelID]*Channel),
 	}
 	ep.SetHandler(m.dispatch)
 	return m
 }
 
-// Channel returns the Endpoint for id, creating it on first use. Calling
-// Channel twice with the same id returns the same Endpoint.
-func (m *Mux) Channel(id ChannelID) Endpoint {
+// Channel returns the channel for id, creating it on first use. Calling
+// Channel twice with the same id returns the same *Channel.
+func (m *Mux) Channel(id ChannelID) *Channel {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ch, ok := m.channels[id]
 	if !ok {
-		ch = &muxChannel{mux: m, id: id}
-		// The underlying endpoint's optional fast paths are resolved once
+		ch = &Channel{mux: m, id: id}
+		// The underlying endpoint's optional no-copy path is resolved once
 		// here instead of being type-asserted on every send.
-		ch.stable, _ = m.ep.(StableSender)
 		ch.refs, _ = m.ep.(RefSender)
-		ch.resolver, _ = m.ep.(RefResolver)
-		ch.batch, _ = m.ep.(RefBatchSender)
 		m.channels[id] = ch
 		if int(id) < muxDenseChans {
 			m.chans[id].Store(ch)
@@ -87,7 +84,7 @@ func (m *Mux) dispatch(from Addr, payload []byte) {
 		return
 	}
 	id := ChannelID(payload[0])
-	var ch *muxChannel
+	var ch *Channel
 	if int(id) < muxDenseChans {
 		ch = m.chans[id].Load()
 	} else {
@@ -103,30 +100,31 @@ func (m *Mux) dispatch(from Addr, payload []byte) {
 	}
 }
 
-type muxChannel struct {
+// Channel is one logical plane of a Mux: an Endpoint whose datagrams carry
+// the channel's ID byte, plus a preframed send path for payloads that were
+// built with that byte already in front.
+type Channel struct {
 	mux *Mux
 	id  ChannelID
 
-	// The underlying endpoint's optional send interfaces, asserted once at
-	// channel creation (nil when unimplemented).
-	stable   StableSender
-	refs     RefSender
-	resolver RefResolver
-	batch    RefBatchSender
+	// refs is the underlying endpoint's RefSender extension, asserted once
+	// at channel creation; nil when the endpoint (UDP) has none.
+	refs RefSender
 
 	// handler is an atomic pointer rather than a mutex-guarded field:
 	// dispatch reads it per delivered datagram, installs are rare.
 	handler atomic.Pointer[Handler]
 
-	sendMu  sync.Mutex
-	scratch []byte // reusable framing buffer, guarded by sendMu
+	sendMu     sync.Mutex
+	scratch    []byte    // reusable framing buffer, guarded by sendMu
+	refScratch []AddrRef // reusable batch destination list, guarded by sendMu
 }
 
-var _ Endpoint = (*muxChannel)(nil)
+var _ Endpoint = (*Channel)(nil)
 
-func (c *muxChannel) Addr() Addr { return c.mux.ep.Addr() }
+func (c *Channel) Addr() Addr { return c.mux.ep.Addr() }
 
-func (c *muxChannel) Send(to Addr, payload []byte) error {
+func (c *Channel) Send(to Addr, payload []byte) error {
 	if len(payload) > MaxDatagram-1 {
 		return fmt.Errorf("channel %d to %s: %w", c.id, to, ErrTooLarge)
 	}
@@ -141,79 +139,99 @@ func (c *muxChannel) Send(to Addr, payload []byte) error {
 	return c.mux.ep.Send(to, framed)
 }
 
-// Preframe implements PreframedSender.
-func (c *muxChannel) Preframe() byte { return byte(c.id) }
+// Dest is a destination resolved by Channel.Resolve: the address plus, over
+// an endpoint that is a RefSender, its dense reference, so per-packet sends
+// skip the address-string hash. A Dest is a plain value — the channel keeps
+// nothing per destination — and is only meaningful to the channel that
+// resolved it.
+type Dest struct {
+	addr Addr
+	ref  AddrRef
+}
 
-// SendPreframed implements PreframedSender: payload must already start with
-// this channel's ID byte and be immutable for the process lifetime. When the
-// underlying endpoint offers a StableSender fast path the buffer is shipped
-// without any copy; otherwise it degrades to a plain Send of the preframed
-// bytes (the wire layout is identical either way).
-func (c *muxChannel) SendPreframed(to Addr, payload []byte) error {
+// Resolve prepares to for the preframed send methods.
+func (c *Channel) Resolve(to Addr) Dest {
+	d := Dest{addr: to, ref: NoAddrRef}
+	if c.refs != nil {
+		d.ref = c.refs.ResolveAddr(to)
+	}
+	return d
+}
+
+// Preframe returns the one-byte prefix a preframed payload must start with:
+// this channel's ID, the layout produced by framing a message with it at
+// build time.
+func (c *Channel) Preframe() byte { return byte(c.id) }
+
+// checkPreframed rejects a payload that cannot go out on this channel as is.
+func (c *Channel) checkPreframed(to Dest, payload []byte) error {
+	if to.addr == "" {
+		return fmt.Errorf("channel %d: destination was not resolved by this channel", c.id)
+	}
 	if len(payload) == 0 || payload[0] != byte(c.id) {
-		return fmt.Errorf("channel %d to %s: preframed payload does not carry this channel's prefix", c.id, to)
+		return fmt.Errorf("channel %d to %s: preframed payload does not carry this channel's prefix", c.id, to.addr)
 	}
 	if len(payload) > MaxDatagram {
-		return fmt.Errorf("channel %d to %s: %w", c.id, to, ErrTooLarge)
+		return fmt.Errorf("channel %d to %s: %w", c.id, to.addr, ErrTooLarge)
 	}
-	if c.stable != nil {
-		return c.stable.SendStable(to, payload)
-	}
-	return c.mux.ep.Send(to, payload)
+	return nil
 }
 
-// ResolveAddr implements RefResolver by delegating to the underlying
-// endpoint. Channels over an endpoint without a dense index return NoAddrRef;
-// callers then stay on the address-keyed send path.
-func (c *muxChannel) ResolveAddr(to Addr) AddrRef {
-	if c.resolver != nil {
-		return c.resolver.ResolveAddr(to)
-	}
-	return NoAddrRef
+// sendPlain is the preframed methods' fallback over an endpoint without the
+// RefSender extension: the wire layout is identical, the endpoint copies.
+func (c *Channel) sendPlain(to Dest, payload []byte) error {
+	return c.mux.ep.Send(to.addr, payload)
 }
 
-// SendPreframedRef implements PreframedRefSender: SendPreframed with the
-// destination already resolved. The payload carries the same immutability
-// and prefix obligations; to must come from this channel's ResolveAddr.
-func (c *muxChannel) SendPreframedRef(to AddrRef, payload []byte) error {
-	if len(payload) == 0 || payload[0] != byte(c.id) {
-		return fmt.Errorf("channel %d to ref#%d: preframed payload does not carry this channel's prefix", c.id, to)
+// SendPreframed sends a payload that already begins with Preframe() and is
+// immutable for the process lifetime (the RefSender obligation): no copy is
+// made to add the prefix, and a RefSender endpoint ships the caller's buffer
+// itself, as one delivery.
+func (c *Channel) SendPreframed(to Dest, payload []byte) error {
+	if err := c.checkPreframed(to, payload); err != nil {
+		return err
 	}
-	if len(payload) > MaxDatagram {
-		return fmt.Errorf("channel %d to ref#%d: %w", c.id, to, ErrTooLarge)
+	if c.refs == nil {
+		return c.sendPlain(to, payload)
 	}
-	if c.refs == nil || to == NoAddrRef {
-		return fmt.Errorf("channel %d to ref#%d: no reference send path", c.id, to)
-	}
-	return c.refs.SendStableRef(to, payload)
+	return c.refs.SendStableRef(to.ref, payload)
 }
 
-// SendPreframedRefBatch implements PreframedRefBatchSender: one batched
-// fan-out through the underlying endpoint's RefBatchSender path. Every
-// payload carries the same prefix and immutability obligations as
-// SendPreframedRef; every destination must come from this channel's
-// ResolveAddr. Callers should check the channel implements the interface
-// (it does only when the underlying endpoint batches) and fall back to
-// per-destination sends otherwise.
-func (c *muxChannel) SendPreframedRefBatch(dsts []AddrRef, payloads [][]byte) error {
+// SendPreframedBatch is the fan-out form of SendPreframed: payloads[i] goes
+// to dsts[i], under the same prefix and immutability obligations. One
+// striped pacing beat goes through here as a single call — over a RefSender
+// endpoint, one network transmission event for the whole stripe instead of
+// one per viewer; otherwise one Send per entry. Every entry is attempted;
+// the first error is returned.
+func (c *Channel) SendPreframedBatch(dsts []Dest, payloads [][]byte) error {
 	if len(dsts) != len(payloads) {
 		return fmt.Errorf("channel %d: batch with %d destinations but %d payloads", c.id, len(dsts), len(payloads))
 	}
-	if c.batch == nil {
-		return fmt.Errorf("channel %d: no batched reference send path", c.id)
-	}
 	for i, p := range payloads {
-		if len(p) == 0 || p[0] != byte(c.id) {
-			return fmt.Errorf("channel %d to ref#%d: preframed payload does not carry this channel's prefix", c.id, dsts[i])
-		}
-		if len(p) > MaxDatagram {
-			return fmt.Errorf("channel %d to ref#%d: %w", c.id, dsts[i], ErrTooLarge)
+		if err := c.checkPreframed(dsts[i], p); err != nil {
+			return err
 		}
 	}
-	return c.batch.SendStableRefBatch(dsts, payloads)
+	if c.refs == nil {
+		var first error
+		for i, p := range payloads {
+			if err := c.sendPlain(dsts[i], p); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	refs := c.refScratch[:0]
+	for _, d := range dsts {
+		refs = append(refs, d.ref)
+	}
+	c.refScratch = refs[:0]
+	return c.refs.SendStableRefBatch(refs, payloads)
 }
 
-func (c *muxChannel) SetHandler(h Handler) {
+func (c *Channel) SetHandler(h Handler) {
 	if h == nil {
 		c.handler.Store(nil)
 		return
@@ -223,7 +241,7 @@ func (c *muxChannel) SetHandler(h Handler) {
 
 // Close detaches this channel's handler; the shared endpoint stays open for
 // the other planes.
-func (c *muxChannel) Close() error {
+func (c *Channel) Close() error {
 	c.SetHandler(nil)
 	return nil
 }

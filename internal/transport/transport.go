@@ -43,96 +43,48 @@ type Endpoint interface {
 	Close() error
 }
 
-// StableSender is an optional Endpoint extension for payloads the caller
-// guarantees are immutable for the rest of the process lifetime, such as
-// precomputed frame tables shared by every viewer of a movie. Implementations
-// may alias the payload indefinitely instead of copying it — the simulated
-// network delivers the very same backing array to receiving handlers — so
-// neither the sender nor any receiver may ever write through it. Endpoints
-// without a no-copy path simply don't implement the interface; callers fall
-// back to Send, which is always correct.
-type StableSender interface {
-	SendStable(to Addr, payload []byte) error
-}
-
-// PreframedSender is implemented by mux channels: SendPreframed transmits a
-// payload whose first byte is already this channel's ID — the layout produced
-// by framing a message with the channel's Preframe byte at build time — so no
-// copy is needed to add the prefix and the underlying endpoint's StableSender
-// path (when present) ships the caller's immutable buffer directly.
-type PreframedSender interface {
-	// Preframe returns the one-byte prefix a preframed payload must start
-	// with.
-	Preframe() byte
-
-	// SendPreframed sends a payload that already begins with Preframe().
-	// The payload must be immutable for the process lifetime, exactly as
-	// for StableSender.SendStable.
-	SendPreframed(to Addr, payload []byte) error
-}
-
 // AddrRef is a pre-resolved destination handle: a dense integer a network
 // hands out for an Addr so per-packet sends need not re-hash the address
 // string. Refs are only meaningful to the network that issued them.
 type AddrRef int32
 
-// NoAddrRef is the sentinel for "no reference available"; senders holding it
-// must fall back to the address-keyed Send path.
+// NoAddrRef is the reference of a destination no network resolved: the
+// value a Dest carries when its channel's endpoint is not a RefSender.
 const NoAddrRef AddrRef = -1
 
-// RefResolver is an optional Endpoint extension implemented by networks with
-// dense internal routing. ResolveAddr interns to and returns a stable
-// reference that stays valid for the lifetime of the network — across
-// crashes and rebinds of the referenced address — and is accepted by any
-// RefSender endpoint of the same network. Endpoints without a dense index
-// simply don't implement the interface.
-type RefResolver interface {
-	ResolveAddr(to Addr) AddrRef
-}
-
-// RefSender is an optional Endpoint extension accepting pre-resolved
-// destination references. SendRef and SendStableRef behave exactly like Send
-// and SendStable with the referenced address: same drop, duplication and
-// timing behavior, so a run sending by reference replays byte-for-byte like
-// one sending by address.
+// RefSender is the one optional Endpoint extension: a no-copy send path for
+// networks with dense internal routing (netsim). Every payload sent through
+// it must be immutable for the rest of the process lifetime — precomputed
+// frame tables shared by every viewer of a movie — and the network may
+// alias it indefinitely instead of copying: the simulated network delivers
+// the very same backing array to receiving handlers, so neither the sender
+// nor any receiver may ever write through it. Endpoints without such a path
+// (UDPEndpoint) don't implement the interface; a mux Channel falls back to
+// Send for them, which is always correct.
 type RefSender interface {
-	SendRef(to AddrRef, payload []byte) error
+	// ResolveAddr interns to and returns a reference that stays valid for
+	// the lifetime of the network, across crashes and rebinds of the
+	// referenced address.
+	ResolveAddr(to Addr) AddrRef
+
+	// SendStableRef behaves exactly like Send to the referenced address —
+	// same drop, duplication and timing behavior, so a run sending by
+	// reference replays byte-for-byte like one sending by address — except
+	// that the payload is aliased, not copied.
 	SendStableRef(to AddrRef, payload []byte) error
-}
 
-// PreframedRefSender extends PreframedSender with a resolved-destination
-// variant: the payload must already begin with the channel's Preframe byte
-// and be immutable for the process lifetime, and to must come from this
-// channel's ResolveAddr. The per-frame delivery path of a scale run goes
-// through here — no string is hashed between the session and the wire.
-type PreframedRefSender interface {
-	SendPreframedRef(to AddrRef, payload []byte) error
-}
-
-// RefBatchSender is an optional Endpoint extension for fan-out: one call
-// transmits payloads[i] to dsts[i] for every i (the slices must be the same
-// length). Every payload carries the StableSender immutability obligation,
-// and entries may alias one another — a broadcast hands the same backing
-// array to every destination. The contract is equivalence with a loop:
-// loss, duplication and per-destination link timing behave as if
-// SendStableRef had been called once per destination in slice order,
-// consuming the same random draws in the same order, so a run that batches
-// its fan-out keeps aggregate statistics identical to one that loops.
-// Implementations are free to coalesce the surviving deliveries into one
-// scheduled event (netsim does); only per-delivery timing, never content or
-// ordering among the batch, may differ from the loop.
-type RefBatchSender interface {
+	// SendStableRefBatch transmits payloads[i] to dsts[i] for every i (the
+	// slices must be the same length); entries may alias one another — a
+	// broadcast hands the same backing array to every destination. The
+	// contract is equivalence with a loop: loss, duplication and
+	// per-destination link timing behave as if SendStableRef had been
+	// called once per destination in slice order, consuming the same random
+	// draws in the same order, so a run that batches its fan-out keeps
+	// aggregate statistics identical to one that loops. Implementations are
+	// free to coalesce the surviving deliveries into one scheduled event
+	// (netsim does); only per-delivery timing, never content or ordering
+	// among the batch, may differ from the loop.
 	SendStableRefBatch(dsts []AddrRef, payloads [][]byte) error
-}
-
-// PreframedRefBatchSender is the batched form of PreframedRefSender: every
-// payload must already begin with the channel's Preframe byte and be
-// immutable for the process lifetime, and every destination must come from
-// this channel's ResolveAddr. One striped pacing beat of a scale run goes
-// through here as a single call — one network transmission event for the
-// whole stripe instead of one per viewer.
-type PreframedRefBatchSender interface {
-	SendPreframedRefBatch(dsts []AddrRef, payloads [][]byte) error
 }
 
 // Network creates endpoints. The simulated implementation wires them to a

@@ -183,3 +183,54 @@ func TestMuxOversizedFrame(t *testing.T) {
 		t.Fatalf("Send = %v, want ErrTooLarge", err)
 	}
 }
+
+// TestChannelPreframed drives the preframed send path over both kinds of
+// endpoint: a RefSender one (netsim), where the receiver sees the sender's
+// own backing array, and a plain one, where the channel falls back to Send
+// and the receiver sees a copy. Either way the wire layout is the same and
+// malformed input is refused before it reaches the endpoint.
+func TestChannelPreframed(t *testing.T) {
+	for _, plain := range []bool{false, true} {
+		a, b, clk := newSimPair(t)
+		if plain {
+			a = struct{ transport.Endpoint }{a}
+		}
+		video := transport.NewMux(a).Channel(transport.ChannelVideo)
+		pkt := []byte{byte(transport.ChannelVideo), 'f', 'r', 'a', 'm', 'e'}
+		got := 0
+		transport.NewMux(b).Channel(transport.ChannelVideo).SetHandler(func(_ transport.Addr, p []byte) {
+			got++
+			if string(p) != "frame" {
+				t.Errorf("plain=%v: delivered %q, want %q", plain, p, "frame")
+			}
+			if aliased := &p[0] == &pkt[1]; aliased == plain {
+				t.Errorf("plain=%v: payload aliased = %v", plain, aliased)
+			}
+		})
+
+		if video.Preframe() != pkt[0] {
+			t.Fatalf("Preframe() = %d, want the channel ID %d", video.Preframe(), pkt[0])
+		}
+		dst := video.Resolve("b")
+		if err := video.SendPreframed(dst, pkt); err != nil {
+			t.Fatal(err)
+		}
+		if err := video.SendPreframedBatch([]transport.Dest{dst, dst}, [][]byte{pkt, pkt}); err != nil {
+			t.Fatal(err)
+		}
+		clk.Drain(0)
+		if got != 3 {
+			t.Fatalf("plain=%v: delivered %d datagrams, want 3", plain, got)
+		}
+
+		if err := video.SendPreframed(dst, []byte{byte(transport.ChannelGCS), 'x'}); err == nil {
+			t.Fatalf("plain=%v: payload with another channel's prefix accepted", plain)
+		}
+		if err := video.SendPreframed(transport.Dest{}, pkt); err == nil {
+			t.Fatalf("plain=%v: unresolved destination accepted", plain)
+		}
+		if err := video.SendPreframedBatch([]transport.Dest{dst}, [][]byte{pkt, pkt}); err == nil {
+			t.Fatalf("plain=%v: batch length mismatch accepted", plain)
+		}
+	}
+}

@@ -16,13 +16,11 @@ import (
 // `vodbench -chaos` and TestClusterMonkey use. The reported "speedup"
 // metric is summed per-job CPU time over wall time (≈ the core count when
 // the machine keeps up; ≈ 1 on a single-core box). ns/op is the headline:
-// the whole 32-seed sweep, end to end. Recorded into BENCH_sweep.json by
-// `make bench-json` for regression comparison.
-// The gomaxprocs metric is recorded alongside the speedup so a reader of
-// BENCH_sweep.json can tell a real parallelism regression from a hardware
-// artifact, and the parallel leg is skipped outright on a single-core
-// container — there it can only ever report ≈1.0×, which polluted the bench
-// trajectory when it was recorded as if it were meaningful.
+// the whole 32-seed sweep, end to end.
+// The gomaxprocs metric is reported alongside the speedup so a reader can
+// tell a real parallelism regression from a hardware artifact, and the
+// parallel leg is skipped outright on a single-core container — there it can
+// only ever report ≈1.0×.
 func BenchmarkSweepSpeedup(b *testing.B) {
 	const seeds = 32
 	procs := runtime.GOMAXPROCS(0)
