@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-short test-benchmark race bench bench-smoke bench-capacity bench-scale-budget profile-scale chaos sweep figures tables golden-update examples vet fuzz-smoke
+.PHONY: test test-short test-benchmark race bench bench-smoke bench-capacity bench-scale-budget profile-scale profile-chaos chaos sweep figures tables golden-update examples vet fuzz-smoke
 
 test:        ## full test suite (includes ~20s of real-clock tests)
 	go test ./...
@@ -42,6 +42,11 @@ profile-scale: ## CPU + allocation profiles of the 50-server/10k-viewer table
 	go run ./cmd/vodbench -table scale -cpuprofile scale.cpu.prof -memprofile scale.mem.prof > /dev/null
 	@echo "profile-scale: wrote scale.cpu.prof and scale.mem.prof"
 	@echo "  inspect with: go tool pprof -top scale.cpu.prof"
+
+profile-chaos: ## CPU + allocation profiles of a 100-seed chaos sweep on one worker (the paper tier's build-and-tear-down path)
+	go run ./cmd/vodbench -chaos -seed 1 -runs 100 -parallel 1 -cpuprofile chaos.cpu.prof -memprofile chaos.mem.prof > /dev/null
+	@echo "profile-chaos: wrote chaos.cpu.prof and chaos.mem.prof"
+	@echo "  inspect with: go tool pprof -sample_index=alloc_objects -top chaos.mem.prof"
 
 chaos:       ## seeded fault schedules + invariant checks, race-clean
 	go test -race -short -run 'Chaos|Monkey|Sweep' ./...

@@ -1,7 +1,7 @@
 package gcs
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -155,7 +155,7 @@ func (m *Member) agreedRetryLocked(cb *callbacks) {
 	for seq := range m.agreedPending {
 		seqs = append(seqs, seq)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	for _, seq := range seqs {
 		req := &msgAgreedReq{group: m.group, seq: seq, payload: m.agreedPending[seq]}
 		if coord == m.p.id {

@@ -18,7 +18,7 @@ import "repro/internal/wire"
 // are bounded by every reporter's counts at the freeze), so the causal
 // drain in the flush terminates.
 type causalEnvelope struct {
-	vector map[ProcessID]uint64
+	vector vec
 	body   []byte
 }
 
@@ -30,7 +30,7 @@ func (m *Member) MulticastCausal(payload []byte) error {
 		m.p.mu.Unlock()
 		return ErrClosed
 	}
-	data := wrapCausal(copyVec(m.ms.recvNext), body)
+	data := wrapCausal(vec{m.view.Members, m.ms.recvNext}, body)
 	if m.status != statusNormal {
 		m.sendQueue = append(m.sendQueue, data)
 		m.p.mu.Unlock()
@@ -44,29 +44,30 @@ func (m *Member) MulticastCausal(payload []byte) error {
 }
 
 // wrapCausal frames a causal payload: tag, vector, body.
-func wrapCausal(vector map[ProcessID]uint64, body []byte) []byte {
-	out := make([]byte, 0, 16+len(body)+16*len(vector))
+func wrapCausal(vector vec, body []byte) []byte {
+	out := make([]byte, 0, 16+len(body)+16*len(vector.ids))
 	out = wire.AppendU8(out, payloadCausal)
-	out = appendVec(out, vector, nil)
+	out = appendVec(out, vector)
 	return append(out, body...)
 }
 
 // parseCausal decodes a causal frame (without the leading tag byte).
 func parseCausal(data []byte) (causalEnvelope, bool) {
 	r := wire.NewReader(data)
-	vec := readVec(r)
-	body := r.Rest()
-	if r.Err() != nil || vec == nil {
-		return causalEnvelope{}, false
+	var env causalEnvelope
+	for n := int(r.U16()); n > 0 && r.Err() == nil; n-- {
+		env.vector.ids = append(env.vector.ids, ProcessID(r.String()))
+		env.vector.vals = append(env.vector.vals, r.U64())
 	}
-	return causalEnvelope{vector: vec, body: body}, true
+	env.body = r.Rest()
+	return env, r.Err() == nil
 }
 
 // causalReadyLocked reports whether the in-order head message data from
-// sender may be delivered now: non-causal payloads always may; causal ones
-// wait until this member's delivery vector dominates the message's.
+// sender rank s may be delivered now: non-causal payloads always may; causal
+// ones wait until this member's delivery vector dominates the message's.
 // Caller holds p.mu.
-func (m *Member) causalReadyLocked(sender ProcessID, data []byte) bool {
+func (m *Member) causalReadyLocked(s int, data []byte) bool {
 	if len(data) == 0 || data[0] != payloadCausal {
 		return true
 	}
@@ -74,13 +75,10 @@ func (m *Member) causalReadyLocked(sender ProcessID, data []byte) bool {
 	if !ok {
 		return true // malformed: deliver and let dispatch drop it
 	}
-	for q, needed := range env.vector {
-		if q == sender {
-			continue // the sender's own stream is ordered by seq already
-		}
-		if m.ms.recvNext[q] < needed {
-			return false
-		}
-	}
-	return true
+	// The sender's own stream is ordered by seq already.
+	ready := true
+	env.vector.each(m.view.Members, func(q int, needed uint64) {
+		ready = ready && (q == s || m.ms.recvNext[q] >= needed)
+	})
+	return ready
 }

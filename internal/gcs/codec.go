@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/wire"
@@ -9,14 +10,13 @@ import (
 
 // codec is the per-Process decode-side reuse state: a string intern table
 // (group names and process IDs are drawn from a small, stable universe) and
-// free lists for the hot inbound message kinds and their vector maps.
+// free lists for the hot inbound message kinds.
 // Decoding runs before p.mu is taken — and concurrently under a real clock —
 // so the codec carries its own lock, held across one decode. The codec never
 // calls back into the Process, so the lock nests safely under p.mu.
 type codec struct {
 	mu          sync.Mutex
 	interned    map[string]string
-	freeVec     []map[ProcessID]uint64
 	freeMcast   []*msgMcast
 	freeAck     []*msgAckVec
 	freeDirect  []*msgDirect
@@ -47,28 +47,11 @@ func (c *codec) internLocked(b []byte) string {
 	return s
 }
 
-func (c *codec) getVecLocked(n int) map[ProcessID]uint64 {
-	if k := len(c.freeVec); k > 0 {
-		m := c.freeVec[k-1]
-		c.freeVec = c.freeVec[:k-1]
-		return m
-	}
-	return make(map[ProcessID]uint64, n)
-}
-
-func (c *codec) putVecLocked(m map[ProcessID]uint64) {
-	if m == nil || len(c.freeVec) >= maxFreeList {
-		return
-	}
-	clear(m)
-	c.freeVec = append(c.freeVec, m)
-}
-
 // recycle returns a message's reusable parts to the codec after dispatch.
 // Only kinds whose handlers never retain the decoded form are pooled:
 // multicast payloads are copied when parked (acceptMcastLocked) or buffered
-// for a future view, and ack vectors are folded into persistent per-peer
-// maps (onAckVecLocked). Everything else — view-change traffic, NAKs — is
+// for a future view, and ack vectors are aligned into the member's own rows
+// (onAckVecLocked). Everything else — view-change traffic, NAKs — is
 // cold and left to the garbage collector.
 func (c *codec) recycle(msg any) {
 	switch m := msg.(type) {
@@ -80,10 +63,8 @@ func (c *codec) recycle(msg any) {
 		}
 		c.mu.Unlock()
 	case *msgAckVec:
+		// The struct keeps its vectors' storage; decode overwrites every field.
 		c.mu.Lock()
-		c.putVecLocked(m.vec)
-		c.putVecLocked(m.contig)
-		*m = msgAckVec{}
 		if len(c.freeAck) < maxFreeList {
 			c.freeAck = append(c.freeAck, m)
 		}
@@ -141,22 +122,17 @@ func (c *codec) idsLocked(r *wire.Reader) []ProcessID {
 	return ids
 }
 
-func (c *codec) vecLocked(r *wire.Reader) map[ProcessID]uint64 {
+// vecLocked decodes a vector into v's storage. The count is off the wire, so
+// the reservation is capped by what the datagram can still hold.
+func (c *codec) vecLocked(r *wire.Reader, v vec) vec {
 	n := int(r.U16())
-	if r.Err() != nil {
-		return nil
+	most := min(n, r.Remaining()/10) // an entry is at least a u16 length and a u64
+	v.ids, v.vals = slices.Grow(v.ids[:0], most), slices.Grow(v.vals[:0], most)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		v.ids = append(v.ids, c.idLocked(r))
+		v.vals = append(v.vals, r.U64())
 	}
-	vec := c.getVecLocked(n)
-	for i := 0; i < n; i++ {
-		k := c.idLocked(r)
-		v := r.U64()
-		if r.Err() != nil {
-			c.putVecLocked(vec)
-			return nil
-		}
-		vec[k] = v
-	}
-	return vec
+	return v
 }
 
 func (c *codec) takeMcastLocked() *msgMcast {
@@ -239,8 +215,8 @@ func (c *codec) decode(buf []byte) (any, error) {
 		av := c.takeAckLocked()
 		av.group = c.stringLocked(r)
 		av.view = c.viewIDLocked(r)
-		av.vec = c.vecLocked(r)
-		av.contig = c.vecLocked(r)
+		av.delivered = c.vecLocked(r, av.delivered)
+		av.contig = c.vecLocked(r, av.contig)
 		m = av
 	case kindPresence:
 		m = &msgPresence{group: c.stringLocked(r), view: c.viewIDLocked(r), members: c.idsLocked(r)}
@@ -253,10 +229,10 @@ func (c *codec) decode(buf []byte) (any, error) {
 			oldView:    c.viewIDLocked(r),
 			oldMembers: c.idsLocked(r),
 			sendSeq:    r.U64(),
-			recvNext:   c.vecLocked(r),
+			recvNext:   c.vecLocked(r, vec{}),
 		}
 	case kindCut:
-		m = &msgCut{group: c.stringLocked(r), pid: c.pidLocked(r), targets: c.vecLocked(r)}
+		m = &msgCut{group: c.stringLocked(r), pid: c.pidLocked(r), targets: c.vecLocked(r, vec{})}
 	case kindCutDone:
 		m = &msgCutDone{group: c.stringLocked(r), pid: c.pidLocked(r)}
 	case kindInstall:

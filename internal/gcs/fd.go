@@ -1,6 +1,9 @@
 package gcs
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // detector is the process-level unreliable failure detector: every
 // HeartbeatInterval the process pings each peer of interest; a peer silent
@@ -79,7 +82,7 @@ func (d *detector) peersLocked() []ProcessID {
 			delete(d.suspected, id)
 		}
 	}
-	sortIDs(peers)
+	slices.Sort(peers)
 	d.scratch = peers
 	// The caller sends heartbeats after dropping the process lock, so hand
 	// out an immutable snapshot rather than the scratch. The set is stable

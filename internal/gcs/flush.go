@@ -1,7 +1,8 @@
 package gcs
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 
 	"repro/internal/clock"
 )
@@ -34,27 +35,35 @@ const (
 // proposal is coordinator-side state for one view-change attempt.
 type proposal struct {
 	pid        proposalID
-	candidates []ProcessID
+	candidates []ProcessID // sorted; syncInfos and cutDone go by rank in it
 	phase      proposalPhase
-	syncInfos  map[ProcessID]*msgSyncInfo
-	cutDone    map[ProcessID]bool
+	syncInfos  []*msgSyncInfo
+	cutDone    []bool
 	// Delivery targets are computed PER OLD VIEW: sequence numbers are
 	// meaningless across views, and a merge (or a member stranded one
 	// view behind) brings candidates from several old views into one
 	// proposal. Each candidate receives the cut of its own old view.
-	targetsByView map[ViewID]map[ProcessID]uint64
-	viewOf        map[ProcessID]ViewID
-	retries       int
-	timer         clock.Timer
+	cuts    []viewCut
+	retries int
+	timer   clock.Timer
 }
 
-func (pr *proposal) has(id ProcessID) bool {
-	for _, c := range pr.candidates {
-		if c == id {
-			return true
+// viewCut is the delivery targets of one old view.
+type viewCut struct {
+	view    ViewID
+	targets vec
+}
+
+func (pr *proposal) rank(id ProcessID) (int, bool) { return slices.BinarySearch(pr.candidates, id) }
+
+// cutFor returns the targets computed for an old view.
+func (pr *proposal) cutFor(view ViewID) (vec, bool) {
+	for _, c := range pr.cuts {
+		if c.view == view {
+			return c.targets, true
 		}
 	}
-	return false
+	return vec{}, false
 }
 
 // startProposalLocked begins (or restarts) a view change coordinated by
@@ -80,8 +89,8 @@ func (m *Member) startProposalLocked(cb *callbacks) {
 		pid:        pid,
 		candidates: candidates,
 		phase:      phaseSync,
-		syncInfos:  make(map[ProcessID]*msgSyncInfo, len(candidates)),
-		cutDone:    make(map[ProcessID]bool, len(candidates)),
+		syncInfos:  make([]*msgSyncInfo, len(candidates)),
+		cutDone:    make([]bool, len(candidates)),
 	}
 	m.prop = pr
 	pr.timer = m.p.cfg.Clock.AfterFunc(m.p.cfg.ProposalTimeout, func() { m.proposalTimeout(pid) })
@@ -114,22 +123,23 @@ func (m *Member) proposalTimeout(pid proposalID) {
 	pr.retries++
 	if pr.retries <= 2 {
 		// Retransmit the current phase message to the laggards.
-		for _, id := range missing {
+		for _, r := range missing {
 			var pkt []byte
 			switch pr.phase {
 			case phaseSync:
 				pkt = encodePropose(&msgPropose{group: m.group, pid: pr.pid, candidates: pr.candidates})
 			case phaseCut:
-				pkt = encodeCut(&msgCut{group: m.group, pid: pr.pid, targets: pr.targetsByView[pr.viewOf[id]]})
+				cut, _ := pr.cutFor(pr.syncInfos[r].oldView)
+				pkt = encodeCut(&msgCut{group: m.group, pid: pr.pid, targets: cut})
 			}
-			_ = m.p.cfg.Endpoint.Send(id, pkt)
+			_ = m.p.cfg.Endpoint.Send(pr.candidates[r], pkt)
 		}
 		pr.timer = m.p.cfg.Clock.AfterFunc(m.p.cfg.ProposalTimeout, func() { m.proposalTimeout(pid) })
 	} else {
 		// Give up on the laggards: suspect them so the candidate
 		// computation excludes them, and restart the view change.
-		for _, id := range missing {
-			m.p.fd.suspectLocked(id)
+		for _, r := range missing {
+			m.p.fd.suspectLocked(pr.candidates[r])
 		}
 		m.startProposalLocked(&cb)
 	}
@@ -137,20 +147,13 @@ func (m *Member) proposalTimeout(pid proposalID) {
 	cb.run()
 }
 
-// missingLocked returns candidates that have not completed the current
-// phase.
-func (pr *proposal) missingLocked() []ProcessID {
-	var out []ProcessID
-	for _, id := range pr.candidates {
-		switch pr.phase {
-		case phaseSync:
-			if pr.syncInfos[id] == nil {
-				out = append(out, id)
-			}
-		case phaseCut:
-			if !pr.cutDone[id] {
-				out = append(out, id)
-			}
+// missingLocked returns the ranks of the candidates that have not completed
+// the current phase.
+func (pr *proposal) missingLocked() []int {
+	var out []int
+	for r := range pr.candidates {
+		if (pr.phase == phaseSync && pr.syncInfos[r] == nil) || (pr.phase == phaseCut && !pr.cutDone[r]) {
+			out = append(out, r)
 		}
 	}
 	return out
@@ -161,20 +164,13 @@ func (m *Member) onProposeLocked(msg *msgPropose, cb *callbacks) {
 	if m.leaving {
 		return
 	}
-	in := false
-	for _, id := range msg.candidates {
-		if id == m.p.id {
-			in = true
-			break
-		}
-	}
-	if !in {
+	if !slices.Contains(msg.candidates, m.p.id) {
 		return // we are being excluded (e.g. we announced a leave)
 	}
 	switch {
 	case msg.pid.supersedes(m.curPID):
 		m.curPID = msg.pid
-		m.flushCandidates = append([]ProcessID(nil), msg.candidates...)
+		m.flushCandidates = msg.candidates // never mutated: decoded fresh, or the proposal's own
 		if m.status == statusNormal {
 			m.status = statusFlushing
 			m.flushOldView = m.view
@@ -187,7 +183,7 @@ func (m *Member) onProposeLocked(msg *msgPropose, cb *callbacks) {
 			}
 			m.prop = nil
 		}
-		m.cutTargets = nil
+		m.haveCut = false
 		m.sentCutDone = false
 	case msg.pid == m.curPID:
 		// Retransmitted propose; answer again below.
@@ -196,15 +192,19 @@ func (m *Member) onProposeLocked(msg *msgPropose, cb *callbacks) {
 	}
 	m.flushHeard = m.p.cfg.Clock.Now()
 
+	// The report goes out in rank order, which is sorted, straight from the
+	// live cursors; the coordinator's own is kept until the cut is computed,
+	// so that one takes a copy.
 	info := &msgSyncInfo{
 		group:      m.group,
 		pid:        m.curPID,
 		oldView:    m.flushOldView.ID,
-		oldMembers: append([]ProcessID(nil), m.flushOldView.Members...),
+		oldMembers: m.flushOldView.Members,
 		sendSeq:    m.ms.sendSeq,
-		recvNext:   copyVec(m.ms.recvNext),
+		recvNext:   vec{m.flushOldView.Members, m.ms.recvNext},
 	}
 	if m.curPID.Coord == m.p.id {
+		info.recvNext.vals = slices.Clone(m.ms.recvNext)
 		m.onSyncInfoLocked(m.p.id, info, cb)
 	} else {
 		_ = m.p.cfg.Endpoint.Send(m.curPID.Coord, encodeSyncInfo(info))
@@ -214,35 +214,23 @@ func (m *Member) onProposeLocked(msg *msgPropose, cb *callbacks) {
 // onSyncInfoLocked collects candidate reports at the coordinator.
 func (m *Member) onSyncInfoLocked(from ProcessID, msg *msgSyncInfo, cb *callbacks) {
 	pr := m.prop
-	if pr == nil || msg.pid != pr.pid || pr.phase != phaseSync || !pr.has(from) {
+	if pr == nil || msg.pid != pr.pid || pr.phase != phaseSync {
 		return
 	}
-	pr.syncInfos[from] = msg
-	if len(pr.syncInfos) < len(pr.candidates) {
+	r, ok := pr.rank(from)
+	if !ok {
+		return
+	}
+	pr.syncInfos[r] = msg
+	if slices.Contains(pr.syncInfos, nil) {
 		return
 	}
 
 	// Everyone reported: compute the delivery targets, separately per old
-	// view (sequence numbers do not compare across views). Within each
-	// old view, a sender's target is the max of its own sendSeq (if it
-	// reported) and every same-view reporter's delivered count — so
-	// nothing any same-view survivor sent or delivered is lost.
-	pr.targetsByView = make(map[ViewID]map[ProcessID]uint64)
-	pr.viewOf = make(map[ProcessID]ViewID, len(pr.syncInfos))
-	for reporter, info := range pr.syncInfos {
-		pr.viewOf[reporter] = info.oldView
-		targets := pr.targetsByView[info.oldView]
-		if targets == nil {
-			targets = make(map[ProcessID]uint64)
-			pr.targetsByView[info.oldView] = targets
-		}
-		if info.sendSeq > targets[reporter] {
-			targets[reporter] = info.sendSeq
-		}
-		for sender, next := range info.recvNext {
-			if next > targets[sender] {
-				targets[sender] = next
-			}
+	// view (sequence numbers do not compare across views).
+	for _, info := range pr.syncInfos {
+		if _, done := pr.cutFor(info.oldView); !done {
+			pr.cuts = append(pr.cuts, viewCut{info.oldView, pr.computeCut(info.oldView, info.oldMembers)})
 		}
 	}
 	pr.phase = phaseCut
@@ -253,8 +241,9 @@ func (m *Member) onSyncInfoLocked(from ProcessID, msg *msgSyncInfo, cb *callback
 	pid := pr.pid
 	pr.timer = m.p.cfg.Clock.AfterFunc(m.p.cfg.ProposalTimeout, func() { m.proposalTimeout(pid) })
 
-	for _, id := range pr.candidates {
-		cut := &msgCut{group: m.group, pid: pr.pid, targets: pr.targetsByView[pr.viewOf[id]]}
+	for r, id := range pr.candidates {
+		targets, _ := pr.cutFor(pr.syncInfos[r].oldView)
+		cut := &msgCut{group: m.group, pid: pr.pid, targets: targets}
 		if id == m.p.id {
 			m.onCutLocked(cut, cb)
 			continue
@@ -263,13 +252,44 @@ func (m *Member) onSyncInfoLocked(from ProcessID, msg *msgSyncInfo, cb *callback
 	}
 }
 
+// computeCut folds the reports of the candidates that come from one old view
+// into that view's delivery targets: a sender's target is the max of its own
+// sendSeq (if it reported) and every same-view reporter's delivered count —
+// so nothing any same-view survivor sent or delivered is lost. members is the
+// old view's membership as its first reporter gave it.
+func (pr *proposal) computeCut(view ViewID, members []ProcessID) vec {
+	if !slices.IsSorted(members) {
+		members = sortedIDs(members)
+	}
+	targets := make([]uint64, len(members))
+	raise := func(s int, v uint64) { targets[s] = max(targets[s], v) }
+	for r, info := range pr.syncInfos {
+		if info.oldView != view {
+			continue
+		}
+		if s, ok := slices.BinarySearch(members, pr.candidates[r]); ok {
+			raise(s, info.sendSeq)
+		}
+		info.recvNext.each(members, raise)
+	}
+	// A zero target asks for nothing, so it does not travel.
+	cut := vec{make([]ProcessID, 0, len(members)), targets[:0]}
+	for s, v := range targets {
+		if v > 0 {
+			cut.ids, cut.vals = append(cut.ids, members[s]), append(cut.vals, v)
+		}
+	}
+	return cut
+}
+
 // onCutLocked receives the delivery targets and begins repairing toward
 // them.
 func (m *Member) onCutLocked(msg *msgCut, cb *callbacks) {
 	if msg.pid != m.curPID || m.status != statusFlushing {
 		return
 	}
-	m.cutTargets = msg.targets
+	msg.targets.alignTo(m.flushOldView.Members, m.ms.cut)
+	m.haveCut = true
 	m.flushHeard = m.p.cfg.Clock.Now()
 	m.drainTowardCutLocked(cb)
 }
@@ -280,22 +300,18 @@ func (m *Member) onCutLocked(msg *msgCut, cb *callbacks) {
 // themselves in the cut (see causal.go), so the fixpoint loop reaches the
 // targets once the NAK repair has filled the gaps.
 func (m *Member) drainTowardCutLocked(cb *callbacks) {
-	if m.status != statusFlushing || m.cutTargets == nil {
+	if m.status != statusFlushing || !m.haveCut {
 		return
 	}
 	for progress := true; progress; {
 		progress = false
-		for _, sender := range m.flushOldView.Members {
-			target := m.cutTargets[sender]
-			pend := m.ms.pending[sender]
-			for m.ms.recvNext[sender] < target {
-				next := m.ms.recvNext[sender]
-				data, ok := pend[next]
-				if !ok || !m.causalReadyLocked(sender, data) {
+		for s, target := range m.ms.cut {
+			for m.ms.recvNext[s] < target {
+				data, ok := m.ms.head(s)
+				if !ok || !m.causalReadyLocked(s, data) {
 					break // gap or causal wait: NAK repair will progress it
 				}
-				delete(pend, next)
-				m.deliverOneLocked(sender, next, data, cb)
+				m.deliverOneLocked(s, data, cb)
 				progress = true
 			}
 		}
@@ -306,11 +322,11 @@ func (m *Member) drainTowardCutLocked(cb *callbacks) {
 // tryCompleteCutLocked sends CutDone once every old-view sender's target is
 // reached.
 func (m *Member) tryCompleteCutLocked(cb *callbacks) {
-	if m.status != statusFlushing || m.cutTargets == nil || m.sentCutDone {
+	if m.status != statusFlushing || !m.haveCut || m.sentCutDone {
 		return
 	}
-	for _, sender := range m.flushOldView.Members {
-		if m.ms.recvNext[sender] < m.cutTargets[sender] {
+	for s, target := range m.ms.cut {
+		if m.ms.recvNext[s] < target {
 			return
 		}
 	}
@@ -327,14 +343,16 @@ func (m *Member) tryCompleteCutLocked(cb *callbacks) {
 // new view when all candidates have reached the cut.
 func (m *Member) onCutDoneLocked(from ProcessID, msg *msgCutDone, cb *callbacks) {
 	pr := m.prop
-	if pr == nil || msg.pid != pr.pid || pr.phase != phaseCut || !pr.has(from) {
+	if pr == nil || msg.pid != pr.pid || pr.phase != phaseCut {
 		return
 	}
-	pr.cutDone[from] = true
-	for _, id := range pr.candidates {
-		if !pr.cutDone[id] {
-			return
-		}
+	r, ok := pr.rank(from)
+	if !ok {
+		return
+	}
+	pr.cutDone[r] = true
+	if slices.Contains(pr.cutDone, false) {
+		return
 	}
 
 	maxSeq := m.view.ID.Seq
@@ -365,24 +383,25 @@ func (m *Member) onInstallLocked(msg *msgInstall, cb *callbacks) {
 		return
 	}
 	members := sortedIDs(msg.members)
-	in := false
-	for _, id := range members {
-		if id == m.p.id {
-			in = true
-			break
-		}
-	}
-	if !in {
+	if !slices.Contains(members, m.p.id) {
 		return
 	}
 
 	m.view = View{Group: m.group, ID: msg.view, Members: members}
-	m.ms = newMcastState(members)
+	m.ms.reset(m.view, m.p.id)
 	m.status = statusNormal
 	m.p.ctr.viewChanges.Inc()
-	m.p.cfg.Obs.Event("gcs.view",
-		fmt.Sprintf("%s %s members=%d", m.group, msg.view, len(members)))
-	m.cutTargets = nil
+	// "<group> <seq>@<coord> members=<n>", built in the packet scratch.
+	note := append(m.encBuf[:0], m.group...)
+	note = append(note, ' ')
+	note = strconv.AppendUint(note, msg.view.Seq, 10)
+	note = append(note, '@')
+	note = append(note, msg.view.Coord...)
+	note = append(note, " members="...)
+	note = strconv.AppendInt(note, int64(len(members)), 10)
+	m.encBuf = note[:0]
+	m.p.cfg.Obs.Event("gcs.view", string(note))
+	m.haveCut = false
 	m.sentCutDone = false
 	m.flushCandidates = nil
 	m.flushOldView = View{}
@@ -437,11 +456,10 @@ func (m *Member) onInstallLocked(msg *msgInstall, cb *callbacks) {
 // flushTickLocked runs on the retransmission period while flushing: it
 // NAK-repairs toward the cut and escalates if the coordinator went silent.
 func (m *Member) flushTickLocked(cb *callbacks) {
-	if m.cutTargets != nil {
+	if m.haveCut {
 		m.drainTowardCutLocked(cb)
-		for _, sender := range m.flushOldView.Members {
-			lo := m.ms.recvNext[sender]
-			hi := m.cutTargets[sender]
+		for s, sender := range m.flushOldView.Members {
+			lo, hi := m.ms.recvNext[s], m.ms.cut[s]
 			if lo >= hi {
 				continue
 			}
@@ -469,12 +487,4 @@ func (m *Member) flushTickLocked(cb *callbacks) {
 		m.flushHeard = m.p.cfg.Clock.Now() // pace the escalation
 		m.startProposalLocked(cb)
 	}
-}
-
-func copyVec(v map[ProcessID]uint64) map[ProcessID]uint64 {
-	out := make(map[ProcessID]uint64, len(v))
-	for k, val := range v {
-		out[k] = val
-	}
-	return out
 }

@@ -27,7 +27,7 @@ package gcs
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,9 +58,13 @@ type View struct {
 
 // Includes reports whether p is a member of the view.
 func (v View) Includes(p ProcessID) bool {
-	i := sort.Search(len(v.Members), func(i int) bool { return v.Members[i] >= p })
-	return i < len(v.Members) && v.Members[i] == p
+	_, ok := v.rank(p)
+	return ok
 }
+
+// rank returns p's position in the sorted member list: the index every piece
+// of per-view protocol state is kept under.
+func (v View) rank(p ProcessID) (int, bool) { return slices.BinarySearch(v.Members, p) }
 
 // Coordinator returns the member that coordinates view changes: the lowest
 // process ID, a deterministic choice every member agrees on.
@@ -155,8 +159,8 @@ type Process struct {
 	fd      *detector
 	direct  func(from ProcessID, payload []byte)
 
-	// codec holds the inbound decode reuse state (intern table, message and
-	// vector free lists). It has its own lock: decoding happens before p.mu
+	// codec holds the inbound decode reuse state (intern table, message
+	// free lists). It has its own lock: decoding happens before p.mu
 	// is taken.
 	codec codec
 
@@ -507,7 +511,7 @@ func (p *Process) onPacket(from ProcessID, payload []byte) {
 	}
 	p.mu.Unlock()
 	// Dispatch done: pooled kinds were either copied (parked multicasts)
-	// or folded into persistent state (ack vectors), so their decoded
+	// or aligned into the member's own rows (ack vectors), so their decoded
 	// forms can be reused. Deferred callbacks never capture msg itself.
 	p.codec.recycle(msg)
 	cb.run()
@@ -581,35 +585,11 @@ func (c *callbacks) run() {
 	c.backing, c.entries = nil, nil
 }
 
-// sortIDs sorts ids ascending in place. Insertion sort: membership and key
-// lists are small (tens at most), and unlike sort.Slice this allocates
-// nothing (no closure, no reflect-based swapper), which matters on the
-// per-tick gossip paths.
-func sortIDs(ids []ProcessID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
 // sortedIDs returns a sorted copy of ids with duplicates removed.
 func sortedIDs(ids []ProcessID) []ProcessID {
-	out := make([]ProcessID, 0, len(ids))
-	for _, id := range ids {
-		dup := false
-		for _, seen := range out {
-			if seen == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, id)
-		}
-	}
-	sortIDs(out)
-	return out
+	out := slices.Clone(ids)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Groups returns the names of the groups this process is currently a
@@ -623,7 +603,7 @@ func (p *Process) Groups() []string {
 			out = append(out, g)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -625,5 +626,44 @@ func TestProcessGroups(t *testing.T) {
 	}
 	if got := c.proc["a"].Groups(); len(got) != 1 || got[0] != "g2" {
 		t.Fatalf("Groups after leave = %v", got)
+	}
+}
+
+// TestViewTraceNote pins the text of the "gcs.view" trace event: it is built
+// by hand in the member's scratch, and what it must equal is what fmt would
+// print — the note's bytes are in -stats output and Result.Obs.
+func TestViewTraceNote(t *testing.T) {
+	clk := clock.NewVirtual(gcsEpoch)
+	net := netsim.New(clk, 1, netsim.LAN())
+	reg := obs.NewRegistry("a", clk.Now)
+	var last View
+	for _, id := range []transport.Addr{"a", "b"} {
+		ep, err := net.NewEndpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, h := Config{Clock: clk, Endpoint: ep}, Handlers{}
+		if id == "a" {
+			cfg.Obs, h.OnView = reg, func(v View) { last = v }
+		}
+		p := NewProcess(cfg)
+		defer p.Close()
+		if _, err := p.Join("vod.session.client-1", h, "a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(2 * time.Second)
+	if len(last.Members) != 2 {
+		t.Fatalf("a's view = %v, want {a, b}", last.Members)
+	}
+	var notes []string
+	for _, ev := range reg.Snapshot().Events {
+		if ev.Kind == "gcs.view" {
+			notes = append(notes, ev.Note)
+		}
+	}
+	want := fmt.Sprintf("%s %s members=%d", last.Group, last.ID, len(last.Members))
+	if len(notes) == 0 || notes[len(notes)-1] != want {
+		t.Fatalf("gcs.view notes = %q, want the last to be %q", notes, want)
 	}
 }

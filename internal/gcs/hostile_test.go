@@ -3,6 +3,7 @@ package gcs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -94,6 +95,138 @@ func TestHostileNakIsBounded(t *testing.T) {
 	}
 }
 
+// stateSize is what a member holds for its current view: the rank-indexed
+// words, the per-sender lists, and every message in them.
+func stateSize(m *Member) int {
+	m.p.mu.Lock()
+	defer m.p.mu.Unlock()
+	n := cap(m.ms.buf) + len(m.ms.msgs)
+	for _, l := range m.ms.msgs {
+		n += len(l)
+	}
+	return n
+}
+
+// strangers returns n IDs that are in nobody's view, sorted, each with a
+// value that would matter if it were believed.
+func strangers(n int) vec {
+	v := vec{make([]ProcessID, n), make([]uint64, n)}
+	for i := range v.ids {
+		v.ids[i], v.vals[i] = ProcessID(fmt.Sprintf("x%05d", i)), math.MaxUint64
+	}
+	return v
+}
+
+// TestHostileFarFutureSeqCostsOneEntry: a multicast is parked under its
+// sender by sequence number, and the number is the sender's to choose. One
+// forged at 2⁶⁴−1 must cost one list entry — not a window reaching up to it —
+// and everything that later walks the list (NAK service, the gossip ticks'
+// gap and watermark scans) must walk entries, not the span.
+func TestHostileFarFutureSeqCostsOneEntry(t *testing.T) {
+	clk, _, p, m := hostilePair(t)
+	view := m.View().ID
+	before := stateSize(m)
+	for _, seq := range []uint64{math.MaxUint64, 1 << 62, math.MaxUint64} {
+		p.onPacket("b", encodeMcast(&msgMcast{group: "g", view: view, sender: "b", seq: seq, payload: []byte{payloadPlain, 'x'}}))
+	}
+	if grew := stateSize(m) - before; grew != 2 {
+		t.Fatalf("two forged sequence numbers (one sent twice) grew the state by %d, want 2", grew)
+	}
+
+	start, resent := time.Now(), p.ctr.retransmits.Load()
+	p.onPacket("stranger", encodeNak(&msgNak{group: "g", view: view, sender: "b", from: 0, to: math.MaxUint64}))
+	clk.Advance(time.Second) // ack, retransmit and presence ticks over the forged entries
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("serving a NAK and a second of ticks over two forged entries took %v", took)
+	}
+	if got := p.ctr.retransmits.Load() - resent; got != 1 {
+		t.Fatalf("NAK [0, 2⁶⁴−1) was answered with %d retransmissions, want the one entry inside it", got)
+	}
+}
+
+// TestHostileStrangerVectorsLeaveNoState: vectors are aligned to the view's
+// ranks as they arrive, so an ack vector or a cut naming 65,535 processes
+// nobody has heard of changes nothing the member keeps.
+func TestHostileStrangerVectorsLeaveNoState(t *testing.T) {
+	_, _, p, m := hostilePair(t)
+	view := m.View().ID
+	before := stateSize(m)
+	crowd := strangers(math.MaxUint16)
+
+	p.onPacket("b", appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: crowd, contig: crowd}))
+	if got := stateSize(m); got != before {
+		t.Fatalf("an ack vector of %d strangers moved the state size %d -> %d", len(crowd.ids), before, got)
+	}
+
+	// A cut is only read during a flush: follow a proposal from b first.
+	pid := proposalID{Round: 99, Coord: "b"}
+	p.onPacket("b", encodePropose(&msgPropose{group: "g", pid: pid, candidates: []ProcessID{"a", "b"}}))
+	p.onPacket("b", encodeCut(&msgCut{group: "g", pid: pid, targets: crowd}))
+	p.mu.Lock()
+	haveCut, done := m.haveCut, m.sentCutDone
+	p.mu.Unlock()
+	if !haveCut || !done {
+		t.Fatalf("the cut was not taken (haveCut=%v) or its all-stranger targets were not already met (sentCutDone=%v)", haveCut, done)
+	}
+	if got := stateSize(m); got != before {
+		t.Fatalf("a cut of %d strangers moved the state size %d -> %d", len(crowd.ids), before, got)
+	}
+}
+
+// TestSyncInfoFromAnotherOldViewGetsItsOwnCut pins the per-old-view rule of
+// the flush: sequence numbers mean nothing across views, so a candidate that
+// reports a different old view — a joiner, a merged-in partition, a member
+// stranded one install behind — is sent targets computed from the reports of
+// its own old view only, and contributes nothing to anyone else's.
+func TestSyncInfoFromAnotherOldViewGetsItsOwnCut(t *testing.T) {
+	clk, _, p, m := hostilePair(t)
+	if err := m.Multicast([]byte("in the old view")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(300 * time.Millisecond)
+	shared := m.View().ID
+	alone := ViewID{Seq: 1, Coord: "stranger"}
+
+	// The stranger announces itself; a, the coordinator, proposes {a, b,
+	// stranger} and collects a's and b's reports on its own.
+	p.onPacket("stranger", encodePresence(&msgPresence{group: "g", view: alone, members: []ProcessID{"stranger"}}))
+	reported := func() int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if m.prop == nil {
+			return 0
+		}
+		return len(m.prop.syncInfos) - len(m.prop.missingLocked())
+	}
+	for i := 0; i < 200 && reported() < 2; i++ {
+		clk.Advance(time.Millisecond)
+	}
+	if got := reported(); got != 2 {
+		t.Fatalf("%d of a's and b's reports are in, want 2", got)
+	}
+	p.mu.Lock()
+	pid := m.prop.pid
+	p.mu.Unlock()
+	p.onPacket("stranger", encodeSyncInfo(&msgSyncInfo{
+		group: "g", pid: pid, oldView: alone, oldMembers: []ProcessID{"stranger"}, sendSeq: 4,
+		// It claims to have delivered 9 from a — in its own view, where
+		// there is no a: that must not raise a's target in the shared one.
+		recvNext: vec{[]ProcessID{"a", "stranger"}, []uint64{9, 3}},
+	}))
+
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if m.prop == nil || m.prop.phase != phaseCut || len(m.prop.cuts) != 2 {
+		t.Fatalf("after the last report the proposal is %+v, want the cut phase with two old views", m.prop)
+	}
+	if cut, _ := m.prop.cutFor(alone); !slices.Equal(cut.ids, []ProcessID{"stranger"}) || !slices.Equal(cut.vals, []uint64{4}) {
+		t.Errorf("the stranger's own cut is %v=%v, want stranger=4", cut.ids, cut.vals)
+	}
+	if cut, _ := m.prop.cutFor(shared); !slices.Equal(cut.ids, []ProcessID{"a"}) || !slices.Equal(cut.vals, []uint64{1}) {
+		t.Errorf("the cut of a and b's view is %v=%v, want a=1 (b sent nothing, so it is not named)", cut.ids, cut.vals)
+	}
+}
+
 // TestNakRepairsGap is the legitimate counterpart: a receiver that missed
 // the head of a burst NAKs the gap when the tail arrives, and delivers the
 // whole burst in order.
@@ -142,12 +275,16 @@ func FuzzOnPacket(f *testing.F) {
 		appendDirect(nil, []byte("direct")),
 		appendAnycast(nil, "g", []byte("anycast")),
 		encodeMcast(&msgMcast{group: "g", view: view, sender: "b", seq: 1 << 62, payload: []byte{payloadPlain, 'x'}}),
+		encodeMcast(&msgMcast{group: "g", view: view, sender: "b", seq: math.MaxUint64, payload: []byte{payloadPlain, 'x'}}),
 		encodeNak(&msgNak{group: "g", view: view, sender: "a", from: 0, to: math.MaxUint64}),
-		encodeAckVec(&msgAckVec{group: "g", view: view, vec: map[ProcessID]uint64{"a": math.MaxUint64}, contig: map[ProcessID]uint64{"b": 7}}),
+		appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: vec{[]ProcessID{"a"}, []uint64{math.MaxUint64}}, contig: vec{[]ProcessID{"b"}, []uint64{7}}}),
+		appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: strangers(64), contig: vec{[]ProcessID{"b", "a", "b"}, []uint64{3, 2, 1}}}),
 		encodePresence(&msgPresence{group: "g", view: ViewID{Seq: 9, Coord: "z"}, members: []ProcessID{"z"}}),
 		encodePropose(&msgPropose{group: "g", pid: pid, candidates: ab}),
-		encodeSyncInfo(&msgSyncInfo{group: "g", pid: pid, oldView: view, oldMembers: ab, sendSeq: math.MaxUint64, recvNext: map[ProcessID]uint64{"a": math.MaxUint64}}),
-		encodeCut(&msgCut{group: "g", pid: pid, targets: map[ProcessID]uint64{"a": math.MaxUint64, "b": math.MaxUint64}}),
+		encodeSyncInfo(&msgSyncInfo{group: "g", pid: pid, oldView: view, oldMembers: ab, sendSeq: math.MaxUint64, recvNext: vec{[]ProcessID{"a"}, []uint64{math.MaxUint64}}}),
+		encodeCut(&msgCut{group: "g", pid: pid, targets: vec{ab, []uint64{math.MaxUint64, math.MaxUint64}}}),
+		encodeCut(&msgCut{group: "g", pid: pid, targets: strangers(64)}),
+		encodeSyncInfo(&msgSyncInfo{group: "g", pid: pid, oldView: ViewID{Seq: 1, Coord: "z"}, oldMembers: []ProcessID{"z", "b", "z"}, recvNext: strangers(64)}),
 		encodeCutDone(&msgCutDone{group: "g", pid: pid}),
 		encodeInstall(&msgInstall{group: "g", pid: pid, view: ViewID{Seq: math.MaxUint64, Coord: "b"}, members: ab}),
 		encodeLeave(&msgLeave{group: "g"}),

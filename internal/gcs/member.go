@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -27,7 +28,7 @@ type Member struct {
 	leaving bool
 
 	view View
-	ms   *mcastState
+	ms   mcastState
 
 	status memberStatus
 	curPID proposalID // highest proposal followed so far
@@ -38,7 +39,7 @@ type Member struct {
 	// Participant-side flush state.
 	flushOldView    View        // the view whose messages are being flushed
 	flushCandidates []ProcessID // candidate set of the followed proposal
-	cutTargets      map[ProcessID]uint64
+	haveCut         bool        // ms.cut holds the followed proposal's targets
 	sentCutDone     bool
 	flushHeard      time.Time // last flush-protocol activity, for the watchdog
 	sendQueue       [][]byte  // multicasts issued while flushing
@@ -71,72 +72,88 @@ type Member struct {
 	debounce   clock.Timer
 	leaveTimer clock.Timer
 
-	// Reusable scratch for the periodic gossip ticks, guarded by p.mu.
-	// Packets are fully serialized and handed to Send (which copies) before
-	// the lock is released, so one warm buffer set serves every tick.
-	encBuf        []byte
-	vecKeys       []ProcessID
-	contigScratch map[ProcessID]uint64
-	nakScratch    []uint64
+	// encBuf is reusable packet scratch, guarded by p.mu. Packets are fully
+	// serialized and handed to Send (which copies) before the lock is
+	// released, so one warm buffer serves every tick and every multicast.
+	encBuf []byte
 }
 
-// mcastState is the per-view reliable-FIFO multicast machinery.
+// held is one multicast of the current view that this member still has.
+type held struct {
+	seq  uint64
+	data []byte
+}
+
+// mcastState is the per-view reliable-FIFO multicast machinery. A view's
+// members are a sorted list, so all of it is indexed by a member's rank in
+// that list and sized once, at install; a Member owns one and reuses its
+// storage from view to view.
 type mcastState struct {
-	sendSeq  uint64                          // next sequence number I assign
-	recvNext map[ProcessID]uint64            // next seq to deliver, per sender
-	pending  map[ProcessID]map[uint64][]byte // received out of order / frozen
-	retained map[ProcessID]map[uint64][]byte // delivered but unstable
-	peerAck  map[ProcessID]map[ProcessID]uint64
-	// peerContig holds each member's received-contiguous watermark — the
-	// acknowledgement the safe-delivery gate waits on (see safe.go).
-	peerContig map[ProcessID]map[ProcessID]uint64
+	n, self  int      // members in the view, and my own rank among them
+	sendSeq  uint64   // next sequence number I assign
+	recvNext []uint64 // next seq to deliver, by sender rank
+	contig   []uint64 // my received-contiguous watermarks, computed per ack tick
+	cut      []uint64 // delivery targets of the flush (see Member.haveCut)
+
+	// peerAck[j*n+s] is the delivered count for sender s that member j last
+	// gossiped, peerContig its received-contiguous watermark — the
+	// acknowledgement the safe-delivery gate waits on (see safe.go). A member
+	// not heard from yet has a row of zeros: nothing is stable, nothing safe.
+	peerAck, peerContig []uint64
+
+	// msgs[s] holds sender s's multicasts sorted by seq: those below
+	// recvNext[s] are delivered but not yet stable (kept for retransmission
+	// and flush recovery), those at or above it are parked — out of order,
+	// gated, or frozen by a flush. A sorted list, not a window indexed by
+	// seq-recvNext: a forged far-future sequence number costs one entry.
+	msgs [][]held
+
+	buf []uint64 // backs the five rank-indexed slices above
 }
 
-func newMcastState(members []ProcessID) *mcastState {
-	ms := &mcastState{
-		recvNext:   make(map[ProcessID]uint64, len(members)),
-		pending:    make(map[ProcessID]map[uint64][]byte),
-		retained:   make(map[ProcessID]map[uint64][]byte),
-		peerAck:    make(map[ProcessID]map[ProcessID]uint64),
-		peerContig: make(map[ProcessID]map[ProcessID]uint64),
+// reset sizes the state for a freshly installed view, reusing the previous
+// view's storage when it is large enough.
+func (ms *mcastState) reset(v View, self ProcessID) {
+	n := len(v.Members)
+	ms.self, _ = v.rank(self)
+	for s, l := range ms.msgs {
+		clear(l)
+		ms.msgs[s] = l[:0]
 	}
-	for _, m := range members {
-		ms.recvNext[m] = 0
+	if need := 3*n + 2*n*n; cap(ms.buf) < need {
+		ms.buf = make([]uint64, need)
+	} else {
+		ms.buf = ms.buf[:need]
+		clear(ms.buf)
 	}
-	return ms
+	if cap(ms.msgs) < n {
+		ms.msgs = make([][]held, n)
+	}
+	ms.msgs = ms.msgs[:n]
+	ms.n, ms.sendSeq = n, 0
+	ms.recvNext, ms.contig, ms.cut = ms.buf[:n], ms.buf[n:2*n], ms.buf[2*n:3*n]
+	ms.peerAck, ms.peerContig = ms.buf[3*n:3*n+n*n], ms.buf[3*n+n*n:]
 }
 
-// lookup returns the payload of (sender, seq) if this member still has it.
-func (ms *mcastState) lookup(sender ProcessID, seq uint64) ([]byte, bool) {
-	if m := ms.retained[sender]; m != nil {
-		if p, ok := m[seq]; ok {
-			return p, true
-		}
-	}
-	if m := ms.pending[sender]; m != nil {
-		if p, ok := m[seq]; ok {
-			return p, true
-		}
+// find returns where seq is, or would be inserted, in a seq-sorted list.
+func find(l []held, seq uint64) (int, bool) {
+	return slices.BinarySearchFunc(l, seq, func(h held, seq uint64) int { return cmp.Compare(h.seq, seq) })
+}
+
+// head returns the parked message at sender rank s's delivery cursor.
+func (ms *mcastState) head(s int) ([]byte, bool) {
+	l := ms.msgs[s]
+	if i, ok := find(l, ms.recvNext[s]); ok {
+		return l[i].data, true
 	}
 	return nil, false
 }
 
-func (ms *mcastState) retain(sender ProcessID, seq uint64, payload []byte) {
-	m := ms.retained[sender]
-	if m == nil {
-		m = make(map[uint64][]byte)
-		ms.retained[sender] = m
+// park files (seq, data) in sender rank s's list unless that seq is held.
+func (ms *mcastState) park(s int, seq uint64, data []byte) {
+	if i, dup := find(ms.msgs[s], seq); !dup {
+		ms.msgs[s] = slices.Insert(ms.msgs[s], i, held{seq, data})
 	}
-	m[seq] = payload
-}
-
-func (ms *mcastState) park(sender ProcessID, seq uint64, payload []byte) {
-	m := ms.pending[sender]
-	if m == nil {
-		m = make(map[uint64][]byte)
-		ms.pending[sender] = m
-	}
-	m[seq] = payload
 }
 
 func newMember(p *Process, group string, h Handlers, contacts []ProcessID) *Member {
@@ -162,7 +179,7 @@ func (m *Member) installSingleton(cb *callbacks) {
 		ID:      ViewID{Seq: 1, Coord: m.p.id},
 		Members: []ProcessID{m.p.id},
 	}
-	m.ms = newMcastState(m.view.Members)
+	m.ms.reset(m.view, m.p.id)
 	m.notifyViewLocked(cb)
 	// Announce immediately; the periodic presence task keeps retrying.
 	m.sendPresenceLocked()
@@ -207,7 +224,6 @@ func (m *Member) Multicast(payload []byte) error {
 func (m *Member) multicastWrappedLocked(data []byte, cb *callbacks) {
 	seq := m.ms.sendSeq
 	m.ms.sendSeq++
-	m.ms.retain(m.p.id, seq, data)
 	// Encode into the member scratch: Send copies, and the nested dispatch
 	// below (which can re-enter this function through the agreed-forward
 	// path) only runs after the send loop has fully consumed pkt.
@@ -228,7 +244,7 @@ func (m *Member) multicastWrappedLocked(data []byte, cb *callbacks) {
 	// messages: plain/causal/agreed payloads deliver immediately from the
 	// head of our own stream, while safe payloads wait for universal
 	// receipt like they must.
-	m.ms.park(m.p.id, seq, data)
+	m.ms.park(m.ms.self, seq, data)
 	m.deliverAllReadyLocked(cb)
 }
 
@@ -391,110 +407,75 @@ func (m *Member) onMcastLocked(msg *msgMcast, cb *callbacks) {
 // deliver is true, in-order messages are delivered immediately along with
 // any unblocked pending ones.
 func (m *Member) acceptMcastLocked(msg *msgMcast, deliver bool, cb *callbacks) {
-	scope := m.view
-	if m.status == statusFlushing {
-		scope = m.flushOldView
+	// m.view is also the view being flushed: it changes only at install.
+	s, ok := m.view.rank(msg.sender)
+	if !ok || msg.seq < m.ms.recvNext[s] {
+		return // stranger, or duplicate of something delivered
 	}
-	if !scope.Includes(msg.sender) {
-		return
-	}
-	next := m.ms.recvNext[msg.sender]
-	if msg.seq < next {
-		return // duplicate
+	if _, dup := find(m.ms.msgs[s], msg.seq); dup {
+		return // a retransmission of something already parked
 	}
 	// The decoded payload aliases the transport's receive buffer; copy it
 	// into a pooled buffer that lives until stability garbage collection.
-	data := append(m.p.getBufLocked(len(msg.payload)), msg.payload...)
-	m.ms.park(msg.sender, msg.seq, data)
+	m.ms.park(s, msg.seq, append(m.p.getBufLocked(len(msg.payload)), msg.payload...))
 	if deliver {
 		m.deliverAllReadyLocked(cb)
 	}
 }
 
-// deliverAllReadyLocked delivers every pending message that is in FIFO
+// deliverAllReadyLocked delivers every parked message that is in FIFO
 // position and causally ready, looping to a fixpoint: delivering one
 // message can unblock causal successors from other senders.
 func (m *Member) deliverAllReadyLocked(cb *callbacks) {
 	for progress := true; progress; {
 		progress = false
-		for _, sender := range m.view.Members {
-			pend := m.ms.pending[sender]
+		for s := range m.ms.msgs {
 			for {
-				next := m.ms.recvNext[sender]
-				data, ok := pend[next]
-				if !ok || !m.causalReadyLocked(sender, data) || !m.safeReadyLocked(sender, next, data) {
+				data, ok := m.ms.head(s)
+				if !ok || !m.causalReadyLocked(s, data) || !m.safeReadyLocked(s, m.ms.recvNext[s], data) {
 					break
 				}
-				delete(pend, next)
-				m.deliverOneLocked(sender, next, data, cb)
+				m.deliverOneLocked(s, data, cb)
 				progress = true
 			}
 		}
 	}
 }
 
-// deliverOneLocked delivers one message and retains it for stability.
-func (m *Member) deliverOneLocked(sender ProcessID, seq uint64, data []byte, cb *callbacks) {
-	m.ms.recvNext[sender] = seq + 1
-	m.ms.retain(sender, seq, data)
-	m.dispatchPayloadLocked(sender, data, cb)
+// deliverOneLocked delivers the head of sender rank s's stream; the message
+// stays in msgs[s], now below the cursor, until it is stable.
+func (m *Member) deliverOneLocked(s int, data []byte, cb *callbacks) {
+	m.ms.recvNext[s]++
+	m.dispatchPayloadLocked(m.view.Members[s], data, cb)
 }
 
 // onNakLocked serves a retransmission request from whatever this member
 // still holds. NAKs are answered for the current and the flushing view.
 //
-// The range is two u64s off the wire, served under p.mu, so the walk is
-// bounded by what is held for that sender rather than by the span named: a
-// span no wider than the holdings is walked as is (the ordinary gap repair);
-// a wider one — a peer far behind, or a hostile datagram — is served from the
-// held sequence numbers that fall inside it, sorted, so retransmissions leave
-// in the same order either way.
+// The range is two u64s off the wire, served under p.mu, so the walk is over
+// what is held for that sender inside the range — never over the span named,
+// which a peer far behind or a hostile datagram can make 2⁶⁴ wide.
 func (m *Member) onNakLocked(from ProcessID, msg *msgNak) {
 	if msg.view != m.view.ID && !(m.status == statusFlushing && msg.view == m.flushOldView.ID) {
 		return
 	}
-	if msg.to <= msg.from {
-		return
-	}
-	retained, pending := m.ms.retained[msg.sender], m.ms.pending[msg.sender]
-	if msg.to-msg.from <= uint64(len(retained)+len(pending)) {
-		for seq := msg.from; seq < msg.to; seq++ {
-			m.retransmitLocked(from, msg, seq)
-		}
-		return
-	}
-	seqs := m.nakScratch[:0]
-	for _, held := range []map[uint64][]byte{retained, pending} {
-		for seq := range held {
-			if seq >= msg.from && seq < msg.to {
-				seqs = append(seqs, seq)
-			}
-		}
-	}
-	slices.Sort(seqs)
-	m.nakScratch = seqs[:0]
-	for _, seq := range seqs {
-		m.retransmitLocked(from, msg, seq)
-	}
-}
-
-// retransmitLocked re-sends (msg.sender, seq) to the NAK's origin if this
-// member still has it.
-func (m *Member) retransmitLocked(to ProcessID, msg *msgNak, seq uint64) {
-	payload, ok := m.ms.lookup(msg.sender, seq)
+	s, ok := m.view.rank(msg.sender)
 	if !ok {
 		return
 	}
-	pkt := appendMcast(m.encBuf[:0], &msgMcast{
-		group:   m.group,
-		view:    msg.view,
-		sender:  msg.sender,
-		seq:     seq,
-		payload: payload,
-	})
-	m.encBuf = pkt[:0]
-	m.p.ctr.retransmits.Inc()
-	_ = m.p.cfg.Endpoint.Send(to, pkt)
+	l := m.ms.msgs[s]
+	for i, _ := find(l, msg.from); i < len(l) && l[i].seq < msg.to; i++ {
+		pkt := appendMcast(m.encBuf[:0], &msgMcast{
+			group:   m.group,
+			view:    msg.view,
+			sender:  msg.sender,
+			seq:     l[i].seq,
+			payload: l[i].data,
+		})
+		m.encBuf = pkt[:0]
+		m.p.ctr.retransmits.Inc()
+		_ = m.p.cfg.Endpoint.Send(from, pkt)
+	}
 }
 
 // onAckVecLocked folds a stability vector in and garbage-collects retained
@@ -510,22 +491,22 @@ func (m *Member) onAckVecLocked(from ProcessID, msg *msgAckVec, cb *callbacks) {
 		m.onDivergentTrafficLocked(from, msg.view)
 		return
 	}
-	if !m.view.Includes(from) {
+	j, ok := m.view.rank(from)
+	if !ok {
 		return
 	}
 	delete(m.divergeCount, from)
-	// Fold the vectors into persistent per-peer maps rather than retaining
-	// msg's maps: the decode layer recycles them once dispatch returns.
-	mergeVec(&m.ms.peerAck, from, msg.vec)
+	// Align the vectors into from's rows: msg's own storage goes back to the
+	// decode layer once dispatch returns.
+	n := m.ms.n
+	ack, contig := m.ms.peerAck[j*n:(j+1)*n], m.ms.peerContig[j*n:(j+1)*n]
+	msg.delivered.alignTo(m.view.Members, ack)
+	msg.contig.alignTo(m.view.Members, contig)
 	// Tail-loss repair: the sender's own contig entry equals its send
 	// counter (it parks everything it sends), so a higher value than our
 	// contiguous receipt means messages we never saw — and, being the
 	// newest, nothing after them would trigger ordinary gap detection.
-	theirs := msg.vec[from]
-	if msg.contig != nil && msg.contig[from] > theirs {
-		theirs = msg.contig[from]
-	}
-	if mine := m.contigForLocked(from); theirs > mine {
+	if mine, theirs := m.contigForLocked(j), max(ack[j], contig[j]); theirs > mine {
 		nak := encodeNak(&msgNak{
 			group:  m.group,
 			view:   m.view.ID,
@@ -536,59 +517,39 @@ func (m *Member) onAckVecLocked(from ProcessID, msg *msgAckVec, cb *callbacks) {
 		m.p.ctr.naksSent.Inc()
 		_ = m.p.cfg.Endpoint.Send(from, nak)
 	}
-	if msg.contig != nil {
-		mergeVec(&m.ms.peerContig, from, msg.contig)
-		// Fresh receipt acknowledgements may open the safe-delivery gate.
-		m.deliverAllReadyLocked(cb)
-	}
+	// Fresh receipt acknowledgements may open the safe-delivery gate.
+	m.deliverAllReadyLocked(cb)
 	m.gcStableLocked()
 }
 
-// mergeVec replaces (*peer)[from]'s contents with src, reusing the existing
-// map storage when present.
-func mergeVec(peer *map[ProcessID]map[ProcessID]uint64, from ProcessID, src map[ProcessID]uint64) {
-	dst := (*peer)[from]
-	if dst == nil {
-		dst = make(map[ProcessID]uint64, len(src))
-		(*peer)[from] = dst
-	} else {
-		clear(dst)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
+// gcStableLocked drops the delivered messages every member has delivered too.
 func (m *Member) gcStableLocked() {
-	for sender, retained := range m.ms.retained {
-		stable := m.ms.recvNext[sender]
-		for _, member := range m.view.Members {
-			if member == m.p.id {
-				continue
-			}
-			vec := m.ms.peerAck[member]
-			if vec == nil {
-				stable = 0
-				break
-			}
-			if v := vec[sender]; v < stable {
-				stable = v
+	n := m.ms.n
+	for s, l := range m.ms.msgs {
+		stable := m.ms.recvNext[s]
+		if len(l) == 0 || l[0].seq >= stable {
+			continue // nothing delivered is held for this sender
+		}
+		for j := 0; j < n; j++ {
+			if j != m.ms.self {
+				stable = min(stable, m.ms.peerAck[j*n+s])
 			}
 		}
-		for seq, data := range retained {
-			if seq < stable {
-				// Stability means every member delivered it: handler
-				// callbacks have fired and no NAK can ask for it again,
-				// so plain payload buffers are safe to recycle. Tagged
-				// payloads (agreed/causal/safe) are excluded — their
-				// bodies may be parked in holdback state that outlives
-				// the carrier buffer's stability.
-				if len(data) > 0 && data[0] == payloadPlain {
-					m.p.putBufLocked(data)
-				}
-				delete(retained, seq)
+		k, _ := find(l, stable)
+		for _, h := range l[:k] {
+			// Stability means every member delivered it: handler
+			// callbacks have fired and no NAK can ask for it again,
+			// so plain payload buffers are safe to recycle. Tagged
+			// payloads (agreed/causal/safe) are excluded — their
+			// bodies may be parked in holdback state that outlives
+			// the carrier buffer's stability.
+			if len(h.data) > 0 && h.data[0] == payloadPlain {
+				m.p.putBufLocked(h.data)
 			}
 		}
+		rest := copy(l, l[k:])
+		clear(l[rest:])
+		m.ms.msgs[s] = l[:rest]
 	}
 }
 
@@ -758,7 +719,7 @@ func (m *Member) changeNeededLocked() bool {
 // minus suspects and leavers, plus live foreign processes.
 func (m *Member) desiredCandidatesLocked() []ProcessID {
 	now := m.p.cfg.Clock.Now()
-	var out []ProcessID
+	out := make([]ProcessID, 0, len(m.view.Members)+len(m.foreign))
 	for _, id := range m.view.Members {
 		if id != m.p.id && (m.p.fd.isSuspectedLocked(id) || m.departed[id]) {
 			continue
@@ -775,7 +736,8 @@ func (m *Member) desiredCandidatesLocked() []ProcessID {
 		}
 		out = append(out, id)
 	}
-	return sortedIDs(out)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ackTick gossips the delivery vector for stability.
@@ -785,18 +747,18 @@ func (m *Member) ackTick() {
 		m.p.mu.Unlock()
 		return
 	}
-	if m.contigScratch == nil {
-		m.contigScratch = make(map[ProcessID]uint64, len(m.view.Members))
-	} else {
-		clear(m.contigScratch)
+	for s := range m.ms.contig {
+		m.ms.contig[s] = m.contigForLocked(s)
 	}
-	for _, sender := range m.view.Members {
-		m.contigScratch[sender] = m.contigForLocked(sender)
-	}
-	// Encode straight from the live delivery map into the member scratch:
-	// the packet is complete (and Send copies) before the lock is released,
-	// so neither the map nor the buffer needs a defensive copy.
-	pkt := appendAckVec(m.encBuf[:0], m.group, m.view.ID, m.ms.recvNext, m.contigScratch, &m.vecKeys)
+	// Encode straight from the live cursors into the member scratch: the
+	// packet is complete (and Send copies) before the lock is released, so
+	// neither the vectors nor the buffer need a defensive copy.
+	pkt := appendAckVec(m.encBuf[:0], &msgAckVec{
+		group:     m.group,
+		view:      m.view.ID,
+		delivered: vec{m.view.Members, m.ms.recvNext},
+		contig:    vec{m.view.Members, m.ms.contig},
+	})
 	m.encBuf = pkt[:0]
 	for _, id := range m.view.Members {
 		if id != m.p.id {
@@ -819,22 +781,14 @@ func (m *Member) retransTick() {
 	case statusNormal:
 		m.agreedRetryLocked(&cb)
 		// Ask senders to fill detected gaps.
-		for _, sender := range m.view.Members {
-			if sender == m.p.id {
+		for s, sender := range m.view.Members {
+			// Anything parked means a gap (or a gate) below it: ask for
+			// everything from the cursor to the newest message seen.
+			lo, l := m.ms.recvNext[s], m.ms.msgs[s]
+			if sender == m.p.id || len(l) == 0 {
 				continue
 			}
-			pend := m.ms.pending[sender]
-			if len(pend) == 0 {
-				continue
-			}
-			lo := m.ms.recvNext[sender]
-			hi := lo
-			for seq := range pend {
-				if seq >= hi {
-					hi = seq + 1
-				}
-			}
-			if hi > lo {
+			if hi := l[len(l)-1].seq + 1; hi > lo {
 				pkt := encodeNak(&msgNak{group: m.group, view: m.view.ID, sender: sender, from: lo, to: hi})
 				m.p.ctr.naksSent.Inc()
 				_ = m.p.cfg.Endpoint.Send(sender, pkt)

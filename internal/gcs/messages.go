@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -78,10 +79,10 @@ type (
 	// stability (garbage collection of retained messages), plus its
 	// received-contiguous watermark, used by the safe-delivery gate.
 	msgAckVec struct {
-		group  string
-		view   ViewID
-		vec    map[ProcessID]uint64
-		contig map[ProcessID]uint64
+		group     string
+		view      ViewID
+		delivered vec
+		contig    vec
 	}
 
 	// msgPresence announces a view to processes outside it, triggering
@@ -107,14 +108,14 @@ type (
 		oldView    ViewID
 		oldMembers []ProcessID
 		sendSeq    uint64
-		recvNext   map[ProcessID]uint64
+		recvNext   vec
 	}
 
 	// msgCut distributes the agreed delivery targets for the old views.
 	msgCut struct {
 		group   string
 		pid     proposalID
-		targets map[ProcessID]uint64
+		targets vec
 	}
 
 	// msgCutDone reports that the member reached the cut.
@@ -194,47 +195,50 @@ func appendIDs(b []byte, ids []ProcessID) []byte {
 	return b
 }
 
-// appendVec encodes a process→seq map in sorted key order so encodings are
-// deterministic (useful for tests and replay). scratch, when non-nil, lends
-// a reusable key buffer so steady-state callers (the ack gossip tick) sort
-// without allocating; it is left reset for the next call.
-func appendVec(b []byte, vec map[ProcessID]uint64, scratch *[]ProcessID) []byte {
-	var keys []ProcessID
-	if scratch != nil {
-		keys = (*scratch)[:0]
-	} else {
-		keys = make([]ProcessID, 0, len(vec))
-	}
-	for k := range vec {
-		keys = append(keys, k)
-	}
-	sortIDs(keys)
-	b = wire.AppendU16(b, uint16(len(keys)))
-	for _, k := range keys {
-		b = wire.AppendString(b, string(k))
-		b = wire.AppendU64(b, vec[k])
-	}
-	if scratch != nil {
-		*scratch = keys[:0]
-	}
-	return b
+// vec is a per-process counter vector as it travels: (id, value) pairs in
+// wire order. A sender encodes its view's members in rank order, which is
+// sorted; a receiver aligns the pairs to its own view's ranks with each, so
+// nothing a vector names outside that view ever becomes state.
+type vec struct {
+	ids  []ProcessID
+	vals []uint64
 }
 
-func readVec(r *wire.Reader) map[ProcessID]uint64 {
-	n := int(r.U16())
-	if r.Err() != nil {
-		return nil
-	}
-	vec := make(map[ProcessID]uint64, n)
-	for i := 0; i < n; i++ {
-		k := ProcessID(r.String())
-		v := r.U64()
-		if r.Err() != nil {
-			return nil
+// each calls f(rank, value) for every entry whose ID is in members (sorted
+// ascending), in entry order — on a repeated ID the last entry wins. Sorted
+// input, all an honest encoder produces, is one merge walk; an ID the walk
+// does not land on is found by binary search, which keeps unsorted input
+// correct and a stranger cheap.
+func (v vec) each(members []ProcessID, f func(rank int, val uint64)) {
+	j := 0
+	for i, id := range v.ids {
+		for j < len(members) && members[j] < id {
+			j++
 		}
-		vec[k] = v
+		r, ok := j, j < len(members) && members[j] == id
+		if !ok {
+			r, ok = slices.BinarySearch(members, id)
+		}
+		if ok {
+			f(r, v.vals[i])
+		}
 	}
-	return vec
+}
+
+// alignTo overwrites row, which goes by rank in members, with v's values; a
+// member v does not name reads zero.
+func (v vec) alignTo(members []ProcessID, row []uint64) {
+	clear(row)
+	v.each(members, func(r int, val uint64) { row[r] = val })
+}
+
+func appendVec(b []byte, v vec) []byte {
+	b = wire.AppendU16(b, uint16(len(v.ids)))
+	for i, id := range v.ids {
+		b = wire.AppendString(b, string(id))
+		b = wire.AppendU64(b, v.vals[i])
+	}
+	return b
 }
 
 // heartbeatPkt is the singleton heartbeat datagram: one constant byte, sent
@@ -282,24 +286,14 @@ func encodeNak(m *msgNak) []byte {
 	return wire.AppendU64(b, m.to)
 }
 
-func encodeAckVec(m *msgAckVec) []byte {
-	b := make([]byte, 0, 96)
+// appendAckVec frames the periodic ack gossip into caller scratch: it runs
+// hot enough that a fresh packet buffer per tick shows up in profiles.
+func appendAckVec(b []byte, m *msgAckVec) []byte {
 	b = wire.AppendU8(b, kindAckVec)
 	b = wire.AppendString(b, m.group)
 	b = appendViewID(b, m.view)
-	b = appendVec(b, m.vec, nil)
-	return appendVec(b, m.contig, nil)
-}
-
-// appendAckVec is encodeAckVec's append-into-scratch form for the periodic
-// ack gossip, which runs hot enough that a fresh packet buffer per tick
-// shows up in profiles.
-func appendAckVec(b []byte, group string, view ViewID, vec, contig map[ProcessID]uint64, scratch *[]ProcessID) []byte {
-	b = wire.AppendU8(b, kindAckVec)
-	b = wire.AppendString(b, group)
-	b = appendViewID(b, view)
-	b = appendVec(b, vec, scratch)
-	return appendVec(b, contig, scratch)
+	b = appendVec(b, m.delivered)
+	return appendVec(b, m.contig)
 }
 
 func encodePresence(m *msgPresence) []byte {
@@ -335,7 +329,7 @@ func encodeSyncInfo(m *msgSyncInfo) []byte {
 	b = appendViewID(b, m.oldView)
 	b = appendIDs(b, m.oldMembers)
 	b = wire.AppendU64(b, m.sendSeq)
-	return appendVec(b, m.recvNext, nil)
+	return appendVec(b, m.recvNext)
 }
 
 func encodeCut(m *msgCut) []byte {
@@ -343,7 +337,7 @@ func encodeCut(m *msgCut) []byte {
 	b = wire.AppendU8(b, kindCut)
 	b = wire.AppendString(b, m.group)
 	b = appendPID(b, m.pid)
-	return appendVec(b, m.targets, nil)
+	return appendVec(b, m.targets)
 }
 
 func encodeCutDone(m *msgCutDone) []byte {

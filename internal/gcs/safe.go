@@ -41,21 +41,18 @@ func (m *Member) MulticastSafe(payload []byte) error {
 }
 
 // safeReadyLocked reports whether the in-order head message data from
-// sender may be delivered with respect to the safe gate. Caller holds
+// sender rank s may be delivered with respect to the safe gate. Caller holds
 // p.mu.
-func (m *Member) safeReadyLocked(sender ProcessID, seq uint64, data []byte) bool {
+func (m *Member) safeReadyLocked(s int, seq uint64, data []byte) bool {
 	if len(data) == 0 || data[0] != payloadSafe {
 		return true
 	}
 	if m.status == statusFlushing {
 		return true // inside the cut: the flush proves universal receipt
 	}
-	for _, member := range m.view.Members {
-		if member == m.p.id {
-			continue // we received it — we are holding it
-		}
-		vec := m.ms.peerContig[member]
-		if vec == nil || vec[sender] <= seq {
+	for j := 0; j < m.ms.n; j++ {
+		// Our own row is skipped: we received it — we are holding it.
+		if j != m.ms.self && m.ms.peerContig[j*m.ms.n+s] <= seq {
 			return false
 		}
 	}
@@ -63,24 +60,12 @@ func (m *Member) safeReadyLocked(sender ProcessID, seq uint64, data []byte) bool
 }
 
 // contigForLocked computes this member's received-contiguous watermark for
-// one sender: the delivered prefix plus the run of consecutively parked
+// sender rank s: the delivered prefix plus the run of consecutively parked
 // messages after it. Caller holds p.mu.
-func (m *Member) contigForLocked(sender ProcessID) uint64 {
-	next := m.ms.recvNext[sender]
-	pend := m.ms.pending[sender]
-	for {
-		if _, ok := pend[next]; !ok {
-			return next
-		}
+func (m *Member) contigForLocked(s int) uint64 {
+	next, l := m.ms.recvNext[s], m.ms.msgs[s]
+	for i, _ := find(l, next); i < len(l) && l[i].seq == next; i++ {
 		next++
 	}
-}
-
-// contigLocked computes the watermark for every sender. Caller holds p.mu.
-func (m *Member) contigLocked() map[ProcessID]uint64 {
-	out := make(map[ProcessID]uint64, len(m.view.Members))
-	for _, sender := range m.view.Members {
-		out[sender] = m.contigForLocked(sender)
-	}
-	return out
+	return next
 }

@@ -32,8 +32,9 @@ func TestStabilityGarbageCollection(t *testing.T) {
 		m := c.mem[id]
 		m.p.mu.Lock()
 		retained := 0
-		for _, byseq := range m.ms.retained {
-			retained += len(byseq)
+		for s, l := range m.ms.msgs {
+			delivered, _ := find(l, m.ms.recvNext[s])
+			retained += delivered
 		}
 		m.p.mu.Unlock()
 		if retained > 10 {

@@ -1,7 +1,8 @@
 package server
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/clock"
@@ -105,10 +106,13 @@ func (ms *movieState) ownRecordsLocked() []wire.ClientRecord {
 		rec.SentAt = now
 		recs = append(recs, rec)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ClientID < recs[j].ClientID })
+	slices.SortFunc(recs, byClientID)
 	ms.recScratch = recs
 	return recs
 }
+
+// byClientID orders knowledge-table records for the wire and for replay.
+func byClientID(a, b wire.ClientRecord) int { return strings.Compare(a.ClientID, b.ClientID) }
 
 // noteDepartedLocked records a finished session and announces the
 // tombstone immediately so peers forget the client. Caller holds srv.mu.
@@ -244,7 +248,7 @@ func (ms *movieState) onView(v gcs.View) {
 	for _, rec := range ms.clients {
 		all = append(all, rec)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ClientID < all[j].ClientID })
+	slices.SortFunc(all, byClientID)
 	msg := &wire.ClientState{
 		Server:   s.cfg.ID,
 		Clients:  all,
@@ -304,7 +308,7 @@ func (ms *movieState) redistributeLocked() {
 	// Apply in client-ID order, not assignment-map order: takeovers start
 	// sessions (timers, packets) whose relative order must be a pure
 	// function of the inputs for seed-reproducible runs.
-	sort.Strings(clientIDs)
+	slices.Sort(clientIDs)
 	for _, id := range clientIDs {
 		owner := assignment[id]
 		sess := s.sessions[id]
@@ -336,8 +340,8 @@ func memberOrder(members []gcs.ProcessID, newcomers map[gcs.ProcessID]bool) []gc
 			old = append(old, m)
 		}
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i] < fresh[j] })
-	sort.Slice(old, func(i, j int) bool { return old[i] < old[j] })
+	slices.Sort(fresh)
+	slices.Sort(old)
 	return append(fresh, old...)
 }
 
@@ -351,7 +355,7 @@ func Assign(clients []string, order []gcs.ProcessID) map[string]gcs.ProcessID {
 		return out
 	}
 	sorted := append([]string(nil), clients...)
-	sort.Strings(sorted)
+	slices.Sort(sorted)
 	for i, c := range sorted {
 		out[c] = order[i%len(order)]
 	}
@@ -418,7 +422,7 @@ func (s *Server) SyncNow() {
 	s.mu.Unlock()
 	// Sync in movie-ID order, not map order, so the multicasts hit the
 	// simulated network in a seed-deterministic sequence.
-	sort.Slice(states, func(i, j int) bool { return states[i].movie.ID() < states[j].movie.ID() })
+	slices.SortFunc(states, func(a, b *movieState) int { return strings.Compare(a.movie.ID(), b.movie.ID()) })
 	for _, ms := range states {
 		ms.syncTick()
 	}

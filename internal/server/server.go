@@ -16,8 +16,10 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -547,7 +549,7 @@ func (s *Server) Stop() {
 	for id := range s.sessions {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		sess := s.sessions[id]
 		sess.stopLocked()
@@ -562,14 +564,8 @@ func (s *Server) Stop() {
 		for k := range s.stripes {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].movie != keys[j].movie {
-				return keys[i].movie < keys[j].movie
-			}
-			if keys[i].period != keys[j].period {
-				return keys[i].period < keys[j].period
-			}
-			return keys[i].phase < keys[j].phase
+		slices.SortFunc(keys, func(a, b stripeKey) int {
+			return cmp.Or(strings.Compare(a.movie, b.movie), cmp.Compare(a.period, b.period), cmp.Compare(a.phase, b.phase))
 		})
 		for _, k := range keys {
 			s.stripes[k].task.Stop()
