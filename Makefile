@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-short test-benchmark race bench bench-smoke bench-capacity bench-scale-budget profile-scale profile-chaos chaos sweep figures tables golden-update examples vet fuzz-smoke
+.PHONY: test test-short test-benchmark race bench bench-smoke bench-capacity bench-scale-budget profile-scale profile-chaos chaos sweep figures tables golden-update examples vet fuzz-smoke loc
 
 test:        ## full test suite (includes ~20s of real-clock tests)
 	go test ./...
@@ -85,3 +85,6 @@ fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders and
 vet:
 	go vet ./...
 	gofmt -l .
+
+loc:         ## non-test Go in the root module — the line count ROADMAP tracks
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l | tail -1

@@ -8,7 +8,9 @@
 // then watch a movie with vod-client. Servers may be started and stopped
 // at any time; clients migrate transparently. Every server generates the
 // same synthetic movies from the shared seed, standing in for the paper's
-// separate replication mechanism for video material.
+// separate replication mechanism for video material. The server is a
+// one-node core.Deploy, the same call the library, the simulator and the
+// benchmark's socket workload make.
 package main
 
 import (
@@ -23,9 +25,8 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/mpeg"
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/transport"
 )
@@ -58,19 +59,17 @@ func run(args []string) error {
 		return err
 	}
 
-	var catalog *store.Catalog
+	var titles []*core.Movie
 	if *movieDir != "" {
-		var err error
-		catalog, err = store.LoadDirectory(*movieDir)
+		catalog, err := store.LoadDirectory(*movieDir)
 		if err != nil {
 			return err
 		}
 		for _, id := range catalog.List() {
-			m, _ := catalog.Get(id)
-			fmt.Println("serving", m)
+			m, _ := catalog.Get(id) // listed a line ago
+			titles = append(titles, m)
 		}
 	} else {
-		catalog = store.NewCatalog()
 		for _, spec := range strings.Split(*movies, ",") {
 			id, durStr, ok := strings.Cut(strings.TrimSpace(spec), ":")
 			if !ok {
@@ -80,34 +79,35 @@ func run(args []string) error {
 			if err != nil {
 				return fmt.Errorf("bad movie duration in %q: %w", spec, err)
 			}
-			m := mpeg.Generate(id, mpeg.StreamConfig{Duration: dur, Seed: *seed})
-			catalog.Add(m)
-			fmt.Println("serving", m)
+			titles = append(titles, core.GenerateMovie(id, dur, *seed))
 		}
 	}
+	for _, m := range titles {
+		fmt.Println("serving", m)
+	}
 
-	peerList := []string{*listen}
+	var peerList []string
 	if *peers != "" {
 		peerList = strings.Split(*peers, ",")
 	}
 
+	// A one-server deployment: every title lands on this server, and the
+	// peers are servers that other daemons run.
 	reg := obs.NewRegistry(*listen, nil)
-	s, err := server.New(server.Config{
-		ID:      *listen,
-		Clock:   clock.Real{},
-		Network: udpNetwork{reg: reg},
-		Catalog: catalog,
-		Peers:   peerList,
-		Obs:     reg,
+	dep, err := core.Deploy(core.DeployOptions{
+		Clock:      clock.Real{},
+		Network:    udpNetwork{reg: reg},
+		Servers:    []string{*listen},
+		ExtraPeers: peerList,
+		Movies:     titles,
+		Obs:        func(string) *obs.Registry { return reg },
 	})
 	if err != nil {
 		return err
 	}
-	if err := s.Start(); err != nil {
-		return err
-	}
-	defer s.Stop()
-	fmt.Printf("server %s up; peers: %v\n", *listen, peerList)
+	defer dep.Stop()
+	s := dep.Server(*listen)
+	fmt.Printf("server %s up; peers: %v\n", *listen, dep.Peers())
 
 	if *debugAddr != "" {
 		ln, err := net.Listen("tcp", *debugAddr)

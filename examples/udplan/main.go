@@ -11,11 +11,8 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/mpeg"
-	"repro/internal/store"
 	"repro/internal/transport"
 )
 
@@ -28,44 +25,21 @@ func (udpNetwork) NewEndpoint(addr transport.Addr) (transport.Endpoint, error) {
 }
 
 func main() {
-	var (
-		clk     clock.Real
-		network udpNetwork
-		servers = []string{"127.0.0.1:18701", "127.0.0.1:18702"}
-	)
-	movie := mpeg.Generate("short-feature", mpeg.StreamConfig{
-		Duration: 30 * time.Second,
-		Seed:     1,
+	const viewerID = "127.0.0.1:18710"
+	movie := core.GenerateMovie("short-feature", 30*time.Second, 1)
+	deployment, err := core.Deploy(core.DeployOptions{
+		Clock:   clock.Real{},
+		Network: udpNetwork{},
+		Servers: []string{"127.0.0.1:18701", "127.0.0.1:18702"},
+		Movies:  []*core.Movie{movie},
 	})
-
-	running := make(map[string]*core.Server, len(servers))
-	for _, id := range servers {
-		cat := store.NewCatalog()
-		cat.Add(movie)
-		s, err := core.NewServer(core.ServerConfig{
-			ID:      id,
-			Clock:   clk,
-			Network: network,
-			Catalog: cat,
-			Peers:   servers,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := s.Start(); err != nil {
-			log.Fatal(err)
-		}
-		defer s.Stop()
-		running[id] = s
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer deployment.Stop()
 	time.Sleep(time.Second) // let the server group form over loopback
 
-	viewer, err := client.New(client.Config{
-		ID:      "127.0.0.1:18710",
-		Clock:   clk,
-		Network: network,
-		Servers: servers,
-	})
+	viewer, err := deployment.NewClient(viewerID)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,33 +49,20 @@ func main() {
 	}
 	fmt.Println("streaming", movie, "over real UDP on loopback")
 
-	servingServer := func() string {
-		for id, s := range running {
-			if len(s.ActiveSessions()) > 0 {
-				return id
-			}
+	report := func(from, to int) {
+		for i := from; i < to; i++ {
+			time.Sleep(time.Second)
+			c := viewer.Counters()
+			fmt.Printf("t=%2ds  displayed=%-4d buffered=%-3d skipped=%-2d served-by=%s\n",
+				i+1, c.Displayed, viewer.Occupancy().CombinedFrames, c.Skipped(), deployment.ServingServer(viewerID))
 		}
-		return ""
 	}
+	report(0, 10)
 
-	for i := 0; i < 10; i++ {
-		time.Sleep(time.Second)
-		c := viewer.Counters()
-		fmt.Printf("t=%2ds  displayed=%-4d buffered=%-3d skipped=%-2d served-by=%s\n",
-			i+1, c.Displayed, viewer.Occupancy().CombinedFrames, c.Skipped(), servingServer())
-	}
-
-	victim := servingServer()
+	victim := deployment.ServingServer(viewerID)
 	fmt.Printf("\nstopping %s mid-stream ...\n\n", victim)
-	running[victim].Stop()
-	delete(running, victim)
-
-	for i := 10; i < 20; i++ {
-		time.Sleep(time.Second)
-		c := viewer.Counters()
-		fmt.Printf("t=%2ds  displayed=%-4d buffered=%-3d skipped=%-2d served-by=%s\n",
-			i+1, c.Displayed, viewer.Occupancy().CombinedFrames, c.Skipped(), servingServer())
-	}
+	deployment.StopServer(victim)
+	report(10, 20)
 
 	c := viewer.Counters()
 	fmt.Printf("\nfinal: displayed=%d late=%d skipped=%d stalls=%d — failover on a real network\n",

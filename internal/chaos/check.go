@@ -8,6 +8,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
+	"repro/internal/server"
 	"repro/internal/sim"
 )
 
@@ -94,11 +95,11 @@ func execute(plan Plan, cfg Config, movie *mpeg.Movie) *Report {
 	// Settle probe: ownership at the very end of the quiet tail.
 	events = append(events, sim.Event{At: cfg.Duration - 500*time.Millisecond, Do: func(rt *sim.Runtime) {
 		owners = 0
-		for _, s := range rt.Servers() {
+		rt.EachServer(func(_ string, s *server.Server) {
 			if s.HasSession(ClientID) {
 				owners++
 			}
-		}
+		})
 		if c := rt.Client(); c != nil {
 			endState = c.State()
 		}

@@ -78,20 +78,12 @@ type Config struct {
 	Buffer buffer.Config
 	// Flow is the flow-control parameter set (paper defaults if zero).
 	Flow flowctl.Params
-	// OpenTimeout is how long to wait for an OpenReply before trying the
-	// next server (default 1s). Each further retry doubles the wait, up to
-	// OpenBackoffCap, plus up to 25% deterministic jitter seeded from the
-	// client ID — so a fleet of clients cut off by the same fault does not
-	// retry in lockstep.
-	OpenTimeout time.Duration
-	// OpenBackoffCap bounds the open-retry backoff (default 8s).
-	OpenBackoffCap time.Duration
 	// RefusalBackoff is the wait after the first refused Open in a cycle
 	// (default 10ms — the next server in the list may have room). Each
 	// consecutive refusal doubles the wait up to RefusalBackoffCap, with
 	// 25% seeded jitter after the first; a Retry-After hint from the
 	// server sets the floor. Refusals are answers, not timeouts, so this
-	// schedule is separate from the OpenTimeout no-reply backoff.
+	// schedule is separate from the openTimeout no-reply backoff.
 	RefusalBackoff time.Duration
 	// RefusalBackoffCap bounds the refusal backoff (default 2s).
 	RefusalBackoffCap time.Duration
@@ -112,17 +104,29 @@ type Config struct {
 	// first takeover retry lands on its successor — no broadcast, no
 	// directory round-trip.
 	Placement *placement.Ring
-	// StarveTimeout is how long playback may fail to progress (while
-	// watching, unpaused and unfinished) before the client decides its
-	// session is dead — a crashed-and-gone server, a network partition —
-	// and re-anycasts the Open to the server group (default 3s). The
-	// re-anycast reaches whichever server now owns (or adopts) the session,
-	// and a Seek resynchronizes the stream to the client's position.
-	StarveTimeout time.Duration
 	// Obs, when set, receives the client.* counters, occupancy gauges and
 	// trace events, and is forwarded to the embedded GCS process.
 	Obs *obs.Registry
 }
+
+// Recovery timing. No caller ever tuned these, so they are constants.
+const (
+	// openTimeout is how long to wait for an OpenReply before trying the
+	// next server. Each further retry doubles the wait, up to
+	// openBackoffCap, plus up to 25% deterministic jitter seeded from the
+	// client ID — so a fleet of clients cut off by the same fault does not
+	// retry in lockstep.
+	openTimeout = time.Second
+	// openBackoffCap bounds the open-retry backoff.
+	openBackoffCap = 8 * time.Second
+	// starveTimeout is how long playback may fail to progress (while
+	// watching, unpaused and unfinished) before the client decides its
+	// session is dead — a crashed-and-gone server, a network partition —
+	// and re-anycasts the Open to the server group. The re-anycast reaches
+	// whichever server now owns (or adopts) the session, and a Seek
+	// resynchronizes the stream to the client's position.
+	starveTimeout = 3 * time.Second
+)
 
 func (c *Config) fillDefaults() error {
 	if c.ID == "" || c.Clock == nil || c.Network == nil {
@@ -137,20 +141,11 @@ func (c *Config) fillDefaults() error {
 	if c.Flow.CombinedCapacity == 0 {
 		c.Flow = flowctl.DefaultParams()
 	}
-	if c.OpenTimeout <= 0 {
-		c.OpenTimeout = time.Second
-	}
-	if c.OpenBackoffCap <= 0 {
-		c.OpenBackoffCap = 8 * time.Second
-	}
 	if c.RefusalBackoff <= 0 {
 		c.RefusalBackoff = 10 * time.Millisecond
 	}
 	if c.RefusalBackoffCap <= 0 {
 		c.RefusalBackoffCap = 2 * time.Second
-	}
-	if c.StarveTimeout <= 0 {
-		c.StarveTimeout = 3 * time.Second
 	}
 	return c.Flow.Validate()
 }
@@ -541,18 +536,16 @@ func (c *Client) openActiveLocked() bool {
 	return c.state == StateOpening || (c.state == StateWatching && c.reopening)
 }
 
-// openDelayLocked computes the wait before the next Open retry: the
-// configured timeout doubled per consecutive attempt, capped, with up to
-// 25% jitter on retries. The first attempt waits exactly OpenTimeout, so a
-// healthy open is as prompt as ever. Caller holds c.mu.
+// openDelayLocked computes the wait before the next Open retry: openTimeout
+// doubled per consecutive attempt, capped, with up to 25% jitter on retries.
+// The first attempt waits exactly openTimeout, so a healthy open is as
+// prompt as ever. Caller holds c.mu.
 func (c *Client) openDelayLocked() time.Duration {
-	d := c.cfg.OpenTimeout
-	for i := 0; i < c.openAttempt && d < c.cfg.OpenBackoffCap; i++ {
+	d := openTimeout
+	for i := 0; i < c.openAttempt && d < openBackoffCap; i++ {
 		d *= 2
 	}
-	if d > c.cfg.OpenBackoffCap {
-		d = c.cfg.OpenBackoffCap
-	}
+	d = min(d, openBackoffCap)
 	if c.openAttempt > 0 {
 		d += time.Duration(c.rngLocked().Int63n(int64(d)/4 + 1))
 	}
@@ -707,18 +700,18 @@ func (c *Client) onDirect(from gcs.ProcessID, payload []byte) {
 	period := time.Second / time.Duration(c.fps)
 	c.displayTask = clock.Every(c.cfg.Clock, period, c.displayTick)
 	// Arm the starvation watchdog: if playback stops progressing for
-	// StarveTimeout the session is presumed dead and reopened.
+	// starveTimeout the session is presumed dead and reopened.
 	c.lastShown = 0
 	c.lastMoved = c.cfg.Clock.Now()
 	if c.starveTask == nil {
-		c.starveTask = clock.Every(c.cfg.Clock, c.cfg.StarveTimeout/4, c.starveTick)
+		c.starveTask = clock.Every(c.cfg.Clock, starveTimeout/4, c.starveTick)
 	}
 	c.mu.Unlock()
 }
 
 // starveTick is the starvation watchdog: while watching, playback must
 // advance the Displayed counter (or be deliberately paused). When it fails
-// to for StarveTimeout — the serving server died with no peer to take over,
+// to for starveTimeout — the serving server died with no peer to take over,
 // or a partition separates the client from the whole cluster — the client
 // stops waiting on the dead session and re-anycasts the Open to the server
 // group, with the same capped backoff as the initial open (§5.1: the
@@ -738,7 +731,7 @@ func (c *Client) starveTick() {
 		c.mu.Unlock()
 		return
 	}
-	if c.reopening || now.Sub(c.lastMoved) < c.cfg.StarveTimeout {
+	if c.reopening || now.Sub(c.lastMoved) < starveTimeout {
 		c.mu.Unlock()
 		return
 	}

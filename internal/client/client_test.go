@@ -377,7 +377,7 @@ func TestOpenRetryBackoff(t *testing.T) {
 }
 
 // TestReopenAfterLinkLoss: the client loses its only server mid-movie to a
-// (bidirectional) link failure longer than StarveTimeout. It must notice
+// (bidirectional) link failure longer than starveTimeout. It must notice
 // the starvation, count a reopen, and resume playback when the link heals.
 func TestReopenAfterLinkLoss(t *testing.T) {
 	r := newRig(t)

@@ -1,8 +1,9 @@
 // Package core is the public face of the fault-tolerant VoD library: it
-// re-exports the server and client types and provides Deploy, which
-// assembles a whole service — replica placement, catalogs, servers — in a
-// few lines. The examples and command-line tools are written against this
-// package.
+// re-exports the server and client types and provides Deploy, the one place
+// in the repository where a cluster is assembled — replica placement,
+// catalogs, servers, and the configuration its clients are made from. The
+// examples, the daemons and every simulation harness are written against
+// this package.
 //
 // The service it builds is the system of "Fault Tolerant Video on Demand
 // Services" (Anker, Dolev, Keidar; ICDCS 1999): movies replicated across
@@ -12,13 +13,16 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/clock"
 	"repro/internal/flowctl"
 	"repro/internal/mpeg"
+	"repro/internal/obs"
+	"repro/internal/placement"
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -28,8 +32,6 @@ import (
 type (
 	// Server is a VoD server instance.
 	Server = server.Server
-	// ServerConfig configures a Server.
-	ServerConfig = server.Config
 	// Client is a VoD client instance.
 	Client = client.Client
 	// ClientConfig configures a Client.
@@ -40,10 +42,8 @@ type (
 	FlowParams = flowctl.Params
 )
 
-// NewServer creates a VoD server (call Start on it).
-func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
-
-// NewClient creates a VoD client (call Watch on it).
+// NewClient creates a VoD client (call Watch on it). Start from
+// Deployment.ClientConfig to get one wired to a deployment.
 func NewClient(cfg ClientConfig) (*Client, error) { return client.New(cfg) }
 
 // DefaultFlowParams returns the paper's prototype flow-control parameters.
@@ -71,6 +71,12 @@ type DeployOptions struct {
 	// Replicas is the replication factor k; each movie lands on k servers
 	// and tolerates k−1 failures (default: all servers).
 	Replicas int
+	// Ring places movies by consistent hashing over Servers instead of
+	// round-robin, and switches the deployment to two-tier membership
+	// (DESIGN §12): each movie group is scoped to its Replicas ring owners,
+	// and ClientConfig hands out leased clients whose Open anycast walks
+	// the movie's ring order.
+	Ring bool
 	// Directory, when set, is a CONGRESS directory address: servers
 	// register there and clients resolve the service through it.
 	Directory string
@@ -78,14 +84,36 @@ type DeployOptions struct {
 	Flow FlowParams
 	// SyncInterval overrides the state-sync period (default 500ms).
 	SyncInterval time.Duration
+	// MaxSessions, when positive, is every server's admission limit.
+	MaxSessions int
+	// Overload configures every server's class-aware overload control
+	// (off when zero).
+	Overload server.OverloadConfig
+	// Obs, when set, is asked once per node started — each server
+	// incarnation, each ClientConfig — for the registry that receives the
+	// node's counters and trace. Returning the same registry for an ID
+	// again accumulates across restarts.
+	Obs func(node string) *obs.Registry
+}
+
+// node is one server ID the deployment has ever started.
+type node struct {
+	id  string
+	srv *Server // nil while stopped
 }
 
 // Deployment is a running VoD service.
 type Deployment struct {
-	opts    DeployOptions
-	peers   []string
-	servers map[string]*Server
-	movies  map[string]*Movie
+	opts DeployOptions
+	// peers is the sorted contact list. Clients alias it read-only, so it
+	// is replaced, never modified in place.
+	peers  []string
+	ring   *placement.Ring // nil unless opts.Ring
+	movies map[string]*Movie
+	// nodes is sorted by ID and only grows: every walk over the servers —
+	// Stop, ServingServer, EachServer — sees them in the same order on
+	// every run.
+	nodes []node
 	// Placement maps movie ID to the servers holding it.
 	Placement map[string][]string
 }
@@ -106,39 +134,36 @@ func Deploy(opts DeployOptions) (*Deployment, error) {
 		opts.Replicas = len(opts.Servers)
 	}
 
+	peers := sortedUnion(opts.Servers, opts.ExtraPeers)
+	d := &Deployment{
+		opts:   opts,
+		peers:  peers,
+		movies: make(map[string]*Movie, len(opts.Movies)),
+		nodes:  make([]node, 0, len(peers)),
+	}
 	movieIDs := make([]string, 0, len(opts.Movies))
-	movies := make(map[string]*Movie, len(opts.Movies))
 	for _, m := range opts.Movies {
 		movieIDs = append(movieIDs, m.ID())
-		movies[m.ID()] = m
+		d.movies[m.ID()] = m
 	}
-	placement, err := store.Place(movieIDs, opts.Servers, opts.Replicas)
-	if err != nil {
-		return nil, fmt.Errorf("core: placing movies: %w", err)
-	}
-
-	peerSet := map[string]bool{}
-	for _, s := range opts.Servers {
-		peerSet[s] = true
-	}
-	for _, s := range opts.ExtraPeers {
-		peerSet[s] = true
-	}
-	peers := make([]string, 0, len(peerSet))
-	for s := range peerSet {
-		peers = append(peers, s)
-	}
-	sort.Strings(peers)
-
-	d := &Deployment{
-		opts:      opts,
-		peers:     peers,
-		servers:   make(map[string]*Server, len(opts.Servers)),
-		movies:    movies,
-		Placement: placement,
+	if opts.Ring {
+		d.ring = placement.New(placement.DefaultVNodes)
+		for _, id := range opts.Servers {
+			d.ring.Add(id)
+		}
+		d.Placement = make(map[string][]string, len(movieIDs))
+		for _, id := range movieIDs {
+			d.Placement[id] = d.ring.LookupN(id, opts.Replicas)
+		}
+	} else {
+		var err error
+		d.Placement, err = store.Place(movieIDs, opts.Servers, opts.Replicas)
+		if err != nil {
+			return nil, fmt.Errorf("core: placing movies: %w", err)
+		}
 	}
 	for _, id := range opts.Servers {
-		if err := d.startServer(id); err != nil {
+		if err := d.start(id, false); err != nil {
 			d.Stop()
 			return nil, err
 		}
@@ -146,24 +171,49 @@ func Deploy(opts DeployOptions) (*Deployment, error) {
 	return d, nil
 }
 
-func (d *Deployment) startServer(id string) error {
+func sortedUnion(a, b []string) []string {
+	out := append(slices.Clone(a), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// start builds and starts server id with the titles placed on it: in its
+// catalog, or — cold — in its fetch list with the catalog left empty.
+func (d *Deployment) start(id string, cold bool) error {
+	i, known := d.find(id)
+	if known && d.nodes[i].srv != nil {
+		return fmt.Errorf("core: server %s is already running", id)
+	}
 	cat := store.NewCatalog()
+	var fetch []string
 	for movieID, holders := range d.Placement {
-		for _, h := range holders {
-			if h == id {
-				cat.Add(d.movies[movieID])
-			}
+		switch {
+		case !slices.Contains(holders, id):
+		case cold:
+			fetch = append(fetch, movieID)
+		default:
+			cat.Add(d.movies[movieID])
 		}
+	}
+	slices.Sort(fetch)
+	if cold && len(fetch) == 0 {
+		return fmt.Errorf("core: no movie is placed on %s, nothing to restart", id)
 	}
 	s, err := server.New(server.Config{
 		ID:           id,
 		Clock:        d.opts.Clock,
 		Network:      d.opts.Network,
 		Catalog:      cat,
+		FetchMovies:  fetch,
 		Peers:        d.peers,
 		Directory:    d.opts.Directory,
+		MaxSessions:  d.opts.MaxSessions,
+		Overload:     d.opts.Overload,
+		Placement:    d.ring,
+		Replicas:     d.opts.Replicas,
 		Flow:         d.opts.Flow,
 		SyncInterval: d.opts.SyncInterval,
+		Obs:          d.registry(id),
 	})
 	if err != nil {
 		return fmt.Errorf("core: creating server %s: %w", id, err)
@@ -171,89 +221,125 @@ func (d *Deployment) startServer(id string) error {
 	if err := s.Start(); err != nil {
 		return fmt.Errorf("core: starting server %s: %w", id, err)
 	}
-	d.servers[id] = s
+	if !known {
+		d.nodes = slices.Insert(d.nodes, i, node{id: id})
+	}
+	d.nodes[i].srv = s
 	return nil
+}
+
+// registry asks the Obs hook, if any, for a node's registry.
+func (d *Deployment) registry(node string) *obs.Registry {
+	if d.opts.Obs == nil {
+		return nil
+	}
+	return d.opts.Obs(node)
+}
+
+func (d *Deployment) find(id string) (int, bool) {
+	return slices.BinarySearchFunc(d.nodes, id, func(n node, id string) int { return strings.Compare(n.id, id) })
 }
 
 // AddServer brings up an additional server holding every movie — the
 // load-balancing move of the paper ("new servers may be brought up on the
 // fly to alleviate the load on other servers").
 func (d *Deployment) AddServer(id string) error {
-	if _, ok := d.servers[id]; ok {
-		return fmt.Errorf("core: server %s already deployed", id)
+	if d.Server(id) != nil {
+		return fmt.Errorf("core: server %s is already running", id)
 	}
-	for movieID := range d.Placement {
-		if !contains(d.Placement[movieID], id) {
-			d.Placement[movieID] = append(d.Placement[movieID], id)
+	for movieID, holders := range d.Placement {
+		if !slices.Contains(holders, id) {
+			d.Placement[movieID] = append(holders, id)
 		}
 	}
-	if !contains(d.peers, id) {
-		d.peers = append(d.peers, id)
-		sort.Strings(d.peers)
+	if !slices.Contains(d.peers, id) {
+		d.peers = sortedUnion(d.peers, []string{id})
 	}
-	return d.startServer(id)
+	return d.start(id, false)
 }
+
+// RestartServer cold-starts a stopped server under its old identity: it
+// comes back with an empty catalog, fetches the titles placed on it from
+// whichever peers hold them, and joins each movie group as its title lands
+// — §7's "a new server can be brought up without any special preparations"
+// applied to crash recovery.
+func (d *Deployment) RestartServer(id string) error { return d.start(id, true) }
 
 // StopServer stops one server; peers detect the silence and migrate its
 // clients exactly as after a crash.
 func (d *Deployment) StopServer(id string) {
-	if s, ok := d.servers[id]; ok {
-		s.Stop()
-		delete(d.servers, id)
+	if i, ok := d.find(id); ok && d.nodes[i].srv != nil {
+		d.nodes[i].srv.Stop()
+		d.nodes[i].srv = nil
 	}
 }
 
 // Server returns a running server by ID (nil if not running).
-func (d *Deployment) Server(id string) *Server { return d.servers[id] }
+func (d *Deployment) Server(id string) *Server {
+	if i, ok := d.find(id); ok {
+		return d.nodes[i].srv
+	}
+	return nil
+}
+
+// EachServer calls f for every running server in ID order, without
+// allocating. f must not start or stop servers.
+func (d *Deployment) EachServer(f func(id string, s *Server)) {
+	for _, n := range d.nodes {
+		if n.srv != nil {
+			f(n.id, n.srv)
+		}
+	}
+}
 
 // ServerIDs returns the running servers' IDs, sorted.
 func (d *Deployment) ServerIDs() []string {
-	out := make([]string, 0, len(d.servers))
-	for id := range d.servers {
-		out = append(out, id)
-	}
-	sort.Strings(out)
+	out := make([]string, 0, len(d.nodes))
+	d.EachServer(func(id string, _ *Server) { out = append(out, id) })
 	return out
 }
 
-// Peers returns the full contact list (for clients).
-func (d *Deployment) Peers() []string { return append([]string(nil), d.peers...) }
+// Peers returns the full contact list, sorted. It is shared with every
+// client made from ClientConfig: read-only.
+func (d *Deployment) Peers() []string { return d.peers }
 
-// NewClient creates a client wired to this deployment's contact list.
-func (d *Deployment) NewClient(id string) (*Client, error) {
-	return client.New(client.Config{
+// ClientConfig returns the configuration of a client of this deployment:
+// its contact list, directory and flow parameters, and — on a ring
+// deployment — lease mode with the ring ordering the Open anycast. It is
+// returned by value for the caller to adjust (Class, Buffer, a narrower
+// Servers) before NewClient.
+func (d *Deployment) ClientConfig(id string) ClientConfig {
+	return ClientConfig{
 		ID:        id,
 		Clock:     d.opts.Clock,
 		Network:   d.opts.Network,
-		Servers:   d.Peers(),
+		Servers:   d.peers,
 		Directory: d.opts.Directory,
 		Flow:      d.opts.Flow,
-	})
+		Lease:     d.ring != nil,
+		Placement: d.ring,
+		Obs:       d.registry(id),
+	}
 }
 
+// NewClient creates a client of this deployment.
+func (d *Deployment) NewClient(id string) (*Client, error) { return NewClient(d.ClientConfig(id)) }
+
 // ServingServer returns which running server currently serves clientID
-// ("" if none) — handy for demos and assertions.
+// ("" if none; the lowest ID when a handoff has two claimants) — handy for
+// demos and assertions.
 func (d *Deployment) ServingServer(clientID string) string {
-	for id, s := range d.servers {
-		if s.HasSession(clientID) {
-			return id
+	for _, n := range d.nodes {
+		if n.srv != nil && n.srv.HasSession(clientID) {
+			return n.id
 		}
 	}
 	return ""
 }
 
-// Stop stops every server.
+// Stop stops every server, in ID order.
 func (d *Deployment) Stop() {
-	for id := range d.servers {
-		d.StopServer(id)
+	for _, n := range d.nodes {
+		d.StopServer(n.id)
 	}
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // detector is the process-level unreliable failure detector: every
-// HeartbeatInterval the process pings each peer of interest; a peer silent
-// for SuspectTimeout becomes suspected. Any inbound datagram counts as life,
+// heartbeatInterval the process pings each peer of interest; a peer silent
+// for suspectTimeout becomes suspected. Any inbound datagram counts as life,
 // so heartbeats only add traffic on otherwise idle links. The paper requires
 // exactly this: "a (possibly unreliable) failure detection mechanism".
 //
@@ -123,7 +123,7 @@ func (d *detector) checkLocked() []ProcessID {
 		if d.suspected[id] {
 			continue
 		}
-		if now.Sub(t) >= d.p.cfg.SuspectTimeout {
+		if now.Sub(t) >= suspectTimeout {
 			d.suspected[id] = true
 			newly = append(newly, id)
 		}

@@ -93,7 +93,7 @@ func (m *Member) startProposalLocked(cb *callbacks) {
 		cutDone:    make([]bool, len(candidates)),
 	}
 	m.prop = pr
-	pr.timer = m.p.cfg.Clock.AfterFunc(m.p.cfg.ProposalTimeout, func() { m.proposalTimeout(pid) })
+	pr.timer = m.p.cfg.Clock.AfterFunc(proposalTimeout, func() { m.proposalTimeout(pid) })
 
 	msg := &msgPropose{group: m.group, pid: pid, candidates: candidates}
 	pkt := encodePropose(msg)
@@ -134,7 +134,7 @@ func (m *Member) proposalTimeout(pid proposalID) {
 			}
 			_ = m.p.cfg.Endpoint.Send(pr.candidates[r], pkt)
 		}
-		pr.timer = m.p.cfg.Clock.AfterFunc(m.p.cfg.ProposalTimeout, func() { m.proposalTimeout(pid) })
+		pr.timer = m.p.cfg.Clock.AfterFunc(proposalTimeout, func() { m.proposalTimeout(pid) })
 	} else {
 		// Give up on the laggards: suspect them so the candidate
 		// computation excludes them, and restart the view change.
@@ -239,7 +239,7 @@ func (m *Member) onSyncInfoLocked(from ProcessID, msg *msgSyncInfo, cb *callback
 		pr.timer.Stop()
 	}
 	pid := pr.pid
-	pr.timer = m.p.cfg.Clock.AfterFunc(m.p.cfg.ProposalTimeout, func() { m.proposalTimeout(pid) })
+	pr.timer = m.p.cfg.Clock.AfterFunc(proposalTimeout, func() { m.proposalTimeout(pid) })
 
 	for r, id := range pr.candidates {
 		targets, _ := pr.cutFor(pr.syncInfos[r].oldView)
@@ -481,9 +481,9 @@ func (m *Member) flushTickLocked(cb *callbacks) {
 	// common view.
 	stallFor := m.p.cfg.Clock.Now().Sub(m.flushHeard)
 	switch {
-	case stallFor > 3*m.p.cfg.ProposalTimeout && m.isActingCoordinatorLocked() && m.prop == nil:
+	case stallFor > 3*proposalTimeout && m.isActingCoordinatorLocked() && m.prop == nil:
 		m.startProposalLocked(cb)
-	case stallFor > 8*m.p.cfg.ProposalTimeout && m.prop == nil:
+	case stallFor > 8*proposalTimeout && m.prop == nil:
 		m.flushHeard = m.p.cfg.Clock.Now() // pace the escalation
 		m.startProposalLocked(cb)
 	}

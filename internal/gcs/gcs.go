@@ -90,8 +90,7 @@ type Handlers struct {
 	OnMessage func(group string, from ProcessID, payload []byte)
 }
 
-// Config configures a Process. Zero-valued durations take the defaults
-// noted on each field; Clock and Endpoint are required.
+// Config configures a Process; Clock and Endpoint are required.
 type Config struct {
 	Clock    clock.Clock
 	Endpoint transport.Endpoint
@@ -99,42 +98,33 @@ type Config struct {
 	// Obs, when set, receives the process's gcs.* counters and trace
 	// events (view changes, suspicions, NAK/retransmission activity).
 	Obs *obs.Registry
-
-	// HeartbeatInterval is the failure-detector ping period (default 100ms).
-	HeartbeatInterval time.Duration
-	// SuspectTimeout is how long a silent peer stays unsuspected (default
-	// 500ms). With the paper's parameters this dominates takeover time.
-	SuspectTimeout time.Duration
-	// AckInterval is the stability-gossip period (default 200ms).
-	AckInterval time.Duration
-	// RetransmitInterval is the NAK retry period (default 50ms).
-	RetransmitInterval time.Duration
-	// PresenceInterval is the join/merge announcement period (default 250ms).
-	PresenceInterval time.Duration
-	// ProposalTimeout bounds each view-change phase (default 300ms).
-	ProposalTimeout time.Duration
 }
 
-func (c *Config) fillDefaults() {
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 100 * time.Millisecond
-	}
-	if c.SuspectTimeout <= 0 {
-		c.SuspectTimeout = 500 * time.Millisecond
-	}
-	if c.AckInterval <= 0 {
-		c.AckInterval = 200 * time.Millisecond
-	}
-	if c.RetransmitInterval <= 0 {
-		c.RetransmitInterval = 50 * time.Millisecond
-	}
-	if c.PresenceInterval <= 0 {
-		c.PresenceInterval = 250 * time.Millisecond
-	}
-	if c.ProposalTimeout <= 0 {
-		c.ProposalTimeout = 300 * time.Millisecond
-	}
-}
+// The protocol's timing. No caller ever tuned these, so they are constants.
+const (
+	// heartbeatInterval is the failure-detector ping period.
+	heartbeatInterval = 100 * time.Millisecond
+	// suspectTimeout is how long a silent peer stays unsuspected. With the
+	// paper's parameters this dominates takeover time.
+	suspectTimeout = 500 * time.Millisecond
+	// ackInterval is the stability-gossip period.
+	ackInterval = 200 * time.Millisecond
+	// retransmitInterval is the NAK retry period.
+	retransmitInterval = 50 * time.Millisecond
+	// presenceInterval is the join/merge announcement period.
+	presenceInterval = 250 * time.Millisecond
+	// proposalTimeout bounds each view-change phase.
+	proposalTimeout = 300 * time.Millisecond
+
+	// tickBase is the period of a process's one ticker, the greatest
+	// common divisor of the four periodic intervals; a duty runs on the
+	// ticks its divisor divides.
+	tickBase   = 50 * time.Millisecond
+	hbDiv      = uint64(heartbeatInterval / tickBase)
+	ackDiv     = uint64(ackInterval / tickBase)
+	retransDiv = uint64(retransmitInterval / tickBase)
+	presDiv    = uint64(presenceInterval / tickBase)
+)
 
 var (
 	// ErrClosed is returned by operations on a closed Process or a left
@@ -184,18 +174,17 @@ type Process struct {
 	// under another process's p.mu, so the nested lock order is one-way.
 	sendBuf []byte
 
-	// ticker is the process's one standing timer: it ticks at the gcd of
-	// the four periodic intervals, and each duty — the failure-detector
-	// heartbeat plus every membership's ack, retransmit and presence gossip
-	// — runs when tickCount is divisible by its divisor, so a server in 50
-	// groups holds one timer, not 151. tickCount is guarded by p.mu;
-	// tickScratch is a snapshot consumed outside the lock (member ticks
-	// relock p.mu themselves), distinct from mScratch, whose contract ends
-	// when the lock is released.
-	ticker                             *clock.Periodic
-	tickCount                          uint64
-	hbDiv, ackDiv, retransDiv, presDiv uint64
-	tickScratch                        []*Member
+	// ticker is the process's one standing timer: it ticks every tickBase,
+	// and each duty — the failure-detector heartbeat plus every
+	// membership's ack, retransmit and presence gossip — runs when
+	// tickCount is divisible by its divisor, so a server in 50 groups holds
+	// one timer, not 151. tickCount is guarded by p.mu; tickScratch is a
+	// snapshot consumed outside the lock (member ticks relock p.mu
+	// themselves), distinct from mScratch, whose contract ends when the
+	// lock is released.
+	ticker      *clock.Periodic
+	tickCount   uint64
+	tickScratch []*Member
 }
 
 // maxBufFree bounds the payload free list (across all classes) so a burst
@@ -290,7 +279,6 @@ type procCounters struct {
 // NewProcess creates a Process on cfg.Endpoint and starts its failure
 // detector. The caller must eventually Close it.
 func NewProcess(cfg Config) *Process {
-	cfg.fillDefaults()
 	p := &Process{
 		cfg:     cfg,
 		id:      cfg.Endpoint.Addr(),
@@ -305,23 +293,8 @@ func NewProcess(cfg Config) *Process {
 	}
 	p.fd = newDetector(p)
 	cfg.Endpoint.SetHandler(p.onPacket)
-	base := gcdDur(gcdDur(cfg.HeartbeatInterval, cfg.AckInterval),
-		gcdDur(cfg.RetransmitInterval, cfg.PresenceInterval))
-	p.hbDiv = uint64(cfg.HeartbeatInterval / base)
-	p.ackDiv = uint64(cfg.AckInterval / base)
-	p.retransDiv = uint64(cfg.RetransmitInterval / base)
-	p.presDiv = uint64(cfg.PresenceInterval / base)
-	p.ticker = clock.Every(cfg.Clock, base, p.tick)
+	p.ticker = clock.Every(cfg.Clock, tickBase, p.tick)
 	return p
-}
-
-// gcdDur is the greatest common divisor of two positive durations — the
-// base period of the process's ticker.
-func gcdDur(a, b time.Duration) time.Duration {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 // tick is one beat of the process's ticker. Duties run in a fixed order at
@@ -336,7 +309,7 @@ func (p *Process) tick() {
 	p.tickCount++
 	n := p.tickCount
 	var run []*Member
-	if n%p.ackDiv == 0 || n%p.retransDiv == 0 || n%p.presDiv == 0 {
+	if n%ackDiv == 0 || n%retransDiv == 0 || n%presDiv == 0 {
 		// Snapshot into the dedicated scratch: member ticks retake p.mu
 		// themselves, so the snapshot outlives this critical section (which
 		// mScratch must not), and each tick self-guards on m.active if a
@@ -345,17 +318,17 @@ func (p *Process) tick() {
 		p.tickScratch = run
 	}
 	p.mu.Unlock()
-	if n%p.hbDiv == 0 {
+	if n%hbDiv == 0 {
 		p.heartbeatTick()
 	}
 	for _, m := range run {
-		if n%p.ackDiv == 0 {
+		if n%ackDiv == 0 {
 			m.ackTick()
 		}
-		if n%p.retransDiv == 0 {
+		if n%retransDiv == 0 {
 			m.retransTick()
 		}
-		if n%p.presDiv == 0 {
+		if n%presDiv == 0 {
 			m.presenceTick()
 		}
 	}

@@ -310,7 +310,7 @@ func (m *Member) Leave() error {
 		m.p.mu.Unlock()
 		return nil
 	}
-	grace := m.p.cfg.SuspectTimeout + 4*m.p.cfg.ProposalTimeout
+	grace := suspectTimeout + 4*proposalTimeout
 	m.leaveTimer = m.p.cfg.Clock.AfterFunc(grace, func() {
 		m.p.mu.Lock()
 		m.deactivateLocked()
@@ -565,7 +565,7 @@ func (m *Member) onPresenceLocked(from ProcessID, msg *msgPresence) {
 	if m.view.Includes(from) && msg.view != m.view.ID && m.status == statusNormal {
 		m.onDivergentTrafficLocked(from, msg.view)
 	}
-	expiry := m.p.cfg.Clock.Now().Add(2 * m.p.cfg.SuspectTimeout)
+	expiry := m.p.cfg.Clock.Now().Add(2 * suspectTimeout)
 	for _, id := range append([]ProcessID{from}, msg.members...) {
 		if id == m.p.id || m.view.Includes(id) {
 			continue
@@ -601,7 +601,7 @@ func (m *Member) onDivergentTrafficLocked(from ProcessID, _ ViewID) {
 	if !m.view.Includes(from) {
 		// Traffic from a non-member whose view differs: treat the sender
 		// as foreign so the merge machinery picks it up.
-		m.foreign[from] = m.p.cfg.Clock.Now().Add(2 * m.p.cfg.SuspectTimeout)
+		m.foreign[from] = m.p.cfg.Clock.Now().Add(2 * suspectTimeout)
 		if m.isActingCoordinatorLocked() {
 			m.scheduleProposalLocked()
 		}

@@ -37,8 +37,9 @@ const (
 	KindAck   byte = 0x12 // server -> client: lease confirmed for TTL
 )
 
-// DefaultTTL is the lease lifetime when the deployment doesn't pick
-// one. Renewals go out every TTL/3, so two may be lost before expiry.
+// DefaultTTL is the lifetime servers grant to client leases. A leased client
+// renews over direct datagrams every TTL/3, so two renewals may be lost
+// before the lease lapses and the session is torn down as departed.
 const DefaultTTL = 2 * time.Second
 
 var errKind = errors.New("lease: wrong kind byte")

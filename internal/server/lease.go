@@ -20,7 +20,7 @@ import (
 // s.mu.
 func (s *Server) leasesLocked() *lease.Table {
 	if s.leases == nil {
-		s.leases = lease.NewTable(s.cfg.Clock, s.cfg.LeaseTTL, s.onLeaseExpire)
+		s.leases = lease.NewTable(s.cfg.Clock, lease.DefaultTTL, s.onLeaseExpire)
 	}
 	return s.leases
 }

@@ -97,11 +97,6 @@ type Config struct {
 	// Replicas is the number of ring owners per movie when Placement is
 	// set (default 2) — the movie group size, hence the failure budget.
 	Replicas int
-	// LeaseTTL is the lifetime granted to client leases (default
-	// lease.DefaultTTL). A leased client renews over direct datagrams and
-	// detaches from group membership entirely; when its lease lapses the
-	// session is torn down as departed.
-	LeaseTTL time.Duration
 	// Flow is the flow-control parameter set (DefaultParams if zero).
 	Flow flowctl.Params
 	// SyncInterval is the state-sync period on movie groups (default
@@ -129,11 +124,10 @@ type Config struct {
 //     best-effort Opens are refused with a Retry-After hint;
 //  4. refuse reserved Opens: only at MaxSessions — truly full.
 type OverloadConfig struct {
-	// ShapeRate is the egress token-bucket refill rate in bytes/s. Zero
-	// disables shaping (rungs 1–3 can still act on session counts).
+	// ShapeRate is the egress token-bucket refill rate in bytes/s; the
+	// bucket is a quarter second of it deep. Zero disables shaping (rungs
+	// 1–3 can still act on session counts).
 	ShapeRate int64
-	// ShapeBurst is the bucket depth in bytes (default ShapeRate/4).
-	ShapeBurst int64
 	// BestEffortSessions is the total session count at which new
 	// best-effort Opens are refused. Zero means best-effort admits up to
 	// MaxSessions like everyone else.
@@ -164,7 +158,7 @@ func (oc *OverloadConfig) fillDefaults() error {
 		oc.RetryAfter = time.Second
 	}
 	if oc.ShapeRate > 0 {
-		p := flowctl.ShaperParams{Rate: oc.ShapeRate, Burst: oc.ShapeBurst}
+		p := flowctl.ShaperParams{Rate: oc.ShapeRate}
 		if err := p.Validate(); err != nil {
 			return err
 		}
@@ -181,9 +175,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 2
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = lease.DefaultTTL
 	}
 	if c.Flow.CombinedCapacity == 0 {
 		c.Flow = flowctl.DefaultParams()
@@ -382,10 +373,7 @@ func New(cfg Config) (*Server, error) {
 			s.beCapacityMsg = fmt.Sprintf("server %s best-effort capacity (%d sessions)", cfg.ID, be)
 		}
 		if cfg.Overload.ShapeRate > 0 {
-			s.shaper = flowctl.NewShaper(cfg.Clock.Now, flowctl.ShaperParams{
-				Rate:  cfg.Overload.ShapeRate,
-				Burst: cfg.Overload.ShapeBurst,
-			})
+			s.shaper = flowctl.NewShaper(cfg.Clock.Now, flowctl.ShaperParams{Rate: cfg.Overload.ShapeRate})
 		}
 	}
 	return s, nil
@@ -837,7 +825,7 @@ func (s *Server) handleOpen(e *openEvent) {
 	}
 	ttlMs := uint32(0)
 	if open.Lease {
-		ttlMs = uint32(s.cfg.LeaseTTL.Milliseconds())
+		ttlMs = uint32(lease.DefaultTTL.Milliseconds())
 	}
 	s.mu.Unlock()
 	if group == "" { // served elsewhere: no local session to borrow from

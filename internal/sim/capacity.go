@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
-	"repro/internal/server"
-	"repro/internal/store"
 )
 
 // TableCapacity measures how many concurrent viewers one server's uplink
@@ -73,8 +71,7 @@ type capacityResult struct {
 // layout: the live clients in one dense slice, and the per-viewer counters
 // gathered into parallel columns at harvest time. Classification then scans
 // three flat uint64 columns instead of chasing a thousand client pointers
-// (each behind a mutex) per predicate, and the columns are reused across a
-// sweep's load points via reset.
+// (each behind a mutex) per predicate.
 type viewerSet struct {
 	clients   []*client.Client
 	displayed []uint64
@@ -82,11 +79,11 @@ type viewerSet struct {
 	maxStall  []uint64
 }
 
-func (vs *viewerSet) reset() {
-	vs.clients = vs.clients[:0]
-	vs.displayed = vs.displayed[:0]
-	vs.stalls = vs.stalls[:0]
-	vs.maxStall = vs.maxStall[:0]
+// close closes every viewer.
+func (vs *viewerSet) close() {
+	for _, c := range vs.clients {
+		c.Close()
+	}
 }
 
 // harvest snapshots every viewer's counters into the columns — one locked
@@ -127,55 +124,25 @@ func (vs *viewerSet) classify(expected uint64) capacityResult {
 // 30-second movie and classifies each viewer's playback quality against
 // what a healthy session would have displayed.
 func capacityTrial(seed int64, movie *mpeg.Movie, n, maxSessions int) capacityResult {
-	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	net := netsim.New(clk, seed, netsim.LAN())
-	net.SetEgressLimit("server-1", 100*1000*1000/8)
-
-	cat := store.NewCatalog()
-	cat.Add(movie)
-	srv, err := server.New(server.Config{
-		ID:          "server-1",
-		Clock:       clk,
-		Network:     net,
-		Catalog:     cat,
-		Peers:       []string{"server-1"},
+	rt := newWorld(seed, netsim.LAN())
+	rt.Net.SetEgressLimit("server-1", 100*1000*1000/8)
+	rt.deploy(core.DeployOptions{
+		Servers:     []string{"server-1"},
+		Movies:      []*mpeg.Movie{movie},
 		MaxSessions: maxSessions,
 	})
-	if err != nil {
-		panic(err)
-	}
-	defer srv.Stop()
-	if err := srv.Start(); err != nil {
-		panic(err)
-	}
-	clk.Advance(500 * time.Millisecond)
+	defer rt.Stop()
+	rt.Clk.Advance(500 * time.Millisecond)
 
 	var vs viewerSet
-	vs.reset()
-	defer func() {
-		for _, c := range vs.clients {
-			c.Close()
-		}
-	}()
+	defer vs.close()
 	for i := 0; i < n; i++ {
-		c, err := client.New(client.Config{
-			ID:      fmt.Sprintf("viewer-%03d", i),
-			Clock:   clk,
-			Network: net,
-			Servers: []string{"server-1"},
-		})
-		if err != nil {
-			panic(err)
-		}
-		if err := c.Watch(movie.ID()); err != nil {
-			c.Close()
-			panic(err)
-		}
-		vs.clients = append(vs.clients, c)
-		clk.Advance(50 * time.Millisecond) // staggered arrivals
+		cfg := rt.ClientConfig(fmt.Sprintf("viewer-%03d", i))
+		vs.clients = append(vs.clients, rt.watch(cfg, movie.ID()))
+		rt.Clk.Advance(50 * time.Millisecond) // staggered arrivals
 	}
 	watch := 28 * time.Second
-	clk.Advance(watch)
+	rt.Clk.Advance(watch)
 
 	expected := uint64(watch/time.Second) * 30 * 9 / 10 // minus startup slack
 	vs.harvest()

@@ -5,11 +5,10 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
 	"repro/internal/server"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -108,72 +107,30 @@ type OverloadResult struct {
 // is seeded; the same seed gives a byte-identical run.
 func OverloadTrial(cfg OverloadConfig) OverloadResult {
 	cfg.fillDefaults()
-	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	net := netsim.New(clk, cfg.Seed, netsim.LAN())
-	net.SetEgressLimit("server-1", 100*1000*1000/8)
-	net.SetEgressLimit("server-2", 100*1000*1000/8)
+	rt := newWorld(cfg.Seed, netsim.LAN())
+	rt.Net.SetEgressLimit("server-1", 100*1000*1000/8)
+	rt.Net.SetEgressLimit("server-2", 100*1000*1000/8)
 
 	movie := mpeg.Generate("feature", mpeg.StreamConfig{Duration: 30 * time.Second, Seed: cfg.Seed})
-	peers := []string{"server-1", "server-2"}
-	overload := server.OverloadConfig{
-		ShapeRate:          cfg.ShapeRate,
-		BestEffortSessions: cfg.BestEffortSessions,
-		DegradeSessions:    cfg.DegradeSessions,
-	}
-	var retired server.Stats
-	startServer := func(id string, withMovie bool) *server.Server {
-		cat := store.NewCatalog()
-		sc := server.Config{
-			ID:          id,
-			Clock:       clk,
-			Network:     net,
-			Catalog:     cat,
-			Peers:       peers,
-			MaxSessions: cfg.MaxSessions,
-			Overload:    overload,
-		}
-		if withMovie {
-			cat.Add(movie)
-		} else {
-			sc.FetchMovies = []string{movie.ID()}
-		}
-		srv, err := server.New(sc)
-		if err != nil {
-			panic(err)
-		}
-		if err := srv.Start(); err != nil {
-			panic(err)
-		}
-		return srv
-	}
-	servers := map[string]*server.Server{
-		"server-1": startServer("server-1", true),
-		"server-2": startServer("server-2", true),
-	}
-	defer func() {
-		for _, s := range servers {
-			s.Stop()
-		}
-	}()
-	clk.Advance(500 * time.Millisecond)
+	rt.deploy(core.DeployOptions{
+		Servers:     []string{"server-1", "server-2"},
+		Movies:      []*mpeg.Movie{movie},
+		MaxSessions: cfg.MaxSessions,
+		Overload: server.OverloadConfig{
+			ShapeRate:          cfg.ShapeRate,
+			BestEffortSessions: cfg.BestEffortSessions,
+			DegradeSessions:    cfg.DegradeSessions,
+		},
+	})
+	defer rt.Stop()
+	rt.Clk.Advance(500 * time.Millisecond)
 
 	// Both fleets contact only server-1 — server-2 is the takeover peer.
+	primary := []string{"server-1"}
 	newViewer := func(id string, class wire.Class) *client.Client {
-		c, err := client.New(client.Config{
-			ID:      id,
-			Clock:   clk,
-			Network: net,
-			Servers: []string{"server-1"},
-			Class:   class,
-		})
-		if err != nil {
-			panic(err)
-		}
-		if err := c.Watch(movie.ID()); err != nil {
-			c.Close()
-			panic(err)
-		}
-		return c
+		cc := rt.ClientConfig(id)
+		cc.Servers, cc.Class = primary, class
+		return rt.watch(cc, movie.ID())
 	}
 	var reserved, bestEffort []*client.Client
 	defer func() {
@@ -186,69 +143,57 @@ func OverloadTrial(cfg OverloadConfig) OverloadResult {
 	}()
 
 	// t≈1s: reserved viewers settle in, comfortably under every rung.
-	clk.Advance(500 * time.Millisecond)
+	rt.Clk.Advance(500 * time.Millisecond)
 	for i := 0; i < cfg.Reserved; i++ {
 		reserved = append(reserved, newViewer(fmt.Sprintf("res-%02d", i), wire.ClassReserved))
-		clk.Advance(100 * time.Millisecond)
+		rt.Clk.Advance(100 * time.Millisecond)
 	}
 
 	// t≈6s: the flash crowd bursts onto the same title.
-	advanceTo(clk, 6*time.Second)
+	rt.advanceTo(6 * time.Second)
 	for i := 0; i < cfg.BestEffort; i++ {
 		bestEffort = append(bestEffort, newViewer(fmt.Sprintf("be-%02d", i), wire.ClassBestEffort))
-		clk.Advance(5 * time.Millisecond)
+		rt.Clk.Advance(5 * time.Millisecond)
 	}
 
 	// t=10s: loss burst on every link.
-	advanceTo(clk, 10*time.Second)
-	net.SetExtraLoss(cfg.LossRate)
-	clk.Advance(cfg.LossDur)
-	net.SetExtraLoss(0)
+	rt.advanceTo(10 * time.Second)
+	rt.Net.SetExtraLoss(cfg.LossRate)
+	rt.Clk.Advance(cfg.LossDur)
+	rt.Net.SetExtraLoss(0)
 
 	if cfg.Restart {
 		// t=14s: the primary dies with the full crowd on it; the peer
 		// adopts every session (takeover bypasses admission). t=17s: cold
 		// restart with an empty catalog — refetch, rejoin, redistribution
 		// deals the clients back.
-		advanceTo(clk, 14*time.Second)
-		s1 := servers["server-1"]
-		retired = addStats(retired, s1.Stats())
-		s1.Stop()
-		net.Crash("server-1")
-		delete(servers, "server-1")
-		advanceTo(clk, 17*time.Second)
-		servers["server-1"] = startServer("server-1", false)
+		rt.advanceTo(14 * time.Second)
+		if err := rt.CrashServer("server-1"); err != nil {
+			panic(err)
+		}
+		rt.advanceTo(17 * time.Second)
+		if err := rt.RestartServer("server-1"); err != nil {
+			panic(err)
+		}
 	}
 
 	// t=24s: post-disruption probe for the no-deadlock check.
-	advanceTo(clk, 24*time.Second)
+	rt.advanceTo(24 * time.Second)
 	var probe uint64
 	for _, c := range bestEffort {
 		probe += c.Counters().Displayed
 	}
 
 	// Run long enough for the flash crowd to reach the end of the title.
-	advanceTo(clk, 40*time.Second)
+	rt.advanceTo(40 * time.Second)
 
 	res := OverloadResult{BestEffortProbe: probe}
 	res.Reserved = harvestClass(reserved)
 	res.BestEffort = harvestClass(bestEffort)
-	res.Stats = retired
-	for _, id := range []string{"server-1", "server-2"} {
-		if s := servers[id]; s != nil {
-			res.Stats = addStats(res.Stats, s.Stats())
-		}
+	for _, st := range rt.lifetimeStats() {
+		res.Stats = addStats(res.Stats, st)
 	}
 	return res
-}
-
-// advanceTo advances the virtual clock to the given offset from the trial
-// epoch (no-op when already past it).
-func advanceTo(clk *clock.Virtual, offset time.Duration) {
-	target := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Add(offset)
-	if d := target.Sub(clk.Now()); d > 0 {
-		clk.Advance(d)
-	}
 }
 
 func harvestClass(fleet []*client.Client) ClassOutcome {

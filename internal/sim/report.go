@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/buffer"
-	"repro/internal/clock"
 	"repro/internal/flowctl"
 	"repro/internal/metrics"
 	"repro/internal/mpeg"
@@ -391,8 +390,8 @@ func verdict(ok bool) string {
 // tigerTrial runs a 90s Tiger stream, crashing the given cubs at 20s and
 // 40s, and returns (frames lost, frames displayed).
 func tigerTrial(seed int64, crashes []string) (lost, displayed uint64) {
-	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	net := netsim.New(clk, seed, netsim.LAN())
+	world := newWorld(seed, netsim.LAN())
+	clk, net := world.Clk, world.Net
 	movie := mpeg.Generate("striped", mpeg.StreamConfig{Seed: seed})
 	svc, err := tiger.New(tiger.Config{
 		Clock:   clk,

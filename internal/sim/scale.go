@@ -5,13 +5,9 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/client"
-	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
-	"repro/internal/placement"
-	"repro/internal/server"
-	"repro/internal/store"
 	"repro/internal/transport"
 )
 
@@ -64,17 +60,7 @@ func tableScale(seed int64, points []scalePoint) Table {
 		return scaleTrial(seed, titles[:points[i].servers], points[i].viewers)
 	})
 	for i, p := range points {
-		res := trials[i]
-		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(p.servers),
-			strconv.Itoa(p.viewers),
-			strconv.Itoa(p.servers),
-			strconv.Itoa(res.healthy),
-			strconv.Itoa(res.starved),
-			fmt.Sprintf("%.1f", res.stallsPerHealthy),
-			strconv.FormatUint(res.worstFreeze, 10),
-			fmt.Sprintf("%.2f", res.opensPerViewer),
-		})
+		t.Rows = append(t.Rows, trials[i].row(p))
 	}
 	return t
 }
@@ -82,6 +68,19 @@ func tableScale(seed int64, points []scalePoint) Table {
 type scaleResult struct {
 	capacityResult
 	opensPerViewer float64 // 1.00 when every Open lands on the ring owner first
+}
+
+func (res scaleResult) row(p scalePoint) []string {
+	return []string{
+		strconv.Itoa(p.servers),
+		strconv.Itoa(p.viewers),
+		strconv.Itoa(p.servers),
+		strconv.Itoa(res.healthy),
+		strconv.Itoa(res.starved),
+		fmt.Sprintf("%.1f", res.stallsPerHealthy),
+		strconv.FormatUint(res.worstFreeze, 10),
+		fmt.Sprintf("%.2f", res.opensPerViewer),
+	}
 }
 
 // scaleMovieLen keeps a 10,000-stream trial inside the CI budget: each
@@ -102,95 +101,21 @@ func scaleTitles(seed int64, n int) []*mpeg.Movie {
 	return movies
 }
 
-// scaleTrial runs nViewers leased viewers against one server per movie, all
-// sharing one consistent-hash ring. Each title is stocked only on its arc's
-// Replicas owners; each server joins movie groups solely for the titles it
-// holds, so group size stays at Replicas while the cluster grows. Viewers
-// attach by lease (no session groups at all) with the ring ordering their
-// anycast, arrivals spread over the first two seconds.
+// scaleTrial runs nViewers viewers against a ring deployment of one server
+// per movie: each title is stocked only on its arc's two owners and each
+// server joins movie groups solely for the titles it holds, so group size
+// stays at two while the cluster grows. Viewers attach by lease (no session
+// groups at all) with the ring ordering their anycast, arrivals spread over
+// the first two seconds.
 func scaleTrial(seed int64, movies []*mpeg.Movie, nViewers int) scaleResult {
-	const replicas = 2
-	nServers := len(movies)
-	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	net := netsim.New(clk, seed, netsim.LAN())
+	rt, vs := runScale(seed, movies, nViewers)
+	defer rt.Stop()
+	defer vs.close()
+	return vs.scaleResult()
+}
 
-	ring := placement.New(placement.DefaultVNodes)
-	serverIDs := make([]string, nServers)
-	for i := range serverIDs {
-		serverIDs[i] = fmt.Sprintf("server-%02d", i)
-		ring.Add(serverIDs[i])
-		// 1 Gbps per server: ~200 streams/server at the headline row needs
-		// ~280 Mbps, so egress is provisioned, not the bottleneck — the
-		// table measures the control plane, not the NIC.
-		net.SetEgressLimit(transport.Addr(serverIDs[i]), 1000*1000*1000/8)
-	}
-
-	// Each title lives only on its arc's owners.
-	catalogs := make(map[string]*store.Catalog, nServers)
-	for _, id := range serverIDs {
-		catalogs[id] = store.NewCatalog()
-	}
-	for _, movie := range movies {
-		for _, owner := range ring.LookupN(movie.ID(), replicas) {
-			catalogs[owner].Add(movie)
-		}
-	}
-
-	servers := make([]*server.Server, 0, nServers)
-	defer func() {
-		for _, s := range servers {
-			s.Stop()
-		}
-	}()
-	for _, id := range serverIDs {
-		srv, err := server.New(server.Config{
-			ID:        id,
-			Clock:     clk,
-			Network:   net,
-			Catalog:   catalogs[id],
-			Peers:     serverIDs,
-			Placement: ring,
-			Replicas:  replicas,
-		})
-		if err != nil {
-			panic(err)
-		}
-		if err := srv.Start(); err != nil {
-			panic(err)
-		}
-		servers = append(servers, srv)
-	}
-	clk.Advance(2 * time.Second) // server core + movie groups converge
-
-	var vs viewerSet
-	vs.reset()
-	defer func() {
-		for _, c := range vs.clients {
-			c.Close()
-		}
-	}()
-	arrivalGap := 2 * time.Second / time.Duration(nViewers)
-	for i := 0; i < nViewers; i++ {
-		c, err := client.New(client.Config{
-			ID:        fmt.Sprintf("viewer-%05d", i),
-			Clock:     clk,
-			Network:   net,
-			Servers:   serverIDs,
-			Lease:     true,
-			Placement: ring,
-		})
-		if err != nil {
-			panic(err)
-		}
-		if err := c.Watch(movies[i%len(movies)].ID()); err != nil {
-			c.Close()
-			panic(err)
-		}
-		vs.clients = append(vs.clients, c)
-		clk.Advance(arrivalGap)
-	}
-	clk.Advance(scaleMovieLen + 2*time.Second) // play out + drain
-
+// scaleResult harvests and classifies the played-out viewers of a trial.
+func (vs *viewerSet) scaleResult() scaleResult {
 	expected := uint64(scaleMovieLen/time.Second) * 30 * 9 / 10
 	vs.harvest()
 	var opens uint64
@@ -199,6 +124,32 @@ func scaleTrial(seed int64, movies []*mpeg.Movie, nViewers int) scaleResult {
 	}
 	return scaleResult{
 		capacityResult: vs.classify(expected),
-		opensPerViewer: float64(opens) / float64(nViewers),
+		opensPerViewer: float64(opens) / float64(len(vs.clients)),
 	}
+}
+
+// runScale builds the trial's cluster and plays every viewer out; the caller
+// reads the world it returns and tears it down (viewers first).
+func runScale(seed int64, movies []*mpeg.Movie, nViewers int) (*Runtime, *viewerSet) {
+	rt := newWorld(seed, netsim.LAN())
+	serverIDs := make([]string, len(movies))
+	for i := range serverIDs {
+		serverIDs[i] = fmt.Sprintf("server-%02d", i)
+		// 1 Gbps per server: ~200 streams/server at the headline row needs
+		// ~280 Mbps, so egress is provisioned, not the bottleneck — the
+		// table measures the control plane, not the NIC.
+		rt.Net.SetEgressLimit(transport.Addr(serverIDs[i]), 1000*1000*1000/8)
+	}
+	rt.deploy(core.DeployOptions{Servers: serverIDs, Movies: movies, Replicas: 2, Ring: true})
+	rt.Clk.Advance(2 * time.Second) // server core + movie groups converge
+
+	vs := &viewerSet{}
+	arrivalGap := 2 * time.Second / time.Duration(nViewers)
+	for i := 0; i < nViewers; i++ {
+		cfg := rt.ClientConfig(fmt.Sprintf("viewer-%05d", i))
+		vs.clients = append(vs.clients, rt.watch(cfg, movies[i%len(movies)].ID()))
+		rt.Clk.Advance(arrivalGap)
+	}
+	rt.Clk.Advance(scaleMovieLen + 2*time.Second) // play out + drain
+	return rt, vs
 }

@@ -1,25 +1,26 @@
-// Package sim is the experiment harness: it assembles whole VoD clusters
-// (servers, clients, simulated network, virtual clock), runs the scripted
-// scenarios of the paper's evaluation, and samples every quantity the
-// figures plot. A 90-second scenario executes in milliseconds and is
-// exactly reproducible from its seed.
+// Package sim is the experiment harness: it puts a core.Deployment on a
+// virtual clock and a simulated network, runs the scripted scenarios of the
+// paper's evaluation against it, and samples every quantity the figures
+// plot. A 90-second scenario executes in milliseconds and is exactly
+// reproducible from its seed.
 package sim
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/client"
 	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/flowctl"
 	"repro/internal/metrics"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/store"
 	"repro/internal/transport"
 )
 
@@ -55,9 +56,9 @@ type Scenario struct {
 	// once and hands it to each, so they share one immutable Movie and the
 	// packet table behind it. Run generates the movie itself when nil.
 	Feature *mpeg.Movie
-	// Servers are started at time zero. Peers lists every server that may
-	// ever exist (defaults to Servers plus any AddServer targets used in
-	// Events — pass explicitly when using custom events).
+	// Servers are started at time zero. Peers lists the servers that may
+	// join later (AddServer targets in Events); naming a started one again
+	// is harmless.
 	Servers []string
 	Peers   []string
 	// ClientID is the observed client (default "client-1"). It opens the
@@ -78,19 +79,21 @@ type Scenario struct {
 	SampleEvery time.Duration
 }
 
-// Runtime is the live cluster handed to scripted events.
-type Runtime struct {
-	Clk   *clock.Virtual
-	Net   *netsim.Network
-	Movie *mpeg.Movie
+// epoch is time zero of every simulated world.
+var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-	scenario *Scenario
-	servers  map[string]*server.Server
-	// serverOrder lists every ID ever started, sorted — the deterministic
-	// iteration order for the servers map (see ServingServer).
-	serverOrder []string
-	client      *client.Client
-	started     time.Time
+// Runtime is a simulated world — virtual clock, simulated network — and the
+// deployment running on it. It adds to core.Deployment only what exists in
+// simulation: fail-stop crashes and network faults, the counters of crashed
+// incarnations, and per-node obs registries on the virtual clock.
+type Runtime struct {
+	Clk *clock.Virtual
+	Net *netsim.Network
+	*core.Deployment
+
+	// Run's observed client and its ID.
+	clientID string
+	client   *client.Client
 
 	// retired accumulates the final stats of crashed servers so totals
 	// (video bytes, sync bytes) survive the crash.
@@ -101,6 +104,49 @@ type Runtime struct {
 	// pseudo-node "net" for the simulator itself). Registries outlive
 	// crashes so a crashed server's counters still appear in the report.
 	regs map[string]*obs.Registry
+}
+
+// newWorld makes the clock and the network of a simulated run; deploy puts
+// the cluster on them.
+func newWorld(seed int64, profile netsim.Profile) *Runtime {
+	clk := clock.NewVirtual(epoch)
+	return &Runtime{
+		Clk:     clk,
+		Net:     netsim.New(clk, seed, profile),
+		retired: make(map[string]server.Stats),
+		regs:    make(map[string]*obs.Registry),
+	}
+}
+
+// deploy starts the cluster opts describes on the world's clock and network.
+func (rt *Runtime) deploy(opts core.DeployOptions) {
+	opts.Clock, opts.Network = rt.Clk, rt.Net
+	dep, err := core.Deploy(opts)
+	if err != nil {
+		panic(fmt.Sprintf("sim: %v", err))
+	}
+	rt.Deployment = dep
+}
+
+// watch starts a viewer of the deployment on movieID.
+func (rt *Runtime) watch(cfg core.ClientConfig, movieID string) *client.Client {
+	c, err := core.NewClient(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("sim: creating client: %v", err))
+	}
+	if err := c.Watch(movieID); err != nil {
+		c.Close()
+		panic(fmt.Sprintf("sim: watch: %v", err))
+	}
+	return c
+}
+
+// advanceTo advances the clock to the given offset from the epoch (no-op
+// when already past it).
+func (rt *Runtime) advanceTo(offset time.Duration) {
+	if d := offset - rt.Elapsed(); d > 0 {
+		rt.Clk.Advance(d)
+	}
 }
 
 // registry returns (creating on first use) the obs registry for a node.
@@ -154,80 +200,18 @@ type Result struct {
 	Obs map[string]obs.Snapshot
 }
 
-// AddServer starts a new server mid-scenario (the paper's load-balancing
-// trigger: "a new server was brought up and the client was migrated to it").
-// Adding an ID that is already running (or whose address is otherwise taken)
-// is an error, not a panic, so fault schedules can be generated blindly.
-func (rt *Runtime) AddServer(id string) error {
-	if _, live := rt.servers[id]; live {
-		return fmt.Errorf("sim: server %q already running", id)
-	}
-	cat := store.NewCatalog()
-	cat.Add(rt.Movie)
-	return rt.startServer(id, cat, nil)
-}
-
-// RestartServer cold-starts a previously crashed server under its original
-// identity: it comes back with an EMPTY catalog, re-fetches the scenario's
-// movie from whichever peer holds it (package fetch), and only then joins
-// the movie group and absorbs load — §7's "a new server can be brought up
-// without any special preparations", applied to crash recovery. The node's
-// obs registry is reused, so counters accumulate across incarnations.
-func (rt *Runtime) RestartServer(id string) error {
-	if _, live := rt.servers[id]; live {
-		return fmt.Errorf("sim: server %q is already running", id)
-	}
-	if _, crashed := rt.retired[id]; !crashed {
-		return fmt.Errorf("sim: server %q never ran, nothing to restart", id)
-	}
-	return rt.startServer(id, store.NewCatalog(), []string{rt.Movie.ID()})
-}
-
-// startServer builds and starts one server instance on the runtime.
-func (rt *Runtime) startServer(id string, cat *store.Catalog, fetchMovies []string) error {
-	s, err := server.New(server.Config{
-		ID:           id,
-		Clock:        rt.Clk,
-		Network:      rt.Net,
-		Catalog:      cat,
-		FetchMovies:  fetchMovies,
-		Peers:        rt.scenario.Peers,
-		Flow:         rt.scenario.Flow,
-		SyncInterval: rt.scenario.SyncInterval,
-		Obs:          rt.registry(id),
-	})
-	if err != nil {
-		return fmt.Errorf("sim: adding server %s: %w", id, err)
-	}
-	if err := s.Start(); err != nil {
-		return fmt.Errorf("sim: starting server %s: %w", id, err)
-	}
-	rt.servers[id] = s
-	// serverOrder is the sorted iteration order for the live-server map;
-	// entries persist across crash/restart (lookups skip dead IDs) so the
-	// 10 Hz sampler never rebuilds or re-sorts it.
-	i := sort.SearchStrings(rt.serverOrder, id)
-	if i == len(rt.serverOrder) || rt.serverOrder[i] != id {
-		rt.serverOrder = append(rt.serverOrder, "")
-		copy(rt.serverOrder[i+1:], rt.serverOrder[i:])
-		rt.serverOrder[i] = id
-	}
-	return nil
-}
-
 // CrashServer fail-stops a server. Stats accumulate in retired across
 // repeated crash/restart cycles of the same ID.
 func (rt *Runtime) CrashServer(id string) error {
-	s := rt.servers[id]
+	s := rt.Server(id)
 	if s == nil {
 		return fmt.Errorf("sim: no server %q to crash", id)
 	}
 	st := s.Stats()
 	rt.retired[id] = addStats(rt.retired[id], st)
 	rt.retiredVideo += st.VideoBytes
-	s.Stop()
+	rt.StopServer(id)
 	rt.Net.Crash(transport.Addr(id))
-	delete(rt.servers, id)
 	return nil
 }
 
@@ -298,28 +282,23 @@ func addStats(a, b server.Stats) server.Stats {
 	return a
 }
 
-// ServingServer returns the server currently holding the client's session
-// ("" if none).
-func (rt *Runtime) ServingServer() string {
-	// Scan in sorted ID order: during a handoff two servers can briefly
-	// both claim the session, and the sampled figure series must not
-	// depend on map iteration order.
-	for _, id := range rt.serverOrder {
-		if s := rt.servers[id]; s != nil && s.HasSession(rt.scenario.ClientID) {
-			return id
-		}
-	}
-	return ""
+// lifetimeStats returns every server's counters summed over all of its
+// incarnations, crashed and running.
+func (rt *Runtime) lifetimeStats() map[string]server.Stats {
+	out := maps.Clone(rt.retired)
+	rt.EachServer(func(id string, s *server.Server) { out[id] = addStats(out[id], s.Stats()) })
+	return out
 }
+
+// ServingServer returns the server currently holding the observed client's
+// session ("" if none).
+func (rt *Runtime) ServingServer() string { return rt.Deployment.ServingServer(rt.clientID) }
 
 // Client returns the observed client.
 func (rt *Runtime) Client() *client.Client { return rt.client }
 
-// Servers returns the live servers keyed by ID.
-func (rt *Runtime) Servers() map[string]*server.Server { return rt.servers }
-
 // Elapsed returns the scenario time.
-func (rt *Runtime) Elapsed() time.Duration { return rt.Clk.Now().Sub(rt.started) }
+func (rt *Runtime) Elapsed() time.Duration { return rt.Clk.Now().Sub(epoch) }
 
 func (sc *Scenario) fillDefaults() {
 	if sc.ClientID == "" {
@@ -337,9 +316,6 @@ func (sc *Scenario) fillDefaults() {
 	if sc.Flow.CombinedCapacity == 0 {
 		sc.Flow = flowctl.DefaultParams()
 	}
-	if len(sc.Peers) == 0 {
-		sc.Peers = append([]string(nil), sc.Servers...)
-	}
 }
 
 // generateFeature synthesizes the movie a scenario with these stream
@@ -352,8 +328,6 @@ func generateFeature(cfg mpeg.StreamConfig, seed int64) *mpeg.Movie {
 // Run executes the scenario and returns its result.
 func Run(sc Scenario) *Result {
 	sc.fillDefaults()
-	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	net := netsim.New(clk, sc.Seed, sc.Profile)
 	movie := sc.Feature
 	if movie == nil {
 		movie = generateFeature(sc.Movie, sc.Seed)
@@ -362,22 +336,18 @@ func Run(sc Scenario) *Result {
 		sc.Duration = movie.Duration()
 	}
 
-	rt := &Runtime{
-		Clk:      clk,
-		Net:      net,
-		Movie:    movie,
-		scenario: &sc,
-		servers:  make(map[string]*server.Server),
-		started:  clk.Now(),
-		retired:  make(map[string]server.Stats),
-		regs:     make(map[string]*obs.Registry),
-	}
-	net.SetObs(rt.registry("net"))
-	for _, id := range sc.Servers {
-		if err := rt.AddServer(id); err != nil {
-			panic(err)
-		}
-	}
+	rt := newWorld(sc.Seed, sc.Profile)
+	rt.clientID = sc.ClientID
+	rt.Net.SetObs(rt.registry("net"))
+	rt.deploy(core.DeployOptions{
+		Servers:      sc.Servers,
+		ExtraPeers:   sc.Peers,
+		Movies:       []*mpeg.Movie{movie},
+		Flow:         sc.Flow,
+		SyncInterval: sc.SyncInterval,
+		Obs:          rt.registry,
+	})
+	clk := rt.Clk
 
 	// The sampler below adds one point per series per SampleEvery.
 	samples := int(sc.Duration/sc.SampleEvery) + 1
@@ -398,28 +368,14 @@ func Run(sc Scenario) *Result {
 		Combined:      series("combined buffer occupancy (frames)"),
 		ServingServer: series("serving server (index; -1 none)"),
 		VideoBytesCum: series("video bytes sent (cumulative)"),
-		ServerStats:   make(map[string]server.Stats),
 		Flow:          sc.Flow,
 	}
 
 	// Client creation and open.
 	clk.AfterFunc(sc.ClientStart, func() {
-		c, err := client.New(client.Config{
-			ID:      sc.ClientID,
-			Clock:   clk,
-			Network: net,
-			Servers: sc.Peers,
-			Buffer:  sc.Buffer,
-			Flow:    sc.Flow,
-			Obs:     rt.registry(sc.ClientID),
-		})
-		if err != nil {
-			panic(fmt.Sprintf("sim: creating client: %v", err))
-		}
-		rt.client = c
-		if err := c.Watch(movie.ID()); err != nil {
-			panic(fmt.Sprintf("sim: watch: %v", err))
-		}
+		cfg := rt.ClientConfig(sc.ClientID)
+		cfg.Buffer = sc.Buffer
+		rt.client = rt.watch(cfg, movie.ID())
 	})
 
 	// Scripted events.
@@ -431,18 +387,12 @@ func Run(sc Scenario) *Result {
 		}
 	}
 
-	// Metric sampling. The sorted peer list is fixed for the whole run, so
-	// build it once rather than per sample.
-	sortedPeers := append([]string(nil), sc.Peers...)
-	sort.Strings(sortedPeers)
+	// Metric sampling. A server is plotted as its index in the sorted
+	// contact list, which is fixed for the whole run.
+	peers := rt.Peers()
 	serverIndex := func(id string) float64 {
-		if id == "" {
-			return -1
-		}
-		for i, n := range sortedPeers {
-			if n == id {
-				return float64(i)
-			}
+		if i, ok := slices.BinarySearch(peers, id); ok {
+			return float64(i)
 		}
 		return -1
 	}
@@ -461,9 +411,7 @@ func Run(sc Scenario) *Result {
 		}
 		res.ServingServer.Add(t, serverIndex(rt.ServingServer()))
 		vb := rt.retiredVideo
-		for _, s := range rt.servers {
-			vb += s.Stats().VideoBytes
-		}
+		rt.EachServer(func(_ string, s *server.Server) { vb += s.Stats().VideoBytes })
 		res.VideoBytesCum.Add(t, float64(vb))
 	})
 
@@ -476,20 +424,8 @@ func Run(sc Scenario) *Result {
 		res.ClientJitter = rt.client.Jitter()
 		rt.client.Close()
 	}
-	stopIDs := make([]string, 0, len(rt.servers))
-	for id := range rt.servers {
-		stopIDs = append(stopIDs, id)
-	}
-	sort.Strings(stopIDs)
-	for _, id := range stopIDs {
-		res.ServerStats[id] = rt.servers[id].Stats()
-		rt.servers[id].Stop()
-	}
-	// A restarted server has both a live snapshot and retired history from
-	// earlier incarnations; report the lifetime totals.
-	for id, st := range rt.retired {
-		res.ServerStats[id] = addStats(st, res.ServerStats[id])
-	}
+	res.ServerStats = rt.lifetimeStats()
+	rt.Stop()
 	res.Obs = make(map[string]obs.Snapshot, len(rt.regs))
 	for id, reg := range rt.regs {
 		res.Obs[id] = reg.Snapshot()
