@@ -14,31 +14,37 @@ import (
 	"repro/internal/store"
 )
 
-// leaseServer builds the server side of a two-tier deployment: one server on
-// a LAN-profile network.
-func leaseServer(t *testing.T) (*clock.Virtual, *netsim.Network, *server.Server) {
+// leaseServers builds the server side of a two-tier deployment: the named
+// servers, all holding the feature, on a LAN-profile network. The caller
+// stops them.
+func leaseServers(t *testing.T, ids ...string) (*clock.Virtual, *netsim.Network, []*server.Server) {
 	t.Helper()
 	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	net := netsim.New(clk, 1, netsim.LAN())
 	movie := mpeg.Generate("feature", mpeg.StreamConfig{Duration: 10 * time.Minute, Seed: 1})
-	cat := store.NewCatalog()
-	cat.Add(movie)
-	srv, err := server.New(server.Config{
-		ID:      "server-1",
-		Clock:   clk,
-		Network: net,
-		Catalog: cat,
-		Peers:   []string{"server-1"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		srv.Stop()
-		t.Fatal(err)
+	srvs := make([]*server.Server, len(ids))
+	for i, id := range ids {
+		cat := store.NewCatalog()
+		cat.Add(movie)
+		srv, err := server.New(server.Config{ID: id, Clock: clk, Network: net, Catalog: cat, Peers: ids})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Start(); err != nil {
+			srv.Stop()
+			t.Fatal(err)
+		}
+		srvs[i] = srv
 	}
 	clk.Advance(500 * time.Millisecond)
-	return clk, net, srv
+	return clk, net, srvs
+}
+
+// leaseServer is the one-server case, the one the viewers below open on.
+func leaseServer(t *testing.T) (*clock.Virtual, *netsim.Network, *server.Server) {
+	t.Helper()
+	clk, net, srvs := leaseServers(t, "server-1")
+	return clk, net, srvs[0]
 }
 
 // leasedViewer adds one leased viewer of server-1 to net.

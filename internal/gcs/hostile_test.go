@@ -95,13 +95,17 @@ func TestHostileNakIsBounded(t *testing.T) {
 	}
 }
 
-// stateSize is what a member holds for its current view: the rank-indexed
-// words, the per-sender lists, and every message in them.
+// stateSize is what a member holds for its current view — the rank-indexed
+// words, the per-sender lists, and every message in them — and for views it
+// has yet to install: one per view, one per message buffered for it.
 func stateSize(m *Member) int {
 	m.p.mu.Lock()
 	defer m.p.mu.Unlock()
-	n := cap(m.ms.buf) + len(m.ms.msgs)
+	n := cap(m.ms.buf) + len(m.ms.msgs) + len(m.future)
 	for _, l := range m.ms.msgs {
+		n += len(l)
+	}
+	for _, l := range m.future {
 		n += len(l)
 	}
 	return n
@@ -141,6 +145,37 @@ func TestHostileFarFutureSeqCostsOneEntry(t *testing.T) {
 	}
 	if got := p.ctr.retransmits.Load() - resent; got != 1 {
 		t.Fatalf("NAK [0, 2⁶⁴−1) was answered with %d retransmissions, want the one entry inside it", got)
+	}
+}
+
+// TestHostileFutureViewsAreBounded: a multicast tagged with a view later than
+// the installed one is held for the install, keyed by a view ID the sender
+// chose. 10,000 forged IDs must cost maxFutureViews entries, not 10,000 —
+// and a view already being held keeps filling, so the cap refuses newcomers
+// and evicts nothing. The most a legitimate run holds is one view: measured
+// over chaos seeds 1–400, -fig all, -table all, -classes -runs 24 and the
+// gcs, chaos, sim, server and core test suites at PR 22 (18 messages deep at
+// most).
+func TestHostileFutureViewsAreBounded(t *testing.T) {
+	_, _, p, m := hostilePair(t)
+	forge := func(view ViewID, seq uint64) {
+		p.onPacket("b", encodeMcast(&msgMcast{group: "g", view: view, sender: "b", seq: seq, payload: []byte{payloadPlain, 'x'}}))
+	}
+	next := ViewID{Seq: m.View().ID.Seq + 1, Coord: "b"}
+	before := stateSize(m)
+	forge(next, 0) // the view a peer really is ahead in
+	for i := 0; i < 10000; i++ {
+		forge(ViewID{Seq: math.MaxUint64 - uint64(i), Coord: "b"}, 0)
+	}
+	forge(next, 1)
+	if grew, most := stateSize(m)-before, 2*maxFutureViews+1; grew > most {
+		t.Fatalf("10,000 forged view IDs grew the state by %d, want ≤ %d (%d views, one message each, plus the held view's second)", grew, most, maxFutureViews)
+	}
+	p.mu.Lock()
+	held := len(m.future[next])
+	p.mu.Unlock()
+	if held != 2 {
+		t.Fatalf("the view held before the flood buffered %d of its 2 multicasts", held)
 	}
 }
 
@@ -276,6 +311,7 @@ func FuzzOnPacket(f *testing.F) {
 		appendAnycast(nil, "g", []byte("anycast")),
 		encodeMcast(&msgMcast{group: "g", view: view, sender: "b", seq: 1 << 62, payload: []byte{payloadPlain, 'x'}}),
 		encodeMcast(&msgMcast{group: "g", view: view, sender: "b", seq: math.MaxUint64, payload: []byte{payloadPlain, 'x'}}),
+		encodeMcast(&msgMcast{group: "g", view: ViewID{Seq: math.MaxUint64, Coord: "z"}, sender: "b", seq: 0, payload: []byte{payloadPlain, 'x'}}),
 		encodeNak(&msgNak{group: "g", view: view, sender: "a", from: 0, to: math.MaxUint64}),
 		appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: vec{[]ProcessID{"a"}, []uint64{math.MaxUint64}}, contig: vec{[]ProcessID{"b"}, []uint64{7}}}),
 		appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: strangers(64), contig: vec{[]ProcessID{"b", "a", "b"}, []uint64{3, 2, 1}}}),

@@ -380,6 +380,12 @@ func (m *Member) onMessageLocked(from ProcessID, msg any, cb *callbacks) {
 	}
 }
 
+// maxFutureViews and maxFutureMcasts bound what a member buffers for views it
+// has not installed: a view ID is the sender's to choose. No run of the repo
+// holds more than one such view (TestHostileFutureViewsAreBounded); a message
+// refused here is a loss NAKs repair after the install, never an eviction.
+const maxFutureViews, maxFutureMcasts = 4, 4096
+
 // onMcastLocked handles an inbound multicast or retransmission.
 func (m *Member) onMcastLocked(msg *msgMcast, cb *callbacks) {
 	// Scope the message to a view.
@@ -393,10 +399,11 @@ func (m *Member) onMcastLocked(msg *msgMcast, cb *callbacks) {
 	case msg.view.Seq > m.view.ID.Seq:
 		// A peer already installed a later view; hold the message until
 		// our own install catches up.
-		if len(m.future[msg.view]) < 4096 {
+		early, held := m.future[msg.view]
+		if len(early) < maxFutureMcasts && (held || len(m.future) < maxFutureViews) {
 			cp := *msg
 			cp.payload = append([]byte(nil), msg.payload...)
-			m.future[msg.view] = append(m.future[msg.view], &cp)
+			m.future[msg.view] = append(early, &cp)
 		}
 	default:
 		// Stale view; drop.

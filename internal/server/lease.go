@@ -41,7 +41,7 @@ func (s *Server) onLeaseExpire(clientID string) {
 	}
 	sess.rec.Departed = true
 	if ms := s.movies[sess.movie.ID()]; ms != nil {
-		ms.noteDepartedLocked(sess.rec)
+		ms.announceLocked(sess.rec)
 	}
 	s.dropSessionLocked(sess)
 	s.cfg.Obs.Event("server.lease_expired", clientID)
@@ -58,27 +58,44 @@ func (s *Server) onDirect(from gcs.ProcessID, payload []byte) {
 	case lease.KindRenew:
 		s.handleRenew(from, payload)
 	case byte(wire.KindFlowControl), byte(wire.KindVCR):
-		s.handleDirectCtl(payload)
+		s.handleDirectCtl(from, payload)
 	}
 }
 
-// handleRenew refreshes a leased client's lease and acks. Renews for
-// unknown, closed or unleased sessions are silently dropped: the client's
-// keeper starves and re-anycasts its Open, which is the takeover path.
-// The session is found by the peeked ID bytes and the renew decoded against
-// that session's own ClientID, so the steady state builds no string.
-func (s *Server) handleRenew(from gcs.ProcessID, payload []byte) {
-	id := peekClientID(payload)
-	if id == nil {
-		return
+// directSessionLocked finds the live leased session named by the leading
+// ClientID field of a direct datagram (Renew, FlowControl or VCR) — provided
+// the datagram came from that session's own address: the ID is only the
+// sender's claim, and without the comparison any address could keep a
+// victim's lease alive, harvest its acks or drive its stream. The ID bytes
+// alias the payload and index the map directly, so the steady state builds no
+// string. Caller holds s.mu.
+func (s *Server) directSessionLocked(from gcs.ProcessID, payload []byte) *session {
+	r := wire.NewReader(payload)
+	r.U8()
+	id := r.StringBytes()
+	if r.Err() != nil {
+		return nil
 	}
+	sess := s.sessions[string(id)]
+	if sess == nil || sess.closed || !sess.rec.Leased || string(from) != sess.rec.ClientAddr {
+		return nil
+	}
+	return sess
+}
+
+// handleRenew refreshes a leased client's lease and acks. Renews for
+// unknown, closed or unleased sessions — or from an address that is not the
+// session's client — are silently dropped: a real client's keeper starves
+// and re-anycasts its Open, which is the takeover path. The renew is decoded
+// against the session's own ClientID, so a warm decode allocates nothing.
+func (s *Server) handleRenew(from gcs.ProcessID, payload []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.leases == nil {
 		return
 	}
-	sess := s.sessions[string(id)]
-	if sess == nil || sess.closed || !sess.rec.Leased {
+	sess := s.directSessionLocked(from, payload)
+	if sess == nil {
 		return
 	}
 	msg := lease.Renew{ClientID: sess.rec.ClientID}
@@ -100,31 +117,11 @@ func (s *Server) handleRenew(from gcs.ProcessID, payload []byte) {
 }
 
 // handleDirectCtl routes a leased client's FlowControl or VCR datagram
-// into the same per-session logic the session-group path uses. The client
-// ID is peeked without allocating; the map lookup by byte slice compiles
-// allocation-free.
-func (s *Server) handleDirectCtl(payload []byte) {
-	id := peekClientID(payload)
-	if id == nil {
-		return
-	}
+// into the same per-session logic the session-group path uses.
+func (s *Server) handleDirectCtl(from gcs.ProcessID, payload []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sess := s.sessions[string(id)]
-	if sess == nil || sess.closed || !sess.rec.Leased {
-		return
+	if sess := s.directSessionLocked(from, payload); sess != nil {
+		s.sessionCtlLocked(sess, sess.rec.ClientID, payload)
 	}
-	s.sessionCtlLocked(sess, sess.rec.ClientID, payload)
-}
-
-// peekClientID returns the leading ClientID field of a framed FlowControl,
-// VCR or lease Renew message, aliasing the payload.
-func peekClientID(payload []byte) []byte {
-	r := wire.NewReader(payload)
-	r.U8()
-	id := r.StringBytes()
-	if r.Err() != nil || len(id) == 0 {
-		return nil
-	}
-	return id
 }

@@ -5,9 +5,12 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/gcs"
+	"repro/internal/lease"
 	"repro/internal/netsim"
 	"repro/internal/placement"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // startLeaseClient starts a client in two-tier (lease) mode, optionally
@@ -189,5 +192,59 @@ func TestLeaseVCRDirect(t *testing.T) {
 	r.run(3 * time.Second)
 	if got := c.Counters().Displayed; got <= paused+60 {
 		t.Fatalf("displayed %d -> %d after resume, want ≥ +60", paused, got)
+	}
+}
+
+// TestForgedRenewIsIgnored: a direct datagram's ClientID is only the
+// sender's claim. A forger that renews a dead victim's lease from its own
+// address must not keep the session alive, must hear no ack, and must not
+// be able to drive the stream of the well-behaved viewer beside it.
+func TestForgedRenewIsIgnored(t *testing.T) {
+	r := newRig(t, netsim.LAN(), "s1")
+	s := r.startServer("s1")
+	victim := r.startLeaseClient("victim", nil, "s1")
+	good := r.startLeaseClient("good", nil, "s1")
+	for _, c := range []*client.Client{victim, good} {
+		if err := c.Watch("casablanca"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.run(5 * time.Second)
+	if n := len(s.ActiveSessions()); n != 2 {
+		t.Fatalf("server has %d sessions before the attack, want 2", n)
+	}
+
+	ep, err := r.net.NewEndpoint("forger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forger := gcs.NewProcess(gcs.Config{Clock: r.clk, Endpoint: transport.NewMux(ep).Channel(transport.ChannelGCS)})
+	defer forger.Close()
+	heard := 0
+	forger.SetDirectHandler(func(gcs.ProcessID, []byte) { heard++ })
+
+	// The victim dies silently; the forger renews in its name three times per
+	// TTL, and pauses the other viewer's stream for good measure.
+	victim.Close()
+	r.net.Crash(transport.Addr("victim"))
+	pause := wire.Encode(&wire.VCR{ClientID: "good", Op: wire.VCRPause})
+	before := good.Counters().Displayed
+	for seq := uint64(1); seq <= 10; seq++ {
+		_ = forger.Send("s1", lease.AppendRenew(nil, &lease.Renew{ClientID: "victim", Seq: seq}))
+		_ = forger.Send("s1", pause)
+		r.run(500 * time.Millisecond)
+	}
+
+	if ids := s.ActiveSessions(); len(ids) != 1 || ids[0] != "good" {
+		t.Fatalf("sessions after 5 s of forged renewals = %v, want [good]: the victim's lease must expire on schedule", ids)
+	}
+	if heard != 0 {
+		t.Fatalf("forger received %d datagrams (acks meant for the victim)", heard)
+	}
+	if got := good.Counters().Displayed - before; got < 130 {
+		t.Fatalf("well-behaved viewer displayed %d frames in 5 s under attack, want ≥ 130 (forged pause took effect?)", got)
+	}
+	if st := good.Stats(); st.Reopens != 0 || good.State() != client.StateWatching {
+		t.Fatalf("well-behaved viewer disturbed: state %v, reopens %d", good.State(), st.Reopens)
 	}
 }

@@ -39,14 +39,14 @@ type movieState struct {
 
 	syncTask *clock.Periodic
 
-	// recScratch and syncState are the periodic sync's reusable snapshot
-	// and message scratch, guarded by srv.mu. At cluster scale a sync fires
-	// per open and per half second per movie; without the reuse each tick
-	// allocates a fresh record slice and message.
+	// recScratch and syncState are the state message's reusable record
+	// snapshot and message scratch, guarded by srv.mu: the half-second sync
+	// fills them with this server's table, an announcement with one record,
+	// and neither allocates a slice or a message once warm.
 	recScratch []wire.ClientRecord
 	syncState  wire.ClientState
 
-	// syncBuf is the sync packet's reusable encode buffer. Multicast copies
+	// syncBuf is the state message's reusable encode buffer. Multicast copies
 	// the payload before returning, but the buffer stays aliased until it
 	// does — after srv.mu is released — so sendMu (acquired inside srv.mu,
 	// held across the send) guards it rather than srv.mu.
@@ -56,7 +56,8 @@ type movieState struct {
 
 // syncTick is the half-second state multicast: this server's live sessions
 // for the movie, refreshed into its own knowledge table and shared with
-// the group.
+// the group — with the view-change exchange the only sender of a whole table,
+// and the anti-entropy that bounds a peer's staleness at one sync period.
 func (ms *movieState) syncTick() {
 	s := ms.srv
 	s.mu.Lock()
@@ -75,6 +76,39 @@ func (ms *movieState) syncTick() {
 		ms.clients[rec.ClientID] = rec
 	}
 	ms.syncState = wire.ClientState{Server: s.cfg.ID, Clients: recs}
+	ms.multicastStateAndUnlock()
+}
+
+// announceLocked shares one record of this server's with the movie group now
+// rather than at the next sync tick: a session that just opened (so a crash
+// in its first half second does not orphan it) or the tombstone of one that
+// just ended (so peers forget the client). That record alone is multicast,
+// whatever the table holds. Caller holds srv.mu.
+func (ms *movieState) announceLocked(rec wire.ClientRecord) {
+	s := ms.srv
+	rec.SentAt = s.cfg.Clock.Now().UnixMilli()
+	if rec.Departed {
+		delete(ms.clients, rec.ClientID)
+	} else {
+		ms.clients[rec.ClientID] = rec
+	}
+	s.later(func() {
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return
+		}
+		ms.recScratch = append(ms.recScratch[:0], rec)
+		ms.syncState = wire.ClientState{Server: s.cfg.ID, Clients: ms.recScratch}
+		ms.multicastStateAndUnlock()
+	})
+}
+
+// multicastStateAndUnlock encodes ms.syncState into the reusable buffer,
+// counts it as sync traffic — the one place that does — and multicasts it on
+// the movie group. Caller holds srv.mu, which is released before the send.
+func (ms *movieState) multicastStateAndUnlock() {
+	s := ms.srv
 	ms.sendMu.Lock()
 	pkt := wire.AppendMessage(ms.syncBuf[:0], &ms.syncState)
 	ms.syncBuf = pkt[:0]
@@ -113,19 +147,6 @@ func (ms *movieState) ownRecordsLocked() []wire.ClientRecord {
 
 // byClientID orders knowledge-table records for the wire and for replay.
 func byClientID(a, b wire.ClientRecord) int { return strings.Compare(a.ClientID, b.ClientID) }
-
-// noteDepartedLocked records a finished session and announces the
-// tombstone immediately so peers forget the client. Caller holds srv.mu.
-func (ms *movieState) noteDepartedLocked(rec wire.ClientRecord) {
-	delete(ms.clients, rec.ClientID)
-	rec.Departed = true
-	rec.SentAt = ms.srv.cfg.Clock.Now().UnixMilli()
-	pkt := wire.Encode(&wire.ClientState{Server: ms.srv.cfg.ID, Clients: []wire.ClientRecord{rec}})
-	member := ms.member
-	if member != nil {
-		ms.srv.later(func() { _ = member.Multicast(pkt) })
-	}
-}
 
 // onMessage merges a peer's state-sync message into the knowledge table
 // and advances the view-sync exchange.
@@ -249,18 +270,12 @@ func (ms *movieState) onView(v gcs.View) {
 		all = append(all, rec)
 	}
 	slices.SortFunc(all, byClientID)
-	msg := &wire.ClientState{
+	ms.syncState = wire.ClientState{
 		Server:   s.cfg.ID,
 		Clients:  all,
 		ViewSeq:  v.ID.Seq,
 		Newcomer: newcomer,
 	}
-	pkt := wire.Encode(msg)
-	s.stats.SyncMessages++
-	s.stats.SyncBytes += uint64(len(pkt))
-	s.ctr.syncMessages.Inc()
-	s.ctr.syncBytes.Add(uint64(len(pkt)))
-	member := ms.member
 	seq := v.ID.Seq
 	ms.exchangeTimer = s.cfg.Clock.AfterFunc(2*s.cfg.SyncInterval, func() {
 		s.mu.Lock()
@@ -271,11 +286,7 @@ func (ms *movieState) onView(v gcs.View) {
 			ms.redistributeLocked()
 		}
 	})
-	s.mu.Unlock()
-
-	if member != nil {
-		_ = member.Multicast(pkt)
-	}
+	ms.multicastStateAndUnlock()
 }
 
 // redistributeLocked deterministically re-assigns every known client of
@@ -408,22 +419,4 @@ func (s *Server) onMovieGroupMessage(ms *movieState, from gcs.ProcessID, payload
 	}
 	e.ms, e.from = ms, from
 	s.cfg.Clock.AfterFunc(0, e.fire)
-}
-
-// SyncNow forces an immediate state sync for every movie group — used when
-// a session just opened so peers learn about the client without waiting
-// half a second.
-func (s *Server) SyncNow() {
-	s.mu.Lock()
-	states := make([]*movieState, 0, len(s.movies))
-	for _, ms := range s.movies {
-		states = append(states, ms)
-	}
-	s.mu.Unlock()
-	// Sync in movie-ID order, not map order, so the multicasts hit the
-	// simulated network in a seed-deterministic sequence.
-	slices.SortFunc(states, func(a, b *movieState) int { return strings.Compare(a.movie.ID(), b.movie.ID()) })
-	for _, ms := range states {
-		ms.syncTick()
-	}
 }

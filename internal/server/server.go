@@ -818,10 +818,15 @@ func (s *Server) handleOpen(e *openEvent) {
 		}
 		s.cfg.Obs.Event("server.session_open", open.ClientID+" movie="+open.Movie)
 	}
-	ms := s.movies[open.Movie]
+	// Tell the movie group about the client right away, shrinking the window
+	// in which a crash would orphan it: this session's record and no other.
+	// (A duplicate Open whose session lives on a peer has nothing to announce.)
 	group := ""
 	if sess := s.sessions[open.ClientID]; sess != nil {
 		group = sess.group // precomputed at session start
+		if ms := s.movies[sess.movie.ID()]; ms != nil {
+			ms.announceLocked(sess.rec)
+		}
 	}
 	ttlMs := uint32(0)
 	if open.Lease {
@@ -841,10 +846,4 @@ func (s *Server) handleOpen(e *openEvent) {
 		LeaseTTLMs:   ttlMs,
 	}
 	_ = s.proc.Send(from, e.enc.Encode(&e.reply))
-
-	// Tell the movie group about the new client right away, shrinking the
-	// window in which a crash would orphan it.
-	if ms != nil {
-		s.later(ms.syncTick)
-	}
 }

@@ -533,7 +533,7 @@ func (s *Server) handleVCRLocked(sess *session, msg *wire.VCR) {
 	case wire.VCRStop:
 		sess.rec.Departed = true
 		if ms := s.movies[sess.movie.ID()]; ms != nil {
-			ms.noteDepartedLocked(sess.rec)
+			ms.announceLocked(sess.rec)
 		}
 		s.dropSessionLocked(sess)
 	}
