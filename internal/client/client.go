@@ -672,7 +672,9 @@ func (c *Client) onDirect(from gcs.ProcessID, payload []byte) {
 		}
 		next := c.pipeline.NextIndex()
 		paused := c.paused
-		c.cfg.Obs.Event("client.reopen_ok", fmt.Sprintf("%s resync at frame %d", c.cfg.ID, next))
+		if reg := c.cfg.Obs; reg != nil {
+			reg.Event("client.reopen_ok", fmt.Sprintf("%s resync at frame %d", c.cfg.ID, next))
+		}
 		c.mu.Unlock()
 		// Re-assert the playback state before the resync: if an earlier
 		// Resume was lost to the same fault that starved us, the server
@@ -741,8 +743,9 @@ func (c *Client) starveTick() {
 	c.lastMoved = now // next starvation window starts fresh
 	c.stats.Reopens++
 	c.ctr.reopens.Inc()
-	c.cfg.Obs.Event("client.reopen",
-		fmt.Sprintf("%s starved at frame %d", c.cfg.ID, c.pipeline.NextIndex()))
+	if reg := c.cfg.Obs; reg != nil {
+		reg.Event("client.reopen", fmt.Sprintf("%s starved at frame %d", c.cfg.ID, c.pipeline.NextIndex()))
+	}
 	c.mu.Unlock()
 	c.sendOpen()
 }
@@ -813,8 +816,9 @@ func (c *Client) onLeaseLost() {
 	c.lastMoved = c.cfg.Clock.Now() // the starvation window starts fresh too
 	c.stats.Reopens++
 	c.ctr.reopens.Inc()
-	c.cfg.Obs.Event("client.lease_lost",
-		fmt.Sprintf("%s reopening at frame %d", c.cfg.ID, c.pipeline.NextIndex()))
+	if reg := c.cfg.Obs; reg != nil {
+		reg.Event("client.lease_lost", fmt.Sprintf("%s reopening at frame %d", c.cfg.ID, c.pipeline.NextIndex()))
+	}
 	c.mu.Unlock()
 	c.sendOpen()
 }
@@ -875,7 +879,9 @@ func (c *Client) onVideo(_ transport.Addr, payload []byte) {
 		if kind == wire.FlowEmergencyMajor || kind == wire.FlowEmergencyMinor {
 			c.stats.EmergenciesSent++
 			c.ctr.emergSent.Inc()
-			c.cfg.Obs.Event("client.emergency", fmt.Sprintf("%s occ=%d", c.cfg.ID, occ.CombinedFrames))
+			if reg := c.cfg.Obs; reg != nil {
+				reg.Event("client.emergency", fmt.Sprintf("%s occ=%d", c.cfg.ID, occ.CombinedFrames))
+			}
 		}
 		c.fcOut = wire.FlowControl{
 			ClientID:  c.cfg.ID,

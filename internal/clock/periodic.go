@@ -11,6 +11,13 @@ import (
 // Unlike time.Ticker it is implemented with AfterFunc re-arming, so it works
 // identically on Real and Virtual clocks.
 //
+// The beat holds its phase: a tick is due one period after the previous one
+// was due, not after it got to run, so timer latency does not add up and two
+// tasks of one period keep the offset they were started with. On a Virtual
+// clock a tick runs at the instant it is due and the two are the same. A tick
+// that runs a whole period late does not fire a burst to catch up; the beat
+// slips to one period from then.
+//
 // Each tick re-arms the timer that just fired through Rearm, so on a clock
 // that is a Rearmer a long-lived heartbeat owns one timer record forever. mu
 // orders that re-arm against Stop: a tick re-arms only after seeing stopped
@@ -27,22 +34,31 @@ type Periodic struct {
 	tickFn  func() // p.tick, bound once: a method value allocates per use
 	stopped atomic.Bool
 
-	mu    sync.Mutex // guards timer: re-armed by tick, cancelled by Stop
+	mu    sync.Mutex // guards timer and next: re-armed by tick, cancelled by Stop
 	timer Timer
+	next  time.Time // when the pending tick is due
 }
 
 // Every schedules fn to run every period on c, starting one period from
 // now. It panics if period is not positive; a zero-period heartbeat would
 // wedge a Virtual clock in an infinite event cascade.
 func Every(c Clock, period time.Duration, fn func()) *Periodic {
-	if period <= 0 {
+	return EveryAfter(c, period, period, fn)
+}
+
+// EveryAfter is Every whose first run comes after first rather than after
+// one period, for a task that takes up a beat already under way. Both
+// durations must be positive.
+func EveryAfter(c Clock, first, period time.Duration, fn func()) *Periodic {
+	if first <= 0 || period <= 0 {
 		panic("clock: Every requires a positive period")
 	}
 	p := &Periodic{c: c, fn: fn}
 	p.period.Store(int64(period))
 	p.tickFn = p.tick
 	p.mu.Lock()
-	p.timer = c.AfterFunc(period, p.tickFn)
+	p.next = c.Now().Add(first)
+	p.timer = c.AfterFunc(first, p.tickFn)
 	p.mu.Unlock()
 	return p
 }
@@ -53,7 +69,14 @@ func (p *Periodic) tick() {
 	}
 	p.mu.Lock()
 	if !p.stopped.Load() {
-		p.timer = Rearm(p.c, p.timer, time.Duration(p.period.Load()), p.tickFn)
+		period := time.Duration(p.period.Load())
+		now := p.c.Now()
+		p.next = p.next.Add(period)
+		d := p.next.Sub(now)
+		if d <= 0 { // a whole period late: slip the beat
+			p.next, d = now.Add(period), period
+		}
+		p.timer = Rearm(p.c, p.timer, d, p.tickFn)
 	}
 	p.mu.Unlock()
 	p.fn()

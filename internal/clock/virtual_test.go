@@ -2,6 +2,7 @@ package clock
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -258,6 +259,73 @@ func TestPeriodicSetPeriod(t *testing.T) {
 		if ticks[i] != want[i] {
 			t.Fatalf("ticks %v, want %v", ticks, want)
 		}
+	}
+}
+
+func TestEveryAfterFirstTick(t *testing.T) {
+	c := NewVirtual(testEpoch)
+	var ticks []time.Duration
+	p := EveryAfter(c, 30*time.Millisecond, 100*time.Millisecond, func() {
+		ticks = append(ticks, c.Now().Sub(testEpoch))
+	})
+	defer p.Stop()
+	c.Advance(300 * time.Millisecond)
+	want := []time.Duration{30 * time.Millisecond, 130 * time.Millisecond, 230 * time.Millisecond}
+	if !slices.Equal(ticks, want) {
+		t.Fatalf("ticks %v, want %v", ticks, want)
+	}
+}
+
+// lateClock runs every callback lag after it is due, as a loaded machine's
+// timers do. It is no Rearmer, so every arm goes through AfterFunc.
+type lateClock struct {
+	v   *Virtual
+	lag time.Duration
+}
+
+func (c lateClock) Now() time.Time { return c.v.Now() }
+func (c lateClock) AfterFunc(d time.Duration, f func()) Timer {
+	return c.v.AfterFunc(d+c.lag, f)
+}
+
+// TestPeriodicHoldsPhase: a tick is due one period after the previous one
+// was due, so callbacks that run late do not push the beat back — lateness
+// does not add up.
+func TestPeriodicHoldsPhase(t *testing.T) {
+	v := NewVirtual(testEpoch)
+	var ticks []time.Duration
+	p := Every(lateClock{v, 3 * time.Millisecond}, 100*time.Millisecond, func() {
+		ticks = append(ticks, v.Now().Sub(testEpoch))
+	})
+	defer p.Stop()
+	v.Advance(time.Second)
+	if len(ticks) != 9 {
+		t.Fatalf("%d ticks in 1s at 100ms, want 9: %v", len(ticks), ticks)
+	}
+	for i, at := range ticks {
+		if want := time.Duration(i+1)*100*time.Millisecond + 3*time.Millisecond; at != want {
+			t.Fatalf("tick %d ran at %v, want %v (3ms late, every time): %v", i, at, want, ticks)
+		}
+	}
+}
+
+// TestPeriodicSlipsWhenAPeriodLate: a tick that runs more than a period late
+// is followed by one a period later, not by a burst that catches up.
+func TestPeriodicSlipsWhenAPeriodLate(t *testing.T) {
+	v := NewVirtual(testEpoch)
+	var ticks []time.Duration
+	p := Every(lateClock{v, 250 * time.Millisecond}, 100*time.Millisecond, func() {
+		ticks = append(ticks, v.Now().Sub(testEpoch))
+	})
+	defer p.Stop()
+	v.Advance(2 * time.Second)
+	for i := 1; i < len(ticks); i++ {
+		if gap := ticks[i] - ticks[i-1]; gap < 100*time.Millisecond {
+			t.Fatalf("ticks %d and %d are %v apart, under one period: %v", i-1, i, gap, ticks)
+		}
+	}
+	if len(ticks) < 4 {
+		t.Fatalf("only %d ticks in 2s: %v", len(ticks), ticks)
 	}
 }
 

@@ -11,6 +11,9 @@ import (
 // so heartbeats only add traffic on otherwise idle links. The paper requires
 // exactly this: "a (possibly unreliable) failure detection mechanism".
 //
+// The maps are made by start, at the process's first Join; before that
+// nothing is tracked or suspected, and reads of the nil maps say so.
+//
 // All methods require the owning Process's lock.
 type detector struct {
 	p         *Process
@@ -26,13 +29,10 @@ type detector struct {
 	cache      []ProcessID // immutable once returned; callers may hold it unlocked
 }
 
-func newDetector(p *Process) *detector {
-	return &detector{
-		p:          p,
-		lastHeard:  make(map[ProcessID]time.Time),
-		suspected:  make(map[ProcessID]bool),
-		scratchSet: make(map[ProcessID]bool),
-	}
+func (d *detector) start() {
+	d.lastHeard = make(map[ProcessID]time.Time)
+	d.suspected = make(map[ProcessID]bool)
+	d.scratchSet = make(map[ProcessID]bool)
 }
 
 // peersLocked returns every process this one should ping and watch: the

@@ -145,8 +145,8 @@ type Process struct {
 
 	mu      sync.Mutex
 	closed  bool
-	members map[string]*Member // by group name
-	fd      *detector
+	members map[string]*Member // by group name; nil until the first Join
+	fd      detector
 	direct  func(from ProcessID, payload []byte)
 
 	// codec holds the inbound decode reuse state (intern table, message
@@ -174,14 +174,20 @@ type Process struct {
 	// under another process's p.mu, so the nested lock order is one-way.
 	sendBuf []byte
 
-	// ticker is the process's one standing timer: it ticks every tickBase,
-	// and each duty — the failure-detector heartbeat plus every
-	// membership's ack, retransmit and presence gossip — runs when
-	// tickCount is divisible by its divisor, so a server in 50 groups holds
-	// one timer, not 151. tickCount is guarded by p.mu; tickScratch is a
-	// snapshot consumed outside the lock (member ticks relock p.mu
-	// themselves), distinct from mScratch, whose contract ends when the
-	// lock is released.
+	// ticker is the process's one standing timer, armed by the first Join
+	// and stopped at Close — a process that never joins a group (a leased
+	// viewer) only frames Anycast/Send datagrams and schedules nothing. It
+	// beats at born + k*tickBase with tickCount k, whenever the first Join
+	// comes: the beat is the one a ticker running since NewProcess would be
+	// on, so how long a process waits before it joins moves neither the
+	// phase nor the parity of its duties. Each duty — the failure-detector
+	// heartbeat plus every membership's ack, retransmit and presence gossip
+	// — runs when tickCount is divisible by its divisor, so a server in 50
+	// groups holds one timer, not 151. ticker and tickCount are guarded by
+	// p.mu; tickScratch is a snapshot consumed outside the lock (member
+	// ticks relock p.mu themselves), distinct from mScratch, whose contract
+	// ends when the lock is released.
+	born        time.Time // NewProcess's instant: beat zero
 	ticker      *clock.Periodic
 	tickCount   uint64
 	tickScratch []*Member
@@ -276,13 +282,15 @@ type procCounters struct {
 	retransmits *obs.Counter // gcs.retransmissions (messages re-sent on NAK)
 }
 
-// NewProcess creates a Process on cfg.Endpoint and starts its failure
-// detector. The caller must eventually Close it.
+// NewProcess creates a Process on cfg.Endpoint. Its ticker and failure
+// detector start with the first Join: until then there is nobody to watch.
+// The ticker's beat is counted from now all the same. The caller must
+// eventually Close it.
 func NewProcess(cfg Config) *Process {
 	p := &Process{
-		cfg:     cfg,
-		id:      cfg.Endpoint.Addr(),
-		members: make(map[string]*Member),
+		cfg:  cfg,
+		id:   cfg.Endpoint.Addr(),
+		born: cfg.Clock.Now(),
 		ctr: procCounters{
 			suspicions:  cfg.Obs.Counter("gcs.fd_suspicions"),
 			viewChanges: cfg.Obs.Counter("gcs.view_changes"),
@@ -291,9 +299,8 @@ func NewProcess(cfg Config) *Process {
 			retransmits: cfg.Obs.Counter("gcs.retransmissions"),
 		},
 	}
-	p.fd = newDetector(p)
+	p.fd.p = p
 	cfg.Endpoint.SetHandler(p.onPacket)
-	p.ticker = clock.Every(cfg.Clock, tickBase, p.tick)
 	return p
 }
 
@@ -350,6 +357,17 @@ func (p *Process) Join(group string, h Handlers, contacts ...ProcessID) (*Member
 	if _, ok := p.members[group]; ok {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: group %q", ErrAlreadyJoined, group)
+	}
+	if p.ticker == nil {
+		// First membership: now there are peers to watch. The ticker takes
+		// up the beat at the count it would have reached by now. Armed under
+		// p.mu, so Close either sees the ticker or has already failed this
+		// Join.
+		p.members = make(map[string]*Member)
+		p.fd.start()
+		age := p.cfg.Clock.Now().Sub(p.born)
+		p.tickCount = uint64(age / tickBase)
+		p.ticker = clock.EveryAfter(p.cfg.Clock, tickBase-age%tickBase, tickBase, p.tick)
 	}
 	m := newMember(p, group, h, contacts)
 	p.members[group] = m
@@ -413,8 +431,11 @@ func (p *Process) Close() {
 	for _, m := range p.membersOrderedLocked() {
 		m.deactivateLocked()
 	}
+	ticker := p.ticker
 	p.mu.Unlock()
-	p.ticker.Stop()
+	if ticker != nil {
+		ticker.Stop()
+	}
 	p.cfg.Endpoint.SetHandler(nil)
 }
 

@@ -91,7 +91,8 @@ func (c *cluster) addProcess(id ProcessID) *Process {
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	p := NewProcess(Config{Clock: c.clk, Endpoint: ep})
+	// Observed, so tests can read p.ctr back: a nil registry counts nothing.
+	p := NewProcess(Config{Clock: c.clk, Endpoint: ep, Obs: obs.NewRegistry(string(id), c.clk.Now)})
 	c.proc[id] = p
 	return p
 }

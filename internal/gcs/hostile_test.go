@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -26,7 +27,9 @@ func hostilePair(tb testing.TB) (*clock.Virtual, *netsim.Network, *Process, *Mem
 		if err != nil {
 			tb.Fatal(err)
 		}
-		p := NewProcess(Config{Clock: clk, Endpoint: ep})
+		// A real registry: the tests read gcs.retransmissions back, and a nil
+		// one hands out nil counters that count nothing.
+		p := NewProcess(Config{Clock: clk, Endpoint: ep, Obs: obs.NewRegistry(string(id), clk.Now)})
 		tb.Cleanup(p.Close)
 		var contacts []ProcessID
 		if id != "a" {

@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -87,5 +89,98 @@ func TestAllocsSendToDeadDestination(t *testing.T) {
 		if name != "crashed" && !errors.Is(last, transport.ErrNoRoute) {
 			t.Errorf("send to %s destination = %v, want ErrNoRoute", name, last)
 		}
+	}
+}
+
+// idleClock never fires: what is scheduled on it stays in flight, and it
+// allocates nothing itself, so a count taken around sends on it is the
+// network's own.
+type idleClock struct{}
+
+func (idleClock) Now() time.Time                              { return time.Unix(0, 0) }
+func (idleClock) AfterFunc(time.Duration, func()) clock.Timer { return nil }
+
+// coldMallocs counts the heap allocations of run, which setup returns after
+// building a fresh network. The least of three tries is the count: the
+// runtime's background goroutines allocate now and then too.
+func coldMallocs(setup func() (run func())) uint64 {
+	least := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		run := setup()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
+}
+
+// TestAllocsColdNetworkSmallSends pins what a fresh network pays for packets
+// it has no pooled records for yet — a saturated uplink holding a thousand
+// control packets in flight, or a short-lived chaos world that never gets
+// warm. Records and their small copy buffers are both carved from slabs, so
+// the only per-record allocation left is the bound run method.
+func TestAllocsColdNetworkSmallSends(t *testing.T) {
+	const sends, size = 1000, 100 // 100 B rounds up to a 128 B buffer
+	payload := make([]byte, size)
+	got := coldMallocs(func() func() {
+		net := New(idleClock{}, 1, Profile{Delay: time.Millisecond})
+		a, err := net.NewEndpoint("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.NewEndpoint("b"); err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			for i := 0; i < sends; i++ {
+				if err := a.Send("b", payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	recordSlabs := (sends + deliverySlabSize - 1) / deliverySlabSize
+	byteSlabs := (sends*128 + bufSlabSize - 1) / bufSlabSize
+	if want := uint64(recordSlabs + byteSlabs + sends); got > want {
+		t.Fatalf("%d cold sends of %d B = %d allocs, want ≤ %d (%d record slabs + %d byte slabs + one bound method each)",
+			sends, size, got, want, recordSlabs, byteSlabs)
+	}
+}
+
+// TestAllocsColdBroadcastRecord: a fresh broadcast record sizes its two
+// slices to the batch once instead of doubling its way up, so a 200-wide
+// batch costs the record, its bound method and two slices.
+func TestAllocsColdBroadcastRecord(t *testing.T) {
+	const width = 200
+	frame := make([]byte, 1200)
+	got := coldMallocs(func() func() {
+		net := New(idleClock{}, 1, Profile{Delay: time.Millisecond})
+		a, err := net.NewEndpoint("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := a.(transport.RefSender)
+		dsts := make([]transport.AddrRef, width)
+		payloads := make([][]byte, width)
+		for i := range dsts {
+			id := transport.Addr(fmt.Sprintf("viewer-%d", i))
+			if _, err := net.NewEndpoint(id); err != nil {
+				t.Fatal(err)
+			}
+			dsts[i], payloads[i] = refs.ResolveAddr(id), frame
+		}
+		return func() {
+			if err := refs.SendStableRefBatch(dsts, payloads); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	// 4 = record, bound method, dsts, payloads. Under the race detector
+	// slices.Grow's append(make) is not fused and each slice costs one more;
+	// the doubling ladder cost 19.
+	if got > 6 {
+		t.Fatalf("a cold %d-wide batch = %d allocs, want 4 (6 under -race)", width, got)
 	}
 }

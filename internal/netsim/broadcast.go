@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -145,6 +146,10 @@ func (e *endpoint) SendStableRefBatch(dsts []transport.AddrRef, payloads [][]byt
 	}
 	var firstErr error
 	b := n.newBroadcastLocked(e.id)
+	// Size both slices to the batch up front: a fresh record costs two
+	// allocations, not a doubling ladder, and a warm one none.
+	b.dsts = slices.Grow(b.dsts, len(dsts))
+	b.payloads = slices.Grow(b.payloads, len(dsts))
 	var maxDelay time.Duration
 	for i, ref := range dsts {
 		payload := payloads[i]

@@ -118,6 +118,7 @@ type Network struct {
 	bcastD  [][]byte
 	slabD   []delivery // current slab new records are carved from
 	slabDN  int        // records already carved from slabD
+	slabB   []byte     // what is left of the slab small copy buffers are carved from
 	sweepIn int        // sends until the next stale-link sweep
 	stats   Stats
 
@@ -245,7 +246,7 @@ func (r *linkRow) reap(now int64, release bool) {
 // New creates a network on clk with the given default link profile. All
 // randomness (loss, jitter, duplication) derives from seed.
 func New(clk clock.Clock, seed int64, def Profile) *Network {
-	n := &Network{
+	return &Network{
 		clk:       clk,
 		rng:       rand.New(rand.NewSource(seed)),
 		def:       def,
@@ -253,8 +254,6 @@ func New(clk clock.Clock, seed int64, def Profile) *Network {
 		overrides: make(map[idPair]Profile),
 		blocked:   make(map[idPair]bool),
 	}
-	n.SetObs(nil)
-	return n
 }
 
 // internLocked returns the dense ID for addr, assigning the next one (and
@@ -275,8 +274,8 @@ func (n *Network) internLocked(addr transport.Addr) int32 {
 
 // SetObs attaches an observability registry: the network-wide counters are
 // mirrored there, and fault injections (crashes, partitions, link failures)
-// leave trace events. A nil registry detaches (counters become unregistered
-// no-op instances).
+// leave trace events. A nil registry detaches (the counters become nil and
+// count nothing).
 func (n *Network) SetObs(reg *obs.Registry) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -384,10 +383,11 @@ func (n *Network) SetExtraLoss(p float64) {
 		p = 1
 	}
 	n.extraLoss = p
-	if p > 0 {
-		n.obs.Event("netsim.loss_burst", fmt.Sprintf("p=%.2f", p))
-	} else {
+	switch {
+	case p == 0:
 		n.obs.Event("netsim.loss_burst_end", "")
+	case n.obs != nil: // format the note only for a listener
+		n.obs.Event("netsim.loss_burst", fmt.Sprintf("p=%.2f", p))
 	}
 }
 
@@ -397,7 +397,9 @@ func (n *Network) SetExtraLoss(p float64) {
 func (n *Network) Partition(groups ...[]transport.Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.obs.Event("netsim.partition", fmt.Sprintf("%d groups", len(groups)))
+	if n.obs != nil {
+		n.obs.Event("netsim.partition", fmt.Sprintf("%d groups", len(groups)))
+	}
 	for i := range groups {
 		for j := range groups {
 			if i == j {
@@ -563,12 +565,32 @@ func (n *Network) newDeliveryLocked(from, to int32, payload []byte, stable bool)
 			for size < len(payload) {
 				size <<= 1
 			}
-			d.buf = make([]byte, 0, size)
+			d.buf = n.newBufLocked(size)
 		}
 		d.buf = append(d.buf[:0], payload...)
 		d.data = d.buf
 	}
 	return d
+}
+
+// bufSlabSize is the byte slab small copy buffers are carved from, so a
+// control packet's 64-byte buffer is not an allocation of its own. Small,
+// because every network strands one slab's tail: a chaos sweep builds 400.
+const bufSlabSize = 4096
+
+// newBufLocked returns an empty copy buffer of exactly the given capacity —
+// capped, so an append can never run into a slab neighbour. Small-class
+// sizes are carved from the slab. Caller holds n.mu.
+func (n *Network) newBufLocked(size int) []byte {
+	if size > smallBufMax {
+		return make([]byte, 0, size)
+	}
+	if len(n.slabB) < size {
+		n.slabB = make([]byte, bufSlabSize)
+	}
+	b := n.slabB[:0:size]
+	n.slabB = n.slabB[size:]
+	return b
 }
 
 // smallBufMax splits the delivery pool's size classes: GCS control traffic

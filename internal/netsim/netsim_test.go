@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -279,6 +280,36 @@ func TestSenderBufferReuseIsSafe(t *testing.T) {
 	r.clk.Drain(0)
 	if got != "before" {
 		t.Fatalf("delivered payload %q reflects sender mutation", got)
+	}
+}
+
+// TestSlabBuffersStayApart: small copy buffers are neighbours in one byte
+// slab, so a record must never write past its own — not while its neighbours
+// are in flight, and not when it comes back off the free list for a payload
+// larger than the buffer it was carved with.
+func TestSlabBuffersStayApart(t *testing.T) {
+	r := newRig(t, Profile{Delay: time.Millisecond})
+	a := r.endpoint(t, "a")
+	b := r.endpoint(t, "b")
+	var got [][]byte
+	b.SetHandler(func(_ transport.Addr, p []byte) { got = append(got, bytes.Clone(p)) })
+	const inFlight = 200
+	for round, size := range []int{10, 64, 65, 300, 512, 513, 40} {
+		got = got[:0]
+		for i := 0; i < inFlight; i++ {
+			if err := a.Send("b", bytes.Repeat([]byte{byte(i)}, size+i%3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.clk.Drain(0)
+		if len(got) != inFlight {
+			t.Fatalf("round %d: %d of %d packets delivered", round, len(got), inFlight)
+		}
+		for i, p := range got {
+			if want := bytes.Repeat([]byte{byte(i)}, size+i%3); !bytes.Equal(p, want) {
+				t.Fatalf("round %d: packet %d (%d B) arrived overwritten: % x…", round, i, len(want), p[:min(len(p), 8)])
+			}
+		}
 	}
 }
 

@@ -15,10 +15,11 @@
 // once at wire-up time and hold the pointer. The registry lock is taken
 // only at registration and snapshot time, never on the update path.
 //
-// All methods are nil-receiver safe: a nil *Registry hands out working
-// (but unregistered) counters and swallows events, so components can be
-// instrumented unconditionally and run unobserved at zero configuration
-// cost.
+// All methods are nil-receiver safe: a nil *Registry hands out nil
+// instruments and swallows events, and a nil *Counter or *Gauge ignores
+// updates and loads as zero, so components can be instrumented
+// unconditionally and an unobserved node allocates no instruments and pays
+// no atomic adds.
 package obs
 
 import (
@@ -29,16 +30,20 @@ import (
 )
 
 // Counter is a monotonically increasing uint64. The zero value is ready
-// to use.
+// to use; a nil *Counter discards updates.
 type Counter struct {
 	v atomic.Uint64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 {
@@ -49,13 +54,17 @@ func (c *Counter) Load() uint64 {
 }
 
 // Gauge is an instantaneous int64 level (an occupancy, a queue depth).
-// The zero value is ready to use.
+// The zero value is ready to use; a nil *Gauge discards updates.
 type Gauge struct {
 	v atomic.Int64
 }
 
 // Set records the current level.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
+func (g *Gauge) Set(n int64) {
+	if g != nil {
+		g.v.Store(n)
+	}
+}
 
 // Load returns the current level.
 func (g *Gauge) Load() int64 {
@@ -111,11 +120,11 @@ func (r *Registry) Node() string {
 }
 
 // Counter returns the named counter, creating it on first use. Two calls
-// with the same name return the same counter. On a nil registry it
-// returns a fresh unregistered counter that works but is never reported.
+// with the same name return the same counter. A nil registry returns a nil
+// counter: nobody could ever read it back.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
-		return new(Counter)
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -131,7 +140,7 @@ func (r *Registry) Counter(name string) *Counter {
 // behavior mirrors Counter.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
-		return new(Gauge)
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -144,7 +153,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Event appends one entry to the flight recorder; the oldest entry is
-// overwritten once the ring is full. No-op on a nil registry.
+// overwritten once the ring is full. No-op on a nil registry — but the
+// caller's note is built before the call, so a site that formats one
+// (fmt.Sprintf) asks whether the registry is nil first.
 func (r *Registry) Event(kind, note string) {
 	if r == nil {
 		return

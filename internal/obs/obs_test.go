@@ -39,14 +39,26 @@ func TestCounterAndGauge(t *testing.T) {
 }
 
 func TestNilRegistryIsSafe(t *testing.T) {
+	// A nil registry hands out nil instruments: updates are discarded, loads
+	// are zero, nothing panics and nothing is allocated.
 	var r *obs.Registry
-	c := r.Counter("x")
-	c.Inc() // must not panic, and must still count
-	if c.Load() != 1 {
-		t.Fatal("unregistered counter does not count")
+	c, g := r.Counter("x"), r.Gauge("y")
+	if c != nil || g != nil {
+		t.Fatalf("nil registry handed out instruments: %p %p", c, g)
 	}
-	r.Gauge("y").Set(3)
-	r.Event("kind", "note")
+	allocs := testing.AllocsPerRun(100, func() {
+		c := r.Counter("x")
+		c.Inc()
+		c.Add(4)
+		r.Gauge("y").Set(3)
+		r.Event("kind", "note")
+	})
+	if allocs != 0 {
+		t.Fatalf("an unobserved node's instruments cost %v allocs, want 0", allocs)
+	}
+	if c.Load() != 0 || g.Load() != 0 {
+		t.Fatalf("nil instruments load %d / %d, want 0", c.Load(), g.Load())
+	}
 	snap := r.Snapshot()
 	if snap.Node != "" || len(snap.Counters) != 0 {
 		t.Fatalf("nil snapshot = %+v", snap)

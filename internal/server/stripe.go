@@ -8,13 +8,17 @@ import (
 
 // Striped egress is how the leased tier is paced: leased sessions that
 // share a movie and a send period attach to one coalesced ticker — the
-// stripe — instead of each arming a dedicated pacing timer. At the headline
-// two-tier scale a server streams one title to ~200 viewers at one shared
-// rate, so striping turns ~200 timer events per frame period into one event
-// that walks a flat entry slice in attach order and hands the beat's frames
-// to the network as one batch. Every per-session decision (thinning,
-// degrade, shaper tokens, end-of-movie) still runs per session inside the
-// walk, via the same paceTickLocked body the dedicated timer uses.
+// stripe — instead of each arming a dedicated pacing timer. A beat is one
+// event that walks a flat entry slice in attach order and hands its frames
+// to the network as one batch. How many sessions a beat carries is set by
+// what they share, not by how many watch the title: at the headline
+// two-tier scale a server streams one title to ~200 viewers, but flow
+// control gives each session its own period and there are 16 phase slots,
+// so the 50×10k row measured 693,856 beats carrying 3,000,000 frames — 4.3
+// sessions per beat (2.5 on 10×1k), 18,042 stripes created for 10,000
+// viewers. Every per-session decision (thinning, degrade, shaper tokens,
+// end-of-movie) still runs per session inside the walk, via the same
+// paceTickLocked body the dedicated timer uses.
 //
 // Determinism: stripes are created, attached to and walked in simulation
 // event order; the only map (Server.stripes) is never iterated outside the
