@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-short test-benchmark race bench bench-smoke bench-capacity bench-scale-budget profile-scale profile-chaos chaos sweep figures tables golden-update examples vet fuzz-smoke loc
+.PHONY: test test-short test-benchmark race bench bench-smoke bench-capacity bench-scale-budget profile-scale profile-chaos chaos sweep figures tables golden-update examples vet fuzz-smoke loc loc-budget
 
 test:        ## full test suite (includes ~20s of real-clock tests)
 	go test ./...
@@ -88,3 +88,9 @@ vet:
 
 loc:         ## non-test Go in the root module — the line count ROADMAP tracks
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l | tail -1
+
+loc-budget:  ## fails when `make loc` exceeds the checked-in LOC_budget: the line count only ratchets down
+	@got=$$($(MAKE) -s loc | awk '{ print $$1 }'); budget=$$(awk '$$1 == "lines" { print $$2 }' LOC_budget); \
+	if [ -z "$$got" ] || [ -z "$$budget" ]; then echo "loc-budget: could not read make loc or LOC_budget"; exit 1; fi; \
+	if [ "$$got" -gt "$$budget" ]; then echo "loc-budget: FAIL $$got lines of non-test Go exceed budget $$budget"; exit 1; fi; \
+	echo "loc-budget: OK $$got lines of non-test Go within budget $$budget"

@@ -267,38 +267,6 @@ type Client struct {
 	renewBuf []byte
 }
 
-// dirEvent defers one direct (point-to-point) GCS payload onto the clock.
-// The payload must be copied out of the transport receive buffer before the
-// handler returns, and the deferral itself used to cost a fresh slice plus
-// two closures per reply; the pool reduces a warm cycle to a copy.
-type dirEvent struct {
-	c    *Client
-	from gcs.ProcessID
-	buf  []byte
-	fire func() // bound once to run
-}
-
-var dirEventPool sync.Pool
-
-func init() {
-	// New assigned here, not in the composite literal, so fire can refer to
-	// the pool's own element without an initialization cycle.
-	dirEventPool.New = func() any {
-		e := &dirEvent{}
-		e.fire = e.run
-		return e
-	}
-}
-
-func (e *dirEvent) run() {
-	c, from := e.c, e.from
-	c.onDirect(from, e.buf)
-	// onDirect never retains the payload (DecodeOpenReplyInto copies the
-	// few strings it keeps), so the buffer can be reused immediately.
-	e.c, e.from, e.buf = nil, "", e.buf[:0]
-	dirEventPool.Put(e)
-}
-
 // New creates a client bound to its own endpoint. Call Watch to start.
 func New(cfg Config) (*Client, error) {
 	if err := cfg.fillDefaults(); err != nil {
@@ -343,12 +311,7 @@ func New(cfg Config) (*Client, error) {
 	}
 	c.sendOpenFn = c.sendOpen
 	c.vid.SetHandler(c.onVideo)
-	c.proc.SetDirectHandler(func(from gcs.ProcessID, payload []byte) {
-		e := dirEventPool.Get().(*dirEvent)
-		e.c, e.from = c, from
-		e.buf = append(e.buf[:0], payload...)
-		cfg.Clock.AfterFunc(0, e.fire)
-	})
+	c.proc.SetDirectHandler(c.onDirect)
 	return c, nil
 }
 
@@ -615,7 +578,9 @@ func (c *Client) sendOpen() {
 }
 
 // onDirect handles point-to-point replies — the OpenReply, and in lease
-// mode the lease Acks confirming our renewals.
+// mode the lease Acks confirming our renewals — in the gcs delivery call:
+// the payload aliases the receive buffer, and both decodes copy what they
+// keep.
 func (c *Client) onDirect(from gcs.ProcessID, payload []byte) {
 	if len(payload) == 0 {
 		return

@@ -23,16 +23,6 @@ func NewRateController(p Params) *RateController {
 	return &RateController{p: p, base: p.DefaultRate}
 }
 
-// Reset reinitializes the controller in place to the state NewRateController
-// would produce, so pooled per-client state can be reused across session
-// incarnations without reallocating.
-func (r *RateController) Reset(p Params) {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	*r = RateController{p: p, base: p.DefaultRate}
-}
-
 // Rate returns the current transmission rate in frames/s: the base rate
 // plus the live emergency quantity.
 func (r *RateController) Rate() int { return r.base + r.emergency }

@@ -391,16 +391,18 @@ func (m *Member) onInstallLocked(msg *msgInstall, cb *callbacks) {
 	m.ms.reset(m.view, m.p.id)
 	m.status = statusNormal
 	m.p.ctr.viewChanges.Inc()
-	// "<group> <seq>@<coord> members=<n>", built in the packet scratch.
-	note := append(m.encBuf[:0], m.group...)
-	note = append(note, ' ')
-	note = strconv.AppendUint(note, msg.view.Seq, 10)
-	note = append(note, '@')
-	note = append(note, msg.view.Coord...)
-	note = append(note, " members="...)
-	note = strconv.AppendInt(note, int64(len(members)), 10)
-	m.encBuf = note[:0]
-	m.p.cfg.Obs.Event("gcs.view", string(note))
+	if reg := m.p.cfg.Obs; reg != nil {
+		// "<group> <seq>@<coord> members=<n>", built in the packet scratch.
+		note := append(m.encBuf[:0], m.group...)
+		note = append(note, ' ')
+		note = strconv.AppendUint(note, msg.view.Seq, 10)
+		note = append(note, '@')
+		note = append(note, msg.view.Coord...)
+		note = append(note, " members="...)
+		note = strconv.AppendInt(note, int64(len(members)), 10)
+		m.encBuf = note[:0]
+		reg.Event("gcs.view", string(note))
+	}
 	m.haveCut = false
 	m.sentCutDone = false
 	m.flushCandidates = nil

@@ -3,7 +3,6 @@ package server
 import (
 	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/clock"
 	"repro/internal/gcs"
@@ -46,11 +45,11 @@ type movieState struct {
 	recScratch []wire.ClientRecord
 	syncState  wire.ClientState
 
-	// syncBuf is the state message's reusable encode buffer. Multicast copies
-	// the payload before returning, but the buffer stays aliased until it
-	// does — after srv.mu is released — so sendMu (acquired inside srv.mu,
-	// held across the send) guards it rather than srv.mu.
-	sendMu  sync.Mutex
+	// syncBuf is the state message's reusable encode buffer, guarded by
+	// srv.mu. A sender takes it out of the struct while it multicasts with
+	// srv.mu released (Multicast copies the payload before returning) and
+	// puts it back afterwards, so a concurrent sender encodes into a buffer of
+	// its own rather than into bytes still being read.
 	syncBuf []byte
 }
 
@@ -106,12 +105,12 @@ func (ms *movieState) announceLocked(rec wire.ClientRecord) {
 
 // multicastStateAndUnlock encodes ms.syncState into the reusable buffer,
 // counts it as sync traffic — the one place that does — and multicasts it on
-// the movie group. Caller holds srv.mu, which is released before the send.
+// the movie group. Caller holds srv.mu, which is released before the send:
+// the multicast delivers to this server too, and onMovieGroupMessage takes it.
 func (ms *movieState) multicastStateAndUnlock() {
 	s := ms.srv
-	ms.sendMu.Lock()
 	pkt := wire.AppendMessage(ms.syncBuf[:0], &ms.syncState)
-	ms.syncBuf = pkt[:0]
+	ms.syncBuf = nil
 	s.stats.SyncMessages++
 	s.stats.SyncBytes += uint64(len(pkt))
 	s.ctr.syncMessages.Inc()
@@ -122,7 +121,9 @@ func (ms *movieState) multicastStateAndUnlock() {
 	if member != nil {
 		_ = member.Multicast(pkt)
 	}
-	ms.sendMu.Unlock()
+	s.mu.Lock()
+	ms.syncBuf = pkt[:0]
+	s.mu.Unlock()
 }
 
 // ownRecordsLocked snapshots the live state of this server's sessions for
@@ -148,12 +149,9 @@ func (ms *movieState) ownRecordsLocked() []wire.ClientRecord {
 // byClientID orders knowledge-table records for the wire and for replay.
 func byClientID(a, b wire.ClientRecord) int { return strings.Compare(a.ClientID, b.ClientID) }
 
-// onMessage merges a peer's state-sync message into the knowledge table
-// and advances the view-sync exchange.
-func (ms *movieState) onMessage(from gcs.ProcessID, msg *wire.ClientState) {
-	s := ms.srv
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// onMessageLocked merges a member's state-sync message into the knowledge
+// table and advances the view-sync exchange. Caller holds srv.mu.
+func (ms *movieState) onMessageLocked(from gcs.ProcessID, msg *wire.ClientState) {
 	for _, rec := range msg.Clients {
 		ms.resolveDuplicateLocked(from, rec)
 		ms.mergeLocked(rec)
@@ -200,7 +198,9 @@ func (ms *movieState) resolveDuplicateLocked(from gcs.ProcessID, rec wire.Client
 	ms.srv.dropSessionLocked(sess)
 	ms.srv.stats.Releases++
 	ms.srv.ctr.releases.Inc()
-	ms.srv.cfg.Obs.Event("server.duplicate_release", rec.ClientID+" vs "+string(from))
+	if reg := ms.srv.cfg.Obs; reg != nil {
+		reg.Event("server.duplicate_release", rec.ClientID+" vs "+string(from))
+	}
 }
 
 // mergeLocked folds one record in, newest SentAt winning. Caller holds
@@ -330,7 +330,9 @@ func (ms *movieState) redistributeLocked() {
 			s.startSessionLocked(rec, ms.movie, true)
 			s.stats.Takeovers++
 			s.ctr.takeovers.Inc()
-			s.cfg.Obs.Event("server.takeover", id+" movie="+ms.movie.ID())
+			if reg := s.cfg.Obs; reg != nil {
+				reg.Event("server.takeover", id+" movie="+ms.movie.ID())
+			}
 		case owner != gcs.ProcessID(s.cfg.ID) && mine:
 			s.dropSessionLocked(sess)
 			s.stats.Releases++
@@ -373,50 +375,17 @@ func Assign(clients []string, order []gcs.ProcessID) map[string]gcs.ProcessID {
 	return out
 }
 
-// csEvent defers one decoded state-sync message to its own clock event —
-// the same one-AfterFunc-per-message scheduling as the closure it replaces,
-// but with the record, its decoded message (including the Clients backing
-// array) and the bound fire closure pooled. Paired with the interning
-// decode, a warm sync cycle allocates nothing on the receive side.
-type csEvent struct {
-	ms   *movieState
-	from gcs.ProcessID
-	msg  wire.ClientState
-	fire func() // bound once to run; survives pooling
-}
-
-var csEventPool sync.Pool
-
-func init() {
-	csEventPool.New = func() any {
-		e := new(csEvent)
-		e.fire = e.run
-		return e
-	}
-}
-
-func (e *csEvent) run() {
-	ms, from := e.ms, e.from
-	e.ms, e.from = nil, ""
-	ms.onMessage(from, &e.msg)
-	csEventPool.Put(e)
-}
-
 // onMovieGroupMessage decodes and routes a movie-group multicast. The sync
-// payload aliases the transport receive buffer, so it is decoded (copied,
-// with record strings interned) before the deferral.
+// payload aliases the transport receive buffer; it is decoded (copied, with
+// record strings interned) into the server's scratch and merged in this call.
 func (s *Server) onMovieGroupMessage(ms *movieState, from gcs.ProcessID, payload []byte) {
 	if len(payload) == 0 || wire.Kind(payload[0]) != wire.KindClientState {
 		return
 	}
-	e := csEventPool.Get().(*csEvent)
-	s.syncMu.Lock()
-	err := wire.DecodeClientStateInto(&e.msg, s.syncIntern, payload)
-	s.syncMu.Unlock()
-	if err != nil {
-		csEventPool.Put(e)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || wire.DecodeClientStateInto(&s.syncIn, s.syncIntern, payload) != nil {
 		return
 	}
-	e.ms, e.from = ms, from
-	s.cfg.Clock.AfterFunc(0, e.fire)
+	ms.onMessageLocked(from, &s.syncIn)
 }

@@ -258,13 +258,27 @@ type Server struct {
 	// per TTL/3), guarded by mu.
 	ackBuf []byte
 
-	// syncIntern dedups the strings decoded from peers' state-sync messages:
-	// the same client IDs and addresses arrive every half second for the
-	// whole session, so only the first sighting of each allocates. Guarded by
-	// syncMu, not mu — decoding happens on the GCS delivery path before the
-	// deferred merge takes mu.
-	syncMu     sync.Mutex
+	// syncIn is the decode target for peers' state-sync messages, and
+	// syncIntern dedups the strings decoded into it: the same client IDs and
+	// addresses arrive every half second for the whole session, so only the
+	// first sighting of each allocates. Guarded by mu, which the delivery
+	// holds across decode and merge.
+	syncIn     wire.ClientState
 	syncIntern wire.Intern
+
+	// openIn, openReply and openEnc are the Open handler's decode target and
+	// reply scratch, guarded by mu, which the delivery holds from decode to
+	// send. Under over-capacity load every client retries its Open on a
+	// timer, so the open/refuse cycle is a steady-state hot path, and a warm
+	// refusal allocates nothing here.
+	openIn    wire.Open
+	openReply wire.OpenReply
+	openEnc   wire.Encoder
+
+	// sessionGen numbers the sessions this server has started, so a queued
+	// join or view callback can tell two sessions of one client ID apart.
+	// Guarded by mu.
+	sessionGen uint64
 
 	// stripes holds the coalesced pacing tickers of the leased tier, one
 	// per (movie, send period, phase slot) with at least one attached
@@ -507,11 +521,11 @@ func (s *Server) serveMovie(movieID string, contacts []gcs.ProcessID) error {
 	return nil
 }
 
-// later schedules f on the clock, off any caller's locks — the trampoline
-// that keeps GCS callbacks, timers and server state changes on one simple
-// locking level.
+// later schedules f on the clock, off any caller's locks: the trampoline
+// for work begun under s.mu that must re-enter the GCS (multicast, join,
+// leave) or that the GCS hands over mid-install (a view).
 func (s *Server) later(f func()) {
-	s.cfg.Clock.AfterFunc(0, f)
+	clock.Schedule(s.cfg.Clock, 0, f)
 }
 
 // noteSessionsLocked refreshes the active-session gauge; called wherever
@@ -539,9 +553,7 @@ func (s *Server) Stop() {
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		sess := s.sessions[id]
-		sess.stopLocked()
-		s.recycleSessionLocked(sess)
+		s.sessions[id].stopLocked()
 	}
 	s.sessions = make(map[string]*session)
 	s.classes = [2]int{}
@@ -607,8 +619,8 @@ func (s *Server) degradeFPSLocked() uint16 {
 }
 
 // dropSessionLocked is the single teardown path for a live session: stop it,
-// remove it from the session table, keep the per-class census honest, and
-// recycle the record. Caller holds s.mu.
+// remove it from the session table and keep the per-class census honest.
+// Caller holds s.mu.
 func (s *Server) dropSessionLocked(sess *session) {
 	sess.stopLocked()
 	delete(s.sessions, sess.rec.ClientID)
@@ -616,7 +628,6 @@ func (s *Server) dropSessionLocked(sess *session) {
 		s.leases.Drop(sess.rec.ClientID)
 	}
 	s.classes[classIdx(sess.rec.Class)]--
-	s.recycleSessionLocked(sess)
 	s.noteSessionsLocked()
 }
 
@@ -641,75 +652,41 @@ func (s *Server) HasSession(clientID string) bool {
 	return ok
 }
 
-// openEvent defers one decoded Open onto the clock and carries the scratch
-// for its reply. Under over-capacity load every client retries its Open on
-// a timer, so the open/refuse cycle is a steady-state hot path: the pool
-// plus the decode-into/encode-from scratch makes a warm refusal cycle
-// allocation-free on the server side.
-type openEvent struct {
-	s     *Server
-	from  gcs.ProcessID
-	open  wire.Open
-	reply wire.OpenReply
-	enc   wire.Encoder
-	fire  func() // bound once to run
-}
-
-var openEventPool sync.Pool
-
-func init() {
-	// New assigned here, not in the composite literal, so fire can refer to
-	// the pool's own element without an initialization cycle.
-	openEventPool.New = func() any {
-		e := &openEvent{}
-		e.fire = e.run
-		return e
-	}
-}
-
-func (e *openEvent) run() {
-	s := e.s
-	s.handleOpen(e)
-	e.s = nil
-	openEventPool.Put(e)
-}
-
 // onServerGroupMessage handles messages on the server group — notably the
-// Open anycasts from clients contacting the abstract VoD service.
+// Open anycasts from clients contacting the abstract VoD service. The payload
+// aliases the transport receive buffer and is decoded (copied) here;
+// DecodeOpenInto keeps the scratch's previous strings when a retry resends
+// the same values.
 func (s *Server) onServerGroupMessage(_ string, from gcs.ProcessID, payload []byte) {
 	if len(payload) == 0 || wire.Kind(payload[0]) != wire.KindOpen {
 		return
 	}
-	e := openEventPool.Get().(*openEvent)
-	// The anycast payload aliases the transport receive buffer, so it must
-	// be decoded (copied) before the deferral; DecodeOpenInto keeps the
-	// event's previous strings when a retry resends the same values.
-	if err := wire.DecodeOpenInto(&e.open, payload); err != nil {
-		openEventPool.Put(e)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || wire.DecodeOpenInto(&s.openIn, payload) != nil {
 		return
 	}
-	e.s, e.from = s, from
-	s.cfg.Clock.AfterFunc(0, e.fire)
+	s.handleOpenLocked(from)
 }
 
-// handleOpen starts a session for a requesting client, or tells it to try
-// elsewhere if this server does not hold the movie. It runs deferred via
-// openEvent.fire; the event supplies both the decoded Open and the reply
-// scratch (safe because gcs Send copies the packet before returning).
-func (s *Server) handleOpen(e *openEvent) {
-	from, open := e.from, &e.open
+// replyOpenLocked sends reply to an Open's sender from the server's reply
+// scratch (gcs Send copies the packet before returning). Caller holds s.mu.
+func (s *Server) replyOpenLocked(to gcs.ProcessID, reply wire.OpenReply) {
+	s.openReply = reply
+	_ = s.proc.Send(to, s.openEnc.Encode(&s.openReply))
+}
+
+// handleOpenLocked starts a session for the client whose Open is in
+// s.openIn, or tells it to try elsewhere if this server does not hold the
+// movie. Caller holds s.mu.
+func (s *Server) handleOpenLocked(from gcs.ProcessID) {
+	open := &s.openIn
 	movie, err := s.cfg.Catalog.Get(open.Movie)
 	if err != nil {
-		e.reply = wire.OpenReply{OK: false, Error: err.Error(), Movie: open.Movie}
-		_ = s.proc.Send(from, e.enc.Encode(&e.reply))
+		s.replyOpenLocked(from, wire.OpenReply{OK: false, Error: err.Error(), Movie: open.Movie})
 		return
 	}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	_, servedHere := s.sessions[open.ClientID]
 	servedElsewhere := false
 	var elseRec wire.ClientRecord
@@ -731,14 +708,12 @@ func (s *Server) handleOpen(e *openEvent) {
 		// Plain lease retry that raced its own reply to a second server:
 		// refuse briefly instead of double-streaming; the client keeps
 		// cycling the owner list and re-reaches its real server.
-		s.mu.Unlock()
-		e.reply = wire.OpenReply{
+		s.replyOpenLocked(from, wire.OpenReply{
 			OK:           false,
 			Error:        "session active elsewhere",
 			Movie:        open.Movie,
 			RetryAfterMs: 250,
-		}
-		_ = s.proc.Send(from, e.enc.Encode(&e.reply))
+		})
 		return
 	}
 	if !servedHere && !servedElsewhere {
@@ -762,14 +737,12 @@ func (s *Server) handleOpen(e *openEvent) {
 				s.stats.RefusalsReserved++
 				s.ctr.refusalsReserved.Inc()
 			}
-			s.mu.Unlock()
-			e.reply = wire.OpenReply{
+			s.replyOpenLocked(from, wire.OpenReply{
 				OK:           false,
 				Error:        msg,
 				Movie:        open.Movie,
 				RetryAfterMs: retry,
-			}
-			_ = s.proc.Send(from, e.enc.Encode(&e.reply))
+			})
 			return
 		}
 	}
@@ -793,7 +766,9 @@ func (s *Server) handleOpen(e *openEvent) {
 		s.leasesLocked().Touch(rec.ClientID)
 		s.stats.Takeovers++
 		s.ctr.takeovers.Inc()
-		s.cfg.Obs.Event("server.lease_takeover", open.ClientID+" movie="+open.Movie)
+		if reg := s.cfg.Obs; reg != nil {
+			reg.Event("server.lease_takeover", open.ClientID+" movie="+open.Movie)
+		}
 	default:
 		rec := wire.ClientRecord{
 			ClientID:   open.ClientID,
@@ -816,34 +791,32 @@ func (s *Server) handleOpen(e *openEvent) {
 			s.stats.AdmitsReserved++
 			s.ctr.admitsReserved.Inc()
 		}
-		s.cfg.Obs.Event("server.session_open", open.ClientID+" movie="+open.Movie)
+		if reg := s.cfg.Obs; reg != nil {
+			reg.Event("server.session_open", open.ClientID+" movie="+open.Movie)
+		}
 	}
 	// Tell the movie group about the client right away, shrinking the window
 	// in which a crash would orphan it: this session's record and no other.
 	// (A duplicate Open whose session lives on a peer has nothing to announce.)
-	group := ""
+	var group string
 	if sess := s.sessions[open.ClientID]; sess != nil {
 		group = sess.group // precomputed at session start
 		if ms := s.movies[sess.movie.ID()]; ms != nil {
 			ms.announceLocked(sess.rec)
 		}
+	} else { // served elsewhere: no local session to borrow from
+		group = SessionGroup(open.ClientID)
 	}
 	ttlMs := uint32(0)
 	if open.Lease {
 		ttlMs = uint32(lease.DefaultTTL.Milliseconds())
 	}
-	s.mu.Unlock()
-	if group == "" { // served elsewhere: no local session to borrow from
-		group = SessionGroup(open.ClientID)
-	}
-
-	e.reply = wire.OpenReply{
+	s.replyOpenLocked(from, wire.OpenReply{
 		OK:           true,
 		Movie:        open.Movie,
 		TotalFrames:  uint32(movie.TotalFrames()),
 		FPS:          uint16(movie.FPS()),
 		SessionGroup: group,
 		LeaseTTLMs:   ttlMs,
-	}
-	_ = s.proc.Send(from, e.enc.Encode(&e.reply))
+	})
 }

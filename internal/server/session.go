@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/clock"
@@ -17,17 +16,12 @@ import (
 // granted rate, adjusts the rate on flow-control requests, applies the
 // emergency boost, and executes VCR operations.
 //
-// Session records are pooled process-wide: a chaos restart or takeover wave
-// that tears down and recreates hundreds of sessions reuses retired records
-// instead of reallocating them. Two rules make that safe. First, no callback
-// that can fire after stopLocked captures a *session — deferred work holds
-// (clientID, gen) and looks the session up, so a record handed to a new
-// incarnation is unreachable from its old life. Second, gen increments on
-// every reuse, so a callback from a previous incarnation that finds a
-// recycled record under the same client ID bails out on the mismatch.
+// No callback that can fire after stopLocked captures a *session: deferred
+// work holds (clientID, gen) and looks the session up, so a callback queued by
+// an earlier session of the same client finds the mismatch and bails out.
 type session struct {
 	srv   *Server
-	gen   uint64            // incarnation counter; guards deferred callbacks
+	gen   uint64            // Server.sessionGen at start; guards deferred callbacks
 	rec   wire.ClientRecord // live state; rec.Offset is the next frame to send
 	movie *mpeg.Movie
 	rate  *flowctl.RateController
@@ -65,69 +59,45 @@ type session struct {
 	conflicts map[gcs.ProcessID]bool
 
 	sendTimer clock.Timer
-	sendOneFn func() // sess.sendOne, bound once per record: survives pooling
-	joinFn    func() // per-incarnation join closure, reused by retries
+	sendOneFn func() // sess.sendOne, bound once: the pacing timer re-arms every frame
+	joinFn    func() // join closure, reused by retries
 	joinTimer clock.Timer
 	decayTask *clock.Periodic
 	joinTries int
 
-	// group and the two handler closures are built once per incarnation in
-	// startSessionLocked and reused by every join retry, which would
-	// otherwise rebuild them on each attempt.
+	// group and the two handler closures are built once in startSessionLocked
+	// and reused by every join retry, which would otherwise rebuild them on
+	// each attempt.
 	group    string
 	onViewFn func(gcs.View)
 	onMsgFn  func(string, gcs.ProcessID, []byte)
 
 	// fc is the reusable decode target for this client's flow-control
-	// stream, guarded by srv.mu. Preserved across pooling so the keep-string
-	// decode reuses the client-ID allocation for the session's lifetime.
+	// stream, guarded by srv.mu: the keep-string decode reuses the client-ID
+	// allocation for the session's lifetime.
 	fc wire.FlowControl
 }
-
-// sessionPool recycles session records across incarnations — including
-// across Server instances, so a restarted server reuses the records its
-// previous incarnation retired. Records are only Put once nothing can reach
-// them anymore (timers released, callbacks lookup-based); contents are fully
-// reinitialized on reuse, so pool handout order cannot influence simulation
-// behavior.
-var sessionPool = sync.Pool{New: func() any { return new(session) }}
 
 // startSessionLocked creates the session and begins joining the client's
 // session group. Transmission starts once the group view shows the client
 // — the "two-way connection" of §3 — so the client's control multicasts
 // are guaranteed to reach us from the first frame on. Caller holds srv.mu.
 func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, takeover bool) *session {
-	sess := sessionPool.Get().(*session)
-	gen := sess.gen + 1
-	rate, conflicts, sendOneFn, fc := sess.rate, sess.conflicts, sess.sendOneFn, sess.fc
-	clear(conflicts)
-	*sess = session{
-		srv:       s,
-		gen:       gen,
-		rec:       rec,
-		movie:     movie,
-		rate:      rate,
-		conflicts: conflicts,
-		sendOneFn: sendOneFn,
-		fc:        fc,
-	}
-	if sess.rate == nil {
-		sess.rate = flowctl.NewRateController(s.cfg.Flow)
-	} else {
-		sess.rate.Reset(s.cfg.Flow)
+	s.sessionGen++
+	gen := s.sessionGen
+	sess := &session{
+		srv:     s,
+		gen:     gen,
+		rec:     rec,
+		movie:   movie,
+		rate:    flowctl.NewRateController(s.cfg.Flow),
+		packets: movie.Packets(s.vid.Preframe()),
+		dst:     s.vid.Resolve(transport.Addr(rec.ClientAddr)),
+		// Resuming at a stale offset past the end means the movie ended.
+		atEnd: takeover && int(rec.Offset) >= movie.TotalFrames(),
 	}
 	sess.rate.SetBase(int(rec.Rate))
-	if sess.sendOneFn == nil {
-		sess.sendOneFn = sess.sendOne
-	}
-	sess.packets = movie.Packets(s.vid.Preframe())
-	sess.dst = s.vid.Resolve(transport.Addr(rec.ClientAddr))
-	if takeover {
-		// Resuming at a stale offset past the end means the movie ended.
-		if int(rec.Offset) >= movie.TotalFrames() {
-			sess.atEnd = true
-		}
-	}
+	sess.sendOneFn = sess.sendOne
 	s.sessions[rec.ClientID] = sess
 	s.classes[classIdx(rec.Class)]++
 	s.noteSessionsLocked()
@@ -154,61 +124,19 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 		s.later(func() { s.onSessionView(clientID, gen, v) })
 	}
 	sess.onMsgFn = func(_ string, from gcs.ProcessID, payload []byte) {
-		e := ctlEventPool.Get().(*ctlEvent)
-		e.s, e.clientID, e.from, e.payload = s, clientID, from, payload
-		s.cfg.Clock.AfterFunc(0, e.fire)
+		s.handleSessionMessage(clientID, from, payload)
 	}
 	sess.joinFn = func() { s.joinSession(clientID, gen) }
 	s.later(sess.joinFn)
 	return sess
 }
 
-// ctlEvent defers one inbound session-group control message to its own
-// clock event — same scheduling as a per-message closure (one AfterFunc per
-// message, armed at receipt, so simulation event order is unchanged) but
-// with the record and its bound fire closure pooled. The payload alias is
-// safe to hold across the deferral: it points into the GCS's retained
-// message buffer, which outlives this same-instant callback by the full
-// stability interval.
-type ctlEvent struct {
-	s        *Server
-	clientID string
-	from     gcs.ProcessID
-	payload  []byte
-	fire     func() // bound once to run; survives pooling
-}
-
-var ctlEventPool sync.Pool
-
-func init() {
-	ctlEventPool.New = func() any {
-		e := new(ctlEvent)
-		e.fire = e.run
-		return e
-	}
-}
-
-func (e *ctlEvent) run() {
-	s, clientID, from, payload := e.s, e.clientID, e.from, e.payload
-	*e = ctlEvent{fire: e.fire}
-	ctlEventPool.Put(e)
-	s.handleSessionMessage(clientID, from, payload)
-}
-
-// recycleSessionLocked hands a stopped session record back to the pool.
-// Caller holds srv.mu, must have called stopLocked and removed the record
-// from s.sessions first — after that, every reference path to the record is
-// gone (timers released, deferred callbacks lookup-based).
-func (s *Server) recycleSessionLocked(sess *session) {
-	sessionPool.Put(sess)
-}
-
 // joinSession enters the client's session group. It retries while a previous
 // membership for the same client is still deactivating (a client released
 // and re-adopted in quick succession). Deferred invocations identify the
 // session by (clientID, gen) rather than holding the record, so a retry that
-// fires after the session was torn down — or after its record was reused —
-// is a no-op.
+// fires after the session was torn down — or replaced by a later one of the
+// same client — is a no-op.
 func (s *Server) joinSession(clientID string, gen uint64) {
 	s.mu.Lock()
 	sess := s.sessions[clientID]
@@ -433,7 +361,7 @@ func (sess *session) stopLocked() {
 	}
 	sess.closed = true
 	if st := sess.stripe; st != nil {
-		st.entries[sess.stripePos].sess = nil
+		st.entries[sess.stripePos] = nil
 		sess.stripe = nil
 	}
 	if sess.sendTimer != nil {
