@@ -75,12 +75,14 @@ examples:    ## run all simulated examples
 	for e in quickstart failover loadbalance vcr discovery hacounter; do \
 		echo "== $$e =="; go run ./examples/$$e; done
 
-fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders and the gcs packet handler (one -fuzz per run)
+fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders and the gcs and fetch packet handlers (one -fuzz per run)
 	go test -run='^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzDecodeOpenInto$$' -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzDecodeLease$$' -fuzztime=10s ./internal/lease
 	go test -run='^$$' -fuzz='^FuzzReadFrom$$' -fuzztime=10s ./internal/mpeg
 	go test -run='^$$' -fuzz='^FuzzOnPacket$$' -fuzztime=10s ./internal/gcs
+	go test -run='^$$' -fuzz='^FuzzProviderOnPacket$$' -fuzztime=10s ./internal/fetch
+	go test -run='^$$' -fuzz='^FuzzFetcherOnPacket$$' -fuzztime=10s ./internal/fetch
 
 vet:
 	go vet ./...

@@ -1,0 +1,120 @@
+package fetch
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"repro/internal/clock"
+	"repro/internal/mpeg"
+	"repro/internal/netsim"
+	"repro/internal/store"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// hostileNet is a LAN with a provider and a getter; the getter counts the
+// datagrams that reach it.
+func hostileNet(t *testing.T) (clk *clock.Virtual, prov, get transport.Endpoint, got *int) {
+	t.Helper()
+	clk = clock.NewVirtual(epoch)
+	net := netsim.New(clk, 1, netsim.LAN())
+	prov, err := net.NewEndpoint("provider")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if get, err = net.NewEndpoint("getter"); err != nil {
+		t.Fatal(err)
+	}
+	got = new(int)
+	get.SetHandler(func(transport.Addr, []byte) { *got++ })
+	return clk, prov, get, got
+}
+
+func chunkReq(reqID uint64, movie string, chunk uint32) []byte {
+	b := wire.AppendU8(nil, kindChunkReq)
+	b = wire.AppendU64(b, reqID)
+	b = wire.AppendString(b, movie)
+	return wire.AppendU32(b, chunk)
+}
+
+func chunkResp(reqID uint64, movie string, chunk, total uint32, data []byte) []byte {
+	b := wire.AppendU8(nil, kindChunkResp)
+	b = wire.AppendU64(b, reqID)
+	b = wire.AppendString(b, movie)
+	b = wire.AppendU32(b, chunk)
+	b = wire.AppendU32(b, total)
+	return wire.AppendBytes(b, data)
+}
+
+// FuzzProviderOnPacket throws arbitrary datagrams at a provider holding one
+// title. Whatever arrives, the handler returns without panicking and
+// answers with at most one datagram.
+func FuzzProviderOnPacket(f *testing.F) {
+	f.Add(chunkReq(1, "m", 0))
+	f.Add(chunkReq(1, "m", 1<<31))
+	f.Add(chunkReq(7, "no-such-movie", 0))
+	f.Add(chunkReq(1, "m", 0)[:5])
+	f.Add(append(chunkReq(1, "m", 0), 0))
+	f.Add(chunkResp(1, "m", 0, 1, []byte("x")))
+	f.Add([]byte{})
+
+	cat := store.NewCatalog()
+	cat.Add(mpeg.Generate("m", mpeg.StreamConfig{Duration: time.Second, Seed: 1}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		clk, prov, get, got := hostileNet(t)
+		p := NewProvider(cat, prov, prov, nil)
+		p.onPacket(get.Addr(), data)
+		clk.Advance(time.Second)
+		if *got > 1 {
+			t.Fatalf("one request drew %d replies", *got)
+		}
+	})
+}
+
+// FuzzFetcherOnPacket throws arbitrary datagrams, as if from the provider,
+// at a fetcher with a transfer of "m" in flight. Whatever arrives, the
+// handler returns without panicking, the transfer's callback runs at most
+// once, and a movie it hands over is one the decoder accepted.
+func FuzzFetcherOnPacket(f *testing.F) {
+	var buf bytes.Buffer
+	if _, err := mpeg.Generate("m", mpeg.StreamConfig{Duration: time.Second, Seed: 1}).WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	file := buf.Bytes()
+	f.Add(chunkResp(1, "m", 0, 1, file))
+	f.Add(chunkResp(1, "m", 0, 1, file[:len(file)/2]))
+	f.Add(chunkResp(1, "m", 0, 2, file))
+	f.Add(chunkResp(1, "m", 1, 1, file))
+	f.Add(chunkResp(2, "m", 0, 1, file))
+	f.Add(chunkResp(1, "other", 0, 1, file))
+	f.Add(chunkResp(1, "m", 0, 0, nil))
+	f.Add(append(wire.AppendU64([]byte{kindNotFound}, 1), wire.AppendString(nil, "m")...))
+	f.Add(chunkReq(1, "m", 0))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		clk, prov, get, _ := hostileNet(t)
+		fe := NewFetcher(clk, get, get, nil)
+		calls := 0
+		if err := fe.Fetch("m", prov.Addr(), func(m *mpeg.Movie, err error) {
+			calls++
+			if (m == nil) == (err == nil) {
+				t.Fatalf("callback got movie %v and error %v", m, err)
+			}
+			if m != nil && m.ID() == "" {
+				t.Fatal("callback got a movie with no ID")
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		fe.onPacket(prov.Addr(), data)
+		fe.onPacket(prov.Addr(), data)
+		clk.Advance(time.Second)
+		if calls > 1 {
+			t.Fatalf("transfer callback ran %d times", calls)
+		}
+	})
+}

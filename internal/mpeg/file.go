@@ -12,7 +12,8 @@ import (
 // standing in for the paper's MPEG files ("new movies can be added on the
 // fly by storing them on machines where servers are running", §7). Only
 // the stream structure is stored — frame classes and sizes — because the
-// synthetic payload bytes are a deterministic function of the frame index.
+// payload bytes a server sends are a function of the frame table (see
+// PacketTable).
 //
 //	magic "VODM" | version u8 | id string | fps u16 |
 //	frame count u32 | count × (class u8, size u32)
@@ -23,6 +24,11 @@ const fileVersion = 1
 
 // frameRecordSize is one frame-table record: class u8 + size u32.
 const frameRecordSize = 5
+
+// maxIDLen bounds a title ID read from a file. The packet table repeats the
+// ID once per frame, so with it a table costs at most (13+maxIDLen)/5 ≈ 16×
+// the file that described it, plus a tail of at most one frame.
+const maxIDLen = 64
 
 // WriteTo serializes the movie. It implements io.WriterTo.
 func (m *Movie) WriteTo(w io.Writer) (int64, error) {
@@ -60,6 +66,9 @@ func ReadFrom(r io.Reader) (*Movie, error) {
 	n := int(rd.U32())
 	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("mpeg: corrupt movie header: %w", err)
+	}
+	if len(m.id) > maxIDLen {
+		return nil, fmt.Errorf("mpeg: movie ID of %d bytes exceeds %d", len(m.id), maxIDLen)
 	}
 	if m.id == "" || m.fps <= 0 || n <= 0 || n > 1<<26 {
 		return nil, fmt.Errorf("mpeg: implausible movie header (id=%q fps=%d frames=%d)", m.id, m.fps, n)

@@ -3,6 +3,7 @@ package mpeg
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -29,9 +30,12 @@ func TestFileRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d differs: %+v vs %+v", i, in.Frame(i), out.Frame(i))
 		}
 	}
-	// Payload regeneration is deterministic from structure alone.
-	if !bytes.Equal(in.FrameData(123), out.FrameData(123)) {
-		t.Fatal("frame data differs after round trip")
+	// Packets are a function of the frame table alone.
+	pin, pout := in.Packets(testPrefix), out.Packets(testPrefix)
+	for i := 0; i < in.TotalFrames(); i++ {
+		if !bytes.Equal(pin.Packet(i), pout.Packet(i)) {
+			t.Fatalf("packet %d differs after round trip", i)
+		}
 	}
 }
 
@@ -70,20 +74,59 @@ func TestReadFromNeverPanics(t *testing.T) {
 	}
 }
 
-// hostileHeader is a complete, plausible header claiming frames frame
-// records with none following — what a peer or a damaged disk can send.
-func hostileHeader(frames uint32) []byte {
+// hostileHeader is a complete, plausible header for title id claiming
+// frames frame records with none following — what a peer or a damaged disk
+// can send.
+func hostileHeader(id string, frames uint32) []byte {
 	b := append([]byte(fileMagic), fileVersion)
-	b = wire.AppendString(b, "m")
+	b = wire.AppendString(b, id)
 	b = wire.AppendU16(b, 30)
 	return wire.AppendU32(b, frames)
+}
+
+// TestReadFromBoundsIDLen: the packet table repeats the title ID once per
+// frame, so a long ID would make a small file cost a large table at its
+// first Open. IDs past maxIDLen are refused, and on the worst file that is
+// accepted — the longest ID, every frame one byte but a last one of the
+// largest size — the table costs at most 16× the file plus 1 MB of tail.
+func TestReadFromBoundsIDLen(t *testing.T) {
+	file := func(id string, frames int) []byte {
+		b := hostileHeader(id, uint32(frames))
+		for i := 0; i < frames; i++ {
+			size := uint32(1)
+			if i == frames-1 {
+				size = 1 << 20
+			}
+			b = wire.AppendU8(b, uint8(wire.FrameI))
+			b = wire.AppendU32(b, size)
+		}
+		return b
+	}
+	for _, n := range []int{maxIDLen + 1, 65535} {
+		if _, err := ReadFrom(bytes.NewReader(file(strings.Repeat("x", n), 1000))); err == nil {
+			t.Errorf("%d-byte ID accepted", n)
+		}
+	}
+
+	data := file(strings.Repeat("x", maxIDLen), 10000)
+	m, err := ReadFrom(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.Packets(testPrefix)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(data)+1<<20); got > limit {
+		t.Errorf("table of a %d-byte file allocated %d bytes, want ≤ 16× + 1 MB = %d", len(data), got, limit)
+	}
 }
 
 // TestReadFromBoundsFrameCount: the frame count is checked against the
 // bytes actually present before the table is reserved. 1<<26 passes the
 // plausibility bound and used to reserve 1 GiB ahead of the first record.
 func TestReadFromBoundsFrameCount(t *testing.T) {
-	data := hostileHeader(1 << 26)
+	data := hostileHeader("m", 1<<26)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := ReadFrom(bytes.NewReader(data))
@@ -98,7 +141,9 @@ func TestReadFromBoundsFrameCount(t *testing.T) {
 
 // FuzzReadFrom drives the movie-file decoder — reachable from the network
 // through fetch and from disk through store — with arbitrary bytes: no
-// panics, and whatever it accepts must serialize back to the same bytes.
+// panics, whatever it accepts must serialize back to the same bytes, and
+// every packet of its table must decode to its own frame with a payload of
+// the frame's size.
 func FuzzReadFrom(f *testing.F) {
 	var buf bytes.Buffer
 	if _, err := Generate("m", StreamConfig{Duration: time.Second, Seed: 1}).WriteTo(&buf); err != nil {
@@ -108,7 +153,7 @@ func FuzzReadFrom(f *testing.F) {
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add(good[:len(good)-1])
-	f.Add(hostileHeader(1 << 26))
+	f.Add(hostileHeader("m", 1<<26))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -122,6 +167,21 @@ func FuzzReadFrom(f *testing.F) {
 		}
 		if !bytes.Equal(re.Bytes(), data) {
 			t.Fatalf("re-serialized movie differs from its %d-byte input", len(data))
+		}
+		tab := m.Packets(testPrefix)
+		var f wire.Frame
+		for i := 0; i < m.TotalFrames(); i++ {
+			pkt := tab.Packet(i)
+			if err := wire.DecodeFrameInto(&f, pkt[1:]); err != nil {
+				t.Fatalf("packet %d: %v", i, err)
+			}
+			if f.Movie != m.ID() || f.Index != uint32(i) || f.Class != m.Frame(i).Class {
+				t.Fatalf("packet %d decodes to %q/%d/%v", i, f.Movie, f.Index, f.Class)
+			}
+			if len(f.Payload) != m.Frame(i).Size || cap(pkt) != len(pkt) {
+				t.Fatalf("packet %d: payload %d bytes for a %d-byte frame, cap %d len %d",
+					i, len(f.Payload), m.Frame(i).Size, cap(pkt), len(pkt))
+			}
 		}
 	})
 }

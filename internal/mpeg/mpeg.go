@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
@@ -158,129 +157,45 @@ func (m *Movie) Frame(i int) FrameInfo {
 	return m.frames[i]
 }
 
-// FrameData materializes the synthetic payload of frame i: a deterministic
-// byte pattern of the frame's exact size, carrying the frame index in its
-// first bytes so tests can verify end-to-end integrity.
-func (m *Movie) FrameData(i int) []byte {
-	return m.AppendFrameData(nil, i)
-}
-
-// AppendFrameData appends frame i's synthetic payload to b and returns the
-// extended slice, so streaming senders can reuse one scratch buffer instead
-// of materializing a fresh payload per frame.
-func (m *Movie) AppendFrameData(b []byte, i int) []byte {
-	start := len(b)
-	b = append(b, make([]byte, m.frames[i].Size)...)
-	m.fillFrameData(b[start:], i)
-	return b
-}
-
-// fillFrameData writes frame i's synthetic payload over data, which must be
-// exactly the frame's size.
-func (m *Movie) fillFrameData(data []byte, i int) {
-	data[0] = byte(m.frames[i].Class)
-	if len(data) >= 5 {
-		data[1] = byte(i >> 24)
-		data[2] = byte(i >> 16)
-		data[3] = byte(i >> 8)
-		data[4] = byte(i)
-	}
-	for j := 5; j < len(data); j++ {
-		data[j] = byte(i + j)
-	}
-}
-
-// chunkFrames is how many consecutive frames share one materialized chunk of
-// a PacketTable: about a second of video, ≈186 KB at the paper's 1.4 Mbps.
-// A power of two, so locating a frame's chunk is a shift.
-const (
-	chunkShift  = 5
-	chunkFrames = 1 << chunkShift
-)
-
 // PacketTable holds every frame of one movie as a fully framed, ready-to-send
 // datagram: a transport channel prefix byte followed by the wire-encoded
-// Frame message. Building the table computes only where each packet lies;
-// the bytes come into being chunkFrames frames at a time, the first time a
-// frame of the chunk is asked for, and are immutable from then on. All
-// sessions streaming the movie share the table, so N concurrent viewers of
-// one title cost the chunks they have reached between them, not N
-// per-session frame buffers, and senders ship table slices over a no-copy
-// stable-send path. Safe for concurrent use.
+// Frame message. The model needs a payload's length, never its contents, so
+// the table is one tape of per-frame slots — slot i, at i·per, holds the
+// prefix and frame i's header — followed by a zeroed tail, and packet i is
+// its slot plus the next Size bytes: its own exact header, then whatever
+// follows on the tape (the headers of frames i+1, … and tail zeros) as
+// payload. Packets therefore overlap: they are immutable, capacity-clipped
+// and must never be written through, or a neighbour's header changes. All
+// sessions streaming the movie share the table and ship its slices over a
+// no-copy stable-send path. Safe for concurrent use.
 type PacketTable struct {
-	movie  *Movie
-	prefix byte
-	offs   []int // offs[i]..offs[i+1] bounds packet i in the table; len = frames+1
-
-	// chunks[c] holds packets c<<chunkShift onward, back to back. It is
-	// written once under mu and published by ready[c]; readers that saw the
-	// flag need no lock.
-	mu           sync.Mutex
-	chunks       [][]byte
-	ready        []atomic.Bool
-	materialized atomic.Int64
+	tape   []byte
+	per    int // slot size: prefix byte + frame header
+	frames []FrameInfo
 }
 
-// Packet returns the framed datagram for frame i, materializing its chunk on
-// first touch. The slice aliases shared memory and must never be written to;
-// its capacity is clipped so even an append cannot reach the next packet.
+// Packet returns the framed datagram for frame i. The slice aliases the
+// shared tape and must never be written to; its capacity is clipped so even
+// an append cannot reach the bytes after it.
 func (t *PacketTable) Packet(i int) []byte {
-	c := i >> chunkShift
-	if !t.ready[c].Load() {
-		t.materialize(c)
-	}
-	base := t.offs[c<<chunkShift]
-	return t.chunks[c][t.offs[i]-base : t.offs[i+1]-base : t.offs[i+1]-base]
-}
-
-// materialize builds chunk c in one exactly-sized allocation: each packet's
-// header and synthetic payload are written where they will be read from.
-func (t *PacketTable) materialize(c int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.ready[c].Load() {
-		return
-	}
-	m := t.movie
-	lo := c << chunkShift
-	hi := min(lo+chunkFrames, len(m.frames))
-	size := t.offs[hi] - t.offs[lo]
-	buf := make([]byte, 0, size)
-	for i := lo; i < hi; i++ {
-		info := m.frames[i]
-		buf = append(buf, t.prefix)
-		buf = wire.AppendFrameHeader(buf, m.id, uint32(i), info.Class, info.Size)
-		start := len(buf)
-		buf = buf[:start+info.Size]
-		m.fillFrameData(buf[start:], i)
-	}
-	if len(buf) != size {
-		panic(fmt.Sprintf("mpeg: chunk %d of %s is %d bytes, offsets say %d", c, m.id, len(buf), size))
-	}
-	t.chunks[c] = buf
-	t.materialized.Add(int64(size))
-	t.ready[c].Store(true)
+	lo := i * t.per
+	hi := lo + t.per + t.frames[i].Size
+	return t.tape[lo:hi:hi]
 }
 
 // WireSize returns the size of frame i's encoded Frame message, excluding
 // the one-byte channel prefix — the number a per-message sender would have
 // counted before handing the message to the mux.
 func (t *PacketTable) WireSize(i int) int {
-	return t.offs[i+1] - t.offs[i] - 1
+	return t.per - 1 + t.frames[i].Size
 }
 
-// Bytes returns the size of the whole table were every chunk materialized.
-func (t *PacketTable) Bytes() int { return t.offs[len(t.offs)-1] }
-
-// Materialized returns how many of those bytes exist so far, for capacity
-// accounting in tests.
-func (t *PacketTable) Materialized() int { return int(t.materialized.Load()) }
-
 // Packets returns the movie's shared table of preframed datagrams for the
-// given channel prefix byte, laying it out on first use. Each packet is
-// byte-identical to what a per-session encoder would produce: prefix, then
-// AppendMessage of a Frame{Movie, Index, Class, Payload} with the synthetic
-// payload from AppendFrameData.
+// given channel prefix byte, building it on first use in one exactly-sized
+// allocation of n·per bytes plus the tail the longest-reaching payload
+// needs (≈73 KB for a 90 s title). Each packet's bytes up to its payload are
+// what a per-session encoder would produce: prefix, then AppendMessage of a
+// Frame{Movie, Index, Class, Payload} with a payload of the frame's size.
 func (m *Movie) Packets(prefix byte) *PacketTable {
 	m.pktMu.Lock()
 	defer m.pktMu.Unlock()
@@ -289,18 +204,16 @@ func (m *Movie) Packets(prefix byte) *PacketTable {
 	}
 	n := len(m.frames)
 	per := 1 + wire.FrameHeaderSize(m.id)
-	offs := make([]int, n+1)
+	tail := 0
 	for i, f := range m.frames {
-		offs[i+1] = offs[i] + per + f.Size
+		tail = max(tail, f.Size-(n-1-i)*per)
 	}
-	nChunks := (n + chunkFrames - 1) >> chunkShift
-	t := &PacketTable{
-		movie:  m,
-		prefix: prefix,
-		offs:   offs,
-		chunks: make([][]byte, nChunks),
-		ready:  make([]atomic.Bool, nChunks),
+	tape := make([]byte, 0, n*per+tail)
+	for i, f := range m.frames {
+		tape = append(tape, prefix)
+		tape = wire.AppendFrameHeader(tape, m.id, uint32(i), f.Class, f.Size)
 	}
+	t := &PacketTable{tape: tape[:cap(tape)], per: per, frames: m.frames}
 	if m.pkts == nil {
 		m.pkts = make(map[byte]*PacketTable, 1)
 	}

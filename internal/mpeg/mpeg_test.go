@@ -97,18 +97,19 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestFrameData: a packet past its prefix decodes to the frame it
+// stands for, with a payload of exactly the frame's size.
 func TestFrameData(t *testing.T) {
 	m := paperMovie()
-	d := m.FrameData(1234)
-	if len(d) != m.Frame(1234).Size {
-		t.Fatalf("FrameData length %d != declared size %d", len(d), m.Frame(1234).Size)
+	var f wire.Frame
+	if err := wire.DecodeFrameInto(&f, m.Packets(0).Packet(1234)[1:]); err != nil {
+		t.Fatal(err)
 	}
-	idx := int(d[1])<<24 | int(d[2])<<16 | int(d[3])<<8 | int(d[4])
-	if idx != 1234 {
-		t.Fatalf("embedded index = %d, want 1234", idx)
+	if f.Movie != m.ID() || f.Index != 1234 || f.Class != m.Frame(1234).Class {
+		t.Fatalf("packet 1234 decodes to %s/%d/%v", f.Movie, f.Index, f.Class)
 	}
-	if wire.FrameClass(d[0]) != m.Frame(1234).Class {
-		t.Fatalf("embedded class mismatch")
+	if len(f.Payload) != m.Frame(1234).Size {
+		t.Fatalf("payload length %d != declared size %d", len(f.Payload), m.Frame(1234).Size)
 	}
 }
 
@@ -171,14 +172,5 @@ func TestShortMovie(t *testing.T) {
 func BenchmarkGenerate90s(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Generate("m", StreamConfig{Seed: int64(i)})
-	}
-}
-
-func BenchmarkFrameData(b *testing.B) {
-	m := paperMovie()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.FrameData(i % m.TotalFrames())
 	}
 }

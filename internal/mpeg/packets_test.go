@@ -2,7 +2,6 @@ package mpeg
 
 import (
 	"bytes"
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -13,127 +12,98 @@ import (
 
 const testPrefix = 0x02
 
-// wantPacket is the reference encoding a per-session sender would produce.
-func wantPacket(m *Movie, i int) []byte {
-	return wire.AppendMessage([]byte{testPrefix}, &wire.Frame{
-		Movie:   m.ID(),
-		Index:   uint32(i),
-		Class:   m.Frame(i).Class,
-		Payload: m.FrameData(i),
-	})
-}
-
-func checkPackets(t *testing.T, m *Movie, tab *PacketTable, order []int) {
+// checkPacket checks packet i of tab against the layout: the prefix and
+// frame i's exact header, a payload of the frame's size that the encoder
+// would frame into the same bytes, and a capacity clipped at its end.
+func checkPacket(t *testing.T, m *Movie, tab *PacketTable, i int) bool {
 	t.Helper()
-	for _, i := range order {
-		got, want := tab.Packet(i), wantPacket(m, i)
-		if !bytes.Equal(got, want) {
-			t.Errorf("packet %d differs from prefix + AppendMessage(Frame)", i)
-			return
-		}
-		if cap(got) != len(got) {
-			t.Errorf("packet %d: cap %d > len %d, an append could reach its neighbour", i, cap(got), len(got))
-			return
-		}
-		if tab.WireSize(i) != len(want)-1 {
-			t.Errorf("WireSize(%d) = %d, want %d", i, tab.WireSize(i), len(want)-1)
-			return
-		}
+	info := m.Frame(i)
+	got := tab.Packet(i)
+	header := wire.AppendFrameHeader([]byte{testPrefix}, m.ID(), uint32(i), info.Class, info.Size)
+	switch {
+	case len(got) != len(header)+info.Size:
+		t.Errorf("packet %d is %d bytes, want header %d + payload %d", i, len(got), len(header), info.Size)
+	case cap(got) != len(got):
+		t.Errorf("packet %d: cap %d > len %d, an append could reach the tape after it", i, cap(got), len(got))
+	case tab.WireSize(i) != len(got)-1:
+		t.Errorf("WireSize(%d) = %d, want %d", i, tab.WireSize(i), len(got)-1)
+	case !bytes.Equal(got[:len(header)], header):
+		t.Errorf("packet %d: header differs from prefix + AppendFrameHeader", i)
+	case !bytes.Equal(got, wire.AppendMessage([]byte{testPrefix}, &wire.Frame{
+		Movie: m.ID(), Index: uint32(i), Class: info.Class, Payload: got[len(header):],
+	})):
+		t.Errorf("packet %d differs from prefix + AppendMessage(Frame) of its own payload", i)
+	default:
+		return true
 	}
+	return false
 }
 
-// TestPacketsMatchEncoder visits every frame of a lazily built table in a
-// seeded random order — so chunks materialize out of order and the last,
-// short chunk is hit somewhere in the middle — and compares each packet with
-// the per-message encoding.
+// TestPacketsMatchEncoder walks every frame of a 1001-frame table: each
+// packet is its own header and a payload of its size, and that payload is
+// the tape that follows — packet i+1's bytes first, zeros past the last slot.
 func TestPacketsMatchEncoder(t *testing.T) {
-	// 1001 frames: not a multiple of the chunk size.
 	m := Generate("feature", StreamConfig{Duration: 1001 * time.Second / 30, Seed: 7})
 	tab := m.Packets(testPrefix)
-	if m.Packets(testPrefix) != tab {
-		t.Fatal("Packets built a second table for the same prefix")
-	}
-	if tab.Materialized() != 0 {
-		t.Fatalf("Packets materialized %d bytes before any Packet call", tab.Materialized())
-	}
-	checkPackets(t, m, tab, rand.New(rand.NewSource(1)).Perm(m.TotalFrames()))
-	if tab.Materialized() != tab.Bytes() {
-		t.Fatalf("every frame visited: materialized %d of %d bytes", tab.Materialized(), tab.Bytes())
-	}
-}
-
-// TestPacketsConcurrent shares one Movie between 8 goroutines that each walk
-// all frames in their own order; run under -race it checks the publish-once
-// protocol, and the byte count checks no chunk was built twice.
-func TestPacketsConcurrent(t *testing.T) {
-	m := Generate("feature", StreamConfig{Duration: 20 * time.Second, Seed: 3})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			tab := m.Packets(testPrefix)
-			checkPackets(t, m, tab, rand.New(rand.NewSource(int64(g))).Perm(m.TotalFrames()))
-		}(g)
-	}
-	wg.Wait()
-	tab := m.Packets(testPrefix)
-	if tab.Materialized() != tab.Bytes() {
-		t.Fatalf("materialized %d bytes of a %d-byte table", tab.Materialized(), tab.Bytes())
+	n := m.TotalFrames()
+	for i := 0; i < n; i++ {
+		if !checkPacket(t, m, tab, i) {
+			return
+		}
+		payload := tab.Packet(i)[tab.per:]
+		if i+1 < n {
+			next := tab.Packet(i + 1)
+			k := min(len(payload), len(next))
+			if !bytes.Equal(payload[:k], next[:k]) {
+				t.Fatalf("packet %d's payload does not start with packet %d's bytes", i, i+1)
+			}
+		}
+		if past := (n - 1 - i) * tab.per; len(payload) > past {
+			if tail := payload[past:]; !bytes.Equal(tail, make([]byte, len(tail))) {
+				t.Fatalf("packet %d reaches past the last slot into non-zero bytes", i)
+			}
+		}
 	}
 }
 
-// TestPacketsFirstTouchCost pins what opening a long title costs: the offsets
-// and one chunk, not the movie.
-func TestPacketsFirstTouchCost(t *testing.T) {
-	m := Generate("epic", StreamConfig{Duration: 2 * time.Hour, Seed: 1})
+// TestAllocsPacketsOneTape: building a table is one exactly-sized tape —
+// the heap grows by the tape's length, not by an append's doublings — and a
+// second call returns the same table for nothing.
+func TestAllocsPacketsOneTape(t *testing.T) {
+	m := Generate("feature", StreamConfig{Seed: 1})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := time.Now()
 	tab := m.Packets(testPrefix)
-	pkt := tab.Packet(0)
-	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 
-	if !bytes.Equal(pkt, wantPacket(m, 0)) {
-		t.Fatal("packet 0 differs from the per-message encoding")
+	if len(tab.tape) != cap(tab.tape) {
+		t.Fatalf("tape len %d != cap %d", len(tab.tape), cap(tab.tape))
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 3<<20 {
-		t.Errorf("Packets + Packet(0) on a 2 h title allocated %d bytes, want < 3 MB", got)
+	// Slack: the large-object size class rounds to 8 KB, plus the table
+	// header and the movie's prefix map.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(tab.tape))+9<<10; got > limit {
+		t.Errorf("Packets allocated %d bytes for a %d-byte tape, want ≤ %d", got, len(tab.tape), limit)
 	}
-	// The old whole-movie build took seconds; leave the bound loose enough
-	// for a loaded CI machine.
-	if elapsed > 250*time.Millisecond {
-		t.Errorf("Packets + Packet(0) on a 2 h title took %v", elapsed)
-	}
-	if want := tab.offs[chunkFrames]; tab.Materialized() != want {
-		t.Errorf("materialized %d bytes, want one chunk of %d", tab.Materialized(), want)
-	}
-}
-
-// TestAllocsPacketOneAllocPerChunk: a chunk is one allocation, and a packet
-// of a materialized chunk is none.
-func TestAllocsPacketOneAllocPerChunk(t *testing.T) {
-	m := Generate("feature", StreamConfig{Seed: 1})
-	tab := m.Packets(testPrefix)
-	next := 0
-	if got := testing.AllocsPerRun(20, func() {
-		tab.Packet(next)
-		next += chunkFrames
-	}); got != 1 {
-		t.Errorf("first touch of a chunk: %v allocs, want 1", got)
+	if got := testing.AllocsPerRun(100, func() {
+		if m.Packets(testPrefix) != tab {
+			t.Fatal("Packets built a second table for the same prefix")
+		}
+	}); got != 0 {
+		t.Errorf("Packets on a built table: %v allocs, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { tab.Packet(3) }); got != 0 {
-		t.Errorf("packet of a materialized chunk: %v allocs, want 0", got)
+		t.Errorf("Packet: %v allocs, want 0", got)
 	}
 }
 
 // TestPacketsTouchOnlyTheirChunk: a copy of a movie read back from its file
-// form (what a cold-restarted server fetches) resumed at frame k builds k's
-// chunk and nothing below it.
+// form (what a cold-restarted server fetches) resumed at frame k sends what
+// the original sends from k on — a payload is a function of the frame table
+// — out of a table of its own: one tape, exactly the original's size.
 func TestPacketsTouchOnlyTheirChunk(t *testing.T) {
+	orig := Generate("feature", StreamConfig{Seed: 5})
 	var file bytes.Buffer
-	if _, err := Generate("feature", StreamConfig{Seed: 5}).WriteTo(&file); err != nil {
+	if _, err := orig.WriteTo(&file); err != nil {
 		t.Fatal(err)
 	}
 	m, err := ReadFrom(&file)
@@ -141,18 +111,70 @@ func TestPacketsTouchOnlyTheirChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 1000
-	tab := m.Packets(testPrefix)
-	if !bytes.Equal(tab.Packet(k), wantPacket(m, k)) {
-		t.Fatalf("packet %d differs from the per-message encoding", k)
+	tab, own := m.Packets(testPrefix), orig.Packets(testPrefix)
+	if !checkPacket(t, m, tab, k) {
+		return
 	}
-	for c := range tab.chunks {
-		if built := tab.chunks[c] != nil; built != (c == k>>chunkShift) {
-			t.Errorf("chunk %d built = %v after touching only frame %d", c, built, k)
+	if &tab.tape[0] == &own.tape[0] {
+		t.Fatal("the read-back copy shares the original's tape")
+	}
+	if len(tab.tape) != cap(tab.tape) || len(tab.tape) != len(own.tape) {
+		t.Errorf("copy's tape len %d cap %d, want the original's %d", len(tab.tape), cap(tab.tape), len(own.tape))
+	}
+	for i := k; i < m.TotalFrames(); i++ {
+		if !bytes.Equal(tab.Packet(i), own.Packet(i)) {
+			t.Fatalf("packet %d of the read-back copy differs from the original's", i)
 		}
 	}
-	lo := k >> chunkShift << chunkShift
-	if want := tab.offs[lo+chunkFrames] - tab.offs[lo]; tab.Materialized() != want {
-		t.Errorf("materialized %d bytes, want the %d of frame %d's chunk", tab.Materialized(), want, k)
+}
+
+// TestPacketsConcurrent: 8 goroutines asking one fresh Movie for its table
+// get the same one; under -race it checks the build is published safely.
+func TestPacketsConcurrent(t *testing.T) {
+	m := Generate("feature", StreamConfig{Duration: 20 * time.Second, Seed: 3})
+	tabs := make([]*PacketTable, 8)
+	var wg sync.WaitGroup
+	for g := range tabs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			tabs[g] = m.Packets(testPrefix)
+			for i := g; i < m.TotalFrames(); i += len(tabs) {
+				if !checkPacket(t, m, tabs[g], i) {
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, tab := range tabs {
+		if tab != tabs[0] {
+			t.Fatalf("goroutine %d got a different table", g)
+		}
+	}
+}
+
+// TestPacketsFirstTouchCost pins what opening a long title costs: the whole
+// table, built eagerly, is the headers of its frames plus one frame of tail.
+func TestPacketsFirstTouchCost(t *testing.T) {
+	m := Generate("epic", StreamConfig{Duration: 2 * time.Hour, Seed: 1})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	tab := m.Packets(testPrefix)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+
+	if !checkPacket(t, m, tab, 0) || !checkPacket(t, m, tab, m.TotalFrames()-1) {
+		return
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 5<<20 {
+		t.Errorf("Packets on a 2 h title allocated %d bytes, want < 5 MB", got)
+	}
+	// A build takes milliseconds; leave the bound loose enough for a loaded
+	// CI machine.
+	if elapsed > 250*time.Millisecond {
+		t.Errorf("Packets on a 2 h title took %v", elapsed)
 	}
 }
 
@@ -162,6 +184,6 @@ func BenchmarkPacketsOpen2h(b *testing.B) {
 		b.StopTimer()
 		m := Generate("epic", StreamConfig{Duration: 2 * time.Hour, Seed: int64(i)})
 		b.StartTimer()
-		m.Packets(testPrefix).Packet(0)
+		m.Packets(testPrefix)
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/mpeg"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // Config configures a Tiger service.
@@ -69,9 +68,10 @@ func (c *Config) fillDefaults() error {
 
 // Service is a running Tiger deployment.
 type Service struct {
-	cfg  Config
-	mu   sync.Mutex
-	cubs map[string]*cub
+	cfg     Config
+	packets *mpeg.PacketTable // the movie's frames, shared by every cub
+	mu      sync.Mutex
+	cubs    map[string]*cub
 }
 
 // New builds and starts the cubs.
@@ -79,7 +79,7 @@ func New(cfg Config) (*Service, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	svc := &Service{cfg: cfg, cubs: make(map[string]*cub, len(cfg.Cubs))}
+	svc := &Service{cfg: cfg, packets: cfg.Movie.Packets(0), cubs: make(map[string]*cub, len(cfg.Cubs))}
 	for i, id := range cfg.Cubs {
 		ep, err := cfg.Network.NewEndpoint(transport.Addr(id))
 		if err != nil {
@@ -146,13 +146,6 @@ type cub struct {
 	lastHeard map[string]time.Time
 	streams   map[transport.Addr]*stream
 	hbTask    *clock.Periodic
-
-	// Reusable frame-transmission scratch, guarded by mu: the encoded
-	// packet is handed to Send before the lock is released and Send does
-	// not retain it, so one warm buffer set serves every stream.
-	frame      wire.Frame
-	payloadBuf []byte
-	enc        wire.Encoder
 }
 
 type stream struct {
@@ -197,16 +190,8 @@ func (c *cub) slot(clientAddr transport.Addr, st *stream) {
 		c.mu.Unlock()
 		return
 	}
-	info := movie.Frame(int(frame))
-	c.payloadBuf = movie.AppendFrameData(c.payloadBuf[:0], int(frame))
-	c.frame = wire.Frame{
-		Movie:   movie.ID(),
-		Index:   frame,
-		Class:   info.Class,
-		Payload: c.payloadBuf,
-	}
-	pkt := c.enc.Encode(&c.frame)
-	_ = c.ep.Send(clientAddr, pkt)
+	// Past its prefix byte a table packet is the encoded Frame message.
+	_ = c.ep.Send(clientAddr, c.svc.packets.Packet(int(frame))[1:])
 	c.mu.Unlock()
 }
 
