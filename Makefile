@@ -65,7 +65,7 @@ tables:      ## regenerate every evaluation table
 golden-update: ## re-hash every output named in testdata/golden/MANIFEST (the only way to rewrite it; cmd/vodbench's TestGoldenManifest compares)
 	@go build -o testdata/golden/vodbench.tmp ./cmd/vodbench
 	@while read -r sum args; do \
-		echo "$$(./testdata/golden/vodbench.tmp $$args | grep -v '^sweep: ' | sha256sum | cut -d' ' -f1)  $$args"; \
+		echo "$$(./testdata/golden/vodbench.tmp $$args | awk '/^== hot path:/ { exit } !/^sweep: /' | sha256sum | cut -d' ' -f1)  $$args"; \
 	done < testdata/golden/MANIFEST > testdata/golden/MANIFEST.tmp; \
 	rm -f testdata/golden/vodbench.tmp; \
 	mv testdata/golden/MANIFEST.tmp testdata/golden/MANIFEST
@@ -75,14 +75,15 @@ examples:    ## run all simulated examples
 	for e in quickstart failover loadbalance vcr discovery hacounter; do \
 		echo "== $$e =="; go run ./examples/$$e; done
 
-fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders and the gcs and fetch packet handlers (one -fuzz per run)
+fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders and the gcs, fetch and congress packet handlers (one -fuzz per run)
 	go test -run='^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s ./internal/wire
-	go test -run='^$$' -fuzz='^FuzzDecodeOpenInto$$' -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzDecodeLease$$' -fuzztime=10s ./internal/lease
 	go test -run='^$$' -fuzz='^FuzzReadFrom$$' -fuzztime=10s ./internal/mpeg
 	go test -run='^$$' -fuzz='^FuzzOnPacket$$' -fuzztime=10s ./internal/gcs
 	go test -run='^$$' -fuzz='^FuzzProviderOnPacket$$' -fuzztime=10s ./internal/fetch
 	go test -run='^$$' -fuzz='^FuzzFetcherOnPacket$$' -fuzztime=10s ./internal/fetch
+	go test -run='^$$' -fuzz='^FuzzDirectoryOnPacket$$' -fuzztime=10s ./internal/congress
+	go test -run='^$$' -fuzz='^FuzzResolverOnPacket$$' -fuzztime=10s ./internal/congress
 
 vet:
 	go vet ./...

@@ -16,11 +16,16 @@ import (
 const goldenManifest = "../../testdata/golden/MANIFEST"
 
 // goldenDigest hashes an output the way the manifest does: without the
-// "sweep: " summary lines, which carry wall and CPU times. The Makefile's
+// "sweep: " summary lines, which carry wall and CPU times, and without
+// everything from -stats' "== hot path:" block on, which carries wall time
+// and a heap byte count that differ from run to run. The Makefile's
 // golden-update recipe applies the same filter.
 func goldenDigest(out []byte) string {
 	h := sha256.New()
 	for _, line := range bytes.SplitAfter(out, []byte("\n")) {
+		if bytes.HasPrefix(line, []byte("== hot path:")) {
+			break
+		}
 		if !bytes.HasPrefix(line, []byte("sweep: ")) {
 			h.Write(line)
 		}

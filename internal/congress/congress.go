@@ -414,7 +414,10 @@ func (r *Resolver) onPacket(_ transport.Addr, payload []byte) {
 	group := rd.String()
 	nonce := rd.U64()
 	n := int(rd.U16())
-	if rd.Err() != nil {
+	// n is off the wire: an address takes at least its 2-byte length prefix,
+	// so a reply claiming more than the datagram holds is dropped before
+	// anything is allocated for it.
+	if rd.Err() != nil || 2*n > rd.Remaining() {
 		return
 	}
 	addrs := make([]transport.Addr, 0, n)

@@ -1,0 +1,163 @@
+package congress
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/clock"
+	"repro/internal/netsim"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+var hostileEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// hostileNet is a LAN with a running directory, which knows one live member
+// of "g", and the directory channel of a "client" endpoint.
+func hostileNet(t *testing.T) (*clock.Virtual, *Directory, transport.Endpoint) {
+	t.Helper()
+	clk := clock.NewVirtual(hostileEpoch)
+	net := netsim.New(clk, 1, netsim.LAN())
+	d, err := NewDirectory(clk, net, "directory")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	raw, err := net.NewEndpoint("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.onPacket("node-1", register("g", "node-1", time.Minute))
+	return clk, d, transport.NewMux(raw).Channel(transport.ChannelDirectory)
+}
+
+func register(group string, addr transport.Addr, ttl time.Duration) []byte {
+	b := wire.AppendU8(nil, kindRegister)
+	b = wire.AppendString(b, group)
+	b = wire.AppendString(b, string(addr))
+	return wire.AppendU64(b, uint64(ttl.Milliseconds()))
+}
+
+func resolve(group string, nonce uint64) []byte {
+	b := wire.AppendU8(nil, kindResolve)
+	b = wire.AppendString(b, group)
+	return wire.AppendU64(b, nonce)
+}
+
+func resolveKey(group, key string, n uint16, nonce uint64) []byte {
+	b := wire.AppendU8(nil, kindResolveKey)
+	b = wire.AppendString(b, group)
+	b = wire.AppendString(b, key)
+	b = wire.AppendU16(b, n)
+	return wire.AppendU64(b, nonce)
+}
+
+func reply(group string, nonce uint64, count uint16, addrs ...transport.Addr) []byte {
+	b := wire.AppendU8(nil, kindReply)
+	b = wire.AppendString(b, group)
+	b = wire.AppendU64(b, nonce)
+	b = wire.AppendU16(b, count)
+	for _, a := range addrs {
+		b = wire.AppendString(b, string(a))
+	}
+	return b
+}
+
+// wellFormedReply reports whether pkt is a reply a resolver decodes whole.
+func wellFormedReply(pkt []byte) bool {
+	r := wire.NewReader(pkt)
+	if r.U8() != kindReply {
+		return false
+	}
+	r.StringBytes()
+	r.U64()
+	for n := r.U16(); n > 0; n-- {
+		r.StringBytes()
+	}
+	return r.Done() == nil
+}
+
+// FuzzDirectoryOnPacket throws arbitrary datagrams, as if from a client, at
+// a directory that knows one member of "g". Whatever arrives, the handler
+// returns without panicking and answers with at most one datagram, which is
+// a reply a resolver can decode.
+func FuzzDirectoryOnPacket(f *testing.F) {
+	f.Add(resolve("g", 1))
+	f.Add(resolve("nobody", 1))
+	f.Add(resolveKey("g", "feature", 2, 1))
+	f.Add(resolveKey("g", "feature", 0xFFFF, 1))
+	f.Add(resolveKey("g", "", 1, 1))
+	f.Add(register("g", "node-2", time.Second))
+	f.Add(register("g", "node-2", -time.Second))
+	f.Add(register("", "", time.Second))
+	f.Add(reply("g", 1, 1, "node-1"))
+	f.Add(append(resolve("g", 1), 0))
+	f.Add(resolve("g", 1)[:5])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		clk, d, client := hostileNet(t)
+		var got [][]byte
+		client.SetHandler(func(_ transport.Addr, pkt []byte) { got = append(got, append([]byte(nil), pkt...)) })
+		d.onPacket(client.Addr(), data)
+		clk.Advance(time.Second)
+		if len(got) > 1 {
+			t.Fatalf("one datagram drew %d replies", len(got))
+		}
+		if len(got) == 1 && !wellFormedReply(got[0]) {
+			t.Fatalf("the directory answered with a malformed reply %x", got[0])
+		}
+	})
+}
+
+// FuzzResolverOnPacket throws arbitrary datagrams, as if from the directory,
+// at a resolver with a plain and a key resolution in flight (nonces 1 and
+// 2, neither retried). Whatever arrives, the handler returns without
+// panicking and each resolution's callback runs exactly once.
+func FuzzResolverOnPacket(f *testing.F) {
+	f.Add(reply("g", 1, 1, "node-1"))
+	f.Add(reply("g", 2, 2, "node-1", "node-2"))
+	f.Add(reply("g", 1, 0))
+	f.Add(reply("other", 1, 1, "node-1"))
+	f.Add(reply("g", 3, 1, "node-1"))
+	f.Add(reply("g", 1, 0xFFFF))
+	f.Add(reply("g", 1, 2, "node-1"))
+	f.Add(append(reply("g", 1, 1, "node-1"), 0))
+	f.Add(resolve("g", 1))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		clk, _, client := hostileNet(t)
+		r := NewResolver(clk, client, "nowhere")
+		calls := [2]int{}
+		r.Resolve("g", 0, func([]transport.Addr) { calls[0]++ })
+		r.ResolveKey("g", "feature", 2, 0, func([]transport.Addr) { calls[1]++ })
+		r.onPacket("directory", data)
+		r.onPacket("directory", data)
+		clk.Advance(time.Second)
+		if calls != [2]int{1, 1} {
+			t.Fatalf("the callbacks ran %v times, want once each", calls)
+		}
+	})
+}
+
+// TestResolverRefusesOversizedCount: a reply's address count is a u16 off the
+// wire. A 13-byte forgery claiming 65,535 addresses must be dropped before
+// the resolver reserves room for them (1 MiB of slice header per datagram).
+func TestResolverRefusesOversizedCount(t *testing.T) {
+	clk, _, client := hostileNet(t)
+	r := NewResolver(clk, client, "nowhere")
+	forged := reply("", 1, 0xFFFF)
+	if len(forged) != 13 {
+		t.Fatalf("the forgery is %d bytes, want 13", len(forged))
+	}
+	const rounds = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		r.onPacket("directory", forged)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per > 4<<10 {
+		t.Fatalf("a 13-byte forged reply allocated %d bytes, want under 4 KiB", per)
+	}
+}

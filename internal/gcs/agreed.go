@@ -6,8 +6,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Agreed (totally-ordered) multicast — the second delivery service Transis
-// offers alongside FIFO. Implemented with the classical sequencer pattern:
+// Agreed (totally-ordered) multicast — the one delivery service this package
+// offers alongside FIFO, for the §8 replicated counter (examples/hacounter).
+// Transis also offers causal and safe delivery; nothing here needs either,
+// so neither is built. Implemented with the classical sequencer pattern:
 // the sender hands the message to the view coordinator, which re-multicasts
 // it through its own reliable FIFO stream. Since every member delivers the
 // coordinator's stream in the same order, all agreed messages are delivered
@@ -29,8 +31,6 @@ import (
 const (
 	payloadPlain  uint8 = 0
 	payloadAgreed uint8 = 1
-	payloadCausal uint8 = 2
-	payloadSafe   uint8 = 3
 )
 
 // wrapAgreed frames a sequencer-forwarded payload.
@@ -45,9 +45,8 @@ func wrapAgreed(sender ProcessID, seq uint64, data []byte) []byte {
 // MulticastAgreed reliably multicasts payload with agreed (total-order)
 // delivery: every group member delivers all agreed messages in the same
 // order. Stronger and costlier than Multicast (one extra hop through the
-// view coordinator); the VoD layer does not need it, but applications
-// built on the GCS may (it is one of the Transis services the paper's
-// platform provides).
+// view coordinator); the VoD layer does not need it, but a replicated state
+// machine such as the §8 counter does.
 func (m *Member) MulticastAgreed(payload []byte) error {
 	data := append([]byte(nil), payload...)
 	m.p.mu.Lock()

@@ -63,7 +63,7 @@ func (c *codec) recycle(msg any) {
 		}
 		c.mu.Unlock()
 	case *msgAckVec:
-		// The struct keeps its vectors' storage; decode overwrites every field.
+		// The struct keeps its vector's storage; decode overwrites every field.
 		c.mu.Lock()
 		if len(c.freeAck) < maxFreeList {
 			c.freeAck = append(c.freeAck, m)
@@ -216,7 +216,6 @@ func (c *codec) decode(buf []byte) (any, error) {
 		av.group = c.stringLocked(r)
 		av.view = c.viewIDLocked(r)
 		av.delivered = c.vecLocked(r, av.delivered)
-		av.contig = c.vecLocked(r, av.contig)
 		m = av
 	case kindPresence:
 		m = &msgPresence{group: c.stringLocked(r), view: c.viewIDLocked(r), members: c.idsLocked(r)}

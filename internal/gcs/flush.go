@@ -295,25 +295,18 @@ func (m *Member) onCutLocked(msg *msgCut, cb *callbacks) {
 }
 
 // drainTowardCutLocked delivers parked old-view messages up to (but never
-// beyond) the cut targets, honoring causal readiness, then reports
-// completion if reached. Causal predecessors of in-cut messages are
-// themselves in the cut (see causal.go), so the fixpoint loop reaches the
-// targets once the NAK repair has filled the gaps.
+// beyond) the cut targets, then reports completion if reached.
 func (m *Member) drainTowardCutLocked(cb *callbacks) {
 	if m.status != statusFlushing || !m.haveCut {
 		return
 	}
-	for progress := true; progress; {
-		progress = false
-		for s, target := range m.ms.cut {
-			for m.ms.recvNext[s] < target {
-				data, ok := m.ms.head(s)
-				if !ok || !m.causalReadyLocked(s, data) {
-					break // gap or causal wait: NAK repair will progress it
-				}
-				m.deliverOneLocked(s, data, cb)
-				progress = true
+	for s, target := range m.ms.cut {
+		for m.ms.recvNext[s] < target {
+			data, ok := m.ms.head(s)
+			if !ok {
+				break // a gap: NAK repair will progress it
 			}
+			m.deliverOneLocked(s, data, cb)
 		}
 	}
 	m.tryCompleteCutLocked(cb)

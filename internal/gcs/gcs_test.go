@@ -305,6 +305,63 @@ func TestMulticastUnderLoss(t *testing.T) {
 	}
 }
 
+// TestMulticastUnderLossThreeSenders: three senders interleave under loss,
+// and NAK repair still delivers every message everywhere.
+func TestMulticastUnderLossThreeSenders(t *testing.T) {
+	prof := netsim.LAN()
+	prof.Loss = 0.10
+	c := newCluster(t, 5, prof)
+	c.join("a", "g")
+	c.join("b", "g", "a")
+	c.join("c", "g", "a")
+	c.waitConverged(10*time.Second, "a", "b", "c")
+
+	for i := 0; i < 20; i++ {
+		sender := []ProcessID{"a", "b", "c"}[i%3]
+		if err := c.mem[sender].Multicast([]byte(fmt.Sprintf("%s-%02d", sender, i))); err != nil {
+			t.Fatal(err)
+		}
+		c.settle(15 * time.Millisecond)
+	}
+	c.settle(5 * time.Second)
+	for _, id := range []ProcessID{"a", "b", "c"} {
+		if got := len(c.rec[id].messages()); got != 20 {
+			t.Fatalf("%s delivered %d/20 messages under loss", id, got)
+		}
+	}
+}
+
+// TestPlainFIFOViolatesCausality documents what Multicast does not promise:
+// order is per sender only, so where a→c is much slower than a→b and b→c,
+// b's reaction overtakes a's cause at c. Nothing built on this package may
+// assume more.
+func TestPlainFIFOViolatesCausality(t *testing.T) {
+	c := newCluster(t, 1, netsim.Profile{Delay: time.Millisecond})
+	c.join("a", "g")
+	c.join("b", "g", "a")
+	c.join("c", "g", "a")
+	c.waitConverged(3*time.Second, "a", "b", "c")
+	c.net.SetProfile("a", "c", netsim.Profile{Delay: 200 * time.Millisecond})
+
+	if err := c.mem["a"].Multicast([]byte("cause")); err != nil {
+		t.Fatal(err)
+	}
+	// b reacts as soon as it delivers the cause.
+	c.settle(5 * time.Millisecond)
+	if err := c.mem["b"].Multicast([]byte("reaction")); err != nil {
+		t.Fatal(err)
+	}
+	c.settle(time.Second)
+
+	got := agreedOf(c, "c")
+	if len(got) != 2 {
+		t.Fatalf("c delivered %v", got)
+	}
+	if got[0] != "reaction" {
+		t.Skip("network timing did not produce the inversion this run")
+	}
+}
+
 // TestVirtualSynchrony checks the defining property: members that survive a
 // view change together deliver the same set of old-view messages before the
 // new view, even when the sender crashes mid-burst under packet loss.

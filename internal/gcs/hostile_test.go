@@ -127,8 +127,8 @@ func strangers(n int) vec {
 // TestHostileFarFutureSeqCostsOneEntry: a multicast is parked under its
 // sender by sequence number, and the number is the sender's to choose. One
 // forged at 2⁶⁴−1 must cost one list entry — not a window reaching up to it —
-// and everything that later walks the list (NAK service, the gossip ticks'
-// gap and watermark scans) must walk entries, not the span.
+// and everything that later walks the list (NAK service, the retransmit
+// tick's gap scan) must walk entries, not the span.
 func TestHostileFarFutureSeqCostsOneEntry(t *testing.T) {
 	clk, _, p, m := hostilePair(t)
 	view := m.View().ID
@@ -191,7 +191,7 @@ func TestHostileStrangerVectorsLeaveNoState(t *testing.T) {
 	before := stateSize(m)
 	crowd := strangers(math.MaxUint16)
 
-	p.onPacket("b", appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: crowd, contig: crowd}))
+	p.onPacket("b", appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: crowd}))
 	if got := stateSize(m); got != before {
 		t.Fatalf("an ack vector of %d strangers moved the state size %d -> %d", len(crowd.ids), before, got)
 	}
@@ -299,6 +299,42 @@ func TestNakRepairsGap(t *testing.T) {
 	}
 }
 
+// TestAckVecRepairsTailLoss: when the newest multicasts are the ones lost,
+// nothing after them reveals a gap. The sender's ack gossip does: its own
+// entry is its send counter, and the receiver NAKs up to it.
+func TestAckVecRepairsTailLoss(t *testing.T) {
+	c := newCluster(t, 3, netsim.LAN())
+	c.join("a", "g")
+	c.join("b", "g", "a")
+	c.waitConverged(3*time.Second, "a", "b")
+	view := c.rec["b"].lastView().ID
+
+	c.net.SetLinkDown("a", "b", true)
+	for i := 0; i < 2; i++ {
+		if err := c.mem["a"].Multicast([]byte(fmt.Sprintf("lost%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.settle(20 * time.Millisecond)
+	c.net.SetLinkDown("a", "b", false)
+	naks := c.proc["b"].ctr.naksSent.Load()
+	c.settle(time.Second)
+
+	var got []string
+	for _, msg := range c.rec["b"].messages() {
+		got = append(got, msg.data)
+	}
+	if want := []string{"lost0", "lost1"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("b delivered %v, want %v", got, want)
+	}
+	if c.proc["b"].ctr.naksSent.Load() == naks {
+		t.Fatal("the tail was repaired without a NAK from b")
+	}
+	if v := c.rec["b"].lastView().ID; v != view {
+		t.Fatalf("b moved from view %v to %v: a view change, not the ack gossip, repaired the tail", view, v)
+	}
+}
+
 // FuzzOnPacket throws arbitrary datagrams at a process that has joined a
 // group, once as if sent by the other member and once by a stranger, then
 // lets the timers they may have armed run. The property is only that every
@@ -316,8 +352,9 @@ func FuzzOnPacket(f *testing.F) {
 		encodeMcast(&msgMcast{group: "g", view: view, sender: "b", seq: math.MaxUint64, payload: []byte{payloadPlain, 'x'}}),
 		encodeMcast(&msgMcast{group: "g", view: ViewID{Seq: math.MaxUint64, Coord: "z"}, sender: "b", seq: 0, payload: []byte{payloadPlain, 'x'}}),
 		encodeNak(&msgNak{group: "g", view: view, sender: "a", from: 0, to: math.MaxUint64}),
-		appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: vec{[]ProcessID{"a"}, []uint64{math.MaxUint64}}, contig: vec{[]ProcessID{"b"}, []uint64{7}}}),
-		appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: strangers(64), contig: vec{[]ProcessID{"b", "a", "b"}, []uint64{3, 2, 1}}}),
+		appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: vec{[]ProcessID{"a", "b"}, []uint64{math.MaxUint64, 7}}}),
+		appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: vec{
+			append(strangers(64).ids, "b", "a", "b"), append(strangers(64).vals, 3, 2, 1)}}),
 		encodePresence(&msgPresence{group: "g", view: ViewID{Seq: 9, Coord: "z"}, members: []ProcessID{"z"}}),
 		encodePropose(&msgPropose{group: "g", pid: pid, candidates: ab}),
 		encodeSyncInfo(&msgSyncInfo{group: "g", pid: pid, oldView: view, oldMembers: ab, sendSeq: math.MaxUint64, recvNext: vec{[]ProcessID{"a"}, []uint64{math.MaxUint64}}}),

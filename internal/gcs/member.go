@@ -92,23 +92,21 @@ type mcastState struct {
 	n, self  int      // members in the view, and my own rank among them
 	sendSeq  uint64   // next sequence number I assign
 	recvNext []uint64 // next seq to deliver, by sender rank
-	contig   []uint64 // my received-contiguous watermarks, computed per ack tick
 	cut      []uint64 // delivery targets of the flush (see Member.haveCut)
 
 	// peerAck[j*n+s] is the delivered count for sender s that member j last
-	// gossiped, peerContig its received-contiguous watermark — the
-	// acknowledgement the safe-delivery gate waits on (see safe.go). A member
-	// not heard from yet has a row of zeros: nothing is stable, nothing safe.
-	peerAck, peerContig []uint64
+	// gossiped. A member not heard from yet has a row of zeros: nothing is
+	// stable.
+	peerAck []uint64
 
 	// msgs[s] holds sender s's multicasts sorted by seq: those below
 	// recvNext[s] are delivered but not yet stable (kept for retransmission
-	// and flush recovery), those at or above it are parked — out of order,
-	// gated, or frozen by a flush. A sorted list, not a window indexed by
-	// seq-recvNext: a forged far-future sequence number costs one entry.
+	// and flush recovery), those at or above it are parked — out of order or
+	// frozen by a flush. A sorted list, not a window indexed by seq-recvNext:
+	// a forged far-future sequence number costs one entry.
 	msgs [][]held
 
-	buf []uint64 // backs the five rank-indexed slices above
+	buf []uint64 // backs the three rank-indexed slices above
 }
 
 // reset sizes the state for a freshly installed view, reusing the previous
@@ -120,7 +118,7 @@ func (ms *mcastState) reset(v View, self ProcessID) {
 		clear(l)
 		ms.msgs[s] = l[:0]
 	}
-	if need := 3*n + 2*n*n; cap(ms.buf) < need {
+	if need := 2*n + n*n; cap(ms.buf) < need {
 		ms.buf = make([]uint64, need)
 	} else {
 		ms.buf = ms.buf[:need]
@@ -131,8 +129,7 @@ func (ms *mcastState) reset(v View, self ProcessID) {
 	}
 	ms.msgs = ms.msgs[:n]
 	ms.n, ms.sendSeq = n, 0
-	ms.recvNext, ms.contig, ms.cut = ms.buf[:n], ms.buf[n:2*n], ms.buf[2*n:3*n]
-	ms.peerAck, ms.peerContig = ms.buf[3*n:3*n+n*n], ms.buf[3*n+n*n:]
+	ms.recvNext, ms.cut, ms.peerAck = ms.buf[:n], ms.buf[n:2*n], ms.buf[2*n:]
 }
 
 // find returns where seq is, or would be inserted, in a seq-sorted list.
@@ -240,12 +237,10 @@ func (m *Member) multicastWrappedLocked(data []byte, cb *callbacks) {
 			_ = m.p.cfg.Endpoint.Send(id, pkt)
 		}
 	}
-	// Self-delivery goes through the same gated path as everyone else's
-	// messages: plain/causal/agreed payloads deliver immediately from the
-	// head of our own stream, while safe payloads wait for universal
-	// receipt like they must.
+	// Self-delivery happens now, in FIFO position. The message stays held,
+	// like everyone else's, until it is stable.
 	m.ms.park(m.ms.self, seq, data)
-	m.deliverAllReadyLocked(cb)
+	m.deliverReadyLocked(m.ms.self, cb)
 }
 
 // dispatchPayloadLocked unwraps the internal framing of a FIFO-delivered
@@ -269,18 +264,6 @@ func (m *Member) dispatchPayloadLocked(sender ProcessID, data []byte, cb *callba
 			return
 		}
 		m.deliverAgreedLocked(orig, seq, body, cb)
-	case payloadCausal:
-		env, ok := parseCausal(data[1:])
-		if !ok {
-			return
-		}
-		if h := m.handlers.OnMessage; h != nil {
-			cb.addMsg(h, m.group, sender, env.body)
-		}
-	case payloadSafe:
-		if h := m.handlers.OnMessage; h != nil {
-			cb.addMsg(h, m.group, sender, data[1:])
-		}
 	}
 }
 
@@ -360,7 +343,7 @@ func (m *Member) onMessageLocked(from ProcessID, msg any, cb *callbacks) {
 	case *msgNak:
 		m.onNakLocked(from, msg)
 	case *msgAckVec:
-		m.onAckVecLocked(from, msg, cb)
+		m.onAckVecLocked(from, msg)
 	case *msgPresence:
 		m.onPresenceLocked(from, msg)
 	case *msgLeave:
@@ -411,8 +394,8 @@ func (m *Member) onMcastLocked(msg *msgMcast, cb *callbacks) {
 }
 
 // acceptMcastLocked files one multicast into the FIFO machinery. When
-// deliver is true, in-order messages are delivered immediately along with
-// any unblocked pending ones.
+// deliver is true, the sender's stream is delivered as far as it is now
+// contiguous.
 func (m *Member) acceptMcastLocked(msg *msgMcast, deliver bool, cb *callbacks) {
 	// m.view is also the view being flushed: it changes only at install.
 	s, ok := m.view.rank(msg.sender)
@@ -426,26 +409,16 @@ func (m *Member) acceptMcastLocked(msg *msgMcast, deliver bool, cb *callbacks) {
 	// into a pooled buffer that lives until stability garbage collection.
 	m.ms.park(s, msg.seq, append(m.p.getBufLocked(len(msg.payload)), msg.payload...))
 	if deliver {
-		m.deliverAllReadyLocked(cb)
+		m.deliverReadyLocked(s, cb)
 	}
 }
 
-// deliverAllReadyLocked delivers every parked message that is in FIFO
-// position and causally ready, looping to a fixpoint: delivering one
-// message can unblock causal successors from other senders.
-func (m *Member) deliverAllReadyLocked(cb *callbacks) {
-	for progress := true; progress; {
-		progress = false
-		for s := range m.ms.msgs {
-			for {
-				data, ok := m.ms.head(s)
-				if !ok || !m.causalReadyLocked(s, data) || !m.safeReadyLocked(s, m.ms.recvNext[s], data) {
-					break
-				}
-				m.deliverOneLocked(s, data, cb)
-				progress = true
-			}
-		}
+// deliverReadyLocked delivers sender rank s's parked messages from its
+// delivery cursor up to the first gap. Nothing else gates a delivery, so in
+// the normal status nothing is ever left parked at a cursor.
+func (m *Member) deliverReadyLocked(s int, cb *callbacks) {
+	for data, ok := m.ms.head(s); ok; data, ok = m.ms.head(s) {
+		m.deliverOneLocked(s, data, cb)
 	}
 }
 
@@ -487,10 +460,11 @@ func (m *Member) onNakLocked(from ProcessID, msg *msgNak) {
 
 // onAckVecLocked folds a stability vector in and garbage-collects retained
 // messages that every member has delivered. The vector also reveals tail
-// loss: the sender's own entry is its send counter, so a higher value than
-// our delivery cursor means messages we never saw — and, being the newest,
-// nothing after them would ever trigger gap detection. NAK immediately.
-func (m *Member) onAckVecLocked(from ProcessID, msg *msgAckVec, cb *callbacks) {
+// loss: a sender delivers its own multicasts as it sends them, so its own
+// entry is its send counter, and a higher value than our delivery cursor
+// means messages we never saw — and, being the newest, nothing after them
+// would ever trigger gap detection. NAK immediately.
+func (m *Member) onAckVecLocked(from ProcessID, msg *msgAckVec) {
 	if m.status != statusNormal {
 		return
 	}
@@ -503,17 +477,12 @@ func (m *Member) onAckVecLocked(from ProcessID, msg *msgAckVec, cb *callbacks) {
 		return
 	}
 	delete(m.divergeCount, from)
-	// Align the vectors into from's rows: msg's own storage goes back to the
+	// Align the vector into from's row: msg's own storage goes back to the
 	// decode layer once dispatch returns.
 	n := m.ms.n
-	ack, contig := m.ms.peerAck[j*n:(j+1)*n], m.ms.peerContig[j*n:(j+1)*n]
+	ack := m.ms.peerAck[j*n : (j+1)*n]
 	msg.delivered.alignTo(m.view.Members, ack)
-	msg.contig.alignTo(m.view.Members, contig)
-	// Tail-loss repair: the sender's own contig entry equals its send
-	// counter (it parks everything it sends), so a higher value than our
-	// contiguous receipt means messages we never saw — and, being the
-	// newest, nothing after them would trigger ordinary gap detection.
-	if mine, theirs := m.contigForLocked(j), max(ack[j], contig[j]); theirs > mine {
+	if mine, theirs := m.ms.recvNext[j], ack[j]; theirs > mine {
 		nak := encodeNak(&msgNak{
 			group:  m.group,
 			view:   m.view.ID,
@@ -524,8 +493,6 @@ func (m *Member) onAckVecLocked(from ProcessID, msg *msgAckVec, cb *callbacks) {
 		m.p.ctr.naksSent.Inc()
 		_ = m.p.cfg.Endpoint.Send(from, nak)
 	}
-	// Fresh receipt acknowledgements may open the safe-delivery gate.
-	m.deliverAllReadyLocked(cb)
 	m.gcStableLocked()
 }
 
@@ -546,10 +513,10 @@ func (m *Member) gcStableLocked() {
 		for _, h := range l[:k] {
 			// Stability means every member delivered it: handler
 			// callbacks have fired and no NAK can ask for it again,
-			// so plain payload buffers are safe to recycle. Tagged
-			// payloads (agreed/causal/safe) are excluded — their
-			// bodies may be parked in holdback state that outlives
-			// the carrier buffer's stability.
+			// so plain payload buffers are safe to recycle. Agreed
+			// payloads are excluded: deliverAgreedLocked may park
+			// their bodies, which alias the carrier buffer, in
+			// holdback state that outlives its stability.
 			if len(h.data) > 0 && h.data[0] == payloadPlain {
 				m.p.putBufLocked(h.data)
 			}
@@ -754,17 +721,13 @@ func (m *Member) ackTick() {
 		m.p.mu.Unlock()
 		return
 	}
-	for s := range m.ms.contig {
-		m.ms.contig[s] = m.contigForLocked(s)
-	}
 	// Encode straight from the live cursors into the member scratch: the
 	// packet is complete (and Send copies) before the lock is released, so
-	// neither the vectors nor the buffer need a defensive copy.
+	// neither the vector nor the buffer needs a defensive copy.
 	pkt := appendAckVec(m.encBuf[:0], &msgAckVec{
 		group:     m.group,
 		view:      m.view.ID,
 		delivered: vec{m.view.Members, m.ms.recvNext},
-		contig:    vec{m.view.Members, m.ms.contig},
 	})
 	m.encBuf = pkt[:0]
 	for _, id := range m.view.Members {
@@ -789,8 +752,8 @@ func (m *Member) retransTick() {
 		m.agreedRetryLocked(&cb)
 		// Ask senders to fill detected gaps.
 		for s, sender := range m.view.Members {
-			// Anything parked means a gap (or a gate) below it: ask for
-			// everything from the cursor to the newest message seen.
+			// Anything parked means a gap below it: ask for everything
+			// from the cursor to the newest message seen.
 			lo, l := m.ms.recvNext[s], m.ms.msgs[s]
 			if sender == m.p.id || len(l) == 0 {
 				continue

@@ -76,13 +76,12 @@ type (
 	}
 
 	// msgAckVec gossips the member's delivered-count vector, used for
-	// stability (garbage collection of retained messages), plus its
-	// received-contiguous watermark, used by the safe-delivery gate.
+	// stability (garbage collection of retained messages) and tail-loss
+	// repair.
 	msgAckVec struct {
 		group     string
 		view      ViewID
 		delivered vec
-		contig    vec
 	}
 
 	// msgPresence announces a view to processes outside it, triggering
@@ -292,8 +291,7 @@ func appendAckVec(b []byte, m *msgAckVec) []byte {
 	b = wire.AppendU8(b, kindAckVec)
 	b = wire.AppendString(b, m.group)
 	b = appendViewID(b, m.view)
-	b = appendVec(b, m.delivered)
-	return appendVec(b, m.contig)
+	return appendVec(b, m.delivered)
 }
 
 func encodePresence(m *msgPresence) []byte {

@@ -12,26 +12,26 @@ import (
 // vector or a view against bytes captured from the map-based encoder (commit
 // f7f9dc1): the rank-indexed state must put exactly those bytes on the wire,
 // or packet sizes — and with them every simulated serialisation time — move.
-// Each packet must also survive decode and re-encode unchanged.
+// The one deliberate change since is the ack vector, which carries only the
+// delivered counts. Each packet must also survive decode and re-encode
+// unchanged.
 func TestWireBytesUnchanged(t *testing.T) {
 	view := ViewID{Seq: 7, Coord: "s1"}
 	pid := proposalID{Round: 9, Coord: "s2"}
 	ids := []ProcessID{"s1", "s2", "s3"}
 	delivered := vec{ids, []uint64{5, 0, 1 << 40}}
-	contig := vec{ids, []uint64{6, 2, 1<<40 + 1}}
+	targets := vec{ids, []uint64{6, 2, 1<<40 + 1}}
 
 	for _, tc := range []struct {
 		name string
 		got  []byte
 		want string
 	}{
-		{"ackvec", appendAckVec(nil, &msgAckVec{group: "movie/x", view: view, delivered: delivered, contig: contig}),
-			"0600076d6f7669652f7800000000000000070002733100030002733100000000000000050002733200000000000000000002733300000100000000000003000273310000000000000006000273320000000000000002000273330000010000000001"},
-		{"ackvec without contig", appendAckVec(nil, &msgAckVec{group: "movie/x", view: view, delivered: delivered}),
-			"0600076d6f7669652f7800000000000000070002733100030002733100000000000000050002733200000000000000000002733300000100000000000000"},
+		{"ackvec", appendAckVec(nil, &msgAckVec{group: "movie/x", view: view, delivered: delivered}),
+			"0600076d6f7669652f780000000000000007000273310003000273310000000000000005000273320000000000000000000273330000010000000000"},
 		{"syncinfo", encodeSyncInfo(&msgSyncInfo{group: "movie/x", pid: pid, oldView: view, oldMembers: ids, sendSeq: 11, recvNext: delivered}),
 			"0900076d6f7669652f780000000000000009000273320000000000000007000273310003000273310002733200027333000000000000000b0003000273310000000000000005000273320000000000000000000273330000010000000000"},
-		{"cut", encodeCut(&msgCut{group: "movie/x", pid: pid, targets: contig}),
+		{"cut", encodeCut(&msgCut{group: "movie/x", pid: pid, targets: targets}),
 			"0a00076d6f7669652f780000000000000009000273320003000273310000000000000006000273320000000000000002000273330000010000000001"},
 		{"cut with no targets", encodeCut(&msgCut{group: "movie/x", pid: pid}),
 			"0a00076d6f7669652f780000000000000009000273320000"},
@@ -70,12 +70,6 @@ func TestWireBytesUnchanged(t *testing.T) {
 		if !bytes.Equal(again, tc.got) {
 			t.Errorf("%s: decode then encode gives\n  %x, want\n  %x", tc.name, again, tc.got)
 		}
-	}
-
-	// The causal envelope carries the same vector inside a multicast payload.
-	const causal = "020003000273310000000000000005000273320000000000000000000273330000010000000000626f6479"
-	if got := hex.EncodeToString(wrapCausal(delivered, []byte("body"))); got != causal {
-		t.Errorf("causal envelope encodes as\n  %s, want\n  %s", got, causal)
 	}
 }
 

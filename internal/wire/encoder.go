@@ -1,7 +1,5 @@
 package wire
 
-import "fmt"
-
 // AppendMessage frames m — kind byte, then body — onto b and returns the
 // extended slice. It is the allocation-free core of Encode: callers that
 // bring their own buffer (an Encoder scratch, a pooled packet) pay nothing
@@ -30,53 +28,6 @@ func (e *Encoder) Encode(m Message) []byte {
 	return e.buf
 }
 
-// DecodeFrameInto parses a framed KindFrame message into *f without
-// allocating in steady state: f.Payload aliases b (same contract as Decode),
-// and f.Movie is kept as-is when the bytes on the wire match it, so a
-// receiver decoding a stream of frames for one movie reuses the same string
-// for the whole session. Any previous Payload value is overwritten.
-func DecodeFrameInto(f *Frame, b []byte) error {
-	r := Reader{b: b}
-	if k := Kind(r.U8()); r.err == nil && k != KindFrame {
-		return fmt.Errorf("wire: decoding Frame: unexpected kind %v", k)
-	}
-	movie := r.StringBytes()
-	// string(movie) == f.Movie compiles to an allocation-free comparison;
-	// the conversion below only runs (and allocates) when the movie changes.
-	if string(movie) != f.Movie {
-		f.Movie = string(movie)
-	}
-	f.Index = r.U32()
-	f.Class = FrameClass(r.U8())
-	f.Payload = r.Bytes()
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("wire: decoding Frame: %w", err)
-	}
-	return nil
-}
-
-// DecodeFlowControlInto parses a framed KindFlowControl message into *m
-// without allocating in steady state: m.ClientID is kept as-is when the
-// bytes on the wire match it, so a server decoding the flow-control stream
-// of one client into per-session scratch reuses the same string for the
-// whole session.
-func DecodeFlowControlInto(m *FlowControl, b []byte) error {
-	r := Reader{b: b}
-	if k := Kind(r.U8()); r.err == nil && k != KindFlowControl {
-		return fmt.Errorf("wire: decoding FlowControl: unexpected kind %v", k)
-	}
-	id := r.StringBytes()
-	if string(id) != m.ClientID { // allocation-free comparison
-		m.ClientID = string(id)
-	}
-	m.Request = FlowKind(r.U8())
-	m.Occupancy = r.U16()
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("wire: decoding FlowControl: %w", err)
-	}
-	return nil
-}
-
 // keepString stores b as a string in *dst, reusing the existing string when
 // the bytes already match. The comparison compiles allocation-free, so the
 // conversion (and its allocation) only runs when the value actually changed —
@@ -88,61 +39,6 @@ func keepString(dst *string, b []byte) {
 	}
 }
 
-// DecodeOpenInto parses a framed KindOpen message into *m. All three fields
-// are strings that a retrying client resends verbatim, so decoding into a
-// pooled scratch Open is allocation-free for every retry after the first.
-func DecodeOpenInto(m *Open, b []byte) error {
-	r := Reader{b: b}
-	if k := Kind(r.U8()); r.err == nil && k != KindOpen {
-		return fmt.Errorf("wire: decoding Open: unexpected kind %v", k)
-	}
-	keepString(&m.ClientID, r.StringBytes())
-	keepString(&m.ClientAddr, r.StringBytes())
-	keepString(&m.Movie, r.StringBytes())
-	m.Class = ClassReserved
-	m.Lease, m.Takeover = false, false
-	if r.err == nil && r.Remaining() > 0 {
-		m.Class = Class(r.U8())
-	}
-	if r.err == nil && r.Remaining() > 0 {
-		flags := r.U8()
-		m.Lease = flags&openFlagLease != 0
-		m.Takeover = flags&openFlagTakeover != 0
-	}
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("wire: decoding Open: %w", err)
-	}
-	return nil
-}
-
-// DecodeOpenReplyInto parses a framed KindOpenReply message into *m. A
-// client cycling through refusing servers receives the same at-capacity
-// reply over and over; decoding into scratch makes each one free.
-func DecodeOpenReplyInto(m *OpenReply, b []byte) error {
-	r := Reader{b: b}
-	if k := Kind(r.U8()); r.err == nil && k != KindOpenReply {
-		return fmt.Errorf("wire: decoding OpenReply: unexpected kind %v", k)
-	}
-	m.OK = r.Bool()
-	keepString(&m.Error, r.StringBytes())
-	keepString(&m.Movie, r.StringBytes())
-	m.TotalFrames = r.U32()
-	m.FPS = r.U16()
-	keepString(&m.SessionGroup, r.StringBytes())
-	m.RetryAfterMs = 0
-	m.LeaseTTLMs = 0
-	if r.err == nil && r.Remaining() > 0 {
-		m.RetryAfterMs = r.U32()
-	}
-	if r.err == nil && r.Remaining() > 0 {
-		m.LeaseTTLMs = r.U32()
-	}
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("wire: decoding OpenReply: %w", err)
-	}
-	return nil
-}
-
 // Intern is a string intern table for decoders on repetitive streams: the
 // same identifiers (client IDs, addresses) arrive over and over, and looking
 // a byte slice up under a string conversion compiles allocation-free, so
@@ -151,7 +47,8 @@ func DecodeOpenReplyInto(m *OpenReply, b []byte) error {
 // is bounded (a server's client set).
 type Intern map[string]string
 
-// get returns the interned string for b, adding it on first sight.
+// get returns the interned string for b, adding it on first sight. A nil
+// table interns nothing: every call converts.
 func (t Intern) get(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -160,64 +57,10 @@ func (t Intern) get(b []byte) string {
 		return s
 	}
 	s := string(b)
-	t[s] = s
+	if t != nil {
+		t[s] = s
+	}
 	return s
-}
-
-// DecodeClientStateInto parses a framed KindClientState message into *m —
-// the state-sync hot path. It reuses m.Clients' backing array across calls
-// and interns the per-record strings through tab, so a warm decode of a
-// periodic sync allocates nothing: at cluster scale the naive Decode's two
-// string allocations per record dominate the whole simulation's allocation
-// profile. Field semantics and validation match Decode exactly.
-func DecodeClientStateInto(m *ClientState, tab Intern, b []byte) error {
-	r := Reader{b: b}
-	if k := Kind(r.U8()); r.err == nil && k != KindClientState {
-		return fmt.Errorf("wire: decoding ClientState: unexpected kind %v", k)
-	}
-	keepString(&m.Server, r.StringBytes())
-	m.ViewSeq = r.U64()
-	m.Newcomer = r.Bool()
-	n := int(r.U16())
-	if r.err != nil {
-		return fmt.Errorf("wire: decoding ClientState: %w", r.err)
-	}
-	// Same hostile-count guard as decodeClientState: n records need at least
-	// n*minClientRecordBytes more input.
-	if n*minClientRecordBytes > r.Remaining() {
-		return fmt.Errorf("wire: decoding ClientState: %w", ErrTruncated)
-	}
-	if cap(m.Clients) < n {
-		m.Clients = make([]ClientRecord, n)
-	}
-	m.Clients = m.Clients[:n]
-	for i := 0; i < n; i++ {
-		c := &m.Clients[i]
-		c.ClientID = tab.get(r.StringBytes())
-		c.ClientAddr = tab.get(r.StringBytes())
-		c.Offset = r.U32()
-		c.Rate = r.U16()
-		c.QualityFPS = r.U16()
-		c.Paused = r.Bool()
-		c.Departed = r.Bool()
-		c.SentAt = r.I64()
-		c.Class = ClassReserved
-		c.Leased = false
-		if r.err != nil {
-			return fmt.Errorf("wire: decoding ClientState: %w", r.err)
-		}
-	}
-	if r.Remaining() > 0 {
-		for i := range m.Clients {
-			cb := r.U8()
-			m.Clients[i].Class = Class(cb &^ recLeasedBit)
-			m.Clients[i].Leased = cb&recLeasedBit != 0
-		}
-	}
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("wire: decoding ClientState: %w", err)
-	}
-	return nil
 }
 
 // StringBytes consumes a 16-bit length prefix and returns the raw string

@@ -26,21 +26,66 @@ func fuzzSeeds() [][]byte {
 		{byte(KindClientState)}, // truncated header
 		{byte(KindClientState), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF}, // hostile record count
 		{byte(KindFrame), 0xFF, 0xFF},                                        // string length past end
+		Encode(&Open{ClientID: "client-1", ClientAddr: "client-1", Movie: "feature", Lease: true, Takeover: true}),
+		Encode(&OpenReply{OK: true, Movie: "feature", TotalFrames: 1800, FPS: 30, LeaseTTLMs: 3000}),
+		Encode(&ClientState{Server: "server-1"}),
 	}
 	return seeds
 }
 
-// FuzzDecodeMessage feeds arbitrary bytes to the generic decoder. Two
-// properties must hold: no panic on any input, and any message that decodes
-// must re-encode to something that decodes again to the same value
+// decodeDirty decodes b through its kind's Into form into scratch that a
+// previous, different message left behind: stale strings, every optional
+// field set, and more client records than most inputs carry. ok is false
+// for a kind with no Into form.
+func decodeDirty(b []byte) (m Message, err error, ok bool) {
+	stale := ClientRecord{ClientID: "stale", ClientAddr: "stale", Offset: 1, Rate: 2, QualityFPS: 3,
+		Paused: true, Departed: true, SentAt: 4, Class: ClassBestEffort, Leased: true}
+	switch Kind(b[0]) {
+	case KindOpen:
+		o := &Open{ClientID: "stale", ClientAddr: "stale", Movie: "stale", Class: ClassBestEffort, Lease: true, Takeover: true}
+		return o, DecodeOpenInto(o, b), true
+	case KindOpenReply:
+		o := &OpenReply{OK: true, Error: "stale", Movie: "stale", TotalFrames: 1, FPS: 2, SessionGroup: "stale", RetryAfterMs: 3, LeaseTTLMs: 4}
+		return o, DecodeOpenReplyInto(o, b), true
+	case KindFrame:
+		f := &Frame{Movie: "stale", Index: 1, Class: FrameB, Payload: []byte("stale")}
+		return f, DecodeFrameInto(f, b), true
+	case KindFlowControl:
+		f := &FlowControl{ClientID: "stale", Request: FlowDecrease, Occupancy: 1}
+		return f, DecodeFlowControlInto(f, b), true
+	case KindVCR:
+		v := &VCR{ClientID: "stale", Op: VCRStop, Arg: 1}
+		return v, decodeVCRInto(v, b), true
+	case KindClientState:
+		c := &ClientState{Server: "stale", ViewSeq: 1, Newcomer: true, Clients: append(make([]ClientRecord, 0, 8), stale, stale, stale, stale)}
+		return c, DecodeClientStateInto(c, Intern{"stale": "stale"}, b), true
+	}
+	return nil, nil, false
+}
+
+// FuzzDecodeMessage feeds arbitrary bytes to the generic decoder. Three
+// properties must hold: no panic on any input; any message that decodes
+// must re-encode to something that decodes again to the same bytes
 // (decode∘encode idempotence, which also exercises the optional trailing
-// fields both absent and present).
+// fields both absent and present); and the kind's Into form, decoding into
+// dirty scratch, must accept exactly what Decode accepts and re-encode to
+// the same bytes — no field of the previous message survives.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Decode(b)
+		if len(b) > 0 {
+			if into, ierr, ok := decodeDirty(b); ok {
+				switch {
+				case (err == nil) != (ierr == nil):
+					t.Fatalf("Decode says %v, the Into form into dirty scratch says %v (input %x)", err, ierr, b)
+				case err == nil && !bytes.Equal(Encode(into), Encode(m)):
+					t.Fatalf("the Into form into dirty scratch gives %+v, Decode gives %+v (input %x)", into, m, b)
+				}
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -55,31 +100,27 @@ func FuzzDecodeMessage(f *testing.F) {
 	})
 }
 
-// FuzzDecodeOpenInto feeds arbitrary bytes to the allocation-free Open
-// decoder and checks it agrees with the generic path: same accept/reject
-// decision, same decoded value, and scratch reuse never leaks state from a
-// previous decode into the next.
+// FuzzDecodeOpenInto hands every input, whatever its kind byte, to the Open
+// decoder the server reuses its scratch with. FuzzDecodeMessage only
+// reaches an Into form through its own kind; this one checks that
+// DecodeOpenInto accepts exactly the inputs Decode accepts as an Open, and
+// then gives the same value in dirty scratch.
 func FuzzDecodeOpenInto(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		// Dirty scratch: a failed decode must not be mistaken for a
-		// success, and a successful one must overwrite every field.
-		scratch := Open{ClientID: "stale", ClientAddr: "stale", Movie: "stale", Class: ClassBestEffort}
+		scratch := Open{ClientID: "stale", ClientAddr: "stale", Movie: "stale", Class: ClassBestEffort, Lease: true, Takeover: true}
 		err := DecodeOpenInto(&scratch, b)
-
 		m, gerr := Decode(b)
-		if want, isOpen := m.(*Open); gerr == nil && isOpen {
-			if err != nil {
-				t.Fatalf("generic decode accepted Open but DecodeOpenInto rejected: %v (input %x)", err, b)
-			}
-			if scratch != *want {
-				t.Fatalf("DecodeOpenInto disagrees with Decode:\n got %+v\nwant %+v", scratch, *want)
-			}
-		} else if err == nil {
-			// DecodeOpenInto may only accept what Decode accepts as an Open.
-			t.Fatalf("DecodeOpenInto accepted input the generic decoder rejected: %x", b)
+		want, isOpen := m.(*Open)
+		switch {
+		case gerr == nil && isOpen && err != nil:
+			t.Fatalf("Decode accepted an Open but DecodeOpenInto rejected it: %v (input %x)", err, b)
+		case gerr == nil && isOpen && scratch != *want:
+			t.Fatalf("DecodeOpenInto disagrees with Decode:\n got %+v\nwant %+v", scratch, *want)
+		case !(gerr == nil && isOpen) && err == nil:
+			t.Fatalf("DecodeOpenInto accepted input Decode does not take as an Open: %x", b)
 		}
 	})
 }

@@ -56,41 +56,60 @@ func Encode(m Message) []byte {
 	return m.appendBody(b)
 }
 
-// Decode parses a framed message produced by Encode. The returned message
-// does not alias b except where noted (Frame.Payload).
+// Decode parses a framed message produced by Encode into a fresh value of
+// its kind, through the same parser as the kind's Decode*Into form. The
+// returned message does not alias b except where noted (Frame.Payload).
 func Decode(b []byte) (Message, error) {
-	r := NewReader(b)
-	kind := Kind(r.U8())
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("wire: reading kind: %w", err)
+	if len(b) == 0 {
+		return nil, fmt.Errorf("wire: reading kind: %w", ErrTruncated)
 	}
 	var (
 		m   Message
 		err error
 	)
-	switch kind {
+	switch kind := Kind(b[0]); kind {
 	case KindOpen:
-		m, err = decodeOpen(r)
+		o := new(Open)
+		m, err = o, DecodeOpenInto(o, b)
 	case KindOpenReply:
-		m, err = decodeOpenReply(r)
+		o := new(OpenReply)
+		m, err = o, DecodeOpenReplyInto(o, b)
 	case KindFrame:
-		m, err = decodeFrame(r)
+		f := new(Frame)
+		m, err = f, DecodeFrameInto(f, b)
 	case KindFlowControl:
-		m, err = decodeFlowControl(r)
+		f := new(FlowControl)
+		m, err = f, DecodeFlowControlInto(f, b)
 	case KindVCR:
-		m, err = decodeVCR(r)
+		v := new(VCR)
+		m, err = v, decodeVCRInto(v, b)
 	case KindClientState:
-		m, err = decodeClientState(r)
+		c := new(ClientState)
+		m, err = c, DecodeClientStateInto(c, nil, b)
 	default:
 		return nil, fmt.Errorf("wire: unknown message kind %d", kind)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("wire: decoding %v: %w", kind, err)
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("wire: decoding %v: %w", kind, err)
+		return nil, err
 	}
 	return m, nil
+}
+
+// decode checks that r holds a framed message of kind k, parses the body
+// with body — the kind's one parser, a closure over r and the destination —
+// and returns the first error, wrapped with the kind. A body sets every
+// field of its destination on every call, so a destination reused across
+// calls keeps nothing of the previous message; a failed decode leaves it
+// partly written.
+func (r *Reader) decode(k Kind, body func()) error {
+	if got := Kind(r.U8()); r.err == nil && got != k {
+		return fmt.Errorf("wire: decoding %v: unexpected kind %v", k, got)
+	}
+	body()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("wire: decoding %v: %w", k, err)
+	}
+	return nil
 }
 
 // String implements fmt.Stringer for log readability.
@@ -191,21 +210,25 @@ func (m *Open) appendBody(b []byte) []byte {
 	return b
 }
 
-func decodeOpen(r *Reader) (Message, error) {
-	m := &Open{
-		ClientID:   r.String(),
-		ClientAddr: r.String(),
-		Movie:      r.String(),
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Class = Class(r.U8())
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		flags := r.U8()
-		m.Lease = flags&openFlagLease != 0
-		m.Takeover = flags&openFlagTakeover != 0
-	}
-	return m, r.Err()
+// DecodeOpenInto parses a framed KindOpen message into *m. All three strings
+// are ones a retrying client resends verbatim, so decoding into a pooled
+// scratch Open is allocation-free for every retry after the first.
+func DecodeOpenInto(m *Open, b []byte) error {
+	r := Reader{b: b}
+	return r.decode(KindOpen, func() {
+		keepString(&m.ClientID, r.StringBytes())
+		keepString(&m.ClientAddr, r.StringBytes())
+		keepString(&m.Movie, r.StringBytes())
+		m.Class, m.Lease, m.Takeover = ClassReserved, false, false
+		if r.err == nil && r.Remaining() > 0 {
+			m.Class = Class(r.U8())
+		}
+		if r.err == nil && r.Remaining() > 0 {
+			flags := r.U8()
+			m.Lease = flags&openFlagLease != 0
+			m.Takeover = flags&openFlagTakeover != 0
+		}
+	})
 }
 
 // OpenReply carries the session parameters back to the client, or an error.
@@ -250,22 +273,26 @@ func (m *OpenReply) appendBody(b []byte) []byte {
 	return b
 }
 
-func decodeOpenReply(r *Reader) (Message, error) {
-	m := &OpenReply{
-		OK:           r.Bool(),
-		Error:        r.String(),
-		Movie:        r.String(),
-		TotalFrames:  r.U32(),
-		FPS:          r.U16(),
-		SessionGroup: r.String(),
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.RetryAfterMs = r.U32()
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.LeaseTTLMs = r.U32()
-	}
-	return m, r.Err()
+// DecodeOpenReplyInto parses a framed KindOpenReply message into *m. A
+// client cycling through refusing servers receives the same at-capacity
+// reply over and over; decoding into scratch makes each one free.
+func DecodeOpenReplyInto(m *OpenReply, b []byte) error {
+	r := Reader{b: b}
+	return r.decode(KindOpenReply, func() {
+		m.OK = r.Bool()
+		keepString(&m.Error, r.StringBytes())
+		keepString(&m.Movie, r.StringBytes())
+		m.TotalFrames = r.U32()
+		m.FPS = r.U16()
+		keepString(&m.SessionGroup, r.StringBytes())
+		m.RetryAfterMs, m.LeaseTTLMs = 0, 0
+		if r.err == nil && r.Remaining() > 0 {
+			m.RetryAfterMs = r.U32()
+		}
+		if r.err == nil && r.Remaining() > 0 {
+			m.LeaseTTLMs = r.U32()
+		}
+	})
 }
 
 // FrameClass is the MPEG frame type carried in a Frame message. I frames
@@ -337,14 +364,19 @@ func AppendFrameHeader(b []byte, movie string, index uint32, class FrameClass, p
 	return appendFrameFields(b, movie, index, class, payloadLen)
 }
 
-func decodeFrame(r *Reader) (Message, error) {
-	m := &Frame{
-		Movie:   r.String(),
-		Index:   r.U32(),
-		Class:   FrameClass(r.U8()),
-		Payload: r.Bytes(),
-	}
-	return m, r.Err()
+// DecodeFrameInto parses a framed KindFrame message into *f without
+// allocating in steady state: f.Payload aliases b (same contract as Decode),
+// and f.Movie is kept as-is when the bytes on the wire match it, so a
+// receiver decoding a stream of frames for one movie reuses the same string
+// for the whole session.
+func DecodeFrameInto(f *Frame, b []byte) error {
+	r := Reader{b: b}
+	return r.decode(KindFrame, func() {
+		keepString(&f.Movie, r.StringBytes())
+		f.Index = r.U32()
+		f.Class = FrameClass(r.U8())
+		f.Payload = r.Bytes()
+	})
 }
 
 // FlowKind is the type of a client flow-control request (Figure 2 and §4.1
@@ -400,13 +432,18 @@ func (m *FlowControl) appendBody(b []byte) []byte {
 	return AppendU16(b, m.Occupancy)
 }
 
-func decodeFlowControl(r *Reader) (Message, error) {
-	m := &FlowControl{
-		ClientID:  r.String(),
-		Request:   FlowKind(r.U8()),
-		Occupancy: r.U16(),
-	}
-	return m, r.Err()
+// DecodeFlowControlInto parses a framed KindFlowControl message into *m
+// without allocating in steady state: m.ClientID is kept as-is when the
+// bytes on the wire match it, so a server decoding the flow-control stream
+// of one client into per-session scratch reuses the same string for the
+// whole session.
+func DecodeFlowControlInto(m *FlowControl, b []byte) error {
+	r := Reader{b: b}
+	return r.decode(KindFlowControl, func() {
+		keepString(&m.ClientID, r.StringBytes())
+		m.Request = FlowKind(r.U8())
+		m.Occupancy = r.U16()
+	})
 }
 
 // VCROp is a VCR operation ("full VCR-like control over the transmitted
@@ -458,13 +495,15 @@ func (m *VCR) appendBody(b []byte) []byte {
 	return AppendU32(b, m.Arg)
 }
 
-func decodeVCR(r *Reader) (Message, error) {
-	m := &VCR{
-		ClientID: r.String(),
-		Op:       VCROp(r.U8()),
-		Arg:      r.U32(),
-	}
-	return m, r.Err()
+// decodeVCRInto is VCR's body parser. Only Decode calls it: VCR commands
+// are rare enough that nobody decodes them into scratch.
+func decodeVCRInto(m *VCR, b []byte) error {
+	r := Reader{b: b}
+	return r.decode(KindVCR, func() {
+		m.ClientID = r.String()
+		m.Op = VCROp(r.U8())
+		m.Arg = r.U32()
+	})
 }
 
 // ClientRecord is one client's entry in a state-sync multicast: everything
@@ -578,40 +617,48 @@ func (m *ClientState) encodedSize() int {
 // empty strings (2 bytes of length prefix each) plus the fixed fields.
 const minClientRecordBytes = 2 + 2 + 4 + 2 + 2 + 1 + 1 + 8
 
-func decodeClientState(r *Reader) (Message, error) {
-	m := &ClientState{Server: r.String(), ViewSeq: r.U64(), Newcomer: r.Bool()}
-	n := int(r.U16())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	// Guard the pre-allocation against a hostile count: n records need at
-	// least n*minClientRecordBytes more input, so a short packet claiming
-	// 65535 records fails here instead of allocating megabytes first.
-	if n*minClientRecordBytes > r.Remaining() {
-		return nil, ErrTruncated
-	}
-	m.Clients = make([]ClientRecord, 0, n)
-	for i := 0; i < n; i++ {
-		m.Clients = append(m.Clients, ClientRecord{
-			ClientID:   r.String(),
-			ClientAddr: r.String(),
-			Offset:     r.U32(),
-			Rate:       r.U16(),
-			QualityFPS: r.U16(),
-			Paused:     r.Bool(),
-			Departed:   r.Bool(),
-			SentAt:     r.I64(),
-		})
-		if r.Err() != nil {
-			return nil, r.Err()
+// DecodeClientStateInto parses a framed KindClientState message into *m —
+// the state-sync hot path. It reuses m.Clients' backing array across calls
+// and interns the per-record strings through tab, so a warm decode of a
+// periodic sync allocates nothing: at cluster scale one string allocation
+// per record would dominate the whole simulation's allocation profile.
+// Decode passes a nil tab, which interns nothing.
+func DecodeClientStateInto(m *ClientState, tab Intern, b []byte) error {
+	r := Reader{b: b}
+	return r.decode(KindClientState, func() {
+		keepString(&m.Server, r.StringBytes())
+		m.ViewSeq = r.U64()
+		m.Newcomer = r.Bool()
+		n := int(r.U16())
+		// Guard the allocation against a hostile count: n records need at
+		// least n*minClientRecordBytes more input, so a short packet claiming
+		// 65535 records fails here instead of allocating megabytes first.
+		if n*minClientRecordBytes > r.Remaining() {
+			r.err = ErrTruncated
+			return
 		}
-	}
-	if r.Remaining() > 0 {
-		for i := range m.Clients {
-			cb := r.U8()
-			m.Clients[i].Class = Class(cb &^ recLeasedBit)
-			m.Clients[i].Leased = cb&recLeasedBit != 0
+		if cap(m.Clients) < n {
+			m.Clients = make([]ClientRecord, n)
 		}
-	}
-	return m, r.Err()
+		m.Clients = m.Clients[:n]
+		for i := 0; i < n && r.err == nil; i++ {
+			m.Clients[i] = ClientRecord{
+				ClientID:   tab.get(r.StringBytes()),
+				ClientAddr: tab.get(r.StringBytes()),
+				Offset:     r.U32(),
+				Rate:       r.U16(),
+				QualityFPS: r.U16(),
+				Paused:     r.Bool(),
+				Departed:   r.Bool(),
+				SentAt:     r.I64(),
+			}
+		}
+		if r.err == nil && r.Remaining() > 0 {
+			for i := range m.Clients {
+				cb := r.U8()
+				m.Clients[i].Class = Class(cb &^ recLeasedBit)
+				m.Clients[i].Leased = cb&recLeasedBit != 0
+			}
+		}
+	})
 }
