@@ -101,7 +101,7 @@ func BenchmarkTableEmergency(b *testing.B) {
 				peak = r
 			}
 		}
-		mean := res.VideoBytesCum.Last() / res.VideoBytesCum.Times[len(res.VideoBytesCum.Times)-1].Seconds()
+		mean := res.VideoBytesCum.Last() / res.VideoBytesCum.Time(res.VideoBytesCum.Len()-1).Seconds()
 		boost = (peak - mean) / mean * 100
 	}
 	b.ReportMetric(float64(flowctl.EmergencyTotal(12, 0.8)), "extra-frames-q12")

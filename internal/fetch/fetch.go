@@ -12,7 +12,6 @@
 package fetch
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -27,6 +26,9 @@ import (
 
 // ChunkSize is the transfer unit; comfortably under the datagram limit.
 const ChunkSize = 32 * 1024
+
+// maxChunks is enough chunks for the largest movie file mpeg.Parse accepts.
+const maxChunks = (mpeg.MaxFileSize + ChunkSize - 1) / ChunkSize
 
 // Message kinds on the bulk channel.
 const (
@@ -126,19 +128,9 @@ func (p *Provider) serialized(movieID string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf sliceWriter
-	if _, err := m.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	p.serial[movieID] = buf.b
-	return buf.b, nil
-}
-
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
+	data := m.AppendBinary(nil)
+	p.serial[movieID] = data
+	return data, nil
 }
 
 // Fetcher retrieves movies from providers: requests go out on out (the
@@ -166,8 +158,8 @@ type transfer struct {
 	id       uint64
 	movie    string
 	peer     transport.Addr
-	chunks   [][]byte
-	total    int // -1 until the first response arrives
+	data     []byte // the chunks received so far, back to back
+	total    int    // -1 until the first response arrives
 	next     int
 	retries  int
 	timer    clock.Timer
@@ -288,7 +280,10 @@ func (f *Fetcher) onPacket(from transport.Addr, payload []byte) {
 	chunk := int(r.U32())
 	total := int(r.U32())
 	data := r.Bytes()
-	if r.Done() != nil || chunk != tr.next || total <= 0 {
+	// The first response fixes the length, at most maxChunks; a response
+	// that changes it or overfills its chunk is malformed and dropped.
+	if r.Done() != nil || chunk != tr.next || len(data) > ChunkSize ||
+		total <= 0 || total > maxChunks || (tr.total >= 0 && total != tr.total) {
 		f.mu.Unlock()
 		return
 	}
@@ -297,7 +292,7 @@ func (f *Fetcher) onPacket(from transport.Addr, payload []byte) {
 	}
 	tr.total = total
 	tr.retries = 0
-	tr.chunks = append(tr.chunks, append([]byte(nil), data...))
+	tr.data = append(tr.data, data...)
 	tr.next++
 
 	if tr.next < tr.total {
@@ -306,16 +301,12 @@ func (f *Fetcher) onPacket(from transport.Addr, payload []byte) {
 		return
 	}
 
-	// Complete: assemble and parse.
+	// Complete: unreachable from onPacket now, so parsed in place unlocked.
 	f.current = nil
 	cb := tr.callback
-	var whole []byte
-	for _, c := range tr.chunks {
-		whole = append(whole, c...)
-	}
 	f.mu.Unlock()
 
-	movie, err := mpeg.ReadFrom(bytes.NewReader(whole))
+	movie, err := mpeg.Parse(tr.data)
 	if err != nil {
 		f.ctrFailed.Inc()
 		cb(nil, fmt.Errorf("fetch: %q from %s corrupt: %w", movieID, from, err))

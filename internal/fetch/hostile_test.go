@@ -1,7 +1,6 @@
 package fetch
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -79,11 +78,7 @@ func FuzzProviderOnPacket(f *testing.F) {
 // handler returns without panicking, the transfer's callback runs at most
 // once, and a movie it hands over is one the decoder accepted.
 func FuzzFetcherOnPacket(f *testing.F) {
-	var buf bytes.Buffer
-	if _, err := mpeg.Generate("m", mpeg.StreamConfig{Duration: time.Second, Seed: 1}).WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	file := buf.Bytes()
+	file := mpeg.Generate("m", mpeg.StreamConfig{Duration: time.Second, Seed: 1}).AppendBinary(nil)
 	f.Add(chunkResp(1, "m", 0, 1, file))
 	f.Add(chunkResp(1, "m", 0, 1, file[:len(file)/2]))
 	f.Add(chunkResp(1, "m", 0, 2, file))
@@ -94,6 +89,9 @@ func FuzzFetcherOnPacket(f *testing.F) {
 	f.Add(append(wire.AppendU64([]byte{kindNotFound}, 1), wire.AppendString(nil, "m")...))
 	f.Add(chunkReq(1, "m", 0))
 	f.Add([]byte{})
+	f.Add(chunkResp(1, "m", 0, 1<<31, file))
+	f.Add(chunkResp(1, "m", 0, uint32(maxChunks+1), file))
+	f.Add(chunkResp(1, "m", 0, 2, make([]byte, ChunkSize+1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		clk, prov, get, _ := hostileNet(t)
@@ -117,4 +115,51 @@ func FuzzFetcherOnPacket(f *testing.F) {
 			t.Fatalf("transfer callback ran %d times", calls)
 		}
 	})
+}
+
+// TestFetcherBoundsTransfer: a provider's responses cannot make a transfer
+// longer than the largest movie file, change its length once the first
+// response has fixed it, or land more than ChunkSize bytes per chunk. Such
+// a response is dropped: the fetcher asks for the same chunk again and, when
+// the peer never answers well, fails the transfer.
+func TestFetcherBoundsTransfer(t *testing.T) {
+	cases := []struct {
+		name      string
+		responses [][]byte
+		wantMax   uint32 // the furthest chunk the fetcher may ask for
+	}{
+		{"total of 2^31", [][]byte{chunkResp(1, "m", 0, 1<<31, []byte("x"))}, 0},
+		{"total past the largest movie", [][]byte{chunkResp(1, "m", 0, uint32(maxChunks+1), []byte("x"))}, 0},
+		{"total raised mid-transfer", [][]byte{
+			chunkResp(1, "m", 0, 2, []byte("x")),
+			chunkResp(1, "m", 1, 3, []byte("x")),
+		}, 1},
+		{"chunk longer than ChunkSize", [][]byte{chunkResp(1, "m", 0, 2, make([]byte, ChunkSize+1))}, 0},
+	}
+	for _, tc := range cases {
+		clk, prov, get, _ := hostileNet(t)
+		var asked uint32
+		prov.SetHandler(func(_ transport.Addr, req []byte) {
+			r := wire.NewReader(req[1+8:]) // past kind and request ID
+			_ = r.String()
+			asked = max(asked, r.U32())
+		})
+		fe := NewFetcher(clk, get, get, nil)
+		var gotErr error
+		calls := 0
+		if err := fe.Fetch("m", prov.Addr(), func(_ *mpeg.Movie, err error) { calls, gotErr = calls+1, err }); err != nil {
+			t.Fatal(err)
+		}
+		for _, resp := range tc.responses {
+			fe.onPacket(prov.Addr(), resp)
+			clk.Advance(10 * time.Millisecond)
+		}
+		if asked != tc.wantMax {
+			t.Errorf("%s: fetcher asked for chunk %d, want at most %d", tc.name, asked, tc.wantMax)
+		}
+		clk.Advance(10 * time.Second)
+		if calls != 1 || gotErr == nil {
+			t.Errorf("%s: transfer ended with %d callbacks, error %v; want one failure", tc.name, calls, gotErr)
+		}
+	}
 }

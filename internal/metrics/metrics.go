@@ -8,54 +8,54 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"time"
 )
 
-// Series is a named time series: (elapsed time, value) samples kept
-// sorted by time. The sampler appends in clock order, so Add is O(1) in
-// the common case; an out-of-order sample is insert-sorted to preserve
-// the invariant the binary-search accessors rely on.
+// Series is a named time series on a regular grid: Values[i] was sampled at
+// Start + i·Step. The harness samples with a clock.Every on the virtual
+// clock, so every sample lands on the grid and no time column is stored.
 type Series struct {
 	Name   string
-	Times  []time.Duration
+	Start  time.Duration // time of the first sample
+	Step   time.Duration
 	Values []float64
 }
 
-// NewSeries returns an empty series.
-func NewSeries(name string) *Series { return &Series{Name: name} }
+// NewSeries returns an empty series sampled every step (> 0).
+func NewSeries(name string, step time.Duration) *Series { return &Series{Name: name, Step: step} }
 
 // Grow makes room for n more samples, so a sampler that knows its run length
 // up front appends without reallocating.
-func (s *Series) Grow(n int) {
-	s.Times = slices.Grow(s.Times, n)
-	s.Values = slices.Grow(s.Values, n)
-}
+func (s *Series) Grow(n int) { s.Values = slices.Grow(s.Values, n) }
 
-// Add inserts a sample, keeping Times sorted.
+// Time returns the time of sample i.
+func (s *Series) Time(i int) time.Duration { return s.Start + time.Duration(i)*s.Step }
+
+// Add appends the sample taken at t. The first sample sets Start; every
+// later one must fall on the next grid point, or Add panics.
 func (s *Series) Add(t time.Duration, v float64) {
-	if n := len(s.Times); n == 0 || s.Times[n-1] <= t {
-		s.Times = append(s.Times, t)
-		s.Values = append(s.Values, v)
-		return
+	if n := len(s.Values); n == 0 {
+		s.Start = t
+	} else if want := s.Time(n); t != want {
+		panic(fmt.Sprintf("metrics: %s: sample at %v is off the grid (next point %v)", s.Name, t, want))
 	}
-	i := sort.Search(len(s.Times), func(i int) bool { return s.Times[i] > t })
-	s.Times = append(s.Times, 0)
-	s.Values = append(s.Values, 0)
-	copy(s.Times[i+1:], s.Times[i:])
-	copy(s.Values[i+1:], s.Values[i:])
-	s.Times[i] = t
-	s.Values[i] = v
+	s.Values = append(s.Values, v)
 }
 
 // searchAfter returns the index of the first sample with time > t.
 func (s *Series) searchAfter(t time.Duration) int {
-	return sort.Search(len(s.Times), func(i int) bool { return s.Times[i] > t })
+	if t < s.Start {
+		return 0
+	}
+	return min(int((t-s.Start)/s.Step)+1, len(s.Values))
 }
 
 // searchAtOrAfter returns the index of the first sample with time ≥ t.
 func (s *Series) searchAtOrAfter(t time.Duration) int {
-	return sort.Search(len(s.Times), func(i int) bool { return s.Times[i] >= t })
+	if t <= s.Start {
+		return 0
+	}
+	return min(int((t-s.Start-1)/s.Step)+1, len(s.Values))
 }
 
 // Len returns the number of samples.
@@ -159,8 +159,8 @@ func (s *Series) WriteTSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# %s\n", s.Name); err != nil {
 		return err
 	}
-	for i := range s.Times {
-		if _, err := fmt.Fprintf(w, "%.2f\t%g\n", s.Times[i].Seconds(), s.Values[i]); err != nil {
+	for i, v := range s.Values {
+		if _, err := fmt.Fprintf(w, "%.2f\t%g\n", s.Time(i).Seconds(), v); err != nil {
 			return err
 		}
 	}

@@ -1,13 +1,15 @@
 package metrics
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
 func sampleSeries() *Series {
-	s := NewSeries("test")
+	s := NewSeries("test", time.Second)
 	s.Add(1*time.Second, 10)
 	s.Add(2*time.Second, 30)
 	s.Add(3*time.Second, 20)
@@ -32,7 +34,7 @@ func TestSeriesBasics(t *testing.T) {
 }
 
 func TestSeriesEmpty(t *testing.T) {
-	s := NewSeries("empty")
+	s := NewSeries("empty", time.Second)
 	if s.Last() != 0 || s.Max() != 0 || s.Min() != 0 || s.At(time.Second) != 0 {
 		t.Fatal("empty series accessors must return 0")
 	}
@@ -103,7 +105,7 @@ func TestWriteTSV(t *testing.T) {
 }
 
 func TestNegativeValues(t *testing.T) {
-	s := NewSeries("neg")
+	s := NewSeries("neg", time.Second)
 	s.Add(time.Second, -5)
 	s.Add(2*time.Second, -1)
 	if s.Max() != -1 || s.Min() != -5 {
@@ -111,29 +113,93 @@ func TestNegativeValues(t *testing.T) {
 	}
 }
 
-func TestSeriesOutOfOrderAdd(t *testing.T) {
-	s := NewSeries("ooo")
-	s.Add(1*time.Second, 10)
-	s.Add(3*time.Second, 30)
-	s.Add(2*time.Second, 20) // late sample must insert-sort, not corrupt
-	for i := 1; i < len(s.Times); i++ {
-		if s.Times[i-1] > s.Times[i] {
-			t.Fatalf("Times not sorted after out-of-order Add: %v", s.Times)
+// TestSeriesMatchesLinearScan checks the grid arithmetic of the accessors
+// against a linear scan over explicit sample times: random starts that need
+// not be multiples of the step, both steps the scenarios sample at, and
+// queries on the grid, between points, before Start and past the end.
+func TestSeriesMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		step := []time.Duration{10 * time.Millisecond, 100 * time.Millisecond}[trial%2]
+		start := 1 + time.Duration(rng.Int63n(int64(5*time.Second)))
+		n := rng.Intn(30)
+		s := NewSeries("grid", step)
+		times, vals := make([]time.Duration, n), make([]float64, n)
+		for i := range times {
+			times[i], vals[i] = start+time.Duration(i)*step, float64(rng.Intn(100)-50)
+			s.Add(times[i], vals[i])
+		}
+		var queries []time.Duration
+		for i := -3; i <= n+3; i++ {
+			for _, off := range []time.Duration{0, 1, step / 2, step - 1} {
+				queries = append(queries, start+time.Duration(i)*step+off)
+			}
+		}
+		at := func(q time.Duration) (v float64) {
+			for i, ts := range times {
+				if ts <= q {
+					v = vals[i]
+				}
+			}
+			return v
+		}
+		for _, q := range queries {
+			if got, want := s.At(q), at(q); got != want {
+				t.Fatalf("start %v step %v: At(%v) = %v, want %v", start, step, q, got, want)
+			}
+			if got, want := s.Delta(q), s.Last()-at(q); got != want {
+				t.Fatalf("start %v step %v: Delta(%v) = %v, want %v", start, step, q, got, want)
+			}
+		}
+		for k := 0; k < 50; k++ {
+			from, to := queries[rng.Intn(len(queries))], queries[rng.Intn(len(queries))]
+			var win []float64
+			for i, ts := range times {
+				if from <= ts && ts < to {
+					win = append(win, vals[i])
+				}
+			}
+			var mean, lo, hi float64
+			if len(win) > 0 {
+				for _, v := range win {
+					mean += v
+				}
+				mean, lo, hi = mean/float64(len(win)), slices.Min(win), slices.Max(win)
+			}
+			if s.MeanBetween(from, to) != mean || s.MinBetween(from, to) != lo || s.MaxBetween(from, to) != hi {
+				t.Fatalf("start %v step %v: [%v, %v) gives mean/min/max %v/%v/%v, want %v/%v/%v", start, step, from, to,
+					s.MeanBetween(from, to), s.MinBetween(from, to), s.MaxBetween(from, to), mean, lo, hi)
+			}
 		}
 	}
-	if got := s.At(2 * time.Second); got != 20 {
-		t.Fatalf("At(2s) = %v, want 20", got)
-	}
-	if got := s.At(2500 * time.Millisecond); got != 20 {
-		t.Fatalf("At(2.5s) = %v, want 20", got)
-	}
-	if got := s.MeanBetween(1*time.Second, 4*time.Second); got != 20 {
-		t.Fatalf("MeanBetween = %v, want 20", got)
+}
+
+// TestSeriesOffGridAddPanics: the accessors derive every sample's time from
+// its index, so a sample anywhere but the next grid point is refused.
+func TestSeriesOffGridAddPanics(t *testing.T) {
+	const ms = time.Millisecond
+	for name, at := range map[string]time.Duration{
+		"between points": 250 * ms,
+		"skipped point":  400 * ms,
+		"repeat":         200 * ms,
+		"before start":   0,
+	} {
+		s := NewSeries("grid", 100*ms)
+		s.Add(100*ms, 1)
+		s.Add(200*ms, 2)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Add at %v accepted", name, at)
+				}
+			}()
+			s.Add(at, 3)
+		}()
 	}
 }
 
 func TestSeriesBinarySearchBounds(t *testing.T) {
-	s := NewSeries("bounds")
+	s := NewSeries("bounds", time.Second)
 	if s.At(time.Second) != 0 {
 		t.Fatal("At on empty series != 0")
 	}

@@ -1,9 +1,9 @@
 package mpeg
 
 import (
-	"bufio"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -22,6 +22,9 @@ const fileMagic = "VODM"
 
 const fileVersion = 1
 
+// headerSize is the fixed fields: magic, version, ID length, fps, frame count.
+const headerSize = len(fileMagic) + 1 + 2 + 2 + 4
+
 // frameRecordSize is one frame-table record: class u8 + size u32.
 const frameRecordSize = 5
 
@@ -30,9 +33,15 @@ const frameRecordSize = 5
 // the file that described it, plus a tail of at most one frame.
 const maxIDLen = 64
 
-// WriteTo serializes the movie. It implements io.WriterTo.
-func (m *Movie) WriteTo(w io.Writer) (int64, error) {
-	buf := make([]byte, 0, 16+frameRecordSize*len(m.frames))
+const maxFrames = 1 << 26 // the most frames a file may claim
+
+// MaxFileSize is the size of the largest movie file Parse accepts: the
+// longest title ID and maxFrames frame records.
+const MaxFileSize = headerSize + maxIDLen + maxFrames*frameRecordSize
+
+// AppendBinary appends the movie's file form to buf.
+func (m *Movie) AppendBinary(buf []byte) []byte {
+	buf = slices.Grow(buf, headerSize+len(m.id)+frameRecordSize*len(m.frames))
 	buf = append(buf, fileMagic...)
 	buf = wire.AppendU8(buf, fileVersion)
 	buf = wire.AppendString(buf, m.id)
@@ -42,16 +51,26 @@ func (m *Movie) WriteTo(w io.Writer) (int64, error) {
 		buf = wire.AppendU8(buf, uint8(f.Class))
 		buf = wire.AppendU32(buf, uint32(f.Size))
 	}
-	n, err := w.Write(buf)
+	return buf
+}
+
+// WriteTo serializes the movie. It implements io.WriterTo.
+func (m *Movie) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(m.AppendBinary(nil))
 	return int64(n), err
 }
 
 // ReadFrom deserializes a movie written by WriteTo.
 func ReadFrom(r io.Reader) (*Movie, error) {
-	data, err := io.ReadAll(bufio.NewReader(r))
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("mpeg: reading movie: %w", err)
 	}
+	return Parse(data)
+}
+
+// Parse decodes a movie file held in memory; the movie keeps no reference to it.
+func Parse(data []byte) (*Movie, error) {
 	if len(data) < len(fileMagic) || string(data[:len(fileMagic)]) != fileMagic {
 		return nil, fmt.Errorf("mpeg: not a movie file (bad magic)")
 	}
@@ -70,7 +89,7 @@ func ReadFrom(r io.Reader) (*Movie, error) {
 	if len(m.id) > maxIDLen {
 		return nil, fmt.Errorf("mpeg: movie ID of %d bytes exceeds %d", len(m.id), maxIDLen)
 	}
-	if m.id == "" || m.fps <= 0 || n <= 0 || n > 1<<26 {
+	if m.id == "" || m.fps <= 0 || n <= 0 || n > maxFrames {
 		return nil, fmt.Errorf("mpeg: implausible movie header (id=%q fps=%d frames=%d)", m.id, m.fps, n)
 	}
 	// The count comes off the network or the disk: believe it only as far

@@ -139,17 +139,28 @@ func TestReadFromBoundsFrameCount(t *testing.T) {
 	}
 }
 
-// FuzzReadFrom drives the movie-file decoder — reachable from the network
-// through fetch and from disk through store — with arbitrary bytes: no
-// panics, whatever it accepts must serialize back to the same bytes, and
-// every packet of its table must decode to its own frame with a payload of
-// the frame's size.
-func FuzzReadFrom(f *testing.F) {
-	var buf bytes.Buffer
-	if _, err := Generate("m", StreamConfig{Duration: time.Second, Seed: 1}).WriteTo(&buf); err != nil {
-		f.Fatal(err)
+// TestParseKeepsNoReference: a fetched file is parsed where the transfer
+// landed it, so the movie must own everything it keeps of the bytes.
+func TestParseKeepsNoReference(t *testing.T) {
+	orig := Generate("casablanca", StreamConfig{Duration: 2 * time.Second, Seed: 3}).AppendBinary(nil)
+	data := bytes.Clone(orig)
+	m, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	good := buf.Bytes()
+	clear(data)
+	if !bytes.Equal(m.AppendBinary(nil), orig) {
+		t.Fatal("overwriting the parsed bytes changed the movie")
+	}
+}
+
+// FuzzReadFrom drives the movie-file decoder — reachable from the network
+// through fetch (Parse) and from disk through store (ReadFrom) — with
+// arbitrary bytes: no panics, Parse and ReadFrom agree, whatever they
+// accept must serialize back to the same bytes, and every packet of its
+// table must decode to its own frame with a payload of the frame's size.
+func FuzzReadFrom(f *testing.F) {
+	good := Generate("m", StreamConfig{Duration: time.Second, Seed: 1}).AppendBinary(nil)
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add(good[:len(good)-1])
@@ -158,6 +169,10 @@ func FuzzReadFrom(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadFrom(bytes.NewReader(data))
+		pm, perr := Parse(data)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("ReadFrom says %v, Parse says %v", err, perr)
+		}
 		if err != nil {
 			return
 		}
@@ -167,6 +182,9 @@ func FuzzReadFrom(f *testing.F) {
 		}
 		if !bytes.Equal(re.Bytes(), data) {
 			t.Fatalf("re-serialized movie differs from its %d-byte input", len(data))
+		}
+		if !bytes.Equal(pm.AppendBinary(nil), data) {
+			t.Fatalf("parsed movie serializes differently from its %d-byte input", len(data))
 		}
 		tab := m.Packets(testPrefix)
 		var f wire.Frame

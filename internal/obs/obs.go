@@ -23,6 +23,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -89,10 +90,10 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	trace    *trace
+	trace    trace
 }
 
-// DefaultTraceDepth is the event-trace ring capacity of NewRegistry.
+// DefaultTraceDepth is the capacity the event-trace ring of NewRegistry grows to.
 const DefaultTraceDepth = 256
 
 // NewRegistry creates a registry for the named node. now supplies event
@@ -107,7 +108,6 @@ func NewRegistry(node string, now func() time.Time) *Registry {
 		now:      now,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		trace:    newTrace(DefaultTraceDepth),
 	}
 }
 
@@ -218,47 +218,34 @@ func (s Snapshot) GaugeNames() []string {
 	return names
 }
 
-// trace is the bounded flight-recorder ring.
+// trace is the bounded flight-recorder ring. It is allocated at the first
+// event and grows by append to DefaultTraceDepth; then each event overwrites
+// the oldest.
 type trace struct {
 	mu      sync.Mutex
 	ring    []Event
-	next    int // write position
-	filled  bool
+	next    int // oldest entry, and the write position, once the ring is full
 	dropped uint64
-}
-
-func newTrace(depth int) *trace {
-	if depth < 1 {
-		depth = 1
-	}
-	return &trace{ring: make([]Event, depth)}
 }
 
 func (t *trace) add(e Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.filled {
-		t.dropped++
+	if len(t.ring) < DefaultTraceDepth {
+		if t.ring == nil {
+			t.ring = make([]Event, 0, DefaultTraceDepth/4)
+		}
+		t.ring = append(t.ring, e)
+		return
 	}
+	t.dropped++
 	t.ring[t.next] = e
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-		t.filled = true
-	}
+	t.next = (t.next + 1) % DefaultTraceDepth
 }
 
-// snapshot returns the retained events oldest-first.
+// snapshot returns the retained events oldest-first (nil if none).
 func (t *trace) snapshot() ([]Event, uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Event
-	if t.filled {
-		out = make([]Event, 0, len(t.ring))
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-	} else if t.next > 0 {
-		out = append([]Event(nil), t.ring[:t.next]...)
-	}
-	return out, t.dropped
+	return slices.Concat(t.ring[t.next:], t.ring[:t.next]), t.dropped
 }

@@ -248,7 +248,7 @@ func TableEmergency(seed int64) Table {
 			peak = rate
 		}
 	}
-	mean := res.VideoBytesCum.Last() / res.VideoBytesCum.Times[len(res.VideoBytesCum.Times)-1].Seconds()
+	mean := res.VideoBytesCum.Last() / res.VideoBytesCum.Time(res.VideoBytesCum.Len()-1).Seconds()
 	boost := 0.0
 	if mean > 0 {
 		boost = (peak - mean) / mean * 100
@@ -520,11 +520,11 @@ func TableEmergencySweep(seed int64) Table {
 		// the crash until occupancy recovers above it.
 		refill := "never"
 		var dipAt time.Duration
-		for i, ts := range res.Combined.Times {
+		for i, v := range res.Combined.Values {
+			ts := res.Combined.Time(i)
 			if ts <= crashAt {
 				continue
 			}
-			v := res.Combined.Values[i]
 			if dipAt == 0 {
 				if v < float64(flow.LowWater) {
 					dipAt = ts

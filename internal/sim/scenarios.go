@@ -88,11 +88,11 @@ func TakeoverTrial(seed int64) time.Duration {
 	// Find the gap in the serving-server series around the crash.
 	var gapStart, gapEnd time.Duration
 	inGap := false
-	for i, t := range res.ServingServer.Times {
+	for i, v := range res.ServingServer.Values {
+		t := res.ServingServer.Time(i)
 		if t < 19*time.Second {
 			continue
 		}
-		v := res.ServingServer.Values[i]
 		if v < 0 && !inGap {
 			inGap = true
 			gapStart = t

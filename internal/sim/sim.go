@@ -352,7 +352,7 @@ func Run(sc Scenario) *Result {
 	// The sampler below adds one point per series per SampleEvery.
 	samples := int(sc.Duration/sc.SampleEvery) + 1
 	series := func(name string) *metrics.Series {
-		s := metrics.NewSeries(name)
+		s := metrics.NewSeries(name, sc.SampleEvery)
 		s.Grow(samples)
 		return s
 	}

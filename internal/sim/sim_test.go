@@ -98,7 +98,7 @@ func firstTimeAbove(res *Result, frac float64) time.Duration {
 	max := res.HWOccupancy.Max()
 	for i, v := range res.HWOccupancy.Values {
 		if v >= frac*max {
-			return res.HWOccupancy.Times[i]
+			return res.HWOccupancy.Time(i)
 		}
 	}
 	return -1
