@@ -75,7 +75,7 @@ examples:    ## run all simulated examples
 	for e in quickstart failover loadbalance vcr discovery hacounter; do \
 		echo "== $$e =="; go run ./examples/$$e; done
 
-fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders and the gcs, fetch and congress packet handlers (one -fuzz per run)
+fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders, the gcs, fetch and congress packet handlers and the virtual clock's firing order (one -fuzz per run)
 	go test -run='^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzDecodeLease$$' -fuzztime=10s ./internal/lease
 	go test -run='^$$' -fuzz='^FuzzReadFrom$$' -fuzztime=10s ./internal/mpeg
@@ -84,6 +84,7 @@ fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders and
 	go test -run='^$$' -fuzz='^FuzzFetcherOnPacket$$' -fuzztime=10s ./internal/fetch
 	go test -run='^$$' -fuzz='^FuzzDirectoryOnPacket$$' -fuzztime=10s ./internal/congress
 	go test -run='^$$' -fuzz='^FuzzResolverOnPacket$$' -fuzztime=10s ./internal/congress
+	go test -run='^$$' -fuzz='^FuzzVirtualOrder$$' -fuzztime=10s ./internal/clock
 
 vet:
 	go vet ./...

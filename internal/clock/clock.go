@@ -5,9 +5,10 @@
 //   - Real: thin wrapper over the standard time package, used by the
 //     cmd/ binaries and the real-UDP example.
 //   - Virtual: a deterministic discrete-event scheduler, used by the
-//     simulator, the test suite and the benchmark harness. An entire
-//     multi-node cluster advances in a single goroutine, so a 90-second
-//     evaluation scenario executes in milliseconds and is exactly
+//     simulator, the test suite and the benchmark harness. Its pending
+//     events form one heap ordered by deadline, then by arming order. An
+//     entire multi-node cluster advances in a single goroutine, so a
+//     90-second evaluation scenario executes in milliseconds and is exactly
 //     reproducible.
 //
 // Beside the mandatory Clock interface a clock may offer two optional

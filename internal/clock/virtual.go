@@ -14,55 +14,34 @@ import (
 // Drain), never concurrently with each other. Event callbacks may schedule
 // further events and stop timers.
 //
-// The queue is a coalescing timer wheel: events sharing a deadline are
-// grouped into one bucket (scheduling order within the bucket is creation
-// order, which preserves the (when, seq) contract), and the buckets form a
-// binary min-heap keyed on the deadline's integer nanoseconds. Simulated
-// workloads schedule heavily onto shared instants — frame-pacing grids,
-// zero-delay trampolines, heartbeats phase-locked at start — so the heap a
-// frame-pacing timer percolates through is one or two orders of magnitude
-// smaller than an event-per-entry heap, and the comparisons are single
-// integer compares instead of time.Time method calls. Event records come
-// from slab-allocated chunks recycled through a free list, so steady-state
-// timer traffic — frame pacing, heartbeats, packet deliveries — allocates
-// nothing: Schedule recycles its event automatically when it fires, and
-// AfterFunc callers that are done with a Timer can hand its record back with
-// Release.
+// The queue is one 4-ary min-heap of events keyed on (deadline nanos, seq),
+// seq being the arming order — the order the clock promises, so the heap
+// needs no other bookkeeping. A callback that schedules onto the instant
+// being run gets a higher seq than everything already due then and fires
+// after it, in the same pass. Event records come from slab-allocated chunks
+// recycled through a free list, so steady-state timer traffic — frame
+// pacing, heartbeats, packet deliveries — allocates nothing: Schedule
+// recycles its event automatically when it fires, and AfterFunc callers that
+// are done with a Timer can hand its record back with Release.
 type Virtual struct {
 	mu       sync.Mutex
-	now      time.Time
-	nowNanos int64 // now.UnixNano(), cached: bucket keys are integer nanos
+	nowNanos int64 // the current instant in UnixNano; heap keys are integer nanos
 
 	// nowAtomic mirrors nowNanos so Now — the single hottest read in a
-	// simulation — needs no lock: callers reconstruct the time.Time from
-	// the base instant, which is exact integer arithmetic and therefore
-	// equal to the locked chain of Adds it replaces.
+	// simulation — needs no lock: it reconstructs the time.Time from the
+	// base instant, which is exact integer arithmetic.
 	nowAtomic atomic.Int64
 	base      time.Time
 	baseNanos int64
 
-	buckets bucketTable // pending buckets by deadline nanos
-	bq      []bqEntry   // min-heap on deadline nanos (keys are unique)
-
-	// Recycled bucket records, segregated by backing so a record whose evs
-	// slice grew past the inline array is preferentially reissued to the
-	// deadlines that need it: same-instant deferrals (d == 0) fan dozens of
-	// events into one bucket, while serialized egress packets get unique
-	// deadlines and never outgrow the inline array. One mixed LIFO list
-	// would constantly hand small records to big instants and regrow them.
-	freeB    []*bucket // inline-backed records
-	freeBBig []*bucket // records with a grown evs slice (capacity stays warm)
+	heap []heapEntry // pending events, a 4-ary min-heap on (nanos, seq)
 
 	free  *event  // free list of event records
 	slab  []event // current allocation chunk for fresh records
 	slabN int
 
-	bslab  []bucket // current allocation chunk for fresh buckets
-	bslabN int
-
-	seq     uint64
-	runs    uint64 // total events executed, for diagnostics
-	pending int    // armed events across all buckets
+	seq  uint64
+	runs uint64 // total events executed, for diagnostics
 }
 
 var (
@@ -77,17 +56,9 @@ var (
 // a few dozen allocations instead of one per record.
 const eventSlabSize = 256
 
-// bucketSlabSize is the same chunking for bucket records. Egress
-// serialization gives most in-flight packets a unique deadline, so the
-// high-water mark of simultaneous buckets tracks the high-water mark of
-// events; without slabs every fresh instant would cost a bucket allocation
-// plus its first entry-slice allocation.
-const bucketSlabSize = 64
-
 // NewVirtual returns a Virtual clock whose current time is start.
 func NewVirtual(start time.Time) *Virtual {
 	c := &Virtual{
-		now:       start,
 		nowNanos:  start.UnixNano(),
 		base:      start,
 		baseNanos: start.UnixNano(),
@@ -97,26 +68,9 @@ func NewVirtual(start time.Time) *Virtual {
 }
 
 // Now implements Clock. It is lock-free: the instant is reconstructed from
-// the clock's base time, which yields a value identical to the internally
-// tracked c.now (both are exact integer arithmetic from the same start).
+// the clock's base time and the current instant's integer nanos.
 func (c *Virtual) Now() time.Time {
 	return c.base.Add(time.Duration(c.nowAtomic.Load() - c.baseNanos))
-}
-
-// bucket holds every pending event for one deadline instant. Entries before
-// cur have already been consumed (their slots are nil); entries at or after
-// cur are armed, in seq order — appends are creation-ordered and removals
-// preserve relative order.
-type bucket struct {
-	nanos int64     // deadline in UnixNano; the heap key, unique per bucket
-	when  time.Time // the deadline as first computed, for advancing now
-	index int       // position in the bucket heap
-	cur   int       // next entry to fire
-	evs   []*event
-	// inline backs evs for the common case — most instants hold a single
-	// event — so a fresh bucket needs no entry-slice allocation; evs only
-	// moves to the heap when a shared instant outgrows it.
-	inline [4]*event
 }
 
 // takeEventLocked returns a blank event record: free list first, then the
@@ -150,51 +104,13 @@ func (c *Virtual) newEventLocked(d time.Duration, f func(), autoFree bool) *even
 	return ev
 }
 
-// armLocked stamps a sequence number on ev and files it into the bucket for
-// now+d, creating the bucket if the instant is fresh. Caller holds mu; ev
-// must not be in any bucket.
+// armLocked stamps a sequence number on ev and pushes it for now+d. Caller
+// holds mu; ev must not be in the heap.
 func (c *Virtual) armLocked(ev *event, d time.Duration) {
-	ev.seq = c.seq
 	ev.state = statePending
+	c.heap = append(c.heap, heapEntry{})
+	c.upLocked(len(c.heap)-1, heapEntry{nanos: c.nowNanos + int64(d), seq: c.seq, ev: ev})
 	c.seq++
-
-	nanos := c.nowNanos + int64(d)
-	b := c.buckets.get(nanos)
-	if b == nil {
-		b = c.takeBucketLocked(d == 0)
-		b.nanos = nanos
-		b.when = c.now.Add(d)
-		b.cur = 0
-		c.buckets.put(nanos, b)
-		c.pushBucketLocked(b)
-	}
-	ev.b = b
-	ev.pos = len(b.evs)
-	if len(b.evs) == cap(b.evs) && cap(b.evs) == len(b.inline) {
-		// Outgrowing the inline array: jump straight to the steady-state
-		// size for fan-in buckets instead of letting append double through
-		// 8, 16, 32 — the grown backing stays with the record forever.
-		// Recycled grown records usually hold a warm backing already, so
-		// steal one (demoting the donor to the inline pool) before
-		// allocating: fan-in instants mostly land on inline-backed records
-		// popped from freeB, and without the steal every outgrow paid a
-		// fresh slice while freeBBig sat on idle capacity.
-		var evs []*event
-		if n := len(c.freeBBig); n > 0 {
-			donor := c.freeBBig[n-1]
-			c.freeBBig[n-1] = nil
-			c.freeBBig = c.freeBBig[:n-1]
-			evs = donor.evs[:len(b.evs)]
-			donor.evs = donor.inline[:0]
-			c.freeB = append(c.freeB, donor)
-		} else {
-			evs = make([]*event, len(b.evs), 64)
-		}
-		copy(evs, b.evs)
-		b.evs = evs
-	}
-	b.evs = append(b.evs, ev)
-	c.pending++
 }
 
 // Rearm implements Rearmer: it re-arms a timer record from this clock for d
@@ -219,7 +135,7 @@ func (c *Virtual) Rearm(t Timer, d time.Duration) bool {
 	defer c.mu.Unlock()
 	switch ev.state {
 	case statePending:
-		c.unlinkLocked(ev)
+		c.removeLocked(ev.index)
 	case stateFired:
 		// Not queued; the record and its fn are intact and reusable.
 	default:
@@ -229,30 +145,6 @@ func (c *Virtual) Rearm(t Timer, d time.Duration) bool {
 	}
 	c.armLocked(ev, d)
 	return true
-}
-
-// takeBucketLocked issues a bucket record, preferring a grown one for
-// same-instant deferrals (they fan many events into one bucket) and an
-// inline-backed one for everything else. Caller holds mu.
-func (c *Virtual) takeBucketLocked(big bool) *bucket {
-	from := &c.freeB
-	if big && len(c.freeBBig) > 0 || !big && len(c.freeB) == 0 {
-		from = &c.freeBBig
-	}
-	if n := len(*from); n > 0 {
-		b := (*from)[n-1]
-		(*from)[n-1] = nil
-		*from = (*from)[:n-1]
-		return b
-	}
-	if c.bslabN == len(c.bslab) {
-		c.bslab = make([]bucket, bucketSlabSize)
-		c.bslabN = 0
-	}
-	b := &c.bslab[c.bslabN]
-	c.bslabN++
-	b.evs = b.inline[:0]
-	return b
 }
 
 // AfterFunc implements Clock. The returned Timer's record is not recycled
@@ -277,7 +169,7 @@ func (c *Virtual) Schedule(d time.Duration, f func()) {
 func (c *Virtual) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.pending
+	return len(c.heap)
 }
 
 // Executed returns the total number of events run so far.
@@ -304,41 +196,28 @@ func (c *Virtual) Step() bool {
 // when limited is false), advances the clock to its deadline, and returns
 // its callback — nil if no event qualifies. Auto-free events are recycled
 // here, before the callback runs: nothing else references them, and the
-// callback itself is already copied out. A drained bucket is left in place
-// until its turn at the heap root comes again, so callbacks scheduling onto
-// the same instant (zero-delay trampolines) append behind the cursor and
-// fire this pass, in seq order. Caller holds mu.
+// callback itself is already copied out. Caller holds mu.
 func (c *Virtual) takeLocked(limitNanos int64, limited bool) func() {
-	for {
-		if len(c.bq) == 0 {
-			return nil
-		}
-		if limited && c.bq[0].nanos > limitNanos {
-			return nil
-		}
-		b := c.bq[0].b
-		if b.cur == len(b.evs) {
-			c.removeBucketLocked(b) // fully consumed; lazily reclaimed here
-			continue
-		}
-		if b.nanos > c.nowNanos {
-			c.now = b.when
-			c.nowNanos = b.nanos
-			c.nowAtomic.Store(b.nanos)
-		}
-		ev := b.evs[b.cur]
-		b.evs[b.cur] = nil
-		b.cur++
-		c.runs++
-		c.pending--
-		ev.state = stateFired
-		ev.b = nil
-		fn := ev.fn
-		if ev.autoFree {
-			c.recycleLocked(ev)
-		}
-		return fn
+	if len(c.heap) == 0 {
+		return nil
 	}
+	top := c.heap[0]
+	if limited && top.nanos > limitNanos {
+		return nil
+	}
+	c.removeLocked(0)
+	if top.nanos > c.nowNanos {
+		c.nowNanos = top.nanos
+		c.nowAtomic.Store(top.nanos)
+	}
+	c.runs++
+	ev := top.ev
+	ev.state = stateFired
+	fn := ev.fn
+	if ev.autoFree {
+		c.recycleLocked(ev)
+	}
+	return fn
 }
 
 // Advance runs every event with a deadline at or before now+d, in order,
@@ -347,23 +226,25 @@ func (c *Virtual) takeLocked(limitNanos int64, limited bool) func() {
 // the window.
 func (c *Virtual) Advance(d time.Duration) int {
 	c.mu.Lock()
-	deadline := c.now.Add(d)
+	limit := c.nowNanos + int64(d)
 	c.mu.Unlock()
-	return c.AdvanceTo(deadline)
+	return c.advanceTo(limit)
 }
 
 // AdvanceTo runs every event with a deadline at or before t, then sets the
 // clock to t (if t is later than the current time). It returns the number
 // of events executed.
 func (c *Virtual) AdvanceTo(t time.Time) int {
-	limit := t.UnixNano()
+	return c.advanceTo(t.UnixNano())
+}
+
+func (c *Virtual) advanceTo(limit int64) int {
 	n := 0
 	for {
 		c.mu.Lock()
 		fn := c.takeLocked(limit, true)
 		if fn == nil {
 			if limit > c.nowNanos {
-				c.now = t
 				c.nowNanos = limit
 				c.nowAtomic.Store(limit)
 			}
@@ -392,62 +273,17 @@ func (c *Virtual) Drain(limit int) int {
 }
 
 // recycleLocked clears an event record and links it onto the free list.
-// Caller holds mu; the event must no longer be in any bucket.
+// Caller holds mu; the event must no longer be in the heap.
 func (c *Virtual) recycleLocked(ev *event) {
 	ev.fn = nil
-	ev.b = nil
 	ev.state = stateFree
 	ev.nextFree = c.free
 	c.free = ev
 }
 
-// unlinkLocked removes a pending event from its bucket, preserving the
-// relative order of the remaining entries, and reclaims the bucket if
-// nothing pending is left in it. Caller holds mu.
-func (c *Virtual) unlinkLocked(ev *event) {
-	b := ev.b
-	i := ev.pos
-	last := len(b.evs) - 1
-	copy(b.evs[i:], b.evs[i+1:])
-	b.evs[last] = nil
-	b.evs = b.evs[:last]
-	for j := i; j < last; j++ {
-		b.evs[j].pos = j
-	}
-	ev.b = nil
-	c.pending--
-	if b.cur == len(b.evs) {
-		c.removeBucketLocked(b)
-	}
-}
-
-// removeBucketLocked takes a bucket (drained or emptied by cancellations)
-// out of the heap and the deadline map and recycles its record; the entry
-// slice keeps its capacity for the next occupant. Caller holds mu.
-func (c *Virtual) removeBucketLocked(b *bucket) {
-	i := b.index
-	last := len(c.bq) - 1
-	c.swapLocked(i, last)
-	c.bq[last] = bqEntry{}
-	c.bq = c.bq[:last]
-	b.index = -1
-	if i < last {
-		c.downLocked(i)
-		c.upLocked(i)
-	}
-	c.buckets.del(b.nanos)
-	b.evs = b.evs[:0]
-	b.cur = 0
-	if cap(b.evs) > len(b.inline) {
-		c.freeBBig = append(c.freeBBig, b)
-	} else {
-		c.freeB = append(c.freeB, b)
-	}
-}
-
 // Event lifecycle states.
 const (
-	statePending = uint8(iota) // armed, in a bucket
+	statePending = uint8(iota) // armed, in the heap
 	stateFired                 // callback ran (or is about to run)
 	stateStopped               // cancelled before firing
 	stateFree                  // recycled onto the free list
@@ -455,12 +291,10 @@ const (
 
 // event is a pending Virtual callback; it doubles as the Timer handle.
 type event struct {
-	seq      uint64
 	fn       func()
 	c        *Virtual
-	nextFree *event  // free-list link while recycled
-	b        *bucket // owning bucket while pending
-	pos      int     // position in b.evs; meaningless once consumed
+	nextFree *event // free-list link while recycled
+	index    int    // position in c.heap while pending
 	state    uint8
 	autoFree bool // Schedule()-created: recycle on fire, no handle exists
 }
@@ -468,7 +302,7 @@ type event struct {
 var _ Timer = (*event)(nil)
 
 // Stop implements Timer. A stopped event is removed from the queue
-// immediately; its record is reclaimed by the garbage collector unless the
+// immediately. Its record is not reissued while the clock lives unless the
 // caller also hands it back with Release.
 func (ev *event) Stop() bool {
 	ev.c.mu.Lock()
@@ -476,7 +310,7 @@ func (ev *event) Stop() bool {
 	if ev.state != statePending {
 		return false
 	}
-	ev.c.unlinkLocked(ev)
+	ev.c.removeLocked(ev.index)
 	ev.state = stateStopped
 	ev.fn = nil
 	return true
@@ -504,7 +338,7 @@ func Release(t Timer) {
 	defer c.mu.Unlock()
 	switch ev.state {
 	case statePending:
-		c.unlinkLocked(ev)
+		c.removeLocked(ev.index)
 	case stateFree:
 		// Double release: the record may already back another timer, so
 		// touching it would corrupt the queue. Leave it alone (and, under
@@ -517,65 +351,79 @@ func Release(t Timer) {
 	c.recycleLocked(ev)
 }
 
-// Heap primitives: a 4-ary min-heap over buckets keyed on their integer
-// deadline, kept inline (no container/heap) so Push/Pop stay monomorphic and
-// allocation-free. Keys are unique — one bucket per instant — so no
-// tie-break is needed, and any heap arity pops the same order. Each entry
-// carries its key beside the bucket pointer so sift comparisons walk the
-// contiguous heap slice instead of dereferencing a cold bucket record per
-// compare; four-way branching then halves the sift depth, trading compares
-// that share a cache line for pointer hops that don't.
+// Heap primitives: a 4-ary min-heap kept inline (no container/heap) so push
+// and pop stay monomorphic and allocation-free. Each entry carries its key
+// beside the event pointer so sift comparisons walk the contiguous heap slice
+// instead of dereferencing a cold event record per compare; four-way
+// branching then halves the sift depth, trading compares that share a cache
+// line for pointer hops that don't. Sifts move a hole rather than swapping,
+// writing each displaced entry (and its event's index) once.
 
-// bqEntry is one heap slot: the owning bucket and a copy of its deadline.
-type bqEntry struct {
-	nanos int64
-	b     *bucket
+// heapEntry is one heap slot: a pending event and its key.
+type heapEntry struct {
+	nanos int64  // deadline in UnixNano
+	seq   uint64 // arming order, the tie-break
+	ev    *event
 }
 
-func (c *Virtual) swapLocked(i, j int) {
-	c.bq[i], c.bq[j] = c.bq[j], c.bq[i]
-	c.bq[i].b.index = i
-	c.bq[j].b.index = j
+func (e *heapEntry) before(o *heapEntry) bool {
+	return e.nanos < o.nanos || e.nanos == o.nanos && e.seq < o.seq
 }
 
-func (c *Virtual) pushBucketLocked(b *bucket) {
-	b.index = len(c.bq)
-	c.bq = append(c.bq, bqEntry{nanos: b.nanos, b: b})
-	c.upLocked(b.index)
+func (c *Virtual) setLocked(i int, e heapEntry) {
+	c.heap[i] = e
+	e.ev.index = i
 }
 
-func (c *Virtual) upLocked(i int) {
-	for i > 0 {
-		parent := (i - 1) / 4
-		if c.bq[i].nanos >= c.bq[parent].nanos {
-			break
-		}
-		c.swapLocked(i, parent)
-		i = parent
+// removeLocked takes the entry at slot i out of the heap, filling the hole
+// with the last entry. Caller holds mu.
+func (c *Virtual) removeLocked(i int) {
+	last := len(c.heap) - 1
+	e := c.heap[last]
+	c.heap[last] = heapEntry{}
+	c.heap = c.heap[:last]
+	if i == last {
+		return
+	}
+	if i > 0 && e.before(&c.heap[(i-1)/4]) {
+		c.upLocked(i, e)
+	} else {
+		c.downLocked(i, e)
 	}
 }
 
-func (c *Virtual) downLocked(i int) {
-	n := len(c.bq)
+// upLocked places e at or above the hole at slot i.
+func (c *Virtual) upLocked(i int, e heapEntry) {
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !e.before(&c.heap[parent]) {
+			break
+		}
+		c.setLocked(i, c.heap[parent])
+		i = parent
+	}
+	c.setLocked(i, e)
+}
+
+// downLocked places e at or below the hole at slot i.
+func (c *Virtual) downLocked(i int, e heapEntry) {
+	n := len(c.heap)
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return
-		}
-		last := first + 4
-		if last > n {
-			last = n
+			break
 		}
 		least := first
-		for k := first + 1; k < last; k++ {
-			if c.bq[k].nanos < c.bq[least].nanos {
+		for k := first + 1; k < first+4 && k < n; k++ {
+			if c.heap[k].before(&c.heap[least]) {
 				least = k
 			}
 		}
-		if c.bq[least].nanos >= c.bq[i].nanos {
-			return
+		if !c.heap[least].before(&e) {
+			break
 		}
-		c.swapLocked(i, least)
+		c.setLocked(i, c.heap[least])
 		i = least
 	}
+	c.setLocked(i, e)
 }
