@@ -11,16 +11,17 @@ import (
 // TestAllocsSweepSharesFeature pins what a chaos seed costs: every schedule
 // of a sweep streams the one Movie the sweep generated, and a seed allocates
 // its own cluster plus, where its schedule cold-restarts a server, that
-// server's fetched copy and its ≈ 73 KB packet table — ≈ 0.4 MB per seed.
+// server's fetched copy and its ≈ 73 KB packet table — ≈ 330 KB per seed.
 // Payload bytes made per frame streamed (the parent of the header tape
 // spent ≈ 3.5 MB per seed on them, ≈ 16 MB with a title per seed) fail
 // here, as do a time column stored beside each sampled series and a
-// full-depth trace ring per registry (≈ 0.59 MB per seed with both).
+// full-depth trace ring per registry (≈ 0.59 MB per seed with both), and
+// sampling all nine Result series where the check reads one (≈ 396 KB).
 func TestAllocsSweepSharesFeature(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are not the code's")
 	}
-	const seeds, budget = 16, 512 << 10
+	const seeds, budget = 16, 368 << 10
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	reports, _, err := chaos.Sweep(context.Background(), 1, seeds, 1, nil, nil)

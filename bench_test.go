@@ -38,7 +38,9 @@ func BenchmarkSimThroughput(b *testing.B) {
 func BenchmarkFig4LANScenario(b *testing.B) {
 	var res *sim.Result
 	for i := 0; i < b.N; i++ {
-		res = sim.Run(sim.LANScenario(int64(i + 1)))
+		sc := sim.LANScenario(int64(i + 1))
+		sc.Record = sim.SW | sim.HW
+		res = sim.Run(sc)
 	}
 	crashAt, _ := sim.EventTimesLAN()
 	b.ReportMetric(float64(res.Final.Skipped()), "skipped-frames")
@@ -92,7 +94,9 @@ func BenchmarkTableSyncOverhead(b *testing.B) {
 func BenchmarkTableEmergency(b *testing.B) {
 	var boost float64
 	for i := 0; i < b.N; i++ {
-		res := sim.Run(sim.LANScenario(int64(i + 1)))
+		sc := sim.LANScenario(int64(i + 1))
+		sc.Record = sim.Video
+		res := sim.Run(sc)
 		crashAt, _ := sim.EventTimesLAN()
 		var peak float64
 		for w := crashAt; w < crashAt+3500*time.Millisecond; w += 100 * time.Millisecond {

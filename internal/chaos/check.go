@@ -115,6 +115,7 @@ func execute(plan Plan, cfg Config, movie *mpeg.Movie) *Report {
 		ClientID: ClientID,
 		Duration: cfg.Duration,
 		Events:   events,
+		Record:   sim.Stalls,
 	})
 
 	rep := &Report{

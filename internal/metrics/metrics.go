@@ -32,8 +32,12 @@ func (s *Series) Grow(n int) { s.Values = slices.Grow(s.Values, n) }
 func (s *Series) Time(i int) time.Duration { return s.Start + time.Duration(i)*s.Step }
 
 // Add appends the sample taken at t. The first sample sets Start; every
-// later one must fall on the next grid point, or Add panics.
+// later one must fall on the next grid point, or Add panics. A nil series
+// records nothing.
 func (s *Series) Add(t time.Duration, v float64) {
+	if s == nil {
+		return
+	}
 	if n := len(s.Values); n == 0 {
 		s.Start = t
 	} else if want := s.Time(n); t != want {

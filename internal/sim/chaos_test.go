@@ -59,6 +59,7 @@ func TestChaosRandomCrashSchedules(t *testing.T) {
 				Servers: initial,
 				Peers:   names,
 				Events:  events,
+				Record:  Serving | Stalls,
 			})
 			return outcome{res, crash1, crash2, join}, nil
 		})
@@ -118,6 +119,7 @@ func TestChaosPartitionHeals(t *testing.T) {
 			}},
 			{At: 35 * time.Second, Do: func(rt *Runtime) { rt.Net.Heal() }},
 		},
+		Record: Serving,
 	}
 	res := Run(sc)
 
@@ -158,6 +160,7 @@ func TestChaosFlappingServer(t *testing.T) {
 		Servers: []string{"server-1", "server-2"},
 		Peers:   []string{"server-1", "server-2", "server-3", "server-4"},
 		Events:  events,
+		Record:  Serving,
 	})
 	if res.Final.Displayed < 2300 {
 		t.Fatalf("displayed %d frames through the flapping", res.Final.Displayed)

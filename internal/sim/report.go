@@ -62,63 +62,68 @@ func (t Table) Write(w io.Writer) error {
 	return err
 }
 
+// figureRuns returns the figure table's runs: 0 is LAN, 1 is WAN.
+func figureRuns(seed int64) []Scenario { return []Scenario{LANScenario(seed), WANScenario(seed)} }
+
+// figures is the figure table, in paper order: each figure's run, the
+// signal that run records for it and the series it plots.
+var figures = []struct {
+	id     string
+	run    int // index into figureRuns
+	signal Signals
+	series func(*Result) *metrics.Series
+}{
+	{"4a", 0, Skipped, func(r *Result) *metrics.Series { return r.SkippedCum }},
+	{"4b", 0, Late, func(r *Result) *metrics.Series { return r.LateCum }},
+	{"4c", 0, SW, func(r *Result) *metrics.Series { return r.SWOccupancy }},
+	{"4d", 0, HW, func(r *Result) *metrics.Series { return r.HWOccupancy }},
+	{"5a", 1, Skipped, func(r *Result) *metrics.Series { return r.SkippedCum }},
+	{"5b", 1, Overflow, func(r *Result) *metrics.Series { return r.OverflowCum }},
+}
+
 // FigureIDs lists the reproducible figures in paper order.
-func FigureIDs() []string { return []string{"4a", "4b", "4c", "4d", "5a", "5b"} }
+func FigureIDs() []string {
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
+}
 
 // Figures runs the two evaluation scenarios and returns every figure's
 // series keyed by figure ID, plus each figure's event annotations. The
 // LAN and WAN runs are independent, so they execute in parallel (see
 // SetParallelism); the series are identical either way.
 func Figures(seed int64) (map[string]*metrics.Series, map[string][]Annotation) {
-	scenarios := []Scenario{LANScenario(seed), WANScenario(seed)}
+	scenarios := figureRuns(seed)
 	feature := generateFeature(mpeg.StreamConfig{}, seed)
 	for i := range scenarios {
 		scenarios[i].Feature = feature
 	}
-	runs := fanOut(len(scenarios), func(i int) *Result { return Run(scenarios[i]) })
-	lan, wan := runs[0], runs[1]
-	series := map[string]*metrics.Series{
-		"4a": lan.SkippedCum,
-		"4b": lan.LateCum,
-		"4c": lan.SWOccupancy,
-		"4d": lan.HWOccupancy,
-		"5a": wan.SkippedCum,
-		"5b": wan.OverflowCum,
+	for _, f := range figures {
+		scenarios[f.run].Record |= f.signal
 	}
-	ann := map[string][]Annotation{}
-	for id := range series {
-		if id[0] == '4' {
-			ann[id] = lan.Annotations
-		} else {
-			ann[id] = wan.Annotations
-		}
+	runs := fanOut(len(scenarios), func(i int) *Result { return Run(scenarios[i]) })
+	series := make(map[string]*metrics.Series, len(figures))
+	ann := make(map[string][]Annotation, len(figures))
+	for _, f := range figures {
+		series[f.id] = f.series(runs[f.run])
+		ann[f.id] = runs[f.run].Annotations
 	}
 	return series, ann
 }
 
 // Figure returns one figure's series and its event annotations.
 func Figure(id string, seed int64) (*metrics.Series, []Annotation, error) {
-	var res *Result
-	switch id {
-	case "4a", "4b", "4c", "4d":
-		res = Run(LANScenario(seed))
-	case "5a", "5b":
-		res = Run(WANScenario(seed))
-	default:
-		return nil, nil, fmt.Errorf("sim: unknown figure %q (have %v)", id, FigureIDs())
+	for _, f := range figures {
+		if f.id == id {
+			sc := figureRuns(seed)[f.run]
+			sc.Record = f.signal
+			res := Run(sc)
+			return f.series(res), res.Annotations, nil
+		}
 	}
-	switch id {
-	case "4a", "5a":
-		return res.SkippedCum, res.Annotations, nil
-	case "4b":
-		return res.LateCum, res.Annotations, nil
-	case "4c":
-		return res.SWOccupancy, res.Annotations, nil
-	case "4d":
-		return res.HWOccupancy, res.Annotations, nil
-	default: // "5b"
-		return res.OverflowCum, res.Annotations, nil
-	}
+	return nil, nil, fmt.Errorf("sim: unknown figure %q (have %v)", id, FigureIDs())
 }
 
 // TableIDs lists the reproducible tables.
@@ -234,7 +239,9 @@ func flowName(k wire.FlowKind) string {
 // TableEmergency reports the decaying emergency sequences (§4.1) and the
 // measured peak bandwidth boost during the LAN crash recovery.
 func TableEmergency(seed int64) Table {
-	res := Run(LANScenario(seed))
+	sc := LANScenario(seed)
+	sc.Record = Video
+	res := Run(sc)
 	crashAt, _ := EventTimesLAN()
 
 	// Peak 1-second send rate during the emergency burst right after the
@@ -512,6 +519,7 @@ func TableEmergencySweep(seed int64) Table {
 			Feature: feature,
 			Servers: []string{"server-1", "server-2"},
 			Flow:    flow,
+			Record:  Combined,
 			Events: []Event{
 				{At: crashAt, Do: func(rt *Runtime) { rt.CrashServing() }},
 			},

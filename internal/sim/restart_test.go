@@ -19,6 +19,7 @@ func TestRestartServerRefetches(t *testing.T) {
 		Profile: netsim.LAN(),
 		Seed:    1,
 		Servers: []string{"server-1", "server-2"},
+		Record:  Serving,
 		Events: []Event{
 			{At: 20 * time.Second, Label: "crash", Do: func(rt *Runtime) { rt.CrashServing() }},
 			{At: 30 * time.Second, Label: "restart", Do: func(rt *Runtime) {

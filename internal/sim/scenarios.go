@@ -79,6 +79,7 @@ func TakeoverTrial(seed int64) time.Duration {
 		Seed:        seed,
 		Servers:     []string{"server-1", "server-2"},
 		Duration:    40 * time.Second,
+		Record:      Serving,
 		SampleEvery: 10 * time.Millisecond, // fine-grained for the gap
 		Events: []Event{
 			{At: crashAt, Do: func(rt *Runtime) { rt.CrashServing() }},

@@ -1,7 +1,7 @@
 // Package sim is the experiment harness: it puts a core.Deployment on a
 // virtual clock and a simulated network, runs the scripted scenarios of the
-// paper's evaluation against it, and samples every quantity the figures
-// plot. A 90-second scenario executes in milliseconds and is exactly
+// paper's evaluation against it, and samples the quantities its caller
+// asks for. A 90-second scenario executes in milliseconds and is exactly
 // reproducible from its seed.
 package sim
 
@@ -75,9 +75,27 @@ type Scenario struct {
 	Events []Event
 	// Duration is the total simulated time (default: movie duration).
 	Duration time.Duration
+	// Record names the Result series to sample; the others stay nil, and
+	// with none named Run arms no sampler.
+	Record Signals
 	// SampleEvery is the metric sampling period (default 100ms).
 	SampleEvery time.Duration
 }
+
+// Signals is a set of Result series, one bit per series.
+type Signals uint16
+
+const (
+	Skipped  Signals = 1 << iota // Result.SkippedCum
+	Late                         // Result.LateCum
+	Overflow                     // Result.OverflowCum
+	Stalls                       // Result.StallsCum
+	SW                           // Result.SWOccupancy
+	HW                           // Result.HWOccupancy
+	Combined                     // Result.Combined
+	Serving                      // Result.ServingServer
+	Video                        // Result.VideoBytesCum
+)
 
 // epoch is time zero of every simulated world.
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -160,7 +178,8 @@ func (rt *Runtime) registry(node string) *obs.Registry {
 	return reg
 }
 
-// Result carries every series and counter the figures and tables need.
+// Result carries every series and counter the figures and tables need. A
+// series is nil unless the scenario's Record names it.
 type Result struct {
 	Name string
 
@@ -349,9 +368,12 @@ func Run(sc Scenario) *Result {
 	})
 	clk := rt.Clk
 
-	// The sampler below adds one point per series per SampleEvery.
+	// The sampler below adds one point per recorded series per SampleEvery.
 	samples := int(sc.Duration/sc.SampleEvery) + 1
-	series := func(name string) *metrics.Series {
+	series := func(sig Signals, name string) *metrics.Series {
+		if sc.Record&sig == 0 {
+			return nil
+		}
 		s := metrics.NewSeries(name, sc.SampleEvery)
 		s.Grow(samples)
 		return s
@@ -359,15 +381,15 @@ func Run(sc Scenario) *Result {
 	res := &Result{
 		Name:          sc.Name,
 		Duration:      sc.Duration,
-		SkippedCum:    series("skipped frames (cumulative)"),
-		LateCum:       series("late frames (cumulative)"),
-		OverflowCum:   series("frames discarded due to overflow (cumulative)"),
-		StallsCum:     series("display stalls (cumulative)"),
-		SWOccupancy:   series("software buffer occupancy (frames)"),
-		HWOccupancy:   series("hardware buffer occupancy (bytes)"),
-		Combined:      series("combined buffer occupancy (frames)"),
-		ServingServer: series("serving server (index; -1 none)"),
-		VideoBytesCum: series("video bytes sent (cumulative)"),
+		SkippedCum:    series(Skipped, "skipped frames (cumulative)"),
+		LateCum:       series(Late, "late frames (cumulative)"),
+		OverflowCum:   series(Overflow, "frames discarded due to overflow (cumulative)"),
+		StallsCum:     series(Stalls, "display stalls (cumulative)"),
+		SWOccupancy:   series(SW, "software buffer occupancy (frames)"),
+		HWOccupancy:   series(HW, "hardware buffer occupancy (bytes)"),
+		Combined:      series(Combined, "combined buffer occupancy (frames)"),
+		ServingServer: series(Serving, "serving server (index; -1 none)"),
+		VideoBytesCum: series(Video, "video bytes sent (cumulative)"),
 		Flow:          sc.Flow,
 	}
 
@@ -387,36 +409,40 @@ func Run(sc Scenario) *Result {
 		}
 	}
 
-	// Metric sampling. A server is plotted as its index in the sorted
-	// contact list, which is fixed for the whole run.
-	peers := rt.Peers()
-	serverIndex := func(id string) float64 {
-		if i, ok := slices.BinarySearch(peers, id); ok {
-			return float64(i)
-		}
-		return -1
+	// Metric sampling, of the recorded series only. The sampler just reads
+	// state, so what a run records never changes what happens in it. A
+	// server is plotted as its index in the sorted contact list, which is
+	// fixed for the whole run.
+	if sc.Record != 0 {
+		peers := rt.Peers()
+		sampler := clock.Every(clk, sc.SampleEvery, func() {
+			t := rt.Elapsed()
+			if rt.client != nil {
+				cnt, occ := rt.client.Counters(), rt.client.Occupancy()
+				res.SkippedCum.Add(t, float64(cnt.Skipped()))
+				res.LateCum.Add(t, float64(cnt.Late))
+				res.OverflowCum.Add(t, float64(cnt.OverflowDropped))
+				res.StallsCum.Add(t, float64(cnt.Stalls))
+				res.SWOccupancy.Add(t, float64(occ.SoftwareFrames))
+				res.HWOccupancy.Add(t, float64(occ.HardwareBytes))
+				res.Combined.Add(t, float64(occ.CombinedFrames))
+			}
+			if res.ServingServer != nil {
+				i, ok := slices.BinarySearch(peers, rt.ServingServer())
+				if !ok {
+					i = -1
+				}
+				res.ServingServer.Add(t, float64(i))
+			}
+			if res.VideoBytesCum != nil {
+				vb := rt.retiredVideo
+				rt.EachServer(func(_ string, s *server.Server) { vb += s.Stats().VideoBytes })
+				res.VideoBytesCum.Add(t, float64(vb))
+			}
+		})
+		defer sampler.Stop()
 	}
-	sampler := clock.Every(clk, sc.SampleEvery, func() {
-		t := rt.Elapsed()
-		if rt.client != nil {
-			cnt := rt.client.Counters()
-			occ := rt.client.Occupancy()
-			res.SkippedCum.Add(t, float64(cnt.Skipped()))
-			res.LateCum.Add(t, float64(cnt.Late))
-			res.OverflowCum.Add(t, float64(cnt.OverflowDropped))
-			res.StallsCum.Add(t, float64(cnt.Stalls))
-			res.SWOccupancy.Add(t, float64(occ.SoftwareFrames))
-			res.HWOccupancy.Add(t, float64(occ.HardwareBytes))
-			res.Combined.Add(t, float64(occ.CombinedFrames))
-		}
-		res.ServingServer.Add(t, serverIndex(rt.ServingServer()))
-		vb := rt.retiredVideo
-		rt.EachServer(func(_ string, s *server.Server) { vb += s.Stats().VideoBytes })
-		res.VideoBytesCum.Add(t, float64(vb))
-	})
-
 	clk.Advance(sc.Duration)
-	sampler.Stop()
 
 	if rt.client != nil {
 		res.Final = rt.client.Counters()

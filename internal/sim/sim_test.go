@@ -1,15 +1,22 @@
 package sim
 
 import (
+	"maps"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // TestFig4LANShape checks the paper's Figure 4 qualitative claims on the
 // LAN scenario. Quantities are asserted as shapes (who drops where, rough
 // magnitudes), not exact values — see EXPERIMENTS.md.
 func TestFig4LANShape(t *testing.T) {
-	res := Run(LANScenario(1))
+	sc := LANScenario(1)
+	sc.Record = Skipped | Late | Stalls | SW | HW
+	res := Run(sc)
 	crashAt, lbAt := EventTimesLAN()
 
 	t.Logf("final counters: %+v", res.Final)
@@ -107,7 +114,9 @@ func firstTimeAbove(res *Result, frac float64) time.Duration {
 // TestFig5WANShape checks Figure 5: on a lossy WAN skipped frames grow
 // steadily (message loss) and overflow discards appear after emergencies.
 func TestFig5WANShape(t *testing.T) {
-	res := Run(WANScenario(1))
+	sc := WANScenario(1)
+	sc.Record = Skipped | Late | Overflow | Stalls
+	res := Run(sc)
 	lbAt, crashAt := EventTimesWAN()
 
 	t.Logf("final counters: %+v", res.Final)
@@ -160,8 +169,9 @@ func TestTakeoverTime(t *testing.T) {
 
 // TestScenarioDeterminism: the same seed must produce identical results.
 func TestScenarioDeterminism(t *testing.T) {
-	a := Run(LANScenario(7))
-	b := Run(LANScenario(7))
+	sc := LANScenario(7)
+	sc.Record = Skipped | Late
+	a, b := Run(sc), Run(sc)
 	if a.Final != b.Final {
 		t.Fatalf("same seed, different counters:\n%+v\n%+v", a.Final, b.Final)
 	}
@@ -183,6 +193,60 @@ func TestSeedSensitivity(t *testing.T) {
 		}
 		if res.Final.OverflowDroppedI != 0 {
 			t.Errorf("seed %d: dropped %d I frames", seed, res.Final.OverflowDroppedI)
+		}
+	}
+}
+
+// TestRecordIsObservationOnly: what a run records changes what it returns,
+// never what happens in it. The LAN crash scenario recording every signal,
+// a subset and none ends with the same counters; each recorded series
+// matches the all-signals run value for value, and the others are nil.
+func TestRecordIsObservationOnly(t *testing.T) {
+	series := []struct {
+		sig Signals
+		get func(*Result) *metrics.Series
+	}{
+		{Skipped, func(r *Result) *metrics.Series { return r.SkippedCum }},
+		{Late, func(r *Result) *metrics.Series { return r.LateCum }},
+		{Overflow, func(r *Result) *metrics.Series { return r.OverflowCum }},
+		{Stalls, func(r *Result) *metrics.Series { return r.StallsCum }},
+		{SW, func(r *Result) *metrics.Series { return r.SWOccupancy }},
+		{HW, func(r *Result) *metrics.Series { return r.HWOccupancy }},
+		{Combined, func(r *Result) *metrics.Series { return r.Combined }},
+		{Serving, func(r *Result) *metrics.Series { return r.ServingServer }},
+		{Video, func(r *Result) *metrics.Series { return r.VideoBytesCum }},
+	}
+	var all Signals
+	for _, s := range series {
+		all |= s.sig
+	}
+	run := func(rec Signals) *Result {
+		sc := LANScenario(1)
+		sc.Record = rec
+		return Run(sc)
+	}
+	full := run(all)
+	for _, rec := range []Signals{all, Skipped | HW | Serving, 0} {
+		res := run(rec)
+		if res.Final != full.Final || res.ClientStats != full.ClientStats || !maps.Equal(res.ServerStats, full.ServerStats) {
+			t.Errorf("record %#x: counters differ from the all-signals run:\n%+v %+v\n%+v %+v",
+				rec, res.Final, res.ClientStats, full.Final, full.ClientStats)
+		}
+		for id, snap := range full.Obs {
+			if !reflect.DeepEqual(res.Obs[id].Counters, snap.Counters) {
+				t.Errorf("record %#x: %s obs counters differ from the all-signals run", rec, id)
+			}
+		}
+		for _, s := range series {
+			got, want := s.get(res), s.get(full)
+			switch {
+			case rec&s.sig == 0:
+				if got != nil {
+					t.Errorf("record %#x: unrecorded signal %#x sampled", rec, s.sig)
+				}
+			case got == nil || got.Start != want.Start || got.Step != want.Step || !slices.Equal(got.Values, want.Values):
+				t.Errorf("record %#x: signal %#x differs from the all-signals run", rec, s.sig)
+			}
 		}
 	}
 }

@@ -216,21 +216,23 @@ func (c *cub) responsibleLocked(frame int) int {
 	return -1
 }
 
+// heartbeatMsg is every heartbeat's payload; Send copies it, so one slice
+// serves every beat.
+var heartbeatMsg = []byte{1}
+
+// heartbeat tells every other cub this one is alive. The cub list is
+// immutable, so a beat walks it unlocked and allocates nothing.
 func (c *cub) heartbeat() {
 	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
+	stopped := c.stopped
+	c.mu.Unlock()
+	if stopped {
 		return
 	}
-	peers := make([]string, 0, len(c.svc.cfg.Cubs)-1)
 	for _, id := range c.svc.cfg.Cubs {
 		if id != c.id {
-			peers = append(peers, id)
+			_ = c.ep.Send(transport.Addr(id), heartbeatMsg)
 		}
-	}
-	c.mu.Unlock()
-	for _, id := range peers {
-		_ = c.ep.Send(transport.Addr(id), []byte{1})
 	}
 }
 

@@ -134,3 +134,15 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestHeartbeatAllocsNothing pins the steady state of failure detection:
+// once every cub has heard from every other, a heartbeat interval — each
+// cub beating to each peer, every beat delivered — allocates nothing.
+func TestHeartbeatAllocsNothing(t *testing.T) {
+	clk, _, _, _ := tigerRig(t, []string{"cub-0", "cub-1", "cub-2", "cub-3"}, 2)
+	clk.Advance(time.Second) // warm: lastHeard entries and delivery records exist
+	allocs := testing.AllocsPerRun(100, func() { clk.Advance(100 * time.Millisecond) })
+	if allocs != 0 {
+		t.Fatalf("a heartbeat interval allocates %v times, want 0", allocs)
+	}
+}
