@@ -75,7 +75,7 @@ examples:    ## run all simulated examples
 	for e in quickstart failover loadbalance vcr discovery hacounter; do \
 		echo "== $$e =="; go run ./examples/$$e; done
 
-fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders, the gcs, fetch and congress packet handlers and the virtual clock's firing order (one -fuzz per run)
+fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders, the gcs, fetch and congress packet handlers, the virtual clock's firing order and netsim's delivery pool (one -fuzz per run)
 	go test -run='^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzDecodeLease$$' -fuzztime=10s ./internal/lease
 	go test -run='^$$' -fuzz='^FuzzReadFrom$$' -fuzztime=10s ./internal/mpeg
@@ -85,6 +85,7 @@ fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders, th
 	go test -run='^$$' -fuzz='^FuzzDirectoryOnPacket$$' -fuzztime=10s ./internal/congress
 	go test -run='^$$' -fuzz='^FuzzResolverOnPacket$$' -fuzztime=10s ./internal/congress
 	go test -run='^$$' -fuzz='^FuzzVirtualOrder$$' -fuzztime=10s ./internal/clock
+	go test -run='^$$' -fuzz='^FuzzDeliveryPool$$' -fuzztime=10s ./internal/netsim
 
 vet:
 	go vet ./...

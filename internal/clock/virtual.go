@@ -108,6 +108,9 @@ func (c *Virtual) newEventLocked(d time.Duration, f func(), autoFree bool) *even
 // holds mu; ev must not be in the heap.
 func (c *Virtual) armLocked(ev *event, d time.Duration) {
 	ev.state = statePending
+	if len(c.heap) == cap(c.heap) { // double: append's ≈ 1.25× steps leave ≈ 5× the final array behind
+		c.heap = append(make([]heapEntry, 0, max(64, 2*cap(c.heap))), c.heap...)
+	}
 	c.heap = append(c.heap, heapEntry{})
 	c.upLocked(len(c.heap)-1, heapEntry{nanos: c.nowNanos + int64(d), seq: c.seq, ev: ev})
 	c.seq++

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/transport"
@@ -119,8 +120,9 @@ func coldMallocs(setup func() (run func())) uint64 {
 // TestAllocsColdNetworkSmallSends pins what a fresh network pays for packets
 // it has no pooled records for yet — a saturated uplink holding a thousand
 // control packets in flight, or a short-lived chaos world that never gets
-// warm. Records and their small copy buffers are both carved from slabs, so
-// the only per-record allocation left is the bound run method.
+// warm. Each send takes a bare record, carved from a slab, and gives it a
+// buffer of its own size class, carved from the byte slab; the only
+// per-record allocation left is the bound run method.
 func TestAllocsColdNetworkSmallSends(t *testing.T) {
 	const sends, size = 1000, 100 // 100 B rounds up to a 128 B buffer
 	payload := make([]byte, size)
@@ -182,5 +184,81 @@ func TestAllocsColdBroadcastRecord(t *testing.T) {
 	// the doubling ladder cost 19.
 	if got > 6 {
 		t.Fatalf("a cold %d-wide batch = %d allocs, want 4 (6 under -race)", width, got)
+	}
+}
+
+// queueClock holds what is scheduled on it until fire runs it all, in order.
+// Its queue is sized up front, so scheduling on it allocates nothing and a
+// count taken around sends on it is the network's own.
+type queueClock struct{ due []func() }
+
+func (c *queueClock) Now() time.Time { return time.Unix(0, 0) }
+func (c *queueClock) AfterFunc(_ time.Duration, fn func()) clock.Timer {
+	c.due = append(c.due, fn)
+	return nil
+}
+func (c *queueClock) fire() {
+	for _, fn := range c.due {
+		fn()
+	}
+	c.due = c.due[:0]
+}
+
+// TestStableSendsTakeBareRecords: a video frame sent stable is aliased, so
+// its record needs no copy buffer, and must not use up a record that has one.
+// After a burst of copied control packets has come and gone, a burst of stable
+// frames carves bare records and allocates no buffer bytes; a second control
+// burst sent while the frames are still in flight finds its class's records
+// waiting and allocates nothing.
+func TestStableSendsTakeBareRecords(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(delivery{}) != 64 {
+		t.Errorf("a delivery record is %d B, want 64", unsafe.Sizeof(delivery{}))
+	}
+	const sends = 1000
+	control, frame := make([]byte, 100), make([]byte, 1200)
+	var stableMallocs, controlMallocs uint64 = ^uint64(0), ^uint64(0)
+	for try := 0; try < 3; try++ { // the least of three: the runtime allocates now and then too
+		clk := &queueClock{due: make([]func(), 0, 2*sends)}
+		net := New(clk, 1, Profile{Delay: time.Millisecond})
+		a, err := net.NewEndpoint("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := net.NewEndpoint("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.SetHandler(func(transport.Addr, []byte) {})
+		refs := a.(transport.RefSender)
+		bRef := refs.ResolveAddr("b")
+		burst := func(send func() error) (mallocs uint64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < sends; i++ {
+				if err := send(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		copied := func() error { return a.Send("b", control) }
+		stable := func() error { return refs.SendStableRef(bRef, frame) }
+
+		burst(copied)
+		clk.fire()
+		stableMallocs = min(stableMallocs, burst(stable))
+		controlMallocs = min(controlMallocs, burst(copied))
+		clk.fire()
+	}
+	// A frame-sized copy buffer would be an allocation of its own per send.
+	recordSlabs := (sends + deliverySlabSize - 1) / deliverySlabSize
+	if want := uint64(recordSlabs + sends); stableMallocs > want {
+		t.Errorf("%d stable sends behind a drained control burst = %d allocs, want ≤ %d (%d record slabs + one bound method each)",
+			sends, stableMallocs, want, recordSlabs)
+	}
+	if controlMallocs != 0 {
+		t.Errorf("a second burst of %d copied %d B sends allocated %d times, want 0 (the class's records are free)",
+			sends, len(control), controlMallocs)
 	}
 }

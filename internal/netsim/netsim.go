@@ -20,6 +20,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"time"
@@ -103,14 +104,14 @@ type Network struct {
 	blocked   map[idPair]bool
 
 	extraLoss float64 // network-wide additional drop probability (loss burst)
-	// Free lists of delivery events (the packet buffer pool), segregated
-	// by buffer size class: a mixed list keeps handing records that last
-	// carried a tiny control packet to full video frames, reallocating the
-	// copy buffer almost every send. Records whose buffer grew to at least
-	// bigBufSize go on freeDBig and are reissued to large payloads.
-	freeD    *delivery
-	freeDBig *delivery
-	freeB    *broadcast // free list of batched fan-out events
+	// Free lists of delivery events (the packet buffer pool), one per
+	// record kind: freeD[0] holds bare records, which stable sends alias
+	// their payload through and never need a buffer; freeD[1+c] holds
+	// records that own a copy buffer of capacity 64<<c. A copied send
+	// takes from its own class, so a buffer is never regrown, and a stable
+	// send never ties up a buffer it does not use.
+	freeD [1 + bufClasses]*delivery
+	freeB *broadcast // free list of batched fan-out events
 	// bcastH/bcastD are broadcast.run's handler/payload snapshot scratch,
 	// reused across batch events (events fire one at a time, and handlers
 	// never re-enter run); capacity stays warm at the largest batch size.
@@ -509,16 +510,17 @@ func (n *Network) sendLocked(from, to int32, payload []byte, stable bool) error 
 	return nil
 }
 
-// delivery is one in-flight packet: a pooled buffer plus the routing info
-// its timer callback needs. Events cycle through a free list under n.mu so
-// steady-state traffic schedules deliveries without allocating; the buffer
-// is reused for the next packet as soon as the receiving handler returns,
-// which is what the transport.Handler copy-on-retain rule licenses.
+// delivery is one in-flight packet: its payload plus the routing info its
+// timer callback needs. Events cycle through free lists under n.mu so
+// steady-state traffic schedules deliveries without allocating; a copy
+// buffer is reused for the next packet of its class as soon as the receiving
+// handler returns, which is what the transport.Handler copy-on-retain rule
+// licenses.
 type delivery struct {
 	n        *Network
 	from, to int32
-	data     []byte    // what the handler receives: either buf or a stable alias
-	buf      []byte    // pool-owned copy buffer, reused across packets
+	slot     uint8     // its freeD index: 0 = data is a stable alias, 1+c = data is its own buffer of capacity 64<<c
+	data     []byte    // what the handler receives
 	fn       func()    // d.run, bound once: a method value allocates per use
 	next     *delivery // free-list link
 }
@@ -529,18 +531,30 @@ type delivery struct {
 // individual ones.
 const deliverySlabSize = 128
 
-// newDeliveryLocked takes a delivery off the free list (or carves one from
-// the current slab) and loads it with the payload: a copy into the record's
-// own buffer normally, or a direct alias when the caller guaranteed the
-// payload immutable. Caller holds n.mu.
+// bufClasses is the number of copy-buffer size classes: class c holds
+// 64<<c bytes, and the largest holds a MaxDatagram payload.
+const bufClasses = 11
+
+// bufClass returns the smallest size class whose buffer holds size bytes.
+func bufClass(size int) int {
+	return bits.Len(uint(max(size-1, 0))|63) - 6
+}
+
+// newDeliveryLocked takes a record off its free list (or carves one from
+// the current slab) and loads it with the payload: a direct alias when the
+// caller guaranteed the payload immutable, else a copy into a buffer of the
+// payload's size class. Caller holds n.mu.
 func (n *Network) newDeliveryLocked(from, to int32, payload []byte, stable bool) *delivery {
-	list := &n.freeD
-	if !stable && len(payload) > smallBufMax {
-		list = &n.freeDBig
+	slot := 0
+	if !stable {
+		slot = 1 + bufClass(len(payload))
 	}
-	d := *list
+	d := n.freeD[slot]
+	if d == nil {
+		d = n.freeD[0]
+	}
 	if d != nil {
-		*list = d.next
+		n.freeD[d.slot] = d.next
 		d.next = nil
 	} else {
 		if n.slabDN == len(n.slabD) {
@@ -555,64 +569,44 @@ func (n *Network) newDeliveryLocked(from, to int32, payload []byte, stable bool)
 	d.from, d.to = from, to
 	if stable {
 		d.data = payload
-	} else {
-		if cap(d.buf) < len(payload) {
-			// Recycled records carry whatever buffer their last occupant
-			// grew; round fresh growth to a power of two so a record
-			// converges on its size class's maximum instead of
-			// reallocating every time a slightly larger packet lands.
-			size := 64
-			for size < len(payload) {
-				size <<= 1
-			}
-			d.buf = n.newBufLocked(size)
-		}
-		d.buf = append(d.buf[:0], payload...)
-		d.data = d.buf
+		return d
 	}
+	if d.slot == 0 {
+		// A bare record gets a buffer of exactly this class, capped so an
+		// append can never run into a slab neighbour.
+		d.slot = uint8(slot)
+		if size := 64 << (slot - 1); size > smallBufMax {
+			d.data = make([]byte, 0, size)
+		} else {
+			if len(n.slabB) < size {
+				n.slabB = make([]byte, bufSlabSize)
+			}
+			d.data, n.slabB = n.slabB[:0:size], n.slabB[size:]
+		}
+	}
+	d.data = append(d.data[:0], payload...)
 	return d
 }
 
-// bufSlabSize is the byte slab small copy buffers are carved from, so a
-// control packet's 64-byte buffer is not an allocation of its own. Small,
-// because every network strands one slab's tail: a chaos sweep builds 400.
-const bufSlabSize = 4096
+// bufSlabSize is the byte slab copy buffers of up to smallBufMax bytes are
+// carved from, so a control packet's 64-byte buffer is not an allocation of
+// its own. Small, because every network strands one slab's tail: a chaos
+// sweep builds 400. GCS control traffic (heartbeats, acks, flow control)
+// stays well under smallBufMax, while framed video packets exceed it.
+const bufSlabSize, smallBufMax = 4096, 512
 
-// newBufLocked returns an empty copy buffer of exactly the given capacity —
-// capped, so an append can never run into a slab neighbour. Small-class
-// sizes are carved from the slab. Caller holds n.mu.
-func (n *Network) newBufLocked(size int) []byte {
-	if size > smallBufMax {
-		return make([]byte, 0, size)
-	}
-	if len(n.slabB) < size {
-		n.slabB = make([]byte, bufSlabSize)
-	}
-	b := n.slabB[:0:size]
-	n.slabB = n.slabB[size:]
-	return b
-}
-
-// smallBufMax splits the delivery pool's size classes: GCS control traffic
-// (heartbeats, acks, flow control) stays well under it, while framed video
-// packets exceed it.
-const smallBufMax = 512
-
-// recycleLocked returns a delivery to the pool. data is always dropped — it
-// may alias a caller's immutable table, which the pool must never write to —
-// while buf (always pool-owned) keeps its capacity warm for the next copy.
-// Caller holds n.mu; the delivery's timer must have fired already.
+// recycleLocked files a delivery on its free list. A bare record drops its
+// data — an alias of a caller's immutable table, which the pool must never
+// write to — while a buffered one keeps its buffer for the next copy of its
+// class. Caller holds n.mu; the delivery's timer must have fired already.
 func (d *delivery) recycleLocked() {
 	n := d.n
 	d.from, d.to = 0, 0
-	d.data = nil
-	if cap(d.buf) > smallBufMax {
-		d.next = n.freeDBig
-		n.freeDBig = d
-	} else {
-		d.next = n.freeD
-		n.freeD = d
+	if d.slot == 0 {
+		d.data = nil
 	}
+	d.next = n.freeD[d.slot]
+	n.freeD[d.slot] = d
 }
 
 // run fires when the packet arrives: hand the payload to the destination

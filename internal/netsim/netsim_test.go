@@ -285,8 +285,9 @@ func TestSenderBufferReuseIsSafe(t *testing.T) {
 
 // TestSlabBuffersStayApart: small copy buffers are neighbours in one byte
 // slab, so a record must never write past its own — not while its neighbours
-// are in flight, and not when it comes back off the free list for a payload
-// larger than the buffer it was carved with.
+// are in flight, and not when a bare record from a larger burst comes back off
+// the free list for a payload of another class, across the 512 B line where
+// buffers stop coming from the slab and back down.
 func TestSlabBuffersStayApart(t *testing.T) {
 	r := newRig(t, Profile{Delay: time.Millisecond})
 	a := r.endpoint(t, "a")
@@ -294,7 +295,7 @@ func TestSlabBuffersStayApart(t *testing.T) {
 	var got [][]byte
 	b.SetHandler(func(_ transport.Addr, p []byte) { got = append(got, bytes.Clone(p)) })
 	const inFlight = 200
-	for round, size := range []int{10, 64, 65, 300, 512, 513, 40} {
+	for round, size := range []int{10, 64, 65, 300, 512, 513, 4096, 40} {
 		got = got[:0]
 		for i := 0; i < inFlight; i++ {
 			if err := a.Send("b", bytes.Repeat([]byte{byte(i)}, size+i%3)); err != nil {
