@@ -108,25 +108,20 @@ func DecodeAckInto(m *Ack, b []byte) error {
 	return r.Done()
 }
 
-// Table is the server-side lease table: one entry per leased session,
-// swept on the injected clock. Entries are pooled the same way server
-// sessions are — Drop recycles, Touch revives — so steady-state churn
-// does not allocate.
+// Table is the server-side lease table: one expiry per leased session,
+// swept on the injected clock. A plain map of expiries: Touch overwrites a
+// value in place and Drop deletes it, so neither steady renewals nor Drop
+// and Touch churn allocate once the map has grown to the audience.
 type Table struct {
 	clk      clock.Clock
 	ttl      time.Duration
 	onExpire func(id string) // called outside the table lock, in sorted ID order
 
 	mu      sync.Mutex
-	entries map[string]*tableEntry
-	free    []*tableEntry
+	entries map[string]time.Time // ID → expiry
 	sweep   *clock.Periodic
 	expired []string // sweep scratch
 	renews  uint64
-}
-
-type tableEntry struct {
-	expiry time.Time
 }
 
 // NewTable starts the sweeper (one Periodic at TTL/4 granularity — the
@@ -139,7 +134,7 @@ func NewTable(clk clock.Clock, ttl time.Duration, onExpire func(id string)) *Tab
 		clk:      clk,
 		ttl:      ttl,
 		onExpire: onExpire,
-		entries:  make(map[string]*tableEntry),
+		entries:  make(map[string]time.Time),
 	}
 	t.sweep = clock.Every(clk, ttl/4, t.sweepTick)
 	return t
@@ -152,20 +147,10 @@ func (t *Table) TTL() time.Duration { return t.ttl }
 func (t *Table) Touch(id string) {
 	now := t.clk.Now()
 	t.mu.Lock()
-	e := t.entries[id]
-	if e == nil {
-		if n := len(t.free); n > 0 {
-			e = t.free[n-1]
-			t.free[n-1] = nil
-			t.free = t.free[:n-1]
-		} else {
-			e = new(tableEntry)
-		}
-		t.entries[id] = e
-	} else {
+	if _, ok := t.entries[id]; ok {
 		t.renews++
 	}
-	e.expiry = now.Add(t.ttl)
+	t.entries[id] = now.Add(t.ttl)
 	t.mu.Unlock()
 }
 
@@ -173,10 +158,7 @@ func (t *Table) Touch(id string) {
 // through the normal teardown path).
 func (t *Table) Drop(id string) {
 	t.mu.Lock()
-	if e, ok := t.entries[id]; ok {
-		delete(t.entries, id)
-		t.free = append(t.free, e)
-	}
+	delete(t.entries, id)
 	t.mu.Unlock()
 }
 
@@ -202,8 +184,8 @@ func (t *Table) sweepTick() {
 	now := t.clk.Now()
 	t.mu.Lock()
 	t.expired = t.expired[:0]
-	for id, e := range t.entries {
-		if now.After(e.expiry) {
+	for id, expiry := range t.entries {
+		if now.After(expiry) {
 			t.expired = append(t.expired, id)
 		}
 	}
@@ -211,7 +193,6 @@ func (t *Table) sweepTick() {
 	// (DESIGN §9).
 	sort.Strings(t.expired)
 	for _, id := range t.expired {
-		t.free = append(t.free, t.entries[id])
 		delete(t.entries, id)
 	}
 	t.mu.Unlock()

@@ -94,12 +94,12 @@ func TestTableTouchAllocFree(t *testing.T) {
 	clk := clock.NewVirtual(epoch)
 	tbl := NewTable(clk, time.Second, nil)
 	defer tbl.Close()
-	tbl.Touch("steady") // entry + map cell created once
+	tbl.Touch("steady") // map cell created once
 	allocs := testing.AllocsPerRun(200, func() { tbl.Touch("steady") })
 	if allocs != 0 {
 		t.Fatalf("steady-state Touch allocs = %v, want 0", allocs)
 	}
-	// Drop/Touch churn reuses pooled entries.
+	// Drop/Touch churn reuses the map cell.
 	tbl.Drop("steady")
 	tbl.Touch("steady")
 	allocs = testing.AllocsPerRun(200, func() {

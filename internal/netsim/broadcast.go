@@ -19,19 +19,19 @@ import (
 // fans out to every surviving destination when it fires.
 //
 // The determinism contract (DESIGN §13) is equivalence with a loop over
-// SendStableRef in slice order: the routing checks, the loss / extra-loss /
-// duplication draws and the egress/link serialization bumps run per
-// destination, in order, exactly as the per-send path runs them, so the
-// seeded RNG stream and every aggregate counter are identical whether a
-// sender batches or loops. Destinations needing divergent treatment — a
-// per-pair profile override, a duplication draw that fired, or a jittered
-// profile (per-delivery random delay) — fall back to ordinary per-delivery
-// scheduling inline, right where the loop would have scheduled them; only
-// uniform survivors join the batch. The batch delivers every survivor at
-// the latest of their individually computed transit times (the last slot of
-// the beat's serialization train, sub-millisecond behind the per-send
-// schedule at frame scale), which is the one observable difference from the
-// loop.
+// SendStableRef in slice order, and it holds by construction: each
+// destination goes through the same admitLocked as a single send — count,
+// route, block, profile, fate — in slice order, and then through the same
+// egress/link serialization bump, so the fate's decisions and every
+// aggregate counter are identical whether a sender batches or loops.
+// Destinations needing divergent treatment — a per-pair profile override, a
+// duplicate, or a jittered profile (per-delivery random delay) — take the
+// single send's scheduleLocked inline, right where the loop would have
+// scheduled them; only uniform survivors join the batch. The batch delivers
+// every survivor at the latest of their individually computed transit times
+// (the last slot of the beat's serialization train, sub-millisecond behind
+// the per-send schedule at frame scale), which is the one observable
+// difference from the loop.
 //
 // Payloads are caller-guaranteed immutable (the RefSender contract), so
 // sharing one buffer across the whole batch needs no reference counting:
@@ -110,10 +110,7 @@ func (b *broadcast) run() {
 		hs = append(hs, h)
 		ds = append(ds, b.payloads[i])
 	}
-	if dropped > 0 {
-		n.stats.Dropped += dropped
-		n.ctrDrop.Add(dropped)
-	}
+	n.dropLocked(dropped)
 	n.stats.Delivered += uint64(len(hs))
 	n.stats.Bytes += bytes
 	n.ctrDeliv.Add(uint64(len(hs)))
@@ -159,59 +156,23 @@ func (e *endpoint) SendStableRefBatch(dsts []transport.AddrRef, payloads [][]byt
 			}
 			continue
 		}
-		n.stats.Sent++
-		n.ctrSent.Inc()
 		to := int32(ref)
-		if to < 0 || int(to) >= len(n.eps) || n.eps[to] == nil {
-			n.stats.Dropped++
-			n.ctrDrop.Inc()
-			if firstErr == nil {
-				firstErr = errNoRoute
-			}
+		prof, override, copies, err := n.admitLocked(e.id, to)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		if copies == 0 {
 			continue
 		}
-		if len(n.blocked) > 0 && n.blocked[idPair{e.id, to}] {
-			n.stats.Dropped++
-			n.ctrDrop.Inc()
-			continue // silently lost, like a partitioned UDP packet
-		}
-		prof := n.def
-		diverge := false
-		if len(n.overrides) > 0 {
-			if p, ok := n.overrides[idPair{e.id, to}]; ok {
-				prof, diverge = p, true
-			}
-		}
-		if prof.Loss > 0 && n.rng.Float64() < prof.Loss {
-			n.stats.Dropped++
-			n.ctrDrop.Inc()
-			continue
-		}
-		if n.extraLoss > 0 && n.rng.Float64() < n.extraLoss {
-			n.stats.Dropped++
-			n.ctrDrop.Inc()
-			continue
-		}
-		deliveries := 1
-		if prof.Duplicate > 0 && n.rng.Float64() < prof.Duplicate {
-			deliveries = 2
-		}
-		if diverge || deliveries > 1 || prof.Jitter > 0 {
+		if override || copies > 1 || prof.Jitter > 0 {
 			// Divergent treatment — a per-pair override, a duplicate, or
 			// per-delivery jitter draws — expands to dedicated delivery
 			// events right here, exactly where the per-send loop would have
 			// scheduled them (so the jitter draws stay in sequence).
-			for j := 0; j < deliveries; j++ {
-				d := n.newDeliveryLocked(e.id, to, payload, true)
-				delay := n.transitTimeLocked(e.id, to, prof, len(payload))
-				clock.Schedule(n.clk, delay, d.fn)
-			}
+			n.scheduleLocked(e.id, to, payload, true, prof, copies)
 			continue
 		}
-		delay := n.transitTimeLocked(e.id, to, prof, len(payload))
-		if delay > maxDelay {
-			maxDelay = delay
-		}
+		maxDelay = max(maxDelay, n.transitTimeLocked(e.id, to, prof, len(payload)))
 		b.dsts = append(b.dsts, to)
 		b.payloads = append(b.payloads, payload)
 	}

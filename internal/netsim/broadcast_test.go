@@ -53,12 +53,14 @@ func (w *broadcastWorld) chaosSetup() {
 // pair and an extra-loss burst all active, a run that batches its fan-out
 // must consume the seeded RNG in the same order as one that loops over
 // SendStableRef — so per-destination delivery counts and the aggregate
-// Stats come out identical.
+// Stats come out identical, and after both runs drain, each network's RNG
+// is at the same position: a path that skipped or added a draw anywhere
+// would show there even if the counts happened to agree.
 func TestBroadcastMatchesLoop(t *testing.T) {
 	const nDst, rounds = 8, 200
 	payload := []byte("stable-frame-payload")
 
-	run := func(batch bool) ([]int, Stats) {
+	run := func(batch bool) ([]int, Stats, int64) {
 		w := newBroadcastWorld(t, Profile{Delay: time.Millisecond, Bandwidth: 10 * 1000 * 1000}, nDst)
 		w.chaosSetup()
 		if batch {
@@ -79,11 +81,11 @@ func TestBroadcastMatchesLoop(t *testing.T) {
 			}
 		}
 		w.r.clk.Drain(0)
-		return w.counts, w.r.net.Stats()
+		return w.counts, w.r.net.Stats(), w.r.net.fate.(seededFate).rng.Int63()
 	}
 
-	loopCounts, loopStats := run(false)
-	batchCounts, batchStats := run(true)
+	loopCounts, loopStats, loopNext := run(false)
+	batchCounts, batchStats, batchNext := run(true)
 	for i := range loopCounts {
 		if loopCounts[i] != batchCounts[i] {
 			t.Errorf("dst %d: loop delivered %d, batch delivered %d", i, loopCounts[i], batchCounts[i])
@@ -91,6 +93,9 @@ func TestBroadcastMatchesLoop(t *testing.T) {
 	}
 	if loopStats != batchStats {
 		t.Fatalf("stats differ:\nloop:  %+v\nbatch: %+v", loopStats, batchStats)
+	}
+	if loopNext != batchNext {
+		t.Fatalf("next RNG draw differs after draining: loop %d, batch %d", loopNext, batchNext)
 	}
 	// Sanity: the chaos mix actually exercised loss, duplication and blocks.
 	if loopStats.Dropped == 0 {

@@ -82,9 +82,9 @@ type Stats struct {
 type Network struct {
 	clk clock.Clock
 
-	mu  sync.Mutex
-	rng *rand.Rand
-	def Profile
+	mu   sync.Mutex
+	fate fate
+	def  Profile
 
 	// Address interning: ids maps an address to its dense ID; the slices
 	// below are all indexed by that ID and grow together. IDs are never
@@ -249,7 +249,7 @@ func (r *linkRow) reap(now int64, release bool) {
 func New(clk clock.Clock, seed int64, def Profile) *Network {
 	return &Network{
 		clk:       clk,
-		rng:       rand.New(rand.NewSource(seed)),
+		fate:      seededFate{rand.New(rand.NewSource(seed))},
 		def:       def,
 		ids:       make(map[transport.Addr]int32),
 		overrides: make(map[idPair]Profile),
@@ -325,13 +325,6 @@ func (n *Network) SetProfile(from, to transport.Addr, p Profile) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.overrides[idPair{n.internLocked(from), n.internLocked(to)}] = p
-}
-
-// SetDefaultProfile replaces the profile used by links with no override.
-func (n *Network) SetDefaultProfile(p Profile) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.def = p
 }
 
 // SetLinkDown blocks (or unblocks) traffic in both directions between a
@@ -453,61 +446,109 @@ func (n *Network) Stats() Stats {
 // send; it names no addresses for that reason.
 var errNoRoute = fmt.Errorf("netsim: send: %w", transport.ErrNoRoute)
 
-// sendLocked runs the routing/loss/timing pipeline for one packet, with both
-// addresses already resolved to IDs (to may be -1: address never interned).
-// When stable is true the payload is caller-guaranteed immutable and the
-// delivery aliases it instead of copying; the loss/duplication/timing path is
-// identical either way (same RNG draws, same serialization on len(payload)),
-// so a run using stable sends replays byte-for-byte like one that copies.
-func (n *Network) sendLocked(from, to int32, payload []byte, stable bool) error {
+// fate decides what the network does to one admitted packet: how many copies
+// of it arrive, and how much random delay each copy picks up on top of its
+// link's fixed delay and serialization. It is consulted only after the route,
+// block and profile checks, so it never sees a packet the topology already
+// dropped. Its methods run under n.mu.
+type fate interface {
+	// copies reports how many copies of a packet from→to on a link with
+	// profile prof arrive, with extraLoss the network-wide burst loss: 0
+	// means it is lost, 2 that it is duplicated.
+	copies(from, to int32, prof Profile, extraLoss float64) int
+	// jitter returns the random part of one copy's delay, in [0,
+	// prof.Jitter). It is called once per copy, in the order the copies are
+	// scheduled, and only on a jittered link: a batch coalesces the members
+	// of an unjittered one, so no fate may move their delivery times.
+	jitter(from, to int32, prof Profile) time.Duration
+}
+
+// seededFate draws every decision from one seeded RNG, per packet in a fixed
+// order: profile loss, burst loss, duplicate, then one jitter per copy. A
+// probability of zero consumes no draw, so a loss-free run replays the same
+// stream whatever else changes.
+type seededFate struct{ rng *rand.Rand }
+
+func (f seededFate) copies(_, _ int32, prof Profile, extraLoss float64) int {
+	if prof.Loss > 0 && f.rng.Float64() < prof.Loss {
+		return 0
+	}
+	if extraLoss > 0 && f.rng.Float64() < extraLoss {
+		return 0
+	}
+	if prof.Duplicate > 0 && f.rng.Float64() < prof.Duplicate {
+		return 2
+	}
+	return 1
+}
+
+func (f seededFate) jitter(_, _ int32, prof Profile) time.Duration {
+	return time.Duration(f.rng.Int63n(int64(prof.Jitter)))
+}
+
+// admitLocked decides one packet's fate, the same way for a single send and
+// for each member of a batch: it counts the send, checks the route (to may be
+// -1, an address never interned, or any out-of-range reference) and the
+// blocks, picks the link's profile — override reports a per-pair one — and
+// asks the fate how many copies arrive. A packet it does not admit is counted
+// dropped and gets copies 0; only an unroutable one also gets an error.
+// Caller holds n.mu.
+func (n *Network) admitLocked(from, to int32) (prof Profile, override bool, copies int, err error) {
 	n.stats.Sent++
 	n.ctrSent.Inc()
-	if to < 0 || n.eps[to] == nil {
+	if to < 0 || int(to) >= len(n.eps) || n.eps[to] == nil {
 		// Never bound. A crashed node is not this case: its endpoint is
 		// kept, closed, and the packet is dropped on delivery.
-		n.stats.Dropped++
-		n.ctrDrop.Inc()
-		return errNoRoute
+		n.dropLocked(1)
+		return prof, false, 0, errNoRoute
 	}
 	if len(n.blocked) > 0 && n.blocked[idPair{from, to}] {
-		n.stats.Dropped++
-		n.ctrDrop.Inc()
-		return nil // silently lost, like a partitioned UDP packet
+		n.dropLocked(1)
+		return prof, false, 0, nil // silently lost, like a partitioned UDP packet
 	}
-
-	prof := n.def
+	prof = n.def
 	if len(n.overrides) > 0 {
 		if p, ok := n.overrides[idPair{from, to}]; ok {
-			prof = p
+			prof, override = p, true
 		}
 	}
-	if prof.Loss > 0 && n.rng.Float64() < prof.Loss {
-		n.stats.Dropped++
-		n.ctrDrop.Inc()
-		return nil
+	if copies = n.fate.copies(from, to, prof, n.extraLoss); copies == 0 {
+		n.dropLocked(1)
 	}
-	if n.extraLoss > 0 && n.rng.Float64() < n.extraLoss {
-		n.stats.Dropped++
-		n.ctrDrop.Inc()
-		return nil
-	}
+	return prof, override, copies, nil
+}
 
-	deliveries := 1
-	if prof.Duplicate > 0 && n.rng.Float64() < prof.Duplicate {
-		deliveries = 2
-	}
-	for i := 0; i < deliveries; i++ {
-		// The sender may reuse its buffer after Send returns, as with UDP
-		// (the kernel copies); copy into a pooled delivery event before
-		// scheduling. Each duplicate gets its own buffer so the handlers
-		// never share backing storage. Stable payloads skip the copy:
-		// immutable buffers are safe to share even between duplicates.
+// scheduleLocked puts the copies of one admitted packet in flight, each its
+// own delivery event with its own transit time. The sender may reuse its
+// buffer after Send returns, as with UDP (the kernel copies), so unless the
+// payload is stable each copy takes its own copy buffer and the handlers
+// never share backing storage; an immutable stable payload is safe to share
+// even between duplicates. Caller holds n.mu.
+func (n *Network) scheduleLocked(from, to int32, payload []byte, stable bool, prof Profile, copies int) {
+	for i := 0; i < copies; i++ {
 		d := n.newDeliveryLocked(from, to, payload, stable)
-		delay := n.transitTimeLocked(from, to, prof, len(payload))
-		clock.Schedule(n.clk, delay, d.fn)
+		clock.Schedule(n.clk, n.transitTimeLocked(from, to, prof, len(payload)), d.fn)
 	}
-	n.maybeSweepLocked(1)
-	return nil
+}
+
+// dropLocked counts k packets lost. Caller holds n.mu.
+func (n *Network) dropLocked(k uint64) {
+	n.stats.Dropped += k
+	n.ctrDrop.Add(k)
+}
+
+// sendLocked sends one packet, with both addresses already resolved to IDs.
+// When stable is true the payload is caller-guaranteed immutable and the
+// delivery aliases it instead of copying; admission and timing are identical
+// either way (same draws, same serialization on len(payload)), so a run using
+// stable sends replays byte-for-byte like one that copies.
+func (n *Network) sendLocked(from, to int32, payload []byte, stable bool) error {
+	prof, _, copies, err := n.admitLocked(from, to)
+	if copies > 0 {
+		n.scheduleLocked(from, to, payload, stable, prof, copies)
+		n.maybeSweepLocked(1)
+	}
+	return err
 }
 
 // delivery is one in-flight packet: its payload plus the routing info its
@@ -621,8 +662,7 @@ func (d *delivery) run() {
 		h = ep.handler
 	}
 	if h == nil {
-		n.stats.Dropped++
-		n.ctrDrop.Inc()
+		n.dropLocked(1)
 		d.recycleLocked()
 		n.mu.Unlock()
 		return
@@ -646,7 +686,7 @@ func (d *delivery) run() {
 func (n *Network) transitTimeLocked(from, to int32, prof Profile, size int) time.Duration {
 	delay := prof.Delay
 	if prof.Jitter > 0 {
-		delay += time.Duration(n.rng.Int63n(int64(prof.Jitter)))
+		delay += n.fate.jitter(from, to, prof)
 	}
 	rate := n.egressRate[from]
 	if rate <= 0 && prof.Bandwidth <= 0 {
@@ -765,13 +805,6 @@ func (e *endpoint) SendStableRef(to transport.AddrRef, payload []byte) error {
 	if e.closed {
 		return transport.ErrClosed
 	}
-	if to < 0 || int(to) >= len(n.eps) {
-		n.stats.Sent++
-		n.ctrSent.Inc()
-		n.stats.Dropped++
-		n.ctrDrop.Inc()
-		return errNoRoute
-	}
 	return n.sendLocked(e.id, int32(to), payload, true)
 }
 
@@ -801,26 +834,4 @@ func (e *endpoint) Close() error {
 		}
 	}
 	return nil
-}
-
-// EgressBacklog reports how far ahead of now a node's shared egress queue
-// is booked — the queueing delay the next outbound packet would see.
-func (n *Network) EgressBacklog(addr transport.Addr) time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	id, ok := n.ids[addr]
-	if !ok {
-		return 0
-	}
-	nf := n.egressNext[id]
-	if nf == 0 {
-		return 0
-	}
-	d := nf - n.clk.Now().UnixNano()
-	if d <= 0 {
-		// Queue already drained: equivalent to no entry, so prune it.
-		n.egressNext[id] = 0
-		return 0
-	}
-	return time.Duration(d)
 }

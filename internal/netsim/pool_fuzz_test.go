@@ -160,7 +160,7 @@ func (h *poolHarness) step(t *testing.T, data []byte) []byte {
 		if h.dup {
 			prof.Duplicate = 1
 		}
-		h.net.SetDefaultProfile(prof)
+		h.net.SetProfile("a", "b", prof)
 	case 4: // the receiver is down for a while; what reaches it then is lost
 		h.net.Crash("b")
 		h.clk.Advance(time.Duration(arg(1)%3) * time.Millisecond)
