@@ -7,10 +7,13 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
+	"strings"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/flowctl"
 	"repro/internal/netsim"
 )
 
@@ -49,15 +52,31 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%6s  %10s  %9s  %8s  %7s  %s\n",
 		"time", "displayed", "buffered", "skipped", "stalls", "served by")
+	c, occ := viewer.Counters(), viewer.Occupancy()
 	for i := 0; i < 6; i++ {
 		clk.Advance(5 * time.Second)
-		c := viewer.Counters()
-		occ := viewer.Occupancy()
+		c, occ = viewer.Counters(), viewer.Occupancy()
 		fmt.Printf("%6s  %10d  %9d  %8d  %7d  %s\n",
 			time.Duration(i+1)*5*time.Second, c.Displayed, occ.CombinedFrames,
 			c.Skipped(), c.Stalls, deployment.ServingServer("viewer-1"))
 	}
 
-	fmt.Println("\nplayback is smooth: the buffers sit between the water",
-		"marks (54–65 frames) and nothing was skipped.")
+	// Claim smooth playback only when the final counters show it.
+	flow := flowctl.DefaultParams()
+	var wrong []string
+	if n := c.Skipped(); n > 0 {
+		wrong = append(wrong, fmt.Sprintf("%d frames skipped", n))
+	}
+	if c.Stalls > 0 {
+		wrong = append(wrong, fmt.Sprintf("%d stalls", c.Stalls))
+	}
+	if b := occ.CombinedFrames; b < flow.LowWater || b > flow.HighWater {
+		wrong = append(wrong, fmt.Sprintf("%d frames buffered, outside the water marks (%d–%d)", b, flow.LowWater, flow.HighWater))
+	}
+	if len(wrong) > 0 {
+		fmt.Println("\nplayback was not smooth:", strings.Join(wrong, "; "))
+		os.Exit(1) // everything is in-process: the skipped defers hold nothing outside it
+	}
+	fmt.Printf("\nplayback is smooth: the buffers sit between the water marks (%d–%d frames) and nothing was skipped.\n",
+		flow.LowWater, flow.HighWater)
 }

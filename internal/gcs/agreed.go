@@ -61,16 +61,17 @@ func (m *Member) MulticastAgreed(payload []byte) error {
 	m.agreedSendSeq++
 	m.agreedPending[seq] = data
 	coord := m.view.Coordinator()
-	req := encodeAgreedReq(&msgAgreedReq{group: m.group, seq: seq, payload: data})
-	var cb callbacks
+	req := &msgAgreedReq{group: m.group, seq: seq, payload: data}
 	if coord == m.p.id {
-		m.onAgreedReqLocked(m.p.id, &msgAgreedReq{group: m.group, seq: seq, payload: data}, &cb)
+		var cb callbacks
+		m.onAgreedReqLocked(m.p.id, req, &cb)
 		m.p.mu.Unlock()
 		cb.run()
 		return nil
 	}
 	m.p.mu.Unlock()
-	return m.p.cfg.Endpoint.Send(coord, req)
+	// Sent after the lock is released, so the packet is a buffer of its own.
+	return m.p.cfg.Endpoint.Send(coord, appendAgreedReq(make([]byte, 0, 32+len(m.group)+len(data)), req))
 }
 
 // onAgreedReqLocked runs at the coordinator: forward the message through
@@ -160,7 +161,9 @@ func (m *Member) agreedRetryLocked(cb *callbacks) {
 		if coord == m.p.id {
 			m.onAgreedReqLocked(m.p.id, req, cb)
 		} else {
-			_ = m.p.cfg.Endpoint.Send(coord, encodeAgreedReq(req))
+			pkt := appendAgreedReq(m.encBuf[:0], req)
+			m.encBuf = pkt[:0]
+			_ = m.p.cfg.Endpoint.Send(coord, pkt)
 		}
 	}
 }

@@ -10,17 +10,20 @@ import (
 
 // codec is the per-Process decode-side reuse state: a string intern table
 // (group names and process IDs are drawn from a small, stable universe) and
-// free lists for the hot inbound message kinds.
+// free lists for the inbound message kinds no handler keeps.
 // Decoding runs before p.mu is taken — and concurrently under a real clock —
 // so the codec carries its own lock, held across one decode. The codec never
 // calls back into the Process, so the lock nests safely under p.mu.
 type codec struct {
-	mu          sync.Mutex
-	interned    map[string]string
-	freeMcast   []*msgMcast
-	freeAck     []*msgAckVec
-	freeDirect  []*msgDirect
-	freeAnycast []*msgAnycast
+	mu       sync.Mutex
+	interned map[string]string
+	mcast    freeList[msgMcast]
+	ack      freeList[msgAckVec]
+	direct   freeList[msgDirect]
+	anycast  freeList[msgAnycast]
+	presence freeList[msgPresence]
+	cut      freeList[msgCut]
+	nak      freeList[msgNak]
 }
 
 // Bounds keep a pathological workload (say, unbounded group-name churn)
@@ -29,6 +32,28 @@ const (
 	maxInterned = 4096
 	maxFreeList = 64
 )
+
+// freeList is one pooled kind's spare envelopes, at most maxFreeList of
+// them. Guarded by codec.mu.
+type freeList[T any] []*T
+
+func (l *freeList[T]) take() *T {
+	if k := len(*l); k > 0 {
+		m := (*l)[k-1]
+		*l = (*l)[:k-1]
+		return m
+	}
+	return new(T)
+}
+
+// put files m under the codec lock, the only lock a recycle takes.
+func put[T any](c *codec, l *freeList[T], m *T) {
+	c.mu.Lock()
+	if len(*l) < maxFreeList {
+		*l = append(*l, m)
+	}
+	c.mu.Unlock()
+}
 
 func (c *codec) internLocked(b []byte) string {
 	if len(b) == 0 {
@@ -47,47 +72,35 @@ func (c *codec) internLocked(b []byte) string {
 	return s
 }
 
-// recycle returns a message's reusable parts to the codec after dispatch.
-// Only kinds whose handlers never retain the decoded form are pooled:
-// multicast payloads are copied when parked (acceptMcastLocked) or buffered
-// for a future view, and ack vectors are aligned into the member's own rows
-// (onAckVecLocked). Everything else — view-change traffic, NAKs — is
-// cold and left to the garbage collector.
+// recycle returns a message's envelope to the codec after dispatch. Only
+// kinds whose handlers never retain the decoded form are pooled: multicast
+// payloads are copied when parked (acceptMcastLocked) or buffered for a
+// future view; ack vectors and cuts are aligned into the member's own rows
+// (onAckVecLocked, onCutLocked); a presence is relayed by re-encoding it and
+// a NAK is answered. Direct and anycast payloads were captured by value in
+// their callback entries. A propose, sync report or install is kept — as the
+// flush's candidates, the coordinator's reports, the view — so those are
+// decoded fresh. Envelopes keep their slices' storage, which decode
+// overwrites; payloads are dropped, as they alias the receive buffer.
 func (c *codec) recycle(msg any) {
 	switch m := msg.(type) {
 	case *msgMcast:
-		c.mu.Lock()
-		*m = msgMcast{}
-		if len(c.freeMcast) < maxFreeList {
-			c.freeMcast = append(c.freeMcast, m)
-		}
-		c.mu.Unlock()
+		m.payload = nil
+		put(c, &c.mcast, m)
 	case *msgAckVec:
-		// The struct keeps its vector's storage; decode overwrites every field.
-		c.mu.Lock()
-		if len(c.freeAck) < maxFreeList {
-			c.freeAck = append(c.freeAck, m)
-		}
-		c.mu.Unlock()
+		put(c, &c.ack, m)
 	case *msgDirect:
-		// The payload slice (aliasing the transport receive buffer) was
-		// copied into the callback entry before dispatch released p.mu,
-		// so only the envelope struct is being reused here.
-		c.mu.Lock()
-		*m = msgDirect{}
-		if len(c.freeDirect) < maxFreeList {
-			c.freeDirect = append(c.freeDirect, m)
-		}
-		c.mu.Unlock()
+		m.payload = nil
+		put(c, &c.direct, m)
 	case *msgAnycast:
-		// Same contract as msgDirect: the handler entry captured group and
-		// payload by value before dispatch finished, never the struct.
-		c.mu.Lock()
-		*m = msgAnycast{}
-		if len(c.freeAnycast) < maxFreeList {
-			c.freeAnycast = append(c.freeAnycast, m)
-		}
-		c.mu.Unlock()
+		m.payload = nil
+		put(c, &c.anycast, m)
+	case *msgPresence:
+		put(c, &c.presence, m)
+	case *msgCut:
+		put(c, &c.cut, m)
+	case *msgNak:
+		put(c, &c.nak, m)
 	}
 }
 
@@ -107,23 +120,18 @@ func (c *codec) pidLocked(r *wire.Reader) proposalID {
 	return proposalID{Round: r.U64(), Coord: c.idLocked(r)}
 }
 
-func (c *codec) idsLocked(r *wire.Reader) []ProcessID {
+// idsLocked decodes an ID list into ids' storage. The count is off the wire,
+// so the reservation is capped by what the datagram can still hold.
+func (c *codec) idsLocked(r *wire.Reader, ids []ProcessID) []ProcessID {
 	n := int(r.U16())
-	if r.Err() != nil {
-		return nil
-	}
-	ids := make([]ProcessID, 0, n)
-	for i := 0; i < n; i++ {
+	ids = slices.Grow(ids[:0], min(n, r.Remaining()/2)) // an ID is at least its u16 length
+	for i := 0; i < n && r.Err() == nil; i++ {
 		ids = append(ids, c.idLocked(r))
-		if r.Err() != nil {
-			return nil
-		}
 	}
 	return ids
 }
 
-// vecLocked decodes a vector into v's storage. The count is off the wire, so
-// the reservation is capped by what the datagram can still hold.
+// vecLocked decodes a vector into v's storage, capped like idsLocked.
 func (c *codec) vecLocked(r *wire.Reader, v vec) vec {
 	n := int(r.U16())
 	most := min(n, r.Remaining()/10) // an entry is at least a u16 length and a u64
@@ -133,42 +141,6 @@ func (c *codec) vecLocked(r *wire.Reader, v vec) vec {
 		v.vals = append(v.vals, r.U64())
 	}
 	return v
-}
-
-func (c *codec) takeMcastLocked() *msgMcast {
-	if k := len(c.freeMcast); k > 0 {
-		m := c.freeMcast[k-1]
-		c.freeMcast = c.freeMcast[:k-1]
-		return m
-	}
-	return new(msgMcast)
-}
-
-func (c *codec) takeDirectLocked() *msgDirect {
-	if k := len(c.freeDirect); k > 0 {
-		m := c.freeDirect[k-1]
-		c.freeDirect = c.freeDirect[:k-1]
-		return m
-	}
-	return new(msgDirect)
-}
-
-func (c *codec) takeAnycastLocked() *msgAnycast {
-	if k := len(c.freeAnycast); k > 0 {
-		m := c.freeAnycast[k-1]
-		c.freeAnycast = c.freeAnycast[:k-1]
-		return m
-	}
-	return new(msgAnycast)
-}
-
-func (c *codec) takeAckLocked() *msgAckVec {
-	if k := len(c.freeAck); k > 0 {
-		m := c.freeAck[k-1]
-		c.freeAck = c.freeAck[:k-1]
-		return m
-	}
-	return new(msgAckVec)
 }
 
 // decode parses any GCS datagram, reusing pooled structures for the hot
@@ -187,16 +159,16 @@ func (c *codec) decode(buf []byte) (any, error) {
 	case kindHeartbeat:
 		m = &msgHeartbeat{}
 	case kindDirect:
-		d := c.takeDirectLocked()
+		d := c.direct.take()
 		d.payload = r.Bytes()
 		m = d
 	case kindAnycast:
-		a := c.takeAnycastLocked()
+		a := c.anycast.take()
 		a.group = c.stringLocked(r)
 		a.payload = r.Bytes()
 		m = a
 	case kindMcast:
-		mc := c.takeMcastLocked()
+		mc := c.mcast.take()
 		mc.group = c.stringLocked(r)
 		mc.view = c.viewIDLocked(r)
 		mc.sender = c.idLocked(r)
@@ -204,38 +176,41 @@ func (c *codec) decode(buf []byte) (any, error) {
 		mc.payload = r.Bytes()
 		m = mc
 	case kindNak:
-		m = &msgNak{
-			group:  c.stringLocked(r),
-			view:   c.viewIDLocked(r),
-			sender: c.idLocked(r),
-			from:   r.U64(),
-			to:     r.U64(),
-		}
+		nk := c.nak.take()
+		nk.group, nk.view, nk.sender = c.stringLocked(r), c.viewIDLocked(r), c.idLocked(r)
+		nk.from, nk.to = r.U64(), r.U64()
+		m = nk
 	case kindAckVec:
-		av := c.takeAckLocked()
+		av := c.ack.take()
 		av.group = c.stringLocked(r)
 		av.view = c.viewIDLocked(r)
 		av.delivered = c.vecLocked(r, av.delivered)
 		m = av
 	case kindPresence:
-		m = &msgPresence{group: c.stringLocked(r), view: c.viewIDLocked(r), members: c.idsLocked(r)}
+		pr := c.presence.take()
+		pr.group, pr.view = c.stringLocked(r), c.viewIDLocked(r)
+		pr.members = c.idsLocked(r, pr.members)
+		m = pr
 	case kindPropose:
-		m = &msgPropose{group: c.stringLocked(r), pid: c.pidLocked(r), candidates: c.idsLocked(r)}
+		m = &msgPropose{group: c.stringLocked(r), pid: c.pidLocked(r), candidates: c.idsLocked(r, nil)}
 	case kindSyncInfo:
 		m = &msgSyncInfo{
 			group:      c.stringLocked(r),
 			pid:        c.pidLocked(r),
 			oldView:    c.viewIDLocked(r),
-			oldMembers: c.idsLocked(r),
+			oldMembers: c.idsLocked(r, nil),
 			sendSeq:    r.U64(),
 			recvNext:   c.vecLocked(r, vec{}),
 		}
 	case kindCut:
-		m = &msgCut{group: c.stringLocked(r), pid: c.pidLocked(r), targets: c.vecLocked(r, vec{})}
+		ct := c.cut.take()
+		ct.group, ct.pid = c.stringLocked(r), c.pidLocked(r)
+		ct.targets = c.vecLocked(r, ct.targets)
+		m = ct
 	case kindCutDone:
 		m = &msgCutDone{group: c.stringLocked(r), pid: c.pidLocked(r)}
 	case kindInstall:
-		m = &msgInstall{group: c.stringLocked(r), pid: c.pidLocked(r), view: c.viewIDLocked(r), members: c.idsLocked(r)}
+		m = &msgInstall{group: c.stringLocked(r), pid: c.pidLocked(r), view: c.viewIDLocked(r), members: c.idsLocked(r, nil)}
 	case kindLeave:
 		m = &msgLeave{group: c.stringLocked(r)}
 	case kindAgreedReq:

@@ -72,7 +72,7 @@ func (m *Member) startProposalLocked(cb *callbacks) {
 	if !m.active || m.leaving {
 		return
 	}
-	candidates := m.desiredCandidatesLocked()
+	candidates := m.desiredCandidatesLocked(nil) // fresh: the proposal keeps it
 	if len(candidates) == 0 {
 		candidates = []ProcessID{m.p.id}
 	}
@@ -96,13 +96,14 @@ func (m *Member) startProposalLocked(cb *callbacks) {
 	pr.timer = m.p.cfg.Clock.AfterFunc(proposalTimeout, func() { m.proposalTimeout(pid) })
 
 	msg := &msgPropose{group: m.group, pid: pid, candidates: candidates}
-	pkt := encodePropose(msg)
+	pkt := appendPropose(m.encBuf[:0], msg)
+	m.encBuf = pkt[:0]
 	for _, id := range candidates {
 		if id != m.p.id {
 			_ = m.p.cfg.Endpoint.Send(id, pkt)
 		}
 	}
-	m.onProposeLocked(msg, cb)
+	m.onProposeLocked(msg, cb) // may frame into the scratch: pkt is sent
 }
 
 // proposalTimeout fires when a phase stalls: first it retransmits to the
@@ -124,14 +125,15 @@ func (m *Member) proposalTimeout(pid proposalID) {
 	if pr.retries <= 2 {
 		// Retransmit the current phase message to the laggards.
 		for _, r := range missing {
-			var pkt []byte
+			pkt := m.encBuf[:0]
 			switch pr.phase {
 			case phaseSync:
-				pkt = encodePropose(&msgPropose{group: m.group, pid: pr.pid, candidates: pr.candidates})
+				pkt = appendPropose(pkt, &msgPropose{group: m.group, pid: pr.pid, candidates: pr.candidates})
 			case phaseCut:
 				cut, _ := pr.cutFor(pr.syncInfos[r].oldView)
-				pkt = encodeCut(&msgCut{group: m.group, pid: pr.pid, targets: cut})
+				pkt = appendCut(pkt, &msgCut{group: m.group, pid: pr.pid, targets: cut})
 			}
+			m.encBuf = pkt[:0]
 			_ = m.p.cfg.Endpoint.Send(pr.candidates[r], pkt)
 		}
 		pr.timer = m.p.cfg.Clock.AfterFunc(proposalTimeout, func() { m.proposalTimeout(pid) })
@@ -170,7 +172,7 @@ func (m *Member) onProposeLocked(msg *msgPropose, cb *callbacks) {
 	switch {
 	case msg.pid.supersedes(m.curPID):
 		m.curPID = msg.pid
-		m.flushCandidates = msg.candidates // never mutated: decoded fresh, or the proposal's own
+		m.flushCandidates = msg.candidates // never mutated: the codec never pools a propose, and a proposal's own list is fresh
 		if m.status == statusNormal {
 			m.status = statusFlushing
 			m.flushOldView = m.view
@@ -207,7 +209,9 @@ func (m *Member) onProposeLocked(msg *msgPropose, cb *callbacks) {
 		info.recvNext.vals = slices.Clone(m.ms.recvNext)
 		m.onSyncInfoLocked(m.p.id, info, cb)
 	} else {
-		_ = m.p.cfg.Endpoint.Send(m.curPID.Coord, encodeSyncInfo(info))
+		pkt := appendSyncInfo(m.encBuf[:0], info)
+		m.encBuf = pkt[:0]
+		_ = m.p.cfg.Endpoint.Send(m.curPID.Coord, pkt)
 	}
 }
 
@@ -241,6 +245,8 @@ func (m *Member) onSyncInfoLocked(from ProcessID, msg *msgSyncInfo, cb *callback
 	pid := pr.pid
 	pr.timer = m.p.cfg.Clock.AfterFunc(proposalTimeout, func() { m.proposalTimeout(pid) })
 
+	// Each cut is framed in its own iteration: the self-cut re-enters the
+	// flush, which may frame into the scratch before the loop goes on.
 	for r, id := range pr.candidates {
 		targets, _ := pr.cutFor(pr.syncInfos[r].oldView)
 		cut := &msgCut{group: m.group, pid: pr.pid, targets: targets}
@@ -248,7 +254,9 @@ func (m *Member) onSyncInfoLocked(from ProcessID, msg *msgSyncInfo, cb *callback
 			m.onCutLocked(cut, cb)
 			continue
 		}
-		_ = m.p.cfg.Endpoint.Send(id, encodeCut(cut))
+		pkt := appendCut(m.encBuf[:0], cut)
+		m.encBuf = pkt[:0]
+		_ = m.p.cfg.Endpoint.Send(id, pkt)
 	}
 }
 
@@ -328,7 +336,9 @@ func (m *Member) tryCompleteCutLocked(cb *callbacks) {
 	if m.curPID.Coord == m.p.id {
 		m.onCutDoneLocked(m.p.id, done, cb)
 	} else {
-		_ = m.p.cfg.Endpoint.Send(m.curPID.Coord, encodeCutDone(done))
+		pkt := appendCutDone(m.encBuf[:0], done)
+		m.encBuf = pkt[:0]
+		_ = m.p.cfg.Endpoint.Send(m.curPID.Coord, pkt)
 	}
 }
 
@@ -360,13 +370,14 @@ func (m *Member) onCutDoneLocked(from ProcessID, msg *msgCutDone, cb *callbacks)
 		view:    ViewID{Seq: maxSeq + 1, Coord: m.p.id},
 		members: pr.candidates,
 	}
-	pkt := encodeInstall(install)
+	pkt := appendInstall(m.encBuf[:0], install)
+	m.encBuf = pkt[:0]
 	for _, id := range pr.candidates {
 		if id != m.p.id {
 			_ = m.p.cfg.Endpoint.Send(id, pkt)
 		}
 	}
-	m.onInstallLocked(install, cb)
+	m.onInstallLocked(install, cb) // may frame into the scratch: pkt is sent
 }
 
 // onInstallLocked commits the new view: reset multicast state, notify the
@@ -375,7 +386,13 @@ func (m *Member) onInstallLocked(msg *msgInstall, cb *callbacks) {
 	if msg.pid != m.curPID || m.status != statusFlushing {
 		return
 	}
-	members := sortedIDs(msg.members)
+	// A coordinator sends its sorted, compacted candidates, which the view
+	// keeps as they are (an install is decoded fresh); only hostile input
+	// is out of order.
+	members := msg.members
+	if !isSet(members) {
+		members = sortedIDs(members)
+	}
 	if !slices.Contains(members, m.p.id) {
 		return
 	}
@@ -448,6 +465,17 @@ func (m *Member) onInstallLocked(msg *msgInstall, cb *callbacks) {
 	}
 }
 
+// isSet reports whether ids is strictly ascending: sorted with no duplicates,
+// what sortedIDs returns.
+func isSet(ids []ProcessID) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // flushTickLocked runs on the retransmission period while flushing: it
 // NAK-repairs toward the cut and escalates if the coordinator went silent.
 func (m *Member) flushTickLocked(cb *callbacks) {
@@ -458,7 +486,8 @@ func (m *Member) flushTickLocked(cb *callbacks) {
 			if lo >= hi {
 				continue
 			}
-			nak := encodeNak(&msgNak{group: m.group, view: m.flushOldView.ID, sender: sender, from: lo, to: hi})
+			nak := appendNak(m.encBuf[:0], &msgNak{group: m.group, view: m.flushOldView.ID, sender: sender, from: lo, to: hi})
+			m.encBuf = nak[:0]
 			for _, id := range m.flushOldView.Members {
 				if id != m.p.id && !m.p.fd.isSuspectedLocked(id) {
 					m.p.ctr.naksSent.Inc()

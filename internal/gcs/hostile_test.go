@@ -11,6 +11,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // hostilePair builds the smallest joined group — a and b converged in "g" —
@@ -74,7 +75,7 @@ func TestHostileNakIsBounded(t *testing.T) {
 
 	serve := func(from, to uint64) (time.Duration, uint64) {
 		before := p.ctr.retransmits.Load()
-		nak := encodeNak(&msgNak{group: "g", view: m.View().ID, sender: "a", from: from, to: to})
+		nak := appendNak(nil, &msgNak{group: "g", view: m.View().ID, sender: "a", from: from, to: to})
 		start := time.Now()
 		p.onPacket("stranger", nak)
 		return time.Since(start), p.ctr.retransmits.Load() - before
@@ -134,14 +135,14 @@ func TestHostileFarFutureSeqCostsOneEntry(t *testing.T) {
 	view := m.View().ID
 	before := stateSize(m)
 	for _, seq := range []uint64{math.MaxUint64, 1 << 62, math.MaxUint64} {
-		p.onPacket("b", encodeMcast(&msgMcast{group: "g", view: view, sender: "b", seq: seq, payload: []byte{payloadPlain, 'x'}}))
+		p.onPacket("b", appendMcast(nil, &msgMcast{group: "g", view: view, sender: "b", seq: seq, payload: []byte{payloadPlain, 'x'}}))
 	}
 	if grew := stateSize(m) - before; grew != 2 {
 		t.Fatalf("two forged sequence numbers (one sent twice) grew the state by %d, want 2", grew)
 	}
 
 	start, resent := time.Now(), p.ctr.retransmits.Load()
-	p.onPacket("stranger", encodeNak(&msgNak{group: "g", view: view, sender: "b", from: 0, to: math.MaxUint64}))
+	p.onPacket("stranger", appendNak(nil, &msgNak{group: "g", view: view, sender: "b", from: 0, to: math.MaxUint64}))
 	clk.Advance(time.Second) // ack, retransmit and presence ticks over the forged entries
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("serving a NAK and a second of ticks over two forged entries took %v", took)
@@ -162,7 +163,7 @@ func TestHostileFarFutureSeqCostsOneEntry(t *testing.T) {
 func TestHostileFutureViewsAreBounded(t *testing.T) {
 	_, _, p, m := hostilePair(t)
 	forge := func(view ViewID, seq uint64) {
-		p.onPacket("b", encodeMcast(&msgMcast{group: "g", view: view, sender: "b", seq: seq, payload: []byte{payloadPlain, 'x'}}))
+		p.onPacket("b", appendMcast(nil, &msgMcast{group: "g", view: view, sender: "b", seq: seq, payload: []byte{payloadPlain, 'x'}}))
 	}
 	next := ViewID{Seq: m.View().ID.Seq + 1, Coord: "b"}
 	before := stateSize(m)
@@ -198,8 +199,8 @@ func TestHostileStrangerVectorsLeaveNoState(t *testing.T) {
 
 	// A cut is only read during a flush: follow a proposal from b first.
 	pid := proposalID{Round: 99, Coord: "b"}
-	p.onPacket("b", encodePropose(&msgPropose{group: "g", pid: pid, candidates: []ProcessID{"a", "b"}}))
-	p.onPacket("b", encodeCut(&msgCut{group: "g", pid: pid, targets: crowd}))
+	p.onPacket("b", appendPropose(nil, &msgPropose{group: "g", pid: pid, candidates: []ProcessID{"a", "b"}}))
+	p.onPacket("b", appendCut(nil, &msgCut{group: "g", pid: pid, targets: crowd}))
 	p.mu.Lock()
 	haveCut, done := m.haveCut, m.sentCutDone
 	p.mu.Unlock()
@@ -227,7 +228,7 @@ func TestSyncInfoFromAnotherOldViewGetsItsOwnCut(t *testing.T) {
 
 	// The stranger announces itself; a, the coordinator, proposes {a, b,
 	// stranger} and collects a's and b's reports on its own.
-	p.onPacket("stranger", encodePresence(&msgPresence{group: "g", view: alone, members: []ProcessID{"stranger"}}))
+	p.onPacket("stranger", appendPresence(nil, "g", alone, []ProcessID{"stranger"}))
 	reported := func() int {
 		p.mu.Lock()
 		defer p.mu.Unlock()
@@ -245,7 +246,7 @@ func TestSyncInfoFromAnotherOldViewGetsItsOwnCut(t *testing.T) {
 	p.mu.Lock()
 	pid := m.prop.pid
 	p.mu.Unlock()
-	p.onPacket("stranger", encodeSyncInfo(&msgSyncInfo{
+	p.onPacket("stranger", appendSyncInfo(nil, &msgSyncInfo{
 		group: "g", pid: pid, oldView: alone, oldMembers: []ProcessID{"stranger"}, sendSeq: 4,
 		// It claims to have delivered 9 from a — in its own view, where
 		// there is no a: that must not raise a's target in the shared one.
@@ -348,23 +349,30 @@ func FuzzOnPacket(f *testing.F) {
 		encodeHeartbeat(),
 		appendDirect(nil, []byte("direct")),
 		appendAnycast(nil, "g", []byte("anycast")),
-		encodeMcast(&msgMcast{group: "g", view: view, sender: "b", seq: 1 << 62, payload: []byte{payloadPlain, 'x'}}),
-		encodeMcast(&msgMcast{group: "g", view: view, sender: "b", seq: math.MaxUint64, payload: []byte{payloadPlain, 'x'}}),
-		encodeMcast(&msgMcast{group: "g", view: ViewID{Seq: math.MaxUint64, Coord: "z"}, sender: "b", seq: 0, payload: []byte{payloadPlain, 'x'}}),
-		encodeNak(&msgNak{group: "g", view: view, sender: "a", from: 0, to: math.MaxUint64}),
+		appendMcast(nil, &msgMcast{group: "g", view: view, sender: "b", seq: 1 << 62, payload: []byte{payloadPlain, 'x'}}),
+		appendMcast(nil, &msgMcast{group: "g", view: view, sender: "b", seq: math.MaxUint64, payload: []byte{payloadPlain, 'x'}}),
+		appendMcast(nil, &msgMcast{group: "g", view: ViewID{Seq: math.MaxUint64, Coord: "z"}, sender: "b", seq: 0, payload: []byte{payloadPlain, 'x'}}),
+		appendNak(nil, &msgNak{group: "g", view: view, sender: "a", from: 0, to: math.MaxUint64}),
 		appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: vec{[]ProcessID{"a", "b"}, []uint64{math.MaxUint64, 7}}}),
 		appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: vec{
 			append(strangers(64).ids, "b", "a", "b"), append(strangers(64).vals, 3, 2, 1)}}),
-		encodePresence(&msgPresence{group: "g", view: ViewID{Seq: 9, Coord: "z"}, members: []ProcessID{"z"}}),
-		encodePropose(&msgPropose{group: "g", pid: pid, candidates: ab}),
-		encodeSyncInfo(&msgSyncInfo{group: "g", pid: pid, oldView: view, oldMembers: ab, sendSeq: math.MaxUint64, recvNext: vec{[]ProcessID{"a"}, []uint64{math.MaxUint64}}}),
-		encodeCut(&msgCut{group: "g", pid: pid, targets: vec{ab, []uint64{math.MaxUint64, math.MaxUint64}}}),
-		encodeCut(&msgCut{group: "g", pid: pid, targets: strangers(64)}),
-		encodeSyncInfo(&msgSyncInfo{group: "g", pid: pid, oldView: ViewID{Seq: 1, Coord: "z"}, oldMembers: []ProcessID{"z", "b", "z"}, recvNext: strangers(64)}),
-		encodeCutDone(&msgCutDone{group: "g", pid: pid}),
-		encodeInstall(&msgInstall{group: "g", pid: pid, view: ViewID{Seq: math.MaxUint64, Coord: "b"}, members: ab}),
+		appendPresence(nil, "g", ViewID{Seq: 9, Coord: "z"}, []ProcessID{"z"}),
+		appendPropose(nil, &msgPropose{group: "g", pid: pid, candidates: ab}),
+		appendSyncInfo(nil, &msgSyncInfo{group: "g", pid: pid, oldView: view, oldMembers: ab, sendSeq: math.MaxUint64, recvNext: vec{[]ProcessID{"a"}, []uint64{math.MaxUint64}}}),
+		appendCut(nil, &msgCut{group: "g", pid: pid, targets: vec{ab, []uint64{math.MaxUint64, math.MaxUint64}}}),
+		appendCut(nil, &msgCut{group: "g", pid: pid, targets: strangers(64)}),
+		appendSyncInfo(nil, &msgSyncInfo{group: "g", pid: pid, oldView: ViewID{Seq: 1, Coord: "z"}, oldMembers: []ProcessID{"z", "b", "z"}, recvNext: strangers(64)}),
+		appendCutDone(nil, &msgCutDone{group: "g", pid: pid}),
+		appendInstall(nil, &msgInstall{group: "g", pid: pid, view: ViewID{Seq: math.MaxUint64, Coord: "b"}, members: ab}),
+		// The pooled kinds, shaped to reach past the envelope a previous
+		// decode left: a presence listing a crowd and a member twice, a cut
+		// whose count claims more entries than the datagram holds, and a NAK
+		// for an empty range of a stranger's stream.
+		appendPresence(nil, "g", ViewID{Seq: 9, Coord: "z"}, append(strangers(64).ids, "b", "b")),
+		wire.AppendU16(appendPID(wire.AppendString([]byte{kindCut}, "g"), pid), math.MaxUint16),
+		appendNak(nil, &msgNak{group: "g", view: view, sender: "z", from: 9, to: 2}),
 		encodeLeave(&msgLeave{group: "g"}),
-		encodeAgreedReq(&msgAgreedReq{group: "g", seq: math.MaxUint64, payload: []byte("agreed")}),
+		appendAgreedReq(nil, &msgAgreedReq{group: "g", seq: math.MaxUint64, payload: []byte("agreed")}),
 	} {
 		f.Add(seed)
 	}

@@ -70,12 +70,18 @@ type Member struct {
 	agreedParked    map[ProcessID]map[uint64][]byte // out-of-order agreed
 
 	debounce   clock.Timer
+	debounced  func() // proposeDebounced, bound once
 	leaveTimer clock.Timer
 
-	// encBuf is reusable packet scratch, guarded by p.mu. Packets are fully
-	// serialized and handed to Send (which copies) before the lock is
-	// released, so one warm buffer serves every tick and every multicast.
+	// encBuf is reusable packet scratch, guarded by p.mu. Every packet the
+	// member sends under the lock — gossip, multicasts, NAKs, every view-change
+	// message — is framed here and handed to Send (which copies) for every
+	// destination before anything that could frame another runs, so one warm
+	// buffer serves them all.
 	encBuf []byte
+
+	// idBuf is changeNeededLocked's desired membership, guarded by p.mu.
+	idBuf []ProcessID
 }
 
 // held is one multicast of the current view that this member still has.
@@ -165,6 +171,7 @@ func newMember(p *Process, group string, h Handlers, contacts []ProcessID) *Memb
 		departed: make(map[ProcessID]bool),
 		future:   make(map[ViewID][]*msgMcast),
 	}
+	m.debounced = m.proposeDebounced
 	return m
 }
 
@@ -483,13 +490,8 @@ func (m *Member) onAckVecLocked(from ProcessID, msg *msgAckVec) {
 	ack := m.ms.peerAck[j*n : (j+1)*n]
 	msg.delivered.alignTo(m.view.Members, ack)
 	if mine, theirs := m.ms.recvNext[j], ack[j]; theirs > mine {
-		nak := encodeNak(&msgNak{
-			group:  m.group,
-			view:   m.view.ID,
-			sender: from,
-			from:   mine,
-			to:     theirs,
-		})
+		nak := appendNak(m.encBuf[:0], &msgNak{group: m.group, view: m.view.ID, sender: from, from: mine, to: theirs})
+		m.encBuf = nak[:0]
 		m.p.ctr.naksSent.Inc()
 		_ = m.p.cfg.Endpoint.Send(from, nak)
 	}
@@ -540,11 +542,14 @@ func (m *Member) onPresenceLocked(from ProcessID, msg *msgPresence) {
 		m.onDivergentTrafficLocked(from, msg.view)
 	}
 	expiry := m.p.cfg.Clock.Now().Add(2 * suspectTimeout)
-	for _, id := range append([]ProcessID{from}, msg.members...) {
-		if id == m.p.id || m.view.Includes(id) {
-			continue
+	note := func(id ProcessID) {
+		if id != m.p.id && !m.view.Includes(id) {
+			m.foreign[id] = expiry
 		}
-		m.foreign[id] = expiry
+	}
+	note(from)
+	for _, id := range msg.members {
+		note(id)
 	}
 	if len(m.foreign) == 0 {
 		return
@@ -556,11 +561,9 @@ func (m *Member) onPresenceLocked(from ProcessID, msg *msgPresence) {
 		// coordinator learns even if earlier relays were lost.
 		coord := m.actingCoordinatorLocked()
 		if coord != m.p.id {
-			_ = m.p.cfg.Endpoint.Send(coord, encodePresence(&msgPresence{
-				group:   m.group,
-				view:    msg.view,
-				members: msg.members,
-			}))
+			pkt := appendPresence(m.encBuf[:0], m.group, msg.view, msg.members)
+			m.encBuf = pkt[:0]
+			_ = m.p.cfg.Endpoint.Send(coord, pkt)
 		}
 	}
 }
@@ -659,16 +662,19 @@ func (m *Member) scheduleProposalLocked() {
 	if m.debounce != nil || m.leaving || !m.active {
 		return
 	}
-	m.debounce = m.p.cfg.Clock.AfterFunc(20*time.Millisecond, func() {
-		var cb callbacks
-		m.p.mu.Lock()
-		m.debounce = nil
-		if m.active && !m.leaving && m.isActingCoordinatorLocked() && m.changeNeededLocked() {
-			m.startProposalLocked(&cb)
-		}
-		m.p.mu.Unlock()
-		cb.run()
-	})
+	m.debounce = m.p.cfg.Clock.AfterFunc(20*time.Millisecond, m.debounced)
+}
+
+// proposeDebounced starts the view change a burst of triggers asked for.
+func (m *Member) proposeDebounced() {
+	var cb callbacks
+	m.p.mu.Lock()
+	m.debounce = nil
+	if m.active && !m.leaving && m.isActingCoordinatorLocked() && m.changeNeededLocked() {
+		m.startProposalLocked(&cb)
+	}
+	m.p.mu.Unlock()
+	cb.run()
 }
 
 // changeNeededLocked reports whether the desired membership differs from
@@ -677,23 +683,15 @@ func (m *Member) changeNeededLocked() bool {
 	if m.status == statusFlushing || m.forceChange {
 		return true
 	}
-	desired := m.desiredCandidatesLocked()
-	if len(desired) != len(m.view.Members) {
-		return true
-	}
-	for i, id := range desired {
-		if m.view.Members[i] != id {
-			return true
-		}
-	}
-	return false
+	m.idBuf = m.desiredCandidatesLocked(m.idBuf)
+	return !slices.Equal(m.idBuf, m.view.Members)
 }
 
-// desiredCandidatesLocked computes the next membership: current members
-// minus suspects and leavers, plus live foreign processes.
-func (m *Member) desiredCandidatesLocked() []ProcessID {
+// desiredCandidatesLocked computes the next membership into out's storage:
+// current members minus suspects and leavers, plus live foreign processes.
+func (m *Member) desiredCandidatesLocked(out []ProcessID) []ProcessID {
 	now := m.p.cfg.Clock.Now()
-	out := make([]ProcessID, 0, len(m.view.Members)+len(m.foreign))
+	out = slices.Grow(out[:0], len(m.view.Members)+len(m.foreign))
 	for _, id := range m.view.Members {
 		if id != m.p.id && (m.p.fd.isSuspectedLocked(id) || m.departed[id]) {
 			continue
@@ -759,7 +757,8 @@ func (m *Member) retransTick() {
 				continue
 			}
 			if hi := l[len(l)-1].seq + 1; hi > lo {
-				pkt := encodeNak(&msgNak{group: m.group, view: m.view.ID, sender: sender, from: lo, to: hi})
+				pkt := appendNak(m.encBuf[:0], &msgNak{group: m.group, view: m.view.ID, sender: sender, from: lo, to: hi})
+				m.encBuf = pkt[:0]
 				m.p.ctr.naksSent.Inc()
 				_ = m.p.cfg.Endpoint.Send(sender, pkt)
 			}

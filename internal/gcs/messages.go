@@ -260,12 +260,8 @@ func appendAnycast(b []byte, group string, payload []byte) []byte {
 	return wire.AppendBytes(b, payload)
 }
 
-func encodeMcast(m *msgMcast) []byte {
-	return appendMcast(make([]byte, 0, 48+len(m.group)+len(m.payload)), m)
-}
-
-// appendMcast is encodeMcast's append-into-scratch form for the multicast
-// send and retransmission paths, which run once per reliable message.
+// appendMcast frames a multicast into caller scratch for the send and
+// retransmission paths, which run once per reliable message.
 func appendMcast(b []byte, m *msgMcast) []byte {
 	b = wire.AppendU8(b, kindMcast)
 	b = wire.AppendString(b, m.group)
@@ -275,8 +271,11 @@ func appendMcast(b []byte, m *msgMcast) []byte {
 	return wire.AppendBytes(b, m.payload)
 }
 
-func encodeNak(m *msgNak) []byte {
-	b := make([]byte, 0, 64)
+// The control kinds below frame into a member's scratch (Member.encBuf) too:
+// every send site hands the packet to Send for every destination before
+// anything it calls can frame another.
+
+func appendNak(b []byte, m *msgNak) []byte {
 	b = wire.AppendU8(b, kindNak)
 	b = wire.AppendString(b, m.group)
 	b = appendViewID(b, m.view)
@@ -294,16 +293,7 @@ func appendAckVec(b []byte, m *msgAckVec) []byte {
 	return appendVec(b, m.delivered)
 }
 
-func encodePresence(m *msgPresence) []byte {
-	b := make([]byte, 0, 64)
-	b = wire.AppendU8(b, kindPresence)
-	b = wire.AppendString(b, m.group)
-	b = appendViewID(b, m.view)
-	return appendIDs(b, m.members)
-}
-
-// appendPresence is encodePresence's append-into-scratch form for the
-// periodic presence announcement.
+// appendPresence frames the periodic presence announcement and its relay.
 func appendPresence(b []byte, group string, view ViewID, members []ProcessID) []byte {
 	b = wire.AppendU8(b, kindPresence)
 	b = wire.AppendString(b, group)
@@ -311,16 +301,14 @@ func appendPresence(b []byte, group string, view ViewID, members []ProcessID) []
 	return appendIDs(b, members)
 }
 
-func encodePropose(m *msgPropose) []byte {
-	b := make([]byte, 0, 64)
+func appendPropose(b []byte, m *msgPropose) []byte {
 	b = wire.AppendU8(b, kindPropose)
 	b = wire.AppendString(b, m.group)
 	b = appendPID(b, m.pid)
 	return appendIDs(b, m.candidates)
 }
 
-func encodeSyncInfo(m *msgSyncInfo) []byte {
-	b := make([]byte, 0, 128)
+func appendSyncInfo(b []byte, m *msgSyncInfo) []byte {
 	b = wire.AppendU8(b, kindSyncInfo)
 	b = wire.AppendString(b, m.group)
 	b = appendPID(b, m.pid)
@@ -330,23 +318,20 @@ func encodeSyncInfo(m *msgSyncInfo) []byte {
 	return appendVec(b, m.recvNext)
 }
 
-func encodeCut(m *msgCut) []byte {
-	b := make([]byte, 0, 64)
+func appendCut(b []byte, m *msgCut) []byte {
 	b = wire.AppendU8(b, kindCut)
 	b = wire.AppendString(b, m.group)
 	b = appendPID(b, m.pid)
 	return appendVec(b, m.targets)
 }
 
-func encodeCutDone(m *msgCutDone) []byte {
-	b := make([]byte, 0, 32)
+func appendCutDone(b []byte, m *msgCutDone) []byte {
 	b = wire.AppendU8(b, kindCutDone)
 	b = wire.AppendString(b, m.group)
 	return appendPID(b, m.pid)
 }
 
-func encodeInstall(m *msgInstall) []byte {
-	b := make([]byte, 0, 64)
+func appendInstall(b []byte, m *msgInstall) []byte {
 	b = wire.AppendU8(b, kindInstall)
 	b = wire.AppendString(b, m.group)
 	b = appendPID(b, m.pid)
@@ -354,14 +339,17 @@ func encodeInstall(m *msgInstall) []byte {
 	return appendIDs(b, m.members)
 }
 
+// encodeLeave frames a packet of its own: Leave sends after releasing p.mu,
+// so it cannot borrow the member scratch.
 func encodeLeave(m *msgLeave) []byte {
 	b := make([]byte, 0, 32)
 	b = wire.AppendU8(b, kindLeave)
 	return wire.AppendString(b, m.group)
 }
 
-func encodeAgreedReq(m *msgAgreedReq) []byte {
-	b := make([]byte, 0, 32+len(m.group)+len(m.payload))
+// appendAgreedReq frames into the member scratch on the retry tick, and into
+// a buffer of its own in MulticastAgreed, which sends after releasing p.mu.
+func appendAgreedReq(b []byte, m *msgAgreedReq) []byte {
 	b = wire.AppendU8(b, kindAgreedReq)
 	b = wire.AppendString(b, m.group)
 	b = wire.AppendU64(b, m.seq)

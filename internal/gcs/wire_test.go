@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -14,40 +15,62 @@ import (
 // or packet sizes — and with them every simulated serialisation time — move.
 // The one deliberate change since is the ack vector, which carries only the
 // delivered counts. Each packet must also survive decode and re-encode
-// unchanged.
+// unchanged, and every kind, the unpinned control kinds too, must frame the
+// same bytes into a member's dirty scratch — one that holds a longer packet —
+// as into an empty buffer.
 func TestWireBytesUnchanged(t *testing.T) {
 	view := ViewID{Seq: 7, Coord: "s1"}
 	pid := proposalID{Round: 9, Coord: "s2"}
 	ids := []ProcessID{"s1", "s2", "s3"}
 	delivered := vec{ids, []uint64{5, 0, 1 << 40}}
 	targets := vec{ids, []uint64{6, 2, 1<<40 + 1}}
+	crowd := strangers(40)
+	dirty := appendSyncInfo(nil, &msgSyncInfo{group: "a/much/longer/group", pid: pid, oldView: view, oldMembers: crowd.ids, recvNext: crowd})
 
 	for _, tc := range []struct {
-		name string
-		got  []byte
-		want string
+		name  string
+		frame func(b []byte) []byte
+		want  string // "" for the kinds with no captured bytes
 	}{
-		{"ackvec", appendAckVec(nil, &msgAckVec{group: "movie/x", view: view, delivered: delivered}),
-			"0600076d6f7669652f780000000000000007000273310003000273310000000000000005000273320000000000000000000273330000010000000000"},
-		{"syncinfo", encodeSyncInfo(&msgSyncInfo{group: "movie/x", pid: pid, oldView: view, oldMembers: ids, sendSeq: 11, recvNext: delivered}),
-			"0900076d6f7669652f780000000000000009000273320000000000000007000273310003000273310002733200027333000000000000000b0003000273310000000000000005000273320000000000000000000273330000010000000000"},
-		{"cut", encodeCut(&msgCut{group: "movie/x", pid: pid, targets: targets}),
+		{"ackvec", func(b []byte) []byte {
+			return appendAckVec(b, &msgAckVec{group: "movie/x", view: view, delivered: delivered})
+		}, "0600076d6f7669652f780000000000000007000273310003000273310000000000000005000273320000000000000000000273330000010000000000"},
+		{"syncinfo", func(b []byte) []byte {
+			return appendSyncInfo(b, &msgSyncInfo{group: "movie/x", pid: pid, oldView: view, oldMembers: ids, sendSeq: 11, recvNext: delivered})
+		}, "0900076d6f7669652f780000000000000009000273320000000000000007000273310003000273310002733200027333000000000000000b0003000273310000000000000005000273320000000000000000000273330000010000000000"},
+		{"cut", func(b []byte) []byte { return appendCut(b, &msgCut{group: "movie/x", pid: pid, targets: targets}) },
 			"0a00076d6f7669652f780000000000000009000273320003000273310000000000000006000273320000000000000002000273330000010000000001"},
-		{"cut with no targets", encodeCut(&msgCut{group: "movie/x", pid: pid}),
+		{"cut with no targets", func(b []byte) []byte { return appendCut(b, &msgCut{group: "movie/x", pid: pid}) },
 			"0a00076d6f7669652f780000000000000009000273320000"},
-		{"install", encodeInstall(&msgInstall{group: "movie/x", pid: pid, view: ViewID{Seq: 8, Coord: "s2"}, members: ids}),
-			"0c00076d6f7669652f780000000000000009000273320000000000000008000273320003000273310002733200027333"},
-		{"presence", encodePresence(&msgPresence{group: "movie/x", view: view, members: ids}),
+		{"install", func(b []byte) []byte {
+			return appendInstall(b, &msgInstall{group: "movie/x", pid: pid, view: ViewID{Seq: 8, Coord: "s2"}, members: ids})
+		}, "0c00076d6f7669652f780000000000000009000273320000000000000008000273320003000273310002733200027333"},
+		{"presence", func(b []byte) []byte { return appendPresence(b, "movie/x", view, ids) },
 			"0700076d6f7669652f780000000000000007000273310003000273310002733200027333"},
-		{"mcast", encodeMcast(&msgMcast{group: "movie/x", view: view, sender: "s3", seq: 42, payload: []byte{payloadPlain, 'h', 'i'}}),
-			"0400076d6f7669652f7800000000000000070002733100027333000000000000002a00000003006869"},
+		{"mcast", func(b []byte) []byte {
+			return appendMcast(b, &msgMcast{group: "movie/x", view: view, sender: "s3", seq: 42, payload: []byte{payloadPlain, 'h', 'i'}})
+		}, "0400076d6f7669652f7800000000000000070002733100027333000000000000002a00000003006869"},
+		{"propose", func(b []byte) []byte {
+			return appendPropose(b, &msgPropose{group: "movie/x", pid: pid, candidates: ids})
+		}, ""},
+		{"cutdone", func(b []byte) []byte { return appendCutDone(b, &msgCutDone{group: "movie/x", pid: pid}) }, ""},
+		{"nak", func(b []byte) []byte {
+			return appendNak(b, &msgNak{group: "movie/x", view: view, sender: "s3", from: 4, to: 9})
+		}, ""},
+		{"agreed request", func(b []byte) []byte {
+			return appendAgreedReq(b, &msgAgreedReq{group: "movie/x", seq: 3, payload: []byte("agreed")})
+		}, ""},
 	} {
-		if got := hex.EncodeToString(tc.got); got != tc.want {
-			t.Errorf("%s encodes as\n  %s, want\n  %s", tc.name, got, tc.want)
+		got := tc.frame(nil)
+		if hex := hex.EncodeToString(got); tc.want != "" && hex != tc.want {
+			t.Errorf("%s encodes as\n  %s, want\n  %s", tc.name, hex, tc.want)
 			continue
 		}
+		if again := tc.frame(slices.Clone(dirty)[:0]); !bytes.Equal(again, got) {
+			t.Errorf("%s framed into dirty scratch gives\n  %x, want\n  %x", tc.name, again, got)
+		}
 		var c codec
-		msg, err := c.decode(tc.got)
+		msg, err := c.decode(got)
 		if err != nil {
 			t.Errorf("%s: decode: %v", tc.name, err)
 			continue
@@ -57,18 +80,69 @@ func TestWireBytesUnchanged(t *testing.T) {
 		case *msgAckVec:
 			again = appendAckVec(nil, m)
 		case *msgSyncInfo:
-			again = encodeSyncInfo(m)
+			again = appendSyncInfo(nil, m)
 		case *msgCut:
-			again = encodeCut(m)
+			again = appendCut(nil, m)
 		case *msgInstall:
-			again = encodeInstall(m)
+			again = appendInstall(nil, m)
 		case *msgPresence:
-			again = encodePresence(m)
+			again = appendPresence(nil, m.group, m.view, m.members)
 		case *msgMcast:
-			again = encodeMcast(m)
+			again = appendMcast(nil, m)
+		case *msgPropose:
+			again = appendPropose(nil, m)
+		case *msgCutDone:
+			again = appendCutDone(nil, m)
+		case *msgNak:
+			again = appendNak(nil, m)
+		case *msgAgreedReq:
+			again = appendAgreedReq(nil, m)
 		}
-		if !bytes.Equal(again, tc.got) {
-			t.Errorf("%s: decode then encode gives\n  %x, want\n  %x", tc.name, again, tc.got)
+		if !bytes.Equal(again, got) {
+			t.Errorf("%s: decode then encode gives\n  %x, want\n  %x", tc.name, again, got)
+		}
+	}
+}
+
+// TestCodecReusesEnvelopes: a presence, a cut and a NAK are read during
+// dispatch and never kept, so the codec recycles their envelopes with their
+// slices' storage. Decoding a short message into the envelope a long one
+// left behind must give exactly what a fresh codec gives.
+func TestCodecReusesEnvelopes(t *testing.T) {
+	pid := proposalID{Round: 3, Coord: "a"}
+	view := ViewID{Seq: 5, Coord: "a"}
+	crowd := strangers(32)
+	for _, tc := range []struct {
+		name        string
+		long, short []byte
+	}{
+		{name: "presence",
+			long:  appendPresence(nil, "a/long/group/name", view, crowd.ids),
+			short: appendPresence(nil, "g", ViewID{Seq: 6, Coord: "b"}, []ProcessID{"b"})},
+		{name: "cut",
+			long:  appendCut(nil, &msgCut{group: "a/long/group/name", pid: pid, targets: crowd}),
+			short: appendCut(nil, &msgCut{group: "g", pid: proposalID{Round: 4, Coord: "b"}, targets: vec{[]ProcessID{"b"}, []uint64{7}}})},
+		{name: "nak",
+			long:  appendNak(nil, &msgNak{group: "a/long/group/name", view: view, sender: crowd.ids[31], from: 1 << 40, to: 1 << 41}),
+			short: appendNak(nil, &msgNak{group: "g", view: ViewID{Seq: 6, Coord: "b"}, sender: "b", from: 2, to: 3})},
+	} {
+		var c codec
+		first, err := c.decode(tc.long)
+		if err != nil {
+			t.Fatalf("%s: decode the long one: %v", tc.name, err)
+		}
+		c.recycle(first)
+		reused, err := c.decode(tc.short)
+		if err != nil {
+			t.Fatalf("%s: decode the short one: %v", tc.name, err)
+		}
+		if reused != first {
+			t.Fatalf("%s: the second decode did not reuse the recycled envelope", tc.name)
+		}
+		var fresh codec
+		want, _ := fresh.decode(tc.short)
+		if !reflect.DeepEqual(reused, want) {
+			t.Errorf("%s: decoded into a recycled envelope gives %+v, a fresh codec %+v", tc.name, reused, want)
 		}
 	}
 }
@@ -103,7 +177,7 @@ func TestVectorAlignmentMatchesMaps(t *testing.T) {
 		}
 
 		var c codec
-		msg, err := c.decode(encodeCut(&msgCut{group: "g", targets: in}))
+		msg, err := c.decode(appendCut(nil, &msgCut{group: "g", targets: in}))
 		if err != nil {
 			t.Fatalf("round %d: decode: %v", round, err)
 		}
@@ -112,7 +186,7 @@ func TestVectorAlignmentMatchesMaps(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("round %d: %v=%v aligned to %v gives %v, the map gave %v", round, in.ids, in.vals, members, got, want)
 		}
-		out, err := c.decode(encodeCut(&msgCut{group: "g", targets: vec{members, got}}))
+		out, err := c.decode(appendCut(nil, &msgCut{group: "g", targets: vec{members, got}}))
 		if err != nil {
 			t.Fatalf("round %d: decode of the aligned row: %v", round, err)
 		}
