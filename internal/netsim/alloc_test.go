@@ -187,6 +187,60 @@ func TestAllocsColdBroadcastRecord(t *testing.T) {
 	}
 }
 
+// TestAllocsResetWorldReusesRecords: a clock and network that are Reset after
+// a saturated burst carry the next world's identical burst on what the first
+// one made — event and delivery records, their slabs, bound methods and copy
+// buffers, and the heap array — so the second burst allocates nothing.
+func TestAllocsResetWorldReusesRecords(t *testing.T) {
+	const sends = 2000
+	control, frame := make([]byte, 100), make([]byte, 1200)
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	net := New(clk, 1, Profile{Delay: time.Millisecond})
+	var a transport.Endpoint
+	var bRef transport.AddrRef
+	world := func() {
+		clk.Reset(time.Unix(0, 0))
+		net.Reset(1, Profile{Delay: time.Millisecond})
+		net.SetEgressLimit("a", 100*1000*1000/8)
+		var err error
+		if a, err = net.NewEndpoint("a"); err != nil {
+			t.Fatal(err)
+		}
+		b, err := net.NewEndpoint("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.SetHandler(func(transport.Addr, []byte) {})
+		bRef = a.(transport.RefSender).ResolveAddr("b")
+	}
+	burst := func() {
+		refs := a.(transport.RefSender)
+		for i := 0; i < sends; i++ { // the clock never advances: all of it stays in flight
+			if err := a.Send("b", control); err != nil {
+				t.Fatal(err)
+			}
+			if err := refs.SendStableRef(bRef, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	world()
+	burst()
+	least := ^uint64(0)
+	for try := 0; try < 3; try++ { // the least of three: the runtime allocates now and then too
+		world()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		burst()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least != 0 {
+		t.Fatalf("a burst of %d copied and %d stable sends on a reset clock and network = %d allocs, want 0",
+			sends, sends, least)
+	}
+}
+
 // queueClock holds what is scheduled on it until fire runs it all, in order.
 // Its queue is sized up front, so scheduling on it allocates nothing and a
 // count taken around sends on it is the network's own.

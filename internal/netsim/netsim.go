@@ -117,10 +117,10 @@ type Network struct {
 	// never re-enter run); capacity stays warm at the largest batch size.
 	bcastH  []transport.Handler
 	bcastD  [][]byte
-	slabD   []delivery // current slab new records are carved from
-	slabDN  int        // records already carved from slabD
-	slabB   []byte     // what is left of the slab small copy buffers are carved from
-	sweepIn int        // sends until the next stale-link sweep
+	slabD   *deliverySlab // newest slab new records are carved from; older ones chain through prev
+	slabDN  int           // records already carved from slabD
+	slabB   []byte        // what is left of the slab small copy buffers are carved from
+	sweepIn int           // sends until the next stale-link sweep
 	stats   Stats
 
 	obs      *obs.Registry
@@ -168,23 +168,13 @@ func (r *linkRow) bump(to int32, now, ser int64, ids int) int64 {
 			copy(grown, r.dense)
 			r.dense = grown
 		}
-		nf := r.dense[to]
-		if now > nf {
-			nf = now
-		}
-		nf += ser
-		r.dense[to] = nf
-		return nf
+		r.dense[to] = max(r.dense[to], now) + ser
+		return r.dense[to]
 	}
 	for i, t := range r.toIDs {
 		if t == to {
-			nf := r.next[i]
-			if now > nf {
-				nf = now
-			}
-			nf += ser
-			r.next[i] = nf
-			return nf
+			r.next[i] = max(r.next[i], now) + ser
+			return r.next[i]
 		}
 	}
 	nf := now + ser
@@ -247,14 +237,40 @@ func (r *linkRow) reap(now int64, release bool) {
 // New creates a network on clk with the given default link profile. All
 // randomness (loss, jitter, duplication) derives from seed.
 func New(clk clock.Clock, seed int64, def Profile) *Network {
-	return &Network{
-		clk:       clk,
-		fate:      seededFate{rand.New(rand.NewSource(seed))},
-		def:       def,
-		ids:       make(map[transport.Addr]int32),
-		overrides: make(map[idPair]Profile),
-		blocked:   make(map[idPair]bool),
+	n := &Network{clk: clk}
+	n.Reset(seed, def)
+	return n
+}
+
+// Reset returns the network to the state New builds on its clock but keeps
+// its delivery records, their copy buffers and its slices' storage. Reset the
+// clock first: a delivery still scheduled on it would fire into the new
+// world. Reset reports how many endpoints were still open.
+func (n *Network) Reset(seed int64, def Profile) (open int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	open = n.live
+	if f, ok := n.fate.(seededFate); ok {
+		f.rng.Seed(seed) // in place: a fresh source is 4.9 KB
+	} else {
+		n.fate = seededFate{rand.New(rand.NewSource(seed))}
 	}
+	n.def = def
+	n.ids, n.overrides, n.blocked = make(map[transport.Addr]int32), make(map[idPair]Profile), make(map[idPair]bool)
+	clear(n.rows) // a dense row is big, and the next world may never overwrite it
+	n.addrs, n.eps, n.rows = n.addrs[:0], n.eps[:0], n.rows[:0]
+	n.egressRate, n.egressNext = n.egressRate[:0], n.egressNext[:0]
+	n.live, n.extraLoss, n.sweepIn, n.stats = 0, 0, 0, Stats{}
+	n.obs, n.ctrSent, n.ctrDeliv, n.ctrDrop, n.ctrBytes = nil, nil, nil, nil, nil
+	clear(n.bcastH[:cap(n.bcastH)]) // handlers reach the old world
+	clear(n.bcastD[:cap(n.bcastD)])
+	n.freeD = [1 + bufClasses]*delivery{}
+	for s, k := n.slabD, n.slabDN; s != nil; s, k = s.prev, deliverySlabSize {
+		for i := range s.d[:k] {
+			s.d[i].recycleLocked()
+		}
+	}
+	return open
 }
 
 // internLocked returns the dense ID for addr, assigning the next one (and
@@ -294,12 +310,7 @@ func (n *Network) SetObs(reg *obs.Registry) {
 func (n *Network) SetEgressLimit(addr transport.Addr, bytesPerSec int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	id := n.internLocked(addr)
-	if bytesPerSec <= 0 {
-		n.egressRate[id] = 0
-		return
-	}
-	n.egressRate[id] = bytesPerSec
+	n.egressRate[n.internLocked(addr)] = max(bytesPerSec, 0)
 }
 
 // NewEndpoint implements transport.Network. An address whose previous
@@ -566,11 +577,16 @@ type delivery struct {
 	next     *delivery // free-list link
 }
 
+// deliverySlab is one allocation of delivery records, chained for Reset.
+type deliverySlab struct {
+	d    [deliverySlabSize]delivery
+	prev *deliverySlab
+}
+
 // deliverySlabSize is how many delivery records one slab allocation carves
-// out. Peak in-flight packet count during a capacity run is a few thousand,
-// so cold start costs tens of slab allocations instead of thousands of
-// individual ones.
-const deliverySlabSize = 128
+// out; with the link, a slab fills an 8 KB size class. A saturated capacity
+// trial holds ≈ 11,600 packets in flight at its peak: under a hundred slabs.
+const deliverySlabSize = 127
 
 // bufClasses is the number of copy-buffer size classes: class c holds
 // 64<<c bytes, and the largest holds a MaxDatagram payload.
@@ -598,11 +614,11 @@ func (n *Network) newDeliveryLocked(from, to int32, payload []byte, stable bool)
 		n.freeD[d.slot] = d.next
 		d.next = nil
 	} else {
-		if n.slabDN == len(n.slabD) {
-			n.slabD = make([]delivery, deliverySlabSize)
+		if n.slabD == nil || n.slabDN == deliverySlabSize {
+			n.slabD = &deliverySlab{prev: n.slabD}
 			n.slabDN = 0
 		}
-		d = &n.slabD[n.slabDN]
+		d = &n.slabD.d[n.slabDN]
 		n.slabDN++
 		d.n = n
 		d.fn = d.run
@@ -631,9 +647,9 @@ func (n *Network) newDeliveryLocked(from, to int32, payload []byte, stable bool)
 
 // bufSlabSize is the byte slab copy buffers of up to smallBufMax bytes are
 // carved from, so a control packet's 64-byte buffer is not an allocation of
-// its own. Small, because every network strands one slab's tail: a chaos
-// sweep builds 400. GCS control traffic (heartbeats, acks, flow control)
-// stays well under smallBufMax, while framed video packets exceed it.
+// its own. Small, because every network strands one slab's tail: a spare
+// network once, a one-off network for good. GCS control traffic (heartbeats,
+// acks, flow control) stays under smallBufMax; framed video packets exceed it.
 const bufSlabSize, smallBufMax = 4096, 512
 
 // recycleLocked files a delivery on its free list. A bare record drops its
@@ -694,11 +710,7 @@ func (n *Network) transitTimeLocked(from, to int32, prof Profile, size int) time
 	}
 	now := n.clk.Now().UnixNano()
 	if rate > 0 {
-		start := now
-		if nf := n.egressNext[from]; nf > start {
-			start = nf
-		}
-		nf := start + int64(size)*int64(time.Second)/rate
+		nf := max(now, n.egressNext[from]) + int64(size)*int64(time.Second)/rate
 		n.egressNext[from] = nf
 		delay += time.Duration(nf - now)
 	}

@@ -125,6 +125,7 @@ func (vs *viewerSet) classify(expected uint64) capacityResult {
 // what a healthy session would have displayed.
 func capacityTrial(seed int64, movie *mpeg.Movie, n, maxSessions int) capacityResult {
 	rt := newWorld(seed, netsim.LAN())
+	defer rt.release()
 	rt.Net.SetEgressLimit("server-1", 100*1000*1000/8)
 	rt.deploy(core.DeployOptions{
 		Servers:     []string{"server-1"},

@@ -108,6 +108,7 @@ type OverloadResult struct {
 func OverloadTrial(cfg OverloadConfig) OverloadResult {
 	cfg.fillDefaults()
 	rt := newWorld(cfg.Seed, netsim.LAN())
+	defer rt.release()
 	rt.Net.SetEgressLimit("server-1", 100*1000*1000/8)
 	rt.Net.SetEgressLimit("server-2", 100*1000*1000/8)
 

@@ -398,6 +398,7 @@ func verdict(ok bool) string {
 // 40s, and returns (frames lost, frames displayed).
 func tigerTrial(seed int64, crashes []string) (lost, displayed uint64) {
 	world := newWorld(seed, netsim.LAN())
+	defer world.release()
 	clk, net := world.Clk, world.Net
 	movie := mpeg.Generate("striped", mpeg.StreamConfig{Seed: seed})
 	svc, err := tiger.New(tiger.Config{

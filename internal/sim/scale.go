@@ -109,6 +109,7 @@ func scaleTitles(seed int64, n int) []*mpeg.Movie {
 // the first two seconds.
 func scaleTrial(seed int64, movies []*mpeg.Movie, nViewers int) scaleResult {
 	rt, vs := runScale(seed, movies, nViewers)
+	defer rt.release()
 	defer rt.Stop()
 	defer vs.close()
 	return vs.scaleResult()

@@ -8,7 +8,9 @@ package sim
 import (
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/buffer"
@@ -124,15 +126,48 @@ type Runtime struct {
 	regs map[string]*obs.Registry
 }
 
-// newWorld makes the clock and the network of a simulated run; deploy puts
-// the cluster on them.
+// spares holds finished worlds' clocks and networks, each pair in a Runtime
+// of its own, for newWorld to reuse: at most GOMAXPROCS, in a plain slice
+// rather than a sync.Pool (DESIGN §8). unquiet counts worlds release refused.
+var spares struct {
+	sync.Mutex
+	worlds  []*Runtime
+	unquiet int
+}
+
+// newWorld makes (or reuses) the clock and network of a simulated run; deploy
+// puts the cluster on them. Callers defer release first, to run it last.
 func newWorld(seed int64, profile netsim.Profile) *Runtime {
-	clk := clock.NewVirtual(epoch)
-	return &Runtime{
-		Clk:     clk,
-		Net:     netsim.New(clk, seed, profile),
-		retired: make(map[string]server.Stats),
-		regs:    make(map[string]*obs.Registry),
+	rt := &Runtime{}
+	spares.Lock()
+	if k := len(spares.worlds) - 1; k >= 0 {
+		rt, spares.worlds[k], spares.worlds = spares.worlds[k], nil, spares.worlds[:k]
+	}
+	spares.Unlock()
+	if rt.Clk == nil {
+		rt.Clk = clock.NewVirtual(epoch)
+		rt.Net = netsim.New(rt.Clk, seed, profile)
+	} else {
+		rt.Net.Reset(seed, profile) // release left the clock at epoch
+	}
+	rt.retired, rt.regs = make(map[string]server.Stats), make(map[string]*obs.Registry)
+	return rt
+}
+
+// release hands the world's clock and network to a later newWorld; nothing
+// built on the world may be touched after it. Resetting both drops what the
+// run left in them. Only a quiescent world is reused: no endpoint open, no
+// AfterFunc or Periodic timer armed (Reset reclaims pending deliveries).
+func (rt *Runtime) release() {
+	armed := rt.Clk.Reset(epoch)
+	open := rt.Net.Reset(0, netsim.Profile{})
+	spares.Lock()
+	defer spares.Unlock()
+	switch {
+	case armed > 0 || open > 0:
+		spares.unquiet++
+	case len(spares.worlds) < runtime.GOMAXPROCS(0):
+		spares.worlds = append(spares.worlds, &Runtime{Clk: rt.Clk, Net: rt.Net})
 	}
 }
 
@@ -356,6 +391,7 @@ func Run(sc Scenario) *Result {
 	}
 
 	rt := newWorld(sc.Seed, sc.Profile)
+	defer rt.release()
 	rt.clientID = sc.ClientID
 	rt.Net.SetObs(rt.registry("net"))
 	rt.deploy(core.DeployOptions{
