@@ -49,8 +49,7 @@ type Provider struct {
 	ctrNotFound *obs.Counter // fetch.not_found
 
 	mu      sync.Mutex
-	serial  map[string][]byte // serialized movies, built lazily
-	scratch []byte            // reusable response buffer, guarded by mu
+	scratch []byte // reusable response buffer, guarded by mu
 }
 
 // NewProvider starts serving the catalog's movies. reg (nil ok) receives
@@ -60,7 +59,6 @@ func NewProvider(catalog *store.Catalog, in, out transport.Endpoint, reg *obs.Re
 		catalog:     catalog,
 		in:          in,
 		out:         out,
-		serial:      make(map[string][]byte),
 		ctrServed:   reg.Counter("fetch.chunks_served"),
 		ctrNotFound: reg.Counter("fetch.not_found"),
 	}
@@ -80,7 +78,7 @@ func (p *Provider) onPacket(from transport.Addr, payload []byte) {
 		return
 	}
 
-	data, err := p.serialized(movieID)
+	m, err := p.catalog.Get(movieID)
 	if err != nil {
 		p.ctrNotFound.Inc()
 		p.mu.Lock()
@@ -92,6 +90,7 @@ func (p *Provider) onPacket(from transport.Addr, payload []byte) {
 		p.mu.Unlock()
 		return
 	}
+	data := m.File()
 	total := (len(data) + ChunkSize - 1) / ChunkSize
 	if chunk < 0 || chunk >= total {
 		return
@@ -114,23 +113,6 @@ func (p *Provider) onPacket(from transport.Addr, payload []byte) {
 	p.ctrServed.Inc()
 	_ = p.out.Send(from, resp)
 	p.mu.Unlock()
-}
-
-// serialized returns (building and caching on first use) the movie's
-// on-the-wire form.
-func (p *Provider) serialized(movieID string) ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if data, ok := p.serial[movieID]; ok {
-		return data, nil
-	}
-	m, err := p.catalog.Get(movieID)
-	if err != nil {
-		return nil, err
-	}
-	data := m.AppendBinary(nil)
-	p.serial[movieID] = data
-	return data, nil
 }
 
 // Fetcher retrieves movies from providers: requests go out on out (the

@@ -78,7 +78,7 @@ func FuzzProviderOnPacket(f *testing.F) {
 // handler returns without panicking, the transfer's callback runs at most
 // once, and a movie it hands over is one the decoder accepted.
 func FuzzFetcherOnPacket(f *testing.F) {
-	file := mpeg.Generate("m", mpeg.StreamConfig{Duration: time.Second, Seed: 1}).AppendBinary(nil)
+	file := mpeg.Generate("m", mpeg.StreamConfig{Duration: time.Second, Seed: 1}).File()
 	f.Add(chunkResp(1, "m", 0, 1, file))
 	f.Add(chunkResp(1, "m", 0, 1, file[:len(file)/2]))
 	f.Add(chunkResp(1, "m", 0, 2, file))

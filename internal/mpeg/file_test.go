@@ -2,7 +2,9 @@ package mpeg
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -140,41 +142,65 @@ func TestReadFromBoundsFrameCount(t *testing.T) {
 }
 
 // TestParseKeepsNoReference: a fetched file is parsed where the transfer
-// landed it, so the movie must own everything it keeps of the bytes.
+// landed it, so a movie built from it must own everything it keeps of the
+// bytes.
 func TestParseKeepsNoReference(t *testing.T) {
-	orig := Generate("casablanca", StreamConfig{Duration: 2 * time.Second, Seed: 3}).AppendBinary(nil)
+	orig := Generate("casablanca", StreamConfig{Duration: 2 * time.Second, Seed: 3}).File()
 	data := bytes.Clone(orig)
+	forgetTitles()
 	m, err := Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clear(data)
-	if !bytes.Equal(m.AppendBinary(nil), orig) {
+	if !bytes.Equal(m.File(), orig) {
 		t.Fatal("overwriting the parsed bytes changed the movie")
 	}
 }
 
 // FuzzReadFrom drives the movie-file decoder — reachable from the network
 // through fetch (Parse) and from disk through store (ReadFrom) — with
-// arbitrary bytes: no panics, Parse and ReadFrom agree, whatever they
-// accept must serialize back to the same bytes, and every packet of its
-// table must decode to its own frame with a payload of the frame's size.
+// arbitrary bytes: no panics, and ReadFrom on an empty title table agrees
+// with Parse while a title of the seeds' header is held — the same error
+// text, or the same frames, and the held title exactly when the input is its
+// file. Whatever they accept must serialize back to the same bytes, and
+// every packet of its table must decode to its own frame with a payload of
+// the frame's size.
 func FuzzReadFrom(f *testing.F) {
-	good := Generate("m", StreamConfig{Duration: time.Second, Seed: 1}).AppendBinary(nil)
+	cfg := StreamConfig{Duration: time.Second, Seed: 1}
+	good := Generate("m", cfg).File()
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add(good[:len(good)-1])
 	f.Add(hostileHeader("m", 1<<26))
 	f.Add([]byte{})
+	// Near misses of the held title: one record's class or size changed,
+	// within the bounds and past them.
+	rec := len(good) - 3*frameRecordSize
+	for _, r := range []FrameInfo{{wire.FrameP, 700}, {wire.FrameB, 0}, {wire.FrameB, 1<<20 + 1}, {0, 700}, {wire.FrameB + 1, 700}} {
+		near := bytes.Clone(good)
+		near[rec] = byte(r.Class)
+		copy(near[rec+1:], wire.AppendU32(nil, uint32(r.Size)))
+		f.Add(near)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		forgetTitles()
 		m, err := ReadFrom(bytes.NewReader(data))
+		forgetTitles()
+		held := Generate("m", cfg)
 		pm, perr := Parse(data)
-		if (err == nil) != (perr == nil) {
-			t.Fatalf("ReadFrom says %v, Parse says %v", err, perr)
+		if fmt.Sprint(err) != fmt.Sprint(perr) {
+			t.Fatalf("ReadFrom with no title held says %v, Parse with one held says %v", err, perr)
 		}
 		if err != nil {
 			return
+		}
+		if pm.id != m.id || pm.fps != m.fps || pm.total != m.total || !slices.Equal(pm.frames, m.frames) {
+			t.Fatalf("Parse with a title held gave other frames than ReadFrom with none")
+		}
+		if (pm == held) != bytes.Equal(data, held.File()) {
+			t.Fatalf("Parse gave the held title %v, input is its file %v", pm == held, bytes.Equal(data, held.File()))
 		}
 		var re bytes.Buffer
 		if _, err := m.WriteTo(&re); err != nil {
@@ -183,7 +209,7 @@ func FuzzReadFrom(f *testing.F) {
 		if !bytes.Equal(re.Bytes(), data) {
 			t.Fatalf("re-serialized movie differs from its %d-byte input", len(data))
 		}
-		if !bytes.Equal(pm.AppendBinary(nil), data) {
+		if !bytes.Equal(pm.File(), data) {
 			t.Fatalf("parsed movie serializes differently from its %d-byte input", len(data))
 		}
 		tab := m.Packets(testPrefix)

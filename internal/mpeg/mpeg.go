@@ -56,14 +56,18 @@ func (c *StreamConfig) fillDefaults() {
 }
 
 // Movie is an immutable synthetic MPEG stream. Safe for concurrent use.
+// The process holds one Movie per title (see titles): Generate and Parse
+// return the one already held when they would build an equal one.
 type Movie struct {
 	id     string
 	fps    int
 	frames []FrameInfo
-	total  int64 // sum of frame sizes
+	total  int64        // sum of frame sizes
+	gen    StreamConfig // Generate's filled-in config; zero for a parsed title
 
-	pktMu sync.Mutex
-	pkts  map[byte]*PacketTable // lazily built, keyed by channel prefix
+	pktMu sync.Mutex            // guards the lazily built pkts and file
+	pkts  map[byte]*PacketTable // keyed by channel prefix
+	file  []byte
 }
 
 // Generate synthesizes a movie with the given ID and stream parameters.
@@ -72,9 +76,13 @@ type Movie struct {
 // P frames every third slot with B frames between (IBBPBBPBB...). Frame
 // sizes use the usual compression ratios (I ≈ 4x, P ≈ 2x, B ≈ 0.7x the
 // base unit) scaled so the stream hits the configured mean bit rate, with
-// ±10% deterministic per-frame variation.
+// ±10% deterministic per-frame variation. A title is a pure function of id
+// and the filled-in cfg, so a repeat call returns the held Movie.
 func Generate(id string, cfg StreamConfig) *Movie {
 	cfg.fillDefaults()
+	if m := title(func(h *Movie) bool { return h.id == id && h.gen == cfg }, nil); m != nil {
+		return m
+	}
 	n := int(cfg.Duration.Seconds() * float64(cfg.FPS))
 	if n < 1 {
 		n = 1
@@ -100,7 +108,7 @@ func Generate(id string, cfg StreamConfig) *Movie {
 	meanFrame := float64(cfg.BitRate) / 8 / float64(cfg.FPS)
 	unit := meanFrame * float64(cfg.GOPSize) / weightSum
 
-	m := &Movie{id: id, fps: cfg.FPS, frames: make([]FrameInfo, n)}
+	m := &Movie{id: id, fps: cfg.FPS, frames: make([]FrameInfo, n), gen: cfg}
 	for i := 0; i < n; i++ {
 		class := classAt(i%cfg.GOPSize, cfg.GOPSize)
 		jitter := 0.9 + 0.2*rng.Float64()
@@ -111,7 +119,7 @@ func Generate(id string, cfg StreamConfig) *Movie {
 		m.frames[i] = FrameInfo{Class: class, Size: size}
 		m.total += int64(size)
 	}
-	return m
+	return intern(m)
 }
 
 // classAt returns the frame class at GOP position pos (0-based).

@@ -171,6 +171,6 @@ func TestShortMovie(t *testing.T) {
 
 func BenchmarkGenerate90s(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		Generate("m", StreamConfig{Seed: int64(i)})
+		coldTitle(b, "m", StreamConfig{Seed: int64(i)})
 	}
 }

@@ -70,7 +70,7 @@ func TestPacketsMatchEncoder(t *testing.T) {
 // the heap grows by the tape's length, not by an append's doublings — and a
 // second call returns the same table for nothing.
 func TestAllocsPacketsOneTape(t *testing.T) {
-	m := Generate("feature", StreamConfig{Seed: 1})
+	m := coldTitle(t, "feature", StreamConfig{Seed: 1})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	tab := m.Packets(testPrefix)
@@ -96,16 +96,19 @@ func TestAllocsPacketsOneTape(t *testing.T) {
 	}
 }
 
-// TestPacketsTouchOnlyTheirChunk: a copy of a movie read back from its file
-// form (what a cold-restarted server fetches) resumed at frame k sends what
-// the original sends from k on — a payload is a function of the frame table
-// — out of a table of its own: one tape, exactly the original's size.
+// TestPacketsTouchOnlyTheirChunk: a movie read back from its file form by a
+// process that does not hold the title, resumed at frame k, sends what the
+// original sends from k on — a payload is a function of the frame table —
+// out of a table of its own: one tape, exactly the original's size. (A
+// process that holds the title gets the original back:
+// TestParseReturnsHeldTitle.)
 func TestPacketsTouchOnlyTheirChunk(t *testing.T) {
 	orig := Generate("feature", StreamConfig{Seed: 5})
 	var file bytes.Buffer
 	if _, err := orig.WriteTo(&file); err != nil {
 		t.Fatal(err)
 	}
+	forgetTitles()
 	m, err := ReadFrom(&file)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +134,7 @@ func TestPacketsTouchOnlyTheirChunk(t *testing.T) {
 // TestPacketsConcurrent: 8 goroutines asking one fresh Movie for its table
 // get the same one; under -race it checks the build is published safely.
 func TestPacketsConcurrent(t *testing.T) {
-	m := Generate("feature", StreamConfig{Duration: 20 * time.Second, Seed: 3})
+	m := coldTitle(t, "feature", StreamConfig{Duration: 20 * time.Second, Seed: 3})
 	tabs := make([]*PacketTable, 8)
 	var wg sync.WaitGroup
 	for g := range tabs {
@@ -157,7 +160,7 @@ func TestPacketsConcurrent(t *testing.T) {
 // TestPacketsFirstTouchCost pins what opening a long title costs: the whole
 // table, built eagerly, is the headers of its frames plus one frame of tail.
 func TestPacketsFirstTouchCost(t *testing.T) {
-	m := Generate("epic", StreamConfig{Duration: 2 * time.Hour, Seed: 1})
+	m := coldTitle(t, "epic", StreamConfig{Duration: 2 * time.Hour, Seed: 1})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -182,7 +185,7 @@ func BenchmarkPacketsOpen2h(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		m := Generate("epic", StreamConfig{Duration: 2 * time.Hour, Seed: int64(i)})
+		m := coldTitle(b, "epic", StreamConfig{Duration: 2 * time.Hour, Seed: int64(i)})
 		b.StartTimer()
 		m.Packets(testPrefix)
 	}

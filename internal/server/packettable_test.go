@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bytes"
 	"testing"
 	"time"
 	"unsafe"
@@ -80,8 +79,8 @@ func TestStreamingMaterializesWhatItSends(t *testing.T) {
 
 // TestTakeoverOnFetchedCopyStartsAtItsOffset: a server that comes up empty,
 // fetches the title and takes the viewer over twenty seconds in streams
-// from the takeover offset on, out of a table built on its own copy — the
-// same bytes as the rig's Movie's, without sharing its Movie or its table.
+// from the takeover offset on. The fetched file is the title the process
+// already holds, so the copy is the rig's Movie, table and all.
 func TestTakeoverOnFetchedCopyStartsAtItsOffset(t *testing.T) {
 	r := newRig(t, netsim.LAN(), "s1", "s2")
 	r.startServer("s1")
@@ -102,22 +101,13 @@ func TestTakeoverOnFetchedCopyStartsAtItsOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fetched == r.movie {
-		t.Fatal("s2 serves the rig's Movie, not a fetched copy")
+	if fetched != r.movie {
+		t.Fatal("s2 built a second copy of a title the process holds")
 	}
 	// The viewer was ≈600 frames in at the takeover; had s2 started from
 	// frame 0, it would have sent those too.
 	if sent := s2.Stats().FramesSent; sent == 0 || sent > 300 {
 		t.Fatalf("s2 sent %d frames in under 8 s", sent)
 	}
-	own := checkTable(t, "s1", r.movie)
-	tab := checkTable(t, "s2's fetched copy", fetched)
-	if tab == own {
-		t.Fatal("the fetched copy shares the rig's packet table")
-	}
-	for i := 0; i < fetched.TotalFrames(); i++ {
-		if !bytes.Equal(tab.Packet(i), own.Packet(i)) {
-			t.Fatalf("packet %d of the fetched copy differs from the rig's", i)
-		}
-	}
+	checkTable(t, "s2's fetched copy", fetched)
 }

@@ -98,11 +98,14 @@ func TestRecycledWorldMatchesFresh(t *testing.T) {
 // the Runtime, and holds no pointer back, so its finalizer runs exactly when
 // the world is gone. (A client or server cannot carry the finalizer itself:
 // its bound methods point back at it, and the GC never finalizes a cycle.)
+// The world's title outlives it in mpeg's table of held titles, and keeps
+// nothing of it either.
 func TestReleasedWorldKeepsNothing(t *testing.T) {
 	dropSpares()
 	defer dropSpares()
 	nodes := []string{"client-1", "server-1", "net"}
 	var gone [3]atomic.Bool
+	title := mpeg.Generate("feature", mpeg.StreamConfig{Seed: 1})
 	Run(Scenario{
 		Name:     "release",
 		Profile:  netsim.LAN(),
@@ -131,6 +134,9 @@ func TestReleasedWorldKeepsNothing(t *testing.T) {
 		if !gone[i].Load() {
 			t.Errorf("%s's registry outlived its world's release: the spare pair keeps the finished run alive", node)
 		}
+	}
+	if mpeg.Generate("feature", mpeg.StreamConfig{Seed: 1}) != title {
+		t.Error("the world's title is no longer held: the check ran without the holder it is about")
 	}
 }
 

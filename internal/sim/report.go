@@ -96,10 +96,6 @@ func FigureIDs() []string {
 // SetParallelism); the series are identical either way.
 func Figures(seed int64) (map[string]*metrics.Series, map[string][]Annotation) {
 	scenarios := figureRuns(seed)
-	feature := generateFeature(mpeg.StreamConfig{}, seed)
-	for i := range scenarios {
-		scenarios[i].Feature = feature
-	}
 	for _, f := range figures {
 		scenarios[f.run].Record |= f.signal
 	}
@@ -331,12 +327,10 @@ func TableFaultTolerance(seed int64) Table {
 	}
 
 	// Replication k=3: two sequential failures.
-	feature := generateFeature(mpeg.StreamConfig{}, seed)
 	repl := Run(Scenario{
 		Name:    "repl-k3",
 		Profile: netsim.LAN(),
 		Seed:    seed,
-		Feature: feature,
 		Servers: []string{"server-1", "server-2", "server-3"},
 		Events: []Event{
 			{At: 20 * time.Second, Do: func(rt *Runtime) { rt.CrashServing() }},
@@ -354,7 +348,6 @@ func TableFaultTolerance(seed int64) Table {
 		Name:    "repl-k2",
 		Profile: netsim.LAN(),
 		Seed:    seed,
-		Feature: feature,
 		Servers: []string{"server-1", "server-2"},
 		Events: []Event{
 			{At: 20 * time.Second, Do: func(rt *Runtime) { rt.CrashServing() }},
@@ -441,7 +434,6 @@ func TableBufferSweep(seed int64) Table {
 		Header: []string{"buffer (s of video)", "capacity (frames)", "skipped", "late", "stalls"},
 	}
 	scales := []float64{0.25, 0.5, 1.0, 1.5, 2.0}
-	feature := generateFeature(mpeg.StreamConfig{}, seed)
 	t.Rows = fanOut(len(scales), func(i int) []string {
 		scale := scales[i]
 		buf := buffer.Config{
@@ -453,7 +445,6 @@ func TableBufferSweep(seed int64) Table {
 			Name:    fmt.Sprintf("buf-%.1fx", scale),
 			Profile: netsim.LAN(),
 			Seed:    seed,
-			Feature: feature,
 			Servers: []string{"server-1", "server-2"},
 			Buffer:  buf,
 			Flow:    flow,
@@ -507,7 +498,6 @@ func TableEmergencySweep(seed int64) Table {
 	}
 	crashAt := 30 * time.Second
 	qs := []int{0, 6, 12, 24}
-	feature := generateFeature(mpeg.StreamConfig{}, seed)
 	t.Rows = fanOut(len(qs), func(i int) []string {
 		q := qs[i]
 		flow := flowctl.DefaultParams()
@@ -517,7 +507,6 @@ func TableEmergencySweep(seed int64) Table {
 			Name:    fmt.Sprintf("emq-%d", q),
 			Profile: netsim.LAN(),
 			Seed:    seed,
-			Feature: feature,
 			Servers: []string{"server-1", "server-2"},
 			Flow:    flow,
 			Record:  Combined,
@@ -566,14 +555,12 @@ func TableSyncSweep(seed int64) Table {
 		Header: []string{"sync period", "late frames (duplicates)", "skipped", "sync bytes"},
 	}
 	periods := []time.Duration{100 * time.Millisecond, 500 * time.Millisecond, time.Second, 2 * time.Second}
-	feature := generateFeature(mpeg.StreamConfig{}, seed)
 	t.Rows = fanOut(len(periods), func(i int) []string {
 		period := periods[i]
 		res := Run(Scenario{
 			Name:         fmt.Sprintf("sync-%v", period),
 			Profile:      netsim.LAN(),
 			Seed:         seed,
-			Feature:      feature,
 			Servers:      []string{"server-1", "server-2"},
 			SyncInterval: period,
 			Events: []Event{
@@ -629,7 +616,6 @@ func TableQoS(seed int64) Table {
 			"-",
 		}
 	}
-	feature := generateFeature(mpeg.StreamConfig{}, seed)
 	rows := fanOut(len(cases)+1, func(i int) [][]string {
 		if i == len(cases) {
 			res := OverloadTrial(OverloadConfig{Seed: seed})
@@ -640,7 +626,6 @@ func TableQoS(seed int64) Table {
 		}
 		sc := WANScenario(seed)
 		sc.Profile = cases[i].prof
-		sc.Feature = feature
 		res := Run(sc)
 		return [][]string{{
 			cases[i].name,
@@ -700,7 +685,6 @@ func TableDiscard(seed int64) Table {
 		Header: []string{"policy", "overflow discards", "I frames among them"},
 	}
 	policies := []bool{false, true}
-	feature := generateFeature(mpeg.StreamConfig{}, seed)
 	t.Rows = fanOut(len(policies), func(i int) []string {
 		naive := policies[i]
 		// A half-size buffer puts real pressure on the overflow path, so
@@ -711,7 +695,6 @@ func TableDiscard(seed int64) Table {
 			NaiveDiscard:          naive,
 		}
 		sc := LANScenario(seed)
-		sc.Feature = feature
 		sc.Buffer = buf
 		sc.Flow = ParamsForBuffer(buf)
 		res := Run(sc)

@@ -53,10 +53,10 @@ type Scenario struct {
 	// 1.4 Mbps, 30 fps). When Feature is nil, Run overwrites Movie.Seed
 	// with Seed: the scenario seed picks the generated content too.
 	Movie mpeg.StreamConfig
-	// Feature, when set, is the movie to stream, and Movie is ignored. A
-	// caller that runs several scenarios on one seed generates the movie
-	// once and hands it to each, so they share one immutable Movie and the
-	// packet table behind it. Run generates the movie itself when nil.
+	// Feature, when set, is the movie to stream, and Movie is ignored: a
+	// chaos sweep streams one title under every schedule's seed. Run
+	// generates the movie itself when nil; mpeg hands a repeat Generate the
+	// title the process already holds.
 	Feature *mpeg.Movie
 	// Servers are started at time zero. Peers lists the servers that may
 	// join later (AddServer targets in Events); naming a started one again
@@ -372,19 +372,13 @@ func (sc *Scenario) fillDefaults() {
 	}
 }
 
-// generateFeature synthesizes the movie a scenario with these stream
-// parameters and seed streams.
-func generateFeature(cfg mpeg.StreamConfig, seed int64) *mpeg.Movie {
-	cfg.Seed = seed
-	return mpeg.Generate("feature", cfg)
-}
-
 // Run executes the scenario and returns its result.
 func Run(sc Scenario) *Result {
 	sc.fillDefaults()
 	movie := sc.Feature
 	if movie == nil {
-		movie = generateFeature(sc.Movie, sc.Seed)
+		sc.Movie.Seed = sc.Seed
+		movie = mpeg.Generate("feature", sc.Movie)
 	}
 	if sc.Duration <= 0 {
 		sc.Duration = movie.Duration()
