@@ -34,14 +34,6 @@ import (
 	"repro/internal/transport"
 )
 
-type udpNetwork struct {
-	reg *obs.Registry
-}
-
-func (n udpNetwork) NewEndpoint(addr transport.Addr) (transport.Endpoint, error) {
-	return transport.ListenUDP(string(addr), addr, n.reg)
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "vod-client:", err)
@@ -75,7 +67,7 @@ func run(args []string) error {
 	c, err := client.New(client.Config{
 		ID:      *listen,
 		Clock:   clock.Real{},
-		Network: udpNetwork{reg: reg},
+		Network: transport.UDPNetwork{Obs: reg},
 		Servers: serverList,
 		Obs:     reg,
 	})

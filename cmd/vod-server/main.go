@@ -31,14 +31,6 @@ import (
 	"repro/internal/transport"
 )
 
-type udpNetwork struct {
-	reg *obs.Registry
-}
-
-func (n udpNetwork) NewEndpoint(addr transport.Addr) (transport.Endpoint, error) {
-	return transport.ListenUDP(string(addr), addr, n.reg)
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "vod-server:", err)
@@ -96,7 +88,7 @@ func run(args []string) error {
 	reg := obs.NewRegistry(*listen, nil)
 	dep, err := core.Deploy(core.DeployOptions{
 		Clock:      clock.Real{},
-		Network:    udpNetwork{reg: reg},
+		Network:    transport.UDPNetwork{Obs: reg},
 		Servers:    []string{*listen},
 		ExtraPeers: peerList,
 		Movies:     titles,

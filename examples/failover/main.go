@@ -67,8 +67,7 @@ func main() {
 	fmt.Println()
 	fmt.Printf("displayed across the failure window: %d frames\n", after.Displayed-before.Displayed)
 	fmt.Printf("frames skipped:                      %d\n", after.Skipped()-before.Skipped())
-	fmt.Printf("duplicate (late) frames:             %d  (the new server conservatively\n", after.Late-before.Late)
-	fmt.Println("                                         re-sent the ≤0.5s sync gap)")
+	fmt.Printf("duplicate (late) frames:             %d\n", after.Late-before.Late)
 	fmt.Printf("display stalls:                      %d\n", after.Stalls-before.Stalls)
 	fmt.Println("\nthe transition is invisible to a human observer (paper §6.1).")
 }

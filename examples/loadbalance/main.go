@@ -9,7 +9,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 	"time"
 
 	"repro/internal/clock"
@@ -51,18 +50,9 @@ func main() {
 	clk.Advance(10 * time.Second)
 
 	printLoad := func(when string) {
-		load := map[string]int{}
-		for _, id := range deployment.ServerIDs() {
-			load[id] = len(deployment.Server(id).ActiveSessions())
-		}
-		keys := make([]string, 0, len(load))
-		for k := range load {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		fmt.Printf("%-28s", when)
-		for _, k := range keys {
-			fmt.Printf("  %s: %d clients", k, load[k])
+		for _, id := range deployment.ServerIDs() { // sorted
+			fmt.Printf("  %s: %d clients", id, len(deployment.Server(id).ActiveSessions()))
 		}
 		fmt.Println()
 	}

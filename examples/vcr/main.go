@@ -79,12 +79,14 @@ func main() {
 	serving := deployment.ServingServer("viewer-1")
 	thinned := deployment.Server(serving).Stats().FramesThinned
 	status("t=30s  at 10 fps quality:")
-	fmt.Printf("%-34s server thinned %d frames, every I frame still delivered\n", "", thinned)
+	fmt.Printf("%-34s server thinned %d frames\n", "", thinned)
 
 	if err := viewer.StopWatching(); err != nil {
 		log.Fatal(err)
 	}
 	clk.Advance(2 * time.Second)
-	fmt.Printf("\nsession closed; servers now serve %q\n",
-		deployment.ServingServer("viewer-1"))
+	if serving = deployment.ServingServer("viewer-1"); serving == "" {
+		serving = "no server"
+	}
+	fmt.Printf("\nsession closed; %s serves viewer-1\n", serving)
 }

@@ -217,58 +217,6 @@ func TestResolveBackoffSpreads(t *testing.T) {
 	}
 }
 
-// TestEndToEndDiscovery wires the whole service through the directory: the
-// client is configured with NO server list and finds the service purely by
-// resolving "vod.servers".
-func TestEndToEndDiscovery(t *testing.T) {
-	r := newRig(t)
-	movie := mpeg.Generate("feature", mpeg.StreamConfig{Duration: 20 * time.Second, Seed: 1})
-	for _, id := range []string{"srv-a", "srv-b"} {
-		cat := store.NewCatalog()
-		cat.Add(movie)
-		s, err := server.New(server.Config{
-			ID:        id,
-			Clock:     r.clk,
-			Network:   r.net,
-			Catalog:   cat,
-			Peers:     []string{"srv-a", "srv-b"},
-			Directory: "directory",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer s.Stop()
-	}
-	r.clk.Advance(time.Second)
-	if got := r.dir.Members(server.ServerGroup); len(got) != 2 {
-		t.Fatalf("directory knows %v, want both servers", got)
-	}
-
-	c, err := client.New(client.Config{
-		ID:        "viewer-1",
-		Clock:     r.clk,
-		Network:   r.net,
-		Directory: "directory", // no Servers at all
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Watch("feature"); err != nil {
-		t.Fatal(err)
-	}
-	r.clk.Advance(8 * time.Second)
-	if got := c.State(); got != client.StateWatching {
-		t.Fatalf("state = %v; directory-based discovery failed", got)
-	}
-	if got := c.Counters().Displayed; got < 180 {
-		t.Fatalf("displayed %d frames", got)
-	}
-}
-
 // TestDiscoveryBeforeServersStart: a client that asks while the directory
 // is still empty keeps re-resolving and connects once a server appears.
 func TestDiscoveryBeforeServersStart(t *testing.T) {

@@ -38,16 +38,11 @@ type (
 	ClientConfig = client.Config
 	// Movie is a synthetic MPEG stream.
 	Movie = mpeg.Movie
-	// FlowParams are the flow-control tunables.
-	FlowParams = flowctl.Params
 )
 
 // NewClient creates a VoD client (call Watch on it). Start from
 // Deployment.ClientConfig to get one wired to a deployment.
 func NewClient(cfg ClientConfig) (*Client, error) { return client.New(cfg) }
-
-// DefaultFlowParams returns the paper's prototype flow-control parameters.
-func DefaultFlowParams() FlowParams { return flowctl.DefaultParams() }
 
 // GenerateMovie synthesizes a test movie with the paper's stream
 // parameters (1.4 Mbps, 30 fps) and the given duration.
@@ -81,7 +76,7 @@ type DeployOptions struct {
 	// register there and clients resolve the service through it.
 	Directory string
 	// Flow overrides the flow-control parameters (paper defaults if zero).
-	Flow FlowParams
+	Flow flowctl.Params
 	// SyncInterval overrides the state-sync period (default 500ms).
 	SyncInterval time.Duration
 	// MaxSessions, when positive, is every server's admission limit.

@@ -4,14 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/transport"
 )
 
-func deployRig(t *testing.T) (*clock.Virtual, *netsim.Network, *core.Deployment) {
+func deployRig(t *testing.T) (*clock.Virtual, *core.Deployment) {
 	t.Helper()
 	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	net := netsim.New(clk, 5, netsim.LAN())
@@ -30,71 +28,11 @@ func deployRig(t *testing.T) (*clock.Virtual, *netsim.Network, *core.Deployment)
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Stop)
-	return clk, net, d
-}
-
-func TestDeployAndWatch(t *testing.T) {
-	clk, _, d := deployRig(t)
-	clk.Advance(2 * time.Second)
-
-	if got := len(d.ServerIDs()); got != 2 {
-		t.Fatalf("deployed %d servers, want 2", got)
-	}
-	for movie, holders := range d.Placement {
-		if len(holders) != 2 {
-			t.Fatalf("movie %s placed on %d servers, want 2", movie, len(holders))
-		}
-	}
-
-	c, err := d.NewClient("viewer-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Watch("movie-1"); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(10 * time.Second)
-	if c.State() != client.StateWatching {
-		t.Fatalf("client state = %v", c.State())
-	}
-	if got := c.Counters().Displayed; got < 250 {
-		t.Fatalf("displayed %d frames", got)
-	}
-	if s := d.ServingServer("viewer-1"); s == "" {
-		t.Fatal("no serving server reported")
-	}
-}
-
-func TestDeployFailoverViaStopServer(t *testing.T) {
-	clk, net, d := deployRig(t)
-	clk.Advance(2 * time.Second)
-	c, err := d.NewClient("viewer-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Watch("movie-1"); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(8 * time.Second)
-
-	victim := d.ServingServer("viewer-1")
-	if victim == "" {
-		t.Fatal("nobody serving")
-	}
-	d.StopServer(victim)
-	net.Crash(transport.Addr(victim))
-	clk.Advance(8 * time.Second)
-
-	survivor := d.ServingServer("viewer-1")
-	if survivor == "" || survivor == victim {
-		t.Fatalf("serving server after failover = %q", survivor)
-	}
+	return clk, d
 }
 
 func TestDeployAddServer(t *testing.T) {
-	clk, _, d := deployRig(t)
+	clk, d := deployRig(t)
 	clk.Advance(2 * time.Second)
 	c, err := d.NewClient("viewer-1")
 	if err != nil {

@@ -257,7 +257,10 @@ func TestDeploymentOrderIsDeterministic(t *testing.T) {
 // TestAddServerLeavesHandedOutContactsAlone: clients alias the contact
 // list, so growing it must build a new one.
 func TestAddServerLeavesHandedOutContactsAlone(t *testing.T) {
-	clk, _, d := deployRig(t) // srv-a, srv-b started; srv-c a known extra
+	clk, d := deployRig(t) // srv-a, srv-b started; srv-c a known extra
+	if got := d.ServerIDs(); !slices.Equal(got, []string{"srv-a", "srv-b"}) {
+		t.Fatalf("deployed %v, want srv-a and srv-b (an extra peer is not started)", got)
+	}
 	before := d.ClientConfig("early").Servers
 	snapshot := slices.Clone(before)
 	if err := d.AddServer("srv-0"); err != nil { // sorts before everything handed out

@@ -11,12 +11,6 @@ import (
 	"repro/internal/transport"
 )
 
-type udpNetwork struct{}
-
-func (udpNetwork) NewEndpoint(addr transport.Addr) (transport.Endpoint, error) {
-	return transport.ListenUDP(string(addr), addr)
-}
-
 // TestRealClockHandlersAndStop runs two servers and four viewers on loopback
 // UDP and the real clock, where every inbound handler does its work on the
 // goroutine gcs delivers on: Opens on the server group, the state sync on the
@@ -30,7 +24,7 @@ func TestRealClockHandlersAndStop(t *testing.T) {
 	servers := []string{"127.0.0.1:19821", "127.0.0.1:19822"}
 	d, err := core.Deploy(core.DeployOptions{
 		Clock:        clock.Real{},
-		Network:      udpNetwork{},
+		Network:      transport.UDPNetwork{},
 		Servers:      servers,
 		Movies:       []*core.Movie{core.GenerateMovie("short", 20*time.Second, 1)},
 		SyncInterval: 50 * time.Millisecond,

@@ -87,6 +87,15 @@ func TestUDPAdvertiseOverride(t *testing.T) {
 	}
 }
 
+// TestUDPNetworkBindFailure: a failed bind yields a nil Endpoint, not a
+// typed nil a caller's `ep != nil` would take for a socket.
+func TestUDPNetworkBindFailure(t *testing.T) {
+	ep, err := transport.UDPNetwork{}.NewEndpoint("no-port")
+	if err == nil || ep != nil {
+		t.Fatalf("NewEndpoint(%q) = %v, %v; want nil and an error", "no-port", ep, err)
+	}
+}
+
 func newSimPair(t *testing.T) (transport.Endpoint, transport.Endpoint, *clock.Virtual) {
 	t.Helper()
 	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))

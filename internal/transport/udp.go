@@ -107,6 +107,22 @@ func ListenUDP(bind string, advertise Addr, reg ...*obs.Registry) (*UDPEndpoint,
 	return ep, nil
 }
 
+// UDPNetwork is the Network of real UDP sockets used by the cmd/ binaries
+// and examples/udplan: each endpoint binds the host:port its Addr names.
+// Obs, when set, receives every endpoint's transport.* counters.
+type UDPNetwork struct {
+	Obs *obs.Registry
+}
+
+// NewEndpoint implements Network.
+func (n UDPNetwork) NewEndpoint(addr Addr) (Endpoint, error) {
+	ep, err := ListenUDP(string(addr), addr, n.Obs)
+	if err != nil {
+		return nil, err // not a typed nil inside the interface
+	}
+	return ep, nil
+}
+
 // Addr implements Endpoint.
 func (e *UDPEndpoint) Addr() Addr { return e.addr }
 
