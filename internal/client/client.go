@@ -202,7 +202,7 @@ type Client struct {
 	pipeline    *buffer.Pipeline
 	policy      *flowctl.Policy
 	session     *gcs.Member
-	displayTask *clock.Periodic
+	displayTask clock.Periodic
 	openTimer   clock.Timer
 	serverIdx   int
 	paused      bool
@@ -218,7 +218,7 @@ type Client struct {
 	openAttempt int  // timer-driven retries since the last reply
 	refusals    int  // consecutive refused Opens in this open cycle
 	reopening   bool // a starvation re-anycast is in flight
-	starveTask  *clock.Periodic
+	starveTask  clock.Periodic
 	lastShown   uint64    // Displayed count at the last progress check
 	lastMoved   time.Time // when playback last made progress
 
@@ -665,14 +665,12 @@ func (c *Client) onDirect(from gcs.ProcessID, payload []byte) {
 		c.ensureKeeperLocked(reply.LeaseTTLMs)
 	}
 	period := time.Second / time.Duration(c.fps)
-	c.displayTask = clock.Every(c.cfg.Clock, period, c.displayTick)
+	c.displayTask.Start(c.cfg.Clock, period, period, c.displayTick)
 	// Arm the starvation watchdog: if playback stops progressing for
 	// starveTimeout the session is presumed dead and reopened.
 	c.lastShown = 0
 	c.lastMoved = c.cfg.Clock.Now()
-	if c.starveTask == nil {
-		c.starveTask = clock.Every(c.cfg.Clock, starveTimeout/4, c.starveTick)
-	}
+	c.starveTask.Start(c.cfg.Clock, starveTimeout/4, starveTimeout/4, c.starveTick)
 	c.mu.Unlock()
 }
 
@@ -881,13 +879,8 @@ func (c *Client) displayTick() {
 	if c.totalFrames > 0 && c.pipeline.NextIndex() >= c.totalFrames &&
 		c.pipeline.Occupancy().CombinedFrames == 0 {
 		c.state = StateFinished
-		if c.displayTask != nil {
-			c.displayTask.Stop()
-		}
-		if c.starveTask != nil {
-			c.starveTask.Stop()
-			c.starveTask = nil
-		}
+		c.displayTask.Stop()
+		c.starveTask.Stop()
 		c.mu.Unlock()
 		return
 	}
@@ -984,7 +977,7 @@ func (c *Client) SetQuality(fps uint16) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.displayTask != nil && c.fps > 0 {
+	if c.fps > 0 {
 		rate := int(fps)
 		if rate <= 0 || rate > c.fps {
 			rate = c.fps
@@ -999,13 +992,8 @@ func (c *Client) StopWatching() error {
 	err := c.sendVCR(wire.VCRStop, 0)
 	c.mu.Lock()
 	c.state = StateStopped
-	if c.displayTask != nil {
-		c.displayTask.Stop()
-	}
-	if c.starveTask != nil {
-		c.starveTask.Stop()
-		c.starveTask = nil
-	}
+	c.displayTask.Stop()
+	c.starveTask.Stop()
 	session := c.session
 	c.session = nil
 	keeper := c.keeper
@@ -1027,13 +1015,8 @@ func (c *Client) Close() {
 	if c.state == StateWatching {
 		c.state = StateStopped
 	}
-	if c.displayTask != nil {
-		c.displayTask.Stop()
-	}
-	if c.starveTask != nil {
-		c.starveTask.Stop()
-		c.starveTask = nil
-	}
+	c.displayTask.Stop()
+	c.starveTask.Stop()
 	if c.openTimer != nil {
 		c.openTimer.Stop()
 	}

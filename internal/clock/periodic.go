@@ -2,7 +2,6 @@ package clock
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -10,6 +9,10 @@ import (
 // building block for heartbeats, state-sync broadcasts and frame pacing.
 // Unlike time.Ticker it is implemented with AfterFunc re-arming, so it works
 // identically on Real and Virtual clocks.
+//
+// A Periodic is a value its owner embeds: the zero value is a stopped beat,
+// and Start and Stop may alternate for the owner's whole life, allocating
+// only at the first Start.
 //
 // The beat holds its phase: a tick is due one period after the previous one
 // was due, not after it got to run, so timer latency does not add up and two
@@ -20,66 +23,74 @@ import (
 //
 // Each tick re-arms the timer that just fired through Rearm, so on a clock
 // that is a Rearmer a long-lived heartbeat owns one timer record forever. mu
-// orders that re-arm against Stop: a tick re-arms only after seeing stopped
-// false under mu, and Stop sets stopped before it takes mu to cancel, so
-// whichever gets mu second sees the other's work and a stopped timer is never
-// re-armed. Stop cancels the pending timer instead of releasing its record —
-// a released record could be reissued to an unrelated caller while a
-// straggling tick still holds the handle, and the re-arm would then hijack
-// the new owner's event.
+// orders that re-arm against Stop and Start: a tick takes mu first, re-arms
+// only while the beat runs, and re-arms the value's current timer, never a
+// handle of its own. A Stop that finds the timer already fired (Timer.Stop
+// reports false) counts the dispatched tick in stale, and a tick that finds
+// stale non-zero drops itself. So a straggler racing a Stop and a Start
+// leaves one chain and calls no fn, and Start may release the old record.
 type Periodic struct {
+	mu      sync.Mutex
 	c       Clock
-	period  atomic.Int64
 	fn      func()
-	tickFn  func() // p.tick, bound once: a method value allocates per use
-	stopped atomic.Bool
-
-	mu    sync.Mutex // guards timer and next: re-armed by tick, cancelled by Stop
-	timer Timer
-	next  time.Time // when the pending tick is due
+	tickFn  func() // p.tick, bound once per value: a method value allocates per use
+	period  time.Duration
+	timer   Timer
+	next    time.Time // when the pending tick is due
+	running bool
+	stale   int // dispatched ticks of a stopped chain, still to be dropped
 }
 
 // Every schedules fn to run every period on c, starting one period from
-// now. It panics if period is not positive; a zero-period heartbeat would
-// wedge a Virtual clock in an infinite event cascade.
+// now: a new Periodic, started. It panics if period is not positive.
 func Every(c Clock, period time.Duration, fn func()) *Periodic {
-	return EveryAfter(c, period, period, fn)
-}
-
-// EveryAfter is Every whose first run comes after first rather than after
-// one period, for a task that takes up a beat already under way. Both
-// durations must be positive.
-func EveryAfter(c Clock, first, period time.Duration, fn func()) *Periodic {
-	if first <= 0 || period <= 0 {
-		panic("clock: Every requires a positive period")
-	}
-	p := &Periodic{c: c, fn: fn}
-	p.period.Store(int64(period))
-	p.tickFn = p.tick
-	p.mu.Lock()
-	p.next = c.Now().Add(first)
-	p.timer = c.AfterFunc(first, p.tickFn)
-	p.mu.Unlock()
+	p := new(Periodic)
+	p.Start(c, period, period, fn)
 	return p
 }
 
-func (p *Periodic) tick() {
-	if p.stopped.Load() {
-		return
+// Start arms a zero or stopped beat on c: fn runs first after first, then
+// every period, from one AfterFunc as a new Periodic would. It panics on a
+// running beat and on a non-positive duration (which would wedge a Virtual
+// clock). A beat running when its Virtual clock was Reset must not be
+// restarted: its Stop counts a stale tick that never comes.
+func (p *Periodic) Start(c Clock, first, period time.Duration, fn func()) {
+	if first <= 0 || period <= 0 {
+		panic("clock: Periodic requires a positive period")
 	}
 	p.mu.Lock()
-	if !p.stopped.Load() {
-		period := time.Duration(p.period.Load())
-		now := p.c.Now()
-		p.next = p.next.Add(period)
-		d := p.next.Sub(now)
-		if d <= 0 { // a whole period late: slip the beat
-			p.next, d = now.Add(period), period
-		}
-		p.timer = Rearm(p.c, p.timer, d, p.tickFn)
+	defer p.mu.Unlock()
+	if p.running {
+		panic("clock: Start on a running Periodic")
 	}
+	if p.tickFn == nil {
+		p.tickFn = p.tick
+	}
+	if p.timer != nil {
+		Release(p.timer)
+	}
+	p.c, p.fn, p.period, p.running = c, fn, period, true
+	p.next = c.Now().Add(first)
+	p.timer = c.AfterFunc(first, p.tickFn)
+}
+
+func (p *Periodic) tick() {
+	p.mu.Lock()
+	if p.stale > 0 || !p.running {
+		p.stale = max(p.stale-1, 0)
+		p.mu.Unlock()
+		return
+	}
+	now := p.c.Now()
+	p.next = p.next.Add(p.period)
+	d := p.next.Sub(now)
+	if d <= 0 { // a whole period late: slip the beat
+		p.next, d = now.Add(p.period), p.period
+	}
+	p.timer = Rearm(p.c, p.timer, d, p.tickFn)
+	fn := p.fn
 	p.mu.Unlock()
-	p.fn()
+	fn()
 }
 
 // SetPeriod changes the interval used when the task next re-arms. It does
@@ -88,25 +99,26 @@ func (p *Periodic) SetPeriod(d time.Duration) {
 	if d <= 0 {
 		panic("clock: SetPeriod requires a positive period")
 	}
-	p.period.Store(int64(d))
+	p.mu.Lock()
+	p.period = d
+	p.mu.Unlock()
 }
 
 // Stop cancels the task: the pending timer is stopped and no further tick
-// is ever dispatched. A tick whose timer has already fired may still be
-// between re-arming and invoking fn when Stop is called — tick never holds
-// a lock across fn so that fn may itself call Stop (display loops stop
-// their own task from inside the tick) — so on any clock at most one
-// invocation of fn can still complete after Stop returns. Callers needing a
-// hard cut must make fn check its own stop condition, as every fn in this
-// repository does by re-checking state under its subsystem lock.
+// is ever dispatched. A tick that had already taken its re-arm when Stop was
+// called may still be about to invoke fn — tick never holds a lock across fn
+// so that fn may itself call Stop (display loops stop their own task from
+// inside the tick) — so on any clock at most one invocation of fn can still
+// complete after Stop returns. Callers needing a hard cut must make fn check
+// its own stop condition, as every fn in this repository does by re-checking
+// state under its subsystem lock. Stopping a stopped beat does nothing.
 func (p *Periodic) Stop() {
-	if p.stopped.Swap(true) {
-		return
-	}
 	p.mu.Lock()
-	if p.timer != nil {
-		// Cancel but keep the record: see the type comment.
-		p.timer.Stop()
+	if p.running {
+		p.running = false
+		if !p.timer.Stop() {
+			p.stale++
+		}
 	}
 	p.mu.Unlock()
 }

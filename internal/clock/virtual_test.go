@@ -2,7 +2,6 @@ package clock
 
 import (
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -259,20 +258,6 @@ func TestPeriodicSetPeriod(t *testing.T) {
 		if ticks[i] != want[i] {
 			t.Fatalf("ticks %v, want %v", ticks, want)
 		}
-	}
-}
-
-func TestEveryAfterFirstTick(t *testing.T) {
-	c := NewVirtual(testEpoch)
-	var ticks []time.Duration
-	p := EveryAfter(c, 30*time.Millisecond, 100*time.Millisecond, func() {
-		ticks = append(ticks, c.Now().Sub(testEpoch))
-	})
-	defer p.Stop()
-	c.Advance(300 * time.Millisecond)
-	want := []time.Duration{30 * time.Millisecond, 130 * time.Millisecond, 230 * time.Millisecond}
-	if !slices.Equal(ticks, want) {
-		t.Fatalf("ticks %v, want %v", ticks, want)
 	}
 }
 

@@ -52,7 +52,7 @@ type Directory struct {
 	mu      sync.Mutex
 	entries map[string]map[transport.Addr]time.Time // group → addr → expiry
 	rings   map[string]*ringCache                   // group → placement ring over live members
-	sweep   *clock.Periodic
+	sweep   clock.Periodic
 	closed  bool
 }
 
@@ -81,7 +81,7 @@ func NewDirectory(clk clock.Clock, network transport.Network, addr transport.Add
 		rings:   make(map[string]*ringCache),
 	}
 	d.ep.SetHandler(d.onPacket)
-	d.sweep = clock.Every(clk, time.Second, d.expire)
+	d.sweep.Start(clk, time.Second, time.Second, d.expire)
 	return d, nil
 }
 
@@ -239,7 +239,7 @@ func (d *Directory) reply(to transport.Addr, group string, nonce uint64, addrs [
 // Registrar keeps one (group, addr) registration alive at a directory,
 // refreshing at TTL/3 — the keepalive side of CONGRESS.
 type Registrar struct {
-	task *clock.Periodic
+	task clock.Periodic
 }
 
 // NewRegistrar starts refreshing immediately. ep is the registrant's own
@@ -258,7 +258,9 @@ func NewRegistrar(clk clock.Clock, ep transport.Endpoint, directory transport.Ad
 		_ = ep.Send(directory, pkt)
 	}
 	send()
-	return &Registrar{task: clock.Every(clk, ttl/3, send)}
+	r := &Registrar{}
+	r.task.Start(clk, ttl/3, ttl/3, send)
+	return r
 }
 
 // Stop ceases refreshing; the registration expires at the directory.

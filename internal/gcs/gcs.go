@@ -183,12 +183,12 @@ type Process struct {
 	// phase nor the parity of its duties. Each duty — the failure-detector
 	// heartbeat plus every membership's ack, retransmit and presence gossip
 	// — runs when tickCount is divisible by its divisor, so a server in 50
-	// groups holds one timer, not 151. ticker and tickCount are guarded by
-	// p.mu; tickScratch is a snapshot consumed outside the lock (member
-	// ticks relock p.mu themselves), distinct from mScratch, whose contract
-	// ends when the lock is released.
+	// groups holds one timer, not 151. tickCount is guarded by p.mu, the
+	// ticker by its own lock; tickScratch is a snapshot consumed outside the
+	// lock (member ticks relock p.mu themselves), distinct from mScratch,
+	// whose contract ends when the lock is released.
 	born        time.Time // NewProcess's instant: beat zero
-	ticker      *clock.Periodic
+	ticker      clock.Periodic
 	tickCount   uint64
 	tickScratch []*Member
 }
@@ -358,7 +358,7 @@ func (p *Process) Join(group string, h Handlers, contacts ...ProcessID) (*Member
 		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: group %q", ErrAlreadyJoined, group)
 	}
-	if p.ticker == nil {
+	if p.members == nil {
 		// First membership: now there are peers to watch. The ticker takes
 		// up the beat at the count it would have reached by now. Armed under
 		// p.mu, so Close either sees the ticker or has already failed this
@@ -367,7 +367,7 @@ func (p *Process) Join(group string, h Handlers, contacts ...ProcessID) (*Member
 		p.fd.start()
 		age := p.cfg.Clock.Now().Sub(p.born)
 		p.tickCount = uint64(age / tickBase)
-		p.ticker = clock.EveryAfter(p.cfg.Clock, tickBase-age%tickBase, tickBase, p.tick)
+		p.ticker.Start(p.cfg.Clock, tickBase-age%tickBase, tickBase, p.tick)
 	}
 	m := newMember(p, group, h, contacts)
 	p.members[group] = m
@@ -431,11 +431,8 @@ func (p *Process) Close() {
 	for _, m := range p.membersOrderedLocked() {
 		m.deactivateLocked()
 	}
-	ticker := p.ticker
 	p.mu.Unlock()
-	if ticker != nil {
-		ticker.Stop()
-	}
+	p.ticker.Stop()
 	p.cfg.Endpoint.SetHandler(nil)
 }
 

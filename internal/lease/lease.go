@@ -119,7 +119,7 @@ type Table struct {
 
 	mu      sync.Mutex
 	entries map[string]time.Time // ID → expiry
-	sweep   *clock.Periodic
+	sweep   clock.Periodic
 	expired []string // sweep scratch
 	renews  uint64
 }
@@ -136,7 +136,7 @@ func NewTable(clk clock.Clock, ttl time.Duration, onExpire func(id string)) *Tab
 		onExpire: onExpire,
 		entries:  make(map[string]time.Time),
 	}
-	t.sweep = clock.Every(clk, ttl/4, t.sweepTick)
+	t.sweep.Start(clk, ttl/4, ttl/4, t.sweepTick)
 	return t
 }
 
@@ -212,7 +212,8 @@ type Keeper struct {
 	onLost func()
 
 	mu      sync.Mutex
-	task    *clock.Periodic
+	task    clock.Periodic
+	stopped bool
 	ttl     time.Duration
 	seq     uint64
 	acked   uint64
@@ -227,14 +228,14 @@ func NewKeeper(clk clock.Clock, ttl time.Duration, send func(seq uint64), onLost
 		ttl = DefaultTTL
 	}
 	k := &Keeper{clk: clk, send: send, onLost: onLost, ttl: ttl, lastAck: clk.Now()}
-	k.task = clock.Every(clk, ttl/3, k.tick)
+	k.task.Start(clk, ttl/3, ttl/3, k.tick)
 	return k
 }
 
 func (k *Keeper) tick() {
 	now := k.clk.Now()
 	k.mu.Lock()
-	if k.task == nil {
+	if k.stopped {
 		k.mu.Unlock()
 		return
 	}
@@ -286,10 +287,7 @@ func (k *Keeper) Seq() (sent, acked uint64) {
 // Stop halts renewals.
 func (k *Keeper) Stop() {
 	k.mu.Lock()
-	task := k.task
-	k.task = nil
+	k.stopped = true
 	k.mu.Unlock()
-	if task != nil {
-		task.Stop()
-	}
+	k.task.Stop()
 }

@@ -36,7 +36,7 @@ type movieState struct {
 	newcomers     map[gcs.ProcessID]bool
 	exchangeTimer clock.Timer
 
-	syncTask *clock.Periodic
+	syncTask clock.Periodic
 
 	// recScratch and syncState are the state message's reusable record
 	// snapshot and message scratch, guarded by srv.mu: the half-second sync

@@ -246,8 +246,6 @@ type Server struct {
 	fetcher     *fetch.Fetcher
 	stats       Stats
 	ctr         serverCounters
-	// classes counts live sessions per traffic class (index by classIdx).
-	classes [2]int
 
 	// leases tracks the liveness of leased clients. Created lazily on the
 	// first leased admission: its sweep Periodic would otherwise perturb
@@ -282,8 +280,10 @@ type Server struct {
 
 	// stripes holds the coalesced pacing tickers of the leased tier, one
 	// per (movie, send period, phase slot) with at least one attached
-	// session. Guarded by mu; nil until the first attach.
-	stripes map[stripeKey]*stripe
+	// session, plus the parked ones, parkedStripes of them per movie.
+	// Guarded by mu; both nil until the first attach.
+	stripes       map[stripeKey]*stripe
+	parkedStripes map[string]int
 
 	// The stripe beat's batch: a stripe walk appends each frame it sends
 	// here, and flushes the whole batch in one network call after the walk. The slices keep their
@@ -291,14 +291,6 @@ type Server struct {
 	// allocating. Guarded by mu.
 	txDsts []transport.Dest
 	txPkts [][]byte
-}
-
-// classIdx maps a traffic class to its index in per-class arrays.
-func classIdx(c wire.Class) int {
-	if c == wire.ClassBestEffort {
-		return 1
-	}
-	return 0
 }
 
 // serverCounters mirrors Stats into the observability registry so the
@@ -515,7 +507,7 @@ func (s *Server) serveMovie(movieID string, contacts []gcs.ProcessID) error {
 	}
 	s.mu.Lock()
 	ms.member = member
-	ms.syncTask = clock.Every(s.cfg.Clock, s.cfg.SyncInterval, func() { ms.syncTick() })
+	ms.syncTask.Start(s.cfg.Clock, s.cfg.SyncInterval, s.cfg.SyncInterval, ms.syncTick)
 	s.movies[movieID] = ms
 	s.mu.Unlock()
 	return nil
@@ -556,7 +548,6 @@ func (s *Server) Stop() {
 		s.sessions[id].stopLocked()
 	}
 	s.sessions = make(map[string]*session)
-	s.classes = [2]int{}
 	// Stripe tickers stop in sorted key order for the same free-list
 	// determinism reason the sessions above stop in client-ID order.
 	if len(s.stripes) > 0 {
@@ -570,12 +561,10 @@ func (s *Server) Stop() {
 		for _, k := range keys {
 			s.stripes[k].task.Stop()
 		}
-		s.stripes = nil
+		s.stripes, s.parkedStripes = nil, nil
 	}
 	for _, ms := range s.movies {
-		if ms.syncTask != nil {
-			ms.syncTask.Stop()
-		}
+		ms.syncTask.Stop()
 	}
 	if s.leases != nil {
 		s.leases.Close()
@@ -594,13 +583,6 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-// ClassSessions returns the live session count per traffic class.
-func (s *Server) ClassSessions() (reserved, bestEffort int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.classes[0], s.classes[1]
 }
 
 // degradeFPSLocked returns the quality cap to impose on best-effort streams
@@ -627,7 +609,6 @@ func (s *Server) dropSessionLocked(sess *session) {
 	if sess.rec.Leased && s.leases != nil {
 		s.leases.Drop(sess.rec.ClientID)
 	}
-	s.classes[classIdx(sess.rec.Class)]--
 	s.noteSessionsLocked()
 }
 

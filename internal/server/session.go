@@ -62,7 +62,7 @@ type session struct {
 	sendOneFn func() // sess.sendOne, bound once: the pacing timer re-arms every frame
 	joinFn    func() // join closure, reused by retries
 	joinTimer clock.Timer
-	decayTask *clock.Periodic
+	decayTask clock.Periodic
 	joinTries int
 
 	// group and the two handler closures are built once in startSessionLocked
@@ -99,10 +99,9 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 	sess.rate.SetBase(int(rec.Rate))
 	sess.sendOneFn = sess.sendOne
 	s.sessions[rec.ClientID] = sess
-	s.classes[classIdx(rec.Class)]++
 	s.noteSessionsLocked()
 	clientID := rec.ClientID
-	sess.decayTask = clock.Every(s.cfg.Clock, time.Second, func() {
+	sess.decayTask.Start(s.cfg.Clock, time.Second, time.Second, func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if d := s.sessions[clientID]; d != nil && !d.closed && d.gen == gen {
@@ -372,9 +371,7 @@ func (sess *session) stopLocked() {
 		clock.Release(sess.joinTimer)
 		sess.joinTimer = nil
 	}
-	if sess.decayTask != nil {
-		sess.decayTask.Stop()
-	}
+	sess.decayTask.Stop()
 	if m := sess.member; m != nil {
 		sess.srv.later(func() { _ = m.Leave() })
 	}

@@ -15,10 +15,16 @@ import (
 // two-tier scale a server streams one title to ~200 viewers, but flow
 // control gives each session its own period and there are 16 phase slots,
 // so the 50×10k row measured 693,856 beats carrying 3,000,000 frames — 4.3
-// sessions per beat (2.5 on 10×1k), 18,042 stripes created for 10,000
-// viewers. Every per-session decision (thinning, degrade, shaper tokens,
-// end-of-movie) still runs per session inside the walk, via the same
-// paceTickLocked body the dedicated timer uses.
+// sessions per beat (2.5 on 10×1k). Every per-session decision (thinning,
+// degrade, shaper tokens, end-of-movie) still runs per session inside the
+// walk, via the same paceTickLocked body the dedicated timer uses.
+//
+// A stripe outlives its sessions. The beat that finds it empty stops and
+// parks it for its key, and the next attach there restarts the beat with the
+// stripe's bound tick and entry storage: over the scale table's 15,000
+// viewers, 19,206 of 28,378 stripe starts find a parked stripe, and only
+// 9,172 stripes are made (DESIGN §8 has the rent). A server parks at most
+// maxParkedStripes per title and drops them at Stop.
 //
 // That factor of four pays the rent (audit for PR 24, seed 1): with leased
 // sessions on dedicated timers instead, the 50×10k table allocates less —
@@ -26,8 +32,9 @@ import (
 // 22.1–29.0 to 37.7–39.1, so the stripe stays.
 //
 // Determinism: stripes are created, attached to and walked in simulation
-// event order; the only map (Server.stripes) is never iterated outside the
-// sorted shutdown path, so a run is byte-identical for a fixed seed.
+// event order; their maps (Server.stripes, parkedStripes) are never iterated
+// outside the sorted shutdown path, so a run is byte-identical for a fixed
+// seed.
 
 // stripeKey identifies a stripe: one movie at one send period and one
 // frame-phase slot. Rate changes (flow control, emergency boost) migrate a
@@ -47,17 +54,25 @@ type stripeKey struct {
 // this many tickers.
 const stripePhaseSlots = 16
 
+// maxParkedStripes caps the idle stripes a server keeps per title: every
+// phase slot of 19 send periods, the rates 27–45 that flow control and the
+// emergency boost move a 30 fps stream between.
+const maxParkedStripes = 19 * stripePhaseSlots
+
 type stripe struct {
 	srv     *Server
 	key     stripeKey
-	task    *clock.Periodic
+	task    clock.Periodic
+	tickFn  func()     // st.tick, bound once: a parked stripe restarts with it
 	entries []*session // attach order; nil where a session detached mid-beat
+	parked  bool       // idle: no session, beat stopped, kept for its key
 }
 
 // attachStripeLocked puts sess on the stripe for its movie and current send
-// period, creating the stripe (and its ticker) on first use. Attaching to
-// the stripe the session is already on is a no-op, so the scheduling path
-// may call this on every tick-like event. Caller holds s.mu.
+// period, creating the stripe (and its ticker) on first use and restarting a
+// parked one. Attaching to the stripe the session is already on is a no-op,
+// so the scheduling path may call this on every tick-like event. Caller
+// holds s.mu.
 func (s *Server) attachStripeLocked(sess *session) {
 	period := sess.sendPeriodLocked()
 	// The session's pacing phase is where "now + period" falls within the
@@ -76,13 +91,19 @@ func (s *Server) attachStripeLocked(sess *session) {
 		sess.stripe = nil
 	}
 	st := s.stripes[key]
-	if st == nil {
+	switch {
+	case st == nil:
 		st = &stripe{srv: s, key: key}
+		st.tickFn = st.tick
 		if s.stripes == nil {
-			s.stripes = make(map[stripeKey]*stripe)
+			s.stripes, s.parkedStripes = make(map[stripeKey]*stripe), make(map[string]int)
 		}
 		s.stripes[key] = st
-		st.task = clock.Every(s.cfg.Clock, key.period, st.tick)
+		st.task.Start(s.cfg.Clock, key.period, key.period, st.tickFn)
+	case st.parked:
+		st.parked = false
+		s.parkedStripes[key.movie]--
+		st.task.Start(s.cfg.Clock, key.period, key.period, st.tickFn)
 	}
 	st.entries = append(st.entries, sess)
 	sess.stripePos = len(st.entries) - 1
@@ -95,8 +116,9 @@ func (s *Server) attachStripeLocked(sess *session) {
 // same clock event and lock hold, so RNG draws and egress arithmetic happen
 // in walk order. A session whose shaper draw failed last beat skips this
 // one (shedSkip), reproducing the dedicated timer's 2×-period retry; one
-// that finished its movie or changed rate leaves the stripe. The last
-// leaver retires the stripe and its ticker.
+// that finished its movie or changed rate leaves the stripe. A beat that
+// finds no session left stops and parks the stripe for its key, or retires
+// it when its title already has maxParkedStripes parked.
 func (st *stripe) tick() {
 	s := st.srv
 	s.mu.Lock()
@@ -141,7 +163,11 @@ func (st *stripe) tick() {
 	}
 	if k == 0 && !s.closed {
 		st.task.Stop()
-		delete(s.stripes, st.key)
+		if st.parked = s.parkedStripes[st.key.movie] < maxParkedStripes; st.parked {
+			s.parkedStripes[st.key.movie]++
+		} else {
+			delete(s.stripes, st.key)
+		}
 	}
 	s.mu.Unlock()
 }

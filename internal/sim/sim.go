@@ -445,7 +445,8 @@ func Run(sc Scenario) *Result {
 	// fixed for the whole run.
 	if sc.Record != 0 {
 		peers := rt.Peers()
-		sampler := clock.Every(clk, sc.SampleEvery, func() {
+		var sampler clock.Periodic
+		sampler.Start(clk, sc.SampleEvery, sc.SampleEvery, func() {
 			t := rt.Elapsed()
 			if rt.client != nil {
 				cnt, occ := rt.client.Counters(), rt.client.Occupancy()

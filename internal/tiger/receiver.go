@@ -18,7 +18,8 @@ import (
 type Receiver struct {
 	ep       transport.Endpoint
 	pipeline *buffer.Pipeline
-	task     *clock.Periodic
+	task     clock.Periodic
+	frameIn  wire.Frame // onPacket's decode target: the movie string is kept across frames
 }
 
 // NewReceiver binds the client endpoint and starts displaying at fps.
@@ -32,17 +33,14 @@ func NewReceiver(clk clock.Clock, network transport.Network, addr transport.Addr
 		pipeline: buffer.New(buffer.DefaultConfig()),
 	}
 	ep.SetHandler(r.onPacket)
-	r.task = clock.Every(clk, time.Second/time.Duration(fps), func() { r.pipeline.Tick() })
+	period := time.Second / time.Duration(fps)
+	r.task.Start(clk, period, period, func() { r.pipeline.Tick() })
 	return r, nil
 }
 
 func (r *Receiver) onPacket(_ transport.Addr, payload []byte) {
-	msg, err := wire.Decode(payload)
-	if err != nil {
-		return
-	}
-	f, ok := msg.(*wire.Frame)
-	if !ok {
+	f := &r.frameIn
+	if wire.DecodeFrameInto(f, payload) != nil {
 		return
 	}
 	r.pipeline.Insert(buffer.FrameMeta{Index: f.Index, Class: f.Class, Size: len(f.Payload)})

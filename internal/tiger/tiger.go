@@ -94,7 +94,7 @@ func New(cfg Config) (*Service, error) {
 			streams:   make(map[transport.Addr]*stream),
 		}
 		ep.SetHandler(c.onPacket)
-		c.hbTask = clock.Every(cfg.Clock, cfg.HeartbeatInterval, c.heartbeat)
+		c.hbTask.Start(cfg.Clock, cfg.HeartbeatInterval, cfg.HeartbeatInterval, c.heartbeat)
 		svc.cubs[id] = c
 	}
 	return svc, nil
@@ -145,12 +145,12 @@ type cub struct {
 	stopped   bool
 	lastHeard map[string]time.Time
 	streams   map[transport.Addr]*stream
-	hbTask    *clock.Periodic
+	hbTask    clock.Periodic
 }
 
 type stream struct {
 	next uint32
-	task *clock.Periodic
+	task clock.Periodic
 }
 
 func (c *cub) startStream(clientAddr transport.Addr) {
@@ -164,7 +164,7 @@ func (c *cub) startStream(clientAddr transport.Addr) {
 	}
 	st := &stream{}
 	period := time.Second / time.Duration(c.svc.cfg.Movie.FPS())
-	st.task = clock.Every(c.svc.cfg.Clock, period, func() { c.slot(clientAddr, st) })
+	st.task.Start(c.svc.cfg.Clock, period, period, func() { c.slot(clientAddr, st) })
 	c.streams[clientAddr] = st
 }
 
