@@ -75,8 +75,9 @@ examples:    ## run all simulated examples
 	for e in quickstart failover loadbalance vcr discovery hacounter; do \
 		echo "== $$e =="; go run ./examples/$$e; done
 
-fuzz-smoke:  ## short fuzz pass over the wire, lease and movie-file decoders, the gcs, fetch and congress packet handlers, the virtual clock's firing order and netsim's delivery pool (one -fuzz per run)
+fuzz-smoke:  ## short fuzz pass over the wire decoders (any message, and Open into a reused value), the lease and movie-file decoders, the gcs, fetch and congress packet handlers, the virtual clock's firing order and netsim's delivery pool (one -fuzz per run)
 	go test -run='^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s ./internal/wire
+	go test -run='^$$' -fuzz='^FuzzDecodeOpenInto$$' -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzDecodeLease$$' -fuzztime=10s ./internal/lease
 	go test -run='^$$' -fuzz='^FuzzReadFrom$$' -fuzztime=10s ./internal/mpeg
 	go test -run='^$$' -fuzz='^FuzzOnPacket$$' -fuzztime=10s ./internal/gcs

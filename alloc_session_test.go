@@ -117,7 +117,6 @@ func TestAllocsShapedStreaming(t *testing.T) {
 			// moves (thinning stays active too).
 			ShapeRate:       200_000,
 			DegradeSessions: 1,
-			DegradeFPS:      10,
 		},
 	})
 	if err != nil {

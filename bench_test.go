@@ -134,8 +134,12 @@ func BenchmarkTableFaultTolerance(b *testing.B) {
 // BenchmarkTableFlowControl verifies and times the Figure 2 policy table.
 func BenchmarkTableFlowControl(b *testing.B) {
 	var t sim.Table
+	var err error
 	for i := 0; i < b.N; i++ {
-		t = sim.TableFlowControl()
+		t, err = sim.TableByID("flowctl", 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	ok := 0.0
 	for _, row := range t.Rows {

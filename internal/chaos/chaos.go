@@ -111,57 +111,37 @@ type Plan struct {
 	Ops  []Op
 }
 
-// Config bounds the generated schedules and the scenario they run in.
-type Config struct {
-	// Servers is the number of servers started at time zero (default 2).
-	Servers int
-	// MaxServers is the server ID pool ceiling — adds and restarts draw
-	// from server-1..server-MaxServers (default 4).
-	MaxServers int
-	// WindowStart/WindowEnd bound the fault window (default 8s–50s). After
-	// WindowEnd the schedule heals everything and goes quiet so invariant
-	// probes see the settled system.
-	WindowStart, WindowEnd time.Duration
-	// MaxOps bounds the number of drawn operations (default 10; the forced
-	// final heal is extra).
-	MaxOps int
-	// Duration is the total scenario time (default 100s for the paper's
-	// 90s movie: faults delay playback, the tail lets it settle).
-	Duration time.Duration
-}
+// The bounds of every generated schedule and the scenario it runs in.
+const (
+	// servers is the number of servers started at time zero.
+	servers = 2
+	// maxServers is the server ID pool ceiling: adds and restarts draw
+	// from server-1..server-maxServers.
+	maxServers = 4
+	// windowStart/windowEnd bound the fault window. After windowEnd the
+	// schedule heals everything and goes quiet so invariant probes see the
+	// settled system.
+	windowStart = 8 * time.Second
+	windowEnd   = 50 * time.Second
+	// maxOps bounds the number of drawn operations (the forced final heal
+	// is extra).
+	maxOps = 10
+	// runTime is the total scenario time: faults delay the paper's 90 s
+	// movie, and the tail lets it settle.
+	runTime = 100 * time.Second
+)
 
-func (c *Config) fillDefaults() {
-	if c.Servers <= 0 {
-		c.Servers = 2
-	}
-	if c.MaxServers < c.Servers {
-		c.MaxServers = c.Servers + 2
-	}
-	if c.WindowStart <= 0 {
-		c.WindowStart = 8 * time.Second
-	}
-	if c.WindowEnd <= c.WindowStart {
-		c.WindowEnd = 50 * time.Second
-	}
-	if c.MaxOps <= 0 {
-		c.MaxOps = 10
-	}
-	if c.Duration <= 0 {
-		c.Duration = 100 * time.Second
-	}
-}
-
-// pool returns the full server ID pool.
-func (c *Config) pool() []string {
-	ids := make([]string, c.MaxServers)
+// serverPool returns the full server ID pool.
+func serverPool() []string {
+	ids := make([]string, maxServers)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("server-%d", i+1)
 	}
 	return ids
 }
 
-// ClientID is the observed client in every chaos scenario.
-const ClientID = "client-1"
+// clientID is the observed client in every chaos scenario.
+const clientID = "client-1"
 
 // holderAge is how long a server must have been up before the generator
 // trusts it to hold the movie (a cold restart needs a few seconds to
@@ -215,26 +195,25 @@ func (g *genState) restartable(t time.Duration) []string {
 	return ids
 }
 
-// NewPlan draws a fault schedule from the seed. Identical (seed, cfg)
-// always produce the identical plan.
-func NewPlan(seed int64, cfg Config) Plan {
-	cfg.fillDefaults()
+// NewPlan draws a fault schedule from the seed. The same seed always
+// produces the identical plan.
+func NewPlan(seed int64) Plan {
 	rng := rand.New(rand.NewSource(seed))
-	pool := cfg.pool()
+	pool := serverPool()
 
 	st := &genState{
 		upSince:   make(map[string]time.Duration),
 		crashedAt: make(map[string]time.Duration),
-		nextAdd:   cfg.Servers,
+		nextAdd:   servers,
 	}
-	for _, id := range pool[:cfg.Servers] {
+	for _, id := range pool[:servers] {
 		st.upSince[id] = 0
 	}
 
 	var ops []Op
-	t := cfg.WindowStart + time.Duration(rng.Intn(2000))*time.Millisecond
-	for t < cfg.WindowEnd && len(ops) < cfg.MaxOps {
-		if op, ok := drawOp(rng, cfg, st, pool, t); ok {
+	t := windowStart + time.Duration(rng.Intn(2000))*time.Millisecond
+	for t < windowEnd && len(ops) < maxOps {
+		if op, ok := drawOp(rng, st, pool, t); ok {
 			ops = append(ops, op...)
 		}
 		t += 2*time.Second + time.Duration(rng.Intn(5000))*time.Millisecond
@@ -242,7 +221,7 @@ func NewPlan(seed int64, cfg Config) Plan {
 
 	// Always end with a heal: whatever the draw produced, the quiet tail
 	// starts from a connected network.
-	ops = append(ops, Op{At: cfg.WindowEnd + 2*time.Second, Kind: KindHeal})
+	ops = append(ops, Op{At: windowEnd + 2*time.Second, Kind: KindHeal})
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].At < ops[j].At })
 	return Plan{Seed: seed, Ops: ops}
 }
@@ -251,7 +230,7 @@ func NewPlan(seed int64, cfg Config) Plan {
 // emits its paired heal). ok is false when the weighted pick landed on an
 // op whose preconditions do not hold at t — the slot is simply skipped,
 // keeping the schedule shape seed-stable.
-func drawOp(rng *rand.Rand, cfg Config, st *genState, pool []string, t time.Duration) ([]Op, bool) {
+func drawOp(rng *rand.Rand, st *genState, pool []string, t time.Duration) ([]Op, bool) {
 	inPartition := t < st.partEnd
 
 	// Weighted kinds; infeasible draws skip the slot rather than redraw,
@@ -311,7 +290,7 @@ func drawOp(rng *rand.Rand, cfg Config, st *genState, pool []string, t time.Dura
 		return []Op{{At: t, Kind: KindRestart, Target: target}}, true
 
 	case KindAdd:
-		if inPartition || st.nextAdd >= cfg.MaxServers {
+		if inPartition || st.nextAdd >= maxServers {
 			return nil, false
 		}
 		target := pool[st.nextAdd]
@@ -328,11 +307,11 @@ func drawOp(rng *rand.Rand, cfg Config, st *genState, pool []string, t time.Dura
 		if rng.Intn(2) == 0 {
 			// Client-cut: the client alone against the whole cluster — the
 			// fault only client-side reopen can survive.
-			groups = [][]string{{ClientID}, append([]string(nil), pool...)}
+			groups = [][]string{{clientID}, append([]string(nil), pool...)}
 		} else {
 			// Server-split: the client keeps one side; the other side's
 			// servers get suspected and their sessions taken over.
-			sideA, sideB := []string{ClientID}, []string(nil)
+			sideA, sideB := []string{clientID}, []string(nil)
 			for _, id := range pool {
 				if rng.Intn(2) == 0 {
 					sideA = append(sideA, id)
@@ -364,7 +343,7 @@ func drawOp(rng *rand.Rand, cfg Config, st *genState, pool []string, t time.Dura
 				return nil, false
 			}
 			b := alive[rng.Intn(len(alive))]
-			return []Op{{At: t, Kind: KindLinkFlap, A: ClientID, B: b, Dur: dur}}, true
+			return []Op{{At: t, Kind: KindLinkFlap, A: clientID, B: b, Dur: dur}}, true
 		}
 		i := rng.Intn(len(alive))
 		j := rng.Intn(len(alive) - 1)

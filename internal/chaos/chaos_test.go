@@ -41,8 +41,8 @@ func TestClusterMonkey(t *testing.T) {
 // schedule — reproducibility is the whole point of the harness.
 func TestPlanDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		a := chaos.NewPlan(seed, chaos.Config{})
-		b := chaos.NewPlan(seed, chaos.Config{})
+		a := chaos.NewPlan(seed)
+		b := chaos.NewPlan(seed)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d produced two different plans", seed)
 		}
@@ -54,9 +54,8 @@ func TestPlanDeterministic(t *testing.T) {
 // paired with a heal, a final heal before the quiet tail, and targets drawn
 // from the declared pool.
 func TestPlanConstraints(t *testing.T) {
-	cfg := chaos.Config{}
 	for seed := int64(1); seed <= 300; seed++ {
-		plan := chaos.NewPlan(seed, cfg)
+		plan := chaos.NewPlan(seed)
 		if len(plan.Ops) == 0 {
 			t.Fatalf("seed %d: empty plan", seed)
 		}
@@ -94,8 +93,8 @@ func TestExecuteReproducible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full executions; skipped in -short")
 	}
-	a := chaos.Run(3)
-	b := chaos.Run(3)
+	a := chaos.Execute(chaos.NewPlan(3))
+	b := chaos.Execute(chaos.NewPlan(3))
 	if a.Displayed != b.Displayed || a.Stalls != b.Stalls ||
 		a.Reopens != b.Reopens || a.Takeovers != b.Takeovers || a.Owners != b.Owners {
 		t.Fatalf("two runs of seed 3 diverged:\n%+v\n%+v", a, b)

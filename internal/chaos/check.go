@@ -55,9 +55,6 @@ func (r *Report) Write(w io.Writer) {
 // the one immutable Movie.
 func feature() *mpeg.Movie { return mpeg.Generate("feature", mpeg.StreamConfig{}) }
 
-// Run generates the seed's schedule and executes it with default bounds.
-func Run(seed int64) *Report { return Execute(NewPlan(seed, Config{}), Config{}) }
-
 // Execute runs the plan against a fresh cluster streaming the chaos title
 // and checks the paper's service-level invariants over the result:
 //
@@ -67,13 +64,12 @@ func Run(seed int64) *Report { return Execute(NewPlan(seed, Config{}), Config{})
 //   - liveness: playback makes progress after the last fault heals — the
 //     movie finishes or the displayed count keeps growing through the tail;
 //   - sanity: the cumulative stall series is monotone.
-func Execute(plan Plan, cfg Config) *Report { return execute(plan, cfg, feature()) }
+func Execute(plan Plan) *Report { return execute(plan, feature()) }
 
 // execute is Execute on the caller's copy of the chaos title (Sweep passes
 // every seed the same one).
-func execute(plan Plan, cfg Config, movie *mpeg.Movie) *Report {
-	cfg.fillDefaults()
-	pool := cfg.pool()
+func execute(plan Plan, movie *mpeg.Movie) *Report {
+	pool := serverPool()
 
 	var (
 		displayedMid uint64
@@ -87,16 +83,16 @@ func execute(plan Plan, cfg Config, movie *mpeg.Movie) *Report {
 	}
 	// Liveness probe: well after the forced heal (reopen backoff may sleep
 	// up to ~10s past it), but long before the movie can possibly finish.
-	events = append(events, sim.Event{At: cfg.WindowEnd + 12*time.Second, Do: func(rt *sim.Runtime) {
+	events = append(events, sim.Event{At: windowEnd + 12*time.Second, Do: func(rt *sim.Runtime) {
 		if c := rt.Client(); c != nil {
 			displayedMid = c.Counters().Displayed
 		}
 	}})
 	// Settle probe: ownership at the very end of the quiet tail.
-	events = append(events, sim.Event{At: cfg.Duration - 500*time.Millisecond, Do: func(rt *sim.Runtime) {
+	events = append(events, sim.Event{At: runTime - 500*time.Millisecond, Do: func(rt *sim.Runtime) {
 		owners = 0
 		rt.EachServer(func(_ string, s *server.Server) {
-			if s.HasSession(ClientID) {
+			if s.HasSession(clientID) {
 				owners++
 			}
 		})
@@ -110,10 +106,10 @@ func execute(plan Plan, cfg Config, movie *mpeg.Movie) *Report {
 		Profile:  netsim.LAN(),
 		Seed:     plan.Seed,
 		Feature:  movie,
-		Servers:  pool[:cfg.Servers],
+		Servers:  pool[:servers],
 		Peers:    pool,
-		ClientID: ClientID,
-		Duration: cfg.Duration,
+		ClientID: clientID,
+		Duration: runTime,
 		Events:   events,
 		Record:   sim.Stalls,
 	})

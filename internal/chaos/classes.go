@@ -52,7 +52,7 @@ func (r *ClassReport) Write(w io.Writer) {
 // the class has effectively deadlocked rather than degraded.
 const maxBestEffortFreeze = 600
 
-// RunClasses executes the overload trial for one seed and checks the
+// runClasses executes the overload trial for one seed and checks the
 // degrade-before-refuse contract:
 //
 //   - guarantee: reserved viewers never stall and are never refused — the
@@ -61,7 +61,7 @@ const maxBestEffortFreeze = 600
 //     but never deadlocked (post-disruption progress, bounded freezes);
 //   - sanity: the ladder actually engaged (frames were degraded), so a
 //     passing run can't be an accidentally idle server.
-func RunClasses(seed int64) *ClassReport {
+func runClasses(seed int64) *ClassReport {
 	r := &ClassReport{Seed: seed, Restart: seed%2 == 0}
 	r.Res = sim.OverloadTrial(sim.OverloadConfig{Seed: seed, Restart: r.Restart})
 
@@ -97,7 +97,7 @@ func RunClasses(seed int64) *ClassReport {
 	return r
 }
 
-// SweepClasses runs RunClasses for seeds first..first+n-1 across a bounded
+// SweepClasses runs runClasses for seeds first..first+n-1 across a bounded
 // worker pool, mirroring Sweep: reports come back in seed order, invariant
 // violations live in the reports, and only a panic or cancellation
 // surfaces as an error. onReport, when non-nil, streams reports in seed
@@ -124,7 +124,7 @@ func SweepClasses(ctx context.Context, first int64, n, workers int, reg *obs.Reg
 		}
 	}
 	_, sum, err := sweep.RunOpts(ctx, n, opts, func(i int, seed int64) (struct{}, error) {
-		reports[i] = RunClasses(seed)
+		reports[i] = runClasses(seed)
 		return struct{}{}, nil
 	})
 	return reports, sum, err

@@ -54,7 +54,7 @@ func Sweep(ctx context.Context, first int64, n, workers int, reg *obs.Registry, 
 	// same title Run generates for itself, so a single-seed replay matches.
 	movie := feature()
 	_, sum, err := sweep.RunOpts(ctx, n, opts, func(i int, seed int64) (struct{}, error) {
-		reports[i] = execute(NewPlan(seed, Config{}), Config{}, movie)
+		reports[i] = execute(NewPlan(seed), movie)
 		return struct{}{}, nil
 	})
 	return reports, sum, err

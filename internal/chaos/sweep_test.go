@@ -41,7 +41,7 @@ func TestSweepEquivalence(t *testing.T) {
 
 // TestSweepReplayIdentity is the replay contract TestSweepEquivalence does
 // not cover (it compares sweeps with sweeps): a seed run alone through
-// chaos.Run — which generates the title for itself — reports byte for byte
+// chaos.Execute — which generates the title for itself — reports byte for byte
 // what the same seed reports inside a sweep, where every seed streams the
 // sweep's one shared Movie. The seeds must include a cold restart (the
 // restarted server fetches its own copy of the title from a peer) and a
@@ -57,7 +57,7 @@ func TestSweepReplayIdentity(t *testing.T) {
 	var alone [n]string
 	kinds := map[chaos.Kind]bool{}
 	for i := range alone {
-		rep := chaos.Run(first + int64(i))
+		rep := chaos.Execute(chaos.NewPlan(first + int64(i)))
 		alone[i] = render(rep)
 		for _, op := range rep.Plan.Ops {
 			kinds[op.Kind] = true
@@ -73,7 +73,7 @@ func TestSweepReplayIdentity(t *testing.T) {
 		}
 		for i, rep := range swept {
 			if got := render(rep); got != alone[i] {
-				t.Errorf("seed %d inside a workers=%d sweep differs from chaos.Run:\n--- sweep ---\n%s--- alone ---\n%s",
+				t.Errorf("seed %d inside a workers=%d sweep differs from chaos.Execute:\n--- sweep ---\n%s--- alone ---\n%s",
 					rep.Seed, workers, got, alone[i])
 			}
 		}

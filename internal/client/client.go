@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -78,15 +79,6 @@ type Config struct {
 	Buffer buffer.Config
 	// Flow is the flow-control parameter set (paper defaults if zero).
 	Flow flowctl.Params
-	// RefusalBackoff is the wait after the first refused Open in a cycle
-	// (default 10ms — the next server in the list may have room). Each
-	// consecutive refusal doubles the wait up to RefusalBackoffCap, with
-	// 25% seeded jitter after the first; a Retry-After hint from the
-	// server sets the floor. Refusals are answers, not timeouts, so this
-	// schedule is separate from the openTimeout no-reply backoff.
-	RefusalBackoff time.Duration
-	// RefusalBackoffCap bounds the refusal backoff (default 2s).
-	RefusalBackoffCap time.Duration
 	// Class is the traffic class carried on every Open (default reserved;
 	// reserved-class Opens are byte-identical to pre-class ones).
 	Class wire.Class
@@ -126,6 +118,15 @@ const (
 	// whichever server now owns (or adopts) the session, and a Seek
 	// resynchronizes the stream to the client's position.
 	starveTimeout = 3 * time.Second
+	// refusalBackoff is the wait after the first refused Open in a cycle:
+	// the next server in the list may have room. Each consecutive refusal
+	// doubles the wait up to refusalBackoffCap, with 25% seeded jitter
+	// after the first; a Retry-After hint from the server sets the floor.
+	// Refusals are answers, not timeouts, so this schedule is separate
+	// from the openTimeout no-reply backoff.
+	refusalBackoff = 10 * time.Millisecond
+	// refusalBackoffCap bounds the refusal backoff.
+	refusalBackoffCap = 2 * time.Second
 )
 
 func (c *Config) fillDefaults() error {
@@ -140,12 +141,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Flow.CombinedCapacity == 0 {
 		c.Flow = flowctl.DefaultParams()
-	}
-	if c.RefusalBackoff <= 0 {
-		c.RefusalBackoff = 10 * time.Millisecond
-	}
-	if c.RefusalBackoffCap <= 0 {
-		c.RefusalBackoffCap = 2 * time.Second
 	}
 	return c.Flow.Validate()
 }
@@ -357,7 +352,7 @@ func (c *Client) Watch(movieID string) error {
 	c.mu.Unlock()
 
 	if !rejoined && !c.cfg.Lease {
-		session, err := c.proc.Join(SessionGroupName(c.cfg.ID), gcs.Handlers{})
+		session, err := c.proc.Join(sessionGroupName(c.cfg.ID), gcs.Handlers{})
 		if err != nil {
 			return fmt.Errorf("client %s: joining session group: %w", c.cfg.ID, err)
 		}
@@ -412,7 +407,7 @@ func (c *Client) applyResolved(addrs []transport.Addr) {
 		// Resolved servers first — they are known live — then any
 		// static fallbacks not already listed.
 		for _, s := range c.cfg.Servers {
-			if !containsString(resolved, s) {
+			if !slices.Contains(resolved, s) {
 				resolved = append(resolved, s)
 			}
 		}
@@ -450,7 +445,7 @@ func (c *Client) orderServersLocked() {
 	ordered := ring.Order(c.movie)
 	shared := true
 	for _, s := range c.cfg.Servers {
-		if !containsString(ordered, s) {
+		if !slices.Contains(ordered, s) {
 			if shared {
 				ordered = append(make([]string, 0, len(ordered)+len(c.cfg.Servers)), ordered...)
 				shared = false
@@ -462,18 +457,9 @@ func (c *Client) orderServersLocked() {
 	c.serverIdx = 0
 }
 
-func containsString(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// SessionGroupName returns the session group for a client ID. It mirrors
+// sessionGroupName returns the session group for a client ID. It mirrors
 // server.SessionGroup without importing the server package.
-func SessionGroupName(clientID string) string { return "vod.session." + clientID }
+func sessionGroupName(clientID string) string { return "vod.session." + clientID }
 
 // rngLocked returns the client's jitter RNG, creating it on first use. The
 // seed is a pure function of the client ID, so lazy creation draws the
@@ -516,19 +502,17 @@ func (c *Client) openDelayLocked() time.Duration {
 }
 
 // refusalDelayLocked computes the wait after a refused Open. The first
-// refusal in a cycle waits exactly RefusalBackoff with no jitter draw (so a
+// refusal in a cycle waits exactly refusalBackoff with no jitter draw (so a
 // lone refusal perturbs nothing); consecutive refusals double the wait up to
-// RefusalBackoffCap with 25% seeded jitter, and the server's Retry-After
+// refusalBackoffCap with 25% seeded jitter, and the server's Retry-After
 // hint sets the floor — the server knows its own load better than we do.
 // Caller holds c.mu.
 func (c *Client) refusalDelayLocked(hintMs uint32) time.Duration {
-	d := c.cfg.RefusalBackoff
-	for i := 0; i < c.refusals && d < c.cfg.RefusalBackoffCap; i++ {
+	d := refusalBackoff
+	for i := 0; i < c.refusals && d < refusalBackoffCap; i++ {
 		d *= 2
 	}
-	if d > c.cfg.RefusalBackoffCap {
-		d = c.cfg.RefusalBackoffCap
-	}
+	d = min(d, refusalBackoffCap)
 	if hint := time.Duration(hintMs) * time.Millisecond; d < hint {
 		d = hint
 	}

@@ -18,7 +18,7 @@
 //
 //   - Scheduler / Schedule: fire-and-forget callbacks that never need Stop,
 //     so no Timer handle has to outlive the callback.
-//   - Rearmer / Rearm: re-arm a Timer in place for its original callback,
+//   - rearmer / Rearm: re-arm a Timer in place for its original callback,
 //     so a recurring timer (a Periodic, a pacing loop) owns one timer record
 //     for its whole life on either clock.
 package clock
@@ -67,7 +67,7 @@ func Schedule(c Clock, d time.Duration, f func()) {
 	c.AfterFunc(d, f)
 }
 
-// Rearmer is an optional capability a Clock may provide for recurring timers:
+// rearmer is an optional capability a Clock may provide for recurring timers:
 // Rearm makes t — a Timer this clock's AfterFunc returned — fire its original
 // callback once more, d from now, reusing the timer's record. It reports
 // false, having changed nothing, when t cannot be reused (a timer from another
@@ -78,22 +78,22 @@ func Schedule(c Clock, d time.Duration, f func()) {
 // can, so a caller that also Stops t must make both calls under one lock and
 // check its own stopped flag before re-arming; that is what keeps a stopped
 // Periodic from being resurrected by a straggling tick.
-type Rearmer interface {
+type rearmer interface {
 	Rearm(t Timer, d time.Duration) bool
 }
 
 // Rearm arms fn to run d from now on c, reusing t when it can: t is the
 // caller's previous timer for the same fn (nil on first use). It re-arms t in
-// place when c is a Rearmer that accepts it, and otherwise releases t and
+// place when c is a rearmer that accepts it, and otherwise releases t and
 // issues a fresh AfterFunc — the same lifecycle in two steps. Either way the
 // returned Timer replaces t, which the caller must not use again.
 //
 // The capability is looked up on c, not on t: a decorated clock that does not
-// forward Rearmer keeps one AfterFunc per arm, so whatever it wraps around
+// forward rearmer keeps one AfterFunc per arm, so whatever it wraps around
 // each callback stays in force.
 func Rearm(c Clock, t Timer, d time.Duration, fn func()) Timer {
 	if t != nil {
-		if r, ok := c.(Rearmer); ok && r.Rearm(t, d) {
+		if r, ok := c.(rearmer); ok && r.Rearm(t, d) {
 			return t
 		}
 		Release(t)
@@ -108,7 +108,7 @@ type Real struct{}
 var (
 	_ Clock     = Real{}
 	_ Scheduler = Real{}
-	_ Rearmer   = Real{}
+	_ rearmer   = Real{}
 )
 
 // Now implements Clock.
@@ -122,7 +122,7 @@ func (Real) AfterFunc(d time.Duration, f func()) Timer {
 // Schedule implements Scheduler.
 func (Real) Schedule(d time.Duration, f func()) { time.AfterFunc(d, f) }
 
-// Rearm implements Rearmer with (*time.Timer).Reset, which for an AfterFunc
+// Rearm implements rearmer with (*time.Timer).Reset, which for an AfterFunc
 // timer schedules its function to run again whether the timer had fired or
 // been stopped.
 func (Real) Rearm(t Timer, d time.Duration) bool {

@@ -22,7 +22,7 @@ import (
 // slips to one period from then.
 //
 // Each tick re-arms the timer that just fired through Rearm, so on a clock
-// that is a Rearmer a long-lived heartbeat owns one timer record forever. mu
+// that is a rearmer a long-lived heartbeat owns one timer record forever. mu
 // orders that re-arm against Stop and Start: a tick takes mu first, re-arms
 // only while the beat runs, and re-arms the value's current timer, never a
 // handle of its own. A Stop that finds the timer already fired (Timer.Stop

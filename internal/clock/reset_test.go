@@ -29,8 +29,8 @@ func TestResetMatchesFresh(t *testing.T) {
 	if n := used.Reset(start); n != 2 {
 		t.Errorf("Reset found %d armed timers, want 2 (one AfterFunc, one Periodic)", n)
 	}
-	if used.Len() != 0 || used.Executed() != 0 || !used.Now().Equal(start) {
-		t.Errorf("after Reset: Len %d, Executed %d, Now %v; want 0, 0, %v", used.Len(), used.Executed(), used.Now(), start)
+	if used.Len() != 0 || !used.Now().Equal(start) {
+		t.Errorf("after Reset: Len %d, Now %v; want 0, %v", used.Len(), used.Now(), start)
 	}
 	for _, h := range []Timer{fired, stopped, armed} {
 		if h.Stop() || used.Rearm(h, time.Millisecond) {
@@ -45,7 +45,6 @@ func TestResetMatchesFresh(t *testing.T) {
 		fired []int
 		ticks int
 		now   time.Time
-		execs uint64
 	}
 	script := func(c *Virtual) (r run) {
 		ticks = 0
@@ -63,15 +62,15 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 		c.Advance(10 * time.Millisecond)
 		q.Stop()
-		r.ticks, r.now, r.execs = ticks, c.Now(), c.Executed()
+		r.ticks, r.now = ticks, c.Now()
 		return r
 	}
 	got, want := script(used), script(NewVirtual(start))
 	if !slices.Equal(got.keys, want.keys) {
 		t.Error("the reset clock's heap keys differ from a fresh clock's")
 	}
-	if !slices.Equal(got.fired, want.fired) || got.ticks != want.ticks || !got.now.Equal(want.now) || got.execs != want.execs {
+	if !slices.Equal(got.fired, want.fired) || got.ticks != want.ticks || !got.now.Equal(want.now) {
 		t.Errorf("reset clock ran %d events (%d ticks) to %v, fresh %d (%d ticks) to %v, or in another order",
-			got.execs, got.ticks, got.now, want.execs, want.ticks, want.now)
+			len(got.fired), got.ticks, got.now, len(want.fired), want.ticks, want.now)
 	}
 }

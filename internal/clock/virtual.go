@@ -40,14 +40,13 @@ type Virtual struct {
 	slab  *eventSlab // newest allocation chunk; older ones chain through prev
 	slabN int        // records carved from slab
 
-	seq  uint64
-	runs uint64 // total events executed, for diagnostics
+	seq uint64
 }
 
 var (
 	_ Clock     = (*Virtual)(nil)
 	_ Scheduler = (*Virtual)(nil)
-	_ Rearmer   = (*Virtual)(nil)
+	_ rearmer   = (*Virtual)(nil)
 )
 
 // eventSlab is one allocation of event records, chained newest first for Reset.
@@ -101,7 +100,7 @@ func (c *Virtual) Reset(start time.Time) (armed int) {
 	}
 	clear(c.heap)
 	c.heap = c.heap[:0]
-	c.seq, c.runs = 0, 0
+	c.seq = 0
 	c.nowNanos, c.base, c.baseNanos = start.UnixNano(), start, start.UnixNano()
 	c.nowAtomic.Store(c.nowNanos)
 	return armed
@@ -156,7 +155,7 @@ func (c *Virtual) armLocked(ev *event, d time.Duration) {
 	c.seq++
 }
 
-// Rearm implements Rearmer: it re-arms a timer record from this clock for d
+// Rearm implements rearmer: it re-arms a timer record from this clock for d
 // from now, reusing the record (and its callback) instead of releasing and
 // re-issuing it. For a fired timer this is exactly equivalent to Release
 // followed by AfterFunc with the same fn — Release would push the record onto
@@ -215,13 +214,6 @@ func (c *Virtual) Len() int {
 	return len(c.heap)
 }
 
-// Executed returns the total number of events run so far.
-func (c *Virtual) Executed() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs
-}
-
 // Step executes the earliest pending event, advancing the clock to its
 // deadline. It reports whether an event was executed.
 func (c *Virtual) Step() bool {
@@ -253,7 +245,6 @@ func (c *Virtual) takeLocked(limitNanos int64, limited bool) func() {
 		c.nowNanos = top.nanos
 		c.nowAtomic.Store(top.nanos)
 	}
-	c.runs++
 	ev := top.ev
 	ev.state = stateFired
 	fn := ev.fn

@@ -38,9 +38,9 @@ const (
 	kindResolveKey
 )
 
-// DefaultTTL is the registration lifetime when none is given; registrants
+// defaultTTL is the registration lifetime when none is given; registrants
 // refresh at a third of it.
-const DefaultTTL = 3 * time.Second
+const defaultTTL = 3 * time.Second
 
 // Directory is the resolution daemon. Run one (or several, at different
 // well-known addresses) per deployment.
@@ -247,7 +247,7 @@ type Registrar struct {
 // advertised (usually ep's own).
 func NewRegistrar(clk clock.Clock, ep transport.Endpoint, directory transport.Addr, group string, addr transport.Addr, ttl time.Duration) *Registrar {
 	if ttl <= 0 {
-		ttl = DefaultTTL
+		ttl = defaultTTL
 	}
 	send := func() {
 		pkt := make([]byte, 0, 64)
@@ -266,14 +266,14 @@ func NewRegistrar(clk clock.Clock, ep transport.Endpoint, directory transport.Ad
 // Stop ceases refreshing; the registration expires at the directory.
 func (r *Registrar) Stop() { r.task.Stop() }
 
-// Resolution retry backoff: the first retry waits ResolveRetryBase, each
-// further retry doubles the wait up to ResolveRetryCap, and every wait adds
+// Resolution retry backoff: the first retry waits resolveRetryBase, each
+// further retry doubles the wait up to resolveRetryCap, and every wait adds
 // up to 25% deterministic jitter. Without the jitter, every client that
 // lost its directory to the same partition would retry in lockstep and the
 // heal would be greeted by a synchronized lookup storm.
 const (
-	ResolveRetryBase = 300 * time.Millisecond
-	ResolveRetryCap  = 2 * time.Second
+	resolveRetryBase = 300 * time.Millisecond
+	resolveRetryCap  = 2 * time.Second
 )
 
 // Resolver performs resolutions against a directory over an endpoint it
@@ -398,12 +398,12 @@ func (r *Resolver) send(nonce uint64, res *resolution) {
 // retryDelayLocked computes the capped exponential backoff with jitter for
 // the given retry attempt. Caller holds r.mu.
 func (r *Resolver) retryDelayLocked(attempt int) time.Duration {
-	d := ResolveRetryBase
-	for i := 0; i < attempt && d < ResolveRetryCap; i++ {
+	d := resolveRetryBase
+	for i := 0; i < attempt && d < resolveRetryCap; i++ {
 		d *= 2
 	}
-	if d > ResolveRetryCap {
-		d = ResolveRetryCap
+	if d > resolveRetryCap {
+		d = resolveRetryCap
 	}
 	return d + time.Duration(r.rng.Int63n(int64(d)/4+1))
 }

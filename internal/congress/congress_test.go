@@ -169,54 +169,6 @@ func TestResolveTimesOutWithoutDirectory(t *testing.T) {
 	}
 }
 
-// TestResolveBackoffSpreads observes the retry schedule against a deaf
-// directory: each retry waits roughly twice as long as the previous one
-// (plus jitter) until the cap, so partitioned clients cannot synchronize
-// their lookup storms.
-func TestResolveBackoffSpreads(t *testing.T) {
-	clk := clock.NewVirtual(epoch)
-	net := netsim.New(clk, 1, netsim.LAN())
-	deaf, err := net.NewEndpoint("directory")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arrivals []time.Time
-	deaf.SetHandler(func(transport.Addr, []byte) { arrivals = append(arrivals, clk.Now()) })
-
-	raw, err := net.NewEndpoint("client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resolver := congress.NewResolver(clk, transport.NewMux(raw).Channel(transport.ChannelDirectory), "directory")
-	done := false
-	resolver.Resolve("g", 5, func([]transport.Addr) { done = true })
-	clk.Advance(30 * time.Second)
-
-	if !done {
-		t.Fatal("resolution never gave up")
-	}
-	if len(arrivals) != 6 {
-		t.Fatalf("directory saw %d requests, want 6 (initial + 5 retries)", len(arrivals))
-	}
-	var gaps []time.Duration
-	for i := 1; i < len(arrivals); i++ {
-		gaps = append(gaps, arrivals[i].Sub(arrivals[i-1]))
-	}
-	// Doubling with ≤25% jitter: successive gaps strictly grow until the
-	// cap; every gap sits in [base, cap+25%].
-	for i := 0; i+1 < 3; i++ {
-		if gaps[i+1] <= gaps[i] {
-			t.Errorf("gap %d (%v) did not grow over gap %d (%v)", i+1, gaps[i+1], i, gaps[i])
-		}
-	}
-	for i, g := range gaps {
-		if g < congress.ResolveRetryBase || g > congress.ResolveRetryCap+congress.ResolveRetryCap/4 {
-			t.Errorf("gap %d = %v outside [%v, %v]", i, g,
-				congress.ResolveRetryBase, congress.ResolveRetryCap+congress.ResolveRetryCap/4)
-		}
-	}
-}
-
 // TestDiscoveryBeforeServersStart: a client that asks while the directory
 // is still empty keeps re-resolving and connects once a server appears.
 func TestDiscoveryBeforeServersStart(t *testing.T) {

@@ -24,11 +24,11 @@ import (
 	"repro/internal/wire"
 )
 
-// ChunkSize is the transfer unit; comfortably under the datagram limit.
-const ChunkSize = 32 * 1024
+// chunkSize is the transfer unit; comfortably under the datagram limit.
+const chunkSize = 32 * 1024
 
 // maxChunks is enough chunks for the largest movie file mpeg.Parse accepts.
-const maxChunks = (mpeg.MaxFileSize + ChunkSize - 1) / ChunkSize
+const maxChunks = (mpeg.MaxFileSize + chunkSize - 1) / chunkSize
 
 // Message kinds on the bulk channel.
 const (
@@ -91,12 +91,12 @@ func (p *Provider) onPacket(from transport.Addr, payload []byte) {
 		return
 	}
 	data := m.File()
-	total := (len(data) + ChunkSize - 1) / ChunkSize
+	total := (len(data) + chunkSize - 1) / chunkSize
 	if chunk < 0 || chunk >= total {
 		return
 	}
-	lo := chunk * ChunkSize
-	hi := lo + ChunkSize
+	lo := chunk * chunkSize
+	hi := lo + chunkSize
 	if hi > len(data) {
 		hi = len(data)
 	}
@@ -264,7 +264,7 @@ func (f *Fetcher) onPacket(from transport.Addr, payload []byte) {
 	data := r.Bytes()
 	// The first response fixes the length, at most maxChunks; a response
 	// that changes it or overfills its chunk is malformed and dropped.
-	if r.Done() != nil || chunk != tr.next || len(data) > ChunkSize ||
+	if r.Done() != nil || chunk != tr.next || len(data) > chunkSize ||
 		total <= 0 || total > maxChunks || (tr.total >= 0 && total != tr.total) {
 		f.mu.Unlock()
 		return

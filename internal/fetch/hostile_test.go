@@ -91,7 +91,7 @@ func FuzzFetcherOnPacket(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(chunkResp(1, "m", 0, 1<<31, file))
 	f.Add(chunkResp(1, "m", 0, uint32(maxChunks+1), file))
-	f.Add(chunkResp(1, "m", 0, 2, make([]byte, ChunkSize+1)))
+	f.Add(chunkResp(1, "m", 0, 2, make([]byte, chunkSize+1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		clk, prov, get, _ := hostileNet(t)
@@ -119,7 +119,7 @@ func FuzzFetcherOnPacket(f *testing.F) {
 
 // TestFetcherBoundsTransfer: a provider's responses cannot make a transfer
 // longer than the largest movie file, change its length once the first
-// response has fixed it, or land more than ChunkSize bytes per chunk. Such
+// response has fixed it, or land more than chunkSize bytes per chunk. Such
 // a response is dropped: the fetcher asks for the same chunk again and, when
 // the peer never answers well, fails the transfer.
 func TestFetcherBoundsTransfer(t *testing.T) {
@@ -134,7 +134,7 @@ func TestFetcherBoundsTransfer(t *testing.T) {
 			chunkResp(1, "m", 0, 2, []byte("x")),
 			chunkResp(1, "m", 1, 3, []byte("x")),
 		}, 1},
-		{"chunk longer than ChunkSize", [][]byte{chunkResp(1, "m", 0, 2, make([]byte, ChunkSize+1))}, 0},
+		{"chunk longer than chunkSize", [][]byte{chunkResp(1, "m", 0, 2, make([]byte, chunkSize+1))}, 0},
 	}
 	for _, tc := range cases {
 		clk, prov, get, _ := hostileNet(t)

@@ -101,7 +101,7 @@ func (p Params) Validate() error {
 		return fmt.Errorf("flowctl: decay %v outside (0,1)", p.EmergencyDecay)
 	case p.EmergencyMinorQ < 0 || p.EmergencyMajorQ < p.EmergencyMinorQ:
 		return fmt.Errorf("flowctl: emergency quantities %d/%d", p.EmergencyMinorQ, p.EmergencyMajorQ)
-	case p.DefaultRate <= 0 || p.MinRate <= 0 || p.MaxRate < p.DefaultRate:
+	case p.MinRate <= 0 || p.MinRate > p.DefaultRate || p.MaxRate < p.DefaultRate:
 		return fmt.Errorf("flowctl: rates default=%d min=%d max=%d", p.DefaultRate, p.MinRate, p.MaxRate)
 	}
 	return nil

@@ -72,6 +72,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.EmergencyDecay = 0 },
 		func(p *Params) { p.EmergencyMajorQ = p.EmergencyMinorQ - 1 },
 		func(p *Params) { p.MaxRate = p.DefaultRate - 1 },
+		func(p *Params) { p.MinRate = p.DefaultRate + 1 },
 	}
 	for i, mut := range mutations {
 		p := DefaultParams()

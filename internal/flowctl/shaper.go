@@ -134,12 +134,3 @@ func (s *Shaper) UnderPressure() bool {
 	s.refill()
 	return s.tokens < s.burst/4
 }
-
-// Tokens returns the current bucket level (possibly negative), after refill.
-func (s *Shaper) Tokens() int64 {
-	s.refill()
-	return s.tokens
-}
-
-// Burst returns the configured bucket depth.
-func (s *Shaper) Burst() int64 { return s.burst }

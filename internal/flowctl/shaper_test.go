@@ -10,6 +10,12 @@ type manualClock struct{ t time.Time }
 
 func (c *manualClock) now() time.Time          { return c.t }
 func (c *manualClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+
+// level returns the bucket level (possibly negative) after refill.
+func (s *Shaper) level() int64 {
+	s.refill()
+	return s.tokens
+}
 func newManualClock() *manualClock {
 	return &manualClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
 }
@@ -18,7 +24,7 @@ func newTestShaper(c *manualClock, p ShaperParams) *Shaper { return NewShaper(c.
 func TestShaperStartsFull(t *testing.T) {
 	c := newManualClock()
 	s := newTestShaper(c, ShaperParams{Rate: 1000, Burst: 250})
-	if got := s.Tokens(); got != 250 {
+	if got := s.level(); got != 250 {
 		t.Fatalf("fresh bucket = %d tokens, want 250", got)
 	}
 	if s.UnderPressure() {
@@ -30,15 +36,15 @@ func TestShaperRefillRate(t *testing.T) {
 	c := newManualClock()
 	s := newTestShaper(c, ShaperParams{Rate: 1000, Burst: 1000})
 	s.TakeReserved(1000) // drain to zero
-	if got := s.Tokens(); got != 0 {
+	if got := s.level(); got != 0 {
 		t.Fatalf("after drain = %d, want 0", got)
 	}
 	c.advance(100 * time.Millisecond)
-	if got := s.Tokens(); got != 100 {
+	if got := s.level(); got != 100 {
 		t.Fatalf("after 100ms at 1000/s = %d tokens, want 100", got)
 	}
 	c.advance(10 * time.Second) // idle far past full: caps at burst
-	if got := s.Tokens(); got != 1000 {
+	if got := s.level(); got != 1000 {
 		t.Fatalf("after long idle = %d tokens, want burst 1000", got)
 	}
 }
@@ -52,9 +58,9 @@ func TestShaperRemainderCarry(t *testing.T) {
 	s.TakeReserved(30)
 	for i := 0; i < 30; i++ {
 		c.advance(100 * time.Millisecond)
-		s.Tokens() // force refill at each step
+		s.level() // force refill at each step
 	}
-	if got := s.Tokens(); got != 9 {
+	if got := s.level(); got != 9 {
 		t.Fatalf("3 tokens/s for 3s in 100ms steps = %d tokens, want 9", got)
 	}
 }
@@ -65,7 +71,7 @@ func TestShaperReservedOverdraft(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.TakeReserved(1000) // reserved never blocks
 	}
-	if got := s.Tokens(); got != -500 {
+	if got := s.level(); got != -500 {
 		t.Fatalf("overdraft = %d, want floor at -burst (-500)", got)
 	}
 	if s.TakeBestEffort(1) {
@@ -75,7 +81,7 @@ func TestShaperReservedOverdraft(t *testing.T) {
 	// time to get positive again bounds the best-effort lockout.
 	c.advance(501 * time.Millisecond)
 	if !s.TakeBestEffort(1) {
-		t.Fatalf("best effort still blocked after refill; tokens=%d", s.Tokens())
+		t.Fatalf("best effort still blocked after refill; tokens=%d", s.level())
 	}
 }
 
@@ -93,14 +99,14 @@ func TestShaperBestEffortYields(t *testing.T) {
 	}
 	c.advance(150 * time.Millisecond) // 150 tokens: above burst/4 = 100
 	if s.UnderPressure() {
-		t.Fatalf("pressure still reported at %d/%d tokens", s.Tokens(), s.Burst())
+		t.Fatalf("pressure still reported at %d/%d tokens", s.level(), s.burst)
 	}
 }
 
 func TestShaperDefaultBurst(t *testing.T) {
 	c := newManualClock()
 	s := newTestShaper(c, ShaperParams{Rate: 1000})
-	if got := s.Burst(); got != 250 {
+	if got := s.burst; got != 250 {
 		t.Fatalf("default burst = %d, want rate/4 = 250", got)
 	}
 }

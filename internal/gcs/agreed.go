@@ -60,7 +60,7 @@ func (m *Member) MulticastAgreed(payload []byte) error {
 	seq := m.agreedSendSeq
 	m.agreedSendSeq++
 	m.agreedPending[seq] = data
-	coord := m.view.Coordinator()
+	coord := m.view.coordinator()
 	req := &msgAgreedReq{group: m.group, seq: seq, payload: data}
 	if coord == m.p.id {
 		var cb callbacks
@@ -79,7 +79,7 @@ func (m *Member) MulticastAgreed(payload []byte) error {
 // order (unicast under loss, retries), so dedup is per sequence number,
 // not a high-water cursor.
 func (m *Member) onAgreedReqLocked(from ProcessID, msg *msgAgreedReq, cb *callbacks) {
-	if m.view.Coordinator() != m.p.id {
+	if m.view.coordinator() != m.p.id {
 		return // stale request; the sender will retry at the right coordinator
 	}
 	if m.agreedNext != nil && msg.seq < m.agreedNext[from] {
@@ -148,7 +148,7 @@ func (m *Member) agreedRetryLocked(cb *callbacks) {
 	if len(m.agreedPending) == 0 || m.status != statusNormal {
 		return
 	}
-	coord := m.view.Coordinator()
+	coord := m.view.coordinator()
 	// Retransmit in sequence order, not map order: each send perturbs the
 	// simulated network's shared RNG, so ordering must be deterministic.
 	seqs := make([]uint64, 0, len(m.agreedPending))

@@ -66,9 +66,9 @@ func (v View) Includes(p ProcessID) bool {
 // of per-view protocol state is kept under.
 func (v View) rank(p ProcessID) (int, bool) { return slices.BinarySearch(v.Members, p) }
 
-// Coordinator returns the member that coordinates view changes: the lowest
+// coordinator returns the member that coordinates view changes: the lowest
 // process ID, a deterministic choice every member agrees on.
-func (v View) Coordinator() ProcessID {
+func (v View) coordinator() ProcessID {
 	if len(v.Members) == 0 {
 		return ""
 	}
@@ -211,7 +211,7 @@ const (
 // bufClasses if n exceeds the largest pooled size.
 func bufClassFor(n int) int {
 	c := 0
-	for n > 64<<c && c < bufClasses {
+	for n > 1<<(bufClassMin+c) && c < bufClasses {
 		c++
 	}
 	return c
@@ -242,7 +242,7 @@ func (p *Process) getBufLocked(n int) []byte {
 			}
 		}
 	}
-	c := 64
+	c := 1 << bufClassMin
 	for c < n {
 		c *= 2
 	}
@@ -255,7 +255,7 @@ func (p *Process) getBufLocked(n int) []byte {
 // strictly earlier. A buffer files under the largest class it fully covers,
 // so a get from that class always satisfies its request.
 func (p *Process) putBufLocked(b []byte) {
-	if cap(b) < 64 {
+	if cap(b) < 1<<bufClassMin {
 		return
 	}
 	if p.bufFree == nil {
@@ -265,7 +265,7 @@ func (p *Process) putBufLocked(b []byte) {
 		return
 	}
 	c := 0
-	for c+1 < bufClasses && cap(b) >= 64<<(c+1) {
+	for c+1 < bufClasses && cap(b) >= 1<<(bufClassMin+c+1) {
 		c++
 	}
 	p.bufFree.class[c] = append(p.bufFree.class[c], b[:0])

@@ -178,8 +178,8 @@ func TestTwoProcessJoin(t *testing.T) {
 	c.join("b", "g", "a")
 	c.waitConverged(3*time.Second, "a", "b")
 	v := c.rec["a"].lastView()
-	if v.Coordinator() != "a" {
-		t.Fatalf("coordinator = %s, want a", v.Coordinator())
+	if v.coordinator() != "a" {
+		t.Fatalf("coordinator = %s, want a", v.coordinator())
 	}
 }
 
@@ -252,8 +252,8 @@ func TestCoordinatorCrash(t *testing.T) {
 	c.net.Crash("a") // "a" is the coordinator (lowest ID)
 	c.waitConverged(5*time.Second, "b", "c")
 	v := c.rec["b"].lastView()
-	if v.Coordinator() != "b" {
-		t.Fatalf("new coordinator = %s, want b", v.Coordinator())
+	if v.coordinator() != "b" {
+		t.Fatalf("new coordinator = %s, want b", v.coordinator())
 	}
 }
 

@@ -148,7 +148,7 @@ func TestCoordinatorGracefulLeave(t *testing.T) {
 	if took >= 500*time.Millisecond {
 		t.Fatalf("coordinator leave took %v, want faster than failure detection", took)
 	}
-	if got := c.rec["b"].lastView().Coordinator(); got != "b" {
+	if got := c.rec["b"].lastView().coordinator(); got != "b" {
 		t.Fatalf("new coordinator = %s, want b", got)
 	}
 	// The departed coordinator must not linger in anyone's view.

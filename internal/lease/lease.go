@@ -121,7 +121,6 @@ type Table struct {
 	entries map[string]time.Time // ID → expiry
 	sweep   clock.Periodic
 	expired []string // sweep scratch
-	renews  uint64
 }
 
 // NewTable starts the sweeper (one Periodic at TTL/4 granularity — the
@@ -147,9 +146,6 @@ func (t *Table) TTL() time.Duration { return t.ttl }
 func (t *Table) Touch(id string) {
 	now := t.clk.Now()
 	t.mu.Lock()
-	if _, ok := t.entries[id]; ok {
-		t.renews++
-	}
 	t.entries[id] = now.Add(t.ttl)
 	t.mu.Unlock()
 }
@@ -167,13 +163,6 @@ func (t *Table) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.entries)
-}
-
-// Renews reports how many Touch calls refreshed an existing lease.
-func (t *Table) Renews() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.renews
 }
 
 // Close stops the sweeper. Entries are left in place (the owning

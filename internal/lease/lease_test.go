@@ -59,9 +59,6 @@ func TestTableExpiry(t *testing.T) {
 	if tbl.Len() != 1 {
 		t.Fatalf("Len after expiry = %d", tbl.Len())
 	}
-	if tbl.Renews() != 1 {
-		t.Fatalf("Renews = %d", tbl.Renews())
-	}
 	// Dropped entries never fire onExpire.
 	tbl.Drop("a")
 	clk.Advance(3 * time.Second)

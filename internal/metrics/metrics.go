@@ -96,20 +96,6 @@ func (s *Series) Max() float64 {
 	return max
 }
 
-// Min returns the smallest value (0 for an empty series).
-func (s *Series) Min() float64 {
-	min := math.Inf(1)
-	for _, v := range s.Values {
-		if v < min {
-			min = v
-		}
-	}
-	if math.IsInf(min, 1) {
-		return 0
-	}
-	return min
-}
-
 // MeanBetween averages the samples with from ≤ t < to; 0 if none.
 func (s *Series) MeanBetween(from, to time.Duration) float64 {
 	lo, hi := s.searchAtOrAfter(from), s.searchAtOrAfter(to)
@@ -137,25 +123,6 @@ func (s *Series) MinBetween(from, to time.Duration) float64 {
 	}
 	return min
 }
-
-// MaxBetween returns the largest sample with from ≤ t < to (0 if none).
-func (s *Series) MaxBetween(from, to time.Duration) float64 {
-	lo, hi := s.searchAtOrAfter(from), s.searchAtOrAfter(to)
-	if lo >= hi {
-		return 0
-	}
-	max := math.Inf(-1)
-	for _, v := range s.Values[lo:hi] {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Delta returns Last − At(from): the growth of a cumulative series after
-// the given instant.
-func (s *Series) Delta(from time.Duration) float64 { return s.Last() - s.At(from) }
 
 // WriteTSV writes "seconds<TAB>value" rows — the format vodbench prints so
 // each figure can be re-plotted.

@@ -28,14 +28,11 @@ func TestSeriesBasics(t *testing.T) {
 	if got := s.Max(); got != 40 {
 		t.Fatalf("Max = %v", got)
 	}
-	if got := s.Min(); got != 10 {
-		t.Fatalf("Min = %v", got)
-	}
 }
 
 func TestSeriesEmpty(t *testing.T) {
 	s := NewSeries("empty", time.Second)
-	if s.Last() != 0 || s.Max() != 0 || s.Min() != 0 || s.At(time.Second) != 0 {
+	if s.Last() != 0 || s.Max() != 0 || s.At(time.Second) != 0 {
 		t.Fatal("empty series accessors must return 0")
 	}
 	if s.MeanBetween(0, time.Hour) != 0 {
@@ -70,18 +67,8 @@ func TestSeriesWindows(t *testing.T) {
 	if got := s.MinBetween(2*time.Second, 5*time.Second); got != 20 {
 		t.Fatalf("MinBetween = %v", got)
 	}
-	if got := s.MaxBetween(1*time.Second, 4*time.Second); got != 30 {
-		t.Fatalf("MaxBetween = %v", got)
-	}
 	if got := s.MinBetween(10*time.Second, 20*time.Second); got != 0 {
 		t.Fatalf("MinBetween empty window = %v", got)
-	}
-}
-
-func TestSeriesDelta(t *testing.T) {
-	s := sampleSeries()
-	if got := s.Delta(2 * time.Second); got != 10 { // 40 − 30
-		t.Fatalf("Delta = %v", got)
 	}
 }
 
@@ -108,8 +95,8 @@ func TestNegativeValues(t *testing.T) {
 	s := NewSeries("neg", time.Second)
 	s.Add(time.Second, -5)
 	s.Add(2*time.Second, -1)
-	if s.Max() != -1 || s.Min() != -5 {
-		t.Fatalf("Max/Min with negatives: %v/%v", s.Max(), s.Min())
+	if s.Max() != -1 {
+		t.Fatalf("Max with negatives: %v", s.Max())
 	}
 }
 
@@ -147,9 +134,6 @@ func TestSeriesMatchesLinearScan(t *testing.T) {
 			if got, want := s.At(q), at(q); got != want {
 				t.Fatalf("start %v step %v: At(%v) = %v, want %v", start, step, q, got, want)
 			}
-			if got, want := s.Delta(q), s.Last()-at(q); got != want {
-				t.Fatalf("start %v step %v: Delta(%v) = %v, want %v", start, step, q, got, want)
-			}
 		}
 		for k := 0; k < 50; k++ {
 			from, to := queries[rng.Intn(len(queries))], queries[rng.Intn(len(queries))]
@@ -159,16 +143,16 @@ func TestSeriesMatchesLinearScan(t *testing.T) {
 					win = append(win, vals[i])
 				}
 			}
-			var mean, lo, hi float64
+			var mean, lo float64
 			if len(win) > 0 {
 				for _, v := range win {
 					mean += v
 				}
-				mean, lo, hi = mean/float64(len(win)), slices.Min(win), slices.Max(win)
+				mean, lo = mean/float64(len(win)), slices.Min(win)
 			}
-			if s.MeanBetween(from, to) != mean || s.MinBetween(from, to) != lo || s.MaxBetween(from, to) != hi {
-				t.Fatalf("start %v step %v: [%v, %v) gives mean/min/max %v/%v/%v, want %v/%v/%v", start, step, from, to,
-					s.MeanBetween(from, to), s.MinBetween(from, to), s.MaxBetween(from, to), mean, lo, hi)
+			if s.MeanBetween(from, to) != mean || s.MinBetween(from, to) != lo {
+				t.Fatalf("start %v step %v: [%v, %v) gives mean/min %v/%v, want %v/%v", start, step, from, to,
+					s.MeanBetween(from, to), s.MinBetween(from, to), mean, lo)
 			}
 		}
 	}
@@ -221,9 +205,6 @@ func TestSeriesBinarySearchBounds(t *testing.T) {
 	// Half-open window semantics: from inclusive, to exclusive.
 	if got := s.MinBetween(10*time.Second, 12*time.Second); got != 10 {
 		t.Fatalf("MinBetween = %v, want 10", got)
-	}
-	if got := s.MaxBetween(10*time.Second, 12*time.Second); got != 11 {
-		t.Fatalf("MaxBetween = %v, want 11", got)
 	}
 	if got := s.MeanBetween(5*time.Second, 5*time.Second); got != 0 {
 		t.Fatalf("empty window mean = %v, want 0", got)

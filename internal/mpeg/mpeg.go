@@ -24,36 +24,23 @@ type FrameInfo struct {
 	Size  int // bytes on the wire
 }
 
-// StreamConfig parameterizes synthetic movie generation. The defaults
-// reproduce the paper's test stream: a 1.4 Mbps, 30 frames/s MPEG movie.
+// StreamConfig parameterizes synthetic movie generation. Every generated
+// movie is the paper's test stream: a 1.4 Mbps, 30 frames/s MPEG movie
+// with a 12-frame GOP (IBBPBBPBBPBB).
 type StreamConfig struct {
 	// Duration of the movie (default 90s, enough for the paper's
 	// evaluation scenarios).
 	Duration time.Duration
-	// FPS is the nominal display rate (default 30).
-	FPS int
-	// BitRate is the mean stream rate in bits/s (default 1.4e6).
-	BitRate int64
-	// GOPSize is the group-of-pictures length (default 12: IBBPBBPBBPBB).
-	GOPSize int
 	// Seed drives the per-frame size variation.
 	Seed int64
 }
 
-func (c *StreamConfig) fillDefaults() {
-	if c.Duration <= 0 {
-		c.Duration = 90 * time.Second
-	}
-	if c.FPS <= 0 {
-		c.FPS = 30
-	}
-	if c.BitRate <= 0 {
-		c.BitRate = 1_400_000
-	}
-	if c.GOPSize <= 0 {
-		c.GOPSize = 12
-	}
-}
+// The generated stream's shape.
+const (
+	genFPS     = 30        // nominal display rate
+	genBitRate = 1_400_000 // mean stream rate, bits/s
+	gopSize    = 12        // group-of-pictures length
+)
 
 // Movie is an immutable synthetic MPEG stream. Safe for concurrent use.
 // The process holds one Movie per title (see titles): Generate and Parse
@@ -79,11 +66,13 @@ type Movie struct {
 // ±10% deterministic per-frame variation. A title is a pure function of id
 // and the filled-in cfg, so a repeat call returns the held Movie.
 func Generate(id string, cfg StreamConfig) *Movie {
-	cfg.fillDefaults()
+	if cfg.Duration <= 0 {
+		cfg.Duration = 90 * time.Second
+	}
 	if m := title(func(h *Movie) bool { return h.id == id && h.gen == cfg }, nil); m != nil {
 		return m
 	}
-	n := int(cfg.Duration.Seconds() * float64(cfg.FPS))
+	n := int(cfg.Duration.Seconds() * float64(genFPS))
 	if n < 1 {
 		n = 1
 	}
@@ -102,15 +91,15 @@ func Generate(id string, cfg StreamConfig) *Movie {
 		}
 	}
 	var weightSum float64
-	for i := 0; i < cfg.GOPSize; i++ {
-		weightSum += weightOf(classAt(i, cfg.GOPSize))
+	for i := 0; i < gopSize; i++ {
+		weightSum += weightOf(classAt(i))
 	}
-	meanFrame := float64(cfg.BitRate) / 8 / float64(cfg.FPS)
-	unit := meanFrame * float64(cfg.GOPSize) / weightSum
+	meanFrame := float64(genBitRate) / 8 / float64(genFPS)
+	unit := meanFrame * float64(gopSize) / weightSum
 
-	m := &Movie{id: id, fps: cfg.FPS, frames: make([]FrameInfo, n), gen: cfg}
+	m := &Movie{id: id, fps: genFPS, frames: make([]FrameInfo, n), gen: cfg}
 	for i := 0; i < n; i++ {
-		class := classAt(i%cfg.GOPSize, cfg.GOPSize)
+		class := classAt(i % gopSize)
 		jitter := 0.9 + 0.2*rng.Float64()
 		size := int(unit * weightOf(class) * jitter)
 		if size < 64 {
@@ -123,11 +112,11 @@ func Generate(id string, cfg StreamConfig) *Movie {
 }
 
 // classAt returns the frame class at GOP position pos (0-based).
-func classAt(pos, gopSize int) wire.FrameClass {
+func classAt(pos int) wire.FrameClass {
 	switch {
 	case pos == 0:
 		return wire.FrameI
-	case pos%3 == 0 && pos < gopSize:
+	case pos%3 == 0:
 		return wire.FrameP
 	default:
 		return wire.FrameB
@@ -151,8 +140,8 @@ func (m *Movie) Duration() time.Duration {
 // TotalBytes returns the movie's size on the wire.
 func (m *Movie) TotalBytes() int64 { return m.total }
 
-// MeanBitRate returns the stream's mean rate in bits/s.
-func (m *Movie) MeanBitRate() int64 {
+// meanBitRate returns the stream's mean rate in bits/s.
+func (m *Movie) meanBitRate() int64 {
 	if len(m.frames) == 0 {
 		return 0
 	}
@@ -259,5 +248,5 @@ func (m *Movie) NextIFrame(i int) int {
 // String implements fmt.Stringer.
 func (m *Movie) String() string {
 	return fmt.Sprintf("movie %s: %d frames, %v, %d kbit/s",
-		m.id, len(m.frames), m.Duration(), m.MeanBitRate()/1000)
+		m.id, len(m.frames), m.Duration(), m.meanBitRate()/1000)
 }

@@ -27,7 +27,7 @@ func TestGenerateDefaults(t *testing.T) {
 
 func TestMeanBitRateNearTarget(t *testing.T) {
 	m := paperMovie()
-	rate := m.MeanBitRate()
+	rate := m.meanBitRate()
 	if rate < 1_330_000 || rate > 1_470_000 {
 		t.Fatalf("mean bit rate %d outside ±5%% of 1.4 Mbps", rate)
 	}
@@ -160,7 +160,7 @@ func TestIFrameReachableProperty(t *testing.T) {
 }
 
 func TestShortMovie(t *testing.T) {
-	m := Generate("short", StreamConfig{Duration: 100 * time.Millisecond, FPS: 30})
+	m := Generate("short", StreamConfig{Duration: 100 * time.Millisecond})
 	if m.TotalFrames() != 3 {
 		t.Fatalf("TotalFrames = %d, want 3", m.TotalFrames())
 	}

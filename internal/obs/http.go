@@ -11,24 +11,8 @@ import (
 //
 //	mux.Handle("/debug/vod", reg)
 func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, r.Snapshot())
-}
-
-// Handler serves several registries (e.g. one per hosted node) as a JSON
-// array ordered as given.
-func Handler(regs ...*Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		snaps := make([]Snapshot, 0, len(regs))
-		for _, r := range regs {
-			snaps = append(snaps, r.Snapshot())
-		}
-		writeJSON(w, snaps)
-	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = enc.Encode(r.Snapshot())
 }

@@ -24,7 +24,6 @@ package obs
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,8 +92,8 @@ type Registry struct {
 	trace    trace
 }
 
-// DefaultTraceDepth is the capacity the event-trace ring of NewRegistry grows to.
-const DefaultTraceDepth = 256
+// defaultTraceDepth is the capacity the event-trace ring of NewRegistry grows to.
+const defaultTraceDepth = 256
 
 // NewRegistry creates a registry for the named node. now supplies event
 // timestamps — pass the node's clock.Clock Now method so simulated runs
@@ -109,14 +108,6 @@ func NewRegistry(node string, now func() time.Time) *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 	}
-}
-
-// Node returns the node name this registry is scoped to ("" for nil).
-func (r *Registry) Node() string {
-	if r == nil {
-		return ""
-	}
-	return r.node
 }
 
 // Counter returns the named counter, creating it on first use. Two calls
@@ -198,28 +189,8 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// CounterNames returns the sorted names of every registered counter.
-func (s Snapshot) CounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// GaugeNames returns the sorted names of every registered gauge.
-func (s Snapshot) GaugeNames() []string {
-	names := make([]string, 0, len(s.Gauges))
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // trace is the bounded flight-recorder ring. It is allocated at the first
-// event and grows by append to DefaultTraceDepth; then each event overwrites
+// event and grows by append to defaultTraceDepth; then each event overwrites
 // the oldest.
 type trace struct {
 	mu      sync.Mutex
@@ -231,16 +202,16 @@ type trace struct {
 func (t *trace) add(e Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.ring) < DefaultTraceDepth {
+	if len(t.ring) < defaultTraceDepth {
 		if t.ring == nil {
-			t.ring = make([]Event, 0, DefaultTraceDepth/4)
+			t.ring = make([]Event, 0, defaultTraceDepth/4)
 		}
 		t.ring = append(t.ring, e)
 		return
 	}
 	t.dropped++
 	t.ring[t.next] = e
-	t.next = (t.next + 1) % DefaultTraceDepth
+	t.next = (t.next + 1) % defaultTraceDepth
 }
 
 // snapshot returns the retained events oldest-first (nil if none).

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -62,32 +61,6 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	snap := r.Snapshot()
 	if snap.Node != "" || len(snap.Counters) != 0 {
 		t.Fatalf("nil snapshot = %+v", snap)
-	}
-}
-
-func TestTraceRingOverwrite(t *testing.T) {
-	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	r := obs.NewRegistry("n", func() time.Time { return now })
-	for i := 0; i < obs.DefaultTraceDepth+10; i++ {
-		r.Event("k", fmt.Sprintf("e%d", i))
-	}
-	snap := r.Snapshot()
-	if len(snap.Events) != obs.DefaultTraceDepth {
-		t.Fatalf("trace holds %d events, want %d", len(snap.Events), obs.DefaultTraceDepth)
-	}
-	if snap.Dropped != 10 {
-		t.Fatalf("dropped = %d, want 10", snap.Dropped)
-	}
-	// Oldest surviving event first.
-	if snap.Events[0].Note != "e10" {
-		t.Fatalf("first event = %q, want e10", snap.Events[0].Note)
-	}
-	last := snap.Events[len(snap.Events)-1]
-	if last.Note != fmt.Sprintf("e%d", obs.DefaultTraceDepth+9) {
-		t.Fatalf("last event = %q", last.Note)
-	}
-	if !last.At.Equal(now) {
-		t.Fatalf("event timestamp = %v, want the injected clock's %v", last.At, now)
 	}
 }
 
@@ -158,35 +131,5 @@ func TestServeHTTP(t *testing.T) {
 	}
 	if snap.Node != "node-9" || snap.Counters["c"] != 42 || len(snap.Events) != 1 {
 		t.Fatalf("decoded snapshot = %+v", snap)
-	}
-}
-
-func TestHandlerMultipleRegistries(t *testing.T) {
-	a := obs.NewRegistry("a", nil)
-	b := obs.NewRegistry("b", nil)
-	a.Counter("x").Inc()
-
-	rec := httptest.NewRecorder()
-	obs.Handler(a, b).ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	var snaps []obs.Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snaps); err != nil {
-		t.Fatalf("body is not a JSON array: %v", err)
-	}
-	if len(snaps) != 2 || snaps[0].Node != "a" || snaps[1].Node != "b" {
-		t.Fatalf("snapshots = %+v", snaps)
-	}
-}
-
-func TestNames(t *testing.T) {
-	r := obs.NewRegistry("n", nil)
-	r.Counter("zeta")
-	r.Counter("alpha")
-	r.Gauge("mid")
-	snap := r.Snapshot()
-	if got := snap.CounterNames(); len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
-		t.Fatalf("CounterNames = %v", got)
-	}
-	if got := snap.GaugeNames(); len(got) != 1 || got[0] != "mid" {
-		t.Fatalf("GaugeNames = %v", got)
 	}
 }

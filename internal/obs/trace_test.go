@@ -6,6 +6,32 @@ import (
 	"time"
 )
 
+func TestTraceRingOverwrite(t *testing.T) {
+	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	r := NewRegistry("n", func() time.Time { return now })
+	for i := 0; i < defaultTraceDepth+10; i++ {
+		r.Event("k", fmt.Sprintf("e%d", i))
+	}
+	snap := r.Snapshot()
+	if len(snap.Events) != defaultTraceDepth {
+		t.Fatalf("trace holds %d events, want %d", len(snap.Events), defaultTraceDepth)
+	}
+	if snap.Dropped != 10 {
+		t.Fatalf("dropped = %d, want 10", snap.Dropped)
+	}
+	// Oldest surviving event first.
+	if snap.Events[0].Note != "e10" {
+		t.Fatalf("first event = %q, want e10", snap.Events[0].Note)
+	}
+	last := snap.Events[len(snap.Events)-1]
+	if last.Note != fmt.Sprintf("e%d", defaultTraceDepth+9) {
+		t.Fatalf("last event = %q", last.Note)
+	}
+	if !last.At.Equal(now) {
+		t.Fatalf("event timestamp = %v, want the injected clock's %v", last.At, now)
+	}
+}
+
 // TestTraceGrowsToDepth pins the flight recorder's on-demand ring: a fresh
 // registry holds no ring, the first event allocates a quarter of the depth,
 // a partial fill snapshots in order, and past the depth the ring wraps with
@@ -40,17 +66,17 @@ func TestTraceGrowsToDepth(t *testing.T) {
 	}
 
 	logTo(1)
-	if got := cap(r.trace.ring); got != DefaultTraceDepth/4 {
-		t.Fatalf("first event allocated %d slots, want %d", got, DefaultTraceDepth/4)
+	if got := cap(r.trace.ring); got != defaultTraceDepth/4 {
+		t.Fatalf("first event allocated %d slots, want %d", got, defaultTraceDepth/4)
 	}
 	wantKept(0)
-	logTo(DefaultTraceDepth/2 + 3)
+	logTo(defaultTraceDepth/2 + 3)
 	wantKept(0)
-	logTo(DefaultTraceDepth + 10)
-	if len(r.trace.ring) != DefaultTraceDepth {
-		t.Fatalf("ring holds %d events past its depth %d", len(r.trace.ring), DefaultTraceDepth)
+	logTo(defaultTraceDepth + 10)
+	if len(r.trace.ring) != defaultTraceDepth {
+		t.Fatalf("ring holds %d events past its depth %d", len(r.trace.ring), defaultTraceDepth)
 	}
 	wantKept(10)
-	logTo(3*DefaultTraceDepth + 7)
-	wantKept(2*DefaultTraceDepth + 7)
+	logTo(3*defaultTraceDepth + 7)
+	wantKept(2*defaultTraceDepth + 7)
 }

@@ -13,7 +13,7 @@
 // builds a ring from the same membership agrees on ownership without
 // any coordination. Rings are plain data — build one, share the
 // pointer read-only across a simulation, and rebuild on membership
-// change (Add/Remove mutate in place for owners such as the congress
+// change (Add/remove mutate in place for owners such as the congress
 // directory, which serialises access).
 package placement
 
@@ -43,7 +43,7 @@ type Ring struct {
 	// of a movie computes the same preference order, so at simulation
 	// scale the walk (and its slice) amortizes to one per title instead
 	// of one per client. Guarded by orderMu so concurrent readers of an
-	// otherwise-immutable ring stay safe; Add/Remove drop the cache.
+	// otherwise-immutable ring stay safe; Add/remove drop the cache.
 	orderMu    sync.Mutex
 	orderCache map[string][]string
 }
@@ -117,8 +117,8 @@ func (r *Ring) Add(id string) {
 	})
 }
 
-// Remove deletes a server's virtual nodes. Unknown servers are a no-op.
-func (r *Ring) Remove(id string) {
+// remove deletes a server's virtual nodes. Unknown servers are a no-op.
+func (r *Ring) remove(id string) {
 	found := false
 	for i, have := range r.ids {
 		if have == id {
@@ -195,7 +195,7 @@ func (r *Ring) AppendOrder(dst []string, key string, n int) []string {
 // Order returns the full ring-walk order for key — every server, primary
 // first — as a cached shared slice. Callers must treat the result as
 // read-only; copy before appending or mutating. Membership changes
-// (Add/Remove) invalidate the cache.
+// (Add/remove) invalidate the cache.
 func (r *Ring) Order(key string) []string {
 	r.orderMu.Lock()
 	defer r.orderMu.Unlock()

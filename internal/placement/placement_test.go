@@ -35,11 +35,11 @@ func TestAddIdempotentRemoveUnknown(t *testing.T) {
 	if r.Len() != 1 || len(r.points) != 8 {
 		t.Fatalf("double Add: Len=%d points=%d", r.Len(), len(r.points))
 	}
-	r.Remove("nope")
+	r.remove("nope")
 	if r.Len() != 1 {
 		t.Fatalf("Remove unknown: Len=%d", r.Len())
 	}
-	r.Remove("s1")
+	r.remove("s1")
 	if r.Len() != 0 || len(r.points) != 0 || r.Lookup("m") != "" {
 		t.Fatalf("empty ring: Len=%d points=%d", r.Len(), len(r.points))
 	}
@@ -125,14 +125,14 @@ func TestRemapBound(t *testing.T) {
 			}
 
 			// Leave: only the removed server's movies move.
-			base.Remove("srv-new")
+			base.remove("srv-new")
 			for i := range before {
 				if got := base.Lookup(movieName(i)); got != before[i] {
 					t.Fatalf("remove did not restore owner of %s: %s vs %s", movieName(i), got, before[i])
 				}
 			}
 			victim := before[0]
-			base.Remove(victim)
+			base.remove(victim)
 			movedOut := 0
 			for i := range before {
 				after := base.Lookup(movieName(i))

@@ -55,7 +55,7 @@ func TestAssignCoverageProperty(t *testing.T) {
 		for i := 0; i < ns; i++ {
 			order = append(order, gcs.ProcessID(fmt.Sprintf("s%d", i)))
 		}
-		got := Assign(clients, order)
+		got := assign(clients, order)
 		if len(got) != nc {
 			return false
 		}
@@ -148,7 +148,7 @@ func TestResolveDuplicateResetOnViewChange(t *testing.T) {
 	// A view change (here: the singleton view reinstalling via onView)
 	// must clear conflict evidence.
 	ms.onView(gcs.View{
-		Group:   MovieGroup("m"),
+		Group:   movieGroup("m"),
 		ID:      gcs.ViewID{Seq: 99, Coord: "s1"},
 		Members: []gcs.ProcessID{"s1"},
 	})
@@ -224,5 +224,30 @@ func TestQualityThinningKeepsIFrames(t *testing.T) {
 	frac := float64(sent) / float64(movie.TotalFrames())
 	if frac < 0.30 || frac > 0.45 {
 		t.Fatalf("thinned stream is %.0f%% of frames, want ≈ 33%%", frac*100)
+	}
+}
+
+func TestAssignDeterministicAndBalanced(t *testing.T) {
+	order := []gcs.ProcessID{"s1", "s2", "s3"}
+	clients := []string{"c5", "c2", "c9", "c1", "c7", "c3"}
+	a := assign(clients, order)
+	b := assign([]string{"c1", "c2", "c3", "c5", "c7", "c9"}, order)
+	load := map[gcs.ProcessID]int{}
+	for id, owner := range a {
+		if b[id] != owner {
+			t.Fatalf("assignment depends on input order: %v vs %v", a, b)
+		}
+		load[owner]++
+	}
+	for s, n := range load {
+		if n != 2 {
+			t.Fatalf("server %s assigned %d clients, want 2: %v", s, n, load)
+		}
+	}
+}
+
+func TestAssignEmptyOrder(t *testing.T) {
+	if got := assign([]string{"c1"}, nil); len(got) != 0 {
+		t.Fatalf("Assign with no members = %v", got)
 	}
 }

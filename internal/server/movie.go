@@ -314,7 +314,7 @@ func (ms *movieState) redistributeLocked() {
 		clientIDs = append(clientIDs, id)
 	}
 	order := memberOrder(ms.view.Members, ms.newcomers)
-	assignment := Assign(clientIDs, order)
+	assignment := assign(clientIDs, order)
 
 	// Apply in client-ID order, not assignment-map order: takeovers start
 	// sessions (timers, packets) whose relative order must be a pure
@@ -358,11 +358,11 @@ func memberOrder(members []gcs.ProcessID, newcomers map[gcs.ProcessID]bool) []gc
 	return append(fresh, old...)
 }
 
-// Assign deals the sorted clients round-robin over the member order. It is
+// assign deals the sorted clients round-robin over the member order. It is
 // deterministic in its inputs, so every server derives the same assignment
 // without further agreement (§5.2: each server "deterministically decides
 // which clients it now has to serve").
-func Assign(clients []string, order []gcs.ProcessID) map[string]gcs.ProcessID {
+func assign(clients []string, order []gcs.ProcessID) map[string]gcs.ProcessID {
 	out := make(map[string]gcs.ProcessID, len(clients))
 	if len(order) == 0 {
 		return out

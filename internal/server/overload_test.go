@@ -36,18 +36,15 @@ func (r *rig) startOverloadServer(t *testing.T, id string, maxSessions int, ov s
 	return s
 }
 
-// startClassClient starts a client with an explicit traffic class and
-// refusal-backoff tuning.
-func (r *rig) startClassClient(id string, class wire.Class, backoff, cap time.Duration, servers ...string) *client.Client {
+// startClassClient starts a client with an explicit traffic class.
+func (r *rig) startClassClient(id string, class wire.Class, servers ...string) *client.Client {
 	r.t.Helper()
 	c, err := client.New(client.Config{
-		ID:                id,
-		Clock:             r.clk,
-		Network:           r.net,
-		Servers:           servers,
-		Class:             class,
-		RefusalBackoff:    backoff,
-		RefusalBackoffCap: cap,
+		ID:      id,
+		Clock:   r.clk,
+		Network: r.net,
+		Servers: servers,
+		Class:   class,
 	})
 	if err != nil {
 		r.t.Fatal(err)
@@ -65,11 +62,10 @@ func TestBestEffortRefusedDuringPartitionAdmitsAfterHeal(t *testing.T) {
 	r := newRig(t, netsim.LAN(), "s1")
 	r.startOverloadServer(t, "s1", 4, server.OverloadConfig{
 		BestEffortSessions: 1,
-		RetryAfter:         200 * time.Millisecond,
 	})
 	r.run(time.Second)
 
-	c1 := r.startClassClient("c1", wire.ClassBestEffort, 50*time.Millisecond, time.Second, "s1")
+	c1 := r.startClassClient("c1", wire.ClassBestEffort, "s1")
 	if err := c1.Watch("casablanca"); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +75,7 @@ func TestBestEffortRefusedDuringPartitionAdmitsAfterHeal(t *testing.T) {
 	}
 
 	// c2 hits the best-effort rung and is refused with a retry hint.
-	c2 := r.startClassClient("c2", wire.ClassBestEffort, 50*time.Millisecond, time.Second, "s1")
+	c2 := r.startClassClient("c2", wire.ClassBestEffort, "s1")
 	if err := c2.Watch("casablanca"); err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +101,11 @@ func TestBestEffortRefusedDuringPartitionAdmitsAfterHeal(t *testing.T) {
 		t.Fatalf("s1 sessions = %d during partition, want 0", n)
 	}
 
-	// Heal: the next retry reaches the server and is admitted.
+	// Heal: the next retry reaches the server and is admitted. The opens
+	// lost in the partition have stretched the no-reply backoff, whose
+	// longest wait is 8s plus 25% jitter.
 	r.net.Heal()
-	r.run(5 * time.Second)
+	r.run(11 * time.Second)
 	if got := c2.State(); got != client.StateWatching {
 		t.Fatalf("c2 state = %v after heal, want watching", got)
 	}
@@ -123,36 +121,36 @@ func TestBestEffortRefusedDuringPartitionAdmitsAfterHeal(t *testing.T) {
 
 // TestRefusalBackoffExactCounters pins the refusal-retry schedule against
 // a permanently full server: the first retry comes exactly one
-// RefusalBackoff later (no jitter, preserving byte-identity for isolated
-// refusals), then the delay doubles with seeded jitter up to the cap. The
-// server carries no Retry-After hint (no Overload config), so this is the
-// client's own schedule; the refusal counts at each checkpoint are exact
-// for the rig's fixed seed.
+// refusalBackoff (10ms) later (no jitter, preserving byte-identity for
+// isolated refusals), then the delay doubles with seeded jitter up to the
+// 2s cap. The server carries no Retry-After hint (no Overload config), so
+// this is the client's own schedule; the refusal counts at each checkpoint
+// are exact for the rig's fixed seed.
 func TestRefusalBackoffExactCounters(t *testing.T) {
 	r := newRig(t, netsim.LAN(), "s1")
 	r.startLimitedServer(t, "s1", 1)
 	r.run(time.Second)
 
-	c1 := r.startClassClient("c1", wire.ClassReserved, 100*time.Millisecond, 800*time.Millisecond, "s1")
+	c1 := r.startClassClient("c1", wire.ClassReserved, "s1")
 	if err := c1.Watch("casablanca"); err != nil {
 		t.Fatal(err)
 	}
 	r.run(time.Second)
 
-	c2 := r.startClassClient("c2", wire.ClassBestEffort, 100*time.Millisecond, 800*time.Millisecond, "s1")
+	c2 := r.startClassClient("c2", wire.ClassBestEffort, "s1")
 	if err := c2.Watch("casablanca"); err != nil {
 		t.Fatal(err)
 	}
-	// Refusal n waits ~100·2^(n-1) ms (jittered from the second on, capped
-	// at 800ms): the streak is exactly reproducible for the rig's seed.
+	// Refusal n waits ~10·2^(n-1) ms (jittered from the second on, capped
+	// at 2s): the streak is exactly reproducible for the rig's seed.
 	for _, cp := range []struct {
 		after time.Duration
 		want  uint64
 	}{
-		{50 * time.Millisecond, 1},  // initial open refused at once
-		{100 * time.Millisecond, 2}, // first retry: exactly +100ms, no jitter
-		{4 * time.Second, 7},        // doubling + jitter reaches the 800ms cap
-		{4 * time.Second, 12},       // capped: ~800-1000ms per retry
+		{5 * time.Millisecond, 1},  // initial open refused at once
+		{10 * time.Millisecond, 2}, // first retry: exactly +10ms, no jitter
+		{3 * time.Second, 9},       // doubling + jitter reaches the 2s cap
+		{7 * time.Second, 12},      // capped: ~2-2.5s per retry
 	} {
 		r.run(cp.after)
 		if got := c2.Stats().OpenRefusals; got != cp.want {
@@ -164,33 +162,32 @@ func TestRefusalBackoffExactCounters(t *testing.T) {
 	}
 }
 
-// TestRefusalHonorsRetryAfterHint: the server's RetryAfter hint floors the
-// client's own backoff — a refused client must not come back faster than
-// the server asked, even when its local backoff is much shorter.
+// TestRefusalHonorsRetryAfterHint: the server's 1s Retry-After hint floors
+// the client's own backoff — a refused client must not come back faster
+// than the server asked, even though its local backoff starts at 10ms.
 func TestRefusalHonorsRetryAfterHint(t *testing.T) {
 	r := newRig(t, netsim.LAN(), "s1")
 	r.startOverloadServer(t, "s1", 1, server.OverloadConfig{
 		BestEffortSessions: 1,
-		RetryAfter:         2 * time.Second,
 	})
 	r.run(time.Second)
 
-	c1 := r.startClassClient("c1", wire.ClassReserved, 100*time.Millisecond, 800*time.Millisecond, "s1")
+	c1 := r.startClassClient("c1", wire.ClassReserved, "s1")
 	if err := c1.Watch("casablanca"); err != nil {
 		t.Fatal(err)
 	}
 	r.run(time.Second)
 
-	c2 := r.startClassClient("c2", wire.ClassBestEffort, 10*time.Millisecond, 100*time.Millisecond, "s1")
+	c2 := r.startClassClient("c2", wire.ClassBestEffort, "s1")
 	if err := c2.Watch("casablanca"); err != nil {
 		t.Fatal(err)
 	}
-	r.run(10 * time.Second)
-	// 10s with a 2s floor (plus up to 25% jitter) bounds the streak at
-	// 1 initial + at most 5 retries; without the hint the 10ms backoff
-	// would have produced ~100.
-	if got := c2.Stats().OpenRefusals; got < 3 || got > 6 {
-		t.Fatalf("refusals over 10s with 2s hint = %d, want 3..6", got)
+	r.run(2 * time.Second)
+	// 2s with a 1s floor (plus up to 25% jitter) bounds the streak at
+	// 1 initial + 1 or 2 retries; without the hint the doubling 10ms
+	// backoff retries 7 times in the same 2s.
+	if got := c2.Stats().OpenRefusals; got < 2 || got > 3 {
+		t.Fatalf("refusals over 2s with 1s hint = %d, want 2..3", got)
 	}
 	if st := r.servers["s1"].Stats(); st.RefusalsBestEffort != c2.Stats().OpenRefusals {
 		t.Fatalf("server counted %d refusals, client saw %d", st.RefusalsBestEffort, c2.Stats().OpenRefusals)

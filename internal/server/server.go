@@ -38,19 +38,19 @@ import (
 
 // Group naming scheme shared by servers and clients.
 const (
-	// ServerGroup is the group of all VoD servers.
-	ServerGroup = "vod.servers"
+	// serverGroupName is the group of all VoD servers.
+	serverGroupName = "vod.servers"
 	// movieGroupPrefix + movieID names a movie group.
 	movieGroupPrefix = "vod.movie."
 	// sessionGroupPrefix + clientID names a client's session group.
 	sessionGroupPrefix = "vod.session."
 )
 
-// MovieGroup returns the group name for a movie.
-func MovieGroup(movieID string) string { return movieGroupPrefix + movieID }
+// movieGroup returns the group name for a movie.
+func movieGroup(movieID string) string { return movieGroupPrefix + movieID }
 
-// SessionGroup returns the group name for a client.
-func SessionGroup(clientID string) string { return sessionGroupPrefix + clientID }
+// sessionGroup returns the group name for a client.
+func sessionGroup(clientID string) string { return sessionGroupPrefix + clientID }
 
 // Config configures a Server.
 type Config struct {
@@ -108,20 +108,20 @@ type Config struct {
 }
 
 // OverloadConfig tunes the degrade-before-refuse overload ladder. It only
-// takes effect when at least one of its levers is set; every field has a
-// sensible default so enabling a single lever is enough.
+// takes effect when at least one of its levers is set; enabling a single
+// lever is enough.
 //
 // The ladder, from mildest to harshest (reserved viewers are touched only by
 // the last rung, and takeover bypasses all of them):
 //
 //  1. shed best-effort quality: at DegradeSessions sessions, or whenever the
 //     egress bucket is under pressure, best-effort streams are thinned to
-//     DegradeFPS (I frames always pass, same as a client quality request);
+//     degradeFPS (I frames always pass, same as a client quality request);
 //  2. throttle best-effort frames: with ShapeRate set, a best-effort frame
 //     needs bucket tokens to leave; when the bucket is dry the frame waits
 //     and retries — stretched spacing, never a dropped offset;
 //  3. refuse best-effort Opens: at BestEffortSessions total sessions, new
-//     best-effort Opens are refused with a Retry-After hint;
+//     best-effort Opens are refused with a retryAfter hint;
 //  4. refuse reserved Opens: only at MaxSessions — truly full.
 type OverloadConfig struct {
 	// ShapeRate is the egress token-bucket refill rate in bytes/s; the
@@ -133,37 +133,30 @@ type OverloadConfig struct {
 	// MaxSessions like everyone else.
 	BestEffortSessions int
 	// DegradeSessions is the total session count at which best-effort
-	// streams are thinned to DegradeFPS. Zero means thinning is driven by
+	// streams are thinned to degradeFPS. Zero means thinning is driven by
 	// shaper pressure alone.
 	DegradeSessions int
-	// DegradeFPS is the thinned best-effort frame rate (default 10).
-	DegradeFPS uint16
-	// RetryAfter is the hint attached to best-effort refusals (default 1s).
-	RetryAfter time.Duration
 }
+
+// The overload ladder's fixed settings.
+const (
+	// degradeFPS is the thinned best-effort frame rate.
+	degradeFPS uint16 = 10
+	// retryAfter is the hint attached to best-effort refusals.
+	retryAfter = time.Second
+)
 
 // enabled reports whether any overload lever is configured.
 func (oc *OverloadConfig) enabled() bool {
 	return oc.ShapeRate > 0 || oc.BestEffortSessions > 0 || oc.DegradeSessions > 0
 }
 
-func (oc *OverloadConfig) fillDefaults() error {
-	if !oc.enabled() {
+func (oc *OverloadConfig) validate() error {
+	if oc.ShapeRate <= 0 {
 		return nil
 	}
-	if oc.DegradeFPS == 0 {
-		oc.DegradeFPS = 10
-	}
-	if oc.RetryAfter <= 0 {
-		oc.RetryAfter = time.Second
-	}
-	if oc.ShapeRate > 0 {
-		p := flowctl.ShaperParams{Rate: oc.ShapeRate}
-		if err := p.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	p := flowctl.ShaperParams{Rate: oc.ShapeRate}
+	return p.Validate()
 }
 
 func (c *Config) fillDefaults() error {
@@ -182,10 +175,7 @@ func (c *Config) fillDefaults() error {
 	if err := c.Flow.Validate(); err != nil {
 		return err
 	}
-	if err := c.Overload.fillDefaults(); err != nil {
-		return err
-	}
-	return nil
+	return c.Overload.validate()
 }
 
 // Stats are the server's cumulative counters, used by the experiment
@@ -374,7 +364,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.beCapacityMsg = s.atCapacityMsg
 	if cfg.Overload.enabled() {
-		s.retryAfterMs = uint32(cfg.Overload.RetryAfter.Milliseconds())
+		s.retryAfterMs = uint32(retryAfter.Milliseconds())
 		if be := cfg.Overload.BestEffortSessions; be > 0 {
 			s.beCapacityMsg = fmt.Sprintf("server %s best-effort capacity (%d sessions)", cfg.ID, be)
 		}
@@ -412,7 +402,7 @@ func (s *Server) Start() error {
 	// handler is inert for them.
 	s.proc.SetDirectHandler(s.onDirect)
 
-	sg, err := s.proc.Join(ServerGroup, gcs.Handlers{
+	sg, err := s.proc.Join(serverGroupName, gcs.Handlers{
 		OnMessage: s.onServerGroupMessage,
 	}, contacts...)
 	if err != nil {
@@ -449,7 +439,7 @@ func (s *Server) Start() error {
 			s.cfg.Clock,
 			s.mux.Channel(transport.ChannelDirectory),
 			transport.Addr(s.cfg.Directory),
-			ServerGroup,
+			serverGroupName,
 			transport.Addr(s.cfg.ID),
 			0, // default TTL
 		)
@@ -498,7 +488,7 @@ func (s *Server) serveMovie(movieID string, contacts []gcs.ProcessID) error {
 		movie:   movie,
 		clients: make(map[string]wire.ClientRecord),
 	}
-	member, err := s.proc.Join(MovieGroup(movieID), gcs.Handlers{
+	member, err := s.proc.Join(movieGroup(movieID), gcs.Handlers{
 		OnView:    func(v gcs.View) { s.later(func() { ms.onView(v) }) },
 		OnMessage: func(_ string, from gcs.ProcessID, payload []byte) { s.onMovieGroupMessage(ms, from, payload) },
 	}, contacts...)
@@ -592,10 +582,10 @@ func (s *Server) Stats() Stats {
 func (s *Server) degradeFPSLocked() uint16 {
 	oc := &s.cfg.Overload
 	if ds := oc.DegradeSessions; ds > 0 && len(s.sessions) >= ds {
-		return oc.DegradeFPS
+		return degradeFPS
 	}
 	if s.shaper != nil && s.shaper.UnderPressure() {
-		return oc.DegradeFPS
+		return degradeFPS
 	}
 	return 0
 }
@@ -786,7 +776,7 @@ func (s *Server) handleOpenLocked(from gcs.ProcessID) {
 			ms.announceLocked(sess.rec)
 		}
 	} else { // served elsewhere: no local session to borrow from
-		group = SessionGroup(open.ClientID)
+		group = sessionGroup(open.ClientID)
 	}
 	ttlMs := uint32(0)
 	if open.Lease {

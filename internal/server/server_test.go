@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/clock"
-	"repro/internal/gcs"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
 	"repro/internal/server"
@@ -478,30 +477,5 @@ func TestSequentialCrashesWithReplication3(t *testing.T) {
 		if n := r.servingCount("c1"); n != 1 {
 			t.Fatalf("after crashing %s: client served by %d servers", victim, n)
 		}
-	}
-}
-
-func TestAssignDeterministicAndBalanced(t *testing.T) {
-	order := []gcs.ProcessID{"s1", "s2", "s3"}
-	clients := []string{"c5", "c2", "c9", "c1", "c7", "c3"}
-	a := server.Assign(clients, order)
-	b := server.Assign([]string{"c1", "c2", "c3", "c5", "c7", "c9"}, order)
-	load := map[gcs.ProcessID]int{}
-	for id, owner := range a {
-		if b[id] != owner {
-			t.Fatalf("assignment depends on input order: %v vs %v", a, b)
-		}
-		load[owner]++
-	}
-	for s, n := range load {
-		if n != 2 {
-			t.Fatalf("server %s assigned %d clients, want 2: %v", s, n, load)
-		}
-	}
-}
-
-func TestAssignEmptyOrder(t *testing.T) {
-	if got := server.Assign([]string{"c1"}, nil); len(got) != 0 {
-		t.Fatalf("Assign with no members = %v", got)
 	}
 }

@@ -108,7 +108,7 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 			d.rate.DecayTick()
 		}
 	})
-	sess.group = SessionGroup(clientID)
+	sess.group = sessionGroup(clientID)
 	if rec.Leased {
 		// Two-tier membership: a leased session has no session group to
 		// join and no view to wait for — control arrives as direct

@@ -11,7 +11,7 @@ import (
 	"repro/internal/netsim"
 )
 
-// TableCapacity measures how many concurrent viewers one server's uplink
+// tableCapacity measures how many concurrent viewers one server's uplink
 // sustains — the scalability pressure that motivates the paper's
 // multi-server design (§1). The server's NIC is capped at 100 Mbps
 // (switched Ethernet); each 1.4 Mbps stream takes ~1/70 of it. Beyond the
@@ -20,7 +20,7 @@ import (
 // which is exactly when "new servers may be brought up on the fly to
 // alleviate the load", or when admission control caps the damage (last
 // row: the same overload with the server admitting only 65).
-func TableCapacity(seed int64) Table {
+func tableCapacity(seed int64) Table {
 	t := Table{
 		ID:    "Abl C",
 		Title: "viewers per server on a 100 Mbps uplink (motivates §1)",

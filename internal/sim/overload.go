@@ -23,23 +23,6 @@ import (
 // never touched and must ride through with zero stalls.
 type OverloadConfig struct {
 	Seed int64
-	// Reserved and BestEffort size the two viewer fleets (defaults 8, 24).
-	Reserved   int
-	BestEffort int
-	// MaxSessions, BestEffortSessions and DegradeSessions are the ladder
-	// rungs, thresholds on the server's total session count (defaults 30,
-	// 24, 16 — with 8 reserved viewers the crowd fills the remaining 16
-	// best-effort slots and the rest are refused); ShapeRate is the egress
-	// token-bucket rate in bytes/s (default 2.5 MB/s, below the degraded
-	// fleet's demand so the bucket actually sheds frames).
-	MaxSessions        int
-	BestEffortSessions int
-	DegradeSessions    int
-	ShapeRate          int64
-	// LossRate and LossDur shape the mid-crowd loss burst (defaults 0.25
-	// for 2s).
-	LossRate float64
-	LossDur  time.Duration
 	// Restart crashes the primary at 14s and cold-restarts it at 17s: the
 	// peer adopts every session (takeover bypasses admission), then
 	// redistribution deals them back after the restarted server refetches
@@ -47,32 +30,25 @@ type OverloadConfig struct {
 	Restart bool
 }
 
-func (cfg *OverloadConfig) fillDefaults() {
-	if cfg.Reserved == 0 {
-		cfg.Reserved = 8
-	}
-	if cfg.BestEffort == 0 {
-		cfg.BestEffort = 24
-	}
-	if cfg.MaxSessions == 0 {
-		cfg.MaxSessions = 30
-	}
-	if cfg.BestEffortSessions == 0 {
-		cfg.BestEffortSessions = 24
-	}
-	if cfg.DegradeSessions == 0 {
-		cfg.DegradeSessions = 16
-	}
-	if cfg.ShapeRate == 0 {
-		cfg.ShapeRate = 2_500_000
-	}
-	if cfg.LossRate == 0 {
-		cfg.LossRate = 0.25
-	}
-	if cfg.LossDur == 0 {
-		cfg.LossDur = 2 * time.Second
-	}
-}
+// The overload scenario's fleets, ladder and loss burst.
+const (
+	// ovReserved and ovBestEffort size the two viewer fleets.
+	ovReserved   = 8
+	ovBestEffort = 24
+	// ovMaxSessions, ovBestEffortSessions and ovDegradeSessions are the
+	// ladder rungs, thresholds on the server's total session count: with 8
+	// reserved viewers the crowd fills the remaining 16 best-effort slots
+	// and the rest are refused. ovShapeRate is the egress token-bucket rate
+	// in bytes/s, below the degraded fleet's demand so the bucket actually
+	// sheds frames.
+	ovMaxSessions        = 30
+	ovBestEffortSessions = 24
+	ovDegradeSessions    = 16
+	ovShapeRate          = 2_500_000
+	// ovLossRate and ovLossDur shape the mid-crowd loss burst.
+	ovLossRate = 0.25
+	ovLossDur  = 2 * time.Second
+)
 
 // ClassOutcome aggregates one traffic class's playback over an overload
 // trial.
@@ -106,7 +82,6 @@ type OverloadResult struct {
 // scenario on the virtual clock and returns per-class outcomes. Everything
 // is seeded; the same seed gives a byte-identical run.
 func OverloadTrial(cfg OverloadConfig) OverloadResult {
-	cfg.fillDefaults()
 	rt := newWorld(cfg.Seed, netsim.LAN())
 	defer rt.release()
 	rt.Net.SetEgressLimit("server-1", 100*1000*1000/8)
@@ -116,11 +91,11 @@ func OverloadTrial(cfg OverloadConfig) OverloadResult {
 	rt.deploy(core.DeployOptions{
 		Servers:     []string{"server-1", "server-2"},
 		Movies:      []*mpeg.Movie{movie},
-		MaxSessions: cfg.MaxSessions,
+		MaxSessions: ovMaxSessions,
 		Overload: server.OverloadConfig{
-			ShapeRate:          cfg.ShapeRate,
-			BestEffortSessions: cfg.BestEffortSessions,
-			DegradeSessions:    cfg.DegradeSessions,
+			ShapeRate:          ovShapeRate,
+			BestEffortSessions: ovBestEffortSessions,
+			DegradeSessions:    ovDegradeSessions,
 		},
 	})
 	defer rt.Stop()
@@ -145,22 +120,22 @@ func OverloadTrial(cfg OverloadConfig) OverloadResult {
 
 	// t≈1s: reserved viewers settle in, comfortably under every rung.
 	rt.Clk.Advance(500 * time.Millisecond)
-	for i := 0; i < cfg.Reserved; i++ {
+	for i := 0; i < ovReserved; i++ {
 		reserved = append(reserved, newViewer(fmt.Sprintf("res-%02d", i), wire.ClassReserved))
 		rt.Clk.Advance(100 * time.Millisecond)
 	}
 
 	// t≈6s: the flash crowd bursts onto the same title.
 	rt.advanceTo(6 * time.Second)
-	for i := 0; i < cfg.BestEffort; i++ {
+	for i := 0; i < ovBestEffort; i++ {
 		bestEffort = append(bestEffort, newViewer(fmt.Sprintf("be-%02d", i), wire.ClassBestEffort))
 		rt.Clk.Advance(5 * time.Millisecond)
 	}
 
 	// t=10s: loss burst on every link.
 	rt.advanceTo(10 * time.Second)
-	rt.Net.SetExtraLoss(cfg.LossRate)
-	rt.Clk.Advance(cfg.LossDur)
+	rt.Net.SetExtraLoss(ovLossRate)
+	rt.Clk.Advance(ovLossDur)
 	rt.Net.SetExtraLoss(0)
 
 	if cfg.Restart {

@@ -25,9 +25,6 @@ func SetParallelism(n int) {
 	parallelism.Store(int32(n))
 }
 
-// Parallelism returns the current worker bound (0 = all cores).
-func Parallelism() int { return int(parallelism.Load()) }
-
 // fanOut runs n independent jobs across the package worker bound and
 // returns the results in job order. Jobs must be self-contained — they are
 // simulation runs, deterministic in their inputs alone. A panicking job
@@ -36,7 +33,7 @@ func Parallelism() int { return int(parallelism.Load()) }
 // is worthless.
 func fanOut[T any](n int, f func(i int) T) []T {
 	results, _, err := sweep.RunOpts(context.Background(), n,
-		sweep.Options{Workers: Parallelism(), KeepGoing: true},
+		sweep.Options{Workers: int(parallelism.Load()), KeepGoing: true},
 		func(i int, _ int64) (T, error) { return f(i), nil })
 	if err != nil {
 		panic(err)

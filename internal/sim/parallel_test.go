@@ -17,9 +17,9 @@ func withParallelism(t *testing.T, n int, f func()) {
 }
 
 // TestTableParallelEquivalence: every fanned-out table generator must
-// produce byte-identical output at workers=1 and workers=8. TableCapacity
+// produce byte-identical output at workers=1 and workers=8. tableCapacity
 // is the heavyweight (five independent clusters of up to 85 viewers);
-// TableTakeover sweeps five seeded trials. A diff here means a concurrent
+// tableTakeover sweeps five seeded trials. A diff here means a concurrent
 // run leaked state into another — the bug class the sweep engine's
 // contract forbids.
 func TestTableParallelEquivalence(t *testing.T) {
@@ -30,9 +30,9 @@ func TestTableParallelEquivalence(t *testing.T) {
 		name string
 		gen  func() Table
 	}{
-		{"capacity", func() Table { return TableCapacity(1) }},
-		{"takeover", func() Table { return TableTakeover(5) }},
-		{"syncsweep", func() Table { return TableSyncSweep(1) }},
+		{"capacity", func() Table { return tableCapacity(1) }},
+		{"takeover", func() Table { return tableTakeover(5) }},
+		{"syncsweep", func() Table { return tableSyncSweep(1) }},
 	}
 	for _, g := range gens {
 		var seq, par Table
@@ -89,11 +89,11 @@ func TestFiguresParallelEquivalence(t *testing.T) {
 func TestSetParallelismClamps(t *testing.T) {
 	SetParallelism(-3)
 	defer SetParallelism(0)
-	if got := Parallelism(); got != 0 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(-3), want 0", got)
+	if got := parallelism.Load(); got != 0 {
+		t.Fatalf("parallelism = %d after SetParallelism(-3), want 0", got)
 	}
 	// And a table still generates under the default.
-	if tab := TableFlowControl(); len(tab.Rows) == 0 {
+	if tab := tableFlowControl(); len(tab.Rows) == 0 {
 		t.Fatal("empty table under default parallelism")
 	}
 }

@@ -135,41 +135,41 @@ func TableIDs() []string {
 func TableByID(id string, seed int64) (Table, error) {
 	switch id {
 	case "flowctl":
-		return TableFlowControl(), nil
+		return tableFlowControl(), nil
 	case "emergency":
-		return TableEmergency(seed), nil
+		return tableEmergency(seed), nil
 	case "sync":
-		return TableSyncOverhead(seed), nil
+		return tableSyncOverhead(seed), nil
 	case "takeover":
-		return TableTakeover(5), nil
+		return tableTakeover(5), nil
 	case "faults":
-		return TableFaultTolerance(seed), nil
+		return tableFaultTolerance(seed), nil
 	case "buffersweep":
-		return TableBufferSweep(seed), nil
+		return tableBufferSweep(seed), nil
 	case "emergencysweep":
-		return TableEmergencySweep(seed), nil
+		return tableEmergencySweep(seed), nil
 	case "syncsweep":
-		return TableSyncSweep(seed), nil
+		return tableSyncSweep(seed), nil
 	case "discard":
-		return TableDiscard(seed), nil
+		return tableDiscard(seed), nil
 	case "qos":
-		return TableQoS(seed), nil
+		return tableQoS(seed), nil
 	case "capacity":
-		return TableCapacity(seed), nil
+		return tableCapacity(seed), nil
 	case "scale":
 		// Not listed in TableIDs: -table all and -list keep their exact
 		// pre-§12 byte output; the two-tier table is opt-in by name.
-		return TableScale(seed), nil
+		return tableScale(seed, scalePoints), nil
 	case "obs":
-		return TableObservability(seed), nil
+		return tableObservability(seed), nil
 	default:
 		return Table{}, fmt.Errorf("sim: unknown table %q (have %v)", id, TableIDs())
 	}
 }
 
-// TableFlowControl reprints the paper's Figure 2 policy table and verifies
+// tableFlowControl reprints the paper's Figure 2 policy table and verifies
 // each row against a live Policy instance.
-func TableFlowControl() Table {
+func tableFlowControl() Table {
 	p := flowctl.DefaultParams()
 	type row struct {
 		desc string
@@ -232,9 +232,9 @@ func flowName(k wire.FlowKind) string {
 	}
 }
 
-// TableEmergency reports the decaying emergency sequences (§4.1) and the
+// tableEmergency reports the decaying emergency sequences (§4.1) and the
 // measured peak bandwidth boost during the LAN crash recovery.
-func TableEmergency(seed int64) Table {
+func tableEmergency(seed int64) Table {
 	sc := LANScenario(seed)
 	sc.Record = Video
 	res := Run(sc)
@@ -272,9 +272,9 @@ func TableEmergency(seed int64) Table {
 	}
 }
 
-// TableSyncOverhead reports the state-sync bandwidth share (§1: "less than
+// tableSyncOverhead reports the state-sync bandwidth share (§1: "less than
 // one thousandth of the total communication bandwidth").
-func TableSyncOverhead(seed int64) Table {
+func tableSyncOverhead(seed int64) Table {
 	res := Run(LANScenario(seed))
 	var video, sync, msgs uint64
 	for _, st := range res.ServerStats {
@@ -296,9 +296,9 @@ func TableSyncOverhead(seed int64) Table {
 	}
 }
 
-// TableTakeover reports crash-takeover latency over several trials
+// tableTakeover reports crash-takeover latency over several trials
 // (paper: "the take over time was half a second on the average").
-func TableTakeover(trials int) Table {
+func tableTakeover(trials int) Table {
 	t := Table{
 		ID:     "Tbl T",
 		Title:  "crash takeover time on a LAN",
@@ -316,10 +316,10 @@ func TableTakeover(trials int) Table {
 	return t
 }
 
-// TableFaultTolerance contrasts replication-k failover with Tiger-style
+// tableFaultTolerance contrasts replication-k failover with Tiger-style
 // striping (§7): replication tolerates k−1 arbitrary failures; Tiger
 // masks one failure but loses blocks when two adjacent cubs die.
-func TableFaultTolerance(seed int64) Table {
+func tableFaultTolerance(seed int64) Table {
 	t := Table{
 		ID:     "Tbl K",
 		Title:  "failures tolerated: replication-k vs Tiger striping (§7)",
@@ -425,9 +425,9 @@ func tigerTrial(seed int64, crashes []string) (lost, displayed uint64) {
 	return c.GapSkipped, c.Displayed
 }
 
-// TableBufferSweep varies the client buffer size and reports smoothness
+// tableBufferSweep varies the client buffer size and reports smoothness
 // across the LAN crash scenario — the §4.2 sizing tradeoff.
-func TableBufferSweep(seed int64) Table {
+func tableBufferSweep(seed int64) Table {
 	t := Table{
 		ID:     "Abl B",
 		Title:  "buffer-size sweep on the LAN crash scenario (§4.2)",
@@ -440,7 +440,7 @@ func TableBufferSweep(seed int64) Table {
 			SoftwareCapacity:      int(37 * scale),
 			HardwareCapacityBytes: int(240 * 1024 * scale),
 		}
-		flow := ParamsForBuffer(buf)
+		flow := paramsForBuffer(buf)
 		res := Run(Scenario{
 			Name:    fmt.Sprintf("buf-%.1fx", scale),
 			Profile: netsim.LAN(),
@@ -463,34 +463,27 @@ func TableBufferSweep(seed int64) Table {
 	return t
 }
 
-// ParamsForBuffer derives the paper's threshold fractions (73% / 88% /
+// paramsForBuffer derives the paper's threshold fractions (73% / 88% /
 // 30% / 15%) for a non-default buffer size.
-func ParamsForBuffer(buf buffer.Config) flowctl.Params {
+func paramsForBuffer(buf buffer.Config) flowctl.Params {
 	const meanFrame = 5833 // 1.4 Mbps / 8 / 30 fps
 	p := flowctl.DefaultParams()
 	capacity := buf.SoftwareCapacity + buf.HardwareCapacityBytes/meanFrame
 	p.CombinedCapacity = capacity
 	p.SoftwareCapacity = buf.SoftwareCapacity
-	p.LowWater = maxInt(capacity*73/100, 4)
-	p.HighWater = maxInt(capacity*88/100, p.LowWater+1)
-	p.CriticalMinor = maxInt(buf.SoftwareCapacity*30/100, 2)
-	p.CriticalMajor = maxInt(buf.SoftwareCapacity*15/100, 1)
+	p.LowWater = max(capacity*73/100, 4)
+	p.HighWater = max(capacity*88/100, p.LowWater+1)
+	p.CriticalMinor = max(buf.SoftwareCapacity*30/100, 2)
+	p.CriticalMajor = max(buf.SoftwareCapacity*15/100, 1)
 	if p.CriticalMajor > p.CriticalMinor {
 		p.CriticalMajor = p.CriticalMinor
 	}
 	return p
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// TableEmergencySweep varies the base emergency quantity and reports the
+// tableEmergencySweep varies the base emergency quantity and reports the
 // §4.1 tradeoff: refill speed vs overflow.
-func TableEmergencySweep(seed int64) Table {
+func tableEmergencySweep(seed int64) Table {
 	t := Table{
 		ID:     "Abl E",
 		Title:  "emergency quantity sweep on the LAN crash scenario (§4.1)",
@@ -545,10 +538,10 @@ func TableEmergencySweep(seed int64) Table {
 	return t
 }
 
-// TableSyncSweep varies the state-sync period: a longer period means
+// tableSyncSweep varies the state-sync period: a longer period means
 // staler takeover offsets, hence more duplicate (late) frames at
 // migration, against lower (already negligible) overhead (§5.2).
-func TableSyncSweep(seed int64) Table {
+func tableSyncSweep(seed int64) Table {
 	t := Table{
 		ID:     "Abl S",
 		Title:  "state-sync period sweep on the LAN crash scenario (§5.2)",
@@ -581,7 +574,7 @@ func TableSyncSweep(seed int64) Table {
 	return t
 }
 
-// TableQoS contrasts the WAN scenario with and without QoS reservation
+// tableQoS contrasts the WAN scenario with and without QoS reservation
 // (§2: the service "is best provided using QoS reservation mechanisms",
 // e.g. an ATM CBR channel; without one, "some buffer space and a flow
 // control mechanism can account for jitter periods"). A reserved channel
@@ -589,7 +582,7 @@ func TableSyncSweep(seed int64) Table {
 // two rows come from the server-side traffic-class ladder: a LAN flash
 // crowd where the server itself shapes egress and degrades best-effort
 // sessions so reserved viewers keep their guarantees.
-func TableQoS(seed int64) Table {
+func tableQoS(seed int64) Table {
 	t := Table{
 		ID:     "Abl Q",
 		Title:  "WAN with vs without QoS reservation (§2)",
@@ -643,12 +636,12 @@ func TableQoS(seed int64) Table {
 	return t
 }
 
-// TableObservability dumps every node's obs counters after the LAN crash
+// tableObservability dumps every node's obs counters after the LAN crash
 // scenario — the deterministic end-of-run snapshot of the cluster-wide
 // observability layer. Counter values are exactly reproducible for a
 // given seed, so this table doubles as a regression canary for the
 // protocol's message economy.
-func TableObservability(seed int64) Table {
+func tableObservability(seed int64) Table {
 	res := Run(LANScenario(seed))
 	t := Table{
 		ID:     "Tbl O",
@@ -676,9 +669,9 @@ func TableObservability(seed int64) Table {
 	return t
 }
 
-// TableDiscard quantifies the I-frame-preserving overflow policy (§3) on
+// tableDiscard quantifies the I-frame-preserving overflow policy (§3) on
 // the WAN scenario, where overflow actually occurs.
-func TableDiscard(seed int64) Table {
+func tableDiscard(seed int64) Table {
 	t := Table{
 		ID:     "Abl D",
 		Title:  "overflow discard policy: I-frame preserving vs naive (§3)",
@@ -696,7 +689,7 @@ func TableDiscard(seed int64) Table {
 		}
 		sc := LANScenario(seed)
 		sc.Buffer = buf
-		sc.Flow = ParamsForBuffer(buf)
+		sc.Flow = paramsForBuffer(buf)
 		res := Run(sc)
 		name := "preserve I frames (paper)"
 		if naive {

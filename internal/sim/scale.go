@@ -11,12 +11,24 @@ import (
 	"repro/internal/transport"
 )
 
-// TableScale is the two-tier capacity table (DESIGN §12): clusters far past
+type scalePoint struct {
+	servers int
+	viewers int
+}
+
+// scalePoints are the load points of the published scale table.
+var scalePoints = []scalePoint{
+	{servers: 10, viewers: 1_000},
+	{servers: 25, viewers: 4_000},
+	{servers: 50, viewers: 10_000},
+}
+
+// tableScale is the two-tier capacity table (DESIGN §12): clusters far past
 // the full-mesh ceiling, reachable only because viewers hold leases instead
 // of group memberships and each movie's virtual-synchrony group is sharded
 // to its consistent-hash arc (Replicas owners) rather than every server.
 // The top row is a sanity size; the bottom row is the headline 50-server /
-// 10,000-viewer configuration. Load points are independent clusters, fanned
+// 10,000-viewer configuration (scalePoints). Load points are independent clusters, fanned
 // across cores; every row is deterministic for a given seed regardless of
 // the worker count.
 //
@@ -26,20 +38,8 @@ import (
 // Every viewer here is leased, so every stream is paced by a stripe and
 // leaves in batched beats — most of what makes the 10k-viewer row cheap
 // enough to regenerate casually.
-func TableScale(seed int64) Table {
-	return tableScale(seed, []scalePoint{
-		{servers: 10, viewers: 1_000},
-		{servers: 25, viewers: 4_000},
-		{servers: 50, viewers: 10_000},
-	})
-}
-
-type scalePoint struct {
-	servers int
-	viewers int
-}
-
-// tableScale is the parameterized core, shared with the reduced-size tests.
+//
+// Tests run it on reduced load points.
 func tableScale(seed int64, points []scalePoint) Table {
 	t := Table{
 		ID:    "Tbl 2T",

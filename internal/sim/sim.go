@@ -64,9 +64,8 @@ type Scenario struct {
 	Servers []string
 	Peers   []string
 	// ClientID is the observed client (default "client-1"). It opens the
-	// movie at ClientStart (default 1s, after the server group settles).
-	ClientID    string
-	ClientStart time.Duration
+	// movie at clientStart.
+	ClientID string
 	// Buffer and Flow configure the client (paper defaults if zero).
 	Buffer buffer.Config
 	Flow   flowctl.Params
@@ -197,7 +196,7 @@ func (rt *Runtime) watch(cfg core.ClientConfig, movieID string) *client.Client {
 // advanceTo advances the clock to the given offset from the epoch (no-op
 // when already past it).
 func (rt *Runtime) advanceTo(offset time.Duration) {
-	if d := offset - rt.Elapsed(); d > 0 {
+	if d := offset - rt.elapsed(); d > 0 {
 		rt.Clk.Advance(d)
 	}
 }
@@ -351,15 +350,16 @@ func (rt *Runtime) ServingServer() string { return rt.Deployment.ServingServer(r
 // Client returns the observed client.
 func (rt *Runtime) Client() *client.Client { return rt.client }
 
-// Elapsed returns the scenario time.
-func (rt *Runtime) Elapsed() time.Duration { return rt.Clk.Now().Sub(epoch) }
+// elapsed returns the scenario time.
+func (rt *Runtime) elapsed() time.Duration { return rt.Clk.Now().Sub(epoch) }
+
+// clientStart is when the observed client opens the movie: after the
+// server group settles.
+const clientStart = time.Second
 
 func (sc *Scenario) fillDefaults() {
 	if sc.ClientID == "" {
 		sc.ClientID = "client-1"
-	}
-	if sc.ClientStart <= 0 {
-		sc.ClientStart = time.Second
 	}
 	if sc.SampleEvery <= 0 {
 		sc.SampleEvery = 100 * time.Millisecond
@@ -424,7 +424,7 @@ func Run(sc Scenario) *Result {
 	}
 
 	// Client creation and open.
-	clk.AfterFunc(sc.ClientStart, func() {
+	clk.AfterFunc(clientStart, func() {
 		cfg := rt.ClientConfig(sc.ClientID)
 		cfg.Buffer = sc.Buffer
 		rt.client = rt.watch(cfg, movie.ID())
@@ -447,7 +447,7 @@ func Run(sc Scenario) *Result {
 		peers := rt.Peers()
 		var sampler clock.Periodic
 		sampler.Start(clk, sc.SampleEvery, sc.SampleEvery, func() {
-			t := rt.Elapsed()
+			t := rt.elapsed()
 			if rt.client != nil {
 				cnt, occ := rt.client.Counters(), rt.client.Occupancy()
 				res.SkippedCum.Add(t, float64(cnt.Skipped()))

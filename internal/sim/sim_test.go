@@ -117,7 +117,7 @@ func TestFig5WANShape(t *testing.T) {
 	sc := WANScenario(1)
 	sc.Record = Skipped | Late | Overflow | Stalls
 	res := Run(sc)
-	lbAt, crashAt := EventTimesWAN()
+	lbAt, crashAt := fig5LBAt, fig5CrashAt
 
 	t.Logf("final counters: %+v", res.Final)
 	t.Logf("skipped end=%v overflow end=%v late end=%v stalls=%v",

@@ -43,8 +43,8 @@ func (c *Catalog) Add(m *mpeg.Movie) {
 	c.movies[m.ID()] = m
 }
 
-// Remove deletes a movie by ID.
-func (c *Catalog) Remove(id string) {
+// remove deletes a movie by ID.
+func (c *Catalog) remove(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.movies, id)

@@ -38,9 +38,9 @@ func TestCatalogGetMissing(t *testing.T) {
 func TestCatalogRemove(t *testing.T) {
 	c := NewCatalog()
 	c.Add(testMovie("m"))
-	c.Remove("m")
+	c.remove("m")
 	if c.Has("m") {
-		t.Fatal("movie survived Remove")
+		t.Fatal("movie survived remove")
 	}
 }
 

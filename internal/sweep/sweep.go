@@ -85,14 +85,14 @@ func (e *PanicError) Error() string {
 }
 
 // Errors is the sweep's failure set, sorted by job index. It satisfies
-// error; callers needing the seeds use errors.As and Seeds.
+// error; callers needing the seeds use errors.As and read each JobError.
 type Errors []*JobError
 
 func (e Errors) Error() string {
 	if len(e) == 1 {
 		return e[0].Error()
 	}
-	return fmt.Sprintf("%d jobs failed (seeds %v), first: %v", len(e), e.Seeds(), e[0])
+	return fmt.Sprintf("%d jobs failed (seeds %v), first: %v", len(e), e.seeds(), e[0])
 }
 
 // Unwrap exposes the individual job errors to errors.Is/As traversal.
@@ -104,8 +104,8 @@ func (e Errors) Unwrap() []error {
 	return out
 }
 
-// Seeds returns the failed seeds in ascending order.
-func (e Errors) Seeds() []int64 {
+// seeds returns the failed seeds in ascending order.
+func (e Errors) seeds() []int64 {
 	seeds := make([]int64, len(e))
 	for i, je := range e {
 		seeds[i] = je.Seed

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -147,14 +148,12 @@ func TestKeepGoingCollectsAll(t *testing.T) {
 		t.Fatalf("want sweep.Errors, got %v", err)
 	}
 	wantSeeds := []int64{10, 20, 30}
-	got := errs.Seeds()
-	if len(got) != len(wantSeeds) {
-		t.Fatalf("failed seeds %v, want %v", got, wantSeeds)
+	var got []int64
+	for _, je := range errs {
+		got = append(got, je.Seed)
 	}
-	for i := range got {
-		if got[i] != wantSeeds[i] {
-			t.Fatalf("failed seeds %v, want %v", got, wantSeeds)
-		}
+	if !slices.Equal(got, wantSeeds) {
+		t.Fatalf("failed seeds %v, want %v", got, wantSeeds)
 	}
 	if sum.Failed != 3 {
 		t.Fatalf("summary %+v", sum)

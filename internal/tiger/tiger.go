@@ -38,11 +38,14 @@ type Config struct {
 	Mirrors int
 	// Movie is the striped content.
 	Movie *mpeg.Movie
-	// HeartbeatInterval / SuspectTimeout drive cub failure detection
-	// (defaults 100ms / 500ms, matching the VoD service's detector).
-	HeartbeatInterval time.Duration
-	SuspectTimeout    time.Duration
 }
+
+// heartbeatInterval / suspectTimeout drive cub failure detection, matching
+// the VoD service's detector.
+const (
+	heartbeatInterval = 100 * time.Millisecond
+	suspectTimeout    = 500 * time.Millisecond
+)
 
 func (c *Config) fillDefaults() error {
 	if c.Clock == nil || c.Network == nil || c.Movie == nil {
@@ -56,12 +59,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Mirrors > len(c.Cubs) {
 		return fmt.Errorf("tiger: %d mirrors with %d cubs", c.Mirrors, len(c.Cubs))
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 100 * time.Millisecond
-	}
-	if c.SuspectTimeout <= 0 {
-		c.SuspectTimeout = 500 * time.Millisecond
 	}
 	return nil
 }
@@ -94,7 +91,7 @@ func New(cfg Config) (*Service, error) {
 			streams:   make(map[transport.Addr]*stream),
 		}
 		ep.SetHandler(c.onPacket)
-		c.hbTask.Start(cfg.Clock, cfg.HeartbeatInterval, cfg.HeartbeatInterval, c.heartbeat)
+		c.hbTask.Start(cfg.Clock, heartbeatInterval, heartbeatInterval, c.heartbeat)
 		svc.cubs[id] = c
 	}
 	return svc, nil
@@ -208,7 +205,7 @@ func (c *cub) responsibleLocked(frame int) int {
 			return idx // we are alive by definition
 		}
 		heard, ok := c.lastHeard[c.svc.cfg.Cubs[idx]]
-		if !ok || now.Sub(heard) < c.svc.cfg.SuspectTimeout {
+		if !ok || now.Sub(heard) < suspectTimeout {
 			// Alive, or never heard from (startup grace): assume alive.
 			return idx
 		}

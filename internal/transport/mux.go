@@ -151,7 +151,7 @@ type Dest struct {
 
 // Resolve prepares to for the preframed send methods.
 func (c *Channel) Resolve(to Addr) Dest {
-	d := Dest{addr: to, ref: NoAddrRef}
+	d := Dest{addr: to, ref: noAddrRef}
 	if c.refs != nil {
 		d.ref = c.refs.ResolveAddr(to)
 	}

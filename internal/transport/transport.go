@@ -48,9 +48,9 @@ type Endpoint interface {
 // string. Refs are only meaningful to the network that issued them.
 type AddrRef int32
 
-// NoAddrRef is the reference of a destination no network resolved: the
+// noAddrRef is the reference of a destination no network resolved: the
 // value a Dest carries when its channel's endpoint is not a RefSender.
-const NoAddrRef AddrRef = -1
+const noAddrRef AddrRef = -1
 
 // RefSender is the one optional Endpoint extension: a no-copy send path for
 // networks with dense internal routing (netsim). Every payload sent through

@@ -12,11 +12,11 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultPeerCacheLimit bounds the peer-resolution cache of a UDPEndpoint.
+// defaultPeerCacheLimit bounds the peer-resolution cache of a UDPEndpoint.
 // A long-lived server sees client addresses churn indefinitely; without a
 // bound the cache is a slow memory leak. 4096 entries comfortably covers a
 // node's live peer set while keeping the worst case small (~100 B each).
-const DefaultPeerCacheLimit = 4096
+const defaultPeerCacheLimit = 4096
 
 // peerEntry is one cached peer: the Addr it is known by and the socket
 // address datagrams to it are written to. It is always indexed by name
@@ -90,7 +90,7 @@ func ListenUDP(bind string, advertise Addr, reg ...*obs.Registry) (*UDPEndpoint,
 		addr:     addr,
 		peers:    make(map[Addr]*peerEntry),
 		sources:  make(map[netip.AddrPort]*peerEntry),
-		maxPeers: DefaultPeerCacheLimit,
+		maxPeers: defaultPeerCacheLimit,
 
 		sentDatagrams: r.Counter("transport.sent_datagrams"),
 		sentBytes:     r.Counter("transport.sent_bytes"),
@@ -286,7 +286,7 @@ func (e *UDPEndpoint) readLoop() {
 				// A persistent error (e.g. a broken socket that is not
 				// reported as closed) must not busy-spin the loop; back
 				// off exponentially up to 100ms.
-				backoff := time.Millisecond << uint(minInt(failures-2, 7))
+				backoff := time.Millisecond << uint(min(failures-2, 7))
 				if backoff > 100*time.Millisecond {
 					backoff = 100 * time.Millisecond
 				}
@@ -318,11 +318,4 @@ func (e *UDPEndpoint) readLoop() {
 		// Handlers must not retain the payload, so one buffer suffices.
 		h(from, buf[:n])
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -76,7 +76,7 @@ func TestOpenReplyRetryAfterRoundTrip(t *testing.T) {
 	// No-hint replies stay byte-identical to the legacy encoding.
 	var legacy []byte
 	legacy = AppendU8(legacy, uint8(KindOpenReply))
-	legacy = AppendBool(legacy, true)
+	legacy = appendBool(legacy, true)
 	legacy = AppendString(legacy, "")
 	legacy = AppendString(legacy, "m")
 	legacy = AppendU32(legacy, 10)
@@ -131,7 +131,7 @@ func TestClientStateRecordCountGuard(t *testing.T) {
 	b = AppendU8(b, uint8(KindClientState))
 	b = AppendString(b, "server-1")
 	b = AppendU64(b, 0)
-	b = AppendBool(b, false)
+	b = appendBool(b, false)
 	b = AppendU16(b, 65535)
 	if _, err := Decode(b); err == nil {
 		t.Fatal("hostile record count decoded without error")

@@ -258,7 +258,7 @@ var _ Message = (*OpenReply)(nil)
 func (*OpenReply) Kind() Kind { return KindOpenReply }
 
 func (m *OpenReply) appendBody(b []byte) []byte {
-	b = AppendBool(b, m.OK)
+	b = appendBool(b, m.OK)
 	b = AppendString(b, m.Error)
 	b = AppendString(b, m.Movie)
 	b = AppendU32(b, m.TotalFrames)
@@ -561,7 +561,7 @@ func (*ClientState) Kind() Kind { return KindClientState }
 func (m *ClientState) appendBody(b []byte) []byte {
 	b = AppendString(b, m.Server)
 	b = AppendU64(b, m.ViewSeq)
-	b = AppendBool(b, m.Newcomer)
+	b = appendBool(b, m.Newcomer)
 	b = AppendU16(b, uint16(len(m.Clients)))
 	classed := false
 	for i := range m.Clients {
@@ -571,9 +571,9 @@ func (m *ClientState) appendBody(b []byte) []byte {
 		b = AppendU32(b, c.Offset)
 		b = AppendU16(b, c.Rate)
 		b = AppendU16(b, c.QualityFPS)
-		b = AppendBool(b, c.Paused)
-		b = AppendBool(b, c.Departed)
-		b = AppendI64(b, c.SentAt)
+		b = appendBool(b, c.Paused)
+		b = appendBool(b, c.Departed)
+		b = appendI64(b, c.SentAt)
 		if c.Class != ClassReserved || c.Leased {
 			classed = true
 		}
@@ -650,7 +650,7 @@ func DecodeClientStateInto(m *ClientState, tab Intern, b []byte) error {
 				QualityFPS: r.U16(),
 				Paused:     r.Bool(),
 				Departed:   r.Bool(),
-				SentAt:     r.I64(),
+				SentAt:     r.i64(),
 			}
 		}
 		if r.err == nil && r.Remaining() > 0 {

@@ -36,11 +36,11 @@ func AppendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32
 // AppendU64 appends a big-endian uint64.
 func AppendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 
-// AppendI64 appends a big-endian int64 (two's complement).
-func AppendI64(b []byte, v int64) []byte { return binary.BigEndian.AppendUint64(b, uint64(v)) }
+// appendI64 appends a big-endian int64 (two's complement).
+func appendI64(b []byte, v int64) []byte { return binary.BigEndian.AppendUint64(b, uint64(v)) }
 
-// AppendBool appends a bool as one byte (0 or 1).
-func AppendBool(b []byte, v bool) []byte {
+// appendBool appends a bool as one byte (0 or 1).
+func appendBool(b []byte, v bool) []byte {
 	if v {
 		return append(b, 1)
 	}
@@ -142,8 +142,8 @@ func (r *Reader) U64() uint64 {
 	return binary.BigEndian.Uint64(v)
 }
 
-// I64 consumes a big-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
+// i64 consumes a big-endian int64.
+func (r *Reader) i64() int64 { return int64(r.U64()) }
 
 // Bool consumes one byte as a bool; any nonzero value is true.
 func (r *Reader) Bool() bool { return r.U8() != 0 }

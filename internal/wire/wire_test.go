@@ -14,9 +14,9 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	b = AppendU16(b, 0xBEEF)
 	b = AppendU32(b, 0xDEADBEEF)
 	b = AppendU64(b, math.MaxUint64)
-	b = AppendI64(b, -12345678901234)
-	b = AppendBool(b, true)
-	b = AppendBool(b, false)
+	b = appendI64(b, -12345678901234)
+	b = appendBool(b, true)
+	b = appendBool(b, false)
 	b = AppendBytes(b, []byte{1, 2, 3})
 	b = AppendString(b, "movie group")
 
@@ -33,7 +33,7 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	if got := r.U64(); got != math.MaxUint64 {
 		t.Fatalf("U64 = %#x", got)
 	}
-	if got := r.I64(); got != -12345678901234 {
+	if got := r.i64(); got != -12345678901234 {
 		t.Fatalf("I64 = %d", got)
 	}
 	if !r.Bool() || r.Bool() {
