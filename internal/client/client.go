@@ -188,8 +188,13 @@ type Client struct {
 
 	resolver *congress.Resolver
 
+	// The lifecycle fields (state, paused, reopening, openAttempt, refusals,
+	// openTimer, serving, keeper) are written only by New, Pause, Resume and
+	// the edges: startLocked, sendOpen, refusedLocked, acceptLocked,
+	// reopenLocked, displayTick's finish and stopLocked.
 	mu          sync.Mutex
 	state       State
+	closed      bool
 	movie       string
 	servers     []string // current server list (static + resolved)
 	totalFrames uint32
@@ -280,9 +285,11 @@ func New(cfg Config) (*Client, error) {
 			Endpoint: mux.Channel(transport.ChannelGCS),
 			Obs:      cfg.Obs,
 		}),
-		vid:     mux.Channel(transport.ChannelVideo),
-		state:   StateIdle,
-		servers: cfg.Servers,
+		vid:      mux.Channel(transport.ChannelVideo),
+		state:    StateIdle,
+		servers:  cfg.Servers,
+		pipeline: buffer.New(cfg.Buffer),
+		policy:   flowctl.NewPolicy(cfg.Flow),
 		ctr: clientCounters{
 			opensSent:   cfg.Obs.Counter("client.opens_sent"),
 			openRetries: cfg.Obs.Counter("client.open_retries"),
@@ -315,44 +322,24 @@ func (c *Client) ID() string { return c.cfg.ID }
 
 // Watch requests the movie from the VoD service. The client joins its
 // session group first — the serving server joins the same group to form
-// the two-way connection — then anycasts the Open to the server group.
+// the two-way connection — then anycasts the Open to the server group. A
+// stopped or finished client may watch again; a closed one may not.
 func (c *Client) Watch(movieID string) error {
 	c.mu.Lock()
-	switch c.state {
-	case StateIdle, StateStopped, StateFinished:
-		// A stopped or finished client may watch again; its session state
-		// (pipeline, policy) is reused in place rather than reallocated,
-		// so a fleet cycling through titles — or a chaos harness
-		// restarting viewers — pays the setup allocations once.
-	default:
+	if c.closed {
+		c.mu.Unlock()
+		return fmt.Errorf("client %s: closed", c.cfg.ID)
+	}
+	if c.state == StateOpening || c.state == StateWatching {
 		c.mu.Unlock()
 		return fmt.Errorf("client %s: cannot watch in state %v", c.cfg.ID, c.state)
 	}
-	c.state = StateOpening
-	c.movie = movieID
-	if c.pipeline == nil {
-		c.pipeline = buffer.New(c.cfg.Buffer)
-	} else {
-		c.pipeline.Reset(0)
-	}
-	if c.policy == nil {
-		c.policy = flowctl.NewPolicy(c.cfg.Flow)
-	} else {
-		c.policy.Reset(c.cfg.Flow)
-	}
-	c.paused = false
-	c.reopening = false
-	c.openAttempt = 0
-	c.refusals = 0
-	if c.cfg.Lease {
-		c.serving = ""
-		c.orderServersLocked()
-	}
+	c.startLocked(movieID)
 	rejoined := c.session != nil // finished-then-rewatch: still a member
 	c.mu.Unlock()
 
 	if !rejoined && !c.cfg.Lease {
-		session, err := c.proc.Join(sessionGroupName(c.cfg.ID), gcs.Handlers{})
+		session, err := c.proc.Join(wire.SessionGroup(c.cfg.ID), gcs.Handlers{})
 		if err != nil {
 			return fmt.Errorf("client %s: joining session group: %w", c.cfg.ID, err)
 		}
@@ -367,6 +354,22 @@ func (c *Client) Watch(movieID string) error {
 		c.sendOpen()
 	}
 	return nil
+}
+
+// startLocked is the open-cycle start edge. The pipeline and policy are reset
+// in place, so a fleet cycling through titles — or a chaos harness restarting
+// viewers — pays their allocations once, in New. Caller holds c.mu.
+func (c *Client) startLocked(movieID string) {
+	c.state = StateOpening
+	c.movie = movieID
+	c.pipeline.Reset(0)
+	c.policy.Reset(c.cfg.Flow)
+	c.paused, c.reopening = false, false
+	c.openAttempt, c.refusals = 0, 0
+	if c.cfg.Lease {
+		c.serving = ""
+		c.orderServersLocked()
+	}
 }
 
 // leaseOwnerFanout is how many ring owners a leased client asks the
@@ -384,10 +387,10 @@ func (c *Client) resolveThenOpen() {
 		c.mu.Lock()
 		movie := c.movie
 		c.mu.Unlock()
-		c.resolver.ResolveKey("vod.servers", movie, leaseOwnerFanout, 5, c.applyResolved)
+		c.resolver.ResolveKey(wire.ServerGroup, movie, leaseOwnerFanout, 5, c.applyResolved)
 		return
 	}
-	c.resolver.Resolve("vod.servers", 5, c.applyResolved)
+	c.resolver.Resolve(wire.ServerGroup, 5, c.applyResolved)
 }
 
 // applyResolved installs a directory answer as the anycast server list
@@ -399,7 +402,8 @@ func (c *Client) applyResolved(addrs []transport.Addr) {
 		c.mu.Unlock()
 		return
 	}
-	if len(addrs) > 0 {
+	switch {
+	case len(addrs) > 0:
 		resolved := make([]string, 0, len(addrs))
 		for _, a := range addrs {
 			resolved = append(resolved, string(a))
@@ -413,20 +417,17 @@ func (c *Client) applyResolved(addrs []transport.Addr) {
 		}
 		c.servers = resolved
 		c.serverIdx = 0
-		c.mu.Unlock()
-		c.sendOpen()
-		return
-	}
-	if len(c.cfg.Servers) > 0 {
+	case len(c.cfg.Servers) > 0:
 		c.servers = c.cfg.Servers
+	default:
 		c.mu.Unlock()
-		c.sendOpen()
+		// Nothing to try yet: the directory may be empty because no
+		// server registered; ask again shortly.
+		c.cfg.Clock.AfterFunc(time.Second, c.resolveThenOpen)
 		return
 	}
 	c.mu.Unlock()
-	// Nothing to try yet: the directory may be empty because no
-	// server registered; ask again shortly.
-	c.cfg.Clock.AfterFunc(time.Second, c.resolveThenOpen)
+	c.sendOpen()
 }
 
 // orderServersLocked reorders the anycast list by the movie's consistent-
@@ -456,10 +457,6 @@ func (c *Client) orderServersLocked() {
 	c.servers = ordered
 	c.serverIdx = 0
 }
-
-// sessionGroupName returns the session group for a client ID. It mirrors
-// server.SessionGroup without importing the server package.
-func sessionGroupName(clientID string) string { return "vod.session." + clientID }
 
 // rngLocked returns the client's jitter RNG, creating it on first use. The
 // seed is a pure function of the client ID, so lazy creation draws the
@@ -501,13 +498,14 @@ func (c *Client) openDelayLocked() time.Duration {
 	return d
 }
 
-// refusalDelayLocked computes the wait after a refused Open. The first
-// refusal in a cycle waits exactly refusalBackoff with no jitter draw (so a
-// lone refusal perturbs nothing); consecutive refusals double the wait up to
-// refusalBackoffCap with 25% seeded jitter, and the server's Retry-After
-// hint sets the floor — the server knows its own load better than we do.
-// Caller holds c.mu.
-func (c *Client) refusalDelayLocked(hintMs uint32) time.Duration {
+// refusedLocked is the refusal edge: this server cannot serve the movie or
+// refused admission, so the retry timer tries the next one. The first refusal
+// in a cycle waits exactly refusalBackoff with no jitter draw (so a lone
+// refusal perturbs nothing); consecutive refusals double the wait up to
+// refusalBackoffCap with 25% seeded jitter, and the Retry-After hint of the
+// server, which knows its own load, sets the floor. Caller holds c.mu.
+func (c *Client) refusedLocked(hintMs uint32) {
+	c.stats.OpenRefusals++
 	d := refusalBackoff
 	for i := 0; i < c.refusals && d < refusalBackoffCap; i++ {
 		d *= 2
@@ -519,11 +517,19 @@ func (c *Client) refusalDelayLocked(hintMs uint32) time.Duration {
 	if c.refusals > 0 || hintMs != 0 {
 		d += time.Duration(c.rngLocked().Int63n(int64(d)/4 + 1))
 	}
-	return d
+	c.refusals++
+	c.armOpenLocked(d)
 }
 
-// sendOpen anycasts the Open to the current bootstrap server and arms the
-// retry timer (capped exponential backoff across consecutive attempts).
+// armOpenLocked arms the open-retry timer to send the next Open after d,
+// reusing the previous timer. Caller holds c.mu.
+func (c *Client) armOpenLocked(d time.Duration) {
+	c.openTimer = clock.Rearm(c.cfg.Clock, c.openTimer, d, c.sendOpenFn)
+}
+
+// sendOpen is the open-attempt edge: it anycasts the Open to the current
+// bootstrap server and arms the retry timer (capped exponential backoff
+// across consecutive attempts).
 func (c *Client) sendOpen() {
 	c.mu.Lock()
 	if !c.openActiveLocked() {
@@ -551,14 +557,11 @@ func (c *Client) sendOpen() {
 		Lease:      c.cfg.Lease,
 		Takeover:   c.cfg.Lease && c.reopening,
 	}
-	if c.openTimer != nil {
-		c.openTimer.Stop()
-	}
-	c.openTimer = c.cfg.Clock.AfterFunc(c.openDelayLocked(), c.sendOpenFn)
+	c.armOpenLocked(c.openDelayLocked())
 	c.openAttempt++
 	c.mu.Unlock()
 
-	_ = c.proc.Anycast(target, "vod.servers", wire.Encode(open))
+	_ = c.proc.Anycast(target, wire.ServerGroup, wire.Encode(open))
 }
 
 // onDirect handles point-to-point replies — the OpenReply, and in lease
@@ -587,67 +590,59 @@ func (c *Client) onDirect(from gcs.ProcessID, payload []byte) {
 		return
 	}
 	if !reply.OK {
-		// This server cannot serve the movie (or refused admission); the
-		// retry timer will try the next one, on the refusal cycle's own
-		// backoff schedule.
-		c.stats.OpenRefusals++
-		d := c.refusalDelayLocked(reply.RetryAfterMs)
-		c.refusals++
-		if c.openTimer != nil {
-			c.openTimer.Stop()
-		}
-		c.openTimer = c.cfg.Clock.AfterFunc(d, c.sendOpenFn)
+		c.refusedLocked(reply.RetryAfterMs)
 		c.mu.Unlock()
 		return
 	}
-	if c.state == StateWatching {
-		// A reopen succeeded: some server (the original one across a healed
-		// partition, or a fresh owner) acknowledged the session. Resync its
-		// stream position to ours — without the seek a new owner would
-		// start from frame zero, and a surviving owner would keep streaming
-		// from wherever the partition left it.
-		c.reopening = false
-		c.openAttempt = 0
-		c.refusals = 0
-		if c.openTimer != nil {
-			c.openTimer.Stop()
-			c.openTimer = nil
-		}
-		if c.cfg.Lease {
-			// The acceptor — original owner or adopter — is the lease
-			// holder now; renewals and control traffic follow it.
-			c.serving = from
-			c.ensureKeeperLocked(reply.LeaseTTLMs)
-		}
-		next := c.pipeline.NextIndex()
-		paused := c.paused
-		if reg := c.cfg.Obs; reg != nil {
-			reg.Event("client.reopen_ok", fmt.Sprintf("%s resync at frame %d", c.cfg.ID, next))
-		}
+	if !c.acceptLocked(from, reply) {
 		c.mu.Unlock()
-		// Re-assert the playback state before the resync: if an earlier
-		// Resume was lost to the same fault that starved us, the server
-		// still believes the session is paused and would ignore the Seek's
-		// pacing restart.
-		if !paused {
-			_ = c.Resume()
-		}
-		_ = c.Seek(next)
 		return
+	}
+	// A reopen succeeded: some server (the original one across a healed
+	// partition, or a fresh owner) acknowledged the session. Resync its
+	// stream position to ours — without the seek a new owner would start
+	// from frame zero, and a surviving owner would keep streaming from
+	// wherever the partition left it.
+	next := c.pipeline.NextIndex()
+	paused := c.paused
+	if reg := c.cfg.Obs; reg != nil {
+		reg.Event("client.reopen_ok", fmt.Sprintf("%s resync at frame %d", c.cfg.ID, next))
+	}
+	c.mu.Unlock()
+	// Re-assert the playback state before the resync: if an earlier Resume
+	// was lost to the same fault that starved us, the server still believes
+	// the session is paused and would ignore the Seek's pacing restart.
+	if !paused {
+		_ = c.Resume()
+	}
+	_ = c.Seek(next)
+}
+
+// acceptLocked is the accept edge: it ends the open cycle, then starts
+// playback after a first Open or reports true after a reopen, whose caller
+// resyncs the stream. In lease mode the acceptor is the lease holder now; the
+// keeper is armed with the reply's TTL or, surviving a reopen, touched: an
+// OpenReply proves liveness as well as an Ack does. Caller holds c.mu.
+func (c *Client) acceptLocked(from gcs.ProcessID, reply *wire.OpenReply) (reopened bool) {
+	c.openAttempt, c.refusals = 0, 0
+	clock.Release(c.openTimer)
+	c.openTimer = nil
+	if c.cfg.Lease {
+		c.serving = from
+		if c.keeper != nil {
+			c.keeper.Touch()
+		} else {
+			ttl := time.Duration(reply.LeaseTTLMs) * time.Millisecond
+			c.keeper = lease.NewKeeper(c.cfg.Clock, ttl, c.sendRenew, c.onLeaseLost)
+		}
+	}
+	if c.state == StateWatching {
+		c.reopening = false
+		return true
 	}
 	c.state = StateWatching
 	c.totalFrames = reply.TotalFrames
 	c.fps = int(reply.FPS)
-	c.openAttempt = 0
-	c.refusals = 0
-	if c.openTimer != nil {
-		c.openTimer.Stop()
-		c.openTimer = nil
-	}
-	if c.cfg.Lease {
-		c.serving = from
-		c.ensureKeeperLocked(reply.LeaseTTLMs)
-	}
 	period := time.Second / time.Duration(c.fps)
 	c.displayTask.Start(c.cfg.Clock, period, period, c.displayTick)
 	// Arm the starvation watchdog: if playback stops progressing for
@@ -655,7 +650,7 @@ func (c *Client) onDirect(from gcs.ProcessID, payload []byte) {
 	c.lastShown = 0
 	c.lastMoved = c.cfg.Clock.Now()
 	c.starveTask.Start(c.cfg.Clock, starveTimeout/4, starveTimeout/4, c.starveTick)
-	c.mu.Unlock()
+	return false
 }
 
 // starveTick is the starvation watchdog: while watching, playback must
@@ -684,30 +679,23 @@ func (c *Client) starveTick() {
 		c.mu.Unlock()
 		return
 	}
+	c.reopenLocked("client.reopen", "starved")
+}
+
+// reopenLocked is the reopen edge: the session is presumed dead, so the Open
+// is re-anycast on a fresh backoff schedule and starvation window (event and
+// why name the trigger in the obs trace). It releases the caller's c.mu.
+func (c *Client) reopenLocked(event, why string) {
 	c.reopening = true
-	c.openAttempt = 0
-	c.refusals = 0
-	c.lastMoved = now // next starvation window starts fresh
+	c.openAttempt, c.refusals = 0, 0
+	c.lastMoved = c.cfg.Clock.Now()
 	c.stats.Reopens++
 	c.ctr.reopens.Inc()
 	if reg := c.cfg.Obs; reg != nil {
-		reg.Event("client.reopen", fmt.Sprintf("%s starved at frame %d", c.cfg.ID, c.pipeline.NextIndex()))
+		reg.Event(event, fmt.Sprintf("%s %s at frame %d", c.cfg.ID, why, c.pipeline.NextIndex()))
 	}
 	c.mu.Unlock()
 	c.sendOpen()
-}
-
-// ensureKeeperLocked (re)arms the lease keeper after an accepted Open.
-// The TTL comes from the server's reply (zero falls back to the package
-// default); a surviving keeper is just touched — the fresh OpenReply is
-// as good a liveness proof as an Ack. Caller holds c.mu.
-func (c *Client) ensureKeeperLocked(ttlMs uint32) {
-	if c.keeper != nil {
-		c.keeper.Touch()
-		return
-	}
-	ttl := time.Duration(ttlMs) * time.Millisecond
-	c.keeper = lease.NewKeeper(c.cfg.Clock, ttl, c.sendRenew, c.onLeaseLost)
 }
 
 // onLeaseAck records the server's lease confirmation.
@@ -757,17 +745,7 @@ func (c *Client) onLeaseLost() {
 		c.mu.Unlock()
 		return
 	}
-	c.reopening = true
-	c.openAttempt = 0
-	c.refusals = 0
-	c.lastMoved = c.cfg.Clock.Now() // the starvation window starts fresh too
-	c.stats.Reopens++
-	c.ctr.reopens.Inc()
-	if reg := c.cfg.Obs; reg != nil {
-		reg.Event("client.lease_lost", fmt.Sprintf("%s reopening at frame %d", c.cfg.ID, c.pipeline.NextIndex()))
-	}
-	c.mu.Unlock()
-	c.sendOpen()
+	c.reopenLocked("client.lease_lost", "reopening")
 }
 
 // onVideo handles an arriving video frame: buffer it and run the flow
@@ -840,15 +818,18 @@ func (c *Client) onVideo(_ transport.Addr, payload []byte) {
 	c.mu.Unlock()
 
 	if pkt != nil {
-		if session != nil {
-			_ = session.Multicast(pkt)
-		} else {
-			// Lease mode: no session group exists; the request goes
-			// point-to-point to the serving server, which routes it into
-			// the same per-session flow-control logic.
-			_ = c.proc.Send(serving, pkt)
-		}
+		_ = c.sendControl(session, serving, pkt)
 	}
+}
+
+// sendControl sends a flow-control or VCR packet into the session group,
+// or in lease mode, where there is none, point-to-point to the serving
+// server. Caller does not hold c.mu.
+func (c *Client) sendControl(session *gcs.Member, serving gcs.ProcessID, pkt []byte) error {
+	if session != nil {
+		return session.Multicast(pkt)
+	}
+	return c.proc.Send(serving, pkt)
 }
 
 // displayTick consumes one frame at the display rate. When the stream has
@@ -901,11 +882,7 @@ func (c *Client) sendVCR(op wire.VCROp, arg uint32) error {
 	c.stats.VCRSent++
 	c.ctr.vcrSent.Inc()
 	c.mu.Unlock()
-	pkt := wire.Encode(&wire.VCR{ClientID: c.cfg.ID, Op: op, Arg: arg})
-	if session != nil {
-		return session.Multicast(pkt)
-	}
-	return c.proc.Send(serving, pkt)
+	return c.sendControl(session, serving, wire.Encode(&wire.VCR{ClientID: c.cfg.ID, Op: op, Arg: arg}))
 }
 
 // Pause freezes playback and tells the server to stop transmitting.
@@ -975,44 +952,42 @@ func (c *Client) SetQuality(fps uint16) error {
 func (c *Client) StopWatching() error {
 	err := c.sendVCR(wire.VCRStop, 0)
 	c.mu.Lock()
-	c.state = StateStopped
-	c.displayTask.Stop()
-	c.starveTask.Stop()
+	c.stopLocked()
 	session := c.session
 	c.session = nil
-	keeper := c.keeper
-	c.keeper = nil
-	c.serving = ""
 	c.mu.Unlock()
-	if keeper != nil {
-		keeper.Stop()
-	}
 	if session != nil {
 		_ = session.Leave()
 	}
 	return err
 }
 
-// Close releases the client entirely.
+// Close releases the client entirely. A closed client stays closed: Close
+// ends any open cycle, and Watch fails from then on.
 func (c *Client) Close() {
 	c.mu.Lock()
-	if c.state == StateWatching {
+	c.closed = true
+	c.stopLocked()
+	c.mu.Unlock()
+	c.proc.Close()
+	_ = c.mux.Close()
+}
+
+// stopLocked is the stop edge: every state but finished becomes stopped,
+// which ends any open cycle, and the beats, the open timer and the lease
+// keeper stop. Caller holds c.mu; the keeper never calls back holding its own.
+func (c *Client) stopLocked() {
+	if c.state != StateFinished {
 		c.state = StateStopped
 	}
 	c.displayTask.Stop()
 	c.starveTask.Stop()
-	if c.openTimer != nil {
-		c.openTimer.Stop()
+	clock.Release(c.openTimer)
+	c.openTimer = nil
+	if c.keeper != nil {
+		c.keeper.Stop()
 	}
-	keeper := c.keeper
-	c.keeper = nil
-	c.serving = ""
-	c.mu.Unlock()
-	if keeper != nil {
-		keeper.Stop()
-	}
-	c.proc.Close()
-	_ = c.mux.Close()
+	c.keeper, c.serving = nil, ""
 }
 
 // State returns the client's lifecycle state.
@@ -1026,9 +1001,6 @@ func (c *Client) State() State {
 func (c *Client) Counters() buffer.Counters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.pipeline == nil {
-		return buffer.Counters{}
-	}
 	return c.pipeline.Counters()
 }
 
@@ -1036,9 +1008,6 @@ func (c *Client) Counters() buffer.Counters {
 func (c *Client) Occupancy() buffer.Occupancy {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.pipeline == nil {
-		return buffer.Occupancy{}
-	}
 	return c.pipeline.Occupancy()
 }
 

@@ -254,6 +254,55 @@ func TestCloseDuringWatch(t *testing.T) {
 	r.clk.Advance(5 * time.Second)
 }
 
+// TestCloseIsFinal: Close ends every open cycle, and a closed client stays
+// closed. A directory-only client closed while its first resolution is in
+// flight reports stopped and goes quiet: it neither re-asks the directory
+// nor leaves a clock event behind. A client stopped with StopWatching may
+// watch again; once closed, it may not.
+func TestCloseIsFinal(t *testing.T) {
+	r := newRig(t)
+	c, err := client.New(client.Config{
+		ID: "c1", Clock: r.clk, Network: r.net, Directory: "directory",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Watch("feature"); err != nil {
+		t.Fatal(err)
+	}
+	r.clk.Advance(2 * time.Second)
+	c.Close()
+	r.clk.Advance(30 * time.Second)
+	if got := c.State(); got != client.StateStopped {
+		t.Fatalf("state 30s after Close while opening = %v, want stopped", got)
+	}
+	if n := r.clk.Len(); n != 0 {
+		t.Fatalf("%d clock events pending 30s after Close, want 0", n)
+	}
+
+	r.server(t, "s1", "s1")
+	v := r.client(t, "c2", "s1")
+	if err := v.Watch("feature"); err != nil {
+		t.Fatal(err)
+	}
+	r.clk.Advance(3 * time.Second)
+	if err := v.StopWatching(); err != nil {
+		t.Fatal(err)
+	}
+	r.clk.Advance(2 * time.Second) // let the session group's leave complete
+	if err := v.Watch("feature"); err != nil {
+		t.Fatalf("Watch after StopWatching: %v", err)
+	}
+	r.clk.Advance(3 * time.Second)
+	if got := v.State(); got != client.StateWatching {
+		t.Fatalf("state after re-Watch = %v, want watching", got)
+	}
+	v.Close()
+	if err := v.Watch("feature"); err == nil {
+		t.Fatal("Watch after Close succeeded")
+	}
+}
+
 func TestSeekFlushesAndRefills(t *testing.T) {
 	r := newRig(t)
 	r.server(t, "s1", "s1")

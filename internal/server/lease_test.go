@@ -164,6 +164,63 @@ func TestLeaseTakeover(t *testing.T) {
 	}
 }
 
+// TestLeaseTakeoverWhilePaused: a paused leased viewer survives a takeover.
+// The lease keeper notices the crash and reopens, and the accept keeps the
+// viewer paused: nothing is displayed until Resume, and the adopter then
+// streams at full rate.
+func TestLeaseTakeoverWhilePaused(t *testing.T) {
+	r := newRig(t, netsim.LAN(), "s1", "s2")
+	r.startServer("s1")
+	r.startServer("s2")
+	r.run(2 * time.Second)
+
+	c := r.startLeaseClient("c1", nil, "s1", "s2")
+	if err := c.Watch("casablanca"); err != nil {
+		t.Fatal(err)
+	}
+	r.run(10 * time.Second)
+	if err := c.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	paused := c.Counters().Displayed
+	r.run(2 * time.Second)
+
+	var serving, other string
+	for id, s := range r.servers {
+		if len(s.ActiveSessions()) == 1 {
+			serving = id
+		} else {
+			other = id
+		}
+	}
+	if serving == "" {
+		t.Fatal("no server is serving the client")
+	}
+	r.servers[serving].Stop()
+	r.net.Crash(transport.Addr(serving))
+	r.run(10 * time.Second)
+
+	if got := c.Counters().Displayed; got != paused {
+		t.Fatalf("displayed while paused across the takeover: %d → %d", paused, got)
+	}
+	if got := c.Stats().Reopens; got != 1 {
+		t.Fatalf("client reopened %d times, want 1", got)
+	}
+	if got := r.servers[other].Stats().Takeovers; got != 1 {
+		t.Fatalf("survivor counted %d takeovers, want 1", got)
+	}
+	if !r.servers[other].HasSession("c1") {
+		t.Fatal("survivor does not hold the session")
+	}
+	if err := c.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	r.run(5 * time.Second)
+	if got := c.Counters().Displayed - paused; got < 140 {
+		t.Fatalf("displayed %d frames in 5s after Resume, want ≥ 140", got)
+	}
+}
+
 // TestLeaseVCRDirect: pause/resume/seek ride the direct channel in lease
 // mode (there is no session group to multicast into) and still control
 // the stream.

@@ -36,21 +36,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Group naming scheme shared by servers and clients.
-const (
-	// serverGroupName is the group of all VoD servers.
-	serverGroupName = "vod.servers"
-	// movieGroupPrefix + movieID names a movie group.
-	movieGroupPrefix = "vod.movie."
-	// sessionGroupPrefix + clientID names a client's session group.
-	sessionGroupPrefix = "vod.session."
-)
-
-// movieGroup returns the group name for a movie.
-func movieGroup(movieID string) string { return movieGroupPrefix + movieID }
-
-// sessionGroup returns the group name for a client.
-func sessionGroup(clientID string) string { return sessionGroupPrefix + clientID }
+// movieGroup names a movie's group. The server and session groups, which
+// clients name too, are wire.ServerGroup and wire.SessionGroup.
+func movieGroup(movieID string) string { return "vod.movie." + movieID }
 
 // Config configures a Server.
 type Config struct {
@@ -402,7 +390,7 @@ func (s *Server) Start() error {
 	// handler is inert for them.
 	s.proc.SetDirectHandler(s.onDirect)
 
-	sg, err := s.proc.Join(serverGroupName, gcs.Handlers{
+	sg, err := s.proc.Join(wire.ServerGroup, gcs.Handlers{
 		OnMessage: s.onServerGroupMessage,
 	}, contacts...)
 	if err != nil {
@@ -439,7 +427,7 @@ func (s *Server) Start() error {
 			s.cfg.Clock,
 			s.mux.Channel(transport.ChannelDirectory),
 			transport.Addr(s.cfg.Directory),
-			serverGroupName,
+			wire.ServerGroup,
 			transport.Addr(s.cfg.ID),
 			0, // default TTL
 		)
@@ -776,7 +764,7 @@ func (s *Server) handleOpenLocked(from gcs.ProcessID) {
 			ms.announceLocked(sess.rec)
 		}
 	} else { // served elsewhere: no local session to borrow from
-		group = sessionGroup(open.ClientID)
+		group = wire.SessionGroup(open.ClientID)
 	}
 	ttlMs := uint32(0)
 	if open.Lease {

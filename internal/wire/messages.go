@@ -231,6 +231,14 @@ func DecodeOpenInto(m *Open, b []byte) error {
 	})
 }
 
+// ServerGroup is the group of all VoD servers: clients anycast their Open
+// to it, and servers register under it in the directory.
+const ServerGroup = "vod.servers"
+
+// SessionGroup names a client's session group, which the client and its
+// serving server join for control traffic.
+func SessionGroup(clientID string) string { return "vod.session." + clientID }
+
 // OpenReply carries the session parameters back to the client, or an error.
 type OpenReply struct {
 	OK           bool
@@ -509,7 +517,7 @@ func decodeVCRInto(m *VCR, b []byte) error {
 // ClientRecord is one client's entry in a state-sync multicast: everything
 // another server needs to take the client over (§5.2 — "the offsets of its
 // clients in the movie and their current transmission rates").
-// The session group ("vod.session."+ClientID) and the movie (implied by
+// The session group (SessionGroup(ClientID)) and the movie (implied by
 // the movie group the record is multicast on) are derivable and therefore
 // not carried — the paper reports "a total of a few dozen bytes" per
 // client, and this record is exactly that.
