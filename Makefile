@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-short test-benchmark race bench bench-smoke bench-capacity bench-scale-budget profile-scale profile-chaos chaos sweep figures tables golden-update examples vet fuzz-smoke loc loc-budget
+.PHONY: test test-short test-benchmark race bench bench-smoke bench-capacity bench-scale-budget profile-scale profile-chaos chaos sweep k3-sweep figures tables golden-update golden-diff examples vet fuzz-smoke loc loc-budget
 
 test:        ## full test suite (includes ~20s of real-clock tests)
 	go test ./...
@@ -56,6 +56,15 @@ chaos:       ## seeded fault schedules + invariant checks, race-clean
 sweep:       ## 120-seed chaos sweep across all cores (wall-time budgeted)
 	timeout 300 go run ./cmd/vodbench -chaos -runs 120
 
+k3-sweep:    ## Tbl K's replication rows (k=3 through two crashes, k=2 through one) over seeds 1-520; fails if any seed loses a frame
+	@go build -o k3-sweep.vodbench ./cmd/vodbench
+	@lossy=0; for seed in $$(seq 1 520); do \
+		rows=$$(./k3-sweep.vodbench -table faults -seed $$seed | awk -F '  +' -v seed=$$seed '/^VoD replication/ && $$3 != "0" { print "seed " seed ": " $$1 " (" $$2 "): " $$3 " frames lost" }'); \
+		if [ -n "$$rows" ]; then echo "$$rows"; lossy=$$((lossy + 1)); fi; \
+	done; rm -f k3-sweep.vodbench; \
+	if [ $$lossy -gt 0 ]; then echo "k3-sweep: FAIL $$lossy of 520 seeds lose frames"; exit 1; fi; \
+	echo "k3-sweep: OK 0 of 520 seeds lose frames on either replication row"
+
 figures:     ## regenerate every evaluation figure as TSV
 	go run ./cmd/vodbench -fig all
 
@@ -70,6 +79,21 @@ golden-update: ## re-hash every output named in testdata/golden/MANIFEST (the on
 	rm -f testdata/golden/vodbench.tmp; \
 	mv testdata/golden/MANIFEST.tmp testdata/golden/MANIFEST
 	@cat testdata/golden/MANIFEST
+
+golden-diff: ## `make golden-diff REV=<rev>`: every testdata/golden/MANIFEST output of vodbench built at REV (in a temporary git worktree) against the working tree's, as one diff -u per entry
+	@test -n "$(REV)" || { echo "golden-diff: usage: make golden-diff REV=<rev>"; exit 2; }
+	@dir=.golden-diff; rm -rf $$dir; mkdir -p $$dir; \
+	trap 'git worktree remove --force '$$dir'/src 2>/dev/null; git worktree prune; rm -rf '$$dir EXIT; \
+	git worktree add -q --detach $$dir/src $(REV) && \
+	(cd $$dir/src && go build -o ../old ./cmd/vodbench) && \
+	go build -o $$dir/new ./cmd/vodbench || exit 1; \
+	while read -r sum args; do \
+		for side in old new; do \
+			./$$dir/$$side $$args | awk '/^== hot path:/ { exit } !/^sweep: /' > $$dir/$$side.out; \
+		done; \
+		if cmp -s $$dir/old.out $$dir/new.out; then echo "== vodbench $$args: identical"; \
+		else diff -u --label "vodbench $$args @ $(REV)" --label "vodbench $$args @ working tree" $$dir/old.out $$dir/new.out || true; fi; \
+	done < testdata/golden/MANIFEST
 
 examples:    ## run all simulated examples
 	for e in quickstart failover loadbalance vcr discovery hacounter; do \

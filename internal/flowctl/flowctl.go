@@ -56,6 +56,11 @@ type Params struct {
 	// irregularity is the emergency mechanism's job, not the base rate's.
 	MinRate int
 	MaxRate int
+	// PaperLockout restores §4.1's unconditional lockout: no ordinary
+	// request, not even a decrease from a full buffer, ends an emergency
+	// burst. Off by default (see RateController.OnRequest); Abl E sets it
+	// to reproduce the trade-off the paper measured.
+	PaperLockout bool
 }
 
 // DefaultParams returns the paper's prototype parameter set for a

@@ -206,12 +206,12 @@ func TestRateControllerBasics(t *testing.T) {
 	if r.Rate() != 30 {
 		t.Fatalf("initial rate = %d, want 30", r.Rate())
 	}
-	r.OnRequest(wire.FlowIncrease)
+	r.OnRequest(wire.FlowIncrease, 0)
 	if r.Rate() != 31 {
 		t.Fatalf("after increase = %d, want 31", r.Rate())
 	}
-	r.OnRequest(wire.FlowDecrease)
-	r.OnRequest(wire.FlowDecrease)
+	r.OnRequest(wire.FlowDecrease, 0)
+	r.OnRequest(wire.FlowDecrease, 0)
 	if r.Rate() != 29 {
 		t.Fatalf("after decreases = %d, want 29", r.Rate())
 	}
@@ -222,13 +222,13 @@ func TestRateControllerClamps(t *testing.T) {
 	p.MinRate, p.MaxRate = 28, 32
 	r := NewRateController(p)
 	for i := 0; i < 10; i++ {
-		r.OnRequest(wire.FlowIncrease)
+		r.OnRequest(wire.FlowIncrease, 0)
 	}
 	if r.Rate() != 32 {
 		t.Fatalf("rate exceeded max: %d", r.Rate())
 	}
 	for i := 0; i < 10; i++ {
-		r.OnRequest(wire.FlowDecrease)
+		r.OnRequest(wire.FlowDecrease, 0)
 	}
 	if r.Rate() != 28 {
 		t.Fatalf("rate fell below min: %d", r.Rate())
@@ -237,7 +237,7 @@ func TestRateControllerClamps(t *testing.T) {
 
 func TestRateControllerEmergencySequence(t *testing.T) {
 	r := NewRateController(DefaultParams())
-	r.OnRequest(wire.FlowEmergencyMajor)
+	r.OnRequest(wire.FlowEmergencyMajor, 0)
 	// §4.1: the boost decays by iterated truncation 12, 9, 7, 5, 4, 3,
 	// 2, 1, 0 — totalling 43 extra frames.
 	want := []int{42, 39, 37, 35, 34, 33, 32, 31, 30, 30}
@@ -256,25 +256,62 @@ func TestRateControllerEmergencySequence(t *testing.T) {
 
 func TestRateControllerIgnoresRequestsDuringEmergency(t *testing.T) {
 	r := NewRateController(DefaultParams())
-	r.OnRequest(wire.FlowEmergencyMinor)
+	r.OnRequest(wire.FlowEmergencyMinor, 0)
 	if !r.EmergencyActive() {
 		t.Fatal("emergency not active")
 	}
 	base := r.Base()
-	r.OnRequest(wire.FlowIncrease)
-	r.OnRequest(wire.FlowDecrease)
+	r.OnRequest(wire.FlowIncrease, 0)
+	r.OnRequest(wire.FlowDecrease, 0)
 	if r.Base() != base {
 		t.Fatal("ordinary requests were applied during an emergency (§4.1 violation)")
 	}
 	// A stronger emergency upgrades the quantity.
-	r.OnRequest(wire.FlowEmergencyMajor)
+	r.OnRequest(wire.FlowEmergencyMajor, 0)
 	if r.Rate() != base+12 {
 		t.Fatalf("rate after upgrade = %d, want %d", r.Rate(), base+12)
 	}
 	// A weaker one arriving during a stronger one changes nothing.
-	r.OnRequest(wire.FlowEmergencyMinor)
+	r.OnRequest(wire.FlowEmergencyMinor, 0)
 	if r.Rate() != base+12 {
 		t.Fatalf("weaker emergency downgraded the boost: %d", r.Rate())
+	}
+}
+
+// TestRateControllerFullBufferEndsBurst pins the one departure from
+// §4.1's lockout: during a burst a decrease reported at the high water mark
+// ends it, one just below is ignored, an increase always is, and
+// PaperLockout restores the unconditional lockout. The base rate is never
+// moved by a request that arrives during a burst.
+func TestRateControllerFullBufferEndsBurst(t *testing.T) {
+	p := DefaultParams()
+	burst := func(p Params) *RateController {
+		r := NewRateController(p)
+		r.OnRequest(wire.FlowEmergencyMajor, 0)
+		return r
+	}
+
+	r := burst(p)
+	r.OnRequest(wire.FlowDecrease, p.HighWater-1)
+	if !r.EmergencyActive() {
+		t.Fatal("a decrease below the high water mark ended the burst")
+	}
+	r.OnRequest(wire.FlowIncrease, p.CombinedCapacity)
+	if !r.EmergencyActive() || r.Base() != p.DefaultRate {
+		t.Fatalf("an increase during the burst was applied: active=%v base=%d", r.EmergencyActive(), r.Base())
+	}
+	r.OnRequest(wire.FlowDecrease, p.HighWater)
+	if r.EmergencyActive() || r.Rate() != p.DefaultRate {
+		t.Fatalf("a decrease at the high water mark left active=%v rate=%d, want the burst over at %d",
+			r.EmergencyActive(), r.Rate(), p.DefaultRate)
+	}
+
+	p.PaperLockout = true
+	r = burst(p)
+	r.OnRequest(wire.FlowDecrease, p.CombinedCapacity)
+	if !r.EmergencyActive() || r.Rate() != p.DefaultRate+p.EmergencyMajorQ {
+		t.Fatalf("under PaperLockout a decrease at full occupancy left active=%v rate=%d",
+			r.EmergencyActive(), r.Rate())
 	}
 }
 
@@ -377,7 +414,7 @@ func TestClosedLoopConvergence(t *testing.T) {
 				sw = combined
 			}
 			if k, ok := pol.OnFrame(combined, sw); ok {
-				rc.OnRequest(k)
+				rc.OnRequest(k, combined)
 			}
 		}
 		displayedCredit += 30.0 / 100

@@ -5,7 +5,8 @@ import "repro/internal/wire"
 // RateController is the server-side per-client transmission rate state
 // (§4, §4.1): a base rate adjusted ±1 frame/s per client request, plus a
 // decaying emergency quantity. While the emergency quantity is positive,
-// ordinary flow-control requests are ignored.
+// ordinary flow-control requests are ignored — except that a decrease
+// reported at or above the high water mark ends the burst (see OnRequest).
 //
 // RateController is not safe for concurrent use; the server serializes
 // access per client.
@@ -33,8 +34,12 @@ func (r *RateController) Base() int { return r.base }
 // EmergencyActive reports whether an emergency burst is still decaying.
 func (r *RateController) EmergencyActive() bool { return r.emergency > 0 }
 
-// OnRequest applies one client flow-control request.
-func (r *RateController) OnRequest(k wire.FlowKind) {
+// OnRequest applies one client flow-control request, sent at the given
+// combined occupancy. During a burst a FlowDecrease at or above the high
+// water mark ends the burst, since every further extra frame would be an
+// overflow discard, unless Params.PaperLockout is set; the request itself
+// is still ignored, so a burst's overshoot never lowers the base rate.
+func (r *RateController) OnRequest(k wire.FlowKind, occupancy int) {
 	switch k {
 	case wire.FlowEmergencyMajor:
 		r.boost(r.p.EmergencyMajorQ)
@@ -49,6 +54,9 @@ func (r *RateController) OnRequest(k wire.FlowKind) {
 		}
 	case wire.FlowDecrease:
 		if r.emergency > 0 {
+			if !r.p.PaperLockout && occupancy >= r.p.HighWater {
+				r.emergency = 0
+			}
 			return
 		}
 		if r.base > r.p.MinRate {

@@ -402,7 +402,7 @@ func (s *Server) sessionCtlLocked(sess *session, clientID string, payload []byte
 			return
 		}
 		wasActive := sess.rate.EmergencyActive()
-		sess.rate.OnRequest(msg.Request)
+		sess.rate.OnRequest(msg.Request, int(msg.Occupancy))
 		if !wasActive && sess.rate.EmergencyActive() {
 			s.stats.Emergencies++
 			s.ctr.emergencies.Inc()

@@ -482,22 +482,26 @@ func paramsForBuffer(buf buffer.Config) flowctl.Params {
 }
 
 // tableEmergencySweep varies the base emergency quantity and reports the
-// §4.1 tradeoff: refill speed vs overflow.
+// §4.1 tradeoff: refill speed vs overflow. Each quantity runs under both
+// rules for ending a burst: the default, where a decrease from a full
+// buffer ends it, and §4.1's unconditional lockout, whose overflow
+// discards are the trade-off the paper measured.
 func tableEmergencySweep(seed int64) Table {
 	t := Table{
 		ID:     "Abl E",
 		Title:  "emergency quantity sweep on the LAN crash scenario (§4.1)",
-		Header: []string{"base q", "total extra", "refill time after crash", "overflow discards", "stalls"},
+		Header: []string{"base q", "rule", "total extra", "refill time after crash", "overflow discards", "stalls"},
 	}
 	crashAt := 30 * time.Second
-	qs := []int{0, 6, 12, 24}
-	t.Rows = fanOut(len(qs), func(i int) []string {
-		q := qs[i]
+	qs, rules := []int{0, 6, 12, 24}, []string{"high water", "lockout"}
+	t.Rows = fanOut(len(qs)*len(rules), func(i int) []string {
+		q, rule := qs[i/2], rules[i%2]
 		flow := flowctl.DefaultParams()
 		flow.EmergencyMajorQ = q
 		flow.EmergencyMinorQ = q / 2
+		flow.PaperLockout = rule == "lockout"
 		res := Run(Scenario{
-			Name:    fmt.Sprintf("emq-%d", q),
+			Name:    fmt.Sprintf("emq-%d-%s", q, rule),
 			Profile: netsim.LAN(),
 			Seed:    seed,
 			Servers: []string{"server-1", "server-2"},
@@ -529,6 +533,7 @@ func tableEmergencySweep(seed int64) Table {
 		}
 		return []string{
 			strconv.Itoa(q),
+			rule,
 			strconv.Itoa(flowctl.EmergencyTotal(q, flow.EmergencyDecay)),
 			refill,
 			strconv.FormatUint(res.Final.OverflowDropped, 10),

@@ -18,11 +18,14 @@ import (
 // golden; this is what notices a reordered Open or a changed contact list.
 // SyncBytes alone was re-recorded (3,648,900 before) when an Open began to
 // announce its own record instead of its server's whole table: 1,000 Opens
-// and 300 half-second tables, every other field as it was.
+// and 300 half-second tables, every other field as it was. Net sent and
+// delivered were re-recorded (430,379 and 430,113 before) when a decrease
+// from a full buffer began to end an emergency burst: the clients send 82
+// fewer flow-control requests (65,601 → 65,519), every other field as it was.
 const scaleFingerprint = `row 10 1000 10 1000 0 0.0 0 1.00
 servers {FramesSent:300000 VideoBytes:1758528300 SyncMessages:1300 SyncBytes:1322400 SessionsOpened:1000 Takeovers:0 Releases:0 Emergencies:1000 FramesThinned:0 AdmitsReserved:1000 AdmitsBestEffort:0 RefusalsReserved:0 RefusalsBestEffort:0 ShedTokens:0 DegradedFrames:0}
 clients {Received:300000 Displayed:299817 Late:183 OverflowDropped:0 OverflowDroppedI:0 GapSkipped:183 Stalls:0 MaxStallRun:0} opens 1000
-net sent 430379 delivered 430113`
+net sent 430297 delivered 430031`
 
 // sumFields adds src's fields into dst's; both are structs of uint64s.
 func sumFields(dst, src any) {

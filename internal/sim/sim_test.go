@@ -4,6 +4,7 @@ import (
 	"maps"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,8 +201,8 @@ func TestSeedSensitivity(t *testing.T) {
 // TestDuplicatedDatagramsTolerated: a LAN that delivers 30 % of all
 // datagrams twice costs the viewer nothing it can see. The buffer rejects
 // duplicate frames and gcs its duplicate messages, so the Figure 4 run never
-// stalls, never discards an I frame, and displays exactly what it displays
-// without duplication.
+// stalls, discards on overflow exactly what it discards without duplication
+// (no I frame), and displays exactly what it displays without duplication.
 func TestDuplicatedDatagramsTolerated(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		clean := Run(LANScenario(seed))
@@ -217,8 +218,33 @@ func TestDuplicatedDatagramsTolerated(t *testing.T) {
 		if dup.Final.OverflowDroppedI != 0 {
 			t.Errorf("seed %d: %d I frames dropped on overflow under duplication", seed, dup.Final.OverflowDroppedI)
 		}
+		if dup.Final.OverflowDropped != clean.Final.OverflowDropped {
+			t.Errorf("seed %d: %d frames dropped on overflow under duplication, %d without",
+				seed, dup.Final.OverflowDropped, clean.Final.OverflowDropped)
+		}
 		if dup.Final.Displayed != clean.Final.Displayed {
 			t.Errorf("seed %d: displayed %d frames under duplication, %d without", seed, dup.Final.Displayed, clean.Final.Displayed)
+		}
+	}
+}
+
+// TestReplicationLosesNoFrame pins FAULTS.md's first row: Tbl K's
+// replication rows (k = 3 through two sequential crashes, k = 2 through
+// one) lose no frame. The seeds are the first 21 of 1–520 on which they
+// did lose frames, to P/B overflow 9–11 s after a crash, while §4.1's
+// lockout made the server ignore a full client's decreases; `make
+// k3-sweep` checks all 520.
+func TestReplicationLosesNoFrame(t *testing.T) {
+	for _, seed := range []int64{4, 5, 7, 13, 14, 19, 20, 21, 22, 23, 25, 28, 31, 35, 37, 39, 42, 50, 52, 53, 56} {
+		tbl, err := TableByID("faults", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lost := slices.Index(tbl.Header, "frames lost")
+		for _, row := range tbl.Rows {
+			if strings.HasPrefix(row[0], "VoD replication") && row[lost] != "0" {
+				t.Errorf("seed %d: %s, failures %s: %s frames lost", seed, row[0], row[1], row[lost])
+			}
 		}
 	}
 }

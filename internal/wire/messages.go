@@ -424,9 +424,12 @@ func (k FlowKind) String() string {
 // FlowControl is a client→server flow-control request, multicast into the
 // session group so whichever server currently serves the client gets it.
 type FlowControl struct {
-	ClientID  string
-	Request   FlowKind
-	Occupancy uint16 // combined buffer occupancy in frames, for diagnostics
+	ClientID string
+	Request  FlowKind
+	// Occupancy is the combined buffer occupancy in frames. A decrease at
+	// high water ends an emergency burst, so over-reporting it can only cut
+	// short the client's own refill.
+	Occupancy uint16
 }
 
 var _ Message = (*FlowControl)(nil)
