@@ -10,6 +10,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
+	"repro/internal/placement"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -47,14 +48,22 @@ func leaseServer(t *testing.T) (*clock.Virtual, *netsim.Network, *server.Server)
 	return clk, net, srvs[0]
 }
 
+// serverOneRing holds server-1 alone. Like a deployment's ring, it is built
+// once and shared by every viewer, so no viewer pays for it.
+var serverOneRing = func() *placement.Ring {
+	r := placement.New(placement.DefaultVNodes)
+	r.Add("server-1")
+	return r
+}()
+
 // leasedViewer adds one leased viewer of server-1 to net.
 func leasedViewer(clk *clock.Virtual, net *netsim.Network, id string) (*client.Client, error) {
 	return client.New(client.Config{
-		ID:      id,
-		Clock:   clk,
-		Network: net,
-		Servers: []string{"server-1"},
-		Lease:   true,
+		ID:        id,
+		Clock:     clk,
+		Network:   net,
+		Servers:   []string{"server-1"},
+		Placement: serverOneRing,
 	})
 }
 

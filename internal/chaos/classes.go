@@ -111,15 +111,9 @@ func SweepClasses(ctx context.Context, first int64, n, workers int, reg *obs.Reg
 		Obs:       reg,
 	}
 	if onReport != nil {
-		done := make([]bool, n)
-		flushed := 0
 		opts.OnResult = func(i int, seed int64, err error) {
-			done[i] = true
-			for flushed < n && done[flushed] {
-				if r := reports[flushed]; r != nil {
-					onReport(r)
-				}
-				flushed++
+			if r := reports[i]; r != nil {
+				onReport(r)
 			}
 		}
 	}

@@ -31,21 +31,11 @@ func Sweep(ctx context.Context, first int64, n, workers int, reg *obs.Registry, 
 		Obs:       reg,
 	}
 	if onReport != nil {
-		// done and flushed are only touched inside OnResult, which the
-		// engine serializes; reports[i] is written by job i's goroutine
-		// strictly before its own OnResult fires, so a done[i] observed
-		// under the sweep lock guarantees reports[i] is visible too.
-		done := make([]bool, n)
-		flushed := 0
 		opts.OnResult = func(i int, seed int64, err error) {
-			done[i] = true
-			for flushed < n && done[flushed] {
-				// A panicked seed has no report; its failure comes back
-				// through the sweep error with the seed attached.
-				if r := reports[flushed]; r != nil {
-					onReport(r)
-				}
-				flushed++
+			// A panicked seed has no report; its failure comes back
+			// through the sweep error with the seed attached.
+			if r := reports[i]; r != nil {
+				onReport(r)
 			}
 		}
 	}

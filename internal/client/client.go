@@ -82,19 +82,16 @@ type Config struct {
 	// Class is the traffic class carried on every Open (default reserved;
 	// reserved-class Opens are byte-identical to pre-class ones).
 	Class wire.Class
-	// Lease switches the client to two-tier membership (DESIGN §12): it
+	// Placement, when set, is the shared consistent-hash ring of server
+	// IDs, and switches the client to two-tier membership (DESIGN §12): it
 	// never joins its session group — instead it leases its session from
 	// the serving server, renewing every TTL/3 on the injected clock.
 	// Flow control and VCR commands go point-to-point to that server, and
 	// a full TTL of ack silence triggers the same Open re-anycast as
 	// playback starvation, with the takeover flag set. The video path is
-	// unchanged (frames were always point-to-point).
-	Lease bool
-	// Placement, when set (lease mode), is the shared consistent-hash
-	// ring of server IDs. The Open anycast walks servers in the movie's
-	// ring order, so the first probe normally lands on the owner and the
-	// first takeover retry lands on its successor — no broadcast, no
-	// directory round-trip.
+	// unchanged (frames were always point-to-point). The Open anycast
+	// walks servers in the movie's ring order, so the first probe normally
+	// lands on the owner and the first takeover retry on its successor.
 	Placement *placement.Ring
 	// Obs, when set, receives the client.* counters, occupancy gauges and
 	// trace events, and is forwarded to the embedded GCS process.
@@ -256,7 +253,7 @@ type Client struct {
 	// refusals; decoding them into scratch costs nothing.
 	orIn wire.OpenReply
 
-	// Lease-mode state (cfg.Lease): the keeper renews the session lease,
+	// Lease-mode state (leased()): the keeper renews the session lease,
 	// serving is the server that last accepted our Open (renew/control
 	// target), and the scratch fields make the renew path allocation-free.
 	// All guarded by mu except the keeper's own internals.
@@ -338,7 +335,7 @@ func (c *Client) Watch(movieID string) error {
 	rejoined := c.session != nil // finished-then-rewatch: still a member
 	c.mu.Unlock()
 
-	if !rejoined && !c.cfg.Lease {
+	if !rejoined && !c.leased() {
 		session, err := c.proc.Join(wire.SessionGroup(c.cfg.ID), gcs.Handlers{})
 		if err != nil {
 			return fmt.Errorf("client %s: joining session group: %w", c.cfg.ID, err)
@@ -366,36 +363,27 @@ func (c *Client) startLocked(movieID string) {
 	c.policy.Reset(c.cfg.Flow)
 	c.paused, c.reopening = false, false
 	c.openAttempt, c.refusals = 0, 0
-	if c.cfg.Lease {
+	if c.leased() {
 		c.serving = ""
 		c.orderServersLocked()
 	}
 }
 
-// leaseOwnerFanout is how many ring owners a leased client asks the
-// directory for: the movie's owner plus enough successors that a crashed
-// owner (or two) still leaves a resolved target to re-anycast to.
-const leaseOwnerFanout = 4
+// leased reports whether the client is in lease mode: it is exactly when
+// it has a placement ring.
+func (c *Client) leased() bool { return c.cfg.Placement != nil }
 
-// resolveThenOpen asks the directory for servers before opening. In lease
-// mode it resolves the movie's ring owners (ResolveKey), so the directory
-// answers with the placement order instead of the whole group; otherwise
-// it resolves the full server-group membership. Failures fall back to the
-// static list (if any) or retry.
+// resolveThenOpen asks the directory for the server group's live members
+// before opening. Failures fall back to the static list (if any) or retry.
 func (c *Client) resolveThenOpen() {
-	if c.cfg.Lease {
-		c.mu.Lock()
-		movie := c.movie
-		c.mu.Unlock()
-		c.resolver.ResolveKey(wire.ServerGroup, movie, leaseOwnerFanout, 5, c.applyResolved)
-		return
-	}
 	c.resolver.Resolve(wire.ServerGroup, 5, c.applyResolved)
 }
 
 // applyResolved installs a directory answer as the anycast server list
-// and opens. An empty answer falls back to the static list, or re-asks
-// the directory after a beat (no server may have registered yet).
+// and opens. A leased client puts the live servers in the movie's ring
+// order, so its first Open goes to the live primary owner. An empty answer
+// falls back to the static list, or re-asks the directory after a beat (no
+// server may have registered yet).
 func (c *Client) applyResolved(addrs []transport.Addr) {
 	c.mu.Lock()
 	if !c.openActiveLocked() {
@@ -408,6 +396,18 @@ func (c *Client) applyResolved(addrs []transport.Addr) {
 		for _, a := range addrs {
 			resolved = append(resolved, string(a))
 		}
+		if c.leased() {
+			// A ring walk over the live servers is the full walk with the
+			// dead ones skipped: the owners come first, in ring order.
+			order := c.cfg.Placement.Order(c.movie)
+			rank := func(s string) int {
+				if i := slices.Index(order, s); i >= 0 {
+					return i
+				}
+				return len(order)
+			}
+			slices.SortStableFunc(resolved, func(a, b string) int { return rank(a) - rank(b) })
+		}
 		// Resolved servers first — they are known live — then any
 		// static fallbacks not already listed.
 		for _, s := range c.cfg.Servers {
@@ -419,6 +419,7 @@ func (c *Client) applyResolved(addrs []transport.Addr) {
 		c.serverIdx = 0
 	case len(c.cfg.Servers) > 0:
 		c.servers = c.cfg.Servers
+		c.orderServersLocked()
 	default:
 		c.mu.Unlock()
 		// Nothing to try yet: the directory may be empty because no
@@ -433,8 +434,8 @@ func (c *Client) applyResolved(addrs []transport.Addr) {
 // orderServersLocked reorders the anycast list by the movie's consistent-
 // hash placement: ring owners in order, then any bootstrap servers not on
 // the ring. The first Open probe lands on the owner, and a takeover retry
-// walks to its successor — the same order the congress directory would
-// answer with. Caller holds c.mu.
+// walks to its successor. A client without a ring keeps its list. Caller
+// holds c.mu.
 func (c *Client) orderServersLocked() {
 	ring := c.cfg.Placement
 	if ring == nil || ring.Len() == 0 {
@@ -554,8 +555,8 @@ func (c *Client) sendOpen() {
 		ClientAddr: c.cfg.ID,
 		Movie:      c.movie,
 		Class:      c.cfg.Class,
-		Lease:      c.cfg.Lease,
-		Takeover:   c.cfg.Lease && c.reopening,
+		Lease:      c.leased(),
+		Takeover:   c.leased() && c.reopening,
 	}
 	c.armOpenLocked(c.openDelayLocked())
 	c.openAttempt++
@@ -627,7 +628,7 @@ func (c *Client) acceptLocked(from gcs.ProcessID, reply *wire.OpenReply) (reopen
 	c.openAttempt, c.refusals = 0, 0
 	clock.Release(c.openTimer)
 	c.openTimer = nil
-	if c.cfg.Lease {
+	if c.leased() {
 		c.serving = from
 		if c.keeper != nil {
 			c.keeper.Touch()

@@ -25,17 +25,17 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/placement"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Message kinds on the directory channel.
+// Message kinds on the directory channel. Kind 4 (a key resolution) is
+// retired: a directory ignores it, and no new message may reuse it, since
+// older directories still answer it.
 const (
 	kindRegister uint8 = iota + 1
 	kindResolve
 	kindReply
-	kindResolveKey
 )
 
 // defaultTTL is the registration lifetime when none is given; registrants
@@ -51,17 +51,8 @@ type Directory struct {
 
 	mu      sync.Mutex
 	entries map[string]map[transport.Addr]time.Time // group → addr → expiry
-	rings   map[string]*ringCache                   // group → placement ring over live members
 	sweep   clock.Periodic
 	closed  bool
-}
-
-// ringCache is a consistent-hash ring over a group's live members, rebuilt
-// only when the member list actually changes — resolutions between
-// registration churn reuse it.
-type ringCache struct {
-	members []transport.Addr // sorted snapshot the ring was built from
-	ring    *placement.Ring
 }
 
 // NewDirectory starts a directory daemon on its own endpoint at addr. Like
@@ -78,7 +69,6 @@ func NewDirectory(clk clock.Clock, network transport.Network, addr transport.Add
 		mux:     mux,
 		ep:      mux.Channel(transport.ChannelDirectory),
 		entries: make(map[string]map[transport.Addr]time.Time),
-		rings:   make(map[string]*ringCache),
 	}
 	d.ep.SetHandler(d.onPacket)
 	d.sweep.Start(clk, time.Second, time.Second, d.expire)
@@ -132,47 +122,8 @@ func (d *Directory) expire() {
 		}
 		if len(byAddr) == 0 {
 			delete(d.entries, group)
-			delete(d.rings, group)
 		}
 	}
-}
-
-// addrsEqual reports whether two sorted address lists are identical.
-func addrsEqual(a, b []transport.Addr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ownersLocked resolves key to its first n owners on the group's placement
-// ring, building (or rebuilding) the ring only when the live member list
-// changed since the last key resolution.
-func (d *Directory) ownersLocked(group, key string, n int) []transport.Addr {
-	members := d.membersLocked(group)
-	if len(members) == 0 {
-		return nil
-	}
-	rc := d.rings[group]
-	if rc == nil || !addrsEqual(rc.members, members) {
-		ring := placement.New(placement.DefaultVNodes)
-		for _, m := range members {
-			ring.Add(string(m))
-		}
-		rc = &ringCache{members: members, ring: ring}
-		d.rings[group] = rc
-	}
-	ids := rc.ring.AppendOrder(nil, key, n)
-	out := make([]transport.Addr, len(ids))
-	for i, id := range ids {
-		out[i] = transport.Addr(id)
-	}
-	return out
 }
 
 func (d *Directory) onPacket(from transport.Addr, payload []byte) {
@@ -207,23 +158,10 @@ func (d *Directory) onPacket(from transport.Addr, payload []byte) {
 		members := d.membersLocked(group)
 		d.mu.Unlock()
 		d.reply(from, group, nonce, members)
-	case kindResolveKey:
-		group := r.String()
-		key := r.String()
-		n := int(r.U16())
-		nonce := r.U64()
-		if r.Done() != nil || key == "" {
-			return
-		}
-		d.mu.Lock()
-		owners := d.ownersLocked(group, key, n)
-		d.mu.Unlock()
-		d.reply(from, group, nonce, owners)
 	}
 }
 
-// reply sends a kindReply carrying addrs; both resolution flavors share the
-// format, so one resolver-side decoder serves both.
+// reply sends a kindReply carrying addrs.
 func (d *Directory) reply(to transport.Addr, group string, nonce uint64, addrs []transport.Addr) {
 	pkt := make([]byte, 0, 64)
 	pkt = wire.AppendU8(pkt, kindReply)
@@ -300,8 +238,6 @@ type Resolver struct {
 
 type resolution struct {
 	group    string
-	key      string // non-empty: placement-ring resolution (kindResolveKey)
-	count    int    // owners requested for a key resolution
 	callback func([]transport.Addr)
 	retries  int
 	attempt  int // retries already taken, drives the backoff
@@ -333,20 +269,7 @@ func seedFrom(s string) int64 {
 // Resolve looks group up, invoking callback exactly once: with the member
 // list on success, or with nil after maxRetries request timeouts.
 func (r *Resolver) Resolve(group string, maxRetries int, callback func([]transport.Addr)) {
-	r.start(&resolution{group: group, callback: callback, retries: maxRetries})
-}
-
-// ResolveKey looks up the first n owners of key on the directory's
-// consistent-hash ring over group's live members — the congress answers a
-// movie Open by ring lookup instead of handing back the whole membership.
-// callback is invoked exactly once: with the owners in ring order on
-// success (empty if the group has no live members), or with nil after
-// maxRetries request timeouts.
-func (r *Resolver) ResolveKey(group, key string, n, maxRetries int, callback func([]transport.Addr)) {
-	r.start(&resolution{group: group, key: key, count: n, callback: callback, retries: maxRetries})
-}
-
-func (r *Resolver) start(res *resolution) {
+	res := &resolution{group: group, callback: callback, retries: maxRetries}
 	r.mu.Lock()
 	r.nonce++
 	nonce := r.nonce
@@ -357,15 +280,8 @@ func (r *Resolver) start(res *resolution) {
 
 func (r *Resolver) send(nonce uint64, res *resolution) {
 	pkt := make([]byte, 0, 32)
-	if res.key != "" {
-		pkt = wire.AppendU8(pkt, kindResolveKey)
-		pkt = wire.AppendString(pkt, res.group)
-		pkt = wire.AppendString(pkt, res.key)
-		pkt = wire.AppendU16(pkt, uint16(res.count))
-	} else {
-		pkt = wire.AppendU8(pkt, kindResolve)
-		pkt = wire.AppendString(pkt, res.group)
-	}
+	pkt = wire.AppendU8(pkt, kindResolve)
+	pkt = wire.AppendString(pkt, res.group)
 	pkt = wire.AppendU64(pkt, nonce)
 	_ = r.ep.Send(r.directory, pkt)
 

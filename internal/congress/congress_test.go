@@ -12,6 +12,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -211,5 +212,95 @@ func TestDiscoveryBeforeServersStart(t *testing.T) {
 	r.clk.Advance(8 * time.Second)
 	if got := c.State(); got != client.StateWatching {
 		t.Fatalf("state = %v; late-server discovery failed", got)
+	}
+}
+
+// TestResolveStreakEscalatesAndResets pins the cross-resolution backoff
+// memory: while the directory stays unreachable, each new resolution starts
+// deeper in the backoff schedule (fewer probes for the same wall time), and
+// one successful reply resets the streak so the next failure probes from
+// the base delay again.
+func TestResolveStreakEscalatesAndResets(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	net := netsim.New(clk, 1, netsim.LAN())
+
+	// A scriptable directory: counts requests, and answers them (with an
+	// empty member list — still an answer) only when told to.
+	raw, err := net.NewEndpoint("directory")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirCh := transport.NewMux(raw).Channel(transport.ChannelDirectory)
+	requests, answering := 0, false
+	dirCh.SetHandler(func(from transport.Addr, payload []byte) {
+		requests++
+		if !answering {
+			return
+		}
+		rd := wire.NewReader(payload)
+		if rd.U8() != 2 { // kindResolve
+			return
+		}
+		group := rd.String()
+		nonce := rd.U64()
+		reply := wire.AppendU8(nil, 3) // kindReply
+		reply = wire.AppendString(reply, group)
+		reply = wire.AppendU64(reply, nonce)
+		reply = wire.AppendU16(reply, 0)
+		_ = dirCh.Send(from, reply)
+	})
+
+	rawC, err := net.NewEndpoint("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolver := congress.NewResolver(clk, transport.NewMux(rawC).Channel(transport.ChannelDirectory), "directory")
+
+	// The retry count is fixed (initial + maxRetries probes), so the streak
+	// shows up as time: a deeper starting backoff stretches the same five
+	// probes over a longer window. Measure time-to-give-up.
+	failedDuration := func() time.Duration {
+		requests = 0
+		start := clk.Now()
+		done := false
+		resolver.Resolve("g", 4, func([]transport.Addr) { done = true })
+		for i := 0; i < 3000 && !done; i++ {
+			clk.Advance(10 * time.Millisecond)
+		}
+		if !done {
+			t.Fatal("resolution never gave up")
+		}
+		if requests != 5 {
+			t.Fatalf("probes = %d, want 5", requests)
+		}
+		return clk.Now().Sub(start)
+	}
+
+	// Consecutive failed resolutions start deeper in the schedule. With
+	// base 300ms, cap 2s and ≤25% jitter the windows are disjoint for the
+	// first escalation and monotone to the cap after.
+	first, second, third := failedDuration(), failedDuration(), failedDuration()
+	if second <= first {
+		t.Fatalf("failure streak did not escalate backoff: %v then %v", first, second)
+	}
+	if third <= first {
+		t.Fatalf("streak escalation not sustained: %v, %v, %v", first, second, third)
+	}
+
+	// One answered resolution resets the streak: the next failed
+	// resolution probes like the very first again.
+	answering = true
+	answered := false
+	var got []transport.Addr
+	resolver.Resolve("g", 4, func(addrs []transport.Addr) { answered, got = true, addrs })
+	clk.Advance(time.Second)
+	if !answered || got == nil || len(got) != 0 {
+		t.Fatalf("answered resolve: called=%v got=%v, want empty success", answered, got)
+	}
+	// Back to the base schedule: the post-reset failure finishes faster
+	// than any escalated one (jitter keeps it within ~25% of the first).
+	answering = false
+	if after := failedDuration(); after >= second {
+		t.Fatalf("streak not reset by success: %v, escalated run took %v", after, second)
 	}
 }

@@ -45,12 +45,14 @@ func resolve(group string, nonce uint64) []byte {
 	return wire.AppendU64(b, nonce)
 }
 
-func resolveKey(group, key string, n uint16, nonce uint64) []byte {
-	b := wire.AppendU8(nil, kindResolveKey)
-	b = wire.AppendString(b, group)
-	b = wire.AppendString(b, key)
-	b = wire.AppendU16(b, n)
-	return wire.AppendU64(b, nonce)
+// retiredKind is a key resolution in the retired kind-4 format,
+// raw bytes: kind, group "g", key "feature", count 2, nonce 1.
+var retiredKind = []byte{
+	4,
+	0, 1, 'g',
+	0, 7, 'f', 'e', 'a', 't', 'u', 'r', 'e',
+	0, 2,
+	0, 0, 0, 0, 0, 0, 0, 1,
 }
 
 func reply(group string, nonce uint64, count uint16, addrs ...transport.Addr) []byte {
@@ -85,9 +87,9 @@ func wellFormedReply(pkt []byte) bool {
 func FuzzDirectoryOnPacket(f *testing.F) {
 	f.Add(resolve("g", 1))
 	f.Add(resolve("nobody", 1))
-	f.Add(resolveKey("g", "feature", 2, 1))
-	f.Add(resolveKey("g", "feature", 0xFFFF, 1))
-	f.Add(resolveKey("g", "", 1, 1))
+	f.Add(retiredKind)
+	f.Add(retiredKind[:1])
+	f.Add(append([]byte{4}, resolve("g", 1)[1:]...))
 	f.Add(register("g", "node-2", time.Second))
 	f.Add(register("g", "node-2", -time.Second))
 	f.Add(register("", "", time.Second))
@@ -111,8 +113,8 @@ func FuzzDirectoryOnPacket(f *testing.F) {
 }
 
 // FuzzResolverOnPacket throws arbitrary datagrams, as if from the directory,
-// at a resolver with a plain and a key resolution in flight (nonces 1 and
-// 2, neither retried). Whatever arrives, the handler returns without
+// at a resolver with two resolutions in flight (nonces 1 and 2, neither
+// retried). Whatever arrives, the handler returns without
 // panicking and each resolution's callback runs exactly once.
 func FuzzResolverOnPacket(f *testing.F) {
 	f.Add(reply("g", 1, 1, "node-1"))
@@ -130,7 +132,7 @@ func FuzzResolverOnPacket(f *testing.F) {
 		r := NewResolver(clk, client, "nowhere")
 		calls := [2]int{}
 		r.Resolve("g", 0, func([]transport.Addr) { calls[0]++ })
-		r.ResolveKey("g", "feature", 2, 0, func([]transport.Addr) { calls[1]++ })
+		r.Resolve("g", 0, func([]transport.Addr) { calls[1]++ })
 		r.onPacket("directory", data)
 		r.onPacket("directory", data)
 		clk.Advance(time.Second)
@@ -138,6 +140,32 @@ func FuzzResolverOnPacket(f *testing.F) {
 			t.Fatalf("the callbacks ran %v times, want once each", calls)
 		}
 	})
+}
+
+// TestDirectoryIgnoresRetiredKind: a datagram of kind 4, the retired key
+// resolution, draws no reply and creates no directory entry, whatever its
+// group names.
+func TestDirectoryIgnoresRetiredKind(t *testing.T) {
+	clk, d, client := hostileNet(t)
+	replies := 0
+	client.SetHandler(func(transport.Addr, []byte) { replies++ })
+	for _, pkt := range [][]byte{
+		retiredKind,
+		append([]byte{4}, resolve("g", 1)[1:]...),
+		append([]byte{4}, register("h", "node-2", time.Minute)[1:]...),
+	} {
+		d.onPacket(client.Addr(), pkt)
+	}
+	clk.Advance(time.Second)
+	if replies != 0 {
+		t.Fatalf("kind-4 datagrams drew %d replies, want none", replies)
+	}
+	d.mu.Lock()
+	groups := len(d.entries)
+	d.mu.Unlock()
+	if groups != 1 || len(d.Members("g")) != 1 {
+		t.Fatalf("kind-4 datagrams changed the directory: %d groups, members of g %v", groups, d.Members("g"))
+	}
 }
 
 // TestResolverRefusesOversizedCount: a reply's address count is a u16 off the

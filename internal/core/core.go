@@ -311,7 +311,6 @@ func (d *Deployment) ClientConfig(id string) ClientConfig {
 		Servers:   d.peers,
 		Directory: d.opts.Directory,
 		Flow:      d.opts.Flow,
-		Lease:     d.ring != nil,
 		Placement: d.ring,
 		Obs:       d.registry(id),
 	}

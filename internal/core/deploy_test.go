@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/congress"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -62,7 +63,7 @@ func TestRingDeployment(t *testing.T) {
 		}
 		id := fmt.Sprintf("viewer-%d", i)
 		cfg := d.ClientConfig(id)
-		if !cfg.Lease || cfg.Placement == nil {
+		if cfg.Placement == nil {
 			t.Fatalf("ring deployment handed out an unleased client config: %+v", cfg)
 		}
 		c, err := core.NewClient(cfg)
@@ -92,6 +93,110 @@ func TestRingDeployment(t *testing.T) {
 	}
 	if opened != uint64(len(movies)) {
 		t.Errorf("servers opened %d sessions, want %d", opened, len(movies))
+	}
+}
+
+// ringDirectoryRig deploys six titles on a ring of five servers, two
+// replicas each, whose servers register at "directory"; a directory runs
+// there only when live is set. It returns each title's ring owners.
+func ringDirectoryRig(t *testing.T, live bool) (*clock.Virtual, *netsim.Network, *core.Deployment, [][]string) {
+	t.Helper()
+	clk := clock.NewVirtual(epoch)
+	net := netsim.New(clk, 5, netsim.LAN())
+	if live {
+		dir, err := congress.NewDirectory(clk, net, "directory")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(dir.Close)
+	}
+	servers := []string{"srv-a", "srv-b", "srv-c", "srv-d", "srv-e"}
+	var movies []*core.Movie
+	for i := 0; i < 6; i++ {
+		movies = append(movies, core.GenerateMovie(fmt.Sprintf("title-%d", i), time.Minute, int64(i)))
+	}
+	d, err := core.Deploy(core.DeployOptions{
+		Clock: clk, Network: net, Servers: servers, Movies: movies,
+		Replicas: 2, Ring: true, Directory: "directory",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Stop)
+	clk.Advance(2 * time.Second)
+	owners := make([][]string, len(movies))
+	for i, m := range movies {
+		owners[i] = d.Placement[m.ID()]
+	}
+	return clk, net, d, owners
+}
+
+// watchAll starts one viewer per title, viewer-i watching title-i, each
+// made from the deployment's client config; directoryOnly drops its static
+// server list.
+func watchAll(t *testing.T, d *core.Deployment, titles int, directoryOnly bool) []*core.Client {
+	t.Helper()
+	viewers := make([]*core.Client, titles)
+	for i := range viewers {
+		cfg := d.ClientConfig(fmt.Sprintf("viewer-%d", i))
+		if directoryOnly {
+			cfg.Servers = nil
+		}
+		c, err := core.NewClient(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		if err := c.Watch(fmt.Sprintf("title-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		viewers[i] = c
+	}
+	return viewers
+}
+
+// TestLeasedClientWithoutDirectoryKeepsRingOrder: a leased client whose
+// directory never answers falls back to its static list in the title's ring
+// order, so once the resolver gives up, its one Open lands on the primary
+// owner.
+func TestLeasedClientWithoutDirectoryKeepsRingOrder(t *testing.T) {
+	clk, _, d, owners := ringDirectoryRig(t, false)
+	viewers := watchAll(t, d, len(owners), false)
+	clk.Advance(15 * time.Second) // the resolver's six probes time out within ≈ 10 s
+	for i, c := range viewers {
+		if got := d.ServingServer(c.ID()); got != owners[i][0] {
+			t.Errorf("title-%d served by %q, want its primary owner %s", i, got, owners[i][0])
+		}
+		if got := c.Stats().OpensSent; got != 1 {
+			t.Errorf("title-%d took %d Opens, want 1", i, got)
+		}
+	}
+}
+
+// TestLeasedClientResolvesThroughDirectory: leased clients that know only
+// the directory open on each title's primary owner at the first try, and a
+// crashed owner's viewer moves to the ring successor with one reopen.
+func TestLeasedClientResolvesThroughDirectory(t *testing.T) {
+	clk, net, d, owners := ringDirectoryRig(t, true)
+	viewers := watchAll(t, d, len(owners), true)
+	clk.Advance(2 * time.Second)
+	for i, c := range viewers {
+		if got := d.ServingServer(c.ID()); got != owners[i][0] {
+			t.Errorf("title-%d served by %q, want its primary owner %s", i, got, owners[i][0])
+		}
+		if got := c.Stats().OpensSent; got != 1 {
+			t.Errorf("title-%d took %d Opens, want 1", i, got)
+		}
+	}
+
+	d.StopServer(owners[0][0])
+	net.Crash(transport.Addr(owners[0][0]))
+	clk.Advance(6 * time.Second)
+	if got := d.ServingServer(viewers[0].ID()); got != owners[0][1] {
+		t.Errorf("after its owner crashed, title-0 served by %q, want the successor %s", got, owners[0][1])
+	}
+	if got := viewers[0].Stats().Reopens; got != 1 {
+		t.Errorf("title-0 reopened %d times, want 1", got)
 	}
 }
 

@@ -11,10 +11,8 @@
 // The ring is deterministic: the same member set always produces the
 // same point layout (fnv64a of "server#vnode"), so every process that
 // builds a ring from the same membership agrees on ownership without
-// any coordination. Rings are plain data — build one, share the
-// pointer read-only across a simulation, and rebuild on membership
-// change (Add/remove mutate in place for owners such as the congress
-// directory, which serialises access).
+// any coordination. Rings are plain data — build one and share the
+// pointer read-only; a membership change builds a new ring.
 package placement
 
 import (
@@ -33,7 +31,7 @@ type point struct {
 }
 
 // Ring is a consistent-hash ring of servers. Not safe for concurrent
-// mutation; concurrent Lookup/AppendOrder on an immutable ring is safe.
+// mutation; concurrent LookupN/Order on an immutable ring is safe.
 type Ring struct {
 	vnodes int
 	points []point // sorted by hash
@@ -43,7 +41,7 @@ type Ring struct {
 	// of a movie computes the same preference order, so at simulation
 	// scale the walk (and its slice) amortizes to one per title instead
 	// of one per client. Guarded by orderMu so concurrent readers of an
-	// otherwise-immutable ring stay safe; Add/remove drop the cache.
+	// otherwise-immutable ring stay safe; Add drops the cache.
 	orderMu    sync.Mutex
 	orderCache map[string][]string
 }
@@ -117,57 +115,19 @@ func (r *Ring) Add(id string) {
 	})
 }
 
-// remove deletes a server's virtual nodes. Unknown servers are a no-op.
-func (r *Ring) remove(id string) {
-	found := false
-	for i, have := range r.ids {
-		if have == id {
-			r.ids = append(r.ids[:i], r.ids[i+1:]...)
-			found = true
-			break
-		}
-	}
-	if !found {
-		return
-	}
-	r.invalidateOrders()
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.id != id {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Len reports the number of servers on the ring.
 func (r *Ring) Len() int { return len(r.ids) }
-
-// Servers returns the member IDs in sorted order (a fresh slice).
-func (r *Ring) Servers() []string {
-	out := append([]string(nil), r.ids...)
-	sort.Strings(out)
-	return out
-}
-
-// Lookup returns the primary owner of key, or "" on an empty ring.
-func (r *Ring) Lookup(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	return r.points[r.search(key)].id
-}
 
 // LookupN returns up to n distinct owners of key in ring-walk order:
 // the primary first, then each successive distinct server clockwise.
 // This is the replica set (and the client's server-preference order).
 func (r *Ring) LookupN(key string, n int) []string {
-	return r.AppendOrder(nil, key, n)
+	return r.appendOrder(nil, key, n)
 }
 
-// AppendOrder is LookupN into a caller-owned slice — allocation-free
+// appendOrder is LookupN into a caller-owned slice — allocation-free
 // once dst has capacity. n <= 0 or n > Len() yields the full walk.
-func (r *Ring) AppendOrder(dst []string, key string, n int) []string {
+func (r *Ring) appendOrder(dst []string, key string, n int) []string {
 	if len(r.points) == 0 {
 		return dst
 	}
@@ -194,15 +154,15 @@ func (r *Ring) AppendOrder(dst []string, key string, n int) []string {
 
 // Order returns the full ring-walk order for key — every server, primary
 // first — as a cached shared slice. Callers must treat the result as
-// read-only; copy before appending or mutating. Membership changes
-// (Add/remove) invalidate the cache.
+// read-only; copy before appending or mutating. Add invalidates the
+// cache.
 func (r *Ring) Order(key string) []string {
 	r.orderMu.Lock()
 	defer r.orderMu.Unlock()
 	if ord, ok := r.orderCache[key]; ok {
 		return ord
 	}
-	ord := r.AppendOrder(make([]string, 0, len(r.ids)), key, 0)
+	ord := r.appendOrder(make([]string, 0, len(r.ids)), key, 0)
 	if r.orderCache == nil {
 		r.orderCache = make(map[string][]string)
 	}

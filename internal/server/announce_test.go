@@ -9,6 +9,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
+	"repro/internal/placement"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -51,10 +52,16 @@ func newPairRig(t *testing.T) *pairRig {
 	return r
 }
 
-// viewer adds a client that opens on s1 first; leased picks the tier.
+// viewer adds a client that opens on s1 first; leased picks the tier, and
+// gives the client a ring over s1 alone, which keeps that order.
 func (r *pairRig) viewer(id string, leased bool) *client.Client {
 	r.t.Helper()
-	c, err := client.New(client.Config{ID: id, Clock: r.clk, Network: r.net, Servers: []string{"s1", "s2"}, Lease: leased})
+	cfg := client.Config{ID: id, Clock: r.clk, Network: r.net, Servers: []string{"s1", "s2"}}
+	if leased {
+		cfg.Placement = placement.New(placement.DefaultVNodes)
+		cfg.Placement.Add("s1")
+	}
+	c, err := client.New(cfg)
 	if err != nil {
 		r.t.Fatal(err)
 	}

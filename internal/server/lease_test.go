@@ -13,16 +13,20 @@ import (
 	"repro/internal/wire"
 )
 
-// startLeaseClient starts a client in two-tier (lease) mode, optionally
-// with a local placement ring ordering its anycast list.
+// startLeaseClient starts a client in two-tier (lease) mode, with ring
+// ordering its anycast list. A nil ring means a ring over the first server
+// alone, which keeps servers in the order given.
 func (r *rig) startLeaseClient(id string, ring *placement.Ring, servers ...string) *client.Client {
 	r.t.Helper()
+	if ring == nil {
+		ring = placement.New(placement.DefaultVNodes)
+		ring.Add(servers[0])
+	}
 	c, err := client.New(client.Config{
 		ID:        id,
 		Clock:     r.clk,
 		Network:   r.net,
 		Servers:   servers,
-		Lease:     true,
 		Placement: ring,
 	})
 	if err != nil {
@@ -79,7 +83,7 @@ func TestLeasePlacementOrdering(t *testing.T) {
 	}
 	r.run(3 * time.Second)
 
-	owner := ring.Lookup("casablanca")
+	owner := ring.LookupN("casablanca", 1)[0]
 	if n := len(r.servers[owner].ActiveSessions()); n != 1 {
 		t.Fatalf("ring owner %s has %d sessions, want 1", owner, n)
 	}

@@ -50,9 +50,10 @@ type Options struct {
 	// (in-flight jobs still finish).
 	KeepGoing bool
 	// OnResult, when non-nil, is called once per finished job, serialized
-	// under the sweep's lock but in *completion* order, not job order.
-	// Use it for progress reporting; results[i] is already written when
-	// the callback for job i fires.
+	// under the sweep's lock and in job order: job i's callback fires once
+	// jobs 0..i have all finished, so a caller can stream results while
+	// later jobs still run. results[i], and anything job i wrote, is
+	// visible when the callback for job i fires.
 	OnResult func(i int, seed int64, err error)
 	// Obs, when non-nil, receives the sweep summary: counters
 	// "sweep.jobs", "sweep.failures" and a "sweep.done" trace event with
@@ -188,7 +189,15 @@ func RunOpts[T any](ctx context.Context, jobs int, opts Options, fn Func[T]) ([]
 		elapsed time.Duration // summed per-job elapsed time (CPU fallback)
 		ran     int
 		wg      sync.WaitGroup
+		// done and errs hold finished jobs until every earlier job has
+		// finished too; reported counts the jobs OnResult has seen.
+		done     []bool
+		errs     []error
+		reported int
 	)
+	if opts.OnResult != nil {
+		done, errs = make([]bool, jobs), make([]error, jobs)
+	}
 	start := time.Now()
 	cpuBefore, haveCPU := cpuTime()
 
@@ -236,7 +245,12 @@ func RunOpts[T any](ctx context.Context, jobs int, opts Options, fn Func[T]) ([]
 					}
 				}
 				if opts.OnResult != nil {
-					opts.OnResult(i, firstSeed+int64(i), err)
+					done[i], errs[i] = true, err
+					// Jobs are dispatched in index order, so every finished
+					// job is reported by the time the last one finishes.
+					for ; reported < jobs && done[reported]; reported++ {
+						opts.OnResult(reported, firstSeed+int64(reported), errs[reported])
+					}
 				}
 				mu.Unlock()
 			}

@@ -182,10 +182,12 @@ func TestContextCancelMidSweep(t *testing.T) {
 }
 
 // TestProgressCallback: OnResult fires exactly once per job, serialized,
-// and sees the job's error.
+// in job order, and sees the job's error — even when later jobs finish
+// first.
 func TestProgressCallback(t *testing.T) {
 	seen := make(map[int]bool)
 	var failures int
+	next := 0
 	_, _, err := sweep.RunOpts(context.Background(), 50,
 		sweep.Options{Workers: 8, KeepGoing: true,
 			OnResult: func(i int, seed int64, err error) {
@@ -194,11 +196,17 @@ func TestProgressCallback(t *testing.T) {
 					t.Errorf("job %d reported twice", i)
 				}
 				seen[i] = true
+				if i != next {
+					t.Errorf("job %d reported when job %d was due", i, next)
+				}
+				next = i + 1
 				if err != nil {
 					failures++
 				}
 			}},
 		func(i int, seed int64) (int, error) {
+			// Early jobs run longest, so they finish after later ones.
+			time.Sleep(time.Duration(50-i) * 100 * time.Microsecond)
 			if i == 13 {
 				return 0, errors.New("unlucky")
 			}
