@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/store"
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -328,6 +331,48 @@ func TestSeekFlushesAndRefills(t *testing.T) {
 	}
 }
 
+// TestBackwardSeekIgnoresStaleFrames: after a backward Seek, frames of the
+// old position are still in flight. Buffering one would count every frame
+// between the Seek target and it as a gap and jump playback forward, undoing
+// the Seek; they must be dropped until the stream from the new position
+// arrives.
+func TestBackwardSeekIgnoresStaleFrames(t *testing.T) {
+	r := newRig(t)
+	r.server(t, "s1", "s1")
+	reg := obs.NewRegistry("c1", r.clk.Now)
+	c, err := client.New(client.Config{
+		ID: "c1", Clock: r.clk, Network: r.net, Servers: []string{"s1"}, Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.Watch(r.movie.ID()); err != nil {
+		t.Fatal(err)
+	}
+	r.clk.Advance(12 * time.Second)
+	before := c.Counters()
+	// Hold the Seek on the client's uplink for half a second, so the old
+	// position's frames keep arriving after the local flush.
+	r.net.SetLinkOneWayDown("c1", "s1", true)
+	if err := c.Seek(30); err != nil {
+		t.Fatal(err)
+	}
+	r.clk.Advance(500 * time.Millisecond)
+	r.net.SetLinkOneWayDown("c1", "s1", false)
+	r.clk.Advance(4 * time.Second)
+	after := c.Counters()
+	if skipped := after.GapSkipped - before.GapSkipped; skipped > 30 {
+		t.Errorf("backward seek skipped %d frames: playback jumped forward to the old position", skipped)
+	}
+	if shown := after.Displayed - before.Displayed; shown < 60 {
+		t.Errorf("displayed %d frames in the 4s after the seek", shown)
+	}
+	if reg.Snapshot().Counters["client.stray_frames"] == 0 {
+		t.Error("no in-flight frame of the old position was dropped")
+	}
+}
+
 func TestStateStrings(t *testing.T) {
 	for s, want := range map[client.State]string{
 		client.StateIdle:     "idle",
@@ -468,5 +513,66 @@ func TestReopenAfterLinkLoss(t *testing.T) {
 	// correctness: no I frame may be dropped by overflow.
 	if got := c.Counters().OverflowDroppedI; got != 0 {
 		t.Errorf("%d I frames dropped on overflow across the outage", got)
+	}
+}
+
+// TestReopenFollowsSessionView: a client cut off from the whole cluster for
+// long enough that its Open backoff reaches the cap must reopen as soon as
+// the healed network re-forms its session view with the serving server —
+// not whenever its rotation over the bootstrap list, where dead and
+// never-started servers come first, happens to reach that server again.
+func TestReopenFollowsSessionView(t *testing.T) {
+	r := newRig(t)
+	r.movie = mpeg.Generate("feature", mpeg.StreamConfig{Duration: 90 * time.Second, Seed: 2})
+	r.server(t, "s1", "s1")
+	// s0 and s2 are in the client's list but never run: Opens to them vanish.
+	for _, id := range []string{"s0", "s2"} {
+		if _, err := r.net.NewEndpoint(transport.Addr(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry("c1", r.clk.Now)
+	c, err := client.New(client.Config{
+		ID: "c1", Clock: r.clk, Network: r.net, Servers: []string{"s1", "s0", "s2"}, Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.Watch(r.movie.ID()); err != nil {
+		t.Fatal(err)
+	}
+	r.clk.Advance(10 * time.Second)
+
+	r.net.SetLinkDown("c1", "s1", true)
+	r.clk.Advance(25 * time.Second)
+	if got := c.Stats().OpenRetries; got < 4 {
+		t.Fatalf("%d Open retries during the cut; the backoff never reached its cap", got)
+	}
+	healed := r.clk.Now()
+	r.net.SetLinkDown("c1", "s1", false)
+	r.clk.Advance(20 * time.Second)
+
+	var viewAt, reopenAt time.Time
+	for _, ev := range reg.Snapshot().Events {
+		if ev.At.Before(healed) {
+			continue
+		}
+		switch {
+		case viewAt.IsZero() && ev.Kind == "gcs.view" &&
+			strings.HasPrefix(ev.Note, wire.SessionGroup("c1")+" ") && strings.HasSuffix(ev.Note, "members=2"):
+			viewAt = ev.At
+		case reopenAt.IsZero() && ev.Kind == "client.reopen_ok":
+			reopenAt = ev.At
+		}
+	}
+	if viewAt.IsZero() {
+		t.Fatal("the session view never re-formed with the server after the heal")
+	}
+	if reopenAt.IsZero() {
+		t.Fatal("no reopen succeeded within 20s of the heal")
+	}
+	if wait := reopenAt.Sub(viewAt); wait > time.Second {
+		t.Errorf("reopen_ok %v after the session view re-formed with s1, want within 1s", wait)
 	}
 }

@@ -269,6 +269,45 @@ func TestRestartServerFetchesAndServes(t *testing.T) {
 	}
 }
 
+// TestRestartRefetchesFromLivePeerFirst: a cold-restarted server whose first
+// configured peer is dead fetches its title from the live peer in its first
+// server-group view, within a second. Trying the configured peers in order
+// would spend a whole transfer timeout (20 chunk retries) on the dead one
+// first — time in which the title's last holder may die too.
+func TestRestartRefetchesFromLivePeerFirst(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	net := netsim.New(clk, 9, netsim.LAN())
+	regs := registries{}
+	d, err := core.Deploy(core.DeployOptions{
+		Clock: clk, Network: net, Servers: []string{"srv-a", "srv-b", "srv-c"},
+		Movies: []*core.Movie{core.GenerateMovie("feature", 5*time.Second, 1)},
+		Obs:    regs.get,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	clk.Advance(2 * time.Second)
+
+	// srv-a, first in every contact list, dies for good; srv-c crashes and
+	// comes back cold while srv-b is the only live holder.
+	for _, id := range []string{"srv-a", "srv-c"} {
+		d.StopServer(id)
+		net.Crash(transport.Addr(id))
+	}
+	clk.Advance(3 * time.Second)
+	if err := d.RestartServer("srv-c"); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Second)
+	if n := regs.counter("srv-c", "fetch.movies_fetched"); n != 1 {
+		t.Fatalf("restarted server fetched %d movies within 1s, want 1 (from the live srv-b)", n)
+	}
+	if n := regs.counter("srv-a", "fetch.chunks_served"); n != 0 {
+		t.Fatalf("the dead srv-a served %d chunks", n)
+	}
+}
+
 // closeLog is a Network whose endpoints record the order they are closed in.
 type closeLog struct {
 	transport.Network

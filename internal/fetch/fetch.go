@@ -13,6 +13,7 @@ package fetch
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -190,6 +191,27 @@ func (f *Fetcher) Fetch(movieID string, peer transport.Addr, callback func(*mpeg
 	f.mu.Unlock()
 	f.requestChunk(tr)
 	return nil
+}
+
+// Redirect moves a transfer in flight from a peer not in live to live[0]:
+// it starts over from the first chunk there at once, with fresh retries. A
+// caller that learns which peers are live need not wait out a dead one's
+// timeout.
+func (f *Fetcher) Redirect(live []transport.Addr) {
+	f.mu.Lock()
+	tr := f.current
+	if tr == nil || len(live) == 0 || slices.Contains(live, tr.peer) {
+		f.mu.Unlock()
+		return
+	}
+	peer := live[0]
+	if tr.timer != nil {
+		tr.timer.Stop()
+	}
+	f.obs.Event("fetch.redirect", tr.movie+" from "+string(tr.peer)+" to "+string(peer))
+	tr.peer, tr.data, tr.total, tr.next, tr.retries = peer, tr.data[:0], -1, 0, 0
+	f.mu.Unlock()
+	f.requestChunk(tr)
 }
 
 func (f *Fetcher) requestChunk(tr *transfer) {

@@ -130,6 +130,30 @@ func TestFetchDeadPeerTimesOut(t *testing.T) {
 	}
 }
 
+// TestFetchRedirect: a transfer stuck on a peer that does not exist,
+// redirected to a live one, completes there at once instead of waiting out its retries.
+func TestFetchRedirect(t *testing.T) {
+	clk, f, movie := fetchRig(t, netsim.LAN(), 5*time.Second)
+	var got *mpeg.Movie
+	var gotErr error
+	if err := f.Fetch("feature", "ghost", func(m *mpeg.Movie, err error) { got, gotErr = m, err }); err != nil {
+		t.Fatal(err)
+	}
+	f.Redirect([]transport.Addr{"ghost"}) // its own peer is live: nothing moves
+	clk.Advance(time.Second)
+	if got != nil || gotErr != nil {
+		t.Fatalf("fetch from a peer that does not exist ended: movie %v, err %v", got != nil, gotErr)
+	}
+	f.Redirect([]transport.Addr{"provider"})
+	clk.Advance(time.Second)
+	if gotErr != nil || got == nil {
+		t.Fatalf("redirected fetch: movie %v, err %v", got != nil, gotErr)
+	}
+	if got.TotalFrames() != movie.TotalFrames() {
+		t.Fatalf("fetched %d frames, want %d", got.TotalFrames(), movie.TotalFrames())
+	}
+}
+
 func TestFetchOneAtATime(t *testing.T) {
 	clk, f, _ := fetchRig(t, netsim.LAN(), time.Minute)
 	if err := f.Fetch("feature", "provider", func(*mpeg.Movie, error) {}); err != nil {

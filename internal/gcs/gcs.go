@@ -511,18 +511,18 @@ func (p *Process) onPacket(from ProcessID, payload []byte) {
 // callbacks collects application callbacks while the process lock is held,
 // to run after it is released: handlers may re-enter the GCS.
 //
-// The hot delivery shapes — message handlers and the direct handler — are
-// stored as typed entries rather than closures, so queuing a delivery
-// allocates nothing; cold shapes (view changes) still go through add. The
+// Every shape — view, message and direct handlers — is stored as a typed
+// entry rather than a closure, so queuing a callback allocates nothing. The
 // backing array is pooled: run returns it once the entries have fired.
 type callbacks struct {
 	backing *[]cbEntry
 	entries []cbEntry
 }
 
-// cbEntry is one queued callback. Exactly one of fn, msgH, dirH is set.
+// cbEntry is one queued callback. Exactly one of viewH, msgH, dirH is set.
 type cbEntry struct {
-	fn     func()
+	viewH  func(View)
+	view   View
 	msgH   func(group string, from ProcessID, payload []byte)
 	dirH   func(from ProcessID, payload []byte)
 	group  string
@@ -543,7 +543,7 @@ func (c *callbacks) push(e cbEntry) {
 	c.entries = append(c.entries, e)
 }
 
-func (c *callbacks) add(f func()) { c.push(cbEntry{fn: f}) }
+func (c *callbacks) addView(h func(View), v View) { c.push(cbEntry{viewH: h, view: v}) }
 
 func (c *callbacks) addMsg(h func(string, ProcessID, []byte), group string, sender ProcessID, data []byte) {
 	c.push(cbEntry{msgH: h, group: group, sender: sender, data: data})
@@ -560,8 +560,8 @@ func (c *callbacks) run() {
 	for i := range c.entries {
 		e := &c.entries[i]
 		switch {
-		case e.fn != nil:
-			e.fn()
+		case e.viewH != nil:
+			e.viewH(e.view)
 		case e.msgH != nil:
 			e.msgH(e.group, e.sender, e.data)
 		default:

@@ -338,7 +338,7 @@ func (m *Member) notifyViewLocked(cb *callbacks) {
 	if h := m.handlers.OnView; h != nil {
 		v := m.view
 		v.Members = append([]ProcessID(nil), v.Members...)
-		cb.add(func() { h(v) })
+		cb.addView(h, v)
 	}
 }
 

@@ -225,6 +225,10 @@ type Server struct {
 	stats       Stats
 	ctr         serverCounters
 
+	// fetchOrder is the order the fetch loop tries peers in while it runs;
+	// nil otherwise.
+	fetchOrder []gcs.ProcessID
+
 	// leases tracks the liveness of leased clients. Created lazily on the
 	// first leased admission: its sweep Periodic would otherwise perturb
 	// the virtual clock's timer free-list order and break byte-identical
@@ -390,9 +394,28 @@ func (s *Server) Start() error {
 	// handler is inert for them.
 	s.proc.SetDirectHandler(s.onDirect)
 
-	sg, err := s.proc.Join(wire.ServerGroup, gcs.Handlers{
-		OnMessage: s.onServerGroupMessage,
-	}, contacts...)
+	// Serve replication requests from peers, and fetch whatever movies we
+	// were asked to serve but do not hold. The fetcher exists before the
+	// server group is joined, because its views steer the fetch.
+	s.provider = fetch.NewProvider(s.cfg.Catalog,
+		s.mux.Channel(transport.ChannelBulk), s.mux.Channel(transport.ChannelBulkReply), s.cfg.Obs)
+	s.fetcher = fetch.NewFetcher(s.cfg.Clock,
+		s.mux.Channel(transport.ChannelBulk), s.mux.Channel(transport.ChannelBulkReply), s.cfg.Obs)
+	handlers := gcs.Handlers{OnMessage: s.onServerGroupMessage}
+	var missing []string
+	for _, id := range s.cfg.FetchMovies {
+		if !s.cfg.Catalog.Has(id) {
+			missing = append(missing, id)
+		}
+	}
+	if len(missing) > 0 {
+		handlers.OnView = s.onServerView
+		s.mu.Lock()
+		s.fetchOrder = contacts
+		s.mu.Unlock()
+	}
+
+	sg, err := s.proc.Join(wire.ServerGroup, handlers, contacts...)
 	if err != nil {
 		return fmt.Errorf("server %s: joining server group: %w", s.cfg.ID, err)
 	}
@@ -403,19 +426,6 @@ func (s *Server) Start() error {
 	for _, id := range movieIDs {
 		if err := s.serveMovie(id, s.movieContacts(id, contacts)); err != nil {
 			return err
-		}
-	}
-
-	// Serve replication requests from peers, and fetch whatever movies we
-	// were asked to serve but do not hold.
-	s.provider = fetch.NewProvider(s.cfg.Catalog,
-		s.mux.Channel(transport.ChannelBulk), s.mux.Channel(transport.ChannelBulkReply), s.cfg.Obs)
-	s.fetcher = fetch.NewFetcher(s.cfg.Clock,
-		s.mux.Channel(transport.ChannelBulk), s.mux.Channel(transport.ChannelBulkReply), s.cfg.Obs)
-	var missing []string
-	for _, id := range s.cfg.FetchMovies {
-		if !s.cfg.Catalog.Has(id) {
-			missing = append(missing, id)
 		}
 	}
 	if len(missing) > 0 {
