@@ -53,9 +53,11 @@ var regressionSeeds = []int64{2897, 3125, 4091, 6249, 10293, 18903, 21227, 22672
 	22797, 23405, 23878, 24065, 24252, 25019}
 
 // TestDisplayedShare holds the service the chaos schedules leave the viewer:
-// over seeds 1-400, at least 90% of the display ticks that fell due showed a
+// over seeds 1-400, at least 92% of the display ticks that fell due showed a
 // frame. A starved viewer that reopens to the server its session view names,
-// the moment that view forms, is what keeps stalls after a heal short.
+// the moment that view forms, is what keeps stalls after a heal short; a
+// server that pauses while the viewer is out of its session view, and resumes
+// where the viewer was, is what keeps the heal from skipping frames.
 func TestDisplayedShare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("400 chaos schedules; skipped in -short")
@@ -71,8 +73,8 @@ func TestDisplayedShare(t *testing.T) {
 	}
 	share := float64(displayed) / float64(due)
 	t.Logf("displayed share over seeds 1-400: %.6f (%d of %d ticks)", share, displayed, due)
-	if share < 0.90 {
-		t.Errorf("displayed share %.4f over seeds 1-400, want >= 0.90", share)
+	if share < 0.92 {
+		t.Errorf("displayed share %.4f over seeds 1-400, want >= 0.92", share)
 	}
 }
 

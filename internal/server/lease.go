@@ -39,11 +39,7 @@ func (s *Server) onLeaseExpire(clientID string) {
 	if sess == nil || sess.closed || !sess.rec.Leased {
 		return
 	}
-	sess.rec.Departed = true
-	if ms := s.movies[sess.movie.ID()]; ms != nil {
-		ms.announceLocked(sess.rec)
-	}
-	s.dropSessionLocked(sess)
+	s.departLocked(sess)
 	s.cfg.Obs.Event("server.lease_expired", clientID)
 }
 

@@ -12,9 +12,9 @@ import (
 
 // movieState is this server's view of one movie group (§5.2): the group
 // membership, the knowledge table of every client watching the movie
-// (merged from the periodic state syncs, latest record wins), and the
-// view-change machinery that exchanges knowledge and re-distributes the
-// clients.
+// (merged from the periodic state syncs, the record of the latest contact
+// with the client winning), and the view-change machinery that exchanges
+// knowledge and re-distributes the clients.
 type movieState struct {
 	srv    *Server
 	movie  *mpeg.Movie
@@ -71,9 +71,6 @@ func (ms *movieState) syncTick() {
 		s.mu.Unlock()
 		return
 	}
-	for _, rec := range recs {
-		ms.clients[rec.ClientID] = rec
-	}
 	ms.syncState = wire.ClientState{Server: s.cfg.ID, Clients: recs}
 	ms.multicastStateAndUnlock()
 }
@@ -127,9 +124,13 @@ func (ms *movieState) multicastStateAndUnlock() {
 }
 
 // ownRecordsLocked snapshots the live state of this server's sessions for
-// this movie into the movie's reusable scratch slice: the snapshot is only
-// referenced until the next sync tick (merged by value, encoded to a fresh
-// packet), so reusing the backing array is safe. Caller holds srv.mu.
+// this movie into the movie's reusable scratch slice and merges it into the
+// knowledge table: the snapshot is only referenced until the next sync tick
+// (merged by value, encoded to a fresh packet), so reusing the backing array
+// is safe. A record is dated by this server's last contact with the client:
+// now for a ready session, its lastContact otherwise, so a session paused
+// away from its client never out-dates the record of a peer that served the
+// client meanwhile. Caller holds srv.mu.
 func (ms *movieState) ownRecordsLocked() []wire.ClientRecord {
 	now := ms.srv.cfg.Clock.Now().UnixMilli()
 	recs := ms.recScratch[:0]
@@ -139,9 +140,15 @@ func (ms *movieState) ownRecordsLocked() []wire.ClientRecord {
 		}
 		rec := sess.rec
 		rec.SentAt = now
+		if !sess.ready {
+			rec.SentAt = sess.lastContact
+		}
 		recs = append(recs, rec)
 	}
 	slices.SortFunc(recs, byClientID)
+	for _, rec := range recs {
+		ms.mergeLocked(rec)
+	}
 	ms.recScratch = recs
 	return recs
 }
@@ -259,10 +266,7 @@ func (ms *movieState) onView(v gcs.View) {
 		return
 	}
 
-	recs := ms.ownRecordsLocked()
-	for _, rec := range recs {
-		ms.clients[rec.ClientID] = rec
-	}
+	ms.ownRecordsLocked() // this server's sessions, into the table
 	// The exchange shares the full knowledge table, so a joiner learns
 	// about every client from any single member.
 	all := make([]wire.ClientRecord, 0, len(ms.clients))
@@ -325,6 +329,16 @@ func (ms *movieState) redistributeLocked() {
 		sess := s.sessions[id]
 		mine := sess != nil && !sess.closed && sess.movie.ID() == ms.movie.ID()
 		switch {
+		case owner == gcs.ProcessID(s.cfg.ID) && mine && (sess.lapsed || !sess.ready):
+			// Kept, but its position may be stale: the client is away, or
+			// came back with no deal since. A peer that served the client
+			// after this server's last contact knows where it is. A deal
+			// that sees the client back settles the lapse.
+			if rec := ms.clients[id]; rec.SentAt > sess.lastContact {
+				sess.rec.Offset, sess.rec.Paused = rec.Offset, rec.Paused
+				sess.atEnd = int(rec.Offset) >= ms.movie.TotalFrames()
+			}
+			sess.lapsed = sess.lapsed && !sess.ready
 		case owner == gcs.ProcessID(s.cfg.ID) && !mine:
 			rec := ms.clients[id]
 			s.startSessionLocked(rec, ms.movie, true)

@@ -600,6 +600,17 @@ func (s *Server) dropSessionLocked(sess *session) {
 	s.noteSessionsLocked()
 }
 
+// departLocked ends a session for good: its tombstone goes to the movie group,
+// so peers forget the client rather than take it over, and the session is
+// dropped. Caller holds s.mu.
+func (s *Server) departLocked(sess *session) {
+	sess.rec.Departed = true
+	if ms := s.movies[sess.movie.ID()]; ms != nil {
+		ms.announceLocked(sess.rec)
+	}
+	s.dropSessionLocked(sess)
+}
+
 // ActiveSessions returns the IDs of clients this server currently serves,
 // for harness assertions ("each client is served by exactly one server").
 func (s *Server) ActiveSessions() []string {
@@ -744,6 +755,7 @@ func (s *Server) handleOpenLocked(from gcs.ProcessID) {
 			ClientAddr: open.ClientAddr,
 			Offset:     0,
 			Rate:       uint16(movie.FPS()),
+			SentAt:     s.cfg.Clock.Now().UnixMilli(), // the session's first contact
 			Class:      open.Class,
 			Leased:     open.Lease,
 		}

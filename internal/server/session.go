@@ -19,6 +19,10 @@ import (
 // No callback that can fire after stopLocked captures a *session: deferred
 // work holds (clientID, gen) and looks the session up, so a callback queued by
 // an earlier session of the same client finds the mismatch and bails out.
+//
+// A session is 408 bytes on 64-bit platforms, in the 416-byte size class:
+// one more word fits, and a second moves every session of the scale table
+// into the 448-byte class.
 type session struct {
 	srv   *Server
 	gen   uint64            // Server.sessionGen at start; guards deferred callbacks
@@ -46,11 +50,17 @@ type session struct {
 
 	member *gcs.Member // session-group membership, set once joined
 	ready  bool        // the session view includes the client; streaming may start
+	lapsed bool        // a view lost the client, and no deal has seen it back
 	pacing bool        // a send is scheduled
 	atEnd  bool        // offset ran past the last frame
 	closed bool
 
 	thinCredit int // quality-adjustment accumulator (frames × fps units)
+
+	// lastContact (unix ms) dates rec while the session is not ready: the
+	// lapse instant, the inherited record's SentAt for a takeover, or the
+	// Open for a new session. A ready session's record is dated now.
+	lastContact int64
 
 	// conflicts tracks peers that claimed this client in a state sync;
 	// a second consecutive claim (≥ one sync period later, so not a
@@ -94,7 +104,8 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 		packets: movie.Packets(s.vid.Preframe()),
 		dst:     s.vid.Resolve(transport.Addr(rec.ClientAddr)),
 		// Resuming at a stale offset past the end means the movie ended.
-		atEnd: takeover && int(rec.Offset) >= movie.TotalFrames(),
+		atEnd:       takeover && int(rec.Offset) >= movie.TotalFrames(),
+		lastContact: rec.SentAt,
 	}
 	sess.rate.SetBase(int(rec.Rate))
 	sess.sendOneFn = sess.sendOne
@@ -104,8 +115,14 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 	sess.decayTask.Start(s.cfg.Clock, time.Second, time.Second, func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if d := s.sessions[clientID]; d != nil && !d.closed && d.gen == gen {
-			d.rate.DecayTick()
+		d := s.sessions[clientID]
+		if d == nil || d.closed || d.gen != gen {
+			return
+		}
+		d.rate.DecayTick()
+		if d.lapsed && !d.ready && s.cfg.Clock.Now().UnixMilli()-d.lastContact >= lapseGrace.Milliseconds() {
+			s.cfg.Obs.Event("server.session_lapsed", clientID)
+			s.departLocked(d)
 		}
 	})
 	sess.group = wire.SessionGroup(clientID)
@@ -180,18 +197,33 @@ func (s *Server) joinSession(clientID string, gen uint64) {
 	sess.member = member
 }
 
-// onSessionView watches for the client to appear in the session view, at
-// which point streaming starts.
+// lapseGrace is how long a session waits for its client to come back into
+// the session view before it ends with a tombstone. It is far longer than a
+// takeover and than the chaos schedules' client cuts (3–8 s): a tombstoned
+// client that is alive reopens on its Open backoff, which costs more than the
+// grace saves (DESIGN §7, "Session lapse").
+const lapseGrace = 20 * time.Second
+
+// onSessionView follows the client's presence in the session view. A view
+// that includes the client starts streaming — the "two-way connection" of
+// §3 — or resumes it from the held offset. A view without the client pauses
+// the stream, so a server does not pace frames into the void of a cut or a
+// crashed viewer; the decay task ends a session lapsed for lapseGrace.
 func (s *Server) onSessionView(clientID string, gen uint64, v gcs.View) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess := s.sessions[clientID]
-	if sess == nil || sess.closed || sess.gen != gen || sess.ready {
+	if sess == nil || sess.closed || sess.gen != gen {
 		return
 	}
-	if v.Includes(transport.Addr(sess.rec.ClientAddr)) {
+	switch in := v.Includes(transport.Addr(sess.rec.ClientAddr)); {
+	case in && !sess.ready:
 		sess.ready = true
 		sess.schedulePacingLocked()
+	case !in && sess.ready:
+		sess.ready, sess.lapsed = false, true
+		sess.lastContact = s.cfg.Clock.Now().UnixMilli()
+		sess.haltPacingLocked()
 	}
 }
 
@@ -212,6 +244,15 @@ func (sess *session) sendPeriodLocked() time.Duration {
 func (sess *session) armSendLocked(d time.Duration) {
 	sess.pacing = true
 	sess.sendTimer = clock.Rearm(sess.srv.cfg.Clock, sess.sendTimer, d, sess.sendOneFn)
+}
+
+// haltPacingLocked cancels the pending send, keeping the offset: a pause, or
+// a lapse of the client from the session view. Caller holds srv.mu.
+func (sess *session) haltPacingLocked() {
+	if sess.sendTimer != nil {
+		sess.sendTimer.Stop()
+	}
+	sess.pacing = false
 }
 
 // schedulePacingLocked arms the next frame transmission at the current
@@ -243,7 +284,7 @@ func (sess *session) sendOne() {
 	s := sess.srv
 	s.mu.Lock()
 	sess.pacing = false
-	if !sess.closed && !sess.rec.Paused {
+	if !sess.closed && sess.ready && !sess.rec.Paused {
 		outcome, pkt := sess.paceTickLocked()
 		switch outcome {
 		case txSent:
@@ -425,10 +466,7 @@ func (s *Server) handleVCRLocked(sess *session, msg *wire.VCR) {
 	switch msg.Op {
 	case wire.VCRPause:
 		sess.rec.Paused = true
-		if sess.sendTimer != nil {
-			sess.sendTimer.Stop()
-		}
-		sess.pacing = false
+		sess.haltPacingLocked()
 	case wire.VCRResume:
 		sess.rec.Paused = false
 		sess.schedulePacingLocked()
@@ -456,10 +494,6 @@ func (s *Server) handleVCRLocked(sess *session, msg *wire.VCR) {
 		}
 		sess.thinCredit = 0
 	case wire.VCRStop:
-		sess.rec.Departed = true
-		if ms := s.movies[sess.movie.ID()]; ms != nil {
-			ms.announceLocked(sess.rec)
-		}
-		s.dropSessionLocked(sess)
+		s.departLocked(sess)
 	}
 }
