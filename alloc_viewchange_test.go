@@ -70,8 +70,8 @@ func TestAllocsPerInstalledView(t *testing.T) {
 	runtime.ReadMemStats(&after)
 
 	var views uint64
-	for _, snap := range res.Obs {
-		views += snap.Counters["gcs.view_changes"]
+	for _, reg := range res.Obs {
+		views += reg.Value("gcs.view_changes")
 	}
 	if views < 30 {
 		t.Fatalf("the script installed %d views, want at least 30: it no longer exercises view churn", views)

@@ -190,7 +190,7 @@ func runTo(out io.Writer, args []string) error {
 			}
 			sort.Strings(nodes)
 			for _, id := range nodes {
-				snap := res.Obs[id]
+				snap := res.Obs[id].Snapshot()
 				names := make([]string, 0, len(snap.Counters))
 				for name := range snap.Counters {
 					names = append(names, name)
@@ -199,7 +199,7 @@ func runTo(out io.Writer, args []string) error {
 				for _, name := range names {
 					fmt.Fprintf(out, "%-12s %-28s %d\n", id, name, snap.Counters[name])
 				}
-				for _, ev := range snap.Events {
+				for _, ev := range snap.Events() {
 					fmt.Fprintf(out, "%-12s event %-21s %s (%s)\n", id, ev.Kind, ev.Note, ev.At.Format("15:04:05.000"))
 				}
 			}

@@ -49,7 +49,9 @@ var exportAllowlist = map[string]string{
 	"mpeg.Movie.TotalBytes":                   "accessor the fetch and store tests read",
 	"netsim.Network.SetProfile":               "accessor the gcs tests use to change link weather",
 	"netsim.Stats":                            "type returned by Network.Stats, which the root and sim tests read",
-	"obs.Event":                               "element type of Snapshot.Events",
+	"obs.Event":                               "element type of Snapshot.Events, the text -stats and /debug/vod print",
+	"obs.Record":                              "element type of Snapshot.Records; callers write one through Registry.Emit",
+	"obs.Snapshot":                            "type returned by Registry.Snapshot, which cmd/vodbench and sim read",
 	"obs.Registry.ServeHTTP":                  "interface method: the daemons mount a Registry as an http.Handler",
 	"sim.ClassOutcome":                        "type of the OverloadResult fields chaos reads",
 	"sim.Signals":                             "type of Scenario.Record",

@@ -124,8 +124,8 @@ func execute(plan Plan, movie *mpeg.Movie) *Report {
 		Finished:   endState == client.StateFinished,
 		Owners:     owners,
 	}
-	for _, snap := range res.Obs {
-		rep.Takeovers += snap.Counters["server.takeovers"]
+	for _, reg := range res.Obs {
+		rep.Takeovers += reg.Value("server.takeovers")
 	}
 
 	if n := res.Final.OverflowDroppedI; n != 0 {

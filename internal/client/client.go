@@ -645,9 +645,7 @@ func (c *Client) onDirect(from gcs.ProcessID, payload []byte) {
 	// wherever the partition left it.
 	next := c.pipeline.NextIndex()
 	paused := c.paused
-	if reg := c.cfg.Obs; reg != nil {
-		reg.Event("client.reopen_ok", fmt.Sprintf("%s resync at frame %d", c.cfg.ID, next))
-	}
+	c.cfg.Obs.Emit(obs.ClientReopenOK, c.cfg.ID, "", int64(next), 0)
 	c.mu.Unlock()
 	// Re-assert the playback state before the resync: if an earlier Resume
 	// was lost to the same fault that starved us, the server still believes
@@ -719,21 +717,19 @@ func (c *Client) starveTick() {
 		c.mu.Unlock()
 		return
 	}
-	c.reopenLocked("client.reopen", "starved")
+	c.reopenLocked(obs.ClientReopen)
 }
 
 // reopenLocked is the reopen edge: the session is presumed dead, so the Open
-// is re-anycast on a fresh backoff schedule and starvation window (event and
-// why name the trigger in the obs trace). It releases the caller's c.mu.
-func (c *Client) reopenLocked(event, why string) {
+// is re-anycast on a fresh backoff schedule and starvation window (event names
+// the trigger in the obs trace). It releases the caller's c.mu.
+func (c *Client) reopenLocked(event obs.Kind) {
 	c.reopening = true
 	c.openAttempt, c.refusals = 0, 0
 	c.lastMoved = c.cfg.Clock.Now()
 	c.stats.Reopens++
 	c.ctr.reopens.Inc()
-	if reg := c.cfg.Obs; reg != nil {
-		reg.Event(event, fmt.Sprintf("%s %s at frame %d", c.cfg.ID, why, c.pipeline.NextIndex()))
-	}
+	c.cfg.Obs.Emit(event, c.cfg.ID, "", int64(c.pipeline.NextIndex()), 0)
 	c.mu.Unlock()
 	c.sendOpen()
 }
@@ -785,7 +781,7 @@ func (c *Client) onLeaseLost() {
 		c.mu.Unlock()
 		return
 	}
-	c.reopenLocked("client.lease_lost", "reopening")
+	c.reopenLocked(obs.ClientLeaseLost)
 }
 
 // onVideo handles an arriving video frame: buffer it and run the flow
@@ -846,9 +842,7 @@ func (c *Client) onVideo(_ transport.Addr, payload []byte) {
 		if kind == wire.FlowEmergencyMajor || kind == wire.FlowEmergencyMinor {
 			c.stats.EmergenciesSent++
 			c.ctr.emergSent.Inc()
-			if reg := c.cfg.Obs; reg != nil {
-				reg.Event("client.emergency", fmt.Sprintf("%s occ=%d", c.cfg.ID, occ.CombinedFrames))
-			}
+			c.cfg.Obs.Emit(obs.ClientEmergency, c.cfg.ID, "", int64(occ.CombinedFrames), 0)
 		}
 		c.fcOut = wire.FlowControl{
 			ClientID:  c.cfg.ID,

@@ -554,7 +554,7 @@ func TestReopenFollowsSessionView(t *testing.T) {
 	r.clk.Advance(20 * time.Second)
 
 	var viewAt, reopenAt time.Time
-	for _, ev := range reg.Snapshot().Events {
+	for _, ev := range reg.Snapshot().Events() {
 		if ev.At.Before(healed) {
 			continue
 		}

@@ -208,7 +208,7 @@ func (f *Fetcher) Redirect(live []transport.Addr) {
 	if tr.timer != nil {
 		tr.timer.Stop()
 	}
-	f.obs.Event("fetch.redirect", tr.movie+" from "+string(tr.peer)+" to "+string(peer))
+	f.obs.Emit(obs.FetchRedirect, tr.movie, string(peer), 0, 0)
 	tr.peer, tr.data, tr.total, tr.next, tr.retries = peer, tr.data[:0], -1, 0, 0
 	f.mu.Unlock()
 	f.requestChunk(tr)
@@ -241,7 +241,7 @@ func (f *Fetcher) requestChunk(tr *transfer) {
 			cb := tr.callback
 			f.mu.Unlock()
 			f.ctrFailed.Inc()
-			f.obs.Event("fetch.fail", tr.movie+" from "+string(tr.peer)+": timeout")
+			f.obs.Emit(obs.FetchFail, tr.movie, string(tr.peer), 0, 0)
 			cb(nil, fmt.Errorf("fetch: %q from %s: no response after %d retries", tr.movie, tr.peer, maxChunkRetries))
 			return
 		}
@@ -317,6 +317,6 @@ func (f *Fetcher) onPacket(from transport.Addr, payload []byte) {
 		return
 	}
 	f.ctrFetched.Inc()
-	f.obs.Event("fetch.done", movieID+" from "+string(from))
+	f.obs.Emit(obs.FetchDone, movieID, string(from), 0, 0)
 	cb(movie, nil)
 }

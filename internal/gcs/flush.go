@@ -2,9 +2,9 @@ package gcs
 
 import (
 	"slices"
-	"strconv"
 
 	"repro/internal/clock"
+	"repro/internal/obs"
 )
 
 // This file implements the view-change protocol. One member — the lowest
@@ -401,18 +401,7 @@ func (m *Member) onInstallLocked(msg *msgInstall, cb *callbacks) {
 	m.ms.reset(m.view, m.p.id)
 	m.status = statusNormal
 	m.p.ctr.viewChanges.Inc()
-	if reg := m.p.cfg.Obs; reg != nil {
-		// "<group> <seq>@<coord> members=<n>", built in the packet scratch.
-		note := append(m.encBuf[:0], m.group...)
-		note = append(note, ' ')
-		note = strconv.AppendUint(note, msg.view.Seq, 10)
-		note = append(note, '@')
-		note = append(note, msg.view.Coord...)
-		note = append(note, " members="...)
-		note = strconv.AppendInt(note, int64(len(members)), 10)
-		m.encBuf = note[:0]
-		reg.Event("gcs.view", string(note))
-	}
+	m.p.cfg.Obs.Emit(obs.GCSView, m.group, string(msg.view.Coord), int64(msg.view.Seq), int64(len(members)))
 	m.haveCut = false
 	m.sentCutDone = false
 	m.flushCandidates = nil

@@ -372,7 +372,7 @@ func (p *Process) Join(group string, h Handlers, contacts ...ProcessID) (*Member
 	m := newMember(p, group, h, contacts)
 	p.members[group] = m
 	var cb callbacks
-	m.installSingleton(&cb)
+	m.installSingletonLocked(&cb)
 	p.mu.Unlock()
 	cb.run()
 	return m, nil
@@ -448,7 +448,7 @@ func (p *Process) heartbeatTick() {
 	newlySuspected := p.fd.checkLocked()
 	for _, s := range newlySuspected {
 		p.ctr.suspicions.Inc()
-		p.cfg.Obs.Event("gcs.suspect", string(s))
+		p.cfg.Obs.Emit(obs.GCSSuspect, string(s), "", 0, 0)
 		// Iterate in group order, not map order: suspicion handling sends
 		// packets and queues callbacks, and every simulated packet draws
 		// from a shared RNG — map order here would make whole runs

@@ -687,9 +687,9 @@ func TestProcessGroups(t *testing.T) {
 	}
 }
 
-// TestViewTraceNote pins the text of the "gcs.view" trace event: it is built
-// by hand in the member's scratch, and what it must equal is what fmt would
-// print — the note's bytes are in -stats output and Result.Obs.
+// TestViewTraceNote pins the text of the "gcs.view" trace event: the install
+// emits its fields as a record, and its rendered note must equal what fmt
+// prints for the installed view — the note's bytes are in -stats output.
 func TestViewTraceNote(t *testing.T) {
 	clk := clock.NewVirtual(gcsEpoch)
 	net := netsim.New(clk, 1, netsim.LAN())
@@ -715,7 +715,7 @@ func TestViewTraceNote(t *testing.T) {
 		t.Fatalf("a's view = %v, want {a, b}", last.Members)
 	}
 	var notes []string
-	for _, ev := range reg.Snapshot().Events {
+	for _, ev := range reg.Snapshot().Events() {
 		if ev.Kind == "gcs.view" {
 			notes = append(notes, ev.Note)
 		}

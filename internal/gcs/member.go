@@ -175,9 +175,9 @@ func newMember(p *Process, group string, h Handlers, contacts []ProcessID) *Memb
 	return m
 }
 
-// installSingleton installs the initial one-member view at Join time.
+// installSingletonLocked installs the initial one-member view at Join time.
 // Caller holds p.mu.
-func (m *Member) installSingleton(cb *callbacks) {
+func (m *Member) installSingletonLocked(cb *callbacks) {
 	m.view = View{
 		Group:   m.group,
 		ID:      ViewID{Seq: 1, Coord: m.p.id},

@@ -20,6 +20,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"sync"
@@ -347,11 +348,11 @@ func (n *Network) SetLinkDown(a, b transport.Addr, down bool) {
 	if down {
 		n.blocked[idPair{ai, bi}] = true
 		n.blocked[idPair{bi, ai}] = true
-		n.obs.Event("netsim.link_down", string(a)+" <-> "+string(b))
+		n.obs.Emit(obs.NetsimLinkDown, string(a), string(b), 0, 0)
 	} else {
 		delete(n.blocked, idPair{ai, bi})
 		delete(n.blocked, idPair{bi, ai})
-		n.obs.Event("netsim.link_up", string(a)+" <-> "+string(b))
+		n.obs.Emit(obs.NetsimLinkUp, string(a), string(b), 0, 0)
 	}
 }
 
@@ -365,10 +366,10 @@ func (n *Network) SetLinkOneWayDown(from, to transport.Addr, down bool) {
 	key := idPair{n.internLocked(from), n.internLocked(to)}
 	if down {
 		n.blocked[key] = true
-		n.obs.Event("netsim.link_down", string(from)+" -> "+string(to))
+		n.obs.Emit(obs.NetsimLinkDown, string(from), string(to), obs.OneWay, 0)
 	} else {
 		delete(n.blocked, key)
-		n.obs.Event("netsim.link_up", string(from)+" -> "+string(to))
+		n.obs.Emit(obs.NetsimLinkUp, string(from), string(to), obs.OneWay, 0)
 	}
 }
 
@@ -388,11 +389,10 @@ func (n *Network) SetExtraLoss(p float64) {
 		p = 1
 	}
 	n.extraLoss = p
-	switch {
-	case p == 0:
-		n.obs.Event("netsim.loss_burst_end", "")
-	case n.obs != nil: // format the note only for a listener
-		n.obs.Event("netsim.loss_burst", fmt.Sprintf("p=%.2f", p))
+	if p == 0 {
+		n.obs.Emit(obs.NetsimLossBurstEnd, "", "", 0, 0)
+	} else {
+		n.obs.Emit(obs.NetsimLossBurst, "", "", int64(math.Float64bits(p)), 0)
 	}
 }
 
@@ -402,9 +402,7 @@ func (n *Network) SetExtraLoss(p float64) {
 func (n *Network) Partition(groups ...[]transport.Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.obs != nil {
-		n.obs.Event("netsim.partition", fmt.Sprintf("%d groups", len(groups)))
-	}
+	n.obs.Emit(obs.NetsimPartition, "", "", int64(len(groups)), 0)
 	for i := range groups {
 		for j := range groups {
 			if i == j {
@@ -423,7 +421,7 @@ func (n *Network) Partition(groups ...[]transport.Addr) {
 func (n *Network) Heal() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.obs.Event("netsim.heal", "all blocks cleared")
+	n.obs.Emit(obs.NetsimHeal, "", "", 0, 0)
 	n.blocked = make(map[idPair]bool)
 }
 
@@ -437,7 +435,7 @@ func (n *Network) Crash(addr transport.Addr) {
 	if id, ok := n.ids[addr]; ok {
 		ep = n.eps[id]
 	}
-	n.obs.Event("netsim.crash", string(addr))
+	n.obs.Emit(obs.NetsimCrash, string(addr), "", 0, 0)
 	n.mu.Unlock()
 	if ep != nil {
 		_ = ep.Close()

@@ -16,7 +16,7 @@
 // only at registration and snapshot time, never on the update path.
 //
 // All methods are nil-receiver safe: a nil *Registry hands out nil
-// instruments and swallows events, and a nil *Counter or *Gauge ignores
+// instruments and swallows records, and a nil *Counter or *Gauge ignores
 // updates and loads as zero, so components can be instrumented
 // unconditionally and an unobserved node allocates no instruments and pays
 // no atomic adds.
@@ -72,13 +72,6 @@ func (g *Gauge) Load() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Event is one entry of the flight-recorder trace.
-type Event struct {
-	At   time.Time `json:"at"`
-	Kind string    `json:"kind"` // dotted path, e.g. "gcs.view"
-	Note string    `json:"note"` // free-form detail
 }
 
 // Registry holds one node's counters, gauges and event trace.
@@ -143,30 +136,41 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Event appends one entry to the flight recorder; the oldest entry is
-// overwritten once the ring is full. No-op on a nil registry — but the
-// caller's note is built before the call, so a site that formats one
-// (fmt.Sprintf) asks whether the registry is nil first.
-func (r *Registry) Event(kind, note string) {
+// Emit appends one record to the flight recorder; the oldest record is
+// overwritten once the ring is full. ref and peer are strings the caller
+// already holds, so a call allocates nothing once the ring is at depth. No-op
+// on a nil registry.
+func (r *Registry) Emit(kind Kind, ref, peer string, a, b int64) {
 	if r == nil {
 		return
 	}
-	r.trace.add(Event{At: r.now(), Kind: kind, Note: note})
+	r.trace.add(Record{At: r.now().UnixNano(), Kind: kind, Ref: ref, Peer: peer, A: a, B: b})
+}
+
+// Value reads the named counter without registering it: zero if no component
+// ever asked for it, or on a nil registry.
+func (r *Registry) Value(name string) uint64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.counters[name].Load()
 }
 
 // Snapshot is a point-in-time copy of a registry's state, safe to retain
 // and compare. Snapshots of a deterministic (virtual-clock) run are
 // themselves deterministic.
 type Snapshot struct {
-	Node     string            `json:"node"`
-	Counters map[string]uint64 `json:"counters"`
-	Gauges   map[string]int64  `json:"gauges"`
-	Events   []Event           `json:"events"`
-	// Dropped counts trace events lost to ring overwrite.
-	Dropped uint64 `json:"events_dropped"`
+	Node     string
+	Counters map[string]uint64
+	Gauges   map[string]int64
+	Records  []Record // the trace, oldest first
+	// Dropped counts trace records lost to ring overwrite.
+	Dropped uint64
 }
 
-// Snapshot captures every counter, gauge and traced event. A nil
+// Snapshot captures every counter, gauge and traced record. A nil
 // registry yields an empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
@@ -185,37 +189,41 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Load()
 	}
-	s.Events, s.Dropped = r.trace.snapshot()
+	s.Records, s.Dropped = r.trace.snapshot()
 	return s
 }
 
 // trace is the bounded flight-recorder ring. It is allocated at the first
-// event and grows by append to defaultTraceDepth; then each event overwrites
-// the oldest.
+// record with traceStart slots and grows by append to defaultTraceDepth; then
+// each record overwrites the oldest.
 type trace struct {
 	mu      sync.Mutex
-	ring    []Event
-	next    int // oldest entry, and the write position, once the ring is full
+	ring    []Record
+	next    int // oldest record, and the write position, once the ring is full
 	dropped uint64
 }
 
-func (t *trace) add(e Event) {
+// traceStart is the ring's first allocation: most nodes of a chaos run trace
+// fewer than 17 records.
+const traceStart = 16
+
+func (t *trace) add(rec Record) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.ring) < defaultTraceDepth {
 		if t.ring == nil {
-			t.ring = make([]Event, 0, defaultTraceDepth/4)
+			t.ring = make([]Record, 0, traceStart)
 		}
-		t.ring = append(t.ring, e)
+		t.ring = append(t.ring, rec)
 		return
 	}
 	t.dropped++
-	t.ring[t.next] = e
+	t.ring[t.next] = rec
 	t.next = (t.next + 1) % defaultTraceDepth
 }
 
-// snapshot returns the retained events oldest-first (nil if none).
-func (t *trace) snapshot() ([]Event, uint64) {
+// snapshot returns the retained records oldest-first (nil if none).
+func (t *trace) snapshot() ([]Record, uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return slices.Concat(t.ring[t.next:], t.ring[:t.next]), t.dropped

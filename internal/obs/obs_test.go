@@ -50,7 +50,7 @@ func TestNilRegistryIsSafe(t *testing.T) {
 		c.Inc()
 		c.Add(4)
 		r.Gauge("y").Set(3)
-		r.Event("kind", "note")
+		r.Emit(obs.GCSSuspect, "s1", "", 0, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("an unobserved node's instruments cost %v allocs, want 0", allocs)
@@ -82,7 +82,7 @@ func TestConcurrentCountersAndSnapshot(t *testing.T) {
 				r.Counter(fmt.Sprintf("own.%d", w)).Inc()
 				r.Gauge("level").Set(int64(i))
 				if i%100 == 0 {
-					r.Event("tick", "note")
+					r.Emit(obs.GCSSuspect, "s1", "", int64(i), 0)
 				}
 			}
 		}()
@@ -115,7 +115,7 @@ func TestConcurrentCountersAndSnapshot(t *testing.T) {
 func TestServeHTTP(t *testing.T) {
 	r := obs.NewRegistry("node-9", nil)
 	r.Counter("c").Add(42)
-	r.Event("boot", "hello")
+	r.Emit(obs.NetsimCrash, "s1", "", 0, 0)
 
 	rec := httptest.NewRecorder()
 	r.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vod", nil))
@@ -125,11 +125,18 @@ func TestServeHTTP(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("content-type = %q", ct)
 	}
-	var snap obs.Snapshot
+	var snap struct {
+		Node     string
+		Counters map[string]uint64
+		Events   []obs.Event
+	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("body is not JSON: %v\n%s", err, rec.Body.String())
 	}
 	if snap.Node != "node-9" || snap.Counters["c"] != 42 || len(snap.Events) != 1 {
 		t.Fatalf("decoded snapshot = %+v", snap)
+	}
+	if ev := snap.Events[0]; ev.Kind != "netsim.crash" || ev.Note != "s1" {
+		t.Fatalf("decoded event = %+v, want netsim.crash s1", ev)
 	}
 }

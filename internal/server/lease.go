@@ -3,6 +3,7 @@ package server
 import (
 	"repro/internal/gcs"
 	"repro/internal/lease"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -40,7 +41,7 @@ func (s *Server) onLeaseExpire(clientID string) {
 		return
 	}
 	s.departLocked(sess)
-	s.cfg.Obs.Event("server.lease_expired", clientID)
+	s.cfg.Obs.Emit(obs.ServerLeaseExpired, clientID, "", 0, 0)
 }
 
 // onDirect handles point-to-point datagrams sent to this server: the

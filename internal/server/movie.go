@@ -7,6 +7,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/gcs"
 	"repro/internal/mpeg"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -205,9 +206,7 @@ func (ms *movieState) resolveDuplicateLocked(from gcs.ProcessID, rec wire.Client
 	ms.srv.dropSessionLocked(sess)
 	ms.srv.stats.Releases++
 	ms.srv.ctr.releases.Inc()
-	if reg := ms.srv.cfg.Obs; reg != nil {
-		reg.Event("server.duplicate_release", rec.ClientID+" vs "+string(from))
-	}
+	ms.srv.cfg.Obs.Emit(obs.ServerDuplicateRelease, rec.ClientID, string(from), 0, 0)
 }
 
 // mergeLocked folds one record in, newest SentAt winning. Caller holds
@@ -344,9 +343,7 @@ func (ms *movieState) redistributeLocked() {
 			s.startSessionLocked(rec, ms.movie, true)
 			s.stats.Takeovers++
 			s.ctr.takeovers.Inc()
-			if reg := s.cfg.Obs; reg != nil {
-				reg.Event("server.takeover", id+" movie="+ms.movie.ID())
-			}
+			s.cfg.Obs.Emit(obs.ServerTakeover, id, ms.movie.ID(), 0, 0)
 		case owner != gcs.ProcessID(s.cfg.ID) && mine:
 			s.dropSessionLocked(sess)
 			s.stats.Releases++

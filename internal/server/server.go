@@ -746,9 +746,7 @@ func (s *Server) handleOpenLocked(from gcs.ProcessID) {
 		s.leasesLocked().Touch(rec.ClientID)
 		s.stats.Takeovers++
 		s.ctr.takeovers.Inc()
-		if reg := s.cfg.Obs; reg != nil {
-			reg.Event("server.lease_takeover", open.ClientID+" movie="+open.Movie)
-		}
+		s.cfg.Obs.Emit(obs.ServerLeaseTakeover, open.ClientID, open.Movie, 0, 0)
 	default:
 		rec := wire.ClientRecord{
 			ClientID:   open.ClientID,
@@ -772,9 +770,7 @@ func (s *Server) handleOpenLocked(from gcs.ProcessID) {
 			s.stats.AdmitsReserved++
 			s.ctr.admitsReserved.Inc()
 		}
-		if reg := s.cfg.Obs; reg != nil {
-			reg.Event("server.session_open", open.ClientID+" movie="+open.Movie)
-		}
+		s.cfg.Obs.Emit(obs.ServerSessionOpen, open.ClientID, open.Movie, 0, 0)
 	}
 	// Tell the movie group about the client right away, shrinking the window
 	// in which a crash would orphan it: this session's record and no other.

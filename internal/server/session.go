@@ -7,6 +7,7 @@ import (
 	"repro/internal/flowctl"
 	"repro/internal/gcs"
 	"repro/internal/mpeg"
+	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -121,7 +122,7 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 		}
 		d.rate.DecayTick()
 		if d.lapsed && !d.ready && s.cfg.Clock.Now().UnixMilli()-d.lastContact >= lapseGrace.Milliseconds() {
-			s.cfg.Obs.Event("server.session_lapsed", clientID)
+			s.cfg.Obs.Emit(obs.ServerSessionLapsed, clientID, "", 0, 0)
 			s.departLocked(d)
 		}
 	})
@@ -447,7 +448,7 @@ func (s *Server) sessionCtlLocked(sess *session, clientID string, payload []byte
 		if !wasActive && sess.rate.EmergencyActive() {
 			s.stats.Emergencies++
 			s.ctr.emergencies.Inc()
-			s.cfg.Obs.Event("server.emergency_boost", clientID)
+			s.cfg.Obs.Emit(obs.ServerEmergencyBoost, clientID, "", 0, 0)
 		}
 		sess.rec.Rate = uint16(sess.rate.Base())
 		return

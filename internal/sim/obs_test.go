@@ -17,11 +17,11 @@ func TestObsCountersLANCrash(t *testing.T) {
 	res := Run(LANScenario(1))
 
 	var takeovers, viewChanges, opens uint64
-	for node, snap := range res.Obs {
-		takeovers += snap.Counters["server.takeovers"]
-		viewChanges += snap.Counters["gcs.view_changes"]
+	for node, reg := range res.Obs {
+		takeovers += reg.Value("server.takeovers")
+		viewChanges += reg.Value("gcs.view_changes")
 		if node != "net" {
-			opens += snap.Counters["server.sessions_opened"]
+			opens += reg.Value("server.sessions_opened")
 		}
 	}
 	if takeovers != 2 {
@@ -36,23 +36,23 @@ func TestObsCountersLANCrash(t *testing.T) {
 
 	// The crashed server must not have taken anything over, and the
 	// survivor must have registered the crash as a view change.
-	if snap, ok := res.Obs["server-1"]; !ok {
-		t.Fatal("no snapshot retained for the crashed server")
-	} else if snap.Counters["server.takeovers"] != 0 {
-		t.Errorf("crashed server counts %d takeovers", snap.Counters["server.takeovers"])
+	if reg, ok := res.Obs["server-1"]; !ok {
+		t.Fatal("no registry retained for the crashed server")
+	} else if got := reg.Value("server.takeovers"); got != 0 {
+		t.Errorf("crashed server counts %d takeovers", got)
 	}
-	if snap := res.Obs["server-2"]; snap.Counters["server.takeovers"] != 1 {
-		t.Errorf("surviving server takeovers = %d, want 1", snap.Counters["server.takeovers"])
+	if got := res.Obs["server-2"].Value("server.takeovers"); got != 1 {
+		t.Errorf("surviving server takeovers = %d, want 1", got)
 	}
-	if snap := res.Obs["server-3"]; snap.Counters["server.takeovers"] != 1 {
-		t.Errorf("load-balance server takeovers = %d, want 1", snap.Counters["server.takeovers"])
+	if got := res.Obs["server-3"].Value("server.takeovers"); got != 1 {
+		t.Errorf("load-balance server takeovers = %d, want 1", got)
 	}
 
 	// The network pseudo-node traced the fault injection, stamped in
 	// virtual time.
 	crashAt, _ := EventTimesLAN()
 	var sawCrash bool
-	for _, ev := range res.Obs["net"].Events {
+	for _, ev := range res.Obs["net"].Snapshot().Events() {
 		if ev.Kind == "netsim.crash" && ev.Note == "server-1" {
 			sawCrash = true
 			if got := ev.At.Sub(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)); got != crashAt {
@@ -66,8 +66,7 @@ func TestObsCountersLANCrash(t *testing.T) {
 
 	// The client's frame counter must agree with the buffer pipeline's
 	// own accounting.
-	cSnap := res.Obs["client-1"]
-	if got, want := cSnap.Counters["client.frames_received"], res.Final.Received; got != want {
+	if got, want := res.Obs["client-1"].Value("client.frames_received"), res.Final.Received; got != want {
 		t.Errorf("client.frames_received = %d, buffer counted %d", got, want)
 	}
 }
@@ -81,18 +80,19 @@ func TestObsSnapshotsDeterministic(t *testing.T) {
 	if len(a.Obs) != len(b.Obs) {
 		t.Fatalf("node sets differ: %d vs %d", len(a.Obs), len(b.Obs))
 	}
-	for node, sa := range a.Obs {
-		sb, ok := b.Obs[node]
+	for node, ra := range a.Obs {
+		rb, ok := b.Obs[node]
 		if !ok {
 			t.Fatalf("run B lost node %q", node)
 		}
+		sa, sb := ra.Snapshot(), rb.Snapshot()
 		for name, va := range sa.Counters {
 			if vb := sb.Counters[name]; vb != va {
 				t.Errorf("%s %s: %d vs %d across identical runs", node, name, va, vb)
 			}
 		}
-		if len(sa.Events) != len(sb.Events) {
-			t.Errorf("%s: %d vs %d trace events across identical runs", node, len(sa.Events), len(sb.Events))
+		if len(sa.Records) != len(sb.Records) {
+			t.Errorf("%s: %d vs %d trace records across identical runs", node, len(sa.Records), len(sb.Records))
 		}
 	}
 }
@@ -107,8 +107,8 @@ func TestObsScopedPerNode(t *testing.T) {
 		Servers: []string{"server-1", "server-2"},
 		Movie:   mpeg.StreamConfig{Duration: 20 * time.Second},
 	})
-	s1 := res.Obs["server-1"].Counters["server.frames_sent"]
-	s2 := res.Obs["server-2"].Counters["server.frames_sent"]
+	s1 := res.Obs["server-1"].Value("server.frames_sent")
+	s2 := res.Obs["server-2"].Value("server.frames_sent")
 	if s1+s2 == 0 {
 		t.Fatal("no frames counted on either server")
 	}

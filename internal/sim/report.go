@@ -659,7 +659,7 @@ func tableObservability(seed int64) Table {
 	}
 	sort.Strings(nodes)
 	for _, id := range nodes {
-		snap := res.Obs[id]
+		snap := res.Obs[id].Snapshot()
 		names := make([]string, 0, len(snap.Counters))
 		for name := range snap.Counters {
 			names = append(names, name)

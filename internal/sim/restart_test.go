@@ -32,20 +32,20 @@ func TestRestartServerRefetches(t *testing.T) {
 
 	// The restarted server held no movies: it must have pulled exactly one
 	// over the wire, in more than zero chunk requests, served by its peer.
-	s1 := res.Obs["server-1"]
+	s1 := res.Obs["server-1"].Snapshot()
 	if got := s1.Counters["fetch.movies_fetched"]; got != 1 {
 		t.Errorf("restarted server fetch.movies_fetched = %d, want 1", got)
 	}
 	if got := s1.Counters["fetch.requests_sent"]; got == 0 {
 		t.Error("restarted server sent no fetch requests")
 	}
-	if got := res.Obs["server-2"].Counters["fetch.chunks_served"]; got == 0 {
+	if got := res.Obs["server-2"].Value("fetch.chunks_served"); got == 0 {
 		t.Error("surviving peer served no fetch chunks")
 	}
 
 	// Exactly two takeovers: the crash failover onto server-2, then the
 	// newcomer-first migration back onto the restarted server-1.
-	if got := res.Obs["server-2"].Counters["server.takeovers"]; got != 1 {
+	if got := res.Obs["server-2"].Value("server.takeovers"); got != 1 {
 		t.Errorf("surviving server takeovers = %d, want 1 (crash failover)", got)
 	}
 	if got := s1.Counters["server.takeovers"]; got != 1 {
@@ -103,12 +103,12 @@ func TestClientSurvivesFullPartition(t *testing.T) {
 	if reopens == 0 {
 		t.Fatal("client never reopened across a 10s total partition")
 	}
-	snap := res.Obs["client-1"]
+	snap := res.Obs["client-1"].Snapshot()
 	if got := snap.Counters["client.reopens"]; got != reopens {
 		t.Errorf("client.reopens counter = %d, stats say %d", got, reopens)
 	}
 	var sawReopen, sawReopenOK bool
-	for _, ev := range snap.Events {
+	for _, ev := range snap.Events() {
 		switch ev.Kind {
 		case "client.reopen":
 			sawReopen = true

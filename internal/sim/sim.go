@@ -247,10 +247,11 @@ type Result struct {
 	// Annotations are the scenario's labeled events, for figure output.
 	Annotations []Annotation
 
-	// Obs holds the per-node observability snapshots taken at scenario
-	// end, keyed by node ID (server IDs, the client ID, and "net" for the
-	// simulator). Deterministic for a given scenario and seed.
-	Obs map[string]obs.Snapshot
+	// Obs holds the run's per-node observability registries, keyed by node
+	// ID (server IDs, the client ID, and "net" for the simulator). Nothing
+	// writes to them once Run returns; their snapshots are deterministic for
+	// a given scenario and seed.
+	Obs map[string]*obs.Registry
 }
 
 // CrashServer fail-stops a server. Stats accumulate in retired across
@@ -274,7 +275,7 @@ func (rt *Runtime) CrashServer(id string) error {
 func (rt *Runtime) CrashServing() bool {
 	id := rt.ServingServer()
 	if id == "" {
-		rt.registry("net").Event("sim.crash_serving_noop", "no server holds the session")
+		rt.registry("net").Emit(obs.SimCrashServingNoop, "", "", 0, 0)
 		return false
 	}
 	_ = rt.CrashServer(id)
@@ -483,9 +484,6 @@ func Run(sc Scenario) *Result {
 	}
 	res.ServerStats = rt.lifetimeStats()
 	rt.Stop()
-	res.Obs = make(map[string]obs.Snapshot, len(rt.regs))
-	for id, reg := range rt.regs {
-		res.Obs[id] = reg.Snapshot()
-	}
+	res.Obs = rt.regs
 	return res
 }

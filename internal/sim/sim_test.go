@@ -284,8 +284,8 @@ func TestRecordIsObservationOnly(t *testing.T) {
 			t.Errorf("record %#x: counters differ from the all-signals run:\n%+v %+v\n%+v %+v",
 				rec, res.Final, res.ClientStats, full.Final, full.ClientStats)
 		}
-		for id, snap := range full.Obs {
-			if !reflect.DeepEqual(res.Obs[id].Counters, snap.Counters) {
+		for id, reg := range full.Obs {
+			if !reflect.DeepEqual(res.Obs[id].Snapshot().Counters, reg.Snapshot().Counters) {
 				t.Errorf("record %#x: %s obs counters differ from the all-signals run", rec, id)
 			}
 		}

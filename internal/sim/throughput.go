@@ -45,8 +45,8 @@ func MeasureThroughput(seed int64) Throughput {
 	}
 	net := res.Obs["net"]
 	return Throughput{
-		Packets:    net.Counters["netsim.delivered"],
-		Bytes:      net.Counters["netsim.delivered_bytes"],
+		Packets:    net.Value("netsim.delivered"),
+		Bytes:      net.Value("netsim.delivered_bytes"),
 		SimTime:    res.Duration,
 		WallTime:   wall,
 		Allocs:     after.Mallocs - before.Mallocs,

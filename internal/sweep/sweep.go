@@ -293,5 +293,5 @@ func finish(sum *Summary, reg *obs.Registry, failed int) {
 	}
 	reg.Counter("sweep.jobs").Add(uint64(sum.Jobs))
 	reg.Counter("sweep.failures").Add(uint64(failed))
-	reg.Event("sweep.done", sum.String())
+	reg.Emit(obs.SweepDone, "", "", int64(sum.Jobs), int64(failed))
 }

@@ -237,7 +237,7 @@ func TestObsSummary(t *testing.T) {
 		t.Fatalf("obs counters = %v", snap.Counters)
 	}
 	found := false
-	for _, ev := range snap.Events {
+	for _, ev := range snap.Events() {
 		if ev.Kind == "sweep.done" {
 			found = true
 		}
