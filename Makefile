@@ -119,8 +119,9 @@ vet:
 loc:         ## non-test Go in the root module — the line count ROADMAP tracks
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l | tail -1
 
-loc-budget:  ## fails when `make loc` exceeds the checked-in LOC_budget: the line count only ratchets down
+loc-budget:  ## fails unless `make loc` equals the checked-in LOC_budget: a PR that moves the line count moves the budget with it, so a cut cannot be silently given back
 	@got=$$($(MAKE) -s loc | awk '{ print $$1 }'); budget=$$(awk '$$1 == "lines" { print $$2 }' LOC_budget); \
 	if [ -z "$$got" ] || [ -z "$$budget" ]; then echo "loc-budget: could not read make loc or LOC_budget"; exit 1; fi; \
 	if [ "$$got" -gt "$$budget" ]; then echo "loc-budget: FAIL $$got lines of non-test Go exceed budget $$budget"; exit 1; fi; \
-	echo "loc-budget: OK $$got lines of non-test Go within budget $$budget"
+	if [ "$$got" -lt "$$budget" ]; then echo "loc-budget: FAIL $$got lines of non-test Go are below budget $$budget: lower LOC_budget to $$got"; exit 1; fi; \
+	echo "loc-budget: OK $$got lines of non-test Go match budget $$budget"

@@ -10,6 +10,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -216,13 +217,14 @@ func TestAllocsLeasedCrowdSteadyState(t *testing.T) {
 	// viewer asks for until its buffers first fill (over by ≈ 4.5 s).
 	clk.Advance(6 * time.Second)
 
-	sent := net.Stats().Sent
+	reg := obs.NewRegistry("net", clk.Now)
+	net.SetObs(reg)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	clk.Advance(seconds * time.Second)
 	runtime.ReadMemStats(&after)
 
-	if sweeps := (net.Stats().Sent - sent) / 4096; sweeps < 2 {
+	if sweeps := reg.Value("netsim.sent") / 4096; sweeps < 2 {
 		t.Fatalf("only %d link sweeps in the measured window, want ≥ 2", sweeps)
 	}
 	// The window is 2.5 lease TTLs long: a viewer still served at the end

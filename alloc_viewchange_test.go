@@ -42,7 +42,7 @@ func TestAllocsPerInstalledView(t *testing.T) {
 	}
 	var crashed string
 	crashServing := func(rt *sim.Runtime) {
-		crashed = rt.ServingServer()
+		crashed = rt.Deployment.ServingServer("client-1")
 		if !rt.CrashServing() {
 			t.Error("nobody was serving the viewer at the scripted crash")
 		}

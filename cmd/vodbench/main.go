@@ -161,7 +161,7 @@ func runTo(out io.Writer, args []string) error {
 		if *runs > 1 {
 			fmt.Fprintf(out, "sweep: %s\n", sum)
 		}
-		if failed := chaos.FailedClassSeeds(reports); len(failed) > 0 {
+		if failed := chaos.FailedSeeds(reports); len(failed) > 0 {
 			fmt.Fprintf(out, "failed seeds: %v\n", failed)
 			return fmt.Errorf("%d of %d class trials violated invariants (failed seeds %v)",
 				len(failed), *runs, failed)
@@ -177,7 +177,7 @@ func runTo(out io.Writer, args []string) error {
 		// The LAN and WAN scenarios are independent runs: execute them in
 		// parallel, print in the fixed order.
 		scs := []sim.Scenario{sim.LANScenario(*seed), sim.WANScenario(*seed)}
-		results, err := sweep.Run(context.Background(), len(scs), *parallel,
+		results, _, err := sweep.RunOpts(context.Background(), len(scs), sweep.Options{Workers: *parallel},
 			func(i int, _ int64) (*sim.Result, error) { return sim.Run(scs[i]), nil })
 		if err != nil {
 			return err
@@ -249,7 +249,7 @@ func runTo(out io.Writer, args []string) error {
 		// Generate the tables in parallel (each table additionally fans its
 		// own trials), then print in the canonical order.
 		ids := sim.TableIDs()
-		tables, err := sweep.Run(context.Background(), len(ids), *parallel,
+		tables, _, err := sweep.RunOpts(context.Background(), len(ids), sweep.Options{Workers: *parallel},
 			func(i int, _ int64) (sim.Table, error) { return sim.TableByID(ids[i], *seed) })
 		if err != nil {
 			return err

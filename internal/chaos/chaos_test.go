@@ -25,14 +25,14 @@ func TestClusterMonkey(t *testing.T) {
 		t.Fatalf("sweep error (panicked seed?): %v", err)
 	}
 	for _, rep := range reports {
-		if !rep.OK() {
+		if len(rep.Violations) != 0 {
 			var buf bytes.Buffer
 			rep.Write(&buf)
 			t.Errorf("invariant violations:\n%s", buf.String())
 		}
 	}
 	for _, seed := range regressionSeeds {
-		if rep := chaos.Execute(chaos.NewPlan(seed)); !rep.OK() {
+		if rep := chaos.Execute(chaos.NewPlan(seed)); len(rep.Violations) != 0 {
 			reports = append(reports, rep)
 			var buf bytes.Buffer
 			rep.Write(&buf)

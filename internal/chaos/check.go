@@ -28,8 +28,8 @@ type Report struct {
 	Owners     int // serving servers at the settle probe
 }
 
-// OK reports whether every invariant held.
-func (r *Report) OK() bool { return len(r.Violations) == 0 }
+// verdict returns the report's seed and whether every invariant held.
+func (r *Report) verdict() (int64, bool) { return r.Seed, len(r.Violations) == 0 }
 
 // Write renders the report (schedule, counters, verdict).
 func (r *Report) Write(w io.Writer) {
@@ -39,7 +39,7 @@ func (r *Report) Write(w io.Writer) {
 	}
 	fmt.Fprintf(w, "  displayed=%d gap_skipped=%d stalls=%d reopens=%d takeovers=%d finished=%v owners=%d\n",
 		r.Displayed, r.GapSkipped, r.Stalls, r.Reopens, r.Takeovers, r.Finished, r.Owners)
-	if r.OK() {
+	if len(r.Violations) == 0 {
 		fmt.Fprintf(w, "  OK: all invariants held\n")
 		return
 	}

@@ -1,13 +1,10 @@
 package chaos
 
 import (
-	"context"
 	"fmt"
 	"io"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 )
 
 // ClassReport is the outcome of one traffic-class overload trial: the
@@ -21,8 +18,8 @@ type ClassReport struct {
 	Violations []string
 }
 
-// OK reports whether every class invariant held.
-func (r *ClassReport) OK() bool { return len(r.Violations) == 0 }
+// verdict returns the report's seed and whether every class invariant held.
+func (r *ClassReport) verdict() (int64, bool) { return r.Seed, len(r.Violations) == 0 }
 
 // Write renders the report (per-class counters, verdict).
 func (r *ClassReport) Write(w io.Writer) {
@@ -37,7 +34,7 @@ func (r *ClassReport) Write(w io.Writer) {
 		r.Res.Stats.AdmitsReserved, r.Res.Stats.AdmitsBestEffort,
 		r.Res.Stats.RefusalsReserved, r.Res.Stats.RefusalsBestEffort,
 		r.Res.Stats.ShedTokens, r.Res.Stats.DegradedFrames)
-	if r.OK() {
+	if len(r.Violations) == 0 {
 		fmt.Fprintf(w, "  OK: all class invariants held\n")
 		return
 	}
@@ -95,44 +92,4 @@ func runClasses(seed int64) *ClassReport {
 			"overload ladder never engaged (no degraded frames) — trial did not exercise the contract")
 	}
 	return r
-}
-
-// SweepClasses runs runClasses for seeds first..first+n-1 across a bounded
-// worker pool, mirroring Sweep: reports come back in seed order, invariant
-// violations live in the reports, and only a panic or cancellation
-// surfaces as an error. onReport, when non-nil, streams reports in seed
-// order as a contiguous prefix finishes.
-func SweepClasses(ctx context.Context, first int64, n, workers int, reg *obs.Registry, onReport func(*ClassReport)) ([]*ClassReport, sweep.Summary, error) {
-	reports := make([]*ClassReport, n)
-	opts := sweep.Options{
-		Workers:   workers,
-		FirstSeed: first,
-		KeepGoing: true,
-		Obs:       reg,
-	}
-	if onReport != nil {
-		opts.OnResult = func(i int, seed int64, err error) {
-			if r := reports[i]; r != nil {
-				onReport(r)
-			}
-		}
-	}
-	_, sum, err := sweep.RunOpts(ctx, n, opts, func(i int, seed int64) (struct{}, error) {
-		reports[i] = runClasses(seed)
-		return struct{}{}, nil
-	})
-	return reports, sum, err
-}
-
-// FailedClassSeeds returns the seeds whose class reports violated an
-// invariant, in seed order. Nil reports (panicked jobs) are skipped; those
-// surface through the sweep error.
-func FailedClassSeeds(reports []*ClassReport) []int64 {
-	var seeds []int64
-	for _, r := range reports {
-		if r != nil && !r.OK() {
-			seeds = append(seeds, r.Seed)
-		}
-	}
-	return seeds
 }

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/sweep"
@@ -23,13 +22,25 @@ import (
 // stream output while later seeds still run. reg, when non-nil, receives
 // the sweep summary counters and trace event.
 func Sweep(ctx context.Context, first int64, n, workers int, reg *obs.Registry, onReport func(*Report)) ([]*Report, sweep.Summary, error) {
-	reports := make([]*Report, n)
-	opts := sweep.Options{
-		Workers:   workers,
-		FirstSeed: first,
-		KeepGoing: true,
-		Obs:       reg,
-	}
+	// One title for the whole sweep: Movie and its lazily built packet
+	// table are immutable and safe for concurrent workers, and it is the
+	// same title Run generates for itself, so a single-seed replay matches.
+	movie := feature()
+	return sweepSeeds(ctx, first, n, workers, reg, onReport, func(seed int64) *Report {
+		return execute(NewPlan(seed), movie)
+	})
+}
+
+// SweepClasses runs the traffic-class overload trial for seeds
+// first..first+n-1 the way Sweep runs schedules.
+func SweepClasses(ctx context.Context, first int64, n, workers int, reg *obs.Registry, onReport func(*ClassReport)) ([]*ClassReport, sweep.Summary, error) {
+	return sweepSeeds(ctx, first, n, workers, reg, onReport, runClasses)
+}
+
+// sweepSeeds is Sweep over any kind of report: run makes seed's report.
+func sweepSeeds[R any](ctx context.Context, first int64, n, workers int, reg *obs.Registry, onReport func(*R), run func(seed int64) *R) ([]*R, sweep.Summary, error) {
+	reports := make([]*R, n)
+	opts := sweep.Options{Workers: workers, FirstSeed: first, Obs: reg}
 	if onReport != nil {
 		opts.OnResult = func(i int, seed int64, err error) {
 			// A panicked seed has no report; its failure comes back
@@ -39,28 +50,29 @@ func Sweep(ctx context.Context, first int64, n, workers int, reg *obs.Registry, 
 			}
 		}
 	}
-	// One title for the whole sweep: Movie and its lazily built packet
-	// table are immutable and safe for concurrent workers, and it is the
-	// same title Run generates for itself, so a single-seed replay matches.
-	movie := feature()
 	_, sum, err := sweep.RunOpts(ctx, n, opts, func(i int, seed int64) (struct{}, error) {
-		reports[i] = execute(NewPlan(seed), movie)
+		reports[i] = run(seed)
 		return struct{}{}, nil
 	})
 	return reports, sum, err
 }
 
-// FailedSeeds returns the seeds whose reports violated an invariant,
-// sorted ascending — stable however the sweep was scheduled. Nil reports
-// (jobs that panicked or never ran) are skipped; those seeds surface
-// through the sweep error instead.
-func FailedSeeds(reports []*Report) []int64 {
+// FailedSeeds returns the seeds whose reports violated an invariant, in the
+// order of reports: seed order for a sweep's. Nil reports (jobs that
+// panicked or never ran) are skipped; those seeds surface through the
+// sweep error instead.
+func FailedSeeds[R interface {
+	*Report | *ClassReport
+	verdict() (seed int64, ok bool)
+}](reports []R) []int64 {
 	var seeds []int64
 	for _, r := range reports {
-		if r != nil && !r.OK() {
-			seeds = append(seeds, r.Seed)
+		if r == nil {
+			continue
+		}
+		if seed, ok := r.verdict(); !ok {
+			seeds = append(seeds, seed)
 		}
 	}
-	sort.Slice(seeds, func(a, b int) bool { return seeds[a] < seeds[b] })
 	return seeds
 }

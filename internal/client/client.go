@@ -1055,13 +1055,6 @@ func (c *Client) Stats() Stats {
 	return c.stats
 }
 
-// TotalFrames returns the movie length learned from the OpenReply.
-func (c *Client) TotalFrames() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.totalFrames
-}
-
 // Jitter returns the smoothed inter-arrival jitter estimate: how far
 // consecutive frames' arrival spacing deviates from the nominal frame
 // period. Near zero on an idle LAN; tens of milliseconds on a multi-hop

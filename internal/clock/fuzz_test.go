@@ -264,8 +264,8 @@ func (h *orderHarness) step(t *testing.T) {
 	if !slices.Equal(h.got, h.want) {
 		t.Fatalf("after op %d fired (id, ns) %v, model says %v", op, h.got, h.want)
 	}
-	if n := h.c.Len(); n != len(h.pending) {
-		t.Fatalf("after op %d Len() = %d, model has %d pending", op, n, len(h.pending))
+	if n := pending(h.c); n != len(h.pending) {
+		t.Fatalf("after op %d pending = %d, model has %d pending", op, n, len(h.pending))
 	}
 	if at := h.sinceEpoch(); at != h.now {
 		t.Fatalf("after op %d Now() is %v after epoch, model says %v", op, time.Duration(at), time.Duration(h.now))

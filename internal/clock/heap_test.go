@@ -35,13 +35,13 @@ func TestHeapSharedDeadlinesFireAll(t *testing.T) {
 		c.AfterFunc(2*time.Second, func() {})
 	}
 	checkHeap(t, c)
-	if got := c.Len(); got != 150 {
-		t.Fatalf("Len() = %d, want 150", got)
+	if got := pending(c); got != 150 {
+		t.Fatalf("pending = %d, want 150", got)
 	}
 	if n := c.Advance(2 * time.Second); n != 150 {
 		t.Fatalf("Advance executed %d events, want 150", n)
 	}
-	if got := c.Len(); got != 0 {
+	if got := pending(c); got != 0 {
 		t.Fatalf("Len() after drain = %d, want 0", got)
 	}
 }
@@ -104,8 +104,8 @@ func TestHeapStopRemovesEntry(t *testing.T) {
 		timers[i].Stop()
 		checkHeap(t, c)
 	}
-	if got := c.Len(); got != 35 {
-		t.Fatalf("Len() = %d, want 35", got)
+	if got := pending(c); got != 35 {
+		t.Fatalf("pending = %d, want 35", got)
 	}
 	if n := c.Advance(time.Second); n != 35 {
 		t.Fatalf("Advance executed %d events, want 35", n)
@@ -172,4 +172,11 @@ func TestPeriodicStopFromWithinTick(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("self-stopping periodic ran %d ticks, want 3", n)
 	}
+}
+
+// pending is how many events c holds queued.
+func pending(c *Virtual) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.heap)
 }

@@ -69,7 +69,7 @@ func TestRearmVirtual(t *testing.T) {
 	if c.Rearm(foreign, time.Millisecond) {
 		t.Fatal("Virtual.Rearm accepted a foreign clock's timer")
 	}
-	if other.Len() != 1 {
+	if pending(other) != 1 {
 		t.Fatal("refused Rearm disturbed the foreign timer")
 	}
 }
@@ -160,8 +160,8 @@ func TestRearmThroughBareDecorator(t *testing.T) {
 	if c.armed != 5 {
 		t.Fatalf("decorator saw %d AfterFunc calls, want one per arm (5)", c.armed)
 	}
-	if v.Len() != 0 {
-		t.Fatalf("%d events left pending", v.Len())
+	if pending(v) != 0 {
+		t.Fatalf("%d events left pending", pending(v))
 	}
 
 	// Periodic looks the capability up on the clock too.

@@ -29,8 +29,8 @@ func TestResetMatchesFresh(t *testing.T) {
 	if n := used.Reset(start); n != 2 {
 		t.Errorf("Reset found %d armed timers, want 2 (one AfterFunc, one Periodic)", n)
 	}
-	if used.Len() != 0 || !used.Now().Equal(start) {
-		t.Errorf("after Reset: Len %d, Now %v; want 0, %v", used.Len(), used.Now(), start)
+	if pending(used) != 0 || !used.Now().Equal(start) {
+		t.Errorf("after Reset: %d pending, Now %v; want 0, %v", pending(used), used.Now(), start)
 	}
 	for _, h := range []Timer{fired, stopped, armed} {
 		if h.Stop() || used.Rearm(h, time.Millisecond) {

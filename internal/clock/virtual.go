@@ -207,13 +207,6 @@ func (c *Virtual) Schedule(d time.Duration, f func()) {
 	c.mu.Unlock()
 }
 
-// Len returns the number of pending events.
-func (c *Virtual) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.heap)
-}
-
 // Step executes the earliest pending event, advancing the clock to its
 // deadline. It reports whether an event was executed.
 func (c *Virtual) Step() bool {

@@ -75,9 +75,6 @@ func NewDirectory(clk clock.Clock, network transport.Network, addr transport.Add
 	return d, nil
 }
 
-// Addr returns the directory's address.
-func (d *Directory) Addr() transport.Addr { return d.ep.Addr() }
-
 // Close stops the daemon.
 func (d *Directory) Close() {
 	d.mu.Lock()

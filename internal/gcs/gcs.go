@@ -583,21 +583,6 @@ func sortedIDs(ids []ProcessID) []ProcessID {
 	return slices.Compact(out)
 }
 
-// Groups returns the names of the groups this process is currently a
-// member of, for introspection and diagnostics.
-func (p *Process) Groups() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.members))
-	for g, m := range p.members {
-		if m.active {
-			out = append(out, g)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
 // membersOrderedLocked returns the memberships sorted by group name.
 // Anything that fans out across groups — suspicion handling, shutdown —
 // must use this rather than ranging over the members map: those paths send

@@ -48,7 +48,7 @@ func TestQuiescence(t *testing.T) {
 	}
 
 	c.settle(5 * time.Second)
-	if n := c.clk.Len(); n != 0 {
+	if n := pendingEvents(c.clk); n != 0 {
 		t.Errorf("%d events still on the clock", n)
 	}
 	for _, id := range all {

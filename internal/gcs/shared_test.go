@@ -58,7 +58,7 @@ func TestSharedTimersTimerCount(t *testing.T) {
 		}
 	}
 	clk.Advance(time.Second) // steady state; singletons emit no packets
-	if got := clk.Len(); got != 1 {
+	if got := pendingEvents(clk); got != 1 {
 		t.Fatalf("standing timers with %d groups = %d, want 1", groups, got)
 	}
 }

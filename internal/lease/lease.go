@@ -266,13 +266,6 @@ func (k *Keeper) Touch() {
 	k.mu.Unlock()
 }
 
-// Seq reports the last sent and last acked renewal sequence numbers.
-func (k *Keeper) Seq() (sent, acked uint64) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.seq, k.acked
-}
-
 // Stop halts renewals.
 func (k *Keeper) Stop() {
 	k.mu.Lock()

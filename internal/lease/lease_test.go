@@ -126,8 +126,8 @@ func TestKeeperRenewAndLoss(t *testing.T) {
 	if losses != 0 {
 		t.Fatalf("losses = %d with acked renewals", losses)
 	}
-	if s, a := k.Seq(); s != 3 || a != 3 {
-		t.Fatalf("Seq = %d/%d", s, a)
+	if k.seq != 3 || k.acked != 3 {
+		t.Fatalf("sent/acked = %d/%d", k.seq, k.acked)
 	}
 
 	// Silence: onLost fires exactly once, renewals keep going.

@@ -82,20 +82,6 @@ func (s *Series) At(t time.Duration) float64 {
 	return s.Values[i-1]
 }
 
-// Max returns the largest value (0 for an empty series).
-func (s *Series) Max() float64 {
-	max := math.Inf(-1)
-	for _, v := range s.Values {
-		if v > max {
-			max = v
-		}
-	}
-	if math.IsInf(max, -1) {
-		return 0
-	}
-	return max
-}
-
 // MeanBetween averages the samples with from ≤ t < to; 0 if none.
 func (s *Series) MeanBetween(from, to time.Duration) float64 {
 	lo, hi := s.searchAtOrAfter(from), s.searchAtOrAfter(to)

@@ -25,14 +25,11 @@ func TestSeriesBasics(t *testing.T) {
 	if got := s.Last(); got != 40 {
 		t.Fatalf("Last = %v", got)
 	}
-	if got := s.Max(); got != 40 {
-		t.Fatalf("Max = %v", got)
-	}
 }
 
 func TestSeriesEmpty(t *testing.T) {
 	s := NewSeries("empty", time.Second)
-	if s.Last() != 0 || s.Max() != 0 || s.At(time.Second) != 0 {
+	if s.Last() != 0 || s.At(time.Second) != 0 {
 		t.Fatal("empty series accessors must return 0")
 	}
 	if s.MeanBetween(0, time.Hour) != 0 {
@@ -95,8 +92,8 @@ func TestNegativeValues(t *testing.T) {
 	s := NewSeries("neg", time.Second)
 	s.Add(time.Second, -5)
 	s.Add(2*time.Second, -1)
-	if s.Max() != -1 {
-		t.Fatalf("Max with negatives: %v", s.Max())
+	if s.At(time.Second) != -5 || s.Last() != -1 {
+		t.Fatalf("negative values read back as %v, %v", s.At(time.Second), s.Last())
 	}
 }
 

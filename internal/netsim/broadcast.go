@@ -24,9 +24,9 @@ import (
 // route, block, profile, fate — in slice order, and then through the same
 // egress/link serialization bump, so the fate's decisions and every
 // aggregate counter are identical whether a sender batches or loops.
-// Destinations needing divergent treatment — a per-pair profile override, a
-// duplicate, or a jittered profile (per-delivery random delay) — take the
-// single send's scheduleLocked inline, right where the loop would have
+// Destinations needing divergent treatment — a duplicate, or a jittered
+// profile (per-delivery random delay) — take the single send's
+// scheduleLocked inline, right where the loop would have
 // scheduled them; only uniform survivors join the batch. The batch delivers
 // every survivor at the latest of their individually computed transit times
 // (the last slot of the beat's serialization train, sub-millisecond behind
@@ -84,7 +84,7 @@ func (b *broadcast) recycleLocked() {
 
 // run fires when the batch arrives: under one lock hold, re-check liveness
 // for every destination (all at this same virtual instant, before any of the
-// batch's handlers run), settle the stats, and snapshot the surviving
+// batch's handlers run), settle the counters, and snapshot the surviving
 // (handler, payload) pairs into the network's reusable scratch; then release
 // the lock once and invoke the handlers in batch order. The per-send path
 // re-checks each destination in its own delivery event at this same instant,
@@ -111,8 +111,6 @@ func (b *broadcast) run() {
 		ds = append(ds, b.payloads[i])
 	}
 	n.dropLocked(dropped)
-	n.stats.Delivered += uint64(len(hs))
-	n.stats.Bytes += bytes
 	n.ctrDeliv.Add(uint64(len(hs)))
 	n.ctrBytes.Add(bytes)
 	from := n.addrs[b.from]
@@ -157,22 +155,22 @@ func (e *endpoint) SendStableRefBatch(dsts []transport.AddrRef, payloads [][]byt
 			continue
 		}
 		to := int32(ref)
-		prof, override, copies, err := n.admitLocked(e.id, to)
+		copies, err := n.admitLocked(e.id, to)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if copies == 0 {
 			continue
 		}
-		if override || copies > 1 || prof.Jitter > 0 {
-			// Divergent treatment — a per-pair override, a duplicate, or
-			// per-delivery jitter draws — expands to dedicated delivery
-			// events right here, exactly where the per-send loop would have
-			// scheduled them (so the jitter draws stay in sequence).
-			n.scheduleLocked(e.id, to, payload, true, prof, copies)
+		if copies > 1 || n.def.Jitter > 0 {
+			// Divergent treatment — a duplicate, or per-delivery jitter
+			// draws — expands to dedicated delivery events right here,
+			// exactly where the per-send loop would have scheduled them (so
+			// the jitter draws stay in sequence).
+			n.scheduleLocked(e.id, to, payload, true, copies)
 			continue
 		}
-		maxDelay = max(maxDelay, n.transitTimeLocked(e.id, to, prof, len(payload)))
+		maxDelay = max(maxDelay, n.transitTimeLocked(e.id, to, len(payload)))
 		b.dsts = append(b.dsts, to)
 		b.payloads = append(b.payloads, payload)
 	}

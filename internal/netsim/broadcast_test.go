@@ -16,11 +16,13 @@ type broadcastWorld struct {
 	refs   []transport.AddrRef
 	counts []int
 	bytes  []int
+	count  func() counters
 }
 
 func newBroadcastWorld(t *testing.T, prof Profile, nDst int) *broadcastWorld {
 	t.Helper()
 	w := &broadcastWorld{r: newRig(t, prof)}
+	w.count = counted(w.r.net)
 	w.src = w.r.endpoint(t, "src").(transport.RefSender)
 	w.counts = make([]int, nDst)
 	w.bytes = make([]int, nDst)
@@ -37,32 +39,32 @@ func newBroadcastWorld(t *testing.T, prof Profile, nDst int) *broadcastWorld {
 	return w
 }
 
-// chaosSetup applies the same fault mix to a world: a lossy/jittery/slow
-// override on one pair, a duplicating override on another, a blocked pair,
-// and a network-wide extra-loss burst — every divergence class the batch
-// path can hit.
-func (w *broadcastWorld) chaosSetup() {
-	w.r.net.SetProfile("src", "B", Profile{Delay: 3 * time.Millisecond, Jitter: time.Millisecond, Loss: 0.3, Bandwidth: 1000 * 1000})
-	w.r.net.SetProfile("src", "C", Profile{Delay: time.Millisecond, Duplicate: 0.5})
-	w.r.net.SetLinkDown("src", "D", true)
-	w.r.net.SetExtraLoss(0.1)
-}
-
 // TestBroadcastMatchesLoop pins the batch path's determinism contract under
-// divergence: with per-pair overrides (loss, jitter, duplication), a blocked
-// pair and an extra-loss burst all active, a run that batches its fan-out
-// must consume the seeded RNG in the same order as one that loops over
+// divergence: with the default profile duplicating packets, a blocked pair
+// and an extra-loss burst all active, a run that batches its fan-out must
+// consume the seeded RNG in the same order as one that loops over
 // SendStableRef — so per-destination delivery counts and the aggregate
-// Stats come out identical, and after both runs drain, each network's RNG
-// is at the same position: a path that skipped or added a draw anywhere
-// would show there even if the counts happened to agree.
+// counters come out identical, and after both runs drain, each network's
+// RNG is at the same position: a path that skipped or added a draw anywhere
+// would show there even if the counts happened to agree. The jittered
+// profile sends every destination down the divergent path.
 func TestBroadcastMatchesLoop(t *testing.T) {
 	const nDst, rounds = 8, 200
 	payload := []byte("stable-frame-payload")
+	for _, prof := range []Profile{
+		{Delay: time.Millisecond, Duplicate: 0.3, Bandwidth: 10 * 1000 * 1000},
+		{Delay: time.Millisecond, Jitter: time.Millisecond, Loss: 0.1, Duplicate: 0.3, Bandwidth: 10 * 1000 * 1000},
+	} {
+		testBroadcastMatchesLoop(t, prof, nDst, rounds, payload)
+	}
+}
 
-	run := func(batch bool) ([]int, Stats, int64) {
-		w := newBroadcastWorld(t, Profile{Delay: time.Millisecond, Bandwidth: 10 * 1000 * 1000}, nDst)
-		w.chaosSetup()
+func testBroadcastMatchesLoop(t *testing.T, prof Profile, nDst, rounds int, payload []byte) {
+	t.Helper()
+	run := func(batch bool) ([]int, counters, int64) {
+		w := newBroadcastWorld(t, prof, nDst)
+		w.r.net.SetLinkDown("src", "D", true)
+		w.r.net.SetExtraLoss(0.1)
 		if batch {
 			payloads := make([][]byte, nDst)
 			for i := range payloads {
@@ -81,29 +83,29 @@ func TestBroadcastMatchesLoop(t *testing.T) {
 			}
 		}
 		w.r.clk.Drain(0)
-		return w.counts, w.r.net.Stats(), w.r.net.fate.(seededFate).rng.Int63()
+		return w.counts, w.count(), w.r.net.fate.(seededFate).rng.Int63()
 	}
 
 	loopCounts, loopStats, loopNext := run(false)
 	batchCounts, batchStats, batchNext := run(true)
 	for i := range loopCounts {
 		if loopCounts[i] != batchCounts[i] {
-			t.Errorf("dst %d: loop delivered %d, batch delivered %d", i, loopCounts[i], batchCounts[i])
+			t.Errorf("%+v: dst %d: loop delivered %d, batch delivered %d", prof, i, loopCounts[i], batchCounts[i])
 		}
 	}
 	if loopStats != batchStats {
-		t.Fatalf("stats differ:\nloop:  %+v\nbatch: %+v", loopStats, batchStats)
+		t.Fatalf("%+v: counters differ:\nloop:  %+v\nbatch: %+v", prof, loopStats, batchStats)
 	}
 	if loopNext != batchNext {
-		t.Fatalf("next RNG draw differs after draining: loop %d, batch %d", loopNext, batchNext)
+		t.Fatalf("%+v: next RNG draw differs after draining: loop %d, batch %d", prof, loopNext, batchNext)
 	}
 	// Sanity: the chaos mix actually exercised loss, duplication and blocks.
-	if loopStats.Dropped == 0 {
-		t.Fatal("no drops — chaos setup inert")
+	if loopStats.dropped == 0 {
+		t.Fatalf("%+v: no drops — chaos setup inert", prof)
 	}
-	if loopStats.Delivered <= uint64(rounds*nDst)-loopStats.Dropped {
-		t.Fatalf("no duplicates observed: delivered %d, sent %d, dropped %d",
-			loopStats.Delivered, loopStats.Sent, loopStats.Dropped)
+	if loopStats.delivered <= uint64(rounds*nDst)-loopStats.dropped {
+		t.Fatalf("%+v: no duplicates observed: delivered %d, sent %d, dropped %d",
+			prof, loopStats.delivered, loopStats.sent, loopStats.dropped)
 	}
 }
 
@@ -146,7 +148,7 @@ func TestBroadcastCoalescedDelivery(t *testing.T) {
 			t.Errorf("dst %d delivered at %v, want coalesced instant %v", i, at, want)
 		}
 	}
-	if got := w.r.net.Stats().Delivered; got != nDst {
+	if got := w.count().delivered; got != nDst {
 		t.Fatalf("delivered = %d, want %d", got, nDst)
 	}
 }
@@ -200,8 +202,7 @@ func TestBroadcastBadDestinations(t *testing.T) {
 	if w.counts[0] != 1 || w.counts[1] != 1 {
 		t.Fatalf("valid destinations got %v, want one delivery each", w.counts)
 	}
-	st := w.r.net.Stats()
-	if st.Sent != 3 || st.Delivered != 2 || st.Dropped != 1 {
-		t.Fatalf("stats = %+v, want Sent 3 / Delivered 2 / Dropped 1", st)
+	if c := w.count(); c.sent != 3 || c.delivered != 2 || c.dropped != 1 {
+		t.Fatalf("counters = %+v, want sent 3 / delivered 2 / dropped 1", c)
 	}
 }

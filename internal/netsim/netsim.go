@@ -11,8 +11,8 @@
 // slices indexed by ID, so the per-packet send path never hashes an address
 // string. Senders that pre-resolve their destination (transport.RefSender)
 // skip the one remaining map lookup too. Only the sparse fault
-// state — profile overrides and blocked links — stays in (ID-pair-keyed)
-// maps, off the common path.
+// state — blocked links — stays in an (ID-pair-keyed) map, off the common
+// path.
 //
 // The simulator also provides the fault-injection surface the evaluation
 // scenarios need: abrupt node crashes, link failures and network partitions.
@@ -71,14 +71,6 @@ func WAN() Profile {
 	}
 }
 
-// Stats aggregates network-wide counters.
-type Stats struct {
-	Sent      uint64 // packets handed to the network
-	Delivered uint64 // packets delivered to a handler
-	Dropped   uint64 // packets lost (loss, partition, dead node, no handler)
-	Bytes     uint64 // payload bytes delivered
-}
-
 // Network is a simulated transport.Network.
 type Network struct {
 	clk clock.Clock
@@ -100,9 +92,8 @@ type Network struct {
 	live       int         // endpoints currently open, sizes the sweep period
 
 	// Sparse fault state, keyed by ID pair: empty in a healthy run, so the
-	// send path skips both lookups entirely.
-	overrides map[idPair]Profile
-	blocked   map[idPair]bool
+	// send path skips the lookup entirely.
+	blocked map[idPair]bool
 
 	extraLoss float64 // network-wide additional drop probability (loss burst)
 	// Free lists of delivery events (the packet buffer pool), one per
@@ -122,7 +113,6 @@ type Network struct {
 	slabDN  int           // records already carved from slabD
 	slabB   []byte        // what is left of the slab small copy buffers are carved from
 	sweepIn int           // sends until the next stale-link sweep
-	stats   Stats
 
 	obs      *obs.Registry
 	ctrSent  *obs.Counter // netsim.sent
@@ -257,11 +247,11 @@ func (n *Network) Reset(seed int64, def Profile) (open int) {
 		n.fate = seededFate{rand.New(rand.NewSource(seed))}
 	}
 	n.def = def
-	n.ids, n.overrides, n.blocked = make(map[transport.Addr]int32), make(map[idPair]Profile), make(map[idPair]bool)
+	n.ids, n.blocked = make(map[transport.Addr]int32), make(map[idPair]bool)
 	clear(n.rows) // a dense row is big, and the next world may never overwrite it
 	n.addrs, n.eps, n.rows = n.addrs[:0], n.eps[:0], n.rows[:0]
 	n.egressRate, n.egressNext = n.egressRate[:0], n.egressNext[:0]
-	n.live, n.extraLoss, n.sweepIn, n.stats = 0, 0, 0, Stats{}
+	n.live, n.extraLoss, n.sweepIn = 0, 0, 0
 	n.obs, n.ctrSent, n.ctrDeliv, n.ctrDrop, n.ctrBytes = nil, nil, nil, nil, nil
 	clear(n.bcastH[:cap(n.bcastH)]) // handlers reach the old world
 	clear(n.bcastD[:cap(n.bcastD)])
@@ -330,13 +320,6 @@ func (n *Network) NewEndpoint(addr transport.Addr) (transport.Endpoint, error) {
 	n.eps[id] = ep
 	n.live++
 	return ep, nil
-}
-
-// SetProfile overrides the profile of the directed link from→to.
-func (n *Network) SetProfile(from, to transport.Addr, p Profile) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.overrides[idPair{n.internLocked(from), n.internLocked(to)}] = p
 }
 
 // SetLinkDown blocks (or unblocks) traffic in both directions between a
@@ -442,13 +425,6 @@ func (n *Network) Crash(addr transport.Addr) {
 	}
 }
 
-// Stats returns a snapshot of the network counters.
-func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
-}
-
 // errNoRoute is the one value every send to an unbound address returns.
 // Protocols above keep sending to peers that never came up for as long as a
 // run lasts and discard the result, so the error is built once, not per
@@ -498,33 +474,25 @@ func (f seededFate) jitter(_, _ int32, prof Profile) time.Duration {
 // admitLocked decides one packet's fate, the same way for a single send and
 // for each member of a batch: it counts the send, checks the route (to may be
 // -1, an address never interned, or any out-of-range reference) and the
-// blocks, picks the link's profile — override reports a per-pair one — and
-// asks the fate how many copies arrive. A packet it does not admit is counted
-// dropped and gets copies 0; only an unroutable one also gets an error.
-// Caller holds n.mu.
-func (n *Network) admitLocked(from, to int32) (prof Profile, override bool, copies int, err error) {
-	n.stats.Sent++
+// blocks, and asks the fate how many copies arrive. A packet it does not
+// admit is counted dropped and gets copies 0; only an unroutable one also
+// gets an error. Caller holds n.mu.
+func (n *Network) admitLocked(from, to int32) (copies int, err error) {
 	n.ctrSent.Inc()
 	if to < 0 || int(to) >= len(n.eps) || n.eps[to] == nil {
 		// Never bound. A crashed node is not this case: its endpoint is
 		// kept, closed, and the packet is dropped on delivery.
 		n.dropLocked(1)
-		return prof, false, 0, errNoRoute
+		return 0, errNoRoute
 	}
 	if len(n.blocked) > 0 && n.blocked[idPair{from, to}] {
 		n.dropLocked(1)
-		return prof, false, 0, nil // silently lost, like a partitioned UDP packet
+		return 0, nil // silently lost, like a partitioned UDP packet
 	}
-	prof = n.def
-	if len(n.overrides) > 0 {
-		if p, ok := n.overrides[idPair{from, to}]; ok {
-			prof, override = p, true
-		}
-	}
-	if copies = n.fate.copies(from, to, prof, n.extraLoss); copies == 0 {
+	if copies = n.fate.copies(from, to, n.def, n.extraLoss); copies == 0 {
 		n.dropLocked(1)
 	}
-	return prof, override, copies, nil
+	return copies, nil
 }
 
 // scheduleLocked puts the copies of one admitted packet in flight, each its
@@ -533,16 +501,15 @@ func (n *Network) admitLocked(from, to int32) (prof Profile, override bool, copi
 // payload is stable each copy takes its own copy buffer and the handlers
 // never share backing storage; an immutable stable payload is safe to share
 // even between duplicates. Caller holds n.mu.
-func (n *Network) scheduleLocked(from, to int32, payload []byte, stable bool, prof Profile, copies int) {
+func (n *Network) scheduleLocked(from, to int32, payload []byte, stable bool, copies int) {
 	for i := 0; i < copies; i++ {
 		d := n.newDeliveryLocked(from, to, payload, stable)
-		clock.Schedule(n.clk, n.transitTimeLocked(from, to, prof, len(payload)), d.fn)
+		clock.Schedule(n.clk, n.transitTimeLocked(from, to, len(payload)), d.fn)
 	}
 }
 
 // dropLocked counts k packets lost. Caller holds n.mu.
 func (n *Network) dropLocked(k uint64) {
-	n.stats.Dropped += k
 	n.ctrDrop.Add(k)
 }
 
@@ -552,9 +519,9 @@ func (n *Network) dropLocked(k uint64) {
 // either way (same draws, same serialization on len(payload)), so a run using
 // stable sends replays byte-for-byte like one that copies.
 func (n *Network) sendLocked(from, to int32, payload []byte, stable bool) error {
-	prof, _, copies, err := n.admitLocked(from, to)
+	copies, err := n.admitLocked(from, to)
 	if copies > 0 {
-		n.scheduleLocked(from, to, payload, stable, prof, copies)
+		n.scheduleLocked(from, to, payload, stable, copies)
 		n.maybeSweepLocked(1)
 	}
 	return err
@@ -681,8 +648,6 @@ func (d *delivery) run() {
 		n.mu.Unlock()
 		return
 	}
-	n.stats.Delivered++
-	n.stats.Bytes += uint64(len(d.data))
 	n.ctrDeliv.Inc()
 	n.ctrBytes.Add(uint64(len(d.data)))
 	from, data := n.addrs[d.from], d.data
@@ -697,7 +662,8 @@ func (d *delivery) run() {
 // accounting for serialization queueing on the directed link. Horizons are
 // unix nanoseconds; the arithmetic is exactly the time.Time math the
 // map-based implementation used, so schedules replay unchanged.
-func (n *Network) transitTimeLocked(from, to int32, prof Profile, size int) time.Duration {
+func (n *Network) transitTimeLocked(from, to int32, size int) time.Duration {
+	prof := n.def
 	delay := prof.Delay
 	if prof.Jitter > 0 {
 		delay += n.fate.jitter(from, to, prof)

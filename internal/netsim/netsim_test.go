@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -21,6 +22,22 @@ func newRig(t *testing.T, prof Profile) *rig {
 	t.Helper()
 	clk := clock.NewVirtual(simEpoch)
 	return &rig{clk: clk, net: New(clk, 42, prof)}
+}
+
+// counters is a network's netsim.* counters.
+type counters struct{ sent, delivered, dropped, bytes uint64 }
+
+// countersOf reads the netsim.* counters of reg.
+func countersOf(reg *obs.Registry) counters {
+	return counters{reg.Value("netsim.sent"), reg.Value("netsim.delivered"), reg.Value("netsim.dropped"), reg.Value("netsim.delivered_bytes")}
+}
+
+// counted attaches a fresh registry to n and returns a reader of its
+// netsim.* counters.
+func counted(n *Network) func() counters {
+	reg := obs.NewRegistry("net", nil)
+	n.SetObs(reg)
+	return func() counters { return countersOf(reg) }
 }
 
 func (r *rig) endpoint(t *testing.T, name transport.Addr) transport.Endpoint {
@@ -77,6 +94,7 @@ func TestZeroJitterPreservesFIFO(t *testing.T) {
 
 func TestLossRate(t *testing.T) {
 	r := newRig(t, Profile{Loss: 0.5})
+	count := counted(r.net)
 	a := r.endpoint(t, "a")
 	b := r.endpoint(t, "b")
 	n := 0
@@ -91,9 +109,8 @@ func TestLossRate(t *testing.T) {
 	if n < total*4/10 || n > total*6/10 {
 		t.Fatalf("delivered %d of %d at 50%% loss; outside [40%%, 60%%]", n, total)
 	}
-	st := r.net.Stats()
-	if st.Sent != total || st.Delivered != uint64(n) || st.Dropped != uint64(total-n) {
-		t.Fatalf("stats %+v inconsistent with delivered=%d", st, n)
+	if c := count(); c.sent != total || c.delivered != uint64(n) || c.dropped != uint64(total-n) {
+		t.Fatalf("counters %+v inconsistent with delivered=%d", c, n)
 	}
 }
 
@@ -247,22 +264,6 @@ func TestLinkDownIsBidirectional(t *testing.T) {
 	r.clk.Drain(0)
 	if n != 1 {
 		t.Fatalf("link restore failed: %d packets", n)
-	}
-}
-
-func TestPerLinkProfileOverride(t *testing.T) {
-	r := newRig(t, Profile{Delay: time.Millisecond})
-	a := r.endpoint(t, "a")
-	b := r.endpoint(t, "b")
-	r.net.SetProfile("a", "b", Profile{Delay: 100 * time.Millisecond})
-	var at time.Duration
-	b.SetHandler(func(transport.Addr, []byte) { at = r.clk.Now().Sub(simEpoch) })
-	if err := a.Send("b", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	r.clk.Drain(0)
-	if at != 100*time.Millisecond {
-		t.Fatalf("override delay: arrived at %v, want 100ms", at)
 	}
 }
 

@@ -22,7 +22,8 @@ import (
 // sent stream, in order, minus what reached the receiver while it was down:
 // byte for byte, a copied payload never aliasing the sender's buffer and
 // sized to exactly its class, a stable one aliasing the sender's. After every
-// op each free list holds only records of its own kind.
+// op each free list holds only records of its own kind, and at the end the
+// network has counted as dropped exactly the sends that never arrived.
 func FuzzDeliveryPool(f *testing.F) {
 	f.Add([]byte{})
 	// A copied send per class, then the same sizes again from warm records.
@@ -51,8 +52,8 @@ func FuzzDeliveryPool(f *testing.F) {
 		}
 		h.clk.Drain(0)
 		h.checkFreeLists(t)
-		if missed := h.missed + len(h.want) - h.next; uint64(missed) != h.net.Stats().Dropped {
-			t.Fatalf("%d packets never arrived, but the network dropped %d", missed, h.net.Stats().Dropped)
+		if missed, dropped := h.missed+len(h.want)-h.next, h.count().dropped; uint64(missed) != dropped {
+			t.Fatalf("%d packets never arrived, but the network dropped %d", missed, dropped)
 		}
 	})
 }
@@ -70,6 +71,7 @@ type poolHarness struct {
 	a       transport.Endpoint
 	scratch []byte // the sender's reused copy-send buffer
 	dup     bool
+	count   func() counters
 
 	want   []poolSent
 	next   int // first entry of want not yet delivered
@@ -84,6 +86,7 @@ func newPoolHarness(t *testing.T) *poolHarness {
 		net:     New(clk, 1, Profile{Delay: time.Millisecond}),
 		scratch: make([]byte, transport.MaxDatagram),
 	}
+	h.count = counted(h.net)
 	h.a = h.bind(t, "a", nil)
 	h.bind(t, "b", h.receive(t))
 	return h
@@ -154,13 +157,14 @@ func (h *poolHarness) step(t *testing.T, data []byte) []byte {
 		return data[min(4, len(data)):]
 	case 2:
 		h.clk.Advance(time.Duration(arg(1)%4) * time.Millisecond)
-	case 3:
+	case 3: // every packet sent from now on arrives twice, or once again
 		h.dup = !h.dup
-		prof := Profile{Delay: time.Millisecond}
+		h.net.mu.Lock()
+		h.net.def.Duplicate = 0
 		if h.dup {
-			prof.Duplicate = 1
+			h.net.def.Duplicate = 1
 		}
-		h.net.SetProfile("a", "b", prof)
+		h.net.mu.Unlock()
 	case 4: // the receiver is down for a while; what reaches it then is lost
 		h.net.Crash("b")
 		h.clk.Advance(time.Duration(arg(1)%3) * time.Millisecond)

@@ -11,8 +11,8 @@ import (
 )
 
 // TestResetMatchesNew: a network Reset on its reset clock — after a run that
-// left packets and a batch in flight, endpoints open, links blocked, a
-// per-pair override, a loss burst and a registry attached — delivers a lossy,
+// left packets and a batch in flight, endpoints open, links blocked, a loss
+// burst and a registry attached — delivers a lossy,
 // jittered workload exactly as New does on a fresh clock: the same packets,
 // at the same instants, with the same counters; and the old registry counts
 // nothing more.
@@ -28,7 +28,6 @@ func TestResetMatchesNew(t *testing.T) {
 	b.SetHandler(func(transport.Addr, []byte) {})
 	c, _ := used.NewEndpoint("c")
 	c.SetHandler(func(transport.Addr, []byte) {})
-	used.SetProfile("a", "c", LAN())
 	used.SetLinkOneWayDown("c", "a", true)
 	used.SetExtraLoss(0.3)
 	used.SetEgressLimit("a", 1000)
@@ -44,11 +43,9 @@ func TestResetMatchesNew(t *testing.T) {
 	if open := used.Reset(42, prof); open != 3 {
 		t.Errorf("Reset found %d endpoints open, want 3", open)
 	}
-	if used.Stats() != (Stats{}) {
-		t.Errorf("Stats after Reset = %+v, want zero", used.Stats())
-	}
 
-	script := func(clk *clock.Virtual, n *Network) (log []string, st Stats) {
+	script := func(clk *clock.Virtual, n *Network) (log []string, c counters) {
+		count := counted(n)
 		eps := make([]transport.Endpoint, 3)
 		for i := range eps {
 			addr := transport.Addr(fmt.Sprintf("n%d", i))
@@ -62,7 +59,7 @@ func TestResetMatchesNew(t *testing.T) {
 			clk.Advance(time.Millisecond)
 		}
 		clk.Advance(time.Second)
-		return log, n.Stats()
+		return log, count()
 	}
 	freshClk := clock.NewVirtual(simEpoch)
 	gotLog, gotStats := script(clk, used)
@@ -71,8 +68,8 @@ func TestResetMatchesNew(t *testing.T) {
 		t.Errorf("the reset network delivered %d packets (%+v), a new one %d (%+v), or at other instants",
 			len(gotLog), gotStats, len(wantLog), wantStats)
 	}
-	if gotStats.Dropped == 0 || gotStats.Delivered == 0 {
-		t.Errorf("stats %+v: the workload should both drop and deliver", gotStats)
+	if gotStats.dropped == 0 || gotStats.delivered == 0 {
+		t.Errorf("counters %+v: the workload should both drop and deliver", gotStats)
 	}
 	if after := reg.Snapshot(); fmt.Sprint(after.Counters) != fmt.Sprint(regBefore.Counters) {
 		t.Errorf("the registry of the old run still counts after Reset: %v, was %v", after.Counters, regBefore.Counters)

@@ -66,14 +66,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Load returns the current level.
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Registry holds one node's counters, gauges and event trace.
 type Registry struct {
 	node string
@@ -187,7 +179,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Counters[name] = c.Load()
 	}
 	for name, g := range r.gauges {
-		s.Gauges[name] = g.Load()
+		s.Gauges[name] = g.v.Load()
 	}
 	s.Records, s.Dropped = r.trace.snapshot()
 	return s

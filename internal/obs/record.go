@@ -88,7 +88,7 @@ var kinds = [...]struct{ name, format string }{
 func (k Kind) String() string { return kinds[k].name }
 
 // Note renders the record's detail through its kind's format.
-func (r Record) Note() string {
+func (r Record) note() string {
 	format := kinds[r.Kind].format
 	if !strings.Contains(format, "%") {
 		return format
@@ -114,7 +114,7 @@ func (s Snapshot) Events() []Event {
 	}
 	evs := make([]Event, len(s.Records))
 	for i, r := range s.Records {
-		evs[i] = Event{At: time.Unix(0, r.At).UTC(), Kind: r.Kind.String(), Note: r.Note()}
+		evs[i] = Event{At: time.Unix(0, r.At).UTC(), Kind: r.Kind.String(), Note: r.note()}
 	}
 	return evs
 }

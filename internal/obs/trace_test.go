@@ -145,7 +145,7 @@ func TestRecordNotes(t *testing.T) {
 		if got := c.rec.Kind.String(); got != c.name {
 			t.Errorf("kind %d is named %q, want %q", c.rec.Kind, got, c.name)
 		}
-		if got := c.rec.Note(); got != c.note {
+		if got := c.rec.note(); got != c.note {
 			t.Errorf("%s note = %q, want %q", c.name, got, c.note)
 		}
 	}

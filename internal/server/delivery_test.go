@@ -8,19 +8,22 @@ import (
 	"repro/internal/clock"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
 // TestHandlersRunInTheDeliveringEvent steps a two-server, one-viewer cluster
 // one clock event at a time and requires each inbound message to take effect
-// in the event that delivered it — the step in which the network's Delivered
-// count rose — rather than in a zero-delay event scheduled from there: the
-// client's Open gives s1 the session, s1's announcement puts the client in
-// s2's knowledge table, and the client's first flow-control request on the
-// session group moves the granted rate.
+// in the event that delivered it — the step in which the network's
+// netsim.delivered counter rose — rather than in a zero-delay event
+// scheduled from there: the client's Open gives s1 the session, s1's
+// announcement puts the client in s2's knowledge table, and the client's
+// first flow-control request on the session group moves the granted rate.
 func TestHandlersRunInTheDeliveringEvent(t *testing.T) {
 	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	network := netsim.New(clk, 1, netsim.LAN())
+	reg := obs.NewRegistry("net", clk.Now)
+	network.SetObs(reg)
 	movie := mpeg.Generate("m", mpeg.StreamConfig{Duration: 30 * time.Second, Seed: 1})
 	peers := []string{"s1", "s2"}
 	servers := map[string]*Server{}
@@ -70,11 +73,11 @@ func TestHandlersRunInTheDeliveringEvent(t *testing.T) {
 	}
 	deadline := clk.Now().Add(20 * time.Second)
 	for left := len(effects); left > 0; {
-		before := network.Stats().Delivered
+		before := reg.Value("netsim.delivered")
 		if !clk.Step() || clk.Now().After(deadline) {
 			t.Fatalf("%d of %d effects never happened", left, len(effects))
 		}
-		delivered := network.Stats().Delivered > before
+		delivered := reg.Value("netsim.delivered") > before
 		for i := range effects {
 			e := &effects[i]
 			if e.seen || !e.holds() {

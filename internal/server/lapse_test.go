@@ -49,10 +49,10 @@ func TestCrashedViewerSessionEnds(t *testing.T) {
 	}
 	for _, s := range []*Server{r.s1, r.s2} {
 		if s.HasSession("c1") {
-			t.Errorf("%s still serves c1 %v after it crashed", s.ID(), lapseGrace+3*time.Second)
+			t.Errorf("%s still serves c1 %v after it crashed", s.cfg.ID, lapseGrace+3*time.Second)
 		}
 		if knows(s, "c1") {
-			t.Errorf("%s still knows c1 after the tombstone", s.ID())
+			t.Errorf("%s still knows c1 after the tombstone", s.cfg.ID)
 		}
 	}
 

@@ -2,10 +2,12 @@ package server_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/clock"
 	"repro/internal/netsim"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -27,7 +29,7 @@ func TestPacingMechanismFollowsTier(t *testing.T) {
 
 	standing := func(spreadLeased, spreadGroup bool) int {
 		// A delay-free network: nothing is in flight between clock steps,
-		// so Len counts timers only.
+		// so the pending events are timers only.
 		r := newRig(t, netsim.Profile{}, "s1")
 		r.startServer("s1")
 		r.run(time.Second)
@@ -56,7 +58,7 @@ func TestPacingMechanismFollowsTier(t *testing.T) {
 				t.Fatalf("a viewer displayed %d frames in ≈14s, want ≥ 300", got)
 			}
 		}
-		n := r.clk.Len()
+		n := pendingEvents(r.clk)
 		for _, c := range viewers {
 			c.Close()
 		}
@@ -127,4 +129,10 @@ func TestLeasedStreamOverPlainEndpoint(t *testing.T) {
 	if cnt.GapSkipped != 0 || cnt.Late != 0 {
 		t.Fatalf("viewer skipped %d and was late on %d frames", cnt.GapSkipped, cnt.Late)
 	}
+}
+
+// pendingEvents is how many events clk holds queued. The clock keeps that
+// count to itself, so the test reads the length of its event heap.
+func pendingEvents(clk *clock.Virtual) int {
+	return reflect.ValueOf(clk).Elem().FieldByName("heap").Len()
 }

@@ -290,10 +290,11 @@ type serverCounters struct {
 	syncBytes      *obs.Counter
 	activeSessions *obs.Gauge
 
-	// Per-class overload counters. Resolved from a nil registry (working
-	// but unregistered counters) when overload control is disabled, so
-	// snapshots and the obs table stay byte-identical for clusters that
-	// never use classes.
+	// Per-class overload counters. Resolved from a nil registry when
+	// overload control is disabled: nil counters that discard every
+	// update, so snapshots and the obs table stay byte-identical for
+	// clusters that never use classes, and admits, refusals, shed tokens
+	// and degraded frames are counted in Stats alone.
 	admitsReserved     *obs.Counter
 	admitsBestEffort   *obs.Counter
 	refusalsReserved   *obs.Counter
@@ -338,7 +339,7 @@ func New(cfg Config) (*Server, error) {
 		},
 	}
 	// The per-class counters register only when overload control is on; a
-	// nil registry still hands out functioning (unregistered) counters, so
+	// nil registry hands out nil counters, which discard every update, so
 	// the increment sites need no gating of their own.
 	oreg := cfg.Obs
 	if !cfg.Overload.enabled() {
@@ -366,9 +367,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// ID returns the server's identifier.
-func (s *Server) ID() string { return s.cfg.ID }
 
 // Start joins the server group and the movie groups for every movie in the
 // catalog, making the server available to clients.

@@ -31,7 +31,7 @@ func TestChaosRandomCrashSchedules(t *testing.T) {
 		res                  *Result
 		crash1, crash2, join time.Duration
 	}
-	outcomes, err := sweep.Run(context.Background(), 8, 0,
+	outcomes, _, err := sweep.RunOpts(context.Background(), 8, sweep.Options{},
 		func(i int, seed int64) (outcome, error) {
 			rng := rand.New(rand.NewSource(seed))
 			names := []string{"server-1", "server-2", "server-3", "server-4"}
@@ -105,7 +105,7 @@ func TestChaosPartitionHeals(t *testing.T) {
 		Servers: []string{"server-1", "server-2"},
 		Events: []Event{
 			{At: 15 * time.Second, Do: func(rt *Runtime) {
-				serving = rt.ServingServer()
+				serving = rt.Deployment.ServingServer(rt.clientID)
 				other := "server-1"
 				if serving == "server-1" {
 					other = "server-2"

@@ -33,7 +33,7 @@ func SetParallelism(n int) {
 // is worthless.
 func fanOut[T any](n int, f func(i int) T) []T {
 	results, _, err := sweep.RunOpts(context.Background(), n,
-		sweep.Options{Workers: int(parallelism.Load()), KeepGoing: true},
+		sweep.Options{Workers: int(parallelism.Load())},
 		func(i int, _ int64) (T, error) { return f(i), nil })
 	if err != nil {
 		panic(err)

@@ -363,11 +363,10 @@ func tableFaultTolerance(seed int64) Table {
 	for _, tc := range []struct {
 		label   string
 		crashes []string
-		masked  bool
 	}{
-		{"1", []string{"cub-1"}, true},
-		{"2 adjacent", []string{"cub-0", "cub-1"}, false},
-		{"2 non-adjacent", []string{"cub-0", "cub-2"}, true},
+		{"1", []string{"cub-1"}},
+		{"2 adjacent", []string{"cub-0", "cub-1"}},
+		{"2 non-adjacent", []string{"cub-0", "cub-2"}},
 	} {
 		lost, displayed := tigerTrial(seed, tc.crashes)
 		ok := lost < 100 && displayed > 2000

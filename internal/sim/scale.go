@@ -133,6 +133,7 @@ func (vs *viewerSet) scaleResult() scaleResult {
 // reads the world it returns and tears it down (viewers first).
 func runScale(seed int64, movies []*mpeg.Movie, nViewers int) (*Runtime, *viewerSet) {
 	rt := newWorld(seed, netsim.LAN())
+	rt.Net.SetObs(rt.registry("net")) // as Run attaches it: the netsim.* counters
 	serverIDs := make([]string, len(movies))
 	for i := range serverIDs {
 		serverIDs[i] = fmt.Sprintf("server-%02d", i)

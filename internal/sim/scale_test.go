@@ -64,10 +64,10 @@ func TestTableScaleReduced(t *testing.T) {
 		sumFields(&cnt, c.Counters())
 		opens += c.Stats().OpensSent
 	}
-	ns := rt.Net.Stats()
+	net := rt.registry("net")
 	row := res.row(scalePoint{servers: 10, viewers: 1000})
 	got := fmt.Sprintf("row %s\nservers %+v\nclients %+v opens %d\nnet sent %d delivered %d",
-		strings.Join(row, " "), st, cnt, opens, ns.Sent, ns.Delivered)
+		strings.Join(row, " "), st, cnt, opens, net.Value("netsim.sent"), net.Value("netsim.delivered"))
 	if got != scaleFingerprint {
 		t.Errorf("scale trial moved.\n got:\n%s\nwant:\n%s", got, scaleFingerprint)
 	}

@@ -273,7 +273,7 @@ func (rt *Runtime) CrashServer(id string) error {
 // reports whether one was crashed. Mid-takeover no server may hold the
 // session; the no-op leaves a trace event so a schedule replay shows it.
 func (rt *Runtime) CrashServing() bool {
-	id := rt.ServingServer()
+	id := rt.Deployment.ServingServer(rt.clientID)
 	if id == "" {
 		rt.registry("net").Emit(obs.SimCrashServingNoop, "", "", 0, 0)
 		return false
@@ -343,10 +343,6 @@ func (rt *Runtime) lifetimeStats() map[string]server.Stats {
 	rt.EachServer(func(id string, s *server.Server) { out[id] = addStats(out[id], s.Stats()) })
 	return out
 }
-
-// ServingServer returns the server currently holding the observed client's
-// session ("" if none).
-func (rt *Runtime) ServingServer() string { return rt.Deployment.ServingServer(rt.clientID) }
 
 // Client returns the observed client.
 func (rt *Runtime) Client() *client.Client { return rt.client }
@@ -460,7 +456,7 @@ func Run(sc Scenario) *Result {
 				res.Combined.Add(t, float64(occ.CombinedFrames))
 			}
 			if res.ServingServer != nil {
-				i, ok := slices.BinarySearch(peers, rt.ServingServer())
+				i, ok := slices.BinarySearch(peers, rt.Deployment.ServingServer(rt.clientID))
 				if !ok {
 					i = -1
 				}

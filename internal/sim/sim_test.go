@@ -35,9 +35,9 @@ func TestFig4LANShape(t *testing.T) {
 		res.SWOccupancy.MeanBetween(20*time.Second, 35*time.Second),
 		res.SWOccupancy.MinBetween(crashAt, crashAt+5*time.Second),
 		res.SWOccupancy.MinBetween(lbAt, lbAt+5*time.Second),
-		res.SWOccupancy.Max())
+		slices.Max(res.SWOccupancy.Values))
 	t.Logf("hw occ:  max=%.0f min(crash..+5s)=%.0f t(fill)≈%v",
-		res.HWOccupancy.Max(),
+		slices.Max(res.HWOccupancy.Values),
 		res.HWOccupancy.MinBetween(crashAt, crashAt+5*time.Second),
 		firstTimeAbove(res, 0.95))
 	t.Logf("stalls:  %v", res.StallsCum.Last())
@@ -78,7 +78,7 @@ func TestFig4LANShape(t *testing.T) {
 
 	// Fig 4d: hardware buffer fills early and dips (but not to zero) at
 	// the crash.
-	hwMax := res.HWOccupancy.Max()
+	hwMax := slices.Max(res.HWOccupancy.Values)
 	if hwMax < 200*1024 {
 		t.Errorf("hardware buffer peak = %.0f bytes, want near 240KB", hwMax)
 	}
@@ -103,7 +103,7 @@ func TestFig4LANShape(t *testing.T) {
 
 // firstTimeAbove returns when HWOccupancy first exceeds frac of its max.
 func firstTimeAbove(res *Result, frac float64) time.Duration {
-	max := res.HWOccupancy.Max()
+	max := slices.Max(res.HWOccupancy.Values)
 	for i, v := range res.HWOccupancy.Values {
 		if v >= frac*max {
 			return res.HWOccupancy.Time(i)

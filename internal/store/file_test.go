@@ -49,7 +49,7 @@ func TestLoadDirectoryIgnoresOtherFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != 1 || !loaded.Has("only") {
+	if len(loaded.movies) != 1 || !loaded.Has("only") {
 		t.Fatalf("loaded %v", loaded.List())
 	}
 }

@@ -43,13 +43,6 @@ func (c *Catalog) Add(m *mpeg.Movie) {
 	c.movies[m.ID()] = m
 }
 
-// remove deletes a movie by ID.
-func (c *Catalog) remove(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.movies, id)
-}
-
 // Get returns the movie with the given ID.
 func (c *Catalog) Get(id string) (*mpeg.Movie, error) {
 	c.mu.RLock()
@@ -79,13 +72,6 @@ func (c *Catalog) List() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// Len returns the number of movies held.
-func (c *Catalog) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.movies)
 }
 
 // SaveTo writes every movie in the catalog to dir, one <id>.vodm file per

@@ -12,9 +12,10 @@
 // therefore identical at workers=1 and workers=GOMAXPROCS (the equivalence
 // tests in internal/chaos and internal/sim pin this forever).
 //
-// A panicking job is contained: the panic is captured with its stack and
-// reported as that job's error (carrying the seed, so a chaos crash is
-// replayable), while every other job runs to completion unaffected.
+// A failing job never stops the others: every job runs, and each failure
+// is reported with its index and seed, so a chaos crash is replayable. A
+// panicking job is contained the same way, its panic captured with the
+// stack as that job's error.
 package sweep
 
 import (
@@ -23,7 +24,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -44,11 +44,6 @@ type Options struct {
 	// FirstSeed is the seed of job 0 (default 1); job i runs with
 	// FirstSeed + i.
 	FirstSeed int64
-	// KeepGoing runs every job even after failures, collecting all errors
-	// (the chaos-CLI mode: one bad seed must not hide the others). The
-	// default is fail-fast: the first error stops dispatching new jobs
-	// (in-flight jobs still finish).
-	KeepGoing bool
 	// OnResult, when non-nil, is called once per finished job, serialized
 	// under the sweep's lock and in job order: job i's callback fires once
 	// jobs 0..i have all finished, so a caller can stream results while
@@ -59,60 +54,6 @@ type Options struct {
 	// "sweep.jobs", "sweep.failures" and a "sweep.done" trace event with
 	// wall/CPU time and speedup.
 	Obs *obs.Registry
-}
-
-// JobError is one failed job, tagged with the seed that reproduces it.
-type JobError struct {
-	Index int
-	Seed  int64
-	Err   error
-}
-
-func (e *JobError) Error() string {
-	return fmt.Sprintf("job %d (seed %d): %v", e.Index, e.Seed, e.Err)
-}
-
-// Unwrap exposes the underlying error to errors.Is/As.
-func (e *JobError) Unwrap() error { return e.Err }
-
-// PanicError wraps a recovered job panic.
-type PanicError struct {
-	Value any
-	Stack []byte
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("panic: %v\n%s", e.Value, e.Stack)
-}
-
-// Errors is the sweep's failure set, sorted by job index. It satisfies
-// error; callers needing the seeds use errors.As and read each JobError.
-type Errors []*JobError
-
-func (e Errors) Error() string {
-	if len(e) == 1 {
-		return e[0].Error()
-	}
-	return fmt.Sprintf("%d jobs failed (seeds %v), first: %v", len(e), e.seeds(), e[0])
-}
-
-// Unwrap exposes the individual job errors to errors.Is/As traversal.
-func (e Errors) Unwrap() []error {
-	out := make([]error, len(e))
-	for i, je := range e {
-		out[i] = je
-	}
-	return out
-}
-
-// seeds returns the failed seeds in ascending order.
-func (e Errors) seeds() []int64 {
-	seeds := make([]int64, len(e))
-	for i, je := range e {
-		seeds[i] = je.Seed
-	}
-	sort.Slice(seeds, func(a, b int) bool { return seeds[a] < seeds[b] })
-	return seeds
 }
 
 // Summary reports what a sweep did and what the parallelism bought.
@@ -144,18 +85,12 @@ func (s Summary) String() string {
 		s.CPU.Round(time.Millisecond), s.Speedup())
 }
 
-// Run executes jobs 0..jobs-1 with seeds 1..jobs across workers (<= 0 for
-// all cores), fail-fast, and returns the results in job order. It is the
-// convenience form of RunOpts for the common "replace this for-loop" case.
-func Run[T any](ctx context.Context, jobs, workers int, fn Func[T]) ([]T, error) {
-	results, _, err := RunOpts(ctx, jobs, Options{Workers: workers}, fn)
-	return results, err
-}
-
 // RunOpts executes jobs 0..jobs-1 across a bounded worker pool and returns
 // the results in job order (results[i] is job i's value; failed or unrun
-// jobs leave the zero value). The returned error is nil when every job
-// succeeded; an Errors (sorted by index) when jobs failed; and wraps
+// jobs leave the zero value). Every job runs, whatever the others return.
+// The returned error is nil when every job succeeded; otherwise it joins,
+// in job order, one "job i (seed s): …" error per failure, each wrapping
+// what the job returned or a "panic: …" error with the stack; and it wraps
 // ctx.Err() when cancellation stopped the sweep before all jobs ran.
 func RunOpts[T any](ctx context.Context, jobs int, opts Options, fn Func[T]) ([]T, Summary, error) {
 	workers := opts.Workers
@@ -177,26 +112,21 @@ func RunOpts[T any](ctx context.Context, jobs int, opts Options, fn Func[T]) ([]
 		return results, sum, ctx.Err()
 	}
 
-	// Fail-fast cancels this derived context to stop dispatching; jobs
-	// already in flight run to completion so their results stay valid.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var (
 		mu      sync.Mutex
 		next    int // index of the next job to dispatch, under mu
-		jobErrs Errors
+		errs    = make([]error, jobs)
+		failed  int
 		elapsed time.Duration // summed per-job elapsed time (CPU fallback)
 		ran     int
 		wg      sync.WaitGroup
-		// done and errs hold finished jobs until every earlier job has
-		// finished too; reported counts the jobs OnResult has seen.
+		// done holds finished jobs until every earlier job has finished
+		// too; reported counts the jobs OnResult has seen.
 		done     []bool
-		errs     []error
 		reported int
 	)
 	if opts.OnResult != nil {
-		done, errs = make([]bool, jobs), make([]error, jobs)
+		done = make([]bool, jobs)
 	}
 	start := time.Now()
 	cpuBefore, haveCPU := cpuTime()
@@ -204,7 +134,7 @@ func RunOpts[T any](ctx context.Context, jobs int, opts Options, fn Func[T]) ([]
 	runOne := func(i int) (err error) {
 		defer func() {
 			if v := recover(); v != nil {
-				err = &PanicError{Value: v, Stack: debug.Stack()}
+				err = fmt.Errorf("panic: %v\n%s", v, debug.Stack())
 			}
 		}()
 		var v T
@@ -221,7 +151,7 @@ func RunOpts[T any](ctx context.Context, jobs int, opts Options, fn Func[T]) ([]
 			defer wg.Done()
 			for {
 				mu.Lock()
-				if next >= jobs || runCtx.Err() != nil {
+				if next >= jobs || ctx.Err() != nil {
 					mu.Unlock()
 					return
 				}
@@ -237,15 +167,11 @@ func RunOpts[T any](ctx context.Context, jobs int, opts Options, fn Func[T]) ([]
 				ran++
 				elapsed += took
 				if err != nil {
-					jobErrs = append(jobErrs, &JobError{
-						Index: i, Seed: firstSeed + int64(i), Err: err,
-					})
-					if !opts.KeepGoing {
-						cancel()
-					}
+					failed++
+					errs[i] = fmt.Errorf("job %d (seed %d): %w", i, firstSeed+int64(i), err)
 				}
 				if opts.OnResult != nil {
-					done[i], errs[i] = true, err
+					done[i] = true
 					// Jobs are dispatched in index order, so every finished
 					// job is reported by the time the last one finishes.
 					for ; reported < jobs && done[reported]; reported++ {
@@ -259,7 +185,7 @@ func RunOpts[T any](ctx context.Context, jobs int, opts Options, fn Func[T]) ([]
 	wg.Wait()
 
 	sum.Jobs = ran
-	sum.Failed = len(jobErrs)
+	sum.Failed = failed
 	sum.Wall = time.Since(start)
 	sum.CPU = elapsed
 	if haveCPU {
@@ -267,21 +193,12 @@ func RunOpts[T any](ctx context.Context, jobs int, opts Options, fn Func[T]) ([]
 			sum.CPU = cpuAfter - cpuBefore
 		}
 	}
-	finish(&sum, opts.Obs, len(jobErrs))
+	finish(&sum, opts.Obs, failed)
 
-	var err error
-	if len(jobErrs) > 0 {
-		sort.Slice(jobErrs, func(a, b int) bool { return jobErrs[a].Index < jobErrs[b].Index })
-		err = jobErrs
-	}
-	// Report cancellation only when it actually cut the sweep short and
-	// the caller's context (not our fail-fast cancel) was the cause.
+	err := errors.Join(errs...)
+	// Report cancellation only when it actually cut the sweep short.
 	if ctx.Err() != nil && ran < jobs {
-		if err != nil {
-			err = errors.Join(ctx.Err(), err)
-		} else {
-			err = fmt.Errorf("sweep: canceled after %d/%d jobs: %w", ran, jobs, ctx.Err())
-		}
+		err = errors.Join(fmt.Errorf("sweep: canceled after %d/%d jobs: %w", ran, jobs, ctx.Err()), err)
 	}
 	return results, sum, err
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,7 +17,7 @@ import (
 // order, whatever the worker count.
 func TestOrderedResults(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 0} {
-		results, err := sweep.Run(context.Background(), 20, workers,
+		results, _, err := sweep.RunOpts(context.Background(), 20, sweep.Options{Workers: workers},
 			func(i int, seed int64) (string, error) {
 				return fmt.Sprintf("job-%d-seed-%d", i, seed), nil
 			})
@@ -70,26 +70,19 @@ func TestWorkersExceedJobs(t *testing.T) {
 }
 
 // TestPanicCapture: a panicking seed reports as that job's failure —
-// carrying the seed for replay — while every other job completes.
+// carrying the seed for replay, the panic value and the stack — while every
+// other job completes.
 func TestPanicCapture(t *testing.T) {
-	results, sum, err := sweep.RunOpts(context.Background(), 10,
-		sweep.Options{Workers: 4, KeepGoing: true},
+	results, sum, err := sweep.RunOpts(context.Background(), 10, sweep.Options{Workers: 4},
 		func(i int, seed int64) (int64, error) {
 			if seed == 7 {
 				panic("seed 7 exploded")
 			}
 			return seed, nil
 		})
-	var errs sweep.Errors
-	if !errors.As(err, &errs) {
-		t.Fatalf("want sweep.Errors, got %T: %v", err, err)
-	}
-	if len(errs) != 1 || errs[0].Seed != 7 || errs[0].Index != 6 {
-		t.Fatalf("failure set = %v, want only seed 7", errs)
-	}
-	var pe *sweep.PanicError
-	if !errors.As(errs[0].Err, &pe) {
-		t.Fatalf("job error is %T, want PanicError", errs[0].Err)
+	if msg := fmt.Sprint(err); !strings.HasPrefix(msg, "job 6 (seed 7): panic: seed 7 exploded\n") ||
+		!strings.Contains(msg, "runtime/debug.Stack") || strings.Count(msg, "job ") != 1 {
+		t.Fatalf("err = %q, want only job 6 (seed 7)'s panic with its stack", msg)
 	}
 	if sum.Jobs != 10 || sum.Failed != 1 {
 		t.Fatalf("summary %+v, want 10 ran / 1 failed", sum)
@@ -104,56 +97,26 @@ func TestPanicCapture(t *testing.T) {
 	}
 }
 
-// TestFailFast: the first error stops dispatching new jobs.
-func TestFailFast(t *testing.T) {
-	var calls atomic.Int64
-	boom := errors.New("boom")
-	_, sum, err := sweep.RunOpts(context.Background(), 1000, sweep.Options{Workers: 2},
-		func(i int, seed int64) (int, error) {
-			calls.Add(1)
-			if i == 3 {
-				return 0, boom
-			}
-			return i, nil
-		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-	if n := calls.Load(); n >= 1000 {
-		t.Fatalf("fail-fast still ran all %d jobs", n)
-	}
-	if sum.Failed != 1 {
-		t.Fatalf("summary %+v", sum)
-	}
-}
-
-// TestKeepGoingCollectsAll: keep-going runs every job and returns the
-// failures sorted by index with sorted seeds.
+// TestKeepGoingCollectsAll: a failing job stops nothing — every job runs,
+// and the error names each failure by index and seed, in job order, and
+// wraps what the job returned.
 func TestKeepGoingCollectsAll(t *testing.T) {
 	var calls atomic.Int64
-	_, sum, err := sweep.RunOpts(context.Background(), 30,
-		sweep.Options{Workers: 4, KeepGoing: true},
+	bad := errors.New("bad seed")
+	_, sum, err := sweep.RunOpts(context.Background(), 30, sweep.Options{Workers: 4},
 		func(i int, seed int64) (int, error) {
 			calls.Add(1)
 			if seed%10 == 0 {
-				return 0, fmt.Errorf("bad seed %d", seed)
+				return 0, bad
 			}
 			return i, nil
 		})
 	if calls.Load() != 30 {
-		t.Fatalf("keep-going ran %d/30 jobs", calls.Load())
+		t.Fatalf("ran %d/30 jobs", calls.Load())
 	}
-	var errs sweep.Errors
-	if !errors.As(err, &errs) {
-		t.Fatalf("want sweep.Errors, got %v", err)
-	}
-	wantSeeds := []int64{10, 20, 30}
-	var got []int64
-	for _, je := range errs {
-		got = append(got, je.Seed)
-	}
-	if !slices.Equal(got, wantSeeds) {
-		t.Fatalf("failed seeds %v, want %v", got, wantSeeds)
+	want := "job 9 (seed 10): bad seed\njob 19 (seed 20): bad seed\njob 29 (seed 30): bad seed"
+	if fmt.Sprint(err) != want || !errors.Is(err, bad) {
+		t.Fatalf("err = %q, want %q wrapping the job's error", err, want)
 	}
 	if sum.Failed != 3 {
 		t.Fatalf("summary %+v", sum)
@@ -189,7 +152,7 @@ func TestProgressCallback(t *testing.T) {
 	var failures int
 	next := 0
 	_, _, err := sweep.RunOpts(context.Background(), 50,
-		sweep.Options{Workers: 8, KeepGoing: true,
+		sweep.Options{Workers: 8,
 			OnResult: func(i int, seed int64, err error) {
 				// Serialized by the sweep lock: plain map access is the test.
 				if seen[i] {
@@ -225,7 +188,7 @@ func TestProgressCallback(t *testing.T) {
 func TestObsSummary(t *testing.T) {
 	reg := obs.NewRegistry("bench", nil)
 	_, _, _ = sweep.RunOpts(context.Background(), 8,
-		sweep.Options{Workers: 4, KeepGoing: true, Obs: reg},
+		sweep.Options{Workers: 4, Obs: reg},
 		func(i int, seed int64) (int, error) {
 			if i == 2 {
 				return 0, errors.New("x")

@@ -126,25 +126,6 @@ func (n UDPNetwork) NewEndpoint(addr Addr) (Endpoint, error) {
 // Addr implements Endpoint.
 func (e *UDPEndpoint) Addr() Addr { return e.addr }
 
-// SetPeerCacheLimit changes the peer-resolution cache bound (minimum 1).
-// Existing entries above the new limit are evicted lazily on the next
-// insertion.
-func (e *UDPEndpoint) SetPeerCacheLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.mu.Lock()
-	e.maxPeers = n
-	e.mu.Unlock()
-}
-
-// PeerCacheLen reports the number of cached peer resolutions.
-func (e *UDPEndpoint) PeerCacheLen() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.peers)
-}
-
 // Send implements Endpoint.
 func (e *UDPEndpoint) Send(to Addr, payload []byte) error {
 	if len(payload) > MaxDatagram {

@@ -1,7 +1,6 @@
 package transport_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -9,102 +8,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
-
-func TestUDPPeerCacheEviction(t *testing.T) {
-	reg := obs.NewRegistry("a", nil)
-	a, err := transport.ListenUDP("127.0.0.1:0", "", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	a.SetPeerCacheLimit(8)
-
-	// Sends to distinct (unreachable but resolvable) peers populate the
-	// cache past its limit; eviction must bound it.
-	for i := 0; i < 40; i++ {
-		_ = a.Send(transport.Addr(fmt.Sprintf("127.0.0.1:%d", 20000+i)), []byte("x"))
-	}
-	if n := a.PeerCacheLen(); n > 8 {
-		t.Fatalf("peer cache holds %d entries, want ≤ 8", n)
-	}
-	snap := reg.Snapshot()
-	if ev := snap.Counters["transport.peer_evictions"]; ev < 32 {
-		t.Fatalf("peer_evictions = %d, want ≥ 32", ev)
-	}
-	if sent := snap.Counters["transport.sent_datagrams"]; sent != 40 {
-		t.Fatalf("sent_datagrams = %d, want 40", sent)
-	}
-
-	// An evicted peer is still reachable — re-resolved on demand.
-	if err := a.Send("127.0.0.1:20000", []byte("y")); err != nil {
-		t.Fatalf("send to evicted peer: %v", err)
-	}
-}
-
-// TestUDPPeerCacheBoundsSources is the same bound seen from the receive side:
-// peers first heard from (not sent to) enter the one cache, the source index
-// never holds an entry the cache has evicted, and an evicted source is simply
-// named again when it next speaks.
-func TestUDPPeerCacheBoundsSources(t *testing.T) {
-	reg := obs.NewRegistry("r", nil)
-	recv, err := transport.ListenUDP("127.0.0.1:0", "", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-	recv.SetPeerCacheLimit(8)
-	got := make(chan transport.Addr, 1)
-	recv.SetHandler(func(from transport.Addr, _ []byte) { got <- from })
-
-	deliver := func(s *transport.UDPEndpoint) {
-		t.Helper()
-		if err := s.Send(recv.Addr(), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case from := <-got:
-			if from != s.Addr() {
-				t.Fatalf("from = %q, want %q", from, s.Addr())
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("datagram never arrived")
-		}
-		fwd, rev := recv.PeerCacheLen(), recv.SourceIndexLen()
-		if fwd != rev || fwd > 8 {
-			t.Fatalf("peer cache %d entries, source index %d: want equal and ≤ 8", fwd, rev)
-		}
-	}
-	senders := make([]*transport.UDPEndpoint, 64)
-	for i := range senders {
-		s, err := transport.ListenUDP("127.0.0.1:0", "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		senders[i] = s
-		deliver(s)
-	}
-	if ev := reg.Snapshot().Counters["transport.peer_evictions"]; ev != 56 {
-		t.Fatalf("peer_evictions = %d, want 56", ev)
-	}
-	deliver(senders[0]) // long evicted
-}
-
-func TestUDPSendReusesCachedPeer(t *testing.T) {
-	a, err := transport.ListenUDP("127.0.0.1:0", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	for i := 0; i < 10; i++ {
-		if err := a.Send("127.0.0.1:20099", []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := a.PeerCacheLen(); n != 1 {
-		t.Fatalf("peer cache holds %d entries after sends to one peer, want 1", n)
-	}
-}
 
 // TestUDPCloseSendSetHandlerRace drives Send, SetHandler and Close
 // concurrently; under -race this guards the endpoint's lifecycle

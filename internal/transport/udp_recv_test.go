@@ -1,70 +1,12 @@
 package transport_test
 
 import (
-	"net"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/transport"
 )
-
-// TestUDPSourceAddrIdentity pins what protocol code keys its peer tables on:
-// the from a handler sees is byte-for-byte the sender's own Addr, on an IPv4
-// socket and on a dual-stack wildcard socket alike — the latter reports IPv4
-// sources in ::ffff:a.b.c.d form, which the endpoint unmaps.
-func TestUDPSourceAddrIdentity(t *testing.T) {
-	for _, bind := range []string{":0", "127.0.0.1:0"} {
-		t.Run(bind, func(t *testing.T) {
-			recv, err := transport.ListenUDP(bind, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer recv.Close()
-			send, err := transport.ListenUDP("127.0.0.1:0", "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer send.Close()
-
-			got := make(chan transport.Addr, 1)
-			recv.SetHandler(func(from transport.Addr, _ []byte) { got <- from })
-			_, port, err := net.SplitHostPort(string(recv.Addr()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			to := transport.Addr(net.JoinHostPort("127.0.0.1", port))
-			for i := 0; i < 2; i++ { // first receive fills the index, second hits it
-				if err := send.Send(to, []byte("x")); err != nil {
-					t.Fatal(err)
-				}
-				select {
-				case from := <-got:
-					if from != send.Addr() {
-						t.Fatalf("datagram %d: from = %q, sender's Addr = %q", i, from, send.Addr())
-					}
-				case <-time.After(2 * time.Second):
-					t.Fatal("datagram never arrived")
-				}
-			}
-			// The name the receive path made is one Send resolves, and the
-			// unmapped address is one either socket family can write to.
-			replied := make(chan struct{}, 1)
-			send.SetHandler(func(transport.Addr, []byte) { replied <- struct{}{} })
-			if err := recv.Send(send.Addr(), []byte("y")); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case <-replied:
-			case <-time.After(2 * time.Second):
-				t.Fatal("reply never arrived")
-			}
-			if n := recv.PeerCacheLen(); n != 1 {
-				t.Fatalf("receive then reply used %d cache entries, want the same 1", n)
-			}
-		})
-	}
-}
 
 // TestAllocsUDPSendReceive pins the steady state of the real-socket path:
 // once two endpoints know each other, a datagram costs no allocation on the

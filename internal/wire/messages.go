@@ -287,7 +287,7 @@ func (m *OpenReply) appendBody(b []byte) []byte {
 func DecodeOpenReplyInto(m *OpenReply, b []byte) error {
 	r := Reader{b: b}
 	return r.decode(KindOpenReply, func() {
-		m.OK = r.Bool()
+		m.OK = r.bool()
 		keepString(&m.Error, r.StringBytes())
 		keepString(&m.Movie, r.StringBytes())
 		m.TotalFrames = r.U32()
@@ -639,7 +639,7 @@ func DecodeClientStateInto(m *ClientState, tab Intern, b []byte) error {
 	return r.decode(KindClientState, func() {
 		keepString(&m.Server, r.StringBytes())
 		m.ViewSeq = r.U64()
-		m.Newcomer = r.Bool()
+		m.Newcomer = r.bool()
 		n := int(r.U16())
 		// Guard the allocation against a hostile count: n records need at
 		// least n*minClientRecordBytes more input, so a short packet claiming
@@ -659,8 +659,8 @@ func DecodeClientStateInto(m *ClientState, tab Intern, b []byte) error {
 				Offset:     r.U32(),
 				Rate:       r.U16(),
 				QualityFPS: r.U16(),
-				Paused:     r.Bool(),
-				Departed:   r.Bool(),
+				Paused:     r.bool(),
+				Departed:   r.bool(),
 				SentAt:     r.i64(),
 			}
 		}

@@ -146,7 +146,7 @@ func (r *Reader) U64() uint64 {
 func (r *Reader) i64() int64 { return int64(r.U64()) }
 
 // Bool consumes one byte as a bool; any nonzero value is true.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
+func (r *Reader) bool() bool { return r.U8() != 0 }
 
 // Rest consumes and returns all remaining bytes (possibly empty). The
 // returned slice aliases the underlying buffer; callers that retain it

@@ -36,7 +36,7 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	if got := r.i64(); got != -12345678901234 {
 		t.Fatalf("I64 = %d", got)
 	}
-	if !r.Bool() || r.Bool() {
+	if !r.bool() || r.bool() {
 		t.Fatal("Bool round trip failed")
 	}
 	if got := r.Bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
