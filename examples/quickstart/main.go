@@ -62,7 +62,7 @@ func main() {
 	}
 
 	// Claim smooth playback only when the final counters show it.
-	flow := flowctl.DefaultParams()
+	marks := flowctl.MarksOf(flowctl.DefaultParams().Buffer)
 	var wrong []string
 	if n := c.Skipped(); n > 0 {
 		wrong = append(wrong, fmt.Sprintf("%d frames skipped", n))
@@ -70,13 +70,13 @@ func main() {
 	if c.Stalls > 0 {
 		wrong = append(wrong, fmt.Sprintf("%d stalls", c.Stalls))
 	}
-	if b := occ.CombinedFrames; b < flow.LowWater || b > flow.HighWater {
-		wrong = append(wrong, fmt.Sprintf("%d frames buffered, outside the water marks (%d–%d)", b, flow.LowWater, flow.HighWater))
+	if b := occ.CombinedFrames; b < marks.LowWater || b > marks.HighWater {
+		wrong = append(wrong, fmt.Sprintf("%d frames buffered, outside the water marks (%d–%d)", b, marks.LowWater, marks.HighWater))
 	}
 	if len(wrong) > 0 {
 		fmt.Println("\nplayback was not smooth:", strings.Join(wrong, "; "))
 		os.Exit(1) // everything is in-process: the skipped defers hold nothing outside it
 	}
 	fmt.Printf("\nplayback is smooth: the buffers sit between the water marks (%d–%d frames) and nothing was skipped.\n",
-		flow.LowWater, flow.HighWater)
+		marks.LowWater, marks.HighWater)
 }

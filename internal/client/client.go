@@ -75,9 +75,8 @@ type Config struct {
 	// addition to) the static Servers list — the client stays oblivious
 	// to server identities, as §5.1 requires.
 	Directory string
-	// Buffer sizes the two-level pipeline (paper defaults if zero).
-	Buffer buffer.Config
-	// Flow is the flow-control parameter set (paper defaults if zero).
+	// Flow sizes the two-level pipeline (Flow.Buffer) and sets the
+	// flow control that steers by it (paper defaults if zero).
 	Flow flowctl.Params
 	// Class is the traffic class carried on every Open (default reserved;
 	// reserved-class Opens are byte-identical to pre-class ones).
@@ -133,10 +132,7 @@ func (c *Config) fillDefaults() error {
 	if len(c.Servers) == 0 && c.Directory == "" {
 		return fmt.Errorf("client %s: no servers and no directory configured", c.ID)
 	}
-	if c.Buffer.SoftwareCapacity == 0 {
-		c.Buffer = buffer.DefaultConfig()
-	}
-	if c.Flow.CombinedCapacity == 0 {
+	if c.Flow == (flowctl.Params{}) {
 		c.Flow = flowctl.DefaultParams()
 	}
 	return c.Flow.Validate()
@@ -175,10 +171,10 @@ type clientCounters struct {
 	hwBytes     *obs.Gauge // client.hw_occupancy_bytes
 }
 
-// Client is one VoD client instance. It is 1,272 bytes on 64-bit
-// platforms: with the runtime's 8-byte allocation header it just fills the
-// 1,280-byte size class, and 8 bytes more cost 128 per viewer (+1.9 MB on
-// the scale table's 15,000 viewers).
+// Client is one VoD client instance. It is 1,168 bytes on 64-bit
+// platforms: with the runtime's 8-byte allocation header it sits in the
+// 1,280-byte size class with 104 bytes to spare, and a word past them costs
+// 128 per viewer (+1.9 MB on the scale table's 15,000 viewers).
 type Client struct {
 	cfg  Config
 	mux  *transport.Mux
@@ -297,7 +293,7 @@ func New(cfg Config) (*Client, error) {
 		vid:      mux.Channel(transport.ChannelVideo),
 		state:    StateIdle,
 		servers:  cfg.Servers,
-		pipeline: buffer.New(cfg.Buffer),
+		pipeline: buffer.New(cfg.Flow.Buffer),
 		policy:   flowctl.NewPolicy(cfg.Flow),
 		ctr: clientCounters{
 			opensSent:   cfg.Obs.Counter("client.opens_sent"),
@@ -808,7 +804,7 @@ func (c *Client) onVideo(_ transport.Addr, payload []byte) {
 		// jump playback past every frame in between. Drop it — the Seek
 		// rewinds the server to our position instead.
 		next := c.pipeline.NextIndex()
-		if frame.Index >= next && frame.Index-next > uint32(4*c.cfg.Buffer.SoftwareCapacity) {
+		if frame.Index >= next && frame.Index-next > uint32(4*c.cfg.Flow.Buffer.SoftwareCapacity) {
 			c.ctr.strayFrames.Inc()
 			c.mu.Unlock()
 			return

@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/client"
 	"repro/internal/clock"
+	"repro/internal/flowctl"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -571,5 +573,47 @@ func TestReopenFollowsSessionView(t *testing.T) {
 	}
 	if wait := reopenAt.Sub(viewAt); wait > time.Second {
 		t.Errorf("reopen_ok %v after the session view re-formed with s1, want within 1s", wait)
+	}
+}
+
+// TestFlowSteersByItsBuffer: a client given a half-size buffer and no other
+// flow setting keeps it between that buffer's water marks, not the default
+// buffer's, and never overflows it.
+func TestFlowSteersByItsBuffer(t *testing.T) {
+	r := newRig(t)
+	flow := flowctl.DefaultParams()
+	flow.Buffer = buffer.Config{SoftwareCapacity: 18, HardwareCapacityBytes: 108_000}
+	marks := flowctl.MarksOf(flow.Buffer)
+	cat := store.NewCatalog()
+	cat.Add(r.movie)
+	s, err := server.New(server.Config{ID: "s1", Clock: r.clk, Network: r.net, Catalog: cat, Peers: []string{"s1"}, Flow: flow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Stop)
+	c, err := client.New(client.Config{ID: "c1", Clock: r.clk, Network: r.net, Servers: []string{"s1"}, Flow: flow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.Watch("feature"); err != nil {
+		t.Fatal(err)
+	}
+	r.clk.Advance(8 * time.Second)
+	lo, hi := marks.Capacity, 0
+	for range 80 {
+		r.clk.Advance(100 * time.Millisecond)
+		occ := c.Occupancy().CombinedFrames
+		lo, hi = min(lo, occ), max(hi, occ)
+	}
+	if lo < marks.LowWater || hi > marks.HighWater {
+		t.Errorf("combined occupancy ranged %d..%d frames, want within the half-size buffer's marks %d..%d",
+			lo, hi, marks.LowWater, marks.HighWater)
+	}
+	if n := c.Counters().OverflowDropped; n != 0 {
+		t.Errorf("%d overflow discards from a %d-frame buffer", n, marks.Capacity)
 	}
 }

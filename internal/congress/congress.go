@@ -38,9 +38,9 @@ const (
 	kindReply
 )
 
-// defaultTTL is the registration lifetime when none is given; registrants
-// refresh at a third of it.
-const defaultTTL = 3 * time.Second
+// registrationTTL is the lifetime a Registrar asks for; it refreshes at a
+// third of it.
+const registrationTTL = 3 * time.Second
 
 // Directory is the resolution daemon. Run one (or several, at different
 // well-known addresses) per deployment.
@@ -180,10 +180,8 @@ type Registrar struct {
 // NewRegistrar starts refreshing immediately. ep is the registrant's own
 // endpoint (typically a dedicated mux channel); addr is the address being
 // advertised (usually ep's own).
-func NewRegistrar(clk clock.Clock, ep transport.Endpoint, directory transport.Addr, group string, addr transport.Addr, ttl time.Duration) *Registrar {
-	if ttl <= 0 {
-		ttl = defaultTTL
-	}
+func NewRegistrar(clk clock.Clock, ep transport.Endpoint, directory transport.Addr, group string, addr transport.Addr) *Registrar {
+	const ttl = registrationTTL
 	send := func() {
 		pkt := make([]byte, 0, 64)
 		pkt = wire.AppendU8(pkt, kindRegister)

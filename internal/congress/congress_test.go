@@ -49,9 +49,9 @@ func TestRegisterAndResolve(t *testing.T) {
 	r := newRig(t)
 	ep1 := r.channelOf(t, "node-1")
 	ep2 := r.channelOf(t, "node-2")
-	reg1 := congress.NewRegistrar(r.clk, ep1, "directory", "vod.servers", "node-1", 0)
+	reg1 := congress.NewRegistrar(r.clk, ep1, "directory", "vod.servers", "node-1")
 	defer reg1.Stop()
-	reg2 := congress.NewRegistrar(r.clk, ep2, "directory", "vod.servers", "node-2", 0)
+	reg2 := congress.NewRegistrar(r.clk, ep2, "directory", "vod.servers", "node-2")
 	defer reg2.Stop()
 	r.clk.Advance(100 * time.Millisecond)
 
@@ -73,14 +73,14 @@ func TestRegisterAndResolve(t *testing.T) {
 func TestRegistrationExpires(t *testing.T) {
 	r := newRig(t)
 	ep := r.channelOf(t, "node-1")
-	reg := congress.NewRegistrar(r.clk, ep, "directory", "g", "node-1", 2*time.Second)
+	reg := congress.NewRegistrar(r.clk, ep, "directory", "g", "node-1")
 	r.clk.Advance(100 * time.Millisecond)
 	if got := r.dir.Members("g"); len(got) != 1 {
 		t.Fatalf("Members = %v", got)
 	}
 	// Stop refreshing: the entry must disappear after the TTL.
 	reg.Stop()
-	r.clk.Advance(3 * time.Second)
+	r.clk.Advance(4 * time.Second)
 	if got := r.dir.Members("g"); len(got) != 0 {
 		t.Fatalf("expired registration still resolves: %v", got)
 	}
@@ -89,7 +89,7 @@ func TestRegistrationExpires(t *testing.T) {
 func TestRefreshKeepsEntryAlive(t *testing.T) {
 	r := newRig(t)
 	ep := r.channelOf(t, "node-1")
-	reg := congress.NewRegistrar(r.clk, ep, "directory", "g", "node-1", 2*time.Second)
+	reg := congress.NewRegistrar(r.clk, ep, "directory", "g", "node-1")
 	defer reg.Stop()
 	r.clk.Advance(10 * time.Second) // many TTLs, with refreshes
 	if got := r.dir.Members("g"); len(got) != 1 {
@@ -130,7 +130,7 @@ func TestResolveRetriesUnderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep := transport.NewMux(raw).Channel(transport.ChannelDirectory)
-	reg := congress.NewRegistrar(clk, ep, "directory", "g", "node-1", 0)
+	reg := congress.NewRegistrar(clk, ep, "directory", "g", "node-1")
 	defer reg.Stop()
 	clk.Advance(3 * time.Second) // registrations retry via refresh
 

@@ -75,7 +75,9 @@ type DeployOptions struct {
 	// Directory, when set, is a CONGRESS directory address: servers
 	// register there and clients resolve the service through it.
 	Directory string
-	// Flow overrides the flow-control parameters (paper defaults if zero).
+	// Flow is the clients' buffer and flow control, which every server
+	// shares: a server ends an emergency burst at that buffer's high water
+	// mark (paper defaults if zero).
 	Flow flowctl.Params
 	// SyncInterval overrides the state-sync period (default 500ms).
 	SyncInterval time.Duration
@@ -301,8 +303,9 @@ func (d *Deployment) Peers() []string { return d.peers }
 // ClientConfig returns the configuration of a client of this deployment:
 // its contact list, directory and flow parameters, and — on a ring
 // deployment — lease mode with the ring ordering the Open anycast. It is
-// returned by value for the caller to adjust (Class, Buffer, a narrower
-// Servers) before NewClient.
+// returned by value for the caller to adjust (Class, a narrower Servers)
+// before NewClient. Its Flow is the deployment's, which the servers steer
+// by too.
 func (d *Deployment) ClientConfig(id string) ClientConfig {
 	return ClientConfig{
 		ID:        id,

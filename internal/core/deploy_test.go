@@ -308,6 +308,57 @@ func TestRestartRefetchesFromLivePeerFirst(t *testing.T) {
 	}
 }
 
+// TestRingRestartFetchesFromOwners: a title owner that comes back cold on an
+// 8-server ring has every one of its titles back within 2 s. It asks each
+// title's other ring owner first; walking the peers in contact order would
+// wait a second after every peer that does not hold the title.
+func TestRingRestartFetchesFromOwners(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	net := netsim.New(clk, 9, netsim.LAN())
+	var servers []string
+	for i := range 8 {
+		servers = append(servers, fmt.Sprintf("srv-%d", i))
+	}
+	var movies []*core.Movie
+	for i := range 6 {
+		movies = append(movies, core.GenerateMovie(fmt.Sprintf("title-%d", i), 5*time.Second, int64(i)))
+	}
+	regs := registries{}
+	d, err := core.Deploy(core.DeployOptions{
+		Clock: clk, Network: net, Servers: servers, Movies: movies,
+		Replicas: 2, Ring: true, Obs: regs.get,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	clk.Advance(2 * time.Second)
+
+	// The owner with the most titles, the first of them on a tie.
+	victim, held := "", 0
+	for _, id := range servers {
+		n := 0
+		for _, holders := range d.Placement {
+			if slices.Contains(holders, id) {
+				n++
+			}
+		}
+		if n > held {
+			victim, held = id, n
+		}
+	}
+	d.StopServer(victim)
+	net.Crash(transport.Addr(victim))
+	clk.Advance(3 * time.Second)
+	if err := d.RestartServer(victim); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(2 * time.Second)
+	if n := regs.counter(victim, "fetch.movies_fetched"); n != uint64(held) {
+		t.Fatalf("%s fetched %d of its %d titles within 2s of a cold restart", victim, n, held)
+	}
+}
+
 // closeLog is a Network whose endpoints record the order they are closed in.
 type closeLog struct {
 	transport.Network

@@ -10,52 +10,26 @@
 //     period without persisting long enough to overflow them.
 package flowctl
 
-import "fmt"
+import (
+	"fmt"
 
-// Params collects every tunable of the flow-control mechanism. The zero
-// value is not valid; use DefaultParams (the paper's prototype values) and
-// override as needed.
+	"repro/internal/buffer"
+)
+
+// Params are the three flow-control settings a deployment chooses: the
+// client's buffer and the two §4.1 choices. Every threshold is derived from
+// the buffer (MarksOf), so the two cannot disagree, and the rate band from
+// the stream's nominal rate (NewRateController). The zero value is not
+// valid; use DefaultParams (the paper's prototype values) and override as
+// needed.
 type Params struct {
-	// CombinedCapacity is the total client buffer space in frames
-	// (software + hardware ≈ 2.4 s of video).
-	CombinedCapacity int
-	// SoftwareCapacity is the software buffer's share, in frames. The
-	// emergency thresholds are fractions of it: the software buffer is
-	// the early-warning gauge — it drains first during an irregularity
-	// period while the decoder buffer is still being consumed.
-	SoftwareCapacity int
-	// LowWater and HighWater are combined-occupancy thresholds the
-	// policy keeps the buffers between (73% and 88% of capacity).
-	LowWater  int
-	HighWater int
-	// CriticalMinor and CriticalMajor are the §4.1 emergency thresholds
-	// on the software buffer occupancy (30% and 15% of its capacity):
-	// crossing them is what migrations, startup and seeks do.
-	CriticalMinor int
-	CriticalMajor int
-	// NormalEvery / UrgentEvery are the f_normal and f_urgent check
-	// frequencies, in received frames (8 and 4 in the prototype:
-	// "flow control messages are sent every 8 received frames, and
-	// otherwise the frequency is doubled").
-	NormalEvery int
-	UrgentEvery int
-	// EmergencyMinorQ / EmergencyMajorQ are the base emergency quantities
-	// in extra frames/s (6 and 12).
-	EmergencyMinorQ int
-	EmergencyMajorQ int
-	// EmergencyDecay is the per-second decay factor f ∈ (0,1) (0.8).
-	EmergencyDecay float64
-	// DefaultRate is the transmission rate used at session start,
-	// frames/s (the movie's nominal rate).
-	DefaultRate int
-	// MinRate / MaxRate clamp the granted base rate. The paper frames
-	// normal transmission as a CBR reservation at the nominal rate with
-	// a separate emergency VBR allowance (§4.1), so the base rate only
-	// drifts a little around nominal (±10% by default) — enough to track
-	// clock skew between sender and decoder; refilling after an
-	// irregularity is the emergency mechanism's job, not the base rate's.
-	MinRate int
-	MaxRate int
+	// Buffer sizes the client's two-level pipeline, and with it every
+	// threshold.
+	Buffer buffer.Config
+	// EmergencyQ is the major emergency quantity q in extra frames/s (12):
+	// what a dip below the major threshold is granted. A minor dip gets
+	// q/2.
+	EmergencyQ int
 	// PaperLockout restores §4.1's unconditional lockout: no ordinary
 	// request, not even a decrease from a full buffer, ends an emergency
 	// burst. Off by default (see RateController.OnRequest); Abl E sets it
@@ -63,51 +37,66 @@ type Params struct {
 	PaperLockout bool
 }
 
+// The settings the paper fixes and nothing varies.
+const (
+	// NormalEvery and UrgentEvery are the f_normal and f_urgent check
+	// frequencies, in received frames: "flow control messages are sent
+	// every 8 received frames, and otherwise the frequency is doubled".
+	NormalEvery = 8
+	UrgentEvery = 4
+	// EmergencyDecay is the per-second decay factor f of the emergency
+	// quantity.
+	EmergencyDecay = 0.8
+)
+
 // DefaultParams returns the paper's prototype parameter set for a
 // 1.4 Mbps / 30 fps stream with 2.4 s of client buffering. See DESIGN.md
 // §2 for the derivation of each value.
 func DefaultParams() Params {
-	const (
-		capacity = 74 // 37 software frames + ~37 frames of 240KB decoder
-		software = 37
-	)
-	return Params{
-		CombinedCapacity: capacity,
-		SoftwareCapacity: software,
-		LowWater:         capacity * 73 / 100, // 54 frames ≈ 1.7s
-		HighWater:        capacity * 88 / 100, // 65 frames
-		CriticalMinor:    software * 30 / 100, // 11 software frames
-		CriticalMajor:    software * 15 / 100, // 5 software frames
-		NormalEvery:      8,
-		UrgentEvery:      4,
-		EmergencyMinorQ:  6,
-		EmergencyMajorQ:  12,
-		EmergencyDecay:   0.8,
-		DefaultRate:      30,
-		MinRate:          27, // nominal −10%
-		MaxRate:          33, // nominal +10%
-	}
+	return Params{Buffer: buffer.DefaultConfig(), EmergencyQ: 12}
+}
+
+// marks are the thresholds, in frames, that a buffer implies.
+type marks struct {
+	// Capacity is the combined buffer space: the software frames plus the
+	// decoder's bytes at the mean frame size (≈ 2.4 s of video by default).
+	Capacity int
+	// LowWater and HighWater are combined-occupancy thresholds the
+	// policy keeps the buffers between (73% and 88% of capacity).
+	LowWater  int
+	HighWater int
+	// CriticalMinor and CriticalMajor are the §4.1 emergency thresholds
+	// on the software buffer occupancy (30% and 15% of its capacity).
+	// The software buffer is the early-warning gauge: it drains first
+	// during an irregularity period while the decoder buffer is still
+	// being consumed.
+	CriticalMinor int
+	CriticalMajor int
+}
+
+// MarksOf derives the paper's threshold fractions (73% / 88% of the
+// combined capacity, 30% / 15% of the software buffer) for a buffer. The
+// floors keep a tiny buffer's marks ordered.
+func MarksOf(buf buffer.Config) marks {
+	const meanFrame = 5833 // 1.4 Mbps / 8 / 30 fps
+	capacity := buf.SoftwareCapacity + buf.HardwareCapacityBytes/meanFrame
+	m := marks{Capacity: capacity}
+	m.LowWater = max(capacity*73/100, 4)
+	m.HighWater = max(capacity*88/100, m.LowWater+1)
+	m.CriticalMinor = max(buf.SoftwareCapacity*30/100, 2)
+	m.CriticalMajor = min(max(buf.SoftwareCapacity*15/100, 1), m.CriticalMinor)
+	return m
 }
 
 // Validate reports the first inconsistency in the parameter set.
 func (p Params) Validate() error {
-	switch {
-	case p.CombinedCapacity <= 0:
-		return fmt.Errorf("flowctl: CombinedCapacity %d", p.CombinedCapacity)
-	case p.SoftwareCapacity <= 0 || p.SoftwareCapacity > p.CombinedCapacity:
-		return fmt.Errorf("flowctl: SoftwareCapacity %d of %d", p.SoftwareCapacity, p.CombinedCapacity)
-	case !(0 < p.CriticalMajor && p.CriticalMajor <= p.CriticalMinor && p.CriticalMinor <= p.SoftwareCapacity):
-		return fmt.Errorf("flowctl: critical thresholds %d/%d", p.CriticalMajor, p.CriticalMinor)
-	case !(p.LowWater < p.HighWater && p.HighWater <= p.CombinedCapacity && p.LowWater > 0):
-		return fmt.Errorf("flowctl: water marks %d/%d of %d", p.LowWater, p.HighWater, p.CombinedCapacity)
-	case p.NormalEvery <= 0 || p.UrgentEvery <= 0 || p.UrgentEvery > p.NormalEvery:
-		return fmt.Errorf("flowctl: check frequencies %d/%d", p.NormalEvery, p.UrgentEvery)
-	case p.EmergencyDecay <= 0 || p.EmergencyDecay >= 1:
-		return fmt.Errorf("flowctl: decay %v outside (0,1)", p.EmergencyDecay)
-	case p.EmergencyMinorQ < 0 || p.EmergencyMajorQ < p.EmergencyMinorQ:
-		return fmt.Errorf("flowctl: emergency quantities %d/%d", p.EmergencyMinorQ, p.EmergencyMajorQ)
-	case p.MinRate <= 0 || p.MinRate > p.DefaultRate || p.MaxRate < p.DefaultRate:
-		return fmt.Errorf("flowctl: rates default=%d min=%d max=%d", p.DefaultRate, p.MinRate, p.MaxRate)
+	switch m := MarksOf(p.Buffer); {
+	case p.Buffer.SoftwareCapacity <= 0 || p.Buffer.HardwareCapacityBytes <= 0:
+		return fmt.Errorf("flowctl: buffer %d frames + %d bytes", p.Buffer.SoftwareCapacity, p.Buffer.HardwareCapacityBytes)
+	case m.HighWater > m.Capacity || m.CriticalMinor > p.Buffer.SoftwareCapacity:
+		return fmt.Errorf("flowctl: buffer of %d frames (%d software) too small for its marks", m.Capacity, p.Buffer.SoftwareCapacity)
+	case p.EmergencyQ < 0:
+		return fmt.Errorf("flowctl: emergency quantity %d", p.EmergencyQ)
 	}
 	return nil
 }

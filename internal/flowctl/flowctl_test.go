@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/buffer"
 	"repro/internal/wire"
 )
 
@@ -12,24 +13,31 @@ func TestDefaultParamsMatchPaper(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// §4.2 / §6: 2.4s of buffering, low water 73%, high water 88%.
-	if p.CombinedCapacity != 74 {
-		t.Fatalf("capacity = %d, want 74 frames (2.4s at 30fps)", p.CombinedCapacity)
+	// §4.2 / §6: 37 software frames and ≈ 1.2 s of decoder buffer (its
+	// marks are pinned by TestMarksOfBuffer); §4.1: q = 12.
+	if p != (Params{Buffer: buffer.Config{SoftwareCapacity: 37, HardwareCapacityBytes: 216_000}, EmergencyQ: 12}) {
+		t.Fatalf("DefaultParams = %+v, want 37 frames + 216,000 B, q = 12 and no lockout", p)
 	}
-	if p.LowWater != 54 {
-		t.Fatalf("low water = %d, want 54 (73%%)", p.LowWater)
+	if NormalEvery != 8 || UrgentEvery != 4 {
+		t.Fatalf("frequencies = %d/%d, want 8/4", NormalEvery, UrgentEvery)
 	}
-	if p.HighWater != 65 {
-		t.Fatalf("high water = %d, want 65 (88%%)", p.HighWater)
-	}
-	if p.SoftwareCapacity != 37 {
-		t.Fatalf("software capacity = %d, want 37 frames", p.SoftwareCapacity)
-	}
-	if p.CriticalMinor != 11 || p.CriticalMajor != 5 {
-		t.Fatalf("critical thresholds = %d/%d, want 11/5 (30%%/15%% of the software buffer)", p.CriticalMinor, p.CriticalMajor)
-	}
-	if p.NormalEvery != 8 || p.UrgentEvery != 4 {
-		t.Fatalf("frequencies = %d/%d, want 8/4", p.NormalEvery, p.UrgentEvery)
+}
+
+// TestMarksOfBuffer pins the derivation on the two buffers the evaluation
+// runs. The paper's gives 2.4 s of buffering at 30 fps, water marks at 73%
+// and 88% of it and emergencies at 30% and 15% of the software buffer
+// (§4.1, §4.2, §6); Abl D's is half of it.
+func TestMarksOfBuffer(t *testing.T) {
+	for _, c := range []struct {
+		buf  buffer.Config
+		want marks
+	}{
+		{buffer.Config{SoftwareCapacity: 37, HardwareCapacityBytes: 216_000}, marks{Capacity: 74, LowWater: 54, HighWater: 65, CriticalMinor: 11, CriticalMajor: 5}},
+		{buffer.Config{SoftwareCapacity: 18, HardwareCapacityBytes: 108_000}, marks{Capacity: 36, LowWater: 26, HighWater: 31, CriticalMinor: 5, CriticalMajor: 2}},
+	} {
+		if got := MarksOf(c.buf); got != c.want {
+			t.Errorf("MarksOf(%d frames + %d B) = %+v, want %+v", c.buf.SoftwareCapacity, c.buf.HardwareCapacityBytes, got, c.want)
+		}
 	}
 }
 
@@ -51,28 +59,19 @@ func TestEmergencyTotalMatchesPaper(t *testing.T) {
 func TestEmergencyBandwidthBound(t *testing.T) {
 	// The emergency boost must stay ≤ 40% of the mean bandwidth (§4.1):
 	// q=12 extra frames/s on a 30 fps stream.
-	p := DefaultParams()
-	if frac := float64(p.EmergencyMajorQ) / float64(p.DefaultRate); frac > 0.40 {
+	if frac := float64(DefaultParams().EmergencyQ) / 30; frac > 0.40 {
 		t.Fatalf("emergency boost is %.0f%% of mean bandwidth, paper bound is 40%%", frac*100)
 	}
 }
 
 func TestValidateRejectsBadParams(t *testing.T) {
 	mutations := []func(*Params){
-		func(p *Params) { p.CombinedCapacity = 0 },
-		func(p *Params) { p.CriticalMajor = 0 },
-		func(p *Params) { p.CriticalMajor = p.CriticalMinor + 1 },
-		func(p *Params) { p.SoftwareCapacity = 0 },
-		func(p *Params) { p.SoftwareCapacity = p.CombinedCapacity + 1 },
-		func(p *Params) { p.CriticalMinor = p.SoftwareCapacity + 1 },
-		func(p *Params) { p.LowWater = p.HighWater },
-		func(p *Params) { p.HighWater = p.CombinedCapacity + 1 },
-		func(p *Params) { p.UrgentEvery = p.NormalEvery + 1 },
-		func(p *Params) { p.EmergencyDecay = 1.0 },
-		func(p *Params) { p.EmergencyDecay = 0 },
-		func(p *Params) { p.EmergencyMajorQ = p.EmergencyMinorQ - 1 },
-		func(p *Params) { p.MaxRate = p.DefaultRate - 1 },
-		func(p *Params) { p.MinRate = p.DefaultRate + 1 },
+		func(p *Params) { p.Buffer = buffer.Config{} },
+		func(p *Params) { p.Buffer.SoftwareCapacity = 0 },
+		func(p *Params) { p.Buffer.HardwareCapacityBytes = 0 },
+		func(p *Params) { p.Buffer.SoftwareCapacity = 1 },                                           // critical minor above the software buffer
+		func(p *Params) { p.Buffer = buffer.Config{SoftwareCapacity: 4, HardwareCapacityBytes: 1} }, // high water above capacity
+		func(p *Params) { p.EmergencyQ = -1 },
 	}
 	for i, mut := range mutations {
 		p := DefaultParams()
@@ -202,7 +201,7 @@ func TestPolicyMinorVsMajorEmergency(t *testing.T) {
 }
 
 func TestRateControllerBasics(t *testing.T) {
-	r := NewRateController(DefaultParams())
+	r := NewRateController(DefaultParams(), 30)
 	if r.Rate() != 30 {
 		t.Fatalf("initial rate = %d, want 30", r.Rate())
 	}
@@ -217,26 +216,28 @@ func TestRateControllerBasics(t *testing.T) {
 	}
 }
 
+// TestRateControllerClamps: requests move the base rate within ±10% of the
+// nominal rate it was started at.
 func TestRateControllerClamps(t *testing.T) {
-	p := DefaultParams()
-	p.MinRate, p.MaxRate = 28, 32
-	r := NewRateController(p)
-	for i := 0; i < 10; i++ {
-		r.OnRequest(wire.FlowIncrease, 0)
-	}
-	if r.Rate() != 32 {
-		t.Fatalf("rate exceeded max: %d", r.Rate())
-	}
-	for i := 0; i < 10; i++ {
-		r.OnRequest(wire.FlowDecrease, 0)
-	}
-	if r.Rate() != 28 {
-		t.Fatalf("rate fell below min: %d", r.Rate())
+	for _, c := range []struct{ fps, lo, hi int }{{30, 27, 33}, {20, 18, 22}} {
+		r := NewRateController(DefaultParams(), c.fps)
+		for i := 0; i < 10; i++ {
+			r.OnRequest(wire.FlowIncrease, 0)
+		}
+		if r.Rate() != c.hi {
+			t.Fatalf("%d fps: rate after increases = %d, want the max %d", c.fps, r.Rate(), c.hi)
+		}
+		for i := 0; i < 10; i++ {
+			r.OnRequest(wire.FlowDecrease, 0)
+		}
+		if r.Rate() != c.lo {
+			t.Fatalf("%d fps: rate after decreases = %d, want the min %d", c.fps, r.Rate(), c.lo)
+		}
 	}
 }
 
 func TestRateControllerEmergencySequence(t *testing.T) {
-	r := NewRateController(DefaultParams())
+	r := NewRateController(DefaultParams(), 30)
 	r.OnRequest(wire.FlowEmergencyMajor, 0)
 	// §4.1: the boost decays by iterated truncation 12, 9, 7, 5, 4, 3,
 	// 2, 1, 0 — totalling 43 extra frames.
@@ -255,7 +256,7 @@ func TestRateControllerEmergencySequence(t *testing.T) {
 }
 
 func TestRateControllerIgnoresRequestsDuringEmergency(t *testing.T) {
-	r := NewRateController(DefaultParams())
+	r := NewRateController(DefaultParams(), 30)
 	r.OnRequest(wire.FlowEmergencyMinor, 0)
 	if !r.EmergencyActive() {
 		t.Fatal("emergency not active")
@@ -284,49 +285,51 @@ func TestRateControllerIgnoresRequestsDuringEmergency(t *testing.T) {
 // PaperLockout restores the unconditional lockout. The base rate is never
 // moved by a request that arrives during a burst.
 func TestRateControllerFullBufferEndsBurst(t *testing.T) {
+	const fps = 30
 	p := DefaultParams()
+	m := MarksOf(p.Buffer)
 	burst := func(p Params) *RateController {
-		r := NewRateController(p)
+		r := NewRateController(p, fps)
 		r.OnRequest(wire.FlowEmergencyMajor, 0)
 		return r
 	}
 
 	r := burst(p)
-	r.OnRequest(wire.FlowDecrease, p.HighWater-1)
+	r.OnRequest(wire.FlowDecrease, m.HighWater-1)
 	if !r.EmergencyActive() {
 		t.Fatal("a decrease below the high water mark ended the burst")
 	}
-	r.OnRequest(wire.FlowIncrease, p.CombinedCapacity)
-	if !r.EmergencyActive() || r.Base() != p.DefaultRate {
+	r.OnRequest(wire.FlowIncrease, m.Capacity)
+	if !r.EmergencyActive() || r.Base() != fps {
 		t.Fatalf("an increase during the burst was applied: active=%v base=%d", r.EmergencyActive(), r.Base())
 	}
-	r.OnRequest(wire.FlowDecrease, p.HighWater)
-	if r.EmergencyActive() || r.Rate() != p.DefaultRate {
+	r.OnRequest(wire.FlowDecrease, m.HighWater)
+	if r.EmergencyActive() || r.Rate() != fps {
 		t.Fatalf("a decrease at the high water mark left active=%v rate=%d, want the burst over at %d",
-			r.EmergencyActive(), r.Rate(), p.DefaultRate)
+			r.EmergencyActive(), r.Rate(), fps)
 	}
 
 	p.PaperLockout = true
 	r = burst(p)
-	r.OnRequest(wire.FlowDecrease, p.CombinedCapacity)
-	if !r.EmergencyActive() || r.Rate() != p.DefaultRate+p.EmergencyMajorQ {
+	r.OnRequest(wire.FlowDecrease, m.Capacity)
+	if !r.EmergencyActive() || r.Rate() != fps+p.EmergencyQ {
 		t.Fatalf("under PaperLockout a decrease at full occupancy left active=%v rate=%d",
 			r.EmergencyActive(), r.Rate())
 	}
 }
 
 func TestRateControllerSetBase(t *testing.T) {
-	r := NewRateController(DefaultParams())
+	r := NewRateController(DefaultParams(), 30)
 	r.SetBase(28)
 	if r.Base() != 28 {
 		t.Fatalf("SetBase: %d", r.Base())
 	}
 	r.SetBase(1000)
-	if r.Base() != DefaultParams().MaxRate {
+	if r.Base() != 33 {
 		t.Fatalf("SetBase did not clamp above: %d", r.Base())
 	}
 	r.SetBase(1)
-	if r.Base() != DefaultParams().MinRate {
+	if r.Base() != 27 {
 		t.Fatalf("SetBase did not clamp below: %d", r.Base())
 	}
 }
@@ -353,9 +356,8 @@ func TestEmergencyDecayConvergesProperty(t *testing.T) {
 // request within UrgentEvery frames — the control loop cannot stall.
 func TestPolicyNeverSilentWhenOutsideWaterMarks(t *testing.T) {
 	prop := func(seed int64) bool {
-		p := DefaultParams()
-		f := NewPolicy(p)
-		occ := int(seed % int64(p.LowWater-1))
+		f := NewPolicy(DefaultParams())
+		occ := int(seed % int64(MarksOf(DefaultParams().Buffer).LowWater-1))
 		if occ < 0 {
 			occ = -occ
 		}
@@ -367,7 +369,7 @@ func TestPolicyNeverSilentWhenOutsideWaterMarks(t *testing.T) {
 			} else {
 				silent++
 			}
-			if silent > p.UrgentEvery {
+			if silent > UrgentEvery {
 				return false
 			}
 		}
@@ -392,8 +394,9 @@ func BenchmarkPolicyOnFrame(b *testing.B) {
 // defining property of §4's design.
 func TestClosedLoopConvergence(t *testing.T) {
 	p := DefaultParams()
+	m := MarksOf(p.Buffer)
 	pol := NewPolicy(p)
-	rc := NewRateController(p)
+	rc := NewRateController(p, 30)
 
 	combined := 0
 	displayedCredit := 0.0
@@ -406,7 +409,7 @@ func TestClosedLoopConvergence(t *testing.T) {
 		arrivalCredit += float64(rc.Rate()) / 100
 		for arrivalCredit >= 1 {
 			arrivalCredit--
-			if combined < p.CombinedCapacity {
+			if combined < m.Capacity {
 				combined++
 			}
 			sw := combined - 37 // software share once the decoder is full
@@ -425,7 +428,7 @@ func TestClosedLoopConvergence(t *testing.T) {
 			}
 		}
 		if tick > 30*100 { // after convergence time
-			if combined >= p.LowWater && combined < p.HighWater {
+			if combined >= m.LowWater && combined < m.HighWater {
 				inBand++
 			}
 		}

@@ -21,6 +21,9 @@ import (
 // loopDelay is the one-way latency of frames and of requests.
 const loopDelay = 5 * time.Millisecond
 
+// loopFPS is the stream's nominal rate, at which the display drains.
+const loopFPS = 30
+
 // loopGOP is the stream's class pattern, with sizes that average about
 // 5.7 KB a frame, so the default decoder buffer holds about 38 frames.
 const loopGOP = "IBBPBBPBBPBB"
@@ -59,17 +62,17 @@ func newLoop(p Params) *loop {
 	l := &loop{
 		p:   p,
 		clk: clock.NewVirtual(time.Unix(0, 0)),
-		buf: buffer.New(buffer.DefaultConfig()),
+		buf: buffer.New(p.Buffer),
 		pol: NewPolicy(p),
 	}
-	period := time.Second / time.Duration(p.DefaultRate)
+	period := time.Second / loopFPS
 	var display func()
 	display = func() {
 		l.buf.Tick()
 		l.clk.Schedule(period, display)
 	}
 	l.clk.Schedule(period, display)
-	l.serve(&loopServer{rc: NewRateController(p)})
+	l.serve(&loopServer{rc: NewRateController(p, loopFPS)})
 	return l
 }
 
@@ -103,7 +106,7 @@ func (l *loop) serve(s *loopServer) {
 func (l *loop) receive(f buffer.FrameMeta) {
 	l.buf.Insert(f)
 	occ := l.buf.Occupancy()
-	if !l.refilled && occ.CombinedFrames >= l.p.LowWater {
+	if !l.refilled && occ.CombinedFrames >= MarksOf(l.p.Buffer).LowWater {
 		l.refilled, l.stallsAtRef = true, l.buf.Counters().Stalls
 	}
 	k, ok := l.pol.OnFrame(occ.CombinedFrames, occ.SoftwareFrames)
@@ -126,7 +129,7 @@ func (l *loop) takeover(outage time.Duration, stale uint32) {
 	old.dead = true
 	l.srv = nil
 	l.clk.Schedule(outage, func() {
-		s := &loopServer{rc: NewRateController(l.p), next: old.next - min(stale, old.next)}
+		s := &loopServer{rc: NewRateController(l.p, loopFPS), next: old.next - min(stale, old.next)}
 		s.rc.SetBase(old.rc.Base())
 		l.serve(s)
 	})
@@ -163,8 +166,8 @@ func loopViolations(p Params) []string {
 	for _, stale := range []uint32{0, 15} {
 		for g := time.Duration(0); g <= 2*time.Second; g += 10 * time.Millisecond {
 			o := runLoop(p, g, stale)
-			bufferedTime := time.Duration(o.buffered) * time.Second / time.Duration(p.DefaultRate)
-			bridge := g + time.Duration(stale)*time.Second/time.Duration(p.DefaultRate)
+			bufferedTime := time.Duration(o.buffered) * time.Second / loopFPS
+			bridge := g + time.Duration(stale)*time.Second/loopFPS
 			if o.overflow != 0 || (o.stall != 0 && bridge < bufferedTime) {
 				bad = append(bad, fmt.Sprintf("outage %v, %d stale (buffered %v): %d overflow discards, %d stalls",
 					g, stale, bufferedTime, o.overflow, o.stall))

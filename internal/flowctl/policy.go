@@ -20,7 +20,7 @@ const (
 // it). Policy is not safe for concurrent use; the client drives it from
 // its single event context.
 type Policy struct {
-	p Params
+	m marks
 
 	sinceLast int // frames received since the last request was emitted
 	prevOcc   int // combined occupancy when the previous request was emitted
@@ -48,7 +48,7 @@ func NewPolicy(p Params) *Policy {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Policy{p: p, emergencyArmed: true}
+	return &Policy{m: MarksOf(p.Buffer), emergencyArmed: true}
 }
 
 // Reset reinitializes the policy in place to the state NewPolicy would
@@ -58,18 +58,18 @@ func (f *Policy) Reset(p Params) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	*f = Policy{p: p, emergencyArmed: true}
+	*f = Policy{m: MarksOf(p.Buffer), emergencyArmed: true}
 }
 
 func (f *Policy) zoneOf(combined, software int) zone {
 	switch {
-	case software < f.p.CriticalMajor:
+	case software < f.m.CriticalMajor:
 		return zoneEmergencyMajor
-	case software < f.p.CriticalMinor:
+	case software < f.m.CriticalMinor:
 		return zoneEmergencyMinor
-	case combined < f.p.LowWater:
+	case combined < f.m.LowWater:
 		return zoneBelowLow
-	case combined < f.p.HighWater:
+	case combined < f.m.HighWater:
 		return zoneBetween
 	default:
 		return zoneAboveHigh
@@ -96,9 +96,9 @@ func (f *Policy) OnFrame(combined, software int) (wire.FlowKind, bool) {
 		}
 	}
 
-	every := f.p.UrgentEvery
+	every := UrgentEvery
 	if z == zoneBetween {
-		every = f.p.NormalEvery
+		every = NormalEvery
 	}
 	if f.sinceLast < every {
 		// Emergencies preempt the cadence on the downward edge: the

@@ -11,17 +11,33 @@ import "repro/internal/wire"
 // RateController is not safe for concurrent use; the server serializes
 // access per client.
 type RateController struct {
-	p         Params
 	base      int // granted steady-state rate, frames/s
 	emergency int // extra frames/s, decaying
+	minRate   int // the base rate's band: nominal ±10%
+	maxRate   int
+	highWater int // combined occupancy at which a decrease ends a burst
+	q         int // major emergency quantity; a minor one gets q/2
+	lockout   bool
 }
 
-// NewRateController starts at the parameter set's default rate.
-func NewRateController(p Params) *RateController {
+// NewRateController starts at the stream's nominal rate fps. The paper
+// frames normal transmission as a CBR reservation at the nominal rate with
+// a separate emergency VBR allowance (§4.1), so the base rate only drifts
+// within ±10% of fps — enough to track clock skew between sender and
+// decoder; refilling after an irregularity is the emergency mechanism's
+// job, not the base rate's.
+func NewRateController(p Params, fps int) *RateController {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &RateController{p: p, base: p.DefaultRate}
+	return &RateController{
+		base:      fps,
+		minRate:   fps - fps/10,
+		maxRate:   fps + fps/10,
+		highWater: MarksOf(p.Buffer).HighWater,
+		q:         p.EmergencyQ,
+		lockout:   p.PaperLockout,
+	}
 }
 
 // Rate returns the current transmission rate in frames/s: the base rate
@@ -42,24 +58,24 @@ func (r *RateController) EmergencyActive() bool { return r.emergency > 0 }
 func (r *RateController) OnRequest(k wire.FlowKind, occupancy int) {
 	switch k {
 	case wire.FlowEmergencyMajor:
-		r.boost(r.p.EmergencyMajorQ)
+		r.boost(r.q)
 	case wire.FlowEmergencyMinor:
-		r.boost(r.p.EmergencyMinorQ)
+		r.boost(r.q / 2)
 	case wire.FlowIncrease:
 		if r.emergency > 0 {
 			return // §4.1: ignore ordinary requests during an emergency
 		}
-		if r.base < r.p.MaxRate {
+		if r.base < r.maxRate {
 			r.base++
 		}
 	case wire.FlowDecrease:
 		if r.emergency > 0 {
-			if !r.p.PaperLockout && occupancy >= r.p.HighWater {
+			if !r.lockout && occupancy >= r.highWater {
 				r.emergency = 0
 			}
 			return
 		}
-		if r.base > r.p.MinRate {
+		if r.base > r.minRate {
 			r.base--
 		}
 	}
@@ -78,7 +94,7 @@ func (r *RateController) boost(q int) {
 // (q=12) and ~15 (q=6) extra frames.
 func (r *RateController) DecayTick() {
 	if r.emergency > 0 {
-		r.emergency = int(float64(r.emergency) * r.p.EmergencyDecay)
+		r.emergency = int(float64(r.emergency) * EmergencyDecay)
 	}
 }
 
@@ -86,11 +102,11 @@ func (r *RateController) DecayTick() {
 // migrated client and resumes at "the offset and transmission rate that
 // were last heard from the previous server" (§5.2).
 func (r *RateController) SetBase(rate int) {
-	if rate < r.p.MinRate {
-		rate = r.p.MinRate
+	if rate < r.minRate {
+		rate = r.minRate
 	}
-	if rate > r.p.MaxRate {
-		rate = r.p.MaxRate
+	if rate > r.maxRate {
+		rate = r.maxRate
 	}
 	r.base = rate
 }

@@ -5,14 +5,13 @@ import (
 	"time"
 )
 
-// ShaperParams configures a token-bucket egress shaper.
+// ShaperParams configures a token-bucket egress shaper. The bucket is a
+// quarter second of Rate deep (at least one token): that is how many tokens
+// may accumulate while the egress is idle, and therefore how large a
+// back-to-back burst can be.
 type ShaperParams struct {
 	// Rate is the sustained egress budget in tokens (bytes) per second.
 	Rate int64
-	// Burst is the bucket depth: how many tokens may accumulate while the
-	// egress is idle, and therefore how large a back-to-back burst can be.
-	// Zero defaults to a quarter second of Rate.
-	Burst int64
 }
 
 // Validate reports whether the parameters are usable.
@@ -20,12 +19,9 @@ func (p ShaperParams) Validate() error {
 	if p.Rate <= 0 {
 		return fmt.Errorf("flowctl: shaper rate %d must be positive", p.Rate)
 	}
-	if p.Burst < 0 {
-		return fmt.Errorf("flowctl: shaper burst %d must be non-negative", p.Burst)
-	}
-	const maxBurst = 1 << 30
-	if p.Burst > maxBurst || p.Rate > maxBurst {
-		return fmt.Errorf("flowctl: shaper rate/burst above %d not supported", maxBurst)
+	const maxRate = 1 << 30
+	if p.Rate > maxRate {
+		return fmt.Errorf("flowctl: shaper rate above %d not supported", maxRate)
 	}
 	return nil
 }
@@ -60,13 +56,8 @@ func NewShaper(now func() time.Time, p ShaperParams) *Shaper {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	if p.Burst == 0 {
-		p.Burst = p.Rate / 4
-		if p.Burst == 0 {
-			p.Burst = 1
-		}
-	}
-	return &Shaper{now: now, rate: p.Rate, burst: p.Burst, tokens: p.Burst, last: now()}
+	burst := max(p.Rate/4, 1)
+	return &Shaper{now: now, rate: p.Rate, burst: burst, tokens: burst, last: now()}
 }
 
 // refill credits tokens for the time elapsed since the cursor.

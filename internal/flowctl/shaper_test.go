@@ -23,7 +23,7 @@ func newTestShaper(c *manualClock, p ShaperParams) *Shaper { return NewShaper(c.
 
 func TestShaperStartsFull(t *testing.T) {
 	c := newManualClock()
-	s := newTestShaper(c, ShaperParams{Rate: 1000, Burst: 250})
+	s := newTestShaper(c, ShaperParams{Rate: 1000})
 	if got := s.level(); got != 250 {
 		t.Fatalf("fresh bucket = %d tokens, want 250", got)
 	}
@@ -34,14 +34,14 @@ func TestShaperStartsFull(t *testing.T) {
 
 func TestShaperRefillRate(t *testing.T) {
 	c := newManualClock()
-	s := newTestShaper(c, ShaperParams{Rate: 1000, Burst: 1000})
-	s.TakeReserved(1000) // drain to zero
+	s := newTestShaper(c, ShaperParams{Rate: 4000}) // a 1000-token bucket
+	s.TakeReserved(1000)                            // drain to zero
 	if got := s.level(); got != 0 {
 		t.Fatalf("after drain = %d, want 0", got)
 	}
 	c.advance(100 * time.Millisecond)
-	if got := s.level(); got != 100 {
-		t.Fatalf("after 100ms at 1000/s = %d tokens, want 100", got)
+	if got := s.level(); got != 400 {
+		t.Fatalf("after 100ms at 4000/s = %d tokens, want 400", got)
 	}
 	c.advance(10 * time.Second) // idle far past full: caps at burst
 	if got := s.level(); got != 1000 {
@@ -49,25 +49,25 @@ func TestShaperRefillRate(t *testing.T) {
 	}
 }
 
-// TestShaperRemainderCarry pins the sub-token carry: at 3 tokens/s, three
-// 333ms steps credit 0+0+1 naively, but the cursor arithmetic must make one
-// full second yield exactly 3 tokens regardless of step size.
+// TestShaperRemainderCarry pins the sub-token carry: at 50 tokens/s a 10ms
+// step credits half a token, 0 naively, but the cursor arithmetic must make
+// 200ms yield exactly 10 tokens regardless of step size.
 func TestShaperRemainderCarry(t *testing.T) {
 	c := newManualClock()
-	s := newTestShaper(c, ShaperParams{Rate: 3, Burst: 30})
-	s.TakeReserved(30)
-	for i := 0; i < 30; i++ {
-		c.advance(100 * time.Millisecond)
+	s := newTestShaper(c, ShaperParams{Rate: 50}) // a 12-token bucket
+	s.TakeReserved(12)
+	for i := 0; i < 20; i++ {
+		c.advance(10 * time.Millisecond)
 		s.level() // force refill at each step
 	}
-	if got := s.level(); got != 9 {
-		t.Fatalf("3 tokens/s for 3s in 100ms steps = %d tokens, want 9", got)
+	if got := s.level(); got != 10 {
+		t.Fatalf("50 tokens/s for 200ms in 10ms steps = %d tokens, want 10", got)
 	}
 }
 
 func TestShaperReservedOverdraft(t *testing.T) {
 	c := newManualClock()
-	s := newTestShaper(c, ShaperParams{Rate: 1000, Burst: 500})
+	s := newTestShaper(c, ShaperParams{Rate: 2000}) // a 500-token bucket
 	for i := 0; i < 10; i++ {
 		s.TakeReserved(1000) // reserved never blocks
 	}
@@ -77,9 +77,9 @@ func TestShaperReservedOverdraft(t *testing.T) {
 	if s.TakeBestEffort(1) {
 		t.Fatal("best effort proceeded while bucket in debt")
 	}
-	// Debt is bounded at one burst, so half a second of refill plus the
+	// Debt is bounded at one burst, so a quarter second of refill plus the
 	// time to get positive again bounds the best-effort lockout.
-	c.advance(501 * time.Millisecond)
+	c.advance(251 * time.Millisecond)
 	if !s.TakeBestEffort(1) {
 		t.Fatalf("best effort still blocked after refill; tokens=%d", s.level())
 	}
@@ -87,7 +87,7 @@ func TestShaperReservedOverdraft(t *testing.T) {
 
 func TestShaperBestEffortYields(t *testing.T) {
 	c := newManualClock()
-	s := newTestShaper(c, ShaperParams{Rate: 1000, Burst: 400})
+	s := newTestShaper(c, ShaperParams{Rate: 1600}) // a 400-token bucket
 	if !s.TakeBestEffort(400) {
 		t.Fatal("best effort blocked on a full bucket")
 	}
@@ -97,7 +97,7 @@ func TestShaperBestEffortYields(t *testing.T) {
 	if !s.UnderPressure() {
 		t.Fatal("empty bucket does not report pressure")
 	}
-	c.advance(150 * time.Millisecond) // 150 tokens: above burst/4 = 100
+	c.advance(75 * time.Millisecond) // 120 tokens: above burst/4 = 100
 	if s.UnderPressure() {
 		t.Fatalf("pressure still reported at %d/%d tokens", s.level(), s.burst)
 	}
@@ -107,7 +107,10 @@ func TestShaperDefaultBurst(t *testing.T) {
 	c := newManualClock()
 	s := newTestShaper(c, ShaperParams{Rate: 1000})
 	if got := s.burst; got != 250 {
-		t.Fatalf("default burst = %d, want rate/4 = 250", got)
+		t.Fatalf("burst = %d, want rate/4 = 250", got)
+	}
+	if got := newTestShaper(c, ShaperParams{Rate: 3}).burst; got != 1 {
+		t.Fatalf("burst at 3 tokens/s = %d, want the one-token floor", got)
 	}
 }
 
@@ -121,7 +124,7 @@ func TestShaperParamsValidate(t *testing.T) {
 	if err := (ShaperParams{Rate: 1 << 40}).Validate(); err == nil {
 		t.Fatal("huge rate validated")
 	}
-	if err := (ShaperParams{Rate: 1000, Burst: 100}).Validate(); err != nil {
+	if err := (ShaperParams{Rate: 1000}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -130,7 +133,7 @@ func TestShaperParamsValidate(t *testing.T) {
 // the per-frame egress path, which is pinned allocation-free end to end.
 func TestAllocsShaper(t *testing.T) {
 	c := newManualClock()
-	s := newTestShaper(c, ShaperParams{Rate: 1_000_000, Burst: 250_000})
+	s := newTestShaper(c, ShaperParams{Rate: 1_000_000})
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.advance(time.Millisecond)
 		s.TakeReserved(1400)

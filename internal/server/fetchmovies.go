@@ -9,11 +9,11 @@ import (
 )
 
 // fetchNext replicates the missing movies one at a time, trying each peer
-// of s.fetchOrder in turn, and starts serving each movie the moment it
-// lands (joining its movie group, with contacts, triggers the usual
-// knowledge exchange and redistribution, so the fresh server immediately
-// absorbs load — §7's "new server brought up without any special
-// preparations").
+// of s.fetchOrder in turn — on a ring, the movie's other owners first — and
+// starts serving each movie the moment it lands (joining its movie group,
+// with the contacts Start would give it, triggers the usual knowledge
+// exchange and redistribution, so the fresh server immediately absorbs
+// load — §7's "new server brought up without any special preparations").
 func (s *Server) fetchNext(missing []string, contacts []gcs.ProcessID, peerIdx int) {
 	s.mu.Lock()
 	peers := s.fetchOrder
@@ -28,6 +28,7 @@ func (s *Server) fetchNext(missing []string, contacts []gcs.ProcessID, peerIdx i
 		s.later(func() { s.fetchNext(missing[1:], contacts, 0) })
 		return
 	}
+	peers = s.ownersFirst(movieID, peers)
 	peer := peers[peerIdx%len(peers)]
 	err := s.fetcher.Fetch(movieID, peer, func(m *mpeg.Movie, err error) {
 		if err != nil {
@@ -42,7 +43,7 @@ func (s *Server) fetchNext(missing []string, contacts []gcs.ProcessID, peerIdx i
 		s.cfg.Catalog.Add(m)
 		// Joining the movie group may race a concurrent shutdown; a
 		// failure here only means the movie sits in the catalog unserved.
-		_ = s.serveMovie(movieID, contacts)
+		_ = s.serveMovie(movieID, s.movieContacts(movieID, contacts))
 		s.later(func() { s.fetchNext(missing[1:], contacts, 0) })
 	})
 	if err != nil {
@@ -52,6 +53,26 @@ func (s *Server) fetchNext(missing []string, contacts []gcs.ProcessID, peerIdx i
 			s.fetchNext(missing, contacts, peerIdx)
 		})
 	}
+}
+
+// ownersFirst reorders peers so that, on a ring, movieID's other owners —
+// the peers that hold it — come first, each group in its order in peers.
+// Any other peer answers not-found, and each wrong guess costs a second.
+// Without a ring, or off the movie's arc, peers is returned as is.
+func (s *Server) ownersFirst(movieID string, peers []gcs.ProcessID) []gcs.ProcessID {
+	owners := s.movieContacts(movieID, nil)
+	if len(owners) == 0 {
+		return peers
+	}
+	out := make([]gcs.ProcessID, 0, len(peers))
+	for _, owner := range []bool{true, false} {
+		for _, p := range peers {
+			if slices.Contains(owners, p) == owner {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
 }
 
 // onServerView puts the peers of a server-group view at the head of the

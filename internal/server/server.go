@@ -85,7 +85,9 @@ type Config struct {
 	// Replicas is the number of ring owners per movie when Placement is
 	// set (default 2) — the movie group size, hence the failure budget.
 	Replicas int
-	// Flow is the flow-control parameter set (DefaultParams if zero).
+	// Flow is the flow-control parameter set of the deployment's clients
+	// (DefaultParams if zero): its emergency quantity, its lockout rule,
+	// and the buffer whose high water mark ends a burst.
 	Flow flowctl.Params
 	// SyncInterval is the state-sync period on movie groups (default
 	// 500ms, the paper's value).
@@ -157,7 +159,7 @@ func (c *Config) fillDefaults() error {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
 	}
-	if c.Flow.CombinedCapacity == 0 {
+	if c.Flow == (flowctl.Params{}) {
 		c.Flow = flowctl.DefaultParams()
 	}
 	if err := c.Flow.Validate(); err != nil {
@@ -437,7 +439,6 @@ func (s *Server) Start() error {
 			transport.Addr(s.cfg.Directory),
 			wire.ServerGroup,
 			transport.Addr(s.cfg.ID),
-			0, // default TTL
 		)
 		s.mu.Lock()
 		s.registrar = reg

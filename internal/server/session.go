@@ -101,7 +101,7 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 		gen:     gen,
 		rec:     rec,
 		movie:   movie,
-		rate:    flowctl.NewRateController(s.cfg.Flow),
+		rate:    flowctl.NewRateController(s.cfg.Flow, movie.FPS()),
 		packets: movie.Packets(s.vid.Preframe()),
 		dst:     s.vid.Resolve(transport.Addr(rec.ClientAddr)),
 		// Resuming at a stale offset past the end means the movie ended.

@@ -140,17 +140,22 @@ func TestStripeParkedForItsKey(t *testing.T) {
 }
 
 // TestParkedStripesCapped: a title whose sessions have used more keys than
-// maxParkedStripes parks that many stripes and retires the rest.
+// maxParkedStripes parks that many stripes and retires the rest. Flow
+// control keeps a base rate within 27–33, so the keys past those seven
+// rates come from emergency boosts: with q = 14 a minor boost adds 7 and a
+// major one 14, 21 send periods in all.
 func TestParkedStripesCapped(t *testing.T) {
 	flow := flowctl.DefaultParams()
-	flow.MinRate, flow.MaxRate = 1, 100
+	flow.EmergencyQ = 14
 	r := newStripeRig(t, flow)
 	var all []*session
-	// 30 send periods, opened at every millisecond of 50: every phase slot
-	// of each, 480 keys.
+	// 21 send periods, opened at every millisecond of 50: every phase slot
+	// of each, 336 keys.
 	for ms := range 50 {
-		for rate := uint16(20); rate < 50; rate++ {
-			all = append(all, r.open(fmt.Sprintf("v%d-%d", ms, rate), rate))
+		for rate := uint16(27); rate <= 33; rate++ {
+			for _, boost := range []wire.FlowKind{0, wire.FlowEmergencyMinor, wire.FlowEmergencyMajor} {
+				all = append(all, r.openBoosted(fmt.Sprintf("v%d-%d-%d", ms, rate, boost), rate, boost))
+			}
 		}
 		r.clk.Advance(time.Millisecond)
 	}
@@ -162,6 +167,21 @@ func TestParkedStripesCapped(t *testing.T) {
 	if n := r.parked(); n != maxParkedStripes || len(r.s.stripes) != n {
 		t.Fatalf("%d stripes kept, %d parked; want the cap, %d", len(r.s.stripes), n, maxParkedStripes)
 	}
+}
+
+// openBoosted opens a leased session at rate and, unless boost is 0,
+// applies that emergency request to it at once, which moves the session to
+// the stripe of its boosted rate.
+func (r *stripeRig) openBoosted(id string, rate uint16, boost wire.FlowKind) *session {
+	sess := r.open(id, rate)
+	if boost == 0 {
+		return sess
+	}
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	sess.rate.OnRequest(boost, 0)
+	r.s.attachStripeLocked(sess)
+	return sess
 }
 
 // pendingEvents is how many events clk holds queued. The clock keeps that

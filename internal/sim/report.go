@@ -177,11 +177,11 @@ func tableFlowControl() Table {
 		want string
 	}
 	rows := []row{
-		{"0 .. critical threshold − 1", occs(5, p.UrgentEvery), "emergency"},
-		{"critical threshold .. low water − 1", occs(40, p.UrgentEvery), "increase"},
-		{"low..high, occupancy < previous", append(occs(60, p.NormalEvery), occs(58, p.NormalEvery)...), "increase"},
-		{"low..high, occupancy > previous", append(occs(58, p.NormalEvery), occs(60, p.NormalEvery)...), "decrease"},
-		{"high water .. full", occs(70, p.UrgentEvery), "decrease"},
+		{"0 .. critical threshold − 1", occs(5, flowctl.UrgentEvery), "emergency"},
+		{"critical threshold .. low water − 1", occs(40, flowctl.UrgentEvery), "increase"},
+		{"low..high, occupancy < previous", append(occs(60, flowctl.NormalEvery), occs(58, flowctl.NormalEvery)...), "increase"},
+		{"low..high, occupancy > previous", append(occs(58, flowctl.NormalEvery), occs(60, flowctl.NormalEvery)...), "decrease"},
+		{"high water .. full", occs(70, flowctl.UrgentEvery), "decrease"},
 	}
 	t := Table{
 		ID:     "Tbl FC",
@@ -397,7 +397,6 @@ func tigerTrial(seed int64, crashes []string) (lost, displayed uint64) {
 		Clock:   clk,
 		Network: net,
 		Cubs:    []string{"cub-0", "cub-1", "cub-2", "cub-3"},
-		Mirrors: 2,
 		Movie:   movie,
 	})
 	if err != nil {
@@ -435,17 +434,16 @@ func tableBufferSweep(seed int64) Table {
 	scales := []float64{0.25, 0.5, 1.0, 1.5, 2.0}
 	t.Rows = fanOut(len(scales), func(i int) []string {
 		scale := scales[i]
-		buf := buffer.Config{
+		flow := flowctl.DefaultParams()
+		flow.Buffer = buffer.Config{
 			SoftwareCapacity:      int(37 * scale),
 			HardwareCapacityBytes: int(240 * 1024 * scale),
 		}
-		flow := paramsForBuffer(buf)
 		res := Run(Scenario{
 			Name:    fmt.Sprintf("buf-%.1fx", scale),
 			Profile: netsim.LAN(),
 			Seed:    seed,
 			Servers: []string{"server-1", "server-2"},
-			Buffer:  buf,
 			Flow:    flow,
 			Events: []Event{
 				{At: 30 * time.Second, Do: func(rt *Runtime) { rt.CrashServing() }},
@@ -453,31 +451,13 @@ func tableBufferSweep(seed int64) Table {
 		})
 		return []string{
 			fmt.Sprintf("%.1f", 2.4*scale),
-			strconv.Itoa(flow.CombinedCapacity),
+			strconv.Itoa(flowctl.MarksOf(flow.Buffer).Capacity),
 			strconv.FormatUint(res.Final.Skipped(), 10),
 			strconv.FormatUint(res.Final.Late, 10),
 			strconv.FormatUint(res.Final.Stalls, 10),
 		}
 	})
 	return t
-}
-
-// paramsForBuffer derives the paper's threshold fractions (73% / 88% /
-// 30% / 15%) for a non-default buffer size.
-func paramsForBuffer(buf buffer.Config) flowctl.Params {
-	const meanFrame = 5833 // 1.4 Mbps / 8 / 30 fps
-	p := flowctl.DefaultParams()
-	capacity := buf.SoftwareCapacity + buf.HardwareCapacityBytes/meanFrame
-	p.CombinedCapacity = capacity
-	p.SoftwareCapacity = buf.SoftwareCapacity
-	p.LowWater = max(capacity*73/100, 4)
-	p.HighWater = max(capacity*88/100, p.LowWater+1)
-	p.CriticalMinor = max(buf.SoftwareCapacity*30/100, 2)
-	p.CriticalMajor = max(buf.SoftwareCapacity*15/100, 1)
-	if p.CriticalMajor > p.CriticalMinor {
-		p.CriticalMajor = p.CriticalMinor
-	}
-	return p
 }
 
 // tableEmergencySweep varies the base emergency quantity and reports the
@@ -496,9 +476,9 @@ func tableEmergencySweep(seed int64) Table {
 	t.Rows = fanOut(len(qs)*len(rules), func(i int) []string {
 		q, rule := qs[i/2], rules[i%2]
 		flow := flowctl.DefaultParams()
-		flow.EmergencyMajorQ = q
-		flow.EmergencyMinorQ = q / 2
+		flow.EmergencyQ = q
 		flow.PaperLockout = rule == "lockout"
+		lowWater := float64(flowctl.MarksOf(flow.Buffer).LowWater)
 		res := Run(Scenario{
 			Name:    fmt.Sprintf("emq-%d-%s", q, rule),
 			Profile: netsim.LAN(),
@@ -520,12 +500,12 @@ func tableEmergencySweep(seed int64) Table {
 				continue
 			}
 			if dipAt == 0 {
-				if v < float64(flow.LowWater) {
+				if v < lowWater {
 					dipAt = ts
 				}
 				continue
 			}
-			if v >= float64(flow.LowWater) {
+			if v >= lowWater {
 				refill = (ts - dipAt).Truncate(100 * time.Millisecond).String()
 				break
 			}
@@ -533,7 +513,7 @@ func tableEmergencySweep(seed int64) Table {
 		return []string{
 			strconv.Itoa(q),
 			rule,
-			strconv.Itoa(flowctl.EmergencyTotal(q, flow.EmergencyDecay)),
+			strconv.Itoa(flowctl.EmergencyTotal(q, flowctl.EmergencyDecay)),
 			refill,
 			strconv.FormatUint(res.Final.OverflowDropped, 10),
 			strconv.FormatUint(res.Final.Stalls, 10),
@@ -686,14 +666,13 @@ func tableDiscard(seed int64) Table {
 		naive := policies[i]
 		// A half-size buffer puts real pressure on the overflow path, so
 		// the policy difference is visible.
-		buf := buffer.Config{
+		sc := LANScenario(seed)
+		sc.Flow = flowctl.DefaultParams()
+		sc.Flow.Buffer = buffer.Config{
 			SoftwareCapacity:      18,
 			HardwareCapacityBytes: 108_000,
 			NaiveDiscard:          naive,
 		}
-		sc := LANScenario(seed)
-		sc.Buffer = buf
-		sc.Flow = paramsForBuffer(buf)
 		res := Run(sc)
 		name := "preserve I frames (paper)"
 		if naive {

@@ -66,9 +66,10 @@ type Scenario struct {
 	// ClientID is the observed client (default "client-1"). It opens the
 	// movie at clientStart.
 	ClientID string
-	// Buffer and Flow configure the client (paper defaults if zero).
-	Buffer buffer.Config
-	Flow   flowctl.Params
+	// Flow is the client's buffer and flow control, which the servers
+	// share (paper defaults if zero). A scenario that varies one setting
+	// starts from flowctl.DefaultParams.
+	Flow flowctl.Params
 	// SyncInterval overrides the servers' state-sync period (default
 	// 500ms — the paper's value).
 	SyncInterval time.Duration
@@ -361,10 +362,7 @@ func (sc *Scenario) fillDefaults() {
 	if sc.SampleEvery <= 0 {
 		sc.SampleEvery = 100 * time.Millisecond
 	}
-	if sc.Buffer.SoftwareCapacity == 0 {
-		sc.Buffer = buffer.DefaultConfig()
-	}
-	if sc.Flow.CombinedCapacity == 0 {
+	if sc.Flow == (flowctl.Params{}) {
 		sc.Flow = flowctl.DefaultParams()
 	}
 }
@@ -422,9 +420,7 @@ func Run(sc Scenario) *Result {
 
 	// Client creation and open.
 	clk.AfterFunc(clientStart, func() {
-		cfg := rt.ClientConfig(sc.ClientID)
-		cfg.Buffer = sc.Buffer
-		rt.client = rt.watch(cfg, movie.ID())
+		rt.client = rt.watch(rt.ClientConfig(sc.ClientID), movie.ID())
 	})
 
 	// Scripted events.

@@ -33,32 +33,25 @@ type Config struct {
 	Network transport.Network
 	// Cubs are the striped servers, in stripe order.
 	Cubs []string
-	// Mirrors is the number of copies of each frame: the owner plus
-	// Mirrors−1 chained successors (default 2, Tiger's mirroring).
-	Mirrors int
 	// Movie is the striped content.
 	Movie *mpeg.Movie
 }
 
 // heartbeatInterval / suspectTimeout drive cub failure detection, matching
-// the VoD service's detector.
+// the VoD service's detector. mirrors is the number of copies of each
+// frame: the owner plus one chained successor, Tiger's mirroring.
 const (
 	heartbeatInterval = 100 * time.Millisecond
 	suspectTimeout    = 500 * time.Millisecond
+	mirrors           = 2
 )
 
-func (c *Config) fillDefaults() error {
+func (c *Config) validate() error {
 	if c.Clock == nil || c.Network == nil || c.Movie == nil {
 		return fmt.Errorf("tiger: Clock, Network and Movie are required")
 	}
 	if len(c.Cubs) < 2 {
 		return fmt.Errorf("tiger: need at least 2 cubs, got %d", len(c.Cubs))
-	}
-	if c.Mirrors <= 0 {
-		c.Mirrors = 2
-	}
-	if c.Mirrors > len(c.Cubs) {
-		return fmt.Errorf("tiger: %d mirrors with %d cubs", c.Mirrors, len(c.Cubs))
 	}
 	return nil
 }
@@ -73,7 +66,7 @@ type Service struct {
 
 // New builds and starts the cubs.
 func New(cfg Config) (*Service, error) {
-	if err := cfg.fillDefaults(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	svc := &Service{cfg: cfg, packets: cfg.Movie.Packets(0), cubs: make(map[string]*cub, len(cfg.Cubs))}
@@ -199,7 +192,7 @@ func (c *cub) responsibleLocked(frame int) int {
 	n := len(c.svc.cfg.Cubs)
 	owner := frame % n
 	now := c.svc.cfg.Clock.Now()
-	for m := 0; m < c.svc.cfg.Mirrors; m++ {
+	for m := 0; m < mirrors; m++ {
 		idx := (owner + m) % n
 		if idx == c.index {
 			return idx // we are alive by definition

@@ -9,7 +9,7 @@ import (
 	"repro/internal/netsim"
 )
 
-func tigerRig(t *testing.T, cubs []string, mirrors int) (*clock.Virtual, *netsim.Network, *Service, *Receiver) {
+func tigerRig(t *testing.T, cubs []string) (*clock.Virtual, *netsim.Network, *Service, *Receiver) {
 	t.Helper()
 	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	net := netsim.New(clk, 3, netsim.LAN())
@@ -18,7 +18,6 @@ func tigerRig(t *testing.T, cubs []string, mirrors int) (*clock.Virtual, *netsim
 		Clock:   clk,
 		Network: net,
 		Cubs:    cubs,
-		Mirrors: mirrors,
 		Movie:   movie,
 	})
 	if err != nil {
@@ -34,7 +33,7 @@ func tigerRig(t *testing.T, cubs []string, mirrors int) (*clock.Virtual, *netsim
 }
 
 func TestStripedStreaming(t *testing.T) {
-	clk, _, svc, recv := tigerRig(t, []string{"cub-0", "cub-1", "cub-2", "cub-3"}, 2)
+	clk, _, svc, recv := tigerRig(t, []string{"cub-0", "cub-1", "cub-2", "cub-3"})
 	clk.Advance(time.Second) // heartbeats settle
 	svc.StartStream("viewer")
 	clk.Advance(10 * time.Second)
@@ -52,7 +51,7 @@ func TestStripedStreaming(t *testing.T) {
 }
 
 func TestOneCubFailureIsMasked(t *testing.T) {
-	clk, net, svc, recv := tigerRig(t, []string{"cub-0", "cub-1", "cub-2", "cub-3"}, 2)
+	clk, net, svc, recv := tigerRig(t, []string{"cub-0", "cub-1", "cub-2", "cub-3"})
 	clk.Advance(time.Second)
 	svc.StartStream("viewer")
 	clk.Advance(5 * time.Second)
@@ -76,7 +75,7 @@ func TestOneCubFailureIsMasked(t *testing.T) {
 }
 
 func TestTwoAdjacentFailuresLoseBlocks(t *testing.T) {
-	clk, net, svc, recv := tigerRig(t, []string{"cub-0", "cub-1", "cub-2", "cub-3"}, 2)
+	clk, net, svc, recv := tigerRig(t, []string{"cub-0", "cub-1", "cub-2", "cub-3"})
 	clk.Advance(time.Second)
 	svc.StartStream("viewer")
 	clk.Advance(5 * time.Second)
@@ -99,7 +98,7 @@ func TestTwoAdjacentFailuresLoseBlocks(t *testing.T) {
 }
 
 func TestTwoNonAdjacentFailuresAreMasked(t *testing.T) {
-	clk, net, svc, recv := tigerRig(t, []string{"cub-0", "cub-1", "cub-2", "cub-3"}, 2)
+	clk, net, svc, recv := tigerRig(t, []string{"cub-0", "cub-1", "cub-2", "cub-3"})
 	clk.Advance(time.Second)
 	svc.StartStream("viewer")
 	clk.Advance(5 * time.Second)
@@ -123,10 +122,9 @@ func TestConfigValidation(t *testing.T) {
 	net := netsim.New(clk, 1, netsim.LAN())
 	movie := mpeg.Generate("m", mpeg.StreamConfig{Duration: time.Second})
 	cases := []Config{
-		{Network: net, Cubs: []string{"a", "b"}, Movie: movie},                         // no clock
-		{Clock: clk, Network: net, Cubs: []string{"a"}, Movie: movie},                  // one cub
-		{Clock: clk, Network: net, Cubs: []string{"a", "b"}},                           // no movie
-		{Clock: clk, Network: net, Cubs: []string{"a", "b"}, Movie: movie, Mirrors: 3}, // mirrors > cubs
+		{Network: net, Cubs: []string{"a", "b"}, Movie: movie},        // no clock
+		{Clock: clk, Network: net, Cubs: []string{"a"}, Movie: movie}, // one cub
+		{Clock: clk, Network: net, Cubs: []string{"a", "b"}},          // no movie
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -139,7 +137,7 @@ func TestConfigValidation(t *testing.T) {
 // once every cub has heard from every other, a heartbeat interval — each
 // cub beating to each peer, every beat delivered — allocates nothing.
 func TestHeartbeatAllocsNothing(t *testing.T) {
-	clk, _, _, _ := tigerRig(t, []string{"cub-0", "cub-1", "cub-2", "cub-3"}, 2)
+	clk, _, _, _ := tigerRig(t, []string{"cub-0", "cub-1", "cub-2", "cub-3"})
 	clk.Advance(time.Second) // warm: lastHeard entries and delivery records exist
 	allocs := testing.AllocsPerRun(100, func() { clk.Advance(100 * time.Millisecond) })
 	if allocs != 0 {
