@@ -363,10 +363,14 @@ func (c *Client) Watch(movieID string) error {
 
 // startLocked is the open-cycle start edge. The pipeline and policy are reset
 // in place, so a fleet cycling through titles — or a chaos harness restarting
-// viewers — pays their allocations once, in New. Caller holds c.mu.
+// viewers — pays their allocations once, in New. The reply and frame decode
+// targets start the cycle holding the title asked for, so decoding a reply
+// or frame that names it keeps that string rather than building its own.
+// Caller holds c.mu.
 func (c *Client) startLocked(movieID string) {
 	c.state = StateOpening
 	c.movie = movieID
+	c.orIn.Movie, c.frameIn.Movie = movieID, movieID
 	c.pipeline.Reset(0)
 	c.policy.Reset(c.cfg.Flow)
 	c.paused, c.reopening, c.seeking = false, false, false

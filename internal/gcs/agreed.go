@@ -71,7 +71,7 @@ func (m *Member) MulticastAgreed(payload []byte) error {
 	}
 	m.p.mu.Unlock()
 	// Sent after the lock is released, so the packet is a buffer of its own.
-	return m.p.cfg.Endpoint.Send(coord, appendAgreedReq(make([]byte, 0, 32+len(m.group)+len(data)), req))
+	return m.p.cfg.Endpoint.Send(coord, appendAgreedReq(nil, req))
 }
 
 // onAgreedReqLocked runs at the coordinator: forward the message through

@@ -388,7 +388,7 @@ func (p *Process) Anycast(target ProcessID, group string, payload []byte) error 
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	pkt := appendAnycast(p.sendBuf[:0], group, payload)
+	pkt := appendAnycast(p.sendBuf[:0], &msgAnycast{group: group, payload: payload})
 	p.sendBuf = pkt[:0]
 	err := p.cfg.Endpoint.Send(target, pkt)
 	p.mu.Unlock()
@@ -404,7 +404,7 @@ func (p *Process) Send(target ProcessID, payload []byte) error {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	pkt := appendDirect(p.sendBuf[:0], payload)
+	pkt := appendDirect(p.sendBuf[:0], &msgDirect{payload: payload})
 	p.sendBuf = pkt[:0]
 	err := p.cfg.Endpoint.Send(target, pkt)
 	p.mu.Unlock()

@@ -228,7 +228,7 @@ func TestSyncInfoFromAnotherOldViewGetsItsOwnCut(t *testing.T) {
 
 	// The stranger announces itself; a, the coordinator, proposes {a, b,
 	// stranger} and collects a's and b's reports on its own.
-	p.onPacket("stranger", appendPresence(nil, "g", alone, []ProcessID{"stranger"}))
+	p.onPacket("stranger", appendPresence(nil, &msgPresence{group: "g", view: alone, members: []ProcessID{"stranger"}}))
 	reported := func() int {
 		p.mu.Lock()
 		defer p.mu.Unlock()
@@ -347,8 +347,8 @@ func FuzzOnPacket(f *testing.F) {
 	ab := []ProcessID{"a", "b"}
 	for _, seed := range [][]byte{
 		encodeHeartbeat(),
-		appendDirect(nil, []byte("direct")),
-		appendAnycast(nil, "g", []byte("anycast")),
+		appendDirect(nil, &msgDirect{payload: []byte("direct")}),
+		appendAnycast(nil, &msgAnycast{group: "g", payload: []byte("anycast")}),
 		appendMcast(nil, &msgMcast{group: "g", view: view, sender: "b", seq: 1 << 62, payload: []byte{payloadPlain, 'x'}}),
 		appendMcast(nil, &msgMcast{group: "g", view: view, sender: "b", seq: math.MaxUint64, payload: []byte{payloadPlain, 'x'}}),
 		appendMcast(nil, &msgMcast{group: "g", view: ViewID{Seq: math.MaxUint64, Coord: "z"}, sender: "b", seq: 0, payload: []byte{payloadPlain, 'x'}}),
@@ -356,7 +356,7 @@ func FuzzOnPacket(f *testing.F) {
 		appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: vec{[]ProcessID{"a", "b"}, []uint64{math.MaxUint64, 7}}}),
 		appendAckVec(nil, &msgAckVec{group: "g", view: view, delivered: vec{
 			append(strangers(64).ids, "b", "a", "b"), append(strangers(64).vals, 3, 2, 1)}}),
-		appendPresence(nil, "g", ViewID{Seq: 9, Coord: "z"}, []ProcessID{"z"}),
+		appendPresence(nil, &msgPresence{group: "g", view: ViewID{Seq: 9, Coord: "z"}, members: []ProcessID{"z"}}),
 		appendPropose(nil, &msgPropose{group: "g", pid: pid, candidates: ab}),
 		appendSyncInfo(nil, &msgSyncInfo{group: "g", pid: pid, oldView: view, oldMembers: ab, sendSeq: math.MaxUint64, recvNext: vec{[]ProcessID{"a"}, []uint64{math.MaxUint64}}}),
 		appendCut(nil, &msgCut{group: "g", pid: pid, targets: vec{ab, []uint64{math.MaxUint64, math.MaxUint64}}}),
@@ -368,10 +368,10 @@ func FuzzOnPacket(f *testing.F) {
 		// decode left: a presence listing a crowd and a member twice, a cut
 		// whose count claims more entries than the datagram holds, and a NAK
 		// for an empty range of a stranger's stream.
-		appendPresence(nil, "g", ViewID{Seq: 9, Coord: "z"}, append(strangers(64).ids, "b", "b")),
+		appendPresence(nil, &msgPresence{group: "g", view: ViewID{Seq: 9, Coord: "z"}, members: append(strangers(64).ids, "b", "b")}),
 		wire.AppendU16(appendPID(wire.AppendString([]byte{kindCut}, "g"), pid), math.MaxUint16),
 		appendNak(nil, &msgNak{group: "g", view: view, sender: "z", from: 9, to: 2}),
-		encodeLeave(&msgLeave{group: "g"}),
+		appendLeave(nil, &msgLeave{group: "g"}),
 		appendAgreedReq(nil, &msgAgreedReq{group: "g", seq: math.MaxUint64, payload: []byte("agreed")}),
 	} {
 		f.Add(seed)

@@ -54,7 +54,7 @@ func TestMemberlessProcessIsInert(t *testing.T) {
 	if err := p.Anycast("peer", "g", []byte("open")); err != nil {
 		t.Fatal(err)
 	}
-	if err := peer.Send("v", appendDirect(nil, []byte("reply"))); err != nil {
+	if err := peer.Send("v", appendDirect(nil, &msgDirect{payload: []byte("reply")})); err != nil {
 		t.Fatal(err)
 	}
 	if fired := clk.Advance(2 * delay); fired != 2 {
@@ -93,7 +93,7 @@ func TestMemberlessProcessIsInert(t *testing.T) {
 	}
 	// A foreign singleton announces itself, so the detector has a peer to
 	// ping; it arrives before the first beat.
-	if err := peer.Send("v", appendPresence(nil, "g", ViewID{Seq: 1, Coord: "peer"}, []ProcessID{"peer"})); err != nil {
+	if err := peer.Send("v", appendPresence(nil, &msgPresence{group: "g", view: ViewID{Seq: 1, Coord: "peer"}, members: []ProcessID{"peer"}})); err != nil {
 		t.Fatal(err)
 	}
 	tickCount := func() uint64 {

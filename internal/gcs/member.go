@@ -288,7 +288,7 @@ func (m *Member) Leave() error {
 		return nil
 	}
 	m.leaving = true
-	pkt := encodeLeave(&msgLeave{group: m.group})
+	pkt := appendLeave(nil, &msgLeave{group: m.group})
 	peers := make([]ProcessID, 0, len(m.view.Members))
 	for _, id := range m.view.Members {
 		if id != m.p.id {
@@ -561,7 +561,7 @@ func (m *Member) onPresenceLocked(from ProcessID, msg *msgPresence) {
 		// coordinator learns even if earlier relays were lost.
 		coord := m.actingCoordinatorLocked()
 		if coord != m.p.id {
-			pkt := appendPresence(m.encBuf[:0], m.group, msg.view, msg.members)
+			pkt := appendPresence(m.encBuf[:0], &msgPresence{group: m.group, view: msg.view, members: msg.members})
 			m.encBuf = pkt[:0]
 			_ = m.p.cfg.Endpoint.Send(coord, pkt)
 		}
@@ -784,7 +784,7 @@ func (m *Member) presenceTick() {
 // and immediately after Join). The packet is built in the member scratch
 // and handed to Send under p.mu — Send copies, so that is safe.
 func (m *Member) sendPresenceLocked() {
-	pkt := appendPresence(m.encBuf[:0], m.group, m.view.ID, m.view.Members)
+	pkt := appendPresence(m.encBuf[:0], &msgPresence{group: m.group, view: m.view.ID, members: m.view.Members})
 	m.encBuf = pkt[:0]
 	for _, id := range m.contacts {
 		if id != m.p.id && !m.view.Includes(id) {

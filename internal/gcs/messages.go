@@ -176,6 +176,26 @@ func groupOf(m any) (string, bool) {
 	}
 }
 
+// Every frame is sized before it is written: each kind's size is the exact
+// length its append function writes, kind byte included, and the append
+// reserves it before the first field, so framing into an empty buffer costs
+// one allocation and into a warm scratch none. The field sizes follow the
+// wire primitives: a string is its u16 length and bytes, a payload its u32
+// length and bytes.
+func strSize(s string) int { return 2 + len(s) }
+
+// coordSize is the size of a ViewID or a proposalID: a u64, then the
+// coordinator's ID.
+func coordSize(coord ProcessID) int { return 8 + strSize(string(coord)) }
+
+func idsSize(ids []ProcessID) int {
+	n := 2
+	for _, id := range ids {
+		n += strSize(string(id))
+	}
+	return n
+}
+
 func appendViewID(b []byte, v ViewID) []byte {
 	b = wire.AppendU64(b, v.Seq)
 	return wire.AppendString(b, string(v.Coord))
@@ -231,6 +251,8 @@ func (v vec) alignTo(members []ProcessID, row []uint64) {
 	v.each(members, func(r int, val uint64) { row[r] = val })
 }
 
+func (v vec) size() int { return idsSize(v.ids) + 8*len(v.vals) }
+
 func appendVec(b []byte, v vec) []byte {
 	b = wire.AppendU16(b, uint16(len(v.ids)))
 	for i, id := range v.ids {
@@ -247,28 +269,43 @@ var heartbeatPkt = []byte{kindHeartbeat}
 
 func encodeHeartbeat() []byte { return heartbeatPkt }
 
-// appendDirect and appendAnycast frame into caller scratch: the Process
-// send paths reuse one buffer per process (see Process.sendBuf).
-func appendDirect(b, payload []byte) []byte {
-	b = wire.AppendU8(b, kindDirect)
-	return wire.AppendBytes(b, payload)
+// appendHead reserves a frame of size bytes in b and writes the head every
+// kind but a direct datagram starts with: the kind byte, then the group.
+func appendHead(b []byte, size int, kind uint8, group string) []byte {
+	b = slices.Grow(b, size)
+	b = wire.AppendU8(b, kind)
+	return wire.AppendString(b, group)
 }
 
-func appendAnycast(b []byte, group string, payload []byte) []byte {
-	b = wire.AppendU8(b, kindAnycast)
-	b = wire.AppendString(b, group)
-	return wire.AppendBytes(b, payload)
+// appendDirect and appendAnycast frame into caller scratch: the Process
+// send paths reuse one buffer per process (see Process.sendBuf).
+func appendDirect(b []byte, m *msgDirect) []byte {
+	b = slices.Grow(b, m.size())
+	b = wire.AppendU8(b, kindDirect)
+	return wire.AppendBytes(b, m.payload)
 }
+
+func (m *msgDirect) size() int { return 1 + 4 + len(m.payload) }
+
+func appendAnycast(b []byte, m *msgAnycast) []byte {
+	b = appendHead(b, m.size(), kindAnycast, m.group)
+	return wire.AppendBytes(b, m.payload)
+}
+
+func (m *msgAnycast) size() int { return 1 + strSize(m.group) + 4 + len(m.payload) }
 
 // appendMcast frames a multicast into caller scratch for the send and
 // retransmission paths, which run once per reliable message.
 func appendMcast(b []byte, m *msgMcast) []byte {
-	b = wire.AppendU8(b, kindMcast)
-	b = wire.AppendString(b, m.group)
+	b = appendHead(b, m.size(), kindMcast, m.group)
 	b = appendViewID(b, m.view)
 	b = wire.AppendString(b, string(m.sender))
 	b = wire.AppendU64(b, m.seq)
 	return wire.AppendBytes(b, m.payload)
+}
+
+func (m *msgMcast) size() int {
+	return 1 + strSize(m.group) + coordSize(m.view.Coord) + strSize(string(m.sender)) + 8 + 4 + len(m.payload)
 }
 
 // The control kinds below frame into a member's scratch (Member.encBuf) too:
@@ -276,41 +313,52 @@ func appendMcast(b []byte, m *msgMcast) []byte {
 // anything it calls can frame another.
 
 func appendNak(b []byte, m *msgNak) []byte {
-	b = wire.AppendU8(b, kindNak)
-	b = wire.AppendString(b, m.group)
+	b = appendHead(b, m.size(), kindNak, m.group)
 	b = appendViewID(b, m.view)
 	b = wire.AppendString(b, string(m.sender))
 	b = wire.AppendU64(b, m.from)
 	return wire.AppendU64(b, m.to)
 }
 
+func (m *msgNak) size() int {
+	return 1 + strSize(m.group) + coordSize(m.view.Coord) + strSize(string(m.sender)) + 8 + 8
+}
+
 // appendAckVec frames the periodic ack gossip into caller scratch: it runs
 // hot enough that a fresh packet buffer per tick shows up in profiles.
 func appendAckVec(b []byte, m *msgAckVec) []byte {
-	b = wire.AppendU8(b, kindAckVec)
-	b = wire.AppendString(b, m.group)
+	b = appendHead(b, m.size(), kindAckVec, m.group)
 	b = appendViewID(b, m.view)
 	return appendVec(b, m.delivered)
 }
 
+func (m *msgAckVec) size() int {
+	return 1 + strSize(m.group) + coordSize(m.view.Coord) + m.delivered.size()
+}
+
 // appendPresence frames the periodic presence announcement and its relay.
-func appendPresence(b []byte, group string, view ViewID, members []ProcessID) []byte {
-	b = wire.AppendU8(b, kindPresence)
-	b = wire.AppendString(b, group)
-	b = appendViewID(b, view)
-	return appendIDs(b, members)
+func appendPresence(b []byte, m *msgPresence) []byte {
+	b = appendHead(b, m.size(), kindPresence, m.group)
+	b = appendViewID(b, m.view)
+	return appendIDs(b, m.members)
+}
+
+func (m *msgPresence) size() int {
+	return 1 + strSize(m.group) + coordSize(m.view.Coord) + idsSize(m.members)
 }
 
 func appendPropose(b []byte, m *msgPropose) []byte {
-	b = wire.AppendU8(b, kindPropose)
-	b = wire.AppendString(b, m.group)
+	b = appendHead(b, m.size(), kindPropose, m.group)
 	b = appendPID(b, m.pid)
 	return appendIDs(b, m.candidates)
 }
 
+func (m *msgPropose) size() int {
+	return 1 + strSize(m.group) + coordSize(m.pid.Coord) + idsSize(m.candidates)
+}
+
 func appendSyncInfo(b []byte, m *msgSyncInfo) []byte {
-	b = wire.AppendU8(b, kindSyncInfo)
-	b = wire.AppendString(b, m.group)
+	b = appendHead(b, m.size(), kindSyncInfo, m.group)
 	b = appendPID(b, m.pid)
 	b = appendViewID(b, m.oldView)
 	b = appendIDs(b, m.oldMembers)
@@ -318,40 +366,50 @@ func appendSyncInfo(b []byte, m *msgSyncInfo) []byte {
 	return appendVec(b, m.recvNext)
 }
 
+func (m *msgSyncInfo) size() int {
+	return 1 + strSize(m.group) + coordSize(m.pid.Coord) + coordSize(m.oldView.Coord) + idsSize(m.oldMembers) + 8 + m.recvNext.size()
+}
+
 func appendCut(b []byte, m *msgCut) []byte {
-	b = wire.AppendU8(b, kindCut)
-	b = wire.AppendString(b, m.group)
+	b = appendHead(b, m.size(), kindCut, m.group)
 	b = appendPID(b, m.pid)
 	return appendVec(b, m.targets)
 }
 
+func (m *msgCut) size() int { return 1 + strSize(m.group) + coordSize(m.pid.Coord) + m.targets.size() }
+
 func appendCutDone(b []byte, m *msgCutDone) []byte {
-	b = wire.AppendU8(b, kindCutDone)
-	b = wire.AppendString(b, m.group)
+	b = appendHead(b, m.size(), kindCutDone, m.group)
 	return appendPID(b, m.pid)
 }
 
+func (m *msgCutDone) size() int { return 1 + strSize(m.group) + coordSize(m.pid.Coord) }
+
 func appendInstall(b []byte, m *msgInstall) []byte {
-	b = wire.AppendU8(b, kindInstall)
-	b = wire.AppendString(b, m.group)
+	b = appendHead(b, m.size(), kindInstall, m.group)
 	b = appendPID(b, m.pid)
 	b = appendViewID(b, m.view)
 	return appendIDs(b, m.members)
 }
 
-// encodeLeave frames a packet of its own: Leave sends after releasing p.mu,
-// so it cannot borrow the member scratch.
-func encodeLeave(m *msgLeave) []byte {
-	b := make([]byte, 0, 32)
-	b = wire.AppendU8(b, kindLeave)
-	return wire.AppendString(b, m.group)
+func (m *msgInstall) size() int {
+	return 1 + strSize(m.group) + coordSize(m.pid.Coord) + coordSize(m.view.Coord) + idsSize(m.members)
 }
+
+// appendLeave frames into a packet of its own: Leave sends after releasing
+// p.mu, so it cannot borrow the member scratch.
+func appendLeave(b []byte, m *msgLeave) []byte {
+	return appendHead(b, m.size(), kindLeave, m.group)
+}
+
+func (m *msgLeave) size() int { return 1 + strSize(m.group) }
 
 // appendAgreedReq frames into the member scratch on the retry tick, and into
 // a buffer of its own in MulticastAgreed, which sends after releasing p.mu.
 func appendAgreedReq(b []byte, m *msgAgreedReq) []byte {
-	b = wire.AppendU8(b, kindAgreedReq)
-	b = wire.AppendString(b, m.group)
+	b = appendHead(b, m.size(), kindAgreedReq, m.group)
 	b = wire.AppendU64(b, m.seq)
 	return wire.AppendBytes(b, m.payload)
 }
+
+func (m *msgAgreedReq) size() int { return 1 + strSize(m.group) + 8 + 4 + len(m.payload) }

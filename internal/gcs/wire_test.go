@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // TestWireBytesUnchanged pins the encoding of every kind that carries a
@@ -45,7 +47,9 @@ func TestWireBytesUnchanged(t *testing.T) {
 		{"install", func(b []byte) []byte {
 			return appendInstall(b, &msgInstall{group: "movie/x", pid: pid, view: ViewID{Seq: 8, Coord: "s2"}, members: ids})
 		}, "0c00076d6f7669652f780000000000000009000273320000000000000008000273320003000273310002733200027333"},
-		{"presence", func(b []byte) []byte { return appendPresence(b, "movie/x", view, ids) },
+		{"presence", func(b []byte) []byte {
+			return appendPresence(b, &msgPresence{group: "movie/x", view: view, members: ids})
+		},
 			"0700076d6f7669652f780000000000000007000273310003000273310002733200027333"},
 		{"mcast", func(b []byte) []byte {
 			return appendMcast(b, &msgMcast{group: "movie/x", view: view, sender: "s3", seq: 42, payload: []byte{payloadPlain, 'h', 'i'}})
@@ -86,7 +90,7 @@ func TestWireBytesUnchanged(t *testing.T) {
 		case *msgInstall:
 			again = appendInstall(nil, m)
 		case *msgPresence:
-			again = appendPresence(nil, m.group, m.view, m.members)
+			again = appendPresence(nil, m)
 		case *msgMcast:
 			again = appendMcast(nil, m)
 		case *msgPropose:
@@ -117,8 +121,8 @@ func TestCodecReusesEnvelopes(t *testing.T) {
 		long, short []byte
 	}{
 		{name: "presence",
-			long:  appendPresence(nil, "a/long/group/name", view, crowd.ids),
-			short: appendPresence(nil, "g", ViewID{Seq: 6, Coord: "b"}, []ProcessID{"b"})},
+			long:  appendPresence(nil, &msgPresence{group: "a/long/group/name", view: view, members: crowd.ids}),
+			short: appendPresence(nil, &msgPresence{group: "g", view: ViewID{Seq: 6, Coord: "b"}, members: []ProcessID{"b"}})},
 		{name: "cut",
 			long:  appendCut(nil, &msgCut{group: "a/long/group/name", pid: pid, targets: crowd}),
 			short: appendCut(nil, &msgCut{group: "g", pid: proposalID{Round: 4, Coord: "b"}, targets: vec{[]ProcessID{"b"}, []uint64{7}}})},
@@ -192,6 +196,63 @@ func TestVectorAlignmentMatchesMaps(t *testing.T) {
 		}
 		if v := out.(*msgCut).targets; !slices.Equal(v.ids, members) || !slices.Equal(v.vals, want) {
 			t.Fatalf("round %d: aligned row travels as %v=%v, want %v=%v", round, v.ids, v.vals, members, want)
+		}
+	}
+}
+
+// frameCase is one kind's frame for TestFramesAreSizedBeforeWritten: the
+// size the kind claims and a function that frames it.
+type frameCase struct {
+	name  string
+	size  int
+	frame func(b []byte) []byte
+}
+
+func frameOf[M interface{ size() int }](name string, m M, frame func([]byte, M) []byte) frameCase {
+	return frameCase{name, m.size(), func(b []byte) []byte { return frame(b, m) }}
+}
+
+// reserveSink keeps reserveAllocs' buffer on the heap, as a frame's is.
+var reserveSink []byte
+
+// reserveAllocs is what reserving n bytes in an empty buffer costs, which is
+// all framing into one may cost: one allocation, or two under the race
+// detector, whose instrumentation turns off the compiler's in-place
+// append of a make inside slices.Grow.
+func reserveAllocs(n int) float64 {
+	return testing.AllocsPerRun(10, func() { reserveSink = slices.Grow([]byte(nil), n) })
+}
+
+// TestFramesAreSizedBeforeWritten: every kind's size is exactly the length
+// its append writes, and framing into an empty buffer allocates only for
+// the reservation, not once per field that overflows the buffer.
+func TestFramesAreSizedBeforeWritten(t *testing.T) {
+	view := ViewID{Seq: 7, Coord: "s1"}
+	pid := proposalID{Round: 9, Coord: "s2"}
+	crowd := strangers(40)
+	payload := make([]byte, 300)
+	for _, tc := range []frameCase{
+		frameOf("direct", &msgDirect{payload: payload}, appendDirect),
+		frameOf("anycast", &msgAnycast{group: wire.ServerGroup, payload: payload}, appendAnycast),
+		frameOf("mcast", &msgMcast{group: "movie/x", view: view, sender: "s3", seq: 42, payload: payload}, appendMcast),
+		frameOf("nak", &msgNak{group: "movie/x", view: view, sender: "s3", from: 4, to: 9}, appendNak),
+		frameOf("ackvec", &msgAckVec{group: "movie/x", view: view, delivered: crowd}, appendAckVec),
+		frameOf("presence", &msgPresence{group: "movie/x", view: view, members: crowd.ids}, appendPresence),
+		frameOf("propose", &msgPropose{group: "movie/x", pid: pid, candidates: crowd.ids}, appendPropose),
+		frameOf("syncinfo", &msgSyncInfo{group: "movie/x", pid: pid, oldView: view, oldMembers: crowd.ids, sendSeq: 11, recvNext: crowd}, appendSyncInfo),
+		frameOf("cut", &msgCut{group: "movie/x", pid: pid, targets: crowd}, appendCut),
+		frameOf("cut with no targets", &msgCut{group: "movie/x", pid: pid}, appendCut),
+		frameOf("cutdone", &msgCutDone{group: "movie/x", pid: pid}, appendCutDone),
+		frameOf("install", &msgInstall{group: "movie/x", pid: pid, view: view, members: crowd.ids}, appendInstall),
+		frameOf("leave", &msgLeave{group: "movie/x"}, appendLeave),
+		frameOf("agreed request", &msgAgreedReq{group: "movie/x", seq: 3, payload: payload}, appendAgreedReq),
+	} {
+		if got := len(tc.frame(nil)); got != tc.size {
+			t.Errorf("%s: size says %d bytes, the frame has %d", tc.name, tc.size, got)
+		}
+		want := reserveAllocs(tc.size)
+		if allocs := testing.AllocsPerRun(100, func() { _ = tc.frame(nil) }); allocs != want {
+			t.Errorf("%s: framing into an empty buffer makes %v allocations, want %v", tc.name, allocs, want)
 		}
 	}
 }

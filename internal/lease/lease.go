@@ -23,6 +23,7 @@ package lease
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -57,13 +58,18 @@ type Ack struct {
 	TTLMs    uint32
 }
 
-// AppendRenew appends the encoded message to b.
+// AppendRenew appends the encoded message to b, reserving its whole length
+// first so a buffer without room for it grows once.
 func AppendRenew(b []byte, m *Renew) []byte {
+	b = slices.Grow(b, m.size())
 	b = wire.AppendU8(b, KindRenew)
 	b = wire.AppendString(b, m.ClientID)
 	b = wire.AppendU64(b, m.Seq)
 	return b
 }
+
+// size is the encoded length of m: kind, the ID's u16 length and bytes, Seq.
+func (m *Renew) size() int { return 1 + 2 + len(m.ClientID) + 8 }
 
 // DecodeRenewInto decodes into m, reusing m.ClientID's storage when
 // the value is unchanged (same keepString contract as internal/wire).
@@ -82,14 +88,18 @@ func DecodeRenewInto(m *Renew, b []byte) error {
 	return r.Done()
 }
 
-// AppendAck appends the encoded message to b.
+// AppendAck appends the encoded message to b, reserved like AppendRenew.
 func AppendAck(b []byte, m *Ack) []byte {
+	b = slices.Grow(b, m.size())
 	b = wire.AppendU8(b, KindAck)
 	b = wire.AppendString(b, m.ClientID)
 	b = wire.AppendU64(b, m.Seq)
 	b = wire.AppendU32(b, m.TTLMs)
 	return b
 }
+
+// size is the encoded length of m: a Renew's fields, then TTLMs.
+func (m *Ack) size() int { return 1 + 2 + len(m.ClientID) + 8 + 4 }
 
 // DecodeAckInto decodes into m with the keepString contract.
 func DecodeAckInto(m *Ack, b []byte) error {

@@ -1,6 +1,7 @@
 package lease
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -35,6 +36,40 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if err := DecodeRenewInto(&gotR, nil); err == nil {
 		t.Fatal("renew decoder accepted empty input")
+	}
+}
+
+// reserveSink keeps reserveAllocs' buffer on the heap, as a frame's is.
+var reserveSink []byte
+
+// reserveAllocs is what reserving n bytes in an empty buffer costs, which is
+// all framing into one may cost: one allocation, or two under the race
+// detector, whose instrumentation turns off the compiler's in-place
+// append of a make inside slices.Grow.
+func reserveAllocs(n int) float64 {
+	return testing.AllocsPerRun(10, func() { reserveSink = slices.Grow([]byte(nil), n) })
+}
+
+// TestCodecSizesBeforeWriting: Renew and Ack know their encoded length, and
+// framing either into an empty buffer allocates only for the reservation.
+func TestCodecSizesBeforeWriting(t *testing.T) {
+	rn := &Renew{ClientID: "viewer-0007-with-a-long-name", Seq: 42}
+	ack := &Ack{ClientID: rn.ClientID, Seq: 42, TTLMs: 2000}
+	for _, tc := range []struct {
+		name  string
+		size  int
+		frame func([]byte) []byte
+	}{
+		{"renew", rn.size(), func(b []byte) []byte { return AppendRenew(b, rn) }},
+		{"ack", ack.size(), func(b []byte) []byte { return AppendAck(b, ack) }},
+	} {
+		if got := len(tc.frame(nil)); got != tc.size {
+			t.Errorf("%s: size says %d bytes, the frame has %d", tc.name, tc.size, got)
+		}
+		want := reserveAllocs(tc.size)
+		if allocs := testing.AllocsPerRun(100, func() { _ = tc.frame(nil) }); allocs != want {
+			t.Errorf("%s: framing into an empty buffer makes %v allocations, want %v", tc.name, allocs, want)
+		}
 	}
 }
 

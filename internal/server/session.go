@@ -84,8 +84,8 @@ type session struct {
 	onMsgFn  func(string, gcs.ProcessID, []byte)
 
 	// fc is the reusable decode target for this client's flow-control
-	// stream, guarded by srv.mu: the keep-string decode reuses the client-ID
-	// allocation for the session's lifetime.
+	// stream, guarded by srv.mu. It starts out holding the session's client
+	// ID, so the keep-string decode never builds that string again.
 	fc wire.FlowControl
 }
 
@@ -107,6 +107,7 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 		// Resuming at a stale offset past the end means the movie ended.
 		atEnd:       takeover && int(rec.Offset) >= movie.TotalFrames(),
 		lastContact: rec.SentAt,
+		fc:          wire.FlowControl{ClientID: rec.ClientID},
 	}
 	sess.rate.SetBase(int(rec.Rate))
 	sess.sendOneFn = sess.sendOne

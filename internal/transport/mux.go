@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -31,45 +32,40 @@ const (
 type Mux struct {
 	ep Endpoint
 
-	mu       sync.RWMutex
-	channels map[ChannelID]*Channel
-
-	// chans mirrors the low channel IDs (every ID the VoD planes use) in a
-	// flat array of atomic pointers: dispatch runs once per delivered
-	// datagram — millions of times in a scale run — and an indexed atomic
-	// load replaces the map hash plus reader-lock round trip.
-	chans [muxDenseChans]atomic.Pointer[Channel]
+	// chans holds one slot per ChannelID, indexed by the ID: dispatch runs
+	// once per delivered datagram — millions of times in a scale run — and
+	// finds its channel with one atomic load.
+	chans [lastChannel + 1]atomic.Pointer[Channel]
 }
 
-// muxDenseChans bounds the dense dispatch array; all defined ChannelIDs fit.
-const muxDenseChans = 8
+// lastChannel is the highest ChannelID; the mux has a slot for each up to it.
+const lastChannel = ChannelBulkReply
 
 // NewMux wraps ep. The mux takes over ep's handler; callers must not call
 // ep.SetHandler afterwards.
 func NewMux(ep Endpoint) *Mux {
-	m := &Mux{
-		ep:       ep,
-		channels: make(map[ChannelID]*Channel),
-	}
+	m := &Mux{ep: ep}
 	ep.SetHandler(m.dispatch)
 	return m
 }
 
 // Channel returns the channel for id, creating it on first use. Calling
-// Channel twice with the same id returns the same *Channel.
+// Channel twice with the same id returns the same *Channel. It panics on an
+// id past the last ChannelID constant.
 func (m *Mux) Channel(id ChannelID) *Channel {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ch, ok := m.channels[id]
-	if !ok {
-		ch = &Channel{mux: m, id: id}
-		// The underlying endpoint's optional no-copy path is resolved once
-		// here instead of being type-asserted on every send.
-		ch.refs, _ = m.ep.(RefSender)
-		m.channels[id] = ch
-		if int(id) < muxDenseChans {
-			m.chans[id].Store(ch)
-		}
+	if id > lastChannel {
+		panic(fmt.Sprintf("transport: channel %d past the last channel ID %d", id, lastChannel))
+	}
+	slot := &m.chans[id]
+	if ch := slot.Load(); ch != nil {
+		return ch
+	}
+	ch := &Channel{mux: m, id: id}
+	// The underlying endpoint's optional no-copy path is resolved once
+	// here instead of being type-asserted on every send.
+	ch.refs, _ = m.ep.(RefSender)
+	if !slot.CompareAndSwap(nil, ch) {
+		return slot.Load() // a concurrent first call won
 	}
 	return ch
 }
@@ -84,14 +80,10 @@ func (m *Mux) dispatch(from Addr, payload []byte) {
 		return
 	}
 	id := ChannelID(payload[0])
-	var ch *Channel
-	if int(id) < muxDenseChans {
-		ch = m.chans[id].Load()
-	} else {
-		m.mu.RLock()
-		ch = m.channels[id]
-		m.mu.RUnlock()
+	if id > lastChannel {
+		return // no such plane; drop like UDP would
 	}
+	ch := m.chans[id].Load()
 	if ch == nil {
 		return // no listener on this plane; drop like UDP would
 	}
@@ -130,10 +122,11 @@ func (c *Channel) Send(to Addr, payload []byte) error {
 	}
 	// Frame into a per-channel scratch buffer instead of a fresh slice:
 	// Endpoint.Send does not retain the payload after returning, so the
-	// buffer is free for reuse as soon as the nested Send completes.
+	// buffer is free for reuse as soon as the nested Send completes. The
+	// whole datagram is reserved first, so the scratch grows at most once.
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	framed := append(c.scratch[:0], byte(c.id))
+	framed := append(slices.Grow(c.scratch[:0], 1+len(payload)), byte(c.id))
 	framed = append(framed, payload...)
 	c.scratch = framed[:0]
 	return c.mux.ep.Send(to, framed)

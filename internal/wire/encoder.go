@@ -1,17 +1,20 @@
 package wire
 
+import "slices"
+
 // AppendMessage frames m — kind byte, then body — onto b and returns the
-// extended slice. It is the allocation-free core of Encode: callers that
-// bring their own buffer (an Encoder scratch, a pooled packet) pay nothing
-// per message.
+// extended slice. It reserves the whole frame before writing its first
+// byte, so a buffer too small for it grows once, and callers that bring a
+// buffer with room (an Encoder scratch, a pooled packet) pay nothing.
 func AppendMessage(b []byte, m Message) []byte {
+	b = slices.Grow(b, 1+m.encodedSize())
 	b = AppendU8(b, uint8(m.Kind()))
 	return m.appendBody(b)
 }
 
-// Encoder frames messages into a reusable scratch buffer. After the first
-// few messages warm the buffer, Encode performs zero allocations. The zero
-// value is ready to use.
+// Encoder frames messages into a reusable scratch buffer. The buffer grows
+// only for a message larger than every earlier one, once each time, so a
+// warm Encoder performs zero allocations. The zero value is ready to use.
 //
 // An Encoder is not safe for concurrent use, and each Encode invalidates the
 // slice returned by the previous one: callers that retain an encoded message

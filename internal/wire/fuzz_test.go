@@ -63,13 +63,15 @@ func decodeDirty(b []byte) (m Message, err error, ok bool) {
 	return nil, nil, false
 }
 
-// FuzzDecodeMessage feeds arbitrary bytes to the generic decoder. Three
+// FuzzDecodeMessage feeds arbitrary bytes to the generic decoder. Four
 // properties must hold: no panic on any input; any message that decodes
 // must re-encode to something that decodes again to the same bytes
 // (decode∘encode idempotence, which also exercises the optional trailing
-// fields both absent and present); and the kind's Into form, decoding into
-// dirty scratch, must accept exactly what Decode accepts and re-encode to
-// the same bytes — no field of the previous message survives.
+// fields both absent and present); the re-encoding is exactly as long as
+// the message's encodedSize says, so a format change that forgets its size
+// fails here; and the kind's Into form, decoding into dirty scratch, must
+// accept exactly what Decode accepts and re-encode to the same bytes — no
+// field of the previous message survives.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
@@ -90,6 +92,9 @@ func FuzzDecodeMessage(f *testing.F) {
 			return
 		}
 		b2 := Encode(m)
+		if len(b2) != 1+m.encodedSize() {
+			t.Fatalf("%v: encodedSize says a %d-byte frame, Encode writes %d (input %x)", m.Kind(), 1+m.encodedSize(), len(b2), b)
+		}
 		m2, err := Decode(b2)
 		if err != nil {
 			t.Fatalf("re-encoding decoded message failed to decode: %v\ninput  %x\nencode %x", err, b, b2)

@@ -35,26 +35,15 @@ type Message interface {
 	Kind() Kind
 	// appendBody appends the message body (without the kind byte).
 	appendBody(b []byte) []byte
-}
-
-// sizedMessage is implemented by messages that can compute their encoded
-// body length up front, letting Encode allocate exactly once. State-sync
-// messages carry hundreds of client records; without the hint the append
-// loop reallocates the buffer several times per sync.
-type sizedMessage interface {
+	// encodedSize is the exact length appendBody writes, so a frame is
+	// sized before it is written: AppendMessage reserves it up front and a
+	// fresh buffer costs one allocation, not one per field that overflows.
 	encodedSize() int
 }
 
-// Encode frames m as a kind byte followed by its body.
-func Encode(m Message) []byte {
-	capacity := 64
-	if sm, ok := m.(sizedMessage); ok {
-		capacity = 1 + sm.encodedSize()
-	}
-	b := make([]byte, 0, capacity)
-	b = AppendU8(b, uint8(m.Kind()))
-	return m.appendBody(b)
-}
+// Encode frames m as a kind byte followed by its body, into a buffer of
+// its own sized to the frame.
+func Encode(m Message) []byte { return AppendMessage(nil, m) }
 
 // Decode parses a framed message produced by Encode into a fresh value of
 // its kind, through the same parser as the kind's Decode*Into form. The
@@ -210,14 +199,31 @@ func (m *Open) appendBody(b []byte) []byte {
 	return b
 }
 
+func (m *Open) encodedSize() int {
+	n := stringSize(m.ClientID) + stringSize(m.ClientAddr) + stringSize(m.Movie)
+	switch {
+	case m.Lease || m.Takeover:
+		return n + 2 // class byte and flags byte
+	case m.Class != ClassReserved:
+		return n + 1
+	}
+	return n
+}
+
 // DecodeOpenInto parses a framed KindOpen message into *m. All three strings
 // are ones a retrying client resends verbatim, so decoding into a pooled
-// scratch Open is allocation-free for every retry after the first.
+// scratch Open is allocation-free for every retry after the first. Every
+// client sends its ID as its address too, so a ClientAddr byte-identical to
+// the ClientID just decoded shares that string instead of making its own.
 func DecodeOpenInto(m *Open, b []byte) error {
 	r := Reader{b: b}
 	return r.decode(KindOpen, func() {
 		keepString(&m.ClientID, r.StringBytes())
-		keepString(&m.ClientAddr, r.StringBytes())
+		if addr := r.StringBytes(); string(addr) == m.ClientID {
+			m.ClientAddr = m.ClientID
+		} else {
+			keepString(&m.ClientAddr, addr)
+		}
 		keepString(&m.Movie, r.StringBytes())
 		m.Class, m.Lease, m.Takeover = ClassReserved, false, false
 		if r.err == nil && r.Remaining() > 0 {
@@ -279,6 +285,17 @@ func (m *OpenReply) appendBody(b []byte) []byte {
 		b = AppendU32(b, m.LeaseTTLMs)
 	}
 	return b
+}
+
+func (m *OpenReply) encodedSize() int {
+	n := 1 + stringSize(m.Error) + stringSize(m.Movie) + 4 + 2 + stringSize(m.SessionGroup)
+	switch {
+	case m.LeaseTTLMs != 0:
+		return n + 8 // RetryAfterMs and LeaseTTLMs
+	case m.RetryAfterMs != 0:
+		return n + 4
+	}
+	return n
 }
 
 // DecodeOpenReplyInto parses a framed KindOpenReply message into *m. A
@@ -348,6 +365,8 @@ func (m *Frame) appendBody(b []byte) []byte {
 	b = appendFrameFields(b, m.Movie, m.Index, m.Class, len(m.Payload))
 	return append(b, m.Payload...)
 }
+
+func (m *Frame) encodedSize() int { return FrameHeaderSize(m.Movie) - 1 + len(m.Payload) }
 
 // appendFrameFields appends a Frame body up to and including the payload's
 // 32-bit length prefix.
@@ -443,6 +462,8 @@ func (m *FlowControl) appendBody(b []byte) []byte {
 	return AppendU16(b, m.Occupancy)
 }
 
+func (m *FlowControl) encodedSize() int { return stringSize(m.ClientID) + 1 + 2 }
+
 // DecodeFlowControlInto parses a framed KindFlowControl message into *m
 // without allocating in steady state: m.ClientID is kept as-is when the
 // bytes on the wire match it, so a server decoding the flow-control stream
@@ -505,6 +526,8 @@ func (m *VCR) appendBody(b []byte) []byte {
 	b = AppendU8(b, uint8(m.Op))
 	return AppendU32(b, m.Arg)
 }
+
+func (m *VCR) encodedSize() int { return stringSize(m.ClientID) + 1 + 4 }
 
 // decodeVCRInto is VCR's body parser. Only Decode calls it: VCR commands
 // are rare enough that nobody decodes them into scratch.
@@ -606,10 +629,8 @@ func (m *ClientState) appendBody(b []byte) []byte {
 	return b
 }
 
-// encodedSize implements sizedMessage: the exact body length appendBody
-// will produce, so Encode sizes the packet buffer in one allocation.
 func (m *ClientState) encodedSize() int {
-	n := 2 + len(m.Server) + 8 + 1 + 2
+	n := stringSize(m.Server) + 8 + 1 + 2
 	classed := false
 	for i := range m.Clients {
 		c := &m.Clients[i]
@@ -630,14 +651,15 @@ const minClientRecordBytes = 2 + 2 + 4 + 2 + 2 + 1 + 1 + 8
 
 // DecodeClientStateInto parses a framed KindClientState message into *m —
 // the state-sync hot path. It reuses m.Clients' backing array across calls
-// and interns the per-record strings through tab, so a warm decode of a
-// periodic sync allocates nothing: at cluster scale one string allocation
-// per record would dominate the whole simulation's allocation profile.
-// Decode passes a nil tab, which interns nothing.
+// and interns the sender's ID and the per-record strings through tab, so a
+// warm decode of a periodic sync allocates nothing, even when one scratch
+// takes the syncs of several senders in turn: at cluster scale one string
+// allocation per record would dominate the whole simulation's allocation
+// profile. Decode passes a nil tab, which interns nothing.
 func DecodeClientStateInto(m *ClientState, tab Intern, b []byte) error {
 	r := Reader{b: b}
 	return r.decode(KindClientState, func() {
-		keepString(&m.Server, r.StringBytes())
+		m.Server = tab.get(r.StringBytes())
 		m.ViewSeq = r.U64()
 		m.Newcomer = r.bool()
 		n := int(r.U16())

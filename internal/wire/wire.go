@@ -53,6 +53,9 @@ func AppendBytes(b, v []byte) []byte {
 	return append(b, v...)
 }
 
+// stringSize is the encoded length of s as AppendString writes it.
+func stringSize(s string) int { return 2 + len(s) }
+
 // AppendString appends a 16-bit length prefix followed by the string bytes.
 // It panics if the string exceeds 65535 bytes: strings on the wire are
 // identifiers (addresses, group names, movie IDs), never bulk data.
