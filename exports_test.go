@@ -55,7 +55,6 @@ var exportAllowlist = map[string]string{
 	"mpeg.Movie.TotalBytes":      "accessor the fetch and store tests read",
 	"obs.Event":                  "element type of Snapshot.Events, the text -stats and /debug/vod print",
 	"obs.Record":                 "element type of Snapshot.Records; callers write one through Registry.Emit",
-	"obs.Snapshot":               "type returned by Registry.Snapshot, which cmd/vodbench and sim read",
 	"sim.ClassOutcome":           "type of the OverloadResult fields chaos reads",
 	"sim.Signals":                "type of Scenario.Record",
 	"sim.Combined":               "member of the exported enum Signals",

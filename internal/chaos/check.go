@@ -64,11 +64,14 @@ func feature() *mpeg.Movie { return mpeg.Generate("feature", mpeg.StreamConfig{}
 //   - liveness: playback makes progress after the last fault heals — the
 //     movie finishes or the displayed count keeps growing through the tail;
 //   - sanity: the cumulative stall series is monotone.
-func Execute(plan Plan) *Report { return execute(plan, feature()) }
+func Execute(plan Plan) *Report {
+	rep, _ := execute(plan, feature())
+	return rep
+}
 
 // execute is Execute on the caller's copy of the chaos title (Sweep passes
-// every seed the same one).
-func execute(plan Plan, movie *mpeg.Movie) *Report {
+// every seed the same one); it also returns the run it checked.
+func execute(plan Plan, movie *mpeg.Movie) (*Report, *sim.Result) {
 	pool := serverPool()
 
 	var (
@@ -124,8 +127,8 @@ func execute(plan Plan, movie *mpeg.Movie) *Report {
 		Finished:   endState == client.StateFinished,
 		Owners:     owners,
 	}
-	for _, reg := range res.Obs {
-		rep.Takeovers += reg.Value("server.takeovers")
+	for _, st := range res.ServerStats {
+		rep.Takeovers += st.Takeovers
 	}
 
 	if n := res.Final.OverflowDroppedI; n != 0 {
@@ -153,7 +156,7 @@ func execute(plan Plan, movie *mpeg.Movie) *Report {
 		}
 		prev = v
 	}
-	return rep
+	return rep, res
 }
 
 // apply executes one op on the live cluster. Infeasible ops (a target that

@@ -27,7 +27,8 @@ func Sweep(ctx context.Context, first int64, n, workers int, reg *obs.Registry, 
 	// same title Run generates for itself, so a single-seed replay matches.
 	movie := feature()
 	return sweepSeeds(ctx, first, n, workers, reg, onReport, func(seed int64) *Report {
-		return execute(NewPlan(seed), movie)
+		rep, _ := execute(NewPlan(seed), movie)
+		return rep
 	})
 }
 

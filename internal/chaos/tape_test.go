@@ -39,7 +39,7 @@ func TestStreamingNeverWritesThePacketTape(t *testing.T) {
 		t.Fatal("the LAN crash scenario wrote through a packet of the shared table")
 	}
 
-	if rep := execute(NewPlan(1), movie); rep.Displayed == 0 {
+	if rep, _ := execute(NewPlan(1), movie); rep.Displayed == 0 {
 		t.Fatal("chaos seed 1 displayed nothing")
 	}
 	if packetsDigest(movie) != want {

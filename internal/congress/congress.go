@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -160,15 +161,30 @@ func (d *Directory) onPacket(from transport.Addr, payload []byte) {
 
 // reply sends a kindReply carrying addrs.
 func (d *Directory) reply(to transport.Addr, group string, nonce uint64, addrs []transport.Addr) {
-	pkt := make([]byte, 0, 64)
-	pkt = wire.AppendU8(pkt, kindReply)
-	pkt = wire.AppendString(pkt, group)
-	pkt = wire.AppendU64(pkt, nonce)
-	pkt = wire.AppendU16(pkt, uint16(len(addrs)))
+	_ = d.ep.Send(to, appendReply(nil, group, nonce, addrs))
+}
+
+// appendReply frames a kindReply: kind, group, nonce, address count, then
+// each address.
+func appendReply(b []byte, group string, nonce uint64, addrs []transport.Addr) []byte {
+	b = slices.Grow(b, replySize(group, addrs))
+	b = wire.AppendU8(b, kindReply)
+	b = wire.AppendString(b, group)
+	b = wire.AppendU64(b, nonce)
+	b = wire.AppendU16(b, uint16(len(addrs)))
 	for _, m := range addrs {
-		pkt = wire.AppendString(pkt, string(m))
+		b = wire.AppendString(b, string(m))
 	}
-	_ = d.ep.Send(to, pkt)
+	return b
+}
+
+// replySize is the encoded length of appendReply's frame.
+func replySize(group string, addrs []transport.Addr) int {
+	n := 1 + 2 + len(group) + 8 + 2
+	for _, m := range addrs {
+		n += 2 + len(m)
+	}
+	return n
 }
 
 // Registrar keeps one (group, addr) registration alive at a directory,
@@ -181,19 +197,27 @@ type Registrar struct {
 // endpoint (typically a dedicated mux channel); addr is the address being
 // advertised (usually ep's own).
 func NewRegistrar(clk clock.Clock, ep transport.Endpoint, directory transport.Addr, group string, addr transport.Addr) *Registrar {
-	const ttl = registrationTTL
-	send := func() {
-		pkt := make([]byte, 0, 64)
-		pkt = wire.AppendU8(pkt, kindRegister)
-		pkt = wire.AppendString(pkt, group)
-		pkt = wire.AppendString(pkt, string(addr))
-		pkt = wire.AppendU64(pkt, uint64(ttl.Milliseconds()))
-		_ = ep.Send(directory, pkt)
-	}
+	// Every refresh sends the same frame, and Send does not retain it.
+	pkt := appendRegister(nil, group, addr, registrationTTL)
+	send := func() { _ = ep.Send(directory, pkt) }
 	send()
 	r := &Registrar{}
-	r.task.Start(clk, ttl/3, ttl/3, send)
+	r.task.Start(clk, registrationTTL/3, registrationTTL/3, send)
 	return r
+}
+
+// appendRegister frames a kindRegister: kind, group, addr, TTL in ms.
+func appendRegister(b []byte, group string, addr transport.Addr, ttl time.Duration) []byte {
+	b = slices.Grow(b, registerSize(group, addr))
+	b = wire.AppendU8(b, kindRegister)
+	b = wire.AppendString(b, group)
+	b = wire.AppendString(b, string(addr))
+	return wire.AppendU64(b, uint64(ttl.Milliseconds()))
+}
+
+// registerSize is the encoded length of appendRegister's frame.
+func registerSize(group string, addr transport.Addr) int {
+	return 1 + 2 + len(group) + 2 + len(addr) + 8
 }
 
 // Stop ceases refreshing; the registration expires at the directory.
@@ -274,11 +298,7 @@ func (r *Resolver) Resolve(group string, maxRetries int, callback func([]transpo
 }
 
 func (r *Resolver) send(nonce uint64, res *resolution) {
-	pkt := make([]byte, 0, 32)
-	pkt = wire.AppendU8(pkt, kindResolve)
-	pkt = wire.AppendString(pkt, res.group)
-	pkt = wire.AppendU64(pkt, nonce)
-	_ = r.ep.Send(r.directory, pkt)
+	_ = r.ep.Send(r.directory, appendResolve(nil, res.group, nonce))
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -305,6 +325,17 @@ func (r *Resolver) send(nonce uint64, res *resolution) {
 		r.send(nonce, res)
 	})
 }
+
+// appendResolve frames a kindResolve: kind, group, nonce.
+func appendResolve(b []byte, group string, nonce uint64) []byte {
+	b = slices.Grow(b, resolveSize(group))
+	b = wire.AppendU8(b, kindResolve)
+	b = wire.AppendString(b, group)
+	return wire.AppendU64(b, nonce)
+}
+
+// resolveSize is the encoded length of appendResolve's frame.
+func resolveSize(group string) int { return 1 + 2 + len(group) + 8 }
 
 // retryDelayLocked computes the capped exponential backoff with jitter for
 // the given retry attempt. Caller holds r.mu.

@@ -28,7 +28,7 @@ func (r registries) get(node string) *obs.Registry {
 	return r[node]
 }
 
-func (r registries) counter(node, name string) uint64 { return r.get(node).Counter(name).Load() }
+func (r registries) counter(node, name string) uint64 { return r.get(node).Value(name) }
 
 // TestRingDeployment: with Ring set, each title is stocked on exactly its
 // ring owners, and the deployment's clients are leased and open on the

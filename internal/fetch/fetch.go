@@ -38,6 +38,44 @@ const (
 	kindNotFound
 )
 
+// Every frame on the bulk channels opens with its kind, the request ID and the
+// movie ID; headSize is their encoded length.
+func headSize(movieID string) int { return 1 + 8 + 2 + len(movieID) }
+
+// appendHead reserves a whole frame of size bytes and writes its head.
+func appendHead(b []byte, kind uint8, size int, reqID uint64, movieID string) []byte {
+	b = slices.Grow(b, size)
+	b = wire.AppendU8(b, kind)
+	b = wire.AppendU64(b, reqID)
+	return wire.AppendString(b, movieID)
+}
+
+// appendChunkReq frames a request for one chunk: the head, then the chunk
+// index.
+func appendChunkReq(b []byte, reqID uint64, movieID string, chunk int) []byte {
+	b = appendHead(b, kindChunkReq, chunkReqSize(movieID), reqID, movieID)
+	return wire.AppendU32(b, uint32(chunk))
+}
+
+func chunkReqSize(movieID string) int { return headSize(movieID) + 4 }
+
+// appendChunkResp frames one chunk: the head, the chunk index, the chunk
+// count, then the chunk's bytes.
+func appendChunkResp(b []byte, reqID uint64, movieID string, chunk, total int, data []byte) []byte {
+	b = appendHead(b, kindChunkResp, chunkRespSize(movieID, data), reqID, movieID)
+	b = wire.AppendU32(b, uint32(chunk))
+	b = wire.AppendU32(b, uint32(total))
+	return wire.AppendBytes(b, data)
+}
+
+func chunkRespSize(movieID string, data []byte) int { return headSize(movieID) + 4 + 4 + 4 + len(data) }
+
+// appendNotFound frames the answer for a movie the provider does not hold:
+// the head alone.
+func appendNotFound(b []byte, reqID uint64, movieID string) []byte {
+	return appendHead(b, kindNotFound, headSize(movieID), reqID, movieID)
+}
+
 // Provider answers chunk requests from a catalog. Requests arrive on in
 // (the bulk channel); chunks go back out on out (the bulk-reply channel),
 // where the requesting Fetcher listens.
@@ -83,9 +121,7 @@ func (p *Provider) onPacket(from transport.Addr, payload []byte) {
 	if err != nil {
 		p.ctrNotFound.Inc()
 		p.mu.Lock()
-		resp := wire.AppendU8(p.scratch[:0], kindNotFound)
-		resp = wire.AppendU64(resp, reqID)
-		resp = wire.AppendString(resp, movieID)
+		resp := appendNotFound(p.scratch[:0], reqID, movieID)
 		p.scratch = resp[:0]
 		_ = p.out.Send(from, resp)
 		p.mu.Unlock()
@@ -104,12 +140,7 @@ func (p *Provider) onPacket(from transport.Addr, payload []byte) {
 	// Responses are framed into a reusable scratch buffer; Send does not
 	// retain the payload, so the buffer is free again once it returns.
 	p.mu.Lock()
-	resp := wire.AppendU8(p.scratch[:0], kindChunkResp)
-	resp = wire.AppendU64(resp, reqID)
-	resp = wire.AppendString(resp, movieID)
-	resp = wire.AppendU32(resp, uint32(chunk))
-	resp = wire.AppendU32(resp, uint32(total))
-	resp = wire.AppendBytes(resp, data[lo:hi])
+	resp := appendChunkResp(p.scratch[:0], reqID, movieID, chunk, total, data[lo:hi])
 	p.scratch = resp[:0]
 	p.ctrServed.Inc()
 	_ = p.out.Send(from, resp)
@@ -217,10 +248,7 @@ func (f *Fetcher) Redirect(live []transport.Addr) {
 func (f *Fetcher) requestChunk(tr *transfer) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	req := wire.AppendU8(f.reqBuf[:0], kindChunkReq)
-	req = wire.AppendU64(req, tr.id)
-	req = wire.AppendString(req, tr.movie)
-	req = wire.AppendU32(req, uint32(tr.next))
+	req := appendChunkReq(f.reqBuf[:0], tr.id, tr.movie, tr.next)
 	f.reqBuf = req[:0]
 	f.ctrRequests.Inc()
 	_ = f.out.Send(tr.peer, req)

@@ -186,7 +186,8 @@ type Process struct {
 	// groups holds one timer, not 151. tickCount is guarded by p.mu, the
 	// ticker by its own lock; tickScratch is a snapshot consumed outside the
 	// lock (member ticks relock p.mu themselves), distinct from mScratch,
-	// whose contract ends when the lock is released.
+	// whose contract ends when the lock is released, and nil while a tick
+	// holds it.
 	born        time.Time // NewProcess's instant: beat zero
 	ticker      clock.Periodic
 	tickCount   uint64
@@ -320,9 +321,11 @@ func (p *Process) tick() {
 		// Snapshot into the dedicated scratch: member ticks retake p.mu
 		// themselves, so the snapshot outlives this critical section (which
 		// mScratch must not), and each tick self-guards on m.active if a
-		// membership deactivates in between.
+		// membership deactivates in between. The tick holds the scratch
+		// until it is done: on a real clock the next beat can start while
+		// this one runs, and it then finds none and builds its own.
 		run = append(p.tickScratch[:0], p.membersOrderedLocked()...)
-		p.tickScratch = run
+		p.tickScratch = nil
 	}
 	p.mu.Unlock()
 	if n%hbDiv == 0 {
@@ -338,6 +341,11 @@ func (p *Process) tick() {
 		if n%presDiv == 0 {
 			m.presenceTick()
 		}
+	}
+	if run != nil {
+		p.mu.Lock()
+		p.tickScratch = run
+		p.mu.Unlock()
 	}
 }
 

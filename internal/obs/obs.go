@@ -1,25 +1,28 @@
 // Package obs is the cluster observability layer: a concurrency-safe
-// registry of named counters and gauges plus a bounded in-memory event
-// trace (a "flight recorder"), scoped per node. Every protocol layer —
-// transport, group communication, server, client, network simulator —
-// increments the same registry shapes, so a real-UDP daemon, a vodbench
-// run and a deterministic scenario test all expose the cluster's internal
-// activity through one vocabulary.
+// registry of named counters plus a bounded in-memory event trace (a
+// "flight recorder"), scoped per node. Every protocol layer — transport,
+// group communication, server, client, network simulator — reports into
+// the same registry shapes, so a real-UDP daemon, a vodbench run and a
+// deterministic scenario test all expose the cluster's internal activity
+// through one vocabulary.
 //
 // Counter names are dotted paths, "<subsystem>.<quantity>":
 //
 //	transport.sent_datagrams   gcs.view_changes    server.takeovers
 //	transport.read_errors      gcs.naks_sent       client.stalls
 //
-// Hot-path cost is one atomic add: callers resolve a *Counter or *Gauge
-// once at wire-up time and hold the pointer. The registry lock is taken
-// only at registration and snapshot time, never on the update path.
+// A count has one store. A layer that keeps no count of its own resolves a
+// *Counter once at wire-up time and holds the pointer, so an update is one
+// atomic add and the registry lock is taken only at registration and
+// snapshot time. A layer that already keeps its counts under its own lock
+// (the server and the client) registers a Source instead: a read function
+// the registry calls at snapshot time, which adds the owner's counts and
+// levels into the snapshot. Its hot path pays nothing.
 //
 // All methods are nil-receiver safe: a nil *Registry hands out nil
-// instruments and swallows records, and a nil *Counter or *Gauge ignores
+// counters, drops sources and swallows records, and a nil *Counter ignores
 // updates and loads as zero, so components can be instrumented
-// unconditionally and an unobserved node allocates no instruments and pays
-// no atomic adds.
+// unconditionally and an unobserved node allocates nothing here.
 package obs
 
 import (
@@ -53,28 +56,17 @@ func (c *Counter) Load() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous int64 level (an occupancy, a queue depth).
-// The zero value is ready to use; a nil *Gauge discards updates.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set records the current level.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Registry holds one node's counters, gauges and event trace.
+// Registry holds one node's counters, sources and event trace.
 type Registry struct {
 	node string
 	now  func() time.Time
 
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	trace    trace
+	// sources only grows: a reader copies the slice header under mu and
+	// calls the functions after releasing it.
+	sources []func(*Snapshot)
+	trace   trace
 }
 
 // defaultTraceDepth is the capacity the event-trace ring of NewRegistry grows to.
@@ -91,7 +83,6 @@ func NewRegistry(node string, now func() time.Time) *Registry {
 		node:     node,
 		now:      now,
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 	}
 }
 
@@ -112,20 +103,20 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use; nil-registry
-// behavior mirrors Counter.
-func (r *Registry) Gauge(name string) *Gauge {
+// Source registers read, which every Snapshot and Value calls, without the
+// registry's lock held, to add its owner's counts to Snapshot.Counters and
+// its levels to Snapshot.Gauges. Values that several sources (or a source
+// and a counter) report under one name add up, so the incarnations of a
+// restarted node sum as they would through one shared counter. read takes
+// whatever lock guards its owner's state, and must not call back into the
+// registry. No-op on a nil registry.
+func (r *Registry) Source(read func(*Snapshot)) {
 	if r == nil {
-		return nil
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = new(Gauge)
-		r.gauges[name] = g
-	}
-	return g
+	r.sources = append(r.sources, read)
 }
 
 // Emit appends one record to the flight recorder; the oldest record is
@@ -139,15 +130,13 @@ func (r *Registry) Emit(kind Kind, ref, peer string, a, b int64) {
 	r.trace.add(Record{At: r.now().UnixNano(), Kind: kind, Ref: ref, Peer: peer, A: a, B: b})
 }
 
-// Value reads the named counter without registering it: zero if no component
-// ever asked for it, or on a nil registry.
+// Value reads the named count without registering it: zero if no counter or
+// source ever reported it, or on a nil registry.
 func (r *Registry) Value(name string) uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name].Load()
+	return r.counts().Counters[name]
 }
 
 // Snapshot is a point-in-time copy of a registry's state, safe to retain
@@ -162,26 +151,34 @@ type Snapshot struct {
 	Dropped uint64
 }
 
-// Snapshot captures every counter, gauge and traced record. A nil
-// registry yields an empty snapshot.
+// Snapshot captures every counter, every source's counts and levels, and the
+// traced records. A nil registry yields an empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{Counters: map[string]uint64{}, Gauges: map[string]int64{}}
 	}
+	s := r.counts()
+	s.Records, s.Dropped = r.trace.snapshot()
+	return s
+}
+
+// counts reads the counters under r.mu, then calls the sources without it,
+// so the registry's lock is never held while a source takes its owner's.
+func (r *Registry) counts() Snapshot {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := Snapshot{
 		Node:     r.node,
 		Counters: make(map[string]uint64, len(r.counters)),
-		Gauges:   make(map[string]int64, len(r.gauges)),
+		Gauges:   make(map[string]int64),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Load()
 	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.v.Load()
+	sources := r.sources
+	r.mu.Unlock()
+	for _, read := range sources {
+		read(&s)
 	}
-	s.Records, s.Dropped = r.trace.snapshot()
 	return s
 }
 

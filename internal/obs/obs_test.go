@@ -11,7 +11,7 @@ import (
 	"repro/internal/obs"
 )
 
-func TestCounterAndGauge(t *testing.T) {
+func TestCounterAndSource(t *testing.T) {
 	r := obs.NewRegistry("node-1", nil)
 	c := r.Counter("a.count")
 	c.Inc()
@@ -22,30 +22,44 @@ func TestCounterAndGauge(t *testing.T) {
 	if r.Counter("a.count") != c {
 		t.Fatal("Counter is not idempotent per name")
 	}
-	r.Gauge("a.level").Set(-7)
+	// Two sources under one name add up, as a restarted node's incarnations
+	// do, and a source adds to a counter of the same name.
+	for _, n := range []uint64{2, 3} {
+		r.Source(func(s *obs.Snapshot) {
+			s.Counters["a.owned"] += n
+			s.Counters["a.count"] += 1
+			s.Gauges["a.level"] += -7
+		})
+	}
 
 	snap := r.Snapshot()
 	if snap.Node != "node-1" {
 		t.Fatalf("snapshot node = %q", snap.Node)
 	}
-	if snap.Counters["a.count"] != 5 || snap.Gauges["a.level"] != -7 {
+	if snap.Counters["a.count"] != 7 || snap.Counters["a.owned"] != 5 || snap.Gauges["a.level"] != -14 {
 		t.Fatalf("snapshot = %+v", snap)
+	}
+	if got := r.Value("a.owned"); got != 5 {
+		t.Fatalf("Value(a.owned) = %d, want 5", got)
 	}
 }
 
 func TestNilRegistryIsSafe(t *testing.T) {
-	// A nil registry hands out nil instruments: updates are discarded, loads
-	// are zero, nothing panics and nothing is allocated.
+	// A nil registry hands out nil counters and drops sources: updates are
+	// discarded, loads are zero, nothing panics and nothing is allocated —
+	// registering a source included.
 	var r *obs.Registry
-	c, g := r.Counter("x"), r.Gauge("y")
-	if c != nil || g != nil {
-		t.Fatalf("nil registry handed out instruments: %p %p", c, g)
+	c := r.Counter("x")
+	if c != nil {
+		t.Fatalf("nil registry handed out a counter: %p", c)
 	}
+	called := false
+	read := func(*obs.Snapshot) { called = true }
 	allocs := testing.AllocsPerRun(100, func() {
 		c := r.Counter("x")
 		c.Inc()
 		c.Add(4)
-		r.Gauge("y").Set(3)
+		r.Source(read)
 		r.Emit(obs.GCSSuspect, "s1", "", 0, 0)
 	})
 	if allocs != 0 {
@@ -55,8 +69,11 @@ func TestNilRegistryIsSafe(t *testing.T) {
 		t.Fatalf("nil counter loads %d, want 0", c.Load())
 	}
 	snap := r.Snapshot()
-	if snap.Node != "" || len(snap.Counters) != 0 {
+	if snap.Node != "" || len(snap.Counters) != 0 || len(snap.Gauges) != 0 || r.Value("x") != 0 {
 		t.Fatalf("nil snapshot = %+v", snap)
+	}
+	if called {
+		t.Fatal("a nil registry called a source")
 	}
 }
 
@@ -67,6 +84,18 @@ func TestConcurrentCountersAndSnapshot(t *testing.T) {
 	r := obs.NewRegistry("n", nil)
 	const workers = 8
 	const perWorker = 2000
+	// An owner that keeps its count under its own lock and reports it
+	// through a source, as the server and client do.
+	var owner struct {
+		sync.Mutex
+		n uint64
+	}
+	r.Source(func(s *obs.Snapshot) {
+		owner.Lock()
+		defer owner.Unlock()
+		s.Counters["owned"] += owner.n
+		s.Gauges["level"] += int64(owner.n)
+	})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -76,7 +105,9 @@ func TestConcurrentCountersAndSnapshot(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				r.Counter("shared").Inc()
 				r.Counter(fmt.Sprintf("own.%d", w)).Inc()
-				r.Gauge("level").Set(int64(i))
+				owner.Lock()
+				owner.n++
+				owner.Unlock()
 				if i%100 == 0 {
 					r.Emit(obs.GCSSuspect, "s1", "", int64(i), 0)
 				}
@@ -100,6 +131,9 @@ func TestConcurrentCountersAndSnapshot(t *testing.T) {
 	snap := r.Snapshot()
 	if got := snap.Counters["shared"]; got != workers*perWorker {
 		t.Fatalf("shared = %d, want %d", got, workers*perWorker)
+	}
+	if got := snap.Counters["owned"]; got != workers*perWorker || snap.Gauges["level"] != workers*perWorker {
+		t.Fatalf("owned = %d, level = %d, want %d", got, snap.Gauges["level"], workers*perWorker)
 	}
 	for w := 0; w < workers; w++ {
 		if got := snap.Counters[fmt.Sprintf("own.%d", w)]; got != perWorker {

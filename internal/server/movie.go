@@ -111,8 +111,6 @@ func (ms *movieState) multicastStateAndUnlock() {
 	ms.syncBuf = nil
 	s.stats.SyncMessages++
 	s.stats.SyncBytes += uint64(len(pkt))
-	s.ctr.syncMessages.Inc()
-	s.ctr.syncBytes.Add(uint64(len(pkt)))
 	member := ms.member
 	s.mu.Unlock()
 
@@ -205,7 +203,6 @@ func (ms *movieState) resolveDuplicateLocked(from gcs.ProcessID, rec wire.Client
 	}
 	ms.srv.dropSessionLocked(sess)
 	ms.srv.stats.Releases++
-	ms.srv.ctr.releases.Inc()
 	ms.srv.cfg.Obs.Emit(obs.ServerDuplicateRelease, rec.ClientID, string(from), 0, 0)
 }
 
@@ -342,12 +339,10 @@ func (ms *movieState) redistributeLocked() {
 			rec := ms.clients[id]
 			s.startSessionLocked(rec, ms.movie, true)
 			s.stats.Takeovers++
-			s.ctr.takeovers.Inc()
 			s.cfg.Obs.Emit(obs.ServerTakeover, id, ms.movie.ID(), 0, 0)
 		case owner != gcs.ProcessID(s.cfg.ID) && mine:
 			s.dropSessionLocked(sess)
 			s.stats.Releases++
-			s.ctr.releases.Inc()
 		}
 	}
 }

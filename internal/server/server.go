@@ -225,7 +225,6 @@ type Server struct {
 	provider    *fetch.Provider
 	fetcher     *fetch.Fetcher
 	stats       Stats
-	ctr         serverCounters
 
 	// fetchOrder is the order the fetch loop tries peers in while it runs;
 	// nil otherwise.
@@ -277,34 +276,6 @@ type Server struct {
 	txPkts [][]byte
 }
 
-// serverCounters mirrors Stats into the observability registry so the
-// debug endpoint and scenario snapshots see live values; resolved once at
-// New so each update is a single atomic add.
-type serverCounters struct {
-	sessionsOpened *obs.Counter
-	takeovers      *obs.Counter
-	releases       *obs.Counter
-	framesSent     *obs.Counter
-	videoBytes     *obs.Counter
-	framesThinned  *obs.Counter
-	emergencies    *obs.Counter
-	syncMessages   *obs.Counter
-	syncBytes      *obs.Counter
-	activeSessions *obs.Gauge
-
-	// Per-class overload counters. Resolved from a nil registry when
-	// overload control is disabled: nil counters that discard every
-	// update, so snapshots and the obs table stay byte-identical for
-	// clusters that never use classes, and admits, refusals, shed tokens
-	// and degraded frames are counted in Stats alone.
-	admitsReserved     *obs.Counter
-	admitsBestEffort   *obs.Counter
-	refusalsReserved   *obs.Counter
-	refusalsBestEffort *obs.Counter
-	shedTokens         *obs.Counter
-	degradedFrames     *obs.Counter
-}
-
 // New creates a server. Call Start to bring it online.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.fillDefaults(); err != nil {
@@ -327,32 +298,12 @@ func New(cfg Config) (*Server, error) {
 		movies:     make(map[string]*movieState),
 		sessions:   make(map[string]*session),
 		syncIntern: wire.Intern{},
-		ctr: serverCounters{
-			sessionsOpened: cfg.Obs.Counter("server.sessions_opened"),
-			takeovers:      cfg.Obs.Counter("server.takeovers"),
-			releases:       cfg.Obs.Counter("server.releases"),
-			framesSent:     cfg.Obs.Counter("server.frames_sent"),
-			videoBytes:     cfg.Obs.Counter("server.video_bytes"),
-			framesThinned:  cfg.Obs.Counter("server.frames_thinned"),
-			emergencies:    cfg.Obs.Counter("server.emergency_boosts"),
-			syncMessages:   cfg.Obs.Counter("server.sync_messages"),
-			syncBytes:      cfg.Obs.Counter("server.sync_bytes"),
-			activeSessions: cfg.Obs.Gauge("server.active_sessions"),
-		},
 	}
-	// The per-class counters register only when overload control is on; a
-	// nil registry hands out nil counters, which discard every update, so
-	// the increment sites need no gating of their own.
-	oreg := cfg.Obs
-	if !cfg.Overload.enabled() {
-		oreg = nil
+	// A nil registry would drop the source anyway; the guard saves an
+	// unobserved server the method value's allocation.
+	if cfg.Obs != nil {
+		cfg.Obs.Source(s.report)
 	}
-	s.ctr.admitsReserved = oreg.Counter("server.admits_reserved")
-	s.ctr.admitsBestEffort = oreg.Counter("server.admits_best_effort")
-	s.ctr.refusalsReserved = oreg.Counter("server.refusals_reserved")
-	s.ctr.refusalsBestEffort = oreg.Counter("server.refusals_best_effort")
-	s.ctr.shedTokens = oreg.Counter("server.shed_tokens")
-	s.ctr.degradedFrames = oreg.Counter("server.degraded_frames")
 	s.vid = mux.Channel(transport.ChannelVideo)
 	if cfg.MaxSessions > 0 {
 		s.atCapacityMsg = fmt.Sprintf("server %s at capacity (%d sessions)", cfg.ID, cfg.MaxSessions)
@@ -507,12 +458,6 @@ func (s *Server) later(f func()) {
 	clock.Schedule(s.cfg.Clock, 0, f)
 }
 
-// noteSessionsLocked refreshes the active-session gauge; called wherever
-// the sessions map changes size. Caller holds s.mu.
-func (s *Server) noteSessionsLocked() {
-	s.ctr.activeSessions.Set(int64(len(s.sessions)))
-}
-
 // Stop takes the server offline abruptly — equivalent to a crash as far as
 // peers are concerned, except sessions stop transmitting immediately.
 func (s *Server) Stop() {
@@ -572,6 +517,34 @@ func (s *Server) Stats() Stats {
 	return s.stats
 }
 
+// report is the server's obs source: it adds Stats under the server.* names
+// — the per-class ones only when overload control is on — and the session
+// count as the server.active_sessions gauge.
+func (s *Server) report(snap *obs.Snapshot) {
+	s.mu.Lock()
+	st, active := s.stats, len(s.sessions)
+	s.mu.Unlock()
+	c := snap.Counters
+	c["server.sessions_opened"] += st.SessionsOpened
+	c["server.takeovers"] += st.Takeovers
+	c["server.releases"] += st.Releases
+	c["server.frames_sent"] += st.FramesSent
+	c["server.video_bytes"] += st.VideoBytes
+	c["server.frames_thinned"] += st.FramesThinned
+	c["server.emergency_boosts"] += st.Emergencies
+	c["server.sync_messages"] += st.SyncMessages
+	c["server.sync_bytes"] += st.SyncBytes
+	if s.cfg.Overload.enabled() {
+		c["server.admits_reserved"] += st.AdmitsReserved
+		c["server.admits_best_effort"] += st.AdmitsBestEffort
+		c["server.refusals_reserved"] += st.RefusalsReserved
+		c["server.refusals_best_effort"] += st.RefusalsBestEffort
+		c["server.shed_tokens"] += st.ShedTokens
+		c["server.degraded_frames"] += st.DegradedFrames
+	}
+	snap.Gauges["server.active_sessions"] += int64(active)
+}
+
 // degradeFPSLocked returns the quality cap to impose on best-effort streams
 // right now: nonzero when the session count has crossed the degrade rung or
 // the egress bucket is under pressure, zero when best effort runs at full
@@ -596,7 +569,6 @@ func (s *Server) dropSessionLocked(sess *session) {
 	if sess.rec.Leased && s.leases != nil {
 		s.leases.Drop(sess.rec.ClientID)
 	}
-	s.noteSessionsLocked()
 }
 
 // departLocked ends a session for good: its tombstone goes to the movie group,
@@ -711,10 +683,8 @@ func (s *Server) handleOpenLocked(from gcs.ProcessID) {
 		if limit > 0 && len(s.sessions) >= limit {
 			if open.Class == wire.ClassBestEffort {
 				s.stats.RefusalsBestEffort++
-				s.ctr.refusalsBestEffort.Inc()
 			} else {
 				s.stats.RefusalsReserved++
-				s.ctr.refusalsReserved.Inc()
 			}
 			s.replyOpenLocked(from, wire.OpenReply{
 				OK:           false,
@@ -744,7 +714,6 @@ func (s *Server) handleOpenLocked(from gcs.ProcessID) {
 		s.startSessionLocked(rec, movie, true)
 		s.leasesLocked().Touch(rec.ClientID)
 		s.stats.Takeovers++
-		s.ctr.takeovers.Inc()
 		s.cfg.Obs.Emit(obs.ServerLeaseTakeover, open.ClientID, open.Movie, 0, 0)
 	default:
 		rec := wire.ClientRecord{
@@ -761,13 +730,10 @@ func (s *Server) handleOpenLocked(from gcs.ProcessID) {
 			s.leasesLocked().Touch(rec.ClientID)
 		}
 		s.stats.SessionsOpened++
-		s.ctr.sessionsOpened.Inc()
 		if open.Class == wire.ClassBestEffort {
 			s.stats.AdmitsBestEffort++
-			s.ctr.admitsBestEffort.Inc()
 		} else {
 			s.stats.AdmitsReserved++
-			s.ctr.admitsReserved.Inc()
 		}
 		s.cfg.Obs.Emit(obs.ServerSessionOpen, open.ClientID, open.Movie, 0, 0)
 	}

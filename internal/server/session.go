@@ -112,7 +112,6 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 	sess.rate.SetBase(int(rec.Rate))
 	sess.sendOneFn = sess.sendOne
 	s.sessions[rec.ClientID] = sess
-	s.noteSessionsLocked()
 	clientID := rec.ClientID
 	sess.decayTask.Start(s.cfg.Clock, time.Second, time.Second, func() {
 		s.mu.Lock()
@@ -356,10 +355,8 @@ func (sess *session) paceTickLocked() (txOutcome, []byte) {
 		sess.rec.Offset++
 		if degraded {
 			s.stats.DegradedFrames++
-			s.ctr.degradedFrames.Inc()
 		} else {
 			s.stats.FramesThinned++
-			s.ctr.framesThinned.Inc()
 		}
 		return txSent, nil
 	}
@@ -371,7 +368,6 @@ func (sess *session) paceTickLocked() (txOutcome, []byte) {
 		if sess.rec.Class == wire.ClassBestEffort {
 			if !sh.TakeBestEffort(t.WireSize(idx)) {
 				s.stats.ShedTokens++
-				s.ctr.shedTokens.Inc()
 				return txShed, nil
 			}
 		} else {
@@ -391,8 +387,6 @@ func (sess *session) paceTickLocked() (txOutcome, []byte) {
 	// per-message encoder would, i.e. without the one-byte mux prefix.
 	s.stats.FramesSent++
 	s.stats.VideoBytes += uint64(t.WireSize(idx))
-	s.ctr.framesSent.Inc()
-	s.ctr.videoBytes.Add(uint64(t.WireSize(idx)))
 	return txSent, t.Packet(idx)
 }
 
@@ -448,7 +442,6 @@ func (s *Server) sessionCtlLocked(sess *session, clientID string, payload []byte
 		sess.rate.OnRequest(msg.Request, int(msg.Occupancy))
 		if !wasActive && sess.rate.EmergencyActive() {
 			s.stats.Emergencies++
-			s.ctr.emergencies.Inc()
 			s.cfg.Obs.Emit(obs.ServerEmergencyBoost, clientID, "", 0, 0)
 		}
 		sess.rec.Rate = uint16(sess.rate.Base())

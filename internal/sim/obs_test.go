@@ -71,6 +71,26 @@ func TestObsCountersLANCrash(t *testing.T) {
 	}
 }
 
+// TestCrashedServerReportsNoSessions: a crashed server holds no sessions, and
+// its registry says so, both while its survivor serves the client and after
+// the run. Stop empties the session table, which is what the registry reads.
+func TestCrashedServerReportsNoSessions(t *testing.T) {
+	sc := LANScenario(1)
+	crashAt, lbAt := EventTimesLAN()
+	var mid [2]int64
+	sc.Events = append(sc.Events, Event{At: (crashAt + lbAt) / 2, Do: func(rt *Runtime) {
+		mid[0] = rt.registry("server-1").Snapshot().Gauges["server.active_sessions"]
+		mid[1] = rt.registry("server-2").Snapshot().Gauges["server.active_sessions"]
+	}})
+	res := Run(sc)
+	if mid != [2]int64{0, 1} {
+		t.Errorf("between the crash and the load balance, server-1 and server-2 report %v active sessions, want [0 1]", mid)
+	}
+	if got := res.Obs["server-1"].Snapshot().Gauges["server.active_sessions"]; got != 0 {
+		t.Errorf("crashed server-1 reports %d active sessions at the end of the run, want 0", got)
+	}
+}
+
 // TestObsSnapshotsDeterministic runs the same scenario twice and expects
 // identical counter snapshots — the property that makes the obs layer
 // usable in regression assertions.

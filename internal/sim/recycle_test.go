@@ -103,13 +103,15 @@ func TestRecycledWorldMatchesFresh(t *testing.T) {
 }
 
 // TestReleasedWorldKeepsNothing: a spare clock and network hold nothing of the
-// run that released them. The obs registries of the client, a server and the
-// network stand in for the world: each is reachable from its node and from
-// the Runtime, and holds no pointer back, so its finalizer runs exactly when
-// the world is gone. (A client or server cannot carry the finalizer itself:
-// its bound methods point back at it, and the GC never finalizes a cycle.)
-// The world's title outlives it in mpeg's table of held titles, and keeps
-// nothing of it either.
+// run that released them. A sentinel on the obs registries of the client, a
+// server and the network stands in for the world: each registry is reachable
+// from its node and from the Runtime, and holds the sentinel through a source
+// that reports nothing; the sentinel holds no pointer back, so its finalizer
+// runs exactly when the world is gone. (Neither a node nor its registry can
+// carry the finalizer itself: a node's bound methods point back at it, a
+// server's or client's source points from its registry back at the node, and
+// the GC never finalizes a cycle.) The world's title outlives it in mpeg's
+// table of held titles, and keeps nothing of it either.
 func TestReleasedWorldKeepsNothing(t *testing.T) {
 	dropSpares()
 	defer dropSpares()
@@ -124,7 +126,11 @@ func TestReleasedWorldKeepsNothing(t *testing.T) {
 		Duration: 5 * time.Second,
 		Events: []Event{{At: 3 * time.Second, Do: func(rt *Runtime) {
 			for i, node := range nodes {
-				runtime.SetFinalizer(rt.registry(node), func(*obs.Registry) { gone[i].Store(true) })
+				// Large enough to stay out of the tiny allocator, whose
+				// blocks may never be finalized.
+				sentinel := new([4]int64)
+				runtime.SetFinalizer(sentinel, func(*[4]int64) { gone[i].Store(true) })
+				rt.registry(node).Source(func(*obs.Snapshot) { _ = sentinel })
 			}
 		}}},
 	})

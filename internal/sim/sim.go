@@ -117,8 +117,7 @@ type Runtime struct {
 
 	// retired accumulates the final stats of crashed servers so totals
 	// (video bytes, sync bytes) survive the crash.
-	retired      map[string]server.Stats
-	retiredVideo uint64
+	retired map[string]server.Stats
 
 	// regs holds one obs registry per node (servers, the client, and the
 	// pseudo-node "net" for the simulator itself). Registries outlive
@@ -262,9 +261,7 @@ func (rt *Runtime) CrashServer(id string) error {
 	if s == nil {
 		return fmt.Errorf("sim: no server %q to crash", id)
 	}
-	st := s.Stats()
-	rt.retired[id] = addStats(rt.retired[id], st)
-	rt.retiredVideo += st.VideoBytes
+	rt.retired[id] = addStats(rt.retired[id], s.Stats())
 	rt.StopServer(id)
 	rt.Net.Crash(transport.Addr(id))
 	return nil
@@ -459,7 +456,10 @@ func Run(sc Scenario) *Result {
 				res.ServingServer.Add(t, float64(i))
 			}
 			if res.VideoBytesCum != nil {
-				vb := rt.retiredVideo
+				var vb uint64
+				for _, st := range rt.retired {
+					vb += st.VideoBytes
+				}
 				rt.EachServer(func(_ string, s *server.Server) { vb += s.Stats().VideoBytes })
 				res.VideoBytesCum.Add(t, float64(vb))
 			}
