@@ -10,7 +10,7 @@ import (
 
 // codec is the per-Process decode-side reuse state: a string intern table
 // (group names and process IDs are drawn from a small, stable universe) and
-// free lists for the inbound message kinds no handler keeps.
+// a free list for every inbound kind a handler only reads.
 // Decoding runs before p.mu is taken — and concurrently under a real clock —
 // so the codec carries its own lock, held across one decode. The codec never
 // calls back into the Process, so the lock nests safely under p.mu.
@@ -22,8 +22,26 @@ type codec struct {
 	direct   freeList[msgDirect]
 	anycast  freeList[msgAnycast]
 	presence freeList[msgPresence]
-	cut      freeList[msgCut]
 	nak      freeList[msgNak]
+	flush    *flushLists // made by the first view-change message decoded
+}
+
+// flushLists are the free lists of the view-change kinds. A process in no
+// group — a leased viewer, of which a scale run builds thousands — never
+// decodes one, so it does not carry them.
+type flushLists struct {
+	propose  freeList[msgPropose]
+	syncInfo freeList[msgSyncInfo]
+	cut      freeList[msgCut]
+	cutDone  freeList[msgCutDone]
+	install  freeList[msgInstall]
+}
+
+func (c *codec) flushLocked() *flushLists {
+	if c.flush == nil {
+		c.flush = new(flushLists)
+	}
+	return c.flush
 }
 
 // Bounds keep a pathological workload (say, unbounded group-name churn)
@@ -77,11 +95,12 @@ func (c *codec) internLocked(b []byte) string {
 // payloads are copied when parked (acceptMcastLocked) or buffered for a
 // future view; ack vectors and cuts are aligned into the member's own rows
 // (onAckVecLocked, onCutLocked); a presence is relayed by re-encoding it and
-// a NAK is answered. Direct and anycast payloads were captured by value in
-// their callback entries. A propose, sync report or install is kept — as the
-// flush's candidates, the coordinator's reports, the view — so those are
-// decoded fresh. Envelopes keep their slices' storage, which decode
-// overwrites; payloads are dropped, as they alias the receive buffer.
+// a NAK is answered. A propose's candidates, a sync report and an install's
+// members are copied into member storage (onProposeLocked,
+// syncRecord.record, onInstallLocked), and a cut-done only flips a flag.
+// Direct and anycast payloads were captured by value in their callback
+// entries. Envelopes keep their slices' storage, which decode overwrites;
+// payloads are dropped, as they alias the receive buffer.
 func (c *codec) recycle(msg any) {
 	switch m := msg.(type) {
 	case *msgMcast:
@@ -97,10 +116,18 @@ func (c *codec) recycle(msg any) {
 		put(c, &c.anycast, m)
 	case *msgPresence:
 		put(c, &c.presence, m)
-	case *msgCut:
-		put(c, &c.cut, m)
 	case *msgNak:
 		put(c, &c.nak, m)
+	case *msgPropose: // decode made c.flush before it made m
+		put(c, &c.flush.propose, m)
+	case *msgSyncInfo:
+		put(c, &c.flush.syncInfo, m)
+	case *msgCut:
+		put(c, &c.flush.cut, m)
+	case *msgCutDone:
+		put(c, &c.flush.cutDone, m)
+	case *msgInstall:
+		put(c, &c.flush.install, m)
 	}
 }
 
@@ -192,25 +219,31 @@ func (c *codec) decode(buf []byte) (any, error) {
 		pr.members = c.idsLocked(r, pr.members)
 		m = pr
 	case kindPropose:
-		m = &msgPropose{group: c.stringLocked(r), pid: c.pidLocked(r), candidates: c.idsLocked(r, nil)}
+		pp := c.flushLocked().propose.take()
+		pp.group, pp.pid = c.stringLocked(r), c.pidLocked(r)
+		pp.candidates = c.idsLocked(r, pp.candidates)
+		m = pp
 	case kindSyncInfo:
-		m = &msgSyncInfo{
-			group:      c.stringLocked(r),
-			pid:        c.pidLocked(r),
-			oldView:    c.viewIDLocked(r),
-			oldMembers: c.idsLocked(r, nil),
-			sendSeq:    r.U64(),
-			recvNext:   c.vecLocked(r, vec{}),
-		}
+		si := c.flushLocked().syncInfo.take()
+		si.group, si.pid, si.oldView = c.stringLocked(r), c.pidLocked(r), c.viewIDLocked(r)
+		si.oldMembers = c.idsLocked(r, si.oldMembers)
+		si.sendSeq = r.U64()
+		si.recvNext = c.vecLocked(r, si.recvNext)
+		m = si
 	case kindCut:
-		ct := c.cut.take()
+		ct := c.flushLocked().cut.take()
 		ct.group, ct.pid = c.stringLocked(r), c.pidLocked(r)
 		ct.targets = c.vecLocked(r, ct.targets)
 		m = ct
 	case kindCutDone:
-		m = &msgCutDone{group: c.stringLocked(r), pid: c.pidLocked(r)}
+		cd := c.flushLocked().cutDone.take()
+		cd.group, cd.pid = c.stringLocked(r), c.pidLocked(r)
+		m = cd
 	case kindInstall:
-		m = &msgInstall{group: c.stringLocked(r), pid: c.pidLocked(r), view: c.viewIDLocked(r), members: c.idsLocked(r, nil)}
+		in := c.flushLocked().install.take()
+		in.group, in.pid, in.view = c.stringLocked(r), c.pidLocked(r), c.viewIDLocked(r)
+		in.members = c.idsLocked(r, in.members)
+		m = in
 	case kindLeave:
 		m = &msgLeave{group: c.stringLocked(r)}
 	case kindAgreedReq:

@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"slices"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/obs"
@@ -24,6 +25,11 @@ import (
 // messages before installing V'. Competing proposals (concurrent failures,
 // merges) are serialized by proposalID: candidates follow the highest
 // proposal they have seen, and abandoned coordinators stand down.
+//
+// Every message of the flush is read during dispatch and never kept: what a
+// handler needs later — the followed candidates, a report, the installed
+// members — it copies into storage its Member owns, so the codec recycles
+// all of them (codec.recycle).
 
 type proposalPhase int
 
@@ -32,20 +38,51 @@ const (
 	phaseCut
 )
 
-// proposal is coordinator-side state for one view-change attempt.
+// proposal is coordinator-side state for one view-change attempt. A Member
+// makes one (Member.own) the first time it coordinates and points m.prop at
+// it while it does; each attempt re-slices the storage the previous one left
+// behind.
 type proposal struct {
 	pid        proposalID
-	candidates []ProcessID // sorted; syncInfos and cutDone go by rank in it
+	candidates []ProcessID // sorted; syncs go by rank in it
 	phase      proposalPhase
-	syncInfos  []*msgSyncInfo
-	cutDone    []bool
+	syncs      []syncRecord
 	// Delivery targets are computed PER OLD VIEW: sequence numbers are
 	// meaningless across views, and a merge (or a member stranded one
 	// view behind) brings candidates from several old views into one
 	// proposal. Each candidate receives the cut of its own old view.
 	cuts    []viewCut
+	raised  []uint64 // computeCut's scratch, by rank in an old view
 	retries int
-	timer   clock.Timer
+
+	// The phase timer runs fire — Member.phaseTimedOut, bound once. due is
+	// when the current phase times out: set before every arm, it tells the
+	// callback of the current arm from one a re-arm or stand-down came too
+	// late to stop (on a Real clock a fired timer's callback may still be
+	// waiting for the lock).
+	due   time.Time
+	timer clock.Timer
+	fire  func()
+}
+
+// syncRecord is one candidate's part in an attempt: its report, copied out
+// of the message into storage the record keeps from attempt to attempt, and
+// whether it has reached the cut.
+type syncRecord struct {
+	reported, cutDone bool
+	oldView           ViewID
+	oldMembers        []ProcessID
+	sendSeq           uint64
+	recvNext          vec
+}
+
+// record copies a report in; a repeated report replaces the earlier one.
+func (rec *syncRecord) record(msg *msgSyncInfo) {
+	rec.reported = true
+	rec.oldView, rec.sendSeq = msg.oldView, msg.sendSeq
+	rec.oldMembers = append(rec.oldMembers[:0], msg.oldMembers...)
+	rec.recvNext.ids = append(rec.recvNext.ids[:0], msg.recvNext.ids...)
+	rec.recvNext.vals = append(rec.recvNext.vals[:0], msg.recvNext.vals...)
 }
 
 // viewCut is the delivery targets of one old view.
@@ -55,6 +92,24 @@ type viewCut struct {
 }
 
 func (pr *proposal) rank(id ProcessID) (int, bool) { return slices.BinarySearch(pr.candidates, id) }
+
+// lagging reports whether the candidate at rank r has yet to complete the
+// current phase.
+func (pr *proposal) lagging(r int) bool {
+	if pr.phase == phaseSync {
+		return !pr.syncs[r].reported
+	}
+	return !pr.syncs[r].cutDone
+}
+
+func (pr *proposal) anyLagging() bool {
+	for r := range pr.syncs {
+		if pr.lagging(r) {
+			return true
+		}
+	}
+	return false
+}
 
 // cutFor returns the targets computed for an old view.
 func (pr *proposal) cutFor(view ViewID) (vec, bool) {
@@ -66,39 +121,50 @@ func (pr *proposal) cutFor(view ViewID) (vec, bool) {
 	return vec{}, false
 }
 
+// armPhaseLocked (re)starts the phase timer.
+func (m *Member) armPhaseLocked() {
+	pr := m.prop
+	pr.due = m.p.cfg.Clock.Now().Add(proposalTimeout)
+	pr.timer = clock.Rearm(m.p.cfg.Clock, pr.timer, proposalTimeout, pr.fire)
+}
+
+// standDownLocked ends this member's coordination, if any.
+func (m *Member) standDownLocked() {
+	if m.prop != nil {
+		m.prop.timer.Stop()
+		m.prop = nil
+	}
+}
+
 // startProposalLocked begins (or restarts) a view change coordinated by
 // this member over the currently desired candidate set.
 func (m *Member) startProposalLocked(cb *callbacks) {
 	if !m.active || m.leaving {
 		return
 	}
-	candidates := m.desiredCandidatesLocked(nil) // fresh: the proposal keeps it
-	if len(candidates) == 0 {
-		candidates = []ProcessID{m.p.id}
+	if m.own == nil {
+		m.own = &proposal{fire: m.phaseTimedOut} // most members never coordinate
 	}
-	if m.round < m.curPID.Round {
-		m.round = m.curPID.Round
+	pr := m.own
+	pr.candidates = m.desiredCandidatesLocked(pr.candidates)
+	if len(pr.candidates) == 0 {
+		pr.candidates = append(pr.candidates, m.p.id)
 	}
-	m.round++
-	pid := proposalID{Round: m.round, Coord: m.p.id}
-
-	if m.prop != nil && m.prop.timer != nil {
-		m.prop.timer.Stop()
-	}
-	pr := &proposal{
-		pid:        pid,
-		candidates: candidates,
-		phase:      phaseSync,
-		syncInfos:  make([]*msgSyncInfo, len(candidates)),
-		cutDone:    make([]bool, len(candidates)),
+	// My rounds count up from the last I proposed, or past the highest I
+	// followed.
+	pr.pid = proposalID{Round: max(pr.pid.Round, m.curPID.Round) + 1, Coord: m.p.id}
+	pr.phase, pr.retries, pr.cuts = phaseSync, 0, pr.cuts[:0]
+	pr.syncs = slices.Grow(pr.syncs[:0], len(pr.candidates))[:len(pr.candidates)]
+	for r := range pr.syncs {
+		pr.syncs[r].reported, pr.syncs[r].cutDone = false, false
 	}
 	m.prop = pr
-	pr.timer = m.p.cfg.Clock.AfterFunc(proposalTimeout, func() { m.proposalTimeout(pid) })
+	m.armPhaseLocked()
 
-	msg := &msgPropose{group: m.group, pid: pid, candidates: candidates}
+	msg := &msgPropose{group: m.group, pid: pr.pid, candidates: pr.candidates}
 	pkt := appendPropose(m.encBuf[:0], msg)
 	m.encBuf = pkt[:0]
-	for _, id := range candidates {
+	for _, id := range pr.candidates {
 		if id != m.p.id {
 			_ = m.p.cfg.Endpoint.Send(id, pkt)
 		}
@@ -106,59 +172,47 @@ func (m *Member) startProposalLocked(cb *callbacks) {
 	m.onProposeLocked(msg, cb) // may frame into the scratch: pkt is sent
 }
 
-// proposalTimeout fires when a phase stalls: first it retransmits to the
+// phaseTimedOut fires when a phase stalls: first it retransmits to the
 // laggards, then it declares them failed and restarts without them.
-func (m *Member) proposalTimeout(pid proposalID) {
+func (m *Member) phaseTimedOut() {
 	var cb callbacks
 	m.p.mu.Lock()
 	pr := m.prop
-	if !m.active || pr == nil || pr.pid != pid {
-		m.p.mu.Unlock()
-		return
-	}
-	missing := pr.missingLocked()
-	if len(missing) == 0 {
+	if !m.active || pr == nil || m.p.cfg.Clock.Now().Before(pr.due) || !pr.anyLagging() {
 		m.p.mu.Unlock()
 		return
 	}
 	pr.retries++
 	if pr.retries <= 2 {
 		// Retransmit the current phase message to the laggards.
-		for _, r := range missing {
+		for r := range pr.syncs {
+			if !pr.lagging(r) {
+				continue
+			}
 			pkt := m.encBuf[:0]
 			switch pr.phase {
 			case phaseSync:
 				pkt = appendPropose(pkt, &msgPropose{group: m.group, pid: pr.pid, candidates: pr.candidates})
 			case phaseCut:
-				cut, _ := pr.cutFor(pr.syncInfos[r].oldView)
+				cut, _ := pr.cutFor(pr.syncs[r].oldView)
 				pkt = appendCut(pkt, &msgCut{group: m.group, pid: pr.pid, targets: cut})
 			}
 			m.encBuf = pkt[:0]
 			_ = m.p.cfg.Endpoint.Send(pr.candidates[r], pkt)
 		}
-		pr.timer = m.p.cfg.Clock.AfterFunc(proposalTimeout, func() { m.proposalTimeout(pid) })
+		m.armPhaseLocked()
 	} else {
 		// Give up on the laggards: suspect them so the candidate
 		// computation excludes them, and restart the view change.
-		for _, r := range missing {
-			m.p.fd.suspectLocked(pr.candidates[r])
+		for r := range pr.syncs {
+			if pr.lagging(r) {
+				m.p.fd.suspectLocked(pr.candidates[r])
+			}
 		}
 		m.startProposalLocked(&cb)
 	}
 	m.p.mu.Unlock()
 	cb.run()
-}
-
-// missingLocked returns the ranks of the candidates that have not completed
-// the current phase.
-func (pr *proposal) missingLocked() []int {
-	var out []int
-	for r := range pr.candidates {
-		if (pr.phase == phaseSync && pr.syncInfos[r] == nil) || (pr.phase == phaseCut && !pr.cutDone[r]) {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // onProposeLocked is the participant's entry into a view change.
@@ -172,18 +226,14 @@ func (m *Member) onProposeLocked(msg *msgPropose, cb *callbacks) {
 	switch {
 	case msg.pid.supersedes(m.curPID):
 		m.curPID = msg.pid
-		m.flushCandidates = msg.candidates // never mutated: the codec never pools a propose, and a proposal's own list is fresh
+		m.flushCandidates = append(m.flushCandidates[:0], msg.candidates...)
 		if m.status == statusNormal {
 			m.status = statusFlushing
 			m.flushOldView = m.view
 			m.p.ctr.flushRounds.Inc()
 		}
 		if m.prop != nil && m.prop.pid != msg.pid {
-			// Our own proposal lost; stand down as coordinator.
-			if m.prop.timer != nil {
-				m.prop.timer.Stop()
-			}
-			m.prop = nil
+			m.standDownLocked() // our own proposal lost
 		}
 		m.haveCut = false
 		m.sentCutDone = false
@@ -194,10 +244,9 @@ func (m *Member) onProposeLocked(msg *msgPropose, cb *callbacks) {
 	}
 	m.flushHeard = m.p.cfg.Clock.Now()
 
-	// The report goes out in rank order, which is sorted, straight from the
-	// live cursors; the coordinator's own is kept until the cut is computed,
-	// so that one takes a copy.
-	info := &msgSyncInfo{
+	// The report is read straight from the live cursors: framed for a
+	// remote coordinator, copied into its record by our own.
+	info := msgSyncInfo{
 		group:      m.group,
 		pid:        m.curPID,
 		oldView:    m.flushOldView.ID,
@@ -206,10 +255,9 @@ func (m *Member) onProposeLocked(msg *msgPropose, cb *callbacks) {
 		recvNext:   vec{m.flushOldView.Members, m.ms.recvNext},
 	}
 	if m.curPID.Coord == m.p.id {
-		info.recvNext.vals = slices.Clone(m.ms.recvNext)
-		m.onSyncInfoLocked(m.p.id, info, cb)
+		m.onSyncInfoLocked(m.p.id, &info, cb)
 	} else {
-		pkt := appendSyncInfo(m.encBuf[:0], info)
+		pkt := appendSyncInfo(m.encBuf[:0], &info)
 		m.encBuf = pkt[:0]
 		_ = m.p.cfg.Endpoint.Send(m.curPID.Coord, pkt)
 	}
@@ -225,30 +273,27 @@ func (m *Member) onSyncInfoLocked(from ProcessID, msg *msgSyncInfo, cb *callback
 	if !ok {
 		return
 	}
-	pr.syncInfos[r] = msg
-	if slices.Contains(pr.syncInfos, nil) {
+	pr.syncs[r].record(msg)
+	if pr.anyLagging() {
 		return
 	}
 
 	// Everyone reported: compute the delivery targets, separately per old
 	// view (sequence numbers do not compare across views).
-	for _, info := range pr.syncInfos {
-		if _, done := pr.cutFor(info.oldView); !done {
-			pr.cuts = append(pr.cuts, viewCut{info.oldView, pr.computeCut(info.oldView, info.oldMembers)})
+	for r := range pr.syncs {
+		rec := &pr.syncs[r]
+		if _, done := pr.cutFor(rec.oldView); !done {
+			pr.addCut(rec.oldView, rec.oldMembers)
 		}
 	}
 	pr.phase = phaseCut
 	pr.retries = 0
-	if pr.timer != nil {
-		pr.timer.Stop()
-	}
-	pid := pr.pid
-	pr.timer = m.p.cfg.Clock.AfterFunc(proposalTimeout, func() { m.proposalTimeout(pid) })
+	m.armPhaseLocked()
 
 	// Each cut is framed in its own iteration: the self-cut re-enters the
 	// flush, which may frame into the scratch before the loop goes on.
 	for r, id := range pr.candidates {
-		targets, _ := pr.cutFor(pr.syncInfos[r].oldView)
+		targets, _ := pr.cutFor(pr.syncs[r].oldView)
 		cut := &msgCut{group: m.group, pid: pr.pid, targets: targets}
 		if id == m.p.id {
 			m.onCutLocked(cut, cb)
@@ -260,28 +305,45 @@ func (m *Member) onSyncInfoLocked(from ProcessID, msg *msgSyncInfo, cb *callback
 	}
 }
 
+// addCut appends the targets of one old view, computed into the storage an
+// earlier attempt left in that slot.
+func (pr *proposal) addCut(view ViewID, members []ProcessID) {
+	k := len(pr.cuts)
+	if k < cap(pr.cuts) {
+		pr.cuts = pr.cuts[:k+1]
+	} else {
+		pr.cuts = append(pr.cuts, viewCut{})
+	}
+	c := &pr.cuts[k]
+	c.view, c.targets = view, pr.computeCut(view, members, c.targets)
+}
+
 // computeCut folds the reports of the candidates that come from one old view
-// into that view's delivery targets: a sender's target is the max of its own
-// sendSeq (if it reported) and every same-view reporter's delivered count —
-// so nothing any same-view survivor sent or delivered is lost. members is the
-// old view's membership as its first reporter gave it.
-func (pr *proposal) computeCut(view ViewID, members []ProcessID) vec {
+// into that view's delivery targets, written into cut's storage: a sender's
+// target is the max of its own sendSeq (if it reported) and every same-view
+// reporter's delivered count — so nothing any same-view survivor sent or
+// delivered is lost. members is the old view's membership as its first
+// reporter gave it.
+func (pr *proposal) computeCut(view ViewID, members []ProcessID, cut vec) vec {
 	if !slices.IsSorted(members) {
 		members = sortedIDs(members)
 	}
-	targets := make([]uint64, len(members))
+	targets := slices.Grow(pr.raised[:0], len(members))[:len(members)]
+	clear(targets)
+	pr.raised = targets
 	raise := func(s int, v uint64) { targets[s] = max(targets[s], v) }
-	for r, info := range pr.syncInfos {
-		if info.oldView != view {
+	for r := range pr.syncs {
+		rec := &pr.syncs[r]
+		if rec.oldView != view {
 			continue
 		}
 		if s, ok := slices.BinarySearch(members, pr.candidates[r]); ok {
-			raise(s, info.sendSeq)
+			raise(s, rec.sendSeq)
 		}
-		info.recvNext.each(members, raise)
+		rec.recvNext.each(members, raise)
 	}
 	// A zero target asks for nothing, so it does not travel.
-	cut := vec{make([]ProcessID, 0, len(members)), targets[:0]}
+	cut.ids, cut.vals = cut.ids[:0], cut.vals[:0]
 	for s, v := range targets {
 		if v > 0 {
 			cut.ids, cut.vals = append(cut.ids, members[s]), append(cut.vals, v)
@@ -353,16 +415,14 @@ func (m *Member) onCutDoneLocked(from ProcessID, msg *msgCutDone, cb *callbacks)
 	if !ok {
 		return
 	}
-	pr.cutDone[r] = true
-	if slices.Contains(pr.cutDone, false) {
+	pr.syncs[r].cutDone = true
+	if pr.anyLagging() {
 		return
 	}
 
 	maxSeq := m.view.ID.Seq
-	for _, info := range pr.syncInfos {
-		if info.oldView.Seq > maxSeq {
-			maxSeq = info.oldView.Seq
-		}
+	for r := range pr.syncs {
+		maxSeq = max(maxSeq, pr.syncs[r].oldView.Seq)
 	}
 	install := &msgInstall{
 		group:   m.group,
@@ -383,19 +443,15 @@ func (m *Member) onCutDoneLocked(from ProcessID, msg *msgCutDone, cb *callbacks)
 // onInstallLocked commits the new view: reset multicast state, notify the
 // application, release queued multicasts and replay early messages.
 func (m *Member) onInstallLocked(msg *msgInstall, cb *callbacks) {
-	if msg.pid != m.curPID || m.status != statusFlushing {
+	if msg.pid != m.curPID || m.status != statusFlushing || !slices.Contains(msg.members, m.p.id) {
 		return
 	}
-	// A coordinator sends its sorted, compacted candidates, which the view
-	// keeps as they are (an install is decoded fresh); only hostile input
-	// is out of order.
-	members := msg.members
-	if !isSet(members) {
-		members = sortedIDs(members)
-	}
-	if !slices.Contains(members, m.p.id) {
-		return
-	}
+	// The member list is the one allocation an install makes: the view keeps
+	// it, shared with every OnView callback and never modified, while the
+	// message's list goes back to the codec or, at the coordinator, is the
+	// candidate storage of its next proposal. Only hostile input is out of
+	// order or repeats an ID.
+	members := sortedIDs(msg.members)
 
 	m.view = View{Group: m.group, ID: msg.view, Members: members}
 	m.ms.reset(m.view, m.p.id)
@@ -404,16 +460,11 @@ func (m *Member) onInstallLocked(msg *msgInstall, cb *callbacks) {
 	m.p.cfg.Obs.Emit(obs.GCSView, m.group, string(msg.view.Coord), int64(msg.view.Seq), int64(len(members)))
 	m.haveCut = false
 	m.sentCutDone = false
-	m.flushCandidates = nil
+	m.flushCandidates = m.flushCandidates[:0]
 	m.flushOldView = View{}
 	m.forceChange = false
 	m.divergeCount = nil
-	if m.prop != nil {
-		if m.prop.timer != nil {
-			m.prop.timer.Stop()
-		}
-		m.prop = nil
-	}
+	m.standDownLocked()
 	for id := range m.departed {
 		if !m.view.Includes(id) {
 			delete(m.departed, id)
@@ -452,17 +503,6 @@ func (m *Member) onInstallLocked(msg *msgInstall, cb *callbacks) {
 	if m.isActingCoordinatorLocked() && m.changeNeededLocked() {
 		m.scheduleProposalLocked()
 	}
-}
-
-// isSet reports whether ids is strictly ascending: sorted with no duplicates,
-// what sortedIDs returns.
-func isSet(ids []ProcessID) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // flushTickLocked runs on the retransmission period while flushing: it

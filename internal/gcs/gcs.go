@@ -51,9 +51,12 @@ func (v ViewID) String() string { return fmt.Sprintf("%d@%s", v.Seq, v.Coord) }
 
 // View is a membership view of one group.
 type View struct {
-	Group   string
-	ID      ViewID
-	Members []ProcessID // sorted ascending
+	Group string
+	ID    ViewID
+	// Members is sorted ascending. An install allocates it once and every
+	// View of that install shares it — the member's own, each OnView
+	// callback's, each Member.View result — so it must not be modified.
+	Members []ProcessID
 }
 
 // Includes reports whether p is a member of the view.
@@ -509,9 +512,10 @@ func (p *Process) onPacket(from ProcessID, payload []byte) {
 		}
 	}
 	p.mu.Unlock()
-	// Dispatch done: pooled kinds were either copied (parked multicasts)
-	// or aligned into the member's own rows (ack vectors), so their decoded
-	// forms can be reused. Deferred callbacks never capture msg itself.
+	// Dispatch done: pooled kinds were copied (parked multicasts, the
+	// flush's candidates, reports and members) or aligned into the member's
+	// own rows (ack vectors, cuts), so their decoded forms can be reused.
+	// Deferred callbacks never capture msg itself.
 	p.codec.recycle(msg)
 	cb.run()
 }

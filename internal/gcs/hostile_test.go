@@ -212,6 +212,43 @@ func TestHostileStrangerVectorsLeaveNoState(t *testing.T) {
 	}
 }
 
+// TestFlushKeepsNoEnvelope: the codec decodes the next propose or install
+// into the envelope the last one left, lists and all, so what a member keeps
+// of them — the candidates it follows, the view it installs — must be its own
+// copy. A long propose followed by a short one leaves exactly the short
+// list, and a stale propose and a stale install decoded into those envelopes
+// afterwards change neither.
+func TestFlushKeepsNoEnvelope(t *testing.T) {
+	_, _, p, m := hostilePair(t)
+	followed := func() []ProcessID {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return slices.Clone(m.flushCandidates)
+	}
+	stale, ab, az := proposalID{Round: 1, Coord: "b"}, []ProcessID{"a", "b"}, []ProcessID{"a", "z"}
+	long := append(slices.Clone(ab), strangers(64).ids...)
+	p.onPacket("b", appendPropose(nil, &msgPropose{group: "g", pid: proposalID{Round: 98, Coord: "b"}, candidates: long}))
+	pid := proposalID{Round: 99, Coord: "b"}
+	p.onPacket("b", appendPropose(nil, &msgPropose{group: "g", pid: pid, candidates: ab}))
+	if got := followed(); !slices.Equal(got, ab) {
+		t.Fatalf("after a propose of %d candidates and one of %v, a follows %v", len(long), ab, got)
+	}
+	p.onPacket("b", appendPropose(nil, &msgPropose{group: "g", pid: stale, candidates: az}))
+	if got := followed(); !slices.Equal(got, ab) {
+		t.Fatalf("a stale propose of %v turned the candidates a follows into %v", az, got)
+	}
+
+	view := ViewID{Seq: 50, Coord: "b"}
+	p.onPacket("b", appendInstall(nil, &msgInstall{group: "g", pid: pid, view: view, members: ab}))
+	if v := m.View(); v.ID != view || !slices.Equal(v.Members, ab) {
+		t.Fatalf("the install of %v as %v left a in %v %v", ab, view, v.ID, v.Members)
+	}
+	p.onPacket("b", appendInstall(nil, &msgInstall{group: "g", pid: stale, view: ViewID{Seq: 51, Coord: "b"}, members: az}))
+	if v := m.View(); v.ID != view || !slices.Equal(v.Members, ab) {
+		t.Fatalf("a stale install of %v turned a's view into %v %v", az, v.ID, v.Members)
+	}
+}
+
 // TestSyncInfoFromAnotherOldViewGetsItsOwnCut pins the per-old-view rule of
 // the flush: sequence numbers mean nothing across views, so a candidate that
 // reports a different old view — a joiner, a merged-in partition, a member
@@ -235,7 +272,13 @@ func TestSyncInfoFromAnotherOldViewGetsItsOwnCut(t *testing.T) {
 		if m.prop == nil {
 			return 0
 		}
-		return len(m.prop.syncInfos) - len(m.prop.missingLocked())
+		n := 0
+		for _, rec := range m.prop.syncs {
+			if rec.reported {
+				n++
+			}
+		}
+		return n
 	}
 	for i := 0; i < 200 && reported() < 2; i++ {
 		clk.Advance(time.Millisecond)
@@ -371,6 +414,13 @@ func FuzzOnPacket(f *testing.F) {
 		appendPresence(nil, &msgPresence{group: "g", view: ViewID{Seq: 9, Coord: "z"}, members: append(strangers(64).ids, "b", "b")}),
 		wire.AppendU16(appendPID(wire.AppendString([]byte{kindCut}, "g"), pid), math.MaxUint16),
 		appendNak(nil, &msgNak{group: "g", view: view, sender: "z", from: 9, to: 2}),
+		// The flush's kinds are pooled too, and each input is decoded twice,
+		// the second time into the envelope the first left: a propose naming
+		// a crowd beside the two members (the two-member one above is its
+		// short counterpart), and an install whose count claims more IDs
+		// than the datagram holds.
+		appendPropose(nil, &msgPropose{group: "g", pid: pid, candidates: append(slices.Clone(ab), strangers(64).ids...)}),
+		wire.AppendU16(appendViewID(appendPID(wire.AppendString([]byte{kindInstall}, "g"), pid), ViewID{Seq: 3, Coord: "b"}), math.MaxUint16),
 		appendLeave(nil, &msgLeave{group: "g"}),
 		appendAgreedReq(nil, &msgAgreedReq{group: "g", seq: math.MaxUint64, payload: []byte("agreed")}),
 	} {

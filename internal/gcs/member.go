@@ -32,20 +32,22 @@ type Member struct {
 
 	status memberStatus
 	curPID proposalID // highest proposal followed so far
-	round  uint64     // my own proposal round counter
 
-	prop *proposal // set while I coordinate a view change
+	prop *proposal // own while I coordinate a view change, else nil
+	own  *proposal // the storage every attempt I coordinate reuses
 
 	// Participant-side flush state.
 	flushOldView    View        // the view whose messages are being flushed
-	flushCandidates []ProcessID // candidate set of the followed proposal
+	flushCandidates []ProcessID // candidate set of the followed proposal (a copy)
 	haveCut         bool        // ms.cut holds the followed proposal's targets
 	sentCutDone     bool
 	flushHeard      time.Time // last flush-protocol activity, for the watchdog
 	sendQueue       [][]byte  // multicasts issued while flushing
 
 	// foreign holds processes known to be outside the view (joiners,
-	// members of merged-away partitions) with an expiry deadline.
+	// members of merged-away partitions) with an expiry deadline. It, like
+	// departed and future, is made by its first write: most members never
+	// see a joiner, a leave or an early multicast.
 	foreign map[ProcessID]time.Time
 
 	// departed holds members that announced a graceful leave.
@@ -102,7 +104,10 @@ type mcastState struct {
 
 	// peerAck[j*n+s] is the delivered count for sender s that member j last
 	// gossiped. A member not heard from yet has a row of zeros: nothing is
-	// stable.
+	// stable. In a one-member view no one gossips, and peerAck[0] is instead
+	// what the member had delivered by its previous ack beat: what it may
+	// drop at the next one (see ackTick). That one-beat lag keeps a buffer
+	// from being recycled while a queued delivery callback may alias it.
 	peerAck []uint64
 
 	// msgs[s] holds sender s's multicasts sorted by seq: those below
@@ -167,9 +172,6 @@ func newMember(p *Process, group string, h Handlers, contacts []ProcessID) *Memb
 		contacts: sortedIDs(contacts),
 		active:   true,
 		status:   statusNormal,
-		foreign:  make(map[ProcessID]time.Time),
-		departed: make(map[ProcessID]bool),
-		future:   make(map[ViewID][]*msgMcast),
 	}
 	m.debounced = m.proposeDebounced
 	return m
@@ -193,9 +195,7 @@ func (m *Member) installSingletonLocked(cb *callbacks) {
 func (m *Member) View() View {
 	m.p.mu.Lock()
 	defer m.p.mu.Unlock()
-	v := m.view
-	v.Members = append([]ProcessID(nil), v.Members...)
-	return v
+	return m.view
 }
 
 // Multicast reliably FIFO-multicasts payload to the group's current view,
@@ -325,20 +325,17 @@ func (m *Member) deactivateLocked() {
 	if m.leaveTimer != nil {
 		m.leaveTimer.Stop()
 	}
-	if m.prop != nil && m.prop.timer != nil {
-		m.prop.timer.Stop()
-	}
+	m.standDownLocked()
 	if m.p.members[m.group] == m {
 		delete(m.p.members, m.group)
 	}
 }
 
-// notifyViewLocked queues the OnView callback with a defensive copy.
+// notifyViewLocked queues the OnView callback. The view's member list is
+// never modified, so the callback shares it.
 func (m *Member) notifyViewLocked(cb *callbacks) {
 	if h := m.handlers.OnView; h != nil {
-		v := m.view
-		v.Members = append([]ProcessID(nil), v.Members...)
-		cb.addView(h, v)
+		cb.addView(h, m.view)
 	}
 }
 
@@ -393,6 +390,9 @@ func (m *Member) onMcastLocked(msg *msgMcast, cb *callbacks) {
 		if len(early) < maxFutureMcasts && (held || len(m.future) < maxFutureViews) {
 			cp := *msg
 			cp.payload = append([]byte(nil), msg.payload...)
+			if m.future == nil {
+				m.future = make(map[ViewID][]*msgMcast)
+			}
 			m.future[msg.view] = append(early, &cp)
 		}
 	default:
@@ -511,22 +511,29 @@ func (m *Member) gcStableLocked() {
 				stable = min(stable, m.ms.peerAck[j*n+s])
 			}
 		}
-		k, _ := find(l, stable)
-		for _, h := range l[:k] {
-			// Stability means every member delivered it: handler
-			// callbacks have fired and no NAK can ask for it again,
-			// so plain payload buffers are safe to recycle. Agreed
-			// payloads are excluded: deliverAgreedLocked may park
-			// their bodies, which alias the carrier buffer, in
-			// holdback state that outlives its stability.
-			if len(h.data) > 0 && h.data[0] == payloadPlain {
-				m.p.putBufLocked(h.data)
-			}
-		}
-		rest := copy(l, l[k:])
-		clear(l[rest:])
-		m.ms.msgs[s] = l[:rest]
+		m.dropStableLocked(s, stable)
 	}
+}
+
+// dropStableLocked drops sender rank s's messages below stable, which every
+// member has delivered.
+func (m *Member) dropStableLocked(s int, stable uint64) {
+	l := m.ms.msgs[s]
+	k, _ := find(l, stable)
+	for _, h := range l[:k] {
+		// Stability means every member delivered it: handler
+		// callbacks have fired and no NAK can ask for it again,
+		// so plain payload buffers are safe to recycle. Agreed
+		// payloads are excluded: deliverAgreedLocked may park
+		// their bodies, which alias the carrier buffer, in
+		// holdback state that outlives its stability.
+		if len(h.data) > 0 && h.data[0] == payloadPlain {
+			m.p.putBufLocked(h.data)
+		}
+	}
+	rest := copy(l, l[k:])
+	clear(l[rest:])
+	m.ms.msgs[s] = l[:rest]
 }
 
 // onPresenceLocked learns about processes outside the view — joiners and
@@ -544,7 +551,7 @@ func (m *Member) onPresenceLocked(from ProcessID, msg *msgPresence) {
 	expiry := m.p.cfg.Clock.Now().Add(2 * suspectTimeout)
 	note := func(id ProcessID) {
 		if id != m.p.id && !m.view.Includes(id) {
-			m.foreign[id] = expiry
+			m.markForeignLocked(id, expiry)
 		}
 	}
 	note(from)
@@ -578,7 +585,7 @@ func (m *Member) onDivergentTrafficLocked(from ProcessID, _ ViewID) {
 	if !m.view.Includes(from) {
 		// Traffic from a non-member whose view differs: treat the sender
 		// as foreign so the merge machinery picks it up.
-		m.foreign[from] = m.p.cfg.Clock.Now().Add(2 * suspectTimeout)
+		m.markForeignLocked(from, m.p.cfg.Clock.Now().Add(2*suspectTimeout))
 		if m.isActingCoordinatorLocked() {
 			m.scheduleProposalLocked()
 		}
@@ -595,10 +602,21 @@ func (m *Member) onDivergentTrafficLocked(from ProcessID, _ ViewID) {
 	}
 }
 
+// markForeignLocked records id as outside the view until expiry.
+func (m *Member) markForeignLocked(id ProcessID, expiry time.Time) {
+	if m.foreign == nil {
+		m.foreign = make(map[ProcessID]time.Time)
+	}
+	m.foreign[id] = expiry
+}
+
 // onLeaveLocked records a graceful departure and triggers a view change.
 func (m *Member) onLeaveLocked(from ProcessID) {
 	if !m.view.Includes(from) {
 		return
+	}
+	if m.departed == nil {
+		m.departed = make(map[ProcessID]bool)
 	}
 	m.departed[from] = true
 	if m.isActingCoordinatorLocked() {
@@ -715,7 +733,16 @@ func (m *Member) desiredCandidatesLocked(out []ProcessID) []ProcessID {
 // ackTick gossips the delivery vector for stability.
 func (m *Member) ackTick() {
 	m.p.mu.Lock()
-	if !m.active || m.status != statusNormal || len(m.view.Members) <= 1 {
+	if !m.active || m.status != statusNormal {
+		m.p.mu.Unlock()
+		return
+	}
+	if m.ms.n == 1 {
+		// Alone in its view, a member hears no ack vector, so no gossip
+		// makes its own multicasts stable: each beat drops what it had
+		// delivered by the beat before, kept in peerAck[0].
+		m.dropStableLocked(0, m.ms.peerAck[0])
+		m.ms.peerAck[0] = m.ms.recvNext[0]
 		m.p.mu.Unlock()
 		return
 	}

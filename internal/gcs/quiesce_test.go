@@ -60,10 +60,15 @@ func TestQuiescence(t *testing.T) {
 		p.mu.Unlock()
 		cd := &p.codec
 		cd.mu.Lock()
-		for kind, n := range map[string]int{
+		spare := map[string]int{
 			"mcast": len(cd.mcast), "ack": len(cd.ack), "direct": len(cd.direct), "anycast": len(cd.anycast),
-			"presence": len(cd.presence), "cut": len(cd.cut), "nak": len(cd.nak),
-		} {
+			"presence": len(cd.presence), "nak": len(cd.nak),
+		}
+		if f := cd.flush; f != nil {
+			spare["propose"], spare["sync report"], spare["cut"] = len(f.propose), len(f.syncInfo), len(f.cut)
+			spare["cut-done"], spare["install"] = len(f.cutDone), len(f.install)
+		}
+		for kind, n := range spare {
 			if n > maxFreeList {
 				t.Errorf("%s keeps %d spare %s envelopes, more than %d", id, n, kind, maxFreeList)
 			}

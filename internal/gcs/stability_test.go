@@ -43,6 +43,34 @@ func TestStabilityGarbageCollection(t *testing.T) {
 	}
 }
 
+// TestSingletonReleasesItsMulticasts: a member alone in its view hears no
+// ack vector, so only its own ack beat can make its multicasts stable — a
+// server alone in its movie group multicasts a state sync every 500 ms for
+// as long as it runs. Each beat releases what the member had delivered by
+// the beat before, so after a thousand multicasts it holds one beat's worth.
+func TestSingletonReleasesItsMulticasts(t *testing.T) {
+	const every = 100 * time.Millisecond
+	c := newCluster(t, 1, netsim.LAN())
+	c.join("a", "g")
+	m := c.mem["a"]
+	for i := 0; i < 1000; i++ {
+		if err := m.Multicast([]byte(fmt.Sprintf("sync %d", i))); err != nil {
+			t.Fatal(err)
+		}
+		c.settle(every)
+	}
+	c.settle(ackInterval)
+	if got := len(c.rec["a"].messages()); got != 1000 {
+		t.Fatalf("a delivered %d of its 1000 multicasts", got)
+	}
+	m.p.mu.Lock()
+	held := len(m.ms.msgs[0])
+	m.p.mu.Unlock()
+	if most := int(ackInterval / every); held > most {
+		t.Fatalf("alone in its view, a holds %d of the 1000 multicasts it sent %v apart, want at most %d (one ack beat's worth)", held, every, most)
+	}
+}
+
 // TestRetainedServeFlushAfterSenderCrash: stability must NOT reclaim
 // messages too early — a message delivered at only one member must survive
 // there until everyone has it, because flush recovery needs it when the
