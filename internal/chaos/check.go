@@ -180,10 +180,10 @@ func apply(op Op, rt *sim.Runtime) {
 	case KindLinkFlap:
 		if op.OneWay {
 			rt.SetLinkOneWay(op.A, op.B, true)
-			rt.Clk.AfterFunc(op.Dur, func() { rt.SetLinkOneWay(op.A, op.B, false) })
+			rt.Clk.Schedule(op.Dur, func() { rt.SetLinkOneWay(op.A, op.B, false) })
 		} else {
 			rt.SetLink(op.A, op.B, true)
-			rt.Clk.AfterFunc(op.Dur, func() { rt.SetLink(op.A, op.B, false) })
+			rt.Clk.Schedule(op.Dur, func() { rt.SetLink(op.A, op.B, false) })
 		}
 	case KindLossBurst:
 		rt.LossBurst(op.P, op.Dur)
@@ -195,7 +195,7 @@ func apply(op Op, rt *sim.Runtime) {
 		if err := c.Pause(); err != nil {
 			return
 		}
-		rt.Clk.AfterFunc(op.Dur, func() { _ = c.Resume() })
+		rt.Clk.Schedule(op.Dur, func() { _ = c.Resume() })
 	case KindSeek:
 		if c := rt.Client(); c != nil {
 			_ = c.Seek(op.Frame)

@@ -400,7 +400,7 @@ func (c *Client) applyResolved(addrs []transport.Addr) {
 		c.mu.Unlock()
 		// Nothing to try yet: the directory may be empty because no
 		// server registered; ask again shortly.
-		c.cfg.Clock.AfterFunc(time.Second, c.resolveThenOpen)
+		clock.Schedule(c.cfg.Clock, time.Second, c.resolveThenOpen)
 		return
 	}
 	c.mu.Unlock()
@@ -464,11 +464,7 @@ func (c *Client) openActiveLocked() bool {
 // The first attempt waits exactly openTimeout, so a healthy open is as
 // prompt as ever. Caller holds c.mu.
 func (c *Client) openDelayLocked() time.Duration {
-	d := openTimeout
-	for i := 0; i < c.openAttempt && d < openBackoffCap; i++ {
-		d *= 2
-	}
-	d = min(d, openBackoffCap)
+	d := clock.Backoff(openTimeout, openBackoffCap, c.openAttempt)
 	if c.openAttempt > 0 {
 		d += time.Duration(c.rngLocked().Int63n(int64(d)/4 + 1))
 	}
@@ -483,11 +479,7 @@ func (c *Client) openDelayLocked() time.Duration {
 // server, which knows its own load, sets the floor. Caller holds c.mu.
 func (c *Client) refusedLocked(hintMs uint32) {
 	c.stats.OpenRefusals++
-	d := refusalBackoff
-	for i := 0; i < c.refusals && d < refusalBackoffCap; i++ {
-		d *= 2
-	}
-	d = min(d, refusalBackoffCap)
+	d := clock.Backoff(refusalBackoff, refusalBackoffCap, c.refusals)
 	if hint := time.Duration(hintMs) * time.Millisecond; d < hint {
 		d = hint
 	}

@@ -101,6 +101,17 @@ func Rearm(c Clock, t Timer, d time.Duration, fn func()) Timer {
 	return c.AfterFunc(d, fn)
 }
 
+// Backoff is base doubled n times, capped at ceiling: the wait before retry n
+// of a capped exponential backoff (n = 0 is the first retry). Jitter, where
+// a caller wants it, is the caller's to add.
+func Backoff(base, ceiling time.Duration, n int) time.Duration {
+	d := base
+	for i := 0; i < n && d < ceiling; i++ {
+		d *= 2
+	}
+	return min(d, ceiling)
+}
+
 // Real is a Clock backed by the standard time package.
 // The zero value is ready to use.
 type Real struct{}

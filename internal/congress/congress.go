@@ -340,13 +340,7 @@ func resolveSize(group string) int { return 1 + 2 + len(group) + 8 }
 // retryDelayLocked computes the capped exponential backoff with jitter for
 // the given retry attempt. Caller holds r.mu.
 func (r *Resolver) retryDelayLocked(attempt int) time.Duration {
-	d := resolveRetryBase
-	for i := 0; i < attempt && d < resolveRetryCap; i++ {
-		d *= 2
-	}
-	if d > resolveRetryCap {
-		d = resolveRetryCap
-	}
+	d := clock.Backoff(resolveRetryBase, resolveRetryCap, attempt)
 	return d + time.Duration(r.rng.Int63n(int64(d)/4+1))
 }
 

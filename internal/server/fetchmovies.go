@@ -4,6 +4,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/gcs"
 	"repro/internal/mpeg"
 )
@@ -35,7 +36,7 @@ func (s *Server) fetchNext(missing []string, contacts []gcs.ProcessID, peerIdx i
 			// This peer is down or lacks the movie: rotate to the next
 			// one after a beat. The loop never gives up — a peer holding
 			// the movie may come up later.
-			s.cfg.Clock.AfterFunc(time.Second, func() {
+			clock.Schedule(s.cfg.Clock, time.Second, func() {
 				s.fetchNext(missing, contacts, peerIdx+1)
 			})
 			return
@@ -49,7 +50,7 @@ func (s *Server) fetchNext(missing []string, contacts []gcs.ProcessID, peerIdx i
 	if err != nil {
 		// A transfer is already in flight (should not happen — fetches
 		// are sequential); retry shortly.
-		s.cfg.Clock.AfterFunc(time.Second, func() {
+		clock.Schedule(s.cfg.Clock, time.Second, func() {
 			s.fetchNext(missing, contacts, peerIdx)
 		})
 	}

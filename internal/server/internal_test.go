@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -14,72 +15,105 @@ import (
 	"repro/internal/wire"
 )
 
+// slots returns each member's slot in the deal order, newcomer[i] being
+// members[i]'s flag.
+func slots(members []gcs.ProcessID, newcomer ...bool) []int {
+	ex := exchange{newcomer: make([]bool, len(members))}
+	copy(ex.newcomer, newcomer)
+	out := make([]int, len(members))
+	for i, m := range members {
+		out[i] = ex.slot(members, m)
+	}
+	return out
+}
+
 func TestMemberOrderNewcomersFirst(t *testing.T) {
 	members := []gcs.ProcessID{"s1", "s2", "s3", "s4"}
-	order := memberOrder(members, map[gcs.ProcessID]bool{"s3": true})
-	want := []gcs.ProcessID{"s3", "s1", "s2", "s4"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	got := slots(members, false, false, true, false)
+	if want := []int{1, 2, 0, 3}; !slices.Equal(got, want) {
+		t.Fatalf("slots of %v with newcomer s3 = %v, want %v", members, got, want)
 	}
 }
 
 func TestMemberOrderNoNewcomers(t *testing.T) {
-	members := []gcs.ProcessID{"s2", "s1"}
-	order := memberOrder(members, nil)
-	if order[0] != "s1" || order[1] != "s2" {
-		t.Fatalf("order = %v, want sorted [s1 s2]", order)
+	members := []gcs.ProcessID{"s1", "s2"}
+	if got := slots(members); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("slots = %v, want ID order [0 1]", got)
 	}
 }
 
 func TestMemberOrderAllNewcomers(t *testing.T) {
-	members := []gcs.ProcessID{"s2", "s1"}
-	order := memberOrder(members, map[gcs.ProcessID]bool{"s1": true, "s2": true})
-	if len(order) != 2 || order[0] != "s1" {
-		t.Fatalf("order = %v", order)
+	members := []gcs.ProcessID{"s1", "s2"}
+	if got := slots(members, true, true); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("slots = %v, want ID order [0 1]", got)
 	}
 }
 
-// TestAssignCoverageProperty: every client gets exactly one owner, and the
+// TestAssignCoverageProperty: the slots are a permutation of the view, so
+// under the i % len(Members) rule every client gets exactly one owner and the
 // load split never differs by more than one.
 func TestAssignCoverageProperty(t *testing.T) {
-	prop := func(nClients uint8, nServers uint8) bool {
+	prop := func(nServers uint8, newcomer [8]bool) bool {
 		ns := int(nServers%8) + 1
-		nc := int(nClients)
-		var clients []string
-		for i := 0; i < nc; i++ {
-			clients = append(clients, fmt.Sprintf("c%03d", i))
-		}
-		var order []gcs.ProcessID
+		var members []gcs.ProcessID
 		for i := 0; i < ns; i++ {
-			order = append(order, gcs.ProcessID(fmt.Sprintf("s%d", i)))
+			members = append(members, gcs.ProcessID(fmt.Sprintf("s%d", i)))
 		}
-		got := assign(clients, order)
-		if len(got) != nc {
-			return false
-		}
-		load := map[gcs.ProcessID]int{}
-		for _, owner := range got {
-			load[owner]++
-		}
-		min, max := nc, 0
-		for _, o := range order {
-			n := load[o]
-			if n < min {
-				min = n
-			}
-			if n > max {
-				max = n
+		got := slots(members, newcomer[:ns]...)
+		slices.Sort(got)
+		for i, slot := range got {
+			if slot != i {
+				return false
 			}
 		}
-		if nc == 0 {
-			return true
-		}
-		return max-min <= 1
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// dealRig is serverRig with clients known to the movie group and a view of
+// members installed, every member heard: it returns the clients the deal
+// gives s1.
+func dealRig(t *testing.T, clients []string, members ...gcs.ProcessID) []string {
+	t.Helper()
+	_, s, _ := serverRig(t)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ms := s.movies["m"]
+	for _, id := range clients {
+		ms.mergeLocked(wire.ClientRecord{ClientID: id, ClientAddr: id, Rate: 30, SentAt: 1})
+	}
+	ms.view = gcs.View{Group: movieGroup("m"), ID: gcs.ViewID{Seq: 99, Coord: "s1"}, Members: members}
+	ms.ex.heard = make([]bool, len(members))
+	ms.ex.newcomer = make([]bool, len(members))
+	ms.redistributeLocked()
+	var mine []string
+	for id, sess := range s.sessions {
+		if !sess.closed {
+			mine = append(mine, id)
+		}
+	}
+	slices.Sort(mine)
+	return mine
+}
+
+func TestAssignDeterministicAndBalanced(t *testing.T) {
+	// c1 c2 c3 c5 c7 c9 in ID order: s1, in slot 0, is dealt the first
+	// and the fourth, whatever order the table holds them in.
+	got := dealRig(t, []string{"c5", "c2", "c9", "c1", "c7", "c3"}, "s1", "s2", "s3")
+	if want := []string{"c1", "c5"}; !slices.Equal(got, want) {
+		t.Fatalf("s1 dealt %v, want %v", got, want)
+	}
+}
+
+func TestAssignEmptyOrder(t *testing.T) {
+	if slot := (&exchange{}).slot(nil, "s1"); slot != -1 {
+		t.Fatalf("slot in an empty view = %d, want -1", slot)
+	}
+	if got := dealRig(t, []string{"c1"}); len(got) != 0 {
+		t.Fatalf("an empty view dealt s1 %v", got)
 	}
 }
 
@@ -162,6 +196,26 @@ func TestResolveDuplicateResetOnViewChange(t *testing.T) {
 	}
 }
 
+// TestStoppedServerDealsNothing: a server stopped while its view's exchange
+// waits for a silent peer takes over no client when the exchange times out.
+func TestStoppedServerDealsNothing(t *testing.T) {
+	clk, s, _ := serverRig(t)
+	ms := s.movies["m"]
+	s.mu.Lock()
+	ms.mergeLocked(wire.ClientRecord{ClientID: "c1", ClientAddr: "c1", Rate: 30, SentAt: 1})
+	s.mu.Unlock()
+	ms.onView(gcs.View{
+		Group:   movieGroup("m"),
+		ID:      gcs.ViewID{Seq: 99, Coord: "s1"},
+		Members: []gcs.ProcessID{"s1", "s2"}, // s2 never answers
+	})
+	s.Stop()
+	clk.Advance(3 * time.Second)
+	if st := s.Stats(); st.Takeovers != 0 || len(s.ActiveSessions()) != 0 {
+		t.Fatalf("stopped server dealt itself clients: %d takeovers, sessions %v", st.Takeovers, s.ActiveSessions())
+	}
+}
+
 func TestMergeLatestWins(t *testing.T) {
 	_, s, _ := serverRig(t)
 	ms := s.movies["m"]
@@ -224,30 +278,5 @@ func TestQualityThinningKeepsIFrames(t *testing.T) {
 	frac := float64(sent) / float64(movie.TotalFrames())
 	if frac < 0.30 || frac > 0.45 {
 		t.Fatalf("thinned stream is %.0f%% of frames, want ≈ 33%%", frac*100)
-	}
-}
-
-func TestAssignDeterministicAndBalanced(t *testing.T) {
-	order := []gcs.ProcessID{"s1", "s2", "s3"}
-	clients := []string{"c5", "c2", "c9", "c1", "c7", "c3"}
-	a := assign(clients, order)
-	b := assign([]string{"c1", "c2", "c3", "c5", "c7", "c9"}, order)
-	load := map[gcs.ProcessID]int{}
-	for id, owner := range a {
-		if b[id] != owner {
-			t.Fatalf("assignment depends on input order: %v vs %v", a, b)
-		}
-		load[owner]++
-	}
-	for s, n := range load {
-		if n != 2 {
-			t.Fatalf("server %s assigned %d clients, want 2: %v", s, n, load)
-		}
-	}
-}
-
-func TestAssignEmptyOrder(t *testing.T) {
-	if got := assign([]string{"c1"}, nil); len(got) != 0 {
-		t.Fatalf("Assign with no members = %v", got)
 	}
 }

@@ -14,11 +14,9 @@ import (
 // detector. Frames were always sent point-to-point, so the video path is
 // untouched.
 
-// leasesLocked returns the lease table, creating it on first use. Lazy so
-// that deployments without leased clients schedule no sweep timer — an
-// extra Periodic would reorder the virtual clock's pooled timer records
-// and break byte-identical replay of pre-lease scenarios. Caller holds
-// s.mu.
+// leasesLocked returns the lease table, creating it on first use. Lazy
+// because a paper-tier server, which admits no leased client, never needs
+// the table or its sweep. Caller holds s.mu.
 func (s *Server) leasesLocked() *lease.Table {
 	if s.leases == nil {
 		s.leases = lease.NewTable(s.cfg.Clock, lease.DefaultTTL, s.onLeaseExpire)

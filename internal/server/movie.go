@@ -3,6 +3,7 @@ package server
 import (
 	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/gcs"
@@ -30,12 +31,7 @@ type movieState struct {
 	// resumes from "the offset ... last heard", §5.2).
 	clients map[string]wire.ClientRecord
 
-	// View-sync exchange state: after a view change, redistribution waits
-	// until every member's knowledge message (or a timeout) arrives.
-	pendingSeq    uint64
-	syncFrom      map[gcs.ProcessID]bool
-	newcomers     map[gcs.ProcessID]bool
-	exchangeTimer clock.Timer
+	ex exchange
 
 	syncTask clock.Periodic
 
@@ -52,6 +48,41 @@ type movieState struct {
 	// puts it back afterwards, so a concurrent sender encodes into a buffer of
 	// its own rather than into bytes still being read.
 	syncBuf []byte
+}
+
+// exchange is the knowledge exchange of the view being installed (§5.2):
+// redistribution waits until every member's exchange message, or the
+// timeout, arrives. heard and newcomer are indexed by rank in the view's
+// sorted Members, and every view re-slices them.
+type exchange struct {
+	seq      uint64 // the pending view's Seq; 0 once it is dealt
+	heard    []bool
+	newcomer []bool // the member said it is a newcomer
+
+	// The timer runs fire — movieState.exchangeTimedOut, bound once. due is
+	// when the pending exchange times out: set before every arm, it tells
+	// the callback of the current arm from one a re-arm or deal came too
+	// late to stop (on a Real clock a fired timer's callback may still be
+	// waiting for the lock).
+	due   time.Time
+	timer clock.Timer
+	fire  func()
+}
+
+// slot is self's place in the deal order: the newcomers first, then the
+// other members, each part in ID order. It is -1 if self is not a member.
+func (ex *exchange) slot(members []gcs.ProcessID, self gcs.ProcessID) int {
+	r, ok := slices.BinarySearch(members, self)
+	if !ok {
+		return -1
+	}
+	slot := 0
+	for i := range members {
+		if ex.newcomer[i] && !ex.newcomer[r] || ex.newcomer[i] == ex.newcomer[r] && i < r {
+			slot++
+		}
+	}
+	return slot
 }
 
 // syncTick is the half-second state multicast: this server's live sessions
@@ -162,16 +193,14 @@ func (ms *movieState) onMessageLocked(from gcs.ProcessID, msg *wire.ClientState)
 		ms.resolveDuplicateLocked(from, rec)
 		ms.mergeLocked(rec)
 	}
-	if msg.ViewSeq != 0 && msg.ViewSeq == ms.pendingSeq && ms.syncFrom != nil {
-		ms.syncFrom[from] = true
-		if msg.Newcomer {
-			ms.newcomers[from] = true
-		}
-		for _, id := range ms.view.Members {
-			if !ms.syncFrom[id] {
-				return
-			}
-		}
+	if msg.ViewSeq == 0 || msg.ViewSeq != ms.ex.seq {
+		return
+	}
+	if r, ok := slices.BinarySearch(ms.view.Members, from); ok {
+		ms.ex.heard[r] = true
+		ms.ex.newcomer[r] = ms.ex.newcomer[r] || msg.Newcomer
+	}
+	if !slices.Contains(ms.ex.heard, false) {
 		ms.redistributeLocked()
 	}
 }
@@ -182,7 +211,7 @@ func (ms *movieState) onMessageLocked(from gcs.ProcessID, msg *wire.ClientState)
 // one of the two must yield. The higher-ID claimant releases; the lower
 // keeps streaming, so the client is never orphaned. Caller holds srv.mu.
 func (ms *movieState) resolveDuplicateLocked(from gcs.ProcessID, rec wire.ClientRecord) {
-	if rec.Departed || ms.pendingSeq != 0 {
+	if rec.Departed || ms.ex.seq != 0 {
 		return // no conflict, or a redistribution is about to settle ownership
 	}
 	sess := ms.srv.sessions[rec.ClientID]
@@ -237,12 +266,10 @@ func (ms *movieState) onView(v gcs.View) {
 	if len(v.Members) > 1 {
 		ms.everMulti = true
 	}
-	ms.pendingSeq = v.ID.Seq
-	ms.syncFrom = map[gcs.ProcessID]bool{}
-	ms.newcomers = map[gcs.ProcessID]bool{}
-	if ms.exchangeTimer != nil {
-		ms.exchangeTimer.Stop()
-	}
+	n := len(v.Members)
+	ms.ex.seq = v.ID.Seq
+	ms.ex.heard = append(ms.ex.heard[:0], make([]bool, n)...)
+	ms.ex.newcomer = append(ms.ex.newcomer[:0], make([]bool, n)...)
 	// The coming redistribution settles ownership; stale conflict
 	// evidence must not linger past it.
 	for _, sess := range s.sessions {
@@ -253,10 +280,6 @@ func (ms *movieState) onView(v gcs.View) {
 
 	if len(v.Members) == 1 {
 		// Alone: no exchange needed.
-		ms.syncFrom[v.Members[0]] = true
-		if newcomer {
-			ms.newcomers[v.Members[0]] = true
-		}
 		ms.redistributeLocked()
 		s.mu.Unlock()
 		return
@@ -276,56 +299,62 @@ func (ms *movieState) onView(v gcs.View) {
 		ViewSeq:  v.ID.Seq,
 		Newcomer: newcomer,
 	}
-	seq := v.ID.Seq
-	ms.exchangeTimer = s.cfg.Clock.AfterFunc(2*s.cfg.SyncInterval, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if ms.pendingSeq == seq && ms.syncFrom != nil {
-			// Proceed with whoever answered; a silent member is likely
-			// dead and the next view change will rebalance again.
-			ms.redistributeLocked()
-		}
-	})
+	if ms.ex.fire == nil {
+		ms.ex.fire = ms.exchangeTimedOut // a movie alone in its group never arms it
+	}
+	timeout := 2 * s.cfg.SyncInterval
+	ms.ex.due = s.cfg.Clock.Now().Add(timeout)
+	ms.ex.timer = clock.Rearm(s.cfg.Clock, ms.ex.timer, timeout, ms.ex.fire)
 	ms.multicastStateAndUnlock()
 }
 
-// redistributeLocked deterministically re-assigns every known client of
-// this movie across the current view and acts on the result: taking over
-// clients assigned here and releasing clients assigned elsewhere. All
-// members compute the same assignment from the exchanged knowledge.
-// Caller holds srv.mu.
+// exchangeTimedOut deals with whoever answered: a silent member is likely
+// dead, and the next view change will rebalance again.
+func (ms *movieState) exchangeTimedOut() {
+	s := ms.srv
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || ms.ex.seq == 0 || s.cfg.Clock.Now().Before(ms.ex.due) {
+		return
+	}
+	ms.redistributeLocked()
+}
+
+// redistributeLocked deterministically re-deals every known client of this
+// movie across the current view and acts on the result: taking over clients
+// dealt here and releasing clients dealt elsewhere. After one sort of the
+// client IDs, client i goes to the member in slot i % len(Members), so every
+// member derives the same deal from the exchanged knowledge without further
+// agreement (§5.2: each server "deterministically decides which clients it
+// now has to serve"). Caller holds srv.mu.
 func (ms *movieState) redistributeLocked() {
 	s := ms.srv
-	ms.pendingSeq = 0
-	ms.syncFrom = nil
-	if ms.exchangeTimer != nil {
-		ms.exchangeTimer.Stop()
-		ms.exchangeTimer = nil
+	ms.ex.seq = 0
+	if ms.ex.timer != nil {
+		ms.ex.timer.Stop()
 	}
 
 	clientIDs := make([]string, 0, len(ms.clients))
 	for id, rec := range ms.clients {
 		if rec.Leased {
 			// Leased clients re-attach by re-anycasting their Open when
-			// their server goes silent; assigning them here would start a
+			// their server goes silent; dealing them here would start a
 			// stream the client never asked this server for.
 			continue
 		}
 		clientIDs = append(clientIDs, id)
 	}
-	order := memberOrder(ms.view.Members, ms.newcomers)
-	assignment := assign(clientIDs, order)
-
-	// Apply in client-ID order, not assignment-map order: takeovers start
-	// sessions (timers, packets) whose relative order must be a pure
-	// function of the inputs for seed-reproducible runs.
+	// Apply in client-ID order: takeovers start sessions (timers, packets)
+	// whose relative order must be a pure function of the inputs for
+	// seed-reproducible runs.
 	slices.Sort(clientIDs)
-	for _, id := range clientIDs {
-		owner := assignment[id]
+	slot := ms.ex.slot(ms.view.Members, gcs.ProcessID(s.cfg.ID))
+	for i, id := range clientIDs {
+		dealt := slot >= 0 && i%len(ms.view.Members) == slot
 		sess := s.sessions[id]
 		mine := sess != nil && !sess.closed && sess.movie.ID() == ms.movie.ID()
 		switch {
-		case owner == gcs.ProcessID(s.cfg.ID) && mine && (sess.lapsed || !sess.ready):
+		case dealt && mine && (sess.lapsed || !sess.ready):
 			// Kept, but its position may be stale: the client is away, or
 			// came back with no deal since. A peer that served the client
 			// after this server's last contact knows where it is. A deal
@@ -335,50 +364,16 @@ func (ms *movieState) redistributeLocked() {
 				sess.atEnd = int(rec.Offset) >= ms.movie.TotalFrames()
 			}
 			sess.lapsed = sess.lapsed && !sess.ready
-		case owner == gcs.ProcessID(s.cfg.ID) && !mine:
+		case dealt && !mine:
 			rec := ms.clients[id]
 			s.startSessionLocked(rec, ms.movie, true)
 			s.stats.Takeovers++
 			s.cfg.Obs.Emit(obs.ServerTakeover, id, ms.movie.ID(), 0, 0)
-		case owner != gcs.ProcessID(s.cfg.ID) && mine:
+		case !dealt && mine:
 			s.dropSessionLocked(sess)
 			s.stats.Releases++
 		}
 	}
-}
-
-// memberOrder places newcomers (fresh, knowledge-less servers) first so
-// they absorb load, then the remaining members; both halves sorted.
-func memberOrder(members []gcs.ProcessID, newcomers map[gcs.ProcessID]bool) []gcs.ProcessID {
-	fresh := make([]gcs.ProcessID, 0, len(members))
-	old := make([]gcs.ProcessID, 0, len(members))
-	for _, m := range members {
-		if newcomers[m] {
-			fresh = append(fresh, m)
-		} else {
-			old = append(old, m)
-		}
-	}
-	slices.Sort(fresh)
-	slices.Sort(old)
-	return append(fresh, old...)
-}
-
-// assign deals the sorted clients round-robin over the member order. It is
-// deterministic in its inputs, so every server derives the same assignment
-// without further agreement (§5.2: each server "deterministically decides
-// which clients it now has to serve").
-func assign(clients []string, order []gcs.ProcessID) map[string]gcs.ProcessID {
-	out := make(map[string]gcs.ProcessID, len(clients))
-	if len(order) == 0 {
-		return out
-	}
-	sorted := append([]string(nil), clients...)
-	slices.Sort(sorted)
-	for i, c := range sorted {
-		out[c] = order[i%len(order)]
-	}
-	return out
 }
 
 // onMovieGroupMessage decodes and routes a movie-group multicast. The sync

@@ -16,10 +16,8 @@
 package server
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -231,9 +229,8 @@ type Server struct {
 	fetchOrder []gcs.ProcessID
 
 	// leases tracks the liveness of leased clients. Created lazily on the
-	// first leased admission: its sweep Periodic would otherwise perturb
-	// the virtual clock's timer free-list order and break byte-identical
-	// replay of scenarios that never use leases.
+	// first leased admission: a paper-tier server never needs the table or
+	// its sweep.
 	leases *lease.Table
 	// ackBuf is the renew hot path's encode buffer (one renew per client
 	// per TTL/3), guarded by mu.
@@ -467,10 +464,9 @@ func (s *Server) Stop() {
 		return
 	}
 	s.closed = true
-	// Stop in client-ID order: stopLocked releases pooled timers, and the
-	// virtual clock's free list hands them back out in release order, so
-	// map order here would leak into later timer identity (and event
-	// ordering) in otherwise seed-deterministic simulations.
+	// Stop in client-ID order: stopLocked schedules each session's Leave,
+	// and the order those events are armed in is the order they run in, so
+	// map order here would leak into otherwise seed-deterministic runs.
 	ids := make([]string, 0, len(s.sessions))
 	for id := range s.sessions {
 		ids = append(ids, id)
@@ -480,23 +476,16 @@ func (s *Server) Stop() {
 		s.sessions[id].stopLocked()
 	}
 	s.sessions = make(map[string]*session)
-	// Stripe tickers stop in sorted key order for the same free-list
-	// determinism reason the sessions above stop in client-ID order.
-	if len(s.stripes) > 0 {
-		keys := make([]stripeKey, 0, len(s.stripes))
-		for k := range s.stripes {
-			keys = append(keys, k)
-		}
-		slices.SortFunc(keys, func(a, b stripeKey) int {
-			return cmp.Or(strings.Compare(a.movie, b.movie), cmp.Compare(a.period, b.period), cmp.Compare(a.phase, b.phase))
-		})
-		for _, k := range keys {
-			s.stripes[k].task.Stop()
-		}
-		s.stripes, s.parkedStripes = nil, nil
+	// Stopping a beat or a timer arms nothing, so these go in map order.
+	for _, st := range s.stripes {
+		st.task.Stop()
 	}
+	s.stripes, s.parkedStripes = nil, nil
 	for _, ms := range s.movies {
 		ms.syncTask.Stop()
+		if ms.ex.timer != nil {
+			ms.ex.timer.Stop()
+		}
 	}
 	if s.leases != nil {
 		s.leases.Close()

@@ -32,9 +32,9 @@ import (
 // 22.1–29.0 to 37.7–39.1, so the stripe stays.
 //
 // Determinism: stripes are created, attached to and walked in simulation
-// event order; their maps (Server.stripes, parkedStripes) are never iterated
-// outside the sorted shutdown path, so a run is byte-identical for a fixed
-// seed.
+// event order; their maps (Server.stripes, parkedStripes) are iterated only
+// at shutdown, which stops beats and arms nothing, so a run is
+// byte-identical for a fixed seed.
 
 // stripeKey identifies a stripe: one movie at one send period and one
 // frame-phase slot. Rate changes (flow control, emergency boost) migrate a

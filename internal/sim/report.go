@@ -413,7 +413,7 @@ func tigerTrial(seed int64, crashes []string) (lost, displayed uint64) {
 	svc.StartStream("viewer")
 	for i, id := range crashes {
 		id := id
-		clk.AfterFunc(time.Duration(20+20*i)*time.Second, func() {
+		clk.Schedule(time.Duration(20+20*i)*time.Second, func() {
 			svc.CrashCub(id)
 			net.Crash(transport.Addr(id))
 		})

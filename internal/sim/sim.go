@@ -311,7 +311,7 @@ func (rt *Runtime) SetLinkOneWay(from, to string, down bool) {
 // worst) rather than a topological fault.
 func (rt *Runtime) LossBurst(p float64, dur time.Duration) {
 	rt.Net.SetExtraLoss(p)
-	rt.Clk.AfterFunc(dur, func() { rt.Net.SetExtraLoss(0) })
+	rt.Clk.Schedule(dur, func() { rt.Net.SetExtraLoss(0) })
 }
 
 // addStats sums two server stat snapshots field by field.
@@ -416,14 +416,14 @@ func Run(sc Scenario) *Result {
 	}
 
 	// Client creation and open.
-	clk.AfterFunc(clientStart, func() {
+	clk.Schedule(clientStart, func() {
 		rt.client = rt.watch(rt.ClientConfig(sc.ClientID), movie.ID())
 	})
 
 	// Scripted events.
 	for _, ev := range sc.Events {
 		ev := ev
-		clk.AfterFunc(ev.At, func() { ev.Do(rt) })
+		clk.Schedule(ev.At, func() { ev.Do(rt) })
 		if ev.Label != "" {
 			res.Annotations = append(res.Annotations, Annotation{At: ev.At, Label: ev.Label})
 		}
