@@ -6,11 +6,13 @@
 package repro
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/flowctl"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -42,12 +44,41 @@ func BenchmarkFig4LANScenario(b *testing.B) {
 		sc.Record = sim.SW | sim.HW
 		res = sim.Run(sc)
 	}
-	crashAt, _ := sim.EventTimesLAN()
+	crashAt := eventAt(sim.LANScenario(1), "crash")
 	b.ReportMetric(float64(res.Final.Skipped()), "skipped-frames")
 	b.ReportMetric(float64(res.Final.Late), "late-frames")
 	b.ReportMetric(float64(res.Final.Stalls), "stalls")
-	b.ReportMetric(res.SWOccupancy.MeanBetween(20*time.Second, 35*time.Second), "sw-occ-mean")
-	b.ReportMetric(res.HWOccupancy.MinBetween(crashAt, crashAt+4*time.Second), "hw-bytes-min-at-crash")
+	b.ReportMetric(mean(window(res.SWOccupancy, 20*time.Second, 35*time.Second)), "sw-occ-mean")
+	b.ReportMetric(slices.Min(window(res.HWOccupancy, crashAt, crashAt+4*time.Second)), "hw-bytes-min-at-crash")
+}
+
+// eventAt returns when sc's event labelled label happens.
+func eventAt(sc sim.Scenario, label string) time.Duration {
+	for _, ev := range sc.Events {
+		if ev.Label == label {
+			return ev.At
+		}
+	}
+	panic("no event " + label)
+}
+
+// window returns the samples of s taken at from ≤ t < to.
+func window(s *metrics.Series, from, to time.Duration) []float64 {
+	var out []float64
+	for i, v := range s.Values {
+		if t := s.Time(i); from <= t && t < to {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+func mean(vs []float64) float64 {
+	sum := 0.0
+	for _, v := range vs {
+		sum += v
+	}
+	return sum / float64(len(vs))
 }
 
 // BenchmarkFig5WANScenario regenerates Figures 5a–5b: the same behavior
@@ -97,7 +128,7 @@ func BenchmarkTableEmergency(b *testing.B) {
 		sc := sim.LANScenario(int64(i + 1))
 		sc.Record = sim.Video
 		res := sim.Run(sc)
-		crashAt, _ := sim.EventTimesLAN()
+		crashAt := eventAt(sc, "crash")
 		var peak float64
 		for w := crashAt; w < crashAt+3500*time.Millisecond; w += 100 * time.Millisecond {
 			r := res.VideoBytesCum.At(w+time.Second) - res.VideoBytesCum.At(w)

@@ -23,61 +23,57 @@ import (
 // stays exported. TestExportedNamesAreUsed fails on an unused name missing
 // here and on an entry that is used again or gone.
 var exportAllowlist = map[string]string{
-	"buffer.InsertResult":        "type returned by Pipeline.Insert, which client calls",
-	"buffer.Buffered":            "member of the exported enum InsertResult",
-	"buffer.LateDiscarded":       "member of the exported enum InsertResult",
-	"chaos.Execute":              "chaos replay API: runs one drawn plan alone; chaos_test drives it",
-	"chaos.NewPlan":              "chaos replay API: draws a seed's plan; chaos_test drives it",
-	"chaos.Kind":                 "type of Op.Kind, reached through Report.Plan",
-	"chaos.Op":                   "element type of Plan.Ops, reached through Report.Plan",
-	"chaos.Plan":                 "type of Report.Plan, which cmd/vodbench prints",
-	"chaos.KindAdd":              "member of the exported enum Kind",
-	"chaos.KindCrash":            "member of the exported enum Kind",
-	"chaos.KindCrashServing":     "member of the exported enum Kind",
-	"chaos.KindHeal":             "member of the exported enum Kind",
-	"chaos.KindLinkFlap":         "member of the exported enum Kind",
-	"chaos.KindLossBurst":        "member of the exported enum Kind",
-	"chaos.KindPartition":        "member of the exported enum Kind",
-	"chaos.KindPause":            "member of the exported enum Kind",
-	"chaos.KindRestart":          "member of the exported enum Kind",
-	"chaos.KindSeek":             "member of the exported enum Kind",
-	"client.StateIdle":           "member of the exported enum State",
-	"client.StateOpening":        "member of the exported enum State",
-	"client.StateStopped":        "member of the exported enum State",
-	"congress.Directory":         "type returned by NewDirectory, which examples/discovery calls",
-	"core.Server":                "type in the signatures of Deployment.Server and EachServer",
-	"gcs.ErrAlreadyJoined":       "error sentinel returned by Join",
-	"gcs.ErrClosed":              "error sentinel returned by a closed Process or Member",
-	"gcs.ViewID":                 "type of View.ID, which server reads",
-	"metrics.Series.MeanBetween": "accessor the sim tests and root benchmarks read",
-	"metrics.Series.MinBetween":  "accessor the sim tests and root benchmarks read",
-	"mpeg.FrameInfo":             "type returned by Movie.Frame",
-	"mpeg.Movie.TotalBytes":      "accessor the fetch and store tests read",
-	"obs.Event":                  "element type of Snapshot.Events, the text -stats and /debug/vod print",
-	"obs.Record":                 "element type of Snapshot.Records; callers write one through Registry.Emit",
-	"sim.ClassOutcome":           "type of the OverloadResult fields chaos reads",
-	"sim.Signals":                "type of Scenario.Record",
-	"sim.Combined":               "member of the exported enum Signals",
-	"sim.HW":                     "member of the exported enum Signals",
-	"sim.Late":                   "member of the exported enum Signals",
-	"sim.Overflow":               "member of the exported enum Signals",
-	"sim.SW":                     "member of the exported enum Signals",
-	"sim.Serving":                "member of the exported enum Signals",
-	"sim.Skipped":                "member of the exported enum Signals",
-	"sim.Video":                  "member of the exported enum Signals",
-	"sim.EventTimesLAN":          "accessor the root benchmarks read",
-	"sim.Throughput":             "type returned by MeasureThroughput",
-	"store.Catalog.SaveTo":       "writer of the -moviedir format that cmd/vod-server's flag help names; its test uses it",
-	"store.ErrNotFound":          "error sentinel returned by Catalog.Get",
-	"store.MovieFileExt":         "accessor cmd/vod-server's test names movie files with",
-	"sweep.Func":                 "type in the signature of RunOpts",
-	"tiger.Receiver":             "type returned by NewReceiver, which sim calls",
-	"tiger.Service":              "type returned by New, which sim calls",
-	"transport.ChannelID":        "type of the Channel* constants and of Mux.Channel's argument",
-	"wire.ErrTrailing":           "error sentinel returned by the decoders",
-	"wire.ErrTruncated":          "error sentinel returned by the decoders",
-	"wire.KindFrame":             "member of the exported enum Kind",
-	"wire.Message":               "interface type returned by Decode",
+	"buffer.InsertResult":    "type returned by Pipeline.Insert, which client calls",
+	"buffer.Buffered":        "member of the exported enum InsertResult",
+	"buffer.LateDiscarded":   "member of the exported enum InsertResult",
+	"chaos.Execute":          "chaos replay API: runs one drawn plan alone; chaos_test drives it",
+	"chaos.NewPlan":          "chaos replay API: draws a seed's plan; chaos_test drives it",
+	"chaos.Kind":             "type of Op.Kind, reached through Report.Plan",
+	"chaos.Op":               "element type of Plan.Ops, reached through Report.Plan",
+	"chaos.Plan":             "type of Report.Plan, which cmd/vodbench prints",
+	"chaos.KindAdd":          "member of the exported enum Kind",
+	"chaos.KindCrash":        "member of the exported enum Kind",
+	"chaos.KindCrashServing": "member of the exported enum Kind",
+	"chaos.KindHeal":         "member of the exported enum Kind",
+	"chaos.KindLinkFlap":     "member of the exported enum Kind",
+	"chaos.KindLossBurst":    "member of the exported enum Kind",
+	"chaos.KindPartition":    "member of the exported enum Kind",
+	"chaos.KindPause":        "member of the exported enum Kind",
+	"chaos.KindRestart":      "member of the exported enum Kind",
+	"chaos.KindSeek":         "member of the exported enum Kind",
+	"client.StateIdle":       "member of the exported enum State",
+	"client.StateOpening":    "member of the exported enum State",
+	"client.StateStopped":    "member of the exported enum State",
+	"congress.Directory":     "type returned by NewDirectory, which examples/discovery calls",
+	"core.Server":            "type in the signatures of Deployment.Server and EachServer",
+	"gcs.ErrAlreadyJoined":   "error sentinel returned by Join",
+	"gcs.ErrClosed":          "error sentinel returned by a closed Process or Member",
+	"gcs.ViewID":             "type of View.ID, which server reads",
+	"mpeg.FrameInfo":         "type returned by Movie.Frame",
+	"obs.Event":              "element type of Snapshot.Events, the text -stats and /debug/vod print",
+	"obs.Record":             "element type of Snapshot.Records; callers write one through Registry.Emit",
+	"sim.ClassOutcome":       "type of the OverloadResult fields chaos reads",
+	"sim.Signals":            "type of Scenario.Record",
+	"sim.Combined":           "member of the exported enum Signals",
+	"sim.HW":                 "member of the exported enum Signals",
+	"sim.Late":               "member of the exported enum Signals",
+	"sim.Overflow":           "member of the exported enum Signals",
+	"sim.SW":                 "member of the exported enum Signals",
+	"sim.Serving":            "member of the exported enum Signals",
+	"sim.Skipped":            "member of the exported enum Signals",
+	"sim.Video":              "member of the exported enum Signals",
+	"sim.Throughput":         "type returned by MeasureThroughput",
+	"store.Catalog.SaveTo":   "writer of the -moviedir format that cmd/vod-server's flag help names; its test uses it",
+	"store.ErrNotFound":      "error sentinel returned by Catalog.Get",
+	"store.MovieFileExt":     "accessor cmd/vod-server's test names movie files with",
+	"sweep.Func":             "type in the signature of RunOpts",
+	"tiger.Receiver":         "type returned by NewReceiver, which sim calls",
+	"tiger.Service":          "type returned by New, which sim calls",
+	"transport.ChannelID":    "type of the Channel* constants and of Mux.Channel's argument",
+	"wire.ErrTrailing":       "error sentinel returned by the decoders",
+	"wire.ErrTruncated":      "error sentinel returned by the decoders",
+	"wire.KindFrame":         "member of the exported enum Kind",
+	"wire.Message":           "interface type returned by Decode",
 }
 
 // TestExportedNamesAreUsed keeps the exported surface of internal/ to what

@@ -16,7 +16,7 @@ import (
 // calls back into the Process, so the lock nests safely under p.mu.
 type codec struct {
 	mu       sync.Mutex
-	interned map[string]string
+	interned wire.Intern // made by the first string decoded
 	mcast    freeList[msgMcast]
 	ack      freeList[msgAckVec]
 	direct   freeList[msgDirect]
@@ -44,12 +44,9 @@ func (c *codec) flushLocked() *flushLists {
 	return c.flush
 }
 
-// Bounds keep a pathological workload (say, unbounded group-name churn)
-// from turning the reuse state into a leak.
-const (
-	maxInterned = 4096
-	maxFreeList = 64
-)
+// maxFreeList bounds each free list, so a burst does not pin its high-water
+// mark of envelopes forever. The intern table is bounded by wire.Intern.
+const maxFreeList = 64
 
 // freeList is one pooled kind's spare envelopes, at most maxFreeList of
 // them. Guarded by codec.mu.
@@ -71,23 +68,6 @@ func put[T any](c *codec, l *freeList[T], m *T) {
 		*l = append(*l, m)
 	}
 	c.mu.Unlock()
-}
-
-func (c *codec) internLocked(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if s, ok := c.interned[string(b)]; ok { // string(b) here does not allocate
-		return s
-	}
-	s := string(b)
-	if c.interned == nil {
-		c.interned = make(map[string]string)
-	}
-	if len(c.interned) < maxInterned {
-		c.interned[s] = s
-	}
-	return s
 }
 
 // recycle returns a message's envelope to the codec after dispatch. Only
@@ -132,11 +112,14 @@ func (c *codec) recycle(msg any) {
 }
 
 func (c *codec) stringLocked(r *wire.Reader) string {
-	return c.internLocked(r.StringBytes())
+	if c.interned == nil {
+		c.interned = wire.Intern{}
+	}
+	return c.interned.Get(r.StringBytes())
 }
 
 func (c *codec) idLocked(r *wire.Reader) ProcessID {
-	return ProcessID(c.internLocked(r.StringBytes()))
+	return ProcessID(c.stringLocked(r))
 }
 
 func (c *codec) viewIDLocked(r *wire.Reader) ViewID {

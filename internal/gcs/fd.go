@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"slices"
+	"strings"
 	"time"
 )
 
@@ -11,128 +12,128 @@ import (
 // so heartbeats only add traffic on otherwise idle links. The paper requires
 // exactly this: "a (possibly unreliable) failure detection mechanism".
 //
-// The maps are made by start, at the process's first Join; before that
-// nothing is tracked or suspected, and reads of the nil maps say so.
+// Everything it knows is one table sorted by peer ID. Before the first Join
+// the table is empty: nothing is tracked or suspected.
 //
 // All methods require the owning Process's lock.
 type detector struct {
-	p         *Process
-	lastHeard map[ProcessID]time.Time
-	suspected map[ProcessID]bool
+	p     *Process
+	peers []peer // sorted by id
 
-	// peersLocked scratch: the watch set is rebuilt every heartbeat tick,
-	// but its contents only change on membership events, so the rebuild
-	// runs in reusable storage and the returned snapshot is reallocated
-	// only when the set actually differs.
-	scratchSet map[ProcessID]bool
-	scratch    []ProcessID
-	cache      []ProcessID // immutable once returned; callers may hold it unlocked
+	// Reused storage: the merge writes into spare and swaps it with peers;
+	// watch is the watch list under construction; newly holds checkLocked's
+	// result.
+	spare []peer
+	watch []ProcessID
+	newly []ProcessID
 }
 
-func (d *detector) start() {
-	d.lastHeard = make(map[ProcessID]time.Time)
-	d.suspected = make(map[ProcessID]bool)
-	d.scratchSet = make(map[ProcessID]bool)
+// peer is one process the detector knows: either watched (a peer of
+// interest, pinged every heartbeat and suspectable once silent for
+// suspectTimeout since heard) or suspected before it was ever watched, by
+// suspectLocked, and kept until something is heard from it.
+type peer struct {
+	id        ProcessID
+	heard     time.Time
+	suspected bool
+	watched   bool
 }
 
-// peersLocked returns every process this one should ping and watch: the
-// co-members of all views plus pending view-change candidates and foreign
-// (joining/merging) processes.
-func (d *detector) peersLocked() []ProcessID {
-	set := d.scratchSet
-	clear(set)
+// lookup returns id's position in the table, or where it would go.
+func (d *detector) lookup(id ProcessID) (int, bool) {
+	return slices.BinarySearchFunc(d.peers, id, func(e peer, id ProcessID) int { return strings.Compare(string(e.id), string(id)) })
+}
+
+// watchLocked brings the table up to date with the processes this one
+// should ping and watch: the co-members of all views plus pending
+// view-change candidates and foreign (joining/merging) processes.
+func (d *detector) watchLocked() {
+	watch := d.watch[:0]
 	for _, m := range d.p.members {
 		if !m.active {
 			continue
 		}
-		for _, id := range m.view.Members {
-			set[id] = true
-		}
+		watch = append(watch, m.view.Members...)
 		for id := range m.foreign {
-			set[id] = true
+			watch = append(watch, id)
 		}
 		if m.prop != nil {
-			for _, id := range m.prop.candidates {
-				set[id] = true
-			}
+			watch = append(watch, m.prop.candidates...)
 		}
 		if m.status == statusFlushing {
-			for _, id := range m.flushOldView.Members {
-				set[id] = true
-			}
-			set[m.curPID.Coord] = true
+			watch = append(watch, m.flushOldView.Members...)
+			watch = append(watch, m.curPID.Coord)
 		}
 	}
-	delete(set, d.p.id)
+	slices.Sort(watch)
+	watch = slices.Compact(watch)
+	if i, ok := slices.BinarySearch(watch, d.p.id); ok {
+		watch = slices.Delete(watch, i, i+1)
+	}
+	d.watch = watch
 
+	// Merge the two sorted lists. A newly watched peer gets a grace period:
+	// it becomes suspectable only after one full timeout to say anything.
+	// A peer no longer of interest is forgotten, so state does not grow
+	// forever — unless it was suspected without ever being watched.
 	now := d.p.cfg.Clock.Now()
-	peers := d.scratch[:0]
-	for id := range set {
-		peers = append(peers, id)
-		if _, ok := d.lastHeard[id]; !ok {
-			// Grace period: a peer becomes suspectable only after it has
-			// had one full timeout to say anything.
-			d.lastHeard[id] = now
+	old, out := d.peers, d.spare[:0]
+	for i, j := 0, 0; i < len(old) || j < len(watch); {
+		switch {
+		case j == len(watch) || i < len(old) && old[i].id < watch[j]:
+			if !old[i].watched && old[i].suspected {
+				out = append(out, old[i])
+			}
+			i++
+		case i == len(old) || watch[j] < old[i].id:
+			out = append(out, peer{id: watch[j], heard: now, watched: true})
+			j++
+		default:
+			e := old[i]
+			if !e.watched {
+				e.heard, e.watched = now, true
+			}
+			out = append(out, e)
+			i++
+			j++
 		}
 	}
-	// Forget peers no longer of interest so state does not grow forever.
-	for id := range d.lastHeard {
-		if !set[id] {
-			delete(d.lastHeard, id)
-			delete(d.suspected, id)
-		}
-	}
-	slices.Sort(peers)
-	d.scratch = peers
-	// The caller sends heartbeats after dropping the process lock, so hand
-	// out an immutable snapshot rather than the scratch. The set is stable
-	// between membership events; reallocate only when it changed.
-	if !idsEqual(peers, d.cache) {
-		d.cache = append([]ProcessID(nil), peers...)
-	}
-	return d.cache
-}
-
-// idsEqual reports whether a and b hold the same IDs in the same order.
-func idsEqual(a, b []ProcessID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	d.peers, d.spare = out, old[:0]
 }
 
 // heardLocked records life from a peer, clearing any suspicion.
 func (d *detector) heardLocked(from ProcessID) {
-	if _, tracked := d.lastHeard[from]; tracked {
-		d.lastHeard[from] = d.p.cfg.Clock.Now()
+	if i, ok := d.lookup(from); ok {
+		e := &d.peers[i]
+		if e.watched {
+			e.heard = d.p.cfg.Clock.Now()
+		}
+		e.suspected = false
 	}
-	delete(d.suspected, from)
 }
 
-// checkLocked scans for peers that newly exceeded the suspect timeout and
-// returns them.
+// checkLocked marks the watched peers that newly exceeded the suspect
+// timeout and returns them in ID order. The result is valid until the next
+// call.
 func (d *detector) checkLocked() []ProcessID {
 	now := d.p.cfg.Clock.Now()
-	var newly []ProcessID
-	for id, t := range d.lastHeard {
-		if d.suspected[id] {
-			continue
-		}
-		if now.Sub(t) >= suspectTimeout {
-			d.suspected[id] = true
-			newly = append(newly, id)
+	newly := d.newly[:0]
+	for i := range d.peers {
+		e := &d.peers[i]
+		if e.watched && !e.suspected && now.Sub(e.heard) >= suspectTimeout {
+			e.suspected = true
+			newly = append(newly, e.id)
 		}
 	}
-	return sortedIDs(newly)
+	d.newly = newly
+	return newly
 }
 
 // isSuspectedLocked reports whether id is currently suspected.
-func (d *detector) isSuspectedLocked(id ProcessID) bool { return d.suspected[id] }
+func (d *detector) isSuspectedLocked(id ProcessID) bool {
+	i, ok := d.lookup(id)
+	return ok && d.peers[i].suspected
+}
 
 // suspectLocked marks id suspected immediately — used when the view-change
 // protocol itself establishes unresponsiveness (a candidate that never
@@ -141,5 +142,9 @@ func (d *detector) suspectLocked(id ProcessID) {
 	if id == d.p.id {
 		return
 	}
-	d.suspected[id] = true
+	i, ok := d.lookup(id)
+	if !ok {
+		d.peers = slices.Insert(d.peers, i, peer{id: id})
+	}
+	d.peers[i].suspected = true
 }

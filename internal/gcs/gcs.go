@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -146,9 +147,13 @@ type Process struct {
 	id  ProcessID
 	ctr procCounters
 
-	mu      sync.Mutex
-	closed  bool
-	members map[string]*Member // by group name; nil until the first Join
+	mu     sync.Mutex
+	closed bool
+	// members is sorted by group name, the order every fan-out across
+	// groups (tick, suspicion, Close) sends packets and queues callbacks
+	// in: the simulated network draws from one shared RNG, so an unordered
+	// fan-out would randomize seeded runs.
+	members []*Member
 	fd      detector
 	direct  func(from ProcessID, payload []byte)
 
@@ -166,10 +171,6 @@ type Process struct {
 	// table. Guarded by p.mu.
 	bufFree *bufPool
 
-	// mScratch backs membersOrderedLocked; consumers finish with the slice
-	// before p.mu is released.
-	mScratch []*Member
-
 	// sendBuf frames outbound Anycast/Send datagrams. Guarded by p.mu and
 	// handed to Endpoint.Send while still held — legal because Send
 	// implementations never retain the payload after returning (the
@@ -178,20 +179,20 @@ type Process struct {
 	sendBuf []byte
 
 	// ticker is the process's one standing timer, armed by the first Join
-	// and stopped at Close — a process that never joins a group (a leased
-	// viewer) only frames Anycast/Send datagrams and schedules nothing. It
-	// beats at born + k*tickBase with tickCount k, whenever the first Join
-	// comes: the beat is the one a ticker running since NewProcess would be
+	// (beating says it was) and stopped at Close — a process that never
+	// joins a group (a leased viewer) only frames Anycast/Send datagrams and
+	// schedules nothing. It beats at born + k*tickBase with tickCount k,
+	// whenever the first Join comes: the beat is the one a ticker running since NewProcess would be
 	// on, so how long a process waits before it joins moves neither the
 	// phase nor the parity of its duties. Each duty — the failure-detector
 	// heartbeat plus every membership's ack, retransmit and presence gossip
 	// — runs when tickCount is divisible by its divisor, so a server in 50
 	// groups holds one timer, not 151. tickCount is guarded by p.mu, the
-	// ticker by its own lock; tickScratch is a snapshot consumed outside the
-	// lock (member ticks relock p.mu themselves), distinct from mScratch,
-	// whose contract ends when the lock is released, and nil while a tick
-	// holds it.
+	// ticker by its own lock; tickScratch is a snapshot of members consumed
+	// outside the lock (member ticks relock p.mu themselves), and nil while a
+	// tick holds it.
 	born        time.Time // NewProcess's instant: beat zero
+	beating     bool
 	ticker      clock.Periodic
 	tickCount   uint64
 	tickScratch []*Member
@@ -322,12 +323,12 @@ func (p *Process) tick() {
 	var run []*Member
 	if n%ackDiv == 0 || n%retransDiv == 0 || n%presDiv == 0 {
 		// Snapshot into the dedicated scratch: member ticks retake p.mu
-		// themselves, so the snapshot outlives this critical section (which
-		// mScratch must not), and each tick self-guards on m.active if a
-		// membership deactivates in between. The tick holds the scratch
-		// until it is done: on a real clock the next beat can start while
-		// this one runs, and it then finds none and builds its own.
-		run = append(p.tickScratch[:0], p.membersOrderedLocked()...)
+		// themselves, so the snapshot outlives this critical section, and
+		// each tick self-guards on m.active if a membership deactivates in
+		// between. The tick holds the scratch until it is done: on a real
+		// clock the next beat can start while this one runs, and it then
+		// finds none and builds its own.
+		run = append(p.tickScratch[:0], p.members...)
 		p.tickScratch = nil
 	}
 	p.mu.Unlock()
@@ -365,23 +366,23 @@ func (p *Process) Join(group string, h Handlers, contacts ...ProcessID) (*Member
 		p.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if _, ok := p.members[group]; ok {
+	i, ok := p.groupIndexLocked(group)
+	if ok {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: group %q", ErrAlreadyJoined, group)
 	}
-	if p.members == nil {
+	if !p.beating {
 		// First membership: now there are peers to watch. The ticker takes
-		// up the beat at the count it would have reached by now. Armed under
-		// p.mu, so Close either sees the ticker or has already failed this
-		// Join.
-		p.members = make(map[string]*Member)
-		p.fd.start()
+		// up the beat at the count it would have reached by now, and keeps
+		// it after the last Leave. Armed under p.mu, so Close either sees the
+		// ticker or has already failed this Join.
+		p.beating = true
 		age := p.cfg.Clock.Now().Sub(p.born)
 		p.tickCount = uint64(age / tickBase)
 		p.ticker.Start(p.cfg.Clock, tickBase-age%tickBase, tickBase, p.tick)
 	}
 	m := newMember(p, group, h, contacts)
-	p.members[group] = m
+	p.members = slices.Insert(p.members, i, m)
 	var cb callbacks
 	m.installSingletonLocked(&cb)
 	p.mu.Unlock()
@@ -439,7 +440,9 @@ func (p *Process) Close() {
 		return
 	}
 	p.closed = true
-	for _, m := range p.membersOrderedLocked() {
+	members := p.members
+	p.members = nil // detached, so each deactivation leaves it alone
+	for _, m := range members {
 		m.deactivateLocked()
 	}
 	p.mu.Unlock()
@@ -454,25 +457,28 @@ func (p *Process) heartbeatTick() {
 		p.mu.Unlock()
 		return
 	}
-	peers := p.fd.peersLocked()
+	p.fd.watchLocked()
 	var cb callbacks
-	newlySuspected := p.fd.checkLocked()
-	for _, s := range newlySuspected {
+	for _, s := range p.fd.checkLocked() {
 		p.ctr.suspicions.Inc()
 		p.cfg.Obs.Emit(obs.GCSSuspect, string(s), "", 0, 0)
-		// Iterate in group order, not map order: suspicion handling sends
-		// packets and queues callbacks, and every simulated packet draws
-		// from a shared RNG — map order here would make whole runs
-		// irreproducible.
-		for _, m := range p.membersOrderedLocked() {
+		// Suspicion handling sends packets and queues callbacks, so it runs
+		// in group order.
+		for _, m := range p.members {
 			m.onSuspicionLocked(s, &cb)
 		}
 	}
 	p.mu.Unlock()
 	cb.run()
-	for _, peer := range peers {
-		_ = p.cfg.Endpoint.Send(peer, encodeHeartbeat())
+	// The heartbeats follow the callbacks, as a member's sends do. Only the
+	// next watchLocked changes who is watched.
+	p.mu.Lock()
+	for _, e := range p.fd.peers {
+		if e.watched {
+			_ = p.cfg.Endpoint.Send(e.id, encodeHeartbeat())
+		}
 	}
+	p.mu.Unlock()
 }
 
 // onPacket is the transport inbound handler.
@@ -499,14 +505,14 @@ func (p *Process) onPacket(from ProcessID, payload []byte) {
 			cb.addDirect(h, from, msg.payload)
 		}
 	case *msgAnycast:
-		if m := p.members[msg.group]; m != nil && m.active {
+		if m := p.memberLocked(msg.group); m != nil && m.active {
 			if h := m.handlers.OnMessage; h != nil {
 				cb.addMsg(h, msg.group, from, msg.payload)
 			}
 		}
 	default:
 		if g, ok := groupOf(msg); ok {
-			if m := p.members[g]; m != nil && m.active {
+			if m := p.memberLocked(g); m != nil && m.active {
 				m.onMessageLocked(from, msg, &cb)
 			}
 		}
@@ -595,25 +601,15 @@ func sortedIDs(ids []ProcessID) []ProcessID {
 	return slices.Compact(out)
 }
 
-// membersOrderedLocked returns the memberships sorted by group name.
-// Anything that fans out across groups — suspicion handling, shutdown —
-// must use this rather than ranging over the members map: those paths send
-// packets and queue callbacks, and the simulated network draws loss and
-// jitter from one shared RNG, so map iteration order would leak into (and
-// randomize) otherwise seed-deterministic runs.
-func (p *Process) membersOrderedLocked() []*Member {
-	out := p.mScratch[:0]
-	for _, m := range p.members {
-		out = append(out, m)
+// groupIndexLocked returns group's position in members, or where it would go.
+func (p *Process) groupIndexLocked(group string) (int, bool) {
+	return slices.BinarySearchFunc(p.members, group, func(m *Member, g string) int { return strings.Compare(m.group, g) })
+}
+
+// memberLocked returns the membership of group, or nil. Caller holds p.mu.
+func (p *Process) memberLocked(group string) *Member {
+	if i, ok := p.groupIndexLocked(group); ok {
+		return p.members[i]
 	}
-	// Insertion sort: a process belongs to a handful of groups, and unlike
-	// sort.Slice this allocates nothing. Callers consume the slice before
-	// releasing p.mu, so the scratch can back every call.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].group < out[j-1].group; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	p.mScratch = out
-	return out
+	return nil
 }

@@ -692,9 +692,9 @@ func activeGroups(p *Process) []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []string
-	for g, m := range p.members {
+	for _, m := range p.members {
 		if m.active {
-			out = append(out, g)
+			out = append(out, m.group)
 		}
 	}
 	slices.Sort(out)

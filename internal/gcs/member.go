@@ -326,8 +326,8 @@ func (m *Member) deactivateLocked() {
 		m.leaveTimer.Stop()
 	}
 	m.standDownLocked()
-	if m.p.members[m.group] == m {
-		delete(m.p.members, m.group)
+	if i, ok := m.p.groupIndexLocked(m.group); ok && m.p.members[i] == m {
+		m.p.members = slices.Delete(m.p.members, i, i+1)
 	}
 }
 

@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -122,3 +123,90 @@ func TestRealClockViewChurn(t *testing.T) {
 		t.Fatal("no multicast was delivered during the churn")
 	}
 }
+
+// TestRealClockMembershipChurn has four goroutines Join and Leave twenty
+// groups of one process over the real clock while its ticker snapshots the
+// memberships, its heartbeats go out and a live peer shares a group with it.
+// At the end the membership table must be sorted by group name and hold
+// exactly the groups still joined. Run it as
+// go test -race -count=5 -run TestRealClockMembershipChurn ./internal/gcs.
+func TestRealClockMembershipChurn(t *testing.T) {
+	net := netsim.New(clock.Real{}, 1, netsim.LAN())
+	newProc := func(id ProcessID) *Process {
+		ep, err := net.NewEndpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewProcess(Config{Clock: clock.Real{}, Endpoint: ep})
+		t.Cleanup(p.Close)
+		return p
+	}
+	p, peer := newProc("a"), newProc("b")
+	if _, err := peer.Join("live", Handlers{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Join("live", Handlers{}, "b"); err != nil {
+		t.Fatal(err)
+	}
+
+	const workers, perWorker = 4, 5
+	deadline := time.Now().Add(500 * time.Millisecond)
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				for g := range perWorker {
+					m, err := p.Join(churnGroup(w, g), Handlers{})
+					if err != nil {
+						errs <- err
+						return
+					}
+					time.Sleep(time.Millisecond)
+					if err := m.Leave(); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+			// Leave every other group joined.
+			for g := 0; g < perWorker; g += 2 {
+				if _, err := p.Join(churnGroup(w, g), Handlers{}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	want := []string{"live"}
+	for w := range workers {
+		for g := 0; g < perWorker; g += 2 {
+			want = append(want, churnGroup(w, g))
+		}
+	}
+	slices.Sort(want)
+	p.mu.Lock()
+	var got []string
+	for _, m := range p.members {
+		got = append(got, m.group)
+	}
+	ticks := p.tickCount
+	p.mu.Unlock()
+	if !slices.Equal(got, want) {
+		t.Fatalf("membership table holds %v, want exactly the joined groups in order, %v", got, want)
+	}
+	if ticks == 0 {
+		t.Fatal("the process never ticked during the churn")
+	}
+}
+
+// churnGroup names worker w's g-th group.
+func churnGroup(w, g int) string { return fmt.Sprintf("g%d-%d", w, g) }

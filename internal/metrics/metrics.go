@@ -6,7 +6,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"time"
 )
@@ -54,14 +53,6 @@ func (s *Series) searchAfter(t time.Duration) int {
 	return min(int((t-s.Start)/s.Step)+1, len(s.Values))
 }
 
-// searchAtOrAfter returns the index of the first sample with time ≥ t.
-func (s *Series) searchAtOrAfter(t time.Duration) int {
-	if t <= s.Start {
-		return 0
-	}
-	return min(int((t-s.Start-1)/s.Step)+1, len(s.Values))
-}
-
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Values) }
 
@@ -80,34 +71,6 @@ func (s *Series) At(t time.Duration) float64 {
 		return 0
 	}
 	return s.Values[i-1]
-}
-
-// MeanBetween averages the samples with from ≤ t < to; 0 if none.
-func (s *Series) MeanBetween(from, to time.Duration) float64 {
-	lo, hi := s.searchAtOrAfter(from), s.searchAtOrAfter(to)
-	if lo >= hi {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.Values[lo:hi] {
-		sum += v
-	}
-	return sum / float64(hi-lo)
-}
-
-// MinBetween returns the smallest sample with from ≤ t < to (0 if none).
-func (s *Series) MinBetween(from, to time.Duration) float64 {
-	lo, hi := s.searchAtOrAfter(from), s.searchAtOrAfter(to)
-	if lo >= hi {
-		return 0
-	}
-	min := math.Inf(1)
-	for _, v := range s.Values[lo:hi] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
 }
 
 // WriteTSV writes "seconds<TAB>value" rows — the format vodbench prints so

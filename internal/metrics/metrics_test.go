@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -32,9 +31,6 @@ func TestSeriesEmpty(t *testing.T) {
 	if s.Last() != 0 || s.At(time.Second) != 0 {
 		t.Fatal("empty series accessors must return 0")
 	}
-	if s.MeanBetween(0, time.Hour) != 0 {
-		t.Fatal("MeanBetween on empty series")
-	}
 }
 
 func TestSeriesAt(t *testing.T) {
@@ -53,19 +49,6 @@ func TestSeriesAt(t *testing.T) {
 		if got := s.At(tt.at); got != tt.want {
 			t.Errorf("At(%v) = %v, want %v", tt.at, got, tt.want)
 		}
-	}
-}
-
-func TestSeriesWindows(t *testing.T) {
-	s := sampleSeries()
-	if got := s.MeanBetween(1*time.Second, 3*time.Second); got != 20 { // (10+30)/2
-		t.Fatalf("MeanBetween = %v", got)
-	}
-	if got := s.MinBetween(2*time.Second, 5*time.Second); got != 20 {
-		t.Fatalf("MinBetween = %v", got)
-	}
-	if got := s.MinBetween(10*time.Second, 20*time.Second); got != 0 {
-		t.Fatalf("MinBetween empty window = %v", got)
 	}
 }
 
@@ -132,26 +115,6 @@ func TestSeriesMatchesLinearScan(t *testing.T) {
 				t.Fatalf("start %v step %v: At(%v) = %v, want %v", start, step, q, got, want)
 			}
 		}
-		for k := 0; k < 50; k++ {
-			from, to := queries[rng.Intn(len(queries))], queries[rng.Intn(len(queries))]
-			var win []float64
-			for i, ts := range times {
-				if from <= ts && ts < to {
-					win = append(win, vals[i])
-				}
-			}
-			var mean, lo float64
-			if len(win) > 0 {
-				for _, v := range win {
-					mean += v
-				}
-				mean, lo = mean/float64(len(win)), slices.Min(win)
-			}
-			if s.MeanBetween(from, to) != mean || s.MinBetween(from, to) != lo {
-				t.Fatalf("start %v step %v: [%v, %v) gives mean/min %v/%v, want %v/%v", start, step, from, to,
-					s.MeanBetween(from, to), s.MinBetween(from, to), mean, lo)
-			}
-		}
 	}
 }
 
@@ -198,12 +161,5 @@ func TestSeriesBinarySearchBounds(t *testing.T) {
 	}
 	if got := s.At(time.Hour); got != 99 {
 		t.Fatalf("At(past end) = %v", got)
-	}
-	// Half-open window semantics: from inclusive, to exclusive.
-	if got := s.MinBetween(10*time.Second, 12*time.Second); got != 10 {
-		t.Fatalf("MinBetween = %v, want 10", got)
-	}
-	if got := s.MeanBetween(5*time.Second, 5*time.Second); got != 0 {
-		t.Fatalf("empty window mean = %v, want 0", got)
 	}
 }

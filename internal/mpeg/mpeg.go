@@ -137,9 +137,6 @@ func (m *Movie) Duration() time.Duration {
 	return time.Duration(len(m.frames)) * time.Second / time.Duration(m.fps)
 }
 
-// TotalBytes returns the movie's size on the wire.
-func (m *Movie) TotalBytes() int64 { return m.total }
-
 // meanBitRate returns the stream's mean rate in bits/s.
 func (m *Movie) meanBitRate() int64 {
 	if len(m.frames) == 0 {

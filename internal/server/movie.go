@@ -37,8 +37,9 @@ type movieState struct {
 
 	// recScratch and syncState are the state message's reusable record
 	// snapshot and message scratch, guarded by srv.mu: the half-second sync
-	// fills them with this server's table, an announcement with one record,
-	// and neither allocates a slice or a message once warm.
+	// fills them with this server's records, a view change with the whole
+	// knowledge table, an announcement with one record, and none allocates
+	// a slice or a message once warm.
 	recScratch []wire.ClientRecord
 	syncState  wire.ClientState
 
@@ -287,12 +288,14 @@ func (ms *movieState) onView(v gcs.View) {
 
 	ms.ownRecordsLocked() // this server's sessions, into the table
 	// The exchange shares the full knowledge table, so a joiner learns
-	// about every client from any single member.
-	all := make([]wire.ClientRecord, 0, len(ms.clients))
+	// about every client from any single member. The own records were
+	// merged, so their scratch takes the table.
+	all := ms.recScratch[:0]
 	for _, rec := range ms.clients {
 		all = append(all, rec)
 	}
 	slices.SortFunc(all, byClientID)
+	ms.recScratch = all
 	ms.syncState = wire.ClientState{
 		Server:   s.cfg.ID,
 		Clients:  all,

@@ -239,8 +239,9 @@ type Server struct {
 	// syncIn is the decode target for peers' state-sync messages, and
 	// syncIntern dedups the strings decoded into it: the same client IDs and
 	// addresses arrive every half second for the whole session, so only the
-	// first sighting of each allocates. Guarded by mu, which the delivery
-	// holds across decode and merge.
+	// first sighting of each allocates. The table is capped (wire.Intern), so
+	// a daemon's client churn does not grow it forever. Guarded by mu, which
+	// the delivery holds across decode and merge.
 	syncIn     wire.ClientState
 	syncIntern wire.Intern
 

@@ -50,7 +50,7 @@ func TestObsCountersLANCrash(t *testing.T) {
 
 	// The network pseudo-node traced the fault injection, stamped in
 	// virtual time.
-	crashAt, _ := EventTimesLAN()
+	crashAt := fig4CrashAt
 	var sawCrash bool
 	for _, ev := range res.Obs["net"].Snapshot().Events() {
 		if ev.Kind == "netsim.crash" && ev.Note == "server-1" {
@@ -76,7 +76,7 @@ func TestObsCountersLANCrash(t *testing.T) {
 // the run. Stop empties the session table, which is what the registry reads.
 func TestCrashedServerReportsNoSessions(t *testing.T) {
 	sc := LANScenario(1)
-	crashAt, lbAt := EventTimesLAN()
+	crashAt, lbAt := fig4CrashAt, fig4LBAt
 	var mid [2]int64
 	sc.Events = append(sc.Events, Event{At: (crashAt + lbAt) / 2, Do: func(rt *Runtime) {
 		mid[0] = rt.registry("server-1").Snapshot().Gauges["server.active_sessions"]

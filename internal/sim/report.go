@@ -238,14 +238,13 @@ func tableEmergency(seed int64) Table {
 	sc := LANScenario(seed)
 	sc.Record = Video
 	res := Run(sc)
-	crashAt, _ := EventTimesLAN()
 
 	// Peak 1-second send rate during the emergency burst right after the
 	// takeover (the decaying quantity dominates the first ~3s; the later
 	// base-rate climb is ordinary Figure 2 flow control, outside the
 	// §4.1 bound).
 	var peak float64
-	for w := crashAt; w < crashAt+3500*time.Millisecond; w += 100 * time.Millisecond {
+	for w := fig4CrashAt; w < fig4CrashAt+3500*time.Millisecond; w += 100 * time.Millisecond {
 		rate := res.VideoBytesCum.At(w+time.Second) - res.VideoBytesCum.At(w)
 		if rate > peak {
 			peak = rate
@@ -423,6 +422,21 @@ func tigerTrial(seed int64, crashes []string) (lost, displayed uint64) {
 	return c.GapSkipped, c.Displayed
 }
 
+// lanCrashAt is when lanCrashScenario crashes the serving server.
+const lanCrashAt = 30 * time.Second
+
+// lanCrashScenario is the ablation tables' run: two servers on a LAN, the
+// serving one crashed at lanCrashAt. Each table sets the field it sweeps.
+func lanCrashScenario(name string, seed int64) Scenario {
+	return Scenario{
+		Name:    name,
+		Profile: netsim.LAN(),
+		Seed:    seed,
+		Servers: []string{"server-1", "server-2"},
+		Events:  []Event{{At: lanCrashAt, Do: func(rt *Runtime) { rt.CrashServing() }}},
+	}
+}
+
 // tableBufferSweep varies the client buffer size and reports smoothness
 // across the LAN crash scenario — the §4.2 sizing tradeoff.
 func tableBufferSweep(seed int64) Table {
@@ -439,16 +453,9 @@ func tableBufferSweep(seed int64) Table {
 			SoftwareCapacity:      int(37 * scale),
 			HardwareCapacityBytes: int(240 * 1024 * scale),
 		}
-		res := Run(Scenario{
-			Name:    fmt.Sprintf("buf-%.1fx", scale),
-			Profile: netsim.LAN(),
-			Seed:    seed,
-			Servers: []string{"server-1", "server-2"},
-			Flow:    flow,
-			Events: []Event{
-				{At: 30 * time.Second, Do: func(rt *Runtime) { rt.CrashServing() }},
-			},
-		})
+		sc := lanCrashScenario(fmt.Sprintf("buf-%.1fx", scale), seed)
+		sc.Flow = flow
+		res := Run(sc)
 		return []string{
 			fmt.Sprintf("%.1f", 2.4*scale),
 			strconv.Itoa(flowctl.MarksOf(flow.Buffer).Capacity),
@@ -471,7 +478,6 @@ func tableEmergencySweep(seed int64) Table {
 		Title:  "emergency quantity sweep on the LAN crash scenario (§4.1)",
 		Header: []string{"base q", "rule", "total extra", "refill time after crash", "overflow discards", "stalls"},
 	}
-	crashAt := 30 * time.Second
 	qs, rules := []int{0, 6, 12, 24}, []string{"high water", "lockout"}
 	t.Rows = fanOut(len(qs)*len(rules), func(i int) []string {
 		q, rule := qs[i/2], rules[i%2]
@@ -479,24 +485,16 @@ func tableEmergencySweep(seed int64) Table {
 		flow.EmergencyQ = q
 		flow.PaperLockout = rule == "lockout"
 		lowWater := float64(flowctl.MarksOf(flow.Buffer).LowWater)
-		res := Run(Scenario{
-			Name:    fmt.Sprintf("emq-%d-%s", q, rule),
-			Profile: netsim.LAN(),
-			Seed:    seed,
-			Servers: []string{"server-1", "server-2"},
-			Flow:    flow,
-			Record:  Combined,
-			Events: []Event{
-				{At: crashAt, Do: func(rt *Runtime) { rt.CrashServing() }},
-			},
-		})
+		sc := lanCrashScenario(fmt.Sprintf("emq-%d-%s", q, rule), seed)
+		sc.Flow, sc.Record = flow, Combined
+		res := Run(sc)
 		// Refill time: from the first dip below the low water mark after
 		// the crash until occupancy recovers above it.
 		refill := "never"
 		var dipAt time.Duration
 		for i, v := range res.Combined.Values {
 			ts := res.Combined.Time(i)
-			if ts <= crashAt {
+			if ts <= lanCrashAt {
 				continue
 			}
 			if dipAt == 0 {
@@ -534,16 +532,9 @@ func tableSyncSweep(seed int64) Table {
 	periods := []time.Duration{100 * time.Millisecond, 500 * time.Millisecond, time.Second, 2 * time.Second}
 	t.Rows = fanOut(len(periods), func(i int) []string {
 		period := periods[i]
-		res := Run(Scenario{
-			Name:         fmt.Sprintf("sync-%v", period),
-			Profile:      netsim.LAN(),
-			Seed:         seed,
-			Servers:      []string{"server-1", "server-2"},
-			SyncInterval: period,
-			Events: []Event{
-				{At: 30 * time.Second, Do: func(rt *Runtime) { rt.CrashServing() }},
-			},
-		})
+		sc := lanCrashScenario(fmt.Sprintf("sync-%v", period), seed)
+		sc.SyncInterval = period
+		res := Run(sc)
 		var sync uint64
 		for _, st := range res.ServerStats {
 			sync += st.SyncBytes

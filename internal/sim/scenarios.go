@@ -61,9 +61,6 @@ func WANScenario(seed int64) Scenario {
 	}
 }
 
-// EventTimesLAN returns the Figure 4 event instants, for reporting.
-func EventTimesLAN() (crash, lb time.Duration) { return fig4CrashAt, fig4LBAt }
-
 // TakeoverTrial runs one crash-failover and returns how long the client
 // was without a serving server (Table T: "the take over time was half a
 // second on the average" on a LAN). The crash instant varies with the

@@ -18,7 +18,7 @@ func TestFig4LANShape(t *testing.T) {
 	sc := LANScenario(1)
 	sc.Record = Skipped | Late | Stalls | SW | HW
 	res := Run(sc)
-	crashAt, lbAt := EventTimesLAN()
+	crashAt, lbAt := fig4CrashAt, fig4LBAt
 
 	t.Logf("final counters: %+v", res.Final)
 	t.Logf("client stats:   %+v", res.ClientStats)
@@ -32,13 +32,13 @@ func TestFig4LANShape(t *testing.T) {
 		res.LateCum.At(crashAt), res.LateCum.At(crashAt+8*time.Second),
 		res.LateCum.At(lbAt), res.LateCum.Last())
 	t.Logf("sw occ:  mean(20..35s)=%.1f min(crash..+5s)=%.0f min(lb..+5s)=%.0f max=%.0f",
-		res.SWOccupancy.MeanBetween(20*time.Second, 35*time.Second),
-		res.SWOccupancy.MinBetween(crashAt, crashAt+5*time.Second),
-		res.SWOccupancy.MinBetween(lbAt, lbAt+5*time.Second),
+		mean(window(res.SWOccupancy, 20*time.Second, 35*time.Second)),
+		slices.Min(window(res.SWOccupancy, crashAt, crashAt+5*time.Second)),
+		slices.Min(window(res.SWOccupancy, lbAt, lbAt+5*time.Second)),
 		slices.Max(res.SWOccupancy.Values))
 	t.Logf("hw occ:  max=%.0f min(crash..+5s)=%.0f t(fill)≈%v",
 		slices.Max(res.HWOccupancy.Values),
-		res.HWOccupancy.MinBetween(crashAt, crashAt+5*time.Second),
+		slices.Min(window(res.HWOccupancy, crashAt, crashAt+5*time.Second)),
 		firstTimeAbove(res, 0.95))
 	t.Logf("stalls:  %v", res.StallsCum.Last())
 
@@ -63,15 +63,15 @@ func TestFig4LANShape(t *testing.T) {
 
 	// Fig 4c: software occupancy oscillates at a healthy mean in steady
 	// state, drops to ~0 at the crash, and recovers.
-	mean := res.SWOccupancy.MeanBetween(20*time.Second, 35*time.Second)
-	if mean < 10 || mean > 37 {
-		t.Errorf("steady-state software occupancy mean = %.1f, want ≈ 23", mean)
+	steady := mean(window(res.SWOccupancy, 20*time.Second, 35*time.Second))
+	if steady < 10 || steady > 37 {
+		t.Errorf("steady-state software occupancy mean = %.1f, want ≈ 23", steady)
 	}
-	minAtCrash := res.SWOccupancy.MinBetween(crashAt, crashAt+4*time.Second)
+	minAtCrash := slices.Min(window(res.SWOccupancy, crashAt, crashAt+4*time.Second))
 	if minAtCrash > 3 {
 		t.Errorf("software occupancy only fell to %.0f at crash, want ≈ 0", minAtCrash)
 	}
-	recovered := res.SWOccupancy.MeanBetween(crashAt+15*time.Second, crashAt+20*time.Second)
+	recovered := mean(window(res.SWOccupancy, crashAt+15*time.Second, crashAt+20*time.Second))
 	if recovered < 10 {
 		t.Errorf("software occupancy did not recover after crash: %.1f", recovered)
 	}
@@ -82,7 +82,7 @@ func TestFig4LANShape(t *testing.T) {
 	if hwMax < 200*1024 {
 		t.Errorf("hardware buffer peak = %.0f bytes, want near 240KB", hwMax)
 	}
-	hwAtCrash := res.HWOccupancy.MinBetween(crashAt, crashAt+4*time.Second)
+	hwAtCrash := slices.Min(window(res.HWOccupancy, crashAt, crashAt+4*time.Second))
 	if hwAtCrash <= 0 {
 		t.Errorf("hardware buffer drained to zero at crash; want ≈ 3/4 capacity")
 	}
@@ -99,6 +99,25 @@ func TestFig4LANShape(t *testing.T) {
 	if res.Final.MaxStallRun > 15 {
 		t.Errorf("longest freeze = %d ticks (>0.5s), noticeable to a human observer", res.Final.MaxStallRun)
 	}
+}
+
+// window returns the samples of s taken at from ≤ t < to.
+func window(s *metrics.Series, from, to time.Duration) []float64 {
+	var out []float64
+	for i, v := range s.Values {
+		if t := s.Time(i); from <= t && t < to {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+func mean(vs []float64) float64 {
+	sum := 0.0
+	for _, v := range vs {
+		sum += v
+	}
+	return sum / float64(len(vs))
 }
 
 // firstTimeAbove returns when HWOccupancy first exceeds frac of its max.

@@ -27,8 +27,13 @@ func TestSaveAndLoadDirectory(t *testing.T) {
 	}
 	orig, _ := c.Get("alpha")
 	copy2, _ := loaded.Get("alpha")
-	if orig.TotalBytes() != copy2.TotalBytes() || orig.TotalFrames() != copy2.TotalFrames() {
+	if orig.TotalFrames() != copy2.TotalFrames() {
 		t.Fatal("loaded movie differs from saved")
+	}
+	for i := range orig.TotalFrames() {
+		if orig.Frame(i) != copy2.Frame(i) {
+			t.Fatalf("loaded movie's frame %d differs from saved", i)
+		}
 	}
 }
 

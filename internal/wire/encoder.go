@@ -43,16 +43,20 @@ func keepString(dst *string, b []byte) {
 }
 
 // Intern is a string intern table for decoders on repetitive streams: the
-// same identifiers (client IDs, addresses) arrive over and over, and looking
-// a byte slice up under a string conversion compiles allocation-free, so
-// only the first sighting of each distinct value allocates. Entries are
-// never evicted; tables are scoped to an owner whose identifier population
-// is bounded (a server's client set).
+// same identifiers (client IDs, addresses, group names) arrive over and
+// over, and looking a byte slice up under a string conversion compiles
+// allocation-free, so only the first sighting of each distinct value
+// allocates. Entries are never evicted, so a table holds at most maxInterned
+// of them: past that, a new value is converted but not kept, and a stream
+// of ever-new identifiers (client churn over a daemon's life) cannot grow
+// the table without bound.
 type Intern map[string]string
 
-// get returns the interned string for b, adding it on first sight. A nil
-// table interns nothing: every call converts.
-func (t Intern) get(b []byte) string {
+const maxInterned = 4096
+
+// Get returns the interned string for b, adding it on first sight while the
+// table has room. A nil table interns nothing: every call converts.
+func (t Intern) Get(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
@@ -60,7 +64,7 @@ func (t Intern) get(b []byte) string {
 		return s
 	}
 	s := string(b)
-	if t != nil {
+	if t != nil && len(t) < maxInterned {
 		t[s] = s
 	}
 	return s

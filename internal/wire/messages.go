@@ -659,7 +659,7 @@ const minClientRecordBytes = 2 + 2 + 4 + 2 + 2 + 1 + 1 + 8
 func DecodeClientStateInto(m *ClientState, tab Intern, b []byte) error {
 	r := Reader{b: b}
 	return r.decode(KindClientState, func() {
-		m.Server = tab.get(r.StringBytes())
+		m.Server = tab.Get(r.StringBytes())
 		m.ViewSeq = r.U64()
 		m.Newcomer = r.bool()
 		n := int(r.U16())
@@ -676,8 +676,8 @@ func DecodeClientStateInto(m *ClientState, tab Intern, b []byte) error {
 		m.Clients = m.Clients[:n]
 		for i := 0; i < n && r.err == nil; i++ {
 			m.Clients[i] = ClientRecord{
-				ClientID:   tab.get(r.StringBytes()),
-				ClientAddr: tab.get(r.StringBytes()),
+				ClientID:   tab.Get(r.StringBytes()),
+				ClientAddr: tab.Get(r.StringBytes()),
 				Offset:     r.U32(),
 				Rate:       r.U16(),
 				QualityFPS: r.U16(),

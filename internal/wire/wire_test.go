@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -216,6 +218,31 @@ func TestClientStateRoundTrip(t *testing.T) {
 		if got.Clients[i] != in.Clients[i] {
 			t.Fatalf("client %d: got %#v, want %#v", i, got.Clients[i], in.Clients[i])
 		}
+	}
+}
+
+// TestInternTableIsCapped: a sync stream naming more distinct clients than
+// the intern table holds keeps the table at its cap, and every record still
+// decodes to its own strings.
+func TestInternTableIsCapped(t *testing.T) {
+	const perSync, syncs = 1000, 3 // two strings a record: 6,000 in all
+	tab := Intern{}
+	var m ClientState
+	for k := range syncs {
+		recs := make([]ClientRecord, perSync)
+		for i := range recs {
+			n := k*perSync + i
+			recs[i] = ClientRecord{ClientID: fmt.Sprintf("client-%d", n), ClientAddr: fmt.Sprintf("10.0.%d.%d:7100", n/256, n%256), Offset: uint32(n)}
+		}
+		if err := DecodeClientStateInto(&m, tab, Encode(&ClientState{Server: "server-1", Clients: recs})); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(m.Clients, recs) || m.Server != "server-1" {
+			t.Fatalf("sync %d decoded to other records than were sent", k)
+		}
+	}
+	if len(tab) != maxInterned {
+		t.Fatalf("intern table holds %d strings after %d distinct ones, want the cap %d", len(tab), 1+2*perSync*syncs, maxInterned)
 	}
 }
 
