@@ -19,10 +19,10 @@ import (
 // sides are warm. The per-frame path is pinned at zero elsewhere; this pin
 // covers the per-session path the capacity experiments exercise a thousand
 // times per run: pooled server sessions, pooled open/reply events, the
-// reused client pipeline and policy. The budget is deliberately loose (the
-// cycle includes GCS view changes, whose coordination messages still
-// allocate) — it exists to catch order-of-magnitude regressions such as a
-// per-incarnation reallocation sneaking back in, not to enforce zero.
+// reused client pipeline and policy. The cycle includes gcs view changes,
+// each of which allocates the view it installs, so the budget is not zero;
+// it sits close enough over the measurement that a per-incarnation
+// reallocation sneaking back in fails it.
 func TestAllocsSessionSetup(t *testing.T) {
 	clk := clock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	net := netsim.New(clk, 1, netsim.LAN())
@@ -79,14 +79,19 @@ func TestAllocsSessionSetup(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(16, cycle)
 
-	// A warm cycle measures ≈260 allocs (mostly view-change coordination);
-	// the budget leaves ~2× headroom for toolchain drift while still
-	// catching any per-incarnation reallocation of session state.
-	const budget = 600
-	if allocs > budget {
-		t.Fatalf("session setup cycle = %v allocs, budget %d", allocs, budget)
+	// A warm cycle measures 74 allocs, alone and in the full package run
+	// (80 while gcs decoded into free-listed envelopes and each membership
+	// framed in a scratch of its own; ≈260 when the budget was first set),
+	// and 92–95 under the race detector, whose sync.Pool drops a quarter of
+	// its Puts. Each budget is ≈ 15 % over its measurement.
+	budget := 85.0
+	if raceEnabled {
+		budget = 109
 	}
-	t.Logf("session setup cycle = %v allocs (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Fatalf("session setup cycle = %v allocs, budget %v", allocs, budget)
+	}
+	t.Logf("session setup cycle = %v allocs (budget %v)", allocs, budget)
 }
 
 // TestAllocsShapedStreaming pins the frame egress path with the full

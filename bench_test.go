@@ -6,11 +6,14 @@
 package repro
 
 import (
+	"context"
+	"io"
 	"slices"
 	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/flowctl"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -276,6 +279,52 @@ func BenchmarkTableScale(b *testing.B) {
 	opens, _ := strconv.ParseFloat(last[7], 64)
 	b.ReportMetric(float64(healthy), "healthy-viewers-50x10k")
 	b.ReportMetric(opens, "opens-per-viewer")
+}
+
+// BenchmarkPaperSeed is one seed of the benchmark program's paper_eval
+// pass: every figure rendered with WriteTSV, every table with Write, the
+// overload trial and five takeover trials. `make bench-paper-budget` holds
+// its allocations under BENCH_paper_budget; the seed is fixed, so they do
+// not depend on b.N.
+func BenchmarkPaperSeed(b *testing.B) {
+	const seed, takeovers = 1, 5
+	for i := 0; i < b.N; i++ {
+		figs, _ := sim.Figures(seed)
+		for _, id := range sim.FigureIDs() {
+			if err := figs[id].WriteTSV(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, id := range sim.TableIDs() {
+			t, err := sim.TableByID(id, seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := t.Write(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sim.OverloadTrial(sim.OverloadConfig{Seed: seed})
+		for k := int64(1); k <= takeovers; k++ {
+			sim.TakeoverTrial(k)
+		}
+	}
+}
+
+// BenchmarkChaosSeeds is the chaos sweep over seeds 1–20 on one worker: a
+// cluster built, driven through its fault schedule and torn down per seed.
+// `make bench-chaos-budget` holds its allocations under BENCH_chaos_budget.
+func BenchmarkChaosSeeds(b *testing.B) {
+	const seeds = 20
+	for i := 0; i < b.N; i++ {
+		reports, _, err := chaos.Sweep(context.Background(), 1, seeds, 1, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if failed := chaos.FailedSeeds(reports); len(failed) > 0 {
+			b.Fatalf("seeds %v violate an invariant", failed)
+		}
+	}
 }
 
 // BenchmarkAblationDiscardPolicy regenerates the §3 discard-policy

@@ -161,8 +161,8 @@ func (m *Member) agreedRetryLocked(cb *callbacks) {
 		if coord == m.p.id {
 			m.onAgreedReqLocked(m.p.id, req, cb)
 		} else {
-			pkt := appendAgreedReq(m.encBuf[:0], req)
-			m.encBuf = pkt[:0]
+			pkt := appendAgreedReq(m.p.sendBuf[:0], req)
+			m.p.sendBuf = pkt[:0]
 			_ = m.p.cfg.Endpoint.Send(coord, pkt)
 		}
 	}

@@ -3,112 +3,51 @@ package gcs
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/wire"
 )
 
-// codec is the per-Process decode-side reuse state: a string intern table
-// (group names and process IDs are drawn from a small, stable universe) and
-// a free list for every inbound kind a handler only reads.
-// Decoding runs before p.mu is taken — and concurrently under a real clock —
-// so the codec carries its own lock, held across one decode. The codec never
-// calls back into the Process, so the lock nests safely under p.mu.
+// codec is the per-Process decode state: a string intern table (group names
+// and process IDs are drawn from a small, stable universe) and one envelope
+// per inbound kind, which each decode of that kind overwrites, keeping its
+// slices' storage. Decoding runs under p.mu, and every handler reads its
+// message during dispatch and never keeps it — multicast payloads are copied
+// when parked (acceptMcastLocked) or buffered for a future view; ack vectors
+// and cuts are aligned into the member's own rows (onAckVecLocked,
+// onCutLocked); a presence is relayed by re-encoding it and a NAK is
+// answered; a propose's candidates, a sync report and an install's members
+// are copied into member storage (onProposeLocked, syncRecord.record,
+// onInstallLocked); direct and anycast payloads are captured by value in
+// their callback entries — so one envelope per kind serves every datagram.
 type codec struct {
-	mu       sync.Mutex
-	interned wire.Intern // made by the first string decoded
-	mcast    freeList[msgMcast]
-	ack      freeList[msgAckVec]
-	direct   freeList[msgDirect]
-	anycast  freeList[msgAnycast]
-	presence freeList[msgPresence]
-	nak      freeList[msgNak]
-	flush    *flushLists // made by the first view-change message decoded
+	interned  wire.Intern // made by the first string decoded
+	heartbeat msgHeartbeat
+	direct    msgDirect
+	anycast   msgAnycast
+	group     *groupKinds // made by the first group message decoded
 }
 
-// flushLists are the free lists of the view-change kinds. A process in no
+// groupKinds are the envelopes of the group-scoped kinds. A process in no
 // group — a leased viewer, of which a scale run builds thousands — never
 // decodes one, so it does not carry them.
-type flushLists struct {
-	propose  freeList[msgPropose]
-	syncInfo freeList[msgSyncInfo]
-	cut      freeList[msgCut]
-	cutDone  freeList[msgCutDone]
-	install  freeList[msgInstall]
+type groupKinds struct {
+	mcast    msgMcast
+	ack      msgAckVec
+	presence msgPresence
+	nak      msgNak
+	propose  msgPropose
+	syncInfo msgSyncInfo
+	cut      msgCut
+	cutDone  msgCutDone
+	install  msgInstall
+	leave    msgLeave
 }
 
-func (c *codec) flushLocked() *flushLists {
-	if c.flush == nil {
-		c.flush = new(flushLists)
+func (c *codec) groupLocked() *groupKinds {
+	if c.group == nil {
+		c.group = new(groupKinds)
 	}
-	return c.flush
-}
-
-// maxFreeList bounds each free list, so a burst does not pin its high-water
-// mark of envelopes forever. The intern table is bounded by wire.Intern.
-const maxFreeList = 64
-
-// freeList is one pooled kind's spare envelopes, at most maxFreeList of
-// them. Guarded by codec.mu.
-type freeList[T any] []*T
-
-func (l *freeList[T]) take() *T {
-	if k := len(*l); k > 0 {
-		m := (*l)[k-1]
-		*l = (*l)[:k-1]
-		return m
-	}
-	return new(T)
-}
-
-// put files m under the codec lock, the only lock a recycle takes.
-func put[T any](c *codec, l *freeList[T], m *T) {
-	c.mu.Lock()
-	if len(*l) < maxFreeList {
-		*l = append(*l, m)
-	}
-	c.mu.Unlock()
-}
-
-// recycle returns a message's envelope to the codec after dispatch. Only
-// kinds whose handlers never retain the decoded form are pooled: multicast
-// payloads are copied when parked (acceptMcastLocked) or buffered for a
-// future view; ack vectors and cuts are aligned into the member's own rows
-// (onAckVecLocked, onCutLocked); a presence is relayed by re-encoding it and
-// a NAK is answered. A propose's candidates, a sync report and an install's
-// members are copied into member storage (onProposeLocked,
-// syncRecord.record, onInstallLocked), and a cut-done only flips a flag.
-// Direct and anycast payloads were captured by value in their callback
-// entries. Envelopes keep their slices' storage, which decode overwrites;
-// payloads are dropped, as they alias the receive buffer.
-func (c *codec) recycle(msg any) {
-	switch m := msg.(type) {
-	case *msgMcast:
-		m.payload = nil
-		put(c, &c.mcast, m)
-	case *msgAckVec:
-		put(c, &c.ack, m)
-	case *msgDirect:
-		m.payload = nil
-		put(c, &c.direct, m)
-	case *msgAnycast:
-		m.payload = nil
-		put(c, &c.anycast, m)
-	case *msgPresence:
-		put(c, &c.presence, m)
-	case *msgNak:
-		put(c, &c.nak, m)
-	case *msgPropose: // decode made c.flush before it made m
-		put(c, &c.flush.propose, m)
-	case *msgSyncInfo:
-		put(c, &c.flush.syncInfo, m)
-	case *msgCut:
-		put(c, &c.flush.cut, m)
-	case *msgCutDone:
-		put(c, &c.flush.cutDone, m)
-	case *msgInstall:
-		put(c, &c.flush.install, m)
-	}
+	return c.group
 }
 
 func (c *codec) stringLocked(r *wire.Reader) string {
@@ -153,32 +92,31 @@ func (c *codec) vecLocked(r *wire.Reader, v vec) vec {
 	return v
 }
 
-// decode parses any GCS datagram, reusing pooled structures for the hot
-// kinds (see recycle). It returns an error for malformed input; callers
-// drop such datagrams silently.
-func (c *codec) decode(buf []byte) (any, error) {
+// decodeLocked parses any GCS datagram into its kind's envelope (an agreed
+// request excepted), which stays valid until the next decode of that kind.
+// It returns an error for malformed input; callers drop such datagrams
+// silently. Caller holds p.mu.
+func (c *codec) decodeLocked(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	kind := r.U8()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var m any
 	switch kind {
 	case kindHeartbeat:
-		m = &msgHeartbeat{}
+		m = &c.heartbeat
 	case kindDirect:
-		d := c.direct.take()
+		d := &c.direct
 		d.payload = r.Bytes()
 		m = d
 	case kindAnycast:
-		a := c.anycast.take()
+		a := &c.anycast
 		a.group = c.stringLocked(r)
 		a.payload = r.Bytes()
 		m = a
 	case kindMcast:
-		mc := c.mcast.take()
+		mc := &c.groupLocked().mcast
 		mc.group = c.stringLocked(r)
 		mc.view = c.viewIDLocked(r)
 		mc.sender = c.idLocked(r)
@@ -186,49 +124,51 @@ func (c *codec) decode(buf []byte) (any, error) {
 		mc.payload = r.Bytes()
 		m = mc
 	case kindNak:
-		nk := c.nak.take()
+		nk := &c.groupLocked().nak
 		nk.group, nk.view, nk.sender = c.stringLocked(r), c.viewIDLocked(r), c.idLocked(r)
 		nk.from, nk.to = r.U64(), r.U64()
 		m = nk
 	case kindAckVec:
-		av := c.ack.take()
+		av := &c.groupLocked().ack
 		av.group = c.stringLocked(r)
 		av.view = c.viewIDLocked(r)
 		av.delivered = c.vecLocked(r, av.delivered)
 		m = av
 	case kindPresence:
-		pr := c.presence.take()
+		pr := &c.groupLocked().presence
 		pr.group, pr.view = c.stringLocked(r), c.viewIDLocked(r)
 		pr.members = c.idsLocked(r, pr.members)
 		m = pr
 	case kindPropose:
-		pp := c.flushLocked().propose.take()
+		pp := &c.groupLocked().propose
 		pp.group, pp.pid = c.stringLocked(r), c.pidLocked(r)
 		pp.candidates = c.idsLocked(r, pp.candidates)
 		m = pp
 	case kindSyncInfo:
-		si := c.flushLocked().syncInfo.take()
+		si := &c.groupLocked().syncInfo
 		si.group, si.pid, si.oldView = c.stringLocked(r), c.pidLocked(r), c.viewIDLocked(r)
 		si.oldMembers = c.idsLocked(r, si.oldMembers)
 		si.sendSeq = r.U64()
 		si.recvNext = c.vecLocked(r, si.recvNext)
 		m = si
 	case kindCut:
-		ct := c.flushLocked().cut.take()
+		ct := &c.groupLocked().cut
 		ct.group, ct.pid = c.stringLocked(r), c.pidLocked(r)
 		ct.targets = c.vecLocked(r, ct.targets)
 		m = ct
 	case kindCutDone:
-		cd := c.flushLocked().cutDone.take()
+		cd := &c.groupLocked().cutDone
 		cd.group, cd.pid = c.stringLocked(r), c.pidLocked(r)
 		m = cd
 	case kindInstall:
-		in := c.flushLocked().install.take()
+		in := &c.groupLocked().install
 		in.group, in.pid, in.view = c.stringLocked(r), c.pidLocked(r), c.viewIDLocked(r)
 		in.members = c.idsLocked(r, in.members)
 		m = in
 	case kindLeave:
-		m = &msgLeave{group: c.stringLocked(r)}
+		lv := &c.groupLocked().leave
+		lv.group = c.stringLocked(r)
+		m = lv
 	case kindAgreedReq:
 		m = &msgAgreedReq{group: c.stringLocked(r), seq: r.U64(), payload: r.Bytes()}
 	default:

@@ -28,8 +28,8 @@ import (
 //
 // Every message of the flush is read during dispatch and never kept: what a
 // handler needs later — the followed candidates, a report, the installed
-// members — it copies into storage its Member owns, so the codec recycles
-// all of them (codec.recycle).
+// members — it copies into storage its Member owns, so the codec decodes the
+// next message of each kind into the same envelope (see codec).
 
 type proposalPhase int
 
@@ -162,8 +162,8 @@ func (m *Member) startProposalLocked(cb *callbacks) {
 	m.armPhaseLocked()
 
 	msg := &msgPropose{group: m.group, pid: pr.pid, candidates: pr.candidates}
-	pkt := appendPropose(m.encBuf[:0], msg)
-	m.encBuf = pkt[:0]
+	pkt := appendPropose(m.p.sendBuf[:0], msg)
+	m.p.sendBuf = pkt[:0]
 	for _, id := range pr.candidates {
 		if id != m.p.id {
 			_ = m.p.cfg.Endpoint.Send(id, pkt)
@@ -189,7 +189,7 @@ func (m *Member) phaseTimedOut() {
 			if !pr.lagging(r) {
 				continue
 			}
-			pkt := m.encBuf[:0]
+			pkt := m.p.sendBuf[:0]
 			switch pr.phase {
 			case phaseSync:
 				pkt = appendPropose(pkt, &msgPropose{group: m.group, pid: pr.pid, candidates: pr.candidates})
@@ -197,7 +197,7 @@ func (m *Member) phaseTimedOut() {
 				cut, _ := pr.cutFor(pr.syncs[r].oldView)
 				pkt = appendCut(pkt, &msgCut{group: m.group, pid: pr.pid, targets: cut})
 			}
-			m.encBuf = pkt[:0]
+			m.p.sendBuf = pkt[:0]
 			_ = m.p.cfg.Endpoint.Send(pr.candidates[r], pkt)
 		}
 		m.armPhaseLocked()
@@ -257,8 +257,8 @@ func (m *Member) onProposeLocked(msg *msgPropose, cb *callbacks) {
 	if m.curPID.Coord == m.p.id {
 		m.onSyncInfoLocked(m.p.id, &info, cb)
 	} else {
-		pkt := appendSyncInfo(m.encBuf[:0], &info)
-		m.encBuf = pkt[:0]
+		pkt := appendSyncInfo(m.p.sendBuf[:0], &info)
+		m.p.sendBuf = pkt[:0]
 		_ = m.p.cfg.Endpoint.Send(m.curPID.Coord, pkt)
 	}
 }
@@ -299,8 +299,8 @@ func (m *Member) onSyncInfoLocked(from ProcessID, msg *msgSyncInfo, cb *callback
 			m.onCutLocked(cut, cb)
 			continue
 		}
-		pkt := appendCut(m.encBuf[:0], cut)
-		m.encBuf = pkt[:0]
+		pkt := appendCut(m.p.sendBuf[:0], cut)
+		m.p.sendBuf = pkt[:0]
 		_ = m.p.cfg.Endpoint.Send(id, pkt)
 	}
 }
@@ -398,8 +398,8 @@ func (m *Member) tryCompleteCutLocked(cb *callbacks) {
 	if m.curPID.Coord == m.p.id {
 		m.onCutDoneLocked(m.p.id, done, cb)
 	} else {
-		pkt := appendCutDone(m.encBuf[:0], done)
-		m.encBuf = pkt[:0]
+		pkt := appendCutDone(m.p.sendBuf[:0], done)
+		m.p.sendBuf = pkt[:0]
 		_ = m.p.cfg.Endpoint.Send(m.curPID.Coord, pkt)
 	}
 }
@@ -430,8 +430,8 @@ func (m *Member) onCutDoneLocked(from ProcessID, msg *msgCutDone, cb *callbacks)
 		view:    ViewID{Seq: maxSeq + 1, Coord: m.p.id},
 		members: pr.candidates,
 	}
-	pkt := appendInstall(m.encBuf[:0], install)
-	m.encBuf = pkt[:0]
+	pkt := appendInstall(m.p.sendBuf[:0], install)
+	m.p.sendBuf = pkt[:0]
 	for _, id := range pr.candidates {
 		if id != m.p.id {
 			_ = m.p.cfg.Endpoint.Send(id, pkt)
@@ -448,7 +448,7 @@ func (m *Member) onInstallLocked(msg *msgInstall, cb *callbacks) {
 	}
 	// The member list is the one allocation an install makes: the view keeps
 	// it, shared with every OnView callback and never modified, while the
-	// message's list goes back to the codec or, at the coordinator, is the
+	// message's list is the codec's envelope or, at the coordinator, the
 	// candidate storage of its next proposal. Only hostile input is out of
 	// order or repeats an ID.
 	members := sortedIDs(msg.members)
@@ -515,8 +515,8 @@ func (m *Member) flushTickLocked(cb *callbacks) {
 			if lo >= hi {
 				continue
 			}
-			nak := appendNak(m.encBuf[:0], &msgNak{group: m.group, view: m.flushOldView.ID, sender: sender, from: lo, to: hi})
-			m.encBuf = nak[:0]
+			nak := appendNak(m.p.sendBuf[:0], &msgNak{group: m.group, view: m.flushOldView.ID, sender: sender, from: lo, to: hi})
+			m.p.sendBuf = nak[:0]
 			for _, id := range m.flushOldView.Members {
 				if id != m.p.id && !m.p.fd.isSuspectedLocked(id) {
 					m.p.ctr.naksSent.Inc()

@@ -157,9 +157,8 @@ type Process struct {
 	fd      detector
 	direct  func(from ProcessID, payload []byte)
 
-	// codec holds the inbound decode reuse state (intern table, message
-	// free lists). It has its own lock: decoding happens before p.mu
-	// is taken.
+	// codec holds the inbound decode state (intern table, one envelope
+	// per kind). Guarded by p.mu: onPacket decodes under it.
 	codec codec
 
 	// bufFree recycles plain-multicast payload buffers (the wrap-on-send
@@ -171,11 +170,16 @@ type Process struct {
 	// table. Guarded by p.mu.
 	bufFree *bufPool
 
-	// sendBuf frames outbound Anycast/Send datagrams. Guarded by p.mu and
-	// handed to Endpoint.Send while still held — legal because Send
-	// implementations never retain the payload after returning (the
-	// transport copy-on-retain rule), and inbound dispatch never runs
-	// under another process's p.mu, so the nested lock order is one-way.
+	// sendBuf frames every packet the process sends under p.mu: Anycast and
+	// Send datagrams, and each membership's gossip, multicasts, NAKs and
+	// view-change messages. Guarded by p.mu and handed to Endpoint.Send while
+	// still held — legal because Send implementations never retain the
+	// payload after returning (the transport copy-on-retain rule), and
+	// inbound dispatch never runs under another process's p.mu, so the
+	// nested lock order is one-way. A site hands its packet to Send for every
+	// destination before anything it calls can frame another — across
+	// memberships too (the tick, the suspicion fan-out) — so one warm
+	// buffer serves them all.
 	sendBuf []byte
 
 	// ticker is the process's one standing timer, armed by the first Join
@@ -481,18 +485,20 @@ func (p *Process) heartbeatTick() {
 	p.mu.Unlock()
 }
 
-// onPacket is the transport inbound handler.
+// onPacket is the transport inbound handler. It decodes under p.mu, into
+// the codec's envelope for the kind, and dispatches before it releases the
+// lock; deferred callbacks capture payloads, which alias the receive buffer,
+// never the envelope.
 func (p *Process) onPacket(from ProcessID, payload []byte) {
-	msg, err := p.codec.decode(payload)
-	if err != nil {
-		return // corrupt or alien datagram; drop like UDP noise
-	}
-
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		p.codec.recycle(msg)
 		return
+	}
+	msg, err := p.codec.decodeLocked(payload)
+	if err != nil {
+		p.mu.Unlock()
+		return // corrupt or alien datagram; drop like UDP noise
 	}
 	p.fd.heardLocked(from)
 
@@ -518,11 +524,6 @@ func (p *Process) onPacket(from ProcessID, payload []byte) {
 		}
 	}
 	p.mu.Unlock()
-	// Dispatch done: pooled kinds were copied (parked multicasts, the
-	// flush's candidates, reports and members) or aligned into the member's
-	// own rows (ack vectors, cuts), so their decoded forms can be reused.
-	// Deferred callbacks never capture msg itself.
-	p.codec.recycle(msg)
 	cb.run()
 }
 

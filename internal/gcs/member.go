@@ -75,13 +75,6 @@ type Member struct {
 	debounced  func() // proposeDebounced, bound once
 	leaveTimer clock.Timer
 
-	// encBuf is reusable packet scratch, guarded by p.mu. Every packet the
-	// member sends under the lock — gossip, multicasts, NAKs, every view-change
-	// message — is framed here and handed to Send (which copies) for every
-	// destination before anything that could frame another runs, so one warm
-	// buffer serves them all.
-	encBuf []byte
-
 	// idBuf is changeNeededLocked's desired membership, guarded by p.mu.
 	idBuf []ProcessID
 }
@@ -228,17 +221,17 @@ func (m *Member) Multicast(payload []byte) error {
 func (m *Member) multicastWrappedLocked(data []byte, cb *callbacks) {
 	seq := m.ms.sendSeq
 	m.ms.sendSeq++
-	// Encode into the member scratch: Send copies, and the nested dispatch
+	// Encode into the process scratch: Send copies, and the nested dispatch
 	// below (which can re-enter this function through the agreed-forward
 	// path) only runs after the send loop has fully consumed pkt.
-	pkt := appendMcast(m.encBuf[:0], &msgMcast{
+	pkt := appendMcast(m.p.sendBuf[:0], &msgMcast{
 		group:   m.group,
 		view:    m.view.ID,
 		sender:  m.p.id,
 		seq:     seq,
 		payload: data,
 	})
-	m.encBuf = pkt[:0]
+	m.p.sendBuf = pkt[:0]
 	for _, id := range m.view.Members {
 		if id != m.p.id {
 			_ = m.p.cfg.Endpoint.Send(id, pkt)
@@ -452,14 +445,14 @@ func (m *Member) onNakLocked(from ProcessID, msg *msgNak) {
 	}
 	l := m.ms.msgs[s]
 	for i, _ := find(l, msg.from); i < len(l) && l[i].seq < msg.to; i++ {
-		pkt := appendMcast(m.encBuf[:0], &msgMcast{
+		pkt := appendMcast(m.p.sendBuf[:0], &msgMcast{
 			group:   m.group,
 			view:    msg.view,
 			sender:  msg.sender,
 			seq:     l[i].seq,
 			payload: l[i].data,
 		})
-		m.encBuf = pkt[:0]
+		m.p.sendBuf = pkt[:0]
 		m.p.ctr.retransmits.Inc()
 		_ = m.p.cfg.Endpoint.Send(from, pkt)
 	}
@@ -484,14 +477,14 @@ func (m *Member) onAckVecLocked(from ProcessID, msg *msgAckVec) {
 		return
 	}
 	delete(m.divergeCount, from)
-	// Align the vector into from's row: msg's own storage goes back to the
-	// decode layer once dispatch returns.
+	// Align the vector into from's row: msg's own storage is the codec's,
+	// which the next ack vector decodes into.
 	n := m.ms.n
 	ack := m.ms.peerAck[j*n : (j+1)*n]
 	msg.delivered.alignTo(m.view.Members, ack)
 	if mine, theirs := m.ms.recvNext[j], ack[j]; theirs > mine {
-		nak := appendNak(m.encBuf[:0], &msgNak{group: m.group, view: m.view.ID, sender: from, from: mine, to: theirs})
-		m.encBuf = nak[:0]
+		nak := appendNak(m.p.sendBuf[:0], &msgNak{group: m.group, view: m.view.ID, sender: from, from: mine, to: theirs})
+		m.p.sendBuf = nak[:0]
 		m.p.ctr.naksSent.Inc()
 		_ = m.p.cfg.Endpoint.Send(from, nak)
 	}
@@ -568,8 +561,8 @@ func (m *Member) onPresenceLocked(from ProcessID, msg *msgPresence) {
 		// coordinator learns even if earlier relays were lost.
 		coord := m.actingCoordinatorLocked()
 		if coord != m.p.id {
-			pkt := appendPresence(m.encBuf[:0], &msgPresence{group: m.group, view: msg.view, members: msg.members})
-			m.encBuf = pkt[:0]
+			pkt := appendPresence(m.p.sendBuf[:0], &msgPresence{group: m.group, view: msg.view, members: msg.members})
+			m.p.sendBuf = pkt[:0]
 			_ = m.p.cfg.Endpoint.Send(coord, pkt)
 		}
 	}
@@ -746,15 +739,15 @@ func (m *Member) ackTick() {
 		m.p.mu.Unlock()
 		return
 	}
-	// Encode straight from the live cursors into the member scratch: the
+	// Encode straight from the live cursors into the process scratch: the
 	// packet is complete (and Send copies) before the lock is released, so
 	// neither the vector nor the buffer needs a defensive copy.
-	pkt := appendAckVec(m.encBuf[:0], &msgAckVec{
+	pkt := appendAckVec(m.p.sendBuf[:0], &msgAckVec{
 		group:     m.group,
 		view:      m.view.ID,
 		delivered: vec{m.view.Members, m.ms.recvNext},
 	})
-	m.encBuf = pkt[:0]
+	m.p.sendBuf = pkt[:0]
 	for _, id := range m.view.Members {
 		if id != m.p.id {
 			_ = m.p.cfg.Endpoint.Send(id, pkt)
@@ -784,8 +777,8 @@ func (m *Member) retransTick() {
 				continue
 			}
 			if hi := l[len(l)-1].seq + 1; hi > lo {
-				pkt := appendNak(m.encBuf[:0], &msgNak{group: m.group, view: m.view.ID, sender: sender, from: lo, to: hi})
-				m.encBuf = pkt[:0]
+				pkt := appendNak(m.p.sendBuf[:0], &msgNak{group: m.group, view: m.view.ID, sender: sender, from: lo, to: hi})
+				m.p.sendBuf = pkt[:0]
 				m.p.ctr.naksSent.Inc()
 				_ = m.p.cfg.Endpoint.Send(sender, pkt)
 			}
@@ -808,11 +801,11 @@ func (m *Member) presenceTick() {
 }
 
 // sendPresenceLocked announces the view to contacts outside it (periodic,
-// and immediately after Join). The packet is built in the member scratch
+// and immediately after Join). The packet is built in the process scratch
 // and handed to Send under p.mu — Send copies, so that is safe.
 func (m *Member) sendPresenceLocked() {
-	pkt := appendPresence(m.encBuf[:0], &msgPresence{group: m.group, view: m.view.ID, members: m.view.Members})
-	m.encBuf = pkt[:0]
+	pkt := appendPresence(m.p.sendBuf[:0], &msgPresence{group: m.group, view: m.view.ID, members: m.view.Members})
+	m.p.sendBuf = pkt[:0]
 	for _, id := range m.contacts {
 		if id != m.p.id && !m.view.Includes(id) {
 			_ = m.p.cfg.Endpoint.Send(id, pkt)

@@ -308,8 +308,8 @@ func (m *msgMcast) size() int {
 	return 1 + strSize(m.group) + coordSize(m.view.Coord) + strSize(string(m.sender)) + 8 + 4 + len(m.payload)
 }
 
-// The control kinds below frame into a member's scratch (Member.encBuf) too:
-// every send site hands the packet to Send for every destination before
+// The control kinds below frame into the process scratch (Process.sendBuf)
+// too: every send site hands the packet to Send for every destination before
 // anything it calls can frame another.
 
 func appendNak(b []byte, m *msgNak) []byte {
@@ -397,14 +397,14 @@ func (m *msgInstall) size() int {
 }
 
 // appendLeave frames into a packet of its own: Leave sends after releasing
-// p.mu, so it cannot borrow the member scratch.
+// p.mu, so it cannot borrow the process scratch.
 func appendLeave(b []byte, m *msgLeave) []byte {
 	return appendHead(b, m.size(), kindLeave, m.group)
 }
 
 func (m *msgLeave) size() int { return 1 + strSize(m.group) }
 
-// appendAgreedReq frames into the member scratch on the retry tick, and into
+// appendAgreedReq frames into the process scratch on the retry tick, and into
 // a buffer of its own in MulticastAgreed, which sends after releasing p.mu.
 func appendAgreedReq(b []byte, m *msgAgreedReq) []byte {
 	b = appendHead(b, m.size(), kindAgreedReq, m.group)

@@ -12,8 +12,8 @@ import (
 // TestQuiescence: four processes go through what a group's life holds — join,
 // multicast, a partition and its heal, a crash, a graceful leave — and then
 // all leave and close. Five seconds later nothing is left: no event on the
-// clock, no membership in any process, and no codec free list past its bound.
-// The scratch buffers and free lists are owned by their process, so this is
+// clock and no membership in any process. The scratch buffers and the
+// codec's envelopes, one per kind, are owned by their process, so this is
 // what says they hold nothing once it is gone.
 func TestQuiescence(t *testing.T) {
 	c := newCluster(t, 3, netsim.LAN())
@@ -58,21 +58,5 @@ func TestQuiescence(t *testing.T) {
 			t.Errorf("%s still holds %d memberships", id, n)
 		}
 		p.mu.Unlock()
-		cd := &p.codec
-		cd.mu.Lock()
-		spare := map[string]int{
-			"mcast": len(cd.mcast), "ack": len(cd.ack), "direct": len(cd.direct), "anycast": len(cd.anycast),
-			"presence": len(cd.presence), "nak": len(cd.nak),
-		}
-		if f := cd.flush; f != nil {
-			spare["propose"], spare["sync report"], spare["cut"] = len(f.propose), len(f.syncInfo), len(f.cut)
-			spare["cut-done"], spare["install"] = len(f.cutDone), len(f.install)
-		}
-		for kind, n := range spare {
-			if n > maxFreeList {
-				t.Errorf("%s keeps %d spare %s envelopes, more than %d", id, n, kind, maxFreeList)
-			}
-		}
-		cd.mu.Unlock()
 	}
 }

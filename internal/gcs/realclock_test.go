@@ -16,19 +16,41 @@ import (
 // where every delivery and every timer runs on a goroutine of its own. All
 // three keep multicasting while c leaves, comes back as a fresh process and
 // crashes: each view change decodes proposes, sync reports, cuts, cut-dones
-// and installs into the codec's recycled envelopes while other goroutines
-// decode the next datagrams and the members' phase timers fire, so this is
-// where a race in that reuse would show. It takes about a second; run it as
-// go test -race -count=5 -run TestRealClockViewChurn ./internal/gcs.
-func TestRealClockViewChurn(t *testing.T) {
+// and installs into the codec's envelopes while other goroutines wait to
+// decode the next datagrams and the members' phase timers fire. With inject
+// set, four more goroutines push a datagram of every kind through a's
+// onPacket all the while, so a's envelopes are overwritten as fast as a lock
+// allows: this is where a read of one outside p.mu, or a callback that kept
+// one, would show. Each takes about a second; run them as
+// go test -race -count=5 -run 'TestRealClockViewChurn|TestRealClockDecodeUnderChurn' ./internal/gcs.
+func TestRealClockViewChurn(t *testing.T) { realClockViewChurn(t, false) }
+
+// TestRealClockDecodeUnderChurn is the view churn with datagrams of every
+// kind injected into a. The group-scoped ones name a group a is not in, so
+// they are decoded and dropped; the anycasts (to a's group) and direct
+// datagrams reach a's handlers, which check that their payload is the one
+// injected — it aliases the datagram, never an envelope.
+func TestRealClockDecodeUnderChurn(t *testing.T) { realClockViewChurn(t, true) }
+
+func realClockViewChurn(t *testing.T, inject bool) {
 	net := netsim.New(clock.Real{}, 1, netsim.LAN())
 	var (
 		mu        sync.Mutex // guards procs and mems: the sender goroutine reads them
 		procs     = map[ProcessID]*Process{}
 		mems      = map[ProcessID]*Member{}
 		delivered atomic.Int64
+		anycasts  atomic.Int64 // injected, to a
 	)
-	handlers := Handlers{OnMessage: func(string, ProcessID, []byte) { delivered.Add(1) }}
+	handlers := Handlers{OnMessage: func(_ string, _ ProcessID, payload []byte) {
+		switch string(payload) {
+		case "churn":
+			delivered.Add(1)
+		case "anycast":
+			anycasts.Add(1)
+		default:
+			t.Errorf("delivered %q", payload)
+		}
+	}}
 	join := func(id ProcessID, contacts ...ProcessID) {
 		t.Helper()
 		ep, err := net.NewEndpoint(id)
@@ -104,6 +126,52 @@ func TestRealClockViewChurn(t *testing.T) {
 	join("b", "a")
 	join("c", "a")
 	waitView("join", "a", "b", "c")
+
+	if inject {
+		var directs atomic.Int64
+		mu.Lock()
+		a := procs["a"]
+		mu.Unlock()
+		a.SetDirectHandler(func(_ ProcessID, payload []byte) {
+			if string(payload) != "direct" {
+				t.Errorf("a direct handler got %q", payload)
+			}
+			directs.Add(1)
+		})
+		kinds := everyKind("elsewhere", "z")
+		for _, k := range everyKind("g", "z") {
+			if k.name == "anycast" {
+				kinds = append(kinds, k)
+			}
+		}
+		done := make(chan struct{})
+		var injectors sync.WaitGroup
+		for w := range 4 {
+			injectors.Add(1)
+			go func() {
+				defer injectors.Done()
+				for i := w; ; i++ {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					k := kinds[i%len(kinds)]
+					a.onPacket("z", k.pkt)
+					if i%len(kinds) == 0 {
+						time.Sleep(100 * time.Microsecond)
+					}
+				}
+			}()
+		}
+		defer func() {
+			close(done)
+			injectors.Wait()
+			if anycasts.Load() == 0 || directs.Load() == 0 {
+				t.Errorf("a's handlers took %d injected anycasts and %d direct datagrams, want some of each", anycasts.Load(), directs.Load())
+			}
+		}()
+	}
 
 	mu.Lock()
 	leaver := mems["c"]

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/clock"
+	"repro/internal/netsim"
 	"repro/internal/wire"
 )
 
@@ -74,7 +76,7 @@ func TestWireBytesUnchanged(t *testing.T) {
 			t.Errorf("%s framed into dirty scratch gives\n  %x, want\n  %x", tc.name, again, got)
 		}
 		var c codec
-		msg, err := c.decode(got)
+		msg, err := c.decodeLocked(got)
 		if err != nil {
 			t.Errorf("%s: decode: %v", tc.name, err)
 			continue
@@ -114,11 +116,11 @@ func reencode(msg any) []byte {
 
 // TestCodecReusesEnvelopes: a presence, a cut, a NAK and every message of
 // the flush — propose, sync report, cut-done and install — are read during
-// dispatch and never kept, so the codec recycles their envelopes with their
-// slices' storage. A short message decoded into the envelope a long one
-// left behind must hold exactly what a fresh envelope would — the short
-// lists, nothing of the long ones' tails — so it frames again as the short
-// message did.
+// dispatch and never kept, so the codec decodes each kind into one envelope
+// that keeps its slices' storage. A short message decoded into the envelope
+// a long one left behind must be that same envelope and hold exactly what a
+// fresh one would — the short lists, nothing of the long ones' tails — so
+// it frames again as the short message did.
 func TestCodecReusesEnvelopes(t *testing.T) {
 	pid := proposalID{Round: 3, Coord: "a"}
 	view := ViewID{Seq: 5, Coord: "a"}
@@ -153,31 +155,99 @@ func TestCodecReusesEnvelopes(t *testing.T) {
 			short: appendInstall(nil, &msgInstall{group: "g", pid: proposalID{Round: 4, Coord: "b"}, view: ViewID{Seq: 6, Coord: "b"}, members: []ProcessID{"b"}})},
 	} {
 		var c codec
-		first, err := c.decode(tc.long)
+		first, err := c.decodeLocked(tc.long)
 		if err != nil {
 			t.Fatalf("%s: decode the long one: %v", tc.name, err)
 		}
-		c.recycle(first)
-		reused, err := c.decode(tc.short)
+		reused, err := c.decodeLocked(tc.short)
 		if err != nil {
 			t.Fatalf("%s: decode the short one: %v", tc.name, err)
 		}
 		if reused != first {
-			t.Fatalf("%s: the second decode did not reuse the recycled envelope", tc.name)
+			t.Fatalf("%s: the second decode did not reuse the first one's envelope", tc.name)
 		}
 		if got := reencode(reused); !bytes.Equal(got, tc.short) {
-			t.Errorf("%s: decoded into a recycled envelope, %x frames again as %x", tc.name, tc.short, got)
+			t.Errorf("%s: decoded into a used envelope, %x frames again as %x", tc.name, tc.short, got)
 		}
 		var fresh codec
-		want, _ := fresh.decode(tc.short)
+		want, _ := fresh.decodeLocked(tc.short)
 		if got, want := emptyAsNil(reused), emptyAsNil(want); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: decoded into a recycled envelope gives %+v, a fresh codec %+v", tc.name, got, want)
+			t.Errorf("%s: decoded into a used envelope gives %+v, a fresh codec %+v", tc.name, got, want)
+		}
+	}
+}
+
+// kindFrame is one datagram of a named kind.
+type kindFrame struct {
+	name string
+	pkt  []byte
+}
+
+// everyKind frames one datagram of every kind, the group-scoped ones for
+// group, as sender would send them.
+func everyKind(group string, sender ProcessID) []kindFrame {
+	view := ViewID{Seq: 7, Coord: sender}
+	pid := proposalID{Round: 9, Coord: sender}
+	ids := []ProcessID{sender, "y", "z"}
+	v := vec{ids, []uint64{5, 0, 1 << 40}}
+	return []kindFrame{
+		{"heartbeat", encodeHeartbeat()},
+		{"direct", appendDirect(nil, &msgDirect{payload: []byte("direct")})},
+		{"anycast", appendAnycast(nil, &msgAnycast{group: group, payload: []byte("anycast")})},
+		{"mcast", appendMcast(nil, &msgMcast{group: group, view: view, sender: sender, seq: 3, payload: []byte{payloadPlain, 'm'}})},
+		{"nak", appendNak(nil, &msgNak{group: group, view: view, sender: sender, from: 1, to: 4})},
+		{"ackvec", appendAckVec(nil, &msgAckVec{group: group, view: view, delivered: v})},
+		{"presence", appendPresence(nil, &msgPresence{group: group, view: view, members: ids})},
+		{"propose", appendPropose(nil, &msgPropose{group: group, pid: pid, candidates: ids})},
+		{"syncinfo", appendSyncInfo(nil, &msgSyncInfo{group: group, pid: pid, oldView: view, oldMembers: ids, sendSeq: 11, recvNext: v})},
+		{"cut", appendCut(nil, &msgCut{group: group, pid: pid, targets: v})},
+		{"cutdone", appendCutDone(nil, &msgCutDone{group: group, pid: pid})},
+		{"install", appendInstall(nil, &msgInstall{group: group, pid: pid, view: view, members: ids})},
+		{"leave", appendLeave(nil, &msgLeave{group: group})},
+		{"agreed request", appendAgreedReq(nil, &msgAgreedReq{group: group, seq: 3, payload: []byte("agreed")})},
+	}
+}
+
+// TestWarmDecodeAllocFree: once a process has decoded a kind, decoding it
+// again costs nothing — the envelope, its lists' storage and every string
+// (through the intern table) are already there. An agreed request is the
+// one kind decoded into a fresh envelope. A process that hears only
+// heartbeats, direct datagrams and anycasts — a leased viewer — never makes
+// the group kinds' envelopes.
+func TestWarmDecodeAllocFree(t *testing.T) {
+	clk := clock.NewVirtual(gcsEpoch)
+	ep, err := netsim.New(clk, 1, netsim.LAN()).NewEndpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProcess(Config{Clock: clk, Endpoint: ep})
+	defer p.Close()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	decode := func(name string, pkt []byte) {
+		if _, err := p.codec.decodeLocked(pkt); err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+	}
+	for _, k := range everyKind("g", "b") {
+		decode(k.name, k.pkt)
+		if k.name == "anycast" && p.codec.group != nil {
+			t.Fatal("decoding a heartbeat, a direct datagram and an anycast made the group kinds' envelopes")
+		}
+	}
+	for _, k := range everyKind("g", "b") {
+		want := 0.0
+		if k.name == "agreed request" {
+			want = 1
+		}
+		if allocs := testing.AllocsPerRun(100, func() { decode(k.name, k.pkt) }); allocs != want {
+			t.Errorf("%s: a warm decode makes %v allocations, want %v", k.name, allocs, want)
 		}
 	}
 }
 
 // emptyAsNil copies a decoded envelope with each empty list set to nil: a
-// recycled envelope keeps its lists' storage, so where a fresh decode has a
+// used envelope keeps its lists' storage, so where a fresh decode has a
 // nil list it has an empty one, and the two mean the same. A vector's
 // values are left as they are, so a stale tail still shows.
 func emptyAsNil(msg any) any {
@@ -253,7 +323,7 @@ func TestVectorAlignmentMatchesMaps(t *testing.T) {
 		}
 
 		var c codec
-		msg, err := c.decode(appendCut(nil, &msgCut{group: "g", targets: in}))
+		msg, err := c.decodeLocked(appendCut(nil, &msgCut{group: "g", targets: in}))
 		if err != nil {
 			t.Fatalf("round %d: decode: %v", round, err)
 		}
@@ -262,7 +332,7 @@ func TestVectorAlignmentMatchesMaps(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("round %d: %v=%v aligned to %v gives %v, the map gave %v", round, in.ids, in.vals, members, got, want)
 		}
-		out, err := c.decode(appendCut(nil, &msgCut{group: "g", targets: vec{members, got}}))
+		out, err := c.decodeLocked(appendCut(nil, &msgCut{group: "g", targets: vec{members, got}}))
 		if err != nil {
 			t.Fatalf("round %d: decode of the aligned row: %v", round, err)
 		}

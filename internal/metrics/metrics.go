@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"time"
 )
 
@@ -74,13 +75,17 @@ func (s *Series) At(t time.Duration) float64 {
 }
 
 // WriteTSV writes "seconds<TAB>value" rows — the format vodbench prints so
-// each figure can be re-plotted.
+// each figure can be re-plotted. Each row is what fmt's "%.2f\t%g\n" gives,
+// framed in one buffer the rows share.
 func (s *Series) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# %s\n", s.Name); err != nil {
+	row := append(append(append(make([]byte, 0, 64), "# "...), s.Name...), '\n')
+	if _, err := w.Write(row); err != nil {
 		return err
 	}
 	for i, v := range s.Values {
-		if _, err := fmt.Fprintf(w, "%.2f\t%g\n", s.Time(i).Seconds(), v); err != nil {
+		row = strconv.AppendFloat(row[:0], s.Time(i).Seconds(), 'f', 2, 64)
+		row = append(strconv.AppendFloat(append(row, '\t'), v, 'g', -1, 64), '\n')
+		if _, err := w.Write(row); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -68,6 +70,30 @@ func TestWriteTSV(t *testing.T) {
 	}
 	if lines[1] != "1.00\t10" {
 		t.Fatalf("first row = %q", lines[1])
+	}
+}
+
+// TestWriteTSVMatchesFprintf: every row is byte for byte what
+// fmt.Fprintf(w, "%.2f\t%g\n", ...) writes, for the values whose formatting
+// the two could disagree on — infinities, NaN, negative zero, the extremes
+// and exponent forms — and a start and step off the hundredth.
+func TestWriteTSVMatchesFprintf(t *testing.T) {
+	values := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3, 2.5e-7, 123456789, 1e21, -1e21,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	s := NewSeries("edge cases", 1234567*time.Microsecond)
+	s.Start = 5 * time.Millisecond
+	s.Values = values
+	var want strings.Builder
+	fmt.Fprintf(&want, "# %s\n", s.Name)
+	for i, v := range values {
+		fmt.Fprintf(&want, "%.2f\t%g\n", s.Time(i).Seconds(), v)
+	}
+	var got strings.Builder
+	if err := s.WriteTSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("WriteTSV wrote\n%s\nFprintf writes\n%s", got.String(), want.String())
 	}
 }
 

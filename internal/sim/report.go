@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/buffer"
 	"repro/internal/flowctl"
@@ -42,12 +44,22 @@ func (t Table) Write(w io.Writer) error {
 			}
 		}
 	}
+	// Each row is padded by hand into one buffer the rows share, as
+	// "%-*s" pads: to the column's width in runes.
+	var line []byte
 	writeRow := func(cells []string) error {
-		parts := make([]string, len(cells))
+		line = line[:0]
 		for i, c := range cells {
-			parts[i] = fmt.Sprintf("%-*s", widths[i], c)
+			if i > 0 {
+				line = append(line, "  "...)
+			}
+			line = append(line, c...)
+			for n := utf8.RuneCountInString(c); n < widths[i]; n++ {
+				line = append(line, ' ')
+			}
 		}
-		_, err := fmt.Fprintln(w, strings.TrimRight(strings.Join(parts, "  "), " "))
+		line = append(bytes.TrimRight(line, " "), '\n')
+		_, err := w.Write(line)
 		return err
 	}
 	if err := writeRow(t.Header); err != nil {
