@@ -1,8 +1,7 @@
 package main
 
 // Example holds the program's whole printout, which shows that every replica
-// applies the same agreed increments, before and after the coordinator
-// crashes (§8).
+// applies the same increments, before and after the coordinator crashes (§8).
 func Example() {
 	main()
 	// Output:

@@ -4,9 +4,11 @@
 // highly-available service on the same group communication substrate: a
 // replicated counter (a tiny replicated state machine).
 //
-// Every replica applies increments delivered by AGREED multicast, so all
-// replicas apply the same operations in the same order — no matter which
-// replica a client talks to, and across replica crashes.
+// Every replica applies the increments delivered by FIFO multicast.
+// Increments commute, so replicas that deliver the same set of them in each
+// view — which virtual synchrony guarantees the survivors of a view change —
+// hold the same total, whichever replica a client talks to and across
+// replica crashes. No total order is needed.
 package main
 
 import (
@@ -64,10 +66,10 @@ func newReplica(clk clock.Clock, network transport.Network, id string, contacts 
 	return r, nil
 }
 
-// Add submits an increment through total-order multicast: every replica
-// applies it exactly once, in the same position of the operation sequence.
+// Add multicasts an increment to the group: every replica in the view
+// applies it exactly once.
 func (r *replica) Add(delta int64) error {
-	return r.member.MulticastAgreed([]byte(strconv.FormatInt(delta, 10)))
+	return r.member.Multicast([]byte(strconv.FormatInt(delta, 10)))
 }
 
 func (r *replica) state() (int64, int, int) {
@@ -91,8 +93,8 @@ func main() {
 	}
 	clk.Advance(2 * time.Second) // group forms
 
-	// Concurrent increments from different replicas: agreed delivery puts
-	// them in one global order everywhere.
+	// Concurrent increments from different replicas: each replica may apply
+	// them in its own order, and all reach the same total.
 	for i := 0; i < 10; i++ {
 		if err := replicas[i%3].Add(int64(i)); err != nil {
 			log.Fatal(err)

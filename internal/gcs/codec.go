@@ -92,8 +92,8 @@ func (c *codec) vecLocked(r *wire.Reader, v vec) vec {
 	return v
 }
 
-// decodeLocked parses any GCS datagram into its kind's envelope (an agreed
-// request excepted), which stays valid until the next decode of that kind.
+// decodeLocked parses any GCS datagram into its kind's envelope, which stays
+// valid until the next decode of that kind.
 // It returns an error for malformed input; callers drop such datagrams
 // silently. Caller holds p.mu.
 func (c *codec) decodeLocked(buf []byte) (any, error) {
@@ -169,8 +169,6 @@ func (c *codec) decodeLocked(buf []byte) (any, error) {
 		lv := &c.groupLocked().leave
 		lv.group = c.stringLocked(r)
 		m = lv
-	case kindAgreedReq:
-		m = &msgAgreedReq{group: c.stringLocked(r), seq: r.U64(), payload: r.Bytes()}
 	default:
 		return nil, fmt.Errorf("gcs: unknown message kind %d", kind)
 	}

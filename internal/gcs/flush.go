@@ -453,6 +453,13 @@ func (m *Member) onInstallLocked(msg *msgInstall, cb *callbacks) {
 	// order or repeats an ID.
 	members := sortedIDs(msg.members)
 
+	// The old view's messages are done with: the flush delivered what it
+	// was going to, and no NAK names that view again.
+	for _, l := range m.ms.msgs {
+		for _, h := range l {
+			m.p.putBufLocked(h.data)
+		}
+	}
 	m.view = View{Group: m.group, ID: msg.view, Members: members}
 	m.ms.reset(m.view, m.p.id)
 	m.status = statusNormal

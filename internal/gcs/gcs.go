@@ -161,14 +161,21 @@ type Process struct {
 	// per kind). Guarded by p.mu: onPacket decodes under it.
 	codec codec
 
-	// bufFree recycles plain-multicast payload buffers (the wrap-on-send
-	// and copy-on-receive allocations), bucketed by power-of-two capacity
-	// class. A buffer returns to its class when the retaining member
-	// garbage-collects it at stability — the point after which no
-	// retransmission or delivery can reference it. Allocated on first
-	// multicast: lease-only processes (viewers) never pay for the class
+	// bufFree recycles multicast payload buffers (the frame-on-send and
+	// copy-on-receive allocations), bucketed by power-of-two capacity class.
+	// A member hands a buffer back when it drops the message: at stability,
+	// or when the view it was sent in is replaced. Made by the first buffer
+	// handed back: lease-only processes (viewers) never pay for the class
 	// table. Guarded by p.mu.
 	bufFree *bufPool
+
+	// handing counts the callback batches that hold a pooled payload and
+	// have not returned yet; while any has not, a buffer handed back waits
+	// in retired, and the batch that brings handing to 0 pools them. So a
+	// handler's payload is never reused while it runs, however long it
+	// takes. Guarded by p.mu.
+	handing int
+	retired [][]byte
 
 	// sendBuf frames every packet the process sends under p.mu: Anycast and
 	// Send datagrams, and each membership's gossip, multicasts, NAKs and
@@ -258,13 +265,18 @@ func (p *Process) getBufLocked(n int) []byte {
 	return make([]byte, 0, c)
 }
 
-// putBufLocked recycles a payload buffer into its capacity class. Callers
-// must guarantee no alias of b survives: the only caller is stability
-// garbage collection of plain payloads, whose handler callbacks fired
-// strictly earlier. A buffer files under the largest class it fully covers,
-// so a get from that class always satisfies its request.
+// putBufLocked takes back a payload buffer its member has dropped. While a
+// callback batch that may read it is out (handing > 0) the buffer is
+// retired; otherwise it files under the largest class it fully covers, so a
+// get from that class always satisfies its request.
 func (p *Process) putBufLocked(b []byte) {
 	if cap(b) < 1<<bufClassMin {
+		return
+	}
+	if p.handing > 0 {
+		if len(p.retired) < maxBufFree {
+			p.retired = append(p.retired, b)
+		}
 		return
 	}
 	if p.bufFree == nil {
@@ -279,6 +291,19 @@ func (p *Process) putBufLocked(b []byte) {
 	}
 	p.bufFree.class[c] = append(p.bufFree.class[c], b[:0])
 	p.bufFree.n++
+}
+
+// handedLocked ends a callback batch that held pooled payloads; the last one
+// out pools what was retired while batches were out.
+func (p *Process) handedLocked() {
+	if p.handing--; p.handing > 0 {
+		return
+	}
+	for i, b := range p.retired {
+		p.putBufLocked(b)
+		p.retired[i] = nil
+	}
+	p.retired = p.retired[:0]
 }
 
 // procCounters are the protocol counters, resolved once at NewProcess so
@@ -533,9 +558,14 @@ func (p *Process) onPacket(from ProcessID, payload []byte) {
 // Every shape — view, message and direct handlers — is stored as a typed
 // entry rather than a closure, so queuing a callback allocates nothing. The
 // backing array is pooled: run returns it once the entries have fired.
+//
+// held is the process whose pooled payloads the batch hands to handlers
+// (addHeld), or nil: such a batch is counted in held.handing from its first
+// held entry until run has returned from every handler.
 type callbacks struct {
 	backing *[]cbEntry
 	entries []cbEntry
+	held    *Process
 }
 
 // cbEntry is one queued callback. Exactly one of viewH, msgH, dirH is set.
@@ -568,6 +598,16 @@ func (c *callbacks) addMsg(h func(string, ProcessID, []byte), group string, send
 	c.push(cbEntry{msgH: h, group: group, sender: sender, data: data})
 }
 
+// addHeld queues a message handler on a payload in p's pool: a multicast
+// delivery. Caller holds p.mu.
+func (c *callbacks) addHeld(p *Process, h func(string, ProcessID, []byte), group string, sender ProcessID, data []byte) {
+	if c.held == nil {
+		c.held = p
+		p.handing++
+	}
+	c.addMsg(h, group, sender, data)
+}
+
 func (c *callbacks) addDirect(h func(ProcessID, []byte), sender ProcessID, data []byte) {
 	c.push(cbEntry{dirH: h, sender: sender, data: data})
 }
@@ -587,12 +627,17 @@ func (c *callbacks) run() {
 			e.dirH(e.sender, e.data)
 		}
 	}
+	if p := c.held; p != nil {
+		p.mu.Lock()
+		p.handedLocked()
+		p.mu.Unlock()
+	}
 	// Handlers may have re-entered the GCS, but any nested callbacks drew
 	// their own backing from the pool, so this one is ours to return.
 	clear(c.entries)
 	*c.backing = c.entries[:0]
 	cbSlicePool.Put(c.backing)
-	c.backing, c.entries = nil, nil
+	c.backing, c.entries, c.held = nil, nil, nil
 }
 
 // sortedIDs returns a sorted copy of ids with duplicates removed.

@@ -358,9 +358,18 @@ func TestPlainFIFOViolatesCausality(t *testing.T) {
 	c.net.SetLinkOneWayDown("a", "c", false)
 	c.settle(time.Second)
 
-	if got := agreedOf(c, "c"); fmt.Sprint(got) != "[reaction cause]" {
+	if got := payloadsAt(c, "c"); fmt.Sprint(got) != "[reaction cause]" {
 		t.Fatalf("c delivered %v, want the reaction before its cause", got)
 	}
+}
+
+// payloadsAt lists the payloads id delivered, in delivery order.
+func payloadsAt(c *cluster, id ProcessID) []string {
+	var out []string
+	for _, m := range c.rec[id].messages() {
+		out = append(out, m.data)
+	}
+	return out
 }
 
 // TestVirtualSynchrony checks the defining property: members that survive a

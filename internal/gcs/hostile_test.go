@@ -379,6 +379,47 @@ func TestAckVecRepairsTailLoss(t *testing.T) {
 	}
 }
 
+// retiredKind14 frames what the agreed-order request, kind 14, put on the
+// wire before agreed delivery was deleted: the group, the sender's agreed
+// sequence number and the payload.
+func retiredKind14(group string, seq uint64, payload []byte) []byte {
+	return wire.AppendBytes(wire.AppendU64(wire.AppendString([]byte{14}, group), seq), payload)
+}
+
+// TestHostileRetiredKindAndTagAreDropped: agreed delivery is gone, and so
+// are its kind (14) and its payload tag (1). A datagram of that kind, in the
+// bytes the old encoder wrote, is an unknown kind: it decodes to an error and
+// leaves no state, from a member or from a stranger. A multicast whose payload
+// starts with the old tag takes its place in the sender's FIFO stream, but
+// reaches no handler; the plain multicast after it does.
+func TestHostileRetiredKindAndTagAreDropped(t *testing.T) {
+	clk, _, p, m := hostilePair(t)
+	var got []string
+	p.mu.Lock()
+	m.handlers.OnMessage = func(_ string, _ ProcessID, payload []byte) { got = append(got, string(payload)) }
+	p.mu.Unlock()
+
+	req := retiredKind14("g", 0, []byte("agreed"))
+	var c codec
+	if msg, err := c.decodeLocked(req); err == nil {
+		t.Fatalf("kind 14 decodes as %T, want an unknown kind", msg)
+	}
+	before := stateSize(m)
+	p.onPacket("b", req)
+	p.onPacket("stranger", req)
+	clk.Advance(time.Second)
+	if after := stateSize(m); after != before {
+		t.Fatalf("two kind-14 datagrams and a second of ticks moved the state size %d -> %d", before, after)
+	}
+
+	view := m.View().ID
+	p.onPacket("b", appendMcast(nil, &msgMcast{group: "g", view: view, sender: "b", seq: 0, payload: []byte{1, 'x'}}))
+	p.onPacket("b", appendMcast(nil, &msgMcast{group: "g", view: view, sender: "b", seq: 1, payload: []byte{payloadPlain, 'y'}}))
+	if fmt.Sprint(got) != "[y]" {
+		t.Fatalf("a handler got %q from a payload tagged 1 and a plain one, want only the plain one's", got)
+	}
+}
+
 // FuzzOnPacket throws arbitrary datagrams at a process that has joined a
 // group, once as if sent by the other member and once by a stranger, then
 // lets the timers they may have armed run. The property is only that every
@@ -422,7 +463,9 @@ func FuzzOnPacket(f *testing.F) {
 		appendPropose(nil, &msgPropose{group: "g", pid: pid, candidates: append(slices.Clone(ab), strangers(64).ids...)}),
 		wire.AppendU16(appendViewID(appendPID(wire.AppendString([]byte{kindInstall}, "g"), pid), ViewID{Seq: 3, Coord: "b"}), math.MaxUint16),
 		appendLeave(nil, &msgLeave{group: "g"}),
-		appendAgreedReq(nil, &msgAgreedReq{group: "g", seq: math.MaxUint64, payload: []byte("agreed")}),
+		// What the retired kind 14 and the retired payload tag 1 looked like.
+		retiredKind14("g", math.MaxUint64, []byte("agreed")),
+		appendMcast(nil, &msgMcast{group: "g", view: view, sender: "b", seq: 0, payload: []byte{1, 'x'}}),
 	} {
 		f.Add(seed)
 	}

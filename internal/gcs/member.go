@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/wire"
 )
 
 type memberStatus int
@@ -63,14 +62,6 @@ type Member struct {
 	// future buffers multicasts tagged with views not yet installed here.
 	future map[ViewID][]*msgMcast
 
-	// Agreed-multicast state (see agreed.go). Unlike the per-view FIFO
-	// state, this survives view changes.
-	agreedSendSeq   uint64
-	agreedPending   map[uint64][]byte               // my unacked agreed sends
-	agreedForwarded map[ProcessID]map[uint64]bool   // sequencer-side dedup
-	agreedNext      map[ProcessID]uint64            // delivery cursor per sender
-	agreedParked    map[ProcessID]map[uint64][]byte // out-of-order agreed
-
 	debounce   clock.Timer
 	debounced  func() // proposeDebounced, bound once
 	leaveTimer clock.Timer
@@ -97,10 +88,7 @@ type mcastState struct {
 
 	// peerAck[j*n+s] is the delivered count for sender s that member j last
 	// gossiped. A member not heard from yet has a row of zeros: nothing is
-	// stable. In a one-member view no one gossips, and peerAck[0] is instead
-	// what the member had delivered by its previous ack beat: what it may
-	// drop at the next one (see ackTick). That one-beat lag keeps a buffer
-	// from being recycled while a queued delivery callback may alias it.
+	// stable.
 	peerAck []uint64
 
 	// msgs[s] holds sender s's multicasts sorted by seq: those below
@@ -191,6 +179,12 @@ func (m *Member) View() View {
 	return m.view
 }
 
+// payloadPlain is the byte every multicast payload starts with on the wire.
+// It once told plain payloads from totally ordered ones. It stays so that
+// packets, and with them every simulated serialisation time, keep their
+// size; a payload that starts with anything else is dropped.
+const payloadPlain uint8 = 0
+
 // Multicast reliably FIFO-multicasts payload to the group's current view,
 // including this member itself. During a view change the message is queued
 // and sent in the next view.
@@ -200,8 +194,8 @@ func (m *Member) Multicast(payload []byte) error {
 		m.p.mu.Unlock()
 		return ErrClosed
 	}
-	// Wrap into a pooled buffer (recycled at stability GC) rather than
-	// wrapPlain's fresh allocation: every multicast send passes here.
+	// Framed into a pooled buffer, which goes back to the pool once the
+	// message is stable and no delivery callback can still read it.
 	data := append(append(m.p.getBufLocked(len(payload)+1), payloadPlain), payload...)
 	if m.status != statusNormal {
 		m.sendQueue = append(m.sendQueue, data)
@@ -215,15 +209,20 @@ func (m *Member) Multicast(payload []byte) error {
 	return nil
 }
 
+// MulticastAgreed is Multicast.
+//
+// Deprecated: agreed (total-order) delivery is gone; the benchmark's gcs
+// probe is the last caller. Use Multicast.
+func (m *Member) MulticastAgreed(p []byte) error { return m.Multicast(p) }
+
 // multicastWrappedLocked assigns the next sequence number, transmits to
-// peers and self-delivers in FIFO position. data carries the internal
-// payload framing (see agreed.go). Caller holds p.mu.
+// peers and self-delivers in FIFO position. data starts with payloadPlain.
+// Caller holds p.mu.
 func (m *Member) multicastWrappedLocked(data []byte, cb *callbacks) {
 	seq := m.ms.sendSeq
 	m.ms.sendSeq++
-	// Encode into the process scratch: Send copies, and the nested dispatch
-	// below (which can re-enter this function through the agreed-forward
-	// path) only runs after the send loop has fully consumed pkt.
+	// Encode into the process scratch: Send copies, and the self-delivery
+	// below only runs after the send loop has fully consumed pkt.
 	pkt := appendMcast(m.p.sendBuf[:0], &msgMcast{
 		group:   m.group,
 		view:    m.view.ID,
@@ -243,27 +242,15 @@ func (m *Member) multicastWrappedLocked(data []byte, cb *callbacks) {
 	m.deliverReadyLocked(m.ms.self, cb)
 }
 
-// dispatchPayloadLocked unwraps the internal framing of a FIFO-delivered
-// payload and routes it: plain payloads go to the application handler,
-// agreed payloads go through the total-order machinery. Caller holds p.mu.
+// dispatchPayloadLocked strips the payloadPlain byte from a FIFO-delivered
+// payload and queues the application handler on the rest, which is the
+// member's pooled buffer (see callbacks.addHeld). Caller holds p.mu.
 func (m *Member) dispatchPayloadLocked(sender ProcessID, data []byte, cb *callbacks) {
-	if len(data) == 0 {
+	if len(data) == 0 || data[0] != payloadPlain {
 		return
 	}
-	switch data[0] {
-	case payloadPlain:
-		if h := m.handlers.OnMessage; h != nil {
-			cb.addMsg(h, m.group, sender, data[1:])
-		}
-	case payloadAgreed:
-		r := wire.NewReader(data[1:])
-		orig := ProcessID(r.String())
-		seq := r.U64()
-		body := r.Rest()
-		if r.Err() != nil {
-			return
-		}
-		m.deliverAgreedLocked(orig, seq, body, cb)
+	if h := m.handlers.OnMessage; h != nil {
+		cb.addHeld(m.p, h, m.group, sender, data[1:])
 	}
 }
 
@@ -345,8 +332,6 @@ func (m *Member) onMessageLocked(from ProcessID, msg any, cb *callbacks) {
 		m.onPresenceLocked(from, msg)
 	case *msgLeave:
 		m.onLeaveLocked(from)
-	case *msgAgreedReq:
-		m.onAgreedReqLocked(from, msg, cb)
 	case *msgPropose:
 		m.onProposeLocked(msg, cb)
 	case *msgSyncInfo:
@@ -509,20 +494,13 @@ func (m *Member) gcStableLocked() {
 }
 
 // dropStableLocked drops sender rank s's messages below stable, which every
-// member has delivered.
+// member has delivered: no NAK can ask for them again, and each buffer goes
+// back to the pool once no delivery callback can still read it.
 func (m *Member) dropStableLocked(s int, stable uint64) {
 	l := m.ms.msgs[s]
 	k, _ := find(l, stable)
 	for _, h := range l[:k] {
-		// Stability means every member delivered it: handler
-		// callbacks have fired and no NAK can ask for it again,
-		// so plain payload buffers are safe to recycle. Agreed
-		// payloads are excluded: deliverAgreedLocked may park
-		// their bodies, which alias the carrier buffer, in
-		// holdback state that outlives its stability.
-		if len(h.data) > 0 && h.data[0] == payloadPlain {
-			m.p.putBufLocked(h.data)
-		}
+		m.p.putBufLocked(h.data)
 	}
 	rest := copy(l, l[k:])
 	clear(l[rest:])
@@ -731,11 +709,9 @@ func (m *Member) ackTick() {
 		return
 	}
 	if m.ms.n == 1 {
-		// Alone in its view, a member hears no ack vector, so no gossip
-		// makes its own multicasts stable: each beat drops what it had
-		// delivered by the beat before, kept in peerAck[0].
-		m.dropStableLocked(0, m.ms.peerAck[0])
-		m.ms.peerAck[0] = m.ms.recvNext[0]
+		// Alone in its view, a member hears no ack vector: what it has
+		// delivered is stable, and its own beat drops it.
+		m.gcStableLocked()
 		m.p.mu.Unlock()
 		return
 	}
@@ -767,7 +743,6 @@ func (m *Member) retransTick() {
 	}
 	switch m.status {
 	case statusNormal:
-		m.agreedRetryLocked(&cb)
 		// Ask senders to fill detected gaps.
 		for s, sender := range m.view.Members {
 			// Anything parked means a gap below it: ask for everything

@@ -43,7 +43,7 @@ const (
 	kindCutDone
 	kindInstall
 	kindLeave
-	kindAgreedReq
+	// 14 is retired (the agreed-order request) and must not be reused.
 )
 
 type (
@@ -133,15 +133,6 @@ type (
 
 	// msgLeave announces a graceful departure from the group.
 	msgLeave struct{ group string }
-
-	// msgAgreedReq hands an agreed-multicast payload to the view
-	// coordinator for total ordering (seq is the sender's agreed
-	// sequence number).
-	msgAgreedReq struct {
-		group   string
-		seq     uint64
-		payload []byte
-	}
 )
 
 // groupOf returns the group a message is scoped to.
@@ -168,8 +159,6 @@ func groupOf(m any) (string, bool) {
 	case *msgInstall:
 		return m.group, true
 	case *msgLeave:
-		return m.group, true
-	case *msgAgreedReq:
 		return m.group, true
 	default:
 		return "", false
@@ -403,13 +392,3 @@ func appendLeave(b []byte, m *msgLeave) []byte {
 }
 
 func (m *msgLeave) size() int { return 1 + strSize(m.group) }
-
-// appendAgreedReq frames into the process scratch on the retry tick, and into
-// a buffer of its own in MulticastAgreed, which sends after releasing p.mu.
-func appendAgreedReq(b []byte, m *msgAgreedReq) []byte {
-	b = appendHead(b, m.size(), kindAgreedReq, m.group)
-	b = wire.AppendU64(b, m.seq)
-	return wire.AppendBytes(b, m.payload)
-}
-
-func (m *msgAgreedReq) size() int { return 1 + strSize(m.group) + 8 + 4 + len(m.payload) }

@@ -89,12 +89,12 @@ func realClockViewChurn(t *testing.T, inject bool) {
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 			mu.Lock()
 			first := mems[ids[0]].View()
-			agreed := slices.Equal(first.Members, ids)
+			same := slices.Equal(first.Members, ids)
 			for _, id := range ids[1:] {
-				agreed = agreed && mems[id].View().ID == first.ID
+				same = same && mems[id].View().ID == first.ID
 			}
 			mu.Unlock()
-			if agreed {
+			if same {
 				return
 			}
 			if time.Now().After(deadline) {
@@ -278,3 +278,93 @@ func TestRealClockMembershipChurn(t *testing.T) {
 
 // churnGroup names worker w's g-th group.
 func churnGroup(w, g int) string { return fmt.Sprintf("g%d-%d", w, g) }
+
+// TestRealClockSlowHandlerKeepsPayload: a delivered payload is the member's
+// pooled buffer, and it must stay the payload until the handler returns,
+// however long that takes. On the real clock a handler runs on whichever
+// goroutine carried the delivery, with no lock held, so stability can come
+// while it still runs. Here the handler sits on the first payload for five
+// ack beats. Three beats in, when the payload is long stable, another
+// goroutine starts multicasting payloads of the same size, whose buffers come
+// from the pool the first one would go back to. Alone in its view the member
+// makes its multicasts stable on its own ack beat; in a pair, b's ack vectors
+// do. Run it as
+// go test -race -count=5 -run TestRealClockSlowHandlerKeepsPayload ./internal/gcs.
+func TestRealClockSlowHandlerKeepsPayload(t *testing.T) {
+	t.Run("alone", func(t *testing.T) { slowHandlerKeepsPayload(t, "a") })
+	t.Run("pair", func(t *testing.T) { slowHandlerKeepsPayload(t, "a", "b") })
+}
+
+func slowHandlerKeepsPayload(t *testing.T, ids ...ProcessID) {
+	const first = "payload 00000000"
+	net := netsim.New(clock.Real{}, 1, netsim.LAN())
+	started, seen := make(chan struct{}), make(chan string, 1)
+	var slowed atomic.Bool
+	handlers := Handlers{OnMessage: func(_ string, _ ProcessID, payload []byte) {
+		if string(payload) != first || slowed.Swap(true) {
+			return
+		}
+		close(started)
+		time.Sleep(5 * ackInterval)
+		seen <- string(payload)
+	}}
+	var mems []*Member
+	for i, id := range ids {
+		ep, err := net.NewEndpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewProcess(Config{Clock: clock.Real{}, Endpoint: ep})
+		t.Cleanup(p.Close)
+		h := Handlers{}
+		if i == 0 {
+			h = handlers
+		}
+		m, err := p.Join("g", h, ids[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		mems = append(mems, m)
+	}
+	a := mems[0]
+	for deadline := time.Now().Add(5 * time.Second); len(a.View().Members) != len(ids); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("a's view is %v after 5 s, want %v", a.View().Members, ids)
+		}
+	}
+
+	stop, sent := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sent)
+		select {
+		case <-started:
+		case <-stop:
+			return
+		}
+		time.Sleep(3 * ackInterval)
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if err := a.Multicast([]byte(fmt.Sprintf("payload %08d", i))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-sent }()
+	// Self-delivery runs the handler here, in Multicast, for five ack beats.
+	if err := a.Multicast([]byte(first)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-seen:
+		if got != first {
+			t.Fatalf("after five ack beats in the handler, its payload %q reads %q", first, got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first payload reached no handler within 5 s")
+	}
+}

@@ -46,8 +46,8 @@ func TestStabilityGarbageCollection(t *testing.T) {
 // TestSingletonReleasesItsMulticasts: a member alone in its view hears no
 // ack vector, so only its own ack beat can make its multicasts stable — a
 // server alone in its movie group multicasts a state sync every 500 ms for
-// as long as it runs. Each beat releases what the member had delivered by
-// the beat before, so after a thousand multicasts it holds one beat's worth.
+// as long as it runs. Each beat releases what the member has delivered, so
+// after a thousand multicasts it holds at most one beat's worth.
 func TestSingletonReleasesItsMulticasts(t *testing.T) {
 	const every = 100 * time.Millisecond
 	c := newCluster(t, 1, netsim.LAN())

@@ -63,9 +63,6 @@ func TestWireBytesUnchanged(t *testing.T) {
 		{"nak", func(b []byte) []byte {
 			return appendNak(b, &msgNak{group: "movie/x", view: view, sender: "s3", from: 4, to: 9})
 		}, ""},
-		{"agreed request", func(b []byte) []byte {
-			return appendAgreedReq(b, &msgAgreedReq{group: "movie/x", seq: 3, payload: []byte("agreed")})
-		}, ""},
 	} {
 		got := tc.frame(nil)
 		if hex := hex.EncodeToString(got); tc.want != "" && hex != tc.want {
@@ -108,8 +105,6 @@ func reencode(msg any) []byte {
 		return appendCutDone(nil, m)
 	case *msgNak:
 		return appendNak(nil, m)
-	case *msgAgreedReq:
-		return appendAgreedReq(nil, m)
 	}
 	return nil
 }
@@ -204,14 +199,12 @@ func everyKind(group string, sender ProcessID) []kindFrame {
 		{"cutdone", appendCutDone(nil, &msgCutDone{group: group, pid: pid})},
 		{"install", appendInstall(nil, &msgInstall{group: group, pid: pid, view: view, members: ids})},
 		{"leave", appendLeave(nil, &msgLeave{group: group})},
-		{"agreed request", appendAgreedReq(nil, &msgAgreedReq{group: group, seq: 3, payload: []byte("agreed")})},
 	}
 }
 
 // TestWarmDecodeAllocFree: once a process has decoded a kind, decoding it
 // again costs nothing — the envelope, its lists' storage and every string
-// (through the intern table) are already there. An agreed request is the
-// one kind decoded into a fresh envelope. A process that hears only
+// (through the intern table) are already there. A process that hears only
 // heartbeats, direct datagrams and anycasts — a leased viewer — never makes
 // the group kinds' envelopes.
 func TestWarmDecodeAllocFree(t *testing.T) {
@@ -236,12 +229,8 @@ func TestWarmDecodeAllocFree(t *testing.T) {
 		}
 	}
 	for _, k := range everyKind("g", "b") {
-		want := 0.0
-		if k.name == "agreed request" {
-			want = 1
-		}
-		if allocs := testing.AllocsPerRun(100, func() { decode(k.name, k.pkt) }); allocs != want {
-			t.Errorf("%s: a warm decode makes %v allocations, want %v", k.name, allocs, want)
+		if allocs := testing.AllocsPerRun(100, func() { decode(k.name, k.pkt) }); allocs != 0 {
+			t.Errorf("%s: a warm decode makes %v allocations, want 0", k.name, allocs)
 		}
 	}
 }
@@ -387,7 +376,6 @@ func TestFramesAreSizedBeforeWritten(t *testing.T) {
 		frameOf("cutdone", &msgCutDone{group: "movie/x", pid: pid}, appendCutDone),
 		frameOf("install", &msgInstall{group: "movie/x", pid: pid, view: view, members: crowd.ids}, appendInstall),
 		frameOf("leave", &msgLeave{group: "movie/x"}, appendLeave),
-		frameOf("agreed request", &msgAgreedReq{group: "movie/x", seq: 3, payload: payload}, appendAgreedReq),
 	} {
 		if got := len(tc.frame(nil)); got != tc.size {
 			t.Errorf("%s: size says %d bytes, the frame has %d", tc.name, tc.size, got)

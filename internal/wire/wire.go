@@ -151,18 +151,6 @@ func (r *Reader) i64() int64 { return int64(r.U64()) }
 // Bool consumes one byte as a bool; any nonzero value is true.
 func (r *Reader) bool() bool { return r.U8() != 0 }
 
-// Rest consumes and returns all remaining bytes (possibly empty). The
-// returned slice aliases the underlying buffer; callers that retain it
-// must copy.
-func (r *Reader) Rest() []byte {
-	if r.err != nil {
-		return nil
-	}
-	v := r.b
-	r.b = nil
-	return v
-}
-
 // Bytes consumes a 32-bit length prefix and that many bytes. The returned
 // slice aliases the underlying buffer; callers that retain it must copy.
 func (r *Reader) Bytes() []byte {

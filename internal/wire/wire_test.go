@@ -342,26 +342,3 @@ func BenchmarkDecodeFrame(b *testing.B) {
 		}
 	}
 }
-
-func TestReaderRest(t *testing.T) {
-	r := NewReader([]byte{1, 2, 3, 4})
-	if got := r.U8(); got != 1 {
-		t.Fatalf("U8 = %d", got)
-	}
-	rest := r.Rest()
-	if len(rest) != 3 || rest[0] != 2 || rest[2] != 4 {
-		t.Fatalf("Rest = %v", rest)
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("Remaining after Rest = %d", r.Remaining())
-	}
-	if err := r.Done(); err != nil {
-		t.Fatal(err)
-	}
-	// Rest after an error returns nil.
-	r2 := NewReader([]byte{1})
-	r2.U32()
-	if got := r2.Rest(); got != nil {
-		t.Fatalf("Rest after error = %v, want nil", got)
-	}
-}
