@@ -17,19 +17,23 @@ import (
 // rejoins (twice), the network splits and heals. Every one of those is a
 // flush and an install at every surviving member of every group, and each
 // install's state is a few rank-indexed slices re-sliced from the previous
-// view's storage; the flush's proposal, reports and cuts live in storage the
-// members already hold, its messages come off the codec's free lists, and
-// the install allocates its member list once. The whole run is charged to
-// its installs — cluster set-up and state sync included — and measures 27
-// mallocs per view; the ceiling is that plus 15 %. A fresh proposal per
-// attempt, with each propose, sync report and install decoded into a fresh
-// envelope, measures 39 and fails here; per-view state built as maps keyed
-// by process ID and thrown away at the next install measures 100.
+// view's storage, made at Join for the view the member's contacts imply. The
+// flush's proposal and its reports, carved by rank from one backing per
+// attempt size, live in storage the members already hold; its messages are
+// decoded into one envelope per kind under the process lock and framed in one
+// scratch per process; the install allocates its member list once, and the
+// movie group hands the view to the server through a queue, not a closure.
+// The whole run is charged to its installs, cluster set-up and state sync
+// included: 1,344-1,352 mallocs over 67 views, 20.1-20.2 per view at
+// GOMAXPROCS 1-8. The ceiling is that plus 15 %. Growing each report's lists
+// per rank and rebuilding the multicast state at the first real install, as
+// before, measured 1,480-1,488 (22.1-22.2 per view), inside the ceiling:
+// gcs's TestFreshGroupFirstViewAllocs pins that difference.
 func TestAllocsPerInstalledView(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are not the code's")
 	}
-	const ceiling = 31 // mallocs per installed view
+	const ceiling = 23.2 // mallocs per installed view
 	servers := []string{"server-1", "server-2", "server-3"}
 	restart := func(id string) func(*sim.Runtime) {
 		return func(rt *sim.Runtime) {
@@ -74,9 +78,9 @@ func TestAllocsPerInstalledView(t *testing.T) {
 	if views < 30 {
 		t.Fatalf("the script installed %d views, want at least 30: it no longer exercises view churn", views)
 	}
-	perView := (after.Mallocs - before.Mallocs) / views
-	t.Logf("%d views installed, %d mallocs in the run, %d per view", views, after.Mallocs-before.Mallocs, perView)
+	perView := float64(after.Mallocs-before.Mallocs) / float64(views)
+	t.Logf("%d views installed, %d mallocs in the run, %.2f per view", views, after.Mallocs-before.Mallocs, perView)
 	if perView > ceiling {
-		t.Errorf("%d mallocs per installed view, want <= %d", perView, ceiling)
+		t.Errorf("%.2f mallocs per installed view, want <= %v", perView, ceiling)
 	}
 }

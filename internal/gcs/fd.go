@@ -20,9 +20,10 @@ type detector struct {
 	p     *Process
 	peers []peer // sorted by id
 
-	// Reused storage: the merge writes into spare and swaps it with peers;
-	// watch is the watch list under construction; newly holds checkLocked's
-	// result.
+	// Reused storage: the merge writes into spare and swaps it with peers,
+	// and the two are made together, each with room for the table the merge
+	// that made them builds; watch is the watch list under construction;
+	// newly holds checkLocked's result.
 	spare []peer
 	watch []ProcessID
 	newly []ProcessID
@@ -48,36 +49,44 @@ func (d *detector) lookup(id ProcessID) (int, bool) {
 // should ping and watch: the co-members of all views plus pending
 // view-change candidates and foreign (joining/merging) processes.
 func (d *detector) watchLocked() {
-	watch := d.watch[:0]
+	d.watch = d.watch[:0]
 	for _, m := range d.p.members {
 		if !m.active {
 			continue
 		}
-		watch = append(watch, m.view.Members...)
+		d.addWatch(m.view.Members...)
 		for id := range m.foreign {
-			watch = append(watch, id)
+			d.addWatch(id)
 		}
 		if m.prop != nil {
-			watch = append(watch, m.prop.candidates...)
+			d.addWatch(m.prop.candidates...)
 		}
 		if m.status == statusFlushing {
-			watch = append(watch, m.flushOldView.Members...)
-			watch = append(watch, m.curPID.Coord)
+			d.addWatch(m.flushOldView.Members...)
+			d.addWatch(m.curPID.Coord)
 		}
 	}
-	slices.Sort(watch)
-	watch = slices.Compact(watch)
-	if i, ok := slices.BinarySearch(watch, d.p.id); ok {
-		watch = slices.Delete(watch, i, i+1)
-	}
-	d.watch = watch
+	watch := d.watch
 
 	// Merge the two sorted lists. A newly watched peer gets a grace period:
 	// it becomes suspectable only after one full timeout to say anything.
 	// A peer no longer of interest is forgotten, so state does not grow
 	// forever — unless it was suspected without ever being watched.
 	now := d.p.cfg.Clock.Now()
-	old, out := d.peers, d.spare[:0]
+	old, out, spare := d.peers, d.spare[:0], d.peers[:0]
+	need := len(watch)
+	for _, e := range old {
+		if e.suspected && !e.watched {
+			need++ // kept, unless it is watched from now on
+		}
+	}
+	if cap(out) < need {
+		// At least double, as append would: a server's table gains a peer
+		// with every session its clients open.
+		c := max(need, 2*cap(out))
+		both := make([]peer, 2*c)
+		out, spare = both[:0:c], both[c:c]
+	}
 	for i, j := 0, 0; i < len(old) || j < len(watch); {
 		switch {
 		case j == len(watch) || i < len(old) && old[i].id < watch[j]:
@@ -98,7 +107,17 @@ func (d *detector) watchLocked() {
 			j++
 		}
 	}
-	d.peers, d.spare = out, old[:0]
+	d.peers, d.spare = out, spare
+}
+
+// addWatch adds each ID to the sorted watch list, unless it is there or is
+// this process.
+func (d *detector) addWatch(ids ...ProcessID) {
+	for _, id := range ids {
+		if i, ok := slices.BinarySearch(d.watch, id); !ok && id != d.p.id {
+			d.watch = slices.Insert(d.watch, i, id)
+		}
+	}
 }
 
 // heardLocked records life from a peer, clearing any suspicion.

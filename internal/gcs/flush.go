@@ -47,6 +47,10 @@ type proposal struct {
 	candidates []ProcessID // sorted; syncs go by rank in it
 	phase      proposalPhase
 	syncs      []syncRecord
+	// reportIDs and reportVals back every record's lists, carved by rank
+	// (see resetSyncs).
+	reportIDs  []ProcessID
+	reportVals []uint64
 	// Delivery targets are computed PER OLD VIEW: sequence numbers are
 	// meaningless across views, and a merge (or a member stranded one
 	// view behind) brings candidates from several old views into one
@@ -66,8 +70,8 @@ type proposal struct {
 }
 
 // syncRecord is one candidate's part in an attempt: its report, copied out
-// of the message into storage the record keeps from attempt to attempt, and
-// whether it has reached the cut.
+// of the message into storage carved for its rank, and whether it has
+// reached the cut.
 type syncRecord struct {
 	reported, cutDone bool
 	oldView           ViewID
@@ -89,6 +93,41 @@ func (rec *syncRecord) record(msg *msgSyncInfo) {
 type viewCut struct {
 	view    ViewID
 	targets vec
+}
+
+// resetSyncs readies one record per candidate for a new attempt: not
+// reported, not at the cut, and with room for the report its rank will likely
+// send, carved from one backing per attempt size. A candidate in view, this
+// member's own, reports that view, and any other candidate a view of its own,
+// as a joiner does. Each piece is capped, so a longer report grows its own
+// record's lists and never writes into another rank's.
+func (pr *proposal) resetSyncs(view []ProcessID) {
+	pr.syncs = slices.Grow(pr.syncs[:0], len(pr.candidates))[:len(pr.candidates)]
+	width := func(id ProcessID) int {
+		if _, ok := slices.BinarySearch(view, id); ok {
+			return len(view)
+		}
+		return 1
+	}
+	total := 0
+	for _, id := range pr.candidates {
+		total += width(id)
+	}
+	if cap(pr.reportVals) < total {
+		// At least double, as append would: a group that grows by one join
+		// at a time meets every size on its way.
+		c := max(total, 2*cap(pr.reportVals))
+		pr.reportIDs, pr.reportVals = make([]ProcessID, 2*c), make([]uint64, c)
+	}
+	k := 0
+	for r, id := range pr.candidates {
+		w, l := width(id), total+k
+		rec := &pr.syncs[r]
+		rec.reported, rec.cutDone = false, false
+		rec.oldMembers = pr.reportIDs[k : k : k+w]
+		rec.recvNext = vec{pr.reportIDs[l : l : l+w], pr.reportVals[k : k : k+w]}
+		k += w
+	}
 }
 
 func (pr *proposal) rank(id ProcessID) (int, bool) { return slices.BinarySearch(pr.candidates, id) }
@@ -154,10 +193,7 @@ func (m *Member) startProposalLocked(cb *callbacks) {
 	// followed.
 	pr.pid = proposalID{Round: max(pr.pid.Round, m.curPID.Round) + 1, Coord: m.p.id}
 	pr.phase, pr.retries, pr.cuts = phaseSync, 0, pr.cuts[:0]
-	pr.syncs = slices.Grow(pr.syncs[:0], len(pr.candidates))[:len(pr.candidates)]
-	for r := range pr.syncs {
-		pr.syncs[r].reported, pr.syncs[r].cutDone = false, false
-	}
+	pr.resetSyncs(m.view.Members)
 	m.prop = pr
 	m.armPhaseLocked()
 
@@ -461,7 +497,7 @@ func (m *Member) onInstallLocked(msg *msgInstall, cb *callbacks) {
 		}
 	}
 	m.view = View{Group: m.group, ID: msg.view, Members: members}
-	m.ms.reset(m.view, m.p.id)
+	m.ms.reset(m.view, m.p.id, 0)
 	m.status = statusNormal
 	m.p.ctr.viewChanges.Inc()
 	m.p.cfg.Obs.Emit(obs.GCSView, m.group, string(msg.view.Coord), int64(msg.view.Seq), int64(len(members)))

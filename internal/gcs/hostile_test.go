@@ -309,6 +309,112 @@ func TestSyncInfoFromAnotherOldViewGetsItsOwnCut(t *testing.T) {
 	}
 }
 
+// TestReportsKeepToTheirRanks: a coordinator copies each candidate's report
+// into storage carved by rank from one backing. A report longer than its
+// piece must grow its own record and leave every other rank's alone. Here a
+// proposes {a, b, stranger, t} from its view {a, b}, so a and b are carved
+// room for two old members each, the stranger and t for one. The stranger
+// reports one, t three, and then the stranger again with five; b, cut off,
+// reports last. Every record must read back what its rank sent, and the cut
+// must be the one computed over records that share no storage.
+func TestReportsKeepToTheirRanks(t *testing.T) {
+	clk, net, p, m := hostilePair(t)
+	if _, err := net.NewEndpoint("t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Multicast([]byte("in the old view")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(300 * time.Millisecond)
+	shared := m.View().ID
+	net.SetLinkDown("a", "b", true) // b's own report never arrives
+	for _, id := range []ProcessID{"stranger", "t"} {
+		p.onPacket(id, appendPresence(nil, &msgPresence{group: "g", view: ViewID{Seq: 1, Coord: id}, members: []ProcessID{id}}))
+	}
+	var pid proposalID
+	var own syncRecord // a's report, as a separately allocated record
+	for i := 0; i < 200 && pid.Round == 0; i++ {
+		clk.Advance(time.Millisecond)
+		p.mu.Lock()
+		if pr := m.prop; pr != nil && pr.syncs[0].reported {
+			if want := []ProcessID{"a", "b", "stranger", "t"}; !slices.Equal(pr.candidates, want) {
+				t.Fatalf("a proposes %v, want %v", pr.candidates, want)
+			}
+			pid, own = pr.pid, cloneRecord(pr.syncs[0])
+		}
+		p.mu.Unlock()
+	}
+	if pid.Round == 0 {
+		t.Fatal("a never proposed the strangers in")
+	}
+	if !slices.Equal(own.oldMembers, []ProcessID{"a", "b"}) {
+		t.Fatalf("a reported old members %v, want [a b]", own.oldMembers)
+	}
+
+	report := func(from ProcessID, oldView ViewID, sendSeq uint64, members ...ProcessID) syncRecord {
+		vals := make([]uint64, len(members))
+		for i := range vals {
+			vals[i] = sendSeq + uint64(i)
+		}
+		msg := msgSyncInfo{group: "g", pid: pid, oldView: oldView, oldMembers: members, sendSeq: sendSeq, recvNext: vec{members, vals}}
+		p.onPacket(from, appendSyncInfo(nil, &msg))
+		return syncRecord{reported: true, oldView: oldView, oldMembers: members, sendSeq: sendSeq, recvNext: msg.recvNext}
+	}
+	aloneS, aloneT := ViewID{Seq: 1, Coord: "stranger"}, ViewID{Seq: 1, Coord: "t"}
+	report("stranger", aloneS, 2, "stranger")
+	fromT := report("t", aloneT, 5, "t", "x1", "x2")
+	fromS := report("stranger", aloneS, 3, "stranger", "y1", "y2", "y3", "y4")
+	sent := []syncRecord{own, {}, fromS, fromT}
+	check := func(when string, ranks ...int) {
+		t.Helper()
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for _, r := range ranks {
+			got, want := m.prop.syncs[r], sent[r]
+			if !got.reported || got.oldView != want.oldView || got.sendSeq != want.sendSeq ||
+				!slices.Equal(got.oldMembers, want.oldMembers) ||
+				!slices.Equal(got.recvNext.ids, want.recvNext.ids) || !slices.Equal(got.recvNext.vals, want.recvNext.vals) {
+				t.Fatalf("%s, rank %d's record is %+v, want %+v", when, r, got, want)
+			}
+		}
+	}
+	check("before b reports", 0, 2, 3)
+
+	sent[1] = report("b", shared, 0, "a", "b")
+	check("after b reports", 0, 1, 2, 3)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pr := m.prop
+	if pr.pid != pid || pr.phase != phaseCut {
+		t.Fatalf("after b's report the proposal is %v in phase %d, want %v in the cut phase", pr.pid, pr.phase, pid)
+	}
+	ref := &proposal{candidates: pr.candidates}
+	for _, rec := range sent {
+		ref.syncs = append(ref.syncs, cloneRecord(rec))
+	}
+	for _, rec := range ref.syncs {
+		if _, done := ref.cutFor(rec.oldView); !done {
+			ref.addCut(rec.oldView, rec.oldMembers)
+		}
+	}
+	if len(pr.cuts) != len(ref.cuts) {
+		t.Fatalf("%d cuts, want %d", len(pr.cuts), len(ref.cuts))
+	}
+	for i, want := range ref.cuts {
+		got := pr.cuts[i]
+		if got.view != want.view || !slices.Equal(got.targets.ids, want.targets.ids) || !slices.Equal(got.targets.vals, want.targets.vals) {
+			t.Errorf("cut %d is %v %v=%v, want %v %v=%v", i, got.view, got.targets.ids, got.targets.vals, want.view, want.targets.ids, want.targets.vals)
+		}
+	}
+}
+
+// cloneRecord copies rec into storage of its own.
+func cloneRecord(rec syncRecord) syncRecord {
+	rec.oldMembers = slices.Clone(rec.oldMembers)
+	rec.recvNext = vec{slices.Clone(rec.recvNext.ids), slices.Clone(rec.recvNext.vals)}
+	return rec
+}
+
 // TestNakRepairsGap is the legitimate counterpart: a receiver that missed
 // the head of a burst NAKs the gap when the tail arrives, and delivers the
 // whole burst in order.

@@ -102,22 +102,27 @@ type mcastState struct {
 }
 
 // reset sizes the state for a freshly installed view, reusing the previous
-// view's storage when it is large enough.
-func (ms *mcastState) reset(v View, self ProcessID) {
+// view's storage when it is large enough. Storage that must grow is made for
+// room members if the view has fewer, and the held lists keep their own
+// storage whatever rank they serve next. Every list past len(msgs) is empty.
+func (ms *mcastState) reset(v View, self ProcessID, room int) {
 	n := len(v.Members)
 	ms.self, _ = v.rank(self)
 	for s, l := range ms.msgs {
 		clear(l)
 		ms.msgs[s] = l[:0]
 	}
+	room = max(room, n)
 	if need := 2*n + n*n; cap(ms.buf) < need {
-		ms.buf = make([]uint64, need)
+		ms.buf = make([]uint64, need, 2*room+room*room)
 	} else {
 		ms.buf = ms.buf[:need]
 		clear(ms.buf)
 	}
 	if cap(ms.msgs) < n {
-		ms.msgs = make([][]held, n)
+		msgs := make([][]held, n, room)
+		copy(msgs, ms.msgs[:cap(ms.msgs)])
+		ms.msgs = msgs
 	}
 	ms.msgs = ms.msgs[:n]
 	ms.n, ms.sendSeq = n, 0
@@ -159,14 +164,15 @@ func newMember(p *Process, group string, h Handlers, contacts []ProcessID) *Memb
 }
 
 // installSingletonLocked installs the initial one-member view at Join time.
-// Caller holds p.mu.
+// Its state is made for the view the contacts imply, so the first install
+// that brings them in re-slices it. Caller holds p.mu.
 func (m *Member) installSingletonLocked(cb *callbacks) {
 	m.view = View{
 		Group:   m.group,
 		ID:      ViewID{Seq: 1, Coord: m.p.id},
 		Members: []ProcessID{m.p.id},
 	}
-	m.ms.reset(m.view, m.p.id)
+	m.ms.reset(m.view, m.p.id, 1+len(m.contacts))
 	m.notifyViewLocked(cb)
 	// Announce immediately; the periodic presence task keeps retrying.
 	m.sendPresenceLocked()

@@ -138,6 +138,12 @@ func serverRig(t *testing.T) (*clock.Virtual, *Server, *mpeg.Movie) {
 	return clk, s, movie
 }
 
+// handleView handles v at once, as the movie group's queued hand-over does.
+func handleView(ms *movieState, v gcs.View) {
+	ms.srv.mu.Lock()
+	ms.onViewAndUnlock(v)
+}
+
 func TestResolveDuplicateTwoStrikes(t *testing.T) {
 	_, s, movie := serverRig(t)
 	s.mu.Lock()
@@ -181,7 +187,7 @@ func TestResolveDuplicateResetOnViewChange(t *testing.T) {
 
 	// A view change (here: the singleton view reinstalling via onView)
 	// must clear conflict evidence.
-	ms.onView(gcs.View{
+	handleView(ms, gcs.View{
 		Group:   movieGroup("m"),
 		ID:      gcs.ViewID{Seq: 99, Coord: "s1"},
 		Members: []gcs.ProcessID{"s1"},
@@ -204,7 +210,7 @@ func TestStoppedServerDealsNothing(t *testing.T) {
 	s.mu.Lock()
 	ms.mergeLocked(wire.ClientRecord{ClientID: "c1", ClientAddr: "c1", Rate: 30, SentAt: 1})
 	s.mu.Unlock()
-	ms.onView(gcs.View{
+	handleView(ms, gcs.View{
 		Group:   movieGroup("m"),
 		ID:      gcs.ViewID{Seq: 99, Coord: "s1"},
 		Members: []gcs.ProcessID{"s1", "s2"}, // s2 never answers

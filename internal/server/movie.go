@@ -25,6 +25,12 @@ type movieState struct {
 	view      gcs.View
 	everMulti bool // has been in a multi-member view before
 
+	// views holds the installed views not yet handled, oldest first: the
+	// group hands each one over mid-install, and Server.later runs handView
+	// (nextView, bound once) once per view. Guarded by srv.mu.
+	views    []gcs.View
+	handView func()
+
 	// clients is the knowledge table: the latest ClientRecord heard for
 	// each client of this movie — including this server's own clients as
 	// of the last periodic sync (deliberately not fresher: takeover
@@ -54,11 +60,13 @@ type movieState struct {
 // exchange is the knowledge exchange of the view being installed (§5.2):
 // redistribution waits until every member's exchange message, or the
 // timeout, arrives. heard and newcomer are indexed by rank in the view's
-// sorted Members, and every view re-slices them.
+// sorted Members, and every view re-slices them, as every deal re-slices
+// clientIDs.
 type exchange struct {
-	seq      uint64 // the pending view's Seq; 0 once it is dealt
-	heard    []bool
-	newcomer []bool // the member said it is a newcomer
+	seq       uint64 // the pending view's Seq; 0 once it is dealt
+	heard     []bool
+	newcomer  []bool // the member said it is a newcomer
+	clientIDs []string
 
 	// The timer runs fire — movieState.exchangeTimedOut, bound once. due is
 	// when the pending exchange times out: set before every arm, it tells
@@ -250,11 +258,31 @@ func (ms *movieState) mergeLocked(rec wire.ClientRecord) {
 	ms.clients[rec.ClientID] = rec
 }
 
-// onView handles a movie-group membership change: start the knowledge
-// exchange that precedes redistribution.
-func (ms *movieState) onView(v gcs.View) {
+// queueView is the movie group's OnView: it queues the view and schedules
+// its handling off the group's install.
+func (ms *movieState) queueView(v gcs.View) {
 	s := ms.srv
 	s.mu.Lock()
+	ms.views = append(ms.views, v)
+	s.mu.Unlock()
+	s.later(ms.handView)
+}
+
+// nextView handles the oldest queued view. It takes the view and handles it
+// in one hold of srv.mu, so views are handled in the order they were queued
+// even when two of these callbacks run at once.
+func (ms *movieState) nextView() {
+	ms.srv.mu.Lock()
+	v := ms.views[0]
+	ms.views = slices.Delete(ms.views, 0, 1)
+	ms.onViewAndUnlock(v)
+}
+
+// onViewAndUnlock handles a movie-group membership change: start the
+// knowledge exchange that precedes redistribution. Caller holds srv.mu, which
+// is released.
+func (ms *movieState) onViewAndUnlock(v gcs.View) {
+	s := ms.srv
 	if s.closed {
 		s.mu.Unlock()
 		return
@@ -337,7 +365,7 @@ func (ms *movieState) redistributeLocked() {
 		ms.ex.timer.Stop()
 	}
 
-	clientIDs := make([]string, 0, len(ms.clients))
+	clientIDs := ms.ex.clientIDs[:0]
 	for id, rec := range ms.clients {
 		if rec.Leased {
 			// Leased clients re-attach by re-anycasting their Open when
@@ -351,6 +379,7 @@ func (ms *movieState) redistributeLocked() {
 	// whose relative order must be a pure function of the inputs for
 	// seed-reproducible runs.
 	slices.Sort(clientIDs)
+	ms.ex.clientIDs = clientIDs
 	slot := ms.ex.slot(ms.view.Members, gcs.ProcessID(s.cfg.ID))
 	for i, id := range clientIDs {
 		dealt := slot >= 0 && i%len(ms.view.Members) == slot

@@ -54,14 +54,14 @@ func TestRealClockExchangeTimeoutIsPerView(t *testing.T) {
 		return gcs.View{Group: movieGroup("m"), ID: gcs.ViewID{Seq: seq, Coord: "s1"}, Members: []gcs.ProcessID{"s1", "s2"}}
 	}
 	start := time.Now()
-	ms.onView(view(100)) // s2 never answers either view
+	handleView(ms, view(100)) // s2 never answers either view
 	time.Sleep(400 * time.Millisecond)
 	// The second view queues for the lock first, then the first view's
 	// timer fires and queues behind it.
 	s.mu.Lock()
 	installed := make(chan struct{})
 	go func() {
-		ms.onView(view(101))
+		handleView(ms, view(101))
 		close(installed)
 	}()
 	time.Sleep(time.Until(start.Add(650 * time.Millisecond)))
@@ -76,4 +76,57 @@ func TestRealClockExchangeTimeoutIsPerView(t *testing.T) {
 		t.Fatalf("%v after the first view: exchange seq %d, want the second view's (101) still pending", time.Since(start), seq)
 	}
 	waitFor("the second view's exchange did not time out", func() bool { return ms.ex.seq == 0 && s.stats.Takeovers == 1 })
+}
+
+// TestRealClockQueuedViewsInOrder hands the movie group's view handler two
+// views back to back on the real clock, as two installs in quick succession
+// do. Each is handled once, in the order it came: the first leaves the server
+// alone, so it deals itself the one known client at once; the second adds a
+// silent peer, so its exchange goes out and waits for it.
+func TestRealClockQueuedViewsInOrder(t *testing.T) {
+	network := netsim.New(clock.Real{}, 1, netsim.LAN())
+	cat := store.NewCatalog()
+	cat.Add(mpeg.Generate("m", mpeg.StreamConfig{Duration: 10 * time.Second, Seed: 1}))
+	// The exchange would time out after two sync intervals: far beyond the test.
+	s, err := New(Config{ID: "s1", Clock: clock.Real{}, Network: network, Catalog: cat, Peers: []string{"s1"}, SyncInterval: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	ms := s.movies["m"]
+	handled := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return ms.view.ID.Seq != 0 && len(ms.views) == 0
+	}
+	wait := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(3 * time.Second); !handled(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s within 3 s", what)
+			}
+		}
+	}
+	wait("no singleton view")
+	s.mu.Lock()
+	ms.mergeLocked(wire.ClientRecord{ClientID: "c1", ClientAddr: "c1", Rate: 30, SentAt: 1})
+	s.mu.Unlock()
+
+	alone := gcs.View{Group: movieGroup("m"), ID: gcs.ViewID{Seq: 100, Coord: "s1"}, Members: []gcs.ProcessID{"s1"}}
+	pair := gcs.View{Group: movieGroup("m"), ID: gcs.ViewID{Seq: 101, Coord: "s1"}, Members: []gcs.ProcessID{"s1", "s2"}}
+	ms.queueView(alone)
+	ms.queueView(pair)
+	wait("the two views were not both handled")
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ms.view.ID != pair.ID || ms.ex.seq != pair.ID.Seq {
+		t.Errorf("handled last: view %v with exchange seq %d, want %v still exchanging", ms.view.ID, ms.ex.seq, pair.ID)
+	}
+	if s.stats.Takeovers != 1 {
+		t.Errorf("%d takeovers, want 1: the lone view deals the client here once", s.stats.Takeovers)
+	}
 }

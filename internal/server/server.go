@@ -434,8 +434,9 @@ func (s *Server) serveMovie(movieID string, contacts []gcs.ProcessID) error {
 		movie:   movie,
 		clients: make(map[string]wire.ClientRecord),
 	}
+	ms.handView = ms.nextView
 	member, err := s.proc.Join(movieGroup(movieID), gcs.Handlers{
-		OnView:    func(v gcs.View) { s.later(func() { ms.onView(v) }) },
+		OnView:    ms.queueView,
 		OnMessage: func(_ string, from gcs.ProcessID, payload []byte) { s.onMovieGroupMessage(ms, from, payload) },
 	}, contacts...)
 	if err != nil {
