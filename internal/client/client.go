@@ -226,11 +226,6 @@ type Client struct {
 	fcOut wire.FlowControl
 	fcEnc wire.Encoder
 
-	// sendOpenFn is c.sendOpen bound once: the open-retry timer re-arms on
-	// every attempt and every refusal, and a fresh method-value closure per
-	// arm is pure garbage.
-	sendOpenFn func()
-
 	// orIn is the reusable OpenReply decode target, guarded by mu. A client
 	// waiting out a full cluster receives a stream of identical at-capacity
 	// refusals; decoding them into scratch costs nothing.
@@ -280,7 +275,6 @@ func New(cfg Config) (*Client, error) {
 		c.resolver = congress.NewResolver(cfg.Clock,
 			mux.Channel(transport.ChannelDirectory), transport.Addr(cfg.Directory))
 	}
-	c.sendOpenFn = c.sendOpen
 	c.vid.SetHandler(c.onVideo)
 	c.proc.SetDirectHandler(c.onDirect)
 	return c, nil
@@ -400,7 +394,7 @@ func (c *Client) applyResolved(addrs []transport.Addr) {
 		c.mu.Unlock()
 		// Nothing to try yet: the directory may be empty because no
 		// server registered; ask again shortly.
-		clock.Schedule(c.cfg.Clock, time.Second, c.resolveThenOpen)
+		clock.Schedule(c.cfg.Clock, time.Second, clock.Func(c.resolveThenOpen))
 		return
 	}
 	c.mu.Unlock()
@@ -493,8 +487,19 @@ func (c *Client) refusedLocked(hintMs uint32) {
 // armOpenLocked arms the open-retry timer to send the next Open after d,
 // reusing the previous timer. Caller holds c.mu.
 func (c *Client) armOpenLocked(d time.Duration) {
-	c.openTimer = clock.Rearm(c.cfg.Clock, c.openTimer, d, c.sendOpenFn)
+	c.openTimer = clock.Rearm(c.cfg.Clock, c.openTimer, d, (*openRetry)(c))
 }
+
+// The Client as the Runner of each of its timers and beats.
+type (
+	openRetry   Client // the open-retry timer: sendOpen
+	displayBeat Client // the display beat: displayTick
+	starveBeat  Client // the starvation watchdog: starveTick
+)
+
+func (r *openRetry) Run()   { (*Client)(r).sendOpen() }
+func (b *displayBeat) Run() { (*Client)(b).displayTick() }
+func (b *starveBeat) Run()  { (*Client)(b).starveTick() }
 
 // sendOpen is the open-attempt edge: it anycasts the Open and arms the retry
 // timer (capped exponential backoff across consecutive attempts). A reopen
@@ -636,12 +641,12 @@ func (c *Client) acceptLocked(from gcs.ProcessID, reply *wire.OpenReply) (reopen
 	c.totalFrames = reply.TotalFrames
 	c.fps = int(reply.FPS)
 	period := time.Second / time.Duration(c.fps)
-	c.displayTask.Start(c.cfg.Clock, period, period, c.displayTick)
+	c.displayTask.Start(c.cfg.Clock, period, period, (*displayBeat)(c))
 	// Arm the starvation watchdog: if playback stops progressing for
 	// starveTimeout the session is presumed dead and reopened.
 	c.lastShown = 0
 	c.lastMoved = c.cfg.Clock.Now()
-	c.starveTask.Start(c.cfg.Clock, starveTimeout/4, starveTimeout/4, c.starveTick)
+	c.starveTask.Start(c.cfg.Clock, starveTimeout/4, starveTimeout/4, (*starveBeat)(c))
 	return false
 }
 

@@ -56,6 +56,63 @@ func TestAllocsScheduleFire(t *testing.T) {
 	}
 }
 
+// counter is a Runner that is not a Func: the shape of an owner that hands
+// itself to the clock.
+type counter struct{ n int }
+
+func (c *counter) Run() { c.n++ }
+
+// TestAllocsRunnerEntryPoints pins the Runner paths on a Virtual clock whose
+// slab already holds a free record: a fresh Periodic's Start, a Schedule and
+// a Rearm each arm the owner itself, binding no method value.
+func TestAllocsRunnerEntryPoints(t *testing.T) {
+	clk := NewVirtual(time.Unix(0, 0))
+	r := new(counter)
+	clk.Schedule(time.Millisecond, func() {}) // warm: creates the slab
+	clk.Advance(time.Millisecond)
+	beats := make([]Periodic, 1001) // AllocsPerRun runs once more to warm up
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		p := &beats[i]
+		i++
+		p.Start(clk, time.Millisecond, time.Millisecond, r)
+		clk.Advance(time.Millisecond) // one tick, re-armed in place
+		p.Stop()
+		Release(p.timer) // the next fresh beat takes this record
+	}); allocs != 0 {
+		t.Errorf("a fresh Periodic's Start = %v allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		Schedule(clk, time.Millisecond, r)
+		clk.Advance(time.Millisecond)
+	}); allocs != 0 {
+		t.Errorf("Schedule of a Runner = %v allocs/op, want 0", allocs)
+	}
+	tm := Rearm(clk, nil, time.Millisecond, r)
+	clk.Advance(time.Millisecond)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		tm = Rearm(clk, tm, time.Millisecond, r)
+		clk.Advance(time.Millisecond)
+	}); allocs != 0 {
+		t.Errorf("Rearm of a Runner = %v allocs/op, want 0", allocs)
+	}
+	if r.n == 0 {
+		t.Fatal("the Runner never ran")
+	}
+}
+
+// TestEventRecordSize: with the Runner's two words, an event record must stay
+// at 40 bytes, so eventSlabSize records and the link still fill the 10 KB
+// size class and a run's clock bytes do not grow.
+func TestEventRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); unsafe.Sizeof(uintptr(0)) == 8 && size > 40 {
+		t.Fatalf("an event record is %d B, want ≤ 40", size)
+	}
+	if slab := unsafe.Sizeof(eventSlab{}); unsafe.Sizeof(uintptr(0)) == 8 && slab > 10240 {
+		t.Fatalf("an event slab is %d B, want ≤ 10240", slab)
+	}
+}
+
 // TestHeapGrowsByDoubling: a capacity run holds tens of thousands of events
 // in the heap at its peak. Doubling from 64 entries to n = 8,192 allocates
 // 64 + 128 + … + n < 2n entries in all; the bound of 3n leaves room for the

@@ -11,16 +11,12 @@
 //     90-second evaluation scenario executes in milliseconds and is exactly
 //     reproducible.
 //
-// Beside the mandatory Clock interface a clock may offer two optional
-// capabilities, each reached through a package-level helper that falls back
-// to plain AfterFunc when the clock (or a decorator around it) does not
-// provide it:
-//
-//   - Scheduler / Schedule: fire-and-forget callbacks that never need Stop,
-//     so no Timer handle has to outlive the callback.
-//   - rearmer / Rearm: re-arm a Timer in place for its original callback,
-//     so a recurring timer (a Periodic, a pacing loop) owns one timer record
-//     for its whole life on either clock.
+// Beside the mandatory Clock interface, Virtual and Real take a callback as a
+// Runner: an event carries its receiver, and nothing binds a method value to
+// hand to the clock. AfterRun, Schedule (fire-and-forget, no Timer handle),
+// Rearm (re-arm a Timer in place, so a recurring timer owns one record for
+// its whole life) and Periodic reach that capability, and fall back to plain
+// AfterFunc on a clock, or a decorator, that does not provide it.
 package clock
 
 import "time"
@@ -46,6 +42,18 @@ type Timer interface {
 	Stop() bool
 }
 
+// Runner is a callback with its receiver: an owner of a timer or a beat
+// implements Run, or converts itself to a named type that does, and passes
+// itself.
+type Runner interface{ Run() }
+
+// Func adapts a plain func to Runner; a func value is one pointer, so the
+// conversion allocates nothing.
+type Func func()
+
+// Run calls f.
+func (f Func) Run() { f() }
+
 // Scheduler is an optional fast path a Clock may provide for fire-and-forget
 // callbacks that will never be cancelled. It carries the same semantics as
 // AfterFunc minus the Timer handle, which lets an implementation recycle the
@@ -55,50 +63,71 @@ type Scheduler interface {
 	Schedule(d time.Duration, f func())
 }
 
-// Schedule runs f once, d from now, on c. It uses the Scheduler fast path
-// when c provides one and falls back to AfterFunc otherwise, so hot callers
-// (per-packet delivery events) can stay allocation-free on a Virtual clock
-// without type-asserting themselves.
-func Schedule(c Clock, d time.Duration, f func()) {
-	if s, ok := c.(Scheduler); ok {
-		s.Schedule(d, f)
-		return
-	}
-	c.AfterFunc(d, f)
-}
-
-// rearmer is an optional capability a Clock may provide for recurring timers:
-// Rearm makes t — a Timer this clock's AfterFunc returned — fire its original
-// callback once more, d from now, reusing the timer's record. It reports
-// false, having changed nothing, when t cannot be reused (a timer from another
-// clock, or one whose record was already given up), and the caller then
-// issues a fresh AfterFunc.
+// runClock is the capability Virtual and Real provide: they arm a Runner as
+// is, and Rearm makes t — a Timer this clock armed — fire its callback once
+// more, d from now, reusing the timer's record. Rearm reports false, having
+// changed nothing, when t cannot be reused (a timer from another clock, or
+// one whose record was already given up), and the caller then arms afresh.
 //
 // Rearm re-arms a stopped timer as readily as a fired one wherever the clock
 // can, so a caller that also Stops t must make both calls under one lock and
 // check its own stopped flag before re-arming; that is what keeps a stopped
 // Periodic from being resurrected by a straggling tick.
-type rearmer interface {
+type runClock interface {
+	afterRun(d time.Duration, r Runner) Timer
+	scheduleRun(d time.Duration, r Runner)
 	Rearm(t Timer, d time.Duration) bool
 }
 
-// Rearm arms fn to run d from now on c, reusing t when it can: t is the
-// caller's previous timer for the same fn (nil on first use). It re-arms t in
-// place when c is a rearmer that accepts it, and otherwise releases t and
-// issues a fresh AfterFunc — the same lifecycle in two steps. Either way the
-// returned Timer replaces t, which the caller must not use again.
+// funcOf returns r as the func a plain Clock takes: a Func as itself, any
+// other Runner as its bound Run method.
+func funcOf(r Runner) func() {
+	if f, ok := r.(Func); ok {
+		return f
+	}
+	return r.Run
+}
+
+// AfterRun is AfterFunc for a Runner. A clock without the Runner capability,
+// such as a decorator, gets r's Run through AfterFunc and sees every callback.
+func AfterRun(c Clock, d time.Duration, r Runner) Timer {
+	if rc, ok := c.(runClock); ok {
+		return rc.afterRun(d, r)
+	}
+	return c.AfterFunc(d, funcOf(r))
+}
+
+// Schedule runs r once, d from now, on c, with no Timer handle, so the clock
+// may recycle the record as it fires. Without the Runner capability it takes
+// the Scheduler fast path where there is one, else AfterFunc.
+func Schedule(c Clock, d time.Duration, r Runner) {
+	switch s := c.(type) {
+	case runClock:
+		s.scheduleRun(d, r)
+	case Scheduler:
+		s.Schedule(d, funcOf(r))
+	default:
+		c.AfterFunc(d, funcOf(r))
+	}
+}
+
+// Rearm arms r to run d from now on c, reusing t when it can: t is the
+// caller's previous timer for the same r (nil on first use). It re-arms t in
+// place when c accepts it, and otherwise releases t and arms afresh — the
+// same lifecycle in two steps. Either way the returned Timer replaces t,
+// which the caller must not use again.
 //
 // The capability is looked up on c, not on t: a decorated clock that does not
-// forward rearmer keeps one AfterFunc per arm, so whatever it wraps around
-// each callback stays in force.
-func Rearm(c Clock, t Timer, d time.Duration, fn func()) Timer {
+// forward it keeps one AfterFunc per arm, so whatever it wraps around each
+// callback stays in force.
+func Rearm(c Clock, t Timer, d time.Duration, r Runner) Timer {
 	if t != nil {
-		if r, ok := c.(rearmer); ok && r.Rearm(t, d) {
+		if rc, ok := c.(runClock); ok && rc.Rearm(t, d) {
 			return t
 		}
 		Release(t)
 	}
-	return c.AfterFunc(d, fn)
+	return AfterRun(c, d, r)
 }
 
 // Backoff is base doubled n times, capped at ceiling: the wait before retry n
@@ -119,7 +148,7 @@ type Real struct{}
 var (
 	_ Clock     = Real{}
 	_ Scheduler = Real{}
-	_ rearmer   = Real{}
+	_ runClock  = Real{}
 )
 
 // Now implements Clock.
@@ -133,7 +162,15 @@ func (Real) AfterFunc(d time.Duration, f func()) Timer {
 // Schedule implements Scheduler.
 func (Real) Schedule(d time.Duration, f func()) { time.AfterFunc(d, f) }
 
-// Rearm implements rearmer with (*time.Timer).Reset, which for an AfterFunc
+// The standard timer takes a func: a Runner that is not a Func has its Run
+// method bound at each arm here, and Rearm reuses the timer and the func.
+func (Real) afterRun(d time.Duration, r Runner) Timer {
+	return realTimer{t: time.AfterFunc(d, funcOf(r))}
+}
+
+func (Real) scheduleRun(d time.Duration, r Runner) { time.AfterFunc(d, funcOf(r)) }
+
+// Rearm implements runClock with (*time.Timer).Reset, which for an AfterFunc
 // timer schedules its function to run again whether the timer had fired or
 // been stopped.
 func (Real) Rearm(t Timer, d time.Duration) bool {

@@ -39,7 +39,7 @@ func TestDebugDoubleReleaseThroughRearmPanics(t *testing.T) {
 					t.Fatal("Rearm of a released record did not panic under clockdebug")
 				}
 			}()
-			Rearm(wrap(v), tm, time.Millisecond, func() {})
+			Rearm(wrap(v), tm, time.Millisecond, Func(func() {}))
 		})
 	}
 }

@@ -17,7 +17,7 @@ func checkHeap(t *testing.T, c *Virtual) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := range c.heap {
-		if ev := c.heap[i].ev; ev.state != statePending || ev.index != i {
+		if ev := c.heap[i].ev; ev.state != statePending || int(ev.index) != i {
 			t.Fatalf("entry %d holds an event in state %d recording slot %d", i, ev.state, ev.index)
 		}
 		if i > 0 && c.heap[i].before(&c.heap[(i-1)/4]) {

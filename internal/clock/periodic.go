@@ -5,14 +5,15 @@ import (
 	"time"
 )
 
-// Periodic invokes a function at a fixed period on any Clock. It is the
+// Periodic runs a Runner at a fixed period on any Clock. It is the
 // building block for heartbeats, state-sync broadcasts and frame pacing.
 // Unlike time.Ticker it is implemented with AfterFunc re-arming, so it works
 // identically on Real and Virtual clocks.
 //
 // A Periodic is a value its owner embeds: the zero value is a stopped beat,
-// and Start and Stop may alternate for the owner's whole life, allocating
-// only at the first Start.
+// and Start and Stop may alternate for the owner's whole life. The beat arms
+// itself as its own Runner (periodicTick), so on a Virtual clock Start
+// allocates nothing once the clock has a free event record.
 //
 // The beat holds its phase: a tick is due one period after the previous one
 // was due, not after it got to run, so timer latency does not add up and two
@@ -21,19 +22,18 @@ import (
 // that runs a whole period late does not fire a burst to catch up; the beat
 // slips to one period from then.
 //
-// Each tick re-arms the timer that just fired through Rearm, so on a clock
-// that is a rearmer a long-lived heartbeat owns one timer record forever. mu
-// orders that re-arm against Stop and Start: a tick takes mu first, re-arms
+// Each tick re-arms the timer that just fired through Rearm, so on Virtual
+// and Real a long-lived heartbeat owns one timer record forever. mu orders
+// that re-arm against Stop and Start: a tick takes mu first, re-arms
 // only while the beat runs, and re-arms the value's current timer, never a
 // handle of its own. A Stop that finds the timer already fired (Timer.Stop
 // reports false) counts the dispatched tick in stale, and a tick that finds
 // stale non-zero drops itself. So a straggler racing a Stop and a Start
-// leaves one chain and calls no fn, and Start may release the old record.
+// leaves one chain and runs nothing, and Start may release the old record.
 type Periodic struct {
 	mu      sync.Mutex
 	c       Clock
-	fn      func()
-	tickFn  func() // p.tick, bound once per value: a method value allocates per use
+	r       Runner
 	period  time.Duration
 	timer   Timer
 	next    time.Time // when the pending tick is due
@@ -45,16 +45,16 @@ type Periodic struct {
 // now: a new Periodic, started. It panics if period is not positive.
 func Every(c Clock, period time.Duration, fn func()) *Periodic {
 	p := new(Periodic)
-	p.Start(c, period, period, fn)
+	p.Start(c, period, period, Func(fn))
 	return p
 }
 
-// Start arms a zero or stopped beat on c: fn runs first after first, then
-// every period, from one AfterFunc as a new Periodic would. It panics on a
+// Start arms a zero or stopped beat on c: r runs first after first, then
+// every period, from one timer as a new Periodic would. It panics on a
 // running beat and on a non-positive duration (which would wedge a Virtual
 // clock). A beat running when its Virtual clock was Reset must not be
 // restarted: its Stop counts a stale tick that never comes.
-func (p *Periodic) Start(c Clock, first, period time.Duration, fn func()) {
+func (p *Periodic) Start(c Clock, first, period time.Duration, r Runner) {
 	if first <= 0 || period <= 0 {
 		panic("clock: Periodic requires a positive period")
 	}
@@ -63,16 +63,18 @@ func (p *Periodic) Start(c Clock, first, period time.Duration, fn func()) {
 	if p.running {
 		panic("clock: Start on a running Periodic")
 	}
-	if p.tickFn == nil {
-		p.tickFn = p.tick
-	}
 	if p.timer != nil {
 		Release(p.timer)
 	}
-	p.c, p.fn, p.period, p.running = c, fn, period, true
+	p.c, p.r, p.period, p.running = c, r, period, true
 	p.next = c.Now().Add(first)
-	p.timer = c.AfterFunc(first, p.tickFn)
+	p.timer = AfterRun(c, first, (*periodicTick)(p))
 }
+
+// periodicTick is a Periodic as the Runner of its own timer.
+type periodicTick Periodic
+
+func (t *periodicTick) Run() { (*Periodic)(t).tick() }
 
 func (p *Periodic) tick() {
 	p.mu.Lock()
@@ -87,10 +89,10 @@ func (p *Periodic) tick() {
 	if d <= 0 { // a whole period late: slip the beat
 		p.next, d = now.Add(p.period), p.period
 	}
-	p.timer = Rearm(p.c, p.timer, d, p.tickFn)
-	fn := p.fn
+	p.timer = Rearm(p.c, p.timer, d, (*periodicTick)(p))
+	r := p.r
 	p.mu.Unlock()
-	fn()
+	r.Run()
 }
 
 // SetPeriod changes the interval used when the task next re-arms. It does
@@ -106,11 +108,11 @@ func (p *Periodic) SetPeriod(d time.Duration) {
 
 // Stop cancels the task: the pending timer is stopped and no further tick
 // is ever dispatched. A tick that had already taken its re-arm when Stop was
-// called may still be about to invoke fn — tick never holds a lock across fn
-// so that fn may itself call Stop (display loops stop their own task from
-// inside the tick) — so on any clock at most one invocation of fn can still
-// complete after Stop returns. Callers needing a hard cut must make fn check
-// its own stop condition, as every fn in this repository does by re-checking
+// called may still be about to run r — tick never holds a lock across r so
+// that r may itself call Stop (display loops stop their own task from inside
+// the tick) — so on any clock at most one run of r can still complete after
+// Stop returns. Callers needing a hard cut must make r check its own stop
+// condition, as every Runner in this repository does by re-checking
 // state under its subsystem lock. Stopping a stopped beat does nothing.
 func (p *Periodic) Stop() {
 	p.mu.Lock()

@@ -2,6 +2,7 @@ package clock
 
 import (
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,9 +12,9 @@ func TestPeriodicStartFirstTick(t *testing.T) {
 	c := NewVirtual(testEpoch)
 	var ticks []time.Duration
 	var p Periodic
-	p.Start(c, 30*time.Millisecond, 100*time.Millisecond, func() {
+	p.Start(c, 30*time.Millisecond, 100*time.Millisecond, Func(func() {
 		ticks = append(ticks, c.Now().Sub(testEpoch))
-	})
+	}))
 	defer p.Stop()
 	c.Advance(300 * time.Millisecond)
 	want := []time.Duration{30 * time.Millisecond, 130 * time.Millisecond, 230 * time.Millisecond}
@@ -45,7 +46,7 @@ func TestPeriodicRestartMatchesFresh(t *testing.T) {
 		c.AfterFunc(period, note("before"))
 		beat := old
 		if restart {
-			beat.Start(c, period, period, note("beat"))
+			beat.Start(c, period, period, Func(note("beat")))
 		} else {
 			beat = Every(c, period, note("beat"))
 		}
@@ -137,13 +138,13 @@ func TestPeriodicRestartDropsStraggler(t *testing.T) {
 		c := &inFlightClock{now: testEpoch}
 		calls := 0
 		var p Periodic
-		p.Start(c, time.Millisecond, time.Millisecond, func() { calls++ })
+		p.Start(c, time.Millisecond, time.Millisecond, Func(func() { calls++ }))
 		straggler := c.dispatch(t)
 		p.Stop()
 		if c.pending() != 0 {
 			t.Fatal("a stopped beat left a timer armed")
 		}
-		p.Start(c, time.Millisecond, time.Millisecond, func() { calls++ })
+		p.Start(c, time.Millisecond, time.Millisecond, Func(func() { calls++ }))
 		first := c.dispatch(t)
 		if stragglerFirst {
 			straggler()
@@ -172,10 +173,10 @@ func TestPeriodicStragglerAfterStopAgain(t *testing.T) {
 	c := &inFlightClock{now: testEpoch}
 	calls := 0
 	var p Periodic
-	p.Start(c, time.Millisecond, time.Millisecond, func() { calls++ })
+	p.Start(c, time.Millisecond, time.Millisecond, Func(func() { calls++ }))
 	straggler := c.dispatch(t)
 	p.Stop()
-	p.Start(c, time.Millisecond, time.Millisecond, func() { calls++ })
+	p.Start(c, time.Millisecond, time.Millisecond, Func(func() { calls++ }))
 	second := c.dispatch(t)
 	second() // takes the straggler's drop; the new chain waits for it
 	p.Stop() // the straggler is still in flight: counted again
@@ -196,7 +197,7 @@ func TestPeriodicStartOnRunningPanics(t *testing.T) {
 			t.Fatal("Start on a running Periodic did not panic")
 		}
 	}()
-	p.Start(c, time.Millisecond, time.Millisecond, func() {})
+	p.Start(c, time.Millisecond, time.Millisecond, Func(func() {}))
 }
 
 // TestPeriodicRestartOnRealClock restarts a fast beat on the real clock,
@@ -207,7 +208,7 @@ func TestPeriodicRestartOnRealClock(t *testing.T) {
 	const period = 100 * time.Microsecond
 	var ticks atomic.Int64
 	var p Periodic
-	fn := func() { ticks.Add(1) }
+	fn := Func(func() { ticks.Add(1) })
 	for iter := range 200 {
 		p.Start(Real{}, period, period, fn)
 		time.Sleep(time.Duration(iter%8) * period / 4)
@@ -230,5 +231,61 @@ func TestPeriodicRestartOnRealClock(t *testing.T) {
 	defer p.mu.Unlock()
 	if p.timer.Stop() {
 		t.Fatal("timer pending after Stop returned")
+	}
+}
+
+// tickCounter is a beat's owner as its Runner: a type with a Run method, not
+// a Func, so a Real clock arms it through the Runner path.
+type tickCounter struct{ n atomic.Int64 }
+
+func (c *tickCounter) Run() { c.n.Add(1) }
+
+// TestRealClockPeriodicChurn starts, stops and restarts several beats on the
+// real clock at once, each from its own goroutine and each stopped at every
+// phase of its cycle, so Stop and Start keep racing ticks in flight. A
+// straggling tick must never leave a second chain running (a restarted beat
+// ticks at one chain's rate) nor resurrect a stopped beat (after the last
+// Stop and one grace period, nothing ticks). Run with -race this also proves
+// the Runner path shares the value safely.
+func TestRealClockPeriodicChurn(t *testing.T) {
+	const period = 200 * time.Microsecond
+	const grace = 50 * period
+	beats := make([]Periodic, 4)
+	owners := make([]tickCounter, len(beats))
+	var wg sync.WaitGroup
+	for b := range beats {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, r := &beats[b], &owners[b]
+			for iter := range 100 {
+				p.Start(Real{}, period, period, r)
+				time.Sleep(time.Duration(iter%8) * period / 4)
+				p.Stop()
+			}
+			before := r.n.Load()
+			start := time.Now()
+			p.Start(Real{}, period, period, r)
+			time.Sleep(100 * period)
+			p.Stop()
+			elapsed := time.Since(start)
+			time.Sleep(grace)
+			// One chain ticks at most once per elapsed period; a straggler of
+			// an earlier chain may still complete one more run.
+			if ticks, most := r.n.Load()-before, int64(elapsed/period)+2; ticks > most {
+				t.Errorf("beat %d: %d ticks in %v at %v, want ≤ %d: more than one chain ran", b, ticks, elapsed, period, most)
+			}
+		}()
+	}
+	wg.Wait()
+	var stopped [4]int64
+	for b := range owners {
+		stopped[b] = owners[b].n.Load()
+	}
+	time.Sleep(grace)
+	for b := range owners {
+		if late := owners[b].n.Load() - stopped[b]; late != 0 {
+			t.Errorf("beat %d ticked %d times after Stop and a grace period", b, late)
+		}
 	}
 }

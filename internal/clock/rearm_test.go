@@ -23,7 +23,7 @@ func (b *bareClock) AfterFunc(d time.Duration, f func()) Timer {
 func TestRearmVirtual(t *testing.T) {
 	c := NewVirtual(testEpoch)
 	n := 0
-	fn := func() { n++ }
+	fn := Func(func() { n++ })
 
 	tm := Rearm(c, nil, time.Millisecond, fn) // first use: plain AfterFunc
 	c.Advance(time.Millisecond)
@@ -84,7 +84,7 @@ func TestRearmEqualsReleaseAfterFunc(t *testing.T) {
 		c := wrap(v)
 		var trace []int
 		var timers [3]Timer
-		var fns [3]func()
+		var fns [3]Func
 		for i := range timers {
 			i := i
 			fns[i] = func() {
@@ -114,7 +114,7 @@ func TestRearmEqualsReleaseAfterFunc(t *testing.T) {
 func TestRearmReal(t *testing.T) {
 	var c Real
 	fired := make(chan struct{}, 1)
-	fn := func() { fired <- struct{}{} }
+	fn := Func(func() { fired <- struct{}{} })
 	wait := func(what string) {
 		t.Helper()
 		select {
@@ -148,7 +148,7 @@ func TestRearmThroughBareDecorator(t *testing.T) {
 	v := NewVirtual(testEpoch)
 	c := &bareClock{Clock: v}
 	n := 0
-	fn := func() { n++ }
+	fn := Func(func() { n++ })
 	var tm Timer
 	for i := 0; i < 5; i++ {
 		tm = Rearm(c, tm, time.Millisecond, fn)
@@ -175,7 +175,7 @@ func TestRearmThroughBareDecorator(t *testing.T) {
 }
 
 func TestAllocsRearm(t *testing.T) {
-	fn := func() {}
+	fn := Func(func() {})
 
 	v := NewVirtual(testEpoch)
 	vt := v.AfterFunc(time.Millisecond, fn)

@@ -46,7 +46,7 @@ type Virtual struct {
 var (
 	_ Clock     = (*Virtual)(nil)
 	_ Scheduler = (*Virtual)(nil)
-	_ rearmer   = (*Virtual)(nil)
+	_ runClock  = (*Virtual)(nil)
 )
 
 // eventSlab is one allocation of event records, chained newest first for Reset.
@@ -56,8 +56,9 @@ type eventSlab struct {
 }
 
 // eventSlabSize is how many event records one allocation provides; with the
-// link, a slab fills a 10 KB size class. A saturated capacity trial holds
-// ≈ 12,000 events at its peak, nearly all packets in flight: under 50 slabs.
+// link, a slab of 40-byte records fills a 10 KB size class. A saturated
+// capacity trial holds ≈ 12,000 events at its peak, nearly all packets in
+// flight: under 50 slabs.
 const eventSlabSize = 255
 
 // NewVirtual returns a Virtual clock whose current time is start.
@@ -89,7 +90,7 @@ func (c *Virtual) Reset(start time.Time) (armed int) {
 				if ev.state == statePending {
 					armed++
 				}
-				ev.fn, ev.state = nil, stateRetired
+				ev.r, ev.state = nil, stateRetired
 			}
 		}
 		if reused {
@@ -132,12 +133,12 @@ func (c *Virtual) takeEventLocked() *event {
 
 // newEventLocked arms a recycled (or freshly slab-carved) event record.
 // Caller must hold mu.
-func (c *Virtual) newEventLocked(d time.Duration, f func(), autoFree bool) *event {
+func (c *Virtual) newEventLocked(d time.Duration, r Runner, autoFree bool) *event {
 	if d < 0 {
 		d = 0
 	}
 	ev := c.takeEventLocked()
-	ev.fn = f
+	ev.r = r
 	ev.autoFree = autoFree
 	c.armLocked(ev, d)
 	return ev
@@ -155,7 +156,7 @@ func (c *Virtual) armLocked(ev *event, d time.Duration) {
 	c.seq++
 }
 
-// Rearm implements rearmer: it re-arms a timer record from this clock for d
+// Rearm implements runClock: it re-arms a timer record from this clock for d
 // from now, reusing the record (and its callback) instead of releasing and
 // re-issuing it. For a fired timer this is exactly equivalent to Release
 // followed by AfterFunc with the same fn — Release would push the record onto
@@ -177,11 +178,11 @@ func (c *Virtual) Rearm(t Timer, d time.Duration) bool {
 	defer c.mu.Unlock()
 	switch ev.state {
 	case statePending:
-		c.removeLocked(ev.index)
+		c.removeLocked(int(ev.index))
 	case stateFired:
-		// Not queued; the record and its fn are intact and reusable.
+		// Not queued; the record and its Runner are intact and reusable.
 	default:
-		// stateStopped and stateRetired cleared fn; stateFree records may
+		// stateStopped and stateRetired cleared the Runner; stateFree records may
 		// already back an unrelated timer. None is safely re-armable.
 		return false
 	}
@@ -193,17 +194,25 @@ func (c *Virtual) Rearm(t Timer, d time.Duration) bool {
 // until the caller passes it to Release (or the Schedule fast path is used
 // instead), so holding a handle across an arbitrary span stays safe.
 func (c *Virtual) AfterFunc(d time.Duration, f func()) Timer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.newEventLocked(d, f, false)
+	return c.afterRun(d, Func(f))
 }
 
 // Schedule implements Scheduler: AfterFunc without the Timer handle. The
 // internal event record returns to the free list as soon as the callback
 // fires, so steady-state fire-and-forget scheduling does not allocate.
 func (c *Virtual) Schedule(d time.Duration, f func()) {
+	c.scheduleRun(d, Func(f))
+}
+
+func (c *Virtual) afterRun(d time.Duration, r Runner) Timer {
 	c.mu.Lock()
-	c.newEventLocked(d, f, true)
+	defer c.mu.Unlock()
+	return c.newEventLocked(d, r, false)
+}
+
+func (c *Virtual) scheduleRun(d time.Duration, r Runner) {
+	c.mu.Lock()
+	c.newEventLocked(d, r, true)
 	c.mu.Unlock()
 }
 
@@ -211,12 +220,12 @@ func (c *Virtual) Schedule(d time.Duration, f func()) {
 // deadline. It reports whether an event was executed.
 func (c *Virtual) Step() bool {
 	c.mu.Lock()
-	fn := c.takeLocked(0, false)
+	r := c.takeLocked(0, false)
 	c.mu.Unlock()
-	if fn == nil {
+	if r == nil {
 		return false
 	}
-	fn()
+	r.Run()
 	return true
 }
 
@@ -225,7 +234,7 @@ func (c *Virtual) Step() bool {
 // its callback — nil if no event qualifies. Auto-free events are recycled
 // here, before the callback runs: nothing else references them, and the
 // callback itself is already copied out. Caller holds mu.
-func (c *Virtual) takeLocked(limitNanos int64, limited bool) func() {
+func (c *Virtual) takeLocked(limitNanos int64, limited bool) Runner {
 	if len(c.heap) == 0 {
 		return nil
 	}
@@ -240,11 +249,11 @@ func (c *Virtual) takeLocked(limitNanos int64, limited bool) func() {
 	}
 	ev := top.ev
 	ev.state = stateFired
-	fn := ev.fn
+	r := ev.r
 	if ev.autoFree {
 		c.recycleLocked(ev)
 	}
-	return fn
+	return r
 }
 
 // Advance runs every event with a deadline at or before now+d, in order,
@@ -269,8 +278,8 @@ func (c *Virtual) advanceTo(limit int64) int {
 	n := 0
 	for {
 		c.mu.Lock()
-		fn := c.takeLocked(limit, true)
-		if fn == nil {
+		r := c.takeLocked(limit, true)
+		if r == nil {
 			if limit > c.nowNanos {
 				c.nowNanos = limit
 				c.nowAtomic.Store(limit)
@@ -279,7 +288,7 @@ func (c *Virtual) advanceTo(limit int64) int {
 			return n
 		}
 		c.mu.Unlock()
-		fn()
+		r.Run()
 		n++
 	}
 }
@@ -302,7 +311,7 @@ func (c *Virtual) Drain(limit int) int {
 // recycleLocked clears an event record and links it onto the free list.
 // Caller holds mu; the event must no longer be in the heap.
 func (c *Virtual) recycleLocked(ev *event) {
-	ev.fn = nil
+	ev.r = nil
 	ev.state = stateFree
 	ev.nextFree = c.free
 	c.free = ev
@@ -317,12 +326,13 @@ const (
 	stateRetired               // outlived a Reset: never reissued, and Stop, Release and Rearm leave it be
 )
 
-// event is a pending Virtual callback; it doubles as the Timer handle.
+// event is a pending Virtual callback; it doubles as the Timer handle. An
+// int32 index keeps it at 40 bytes beside the two-word Runner.
 type event struct {
-	fn       func()
+	r        Runner
 	c        *Virtual
 	nextFree *event // free-list link while recycled
-	index    int    // position in c.heap while pending
+	index    int32  // position in c.heap while pending
 	state    uint8
 	autoFree bool // Schedule()-created: recycle on fire, no handle exists
 }
@@ -338,9 +348,9 @@ func (ev *event) Stop() bool {
 	if ev.state != statePending {
 		return false
 	}
-	ev.c.removeLocked(ev.index)
+	ev.c.removeLocked(int(ev.index))
 	ev.state = stateStopped
-	ev.fn = nil
+	ev.r = nil
 	return true
 }
 
@@ -366,7 +376,7 @@ func Release(t Timer) {
 	defer c.mu.Unlock()
 	switch ev.state {
 	case statePending:
-		c.removeLocked(ev.index)
+		c.removeLocked(int(ev.index))
 	case stateRetired:
 		return
 	case stateFree:
@@ -402,7 +412,7 @@ func (e *heapEntry) before(o *heapEntry) bool {
 
 func (c *Virtual) setLocked(i int, e heapEntry) {
 	c.heap[i] = e
-	e.ev.index = i
+	e.ev.index = int32(i)
 }
 
 // removeLocked takes the entry at slot i out of the heap, filling the hole

@@ -262,7 +262,7 @@ func TestPeriodicSetPeriod(t *testing.T) {
 }
 
 // lateClock runs every callback lag after it is due, as a loaded machine's
-// timers do. It is no rearmer, so every arm goes through AfterFunc.
+// timers do. It has no Runner capability, so every arm goes through AfterFunc.
 type lateClock struct {
 	v   *Virtual
 	lag time.Duration

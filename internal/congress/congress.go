@@ -72,7 +72,7 @@ func NewDirectory(clk clock.Clock, network transport.Network, addr transport.Add
 		entries: make(map[string]map[transport.Addr]time.Time),
 	}
 	d.ep.SetHandler(d.onPacket)
-	d.sweep.Start(clk, time.Second, time.Second, d.expire)
+	d.sweep.Start(clk, time.Second, time.Second, clock.Func(d.expire))
 	return d, nil
 }
 
@@ -202,7 +202,7 @@ func NewRegistrar(clk clock.Clock, ep transport.Endpoint, directory transport.Ad
 	send := func() { _ = ep.Send(directory, pkt) }
 	send()
 	r := &Registrar{}
-	r.task.Start(clk, registrationTTL/3, registrationTTL/3, send)
+	r.task.Start(clk, registrationTTL/3, registrationTTL/3, clock.Func(send))
 	return r
 }
 

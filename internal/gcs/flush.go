@@ -59,14 +59,13 @@ type proposal struct {
 	raised  []uint64 // computeCut's scratch, by rank in an old view
 	retries int
 
-	// The phase timer runs fire — Member.phaseTimedOut, bound once. due is
+	// The phase timer runs the coordinating member's phaseTimedOut. due is
 	// when the current phase times out: set before every arm, it tells the
 	// callback of the current arm from one a re-arm or stand-down came too
 	// late to stop (on a Real clock a fired timer's callback may still be
 	// waiting for the lock).
 	due   time.Time
 	timer clock.Timer
-	fire  func()
 }
 
 // syncRecord is one candidate's part in an attempt: its report, copied out
@@ -164,8 +163,13 @@ func (pr *proposal) cutFor(view ViewID) (vec, bool) {
 func (m *Member) armPhaseLocked() {
 	pr := m.prop
 	pr.due = m.p.cfg.Clock.Now().Add(proposalTimeout)
-	pr.timer = clock.Rearm(m.p.cfg.Clock, pr.timer, proposalTimeout, pr.fire)
+	pr.timer = clock.Rearm(m.p.cfg.Clock, pr.timer, proposalTimeout, (*phaseTimer)(m))
 }
+
+// phaseTimer is a Member as the Runner of its proposal's phase timer.
+type phaseTimer Member
+
+func (t *phaseTimer) Run() { (*Member)(t).phaseTimedOut() }
 
 // standDownLocked ends this member's coordination, if any.
 func (m *Member) standDownLocked() {
@@ -182,7 +186,7 @@ func (m *Member) startProposalLocked(cb *callbacks) {
 		return
 	}
 	if m.own == nil {
-		m.own = &proposal{fire: m.phaseTimedOut} // most members never coordinate
+		m.own = &proposal{} // most members never coordinate
 	}
 	pr := m.own
 	pr.candidates = m.desiredCandidatesLocked(pr.candidates)

@@ -338,6 +338,11 @@ func NewProcess(cfg Config) *Process {
 	return p
 }
 
+// processTick is a Process as the Runner of its ticker.
+type processTick Process
+
+func (t *processTick) Run() { (*Process)(t).tick() }
+
 // tick is one beat of the process's ticker. Duties run in a fixed order at
 // coincident ticks — heartbeat first, then per-membership gossip in group
 // order, ack before retransmit before presence within a membership.
@@ -408,7 +413,7 @@ func (p *Process) Join(group string, h Handlers, contacts ...ProcessID) (*Member
 		p.beating = true
 		age := p.cfg.Clock.Now().Sub(p.born)
 		p.tickCount = uint64(age / tickBase)
-		p.ticker.Start(p.cfg.Clock, tickBase-age%tickBase, tickBase, p.tick)
+		p.ticker.Start(p.cfg.Clock, tickBase-age%tickBase, tickBase, (*processTick)(p))
 	}
 	m := newMember(p, group, h, contacts)
 	p.members = slices.Insert(p.members, i, m)

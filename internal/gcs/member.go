@@ -63,7 +63,6 @@ type Member struct {
 	future map[ViewID][]*msgMcast
 
 	debounce   clock.Timer
-	debounced  func() // proposeDebounced, bound once
 	leaveTimer clock.Timer
 
 	// idBuf is changeNeededLocked's desired membership, guarded by p.mu.
@@ -159,7 +158,6 @@ func newMember(p *Process, group string, h Handlers, contacts []ProcessID) *Memb
 		active:   true,
 		status:   statusNormal,
 	}
-	m.debounced = m.proposeDebounced
 	return m
 }
 
@@ -657,8 +655,13 @@ func (m *Member) scheduleProposalLocked() {
 	if m.debounce != nil || m.leaving || !m.active {
 		return
 	}
-	m.debounce = m.p.cfg.Clock.AfterFunc(20*time.Millisecond, m.debounced)
+	m.debounce = clock.AfterRun(m.p.cfg.Clock, 20*time.Millisecond, (*debounceTimer)(m))
 }
+
+// debounceTimer is a Member as the Runner of its debounce timer.
+type debounceTimer Member
+
+func (t *debounceTimer) Run() { (*Member)(t).proposeDebounced() }
 
 // proposeDebounced starts the view change a burst of triggers asked for.
 func (m *Member) proposeDebounced() {

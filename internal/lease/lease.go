@@ -145,7 +145,7 @@ func NewTable(clk clock.Clock, ttl time.Duration, onExpire func(id string)) *Tab
 		onExpire: onExpire,
 		entries:  make(map[string]time.Time),
 	}
-	t.sweep.Start(clk, ttl/4, ttl/4, t.sweepTick)
+	t.sweep.Start(clk, ttl/4, ttl/4, clock.Func(t.sweepTick))
 	return t
 }
 
@@ -227,11 +227,12 @@ func NewKeeper(clk clock.Clock, ttl time.Duration, send func(seq uint64), onLost
 		ttl = DefaultTTL
 	}
 	k := &Keeper{clk: clk, send: send, onLost: onLost, ttl: ttl, lastAck: clk.Now()}
-	k.task.Start(clk, ttl/3, ttl/3, k.tick)
+	k.task.Start(clk, ttl/3, ttl/3, k)
 	return k
 }
 
-func (k *Keeper) tick() {
+// Run is the keeper's renewal beat, which its own Periodic runs.
+func (k *Keeper) Run() {
 	now := k.clk.Now()
 	k.mu.Lock()
 	if k.stopped {

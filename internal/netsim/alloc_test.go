@@ -93,13 +93,18 @@ func TestAllocsSendToDeadDestination(t *testing.T) {
 	}
 }
 
-// idleClock never fires: what is scheduled on it stays in flight, and it
-// allocates nothing itself, so a count taken around sends on it is the
-// network's own.
-type idleClock struct{}
-
-func (idleClock) Now() time.Time                              { return time.Unix(0, 0) }
-func (idleClock) AfterFunc(time.Duration, func()) clock.Timer { return nil }
+// warmClock returns a Virtual clock that has armed and fired n events, so
+// its free list and heap hold n more without allocating: a count taken
+// around n sends on it is the network's own. The network's records are the
+// clock events' Runners, so the clock binds nothing per send either.
+func warmClock(n int) *clock.Virtual {
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	for i := 0; i < n; i++ {
+		clk.Schedule(0, func() {})
+	}
+	clk.Drain(0)
+	return clk
+}
 
 // coldMallocs counts the heap allocations of run, which setup returns after
 // building a fresh network. The least of three tries is the count: the
@@ -121,13 +126,13 @@ func coldMallocs(setup func() (run func())) uint64 {
 // it has no pooled records for yet — a saturated uplink holding a thousand
 // control packets in flight, or a short-lived chaos world that never gets
 // warm. Each send takes a bare record, carved from a slab, and gives it a
-// buffer of its own size class, carved from the byte slab; the only
-// per-record allocation left is the bound run method.
+// buffer of its own size class, carved from the byte slab; the record is its
+// own clock event's Runner, so the slabs' share is all a send allocates.
 func TestAllocsColdNetworkSmallSends(t *testing.T) {
 	const sends, size = 1000, 100 // 100 B rounds up to a 128 B buffer
 	payload := make([]byte, size)
 	got := coldMallocs(func() func() {
-		net := New(idleClock{}, 1, Profile{Delay: time.Millisecond})
+		net := New(warmClock(sends), 1, Profile{Delay: time.Millisecond})
 		a, err := net.NewEndpoint("a")
 		if err != nil {
 			t.Fatal(err)
@@ -145,20 +150,20 @@ func TestAllocsColdNetworkSmallSends(t *testing.T) {
 	})
 	recordSlabs := (sends + deliverySlabSize - 1) / deliverySlabSize
 	byteSlabs := (sends*128 + bufSlabSize - 1) / bufSlabSize
-	if want := uint64(recordSlabs + byteSlabs + sends); got > want {
-		t.Fatalf("%d cold sends of %d B = %d allocs, want ≤ %d (%d record slabs + %d byte slabs + one bound method each)",
+	if want := uint64(recordSlabs + byteSlabs); got > want {
+		t.Fatalf("%d cold sends of %d B = %d allocs, want ≤ %d (%d record slabs + %d byte slabs)",
 			sends, size, got, want, recordSlabs, byteSlabs)
 	}
 }
 
 // TestAllocsColdBroadcastRecord: a fresh broadcast record sizes its two
 // slices to the batch once instead of doubling its way up, so a 200-wide
-// batch costs the record, its bound method and two slices.
+// batch costs the record and two slices.
 func TestAllocsColdBroadcastRecord(t *testing.T) {
 	const width = 200
 	frame := make([]byte, 1200)
 	got := coldMallocs(func() func() {
-		net := New(idleClock{}, 1, Profile{Delay: time.Millisecond})
+		net := New(warmClock(1), 1, Profile{Delay: time.Millisecond})
 		a, err := net.NewEndpoint("a")
 		if err != nil {
 			t.Fatal(err)
@@ -179,18 +184,18 @@ func TestAllocsColdBroadcastRecord(t *testing.T) {
 			}
 		}
 	})
-	// 4 = record, bound method, dsts, payloads. Under the race detector
-	// slices.Grow's append(make) is not fused and each slice costs one more;
-	// the doubling ladder cost 19.
-	if got > 6 {
-		t.Fatalf("a cold %d-wide batch = %d allocs, want 4 (6 under -race)", width, got)
+	// 3 = record, dsts, payloads. Under the race detector slices.Grow's
+	// append(make) is not fused and each slice costs one more; the doubling
+	// ladder cost 19.
+	if got > 5 {
+		t.Fatalf("a cold %d-wide batch = %d allocs, want 3 (5 under -race)", width, got)
 	}
 }
 
 // TestAllocsResetWorldReusesRecords: a clock and network that are Reset after
 // a saturated burst carry the next world's identical burst on what the first
-// one made — event and delivery records, their slabs, bound methods and copy
-// buffers, and the heap array — so the second burst allocates nothing.
+// one made — event and delivery records, their slabs and copy buffers, and
+// the heap array — so the second burst allocates nothing.
 func TestAllocsResetWorldReusesRecords(t *testing.T) {
 	const sends = 2000
 	control, frame := make([]byte, 100), make([]byte, 1200)
@@ -241,23 +246,6 @@ func TestAllocsResetWorldReusesRecords(t *testing.T) {
 	}
 }
 
-// queueClock holds what is scheduled on it until fire runs it all, in order.
-// Its queue is sized up front, so scheduling on it allocates nothing and a
-// count taken around sends on it is the network's own.
-type queueClock struct{ due []func() }
-
-func (c *queueClock) Now() time.Time { return time.Unix(0, 0) }
-func (c *queueClock) AfterFunc(_ time.Duration, fn func()) clock.Timer {
-	c.due = append(c.due, fn)
-	return nil
-}
-func (c *queueClock) fire() {
-	for _, fn := range c.due {
-		fn()
-	}
-	c.due = c.due[:0]
-}
-
 // TestStableSendsTakeBareRecords: a video frame sent stable is aliased, so
 // its record needs no copy buffer, and must not use up a record that has one.
 // After a burst of copied control packets has come and gone, a burst of stable
@@ -265,14 +253,14 @@ func (c *queueClock) fire() {
 // burst sent while the frames are still in flight finds its class's records
 // waiting and allocates nothing.
 func TestStableSendsTakeBareRecords(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(delivery{}) != 64 {
-		t.Errorf("a delivery record is %d B, want 64", unsafe.Sizeof(delivery{}))
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(delivery{}) != 56 {
+		t.Errorf("a delivery record is %d B, want 56", unsafe.Sizeof(delivery{}))
 	}
 	const sends = 1000
 	control, frame := make([]byte, 100), make([]byte, 1200)
 	var stableMallocs, controlMallocs uint64 = ^uint64(0), ^uint64(0)
 	for try := 0; try < 3; try++ { // the least of three: the runtime allocates now and then too
-		clk := &queueClock{due: make([]func(), 0, 2*sends)}
+		clk := warmClock(2 * sends)
 		net := New(clk, 1, Profile{Delay: time.Millisecond})
 		a, err := net.NewEndpoint("a")
 		if err != nil {
@@ -300,16 +288,16 @@ func TestStableSendsTakeBareRecords(t *testing.T) {
 		stable := func() error { return refs.SendStableRef(bRef, frame) }
 
 		burst(copied)
-		clk.fire()
+		clk.Advance(time.Second)
 		stableMallocs = min(stableMallocs, burst(stable))
 		controlMallocs = min(controlMallocs, burst(copied))
-		clk.fire()
+		clk.Advance(time.Second)
 	}
 	// A frame-sized copy buffer would be an allocation of its own per send.
 	recordSlabs := (sends + deliverySlabSize - 1) / deliverySlabSize
-	if want := uint64(recordSlabs + sends); stableMallocs > want {
-		t.Errorf("%d stable sends behind a drained control burst = %d allocs, want ≤ %d (%d record slabs + one bound method each)",
-			sends, stableMallocs, want, recordSlabs)
+	if want := uint64(recordSlabs); stableMallocs > want {
+		t.Errorf("%d stable sends behind a drained control burst = %d allocs, want ≤ %d (the record slabs)",
+			sends, stableMallocs, want)
 	}
 	if controlMallocs != 0 {
 		t.Errorf("a second burst of %d copied %d B sends allocated %d times, want 0 (the class's records are free)",

@@ -39,15 +39,15 @@ import (
 // through them.
 
 // broadcast is one in-flight batched fan-out: the surviving destinations of
-// a batch send plus each one's payload alias. Records cycle through a free
-// list under n.mu, like delivery records; dsts and payloads keep their
-// capacity across uses, so a warm stripe beat schedules without allocating.
+// a batch send plus each one's payload alias, and the clock event's Runner.
+// Records cycle through a free list under n.mu, like delivery records; dsts
+// and payloads keep their capacity across uses, so a warm stripe beat
+// schedules without allocating.
 type broadcast struct {
 	n        *Network
 	from     int32
 	dsts     []int32
 	payloads [][]byte
-	fn       func() // b.run, bound once: a method value allocates per use
 	next     *broadcast
 }
 
@@ -60,7 +60,6 @@ func (n *Network) newBroadcastLocked(from int32) *broadcast {
 		b.next = nil
 	} else {
 		b = &broadcast{n: n}
-		b.fn = b.run
 	}
 	b.from = from
 	return b
@@ -82,7 +81,7 @@ func (b *broadcast) recycleLocked() {
 	n.freeB = b
 }
 
-// run fires when the batch arrives: under one lock hold, re-check liveness
+// Run fires when the batch arrives: under one lock hold, re-check liveness
 // for every destination (all at this same virtual instant, before any of the
 // batch's handlers run), settle the counters, and snapshot the surviving
 // (handler, payload) pairs into the network's reusable scratch; then release
@@ -91,7 +90,7 @@ func (b *broadcast) recycleLocked() {
 // so the two differ only if one batch handler closes a later destination
 // synchronously — no handler in this repository does, and handlers that need
 // the stricter ordering can keep the per-send path.
-func (b *broadcast) run() {
+func (b *broadcast) Run() {
 	n := b.n
 	n.mu.Lock()
 	hs, ds := n.bcastH[:0], n.bcastD[:0]
@@ -177,7 +176,7 @@ func (e *endpoint) SendStableRefBatch(dsts []transport.AddrRef, payloads [][]byt
 	if len(b.dsts) == 0 {
 		b.recycleLocked()
 	} else {
-		clock.Schedule(n.clk, maxDelay, b.fn)
+		clock.Schedule(n.clk, maxDelay, b)
 	}
 	n.maybeSweepLocked(len(dsts))
 	return firstErr

@@ -104,7 +104,7 @@ type Network struct {
 	// send never ties up a buffer it does not use.
 	freeD [1 + bufClasses]*delivery
 	freeB *broadcast // free list of batched fan-out events
-	// bcastH/bcastD are broadcast.run's handler/payload snapshot scratch,
+	// bcastH/bcastD are broadcast.Run's handler/payload snapshot scratch,
 	// reused across batch events (events fire one at a time, and handlers
 	// never re-enter run); capacity stays warm at the largest batch size.
 	bcastH  []transport.Handler
@@ -504,7 +504,7 @@ func (n *Network) admitLocked(from, to int32) (copies int, err error) {
 func (n *Network) scheduleLocked(from, to int32, payload []byte, stable bool, copies int) {
 	for i := 0; i < copies; i++ {
 		d := n.newDeliveryLocked(from, to, payload, stable)
-		clock.Schedule(n.clk, n.transitTimeLocked(from, to, len(payload)), d.fn)
+		clock.Schedule(n.clk, n.transitTimeLocked(from, to, len(payload)), d)
 	}
 }
 
@@ -528,17 +528,16 @@ func (n *Network) sendLocked(from, to int32, payload []byte, stable bool) error 
 }
 
 // delivery is one in-flight packet: its payload plus the routing info its
-// timer callback needs. Events cycle through free lists under n.mu so
-// steady-state traffic schedules deliveries without allocating; a copy
-// buffer is reused for the next packet of its class as soon as the receiving
-// handler returns, which is what the transport.Handler copy-on-retain rule
-// licenses.
+// timer callback needs, and that callback itself, as the clock event's
+// Runner. Events cycle through free lists under n.mu so steady-state traffic
+// schedules deliveries without allocating; a copy buffer is reused for the
+// next packet of its class as soon as the receiving handler returns, which
+// is what the transport.Handler copy-on-retain rule licenses.
 type delivery struct {
 	n        *Network
 	from, to int32
 	slot     uint8     // its freeD index: 0 = data is a stable alias, 1+c = data is its own buffer of capacity 64<<c
 	data     []byte    // what the handler receives
-	fn       func()    // d.run, bound once: a method value allocates per use
 	next     *delivery // free-list link
 }
 
@@ -549,9 +548,10 @@ type deliverySlab struct {
 }
 
 // deliverySlabSize is how many delivery records one slab allocation carves
-// out; with the link, a slab fills an 8 KB size class. A saturated capacity
-// trial holds ≈ 11,600 packets in flight at its peak: under a hundred slabs.
-const deliverySlabSize = 127
+// out; with the link, a slab of 56-byte records fills an 8 KB size class. A
+// saturated capacity trial holds ≈ 11,600 packets in flight at its peak:
+// under eighty slabs.
+const deliverySlabSize = 146
 
 // bufClasses is the number of copy-buffer size classes: class c holds
 // 64<<c bytes, and the largest holds a MaxDatagram payload.
@@ -586,7 +586,6 @@ func (n *Network) newDeliveryLocked(from, to int32, payload []byte, stable bool)
 		d = &n.slabD.d[n.slabDN]
 		n.slabDN++
 		d.n = n
-		d.fn = d.run
 	}
 	d.from, d.to = from, to
 	if stable {
@@ -631,10 +630,10 @@ func (d *delivery) recycleLocked() {
 	n.freeD[d.slot] = d
 }
 
-// run fires when the packet arrives: hand the payload to the destination
+// Run fires when the packet arrives: hand the payload to the destination
 // handler (outside the lock, since handlers send packets of their own), then
 // recycle the event.
-func (d *delivery) run() {
+func (d *delivery) Run() {
 	n := d.n
 	n.mu.Lock()
 	ep := n.eps[d.to]

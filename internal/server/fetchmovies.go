@@ -26,7 +26,7 @@ func (s *Server) fetchNext(missing []string, contacts []gcs.ProcessID, peerIdx i
 	s.mu.Unlock()
 	movieID := missing[0]
 	if s.cfg.Catalog.Has(movieID) {
-		s.later(func() { s.fetchNext(missing[1:], contacts, 0) })
+		s.later(clock.Func(func() { s.fetchNext(missing[1:], contacts, 0) }))
 		return
 	}
 	peers = s.ownersFirst(movieID, peers)
@@ -36,23 +36,23 @@ func (s *Server) fetchNext(missing []string, contacts []gcs.ProcessID, peerIdx i
 			// This peer is down or lacks the movie: rotate to the next
 			// one after a beat. The loop never gives up — a peer holding
 			// the movie may come up later.
-			clock.Schedule(s.cfg.Clock, time.Second, func() {
+			clock.Schedule(s.cfg.Clock, time.Second, clock.Func(func() {
 				s.fetchNext(missing, contacts, peerIdx+1)
-			})
+			}))
 			return
 		}
 		s.cfg.Catalog.Add(m)
 		// Joining the movie group may race a concurrent shutdown; a
 		// failure here only means the movie sits in the catalog unserved.
 		_ = s.serveMovie(movieID, s.movieContacts(movieID, contacts))
-		s.later(func() { s.fetchNext(missing[1:], contacts, 0) })
+		s.later(clock.Func(func() { s.fetchNext(missing[1:], contacts, 0) }))
 	})
 	if err != nil {
 		// A transfer is already in flight (should not happen — fetches
 		// are sequential); retry shortly.
-		clock.Schedule(s.cfg.Clock, time.Second, func() {
+		clock.Schedule(s.cfg.Clock, time.Second, clock.Func(func() {
 			s.fetchNext(missing, contacts, peerIdx)
-		})
+		}))
 	}
 }
 

@@ -26,10 +26,11 @@ type movieState struct {
 	everMulti bool // has been in a multi-member view before
 
 	// views holds the installed views not yet handled, oldest first: the
-	// group hands each one over mid-install, and Server.later runs handView
-	// (nextView, bound once) once per view. Guarded by srv.mu.
-	views    []gcs.View
-	handView func()
+	// group hands each one over mid-install, and Server.later runs movieViews
+	// once per view. announces holds the records announceLocked shares, in
+	// the same way through movieAnnounce. Both guarded by srv.mu.
+	views     []gcs.View
+	announces []wire.ClientRecord
 
 	// clients is the knowledge table: the latest ClientRecord heard for
 	// each client of this movie — including this server's own clients as
@@ -68,15 +69,26 @@ type exchange struct {
 	newcomer  []bool // the member said it is a newcomer
 	clientIDs []string
 
-	// The timer runs fire — movieState.exchangeTimedOut, bound once. due is
-	// when the pending exchange times out: set before every arm, it tells
-	// the callback of the current arm from one a re-arm or deal came too
-	// late to stop (on a Real clock a fired timer's callback may still be
-	// waiting for the lock).
+	// The timer runs movieState.exchangeTimedOut. due is when the pending
+	// exchange times out: set before every arm, it tells the callback of the
+	// current arm from one a re-arm or deal came too late to stop (on a Real
+	// clock a fired timer's callback may still be waiting for the lock).
 	due   time.Time
 	timer clock.Timer
-	fire  func()
 }
+
+// The movieState as the Runner of each of its callbacks.
+type (
+	movieSync     movieState // the state-sync beat: syncTick
+	movieViews    movieState // a queued view: nextView
+	movieAnnounce movieState // a queued announcement: nextAnnounce
+	exchangeTimer movieState // the exchange timeout: exchangeTimedOut
+)
+
+func (r *movieSync) Run()     { (*movieState)(r).syncTick() }
+func (r *movieViews) Run()    { (*movieState)(r).nextView() }
+func (r *movieAnnounce) Run() { (*movieState)(r).nextAnnounce() }
+func (r *exchangeTimer) Run() { (*movieState)(r).exchangeTimedOut() }
 
 // slot is self's place in the deal order: the newcomers first, then the
 // other members, each part in ID order. It is -1 if self is not a member.
@@ -129,16 +141,23 @@ func (ms *movieState) announceLocked(rec wire.ClientRecord) {
 	} else {
 		ms.clients[rec.ClientID] = rec
 	}
-	s.later(func() {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		ms.recScratch = append(ms.recScratch[:0], rec)
-		ms.syncState = wire.ClientState{Server: s.cfg.ID, Clients: ms.recScratch}
-		ms.multicastStateAndUnlock()
-	})
+	ms.announces = append(ms.announces, rec)
+	s.later((*movieAnnounce)(ms))
+}
+
+// nextAnnounce multicasts the oldest queued announcement.
+func (ms *movieState) nextAnnounce() {
+	s := ms.srv
+	s.mu.Lock()
+	rec := ms.announces[0]
+	ms.announces = slices.Delete(ms.announces, 0, 1)
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	ms.recScratch = append(ms.recScratch[:0], rec)
+	ms.syncState = wire.ClientState{Server: s.cfg.ID, Clients: ms.recScratch}
+	ms.multicastStateAndUnlock()
 }
 
 // multicastStateAndUnlock encodes ms.syncState into the reusable buffer,
@@ -265,7 +284,7 @@ func (ms *movieState) queueView(v gcs.View) {
 	s.mu.Lock()
 	ms.views = append(ms.views, v)
 	s.mu.Unlock()
-	s.later(ms.handView)
+	s.later((*movieViews)(ms))
 }
 
 // nextView handles the oldest queued view. It takes the view and handles it
@@ -330,12 +349,9 @@ func (ms *movieState) onViewAndUnlock(v gcs.View) {
 		ViewSeq:  v.ID.Seq,
 		Newcomer: newcomer,
 	}
-	if ms.ex.fire == nil {
-		ms.ex.fire = ms.exchangeTimedOut // a movie alone in its group never arms it
-	}
 	timeout := 2 * s.cfg.SyncInterval
 	ms.ex.due = s.cfg.Clock.Now().Add(timeout)
-	ms.ex.timer = clock.Rearm(s.cfg.Clock, ms.ex.timer, timeout, ms.ex.fire)
+	ms.ex.timer = clock.Rearm(s.cfg.Clock, ms.ex.timer, timeout, (*exchangeTimer)(ms))
 	ms.multicastStateAndUnlock()
 }
 

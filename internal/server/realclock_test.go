@@ -130,3 +130,60 @@ func TestRealClockQueuedViewsInOrder(t *testing.T) {
 		t.Errorf("%d takeovers, want 1: the lone view deals the client here once", s.stats.Takeovers)
 	}
 }
+
+// TestRealClockQueuedSessionViewsInOrder hands a session group's view handler
+// four views back to back on the real clock: the client in, out, in again and
+// out again. Each is handled once, in the order it came, so the session ends
+// up lapsed and paused; handled newest first, it would end up streaming.
+func TestRealClockQueuedSessionViewsInOrder(t *testing.T) {
+	network := netsim.New(clock.Real{}, 1, netsim.LAN())
+	cat := store.NewCatalog()
+	cat.Add(mpeg.Generate("m", mpeg.StreamConfig{Duration: 10 * time.Second, Seed: 1}))
+	s, err := New(Config{ID: "s1", Clock: clock.Real{}, Network: network, Catalog: cat, Peers: []string{"s1"}, SyncInterval: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	movie, err := cat.Get("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	sess := s.startSessionLocked(wire.ClientRecord{ClientID: "c1", ClientAddr: "c1", Rate: 30}, movie, false)
+	s.mu.Unlock()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			s.mu.Lock()
+			ok := cond()
+			s.mu.Unlock()
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s within 3 s", what)
+			}
+		}
+	}
+	// The join installs the server alone first; that view is handled too.
+	waitFor("no session-group membership", func() bool { return sess.member != nil && len(sess.views) == 0 })
+
+	view := func(seq uint64, members ...gcs.ProcessID) gcs.View {
+		return gcs.View{Group: sess.group, ID: gcs.ViewID{Seq: seq, Coord: "s1"}, Members: members}
+	}
+	sess.queueView(view(100, "c1", "s1"))
+	sess.queueView(view(101, "s1"))
+	sess.queueView(view(102, "c1", "s1"))
+	sess.queueView(view(103, "s1"))
+	waitFor("the four views were not all handled", func() bool { return len(sess.views) == 0 })
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sess.ready || !sess.lapsed || sess.pacing {
+		t.Errorf("after in, out, in, out: ready %v, lapsed %v, pacing %v, want a lapsed session that does not stream",
+			sess.ready, sess.lapsed, sess.pacing)
+	}
+}

@@ -254,11 +254,6 @@ type Server struct {
 	openReply wire.OpenReply
 	openEnc   wire.Encoder
 
-	// sessionGen numbers the sessions this server has started, so a queued
-	// join or view callback can tell two sessions of one client ID apart.
-	// Guarded by mu.
-	sessionGen uint64
-
 	// stripes holds the coalesced pacing tickers of the leased tier, one
 	// per (movie, send period, phase slot) with at least one attached
 	// session, plus the parked ones, parkedStripes of them per movie.
@@ -378,7 +373,7 @@ func (s *Server) Start() error {
 		}
 	}
 	if len(missing) > 0 {
-		s.later(func() { s.fetchNext(missing, contacts, 0) })
+		s.later(clock.Func(func() { s.fetchNext(missing, contacts, 0) }))
 	}
 
 	if s.cfg.Directory != "" {
@@ -434,7 +429,6 @@ func (s *Server) serveMovie(movieID string, contacts []gcs.ProcessID) error {
 		movie:   movie,
 		clients: make(map[string]wire.ClientRecord),
 	}
-	ms.handView = ms.nextView
 	member, err := s.proc.Join(movieGroup(movieID), gcs.Handlers{
 		OnView:    ms.queueView,
 		OnMessage: func(_ string, from gcs.ProcessID, payload []byte) { s.onMovieGroupMessage(ms, from, payload) },
@@ -444,17 +438,17 @@ func (s *Server) serveMovie(movieID string, contacts []gcs.ProcessID) error {
 	}
 	s.mu.Lock()
 	ms.member = member
-	ms.syncTask.Start(s.cfg.Clock, s.cfg.SyncInterval, s.cfg.SyncInterval, ms.syncTick)
+	ms.syncTask.Start(s.cfg.Clock, s.cfg.SyncInterval, s.cfg.SyncInterval, (*movieSync)(ms))
 	s.movies[movieID] = ms
 	s.mu.Unlock()
 	return nil
 }
 
-// later schedules f on the clock, off any caller's locks: the trampoline
+// later schedules r on the clock, off any caller's locks: the trampoline
 // for work begun under s.mu that must re-enter the GCS (multicast, join,
 // leave) or that the GCS hands over mid-install (a view).
-func (s *Server) later(f func()) {
-	clock.Schedule(s.cfg.Clock, 0, f)
+func (s *Server) later(r clock.Runner) {
+	clock.Schedule(s.cfg.Clock, 0, r)
 }
 
 // Stop takes the server offline abruptly — equivalent to a crash as far as

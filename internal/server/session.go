@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -17,16 +18,15 @@ import (
 // granted rate, adjusts the rate on flow-control requests, applies the
 // emergency boost, and executes VCR operations.
 //
-// No callback that can fire after stopLocked captures a *session: deferred
-// work holds (clientID, gen) and looks the session up, so a callback queued by
-// an earlier session of the same client finds the mismatch and bails out.
+// A session's timers, beat and hand-overs run the session itself as their
+// clock.Runner, and each checks under srv.mu that the session is live, so one
+// that fires after stopLocked or after a later session of the client bails.
 //
 // A session is 408 bytes on 64-bit platforms, in the 416-byte size class:
 // one more word fits, and a second moves every session of the scale table
 // into the 448-byte class.
 type session struct {
 	srv   *Server
-	gen   uint64            // Server.sessionGen at start; guards deferred callbacks
 	rec   wire.ClientRecord // live state; rec.Offset is the next frame to send
 	movie *mpeg.Movie
 	rate  *flowctl.RateController
@@ -70,18 +70,20 @@ type session struct {
 	conflicts map[gcs.ProcessID]bool
 
 	sendTimer clock.Timer
-	sendOneFn func() // sess.sendOne, bound once: the pacing timer re-arms every frame
-	joinFn    func() // join closure, reused by retries
 	joinTimer clock.Timer
 	decayTask clock.Periodic
 	joinTries int
 
-	// group and the two handler closures are built once in startSessionLocked
-	// and reused by every join retry, which would otherwise rebuild them on
-	// each attempt.
+	// group and the two handlers are built once in startSessionLocked and
+	// reused by every join retry, which would otherwise rebuild them on each
+	// attempt.
 	group    string
 	onViewFn func(gcs.View)
 	onMsgFn  func(string, gcs.ProcessID, []byte)
+
+	// views holds the session-group views not yet handled, oldest first, as
+	// movieState.views does. Guarded by srv.mu.
+	views []gcs.View
 
 	// fc is the reusable decode target for this client's flow-control
 	// stream, guarded by srv.mu. It starts out holding the session's client
@@ -94,11 +96,8 @@ type session struct {
 // — the "two-way connection" of §3 — so the client's control multicasts
 // are guaranteed to reach us from the first frame on. Caller holds srv.mu.
 func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, takeover bool) *session {
-	s.sessionGen++
-	gen := s.sessionGen
 	sess := &session{
 		srv:     s,
-		gen:     gen,
 		rec:     rec,
 		movie:   movie,
 		rate:    flowctl.NewRateController(s.cfg.Flow, movie.FPS()),
@@ -110,22 +109,9 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 		fc:          wire.FlowControl{ClientID: rec.ClientID},
 	}
 	sess.rate.SetBase(int(rec.Rate))
-	sess.sendOneFn = sess.sendOne
 	s.sessions[rec.ClientID] = sess
 	clientID := rec.ClientID
-	sess.decayTask.Start(s.cfg.Clock, time.Second, time.Second, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		d := s.sessions[clientID]
-		if d == nil || d.closed || d.gen != gen {
-			return
-		}
-		d.rate.DecayTick()
-		if d.lapsed && !d.ready && s.cfg.Clock.Now().UnixMilli()-d.lastContact >= lapseGrace.Milliseconds() {
-			s.cfg.Obs.Emit(obs.ServerSessionLapsed, clientID, "", 0, 0)
-			s.departLocked(d)
-		}
-	})
+	sess.decayTask.Start(s.cfg.Clock, time.Second, time.Second, (*sessionDecay)(sess))
 	sess.group = wire.SessionGroup(clientID)
 	if rec.Leased {
 		// Two-tier membership: a leased session has no session group to
@@ -137,27 +123,58 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 		sess.schedulePacingLocked()
 		return sess
 	}
-	sess.onViewFn = func(v gcs.View) {
-		s.later(func() { s.onSessionView(clientID, gen, v) })
-	}
+	sess.onViewFn = sess.queueView
 	sess.onMsgFn = func(_ string, from gcs.ProcessID, payload []byte) {
 		s.handleSessionMessage(clientID, from, payload)
 	}
-	sess.joinFn = func() { s.joinSession(clientID, gen) }
-	s.later(sess.joinFn)
+	s.later((*sessionJoin)(sess))
 	return sess
 }
 
-// joinSession enters the client's session group. It retries while a previous
-// membership for the same client is still deactivating (a client released
-// and re-adopted in quick succession). Deferred invocations identify the
-// session by (clientID, gen) rather than holding the record, so a retry that
-// fires after the session was torn down — or replaced by a later one of the
-// same client — is a no-op.
-func (s *Server) joinSession(clientID string, gen uint64) {
+// The session as the Runner of each of its callbacks.
+type (
+	sessionSend  session // the dedicated pacing timer: sendOne
+	sessionDecay session // the rate-decay beat: decayTick
+	sessionJoin  session // the session-group join and its retry timer: join
+	sessionViews session // a queued session-group view: nextView
+)
+
+func (r *sessionSend) Run()  { (*session)(r).sendOne() }
+func (r *sessionDecay) Run() { (*session)(r).decayTick() }
+func (r *sessionJoin) Run()  { (*session)(r).join() }
+func (r *sessionViews) Run() { (*session)(r).nextView() }
+
+// liveLocked reports whether sess is running and still its client's session.
+// Caller holds srv.mu.
+func (sess *session) liveLocked() bool {
+	return !sess.closed && sess.srv.sessions[sess.rec.ClientID] == sess
+}
+
+// decayTick is the once-a-second beat: decay the emergency boost, and end a
+// session whose client lapsed from the session view for lapseGrace.
+func (sess *session) decayTick() {
+	s := sess.srv
 	s.mu.Lock()
-	sess := s.sessions[clientID]
-	if sess == nil || sess.closed || sess.gen != gen {
+	defer s.mu.Unlock()
+	if !sess.liveLocked() {
+		return
+	}
+	sess.rate.DecayTick()
+	if sess.lapsed && !sess.ready && s.cfg.Clock.Now().UnixMilli()-sess.lastContact >= lapseGrace.Milliseconds() {
+		s.cfg.Obs.Emit(obs.ServerSessionLapsed, sess.rec.ClientID, "", 0, 0)
+		s.departLocked(sess)
+	}
+}
+
+// join enters the client's session group. It retries while a previous
+// membership for the same client is still deactivating (a client released
+// and re-adopted in quick succession). A join or retry that runs after the
+// session was torn down — or replaced by a later one of the same client — is
+// a no-op.
+func (sess *session) join() {
+	s := sess.srv
+	s.mu.Lock()
+	if !sess.liveLocked() {
 		s.mu.Unlock()
 		return
 	}
@@ -168,7 +185,6 @@ func (s *Server) joinSession(clientID string, gen uint64) {
 	}
 	group := sess.group
 	contact := transport.Addr(sess.rec.ClientAddr)
-	joinFn := sess.joinFn
 	handlers := gcs.Handlers{OnView: sess.onViewFn, OnMessage: sess.onMsgFn}
 	s.mu.Unlock()
 
@@ -176,8 +192,7 @@ func (s *Server) joinSession(clientID string, gen uint64) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sess = s.sessions[clientID]
-	stale := sess == nil || sess.closed || sess.gen != gen
+	stale := !sess.liveLocked()
 	if err != nil {
 		if stale {
 			return
@@ -186,13 +201,13 @@ func (s *Server) joinSession(clientID string, gen uint64) {
 		if sess.joinTries > 50 {
 			return
 		}
-		sess.joinTimer = s.cfg.Clock.AfterFunc(100*time.Millisecond, joinFn)
+		sess.joinTimer = clock.AfterRun(s.cfg.Clock, 100*time.Millisecond, (*sessionJoin)(sess))
 		return
 	}
 	if stale {
 		// Session died while joining; undo.
 		leave := member.Leave
-		s.later(func() { _ = leave() })
+		s.later(clock.Func(func() { _ = leave() }))
 		return
 	}
 	sess.member = member
@@ -205,16 +220,29 @@ func (s *Server) joinSession(clientID string, gen uint64) {
 // grace saves (DESIGN §7, "Session lapse").
 const lapseGrace = 20 * time.Second
 
-// onSessionView follows the client's presence in the session view. A view
-// that includes the client starts streaming — the "two-way connection" of
-// §3 — or resumes it from the held offset. A view without the client pauses
-// the stream, so a server does not pace frames into the void of a cut or a
-// crashed viewer; the decay task ends a session lapsed for lapseGrace.
-func (s *Server) onSessionView(clientID string, gen uint64, v gcs.View) {
+// queueView is the session group's OnView: it queues the view and schedules
+// its handling off the group's install, as movieState.queueView does.
+func (sess *session) queueView(v gcs.View) {
+	s := sess.srv
+	s.mu.Lock()
+	sess.views = append(sess.views, v)
+	s.mu.Unlock()
+	s.later((*sessionViews)(sess))
+}
+
+// nextView takes and handles the oldest queued view in one hold of srv.mu, so
+// views are handled in the order they were queued. A view that includes
+// the client starts streaming — the "two-way connection" of §3 — or resumes
+// it from the held offset. A view without the client pauses the stream, so a
+// server does not pace frames into the void of a cut or a crashed viewer; the
+// decay task ends a session lapsed for lapseGrace.
+func (sess *session) nextView() {
+	s := sess.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sess := s.sessions[clientID]
-	if sess == nil || sess.closed || sess.gen != gen {
+	v := sess.views[0]
+	sess.views = slices.Delete(sess.views, 0, 1)
+	if !sess.liveLocked() {
 		return
 	}
 	switch in := v.Includes(transport.Addr(sess.rec.ClientAddr)); {
@@ -244,7 +272,7 @@ func (sess *session) sendPeriodLocked() time.Duration {
 // timer under — and has already passed the pacing guards.
 func (sess *session) armSendLocked(d time.Duration) {
 	sess.pacing = true
-	sess.sendTimer = clock.Rearm(sess.srv.cfg.Clock, sess.sendTimer, d, sess.sendOneFn)
+	sess.sendTimer = clock.Rearm(sess.srv.cfg.Clock, sess.sendTimer, d, (*sessionSend)(sess))
 }
 
 // haltPacingLocked cancels the pending send, keeping the offset: a pause, or
@@ -410,7 +438,7 @@ func (sess *session) stopLocked() {
 	}
 	sess.decayTask.Stop()
 	if m := sess.member; m != nil {
-		sess.srv.later(func() { _ = m.Leave() })
+		sess.srv.later(clock.Func(func() { _ = m.Leave() }))
 	}
 }
 

@@ -20,16 +20,16 @@ import (
 // walk, via the same paceTickLocked body the dedicated timer uses.
 //
 // A stripe outlives its sessions. The beat that finds it empty stops and
-// parks it for its key, and the next attach there restarts the beat with the
-// stripe's bound tick and entry storage: over the scale table's 15,000
+// parks it for its key, and the next attach there restarts the beat on the
+// same stripe and entry storage: over the scale table's 15,000
 // viewers, 19,206 of 28,378 stripe starts find a parked stripe, and only
 // 9,172 stripes are made (DESIGN §8 has the rent). A server parks at most
 // maxParkedStripes per title and drops them at Stop.
 //
-// That factor of four pays the rent (audit for PR 24, seed 1): with leased
-// sessions on dedicated timers instead, the 50×10k table allocates less —
-// allocs_k 1,469.5 → 1,234.9, same digest — but its cpu_s goes from
-// 22.1–29.0 to 37.7–39.1, so the stripe stays.
+// That factor of four pays the rent, narrowly (scale_table seed 1, two runs
+// each, 2-core container): with leased sessions on dedicated timers instead,
+// the table allocates less — allocs_k 703 → 568, every viewer still healthy —
+// but its cpu_s goes from 23.3–26.0 to 27.2–28.9, so the stripe stays.
 //
 // Determinism: stripes are created, attached to and walked in simulation
 // event order; their maps (Server.stripes, parkedStripes) are iterated only
@@ -62,10 +62,9 @@ const maxParkedStripes = 19 * stripePhaseSlots
 type stripe struct {
 	srv     *Server
 	key     stripeKey
-	task    clock.Periodic
-	tickFn  func()     // st.tick, bound once: a parked stripe restarts with it
-	entries []*session // attach order; nil where a session detached mid-beat
-	parked  bool       // idle: no session, beat stopped, kept for its key
+	task    clock.Periodic // runs the stripe itself: a parked stripe restarts with it
+	entries []*session     // attach order; nil where a session detached mid-beat
+	parked  bool           // idle: no session, beat stopped, kept for its key
 }
 
 // attachStripeLocked puts sess on the stripe for its movie and current send
@@ -94,23 +93,22 @@ func (s *Server) attachStripeLocked(sess *session) {
 	switch {
 	case st == nil:
 		st = &stripe{srv: s, key: key}
-		st.tickFn = st.tick
 		if s.stripes == nil {
 			s.stripes, s.parkedStripes = make(map[stripeKey]*stripe), make(map[string]int)
 		}
 		s.stripes[key] = st
-		st.task.Start(s.cfg.Clock, key.period, key.period, st.tickFn)
+		st.task.Start(s.cfg.Clock, key.period, key.period, st)
 	case st.parked:
 		st.parked = false
 		s.parkedStripes[key.movie]--
-		st.task.Start(s.cfg.Clock, key.period, key.period, st.tickFn)
+		st.task.Start(s.cfg.Clock, key.period, key.period, st)
 	}
 	st.entries = append(st.entries, sess)
 	sess.stripePos = len(st.entries) - 1
 	sess.stripe = st
 }
 
-// tick is one stripe beat: walk the attached sessions in attach order,
+// Run is one stripe beat: walk the attached sessions in attach order,
 // advance each by one frame, compact detached entries in place, and flush
 // the beat's frames in a single batched network call — still inside this
 // same clock event and lock hold, so RNG draws and egress arithmetic happen
@@ -119,7 +117,7 @@ func (s *Server) attachStripeLocked(sess *session) {
 // that finished its movie or changed rate leaves the stripe. A beat that
 // finds no session left stops and parks the stripe for its key, or retires
 // it when its title already has maxParkedStripes parked.
-func (st *stripe) tick() {
+func (st *stripe) Run() {
 	s := st.srv
 	s.mu.Lock()
 	entries := st.entries

@@ -436,7 +436,7 @@ func Run(sc Scenario) *Result {
 	if sc.Record != 0 {
 		peers := rt.Peers()
 		var sampler clock.Periodic
-		sampler.Start(clk, sc.SampleEvery, sc.SampleEvery, func() {
+		sampler.Start(clk, sc.SampleEvery, sc.SampleEvery, clock.Func(func() {
 			t := rt.elapsed()
 			if rt.client != nil {
 				cnt, occ := rt.client.Counters(), rt.client.Occupancy()
@@ -463,7 +463,7 @@ func Run(sc Scenario) *Result {
 				rt.EachServer(func(_ string, s *server.Server) { vb += s.Stats().VideoBytes })
 				res.VideoBytesCum.Add(t, float64(vb))
 			}
-		})
+		}))
 		defer sampler.Stop()
 	}
 	clk.Advance(sc.Duration)

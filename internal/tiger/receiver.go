@@ -34,7 +34,7 @@ func NewReceiver(clk clock.Clock, network transport.Network, addr transport.Addr
 	}
 	ep.SetHandler(r.onPacket)
 	period := time.Second / time.Duration(fps)
-	r.task.Start(clk, period, period, func() { r.pipeline.Tick() })
+	r.task.Start(clk, period, period, clock.Func(func() { r.pipeline.Tick() }))
 	return r, nil
 }
 

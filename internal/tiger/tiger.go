@@ -84,7 +84,7 @@ func New(cfg Config) (*Service, error) {
 			streams:   make(map[transport.Addr]*stream),
 		}
 		ep.SetHandler(c.onPacket)
-		c.hbTask.Start(cfg.Clock, heartbeatInterval, heartbeatInterval, c.heartbeat)
+		c.hbTask.Start(cfg.Clock, heartbeatInterval, heartbeatInterval, clock.Func(c.heartbeat))
 		svc.cubs[id] = c
 	}
 	return svc, nil
@@ -154,7 +154,7 @@ func (c *cub) startStream(clientAddr transport.Addr) {
 	}
 	st := &stream{}
 	period := time.Second / time.Duration(c.svc.cfg.Movie.FPS())
-	st.task.Start(c.svc.cfg.Clock, period, period, func() { c.slot(clientAddr, st) })
+	st.task.Start(c.svc.cfg.Clock, period, period, clock.Func(func() { c.slot(clientAddr, st) }))
 	c.streams[clientAddr] = st
 }
 

@@ -32,6 +32,10 @@ const (
 type Mux struct {
 	ep Endpoint
 
+	// refs is ep's RefSender extension, asserted once here rather than on
+	// every send; nil when the endpoint (UDP) has none.
+	refs RefSender
+
 	// chans holds one slot per ChannelID, indexed by the ID: dispatch runs
 	// once per delivered datagram — millions of times in a scale run — and
 	// finds its channel with one atomic load.
@@ -45,6 +49,7 @@ const lastChannel = ChannelBulkReply
 // ep.SetHandler afterwards.
 func NewMux(ep Endpoint) *Mux {
 	m := &Mux{ep: ep}
+	m.refs, _ = ep.(RefSender)
 	ep.SetHandler(m.dispatch)
 	return m
 }
@@ -61,9 +66,6 @@ func (m *Mux) Channel(id ChannelID) *Channel {
 		return ch
 	}
 	ch := &Channel{mux: m, id: id}
-	// The underlying endpoint's optional no-copy path is resolved once
-	// here instead of being type-asserted on every send.
-	ch.refs, _ = m.ep.(RefSender)
 	if !slot.CompareAndSwap(nil, ch) {
 		return slot.Load() // a concurrent first call won
 	}
@@ -87,25 +89,26 @@ func (m *Mux) dispatch(from Addr, payload []byte) {
 	if ch == nil {
 		return // no listener on this plane; drop like UDP would
 	}
-	if h := ch.handler.Load(); h != nil {
-		(*h)(from, payload[1:])
+	if h, _ := ch.handler.Load().(Handler); h != nil {
+		h(from, payload[1:])
 	}
 }
 
 // Channel is one logical plane of a Mux: an Endpoint whose datagrams carry
 // the channel's ID byte, plus a preframed send path for payloads that were
 // built with that byte already in front.
+//
+// The endpoint's RefSender is kept on the Mux, so with the handler's two-word
+// slot a Channel is 88 bytes on 64-bit platforms, in the 96-byte size class.
 type Channel struct {
 	mux *Mux
 	id  ChannelID
 
-	// refs is the underlying endpoint's RefSender extension, asserted once
-	// at channel creation; nil when the endpoint (UDP) has none.
-	refs RefSender
-
-	// handler is an atomic pointer rather than a mutex-guarded field:
-	// dispatch reads it per delivered datagram, installs are rare.
-	handler atomic.Pointer[Handler]
+	// handler holds a Handler, nil or not, in an atomic.Value rather than a
+	// mutex-guarded field: dispatch reads it per delivered datagram. A func
+	// value is one pointer, so storing it boxes nothing and SetHandler does
+	// not allocate.
+	handler atomic.Value
 
 	sendMu     sync.Mutex
 	scratch    []byte    // reusable framing buffer, guarded by sendMu
@@ -145,8 +148,8 @@ type Dest struct {
 // Resolve prepares to for the preframed send methods.
 func (c *Channel) Resolve(to Addr) Dest {
 	d := Dest{addr: to, ref: noAddrRef}
-	if c.refs != nil {
-		d.ref = c.refs.ResolveAddr(to)
+	if c.mux.refs != nil {
+		d.ref = c.mux.refs.ResolveAddr(to)
 	}
 	return d
 }
@@ -184,10 +187,10 @@ func (c *Channel) SendPreframed(to Dest, payload []byte) error {
 	if err := c.checkPreframed(to, payload); err != nil {
 		return err
 	}
-	if c.refs == nil {
+	if c.mux.refs == nil {
 		return c.sendPlain(to, payload)
 	}
-	return c.refs.SendStableRef(to.ref, payload)
+	return c.mux.refs.SendStableRef(to.ref, payload)
 }
 
 // SendPreframedBatch is the fan-out form of SendPreframed: payloads[i] goes
@@ -205,7 +208,7 @@ func (c *Channel) SendPreframedBatch(dsts []Dest, payloads [][]byte) error {
 			return err
 		}
 	}
-	if c.refs == nil {
+	if c.mux.refs == nil {
 		var first error
 		for i, p := range payloads {
 			if err := c.sendPlain(dsts[i], p); err != nil && first == nil {
@@ -221,16 +224,10 @@ func (c *Channel) SendPreframedBatch(dsts []Dest, payloads [][]byte) error {
 		refs = append(refs, d.ref)
 	}
 	c.refScratch = refs[:0]
-	return c.refs.SendStableRefBatch(refs, payloads)
+	return c.mux.refs.SendStableRefBatch(refs, payloads)
 }
 
-func (c *Channel) SetHandler(h Handler) {
-	if h == nil {
-		c.handler.Store(nil)
-		return
-	}
-	c.handler.Store(&h)
-}
+func (c *Channel) SetHandler(h Handler) { c.handler.Store(h) }
 
 // Close detaches this channel's handler; the shared endpoint stays open for
 // the other planes.
