@@ -144,15 +144,15 @@ func TestAllocsLeasedViewerSetup(t *testing.T) {
 
 // stripedStreamingAllocs measures one warm simulated second of leased
 // streaming: viewers leased viewers of one title on one server, ~30 stripe
-// beats each moving through stripe walk → per-session pacing → batch collect
-// → one preframed batch send → one pooled netsim broadcast event, plus
+// beats each moving through stripe walk → per-session pacing → one preframed
+// send per viewer → one pooled netsim delivery event per viewer, plus
 // renewals and the half-second state sync.
 func stripedStreamingAllocs(t *testing.T, viewers int) float64 {
 	t.Helper()
 	clk, net, srv := leaseServer(t)
 	defer srv.Stop()
 	crowd := leasedCrowd(t, clk, net, viewers)
-	clk.Advance(10 * time.Second) // warm: pools, stripe, batch record, flow control settled
+	clk.Advance(10 * time.Second) // warm: pools, stripe, delivery records, flow control settled
 
 	before := crowd[0].Counters().Displayed
 	allocs := testing.AllocsPerRun(10, func() { clk.Advance(time.Second) })
@@ -165,8 +165,8 @@ func stripedStreamingAllocs(t *testing.T, viewers int) float64 {
 // TestAllocsStripedStreaming pins the striped steady state with one viewer:
 // the budget is a small constant, far below the ~30 frames the second moves,
 // so a single allocation anywhere on the per-frame path (the stripe walk,
-// the pacing body, the batch flush, the dense-index network send) would blow
-// it by an order of magnitude.
+// the pacing body, the dense-index network send) would blow it by an order
+// of magnitude.
 func TestAllocsStripedStreaming(t *testing.T) {
 	// ~30 stripe ticks per simulated second: a budget of 30 is the "at most
 	// one alloc per stripe tick" line, and the renewal/sync background fits
@@ -179,21 +179,21 @@ func TestAllocsStripedStreaming(t *testing.T) {
 	t.Logf("striped streaming = %v allocs per simulated second (budget %d)", allocs, budget)
 }
 
-// TestAllocsBroadcastStreaming pins the fan-out: eight viewers that opened
-// at the same instant share one stripe, so every beat is one eight-way
-// batch. The budget does not grow with the batch width — collecting,
-// flushing, scheduling and firing a beat allocates nothing per destination;
-// what eight viewers add is only their own renewals.
-func TestAllocsBroadcastStreaming(t *testing.T) {
+// TestAllocsSharedStripeStreaming pins the shared stripe: eight viewers that
+// opened at the same instant share one stripe, so every beat walks eight
+// sessions and sends eight frames. The budget does not grow with the viewer
+// count — walking, pacing, sending and delivering a beat allocates nothing
+// per destination; what eight viewers add is only their own renewals.
+func TestAllocsSharedStripeStreaming(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds Puts under the race detector, once per viewer")
 	}
 	const budget = 30
 	allocs := stripedStreamingAllocs(t, 8)
 	if allocs > budget {
-		t.Fatalf("broadcast streaming = %v allocs per simulated second, budget %d", allocs, budget)
+		t.Fatalf("shared-stripe streaming = %v allocs per simulated second, budget %d", allocs, budget)
 	}
-	t.Logf("broadcast streaming = %v allocs per simulated second (budget %d)", allocs, budget)
+	t.Logf("shared-stripe streaming = %v allocs per simulated second (budget %d)", allocs, budget)
 }
 
 // TestAllocsLeasedCrowdSteadyState is the pin the single-viewer tests above

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -153,42 +152,6 @@ func TestAllocsColdNetworkSmallSends(t *testing.T) {
 	if want := uint64(recordSlabs + byteSlabs); got > want {
 		t.Fatalf("%d cold sends of %d B = %d allocs, want ≤ %d (%d record slabs + %d byte slabs)",
 			sends, size, got, want, recordSlabs, byteSlabs)
-	}
-}
-
-// TestAllocsColdBroadcastRecord: a fresh broadcast record sizes its two
-// slices to the batch once instead of doubling its way up, so a 200-wide
-// batch costs the record and two slices.
-func TestAllocsColdBroadcastRecord(t *testing.T) {
-	const width = 200
-	frame := make([]byte, 1200)
-	got := coldMallocs(func() func() {
-		net := New(warmClock(1), 1, Profile{Delay: time.Millisecond})
-		a, err := net.NewEndpoint("a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs := a.(transport.RefSender)
-		dsts := make([]transport.AddrRef, width)
-		payloads := make([][]byte, width)
-		for i := range dsts {
-			id := transport.Addr(fmt.Sprintf("viewer-%d", i))
-			if _, err := net.NewEndpoint(id); err != nil {
-				t.Fatal(err)
-			}
-			dsts[i], payloads[i] = refs.ResolveAddr(id), frame
-		}
-		return func() {
-			if err := refs.SendStableRefBatch(dsts, payloads); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	// 3 = record, dsts, payloads. Under the race detector slices.Grow's
-	// append(make) is not fused and each slice costs one more; the doubling
-	// ladder cost 19.
-	if got > 5 {
-		t.Fatalf("a cold %d-wide batch = %d allocs, want 3 (5 under -race)", width, got)
 	}
 }
 

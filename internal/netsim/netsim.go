@@ -102,13 +102,7 @@ type Network struct {
 	// records that own a copy buffer of capacity 64<<c. A copied send
 	// takes from its own class, so a buffer is never regrown, and a stable
 	// send never ties up a buffer it does not use.
-	freeD [1 + bufClasses]*delivery
-	freeB *broadcast // free list of batched fan-out events
-	// bcastH/bcastD are broadcast.Run's handler/payload snapshot scratch,
-	// reused across batch events (events fire one at a time, and handlers
-	// never re-enter run); capacity stays warm at the largest batch size.
-	bcastH  []transport.Handler
-	bcastD  [][]byte
+	freeD   [1 + bufClasses]*delivery
 	slabD   *deliverySlab // newest slab new records are carved from; older ones chain through prev
 	slabDN  int           // records already carved from slabD
 	slabB   []byte        // what is left of the slab small copy buffers are carved from
@@ -253,8 +247,6 @@ func (n *Network) Reset(seed int64, def Profile) (open int) {
 	n.egressRate, n.egressNext = n.egressRate[:0], n.egressNext[:0]
 	n.live, n.extraLoss, n.sweepIn = 0, 0, 0
 	n.obs, n.ctrSent, n.ctrDeliv, n.ctrDrop, n.ctrBytes = nil, nil, nil, nil, nil
-	clear(n.bcastH[:cap(n.bcastH)]) // handlers reach the old world
-	clear(n.bcastD[:cap(n.bcastD)])
 	n.freeD = [1 + bufClasses]*delivery{}
 	for s, k := n.slabD, n.slabDN; s != nil; s, k = s.prev, deliverySlabSize {
 		for i := range s.d[:k] {
@@ -443,8 +435,7 @@ type fate interface {
 	copies(from, to int32, prof Profile, extraLoss float64) int
 	// jitter returns the random part of one copy's delay, in [0,
 	// prof.Jitter). It is called once per copy, in the order the copies are
-	// scheduled, and only on a jittered link: a batch coalesces the members
-	// of an unjittered one, so no fate may move their delivery times.
+	// scheduled, and only on a jittered link.
 	jitter(from, to int32, prof Profile) time.Duration
 }
 
@@ -471,60 +462,43 @@ func (f seededFate) jitter(_, _ int32, prof Profile) time.Duration {
 	return time.Duration(f.rng.Int63n(int64(prof.Jitter)))
 }
 
-// admitLocked decides one packet's fate, the same way for a single send and
-// for each member of a batch: it counts the send, checks the route (to may be
-// -1, an address never interned, or any out-of-range reference) and the
-// blocks, and asks the fate how many copies arrive. A packet it does not
-// admit is counted dropped and gets copies 0; only an unroutable one also
-// gets an error. Caller holds n.mu.
-func (n *Network) admitLocked(from, to int32) (copies int, err error) {
+// sendLocked sends one packet, with both addresses already resolved to IDs:
+// it counts the send, checks the route (to may be -1, an address never
+// interned, or any out-of-range reference) and the blocks, asks the fate how
+// many copies arrive, and puts each copy in flight as its own delivery event
+// with its own transit time. A packet it does not admit is counted dropped;
+// only an unroutable one also returns an error.
+//
+// The sender may reuse its buffer after Send returns, as with UDP (the kernel
+// copies), so unless the payload is stable each copy takes its own copy
+// buffer and the handlers never share backing storage. When stable is true
+// the payload is caller-guaranteed immutable and every copy, duplicates
+// included, aliases it; admission and timing are identical either way (same
+// draws, same serialization on len(payload)), so a run using stable sends
+// replays byte-for-byte like one that copies. Caller holds n.mu.
+func (n *Network) sendLocked(from, to int32, payload []byte, stable bool) error {
 	n.ctrSent.Inc()
 	if to < 0 || int(to) >= len(n.eps) || n.eps[to] == nil {
 		// Never bound. A crashed node is not this case: its endpoint is
 		// kept, closed, and the packet is dropped on delivery.
-		n.dropLocked(1)
-		return 0, errNoRoute
+		n.ctrDrop.Inc()
+		return errNoRoute
 	}
 	if len(n.blocked) > 0 && n.blocked[idPair{from, to}] {
-		n.dropLocked(1)
-		return 0, nil // silently lost, like a partitioned UDP packet
+		n.ctrDrop.Inc()
+		return nil // silently lost, like a partitioned UDP packet
 	}
-	if copies = n.fate.copies(from, to, n.def, n.extraLoss); copies == 0 {
-		n.dropLocked(1)
+	copies := n.fate.copies(from, to, n.def, n.extraLoss)
+	if copies == 0 {
+		n.ctrDrop.Inc()
+		return nil
 	}
-	return copies, nil
-}
-
-// scheduleLocked puts the copies of one admitted packet in flight, each its
-// own delivery event with its own transit time. The sender may reuse its
-// buffer after Send returns, as with UDP (the kernel copies), so unless the
-// payload is stable each copy takes its own copy buffer and the handlers
-// never share backing storage; an immutable stable payload is safe to share
-// even between duplicates. Caller holds n.mu.
-func (n *Network) scheduleLocked(from, to int32, payload []byte, stable bool, copies int) {
 	for i := 0; i < copies; i++ {
 		d := n.newDeliveryLocked(from, to, payload, stable)
 		clock.Schedule(n.clk, n.transitTimeLocked(from, to, len(payload)), d)
 	}
-}
-
-// dropLocked counts k packets lost. Caller holds n.mu.
-func (n *Network) dropLocked(k uint64) {
-	n.ctrDrop.Add(k)
-}
-
-// sendLocked sends one packet, with both addresses already resolved to IDs.
-// When stable is true the payload is caller-guaranteed immutable and the
-// delivery aliases it instead of copying; admission and timing are identical
-// either way (same draws, same serialization on len(payload)), so a run using
-// stable sends replays byte-for-byte like one that copies.
-func (n *Network) sendLocked(from, to int32, payload []byte, stable bool) error {
-	copies, err := n.admitLocked(from, to)
-	if copies > 0 {
-		n.scheduleLocked(from, to, payload, stable, copies)
-		n.maybeSweepLocked(1)
-	}
-	return err
+	n.maybeSweepLocked()
+	return nil
 }
 
 // delivery is one in-flight packet: its payload plus the routing info its
@@ -642,7 +616,7 @@ func (d *delivery) Run() {
 		h = ep.handler
 	}
 	if h == nil {
-		n.dropLocked(1)
+		n.ctrDrop.Inc()
 		d.recycleLocked()
 		n.mu.Unlock()
 		return
@@ -696,12 +670,9 @@ const sweepPeriod = 4096
 // entry behaves identically to an absent one, so dropping it is invisible to
 // the simulation, and long capacity sweeps across many node pairs no longer
 // accumulate dead link state forever. Reaping is order-independent and
-// consumes no randomness, so replays are unaffected. sends is how many
-// packet transmissions the caller just performed (a batched fan-out credits
-// its whole width, keeping sweep cadence proportional to traffic). Caller
-// holds n.mu.
-func (n *Network) maybeSweepLocked(sends int) {
-	n.sweepIn -= sends
+// consumes no randomness, so replays are unaffected. Caller holds n.mu.
+func (n *Network) maybeSweepLocked() {
+	n.sweepIn--
 	if n.sweepIn > 0 {
 		return
 	}

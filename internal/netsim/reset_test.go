@@ -11,11 +11,10 @@ import (
 )
 
 // TestResetMatchesNew: a network Reset on its reset clock — after a run that
-// left packets and a batch in flight, endpoints open, links blocked, a loss
-// burst and a registry attached — delivers a lossy,
-// jittered workload exactly as New does on a fresh clock: the same packets,
-// at the same instants, with the same counters; and the old registry counts
-// nothing more.
+// left copied and stable packets in flight, endpoints open, links blocked, a
+// loss burst and a registry attached — delivers a lossy, jittered workload
+// exactly as New does on a fresh clock: the same packets, at the same
+// instants, with the same counters; and the old registry counts nothing more.
 func TestResetMatchesNew(t *testing.T) {
 	prof := WAN()
 	prof.Loss, prof.Duplicate = 0.1, 0.05
@@ -34,7 +33,8 @@ func TestResetMatchesNew(t *testing.T) {
 	refs := a.(transport.RefSender)
 	for i := 0; i < 300; i++ {
 		_ = a.Send("b", make([]byte, 40+i))
-		_ = refs.SendStableRefBatch([]transport.AddrRef{refs.ResolveAddr("b"), refs.ResolveAddr("c")}, [][]byte{{1}, {2}})
+		_ = refs.SendStableRef(refs.ResolveAddr("b"), []byte{1})
+		_ = refs.SendStableRef(refs.ResolveAddr("c"), []byte{2})
 	}
 	clk.Advance(30 * time.Millisecond)
 	regBefore := reg.Snapshot()

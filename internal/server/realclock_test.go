@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
 	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -185,5 +188,102 @@ func TestRealClockQueuedSessionViewsInOrder(t *testing.T) {
 	if sess.ready || !sess.lapsed || sess.pacing {
 		t.Errorf("after in, out, in, out: ready %v, lapsed %v, pacing %v, want a lapsed session that does not stream",
 			sess.ready, sess.lapsed, sess.pacing)
+	}
+}
+
+// TestRealClockStripeViewerStops runs one stripe on the real clock, whose
+// beats fire on timer goroutines and send each viewer's frame from inside the
+// walk. Four leased viewers share the stripe; one stops mid-stream (its VCR
+// Stop is handled under the server lock between beats). The other three keep
+// receiving, the stopped one receives nothing more, and once the server's
+// Stop returns nothing more is sent to anyone.
+func TestRealClockStripeViewerStops(t *testing.T) {
+	network := netsim.New(clock.Real{}, 1, netsim.LAN())
+	movie := mpeg.Generate("m", mpeg.StreamConfig{Duration: 10 * time.Second, Seed: 1})
+	cat := store.NewCatalog()
+	cat.Add(movie)
+	s, err := New(Config{ID: "s1", Clock: clock.Real{}, Network: network, Catalog: cat, Peers: []string{"s1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+
+	var got [4]atomic.Int64
+	counts := func() (c [4]int64) {
+		for i := range got {
+			c[i] = got[i].Load()
+		}
+		return c
+	}
+	for i := range got {
+		ep, err := network.NewEndpoint(transport.Addr(fmt.Sprintf("v%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.SetHandler(func(transport.Addr, []byte) { got[i].Add(1) })
+	}
+	// Opened in one lock hold, so in one phase slot and on one stripe, unless
+	// the real clock crossed a slot boundary between two opens: then the
+	// four are dropped, before any beat, and opened again.
+	var sessions [4]*session
+	for try := 1; ; try++ {
+		s.mu.Lock()
+		shared := true
+		for i := range sessions {
+			id := fmt.Sprintf("v%d", i)
+			sessions[i] = s.startSessionLocked(wire.ClientRecord{ClientID: id, ClientAddr: id, Rate: 30, Leased: true}, movie, false)
+			shared = shared && sessions[i].stripe == sessions[0].stripe
+		}
+		if !shared {
+			for _, sess := range sessions {
+				s.dropSessionLocked(sess)
+			}
+		}
+		s.mu.Unlock()
+		if shared {
+			break
+		}
+		if try == 10 {
+			t.Fatal("ten tries at four sessions on one stripe")
+		}
+	}
+	waitCounts := func(what string, cond func(c [4]int64) bool) [4]int64 {
+		t.Helper()
+		for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if c := counts(); cond(c) {
+				return c
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s within 3 s: received %v", what, counts())
+			}
+		}
+	}
+	start := waitCounts("every viewer has five frames", func(c [4]int64) bool { return min(c[0], c[1], c[2], c[3]) >= 5 })
+
+	s.mu.Lock()
+	s.handleVCRLocked(sessions[1], &wire.VCR{ClientID: "v1", Op: wire.VCRStop})
+	s.mu.Unlock()
+	time.Sleep(20 * time.Millisecond) // a frame already in flight lands
+	stopped := got[1].Load()
+	waitCounts("the other viewers keep receiving", func(c [4]int64) bool {
+		return min(c[0]-start[0], c[2]-start[2], c[3]-start[3]) >= 10
+	})
+	if n := got[1].Load(); n != stopped {
+		t.Errorf("the stopped viewer received %d more frames", n-stopped)
+	}
+
+	s.Stop()
+	sent := s.Stats().FramesSent
+	time.Sleep(20 * time.Millisecond)
+	before := counts()
+	time.Sleep(200 * time.Millisecond) // six beats' worth
+	if n := s.Stats().FramesSent; n != sent {
+		t.Errorf("%d frames sent after Stop", n-sent)
+	}
+	if after := counts(); after != before {
+		t.Errorf("viewers received %v after Stop, %v before", after, before)
 	}
 }

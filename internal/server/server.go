@@ -260,13 +260,6 @@ type Server struct {
 	// Guarded by mu; both nil until the first attach.
 	stripes       map[stripeKey]*stripe
 	parkedStripes map[string]int
-
-	// The stripe beat's batch: a stripe walk appends each frame it sends
-	// here, and flushes the whole batch in one network call after the walk. The slices keep their
-	// capacity across beats, so a warm beat collects and flushes without
-	// allocating. Guarded by mu.
-	txDsts []transport.Dest
-	txPkts [][]byte
 }
 
 // New creates a server. Call Start to bring it online.

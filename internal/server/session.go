@@ -76,7 +76,7 @@ type session struct {
 
 	// group and the two handlers are built once in startSessionLocked and
 	// reused by every join retry, which would otherwise rebuild them on each
-	// attempt.
+	// attempt. A leased session joins no group and leaves all three unset.
 	group    string
 	onViewFn func(gcs.View)
 	onMsgFn  func(string, gcs.ProcessID, []byte)
@@ -112,17 +112,17 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 	s.sessions[rec.ClientID] = sess
 	clientID := rec.ClientID
 	sess.decayTask.Start(s.cfg.Clock, time.Second, time.Second, (*sessionDecay)(sess))
-	sess.group = wire.SessionGroup(clientID)
 	if rec.Leased {
 		// Two-tier membership: a leased session has no session group to
 		// join and no view to wait for — control arrives as direct
 		// datagrams and frames were always point-to-point — so streaming
-		// starts the moment the session exists. The group name is still
-		// reported in the OpenReply for symmetry; nothing joins it.
+		// starts the moment the session exists, and its OpenReply names
+		// no group.
 		sess.ready = true
 		sess.schedulePacingLocked()
 		return sess
 	}
+	sess.group = wire.SessionGroup(clientID)
 	sess.onViewFn = sess.queueView
 	sess.onMsgFn = func(_ string, from gcs.ProcessID, payload []byte) {
 		s.handleSessionMessage(clientID, from, payload)

@@ -9,15 +9,18 @@ import (
 // Striped egress is how the leased tier is paced: leased sessions that
 // share a movie and a send period attach to one coalesced ticker — the
 // stripe — instead of each arming a dedicated pacing timer. A beat is one
-// event that walks a flat entry slice in attach order and hands its frames
-// to the network as one batch. How many sessions a beat carries is set by
-// what they share, not by how many watch the title: at the headline
-// two-tier scale a server streams one title to ~200 viewers, but flow
-// control gives each session its own period and there are 16 phase slots,
-// so the 50×10k row measured 693,856 beats carrying 3,000,000 frames — 4.3
-// sessions per beat (2.5 on 10×1k). Every per-session decision (thinning,
-// degrade, shaper tokens, end-of-movie) still runs per session inside the
-// walk, via the same paceTickLocked body the dedicated timer uses.
+// event that walks a flat entry slice in attach order and sends each
+// session's frame as the walk reaches it, through the same SendPreframed
+// call the dedicated timer makes: one datagram per viewer, each with its
+// own transit time, as the paper sends them. How many sessions a beat
+// carries is set by what they share, not by how many watch the title: at
+// the headline two-tier scale a server streams one title to ~200 viewers,
+// but flow control gives each session its own period and there are 16
+// phase slots, so the 50×10k row measured 693,856 beats carrying 3,000,000
+// frames — 4.3 sessions per beat (2.5 on 10×1k). Every per-session decision
+// (thinning, degrade, shaper tokens, end-of-movie) still runs per session
+// inside the walk, via the same paceTickLocked body the dedicated timer
+// uses.
 //
 // A stripe outlives its sessions. The beat that finds it empty stops and
 // parks it for its key, and the next attach there restarts the beat on the
@@ -26,10 +29,13 @@ import (
 // 9,172 stripes are made (DESIGN §8 has the rent). A server parks at most
 // maxParkedStripes per title and drops them at Stop.
 //
-// That factor of four pays the rent, narrowly (scale_table seed 1, two runs
-// each, 2-core container): with leased sessions on dedicated timers instead,
-// the table allocates less — allocs_k 703 → 568, every viewer still healthy —
-// but its cpu_s goes from 23.3–26.0 to 27.2–28.9, so the stripe stays.
+// Whether that factor of four still pays the rent is open. A beat saves
+// only a timer event per extra session: every frame is its own network
+// delivery either way. With leased sessions on dedicated timers instead
+// (scale_table seed 1, three alternating pairs, 2-core container), the
+// table allocates less — allocs_k 590.7 → 538.0, alloc_mb 147.4 → 141.3,
+// with the same sim_digest — and its cpu_s, 31.0–35.0 against the stripe's
+// 30.0–32.3, is within the host's noise.
 //
 // Determinism: stripes are created, attached to and walked in simulation
 // event order; their maps (Server.stripes, parkedStripes) are iterated only
@@ -109,14 +115,14 @@ func (s *Server) attachStripeLocked(sess *session) {
 }
 
 // Run is one stripe beat: walk the attached sessions in attach order,
-// advance each by one frame, compact detached entries in place, and flush
-// the beat's frames in a single batched network call — still inside this
-// same clock event and lock hold, so RNG draws and egress arithmetic happen
-// in walk order. A session whose shaper draw failed last beat skips this
-// one (shedSkip), reproducing the dedicated timer's 2×-period retry; one
-// that finished its movie or changed rate leaves the stripe. A beat that
-// finds no session left stops and parks the stripe for its key, or retires
-// it when its title already has maxParkedStripes parked.
+// advance each by one frame and send it, and compact detached entries in
+// place, all inside this one clock event and lock hold, so RNG draws and
+// egress arithmetic happen in walk order. A session whose shaper draw
+// failed last beat skips this one (shedSkip), reproducing the dedicated
+// timer's 2×-period retry; one that finished its movie or changed rate
+// leaves the stripe. A beat that finds no session left stops and parks the
+// stripe for its key, or retires it when its title already has
+// maxParkedStripes parked.
 func (st *stripe) Run() {
 	s := st.srv
 	s.mu.Lock()
@@ -134,8 +140,7 @@ func (st *stripe) Run() {
 				outcome, pkt := sess.paceTickLocked()
 				sess.shedSkip = outcome == txShed
 				if pkt != nil {
-					s.txDsts = append(s.txDsts, sess.dst)
-					s.txPkts = append(s.txPkts, pkt)
+					_ = s.vid.SendPreframed(sess.dst, pkt)
 				}
 			}
 		}
@@ -154,11 +159,6 @@ func (st *stripe) Run() {
 	}
 	clear(entries[k:])
 	st.entries = entries[:k]
-	if len(s.txDsts) > 0 {
-		_ = s.vid.SendPreframedBatch(s.txDsts, s.txPkts)
-		s.txDsts = s.txDsts[:0]
-		s.txPkts = s.txPkts[:0]
-	}
 	if k == 0 && !s.closed {
 		st.task.Stop()
 		if st.parked = s.parkedStripes[st.key.movie] < maxParkedStripes; st.parked {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
 	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -19,6 +20,7 @@ import (
 type stripeRig struct {
 	t     *testing.T
 	clk   *clock.Virtual
+	net   *netsim.Network
 	s     *Server
 	movie *mpeg.Movie
 }
@@ -29,7 +31,8 @@ func newStripeRig(t *testing.T, flow flowctl.Params) *stripeRig {
 	movie := mpeg.Generate("m", mpeg.StreamConfig{Duration: 60 * time.Second, Seed: 1})
 	cat := store.NewCatalog()
 	cat.Add(movie)
-	s, err := New(Config{ID: "s1", Clock: clk, Network: netsim.New(clk, 1, netsim.Profile{}), Catalog: cat, Peers: []string{"s1"}, Flow: flow})
+	net := netsim.New(clk, 1, netsim.Profile{})
+	s, err := New(Config{ID: "s1", Clock: clk, Network: net, Catalog: cat, Peers: []string{"s1"}, Flow: flow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func newStripeRig(t *testing.T, flow flowctl.Params) *stripeRig {
 	s.leasesLocked() // its sweep is a standing timer from the first leased Open on
 	s.mu.Unlock()
 	clk.Advance(time.Second)
-	return &stripeRig{t: t, clk: clk, s: s, movie: movie}
+	return &stripeRig{t: t, clk: clk, net: net, s: s, movie: movie}
 }
 
 // open starts a leased session at rate, which attaches it to a stripe at
@@ -136,6 +139,46 @@ func TestStripeParkedForItsKey(t *testing.T) {
 	r.clk.Advance(3 * period)
 	if got := r.s.Stats().FramesSent - sent; got != 3 {
 		t.Fatalf("the restarted stripe sent %d frames in three periods, want 3", got)
+	}
+}
+
+// TestStripeFramesArriveInTheirTrain: two leased sessions on one stripe send
+// their frames in the same beat, one after the other through the server's
+// egress limit, so the frames form a serialization train. Each frame arrives
+// at its own transit time: the one sent first in walk order arrives first,
+// and the second exactly its own serialization time later, as two single
+// sends would. No frame waits for the last slot of the train.
+func TestStripeFramesArriveInTheirTrain(t *testing.T) {
+	r := newStripeRig(t, flowctl.Params{})
+	const egress = 1000 * 1000 // B/s: a frame of a few kB takes a few ms
+	r.net.SetEgressLimit("s1", egress)
+	type arrival struct {
+		at   time.Time
+		size int
+	}
+	got := map[string][]arrival{}
+	for _, id := range []string{"a", "b"} {
+		ep, err := r.net.NewEndpoint(transport.Addr(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.SetHandler(func(_ transport.Addr, p []byte) {
+			got[id] = append(got[id], arrival{r.clk.Now(), len(p)})
+		})
+	}
+	a, b := r.open("a", 30), r.open("b", 30)
+	if a.stripe == nil || a.stripe != b.stripe || a.stripePos != 0 {
+		t.Fatal("a and b should share a stripe, a first in walk order")
+	}
+	r.clk.Advance(3 * time.Second / 2)
+	if len(got["a"]) == 0 || len(got["a"]) != len(got["b"]) {
+		t.Fatalf("a received %d frames and b %d, want the same number, at least one", len(got["a"]), len(got["b"]))
+	}
+	for i, fa := range got["a"] {
+		fb := got["b"][i]
+		if want := time.Duration(int64(fb.size) * int64(time.Second) / egress); fb.at.Sub(fa.at) != want {
+			t.Fatalf("frame %d: b's arrived %v after a's, want %v, its own serialization time", i, fb.at.Sub(fa.at), want)
+		}
 	}
 }
 

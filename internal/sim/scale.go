@@ -35,9 +35,9 @@ var scalePoints = []scalePoint{
 // The table is reachable via -table scale but deliberately absent from
 // TableIDs: -table all and -list keep their exact pre-§12 output.
 //
-// Every viewer here is leased, so every stream is paced by a stripe and
-// leaves in batched beats — most of what makes the 10k-viewer row cheap
-// enough to regenerate casually.
+// Every viewer here is leased, so every stream is paced by a stripe: one
+// beat for the sessions that share a movie, rate and phase slot, each frame
+// sent on its own.
 //
 // Tests run it on reduced load points.
 func tableScale(seed int64, points []scalePoint) Table {

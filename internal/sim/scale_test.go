@@ -22,10 +22,20 @@ import (
 // delivered were re-recorded (430,379 and 430,113 before) when a decrease
 // from a full buffer began to end an emergency burst: the clients send 82
 // fewer flow-control requests (65,601 → 65,519), every other field as it was.
+// The clients' Displayed, Late and GapSkipped and net sent and delivered were
+// re-recorded (299,817, 183, 183, 430,297 and 430,031 before) when a stripe
+// beat began to send each frame on its own instead of as one batch delivered
+// at the batch's latest transit time: each frame now arrives at its own
+// place in the server's serialization train, so 182 frames that came after
+// their display instant now come before it. Late and GapSkipped move together
+// (a late frame is the gap the display skipped), and with fewer holes to
+// report the clients send 156 fewer flow-control requests (65,519 → 65,363,
+// 104 of them emergencies), which is all of the 156 fewer datagrams sent and
+// delivered; drops stay 55. Every server field, and the row, is as it was.
 const scaleFingerprint = `row 10 1000 10 1000 0 0.0 0 1.00
 servers {FramesSent:300000 VideoBytes:1758528300 SyncMessages:1300 SyncBytes:1322400 SessionsOpened:1000 Takeovers:0 Releases:0 Emergencies:1000 FramesThinned:0 AdmitsReserved:1000 AdmitsBestEffort:0 RefusalsReserved:0 RefusalsBestEffort:0 ShedTokens:0 DegradedFrames:0}
-clients {Received:300000 Displayed:299817 Late:183 OverflowDropped:0 OverflowDroppedI:0 GapSkipped:183 Stalls:0 MaxStallRun:0} opens 1000
-net sent 430297 delivered 430031`
+clients {Received:300000 Displayed:299999 Late:1 OverflowDropped:0 OverflowDroppedI:0 GapSkipped:1 Stalls:0 MaxStallRun:0} opens 1000
+net sent 430141 delivered 429875`
 
 // sumFields adds src's fields into dst's; both are structs of uint64s.
 func sumFields(dst, src any) {

@@ -12,11 +12,11 @@ import (
 
 // TestChannelSetHandlerAllocs: every client and server installs its channel
 // handlers at start, so SetHandler must not box the handler on the heap, and
-// the handler's slot must not push a Channel past the 96-byte size class.
+// the handler's slot must not push a Channel past the 64-byte size class.
 func TestChannelSetHandlerAllocs(t *testing.T) {
 	var ch transport.Channel
-	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(ch) > 96 {
-		t.Errorf("a Channel is %d B, want ≤ 96 (the 96-byte size class)", unsafe.Sizeof(ch))
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(ch) > 64 {
+		t.Errorf("a Channel is %d B, want ≤ 64 (the 64-byte size class)", unsafe.Sizeof(ch))
 	}
 	a, err := transport.ListenUDP("127.0.0.1:0", "")
 	if err != nil {

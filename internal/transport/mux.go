@@ -99,7 +99,7 @@ func (m *Mux) dispatch(from Addr, payload []byte) {
 // built with that byte already in front.
 //
 // The endpoint's RefSender is kept on the Mux, so with the handler's two-word
-// slot a Channel is 88 bytes on 64-bit platforms, in the 96-byte size class.
+// slot a Channel is 64 bytes on 64-bit platforms, in the 64-byte size class.
 type Channel struct {
 	mux *Mux
 	id  ChannelID
@@ -110,9 +110,8 @@ type Channel struct {
 	// not allocate.
 	handler atomic.Value
 
-	sendMu     sync.Mutex
-	scratch    []byte    // reusable framing buffer, guarded by sendMu
-	refScratch []AddrRef // reusable batch destination list, guarded by sendMu
+	sendMu  sync.Mutex
+	scratch []byte // reusable framing buffer, guarded by sendMu
 }
 
 var _ Endpoint = (*Channel)(nil)
@@ -159,8 +158,13 @@ func (c *Channel) Resolve(to Addr) Dest {
 // build time.
 func (c *Channel) Preframe() byte { return byte(c.id) }
 
-// checkPreframed rejects a payload that cannot go out on this channel as is.
-func (c *Channel) checkPreframed(to Dest, payload []byte) error {
+// SendPreframed sends a payload that already begins with Preframe() and is
+// immutable for the process lifetime (the RefSender obligation): no copy is
+// made to add the prefix, and a RefSender endpoint ships the caller's buffer
+// itself, as one delivery. Over an endpoint without the RefSender extension
+// the wire layout is identical and the endpoint copies. A payload that cannot
+// go out on this channel as is is refused before it reaches the endpoint.
+func (c *Channel) SendPreframed(to Dest, payload []byte) error {
 	if to.addr == "" {
 		return fmt.Errorf("channel %d: destination was not resolved by this channel", c.id)
 	}
@@ -170,61 +174,10 @@ func (c *Channel) checkPreframed(to Dest, payload []byte) error {
 	if len(payload) > MaxDatagram {
 		return fmt.Errorf("channel %d to %s: %w", c.id, to.addr, ErrTooLarge)
 	}
-	return nil
-}
-
-// sendPlain is the preframed methods' fallback over an endpoint without the
-// RefSender extension: the wire layout is identical, the endpoint copies.
-func (c *Channel) sendPlain(to Dest, payload []byte) error {
-	return c.mux.ep.Send(to.addr, payload)
-}
-
-// SendPreframed sends a payload that already begins with Preframe() and is
-// immutable for the process lifetime (the RefSender obligation): no copy is
-// made to add the prefix, and a RefSender endpoint ships the caller's buffer
-// itself, as one delivery.
-func (c *Channel) SendPreframed(to Dest, payload []byte) error {
-	if err := c.checkPreframed(to, payload); err != nil {
-		return err
-	}
 	if c.mux.refs == nil {
-		return c.sendPlain(to, payload)
+		return c.mux.ep.Send(to.addr, payload)
 	}
 	return c.mux.refs.SendStableRef(to.ref, payload)
-}
-
-// SendPreframedBatch is the fan-out form of SendPreframed: payloads[i] goes
-// to dsts[i], under the same prefix and immutability obligations. One
-// striped pacing beat goes through here as a single call — over a RefSender
-// endpoint, one network transmission event for the whole stripe instead of
-// one per viewer; otherwise one Send per entry. Every entry is attempted;
-// the first error is returned.
-func (c *Channel) SendPreframedBatch(dsts []Dest, payloads [][]byte) error {
-	if len(dsts) != len(payloads) {
-		return fmt.Errorf("channel %d: batch with %d destinations but %d payloads", c.id, len(dsts), len(payloads))
-	}
-	for i, p := range payloads {
-		if err := c.checkPreframed(dsts[i], p); err != nil {
-			return err
-		}
-	}
-	if c.mux.refs == nil {
-		var first error
-		for i, p := range payloads {
-			if err := c.sendPlain(dsts[i], p); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	refs := c.refScratch[:0]
-	for _, d := range dsts {
-		refs = append(refs, d.ref)
-	}
-	c.refScratch = refs[:0]
-	return c.mux.refs.SendStableRefBatch(refs, payloads)
 }
 
 func (c *Channel) SetHandler(h Handler) { c.handler.Store(h) }

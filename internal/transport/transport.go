@@ -60,7 +60,10 @@ const noAddrRef AddrRef = -1
 // the very same backing array to receiving handlers, so neither the sender
 // nor any receiver may ever write through it. Endpoints without such a path
 // (UDPEndpoint) don't implement the interface; a mux Channel falls back to
-// Send for them, which is always correct.
+// Send for them, which is always correct. Like Send, it carries one datagram
+// to one destination per call: a sender that fans a frame out to many
+// viewers calls it once per viewer, and each copy keeps its own loss draw
+// and its own transit time.
 type RefSender interface {
 	// ResolveAddr interns to and returns a reference that stays valid for
 	// the lifetime of the network, across crashes and rebinds of the
@@ -72,19 +75,6 @@ type RefSender interface {
 	// reference replays byte-for-byte like one sending by address — except
 	// that the payload is aliased, not copied.
 	SendStableRef(to AddrRef, payload []byte) error
-
-	// SendStableRefBatch transmits payloads[i] to dsts[i] for every i (the
-	// slices must be the same length); entries may alias one another — a
-	// broadcast hands the same backing array to every destination. The
-	// contract is equivalence with a loop: loss, duplication and
-	// per-destination link timing behave as if SendStableRef had been
-	// called once per destination in slice order, consuming the same random
-	// draws in the same order, so a run that batches its fan-out keeps
-	// aggregate statistics identical to one that loops. Implementations are
-	// free to coalesce the surviving deliveries into one scheduled event
-	// (netsim does); only per-delivery timing, never content or ordering
-	// among the batch, may differ from the loop.
-	SendStableRefBatch(dsts []AddrRef, payloads [][]byte) error
 }
 
 // Network creates endpoints. The simulated implementation wires them to a

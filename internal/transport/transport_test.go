@@ -224,12 +224,9 @@ func TestChannelPreframed(t *testing.T) {
 		if err := video.SendPreframed(dst, pkt); err != nil {
 			t.Fatal(err)
 		}
-		if err := video.SendPreframedBatch([]transport.Dest{dst, dst}, [][]byte{pkt, pkt}); err != nil {
-			t.Fatal(err)
-		}
 		clk.Drain(0)
-		if got != 3 {
-			t.Fatalf("plain=%v: delivered %d datagrams, want 3", plain, got)
+		if got != 1 {
+			t.Fatalf("plain=%v: delivered %d datagrams, want 1", plain, got)
 		}
 
 		if err := video.SendPreframed(dst, []byte{byte(transport.ChannelGCS), 'x'}); err == nil {
@@ -237,9 +234,6 @@ func TestChannelPreframed(t *testing.T) {
 		}
 		if err := video.SendPreframed(transport.Dest{}, pkt); err == nil {
 			t.Fatalf("plain=%v: unresolved destination accepted", plain)
-		}
-		if err := video.SendPreframedBatch([]transport.Dest{dst}, [][]byte{pkt, pkt}); err == nil {
-			t.Fatalf("plain=%v: batch length mismatch accepted", plain)
 		}
 	}
 }

@@ -247,12 +247,14 @@ func SessionGroup(clientID string) string { return "vod.session." + clientID }
 
 // OpenReply carries the session parameters back to the client, or an error.
 type OpenReply struct {
-	OK           bool
-	Error        string // set when !OK
-	Movie        string
-	TotalFrames  uint32 // length of the movie in frames
-	FPS          uint16 // nominal display rate
-	SessionGroup string // group the client must join for control traffic
+	OK          bool
+	Error       string // set when !OK
+	Movie       string
+	TotalFrames uint32 // length of the movie in frames
+	FPS         uint16 // nominal display rate
+	// SessionGroup is the group the client must join for control traffic,
+	// or "" for a leased session, which joins none.
+	SessionGroup string
 	// RetryAfterMs, when nonzero on a refusal, is the server's hint for how
 	// long the client should wait before retrying the Open (milliseconds).
 	// Encoded only when nonzero, as an optional trailing field.
