@@ -142,17 +142,17 @@ func TestAllocsLeasedViewerSetup(t *testing.T) {
 	t.Logf("leased viewer setup cycle = %v allocs (budget %d)", allocs, budget)
 }
 
-// stripedStreamingAllocs measures one warm simulated second of leased
-// streaming: viewers leased viewers of one title on one server, ~30 stripe
-// beats each moving through stripe walk → per-session pacing → one preframed
-// send per viewer → one pooled netsim delivery event per viewer, plus
-// renewals and the half-second state sync.
-func stripedStreamingAllocs(t *testing.T, viewers int) float64 {
+// leasedStreamingAllocs measures one warm simulated second of leased
+// streaming: viewers leased viewers of one title on one server, ~30 frames
+// each moving through its session's pacing timer → the pacing body → one
+// preframed send → one pooled netsim delivery event, plus renewals and the
+// half-second state sync.
+func leasedStreamingAllocs(t *testing.T, viewers int) float64 {
 	t.Helper()
 	clk, net, srv := leaseServer(t)
 	defer srv.Stop()
 	crowd := leasedCrowd(t, clk, net, viewers)
-	clk.Advance(10 * time.Second) // warm: pools, stripe, delivery records, flow control settled
+	clk.Advance(10 * time.Second) // warm: pools, timers, delivery records, flow control settled
 
 	before := crowd[0].Counters().Displayed
 	allocs := testing.AllocsPerRun(10, func() { clk.Advance(time.Second) })
@@ -162,38 +162,38 @@ func stripedStreamingAllocs(t *testing.T, viewers int) float64 {
 	return allocs
 }
 
-// TestAllocsStripedStreaming pins the striped steady state with one viewer:
+// TestAllocsLeasedStreaming pins the leased steady state with one viewer:
 // the budget is a small constant, far below the ~30 frames the second moves,
-// so a single allocation anywhere on the per-frame path (the stripe walk,
-// the pacing body, the dense-index network send) would blow it by an order
-// of magnitude.
-func TestAllocsStripedStreaming(t *testing.T) {
-	// ~30 stripe ticks per simulated second: a budget of 30 is the "at most
-	// one alloc per stripe tick" line, and the renewal/sync background fits
-	// inside it because the frame path itself measures zero.
+// so a single allocation anywhere on the per-frame path (the re-armed pacing
+// timer, the pacing body, the dense-index network send) would blow it by an
+// order of magnitude.
+func TestAllocsLeasedStreaming(t *testing.T) {
+	// ~30 pacing ticks per simulated second: a budget of 30 is the "at most
+	// one alloc per tick" line, and the renewal/sync background fits inside
+	// it because the frame path itself measures zero.
 	const budget = 30
-	allocs := stripedStreamingAllocs(t, 1)
+	allocs := leasedStreamingAllocs(t, 1)
 	if allocs > budget {
-		t.Fatalf("striped streaming = %v allocs per simulated second, budget %d", allocs, budget)
+		t.Fatalf("leased streaming = %v allocs per simulated second, budget %d", allocs, budget)
 	}
-	t.Logf("striped streaming = %v allocs per simulated second (budget %d)", allocs, budget)
+	t.Logf("leased streaming = %v allocs per simulated second (budget %d)", allocs, budget)
 }
 
-// TestAllocsSharedStripeStreaming pins the shared stripe: eight viewers that
-// opened at the same instant share one stripe, so every beat walks eight
-// sessions and sends eight frames. The budget does not grow with the viewer
-// count — walking, pacing, sending and delivering a beat allocates nothing
-// per destination; what eight viewers add is only their own renewals.
-func TestAllocsSharedStripeStreaming(t *testing.T) {
+// TestAllocsEightLeasedStreaming: eight viewers that opened at the same
+// instant pace on eight timers due together, so every frame instant sends
+// eight frames. The budget does not grow with the viewer count — pacing,
+// sending and delivering a frame allocates nothing per destination; what
+// eight viewers add is only their own renewals.
+func TestAllocsEightLeasedStreaming(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds Puts under the race detector, once per viewer")
 	}
 	const budget = 30
-	allocs := stripedStreamingAllocs(t, 8)
+	allocs := leasedStreamingAllocs(t, 8)
 	if allocs > budget {
-		t.Fatalf("shared-stripe streaming = %v allocs per simulated second, budget %d", allocs, budget)
+		t.Fatalf("eight-viewer leased streaming = %v allocs per simulated second, budget %d", allocs, budget)
 	}
-	t.Logf("shared-stripe streaming = %v allocs per simulated second (budget %d)", allocs, budget)
+	t.Logf("eight-viewer leased streaming = %v allocs per simulated second (budget %d)", allocs, budget)
 }
 
 // TestAllocsLeasedCrowdSteadyState is the pin the single-viewer tests above
@@ -213,7 +213,7 @@ func TestAllocsLeasedCrowdSteadyState(t *testing.T) {
 	clk, net, srv := leaseServer(t)
 	defer srv.Stop()
 	crowd := leasedCrowd(t, clk, net, viewers)
-	// Warm: pools and stripes, and the start-up emergency boosts every
+	// Warm: pools and timers, and the start-up emergency boosts every
 	// viewer asks for until its buffers first fill (over by ≈ 4.5 s).
 	clk.Advance(6 * time.Second)
 

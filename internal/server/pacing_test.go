@@ -14,20 +14,23 @@ import (
 	"repro/internal/transport"
 )
 
-// TestPacingMechanismFollowsTier: one server paces its leased viewers on
-// stripes and its session-group viewers on dedicated timers, at the same
-// time. The observable is the clock's standing event count. Leased viewers
-// that open at the same instant share one stripe ticker, and opening them a
-// few milliseconds apart instead puts each in its own phase slot — one more
-// standing event per viewer after the first. Session-group viewers hold a
-// timer each however they arrive, so spreading them changes nothing.
+// TestPacingMechanismFollowsTier: one server paces its leased viewers and its
+// session-group viewers the same way, at the same time — one standing pacing
+// event per streaming session. The observable is the clock's standing event
+// count. Opening the viewers of either tier a few milliseconds apart instead
+// of at one instant leaves it unchanged (a timer each either way), and a
+// pause of any one viewer takes exactly one event away: its session's
+// pacing timer.
 func TestPacingMechanismFollowsTier(t *testing.T) {
 	const k = 4
-	// 4 ms between opens: a stripe phase slot is 1/16 of the 33.3 ms frame
-	// period, so every viewer lands in a slot of its own.
 	const gap = 4 * time.Millisecond
 
-	standing := func(spreadLeased, spreadGroup bool) int {
+	// standing opens k leased and k session-group viewers, spreading the
+	// opens of either tier by gap, and returns the standing event count at
+	// 15 s, past the start-up emergency boosts, with every session back at
+	// the movie's nominal rate. A pause ≥ 0 is the index of a viewer (0 to
+	// k-1 leased, k to 2k-1 session-group) that pauses at 14 s.
+	standing := func(spreadLeased, spreadGroup bool, pause int) int {
 		// A delay-free network: nothing is in flight between clock steps,
 		// so the pending events are timers only.
 		r := newRig(t, netsim.Profile{}, "s1")
@@ -50,8 +53,12 @@ func TestPacingMechanismFollowsTier(t *testing.T) {
 		for i := 0; i < k; i++ {
 			open(r.startClient(fmt.Sprintf("member-%d", i), "s1"), spreadGroup)
 		}
-		// Past the start-up emergency boosts: every session is back at the
-		// movie's nominal rate.
+		r.clk.AdvanceTo(epoch.Add(14 * time.Second))
+		if pause >= 0 {
+			if err := viewers[pause].Pause(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		r.clk.AdvanceTo(epoch.Add(15 * time.Second))
 		for _, c := range viewers {
 			if got := c.Counters().Displayed; got < 300 {
@@ -66,12 +73,18 @@ func TestPacingMechanismFollowsTier(t *testing.T) {
 		return n
 	}
 
-	together := standing(false, false)
-	if got := standing(true, false); got != together+k-1 {
-		t.Errorf("spreading %d leased viewers over phase slots: %d standing events, want %d (one stripe each instead of one shared)", k, got, together+k-1)
+	together := standing(false, false, -1)
+	if got := standing(true, false, -1); got != together {
+		t.Errorf("spreading %d leased viewers: %d standing events, want %d (a timer each either way)", k, got, together)
 	}
-	if got := standing(false, true); got != together {
+	if got := standing(false, true, -1); got != together {
 		t.Errorf("spreading %d session-group viewers: %d standing events, want %d (a timer each either way)", k, got, together)
+	}
+	if got := standing(false, false, 0); got != together-1 {
+		t.Errorf("pausing a leased viewer: %d standing events, want %d (its pacing timer gone)", got, together-1)
+	}
+	if got := standing(false, false, k); got != together-1 {
+		t.Errorf("pausing a session-group viewer: %d standing events, want %d (its pacing timer gone)", got, together-1)
 	}
 }
 
@@ -88,7 +101,7 @@ func (n plainNetwork) NewEndpoint(addr transport.Addr) (transport.Endpoint, erro
 	return struct{ transport.Endpoint }{ep}, nil
 }
 
-// TestLeasedStreamOverPlainEndpoint: the stripe's batched beat must reach
+// TestLeasedStreamOverPlainEndpoint: a leased session's frames must reach
 // its viewer through an endpoint without the RefSender extension too — the
 // video channel falls back to one plain Send per frame. No daemon turns
 // leases on yet, so this is the only thing that runs that fallback.

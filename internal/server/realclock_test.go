@@ -191,13 +191,13 @@ func TestRealClockQueuedSessionViewsInOrder(t *testing.T) {
 	}
 }
 
-// TestRealClockStripeViewerStops runs one stripe on the real clock, whose
-// beats fire on timer goroutines and send each viewer's frame from inside the
-// walk. Four leased viewers share the stripe; one stops mid-stream (its VCR
-// Stop is handled under the server lock between beats). The other three keep
+// TestRealClockLeasedViewerStops runs four leased viewers on the real clock,
+// whose pacing timers fire on timer goroutines and send each frame from
+// inside the callback. One viewer stops mid-stream (its VCR Stop is handled
+// under the server lock between two of its sends). The other three keep
 // receiving, the stopped one receives nothing more, and once the server's
 // Stop returns nothing more is sent to anyone.
-func TestRealClockStripeViewerStops(t *testing.T) {
+func TestRealClockLeasedViewerStops(t *testing.T) {
 	network := netsim.New(clock.Real{}, 1, netsim.LAN())
 	movie := mpeg.Generate("m", mpeg.StreamConfig{Duration: 10 * time.Second, Seed: 1})
 	cat := store.NewCatalog()
@@ -225,31 +225,13 @@ func TestRealClockStripeViewerStops(t *testing.T) {
 		}
 		ep.SetHandler(func(transport.Addr, []byte) { got[i].Add(1) })
 	}
-	// Opened in one lock hold, so in one phase slot and on one stripe, unless
-	// the real clock crossed a slot boundary between two opens: then the
-	// four are dropped, before any beat, and opened again.
 	var sessions [4]*session
-	for try := 1; ; try++ {
-		s.mu.Lock()
-		shared := true
-		for i := range sessions {
-			id := fmt.Sprintf("v%d", i)
-			sessions[i] = s.startSessionLocked(wire.ClientRecord{ClientID: id, ClientAddr: id, Rate: 30, Leased: true}, movie, false)
-			shared = shared && sessions[i].stripe == sessions[0].stripe
-		}
-		if !shared {
-			for _, sess := range sessions {
-				s.dropSessionLocked(sess)
-			}
-		}
-		s.mu.Unlock()
-		if shared {
-			break
-		}
-		if try == 10 {
-			t.Fatal("ten tries at four sessions on one stripe")
-		}
+	s.mu.Lock()
+	for i := range sessions {
+		id := fmt.Sprintf("v%d", i)
+		sessions[i] = s.startSessionLocked(wire.ClientRecord{ClientID: id, ClientAddr: id, Rate: 30, Leased: true}, movie, false)
 	}
+	s.mu.Unlock()
 	waitCounts := func(what string, cond func(c [4]int64) bool) [4]int64 {
 		t.Helper()
 		for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(5 * time.Millisecond) {

@@ -253,13 +253,6 @@ type Server struct {
 	openIn    wire.Open
 	openReply wire.OpenReply
 	openEnc   wire.Encoder
-
-	// stripes holds the coalesced pacing tickers of the leased tier, one
-	// per (movie, send period, phase slot) with at least one attached
-	// session, plus the parked ones, parkedStripes of them per movie.
-	// Guarded by mu; both nil until the first attach.
-	stripes       map[stripeKey]*stripe
-	parkedStripes map[string]int
 }
 
 // New creates a server. Call Start to bring it online.
@@ -466,10 +459,6 @@ func (s *Server) Stop() {
 	}
 	s.sessions = make(map[string]*session)
 	// Stopping a beat or a timer arms nothing, so these go in map order.
-	for _, st := range s.stripes {
-		st.task.Stop()
-	}
-	s.stripes, s.parkedStripes = nil, nil
 	for _, ms := range s.movies {
 		ms.syncTask.Stop()
 		if ms.ex.timer != nil {

@@ -22,9 +22,9 @@ import (
 // clock.Runner, and each checks under srv.mu that the session is live, so one
 // that fires after stopLocked or after a later session of the client bails.
 //
-// A session is 408 bytes on 64-bit platforms, in the 416-byte size class:
-// one more word fits, and a second moves every session of the scale table
-// into the 448-byte class.
+// A session is 384 bytes on 64-bit platforms, filling the 384-byte size
+// class: one more word moves every session of the scale table into the
+// 416-byte class.
 type session struct {
 	srv   *Server
 	rec   wire.ClientRecord // live state; rec.Offset is the next frame to send
@@ -40,14 +40,6 @@ type session struct {
 	// per-frame sends skip the address-string hash where the network has a
 	// dense index.
 	dst transport.Dest
-
-	// stripe/stripePos locate a leased session's slot in its coalesced
-	// pacing ticker (stripe nil for a session-group session, or while
-	// detached); shedSkip makes the next stripe tick skip one beat after a
-	// token shed, reproducing the dedicated timer's 2× retry spacing.
-	stripe    *stripe
-	stripePos int
-	shedSkip  bool
 
 	member *gcs.Member // session-group membership, set once joined
 	ready  bool        // the session view includes the client; streaming may start
@@ -133,7 +125,7 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 
 // The session as the Runner of each of its callbacks.
 type (
-	sessionSend  session // the dedicated pacing timer: sendOne
+	sessionSend  session // the pacing timer: sendOne
 	sessionDecay session // the rate-decay beat: decayTick
 	sessionJoin  session // the session-group join and its retry timer: join
 	sessionViews session // a queued session-group view: nextView
@@ -285,28 +277,16 @@ func (sess *session) haltPacingLocked() {
 }
 
 // schedulePacingLocked arms the next frame transmission at the current
-// rate. What the session is selects the mechanism. A leased session — the
-// tier a server holds thousands of, nearly all at the movie's nominal rate —
-// attaches to the stripe matching its movie and period and shares that
-// stripe's ticker. A session-group session keeps a dedicated timer: per-client
-// flow control gives nearly every one of them its own period, so stripes
-// would hold one session each and re-key on every rate change. Caller holds
-// srv.mu.
+// rate, on the session's own timer, whatever its tier: the paper's server
+// paces every client separately (§4.1). Caller holds srv.mu.
 func (sess *session) schedulePacingLocked() {
-	if sess.closed || !sess.ready || sess.rec.Paused || sess.atEnd {
-		return
-	}
-	if sess.rec.Leased {
-		sess.srv.attachStripeLocked(sess)
-		return
-	}
-	if sess.pacing {
+	if sess.closed || !sess.ready || sess.rec.Paused || sess.atEnd || sess.pacing {
 		return
 	}
 	sess.armSendLocked(sess.sendPeriodLocked())
 }
 
-// sendOne is the dedicated pacing timer firing: advance the stream by one
+// sendOne is the session's pacing timer firing: advance the stream by one
 // tick, arm the follow-up (at stretched spacing after a token shed), then
 // transmit the tick's frame as a single delivery.
 func (sess *session) sendOne() {
@@ -337,10 +317,8 @@ const (
 	txEnded                  // ran past the last frame
 )
 
-// paceTickLocked advances the stream by one pacing tick — the shared body of
-// the dedicated timer (sendOne) and the stripe walk, which differ only in
-// where the cadence comes from and how the returned packet leaves. The
-// stream position advances by exactly one frame per tick (so the movie
+// paceTickLocked advances the stream by one pacing tick, the body of sendOne.
+// The stream position advances by exactly one frame per tick (so the movie
 // always plays at the granted rate in movie time), and the frame's packet is
 // returned for transmission unless quality thinning withholds it (§4.3:
 // transmit all I frames and as many of the others as the client's
@@ -424,10 +402,6 @@ func (sess *session) stopLocked() {
 		return
 	}
 	sess.closed = true
-	if st := sess.stripe; st != nil {
-		st.entries[sess.stripePos] = nil
-		sess.stripe = nil
-	}
 	if sess.sendTimer != nil {
 		clock.Release(sess.sendTimer)
 		sess.sendTimer = nil

@@ -35,9 +35,8 @@ var scalePoints = []scalePoint{
 // The table is reachable via -table scale but deliberately absent from
 // TableIDs: -table all and -list keep their exact pre-§12 output.
 //
-// Every viewer here is leased, so every stream is paced by a stripe: one
-// beat for the sessions that share a movie, rate and phase slot, each frame
-// sent on its own.
+// Every viewer here is leased; its session paces on its own timer, as a
+// session-group session does, and sends each frame on its own.
 //
 // Tests run it on reduced load points.
 func tableScale(seed int64, points []scalePoint) Table {

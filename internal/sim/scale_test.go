@@ -32,10 +32,23 @@ import (
 // report the clients send 156 fewer flow-control requests (65,519 → 65,363,
 // 104 of them emergencies), which is all of the 156 fewer datagrams sent and
 // delivered; drops stay 55. Every server field, and the row, is as it was.
+// Displayed, Late, GapSkipped and net sent and delivered were re-recorded
+// again (299,999, 1, 1, 430,141 and 429,875 before) when leased sessions left
+// the shared stripe tickers for timers of their own. A stripe sent a session's
+// frame at the beat of its phase slot, up to a slot (period/16, 2.1 ms at
+// 30 fps) before or after the session's own schedule, at its first attach
+// and again at each rate change; on its own timer every frame leaves exactly
+// one period after the last. The one frame that came after its display
+// instant now comes before it (Late and GapSkipped 1 → 0, Displayed
+// 300,000). Every viewer now runs the same schedule, and every one sends 67
+// flow-control requests, where the stripes' shifted beats spread them over
+// 62–68 (65,363 in all): 1,637 more requests, 969 of them emergencies
+// (4,231 → 5,200), which are all of the 1,637 more datagrams sent and
+// delivered; drops stay 55. Every server field, and the row, is as it was.
 const scaleFingerprint = `row 10 1000 10 1000 0 0.0 0 1.00
 servers {FramesSent:300000 VideoBytes:1758528300 SyncMessages:1300 SyncBytes:1322400 SessionsOpened:1000 Takeovers:0 Releases:0 Emergencies:1000 FramesThinned:0 AdmitsReserved:1000 AdmitsBestEffort:0 RefusalsReserved:0 RefusalsBestEffort:0 ShedTokens:0 DegradedFrames:0}
-clients {Received:300000 Displayed:299999 Late:1 OverflowDropped:0 OverflowDroppedI:0 GapSkipped:1 Stalls:0 MaxStallRun:0} opens 1000
-net sent 430141 delivered 429875`
+clients {Received:300000 Displayed:300000 Late:0 OverflowDropped:0 OverflowDroppedI:0 GapSkipped:0 Stalls:0 MaxStallRun:0} opens 1000
+net sent 431778 delivered 431512`
 
 // sumFields adds src's fields into dst's; both are structs of uint64s.
 func sumFields(dst, src any) {
