@@ -99,30 +99,30 @@ func TestRealClockSnapshotWhileStreaming(t *testing.T) {
 		}
 		viewers = append(viewers, c)
 	}
-	// Read through the registries until every viewer is watching, frames
-	// are arriving and the servers have synced: the sources then race live
-	// Opens, video, flow control and state sync. (Not every viewer need have
-	// frames: one opened while the movie group's first view forms can be
-	// orphaned, a defect ROADMAP 1(k) records.)
+	// Read through the registries until every viewer is watching and has
+	// frames, and the servers have synced: the sources then race live Opens,
+	// video, flow control and state sync.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		var syncs, frames uint64
+		var syncs uint64
 		for _, id := range servers {
 			syncs += regs[id].Value("server.sync_messages")
 		}
-		watching := 0
+		watching, fed := 0, 0
 		for i, id := range viewerIDs {
-			frames += regs[id].Value("client.frames_received")
+			if regs[id].Value("client.frames_received") > 0 {
+				fed++
+			}
 			if viewers[i].State() == client.StateWatching {
 				watching++
 			}
 		}
-		if watching == len(viewers) && frames > 0 && syncs >= 10 {
+		if watching == len(viewers) && fed == len(viewers) && syncs >= 10 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("traffic never got going: %d of %d watching, %d frames received, %d syncs",
-				watching, len(viewers), frames, syncs)
+			t.Fatalf("traffic never got going: %d of %d watching, %d with frames, %d syncs",
+				watching, len(viewers), fed, syncs)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

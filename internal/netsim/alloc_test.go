@@ -65,8 +65,7 @@ func TestAllocsSendToDeadDestination(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Crash("crashed")
-	refs := a.(transport.RefSender)
-	ghostRef := refs.ResolveAddr("ghost")
+	stable := a.(transport.StableSender)
 
 	payload := make([]byte, 1200)
 	for i := 0; i < 64; i++ { // warm the delivery pool for the crashed case
@@ -74,9 +73,9 @@ func TestAllocsSendToDeadDestination(t *testing.T) {
 		clk.Advance(2 * time.Millisecond)
 	}
 	for name, send := range map[string]func() error{
-		"crashed":           func() error { return a.Send("crashed", payload) },
-		"never bound":       func() error { return a.Send("ghost", payload) },
-		"never bound (ref)": func() error { return refs.SendStableRef(ghostRef, payload) },
+		"crashed":              func() error { return a.Send("crashed", payload) },
+		"never bound":          func() error { return a.Send("ghost", payload) },
+		"never bound (stable)": func() error { return stable.SendStable("ghost", payload) },
 	} {
 		var last error
 		allocs := testing.AllocsPerRun(1000, func() {
@@ -165,7 +164,6 @@ func TestAllocsResetWorldReusesRecords(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	net := New(clk, 1, Profile{Delay: time.Millisecond})
 	var a transport.Endpoint
-	var bRef transport.AddrRef
 	world := func() {
 		clk.Reset(time.Unix(0, 0))
 		net.Reset(1, Profile{Delay: time.Millisecond})
@@ -179,15 +177,14 @@ func TestAllocsResetWorldReusesRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.SetHandler(func(transport.Addr, []byte) {})
-		bRef = a.(transport.RefSender).ResolveAddr("b")
 	}
 	burst := func() {
-		refs := a.(transport.RefSender)
+		stable := a.(transport.StableSender)
 		for i := 0; i < sends; i++ { // the clock never advances: all of it stays in flight
 			if err := a.Send("b", control); err != nil {
 				t.Fatal(err)
 			}
-			if err := refs.SendStableRef(bRef, frame); err != nil {
+			if err := stable.SendStable("b", frame); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -234,8 +231,7 @@ func TestStableSendsTakeBareRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.SetHandler(func(transport.Addr, []byte) {})
-		refs := a.(transport.RefSender)
-		bRef := refs.ResolveAddr("b")
+		stabler := a.(transport.StableSender)
 		burst := func(send func() error) (mallocs uint64) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -248,7 +244,7 @@ func TestStableSendsTakeBareRecords(t *testing.T) {
 			return after.Mallocs - before.Mallocs
 		}
 		copied := func() error { return a.Send("b", control) }
-		stable := func() error { return refs.SendStableRef(bRef, frame) }
+		stable := func() error { return stabler.SendStable("b", frame) }
 
 		burst(copied)
 		clk.Advance(time.Second)

@@ -30,7 +30,7 @@ func (f *dropNth) copies(from, to int32, _ Profile, _ float64) int {
 func (f *dropNth) jitter(int32, int32, Profile) time.Duration { return 0 }
 
 // TestScriptedFateDropsThirdPacket: whatever a fate decides is what happens,
-// through a copying send and a stable reference send alike. A fate that loses
+// through a copying send and a stable send alike. A fate that loses
 // the third packet from A to B leaves B with packets 1, 2, 4, 5 and 6, in
 // order, and leaves every other destination of the same fan-out with all six.
 func TestScriptedFateDropsThirdPacket(t *testing.T) {
@@ -38,14 +38,12 @@ func TestScriptedFateDropsThirdPacket(t *testing.T) {
 		r := newRig(t, Profile{Delay: time.Millisecond})
 		count := counted(r.net)
 		a := r.endpoint(t, "A")
-		refs := a.(transport.RefSender)
+		stable := a.(transport.StableSender)
 		got := map[transport.Addr][]byte{}
-		var dsts []transport.AddrRef
 		for _, name := range []transport.Addr{"B", "C", "D"} {
 			r.endpoint(t, name).SetHandler(func(_ transport.Addr, p []byte) {
 				got[name] = append(got[name], p[0])
 			})
-			dsts = append(dsts, refs.ResolveAddr(name))
 		}
 		r.net.fate = &dropNth{from: r.net.ids["A"], to: r.net.ids["B"], nth: 3}
 		for i := byte(1); i <= 6; i++ {
@@ -53,8 +51,8 @@ func TestScriptedFateDropsThirdPacket(t *testing.T) {
 			if fanOut {
 				// B sits in the middle, so the destinations either side of
 				// the lost packet are sent before and after it.
-				for _, d := range []transport.AddrRef{dsts[1], dsts[0], dsts[2]} {
-					if err := refs.SendStableRef(d, p); err != nil {
+				for _, d := range []transport.Addr{"C", "B", "D"} {
+					if err := stable.SendStable(d, p); err != nil {
 						t.Fatal(err)
 					}
 				}

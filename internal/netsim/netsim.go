@@ -8,9 +8,9 @@
 //
 // Internally every address is interned to a dense integer ID the first time
 // it is seen; endpoints, egress queues and per-pair link state live in flat
-// slices indexed by ID, so the per-packet send path never hashes an address
-// string. Senders that pre-resolve their destination (transport.RefSender)
-// skip the one remaining map lookup too. Only the sparse fault
+// slices indexed by ID, so a send hashes its destination address once, in
+// the one map lookup that finds its ID. Stable sends (transport.StableSender)
+// alias their immutable payload instead of copying it. Only the sparse fault
 // state — blocked links — stays in an (ID-pair-keyed) map, off the common
 // path.
 //
@@ -89,7 +89,7 @@ type Network struct {
 	egressRate []int64     // shared NIC rate, bytes/s (0 = none)
 	egressNext []int64     // when the NIC finishes its queue, unix nanos (≤ now = drained)
 	rows       []linkRow   // per-sender serialization state of bandwidth-limited links
-	live       int         // endpoints currently open, sizes the sweep period
+	live       int         // endpoints currently open, reported by Reset
 
 	// Sparse fault state, keyed by ID pair: empty in a healthy run, so the
 	// send path skips the lookup entirely.
@@ -102,11 +102,10 @@ type Network struct {
 	// records that own a copy buffer of capacity 64<<c. A copied send
 	// takes from its own class, so a buffer is never regrown, and a stable
 	// send never ties up a buffer it does not use.
-	freeD   [1 + bufClasses]*delivery
-	slabD   *deliverySlab // newest slab new records are carved from; older ones chain through prev
-	slabDN  int           // records already carved from slabD
-	slabB   []byte        // what is left of the slab small copy buffers are carved from
-	sweepIn int           // sends until the next stale-link sweep
+	freeD  [1 + bufClasses]*delivery
+	slabD  *deliverySlab // newest slab new records are carved from; older ones chain through prev
+	slabDN int           // records already carved from slabD
+	slabB  []byte        // what is left of the slab small copy buffers are carved from
 
 	obs      *obs.Registry
 	ctrSent  *obs.Counter // netsim.sent
@@ -178,25 +177,17 @@ func (r *linkRow) bump(to int32, now, ser int64, ids int) int64 {
 	return nf
 }
 
-// reap drops entries whose serialization queue has drained (horizon ≤ now).
-// An idle entry behaves identically to an absent one, so this is invisible
-// to the simulation; horizons still in the future are kept — they encode
-// real queueing that must survive even the sender's crash (the packets
-// already left the NIC).
-//
-// A row's storage is freed only when release is set (the endpoint is closed)
-// and nothing is left in it: the periodic sweep of a live endpoint's row keeps
-// the dense array, and truncates a drained small row to length 0, because a
-// stale or absent horizon is behaviorally identical either way while freeing
-// the storage makes the next send reallocate it — a re-promoted dense row per
-// server, two re-grown slices per viewer, every sweep. What a live endpoint
-// retains is bounded by its row (≤ smallRowMax entries, or one dense array);
-// a closed endpoint retains only horizons still in the future.
-func (r *linkRow) reap(now int64, release bool) {
+// release is the closing endpoint's share of the row: it drops entries whose
+// serialization queue has drained (horizon ≤ now) and frees the storage once
+// nothing is left. An idle entry behaves identically to an absent one, so
+// this is invisible to the simulation; horizons still in the future are
+// kept — they encode real queueing that must survive even the sender's crash
+// (the packets already left the NIC) — and stay until a rebind of the
+// address sends again, or Reset. A live endpoint's row is never pruned: it
+// holds at most smallRowMax entries or one dense array, and a drained
+// horizon costs nothing to keep.
+func (r *linkRow) release(now int64) {
 	if r.dense != nil {
-		if !release {
-			return
-		}
 		for _, nf := range r.dense {
 			if nf > now {
 				return
@@ -212,7 +203,7 @@ func (r *linkRow) reap(now int64, release bool) {
 			k++
 		}
 	}
-	if k == 0 && release {
+	if k == 0 {
 		r.toIDs, r.next = nil, nil
 		return
 	}
@@ -245,7 +236,7 @@ func (n *Network) Reset(seed int64, def Profile) (open int) {
 	clear(n.rows) // a dense row is big, and the next world may never overwrite it
 	n.addrs, n.eps, n.rows = n.addrs[:0], n.eps[:0], n.rows[:0]
 	n.egressRate, n.egressNext = n.egressRate[:0], n.egressNext[:0]
-	n.live, n.extraLoss, n.sweepIn = 0, 0, 0
+	n.live, n.extraLoss = 0, 0
 	n.obs, n.ctrSent, n.ctrDeliv, n.ctrDrop, n.ctrBytes = nil, nil, nil, nil, nil
 	n.freeD = [1 + bufClasses]*delivery{}
 	for s, k := n.slabD, n.slabDN; s != nil; s, k = s.prev, deliverySlabSize {
@@ -463,11 +454,11 @@ func (f seededFate) jitter(_, _ int32, prof Profile) time.Duration {
 }
 
 // sendLocked sends one packet, with both addresses already resolved to IDs:
-// it counts the send, checks the route (to may be -1, an address never
-// interned, or any out-of-range reference) and the blocks, asks the fate how
-// many copies arrive, and puts each copy in flight as its own delivery event
-// with its own transit time. A packet it does not admit is counted dropped;
-// only an unroutable one also returns an error.
+// it counts the send, checks the route (to is -1 for an address never
+// interned) and the blocks, asks the fate how many copies arrive, and puts
+// each copy in flight as its own delivery event with its own transit time.
+// A packet it does not admit is counted dropped; only an unroutable one also
+// returns an error.
 //
 // The sender may reuse its buffer after Send returns, as with UDP (the kernel
 // copies), so unless the payload is stable each copy takes its own copy
@@ -478,7 +469,7 @@ func (f seededFate) jitter(_, _ int32, prof Profile) time.Duration {
 // replays byte-for-byte like one that copies. Caller holds n.mu.
 func (n *Network) sendLocked(from, to int32, payload []byte, stable bool) error {
 	n.ctrSent.Inc()
-	if to < 0 || int(to) >= len(n.eps) || n.eps[to] == nil {
+	if to < 0 || n.eps[to] == nil {
 		// Never bound. A crashed node is not this case: its endpoint is
 		// kept, closed, and the packet is dropped on delivery.
 		n.ctrDrop.Inc()
@@ -497,7 +488,6 @@ func (n *Network) sendLocked(from, to int32, payload []byte, stable bool) error 
 		d := n.newDeliveryLocked(from, to, payload, stable)
 		clock.Schedule(n.clk, n.transitTimeLocked(from, to, len(payload)), d)
 	}
-	n.maybeSweepLocked()
 	return nil
 }
 
@@ -659,39 +649,6 @@ func (n *Network) transitTimeLocked(from, to int32, size int) time.Duration {
 	return delay
 }
 
-// sweepPeriod is the floor on how many sends pass between stale-link sweeps.
-// Sweeping is amortized rather than per-send because a sweep walks every
-// tracked link; the actual period scales with the live-endpoint count so a
-// 10k-viewer run doesn't sweep 10k rows every 4096 sends.
-const sweepPeriod = 4096
-
-// maybeSweepLocked occasionally prunes link and egress-queue state whose
-// serialization queue has already drained (horizon in the past): an idle
-// entry behaves identically to an absent one, so dropping it is invisible to
-// the simulation, and long capacity sweeps across many node pairs no longer
-// accumulate dead link state forever. Reaping is order-independent and
-// consumes no randomness, so replays are unaffected. Caller holds n.mu.
-func (n *Network) maybeSweepLocked() {
-	n.sweepIn--
-	if n.sweepIn > 0 {
-		return
-	}
-	n.sweepIn = sweepPeriod
-	if p := 8 * n.live; p > n.sweepIn {
-		n.sweepIn = p
-	}
-	now := n.clk.Now().UnixNano()
-	for i := range n.rows {
-		ep := n.eps[i]
-		n.rows[i].reap(now, ep == nil || ep.closed)
-	}
-	for i, nf := range n.egressNext {
-		if nf != 0 && nf <= now {
-			n.egressNext[i] = 0
-		}
-	}
-}
-
 type endpoint struct {
 	net  *Network
 	addr transport.Addr
@@ -704,13 +661,25 @@ type endpoint struct {
 }
 
 var (
-	_ transport.Endpoint  = (*endpoint)(nil)
-	_ transport.RefSender = (*endpoint)(nil)
+	_ transport.Endpoint     = (*endpoint)(nil)
+	_ transport.StableSender = (*endpoint)(nil)
 )
 
 func (e *endpoint) Addr() transport.Addr { return e.addr }
 
 func (e *endpoint) Send(to transport.Addr, payload []byte) error {
+	return e.send(to, payload, false)
+}
+
+// SendStable implements transport.StableSender: the payload must never be
+// mutated again, and in exchange the network neither copies it on send nor
+// on duplication — the receiving handler gets the caller's backing array.
+// Drop, duplication and timing behavior are identical to Send.
+func (e *endpoint) SendStable(to transport.Addr, payload []byte) error {
+	return e.send(to, payload, true)
+}
+
+func (e *endpoint) send(to transport.Addr, payload []byte, stable bool) error {
 	if len(payload) > transport.MaxDatagram {
 		return fmt.Errorf("netsim: send to %s: %w", to, transport.ErrTooLarge)
 	}
@@ -724,34 +693,7 @@ func (e *endpoint) Send(to transport.Addr, payload []byte) error {
 	if id, ok := n.ids[to]; ok {
 		toID = id
 	}
-	return n.sendLocked(e.id, toID, payload, false)
-}
-
-// ResolveAddr implements transport.RefSender: the returned reference is the
-// address's dense ID, valid for the network's lifetime across crashes and
-// rebinds.
-func (e *endpoint) ResolveAddr(to transport.Addr) transport.AddrRef {
-	e.net.mu.Lock()
-	defer e.net.mu.Unlock()
-	return transport.AddrRef(e.net.internLocked(to))
-}
-
-// SendStableRef implements transport.RefSender: the payload must never be
-// mutated again, and in exchange the network neither copies it on send nor
-// on duplication — the receiving handler gets the caller's backing array.
-// Drop, duplication and timing behavior are identical to Send with the
-// referenced address.
-func (e *endpoint) SendStableRef(to transport.AddrRef, payload []byte) error {
-	if len(payload) > transport.MaxDatagram {
-		return fmt.Errorf("netsim: send to ref#%d: %w", to, transport.ErrTooLarge)
-	}
-	n := e.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if e.closed {
-		return transport.ErrClosed
-	}
-	return n.sendLocked(e.id, int32(to), payload, true)
+	return n.sendLocked(e.id, toID, payload, stable)
 }
 
 func (e *endpoint) SetHandler(h transport.Handler) {
@@ -774,7 +716,7 @@ func (e *endpoint) Close() error {
 		e.handler = nil
 		n.live--
 		now := n.clk.Now().UnixNano()
-		n.rows[e.id].reap(now, true)
+		n.rows[e.id].release(now)
 		if nf := n.egressNext[e.id]; nf != 0 && nf <= now {
 			n.egressNext[e.id] = 0
 		}

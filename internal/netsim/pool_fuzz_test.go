@@ -192,8 +192,7 @@ func (h *poolHarness) send(t *testing.T, size int, stable bool) {
 	w := poolSent{id: id, size: size, stable: stable, backing: unsafe.SliceData(buf)}
 	var err error
 	if stable {
-		refs := h.a.(transport.RefSender)
-		err = refs.SendStableRef(refs.ResolveAddr("b"), buf)
+		err = h.a.(transport.StableSender).SendStable("b", buf)
 	} else {
 		err = h.a.Send("b", buf)
 		for i := range buf { // the sender reuses its buffer at once

@@ -30,11 +30,11 @@ func TestResetMatchesNew(t *testing.T) {
 	used.SetLinkOneWayDown("c", "a", true)
 	used.SetExtraLoss(0.3)
 	used.SetEgressLimit("a", 1000)
-	refs := a.(transport.RefSender)
+	stable := a.(transport.StableSender)
 	for i := 0; i < 300; i++ {
 		_ = a.Send("b", make([]byte, 40+i))
-		_ = refs.SendStableRef(refs.ResolveAddr("b"), []byte{1})
-		_ = refs.SendStableRef(refs.ResolveAddr("c"), []byte{2})
+		_ = stable.SendStable("b", []byte{1})
+		_ = stable.SendStable("c", []byte{2})
 	}
 	clk.Advance(30 * time.Millisecond)
 	regBefore := reg.Snapshot()

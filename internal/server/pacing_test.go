@@ -102,7 +102,7 @@ func (n plainNetwork) NewEndpoint(addr transport.Addr) (transport.Endpoint, erro
 }
 
 // TestLeasedStreamOverPlainEndpoint: a leased session's frames must reach
-// its viewer through an endpoint without the RefSender extension too — the
+// its viewer through an endpoint without the StableSender extension too — the
 // video channel falls back to one plain Send per frame. No daemon turns
 // leases on yet, so this is the only thing that runs that fallback.
 func TestLeasedStreamOverPlainEndpoint(t *testing.T) {

@@ -634,6 +634,20 @@ func (s *Server) handleOpenLocked(from gcs.ProcessID) {
 		})
 		return
 	}
+	if ms := s.movies[open.Movie]; ms != nil && ms.ex.seq != 0 && !open.Lease && !servedHere {
+		// The title's view is installing and its deal has not run. A session
+		// opened now is missing from the exchange record this server already
+		// sent, so the members' deals could disagree over it: this server
+		// releases it to a peer that dealt without it. Refuse briefly; the
+		// retry lands after the deal. Leased Opens are never dealt.
+		s.replyOpenLocked(from, wire.OpenReply{
+			OK:           false,
+			Error:        "view change in progress",
+			Movie:        open.Movie,
+			RetryAfterMs: 50,
+		})
+		return
+	}
 	if !servedHere && !servedElsewhere {
 		// Degrade-before-refuse admission ladder: best-effort Opens hit
 		// their (lower) limit first and carry a Retry-After hint; reserved

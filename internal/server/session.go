@@ -22,9 +22,9 @@ import (
 // clock.Runner, and each checks under srv.mu that the session is live, so one
 // that fires after stopLocked or after a later session of the client bails.
 //
-// A session is 384 bytes on 64-bit platforms, filling the 384-byte size
-// class: one more word moves every session of the scale table into the
-// 416-byte class.
+// A session is 360 bytes on 64-bit platforms, in the 384-byte size class:
+// three more words still fit, and a fourth moves every session of the scale
+// table into the 416-byte class.
 type session struct {
 	srv   *Server
 	rec   wire.ClientRecord // live state; rec.Offset is the next frame to send
@@ -35,11 +35,6 @@ type session struct {
 	// movie serves every concurrent viewer, replacing the per-session frame
 	// build buffers entirely.
 	packets *mpeg.PacketTable
-
-	// dst is the client address resolved once on the video channel, so
-	// per-frame sends skip the address-string hash where the network has a
-	// dense index.
-	dst transport.Dest
 
 	member *gcs.Member // session-group membership, set once joined
 	ready  bool        // the session view includes the client; streaming may start
@@ -94,7 +89,6 @@ func (s *Server) startSessionLocked(rec wire.ClientRecord, movie *mpeg.Movie, ta
 		movie:   movie,
 		rate:    flowctl.NewRateController(s.cfg.Flow, movie.FPS()),
 		packets: movie.Packets(s.vid.Preframe()),
-		dst:     s.vid.Resolve(transport.Addr(rec.ClientAddr)),
 		// Resuming at a stale offset past the end means the movie ended.
 		atEnd:       takeover && int(rec.Offset) >= movie.TotalFrames(),
 		lastContact: rec.SentAt,
@@ -286,55 +280,29 @@ func (sess *session) schedulePacingLocked() {
 	sess.armSendLocked(sess.sendPeriodLocked())
 }
 
-// sendOne is the session's pacing timer firing: advance the stream by one
-// tick, arm the follow-up (at stretched spacing after a token shed), then
-// transmit the tick's frame as a single delivery.
+// sendOne is the session's pacing timer firing: it advances the stream by
+// one pacing tick, arms the follow-up, then transmits the tick's frame as a
+// single delivery. The stream position advances by exactly one frame per tick
+// (so the movie always plays at the granted rate in movie time), and the
+// frame's packet is transmitted unless quality thinning withholds it (§4.3:
+// transmit all I frames and as many of the others as the client's
+// capabilities allow). Best-effort sessions additionally pass the overload
+// ladder: degrade thinning tightens their quality cap under pressure, and
+// with a shaper configured the frame needs egress tokens — a dry bucket holds
+// the frame (offset does not advance) for a retry at stretched spacing, so
+// throttling lengthens frame intervals without ever skipping content.
 func (sess *session) sendOne() {
 	s := sess.srv
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	sess.pacing = false
-	if !sess.closed && sess.ready && !sess.rec.Paused {
-		outcome, pkt := sess.paceTickLocked()
-		switch outcome {
-		case txSent:
-			sess.schedulePacingLocked()
-		case txShed:
-			sess.armSendLocked(2 * sess.sendPeriodLocked())
-		}
-		if pkt != nil {
-			_ = s.vid.SendPreframed(sess.dst, pkt)
-		}
+	if sess.closed || !sess.ready || sess.rec.Paused {
+		return
 	}
-	s.mu.Unlock()
-}
-
-// txOutcome reports what one pacing tick did with its frame.
-type txOutcome int
-
-const (
-	txSent  txOutcome = iota // transmitted or thinned: position advanced
-	txShed                   // shaper dry: frame held, retry at 2× spacing
-	txEnded                  // ran past the last frame
-)
-
-// paceTickLocked advances the stream by one pacing tick, the body of sendOne.
-// The stream position advances by exactly one frame per tick (so the movie
-// always plays at the granted rate in movie time), and the frame's packet is
-// returned for transmission unless quality thinning withholds it (§4.3:
-// transmit all I frames and as many of the others as the client's
-// capabilities allow; the packet is then nil). Best-effort sessions
-// additionally pass the overload ladder: degrade thinning tightens their
-// quality cap under pressure, and with a shaper configured the frame needs
-// egress tokens — a dry bucket holds the frame (offset does not advance,
-// txShed) for a retry at stretched spacing, so throttling lengthens frame
-// intervals without ever skipping content. Caller holds srv.mu and has
-// already passed the closed/paused guards.
-func (sess *session) paceTickLocked() (txOutcome, []byte) {
-	s := sess.srv
 	total := uint32(sess.movie.TotalFrames())
 	if sess.rec.Offset >= total {
 		sess.atEnd = true
-		return txEnded, nil
+		return
 	}
 
 	idx := int(sess.rec.Offset)
@@ -364,7 +332,8 @@ func (sess *session) paceTickLocked() (txOutcome, []byte) {
 		} else {
 			s.stats.FramesThinned++
 		}
-		return txSent, nil
+		sess.schedulePacingLocked()
+		return
 	}
 
 	// Egress shaping: reserved sends always proceed (and may drive the
@@ -374,7 +343,8 @@ func (sess *session) paceTickLocked() (txOutcome, []byte) {
 		if sess.rec.Class == wire.ClassBestEffort {
 			if !sh.TakeBestEffort(t.WireSize(idx)) {
 				s.stats.ShedTokens++
-				return txShed, nil
+				sess.armSendLocked(2 * sess.sendPeriodLocked())
+				return
 			}
 		} else {
 			sh.TakeReserved(t.WireSize(idx))
@@ -393,7 +363,8 @@ func (sess *session) paceTickLocked() (txOutcome, []byte) {
 	// per-message encoder would, i.e. without the one-byte mux prefix.
 	s.stats.FramesSent++
 	s.stats.VideoBytes += uint64(t.WireSize(idx))
-	return txSent, t.Packet(idx)
+	sess.schedulePacingLocked()
+	_ = s.vid.SendPreframed(transport.Addr(sess.rec.ClientAddr), t.Packet(idx))
 }
 
 // stopLocked halts the session permanently. Caller holds srv.mu.

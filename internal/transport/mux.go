@@ -32,9 +32,9 @@ const (
 type Mux struct {
 	ep Endpoint
 
-	// refs is ep's RefSender extension, asserted once here rather than on
-	// every send; nil when the endpoint (UDP) has none.
-	refs RefSender
+	// stable is ep's StableSender extension, asserted once here rather than
+	// on every send; nil when the endpoint (UDP) has none.
+	stable StableSender
 
 	// chans holds one slot per ChannelID, indexed by the ID: dispatch runs
 	// once per delivered datagram — millions of times in a scale run — and
@@ -49,7 +49,7 @@ const lastChannel = ChannelBulkReply
 // ep.SetHandler afterwards.
 func NewMux(ep Endpoint) *Mux {
 	m := &Mux{ep: ep}
-	m.refs, _ = ep.(RefSender)
+	m.stable, _ = ep.(StableSender)
 	ep.SetHandler(m.dispatch)
 	return m
 }
@@ -98,7 +98,7 @@ func (m *Mux) dispatch(from Addr, payload []byte) {
 // the channel's ID byte, plus a preframed send path for payloads that were
 // built with that byte already in front.
 //
-// The endpoint's RefSender is kept on the Mux, so with the handler's two-word
+// The endpoint's StableSender is kept on the Mux, so with the handler's two-word
 // slot a Channel is 64 bytes on 64-bit platforms, in the 64-byte size class.
 type Channel struct {
 	mux *Mux
@@ -134,50 +134,29 @@ func (c *Channel) Send(to Addr, payload []byte) error {
 	return c.mux.ep.Send(to, framed)
 }
 
-// Dest is a destination resolved by Channel.Resolve: the address plus, over
-// an endpoint that is a RefSender, its dense reference, so per-packet sends
-// skip the address-string hash. A Dest is a plain value — the channel keeps
-// nothing per destination — and is only meaningful to the channel that
-// resolved it.
-type Dest struct {
-	addr Addr
-	ref  AddrRef
-}
-
-// Resolve prepares to for the preframed send methods.
-func (c *Channel) Resolve(to Addr) Dest {
-	d := Dest{addr: to, ref: noAddrRef}
-	if c.mux.refs != nil {
-		d.ref = c.mux.refs.ResolveAddr(to)
-	}
-	return d
-}
-
 // Preframe returns the one-byte prefix a preframed payload must start with:
 // this channel's ID, the layout produced by framing a message with it at
 // build time.
 func (c *Channel) Preframe() byte { return byte(c.id) }
 
 // SendPreframed sends a payload that already begins with Preframe() and is
-// immutable for the process lifetime (the RefSender obligation): no copy is
-// made to add the prefix, and a RefSender endpoint ships the caller's buffer
-// itself, as one delivery. Over an endpoint without the RefSender extension
-// the wire layout is identical and the endpoint copies. A payload that cannot
-// go out on this channel as is is refused before it reaches the endpoint.
-func (c *Channel) SendPreframed(to Dest, payload []byte) error {
-	if to.addr == "" {
-		return fmt.Errorf("channel %d: destination was not resolved by this channel", c.id)
-	}
+// immutable for the process lifetime (the StableSender obligation): no copy
+// is made to add the prefix, and a StableSender endpoint ships the caller's
+// buffer itself, as one delivery. Over an endpoint without the StableSender
+// extension the wire layout is identical and the endpoint copies. A payload
+// that cannot go out on this channel as is is refused before it reaches the
+// endpoint.
+func (c *Channel) SendPreframed(to Addr, payload []byte) error {
 	if len(payload) == 0 || payload[0] != byte(c.id) {
-		return fmt.Errorf("channel %d to %s: preframed payload does not carry this channel's prefix", c.id, to.addr)
+		return fmt.Errorf("channel %d to %s: preframed payload does not carry this channel's prefix", c.id, to)
 	}
 	if len(payload) > MaxDatagram {
-		return fmt.Errorf("channel %d to %s: %w", c.id, to.addr, ErrTooLarge)
+		return fmt.Errorf("channel %d to %s: %w", c.id, to, ErrTooLarge)
 	}
-	if c.mux.refs == nil {
-		return c.mux.ep.Send(to.addr, payload)
+	if c.mux.stable == nil {
+		return c.mux.ep.Send(to, payload)
 	}
-	return c.mux.refs.SendStableRef(to.ref, payload)
+	return c.mux.stable.SendStable(to, payload)
 }
 
 func (c *Channel) SetHandler(h Handler) { c.handler.Store(h) }

@@ -43,38 +43,23 @@ type Endpoint interface {
 	Close() error
 }
 
-// AddrRef is a pre-resolved destination handle: a dense integer a network
-// hands out for an Addr so per-packet sends need not re-hash the address
-// string. Refs are only meaningful to the network that issued them.
-type AddrRef int32
-
-// noAddrRef is the reference of a destination no network resolved: the
-// value a Dest carries when its channel's endpoint is not a RefSender.
-const noAddrRef AddrRef = -1
-
-// RefSender is the one optional Endpoint extension: a no-copy send path for
-// networks with dense internal routing (netsim). Every payload sent through
-// it must be immutable for the rest of the process lifetime — precomputed
-// frame tables shared by every viewer of a movie — and the network may
-// alias it indefinitely instead of copying: the simulated network delivers
-// the very same backing array to receiving handlers, so neither the sender
-// nor any receiver may ever write through it. Endpoints without such a path
-// (UDPEndpoint) don't implement the interface; a mux Channel falls back to
-// Send for them, which is always correct. Like Send, it carries one datagram
-// to one destination per call: a sender that fans a frame out to many
-// viewers calls it once per viewer, and each copy keeps its own loss draw
-// and its own transit time.
-type RefSender interface {
-	// ResolveAddr interns to and returns a reference that stays valid for
-	// the lifetime of the network, across crashes and rebinds of the
-	// referenced address.
-	ResolveAddr(to Addr) AddrRef
-
-	// SendStableRef behaves exactly like Send to the referenced address —
-	// same drop, duplication and timing behavior, so a run sending by
-	// reference replays byte-for-byte like one sending by address — except
-	// that the payload is aliased, not copied.
-	SendStableRef(to AddrRef, payload []byte) error
+// StableSender is the one optional Endpoint extension: a no-copy send path
+// for the simulated network. Every payload sent through it must be immutable
+// for the rest of the process lifetime — precomputed frame tables shared by
+// every viewer of a movie — and the network may alias it indefinitely
+// instead of copying: the simulated network delivers the very same backing
+// array to receiving handlers, so neither the sender nor any receiver may
+// ever write through it. Endpoints without such a path (UDPEndpoint) don't
+// implement the interface; a mux Channel falls back to Send for them, which
+// is always correct. Like Send, it carries one datagram to one destination
+// per call: a sender that fans a frame out to many viewers calls it once per
+// viewer, and each copy keeps its own loss draw and its own transit time.
+type StableSender interface {
+	// SendStable behaves exactly like Send — same drop, duplication and
+	// timing behavior, so a run sending stable payloads replays
+	// byte-for-byte like one that copies — except that the payload is
+	// aliased, not copied.
+	SendStable(to Addr, payload []byte) error
 }
 
 // Network creates endpoints. The simulated implementation wires them to a

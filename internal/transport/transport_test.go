@@ -194,7 +194,7 @@ func TestMuxOversizedFrame(t *testing.T) {
 }
 
 // TestChannelPreframed drives the preframed send path over both kinds of
-// endpoint: a RefSender one (netsim), where the receiver sees the sender's
+// endpoint: a StableSender one (netsim), where the receiver sees the sender's
 // own backing array, and a plain one, where the channel falls back to Send
 // and the receiver sees a copy. Either way the wire layout is the same and
 // malformed input is refused before it reaches the endpoint.
@@ -220,8 +220,7 @@ func TestChannelPreframed(t *testing.T) {
 		if video.Preframe() != pkt[0] {
 			t.Fatalf("Preframe() = %d, want the channel ID %d", video.Preframe(), pkt[0])
 		}
-		dst := video.Resolve("b")
-		if err := video.SendPreframed(dst, pkt); err != nil {
+		if err := video.SendPreframed("b", pkt); err != nil {
 			t.Fatal(err)
 		}
 		clk.Drain(0)
@@ -229,11 +228,13 @@ func TestChannelPreframed(t *testing.T) {
 			t.Fatalf("plain=%v: delivered %d datagrams, want 1", plain, got)
 		}
 
-		if err := video.SendPreframed(dst, []byte{byte(transport.ChannelGCS), 'x'}); err == nil {
+		if err := video.SendPreframed("b", []byte{byte(transport.ChannelGCS), 'x'}); err == nil {
 			t.Fatalf("plain=%v: payload with another channel's prefix accepted", plain)
 		}
-		if err := video.SendPreframed(transport.Dest{}, pkt); err == nil {
-			t.Fatalf("plain=%v: unresolved destination accepted", plain)
+		big := make([]byte, transport.MaxDatagram+1)
+		big[0] = video.Preframe()
+		if err := video.SendPreframed("b", big); !errors.Is(err, transport.ErrTooLarge) {
+			t.Fatalf("plain=%v: oversized payload: err = %v, want ErrTooLarge", plain, err)
 		}
 	}
 }
