@@ -198,11 +198,11 @@ func TestAllocsEightLeasedStreaming(t *testing.T) {
 
 // TestAllocsLeasedCrowdSteadyState is the pin the single-viewer tests above
 // cannot be: with a crowd attached, the steady state also crosses what only
-// recurs at crowd scale — a server's link row promoted to a dense array over
-// 200 destinations, and renews from many clients interleaving at one server
-// (every TTL/3 each). 200 leased viewers on the scale table's data plane, 5
-// simulated seconds: ≈ 37,000 sends and 7 renew rounds. Before link rows kept
-// their storage and renews decoded against the session's own ID, this rig
+// recurs at crowd scale — a server's link horizons to 200 destinations, and
+// renews from many clients interleaving at one server (every TTL/3 each).
+// 200 leased viewers on the scale table's data plane, 5 simulated seconds:
+// ≈ 37,000 sends and 7 renew rounds. Before link state kept its storage and
+// renews decoded against the session's own ID, this rig
 // measured ≈ 4.7 allocations per viewer-second; what remains is the server's
 // half-second state sync.
 func TestAllocsLeasedCrowdSteadyState(t *testing.T) {

@@ -48,8 +48,9 @@ func TestAllocsPerLeasedViewer(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 
-	// Measured 36.1–36.2 per viewer, alone and in the full package run, at
-	// GOMAXPROCS 1–8 (36.2 while leased sessions paced on shared stripes;
+	// Measured 34.0–34.1 per viewer, alone and in the full package run, at
+	// GOMAXPROCS 1–8 (36.1 while netsim kept each sender's link horizons in
+	// slices of its own; 36.2 while leased sessions paced on shared stripes;
 	// 38.3 while a leased OpenReply named a session group,
 	// which the server built and the client's decoder kept; 54.3 while every
 	// beat, timer and netsim record bound a method value to hand to the clock

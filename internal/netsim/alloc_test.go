@@ -155,18 +155,21 @@ func TestAllocsColdNetworkSmallSends(t *testing.T) {
 }
 
 // TestAllocsResetWorldReusesRecords: a clock and network that are Reset after
-// a saturated burst carry the next world's identical burst on what the first
-// one made — event and delivery records, their slabs and copy buffers, and
-// the heap array — so the second burst allocates nothing.
+// a saturated burst carry the next world on what the first one made — event
+// and delivery records, their slabs and copy buffers, the heap array, the
+// node table and the address, horizon and block maps — so building the world
+// again (interning, an egress limit, a send each way on a bandwidth-limited
+// link, a link cut and healed) and its identical burst allocate nothing but
+// the two endpoints.
 func TestAllocsResetWorldReusesRecords(t *testing.T) {
-	const sends = 2000
+	const sends, endpoints = 2000, 2
 	control, frame := make([]byte, 100), make([]byte, 1200)
 	clk := clock.NewVirtual(time.Unix(0, 0))
-	net := New(clk, 1, Profile{Delay: time.Millisecond})
+	net := New(clk, 1, LAN()) // bandwidth-limited, so every send books a horizon
 	var a transport.Endpoint
 	world := func() {
 		clk.Reset(time.Unix(0, 0))
-		net.Reset(1, Profile{Delay: time.Millisecond})
+		net.Reset(1, LAN())
 		net.SetEgressLimit("a", 100*1000*1000/8)
 		var err error
 		if a, err = net.NewEndpoint("a"); err != nil {
@@ -177,6 +180,14 @@ func TestAllocsResetWorldReusesRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.SetHandler(func(transport.Addr, []byte) {})
+		if err := a.Send("b", control); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Send("a", control); err != nil {
+			t.Fatal(err)
+		}
+		net.SetLinkDown("a", "b", true)
+		net.Heal()
 	}
 	burst := func() {
 		stable := a.(transport.StableSender)
@@ -193,16 +204,16 @@ func TestAllocsResetWorldReusesRecords(t *testing.T) {
 	burst()
 	least := ^uint64(0)
 	for try := 0; try < 3; try++ { // the least of three: the runtime allocates now and then too
-		world()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
+		world()
 		burst()
 		runtime.ReadMemStats(&after)
 		least = min(least, after.Mallocs-before.Mallocs)
 	}
-	if least != 0 {
-		t.Fatalf("a burst of %d copied and %d stable sends on a reset clock and network = %d allocs, want 0",
-			sends, sends, least)
+	if least > endpoints {
+		t.Fatalf("a reset world and its burst of %d copied and %d stable sends = %d allocs, want ≤ %d (the endpoints)",
+			sends, sends, least, endpoints)
 	}
 }
 

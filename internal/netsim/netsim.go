@@ -7,12 +7,11 @@
 // run is exactly reproducible.
 //
 // Internally every address is interned to a dense integer ID the first time
-// it is seen; endpoints, egress queues and per-pair link state live in flat
-// slices indexed by ID, so a send hashes its destination address once, in
-// the one map lookup that finds its ID. Stable sends (transport.StableSender)
-// alias their immutable payload instead of copying it. Only the sparse fault
-// state — blocked links — stays in an (ID-pair-keyed) map, off the common
-// path.
+// it is seen. What the network knows of a node (its address, endpoint and
+// egress queue) is one entry of a slice indexed by that ID; what it knows of
+// a directed link (its serialization horizon, whether it is blocked) is one
+// entry of a map keyed by the ID pair. Stable sends (transport.StableSender)
+// alias their immutable payload instead of copying it.
 //
 // The simulator also provides the fault-injection surface the evaluation
 // scenarios need: abrupt node crashes, link failures and network partitions.
@@ -79,19 +78,20 @@ type Network struct {
 	fate fate
 	def  Profile
 
-	// Address interning: ids maps an address to its dense ID; the slices
-	// below are all indexed by that ID and grow together. IDs are never
-	// reused — a crashed-and-rebound address keeps its ID, so in-flight
-	// deliveries reach the new incarnation exactly as before.
-	ids        map[transport.Addr]int32
-	addrs      []transport.Addr
-	eps        []*endpoint // nil = address known but never bound
-	egressRate []int64     // shared NIC rate, bytes/s (0 = none)
-	egressNext []int64     // when the NIC finishes its queue, unix nanos (≤ now = drained)
-	rows       []linkRow   // per-sender serialization state of bandwidth-limited links
-	live       int         // endpoints currently open, reported by Reset
+	// Address interning: ids maps an address to its dense ID, which indexes
+	// nodes and keys the link maps. IDs are never reused — a
+	// crashed-and-rebound address keeps its ID, so in-flight deliveries
+	// reach the new incarnation, and its links' horizons still shape its
+	// traffic, exactly as before.
+	ids   map[transport.Addr]int32
+	nodes []node
+	live  int // endpoints currently open, reported by Reset
 
-	// Sparse fault state, keyed by ID pair: empty in a healthy run, so the
+	// next is each bandwidth-limited link's serialization horizon: when it
+	// finishes its queue, in unix nanos. One at or before now is drained
+	// and behaves as an absent one, so nothing prunes it before Reset.
+	next map[idPair]int64
+	// blocked is the sparse fault state: empty in a healthy run, so the
 	// send path skips the lookup entirely.
 	blocked map[idPair]bool
 
@@ -118,110 +118,31 @@ var _ transport.Network = (*Network)(nil)
 
 type idPair struct{ from, to int32 }
 
-// smallRowMax is the destination count at which a sender's link row promotes
-// from a linearly scanned pair of small slices to a dense array indexed by
-// destination ID. Viewers talk to a handful of servers and stay small; a
-// server streaming to thousands of viewers promotes once and then indexes.
-const smallRowMax = 16
-
-// linkRow holds one sender's per-destination link serialization horizons
-// (unix nanos; ≤ now means the link is drained, same as absent). Small rows
-// are parallel slices scanned linearly; rows with many destinations use a
-// dense slice indexed by destination ID.
-type linkRow struct {
-	toIDs []int32
-	next  []int64
-	dense []int64
-}
-
-// bump advances the serialization horizon of the link to `to`: start at
-// max(now, nextFree), add ser, store and return the new horizon. ids is the
-// current interned-address count, sizing a promoted dense row.
-func (r *linkRow) bump(to int32, now, ser int64, ids int) int64 {
-	if r.dense != nil {
-		if int(to) >= len(r.dense) {
-			// Interning assigns IDs monotonically, so a promoted row sees
-			// ever-higher destinations while the cluster fills in; grow to a
-			// power of two above the current ID count so the row reallocates
-			// O(log n) times instead of once per new destination.
-			size := len(r.dense) * 2
-			for size < ids {
-				size *= 2
-			}
-			grown := make([]int64, size)
-			copy(grown, r.dense)
-			r.dense = grown
-		}
-		r.dense[to] = max(r.dense[to], now) + ser
-		return r.dense[to]
-	}
-	for i, t := range r.toIDs {
-		if t == to {
-			r.next[i] = max(r.next[i], now) + ser
-			return r.next[i]
-		}
-	}
-	nf := now + ser
-	if len(r.toIDs) < smallRowMax {
-		r.toIDs = append(r.toIDs, to)
-		r.next = append(r.next, nf)
-		return nf
-	}
-	d := make([]int64, ids)
-	for i, t := range r.toIDs {
-		d[t] = r.next[i]
-	}
-	d[to] = nf
-	r.dense = d
-	r.toIDs, r.next = nil, nil
-	return nf
-}
-
-// release is the closing endpoint's share of the row: it drops entries whose
-// serialization queue has drained (horizon ≤ now) and frees the storage once
-// nothing is left. An idle entry behaves identically to an absent one, so
-// this is invisible to the simulation; horizons still in the future are
-// kept — they encode real queueing that must survive even the sender's crash
-// (the packets already left the NIC) — and stay until a rebind of the
-// address sends again, or Reset. A live endpoint's row is never pruned: it
-// holds at most smallRowMax entries or one dense array, and a drained
-// horizon costs nothing to keep.
-func (r *linkRow) release(now int64) {
-	if r.dense != nil {
-		for _, nf := range r.dense {
-			if nf > now {
-				return
-			}
-		}
-		r.dense = nil
-		return
-	}
-	k := 0
-	for i, nf := range r.next {
-		if nf > now {
-			r.toIDs[k], r.next[k] = r.toIDs[i], nf
-			k++
-		}
-	}
-	if k == 0 {
-		r.toIDs, r.next = nil, nil
-		return
-	}
-	r.toIDs, r.next = r.toIDs[:k], r.next[:k]
+// node is what the network knows of one interned address.
+type node struct {
+	addr       transport.Addr
+	ep         *endpoint // nil = address known but never bound
+	egressRate int64     // shared NIC rate, bytes/s (0 = none)
+	egressNext int64     // when the NIC finishes its queue, unix nanos (≤ now = drained)
 }
 
 // New creates a network on clk with the given default link profile. All
 // randomness (loss, jitter, duplication) derives from seed.
 func New(clk clock.Clock, seed int64, def Profile) *Network {
-	n := &Network{clk: clk}
+	n := &Network{
+		clk:     clk,
+		ids:     make(map[transport.Addr]int32),
+		next:    make(map[idPair]int64),
+		blocked: make(map[idPair]bool),
+	}
 	n.Reset(seed, def)
 	return n
 }
 
 // Reset returns the network to the state New builds on its clock but keeps
-// its delivery records, their copy buffers and its slices' storage. Reset the
-// clock first: a delivery still scheduled on it would fire into the new
-// world. Reset reports how many endpoints were still open.
+// its delivery records, their copy buffers and the storage of its node and
+// link tables. Reset the clock first: a delivery still scheduled on it would
+// fire into the new world. Reset reports how many endpoints were still open.
 func (n *Network) Reset(seed int64, def Profile) (open int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -232,10 +153,10 @@ func (n *Network) Reset(seed int64, def Profile) (open int) {
 		n.fate = seededFate{rand.New(rand.NewSource(seed))}
 	}
 	n.def = def
-	n.ids, n.blocked = make(map[transport.Addr]int32), make(map[idPair]bool)
-	clear(n.rows) // a dense row is big, and the next world may never overwrite it
-	n.addrs, n.eps, n.rows = n.addrs[:0], n.eps[:0], n.rows[:0]
-	n.egressRate, n.egressNext = n.egressRate[:0], n.egressNext[:0]
+	clear(n.ids) // in place, so a recycled world re-interns without allocating
+	clear(n.next)
+	clear(n.blocked)
+	n.nodes = n.nodes[:0]
 	n.live, n.extraLoss = 0, 0
 	n.obs, n.ctrSent, n.ctrDeliv, n.ctrDrop, n.ctrBytes = nil, nil, nil, nil, nil
 	n.freeD = [1 + bufClasses]*delivery{}
@@ -248,18 +169,14 @@ func (n *Network) Reset(seed int64, def Profile) (open int) {
 }
 
 // internLocked returns the dense ID for addr, assigning the next one (and
-// growing every ID-indexed slice) on first sight. Caller holds n.mu.
+// adding its node) on first sight. Caller holds n.mu.
 func (n *Network) internLocked(addr transport.Addr) int32 {
 	if id, ok := n.ids[addr]; ok {
 		return id
 	}
-	id := int32(len(n.addrs))
+	id := int32(len(n.nodes))
 	n.ids[addr] = id
-	n.addrs = append(n.addrs, addr)
-	n.eps = append(n.eps, nil)
-	n.egressRate = append(n.egressRate, 0)
-	n.egressNext = append(n.egressNext, 0)
-	n.rows = append(n.rows, linkRow{})
+	n.nodes = append(n.nodes, node{addr: addr})
 	return id
 }
 
@@ -284,7 +201,7 @@ func (n *Network) SetObs(reg *obs.Registry) {
 func (n *Network) SetEgressLimit(addr transport.Addr, bytesPerSec int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.egressRate[n.internLocked(addr)] = max(bytesPerSec, 0)
+	n.nodes[n.internLocked(addr)].egressRate = max(bytesPerSec, 0)
 }
 
 // NewEndpoint implements transport.Network. An address whose previous
@@ -296,11 +213,11 @@ func (n *Network) NewEndpoint(addr transport.Addr) (transport.Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	id := n.internLocked(addr)
-	if old := n.eps[id]; old != nil && !old.closed {
+	if old := n.nodes[id].ep; old != nil && !old.closed {
 		return nil, fmt.Errorf("netsim: bind %q: %w", addr, transport.ErrAddrInUse)
 	}
 	ep := &endpoint{net: n, addr: addr, id: id}
-	n.eps[id] = ep
+	n.nodes[id].ep = ep
 	n.live++
 	return ep, nil
 }
@@ -388,7 +305,7 @@ func (n *Network) Heal() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.obs.Emit(obs.NetsimHeal, "", "", 0, 0)
-	n.blocked = make(map[idPair]bool)
+	clear(n.blocked)
 }
 
 // Crash makes the node at addr fail-stop: its endpoint is closed and all
@@ -399,7 +316,7 @@ func (n *Network) Crash(addr transport.Addr) {
 	n.mu.Lock()
 	var ep *endpoint
 	if id, ok := n.ids[addr]; ok {
-		ep = n.eps[id]
+		ep = n.nodes[id].ep
 	}
 	n.obs.Emit(obs.NetsimCrash, string(addr), "", 0, 0)
 	n.mu.Unlock()
@@ -469,7 +386,7 @@ func (f seededFate) jitter(_, _ int32, prof Profile) time.Duration {
 // replays byte-for-byte like one that copies. Caller holds n.mu.
 func (n *Network) sendLocked(from, to int32, payload []byte, stable bool) error {
 	n.ctrSent.Inc()
-	if to < 0 || n.eps[to] == nil {
+	if to < 0 || n.nodes[to].ep == nil {
 		// Never bound. A crashed node is not this case: its endpoint is
 		// kept, closed, and the packet is dropped on delivery.
 		n.ctrDrop.Inc()
@@ -600,7 +517,7 @@ func (d *delivery) recycleLocked() {
 func (d *delivery) Run() {
 	n := d.n
 	n.mu.Lock()
-	ep := n.eps[d.to]
+	ep := n.nodes[d.to].ep
 	var h transport.Handler
 	if ep != nil && !ep.closed {
 		h = ep.handler
@@ -613,7 +530,7 @@ func (d *delivery) Run() {
 	}
 	n.ctrDeliv.Inc()
 	n.ctrBytes.Add(uint64(len(d.data)))
-	from, data := n.addrs[d.from], d.data
+	from, data := n.nodes[d.from].addr, d.data
 	n.mu.Unlock()
 	h(from, data)
 	n.mu.Lock()
@@ -622,28 +539,29 @@ func (d *delivery) Run() {
 }
 
 // transitTimeLocked computes the packet's total time in the network,
-// accounting for serialization queueing on the directed link. Horizons are
-// unix nanoseconds; the arithmetic is exactly the time.Time math the
-// map-based implementation used, so schedules replay unchanged.
+// accounting for serialization queueing at the sender's NIC and on the
+// directed link. Each queue starts at max(now, its horizon), adds the
+// packet's serialization time and books the result as its new horizon.
 func (n *Network) transitTimeLocked(from, to int32, size int) time.Duration {
 	prof := n.def
 	delay := prof.Delay
 	if prof.Jitter > 0 {
 		delay += n.fate.jitter(from, to, prof)
 	}
-	rate := n.egressRate[from]
-	if rate <= 0 && prof.Bandwidth <= 0 {
+	src := &n.nodes[from]
+	if src.egressRate <= 0 && prof.Bandwidth <= 0 {
 		return delay
 	}
 	now := n.clk.Now().UnixNano()
-	if rate > 0 {
-		nf := max(now, n.egressNext[from]) + int64(size)*int64(time.Second)/rate
-		n.egressNext[from] = nf
+	if src.egressRate > 0 {
+		nf := max(now, src.egressNext) + int64(size)*int64(time.Second)/src.egressRate
+		src.egressNext = nf
 		delay += time.Duration(nf - now)
 	}
 	if prof.Bandwidth > 0 {
-		ser := int64(size) * int64(time.Second) / prof.Bandwidth
-		nf := n.rows[from].bump(to, now, ser, len(n.addrs))
+		k := idPair{from, to}
+		nf := max(now, n.next[k]) + int64(size)*int64(time.Second)/prof.Bandwidth
+		n.next[k] = nf
 		delay += time.Duration(nf - now)
 	}
 	return delay
@@ -702,11 +620,10 @@ func (e *endpoint) SetHandler(h transport.Handler) {
 	e.handler = h
 }
 
-// Close shuts the endpoint down. Its drained link and egress state is reaped
-// immediately (drained entries are semantically absent, so this is invisible
-// to replays); horizons still booked into the future are kept — they model
-// packets that already left the NIC and must still shape later traffic
-// exactly as they did before the node went away.
+// Close shuts the endpoint down. Its link and egress horizons stay: those
+// still in the future model packets that already left the NIC and must
+// shape a rebound address's traffic exactly as they would have the old
+// incarnation's, and drained ones behave as absent.
 func (e *endpoint) Close() error {
 	n := e.net
 	n.mu.Lock()
@@ -715,11 +632,6 @@ func (e *endpoint) Close() error {
 		e.closed = true
 		e.handler = nil
 		n.live--
-		now := n.clk.Now().UnixNano()
-		n.rows[e.id].release(now)
-		if nf := n.egressNext[e.id]; nf != 0 && nf <= now {
-			n.egressNext[e.id] = 0
-		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -202,6 +203,43 @@ func TestCrashInFlightStillArrives(t *testing.T) {
 	r.clk.Drain(0)
 	if n != 1 {
 		t.Fatalf("in-flight packet from crashed sender: delivered %d, want 1", n)
+	}
+}
+
+// TestHorizonSurvivesCrashAndRebind: a link's serialization horizon models
+// packets that already left the sender's NIC, so it outlives the sender. A
+// sender crashed mid-serialization and rebound at once queues its next
+// packet behind the pre-crash one; rebound after that horizon has drained,
+// it pays only its own serialization. TestResetMatchesNew checks that Reset
+// forgets every horizon.
+func TestHorizonSurvivesCrashAndRebind(t *testing.T) {
+	r := newRig(t, Profile{Bandwidth: 1000}) // a 500 B packet serializes for 500 ms
+	a := r.endpoint(t, "a")
+	b := r.endpoint(t, "b")
+	var arrivals []time.Duration
+	b.SetHandler(func(transport.Addr, []byte) { arrivals = append(arrivals, r.clk.Now().Sub(simEpoch)) })
+	payload := make([]byte, 500)
+	send := func() {
+		t.Helper()
+		if err := a.Send("b", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crashRebindSend := func() {
+		t.Helper()
+		r.net.Crash("a")
+		a = r.endpoint(t, "a")
+		send()
+	}
+	send()
+	r.clk.Advance(100 * time.Millisecond)
+	crashRebindSend()                      // the first packet serializes until 500 ms
+	r.clk.Advance(1900 * time.Millisecond) // the horizon drains at 1 s
+	crashRebindSend()
+	r.clk.Drain(0)
+	want := []time.Duration{500 * time.Millisecond, time.Second, 2500 * time.Millisecond}
+	if !slices.Equal(arrivals, want) {
+		t.Fatalf("arrivals %v, want %v", arrivals, want)
 	}
 }
 
